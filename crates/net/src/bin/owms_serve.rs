@@ -2,7 +2,8 @@
 //!
 //! One process hosts any number of `(community, host)` protocol cores
 //! over real TCP (see [`openwf_net::NetServer`]), with durable fragment
-//! stores, `net.*` transport metrics, causal trace export, and graceful
+//! stores, `net.*` transport metrics (always collected), causal trace
+//! export (collected only under `--trace-jsonl`), and graceful
 //! shutdown. Several processes running this binary — one per community
 //! member — construct workflows together over actual sockets; the
 //! `serve_process` integration test drives three of them and compares
@@ -31,7 +32,7 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use openwf_net::{NetServer, QueueCaps, ServerConfig, WallClock};
-use openwf_obs::{to_jsonl, Obs};
+use openwf_obs::{to_jsonl, MetricsRegistry, Obs, TraceSink};
 use openwf_runtime::config::parse_host_config;
 use openwf_runtime::{HostConfig, ProblemId, RuntimeParams, WorkflowEvent};
 use openwf_simnet::HostId;
@@ -251,6 +252,20 @@ fn flush() {
     let _ = std::io::stdout().flush();
 }
 
+/// The collectors this process records into. Metrics are always on:
+/// counters and fixed-bucket histograms cost an atomic add and hold a
+/// fixed amount of memory. The trace sink keeps every event until exit,
+/// so it exists only when `--trace-jsonl` names a file to export to.
+fn observability(args: &Args) -> Obs {
+    Obs {
+        metrics: MetricsRegistry::new(),
+        trace: match args.trace_jsonl {
+            Some(_) => TraceSink::new(),
+            None => TraceSink::disabled(),
+        },
+    }
+}
+
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let args = match parse_args(&argv) {
@@ -261,7 +276,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let obs = Obs::enabled();
+    let obs = observability(&args);
     let mut server = match NetServer::new(ServerConfig {
         name: args.name.clone(),
         listen: args.listen.clone(),
@@ -488,4 +503,82 @@ fn main() -> ExitCode {
     );
     flush();
     exit_code
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use openwf_core::{Fragment, Mode, Spec};
+    use openwf_obs::validate_json;
+    use openwf_runtime::{Action, HostCore, ServiceDescription};
+    use openwf_simnet::{SimDuration, SimTime};
+
+    /// Runs one single-host workflow on a core recording into `obs`.
+    fn serve_one_workflow(obs: &Obs) {
+        let config = HostConfig::new()
+            .with_fragment(
+                Fragment::single_task(
+                    "sv-obs-f",
+                    "sv-obs-t",
+                    Mode::Disjunctive,
+                    ["sv-obs-a"],
+                    ["sv-obs-b"],
+                )
+                .unwrap(),
+            )
+            .with_service(ServiceDescription::new("sv-obs-t", SimDuration::ZERO))
+            .with_observability(obs.clone());
+        let mut core = HostCore::new(config, RuntimeParams::default());
+        let me = HostId(0);
+        core.bind(me);
+        core.set_community(vec![me]);
+        let problem = ProblemId::new(me, 0);
+        let mut completed = false;
+        let mut inbox = Vec::new();
+        let mut q = core.initiate(
+            problem,
+            Spec::new(["sv-obs-a"], ["sv-obs-b"]),
+            SimTime::ZERO,
+        );
+        for _ in 0..1_000 {
+            for action in q {
+                match action {
+                    Action::Send { msg, .. } => inbox.push(msg),
+                    Action::Event(WorkflowEvent::Completed { .. }) => completed = true,
+                    _ => {}
+                }
+            }
+            q = match inbox.pop() {
+                Some(msg) => core.handle_msg(me, msg, SimTime::ZERO),
+                None if completed => break,
+                None => core.tick(SimTime::ZERO),
+            };
+        }
+        assert!(completed, "the workflow completes");
+    }
+
+    fn args(flags: &[&str]) -> Args {
+        let argv: Vec<String> = flags.iter().map(|f| f.to_string()).collect();
+        parse_args(&argv).unwrap_or_else(|err| panic!("{err}"))
+    }
+
+    /// Without `--trace-jsonl` nothing is traced and metrics still
+    /// count; with it the export is non-empty, one valid JSON object a
+    /// line.
+    #[test]
+    fn traces_are_collected_only_under_trace_jsonl() {
+        let plain = observability(&args(&["--host", "0:0"]));
+        serve_one_workflow(&plain);
+        assert!(plain.trace.is_empty(), "no flag, no trace events");
+        assert!(plain.metrics.counter("core.messages").get() > 0);
+
+        let traced = observability(&args(&["--host", "0:0", "--trace-jsonl", "out.jsonl"]));
+        serve_one_workflow(&traced);
+        assert!(traced.metrics.counter("core.messages").get() > 0);
+        let export = to_jsonl(&traced.trace.snapshot());
+        assert!(!export.is_empty(), "the flag collects trace events");
+        for line in export.lines() {
+            validate_json(line).unwrap_or_else(|err| panic!("{err}: {line}"));
+        }
+    }
 }

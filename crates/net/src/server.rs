@@ -11,13 +11,14 @@
 //!
 //! # Timers
 //!
-//! The cores track their own armed timers; [`Action::SetTimer`] is
-//! deliberately ignored and [`HostCore::tick`] fires everything due at
-//! each poll (the documented alternative to timer delivery — doing both
-//! would double-fire). [`NetServer::poll`] bounds its socket wait by
-//! the earliest [`HostCore::next_timer_due`] across all local cores, so
-//! a silent peer cannot stall timeout-driven progress: the wait wakes
-//! exactly when the next timeout matures.
+//! The cores track their own armed timers and [`HostCore::tick`] fires
+//! everything due at a poll (the documented alternative to timer
+//! delivery — doing both would double-fire). From [`Action::SetTimer`]
+//! the server keeps only the earliest due time it has seen, its next
+//! wake-up: [`NetServer::poll`] bounds its socket wait by it, so a
+//! silent peer cannot stall timeout-driven progress, and asks the
+//! cores nothing until it matures. Once it has, the due cores tick and
+//! the wake-up is taken afresh from [`HostCore::next_timer_due`].
 //!
 //! # Backpressure
 //!
@@ -52,6 +53,7 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::ops::Bound;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
@@ -63,7 +65,7 @@ use openwf_runtime::{
     encode_msg_traced, Action, ActionQueue, HostConfig, HostCore, Msg, OutboundMode, ProblemHandle,
     ProblemId, RuntimeParams, WorkflowEvent,
 };
-use openwf_simnet::HostId;
+use openwf_simnet::{HostId, SimTime};
 use openwf_wire::{frame_tag, FrameDecoder, VocabularyBudget, TAG_FRAGMENT, TAG_MSG, TAG_SPEC};
 use serde::Value;
 
@@ -247,6 +249,13 @@ pub struct NetServer {
     dial_backoff: Duration,
     operator_ingest: Option<usize>,
     shutdown_requested: bool,
+    /// No local core has a timer due before this (`None`: none has a
+    /// timer at all). Lowered by every [`Action::SetTimer`], recomputed
+    /// when it matures; a timer disarmed since may leave it early,
+    /// which costs one poll that finds nothing due.
+    /// [`NetServer::core_mut`] resets it, since its caller may arm
+    /// timers the server never sees as actions.
+    timer_wake: Option<SimTime>,
 }
 
 impl std::fmt::Debug for NetServer {
@@ -310,6 +319,7 @@ impl NetServer {
             dial_backoff: config.dial_backoff,
             operator_ingest: config.operator_ingest,
             shutdown_requested: false,
+            timer_wake: None,
         })
     }
 
@@ -396,6 +406,8 @@ impl NetServer {
     /// Mutable access to one local core (service hooks, test plumbing).
     /// Panics when absent, as [`NetServer::core`] does.
     pub fn core_mut(&mut self, community: u64, host: HostId) -> &mut HostCore {
+        // Whatever the caller arms on the core, the next poll looks.
+        self.timer_wake = Some(SimTime::ZERO);
         self.cores.get_mut(&(community, host)).expect("local core")
     }
 
@@ -429,7 +441,7 @@ impl NetServer {
             .get_mut(&(community, initiator))
             .expect("local core")
             .initiate(id, spec, now);
-        self.apply_actions(community, initiator, q);
+        self.apply_actions(community, initiator, q, now);
         ProblemHandle { id }
     }
 
@@ -462,7 +474,7 @@ impl NetServer {
     }
 
     /// Earliest timer due across every local core.
-    pub fn next_timer_due(&self) -> Option<openwf_simnet::SimTime> {
+    pub fn next_timer_due(&self) -> Option<SimTime> {
         self.cores
             .values()
             .filter_map(HostCore::next_timer_due)
@@ -577,34 +589,40 @@ impl NetServer {
     // ---- reactor internals ----------------------------------------------
 
     /// The socket wait for this poll: `max_wait`, shortened to the
-    /// earliest core timer so timeouts fire on time even when every
+    /// next timer wake-up so timeouts fire on time even when every
     /// peer is silent.
     fn bounded_wait(&self, max_wait: Duration) -> Duration {
-        match self.next_timer_due() {
+        match self.timer_wake {
             Some(due) => max_wait.min(self.clock.until(due)),
             None => max_wait,
         }
     }
 
-    /// Fires `tick` on every core with a matured timer.
+    /// Fires `tick` on every core with a matured timer — a no-op until
+    /// the wake-up time has come.
     fn fire_due_timers(&mut self) -> bool {
         let now = self.clock.now();
-        let due: Vec<(u64, HostId)> = self
-            .cores
-            .iter()
-            .filter(|(_, core)| core.next_timer_due().is_some_and(|t| t <= now))
-            .map(|(key, _)| *key)
-            .collect();
-        let mut fired = false;
-        for (community, host) in due {
-            let q = self
-                .cores
-                .get_mut(&(community, host))
-                .expect("key from iteration")
-                .tick(now);
-            fired |= !q.is_empty();
-            self.apply_actions(community, host, q);
+        if self.timer_wake.is_none_or(|wake| wake > now) {
+            return false;
         }
+        let mut fired = false;
+        // Cores in key order, as a cursor: applying one core's actions
+        // needs the whole server.
+        let mut next = self.cores.keys().next().copied();
+        while let Some(key) = next {
+            let core = self.cores.get_mut(&key).expect("key from the map");
+            if core.next_timer_due().is_some_and(|due| due <= now) {
+                let q = core.tick(now);
+                fired |= !q.is_empty();
+                self.apply_actions(key.0, key.1, q, now);
+            }
+            next = self
+                .cores
+                .range((Bound::Excluded(key), Bound::Unbounded))
+                .next()
+                .map(|(key, _)| *key);
+        }
+        self.timer_wake = self.next_timer_due();
         fired
     }
 
@@ -622,19 +640,25 @@ impl NetServer {
                 continue;
             };
             let q = core.handle_frame(from, &inner, now);
-            self.apply_actions(community, to, q);
+            self.apply_actions(community, to, q, now);
         }
         any
     }
 
-    /// Performs one core's action queue: encode + route sends, surface
-    /// events, ignore timer arms (tick discipline, see module docs).
-    fn apply_actions(&mut self, community: u64, me: HostId, q: ActionQueue) {
+    /// Performs the action queue one core returned from a call made at
+    /// `now`: encode + route sends, surface events, note timer arms for
+    /// the next wake-up (tick discipline, see module docs).
+    fn apply_actions(&mut self, community: u64, me: HostId, q: ActionQueue, now: SimTime) {
         for action in q {
             match action {
                 Action::Send { to, msg } => self.send_msg(community, me, to, &msg),
                 Action::SendBytes { to, bytes } => self.route_inner(community, me, to, bytes),
-                Action::SetTimer { .. } => {}
+                Action::SetTimer { delay, .. } => {
+                    let due = now + delay;
+                    if self.timer_wake.is_none_or(|wake| due < wake) {
+                        self.timer_wake = Some(due);
+                    }
+                }
                 Action::Event(ev) => self.on_workflow_event(community, me, ev),
                 // `Action` is non-exhaustive; a future variant is a bug
                 // here, not something to silently drop — but there is no
@@ -934,7 +958,7 @@ impl NetServer {
                     .get_mut(&(community, to))
                     .expect("checked above")
                     .handle_frame(from, &inner, now);
-                self.apply_actions(community, to, q);
+                self.apply_actions(community, to, q, now);
             }
             Ok(Some(TAG_FRAGMENT)) => {
                 // Operator/admin plane: direct know-how ingest (seeding,
@@ -1111,6 +1135,54 @@ mod tests {
             assert!(Instant::now() < deadline, "condition never reached");
             server.poll(Duration::from_millis(10));
         }
+    }
+
+    /// The socket wait is cut to the earliest timer the cores armed: a
+    /// lone host with a 30 ms service finishes its workflow on time
+    /// although every poll may wait two seconds and no peer ever speaks.
+    #[test]
+    fn poll_wakes_for_timers_armed_by_applied_actions() {
+        let mut server = NetServer::new(ServerConfig {
+            listen: None,
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        server.add_core(
+            0,
+            HostId(0),
+            HostConfig::new()
+                .with_fragment(frag("svw-f0", "svw-t0", "svw-a", "svw-b"))
+                .with_service(openwf_runtime::ServiceDescription::new(
+                    "svw-t0",
+                    openwf_simnet::SimDuration::from_millis(30),
+                )),
+            RuntimeParams::default(),
+        );
+        server.set_community(0, vec![HostId(0)]);
+        let started = Instant::now();
+        let handle = server.submit(0, HostId(0), openwf_core::Spec::new(["svw-a"], ["svw-b"]));
+        let mut completed = false;
+        while !completed {
+            assert!(started.elapsed() < Duration::from_secs(10), "stalled");
+            server.poll(Duration::from_secs(2));
+            completed = server.drain_workflow_events().iter().any(|(_, _, ev)| {
+                matches!(ev, WorkflowEvent::Completed { problem } if *problem == handle.id)
+            });
+        }
+        let took = started.elapsed();
+        assert!(
+            took >= Duration::from_millis(30),
+            "the service ran: {took:?}"
+        );
+        assert!(
+            took < Duration::from_secs(1),
+            "woke for the timer: {took:?}"
+        );
+        assert_eq!(
+            server.core(0, HostId(0)).armed_timer_count(),
+            1,
+            "the bid hold's expiry is still to come; the guards are disarmed"
+        );
     }
 
     /// Envelopes before the handshake sever the connection: an

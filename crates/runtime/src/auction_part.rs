@@ -120,6 +120,7 @@ impl AuctionParticipationManager {
         // The task's required location wins over the service's default.
         let location = meta.location.clone().or_else(|| service.location.clone());
         let earliest = meta.earliest_start.max(now);
+        schedule.advance(now);
         let Some((start, travel)) =
             schedule.earliest_slot(earliest, service.duration, location.as_deref())
         else {

@@ -46,6 +46,7 @@ use crate::prefs::Preferences;
 use crate::report::ProblemStatus;
 use crate::schedule::ScheduleManager;
 use crate::service::{ServiceDescription, ServiceManager};
+use crate::timers::TimerTable;
 use crate::workflow_mgr::{Phase, WorkflowManager, WsAction};
 
 /// Which storage backend backs a host's Fragment Manager (see
@@ -410,12 +411,6 @@ enum TimerPurpose {
     Watchdog { problem: ProblemId },
 }
 
-#[derive(Clone, Debug)]
-struct ArmedTimer {
-    due: SimTime,
-    purpose: TimerPurpose,
-}
-
 /// Storage-backend metric names published as gauges (point-in-time
 /// sizes that move both ways); everything else a backend reports is
 /// monotonic and published as a counter. See
@@ -509,12 +504,10 @@ pub struct HostCore {
     max_vocab_rejections: Option<u64>,
     quarantined: HashSet<HostId>,
     outbound: OutboundMode,
-    /// Armed timers: token → due time + purpose. Due times let
-    /// [`HostCore::tick`] fire timers on a clock poll and
-    /// [`HostCore::next_timer_due`] tell a poll-based driver how long it
-    /// may sleep.
-    timers: HashMap<u64, ArmedTimer>,
-    next_timer: u64,
+    /// Armed timers in firing order. Due times let [`HostCore::tick`]
+    /// fire timers on a clock poll and [`HostCore::next_timer_due`]
+    /// tell a poll-based driver how long it may sleep.
+    timers: TimerTable<TimerPurpose>,
     /// Observability collectors (disabled by default; see
     /// [`HostConfig::obs`]).
     obs: Obs,
@@ -599,8 +592,7 @@ impl HostCore {
             max_vocab_rejections: config.max_vocabulary_rejections,
             quarantined: HashSet::new(),
             outbound: OutboundMode::Typed,
-            timers: HashMap::new(),
-            next_timer: 0,
+            timers: TimerTable::new(),
             metrics: CoreMetrics::resolve(&config.obs),
             obs: config.obs,
         }
@@ -716,7 +708,15 @@ impl HostCore {
     /// Earliest due time among armed timers — how long a poll-based
     /// driver may sleep before the next [`HostCore::tick`] has work.
     pub fn next_timer_due(&self) -> Option<SimTime> {
-        self.timers.values().map(|t| t.due).min()
+        self.timers.next_due()
+    }
+
+    /// Number of timers currently armed. Timers of a problem that can
+    /// no longer matter (its round closed, its allocation finalised, it
+    /// turned terminal) are disarmed, so on a long-lived host this
+    /// tracks the problems in flight, not the problems ever served.
+    pub fn armed_timer_count(&self) -> usize {
+        self.timers.len()
     }
 
     /// The observability collectors this core records into (disabled
@@ -908,13 +908,11 @@ impl HostCore {
     /// [`Action::SetTimer`]).
     pub fn handle_timer(&mut self, token: TimerToken, now: SimTime) -> ActionQueue {
         let mut q = ActionQueue::new();
-        let Some(armed) = self.timers.remove(&token.0) else {
-            return q;
+        let Some((due, purpose)) = self.timers.take(token.0) else {
+            return q; // already fired, or disarmed since it was armed
         };
-        self.metrics
-            .timer_lag_us
-            .record(now.since(armed.due).as_micros());
-        self.fire_timer(armed.purpose, now, &mut q);
+        self.metrics.timer_lag_us.record(now.since(due).as_micros());
+        self.fire_timer(purpose, now, &mut q);
         self.metrics.queue_depth.record(q.len() as u64);
         q
     }
@@ -928,25 +926,14 @@ impl HostCore {
     /// nothing).
     pub fn tick(&mut self, now: SimTime) -> ActionQueue {
         let mut q = ActionQueue::new();
-        loop {
-            // One at a time: firing a timer can arm new (already-due)
-            // timers, which an upfront snapshot would miss.
-            let due = self
-                .timers
-                .iter()
-                .filter(|(_, t)| t.due <= now)
-                .map(|(&tok, t)| (t.due, tok))
-                .min();
-            let Some((_, token)) = due else {
-                self.metrics.queue_depth.record(q.len() as u64);
-                return q;
-            };
-            let armed = self.timers.remove(&token).expect("selected above");
-            self.metrics
-                .timer_lag_us
-                .record(now.since(armed.due).as_micros());
-            self.fire_timer(armed.purpose, now, &mut q);
+        // One at a time, in `(due, token)` order: firing a timer can arm
+        // new (already-due) timers, which an upfront snapshot would miss.
+        while let Some((due, purpose)) = self.timers.pop_due(now) {
+            self.metrics.timer_lag_us.record(now.since(due).as_micros());
+            self.fire_timer(purpose, now, &mut q);
         }
+        self.metrics.queue_depth.record(q.len() as u64);
+        q
     }
 
     /// Submits a problem specification locally — what the paper's
@@ -1011,25 +998,38 @@ impl HostCore {
         now: SimTime,
         delay: SimDuration,
         purpose: TimerPurpose,
-    ) {
-        let token = self.next_timer;
-        self.next_timer += 1;
-        self.timers.insert(
-            token,
-            ArmedTimer {
-                due: now + delay,
-                purpose,
-            },
-        );
-        q.push(Action::SetTimer {
-            delay,
-            token: TimerToken(token),
-        });
+    ) -> TimerToken {
+        let token = TimerToken(self.timers.arm(now + delay, purpose));
+        q.push(Action::SetTimer { delay, token });
+        token
     }
 
     fn arm_at(&mut self, q: &mut ActionQueue, now: SimTime, at: SimTime, purpose: TimerPurpose) {
         let delay = at.since(now);
         self.arm(q, now, delay, purpose);
+    }
+
+    /// Disarms every guard timer of `problem` (see
+    /// [`crate::workflow_mgr::GuardTimers`]): the attempt turned
+    /// terminal, so none of them can matter any more.
+    fn disarm_guards(&mut self, problem: ProblemId) {
+        let guards = self
+            .workflow_mgr
+            .get_mut(&problem)
+            .map(|ws| std::mem::take(&mut ws.guard_timers))
+            .unwrap_or_default();
+        for token in [guards.round, guards.auction, guards.watchdog] {
+            self.disarm(token);
+        }
+    }
+
+    /// Disarms a timer that can no longer matter. A driver that
+    /// delivers timers still hands the token back when it is due;
+    /// [`HostCore::handle_timer`] answers that with an empty queue.
+    fn disarm(&mut self, token: Option<TimerToken>) {
+        if let Some(token) = token {
+            self.timers.take(token.0);
+        }
     }
 
     fn others(&self) -> Vec<HostId> {
@@ -1421,10 +1421,23 @@ impl HostCore {
                 WsAction::ArmRoundTimeout { round } => {
                     self.metrics.rounds.inc();
                     let delay = self.params.round_timeout;
-                    self.arm(q, now, delay, TimerPurpose::RoundTimeout { problem, round });
+                    let token =
+                        self.arm(q, now, delay, TimerPurpose::RoundTimeout { problem, round });
+                    // A workspace runs one round at a time: opening this
+                    // one closed its predecessor, whose timeout is moot.
+                    let closed = self
+                        .workflow_mgr
+                        .get_mut(&problem)
+                        .and_then(|ws| ws.guard_timers.round.replace(token));
+                    self.disarm(closed);
                 }
                 WsAction::Charge(d) => q.charge(d),
                 WsAction::Constructed => {
+                    let closed = self
+                        .workflow_mgr
+                        .get_mut(&problem)
+                        .and_then(|ws| ws.guard_timers.round.take());
+                    self.disarm(closed);
                     if self.obs.trace.is_enabled() {
                         self.trace(now, problem, "construct", SpanPhase::End, 0, String::new());
                         self.trace(now, problem, "allocate", SpanPhase::Begin, 0, String::new());
@@ -1437,6 +1450,7 @@ impl HostCore {
                     // knowledge cannot satisfy the spec. (Repair handles
                     // allocation/execution failures, where retrying can
                     // help because community state changed.)
+                    self.disarm_guards(problem);
                     if self.obs.trace.is_enabled() {
                         self.trace(
                             now,
@@ -1483,7 +1497,10 @@ impl HostCore {
         // bidders), force the allocation decision after auction_timeout
         // instead of waiting on per-bid deadlines that never get armed.
         let timeout = self.params.auction_timeout;
-        self.arm(q, now, timeout, TimerPurpose::AuctionTimeout { problem });
+        let token = self.arm(q, now, timeout, TimerPurpose::AuctionTimeout { problem });
+        if let Some(ws) = self.workflow_mgr.get_mut(&problem) {
+            ws.guard_timers.auction = Some(token);
+        }
 
         // Call for bids: pairwise to every other member…
         let others = self.others();
@@ -1594,6 +1611,12 @@ impl HostCore {
     }
 
     fn finalize_allocation(&mut self, problem: ProblemId, now: SimTime, q: &mut ActionQueue) {
+        // Every auction is decided: the liveness backstop is moot.
+        let backstop = self
+            .workflow_mgr
+            .get_mut(&problem)
+            .and_then(|ws| ws.guard_timers.auction.take());
+        self.disarm(backstop);
         let Some(ws) = self.workflow_mgr.get_mut(&problem) else {
             return;
         };
@@ -1685,7 +1708,10 @@ impl HostCore {
         }
 
         let watchdog = self.params.execution_watchdog;
-        self.arm(q, now, watchdog, TimerPurpose::Watchdog { problem });
+        let token = self.arm(q, now, watchdog, TimerPurpose::Watchdog { problem });
+        if let Some(ws) = self.workflow_mgr.get_mut(&problem) {
+            ws.guard_timers.watchdog = Some(token);
+        }
         self.check_completion(problem, now, q);
     }
 
@@ -1697,6 +1723,7 @@ impl HostCore {
             ws.phase = Phase::Completed;
             ws.report.status = ProblemStatus::Completed;
             ws.report.timings.completed_at = Some(now);
+            self.disarm_guards(problem);
             if self.obs.trace.is_enabled() {
                 self.trace(
                     now,
@@ -1734,6 +1761,7 @@ impl HostCore {
             }
             None => return,
         };
+        self.disarm_guards(problem);
         if attempts_used >= self.params.max_repair_attempts {
             if self.obs.trace.is_enabled() {
                 self.trace(

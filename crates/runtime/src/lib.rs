@@ -54,6 +54,7 @@ pub mod prefs;
 pub mod report;
 pub mod schedule;
 pub mod service;
+mod timers;
 pub mod vocab;
 pub mod workflow_mgr;
 

@@ -7,6 +7,7 @@
 //! details, which is the key data structure for both allocation and
 //! execution of an open workflow."
 
+use std::collections::HashMap;
 use std::fmt;
 
 use openwf_core::TaskId;
@@ -50,13 +51,43 @@ impl fmt::Display for Commitment {
     }
 }
 
+/// One entry of the slot-search index: the slot of a commitment that a
+/// search may still run into.
+#[derive(Clone, Copy, Debug)]
+struct OpenSlot {
+    start: SimTime,
+    /// Insertion sequence number of the commitment; orders equal starts
+    /// the way a stable sort of [`ScheduleManager::commitments`] would.
+    seq: u64,
+    end: SimTime,
+}
+
 /// Per-host schedule: position, motion profile, and committed slots.
+///
+/// The commitment database only grows on a long-lived host (a won task
+/// stays on record), so nothing on the bidding path reads all of it:
+/// slot searches walk `open`, the start-ordered slots that have not
+/// ended by the host's clock ([`ScheduleManager::advance`]), and
+/// releases find their commitments through `by_problem`.
 #[derive(Debug)]
 pub struct ScheduleManager {
     position: Point,
     motion: Motion,
     site: SiteMap,
+    /// Every commitment, in insertion order.
     commitments: Vec<Commitment>,
+    /// `seqs[i]` is the insertion sequence number of `commitments[i]`
+    /// (ascending, so a sequence number finds its position by binary
+    /// search however many earlier commitments were released).
+    seqs: Vec<u64>,
+    next_seq: u64,
+    /// Sequence numbers of each problem's commitments, ascending.
+    by_problem: HashMap<ProblemId, Vec<u64>>,
+    /// The slot-search index, sorted by `(start, seq)`: every
+    /// commitment whose `end` is after `horizon`.
+    open: Vec<OpenSlot>,
+    /// The latest time [`ScheduleManager::advance`] was told.
+    horizon: SimTime,
 }
 
 impl ScheduleManager {
@@ -68,6 +99,11 @@ impl ScheduleManager {
             motion,
             site,
             commitments: Vec::new(),
+            seqs: Vec::new(),
+            next_seq: 0,
+            by_problem: HashMap::new(),
+            open: Vec::new(),
+            horizon: SimTime::ZERO,
         }
     }
 
@@ -120,48 +156,132 @@ impl ScheduleManager {
     /// The search walks existing commitments in time order and places the
     /// slot in the first gap that fits — a simple, deterministic policy
     /// matching the paper's "whether the participant has time available".
+    ///
+    /// Commitments that ended at or before the last
+    /// [`ScheduleManager::advance`] are not looked at: `earliest` must
+    /// not lie before that time (a host never looks for a slot in its
+    /// own past), and then none of them can overlap the search.
     pub fn earliest_slot(
         &self,
         earliest: SimTime,
         duration: SimDuration,
         location: Option<&str>,
     ) -> Option<(SimTime, SimDuration)> {
+        debug_assert!(earliest >= self.horizon, "slot search in the past");
         let travel = self.travel_time(location)?;
         let needed = travel + duration;
         let mut candidate = earliest;
-        let mut slots: Vec<&Commitment> = self.commitments.iter().collect();
-        slots.sort_by_key(|c| c.start);
-        for c in slots {
+        for slot in &self.open {
             let end = candidate.saturating_add(needed);
-            if c.overlaps(candidate, end) {
-                candidate = c.end;
+            if slot.start >= end {
+                // Start-ordered: nothing further on can overlap either.
+                break;
+            }
+            if candidate < slot.end {
+                candidate = slot.end;
             }
         }
         Some((candidate, travel))
+    }
+
+    /// Tells the schedule that the host's clock reached `now` (an
+    /// earlier time than one already told is ignored). Commitments
+    /// that have ended by then leave the slot-search index — no search
+    /// from `now` on can overlap them — and stay in
+    /// [`ScheduleManager::commitments`].
+    pub fn advance(&mut self, now: SimTime) {
+        if now > self.horizon {
+            self.horizon = now;
+            self.open.retain(|slot| slot.end > now);
+        }
+    }
+
+    /// Number of commitments in the slot-search index: those that have
+    /// not ended by the host's clock. Bounded by the work in flight,
+    /// where [`ScheduleManager::commitment_count`] counts the history.
+    pub fn open_slot_count(&self) -> usize {
+        self.open.len()
     }
 
     /// Records a commitment (after winning an auction).
     pub fn commit(&mut self, commitment: Commitment) {
         debug_assert!(
             !self
-                .commitments
+                .open
                 .iter()
-                .any(|c| c.overlaps(commitment.start, commitment.end)),
+                .any(|slot| commitment.overlaps(slot.start, slot.end)),
             "double-booked: {commitment}"
         );
+        self.insert(commitment);
+    }
+
+    /// [`ScheduleManager::commit`] without the double-booking check.
+    fn insert(&mut self, commitment: Commitment) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        if commitment.end > self.horizon {
+            let slot = OpenSlot {
+                start: commitment.start,
+                seq,
+                end: commitment.end,
+            };
+            // `seq` is the largest so far: after every equal start.
+            let at = self.open.partition_point(|s| s.start <= slot.start);
+            self.open.insert(at, slot);
+        }
+        self.by_problem
+            .entry(commitment.problem)
+            .or_default()
+            .push(seq);
         self.commitments.push(commitment);
+        self.seqs.push(seq);
+    }
+
+    /// Where the commitment with sequence number `seq` sits in
+    /// `commitments`.
+    fn index_of(&self, seq: u64) -> usize {
+        self.seqs
+            .binary_search(&seq)
+            .expect("by_problem lists only commitments on record")
+    }
+
+    /// Removes `commitments[at]` from the database and the slot-search
+    /// index.
+    fn remove_at(&mut self, at: usize) {
+        let seq = self.seqs.remove(at);
+        let commitment = self.commitments.remove(at);
+        if let Ok(slot) = self
+            .open
+            .binary_search_by_key(&(commitment.start, seq), |s| (s.start, s.seq))
+        {
+            self.open.remove(slot);
+        }
     }
 
     /// Releases all commitments of one problem (repair/reallocation).
     pub fn release_problem(&mut self, problem: ProblemId) {
-        self.commitments.retain(|c| c.problem != problem);
+        for seq in self.by_problem.remove(&problem).unwrap_or_default() {
+            self.remove_at(self.index_of(seq));
+        }
     }
 
     /// Releases the commitment for one `(problem, task)` pair — used when
     /// a tentative bid hold expires unawarded.
     pub fn release_task(&mut self, problem: ProblemId, task: &TaskId) {
-        self.commitments
-            .retain(|c| !(c.problem == problem && &c.task == task));
+        let Some(mut seqs) = self.by_problem.remove(&problem) else {
+            return;
+        };
+        seqs.retain(|&seq| {
+            let at = self.index_of(seq);
+            let released = &self.commitments[at].task == task;
+            if released {
+                self.remove_at(at);
+            }
+            !released
+        });
+        if !seqs.is_empty() {
+            self.by_problem.insert(problem, seqs);
+        }
     }
 
     /// Resolves a symbolic location to coordinates.
@@ -174,6 +294,7 @@ impl ScheduleManager {
 mod tests {
     use super::*;
     use openwf_simnet::HostId;
+    use proptest::prelude::*;
 
     fn pid() -> ProblemId {
         ProblemId::new(HostId(0), 0)
@@ -280,6 +401,191 @@ mod tests {
         });
         m.release_problem(pid());
         assert_eq!(m.commitment_count(), 1, "other problems keep their slots");
+    }
+
+    #[test]
+    fn ended_commitments_leave_the_index_not_the_database() {
+        let mut m = ScheduleManager::unlocated();
+        m.commit(commitment(0, 1_000));
+        m.commit(commitment(1_000, 1_000)); // zero-length
+        m.commit(commitment(2_000, 3_000));
+        assert_eq!(m.open_slot_count(), 3);
+        m.advance(SimTime::from_micros(1_000));
+        assert_eq!(m.open_slot_count(), 1, "ended slots cannot overlap again");
+        assert_eq!(m.commitment_count(), 3, "the record keeps them");
+        m.advance(SimTime::from_micros(500));
+        assert_eq!(m.open_slot_count(), 1, "the clock does not run backwards");
+        let (start, _) = m
+            .earliest_slot(
+                SimTime::from_micros(1_500),
+                SimDuration::from_micros(600),
+                None,
+            )
+            .unwrap();
+        assert_eq!(start, SimTime::from_micros(3_000));
+        m.release_problem(pid());
+        assert_eq!((m.commitment_count(), m.open_slot_count()), (0, 0));
+    }
+
+    #[test]
+    fn release_task_frees_every_slot_of_the_pair_only() {
+        let mut m = ScheduleManager::unlocated();
+        let other_task = Commitment {
+            task: TaskId::new("u"),
+            ..commitment(10, 20)
+        };
+        m.commit(commitment(0, 10));
+        m.commit(other_task.clone());
+        m.commit(commitment(20, 30)); // a duplicate call for bids held twice
+        m.release_task(pid(), &TaskId::new("t"));
+        assert_eq!(m.commitments(), &[other_task]);
+        assert_eq!(m.open_slot_count(), 1);
+        m.release_task(pid(), &TaskId::new("t"));
+        m.release_task(ProblemId::new(HostId(3), 3), &TaskId::new("u"));
+        assert_eq!(m.commitment_count(), 1, "releasing nothing is a no-op");
+    }
+
+    /// The database this module had before its indexes, kept as the
+    /// oracle: one list, collected and sorted for every search and
+    /// scanned for every release.
+    #[derive(Default)]
+    struct ScanModel {
+        commitments: Vec<Commitment>,
+    }
+
+    impl ScanModel {
+        fn earliest_slot(&self, earliest: SimTime, needed: SimDuration) -> SimTime {
+            let mut candidate = earliest;
+            let mut slots: Vec<&Commitment> = self.commitments.iter().collect();
+            slots.sort_by_key(|c| c.start);
+            for c in slots {
+                let end = candidate.saturating_add(needed);
+                if c.overlaps(candidate, end) {
+                    candidate = c.end;
+                }
+            }
+            candidate
+        }
+
+        fn release_problem(&mut self, problem: ProblemId) {
+            self.commitments.retain(|c| c.problem != problem);
+        }
+
+        fn release_task(&mut self, problem: ProblemId, task: &TaskId) {
+            self.commitments
+                .retain(|c| !(c.problem == problem && &c.task == task));
+        }
+    }
+
+    #[derive(Clone, Debug)]
+    enum Op {
+        /// Commit `[now - 4 + offset, +len)` for `(problem, task)`:
+        /// starts in any order, before and after the clock, lengths
+        /// from zero, overlapping whatever is there.
+        Commit {
+            problem: u32,
+            task: u8,
+            offset: u64,
+            len: u64,
+        },
+        ReleaseTask {
+            problem: u32,
+            task: u8,
+        },
+        ReleaseProblem {
+            problem: u32,
+        },
+        /// Search from `now + ahead` for a slot of `needed`.
+        Search {
+            ahead: u64,
+            needed: u64,
+        },
+        /// The clock moves on.
+        Advance {
+            by: u64,
+        },
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        (0u8..8, 0u32..3, 0u8..3, 0u64..12, 0u64..6).prop_map(|(kind, problem, task, a, b)| {
+            match kind {
+                0..=2 => Op::Commit {
+                    problem,
+                    task,
+                    offset: a,
+                    len: b,
+                },
+                3 => Op::ReleaseTask { problem, task },
+                4 => Op::ReleaseProblem { problem },
+                5 | 6 => Op::Search {
+                    ahead: a % 5,
+                    needed: b,
+                },
+                _ => Op::Advance { by: a % 4 },
+            }
+        })
+    }
+
+    proptest! {
+        /// Random commit / release / search sequences on a moving clock
+        /// find the same slots, and keep the same commitments in the
+        /// same order, as the collect-sort-walk the indexes replaced.
+        #[test]
+        fn indexed_schedule_matches_the_scan_it_replaced(
+            ops in proptest::collection::vec(op(), 1..160),
+        ) {
+            let mut m = ScheduleManager::unlocated();
+            let mut model = ScanModel::default();
+            let mut now = SimTime::ZERO;
+            for op in ops {
+                match op {
+                    Op::Commit { problem, task, offset, len } => {
+                        let start = SimTime::from_micros((now.as_micros() + offset).saturating_sub(4));
+                        let c = Commitment {
+                            problem: ProblemId::new(HostId(0), problem),
+                            task: TaskId::new(format!("t{task}")),
+                            start,
+                            end: start + SimDuration::from_micros(len),
+                            travel: SimDuration::ZERO,
+                            location: None,
+                        };
+                        model.commitments.push(c.clone());
+                        // `commit` minus its debug-only double-booking
+                        // check: release builds accept overlaps too.
+                        m.insert(c);
+                    }
+                    Op::ReleaseTask { problem, task } => {
+                        let problem = ProblemId::new(HostId(0), problem);
+                        let task = TaskId::new(format!("t{task}"));
+                        model.release_task(problem, &task);
+                        m.release_task(problem, &task);
+                    }
+                    Op::ReleaseProblem { problem } => {
+                        let problem = ProblemId::new(HostId(0), problem);
+                        model.release_problem(problem);
+                        m.release_problem(problem);
+                    }
+                    Op::Search { ahead, needed } => {
+                        let earliest = now + SimDuration::from_micros(ahead);
+                        let needed = SimDuration::from_micros(needed);
+                        prop_assert_eq!(
+                            m.earliest_slot(earliest, needed, None),
+                            Some((model.earliest_slot(earliest, needed), SimDuration::ZERO))
+                        );
+                    }
+                    Op::Advance { by } => {
+                        now = now + SimDuration::from_micros(by);
+                        m.advance(now);
+                    }
+                }
+                prop_assert_eq!(m.commitments(), model.commitments.as_slice());
+                prop_assert_eq!(m.commitment_count(), model.commitments.len());
+                prop_assert_eq!(
+                    m.open_slot_count(),
+                    model.commitments.iter().filter(|c| c.end > now).count()
+                );
+            }
+        }
     }
 
     #[test]

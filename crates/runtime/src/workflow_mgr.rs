@@ -22,7 +22,7 @@ use std::sync::Arc;
 use openwf_core::construct::explore::{explore_with, ExploreOutcome, ExploreScratch};
 use openwf_core::construct::{self, ColorState, ConstructStats, Construction, PickOrder};
 use openwf_core::{Fragment, FxHashSet, Label, Spec, Supergraph, TaskId};
-use openwf_simnet::{HostId, SimDuration, SimTime};
+use openwf_simnet::{HostId, SimDuration, SimTime, TimerToken};
 
 use crate::auction::ProblemAuctions;
 use crate::fragment_mgr::FragmentManager;
@@ -86,6 +86,19 @@ struct Collect {
     capable: BTreeSet<TaskId>,
 }
 
+/// Tokens of the timers a host armed to guard one phase of a problem —
+/// each a no-op once that phase ends, whenever it comes due: a round's
+/// timeout after the round closed, the auction timeout after
+/// allocation finalised, the execution watchdog after the problem
+/// turned terminal. The host disarms them at those points, so a
+/// long-lived host's armed timers follow its problems in flight.
+#[derive(Debug, Default)]
+pub(crate) struct GuardTimers {
+    pub(crate) round: Option<TimerToken>,
+    pub(crate) auction: Option<TimerToken>,
+    pub(crate) watchdog: Option<TimerToken>,
+}
+
 /// The lifecycle phase of a workspace.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Phase {
@@ -126,6 +139,7 @@ pub struct Workspace {
     /// The constructed workflow (after `Constructed`).
     pub construction: Option<Construction>,
 
+    pub(crate) guard_timers: GuardTimers,
     n_peers: usize,
     supergraph: Supergraph,
     color: ColorState,
@@ -159,6 +173,7 @@ impl Workspace {
             tasks_pending: BTreeSet::new(),
             unallocatable: Vec::new(),
             construction: None,
+            guard_timers: GuardTimers::default(),
             n_peers,
             supergraph: Supergraph::new(),
             color: ColorState::with_len(0),

@@ -1,0 +1,122 @@
+//! What a host keeps *armed* and *searchable* follows the work in
+//! flight, not the work it has ever done.
+//!
+//! A serving host lives for many workflows. Its armed timers and the
+//! schedule's slot-search index are consulted on every poll and every
+//! call for bids, so their sizes are a per-workflow cost: this test
+//! counts them over 2 000 sequential workflows and checks the count at
+//! the end against one taken early, instead of timing anything.
+
+use openwf_core::{Fragment, Mode, Spec};
+use openwf_runtime::{
+    Driver, HostConfig, LoopbackBytesDriver, RuntimeParams, ServiceDescription, WorkflowEvent,
+};
+use openwf_simnet::SimDuration;
+
+const CHAIN: usize = 4;
+const HOSTS: usize = 3;
+
+/// One initiator and two peers: the know-how chain is spread over all
+/// three, and every task is served by two of them, so each workflow
+/// crosses hosts in every phase and leaves losing bids behind to expire.
+fn configs() -> Vec<HostConfig> {
+    let mut cfgs: Vec<HostConfig> = (0..HOSTS).map(|_| HostConfig::new()).collect();
+    for i in 0..CHAIN {
+        let fragment = Fragment::single_task(
+            format!("flat-f{i}"),
+            format!("flat-t{i}"),
+            Mode::Disjunctive,
+            [format!("flat-l{i}")],
+            [format!("flat-l{}", i + 1)],
+        )
+        .unwrap();
+        let holder = i % HOSTS;
+        cfgs[holder] = std::mem::take(&mut cfgs[holder]).with_fragment(fragment);
+        for server in [(i + 1) % HOSTS, (i + 2) % HOSTS] {
+            cfgs[server] = std::mem::take(&mut cfgs[server]).with_service(ServiceDescription::new(
+                format!("flat-t{i}"),
+                SimDuration::from_millis(3),
+            ));
+        }
+    }
+    cfgs
+}
+
+/// `(armed timers, open schedule slots)` summed over the community.
+fn footprint(driver: &LoopbackBytesDriver) -> (usize, usize) {
+    driver
+        .hosts()
+        .into_iter()
+        .fold((0, 0), |(timers, slots), h| {
+            let core = driver.core(h);
+            (
+                timers + core.armed_timer_count(),
+                slots + core.schedule().open_slot_count(),
+            )
+        })
+}
+
+#[test]
+fn armed_timers_and_open_slots_do_not_grow_with_workflows_served() {
+    let mut driver = LoopbackBytesDriver::build(RuntimeParams::default(), configs());
+    let initiator = driver.hosts()[0];
+    let spec = Spec::new(["flat-l0".to_string()], [format!("flat-l{CHAIN}")]);
+
+    let mut seen = 0; // cursor into the driver's event log
+    let mut after = Vec::with_capacity(2_000);
+    for served in 1..=2_000 {
+        // Sequential, and never drained to quiescence: the next
+        // workflow starts the moment this one completes, as on a
+        // serving host.
+        let handle = driver.submit(initiator, spec.clone());
+        let mut completed = false;
+        while !completed {
+            assert!(driver.step(), "workflow {served} stalled");
+            for (_, event) in &driver.events()[seen..] {
+                match event {
+                    WorkflowEvent::Completed { problem } if *problem == handle.id => {
+                        completed = true;
+                    }
+                    WorkflowEvent::Failed { problem, reason } => {
+                        panic!("workflow {served} ({problem}) failed: {reason}")
+                    }
+                    _ => {}
+                }
+            }
+            seen = driver.events().len();
+        }
+        after.push(footprint(&driver));
+    }
+
+    // Bid holds stay armed for `bid_patience + round_timeout` of the
+    // virtual clock, a few dozen workflows here; the bound is taken
+    // once that window is full and must still hold 1 800 workflows on.
+    let (timer_bound, slot_bound) = after[100..200]
+        .iter()
+        .fold((0, 0), |(t, s), &(timers, slots)| {
+            (t.max(timers), s.max(slots))
+        });
+    for (i, &(timers, slots)) in after.iter().enumerate().skip(1_900) {
+        assert!(
+            timers <= timer_bound,
+            "{timers} timers armed after workflow {}, {timer_bound} after workflows 101..=200",
+            i + 1
+        );
+        assert!(
+            slots <= slot_bound,
+            "{slots} open slots after workflow {}, {slot_bound} after workflows 101..=200",
+            i + 1
+        );
+    }
+
+    // The record itself is kept: every won task is still a commitment.
+    let commitments: usize = driver
+        .hosts()
+        .into_iter()
+        .map(|h| driver.core(h).schedule().commitment_count())
+        .sum();
+    assert!(
+        commitments >= 2_000 * CHAIN,
+        "{commitments} commitments on record"
+    );
+}
