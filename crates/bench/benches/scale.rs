@@ -1,20 +1,16 @@
 //! Wall-clock scaling bench: incremental construction over 1k/10k/100k
-//! fragment universes (layered and random shapes) across a frontier
-//! worker-count sweep (1/2/4/max).
+//! fragment universes (layered and random shapes).
 //!
-//! Full mode (`cargo bench --bench scale`) measures every (size, threads)
-//! cell and writes the trajectory file `BENCH_construction_scale.json` at
-//! the workspace root. Fast mode (`OPENWF_SCALE_FAST=1`, or `--test` as
-//! used by `cargo test --benches`) runs only the 1k size with few samples
-//! and does not touch the committed trajectory file — this is the CI
-//! bit-rot guard. In fast mode `OPENWF_SCALE_THREADS` selects the worker
-//! count (`max` = one worker per hardware thread); CI runs fast mode
-//! twice — single-threaded and max-threads — so the parallel frontier
-//! path cannot bit-rot either.
+//! Full mode (`cargo bench --bench scale`) measures every size and writes
+//! the trajectory file `BENCH_construction_scale.json` at the workspace
+//! root. Fast mode (`OPENWF_SCALE_FAST=1`, or `--test` as used by
+//! `cargo test --benches`) runs only the 1k size with few samples and
+//! does not touch the committed trajectory file — this is the CI bit-rot
+//! guard.
 
 use openwf_bench::scale::{
-    default_report_path, layered_universe, measure, random_universe, thread_sweep, to_json,
-    ScaleMeasurement, SCALE_SIZES,
+    default_report_path, layered_universe, measure, random_universe, to_json, ScaleMeasurement,
+    SCALE_SIZES,
 };
 
 fn samples_for(fragments: usize) -> usize {
@@ -27,46 +23,30 @@ fn samples_for(fragments: usize) -> usize {
     }
 }
 
-fn fast_mode_threads() -> usize {
-    match std::env::var("OPENWF_SCALE_THREADS").ok().as_deref() {
-        Some("max") | Some("0") => openwf_core::hardware_parallelism(),
-        Some(n) => n.parse().unwrap_or(1),
-        None => 1,
-    }
-}
-
 fn main() {
     let fast =
         std::env::var_os("OPENWF_SCALE_FAST").is_some() || std::env::args().any(|a| a == "--test");
     let sizes: &[usize] = if fast { &SCALE_SIZES[..1] } else { SCALE_SIZES };
-    let sweep: Vec<usize> = if fast {
-        vec![fast_mode_threads()]
-    } else {
-        thread_sweep()
-    };
 
     let mut results: Vec<ScaleMeasurement> = Vec::new();
     for &n in sizes {
         let samples = if fast { 3 } else { samples_for(n) };
         for universe in [layered_universe(n), random_universe(n, 0xC0FFEE)] {
-            for &threads in &sweep {
-                let m = measure(&universe, threads, samples);
-                println!(
-                    "scale/{}/{:<7} threads {:>2}  mean {:>12.0} ns  p50 {:>12.0} ns  \
-                     p95 {:>12.0} ns  (min {:.0} ns, {} samples, {} steps, {} fragments pulled)",
-                    m.universe,
-                    m.fragments,
-                    m.threads,
-                    m.mean_ns,
-                    m.p50_ns,
-                    m.p95_ns,
-                    m.min_ns,
-                    m.samples,
-                    m.explore_steps,
-                    m.fragments_merged,
-                );
-                results.push(m);
-            }
+            let m = measure(&universe, samples);
+            println!(
+                "scale/{}/{:<7} mean {:>12.0} ns  p50 {:>12.0} ns  \
+                 p95 {:>12.0} ns  (min {:.0} ns, {} samples, {} steps, {} fragments pulled)",
+                m.universe,
+                m.fragments,
+                m.mean_ns,
+                m.p50_ns,
+                m.p95_ns,
+                m.min_ns,
+                m.samples,
+                m.explore_steps,
+                m.fragments_merged,
+            );
+            results.push(m);
         }
     }
 

@@ -3,8 +3,8 @@
 //! The paper's construction latency claims (§3.1) are exercised by the
 //! virtual-time figures; this module measures the *real* hot path: how
 //! long `IncrementalConstructor` takes against synthetic fragment
-//! universes of 1k/10k/100k fragments, across a frontier worker-count
-//! sweep. Two universe shapes bracket the workload space:
+//! universes of 1k/10k/100k fragments. Two universe shapes bracket the
+//! workload space:
 //!
 //! * **layered** — `depth × width` grid; each task consumes labels of the
 //!   previous layer and produces one label of its own layer. Construction
@@ -14,10 +14,8 @@
 //!   earlier tasks within a sliding window. Shallow, wide frontiers with
 //!   irregular fan-in.
 //!
-//! Universes are stored in a [`ShardedFragmentStore`] (shard count fixed
-//! per universe so the database layout is identical across the thread
-//! sweep) and timed through `construct_parallel`, which is the
-//! single-worker inline fast path at `threads == 1`.
+//! Universes are stored in a one-shard [`ShardedFragmentStore`] and
+//! timed through `IncrementalConstructor::construct`.
 //!
 //! Results are emitted as `BENCH_construction_scale.json` at the
 //! workspace root (schema documented in the README's Performance
@@ -38,34 +36,12 @@ pub const SCALE_SIZES: &[usize] = &[1_000, 10_000, 100_000];
 /// Width (labels per layer) of the layered universe.
 pub const LAYER_WIDTH: usize = 64;
 
-/// Shards per universe store: one per hardware thread, so the database
-/// layout matches what the worker pool can actually exploit. On a
-/// single-core machine this is one shard — the monolithic fast path —
-/// so the committed trajectory never pays a fan-out tax it cannot
-/// recoup (multi-shard correctness is covered by unit and property
-/// tests regardless).
-pub fn universe_shards() -> usize {
-    openwf_core::hardware_parallelism()
-}
-
-/// The worker counts of the sweep — 1/2/4/max, deduplicated and sorted
-/// (on a machine with ≤ 4 hardware threads "max" collapses into the
-/// fixed points).
-pub fn thread_sweep() -> Vec<usize> {
-    let max = openwf_core::hardware_parallelism();
-    let mut sweep = vec![1usize, 2, 4, max];
-    sweep.sort_unstable();
-    sweep.dedup();
-    sweep
-}
-
 /// A synthetic community knowledge base plus a spec that forces the
 /// constructor to traverse it.
 pub struct ScaleUniverse {
     /// Universe shape name (`layered` / `random`).
     pub name: &'static str,
-    /// The community fragment store (sharded; single-worker queries use
-    /// the inline fan-out).
+    /// The community fragment store.
     pub store: ShardedFragmentStore,
     /// A satisfiable specification spanning the universe.
     pub spec: Spec,
@@ -97,7 +73,7 @@ pub fn layered_universe(n_fragments: usize) -> ScaleUniverse {
     let width = LAYER_WIDTH.min(n_fragments);
     let layers = n_fragments.div_ceil(width);
     let label = |layer: usize, slot: usize| format!("L{layer}x{slot}");
-    let mut store = ShardedFragmentStore::with_shards(universe_shards());
+    let mut store = ShardedFragmentStore::new();
     let mut made = 0usize;
     for layer in 0..layers {
         for slot in 0..width {
@@ -134,7 +110,7 @@ pub fn layered_universe(n_fragments: usize) -> ScaleUniverse {
 pub fn random_universe(n_fragments: usize, seed: u64) -> ScaleUniverse {
     assert!(n_fragments >= 2);
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut store = ShardedFragmentStore::with_shards(universe_shards());
+    let mut store = ShardedFragmentStore::new();
     let out = |i: usize| format!("r{i}");
     for i in 0..n_fragments {
         let mut inputs: Vec<String> = Vec::with_capacity(3);
@@ -168,15 +144,13 @@ pub fn random_universe(n_fragments: usize, seed: u64) -> ScaleUniverse {
     }
 }
 
-/// One measured `(universe, size, threads)` cell of the scaling suite.
+/// One measured `(universe, size)` cell of the scaling suite.
 #[derive(Clone, Debug)]
 pub struct ScaleMeasurement {
     /// Universe shape (`layered` / `random`).
     pub universe: String,
     /// Fragments in the universe.
     pub fragments: usize,
-    /// Frontier worker threads used by the constructor.
-    pub threads: usize,
     /// Timed construction runs.
     pub samples: usize,
     /// Mean wall-clock nanoseconds per construction.
@@ -193,19 +167,16 @@ pub struct ScaleMeasurement {
     pub fragments_merged: usize,
 }
 
-/// Times `samples` incremental constructions over the universe with the
-/// given frontier worker count.
+/// Times `samples` incremental constructions over the universe.
 ///
 /// # Panics
 ///
 /// Panics if the universe's spec is not satisfiable (a harness bug).
-pub fn measure(universe: &ScaleUniverse, threads: usize, samples: usize) -> ScaleMeasurement {
-    let constructor = IncrementalConstructor::new()
-        .workers(threads)
-        .pre_size(universe.hints());
+pub fn measure(universe: &ScaleUniverse, samples: usize) -> ScaleMeasurement {
+    let constructor = IncrementalConstructor::new().pre_size(universe.hints());
     // Warm-up + stats run (not timed).
     let (c, sg) = constructor
-        .construct_parallel(&universe.store, &universe.spec)
+        .construct(&universe.store, &universe.spec)
         .expect("scale universes are satisfiable");
     assert!(universe.spec.accepts(c.workflow()));
     let explore_steps = c.stats().explore_steps;
@@ -215,7 +186,7 @@ pub fn measure(universe: &ScaleUniverse, threads: usize, samples: usize) -> Scal
     for _ in 0..samples {
         let t0 = Instant::now();
         let built = constructor
-            .construct_parallel(&universe.store, &universe.spec)
+            .construct(&universe.store, &universe.spec)
             .expect("scale universes are satisfiable");
         times_ns.push(t0.elapsed().as_secs_f64() * 1e9);
         std::hint::black_box(built);
@@ -225,7 +196,6 @@ pub fn measure(universe: &ScaleUniverse, threads: usize, samples: usize) -> Scal
     ScaleMeasurement {
         universe: universe.name.to_string(),
         fragments: universe.store.len(),
-        threads,
         samples,
         mean_ns: times_ns.iter().sum::<f64>() / times_ns.len() as f64,
         p50_ns: percentile(&times_ns, 50.0),
@@ -254,12 +224,11 @@ pub fn to_json(results: &[ScaleMeasurement]) -> String {
     for (i, r) in results.iter().enumerate() {
         let comma = if i + 1 == results.len() { "" } else { "," };
         out.push_str(&format!(
-            "    {{\"universe\": \"{}\", \"fragments\": {}, \"threads\": {}, \"samples\": {}, \
+            "    {{\"universe\": \"{}\", \"fragments\": {}, \"samples\": {}, \
              \"mean_ns\": {:.0}, \"p50_ns\": {:.0}, \"p95_ns\": {:.0}, \"min_ns\": {:.0}, \
              \"explore_steps\": {}, \"fragments_merged\": {}}}{comma}\n",
             r.universe,
             r.fragments,
-            r.threads,
             r.samples,
             r.mean_ns,
             r.p50_ns,
@@ -290,7 +259,7 @@ mod tests {
         let u = layered_universe(256);
         assert_eq!(u.store.len(), 256);
         let (c, _) = IncrementalConstructor::new()
-            .construct_parallel(&u.store, &u.spec)
+            .construct(&u.store, &u.spec)
             .unwrap();
         assert!(u.spec.accepts(c.workflow()));
     }
@@ -304,7 +273,7 @@ mod tests {
             let u = layered_universe(n);
             assert_eq!(u.store.len(), n, "exact size for n={n}");
             let (c, _) = IncrementalConstructor::new()
-                .construct_parallel(&u.store, &u.spec)
+                .construct(&u.store, &u.spec)
                 .unwrap();
             assert!(u.spec.accepts(c.workflow()), "satisfiable for n={n}");
         }
@@ -315,7 +284,7 @@ mod tests {
         let u = random_universe(300, 42);
         assert_eq!(u.store.len(), 300);
         let (c, _) = IncrementalConstructor::new()
-            .construct_parallel(&u.store, &u.spec)
+            .construct(&u.store, &u.spec)
             .unwrap();
         assert!(u.spec.accepts(c.workflow()));
     }
@@ -323,9 +292,8 @@ mod tests {
     #[test]
     fn measure_produces_ordered_percentiles() {
         let u = layered_universe(128);
-        let m = measure(&u, 1, 5);
+        let m = measure(&u, 5);
         assert_eq!(m.samples, 5);
-        assert_eq!(m.threads, 1);
         assert!(m.min_ns <= m.p50_ns);
         assert!(m.p50_ns <= m.p95_ns);
         assert!(m.mean_ns > 0.0);
@@ -333,29 +301,10 @@ mod tests {
     }
 
     #[test]
-    fn measure_is_thread_count_invariant() {
-        // The constructed workflow (and thus explore_steps and fragments
-        // pulled) must not depend on the worker count.
-        let u = layered_universe(192);
-        let m1 = measure(&u, 1, 1);
-        let m2 = measure(&u, 2, 1);
-        assert_eq!(m1.explore_steps, m2.explore_steps);
-        assert_eq!(m1.fragments_merged, m2.fragments_merged);
-    }
-
-    #[test]
-    fn thread_sweep_is_sorted_and_deduplicated() {
-        let sweep = thread_sweep();
-        assert!(sweep.contains(&1));
-        assert!(sweep.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
     fn json_schema_is_stable() {
         let m = ScaleMeasurement {
             universe: "layered".into(),
             fragments: 1000,
-            threads: 4,
             samples: 3,
             mean_ns: 1.0,
             p50_ns: 1.0,
@@ -367,7 +316,6 @@ mod tests {
         let j = to_json(&[m]);
         assert!(j.contains("\"bench\": \"construction_scale\""));
         assert!(j.contains("\"fragments\": 1000"));
-        assert!(j.contains("\"threads\": 4"));
         assert!(j.contains("\"p95_ns\": 2"));
         assert!(!j.contains(",\n  ]"), "no trailing comma: {j}");
     }

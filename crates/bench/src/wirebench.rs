@@ -167,7 +167,7 @@ pub fn measure_universe(universe: &ScaleUniverse, samples: usize) -> Vec<WireMea
     let constructor = IncrementalConstructor::new().pre_size(universe.hints());
     let times = measure_ns(samples, || {
         let built = constructor
-            .construct_parallel(&universe.store, &universe.spec)
+            .construct(&universe.store, &universe.spec)
             .expect("satisfiable");
         std::hint::black_box(built);
     });
@@ -202,7 +202,7 @@ pub fn measure_universe(universe: &ScaleUniverse, samples: usize) -> Vec<WireMea
         DurableFragmentStore::open_with(&dir, shards, u64::MAX).expect("replay scratch log");
     let times = measure_ns(samples, || {
         let built = constructor
-            .construct_parallel(&durable, &universe.spec)
+            .construct(&durable, &universe.spec)
             .expect("satisfiable");
         std::hint::black_box(built);
     });

@@ -16,21 +16,15 @@
 //! is reachable at a smaller distance, so its fragments are eventually
 //! queried).
 //!
-//! ## Parallel frontier exploration
+//! ## One thread
 //!
-//! Each open label's candidate query is independent of every other — the
-//! frontier is embarrassingly parallel even though the coloring itself is
-//! sequential. [`IncrementalConstructor::workers`] enables a worker-pool
-//! mode over a [`ParallelFragmentSource`] (a sharded store): scoped worker
-//! threads drain a shared frontier of open labels through an atomic
-//! cursor, query the store's shards for each label they claim, and emit
-//! `(sequence, fragment)` candidates back over a channel. The driver
-//! sorts each round's candidates by global insertion sequence and merges
-//! them through one batched supergraph pass, so the constructed
-//! supergraph is **identical** to the sequential one regardless of worker
-//! count or thread scheduling — order restored by sort, not by luck.
+//! Construction runs on the calling thread. A round's candidates arrive
+//! in the source's global insertion order (a sharded store restores it by
+//! sorting on sequence numbers) and merge through one batched supergraph
+//! pass; exploration early-exits once the goals turn green, so that order
+//! is what fixes the green set — and what makes the result independent of
+//! how the store happens to be sharded.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crate::construct::color::{Color, ColorState};
@@ -41,7 +35,6 @@ use crate::fragment::Fragment;
 use crate::fx::FxHashSet;
 use crate::ids::{Label, TaskId};
 use crate::spec::Spec;
-use crate::store::{finish_hits, ParallelFragmentSource};
 use crate::supergraph::Supergraph;
 
 /// A queryable source of community knowhow.
@@ -97,7 +90,6 @@ impl SizeHints {
 pub struct IncrementalConstructor {
     order: PickOrder,
     record_trace: bool,
-    workers: usize,
     hints: Option<SizeHints>,
 }
 
@@ -119,30 +111,11 @@ impl IncrementalConstructor {
         self
     }
 
-    /// Sets the frontier worker count for the parallel entry points
-    /// ([`IncrementalConstructor::construct_parallel`]): `0` means one
-    /// worker per hardware thread, `1` (the default) stays on the calling
-    /// thread with no pool at all — the single-shard/single-worker fast
-    /// path, so small universes don't regress.
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
-    }
-
     /// Pre-sizes construction state from universe hints (see
     /// [`SizeHints`]).
     pub fn pre_size(mut self, hints: SizeHints) -> Self {
         self.hints = Some(hints);
         self
-    }
-
-    /// The effective worker count: `workers(0)` resolves to the machine's
-    /// hardware parallelism.
-    fn effective_workers(&self) -> usize {
-        match self.workers {
-            0 => crate::hardware_parallelism(),
-            n => n,
-        }
     }
 
     /// Constructs a workflow satisfying `spec`, pulling fragments from
@@ -177,127 +150,6 @@ impl IncrementalConstructor {
     ) -> Result<(Construction, Supergraph), ConstructError> {
         self.drive(spec, &mut feasible, |labels| {
             source.fragments_consuming(labels)
-        })
-    }
-
-    /// Constructs a workflow from a sharded source, fanning each round's
-    /// frontier queries out over the configured worker pool (see
-    /// [`IncrementalConstructor::workers`]). With one worker (the
-    /// default) no threads are spawned and the shards are queried inline.
-    ///
-    /// The result is deterministic: identical to
-    /// [`IncrementalConstructor::construct`] over the same database for
-    /// every worker count and shard count.
-    ///
-    /// # Errors
-    ///
-    /// [`ConstructError::NoSolution`] when the goals stay unreachable after
-    /// the frontier stops producing new knowledge.
-    pub fn construct_parallel<S: ParallelFragmentSource>(
-        &self,
-        source: &S,
-        spec: &Spec,
-    ) -> Result<(Construction, Supergraph), ConstructError> {
-        self.construct_parallel_filtered(source, spec, |_| true)
-    }
-
-    /// Like [`IncrementalConstructor::construct_parallel`], restricted to
-    /// tasks the capability oracle deems feasible.
-    ///
-    /// # Errors
-    ///
-    /// [`ConstructError::NoSolution`] when the goals are unreachable with
-    /// feasible tasks only.
-    pub fn construct_parallel_filtered<S: ParallelFragmentSource>(
-        &self,
-        source: &S,
-        spec: &Spec,
-        mut feasible: impl FnMut(&TaskId) -> bool,
-    ) -> Result<(Construction, Supergraph), ConstructError> {
-        let workers = self.effective_workers();
-        if workers <= 1 {
-            // Single-worker fast path: query the shards inline.
-            return self.drive(spec, &mut feasible, |labels| {
-                let mut hits = Vec::new();
-                for shard in 0..source.shard_count() {
-                    source.shard_consuming(shard, labels, &mut hits);
-                }
-                finish_hits(hits)
-            });
-        }
-        // Worker-pool mode. The pool lives for the whole construction;
-        // each round broadcasts one job (the shared frontier plus an
-        // atomic cursor the workers drain), and the driver collects one
-        // candidate batch per worker before merging.
-        crossbeam::thread::scope(|scope| {
-            // A batch of `None` is a poison marker: the worker's query
-            // closure panicked. Making the failure an explicit message
-            // keeps the driver from blocking forever on a batch that
-            // will never arrive (the other workers hold the channel
-            // open, so mere sender-drop would not disconnect it).
-            let (result_tx, result_rx) =
-                crossbeam::channel::unbounded::<Option<Vec<(u64, Arc<Fragment>)>>>();
-            let mut job_txs = Vec::with_capacity(workers);
-            for _ in 0..workers {
-                let (job_tx, job_rx) = crossbeam::channel::unbounded::<FrontierJob>();
-                let result_tx = result_tx.clone();
-                job_txs.push(job_tx);
-                scope.spawn(move || {
-                    while let Ok(job) = job_rx.recv() {
-                        let batch = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            let mut out = Vec::new();
-                            loop {
-                                // Drain the shared frontier: claim the
-                                // next open label and query every shard
-                                // for its candidate fragments.
-                                let i = job.cursor.fetch_add(1, Ordering::Relaxed);
-                                let Some(label) = job.frontier.get(i) else {
-                                    break;
-                                };
-                                let label = std::slice::from_ref(label);
-                                for shard in 0..source.shard_count() {
-                                    source.shard_consuming(shard, label, &mut out);
-                                }
-                            }
-                            out
-                        }));
-                        match batch {
-                            Ok(out) => {
-                                if result_tx.send(Some(out)).is_err() {
-                                    break;
-                                }
-                            }
-                            Err(_) => {
-                                let _ = result_tx.send(None);
-                                break;
-                            }
-                        }
-                    }
-                });
-            }
-            drop(result_tx);
-            let result = self.drive(spec, &mut feasible, |labels| {
-                let job = FrontierJob {
-                    frontier: Arc::new(labels.to_vec()),
-                    cursor: Arc::new(AtomicUsize::new(0)),
-                };
-                for tx in &job_txs {
-                    tx.send(job.clone()).expect("frontier worker alive");
-                }
-                let mut hits = Vec::new();
-                for _ in 0..workers {
-                    let batch = result_rx
-                        .recv()
-                        .expect("frontier worker reply")
-                        .expect("frontier worker panicked during shard query");
-                    hits.extend(batch);
-                }
-                finish_hits(hits)
-            });
-            // Dropping the job senders disconnects the workers' receive
-            // loops; the scope then joins them.
-            drop(job_txs);
-            result
         })
     }
 
@@ -401,20 +253,11 @@ impl IncrementalConstructor {
     }
 }
 
-/// One round's worth of work for the frontier worker pool: the open
-/// labels of the round and the shared cursor the workers drain them
-/// through.
-#[derive(Clone, Debug)]
-struct FrontierJob {
-    frontier: Arc<Vec<Label>>,
-    cursor: Arc<AtomicUsize>,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ids::Mode;
-    use crate::store::InMemoryFragmentStore;
+    use crate::store::{InMemoryFragmentStore, ShardedFragmentStore};
 
     fn frag(id: &str, task: &str, ins: &[&str], outs: &[&str]) -> Fragment {
         Fragment::single_task(
@@ -440,6 +283,13 @@ mod tests {
         store
     }
 
+    /// The same database laid out over `shards` shards.
+    fn sharded(store: &InMemoryFragmentStore, shards: usize) -> ShardedFragmentStore {
+        let mut out = ShardedFragmentStore::with_shards(shards);
+        out.extend(store.fragments_shared().cloned());
+        out
+    }
+
     #[test]
     fn incremental_solves_chain() {
         let mut store = chain_store(5);
@@ -451,6 +301,23 @@ mod tests {
         assert_eq!(c.workflow().task_count(), 5);
         assert_eq!(sg.fragment_count(), 5);
         assert_eq!(c.stats().query_rounds, 5, "one round per frontier step");
+        // The shard layout is invisible to construction.
+        for shards in [1usize, 3] {
+            let (s, s_sg) = IncrementalConstructor::new()
+                .construct(sharded(&store, shards), &spec)
+                .unwrap();
+            assert_eq!(
+                c.workflow().tasks().collect::<Vec<_>>(),
+                s.workflow().tasks().collect::<Vec<_>>(),
+                "shards={shards}"
+            );
+            assert_eq!(
+                sg.fragment_count(),
+                s_sg.fragment_count(),
+                "shards={shards}"
+            );
+            assert_eq!(c.stats(), s.stats(), "shards={shards}");
+        }
     }
 
     #[test]
@@ -485,6 +352,10 @@ mod tests {
         let spec = Spec::new(["l0"], ["unknown goal"]);
         let err = IncrementalConstructor::new()
             .construct(&mut store, &spec)
+            .unwrap_err();
+        assert!(matches!(err, ConstructError::NoSolution { .. }));
+        let err = IncrementalConstructor::new()
+            .construct(sharded(&store, 2), &spec)
             .unwrap_err();
         assert!(matches!(err, ConstructError::NoSolution { .. }));
     }
@@ -551,92 +422,19 @@ mod tests {
         store.insert(frag("f2", "step1", &["a"], &["mid"]));
         store.insert(frag("f3", "step2", &["mid"], &["goal"]));
         let spec = Spec::new(["a"], ["goal"]);
+        let feasible = |t: &TaskId| t != &TaskId::new("infeasible");
         let (c, _) = IncrementalConstructor::new()
-            .construct_filtered(&mut store, &spec, |t| t != &TaskId::new("infeasible"))
+            .construct_filtered(&mut store, &spec, feasible)
             .unwrap();
         assert!(c.workflow().contains_task(&TaskId::new("step1")));
         assert!(!c.workflow().contains_task(&TaskId::new("infeasible")));
-    }
-
-    #[test]
-    fn parallel_construction_matches_sequential_on_chain() {
-        use crate::store::ShardedFragmentStore;
-        let fragments: Vec<Fragment> = (0..24)
-            .map(|i| {
-                frag(
-                    &format!("f{i}"),
-                    &format!("t{i}"),
-                    &[&format!("l{i}")],
-                    &[&format!("l{}", i + 1)],
-                )
-            })
-            .collect();
-        let spec = Spec::new(["l0"], ["l24"]);
-        let mut seq_store: InMemoryFragmentStore = fragments.iter().cloned().collect();
-        let (seq, seq_sg) = IncrementalConstructor::new()
-            .construct(&mut seq_store, &spec)
+        let (s, _) = IncrementalConstructor::new()
+            .construct_filtered(sharded(&store, 2), &spec, feasible)
             .unwrap();
-        for workers in [1usize, 2, 4] {
-            for shards in [1usize, 3] {
-                let mut store = ShardedFragmentStore::with_shards(shards);
-                store.extend(fragments.iter().cloned());
-                let (par, par_sg) = IncrementalConstructor::new()
-                    .workers(workers)
-                    .construct_parallel(&store, &spec)
-                    .unwrap();
-                assert!(spec.accepts(par.workflow()));
-                let seq_tasks: Vec<TaskId> = seq.workflow().tasks().collect();
-                let par_tasks: Vec<TaskId> = par.workflow().tasks().collect();
-                assert_eq!(seq_tasks, par_tasks, "workers={workers} shards={shards}");
-                assert_eq!(
-                    seq_sg.fragment_count(),
-                    par_sg.fragment_count(),
-                    "workers={workers} shards={shards}"
-                );
-                assert_eq!(
-                    seq.stats(),
-                    par.stats(),
-                    "workers={workers} shards={shards}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_construction_detects_no_solution() {
-        use crate::store::ShardedFragmentStore;
-        let store: ShardedFragmentStore = (0..3)
-            .map(|i| {
-                frag(
-                    &format!("f{i}"),
-                    &format!("t{i}"),
-                    &[&format!("l{i}")],
-                    &[&format!("l{}", i + 1)],
-                )
-            })
-            .collect();
-        let spec = Spec::new(["l0"], ["unknown goal"]);
-        let err = IncrementalConstructor::new()
-            .workers(2)
-            .construct_parallel(&store, &spec)
-            .unwrap_err();
-        assert!(matches!(err, ConstructError::NoSolution { .. }));
-    }
-
-    #[test]
-    fn parallel_construction_respects_feasibility_filter() {
-        use crate::store::ShardedFragmentStore;
-        let mut store = ShardedFragmentStore::with_shards(2);
-        store.insert(frag("f1", "infeasible", &["a"], &["goal"]));
-        store.insert(frag("f2", "step1", &["a"], &["mid"]));
-        store.insert(frag("f3", "step2", &["mid"], &["goal"]));
-        let spec = Spec::new(["a"], ["goal"]);
-        let (c, _) = IncrementalConstructor::new()
-            .workers(2)
-            .construct_parallel_filtered(&store, &spec, |t| t != &TaskId::new("infeasible"))
-            .unwrap();
-        assert!(c.workflow().contains_task(&TaskId::new("step1")));
-        assert!(!c.workflow().contains_task(&TaskId::new("infeasible")));
+        assert_eq!(
+            c.workflow().tasks().collect::<Vec<_>>(),
+            s.workflow().tasks().collect::<Vec<_>>()
+        );
     }
 
     #[test]

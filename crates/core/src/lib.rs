@@ -95,22 +95,10 @@ pub use fx::{FxHashMap, FxHashSet};
 pub use graph::{Graph, NodeIdx, TraversalScratch};
 pub use ids::{Interned, Label, Mode, NodeKey, NodeKind, Sym, TaskId};
 pub use spec::Spec;
-pub use store::{
-    BackendError, FragmentBackend, InMemoryFragmentStore, ParallelFragmentSource,
-    ShardedFragmentStore,
-};
+pub use store::{BackendError, FragmentBackend, InMemoryFragmentStore, ShardedFragmentStore};
 pub use supergraph::Supergraph;
 pub use validate::ValidityError;
 pub use workflow::Workflow;
-
-/// The machine's available hardware parallelism, defaulting to 1 when it
-/// cannot be determined — the single policy point behind every "0 means
-/// one worker per hardware thread" knob in the workspace (sharded
-/// stores, frontier worker pools, the runtime's Fragment Manager, the
-/// scale bench sweep).
-pub fn hardware_parallelism() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
 
 /// Commonly used items, for glob import in examples and tests.
 pub mod prelude {

@@ -7,12 +7,11 @@
 //!   Manager wraps a store) and the reference implementation of
 //!   [`FragmentSource`] for tests and single-process use.
 //! * [`ShardedFragmentStore`] — the same database partitioned across N
-//!   independently queryable shards by produced-label symbol, so that
-//!   frontier queries can fan out across worker threads (see
-//!   [`ParallelFragmentSource`] and
-//!   [`crate::IncrementalConstructor::workers`]). A single-shard store
-//!   degenerates to the monolithic layout, so small universes pay nothing
-//!   for the partitioning.
+//!   shards by produced-label symbol. Shards are a storage layout (durable
+//!   snapshots persist it); a query visits every shard on the calling
+//!   thread and restores global insertion order by sequence number, so
+//!   answers do not depend on the shard count. The default is one shard,
+//!   which degenerates to the monolithic layout.
 //!
 //! Fragments are held behind [`Arc`] so that answering a frontier query
 //! hands out shared references instead of deep-copying whole workflow
@@ -274,26 +273,6 @@ impl FragmentBackend for ShardedFragmentStore {
     }
 }
 
-/// A fragment source whose storage is partitioned into independently
-/// queryable shards.
-///
-/// This is the seam the parallel frontier workers fan out over: each
-/// `(shard, label)` candidate query touches only that shard's index, so
-/// worker threads never contend. Implementations tag every hit with a
-/// **global insertion sequence number**; collectors restore the exact
-/// single-store `consuming()` order by sorting on it, which is what keeps
-/// parallel construction deterministic regardless of worker count or
-/// scheduling.
-pub trait ParallelFragmentSource: Sync {
-    /// Number of shards. Valid shard indices are `0..shard_count()`.
-    fn shard_count(&self) -> usize;
-
-    /// Appends `(sequence, fragment)` for every fragment in `shard` with
-    /// a task consuming any of `labels`. May push the same fragment once
-    /// per matching label; callers deduplicate by sequence number.
-    fn shard_consuming(&self, shard: usize, labels: &[Label], out: &mut Vec<(u64, Arc<Fragment>)>);
-}
-
 /// One shard of a [`ShardedFragmentStore`]: a slice of the database with
 /// its own consumed-label index.
 #[derive(Clone, Debug, Default)]
@@ -350,9 +329,9 @@ impl Default for ShardedFragmentStore {
 }
 
 impl ShardedFragmentStore {
-    /// A store sharded for this machine: one shard per hardware thread.
+    /// A one-shard store.
     pub fn new() -> Self {
-        ShardedFragmentStore::with_shards(crate::hardware_parallelism())
+        ShardedFragmentStore::with_shards(1)
     }
 
     /// A store with exactly `shards` shards (at least 1).
@@ -388,7 +367,7 @@ impl ShardedFragmentStore {
     ///
     /// Returns `true` if the fragment was new. A replacement stays in its
     /// original shard (and keeps its insertion sequence) even if its
-    /// produced labels changed — queries fan out over every shard, so
+    /// produced labels changed — queries visit every shard, so
     /// placement affects balance, not correctness.
     pub fn insert(&mut self, fragment: impl Into<Arc<Fragment>>) -> bool {
         let fragment = fragment.into();
@@ -517,22 +496,10 @@ impl ShardedFragmentStore {
         }
         finish_hits(hits)
     }
-}
 
-/// Sorts raw `(sequence, fragment)` hits into global insertion order and
-/// deduplicates by sequence — the collection step shared by the
-/// sequential fan-out and the parallel frontier workers.
-pub fn finish_hits(mut hits: Vec<(u64, Arc<Fragment>)>) -> Vec<Arc<Fragment>> {
-    hits.sort_unstable_by_key(|(seq, _)| *seq);
-    hits.dedup_by_key(|(seq, _)| *seq);
-    hits.into_iter().map(|(_, f)| f).collect()
-}
-
-impl ParallelFragmentSource for ShardedFragmentStore {
-    fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
+    /// Appends `(sequence, fragment)` for every fragment in `shard` with
+    /// a task consuming any of `labels`. May push the same fragment once
+    /// per matching label; [`finish_hits`] deduplicates by sequence.
     fn shard_consuming(&self, shard: usize, labels: &[Label], out: &mut Vec<(u64, Arc<Fragment>)>) {
         let shard = &self.shards[shard];
         for label in labels {
@@ -543,7 +510,22 @@ impl ParallelFragmentSource for ShardedFragmentStore {
     }
 }
 
+/// Sorts raw `(sequence, fragment)` hits into global insertion order and
+/// deduplicates by sequence.
+fn finish_hits(mut hits: Vec<(u64, Arc<Fragment>)>) -> Vec<Arc<Fragment>> {
+    hits.sort_unstable_by_key(|(seq, _)| *seq);
+    hits.dedup_by_key(|(seq, _)| *seq);
+    hits.into_iter().map(|(_, f)| f).collect()
+}
+
 impl FragmentSource for ShardedFragmentStore {
+    fn fragments_consuming(&mut self, labels: &[Label]) -> Vec<Arc<Fragment>> {
+        self.consuming(labels)
+    }
+}
+
+/// Queries never mutate the store, so a shared reference is a source too.
+impl FragmentSource for &ShardedFragmentStore {
     fn fragments_consuming(&mut self, labels: &[Label]) -> Vec<Arc<Fragment>> {
         self.consuming(labels)
     }

@@ -185,8 +185,7 @@ impl Supergraph {
     /// Returns the number of fragments that were new. Equivalent to
     /// calling [`Supergraph::try_merge_fragment`] on each fragment in
     /// order and ignoring errors — batching changes the cost, not the
-    /// result, so sequential and parallel constructions that feed the same
-    /// ordered batch produce identical supergraphs.
+    /// result.
     pub fn merge_fragments_batch<F: AsRef<Fragment>>(&mut self, batch: &[F]) -> usize {
         let (mut add_nodes, mut add_edges) = (0usize, 0usize);
         for f in batch {

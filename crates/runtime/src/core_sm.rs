@@ -96,11 +96,6 @@ pub struct HostConfig {
     pub site: SiteMap,
     /// Willingness preferences.
     pub prefs: Preferences,
-    /// Construction parallelism: worker threads (and fragment-store
-    /// shards) this host uses to answer and fan out frontier queries.
-    /// `1` (default) keeps everything inline; `0` means one worker per
-    /// hardware thread.
-    pub construction_threads: usize,
     /// Per-community vocabulary cap: the maximum number of distinct
     /// interned names (labels, tasks, fragment ids) this host admits
     /// across its own knowhow and peer fragment replies. Replies that
@@ -142,7 +137,6 @@ impl Default for HostConfig {
             motion: Motion::STATIONARY,
             site: SiteMap::new(),
             prefs: Preferences::willing(),
-            construction_threads: 1,
             max_interned_names: None,
             max_vocabulary_rejections: None,
             storage: StorageConfig::InMemory,
@@ -186,13 +180,6 @@ impl HostConfig {
     /// Sets preferences.
     pub fn with_prefs(mut self, prefs: Preferences) -> Self {
         self.prefs = prefs;
-        self
-    }
-
-    /// Sets the construction worker-thread count (`0` = one per hardware
-    /// thread).
-    pub fn with_construction_threads(mut self, threads: usize) -> Self {
-        self.construction_threads = threads;
         self
     }
 
@@ -524,20 +511,13 @@ impl HostCore {
     /// or an insert cannot be persisted (I/O failure, corrupt log).
     pub fn new(config: HostConfig, params: RuntimeParams) -> Self {
         let mut fragment_mgr = match config.storage {
-            StorageConfig::InMemory => {
-                FragmentManager::with_parallelism(config.construction_threads)
-            }
+            StorageConfig::InMemory => FragmentManager::new(),
             StorageConfig::Durable {
                 dir,
                 segment_bytes,
                 policy,
-            } => FragmentManager::durable_with(
-                dir,
-                config.construction_threads,
-                segment_bytes,
-                policy,
-            )
-            .expect("open the durable fragment log"),
+            } => FragmentManager::durable_with(dir, segment_bytes, policy)
+                .expect("open the durable fragment log"),
         };
         for f in config.fragments {
             // A durable backend may have replayed this exact fragment

@@ -9,31 +9,16 @@
 //! [`ShardedFragmentStore`], or `openwf-wire`'s durable segment log,
 //! which appends every insert to disk and rebuilds the same store by
 //! replay on restart. Either way queries are answered from the in-memory
-//! index: fragments partition across shards by produced-label symbol, so
-//! a host configured with construction parallelism
-//! (`HostConfig::construction_threads`) answers big frontier queries by
-//! fanning the labels out over scoped worker threads — the same shard
-//! layout the core's parallel incremental constructor drains. The
-//! default is one shard and no threads, which is the monolithic fast
-//! path.
+//! index, one shard, on the thread that drives the host.
 
 use std::fmt;
 use std::sync::Arc;
 
-use openwf_core::store::finish_hits;
-use openwf_core::{
-    BackendError, Fragment, FragmentBackend, Label, ParallelFragmentSource, ShardedFragmentStore,
-};
-
-/// Below this many stored fragments a parallel query costs more in
-/// thread choreography than it saves; answer inline instead.
-const PARALLEL_QUERY_MIN_FRAGMENTS: usize = 4096;
+use openwf_core::{BackendError, Fragment, FragmentBackend, Label, ShardedFragmentStore};
 
 /// Per-host fragment database answering knowhow queries.
 pub struct FragmentManager {
     backend: Box<dyn FragmentBackend>,
-    threads: usize,
-    parallel_min: usize,
 }
 
 impl Default for FragmentManager {
@@ -43,35 +28,19 @@ impl Default for FragmentManager {
 }
 
 impl FragmentManager {
-    /// An empty in-memory database: one shard, inline queries.
+    /// An empty in-memory database.
     pub fn new() -> Self {
-        FragmentManager::with_parallelism(1)
-    }
-
-    /// An empty in-memory database sharded for `threads` query workers
-    /// (`0` = one per hardware thread).
-    pub fn with_parallelism(threads: usize) -> Self {
-        let threads = normalize_threads(threads);
-        FragmentManager::with_backend(
-            Box::new(ShardedFragmentStore::with_shards(threads)),
-            threads,
-        )
+        FragmentManager::with_backend(Box::new(ShardedFragmentStore::new()))
     }
 
     /// A database over an explicit storage backend (see
-    /// [`FragmentBackend`]); `threads` configures query fan-out and
-    /// should match the backend's shard count.
-    pub fn with_backend(backend: Box<dyn FragmentBackend>, threads: usize) -> Self {
-        FragmentManager {
-            backend,
-            threads: normalize_threads(threads),
-            parallel_min: PARALLEL_QUERY_MIN_FRAGMENTS,
-        }
+    /// [`FragmentBackend`]).
+    pub fn with_backend(backend: Box<dyn FragmentBackend>) -> Self {
+        FragmentManager { backend }
     }
 
-    /// A database over `openwf-wire`'s durable segment log at `dir`,
-    /// sharded for `threads` query workers (`0` = one per hardware
-    /// thread). An existing log is replayed into the index first.
+    /// A database over `openwf-wire`'s durable segment log at `dir`. An
+    /// existing log is replayed into the index first.
     ///
     /// # Errors
     ///
@@ -79,15 +48,9 @@ impl FragmentManager {
     /// corrupt beyond crash recovery.
     pub fn durable(
         dir: impl Into<std::path::PathBuf>,
-        threads: usize,
         segment_bytes: u64,
     ) -> Result<Self, openwf_wire::StorageError> {
-        FragmentManager::durable_with(
-            dir,
-            threads,
-            segment_bytes,
-            openwf_wire::StoragePolicy::default(),
-        )
+        FragmentManager::durable_with(dir, segment_bytes, openwf_wire::StoragePolicy::default())
     }
 
     /// [`FragmentManager::durable`] with an explicit snapshot/compaction
@@ -101,23 +64,12 @@ impl FragmentManager {
     /// corrupt beyond crash recovery.
     pub fn durable_with(
         dir: impl Into<std::path::PathBuf>,
-        threads: usize,
         segment_bytes: u64,
         policy: openwf_wire::StoragePolicy,
     ) -> Result<Self, openwf_wire::StorageError> {
-        let threads = normalize_threads(threads);
-        let backend = openwf_wire::DurableFragmentStore::open_with_policy(
-            dir,
-            threads,
-            segment_bytes,
-            policy,
-        )?;
-        Ok(FragmentManager::with_backend(Box::new(backend), threads))
-    }
-
-    /// The configured query worker count.
-    pub fn parallelism(&self) -> usize {
-        self.threads
+        let backend =
+            openwf_wire::DurableFragmentStore::open_with_policy(dir, 1, segment_bytes, policy)?;
+        Ok(FragmentManager::with_backend(Box::new(backend)))
     }
 
     /// The storage backend's short name (`"memory"`, `"durable"`).
@@ -131,13 +83,6 @@ impl FragmentManager {
     /// for the in-memory backend.
     pub fn backend_metrics(&self) -> Vec<(&'static str, u64)> {
         self.backend.metrics()
-    }
-
-    /// Lowers the parallel-query size threshold (tests exercise the
-    /// threaded path without building a huge database).
-    #[cfg(test)]
-    fn set_parallel_threshold(&mut self, n: usize) {
-        self.parallel_min = n;
     }
 
     /// Adds a fragment to the database (step 2 of the paper's deployment:
@@ -183,9 +128,7 @@ impl FragmentManager {
         self.backend.index().is_empty()
     }
 
-    /// The underlying sharded query index (e.g. to drive
-    /// `IncrementalConstructor::construct_parallel` directly against this
-    /// host's knowhow).
+    /// The underlying query index.
     pub fn store(&self) -> &ShardedFragmentStore {
         self.backend.index()
     }
@@ -193,35 +136,9 @@ impl FragmentManager {
     /// Answers a knowhow query: fragments containing a task that consumes
     /// any of `labels`, in insertion order. The returned handles share the
     /// stored allocations — replying to a frontier query copies pointers,
-    /// not graphs. With construction parallelism configured and a large
-    /// enough database, the labels fan out over scoped worker threads.
+    /// not graphs.
     pub fn query(&self, labels: &[Label]) -> Vec<Arc<Fragment>> {
-        let store = self.backend.index();
-        if self.threads <= 1 || labels.len() <= 1 || store.len() < self.parallel_min {
-            return store.consuming(labels);
-        }
-        let workers = self.threads.min(labels.len());
-        let hits = crossbeam::thread::scope(|scope| {
-            let chunks: Vec<&[Label]> = labels.chunks(labels.len().div_ceil(workers)).collect();
-            let handles: Vec<_> = chunks
-                .into_iter()
-                .map(|chunk| {
-                    scope.spawn(move || {
-                        let mut out = Vec::new();
-                        for shard in 0..store.shard_count() {
-                            store.shard_consuming(shard, chunk, &mut out);
-                        }
-                        out
-                    })
-                })
-                .collect();
-            let mut hits = Vec::new();
-            for h in handles {
-                hits.extend(h.join().expect("query worker panicked"));
-            }
-            hits
-        });
-        finish_hits(hits)
+        self.backend.index().consuming(labels)
     }
 
     /// All fragments (e.g. for configuration dumps), in insertion order.
@@ -245,18 +162,10 @@ impl FragmentManager {
     }
 }
 
-fn normalize_threads(threads: usize) -> usize {
-    match threads {
-        0 => openwf_core::hardware_parallelism(),
-        n => n,
-    }
-}
-
 impl fmt::Debug for FragmentManager {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("FragmentManager")
             .field("fragments", &self.len())
-            .field("threads", &self.threads)
             .field("backend", &self.backend.backend_kind())
             .finish()
     }
@@ -296,7 +205,7 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let backend = openwf_wire::DurableFragmentStore::open(&dir).unwrap();
-        let mut fm = FragmentManager::with_backend(Box::new(backend), 1);
+        let mut fm = FragmentManager::with_backend(Box::new(backend));
         assert_eq!(fm.backend_kind(), "durable");
         fm.add(Fragment::single_task("df1", "dt1", Mode::Disjunctive, ["da"], ["db"]).unwrap());
         fm.sync().unwrap();
@@ -304,46 +213,9 @@ mod tests {
         drop(fm);
         // Reopen: the log replays into an identical database.
         let backend = openwf_wire::DurableFragmentStore::open(&dir).unwrap();
-        let fm = FragmentManager::with_backend(Box::new(backend), 1);
+        let fm = FragmentManager::with_backend(Box::new(backend));
         assert_eq!(fm.len(), 1);
         assert_eq!(fm.query(&[Label::new("da")])[0].id().as_str(), "df1");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn parallel_manager_answers_like_sequential() {
-        let build = |threads: usize| {
-            let mut fm = FragmentManager::with_parallelism(threads);
-            for i in 0..64 {
-                fm.add(
-                    Fragment::single_task(
-                        format!("pf{i}"),
-                        format!("pt{i}"),
-                        Mode::Disjunctive,
-                        [format!("pin{}", i % 8)],
-                        [format!("pout{i}")],
-                    )
-                    .unwrap(),
-                );
-            }
-            fm
-        };
-        let seq = build(1);
-        let mut par = build(3);
-        par.set_parallel_threshold(1); // exercise the scoped-thread path
-        assert_eq!(par.parallelism(), 3);
-        let query: Vec<Label> = (0..8).map(|i| Label::new(format!("pin{i}"))).collect();
-        let a: Vec<String> = seq
-            .query(&query)
-            .iter()
-            .map(|f| f.id().to_string())
-            .collect();
-        let b: Vec<String> = par
-            .query(&query)
-            .iter()
-            .map(|f| f.id().to_string())
-            .collect();
-        assert_eq!(a, b, "shard layout must not change answers");
-        assert_eq!(a.len(), 64);
     }
 }

@@ -35,7 +35,6 @@ struct Scenario {
     n_hosts: usize,
     chain: usize,
     noise: Vec<u8>,
-    threads: usize,
     seed: u64,
 }
 
@@ -43,9 +42,7 @@ impl Scenario {
     /// Builds fresh host configurations (configs are consumed by a
     /// driver, so each transport gets its own identical copy).
     fn configs(&self) -> Vec<HostConfig> {
-        let mut cfgs: Vec<HostConfig> = (0..self.n_hosts)
-            .map(|_| HostConfig::new().with_construction_threads(self.threads))
-            .collect();
+        let mut cfgs = vec![HostConfig::new(); self.n_hosts];
         for i in 0..self.chain {
             let holder = i % self.n_hosts;
             let server = (i + 1) % self.n_hosts;
@@ -144,17 +141,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Same scenario, both transports: bit-identical supergraphs and
-    /// outcomes for every seed, host count, chain length, noise shape
-    /// and construction worker count.
+    /// outcomes for every seed, host count, chain length and noise shape.
     #[test]
     fn sim_and_loopback_agree_bit_for_bit(
         n_hosts in 1usize..4,
         chain in 1usize..6,
         noise in proptest::collection::vec(any::<u8>(), 0..4),
-        threads in 1usize..3,
         seed in any::<u64>(),
     ) {
-        let scenario = Scenario { n_hosts, chain, noise, threads, seed };
+        let scenario = Scenario { n_hosts, chain, noise, seed };
         let (sim, loopback) = run_both(&scenario);
         prop_assert_eq!(
             &sim, &loopback,
@@ -237,7 +232,6 @@ fn three_host_chain_agrees() {
         n_hosts: 3,
         chain: 4,
         noise: vec![7, 130],
-        threads: 1,
         seed: 11,
     };
     let (sim, loopback) = run_both(&scenario);

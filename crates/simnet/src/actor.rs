@@ -2,10 +2,9 @@
 //!
 //! A host in the open workflow system is a pure state machine: it reacts to
 //! messages and timers by updating local state and emitting messages/timers
-//! through a [`Context`]. The same actor code runs unchanged on the
-//! deterministic [`crate::SimNetwork`] and the threaded
-//! [`crate::ThreadNetwork`] — realizing the architecture's communications
-//! layer indirection.
+//! through a [`Context`], so the actor never sees the transport — the
+//! architecture's communications layer indirection. The deterministic
+//! [`crate::SimNetwork`] is the driver in this crate.
 
 use std::fmt;
 
@@ -66,7 +65,7 @@ impl<'a, M: Message> Context<'a, M> {
         self.charged
     }
 
-    /// Current virtual (or wall-clock-mapped) time.
+    /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.now
     }

@@ -3,17 +3,14 @@
 //! The open workflow architecture (§4.2 of WUCSE-2009-14) requires an
 //! *abstract communications layer* that "isolates and hides the highly
 //! variable details of the transports, protocols, and caching schemes used
-//! during communication". This crate provides that layer twice over:
-//!
-//! * [`SimNetwork`] — a deterministic, single-threaded **discrete-event
-//!   simulation** kernel with a virtual clock. Hosts are [`Actor`] state
-//!   machines; messages are delivered through a pluggable [`LatencyModel`]
-//!   over a [`Topology`] with optional [`FaultInjector`] drops and crashes.
-//!   All experiments in the paper's §5 run on this kernel (the paper ran
-//!   its simulations "within a single JVM … through a simulated network").
-//! * [`ThreadNetwork`] — the same actors driven by real OS threads and
-//!   crossbeam channels, for the paper's "empirical" mode where wall-clock
-//!   concurrency and nondeterministic interleavings are the point.
+//! during communication". This crate provides the simulated one:
+//! [`SimNetwork`], a deterministic, single-threaded **discrete-event
+//! simulation** kernel with a virtual clock. Hosts are [`Actor`] state
+//! machines; messages are delivered through a pluggable [`LatencyModel`]
+//! over a [`Topology`] with optional [`FaultInjector`] drops and crashes.
+//! All experiments in the paper's §5 run on this kernel (the paper ran
+//! its simulations "within a single JVM … through a simulated network").
+//! Real threads, sockets and wall-clock timers live in `openwf-net`.
 //!
 //! Determinism: with the same seed and the same actor behavior, a
 //! [`SimNetwork`] run produces the identical event sequence — a property
@@ -57,7 +54,6 @@ pub mod latency;
 pub mod message;
 pub mod sim;
 pub mod stats;
-pub mod thread_net;
 pub mod time;
 pub mod topology;
 pub mod trace;
@@ -70,7 +66,6 @@ pub use latency::{ConstantLatency, LatencyModel, UniformLatency, Wireless80211g}
 pub use message::{HostId, Message};
 pub use sim::SimNetwork;
 pub use stats::NetStats;
-pub use thread_net::ThreadNetwork;
 pub use time::{SimDuration, SimTime};
 pub use topology::Topology;
 pub use trace::{MsgKind, TraceRecord, TraceRecorder};

@@ -4,8 +4,8 @@ use std::fmt;
 
 /// Identifies a participant's device within a community.
 ///
-/// Host ids are assigned densely by the network (simulated or threaded) in
-/// the order hosts are added, which keeps experiment setup deterministic.
+/// Host ids are assigned densely by the network in the order hosts are
+/// added, which keeps experiment setup deterministic.
 #[derive(
     Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
 )]

@@ -73,9 +73,7 @@ use std::sync::Arc;
 
 use openwf_core::construct::incremental::FragmentSource;
 use openwf_core::store::{BackendError, FragmentBackend};
-use openwf_core::{
-    Fragment, FragmentId, FxHashMap, Label, ParallelFragmentSource, ShardedFragmentStore,
-};
+use openwf_core::{Fragment, FragmentId, FxHashMap, Label, ShardedFragmentStore};
 
 use crate::model::{decode_fragment_with, encode_fragment, DecodeScratch};
 use crate::VocabularyBudget;
@@ -1270,17 +1268,13 @@ impl FragmentBackend for DurableFragmentStore {
     }
 }
 
-impl ParallelFragmentSource for DurableFragmentStore {
-    fn shard_count(&self) -> usize {
-        self.index.shard_count()
-    }
-
-    fn shard_consuming(&self, shard: usize, labels: &[Label], out: &mut Vec<(u64, Arc<Fragment>)>) {
-        self.index.shard_consuming(shard, labels, out);
+impl FragmentSource for DurableFragmentStore {
+    fn fragments_consuming(&mut self, labels: &[Label]) -> Vec<Arc<Fragment>> {
+        self.index.consuming(labels)
     }
 }
 
-impl FragmentSource for DurableFragmentStore {
+impl FragmentSource for &DurableFragmentStore {
     fn fragments_consuming(&mut self, labels: &[Label]) -> Vec<Arc<Fragment>> {
         self.index.consuming(labels)
     }

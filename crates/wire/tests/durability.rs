@@ -9,7 +9,9 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use openwf_core::{Fragment, Graph, IncrementalConstructor, Mode, ShardedFragmentStore, Spec};
+use openwf_core::{
+    Fragment, FragmentSource, Graph, IncrementalConstructor, Mode, ShardedFragmentStore, Spec,
+};
 use openwf_wire::DurableFragmentStore;
 use proptest::prelude::*;
 
@@ -67,15 +69,12 @@ fn graphs_identical(a: &Graph, b: &Graph) -> bool {
         && a.edges().eq(b.edges())
 }
 
-/// Constructs over any parallel source and returns the built workflow
-/// graph plus the used-fragment ids, the full identity the acceptance
-/// criterion compares.
-fn construct<S: openwf_core::ParallelFragmentSource>(
-    store: &S,
-    spec: &Spec,
-) -> (Graph, Vec<String>) {
+/// Constructs over any source and returns the built workflow graph plus
+/// the used-fragment ids, the full identity the acceptance criterion
+/// compares.
+fn construct(store: impl FragmentSource, spec: &Spec) -> (Graph, Vec<String>) {
     let (c, _sg) = IncrementalConstructor::new()
-        .construct_parallel(store, spec)
+        .construct(store, spec)
         .expect("universes are satisfiable");
     let used: Vec<String> = c.fragments_used().iter().map(|f| f.to_string()).collect();
     (c.workflow().graph().clone(), used)

@@ -1,15 +1,11 @@
-//! Concurrent workflows and the threaded transport.
+//! Concurrent workflows.
 //!
 //! §4.2: "Our architecture permits multiple open workflows to be
 //! constructed and executed concurrently within the same community and
-//! even within the same host." And the communications-layer abstraction
-//! means the same host actors run unchanged on real threads.
-
-use std::time::Duration;
+//! even within the same host." (The same hosts over real threads and
+//! sockets are `crates/net/tests/socket_driver.rs` and `serve_process.rs`.)
 
 use openworkflow::prelude::*;
-use openworkflow::runtime::{Msg, OwmsHost, ProblemId};
-use openworkflow::simnet::ThreadNetwork;
 
 fn frag(id: &str, task: &str, input: &str, output: &str) -> Fragment {
     Fragment::single_task(id, task, Mode::Disjunctive, [input], [output]).unwrap()
@@ -86,54 +82,6 @@ fn competing_problems_serialize_on_shared_resources() {
         a.end <= b.start || b.end <= a.start,
         "overlapping commitments: {a} vs {b}"
     );
-}
-
-/// The same OwmsHost actors drive a full problem over **real threads**
-/// (crossbeam channels, wall-clock timers) — the transport swap the
-/// architecture promises.
-#[test]
-fn threaded_transport_runs_the_same_hosts() {
-    let params = RuntimeParams::default();
-    let mk = |cfg: HostConfig| OwmsHost::new(cfg, params.clone());
-
-    let mut net: ThreadNetwork<Msg, OwmsHost> = ThreadNetwork::new();
-    let a = net.add_host(mk(HostConfig::new()
-        .with_fragment(frag("f1", "t1", "a", "b"))
-        .with_service(service("t2"))));
-    let b = net.add_host(mk(HostConfig::new()
-        .with_fragment(frag("f2", "t2", "b", "c"))
-        .with_service(service("t1"))));
-    net.with_host(a, |h| h.set_community(vec![a, b]));
-    net.with_host(b, |h| h.set_community(vec![a, b]));
-    net.start();
-
-    let problem = ProblemId::new(a, 0);
-    net.send_external(
-        a,
-        a,
-        Msg::Initiate {
-            problem,
-            spec: Spec::new(["a"], ["c"]),
-        },
-    );
-
-    let done = net.wait_until(Duration::from_secs(30), |n| {
-        n.with_host(a, |h| {
-            h.latest_attempt(problem)
-                .map(|ws| ws.report.status == ProblemStatus::Completed)
-                .unwrap_or(false)
-        })
-    });
-    assert!(done, "threaded community must complete the problem");
-    let assignments = net.with_host(a, |h| {
-        h.latest_attempt(problem)
-            .unwrap()
-            .report
-            .assignments
-            .clone()
-    });
-    assert_eq!(assignments.len(), 2);
-    net.shutdown();
 }
 
 /// Workspaces stay isolated: a failing problem does not disturb a
