@@ -7,9 +7,9 @@
 //!
 //! * **ingest** — a client socket blasts a pre-encoded batch of
 //!   envelope frames at one server; the measured path is kernel TCP →
-//!   reader thread → streaming [`openwf_wire::FrameDecoder`] → envelope
-//!   parse → fragment decode → store. Reported as frames/sec and
-//!   MiB/sec.
+//!   the server's readiness loop → streaming
+//!   [`openwf_wire::FrameDecoder`] → envelope parse → fragment decode →
+//!   store. Reported as frames/sec and MiB/sec.
 //! * **e2e** — a two-host [`TcpCommunityDriver`] community constructs
 //!   the same workflow repeatedly; each construction's wall-clock
 //!   submit→complete latency is recorded and summarized (p50/p95/max).

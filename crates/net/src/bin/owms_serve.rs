@@ -468,8 +468,8 @@ fn main() -> ExitCode {
                     }
                 }
                 server.broadcast_shutdown();
-                // One more poll gives the writer threads a head start on
-                // the shutdown frames (shutdown() below still drains).
+                // One more turn of the loop writes the shutdown frames out
+                // (shutdown() below still drains what a socket refused).
                 server.poll(Duration::from_millis(25));
                 break ExitCode::SUCCESS;
             }

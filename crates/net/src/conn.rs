@@ -1,65 +1,55 @@
-//! Per-connection I/O: a blocking reader thread, a writer thread
-//! draining a **bounded** outbound queue, and the backpressure contract
-//! between them.
+//! One nonblocking connection: the socket and its **bounded** outbound
+//! byte buffer — what [`crate::NetServer::poll`], which owns every
+//! socket and moves every byte itself, keeps per connection.
 //!
-//! The reactor core ([`crate::NetServer`]) is single-threaded; sockets
-//! are not. Each accepted or dialed connection gets exactly two
-//! threads:
-//!
-//! * the **reader** blocks in `read`, forwarding raw chunks to the
-//!   server's event channel (framing is reassembled server-side by the
-//!   per-connection [`openwf_wire::FrameDecoder`], so a chunk may end
-//!   mid-varint, mid-name-table, anywhere);
-//! * the **writer** blocks on the [`OutboundQueue`] condvar, popping
-//!   complete frames and `write_all`-ing them to the socket.
-//!
-//! The queue is the backpressure boundary: it is bounded in both frame
-//! count and bytes, [`OutboundQueue::push`] never blocks the reactor,
-//! and a full queue is a *policy decision* surfaced to the caller
-//! ([`PushError::Full`]) — the server's slow-peer policy disconnects
-//! rather than buffer without bound or stall every other connection.
-//! On graceful close the writer drains whatever was queued before
-//! exiting, so joining it is the "outbound flushed" barrier — bounded
-//! by a drain deadline, because a peer that stopped *reading* must not
-//! hang shutdown (past the deadline the backlog is discarded and the
-//! socket severed).
-//!
-//! Inbound is bounded symmetrically: the reader charges every chunk it
-//! forwards against [`QueueCaps::max_rx_inflight_bytes`] and pauses at
-//! the cap until the reactor credits processed chunks back
-//! ([`ConnIo::rx_credit`]). A paused reader stops draining the kernel
-//! receive buffer, so TCP flow control pushes back on the peer instead
-//! of the reactor's event channel growing without bound.
+//! * **Outbound.** Frames are encoded straight onto one byte buffer
+//!   ([`ConnIo::queue`]) and handed to the socket with a single `write`
+//!   per wake-up ([`ConnIo::flush`]); what the socket did not take stays
+//!   queued until it reports room. That backlog is the backpressure
+//!   boundary: bounded in frames and bytes ([`QueueCaps`]), never
+//!   blocking, and when full a *policy decision* surfaced to the caller
+//!   ([`Full`]) — the server's slow-peer policy disconnects rather than
+//!   buffer without bound or stall every other connection.
+//! * **Inbound** needs no cap of its own: the loop reads into one
+//!   buffer, at most [`READ_BUDGET`] bytes per connection per turn, and
+//!   decodes in place, so user space holds that buffer plus one partial
+//!   frame per connection; the rest waits in the kernel, where TCP flow
+//!   control pushes back on the peer.
+//! * **Graceful close** ([`drain_all`]) writes every backlog out under
+//!   one deadline for the whole set — a peer that stopped *reading* must
+//!   not hang shutdown — then shuts the sockets down.
 
 use std::collections::VecDeque;
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::Sender;
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::os::fd::AsRawFd;
 use std::time::{Duration, Instant};
 
-/// How long a graceful close waits for the writer to drain the
-/// outbound backlog before giving up and severing (see
-/// [`ConnIo::close_graceful`]).
+use crate::sys::{self, PollFd, POLLIN, POLLOUT};
+
+/// How long a graceful close waits for the backlogs to reach their
+/// sockets before giving up and severing (see [`drain_all`]).
 pub const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
+
+/// The loop's one read buffer is this long.
+pub(crate) const READ_BUF_LEN: usize = 64 * 1024;
+
+/// Most bytes read from one connection in one turn of the loop, so a
+/// flooding peer cannot starve the others; the rest waits in the kernel.
+pub(crate) const READ_BUDGET: usize = 4 * READ_BUF_LEN;
 
 /// Identifies one live connection within a server.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ConnId(pub u64);
 
-/// Caps on one connection's queues, both directions.
+/// Caps on one connection's outbound backlog: frames queued but not yet
+/// wholly written to the socket.
 #[derive(Clone, Copy, Debug)]
 pub struct QueueCaps {
     /// Maximum queued outbound frames.
     pub max_frames: usize,
     /// Maximum queued outbound bytes (sum of frame lengths).
     pub max_bytes: usize,
-    /// Maximum inbound bytes forwarded to the reactor but not yet
-    /// processed; at the cap the reader pauses (and TCP flow control
-    /// pushes back on the peer) until [`ConnIo::rx_credit`] frees room.
-    pub max_rx_inflight_bytes: usize,
 }
 
 impl Default for QueueCaps {
@@ -67,502 +57,276 @@ impl Default for QueueCaps {
         QueueCaps {
             max_frames: 1024,
             max_bytes: 8 * 1024 * 1024,
-            max_rx_inflight_bytes: 8 * 1024 * 1024,
         }
     }
 }
 
-/// Why a push was refused.
+/// A frame was refused: the backlog is at one of its caps, the peer is
+/// not keeping up. Nothing of the frame stays queued.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PushError {
-    /// The queue is at one of its caps; the peer is not keeping up.
-    Full,
-    /// The queue was closed (connection tearing down).
-    Closed,
+pub(crate) struct Full;
+
+/// What [`ConnIo::queue`] accepted, for the caller's counters.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Queued {
+    /// Backlog depth in frames *after* the push.
+    pub(crate) depth: usize,
+    /// Length of the frame.
+    pub(crate) bytes: usize,
 }
 
-#[derive(Default)]
-struct QueueState {
-    frames: VecDeque<Vec<u8>>,
-    bytes: usize,
-    /// No further pushes; the writer exits once the queue drains.
-    closed: bool,
-    /// Drop queued frames instead of writing them (error teardown).
-    discard: bool,
-}
-
-struct QueueInner {
-    state: Mutex<QueueState>,
-    cv: Condvar,
-}
-
-fn lock_state(inner: &QueueInner) -> std::sync::MutexGuard<'_, QueueState> {
-    // A poisoned lock means an I/O thread panicked mid-pop; the queue
-    // holds plain data with no invariant a partial update could break.
-    inner
-        .state
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// The bounded outbound frame queue shared by the reactor (producer)
-/// and one writer thread (consumer).
-#[derive(Clone)]
-pub struct OutboundQueue {
-    inner: Arc<QueueInner>,
+/// The per-connection I/O state the server keeps.
+#[derive(Debug)]
+pub(crate) struct ConnIo {
+    stream: TcpStream,
     caps: QueueCaps,
-}
-
-impl std::fmt::Debug for OutboundQueue {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("OutboundQueue")
-            .field("depth", &self.depth())
-            .field("caps", &self.caps)
-            .finish()
-    }
-}
-
-impl OutboundQueue {
-    /// An empty queue with the given caps.
-    pub fn new(caps: QueueCaps) -> Self {
-        OutboundQueue {
-            inner: Arc::new(QueueInner {
-                state: Mutex::new(QueueState::default()),
-                cv: Condvar::new(),
-            }),
-            caps,
-        }
-    }
-
-    /// Enqueues one complete frame for the writer. Never blocks.
-    /// Returns the queue depth (in frames) *after* the push, for the
-    /// caller's depth histogram.
-    ///
-    /// # Errors
-    ///
-    /// [`PushError::Full`] when either cap is hit (slow peer — caller
-    /// decides the policy), [`PushError::Closed`] during teardown.
-    pub fn push(&self, frame: Vec<u8>) -> Result<usize, PushError> {
-        let mut state = lock_state(&self.inner);
-        if state.closed {
-            return Err(PushError::Closed);
-        }
-        if state.frames.len() >= self.caps.max_frames
-            || state.bytes + frame.len() > self.caps.max_bytes
-        {
-            return Err(PushError::Full);
-        }
-        state.bytes += frame.len();
-        state.frames.push_back(frame);
-        let depth = state.frames.len();
-        drop(state);
-        self.inner.cv.notify_one();
-        Ok(depth)
-    }
-
-    /// Closes the queue. With `discard` false the writer drains what is
-    /// already queued before exiting (graceful close); with `discard`
-    /// true queued frames are dropped (error/slow-peer teardown).
-    pub fn close(&self, discard: bool) {
-        let mut state = lock_state(&self.inner);
-        state.closed = true;
-        if discard {
-            state.discard = true;
-            state.frames.clear();
-            state.bytes = 0;
-        }
-        drop(state);
-        self.inner.cv.notify_all();
-    }
-
-    /// Current depth in frames.
-    pub fn depth(&self) -> usize {
-        lock_state(&self.inner).frames.len()
-    }
-
-    /// Blocks until a frame is available (returning it) or the queue is
-    /// closed-and-drained (returning `None`). Writer-thread side.
-    fn pop_blocking(&self) -> Option<Vec<u8>> {
-        let mut state = lock_state(&self.inner);
-        loop {
-            if state.discard {
-                return None;
-            }
-            if let Some(frame) = state.frames.pop_front() {
-                state.bytes -= frame.len();
-                return Some(frame);
-            }
-            if state.closed {
-                return None;
-            }
-            state = self
-                .inner
-                .cv
-                .wait(state)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-        }
-    }
-}
-
-/// Raw input from the I/O threads, delivered to the reactor's channel.
-#[derive(Debug)]
-pub enum IoEvent {
-    /// The listener thread accepted an inbound connection; the reactor
-    /// registers it (spawning its I/O threads) on the next poll.
-    Accepted {
-        /// The accepted socket.
-        stream: TcpStream,
-        /// The remote (ephemeral) address, for diagnostics.
-        peer: std::net::SocketAddr,
-    },
-    /// A chunk of bytes read from the socket (arbitrary segmentation).
-    Bytes {
-        /// Source connection.
-        conn: ConnId,
-        /// The raw chunk.
-        bytes: Vec<u8>,
-    },
-    /// The connection reached EOF or errored; no more bytes will come.
-    Closed {
-        /// The finished connection.
-        conn: ConnId,
-    },
-}
-
-/// The per-connection I/O bundle the server keeps.
-#[derive(Debug)]
-pub struct ConnIo {
-    /// Outbound frames (reactor pushes, writer drains).
-    pub queue: OutboundQueue,
-    /// A handle onto the socket for `shutdown` (threads own clones).
-    pub stream: TcpStream,
-    writer: Option<JoinHandle<()>>,
-    /// Inbound bytes forwarded but not yet credited back (shared with
-    /// the reader, which pauses at the cap).
-    rx_inflight: Arc<AtomicUsize>,
-    /// Set on teardown so a reader paused at the inbound cap exits
-    /// instead of waiting for credits that will never come.
-    closed: Arc<AtomicBool>,
+    /// Encoded frames; `out[sent..]` is the backlog.
+    out: Vec<u8>,
+    sent: usize,
+    /// Unwritten bytes of each backlog frame, oldest first (they sum to
+    /// the backlog), so the frame cap counts frames, not writes.
+    frames: VecDeque<usize>,
+    /// Frames were queued, or the socket reported room (the loop sets
+    /// it then), since the last `write`: the next flush pass should
+    /// try one.
+    pub(crate) dirty: bool,
 }
 
 impl ConnIo {
-    /// Severs the connection immediately: queued frames are dropped and
-    /// both socket directions are shut down, which unblocks the reader
-    /// (EOF) and lets it report [`IoEvent::Closed`].
-    pub fn sever(&mut self) {
-        self.closed.store(true, Ordering::Release);
-        self.queue.close(true);
-        let _ = self.stream.shutdown(Shutdown::Both);
-        self.join_writer();
+    /// Takes over `stream`, switching it to nonblocking mode.
+    pub(crate) fn new(stream: TcpStream, caps: QueueCaps) -> io::Result<Self> {
+        stream.set_nonblocking(true)?;
+        let _ = stream.set_nodelay(true);
+        Ok(ConnIo {
+            stream,
+            caps,
+            out: Vec::new(),
+            sent: 0,
+            frames: VecDeque::new(),
+            dirty: false,
+        })
     }
 
-    /// Graceful close: lets the writer drain everything already queued,
-    /// joins it (the flush barrier), then shuts the socket down. The
-    /// drain is bounded by [`DRAIN_DEADLINE`]: a peer that stopped
-    /// reading (more queued than its socket buffers absorb) would block
-    /// the writer's `write_all` forever, so past the deadline the
-    /// backlog is discarded and the socket severed instead of hanging
-    /// the caller — typically `NetServer::shutdown`.
-    pub fn close_graceful(&mut self) {
-        self.close_graceful_within(DRAIN_DEADLINE);
-    }
-
-    /// [`ConnIo::close_graceful`] with an explicit drain deadline.
-    pub fn close_graceful_within(&mut self, deadline: Duration) {
-        self.queue.close(false);
-        self.closed.store(true, Ordering::Release);
-        let drained = self.wait_writer_finished(deadline);
-        if !drained {
-            // Abandon the drain: drop the backlog and shut the socket
-            // down, which errors the blocked write and ends the writer.
-            self.queue.close(true);
-            let _ = self.stream.shutdown(Shutdown::Both);
+    /// Queues the one complete frame `encode` appends to the buffer it
+    /// is given. Never blocks, never writes.
+    pub(crate) fn queue(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> Result<Queued, Full> {
+        if self.frames.len() >= self.caps.max_frames {
+            return Err(Full);
         }
-        self.join_writer();
-        let _ = self.stream.shutdown(Shutdown::Both);
+        let start = self.out.len();
+        encode(&mut self.out);
+        let len = self.out.len() - start;
+        if start - self.sent + len > self.caps.max_bytes {
+            self.out.truncate(start);
+            return Err(Full);
+        }
+        self.frames.push_back(len);
+        self.dirty = true;
+        Ok(Queued {
+            depth: self.frames.len(),
+            bytes: len,
+        })
     }
 
-    /// Returns `n` inbound bytes to the reader's budget once the
-    /// reactor has processed them.
-    pub fn rx_credit(&self, n: usize) {
-        self.rx_inflight.fetch_sub(n, Ordering::AcqRel);
+    /// True while queued bytes are waiting for the socket.
+    pub(crate) fn has_backlog(&self) -> bool {
+        self.sent < self.out.len()
     }
 
-    /// Polls the writer thread up to `deadline`; `std` has no timed
-    /// join, and the writer may be blocked in `write_all` on a peer
-    /// that stopped reading.
-    fn wait_writer_finished(&self, deadline: Duration) -> bool {
-        let until = Instant::now() + deadline;
-        loop {
-            match &self.writer {
-                None => return true,
-                Some(h) if h.is_finished() => return true,
-                Some(_) if Instant::now() >= until => return false,
-                Some(_) => std::thread::sleep(Duration::from_millis(2)),
+    /// Hands the backlog to the socket in one `write`; what the socket
+    /// does not take stays queued for the next `POLLOUT`.
+    ///
+    /// # Errors
+    ///
+    /// The socket's own: the peer is gone.
+    pub(crate) fn flush(&mut self) -> io::Result<()> {
+        self.dirty = false;
+        if !self.has_backlog() {
+            return Ok(());
+        }
+        let mut written = match self.stream.write(&self.out[self.sent..]) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => n,
+            // No room (yet): the backlog waits for the next `POLLOUT`.
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => return Ok(()),
+            Err(e) => return Err(e),
+        };
+        self.sent += written;
+        while let Some(head) = self.frames.front_mut() {
+            if *head > written {
+                *head -= written;
+                break;
             }
+            written -= *head;
+            self.frames.pop_front();
         }
+        if self.sent * 2 >= self.out.len() {
+            // At least as much written as is left to move; and a burst's
+            // capacity is not kept once its bytes are gone.
+            self.out.drain(..self.sent);
+            self.sent = 0;
+            self.out.shrink_to(READ_BUF_LEN);
+        }
+        Ok(())
     }
 
-    fn join_writer(&mut self) {
-        if let Some(h) = self.writer.take() {
-            let _ = h.join();
-        }
+    /// Drops the backlog unwritten (error and slow-peer teardown).
+    pub(crate) fn discard(&mut self) {
+        self.out.clear();
+        self.sent = 0;
+        self.frames.clear();
+        self.dirty = false;
+    }
+
+    /// One nonblocking `read` into `buf`; `Ok(0)` is the peer's close.
+    pub(crate) fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.stream.read(buf)
+    }
+
+    /// What the loop waits for on this socket: input always, room to
+    /// write only while a backlog is left over.
+    pub(crate) fn pollfd(&self) -> PollFd {
+        let events = if self.has_backlog() {
+            POLLIN | POLLOUT
+        } else {
+            POLLIN
+        };
+        PollFd::new(self.stream.as_raw_fd(), events)
     }
 }
 
-impl Drop for ConnIo {
-    fn drop(&mut self) {
-        self.sever();
+/// Graceful close of a set of connections: writes every backlog to its
+/// socket, waiting for room as needed, until all are empty or `within`
+/// has passed — one deadline for the whole set, so peers that stopped
+/// reading cost it once, not once each. Then drops what is left and
+/// shuts every socket down. Returns how many backlogs reached their
+/// socket in full.
+pub(crate) fn drain_all(conns: &mut [&mut ConnIo], within: Duration) -> usize {
+    let deadline = Instant::now() + within;
+    let mut lost = 0;
+    let mut fds = Vec::new();
+    loop {
+        fds.clear();
+        for io in conns.iter_mut() {
+            if io.has_backlog() && io.flush().is_err() {
+                io.discard();
+                lost += 1;
+            }
+            if io.has_backlog() {
+                fds.push(PollFd::new(io.stream.as_raw_fd(), POLLOUT));
+            }
+        }
+        let left = deadline.saturating_duration_since(Instant::now());
+        if fds.is_empty() || left.is_zero() || sys::wait(&mut fds, Some(left)).is_err() {
+            break;
+        }
     }
-}
-
-/// Spawns the reader and writer threads for `stream` and returns the
-/// server-side bundle. `events` receives every inbound chunk and the
-/// final [`IoEvent::Closed`]; the reader exits on its own when the
-/// socket closes or the server (receiver) goes away.
-///
-/// # Errors
-///
-/// Fails when the stream cannot be cloned for the second thread.
-pub fn spawn_io(
-    stream: TcpStream,
-    id: ConnId,
-    caps: QueueCaps,
-    events: Sender<IoEvent>,
-) -> std::io::Result<ConnIo> {
-    let queue = OutboundQueue::new(caps);
-    let rx_inflight = Arc::new(AtomicUsize::new(0));
-    let closed = Arc::new(AtomicBool::new(false));
-    let writer_stream = stream.try_clone()?;
-    let reader_stream = stream.try_clone()?;
-
-    let writer_queue = queue.clone();
-    let writer = std::thread::Builder::new()
-        .name(format!("owms-net-writer-{}", id.0))
-        .spawn(move || {
-            let mut stream = writer_stream;
-            while let Some(frame) = writer_queue.pop_blocking() {
-                if stream.write_all(&frame).is_err() {
-                    // The peer is gone; the reader will observe the same
-                    // failure and report Closed. Discard the backlog.
-                    writer_queue.close(true);
-                    let _ = stream.shutdown(Shutdown::Both);
-                    return;
-                }
-            }
-            let _ = stream.flush();
-        })?;
-
-    let reader_inflight = Arc::clone(&rx_inflight);
-    let reader_closed = Arc::clone(&closed);
-    std::thread::Builder::new()
-        .name(format!("owms-net-reader-{}", id.0))
-        .spawn(move || {
-            let mut stream = reader_stream;
-            let mut buf = vec![0u8; 16 * 1024];
-            loop {
-                // Inbound backpressure: at the in-flight cap, stop
-                // draining the kernel buffer until the reactor credits
-                // processed chunks back — TCP flow control then pushes
-                // back on the peer instead of reactor memory growing.
-                while reader_inflight.load(Ordering::Acquire) >= caps.max_rx_inflight_bytes {
-                    if reader_closed.load(Ordering::Acquire) {
-                        return; // severed while paused; credits stop coming
-                    }
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                match stream.read(&mut buf) {
-                    Ok(0) | Err(_) => {
-                        let _ = events.send(IoEvent::Closed { conn: id });
-                        return;
-                    }
-                    Ok(n) => {
-                        reader_inflight.fetch_add(n, Ordering::AcqRel);
-                        if events
-                            .send(IoEvent::Bytes {
-                                conn: id,
-                                bytes: buf[..n].to_vec(),
-                            })
-                            .is_err()
-                        {
-                            return; // server gone; stop reading
-                        }
-                    }
-                }
-            }
-        })?;
-
-    Ok(ConnIo {
-        queue,
-        stream,
-        writer: Some(writer),
-        rx_inflight,
-        closed,
-    })
+    for io in conns.iter_mut() {
+        if io.has_backlog() {
+            io.discard();
+            lost += 1;
+        }
+        let _ = io.stream.shutdown(Shutdown::Both);
+    }
+    conns.len() - lost
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::net::TcpListener;
-    use std::sync::mpsc::channel;
 
-    #[test]
-    fn queue_enforces_both_caps_and_close_semantics() {
-        let q = OutboundQueue::new(QueueCaps {
-            max_frames: 2,
-            max_bytes: 10,
-            ..QueueCaps::default()
-        });
-        assert_eq!(q.push(vec![0; 4]), Ok(1));
-        assert_eq!(q.push(vec![0; 4]), Ok(2));
-        assert_eq!(q.push(vec![0; 1]), Err(PushError::Full), "frame cap");
-        assert_eq!(q.pop_blocking().unwrap().len(), 4);
-        assert_eq!(q.push(vec![0; 9]), Err(PushError::Full), "byte cap");
-        assert_eq!(q.push(vec![0; 2]), Ok(2));
-        q.close(false);
-        assert_eq!(q.push(vec![0; 1]), Err(PushError::Closed));
-        // Drain semantics: both queued frames still come out.
-        assert!(q.pop_blocking().is_some());
-        assert!(q.pop_blocking().is_some());
-        assert!(q.pop_blocking().is_none());
+    /// A connected pair: our nonblocking side and the peer's socket.
+    fn pair(caps: QueueCaps) -> (ConnIo, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server_side, _) = listener.accept().unwrap();
+        (ConnIo::new(server_side, caps).unwrap(), client)
+    }
+
+    fn frame(len: usize) -> impl FnOnce(&mut Vec<u8>) {
+        move |out| out.extend(std::iter::repeat_n(0u8, len))
     }
 
     #[test]
-    fn discard_close_drops_the_backlog() {
-        let q = OutboundQueue::new(QueueCaps::default());
-        q.push(vec![1, 2, 3]).unwrap();
-        q.close(true);
-        assert!(q.pop_blocking().is_none());
-        assert_eq!(q.depth(), 0);
+    fn queue_enforces_both_caps_and_refuses_whole_frames() {
+        let (mut io, mut client) = pair(QueueCaps {
+            max_frames: 2,
+            max_bytes: 10,
+        });
+        assert_eq!(io.queue(frame(4)).map(|q| q.depth), Ok(1));
+        assert_eq!(io.queue(frame(4)).map(|q| q.depth), Ok(2));
+        assert_eq!(io.queue(frame(1)), Err(Full), "frame cap");
+        io.flush().unwrap();
+        assert_eq!(io.frames.len(), 0, "one write took both frames");
+        assert_eq!(io.queue(frame(9)), Ok(Queued { depth: 1, bytes: 9 }));
+        assert_eq!(io.queue(frame(2)), Err(Full), "byte cap");
+        assert_eq!(io.frames.len(), 1);
+        assert_eq!(
+            io.queue(frame(1)).map(|q| q.depth),
+            Ok(2),
+            "the refused frame left no bytes"
+        );
+        io.flush().unwrap();
+        assert!(!io.has_backlog());
+        drop(io);
+        let mut got = Vec::new();
+        client.read_to_end(&mut got).unwrap();
+        assert_eq!(
+            got.len(),
+            4 + 4 + 9 + 1,
+            "refused frames never reach the wire"
+        );
+    }
+
+    #[test]
+    fn discard_drops_the_backlog() {
+        let (mut io, mut client) = pair(QueueCaps::default());
+        io.queue(|out| out.extend([1, 2, 3])).unwrap();
+        io.discard();
+        assert_eq!(io.frames.len(), 0);
+        io.flush().unwrap();
+        drop(io);
+        let mut got = Vec::new();
+        client.read_to_end(&mut got).unwrap();
+        assert!(got.is_empty(), "a discarded backlog is never written");
     }
 
     /// Graceful close flushes every queued frame onto the socket before
-    /// the writer exits — the serving path's drop-flush guarantee.
+    /// shutting it down — the serving path's drop-flush guarantee.
     #[test]
     fn graceful_close_drains_queued_frames_to_the_peer() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let client = TcpStream::connect(addr).unwrap();
-        let (server_side, _) = listener.accept().unwrap();
-
-        let (tx, rx) = channel();
-        let mut io = spawn_io(server_side, ConnId(1), QueueCaps::default(), tx).unwrap();
+        let (mut io, mut client) = pair(QueueCaps::default());
         for i in 0..50u8 {
-            io.queue.push(vec![i; 100]).unwrap();
+            io.queue(|out| out.extend([i; 100])).unwrap();
         }
-        io.close_graceful();
+        assert_eq!(drain_all(&mut [&mut io], DRAIN_DEADLINE), 1);
 
         let mut got = Vec::new();
-        let mut client = client;
         client.read_to_end(&mut got).unwrap();
         assert_eq!(got.len(), 50 * 100, "every queued byte arrived");
-        drop(rx);
     }
 
     /// A peer that stops *reading* cannot hang graceful close: once the
     /// drain deadline passes, the backlog is discarded and the close
-    /// returns instead of blocking on the writer's stalled `write_all`.
+    /// returns instead of waiting for room that never comes.
     #[test]
     fn graceful_close_gives_up_on_a_peer_that_stops_reading() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let client = TcpStream::connect(addr).unwrap();
-        let (server_side, _) = listener.accept().unwrap();
-
-        let (tx, _rx) = channel();
-        let mut io = spawn_io(server_side, ConnId(3), QueueCaps::default(), tx).unwrap();
+        let (mut io, client) = pair(QueueCaps::default());
         // Queue far more than loopback socket buffers absorb; the
-        // client never reads a byte, so the writer wedges mid-drain.
+        // client never reads a byte, so the drain wedges part-way.
         let mut queued = 0usize;
-        while queued < 8 * 1024 * 1024 {
-            match io.queue.push(vec![0u8; 64 * 1024]) {
-                Ok(_) => queued += 64 * 1024,
-                Err(PushError::Full) => break,
-                Err(PushError::Closed) => panic!("queue closed early"),
-            }
+        while queued < 8 * 1024 * 1024 && io.queue(frame(64 * 1024)).is_ok() {
+            queued += 64 * 1024;
         }
-        let started = std::time::Instant::now();
-        io.close_graceful_within(Duration::from_millis(300));
+        let started = Instant::now();
+        assert_eq!(drain_all(&mut [&mut io], Duration::from_millis(300)), 0);
         assert!(
             started.elapsed() < Duration::from_secs(5),
             "bounded drain must not hang on an unread backlog"
         );
+        assert!(!io.has_backlog(), "what could not be written is dropped");
         drop(client);
-    }
-
-    /// The reader pauses at the inbound in-flight cap and resumes when
-    /// the reactor credits processed bytes back — the inbound
-    /// counterpart of the bounded outbound queue.
-    #[test]
-    fn reader_pauses_at_the_inbound_cap_until_credited() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let mut client = TcpStream::connect(addr).unwrap();
-        let (server_side, _) = listener.accept().unwrap();
-
-        let caps = QueueCaps {
-            max_rx_inflight_bytes: 4 * 1024,
-            ..QueueCaps::default()
-        };
-        let (tx, rx) = channel();
-        let mut io = spawn_io(server_side, ConnId(5), caps, tx).unwrap();
-        client.write_all(&vec![0u8; 256 * 1024]).unwrap();
-        client.flush().unwrap();
-        std::thread::sleep(Duration::from_millis(300));
-
-        // Without credits the reader forwards at most cap + one read
-        // chunk (the cap check precedes each read of up to 16 KiB).
-        let mut first = 0usize;
-        while let Ok(ev) = rx.try_recv() {
-            if let IoEvent::Bytes { bytes, .. } = ev {
-                first += bytes.len();
-            }
-        }
-        assert!(first > 0, "some bytes must flow");
-        assert!(
-            first <= 4 * 1024 + 16 * 1024,
-            "reader must pause at the inbound cap, forwarded {first}"
-        );
-
-        // Crediting the processed bytes resumes the flow.
-        io.rx_credit(first);
-        std::thread::sleep(Duration::from_millis(300));
-        let mut second = 0usize;
-        while let Ok(ev) = rx.try_recv() {
-            if let IoEvent::Bytes { bytes, .. } = ev {
-                second += bytes.len();
-            }
-        }
-        assert!(second > 0, "credits must unpause the reader");
-        io.sever();
-    }
-
-    #[test]
-    fn reader_reports_closed_on_peer_disconnect() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let client = TcpStream::connect(addr).unwrap();
-        let (server_side, _) = listener.accept().unwrap();
-
-        let (tx, rx) = channel();
-        let mut io = spawn_io(server_side, ConnId(7), QueueCaps::default(), tx).unwrap();
-        client.shutdown(Shutdown::Both).unwrap();
-        drop(client);
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        loop {
-            match rx.recv_timeout(std::time::Duration::from_millis(100)) {
-                Ok(IoEvent::Closed { conn }) => {
-                    assert_eq!(conn, ConnId(7));
-                    break;
-                }
-                Ok(_) => {}
-                Err(_) if std::time::Instant::now() > deadline => {
-                    panic!("reader never reported Closed")
-                }
-                Err(_) => {}
-            }
-        }
-        io.sever();
     }
 }

@@ -4,7 +4,7 @@
 //! own listener, own port, own reactor state — inside one process, with
 //! a full routing mesh over `127.0.0.1`. Every protocol message crosses
 //! a real socket as encoded wire bytes: kernel buffering, arbitrary
-//! segmentation, genuine reader/writer threads. The cores cannot tell
+//! segmentation, nonblocking reads and writes. The cores cannot tell
 //! this transport from a distributed deployment, which is the point —
 //! it is the same reactor `owms-serve` runs, driven through the same
 //! [`Driver`] surface as [`openwf_runtime::SimDriver`] and
@@ -23,6 +23,11 @@
 //! caller reads the non-terminal report. Timers *within* the horizon
 //! (round timeouts, bid patience) are waited for and fired, which is
 //! how a silent peer's timeout drives repair instead of a wedge.
+//!
+//! A step sweeps every server without waiting; only when none had
+//! anything to do does the driver block, once, in `poll(2)` over the
+//! descriptors of *all* its servers, until a socket is ready, the
+//! nearest timer is due, or the grace has run out.
 
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
@@ -33,6 +38,7 @@ use openwf_simnet::{HostId, SimTime};
 
 use crate::clock::WallClock;
 use crate::server::{NetServer, ServerConfig, ShutdownReport};
+use crate::sys::{self, PollFd};
 
 /// The community id a [`TcpCommunityDriver`] serves (it hosts exactly
 /// one community).
@@ -45,6 +51,8 @@ pub struct TcpCommunityDriver {
     idle_grace: Duration,
     timer_horizon: Duration,
     last_activity: Instant,
+    /// The descriptor set of an idle wait, reused.
+    pollfds: Vec<PollFd>,
 }
 
 impl TcpCommunityDriver {
@@ -89,6 +97,7 @@ impl TcpCommunityDriver {
             idle_grace: Duration::from_millis(200),
             timer_horizon: Duration::from_secs(2),
             last_activity: Instant::now(),
+            pollfds: Vec::new(),
         })
     }
 
@@ -167,28 +176,35 @@ impl Driver for TcpCommunityDriver {
     fn step(&mut self) -> bool {
         let mut any = false;
         for server in &mut self.servers {
-            any |= server.poll(Duration::from_millis(1));
+            any |= server.poll(Duration::ZERO);
         }
         if any {
             self.last_activity = Instant::now();
             return true;
         }
-        // Silent. A timer inside the horizon is pending progress: sleep
-        // toward it and stay live so the next poll fires it.
-        if let Some(due) = self
+        // Silent. A timer inside the horizon is pending progress: wait
+        // toward it and stay live so the next sweep fires it. With no
+        // near timer and nothing moving, quiesce once the grace elapses
+        // (in-flight bytes would have surfaced well within it).
+        let near_timer = self
             .servers
             .iter()
             .filter_map(NetServer::next_timer_due)
             .min()
-        {
-            let until = self.clock.until(due);
-            if until <= self.timer_horizon {
-                std::thread::sleep(until.min(Duration::from_millis(20)));
-                return true;
-            }
+            .map(|due| self.clock.until(due))
+            .filter(|until| *until <= self.timer_horizon);
+        let grace_left = self.idle_grace.saturating_sub(self.last_activity.elapsed());
+        let wait = match near_timer {
+            Some(until) => until,
+            None if grace_left.is_zero() => return false,
+            None => grace_left,
+        };
+        self.pollfds.clear();
+        for server in &self.servers {
+            server.push_pollfds(&mut self.pollfds);
         }
-        // No near timer, nothing moving: quiesce once the grace elapses
-        // (in-flight bytes would have surfaced well within it).
-        self.last_activity.elapsed() < self.idle_grace
+        // Whatever ends the wait, the next sweep finds and handles it.
+        let _ = sys::wait(&mut self.pollfds, Some(wait));
+        true
     }
 }

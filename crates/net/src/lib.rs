@@ -4,14 +4,18 @@
 //! ([`openwf_runtime::HostCore`]) return effect queues and never touch
 //! a socket, and the two simulated drivers replay them under virtual
 //! time. This crate is the third transport — **real TCP** — built from
-//! `std::net` only (the workspace builds offline; no async runtime, no
-//! poll library):
+//! `std::net` plus one `poll(2)` declaration (the workspace builds
+//! offline; no async runtime, no poll library, and no thread: Linux
+//! only):
 //!
 //! * [`NetServer`] — one process's reactor: many communities' cores,
-//!   one listener, per-connection reader/writer threads around bounded
-//!   outbound queues, all protocol logic single-threaded in
-//!   [`NetServer::poll`]. Frames cross sockets length-prefixed and are
-//!   reassembled by the streaming [`openwf_wire::FrameDecoder`];
+//!   one listener and every connection's nonblocking socket in one
+//!   readiness loop, [`NetServer::poll`], which waits in `poll(2)`,
+//!   reads and dispatches what is ready, runs the protocol, and writes
+//!   each connection's queued frames out once per wake-up, all on the
+//!   caller's thread; outbound backlogs are bounded ([`QueueCaps`]).
+//!   Frames cross sockets length-prefixed and are reassembled by the
+//!   streaming [`openwf_wire::FrameDecoder`];
 //!   [`openwf_wire::frame_tag`] routes them. Timer-driven progress
 //!   comes from [`openwf_runtime::HostCore::next_timer_due`] bounding
 //!   every socket wait, with [`openwf_runtime::HostCore::tick`] firing
@@ -28,9 +32,11 @@
 //!
 //! Transport metrics land in the crate's [`openwf_obs`] registry under
 //! `net.*` (`net.rx_frames`, `net.tx_bytes`, `net.conn_slow_drops`,
-//! `net.tx_queue_depth`, …); scrape with [`NetServer::scrape`].
+//! `net.tx_queue_depth`, …; `net.wakeups`, `net.rx_reads` and
+//! `net.tx_writes` count the loop's system calls); scrape with
+//! [`NetServer::scrape`].
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod clock;
@@ -40,9 +46,12 @@ pub mod proto;
 pub mod server;
 
 mod driver;
+// The `poll(2)` declaration and call: the one `unsafe` block.
+#[allow(unsafe_code)]
+mod sys;
 
 pub use clock::WallClock;
-pub use conn::{ConnId, IoEvent, OutboundQueue, PushError, QueueCaps};
+pub use conn::{ConnId, QueueCaps};
 pub use driver::{TcpCommunityDriver, DRIVER_COMMUNITY};
 pub use json::value_to_json;
 pub use proto::{

@@ -1,11 +1,23 @@
 //! The serving reactor: many [`HostCore`]s, one process, real sockets.
 //!
 //! A [`NetServer`] owns every protocol core this process serves (keyed
-//! by `(community, host)`), one optional `TcpListener`, and the routing
-//! state that maps remote `(community, host)` pairs onto live
-//! connections. All protocol logic runs single-threaded inside
-//! [`NetServer::poll`]; only the byte-moving edges (accept, read,
-//! write) live on threads (see [`crate::conn`]). That keeps the cores'
+//! by `(community, host)`), one optional `TcpListener`, every
+//! connection's socket, and the routing state that maps remote
+//! `(community, host)` pairs onto live connections. Everything runs on
+//! the caller's thread inside [`NetServer::poll`], one readiness loop:
+//!
+//! 1. wait in `poll(2)` on the listener and every socket, no longer than
+//!    the caller allows or the earliest core timer is away;
+//! 2. `accept` what is pending and `read` what is ready into one
+//!    reusable buffer — a bounded number of bytes per connection per
+//!    turn — feeding each connection's [`FrameDecoder`] and dispatching
+//!    its frames in place, in arrival order;
+//! 3. deliver same-process frames and fire due timers;
+//! 4. hand each connection's queued frames to its socket in **one**
+//!    `write`, asking for write-readiness only where a partial write
+//!    left a backlog (see [`crate::conn`]).
+//!
+//! No thread is spawned and nothing sleeps. That keeps the cores'
 //! sans-io discipline intact — the reactor is just another driver that
 //! feeds [`HostCore::handle_frame`] and polls [`HostCore::tick`].
 //!
@@ -22,16 +34,14 @@
 //!
 //! # Backpressure
 //!
-//! Every connection's outbound queue is bounded ([`QueueCaps`]). A push
-//! that finds the queue full marks the peer *slow* and the policy is to
+//! Every connection's outbound backlog is bounded ([`QueueCaps`]). A
+//! frame that finds it full — even after the backlog was offered to the
+//! socket once more — marks the peer *slow* and the policy is to
 //! disconnect it (`net.conn_slow_drops`): the alternative — buffering
 //! without bound or blocking the reactor — would let one stalled peer
 //! starve every community this process serves. Workflow-layer repair
 //! (timeouts, re-auction) recovers whatever the dropped frames carried.
-//! Inbound is bounded too: each reader pauses at
-//! [`QueueCaps::max_rx_inflight_bytes`] of unprocessed chunks, letting
-//! TCP flow control hold back a peer that sends faster than the
-//! reactor dispatches (see [`crate::conn`]).
+//! Inbound is bounded by construction (see [`crate::conn`]).
 //!
 //! # Quarantine
 //!
@@ -52,12 +62,10 @@
 //! multiplexing with.
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::ops::Bound;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::os::fd::AsRawFd;
 use std::time::{Duration, Instant};
 
 use openwf_obs::{Counter, Histogram, Obs};
@@ -70,11 +78,22 @@ use openwf_wire::{frame_tag, FrameDecoder, VocabularyBudget, TAG_FRAGMENT, TAG_M
 use serde::Value;
 
 use crate::clock::WallClock;
-use crate::conn::{spawn_io, ConnId, ConnIo, IoEvent, PushError, QueueCaps};
+use crate::conn::{
+    drain_all, ConnId, ConnIo, Full, QueueCaps, DRAIN_DEADLINE, READ_BUDGET, READ_BUF_LEN,
+};
 use crate::proto::{
     encode_envelope, encode_goodbye, encode_hello, encode_shutdown, read_envelope, read_hello,
     Hello, NET_PROTO_VERSION, TAG_NET_ENVELOPE, TAG_NET_GOODBYE, TAG_NET_HELLO, TAG_NET_SHUTDOWN,
 };
+use crate::sys::{self, PollFd, POLLIN};
+
+/// Most connections accepted in one turn of the loop; the rest stay in
+/// the listen backlog (the listener remains readable) for the next.
+const ACCEPTS_PER_TURN: usize = 64;
+
+/// How long the listener sits out of the wait after an `accept` the
+/// kernel refused (no descriptor left, say): it stays readable throughout.
+const ACCEPT_PAUSE: Duration = Duration::from_millis(10);
 
 /// Construction parameters for a [`NetServer`].
 #[derive(Debug)]
@@ -84,7 +103,7 @@ pub struct ServerConfig {
     /// Listen address (`"127.0.0.1:0"` for an ephemeral port), or
     /// `None` for a pure client (initiator-only) process.
     pub listen: Option<String>,
-    /// Outbound queue caps applied to every connection.
+    /// Outbound backlog caps applied to every connection.
     pub queue_caps: QueueCaps,
     /// TCP connect timeout for on-demand dials.
     pub connect_timeout: Duration,
@@ -141,6 +160,11 @@ struct NetMetrics {
     rx_misrouted: Counter,
     rx_ingest_refused: Counter,
     tx_queue_depth: Histogram,
+    /// Returns from `poll(2)`, reads and writes issued: with the frame
+    /// counters, frames per system call.
+    wakeups: Counter,
+    rx_reads: Counter,
+    tx_writes: Counter,
 }
 
 impl NetMetrics {
@@ -162,6 +186,9 @@ impl NetMetrics {
             rx_misrouted: m.counter("net.rx_misrouted"),
             rx_ingest_refused: m.counter("net.rx_ingest_refused"),
             tx_queue_depth: m.histogram("net.tx_queue_depth"),
+            wakeups: m.counter("net.wakeups"),
+            rx_reads: m.counter("net.rx_reads"),
+            tx_writes: m.counter("net.tx_writes"),
         }
     }
 }
@@ -169,10 +196,7 @@ impl NetMetrics {
 /// One live connection's reactor-side state.
 struct Conn {
     io: ConnIo,
-    peer: SocketAddr,
     decoder: FrameDecoder,
-    /// Peer process name, once its hello arrived.
-    name: Option<String>,
     /// Every `(community, host)` the peer announced.
     announced: Vec<(u64, HostId)>,
     /// True once a valid hello arrived. Envelopes before the handshake
@@ -186,27 +210,10 @@ struct Conn {
     ingest_vocab: VocabularyBudget,
 }
 
-/// A frame decoded off a connection, lifted to owned data so the
-/// decoder borrow ends before the reactor reacts (which may write to
-/// other connections).
-enum Inbound {
-    Hello(Hello),
-    Envelope {
-        community: u64,
-        from: HostId,
-        to: HostId,
-        inner: Vec<u8>,
-    },
-    Goodbye,
-    Shutdown,
-    Unknown,
-    Corrupt,
-}
-
 /// What a graceful [`NetServer::shutdown`] accomplished.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ShutdownReport {
-    /// Connections whose outbound queues were drained to the socket.
+    /// Connections whose outbound backlog reached the socket in full.
     pub flushed_conns: usize,
     /// Cores whose fragment stores were synced.
     pub synced_cores: usize,
@@ -227,14 +234,23 @@ pub struct NetServer {
     routes: HashMap<(u64, HostId), SocketAddr>,
     /// Which live connection currently serves a remote host.
     conn_of: HashMap<(u64, HostId), ConnId>,
-    conns: HashMap<ConnId, Conn>,
+    /// Every live connection, in the order the loop serves them.
+    conns: BTreeMap<ConnId, Conn>,
     /// Quarantine-denied pairs: no sends, no dials, no hellos.
     denied: HashSet<(u64, HostId)>,
-    events_tx: Sender<IoEvent>,
-    events_rx: Receiver<IoEvent>,
-    listener_stop: Arc<AtomicBool>,
-    listener: Option<JoinHandle<()>>,
+    /// Nonblocking; polled with the connections.
+    listener: Option<TcpListener>,
+    /// Set by a refused `accept`: not polled again before this.
+    accept_pause: Option<Instant>,
     listen_addr: Option<SocketAddr>,
+    /// The loop's reusable pieces: the descriptor set of a wait, the
+    /// connections it found readable, the one read buffer, and the
+    /// buffer a remote-bound message is encoded into before its
+    /// envelope wraps it.
+    pollfds: Vec<PollFd>,
+    ready: Vec<ConnId>,
+    read_buf: Vec<u8>,
+    scratch: Vec<u8>,
     next_conn: u64,
     next_seq: HashMap<(u64, HostId), u32>,
     /// Frames between cores of this process: `(community, from, to,
@@ -270,27 +286,19 @@ impl std::fmt::Debug for NetServer {
 }
 
 impl NetServer {
-    /// Builds the reactor, binds the listener (when configured) and
-    /// starts its accept thread.
+    /// Builds the reactor and binds the listener (when configured).
     ///
     /// # Errors
     ///
     /// Socket bind/configuration failures.
     pub fn new(config: ServerConfig) -> std::io::Result<Self> {
-        let (events_tx, events_rx) = channel();
         let metrics = NetMetrics::register(&config.obs);
-        let listener_stop = Arc::new(AtomicBool::new(false));
         let (listener, listen_addr) = match &config.listen {
             Some(addr) => {
                 let listener = TcpListener::bind(addr.as_str())?;
                 let local = listener.local_addr()?;
                 listener.set_nonblocking(true)?;
-                let tx = events_tx.clone();
-                let stop = Arc::clone(&listener_stop);
-                let handle = std::thread::Builder::new()
-                    .name(format!("owms-net-accept-{}", config.name))
-                    .spawn(move || accept_loop(listener, tx, stop))?;
-                (Some(handle), Some(local))
+                (Some(listener), Some(local))
             }
             None => (None, None),
         };
@@ -302,13 +310,15 @@ impl NetServer {
             cores: BTreeMap::new(),
             routes: HashMap::new(),
             conn_of: HashMap::new(),
-            conns: HashMap::new(),
+            conns: BTreeMap::new(),
             denied: HashSet::new(),
-            events_tx,
-            events_rx,
-            listener_stop,
             listener,
+            accept_pause: None,
             listen_addr,
+            pollfds: Vec::new(),
+            ready: Vec::new(),
+            read_buf: vec![0; READ_BUF_LEN],
+            scratch: Vec::new(),
             next_conn: 0,
             next_seq: HashMap::new(),
             local: VecDeque::new(),
@@ -445,31 +455,26 @@ impl NetServer {
         ProblemHandle { id }
     }
 
-    /// One reactor turn: waits up to `max_wait` for socket input
+    /// One reactor turn: waits up to `max_wait` for socket readiness
     /// (bounded by the earliest core timer), processes everything
-    /// pending — inbound frames, local deliveries, due timers — and
-    /// returns whether anything happened.
+    /// pending — accepts, inbound frames, local deliveries, due timers —
+    /// writes out what that queued, and returns whether anything
+    /// happened.
     pub fn poll(&mut self, max_wait: Duration) -> bool {
         let mut activity = self.pump_local();
+        // Frames queued between turns (`submit`, dials, a shutdown
+        // broadcast) leave before the wait, not after it.
+        activity |= self.flush_dirty();
         let wait = if activity {
             Duration::ZERO
         } else {
             self.bounded_wait(max_wait)
         };
-        match self.events_rx.recv_timeout(wait) {
-            Ok(ev) => {
-                activity = true;
-                self.on_io_event(ev);
-                // Drain the backlog without further waiting.
-                while let Ok(ev) = self.events_rx.try_recv() {
-                    self.on_io_event(ev);
-                }
-            }
-            Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => {}
-        }
+        activity |= self.wait_and_read(wait);
         activity |= self.pump_local();
         activity |= self.fire_due_timers();
         activity |= self.pump_local();
+        self.flush_dirty();
         activity
     }
 
@@ -529,52 +534,30 @@ impl NetServer {
     /// Sends a [`TAG_NET_SHUTDOWN`] to every routed peer and every live
     /// connection — the run owner's "we are done, stop cleanly".
     pub fn broadcast_shutdown(&mut self) {
-        let mut frame = Vec::new();
-        encode_shutdown(&mut frame);
-        let targets: Vec<(u64, HostId)> = self
-            .routes
-            .keys()
-            .filter(|key| !self.denied.contains(*key))
-            .copied()
-            .collect();
-        let mut sent: HashSet<ConnId> = HashSet::new();
-        for key in targets {
-            if let Some(conn_id) = self.conn_for(key) {
-                if sent.insert(conn_id) {
-                    self.push_frame(conn_id, frame.clone());
-                }
-            }
-        }
-        let rest: Vec<ConnId> = self
-            .conns
-            .keys()
-            .filter(|id| !sent.contains(id))
-            .copied()
-            .collect();
-        for conn_id in rest {
-            self.push_frame(conn_id, frame.clone());
+        self.dial_routes();
+        let ids: Vec<ConnId> = self.conns.keys().copied().collect();
+        for conn_id in ids {
+            self.push_frame(conn_id, encode_shutdown);
         }
     }
 
-    /// Graceful stop: stops accepting, announces goodbye on and drains
-    /// every outbound queue (joining the writers — the flush barrier,
-    /// bounded per connection by [`crate::conn::DRAIN_DEADLINE`] so a
-    /// peer that stopped reading cannot hang shutdown), syncs every
-    /// core's fragment store, and publishes final metric deltas. Clean
-    /// stop must lose no accepted state.
+    /// Graceful stop: stops accepting, announces goodbye on every
+    /// connection and writes every outbound backlog out — the flush
+    /// barrier, bounded for the whole set by [`DRAIN_DEADLINE`] so a
+    /// peer that stopped reading cannot hang shutdown — then closes the
+    /// sockets, syncs every core's fragment store, and publishes final
+    /// metric deltas. Clean stop must lose no accepted state.
     pub fn shutdown(mut self) -> ShutdownReport {
-        self.listener_stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.listener.take() {
-            let _ = handle.join();
-        }
+        self.listener = None;
         let mut report = ShutdownReport::default();
-        let mut goodbye = Vec::new();
-        encode_goodbye("shutdown", &mut goodbye);
-        for (_, mut conn) in self.conns.drain() {
-            let _ = conn.io.queue.push(goodbye.clone());
-            conn.io.close_graceful();
-            report.flushed_conns += 1;
+        let ids: Vec<ConnId> = self.conns.keys().copied().collect();
+        for conn_id in ids {
+            self.push_frame(conn_id, |out| encode_goodbye("shutdown", out));
         }
+        let mut conns = std::mem::take(&mut self.conns);
+        let mut ios: Vec<&mut ConnIo> = conns.values_mut().map(|conn| &mut conn.io).collect();
+        report.flushed_conns = drain_all(&mut ios, DRAIN_DEADLINE);
+        drop(conns);
         self.conn_of.clear();
         for core in self.cores.values_mut() {
             match core.fragment_mgr_mut().sync() {
@@ -592,10 +575,14 @@ impl NetServer {
     /// next timer wake-up so timeouts fire on time even when every
     /// peer is silent.
     fn bounded_wait(&self, max_wait: Duration) -> Duration {
-        match self.timer_wake {
-            Some(due) => max_wait.min(self.clock.until(due)),
-            None => max_wait,
+        let mut wait = max_wait;
+        if let Some(due) = self.timer_wake {
+            wait = wait.min(self.clock.until(due));
         }
+        if let Some(until) = self.accept_pause {
+            wait = wait.min(until.saturating_duration_since(Instant::now()));
+        }
+        wait
     }
 
     /// Fires `tick` on every core with a matured timer — a no-op until
@@ -652,7 +639,10 @@ impl NetServer {
         for action in q {
             match action {
                 Action::Send { to, msg } => self.send_msg(community, me, to, &msg),
-                Action::SendBytes { to, bytes } => self.route_inner(community, me, to, bytes),
+                Action::SendBytes { to, bytes } if self.cores.contains_key(&(community, to)) => {
+                    self.local.push_back((community, me, to, bytes));
+                }
+                Action::SendBytes { to, bytes } => self.send_remote(community, me, to, &bytes),
                 Action::SetTimer { delay, .. } => {
                     let due = now + delay;
                     if self.timer_wake.is_none_or(|wake| due < wake) {
@@ -669,20 +659,23 @@ impl NetServer {
     }
 
     /// Encodes a typed outbound message — with its trace-correlation id
-    /// on the wire — and routes it.
-    fn send_msg(&mut self, community: u64, from: HostId, to: HostId, msg: &Msg) {
-        let mut inner = Vec::new();
-        encode_msg_traced(msg, msg.trace_id(), &mut inner);
-        self.route_inner(community, from, to, inner);
-    }
-
-    /// Routes one complete inner frame: local queue for a core of this
+    /// on the wire — and routes it: local queue for a core of this
     /// process, an envelope over a connection otherwise.
-    fn route_inner(&mut self, community: u64, from: HostId, to: HostId, inner: Vec<u8>) {
+    fn send_msg(&mut self, community: u64, from: HostId, to: HostId, msg: &Msg) {
+        let mut inner = std::mem::take(&mut self.scratch);
+        inner.clear();
+        encode_msg_traced(msg, msg.trace_id(), &mut inner);
         if self.cores.contains_key(&(community, to)) {
             self.local.push_back((community, from, to, inner));
-            return;
+        } else {
+            self.send_remote(community, from, to, &inner);
+            self.scratch = inner;
         }
+    }
+
+    /// Wraps one inner frame for a host of another process in an
+    /// envelope on the connection serving that host.
+    fn send_remote(&mut self, community: u64, from: HostId, to: HostId, inner: &[u8]) {
         if self.denied.contains(&(community, to)) {
             self.metrics.conn_quarantine_drops.inc();
             return;
@@ -691,34 +684,73 @@ impl NetServer {
             self.metrics.tx_dropped.inc();
             return;
         };
-        let mut frame = Vec::new();
-        encode_envelope(community, from, to, None, &inner, &mut frame);
-        self.push_frame(conn_id, frame);
+        self.push_frame(conn_id, |out| {
+            encode_envelope(community, from, to, None, inner, out)
+        });
     }
 
-    /// Pushes one outbound frame, applying the slow-peer policy on a
-    /// full queue.
-    fn push_frame(&mut self, conn_id: ConnId, frame: Vec<u8>) {
+    /// Queues the one outbound frame `encode` writes — every frame this
+    /// server sends takes this path — applying the slow-peer policy on
+    /// a full backlog.
+    fn push_frame(&mut self, conn_id: ConnId, encode: impl Fn(&mut Vec<u8>)) {
         let Some(conn) = self.conns.get_mut(&conn_id) else {
             self.metrics.tx_dropped.inc();
             return;
         };
-        let len = frame.len() as u64;
-        match conn.io.queue.push(frame) {
-            Ok(depth) => {
+        let mut queued = conn.io.queue(&encode);
+        if queued.is_err() && self.flush_conn(conn_id) {
+            // At a cap with the turn's frames not yet offered to the
+            // socket: only a backlog the socket will not take is a peer
+            // not keeping up.
+            let conn = self.conns.get_mut(&conn_id).expect("flushed, so live");
+            queued = conn.io.queue(&encode);
+        }
+        match queued {
+            Ok(queued) => {
                 self.metrics.tx_frames.inc();
-                self.metrics.tx_bytes.add(len);
-                self.metrics.tx_queue_depth.record(depth as u64);
+                self.metrics.tx_bytes.add(queued.bytes as u64);
+                self.metrics.tx_queue_depth.record(queued.depth as u64);
             }
-            Err(PushError::Full) => {
+            Err(Full) => {
                 self.metrics.conn_slow_drops.inc();
                 self.metrics.tx_dropped.inc();
                 self.sever_conn(conn_id);
             }
-            Err(PushError::Closed) => {
-                self.metrics.tx_dropped.inc();
+        }
+    }
+
+    /// One `write` of a connection's backlog. False when the connection
+    /// is gone — not there, or severed because the write failed.
+    fn flush_conn(&mut self, conn_id: ConnId) -> bool {
+        let Some(conn) = self.conns.get_mut(&conn_id) else {
+            return false;
+        };
+        self.metrics.tx_writes.inc();
+        if conn.io.flush().is_err() {
+            self.sever_conn(conn_id);
+            return false;
+        }
+        true
+    }
+
+    /// Writes out every connection with frames queued, or room reported,
+    /// since its last write: one `write` each.
+    fn flush_dirty(&mut self) -> bool {
+        let mut any = false;
+        let mut gone = Vec::new();
+        for (conn_id, conn) in &mut self.conns {
+            if conn.io.dirty {
+                any = true;
+                self.metrics.tx_writes.inc();
+                if conn.io.flush().is_err() {
+                    gone.push(*conn_id);
+                }
             }
         }
+        for conn_id in gone {
+            self.sever_conn(conn_id);
+        }
+        any
     }
 
     /// The live connection serving a remote pair, dialing on demand.
@@ -739,7 +771,7 @@ impl NetServer {
         }
         match TcpStream::connect_timeout(&addr, self.connect_timeout) {
             Ok(stream) => {
-                let id = self.register_conn(stream, addr)?;
+                let id = self.register_conn(stream)?;
                 self.metrics.conn_dialed.inc();
                 // The dial address authoritatively serves this pair; the
                 // peer's hello will confirm (and widen) the mapping.
@@ -754,34 +786,17 @@ impl NetServer {
         }
     }
 
-    /// Registers a socket (accepted or dialed): spawns its I/O threads
-    /// and queues our handshake as the first outbound frame.
-    fn register_conn(&mut self, stream: TcpStream, peer: SocketAddr) -> Option<ConnId> {
-        let _ = stream.set_nodelay(true);
+    /// Registers a socket (accepted or dialed) with the loop and queues
+    /// our handshake as its first outbound frame.
+    fn register_conn(&mut self, stream: TcpStream) -> Option<ConnId> {
+        let io = ConnIo::new(stream, self.queue_caps).ok()?;
         let id = ConnId(self.next_conn);
         self.next_conn += 1;
-        let io = match spawn_io(stream, id, self.queue_caps, self.events_tx.clone()) {
-            Ok(io) => io,
-            Err(_) => return None,
-        };
-        let mut hello = Vec::new();
-        encode_hello(
-            &Hello {
-                proto: NET_PROTO_VERSION,
-                name: self.name.clone(),
-                listen: self.listen_addr.map(|a| a.to_string()).unwrap_or_default(),
-                hosts: self.local_cores(),
-            },
-            &mut hello,
-        );
-        let _ = io.queue.push(hello);
         self.conns.insert(
             id,
             Conn {
                 io,
-                peer,
                 decoder: FrameDecoder::new(),
-                name: None,
                 announced: Vec::new(),
                 hello_done: false,
                 ingest_vocab: match self.operator_ingest {
@@ -790,101 +805,166 @@ impl NetServer {
                 },
             },
         );
+        let hello = Hello {
+            proto: NET_PROTO_VERSION,
+            name: self.name.clone(),
+            listen: self.listen_addr.map(|a| a.to_string()).unwrap_or_default(),
+            hosts: self.local_cores(),
+        };
+        self.push_frame(id, |out| encode_hello(&hello, out));
         Some(id)
     }
 
-    fn on_io_event(&mut self, ev: IoEvent) {
-        match ev {
-            IoEvent::Accepted { stream, peer } => {
-                if self.register_conn(stream, peer).is_some() {
-                    self.metrics.conn_accepted.inc();
-                }
-            }
-            IoEvent::Bytes { conn, bytes } => self.on_bytes(conn, &bytes),
-            IoEvent::Closed { conn } => {
-                if self.conns.contains_key(&conn) {
-                    self.sever_conn(conn);
-                }
-            }
+    /// Appends what this server waits on — its listener and every
+    /// connection, in that order — to a descriptor set.
+    pub(crate) fn push_pollfds(&self, fds: &mut Vec<PollFd>) {
+        if let (Some(listener), None) = (&self.listener, self.accept_pause) {
+            fds.push(PollFd::new(listener.as_raw_fd(), POLLIN));
         }
+        fds.extend(self.conns.values().map(|conn| conn.io.pollfd()));
     }
 
-    /// Feeds a raw chunk through the connection's streaming decoder and
-    /// reacts to every completed frame.
-    fn on_bytes(&mut self, conn_id: ConnId, bytes: &[u8]) {
-        self.metrics.rx_bytes.add(bytes.len() as u64);
-        let Some(conn) = self.conns.get_mut(&conn_id) else {
-            return; // raced with a sever; drop the tail
-        };
-        // The chunk is processed synchronously below; return it to the
-        // reader's in-flight budget (inbound backpressure counterpart
-        // of the bounded outbound queue).
-        conn.io.rx_credit(bytes.len());
-        conn.decoder.feed(bytes);
-        // Lift completed frames to owned data first: reacting to a frame
-        // may write to other connections, which needs `&mut self`.
-        let mut decoder = std::mem::take(&mut conn.decoder);
-        let mut inbound = Vec::new();
-        loop {
-            match decoder.next_frame() {
-                Ok(Some(frame)) => inbound.push(match frame.tag {
-                    TAG_NET_HELLO => match read_hello(&mut frame.reader()) {
-                        Ok(hello) => Inbound::Hello(hello),
-                        Err(_) => Inbound::Corrupt,
-                    },
-                    TAG_NET_ENVELOPE => match read_envelope(&mut frame.reader()) {
-                        Ok(env) => Inbound::Envelope {
-                            community: env.community,
-                            from: env.from,
-                            to: env.to,
-                            inner: env.inner.to_vec(),
-                        },
-                        Err(_) => Inbound::Corrupt,
-                    },
-                    TAG_NET_GOODBYE => Inbound::Goodbye,
-                    TAG_NET_SHUTDOWN => Inbound::Shutdown,
-                    _ => Inbound::Unknown,
-                }),
-                Ok(None) => break,
+    /// The loop's input half: one `poll(2)` over every descriptor, then
+    /// an accept pass and a bounded read of each readable connection,
+    /// in connection order. A connection reported writable is only
+    /// marked, so that its backlog and this turn's frames leave in one
+    /// write at the end of the turn.
+    fn wait_and_read(&mut self, wait: Duration) -> bool {
+        self.accept_pause = self.accept_pause.filter(|until| Instant::now() < *until);
+        let mut fds = std::mem::take(&mut self.pollfds);
+        fds.clear();
+        self.push_pollfds(&mut fds);
+        let found = sys::wait(&mut fds, Some(wait)).unwrap_or(0) > 0;
+        self.metrics.wakeups.inc();
+        if found {
+            let accepting = fds.len() > self.conns.len();
+            let mut ready = std::mem::take(&mut self.ready);
+            ready.clear();
+            let conn_fds = &fds[usize::from(accepting)..];
+            for (fd, (id, conn)) in conn_fds.iter().zip(self.conns.iter_mut()) {
+                if fd.writable() {
+                    conn.io.dirty = true;
+                }
+                if fd.readable() {
+                    ready.push(*id);
+                }
+            }
+            if accepting && fds[0].readable() {
+                self.accept_pending();
+            }
+            for conn_id in &ready {
+                self.read_conn(*conn_id);
+            }
+            self.ready = ready;
+        }
+        self.pollfds = fds;
+        found
+    }
+
+    /// Accepts what the listen backlog holds, up to the turn's bound.
+    fn accept_pending(&mut self) {
+        for _ in 0..ACCEPTS_PER_TURN {
+            let Some(listener) = &self.listener else {
+                return;
+            };
+            match listener.accept() {
+                Ok((stream, _)) => {
+                    if self.register_conn(stream).is_some() {
+                        self.metrics.conn_accepted.inc();
+                    }
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
+                // Refused — no descriptor to take it with, most likely.
                 Err(_) => {
-                    inbound.push(Inbound::Corrupt);
-                    break;
-                }
-            }
-        }
-        if let Some(conn) = self.conns.get_mut(&conn_id) {
-            conn.decoder = decoder;
-        }
-        for frame in inbound {
-            // Reacting to an earlier frame may have severed this
-            // connection (refused hello, quarantine escalation); the
-            // rest of its chunk must not reach the cores.
-            if !self.conns.contains_key(&conn_id) {
-                break;
-            }
-            self.metrics.rx_frames.inc();
-            match frame {
-                Inbound::Hello(hello) => self.on_hello(conn_id, hello),
-                Inbound::Envelope {
-                    community,
-                    from,
-                    to,
-                    inner,
-                } => self.on_envelope(conn_id, community, from, to, inner),
-                Inbound::Goodbye => {
-                    // The peer announced an orderly close; our reader
-                    // will see EOF shortly. Nothing to flush for them.
-                }
-                Inbound::Shutdown => self.shutdown_requested = true,
-                Inbound::Unknown => self.metrics.rx_misrouted.inc(),
-                Inbound::Corrupt => {
-                    // Framing is lost; the stream is unrecoverable.
-                    self.metrics.decode_rejections.inc();
-                    self.sever_conn(conn_id);
+                    self.accept_pause = Some(Instant::now() + ACCEPT_PAUSE);
                     return;
                 }
             }
         }
+    }
+
+    /// Reads what a readable connection has, up to the turn's budget,
+    /// feeding its decoder and dispatching every completed frame before
+    /// the next `read`. The decoder leaves the connection meanwhile:
+    /// frames borrow it while dispatch borrows the whole server.
+    fn read_conn(&mut self, conn_id: ConnId) {
+        let Some(conn) = self.conns.get_mut(&conn_id) else {
+            return; // severed earlier this turn
+        };
+        let mut decoder = std::mem::take(&mut conn.decoder);
+        let mut buf = std::mem::take(&mut self.read_buf);
+        let mut budget = READ_BUDGET;
+        let mut open = true;
+        while open && budget > 0 {
+            let Some(conn) = self.conns.get_mut(&conn_id) else {
+                break; // a frame just dispatched severed it
+            };
+            self.metrics.rx_reads.inc();
+            match conn.io.read(&mut buf) {
+                Ok(0) => open = false,
+                Ok(n) => {
+                    self.metrics.rx_bytes.add(n as u64);
+                    budget = budget.saturating_sub(n);
+                    decoder.feed(&buf[..n]);
+                    self.dispatch_frames(conn_id, &mut decoder);
+                    if n < buf.len() {
+                        break; // the socket had no more
+                    }
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => open = false,
+            }
+        }
+        self.read_buf = buf;
+        if !open {
+            self.sever_conn(conn_id);
+        } else if let Some(conn) = self.conns.get_mut(&conn_id) {
+            conn.decoder = decoder;
+        }
+    }
+
+    /// Reacts to every frame `decoder` has complete, in order, stopping
+    /// as soon as the connection is gone.
+    fn dispatch_frames(&mut self, conn_id: ConnId, decoder: &mut FrameDecoder) {
+        // Reacting to an earlier frame may have severed this connection
+        // (refused hello, quarantine escalation); the rest of what it
+        // sent must not reach the cores.
+        while self.conns.contains_key(&conn_id) {
+            let frame = match decoder.next_frame() {
+                Ok(Some(frame)) => frame,
+                Ok(None) => return,
+                Err(_) => {
+                    self.metrics.rx_frames.inc();
+                    return self.on_corrupt(conn_id);
+                }
+            };
+            self.metrics.rx_frames.inc();
+            match frame.tag {
+                TAG_NET_HELLO => match read_hello(&mut frame.reader()) {
+                    Ok(hello) => self.on_hello(conn_id, hello),
+                    Err(_) => return self.on_corrupt(conn_id),
+                },
+                TAG_NET_ENVELOPE => match read_envelope(&mut frame.reader()) {
+                    Ok(env) => {
+                        self.on_envelope(conn_id, env.community, env.from, env.to, env.inner)
+                    }
+                    Err(_) => return self.on_corrupt(conn_id),
+                },
+                // The peer announced an orderly close; its EOF follows.
+                // Nothing to flush for them.
+                TAG_NET_GOODBYE => {}
+                TAG_NET_SHUTDOWN => self.shutdown_requested = true,
+                _ => self.metrics.rx_misrouted.inc(),
+            }
+        }
+    }
+
+    /// Framing is lost; the stream is unrecoverable.
+    fn on_corrupt(&mut self, conn_id: ConnId) {
+        self.metrics.decode_rejections.inc();
+        self.sever_conn(conn_id);
     }
 
     /// Handshake processing: version gate, quarantine gate, then route
@@ -899,13 +979,11 @@ impl NetServer {
             // A connection willing to carry a quarantined host's traffic
             // is refused wholesale (see module docs).
             self.metrics.conn_denied.inc();
-            self.send_goodbye(conn_id, "quarantined");
-            self.sever_conn(conn_id);
+            self.sever_with_goodbye(conn_id, "quarantined");
             return;
         }
         let listen: Option<SocketAddr> = hello.listen.parse().ok();
         if let Some(conn) = self.conns.get_mut(&conn_id) {
-            conn.name = Some(hello.name);
             conn.announced = hello.hosts.clone();
             conn.hello_done = true;
         }
@@ -926,7 +1004,7 @@ impl NetServer {
         community: u64,
         from: HostId,
         to: HostId,
-        inner: Vec<u8>,
+        inner: &[u8],
     ) {
         let Some(conn) = self.conns.get(&conn_id) else {
             return;
@@ -951,13 +1029,13 @@ impl NetServer {
             return;
         }
         let now = self.clock.now();
-        match frame_tag(&inner) {
+        match frame_tag(inner) {
             Ok(Some(TAG_MSG)) => {
                 let q = self
                     .cores
                     .get_mut(&(community, to))
                     .expect("checked above")
-                    .handle_frame(from, &inner, now);
+                    .handle_frame(from, inner, now);
                 self.apply_actions(community, to, q, now);
             }
             Ok(Some(TAG_FRAGMENT)) => {
@@ -972,7 +1050,7 @@ impl NetServer {
                 }
                 let decoded = {
                     let conn = self.conns.get_mut(&conn_id).expect("checked above");
-                    openwf_wire::decode_fragment(&inner, &mut conn.ingest_vocab)
+                    openwf_wire::decode_fragment(inner, &mut conn.ingest_vocab)
                 };
                 match decoded {
                     Ok((fragment, _)) => {
@@ -1000,7 +1078,7 @@ impl NetServer {
                 }
                 let decoded = {
                     let conn = self.conns.get_mut(&conn_id).expect("checked above");
-                    openwf_wire::decode_spec(&inner, &mut conn.ingest_vocab)
+                    openwf_wire::decode_spec(inner, &mut conn.ingest_vocab)
                 };
                 match decoded {
                     Ok((spec, _)) => {
@@ -1035,48 +1113,28 @@ impl NetServer {
             for conn_id in guilty.into_iter().chain(routed) {
                 if self.conns.contains_key(&conn_id) {
                     self.metrics.conn_quarantine_drops.inc();
-                    self.send_goodbye(conn_id, "quarantined");
-                    self.sever_conn(conn_id);
+                    self.sever_with_goodbye(conn_id, "quarantined");
                 }
             }
         }
         self.events.push((community, me, ev));
     }
 
-    fn send_goodbye(&mut self, conn_id: ConnId, reason: &str) {
-        if let Some(conn) = self.conns.get_mut(&conn_id) {
-            let mut frame = Vec::new();
-            encode_goodbye(reason, &mut frame);
-            let _ = conn.io.queue.push(frame);
-        }
+    /// Severs a connection, telling the peer why if the socket takes
+    /// the goodbye in the one write a teardown has time for.
+    fn sever_with_goodbye(&mut self, conn_id: ConnId, reason: &str) {
+        self.push_frame(conn_id, |out| encode_goodbye(reason, out));
+        self.flush_conn(conn_id);
+        self.sever_conn(conn_id);
     }
 
-    /// Drops a connection immediately and unmaps every pair it served.
+    /// Drops a connection immediately — socket closed, backlog unwritten
+    /// — and unmaps every pair it served.
     fn sever_conn(&mut self, conn_id: ConnId) {
-        if let Some(mut conn) = self.conns.remove(&conn_id) {
-            conn.io.sever();
+        if self.conns.remove(&conn_id).is_some() {
             self.metrics.conn_closed.inc();
-            let _ = conn.peer; // diagnostics only
         }
         self.conn_of.retain(|_, id| *id != conn_id);
-    }
-}
-
-/// The accept thread: non-blocking accept with a stop flag, forwarding
-/// sockets to the reactor's event channel.
-fn accept_loop(listener: TcpListener, tx: Sender<IoEvent>, stop: Arc<AtomicBool>) {
-    while !stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, peer)) => {
-                if tx.send(IoEvent::Accepted { stream, peer }).is_err() {
-                    return; // reactor gone
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
-        }
     }
 }
 
@@ -1287,5 +1345,103 @@ mod tests {
             "the within-budget fragment ingested"
         );
         assert!(server.conns.is_empty(), "the flooding connection severed");
+    }
+
+    /// A peer that goes away is noticed by the loop itself: the `read`
+    /// its hang-up makes ready reports the close, the connection is
+    /// dropped and the pairs it served are unmapped.
+    #[test]
+    fn peer_disconnect_is_reported() {
+        let mut server = test_server(None);
+        let addr = server.listen_addr().unwrap();
+        let mut client = TcpStream::connect(addr).unwrap();
+        client
+            .write_all(&hello_bytes(vec![(0, HostId(8))]))
+            .unwrap();
+        poll_until(&mut server, |s| s.connected_remote_hosts() == 1);
+        assert_eq!(server.metrics.conn_closed.get(), 0);
+        client.shutdown(std::net::Shutdown::Both).unwrap();
+        drop(client);
+        poll_until(&mut server, |s| s.metrics.conn_closed.get() == 1);
+        assert!(server.conns.is_empty(), "the connection is gone");
+        assert_eq!(server.connected_remote_hosts(), 0, "and so is its route");
+    }
+
+    /// Inbound is bounded by construction. A client blasting 4 MiB at a
+    /// server that is polled slowly is read a budget at a time — after
+    /// every turn the server holds less than one frame of it — and a
+    /// second connection's frame is dispatched in the very next turn,
+    /// however much the flooder still has waiting in the kernel.
+    #[test]
+    fn a_flooding_peer_is_read_a_budget_a_turn_and_starves_nobody() {
+        let mut server = test_server(Some(64));
+        let addr = server.listen_addr().unwrap();
+
+        let mut fair = TcpStream::connect(addr).unwrap();
+        fair.write_all(&hello_bytes(vec![(0, HostId(7))])).unwrap();
+        poll_until(&mut server, |s| s.connected_remote_hosts() == 1);
+
+        // The same fragment over and over: it dedupes in the store, so
+        // only the transport's own memory could grow.
+        let envelope = fragment_envelope(HostId(8), &frag("svi-f1", "svi-t1", "svi-b", "svi-c"));
+        let frames = 4 * 1024 * 1024 / envelope.len();
+        let mut flood = hello_bytes(vec![(0, HostId(8))]);
+        for _ in 0..frames {
+            flood.extend_from_slice(&envelope);
+        }
+        let flooder = std::thread::spawn(move || {
+            let mut client = TcpStream::connect(addr).unwrap();
+            client.write_all(&flood).unwrap();
+            client // open until the server has read it all
+        });
+
+        let turn = |server: &mut NetServer| {
+            let before = server.metrics.rx_bytes.get();
+            server.poll(Duration::from_millis(2));
+            for conn in server.conns.values() {
+                assert!(
+                    conn.decoder.buffered() < envelope.len(),
+                    "at most one partial frame stays buffered between turns"
+                );
+            }
+            let read = (server.metrics.rx_bytes.get() - before) as usize;
+            assert!(
+                read <= server.conns.len() * READ_BUDGET,
+                "no connection is read past its budget in one turn: {read}"
+            );
+            read
+        };
+        // Let the flood outrun the loop: once a turn fills the read
+        // buffer, the flooder is writing faster than it is being read.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while turn(&mut server) < READ_BUF_LEN {
+            assert!(Instant::now() < deadline, "the flood never built up");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let known = server.core(0, HostId(0)).fragment_mgr().len();
+        fair.write_all(&fragment_envelope(
+            HostId(7),
+            &frag("svi-f2", "svi-t2", "svi-c", "svi-d"),
+        ))
+        .unwrap();
+        std::thread::sleep(Duration::from_millis(20)); // loopback delivery
+        let read = turn(&mut server);
+        assert!(read > envelope.len(), "the flooder was read as well");
+        assert_eq!(
+            server.core(0, HostId(0)).fragment_mgr().len(),
+            known + 1,
+            "the second connection was served in the same turn as the flood"
+        );
+
+        // The rest of the flood still arrives, under the same bound:
+        // its frames, the two hellos and the fair connection's one.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while server.metrics.rx_frames.get() < frames as u64 + 3 {
+            assert!(Instant::now() < deadline, "the flood never drained");
+            turn(&mut server);
+        }
+        assert_eq!(server.metrics.decode_rejections.get(), 0);
+        assert_eq!(server.conns.len(), 2, "both connections survived");
+        drop(flooder.join().unwrap());
     }
 }

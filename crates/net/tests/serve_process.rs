@@ -6,8 +6,12 @@
 //! XML-deployed scenario. Trace export from two different processes
 //! stitches on a shared trace id.
 
+#[cfg(target_os = "linux")]
+use std::io::Read;
 use std::io::{BufRead, BufReader};
 use std::net::TcpListener;
+#[cfg(target_os = "linux")]
+use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -31,8 +35,13 @@ struct Proc {
 
 impl Proc {
     fn spawn(name: &'static str, args: &[String]) -> Proc {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_owms-serve"))
-            .args(args)
+        let mut command = Command::new(env!("CARGO_BIN_EXE_owms-serve"));
+        command.args(args);
+        Proc::spawn_command(name, command)
+    }
+
+    fn spawn_command(name: &'static str, mut command: Command) -> Proc {
+        let mut child = command
             .stdout(Stdio::piped())
             .stderr(Stdio::inherit())
             .spawn()
@@ -204,6 +213,26 @@ fn trace_ids(path: &std::path::Path) -> std::collections::HashSet<u64> {
     ids
 }
 
+/// Threads of a live process: the entries of `/proc/<pid>/task`.
+#[cfg(target_os = "linux")]
+fn task_count(proc: &Proc) -> usize {
+    std::fs::read_dir(format!("/proc/{}/task", proc.child.id()))
+        .expect("a live process has a task directory")
+        .count()
+}
+
+/// CPU time a live process has used so far, in scheduler ticks (10 ms
+/// on every Linux this runs on): `utime + stime` of `/proc/<pid>/stat`.
+#[cfg(target_os = "linux")]
+fn cpu_ticks(proc: &Proc) -> u64 {
+    let stat = std::fs::read_to_string(format!("/proc/{}/stat", proc.child.id()))
+        .expect("a live process has a stat file");
+    // Fields are counted from after the parenthesised command name.
+    let rest = &stat[stat.rfind(')').expect("command name") + 2..];
+    let field = |n: usize| rest.split(' ').nth(n).unwrap().parse::<u64>().unwrap();
+    field(11) + field(12)
+}
+
 fn strs(args: &[&str]) -> Vec<String> {
     args.iter().map(|s| s.to_string()).collect()
 }
@@ -356,6 +385,14 @@ fn three_processes_construct_workflows_and_survive_churn() {
         wait,
     );
 
+    // Serving — connections up in every direction, a workflow just
+    // carried — takes each process exactly one thread: the readiness
+    // loop is the whole of it.
+    #[cfg(target_os = "linux")]
+    for proc in [&proc_a, &proc_b, &proc_c] {
+        assert_eq!(task_count(proc), 1, "{} runs on one thread", proc.name);
+    }
+
     // …then churn: SIGKILL the middle member and restart it on a fresh
     // ephemeral port (the old one may sit in TIME_WAIT). `--dial` makes
     // the restart announce itself so peers replace the dead route with
@@ -440,4 +477,45 @@ fn three_processes_construct_workflows_and_survive_churn() {
     );
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The kernel refusing an `accept` (`EMFILE`: more peers than the
+/// process has descriptors for) leaves the listener readable forever.
+/// The loop must neither spin on it nor go deaf: it sits the listener
+/// out for a moment, and serves the backlog once descriptors free up.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_server_out_of_descriptors_idles_and_accepts_again_once_some_free() {
+    let mut command = Command::new("sh");
+    command
+        .args(["-c", "ulimit -n 24 && exec \"$0\" \"$@\""])
+        .arg(env!("CARGO_BIN_EXE_owms-serve"))
+        .args(["--name", "starved", "--listen", "127.0.0.1:0"])
+        .args(["--host", "0:0", "--max-runtime-ms", "60000"]);
+    let proc = Proc::spawn_command("starved", command);
+    let wait = Duration::from_secs(30);
+    let line = proc.wait_for_line("listening", |l| l.starts_with("listening on "), wait);
+    let addr = line.trim_start_matches("listening on ").to_string();
+
+    // More connections than the limit leaves room for: the rest wait in
+    // the listen backlog, which the server cannot take from.
+    let crowd: Vec<TcpStream> = (0..48)
+        .map(|_| TcpStream::connect(&addr).expect("the kernel completes the handshake"))
+        .collect();
+    std::thread::sleep(Duration::from_millis(200));
+    let before = cpu_ticks(&proc);
+    std::thread::sleep(Duration::from_millis(600));
+    let spent = cpu_ticks(&proc) - before;
+    assert!(
+        spent <= 12,
+        "a starved server burned {spent}0 ms of CPU in 600 ms: it is spinning on its listener"
+    );
+
+    drop(crowd);
+    let mut late = TcpStream::connect(&addr).expect("connect after the crowd left");
+    late.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut first = [0u8; 1];
+    late.read_exact(&mut first)
+        .expect("the server accepts again and sends its hello");
 }

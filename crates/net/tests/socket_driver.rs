@@ -1,5 +1,5 @@
 //! The socket transport end-to-end, inside one test process: real TCP
-//! over `127.0.0.1`, kernel segmentation, reader/writer threads — and
+//! over `127.0.0.1`, kernel segmentation, nonblocking sockets — and
 //! the same protocol outcomes the simulated drivers produce.
 
 use std::io::Write as _;
