@@ -1,76 +1,81 @@
-//! Wire codec + storage-backend bench: encode/decode throughput over
-//! 1k/10k/100k fragment universes plus a memory-vs-durable construction
-//! sweep.
+//! Wire codec gate: steady-state decode against encode over the 1k
+//! layered universe.
 //!
-//! Full mode (`cargo bench --bench wire_codec`) measures every size and
-//! writes the trajectory file `BENCH_wire_codec.json` at the workspace
-//! root. Fast mode (`OPENWF_WIRE_FAST=1`, or `--test` as used by
-//! `cargo test --benches`) runs only the 1k size with few samples and
-//! does not touch the committed file — the CI bit-rot guard for the
-//! encode/decode and durable-replay paths. Fast mode also gates the
-//! decode/encode throughput ratio: steady-state decode (the identity
-//! cache hit path every host runs for re-announced knowhow) must stay
-//! within [`DECODE_ENCODE_SLACK`]× of encode, so the 3× decode gap this
-//! path closed cannot silently reopen — a broken cache alone pushes the
-//! ratio past the gate.
+//! Steady-state decode (the identity-cache hit path every host runs for
+//! re-announced knowhow) must stay within [`DECODE_ENCODE_SLACK`]× of
+//! encode, so the 3× decode gap that cache closed cannot silently
+//! reopen — a broken cache alone pushes the ratio past the gate. Only
+//! the within-run ratio is checked; absolute codec cost is `owms-bench`'s
+//! `wire.{encode,decode,decode_cached}_ns_per_frame`.
 
-use openwf_bench::wirebench::{default_report_path, run, to_json, WIRE_SIZES};
+use std::hint::black_box;
+use std::time::Instant;
 
-/// Fast-mode regression gate: steady-state decode (`decode_cached`) mean
-/// time may be at most this many times the encode mean. The measured
-/// ratio is well under 1× on an idle machine; the slack absorbs
-/// shared-runner noise, not a real regression — losing the identity
-/// cache alone lands the ratio near 2×, past this gate.
+use openwf_bench::scale::layered_universe;
+use openwf_wire::{decode_fragment_with, encode_fragment, DecodeScratch, VocabularyBudget};
+
+/// Steady-state decode (`decode_cached`) mean time may be at most this
+/// many times the encode mean. The measured ratio is well under 1× on an
+/// idle machine; the slack absorbs shared-runner noise, not a real
+/// regression — losing the identity cache alone lands the ratio near
+/// 2×, past this gate.
 const DECODE_ENCODE_SLACK: f64 = 1.5;
 
-fn samples_for(fragments: usize) -> usize {
-    match fragments {
-        n if n <= 1_000 => 20,
-        n if n <= 10_000 => 10,
-        _ => 5,
+const FRAGMENTS: usize = 1_000;
+const SAMPLES: u32 = 3;
+
+fn mean_ns(mut pass: impl FnMut()) -> f64 {
+    let t0 = Instant::now();
+    for _ in 0..SAMPLES {
+        pass();
     }
+    t0.elapsed().as_secs_f64() * 1e9 / f64::from(SAMPLES)
 }
 
 fn main() {
-    let fast =
-        std::env::var_os("OPENWF_WIRE_FAST").is_some() || std::env::args().any(|a| a == "--test");
-    let sizes: &[usize] = if fast { &WIRE_SIZES[..1] } else { WIRE_SIZES };
-    let results = run(sizes, |n| if fast { 3 } else { samples_for(n) });
-    for r in &results {
-        println!(
-            "wire/{}/{:<7} {:>12.0} ns mean  p50 {:>12.0}  p95 {:>12.0}  ({} samples{})",
-            r.op,
-            r.fragments,
-            r.mean_ns,
-            r.p50_ns,
-            r.p95_ns,
-            r.samples,
-            if r.bytes > 0 {
-                format!(", {} bytes, {:.1} MiB/s", r.bytes, r.mibps)
-            } else {
-                format!(", {:.0} frags/s", r.frags_per_sec)
-            },
-        );
-    }
-    if fast {
-        let mean = |op: &str| {
-            results
-                .iter()
-                .find(|r| r.op == op)
-                .map(|r| r.mean_ns)
-                .expect("op measured")
-        };
-        let (enc, dec) = (mean("encode"), mean("decode_cached"));
-        let ratio = dec / enc;
-        println!("wire/gate decode_cached/encode ratio {ratio:.2} (max {DECODE_ENCODE_SLACK:.1})");
-        assert!(
-            ratio <= DECODE_ENCODE_SLACK,
-            "steady-state decode regressed: {dec:.0} ns vs encode {enc:.0} ns \
-             (ratio {ratio:.2} > {DECODE_ENCODE_SLACK:.1})"
-        );
-    } else {
-        let path = default_report_path();
-        std::fs::write(&path, to_json(&results)).expect("write trajectory file");
-        println!("wrote {}", path.display());
-    }
+    let universe = layered_universe(FRAGMENTS);
+    let encode_all = |out: &mut Vec<u8>| {
+        out.clear();
+        for f in universe.store.fragments_shared() {
+            encode_fragment(f, out);
+        }
+    };
+    let mut stream = Vec::new();
+    encode_all(&mut stream); // warm-up
+    let enc = mean_ns(|| {
+        encode_all(&mut stream);
+        black_box(stream.len());
+    });
+
+    // Unlimited budget: the trusted-community path.
+    let decode_all = |scratch: &mut DecodeScratch| {
+        let mut budget = VocabularyBudget::unlimited();
+        let (mut pos, mut count) = (0, 0usize);
+        while pos < stream.len() {
+            let (f, used) =
+                decode_fragment_with(&stream[pos..], &mut budget, scratch).expect("valid stream");
+            black_box(f);
+            pos += used;
+            count += 1;
+        }
+        count
+    };
+    // One warm per-connection scratch whose cache holds the whole
+    // universe — the steady state of a host receiving re-announced
+    // knowhow.
+    let mut warm = DecodeScratch::with_cache_capacity(FRAGMENTS * 2);
+    assert_eq!(decode_all(&mut warm), FRAGMENTS); // fill the cache
+    let dec = mean_ns(|| {
+        black_box(decode_all(&mut warm));
+    });
+
+    println!("wire/encode/{FRAGMENTS} {enc:>12.0} ns mean");
+    println!("wire/decode_cached/{FRAGMENTS} {dec:>12.0} ns mean");
+    let ratio = dec / enc;
+    println!("wire/gate decode_cached/encode ratio {ratio:.2} (max {DECODE_ENCODE_SLACK:.1})");
+    assert!(
+        ratio <= DECODE_ENCODE_SLACK,
+        "steady-state decode regressed: {dec:.0} ns vs encode {enc:.0} ns \
+         (ratio {ratio:.2} > {DECODE_ENCODE_SLACK:.1})"
+    );
 }

@@ -22,10 +22,14 @@ fn main() {
         match args[i].as_str() {
             "--runs" => {
                 i += 1;
-                runs = args.get(i).and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--runs needs a positive integer");
-                    std::process::exit(2);
-                });
+                runs = args
+                    .get(i)
+                    .and_then(|v| v.parse().ok())
+                    .filter(|&n| n > 0)
+                    .unwrap_or_else(|| {
+                        eprintln!("--runs needs a positive integer");
+                        std::process::exit(2);
+                    });
             }
             other => figures.push(other.to_string()),
         }

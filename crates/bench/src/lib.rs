@@ -1,8 +1,7 @@
-//! # openwf-bench — figure regeneration and benchmarks
+//! # openwf-bench — figure regeneration, CI gates, benchmark inputs
 //!
-//! One experiment definition per figure of WUCSE-2009-14 §5, shared
-//! between the `figures` binary (virtual-time series, markdown output)
-//! and the Criterion benches (wall-clock micro/macro benchmarks):
+//! One experiment definition per figure of WUCSE-2009-14 §5, run by the
+//! `figures` binary (virtual-time series, markdown output):
 //!
 //! * **Figure 4** — 100-task supergraph, 2–15 hosts, path length 2–22.
 //! * **Figure 5** — 2 hosts, 25–500-task supergraphs, path length 2–14.
@@ -13,6 +12,13 @@
 //!   collection: fragments transferred and construction time.
 //! * **Repair (E6)** — crash the executing host, watchdog-triggered
 //!   reconstruction + reallocation.
+//!
+//! Beside the figures sit three gates (`cargo bench --bench wire_codec |
+//! durable_restart | soak`: two within-run ratios and the chaos
+//! invariants, the last also the writer of `BENCH_soak.json`) and the
+//! input generators `owms-bench` builds its workloads from ([`scale`],
+//! [`restart`], [`socket`]). Every wall-clock number is `owms-bench`'s
+//! to report (`BENCHMARK.json`); nothing here records one.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,7 +33,6 @@ pub mod restart;
 pub mod scale;
 pub mod soak;
 pub mod socket;
-pub mod wirebench;
 
 /// Host counts of Figure 4.
 pub const FIG4_HOSTS: &[usize] = &[2, 3, 4, 5, 10, 15];

@@ -1,10 +1,10 @@
-//! Wall-clock scaling harness for incremental construction.
+//! Synthetic fragment universes for construction at scale.
 //!
 //! The paper's construction latency claims (§3.1) are exercised by the
-//! virtual-time figures; this module measures the *real* hot path: how
-//! long `IncrementalConstructor` takes against synthetic fragment
-//! universes of 1k/10k/100k fragments. Two universe shapes bracket the
-//! workload space:
+//! virtual-time figures; the *real* hot path — how long
+//! `IncrementalConstructor` takes against 100k-fragment universes — is
+//! measured by `owms-bench`'s `construct_100k` workload, which builds
+//! its inputs here. Two universe shapes bracket the workload space:
 //!
 //! * **layered** — `depth × width` grid; each task consumes labels of the
 //!   previous layer and produces one label of its own layer. Construction
@@ -14,24 +14,11 @@
 //!   earlier tasks within a sliding window. Shallow, wide frontiers with
 //!   irregular fan-in.
 //!
-//! Universes are stored in a one-shard [`ShardedFragmentStore`] and
-//! timed through `IncrementalConstructor::construct`.
-//!
-//! Results are emitted as `BENCH_construction_scale.json` at the
-//! workspace root (schema documented in the README's Performance
-//! section) so the perf trajectory is tracked across PRs.
+//! Universes are stored in a one-shard [`ShardedFragmentStore`].
 
-use std::path::PathBuf;
-use std::time::Instant;
-
-use openwf_core::{
-    Fragment, IncrementalConstructor, Label, Mode, ShardedFragmentStore, SizeHints, Spec,
-};
+use openwf_core::{Fragment, Label, Mode, ShardedFragmentStore, SizeHints, Spec};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-
-/// Fragment-universe sizes of the scaling suite.
-pub const SCALE_SIZES: &[usize] = &[1_000, 10_000, 100_000];
 
 /// Width (labels per layer) of the layered universe.
 pub const LAYER_WIDTH: usize = 64;
@@ -144,115 +131,10 @@ pub fn random_universe(n_fragments: usize, seed: u64) -> ScaleUniverse {
     }
 }
 
-/// One measured `(universe, size)` cell of the scaling suite.
-#[derive(Clone, Debug)]
-pub struct ScaleMeasurement {
-    /// Universe shape (`layered` / `random`).
-    pub universe: String,
-    /// Fragments in the universe.
-    pub fragments: usize,
-    /// Timed construction runs.
-    pub samples: usize,
-    /// Mean wall-clock nanoseconds per construction.
-    pub mean_ns: f64,
-    /// Median wall-clock nanoseconds.
-    pub p50_ns: f64,
-    /// 95th-percentile wall-clock nanoseconds.
-    pub p95_ns: f64,
-    /// Fastest sample, nanoseconds.
-    pub min_ns: f64,
-    /// Exploration worklist pops of one construction.
-    pub explore_steps: u64,
-    /// Fragments the incremental frontier actually pulled.
-    pub fragments_merged: usize,
-}
-
-/// Times `samples` incremental constructions over the universe.
-///
-/// # Panics
-///
-/// Panics if the universe's spec is not satisfiable (a harness bug).
-pub fn measure(universe: &ScaleUniverse, samples: usize) -> ScaleMeasurement {
-    let constructor = IncrementalConstructor::new().pre_size(universe.hints());
-    // Warm-up + stats run (not timed).
-    let (c, sg) = constructor
-        .construct(&universe.store, &universe.spec)
-        .expect("scale universes are satisfiable");
-    assert!(universe.spec.accepts(c.workflow()));
-    let explore_steps = c.stats().explore_steps;
-    let fragments_merged = sg.fragment_count();
-
-    let mut times_ns: Vec<f64> = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let t0 = Instant::now();
-        let built = constructor
-            .construct(&universe.store, &universe.spec)
-            .expect("scale universes are satisfiable");
-        times_ns.push(t0.elapsed().as_secs_f64() * 1e9);
-        std::hint::black_box(built);
-    }
-    times_ns.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
-
-    ScaleMeasurement {
-        universe: universe.name.to_string(),
-        fragments: universe.store.len(),
-        samples,
-        mean_ns: times_ns.iter().sum::<f64>() / times_ns.len() as f64,
-        p50_ns: percentile(&times_ns, 50.0),
-        p95_ns: percentile(&times_ns, 95.0),
-        min_ns: times_ns[0],
-        explore_steps,
-        fragments_merged,
-    }
-}
-
-/// Nearest-rank percentile over ascending-sorted samples (shared with
-/// the wire-codec harness so the committed trajectory files stay
-/// statistically comparable).
-pub(crate) fn percentile(sorted: &[f64], p: f64) -> f64 {
-    assert!(!sorted.is_empty());
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
-/// Renders the measurements in the committed `BENCH_construction_scale.json`
-/// schema (see README § Performance).
-pub fn to_json(results: &[ScaleMeasurement]) -> String {
-    let mut out = String::from(
-        "{\n  \"bench\": \"construction_scale\",\n  \"unit\": \"ns\",\n  \"results\": [\n",
-    );
-    for (i, r) in results.iter().enumerate() {
-        let comma = if i + 1 == results.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"universe\": \"{}\", \"fragments\": {}, \"samples\": {}, \
-             \"mean_ns\": {:.0}, \"p50_ns\": {:.0}, \"p95_ns\": {:.0}, \"min_ns\": {:.0}, \
-             \"explore_steps\": {}, \"fragments_merged\": {}}}{comma}\n",
-            r.universe,
-            r.fragments,
-            r.samples,
-            r.mean_ns,
-            r.p50_ns,
-            r.p95_ns,
-            r.min_ns,
-            r.explore_steps,
-            r.fragments_merged,
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// The committed location of the scaling trajectory file: the workspace
-/// root's `BENCH_construction_scale.json`.
-pub fn default_report_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_construction_scale.json")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use openwf_core::IncrementalConstructor;
 
     #[test]
     fn layered_universe_is_satisfiable() {
@@ -287,36 +169,5 @@ mod tests {
             .construct(&u.store, &u.spec)
             .unwrap();
         assert!(u.spec.accepts(c.workflow()));
-    }
-
-    #[test]
-    fn measure_produces_ordered_percentiles() {
-        let u = layered_universe(128);
-        let m = measure(&u, 5);
-        assert_eq!(m.samples, 5);
-        assert!(m.min_ns <= m.p50_ns);
-        assert!(m.p50_ns <= m.p95_ns);
-        assert!(m.mean_ns > 0.0);
-        assert!(m.fragments_merged > 0);
-    }
-
-    #[test]
-    fn json_schema_is_stable() {
-        let m = ScaleMeasurement {
-            universe: "layered".into(),
-            fragments: 1000,
-            samples: 3,
-            mean_ns: 1.0,
-            p50_ns: 1.0,
-            p95_ns: 2.0,
-            min_ns: 0.5,
-            explore_steps: 7,
-            fragments_merged: 9,
-        };
-        let j = to_json(&[m]);
-        assert!(j.contains("\"bench\": \"construction_scale\""));
-        assert!(j.contains("\"fragments\": 1000"));
-        assert!(j.contains("\"p95_ns\": 2"));
-        assert!(!j.contains(",\n  ]"), "no trailing comma: {j}");
     }
 }

@@ -6,8 +6,7 @@
 //! duplicate delivery) over `districts` independent ~10-host
 //! communities sharing one deterministic simulator. The suite sweeps
 //! all profiles over [`SOAK_SCALES`] — hundreds to a thousand-plus
-//! simulated hosts — and emits `BENCH_soak.json` at the workspace root
-//! (same trajectory-file pattern as `BENCH_durable_restart.json`).
+//! simulated hosts — and emits `BENCH_soak.json` at the workspace root.
 //! Every cell carries its `pass` verdict and the exact seed, so any red
 //! cell reproduces with a one-line rerun.
 

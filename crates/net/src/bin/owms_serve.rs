@@ -32,7 +32,7 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use openwf_net::{NetServer, QueueCaps, ServerConfig, WallClock};
-use openwf_obs::{to_jsonl, MetricsRegistry, Obs, TraceSink};
+use openwf_obs::{to_jsonl, value_to_json, MetricsRegistry, Obs, TraceSink};
 use openwf_runtime::config::parse_host_config;
 use openwf_runtime::{HostConfig, ProblemId, RuntimeParams, WorkflowEvent};
 use openwf_simnet::HostId;
@@ -488,7 +488,7 @@ fn main() -> ExitCode {
     }
     if args.print_metrics {
         let snapshot = server.scrape();
-        println!("metrics {}", openwf_net::value_to_json(&snapshot));
+        println!("metrics {}", value_to_json(&snapshot));
     }
     if let Some(path) = &args.trace_jsonl {
         let events = obs.trace.snapshot();

@@ -41,7 +41,6 @@
 
 pub mod clock;
 pub mod conn;
-pub mod json;
 pub mod proto;
 pub mod server;
 
@@ -53,7 +52,6 @@ mod sys;
 pub use clock::WallClock;
 pub use conn::{ConnId, QueueCaps};
 pub use driver::{TcpCommunityDriver, DRIVER_COMMUNITY};
-pub use json::value_to_json;
 pub use proto::{
     Envelope, Hello, NET_PROTO_VERSION, TAG_NET_ENVELOPE, TAG_NET_GOODBYE, TAG_NET_HELLO,
     TAG_NET_SHUTDOWN,

@@ -68,14 +68,13 @@ use std::ops::Bound;
 use std::os::fd::AsRawFd;
 use std::time::{Duration, Instant};
 
-use openwf_obs::{Counter, Histogram, Obs};
+use openwf_obs::{Counter, Histogram, Obs, Value};
 use openwf_runtime::{
     encode_msg_traced, Action, ActionQueue, HostConfig, HostCore, Msg, OutboundMode, ProblemHandle,
     ProblemId, RuntimeParams, WorkflowEvent,
 };
 use openwf_simnet::{HostId, SimTime};
 use openwf_wire::{frame_tag, FrameDecoder, VocabularyBudget, TAG_FRAGMENT, TAG_MSG, TAG_SPEC};
-use serde::Value;
 
 use crate::clock::WallClock;
 use crate::conn::{

@@ -109,7 +109,7 @@ fn tcp_community_matches_loopback_outcome() {
         .any(|(h, e)| *h == initiator && matches!(e, WorkflowEvent::Completed { .. })));
 
     // The scrape endpoint exposes the net.* family as JSON.
-    let json = openwf_net::value_to_json(&tcp.server_mut(initiator).scrape());
+    let json = openwf_obs::value_to_json(&tcp.server_mut(initiator).scrape());
     for name in [
         "net.rx_frames",
         "net.tx_frames",

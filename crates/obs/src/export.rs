@@ -1,15 +1,18 @@
 //! Exporters for recorded trace events: JSONL (one event per line) and
 //! the Chrome `trace_event` format loadable in `chrome://tracing` or
-//! Perfetto, plus a minimal JSON validator used by the CI gate.
+//! Perfetto; for a metrics snapshot, [`value_to_json`]; plus a minimal
+//! JSON validator used by the CI gate.
 //!
-//! Both exporters hand-roll JSON (the workspace carries no JSON crate)
-//! using the same escaping rules as the bench trajectory files. In the
+//! All of them hand-roll JSON (the workspace carries no JSON crate and
+//! its serde shim no serializer backends) through one escaper. In the
 //! Chrome export each *trace id* becomes a process (`pid`) and each
 //! host a thread (`tid`), so one problem's lifecycle lines up as a
 //! single row group with per-host lanes; async begin/end events are
 //! keyed by the trace id and tolerate interleaved problems on a host.
 
 use std::fmt::Write as _;
+
+use serde::Value;
 
 use crate::trace::{trace_id_label, SpanPhase, TraceEvent};
 
@@ -30,6 +33,62 @@ fn escape_json(s: &str) -> String {
         }
     }
     out
+}
+
+/// Renders a serde-shim [`Value`] tree as compact JSON — what a metrics
+/// scrape prints for a [`crate::MetricsRegistry::snapshot`].
+pub fn value_to_json(value: &Value) -> String {
+    let mut out = String::new();
+    write_value(value, &mut out);
+    out
+}
+
+fn write_value(value: &Value, out: &mut String) {
+    match value {
+        Value::Unit => out.push_str("null"),
+        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        Value::I64(v) => out.push_str(&v.to_string()),
+        Value::U64(v) => out.push_str(&v.to_string()),
+        Value::F64(v) => {
+            if v.is_finite() {
+                out.push_str(&v.to_string());
+            } else {
+                out.push_str("null"); // JSON has no NaN/Inf
+            }
+        }
+        Value::Str(s) => write_string(s, out),
+        Value::Seq(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                write_value(item, out);
+            }
+            out.push(']');
+        }
+        Value::Map(entries) => {
+            out.push('{');
+            for (i, (key, val)) in entries.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                match key {
+                    Value::Str(s) => write_string(s, out),
+                    other => write_string(&value_to_json(other), out),
+                }
+                out.push(':');
+                write_value(val, out);
+            }
+            out.push('}');
+        }
+    }
+}
+
+fn write_string(s: &str, out: &mut String) {
+    out.push('"');
+    out.push_str(&escape_json(s));
+    out.push('"');
 }
 
 /// Renders events as JSONL: one `{ts_us, host, trace, name, ph, dur_us,
@@ -310,6 +369,41 @@ fn number(b: &[u8], pos: &mut usize) -> Result<(), usize> {
 mod tests {
     use super::*;
     use crate::trace::pack_trace_id;
+    use crate::MetricsRegistry;
+
+    #[test]
+    fn renders_nested_values_as_valid_json() {
+        let v = Value::Map(vec![
+            (
+                Value::Str("counters".into()),
+                Value::Map(vec![(Value::Str("net.rx\"x\"".into()), Value::U64(3))]),
+            ),
+            (
+                Value::Str("seq".into()),
+                Value::Seq(vec![Value::I64(-1), Value::Bool(true), Value::Unit]),
+            ),
+        ]);
+        let json = value_to_json(&v);
+        assert_eq!(
+            json,
+            r#"{"counters":{"net.rx\"x\"":3},"seq":[-1,true,null]}"#
+        );
+        validate_json(&json).expect("valid json");
+
+        // The line `owms-serve --metrics` prints: `owms-bench` reads
+        // counters as `"name":N` and histograms by their `"buckets":[…]`.
+        let registry = MetricsRegistry::new();
+        registry.counter("net.rx_frames").add(3);
+        registry.histogram("net.tx_queue_depth").record(5);
+        assert_eq!(
+            value_to_json(&registry.snapshot()),
+            concat!(
+                r#"{"counters":{"net.rx_frames":3},"gauges":{},"#,
+                r#""histograms":{"net.tx_queue_depth":{"count":1,"sum":5,"#,
+                r#""buckets":[0,0,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}}}"#
+            )
+        );
+    }
 
     fn sample() -> Vec<TraceEvent> {
         let trace = pack_trace_id(2, 1, 0);

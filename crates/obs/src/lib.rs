@@ -23,8 +23,10 @@ mod export;
 mod metrics;
 mod trace;
 
-pub use export::{to_chrome_trace, to_jsonl, validate_json};
+pub use export::{to_chrome_trace, to_jsonl, validate_json, value_to_json};
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry, HISTOGRAM_BUCKETS};
+/// The value tree [`MetricsRegistry::snapshot`] returns.
+pub use serde::Value;
 pub use trace::{
     flight_tail, pack_trace_id, trace_id_label, unpack_trace_id, SpanPhase, TraceEvent, TraceSink,
 };

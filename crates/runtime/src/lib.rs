@@ -55,7 +55,6 @@ pub mod report;
 pub mod schedule;
 pub mod service;
 mod timers;
-pub mod vocab;
 pub mod workflow_mgr;
 
 pub use codec::{decode_msg, decode_msg_traced_with, encode_msg, encode_msg_traced};
@@ -70,4 +69,3 @@ pub use prefs::Preferences;
 pub use report::{PhaseTimings, ProblemReport, ProblemStatus};
 pub use schedule::Commitment;
 pub use service::ServiceDescription;
-pub use vocab::{VocabularyExceeded, VocabularyGuard};

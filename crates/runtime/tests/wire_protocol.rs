@@ -6,9 +6,8 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use openwf_core::{Fragment, Label, Mode, Spec};
+use openwf_core::{Fragment, FxHashSet, Label, Mode, Spec, Sym};
 use openwf_runtime::codec::{decode_msg, encode_msg, reply_through_wire};
-use openwf_runtime::vocab::VocabularyGuard;
 use openwf_runtime::{
     CommunityBuilder, HostConfig, Msg, ProblemId, ProblemStatus, ServiceDescription, StorageConfig,
 };
@@ -32,6 +31,134 @@ fn tmp_dir(tag: &str) -> PathBuf {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// Rejection of a fragment payload that would blow the vocabulary cap.
+#[derive(Debug)]
+struct VocabularyExceeded {
+    /// The configured cap on distinct interned names.
+    cap: usize,
+    /// Distinct names the admitted payload would have brought the host to.
+    attempted: usize,
+}
+
+/// The original **admission-time** vocabulary check over pre-interned
+/// `Arc<Fragment>` handles, kept as an independent reference
+/// implementation of the accounting `openwf-wire`'s [`VocabularyBudget`]
+/// enforces at decode: `decode_budget_agrees_with_admission_guard`
+/// asserts the two accept and reject exactly the same payloads, so the
+/// decode-side budget cannot silently drift from the documented
+/// semantics.
+struct VocabularyGuard {
+    cap: Option<usize>,
+    seen: FxHashSet<Sym>,
+}
+
+impl VocabularyGuard {
+    /// A guard with the given cap; `None` admits everything (trusted
+    /// communities, the default).
+    fn new(cap: Option<usize>) -> Self {
+        VocabularyGuard {
+            cap,
+            seen: FxHashSet::default(),
+        }
+    }
+
+    /// Number of distinct names seen so far (own knowhow included).
+    fn len(&self) -> usize {
+        self.seen.len()
+    }
+
+    /// Records a host's *own* knowhow without consuming budget checks —
+    /// local configuration is trusted; the cap constrains what the
+    /// community can add on top. A no-op without a cap: an uncapped
+    /// guard tracks nothing.
+    fn seed(&mut self, fragment: &Fragment) {
+        if self.cap.is_none() {
+            return;
+        }
+        for sym in fragment_syms(fragment) {
+            self.seen.insert(sym);
+        }
+    }
+
+    /// Admits a peer fragment payload, atomically: either every name is
+    /// recorded, or (past the cap) none is. Uncapped guards admit
+    /// everything without recording anything.
+    fn admit(&mut self, fragments: &[Arc<Fragment>]) -> Result<(), VocabularyExceeded> {
+        let Some(cap) = self.cap else {
+            return Ok(());
+        };
+        let mut fresh: Vec<Sym> = Vec::new();
+        let mut fresh_set: FxHashSet<Sym> = FxHashSet::default();
+        for f in fragments {
+            for sym in fragment_syms(f) {
+                if !self.seen.contains(&sym) && fresh_set.insert(sym) {
+                    fresh.push(sym);
+                }
+            }
+        }
+        let attempted = self.seen.len() + fresh.len();
+        if attempted > cap {
+            return Err(VocabularyExceeded { cap, attempted });
+        }
+        self.seen.extend(fresh);
+        Ok(())
+    }
+}
+
+/// Every interned symbol a fragment carries: its id plus all node names.
+fn fragment_syms(fragment: &Fragment) -> impl Iterator<Item = Sym> + '_ {
+    std::iter::once(fragment.id().sym()).chain(fragment.graph().nodes().map(|(_, key)| key.sym()))
+}
+
+#[test]
+fn uncapped_guard_admits_everything_and_tracks_nothing() {
+    let mut g = VocabularyGuard::new(None);
+    assert!(g
+        .admit(&[Arc::new(frag("vg-f1", "vg-t1", "vg-a", "vg-b"))])
+        .is_ok());
+    assert_eq!(g.len(), 0, "no cap, no bookkeeping on the hot path");
+}
+
+#[test]
+fn capped_guard_counts_admitted_names() {
+    let mut g = VocabularyGuard::new(Some(100));
+    assert!(g
+        .admit(&[Arc::new(frag("vgn-f1", "vgn-t1", "vgn-a", "vgn-b"))])
+        .is_ok());
+    assert_eq!(g.len(), 4, "id + task + two labels");
+}
+
+#[test]
+fn cap_rejects_excess_vocabulary_atomically() {
+    let mut g = VocabularyGuard::new(Some(4));
+    g.admit(&[Arc::new(frag("vgc-f1", "vgc-t1", "vgc-a", "vgc-b"))])
+        .expect("exactly at cap");
+    let before = g.len();
+    let err = g
+        .admit(&[Arc::new(frag("vgc-f2", "vgc-t2", "vgc-b", "vgc-c"))])
+        .unwrap_err();
+    assert!(err.attempted > err.cap);
+    assert_eq!(g.len(), before, "rejected payload records nothing");
+    // Re-sent knowhow with only known names is still fine.
+    assert!(g
+        .admit(&[Arc::new(frag("vgc-f1", "vgc-t1", "vgc-a", "vgc-b"))])
+        .is_ok());
+}
+
+#[test]
+fn seeded_own_knowhow_does_not_consume_cap_headroom_twice() {
+    let mut g = VocabularyGuard::new(Some(4));
+    let own = Arc::new(frag("vgs-f", "vgs-t", "vgs-a", "vgs-b"));
+    g.seed(&own);
+    assert_eq!(g.len(), 4);
+    // A peer echoing the same fragment adds no new names: admitted.
+    assert!(g.admit(std::slice::from_ref(&own)).is_ok());
+    // A peer minting one fresh name: rejected.
+    assert!(g
+        .admit(&[Arc::new(frag("vgs-f2", "vgs-t", "vgs-a", "vgs-b"))])
+        .is_err());
 }
 
 /// Recipe for one generated single-task fragment over a small shared

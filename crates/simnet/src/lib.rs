@@ -56,16 +56,14 @@ pub mod sim;
 pub mod stats;
 pub mod time;
 pub mod topology;
-pub mod trace;
 
 pub use actor::{Actor, Context, TimerToken};
 pub use chaos::{ChaosAction, ChaosEvent, ChaosSchedule};
 pub use event::{Event, EventKind};
 pub use fault::FaultInjector;
 pub use latency::{ConstantLatency, LatencyModel, UniformLatency, Wireless80211g};
-pub use message::{HostId, Message};
+pub use message::{HostId, Message, MsgKind};
 pub use sim::SimNetwork;
 pub use stats::NetStats;
 pub use time::{SimDuration, SimTime};
 pub use topology::Topology;
-pub use trace::{MsgKind, TraceRecord, TraceRecorder};

@@ -1,4 +1,4 @@
-//! Host identity and the message trait.
+//! Host identity, the message trait and its variant tag.
 
 use std::fmt;
 
@@ -30,6 +30,29 @@ impl fmt::Display for HostId {
     }
 }
 
+/// A static tag naming a message's variant — `"CallForBids"`, `"Bid"` —
+/// without carrying (or formatting) the message body. Protocol crates
+/// report it through [`Message::kind`]; the default for untagged
+/// message types is [`MsgKind::OTHER`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct MsgKind(pub &'static str);
+
+impl MsgKind {
+    /// The tag of message types that don't override [`Message::kind`].
+    pub const OTHER: MsgKind = MsgKind("msg");
+
+    /// The tag as a string slice.
+    pub fn as_str(self) -> &'static str {
+        self.0
+    }
+}
+
+impl fmt::Display for MsgKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.0)
+    }
+}
+
 /// A message that can travel through the communications layer.
 ///
 /// `wire_size` is the estimated serialized size in bytes; latency models
@@ -42,10 +65,10 @@ pub trait Message: Clone + Send + fmt::Debug + 'static {
         128
     }
 
-    /// Static variant tag for tracing (see
-    /// [`MsgKind`](crate::trace::MsgKind)); must not allocate or format.
-    fn kind(&self) -> crate::trace::MsgKind {
-        crate::trace::MsgKind::OTHER
+    /// Static variant tag for tracing (see [`MsgKind`]); must not
+    /// allocate or format.
+    fn kind(&self) -> MsgKind {
+        MsgKind::OTHER
     }
 }
 
@@ -69,6 +92,13 @@ mod tests {
     fn default_wire_size() {
         assert_eq!(Small.wire_size(), 128);
         assert_eq!(Big(vec![0; 100]).wire_size(), 116);
+    }
+
+    #[test]
+    fn default_kind_is_other() {
+        assert_eq!(Small.kind(), MsgKind::OTHER);
+        assert_eq!(MsgKind::OTHER.as_str(), "msg");
+        assert_eq!(MsgKind::OTHER.to_string(), "msg");
     }
 
     #[test]

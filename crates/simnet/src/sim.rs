@@ -21,7 +21,6 @@ use crate::message::{HostId, Message};
 use crate::stats::NetStats;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
-use crate::trace::{TraceRecord, TraceRecorder};
 
 use openwf_obs::{Counter, MetricsRegistry};
 
@@ -71,7 +70,6 @@ pub struct SimNetwork<M: Message, A: Actor<M>> {
     rng: StdRng,
     started: bool,
     busy_until: Vec<SimTime>,
-    tracer: Option<TraceRecorder>,
     metrics: NetMetrics,
 }
 
@@ -91,14 +89,8 @@ impl<M: Message, A: Actor<M>> SimNetwork<M, A> {
             rng: StdRng::seed_from_u64(seed),
             started: false,
             busy_until: Vec::new(),
-            tracer: None,
             metrics: NetMetrics::default(),
         }
-    }
-
-    /// Installs a message tracer; keep a clone to read the recording.
-    pub fn set_tracer(&mut self, tracer: TraceRecorder) {
-        self.tracer = Some(tracer);
     }
 
     /// Mirrors [`NetStats`] into `registry` as `net.*` counters,
@@ -239,15 +231,6 @@ impl<M: Message, A: Actor<M>> SimNetwork<M, A> {
                 self.stats.bytes_delivered += msg.wire_size() as u64;
                 self.metrics.delivered.inc();
                 self.metrics.bytes_delivered.add(msg.wire_size() as u64);
-                if let Some(tracer) = &self.tracer {
-                    tracer.record(TraceRecord {
-                        at: self.now,
-                        from,
-                        to,
-                        bytes: msg.wire_size(),
-                        kind: msg.kind(),
-                    });
-                }
                 self.dispatch(to, |actor, ctx| actor.on_message(from, msg, ctx));
             }
             EventKind::Timer { host, token } => {
@@ -421,13 +404,6 @@ mod tests {
     impl Message for Msg {
         fn wire_size(&self) -> usize {
             64
-        }
-
-        fn kind(&self) -> crate::trace::MsgKind {
-            match self {
-                Msg::Ping(_) => crate::trace::MsgKind("Ping"),
-                Msg::Gossip(_) => crate::trace::MsgKind("Gossip"),
-            }
         }
     }
 
@@ -627,21 +603,6 @@ mod tests {
         let hit = net.run_until_pred(|n| n.stats().delivered >= 3);
         assert!(hit);
         assert_eq!(net.stats().delivered, 3);
-    }
-
-    #[test]
-    fn tracer_records_deliveries() {
-        let (mut net, a, b) = two_pingers(2, 1);
-        let tracer = crate::trace::TraceRecorder::new();
-        net.set_tracer(tracer.clone());
-        net.send_external(a, b, Msg::Ping(0));
-        net.run_until_quiescent();
-        assert_eq!(tracer.len() as u64, net.stats().delivered);
-        let first = &tracer.snapshot()[0];
-        assert_eq!(first.from, a);
-        assert_eq!(first.to, b);
-        assert_eq!(first.kind.as_str(), "Ping");
-        assert_eq!(tracer.bytes_to(b), 2 * 64, "b received Ping(0) and Ping(2)");
     }
 
     #[test]

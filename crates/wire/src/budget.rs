@@ -10,9 +10,11 @@
 //! frame that would blow the cap is rejected whole, leaving both the
 //! budget and the interner untouched.
 //!
-//! This is the same accounting as `openwf_runtime`'s admission-time
-//! `VocabularyGuard`, moved to where a networked deployment needs it:
-//! inside deserialization, one step *earlier* than reply admission.
+//! This is the accounting reply admission used to do, moved to where a
+//! networked deployment needs it: inside deserialization, one step
+//! *earlier*. The admission-time original survives as the reference
+//! model of `openwf-runtime`'s `tests/wire_protocol.rs`, whose property
+//! test asserts the two accept and reject exactly the same payloads.
 
 use openwf_core::{Fragment, FxHashSet, Sym};
 

@@ -1,9 +1,9 @@
-//! Observability integration: the network tracer sees the whole protocol
+//! Observability integration: the cores' trace sees the whole protocol
 //! conversation, and traffic accounting matches the paper's
 //! pairwise-communication story.
 
+use openworkflow::obs::{SpanPhase, TraceEvent};
 use openworkflow::prelude::*;
-use openworkflow::simnet::TraceRecorder;
 
 fn frag(id: &str, task: &str, input: &str, output: &str) -> Fragment {
     Fragment::single_task(id, task, Mode::Disjunctive, [input], [output]).unwrap()
@@ -15,31 +15,42 @@ fn service(task: &str) -> ServiceDescription {
 
 #[test]
 fn tracer_captures_the_protocol_conversation() {
+    let obs = Obs::enabled();
     let mut community = CommunityBuilder::new(61)
         .host(
             HostConfig::new()
                 .with_fragment(frag("f1", "t1", "a", "b"))
-                .with_service(service("t2")),
+                .with_service(service("t2"))
+                .with_observability(obs.clone()),
         )
         .host(
             HostConfig::new()
                 .with_fragment(frag("f2", "t2", "b", "c"))
-                .with_service(service("t1")),
+                .with_service(service("t1"))
+                .with_observability(obs.clone()),
         )
         .build();
-    let tracer = TraceRecorder::new();
-    community.net_mut().set_tracer(tracer.clone());
 
     let hosts = community.hosts();
     let handle = community.submit(hosts[0], Spec::new(["a"], ["c"]));
     let report = community.run_until_complete(handle);
     assert!(matches!(report.status, ProblemStatus::Completed));
 
-    let records = tracer.snapshot();
+    // The receiving core records one instant per delivered message,
+    // named by the message's kind, with the sender as its detail.
+    let events = obs.trace.snapshot();
+    let records: Vec<(HostId, &TraceEvent)> = events
+        .iter()
+        .filter(|e| e.phase == SpanPhase::Instant)
+        .filter_map(|e| {
+            let from = e.detail.strip_prefix("from host")?.parse().ok()?;
+            Some((HostId(from), e))
+        })
+        .collect();
     assert_eq!(records.len() as u64, community.stats().delivered);
 
     // Every message family of Figure 3 must appear on the wire.
-    let kinds: Vec<&str> = records.iter().map(|r| r.kind.as_str()).collect();
+    let kinds: Vec<&str> = records.iter().map(|(_, e)| e.name).collect();
     for family in [
         "Initiate",
         "FragmentQuery",
@@ -57,12 +68,13 @@ fn tracer_captures_the_protocol_conversation() {
 
     // Pairwise conversation: host0 (initiator) exchanged messages with
     // host1 in both directions.
-    let pair = tracer.between(hosts[0], hosts[1]);
-    assert!(pair.iter().any(|r| r.from == hosts[0]));
-    assert!(pair.iter().any(|r| r.from == hosts[1]));
+    let crossed =
+        |from: HostId, to: HostId| records.iter().any(|(f, e)| *f == from && e.host == to.0);
+    assert!(crossed(hosts[0], hosts[1]));
+    assert!(crossed(hosts[1], hosts[0]));
 
     // Delivery times are monotone within the recording.
-    assert!(records.windows(2).all(|w| w[0].at <= w[1].at));
+    assert!(records.windows(2).all(|w| w[0].1.at_us <= w[1].1.at_us));
 }
 
 /// Bytes on the wire scale with community size at fixed work — the
