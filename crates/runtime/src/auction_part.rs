@@ -114,13 +114,15 @@ impl AuctionParticipationManager {
         let Some(service) = services.describe(task) else {
             return BidDecision::Decline(DeclineReason::NoService);
         };
-        if !prefs.is_willing(task, schedule.commitment_count()) {
+        // The commitment budget is about load: what has not ended by
+        // this host's clock, not everything it ever took on.
+        schedule.advance(now);
+        if !prefs.is_willing(task, schedule.open_slot_count()) {
             return BidDecision::Decline(DeclineReason::Unwilling);
         }
         // The task's required location wins over the service's default.
         let location = meta.location.clone().or_else(|| service.location.clone());
         let earliest = meta.earliest_start.max(now);
-        schedule.advance(now);
         let Some((start, travel)) =
             schedule.earliest_slot(earliest, service.duration, location.as_deref())
         else {
@@ -259,6 +261,43 @@ mod tests {
             &RuntimeParams::default(),
         );
         assert_eq!(d, BidDecision::Decline(DeclineReason::Unwilling));
+    }
+
+    /// `max_commitments` caps what is on the host's plate now: two
+    /// tasks still open use the budget up, the same two run to their
+    /// end give it back.
+    #[test]
+    fn commitment_budget_counts_load_not_history() {
+        let mut apm = AuctionParticipationManager::new();
+        let services = services_with("t");
+        let mut schedule = ScheduleManager::unlocated();
+        let prefs = Preferences::willing().with_max_commitments(2);
+        let mut call = |seq: u32, now: SimTime| {
+            apm.consider(
+                ProblemId::new(HostId(0), seq),
+                &TaskId::new("t"),
+                &meta(),
+                now,
+                &services,
+                &mut schedule,
+                &prefs,
+                &RuntimeParams::default(),
+            )
+        };
+        let first = call(0, SimTime::ZERO);
+        let second = call(1, SimTime::ZERO);
+        let BidDecision::Submit(last) = &second else {
+            panic!("inside the budget: {first:?}, {second:?}")
+        };
+        assert!(matches!(first, BidDecision::Submit(_)), "{first:?}");
+        assert_eq!(
+            call(2, SimTime::ZERO),
+            BidDecision::Decline(DeclineReason::Unwilling),
+            "two still open"
+        );
+        let both_ended = last.start + last.travel + last.duration;
+        let third = call(2, both_ended);
+        assert!(matches!(third, BidDecision::Submit(_)), "{third:?}");
     }
 
     #[test]

@@ -676,6 +676,11 @@ impl HostCore {
         &self.schedule
     }
 
+    /// The execution manager (installed plans), for inspection.
+    pub fn exec_mgr(&self) -> &ExecutionManager {
+        &self.exec_mgr
+    }
+
     /// The workspace of the **latest attempt** of the problem `base`
     /// belongs to, if any.
     pub fn latest_attempt(&self, base: ProblemId) -> Option<&crate::workflow_mgr::Workspace> {
@@ -989,14 +994,15 @@ impl HostCore {
         self.arm(q, now, delay, purpose);
     }
 
-    /// Disarms every guard timer of `problem` (see
-    /// [`crate::workflow_mgr::GuardTimers`]): the attempt turned
-    /// terminal, so none of them can matter any more.
-    fn disarm_guards(&mut self, problem: ProblemId) {
+    /// The attempt `problem` turned terminal: its workspace keeps the
+    /// record and drops the working set (see
+    /// [`crate::workflow_mgr::Workspace`]), and every guard timer still
+    /// armed for it is disarmed — none of them can matter any more.
+    fn retire(&mut self, problem: ProblemId) {
         let guards = self
             .workflow_mgr
             .get_mut(&problem)
-            .map(|ws| std::mem::take(&mut ws.guard_timers))
+            .map(|ws| ws.retire())
             .unwrap_or_default();
         for token in [guards.round, guards.auction, guards.watchdog] {
             self.disarm(token);
@@ -1252,8 +1258,7 @@ impl HostCore {
                 q.charge(self.params.bid_evaluation_cost);
                 let action = self
                     .workflow_mgr
-                    .get_mut(&problem)
-                    .and_then(|ws| ws.auctions.as_mut())
+                    .auctions_mut(&problem)
                     .map(|a| a.on_bid(&task, from, bid))
                     .unwrap_or(AuctionAction::None);
                 self.handle_auction_action(problem, action, now, q);
@@ -1261,8 +1266,7 @@ impl HostCore {
             Msg::Decline { problem, task } => {
                 let action = self
                     .workflow_mgr
-                    .get_mut(&problem)
-                    .and_then(|ws| ws.auctions.as_mut())
+                    .auctions_mut(&problem)
                     .map(|a| a.on_decline(&task, from))
                     .unwrap_or(AuctionAction::None);
                 self.handle_auction_action(problem, action, now, q);
@@ -1286,13 +1290,15 @@ impl HostCore {
                 self.apply_exec_events(problem, events, now, q);
             }
             Msg::TaskCompleted { problem, task } => {
-                if let Some(ws) = self.workflow_mgr.get_mut(&problem) {
-                    ws.tasks_pending.remove(&task);
+                if let Some(w) = self.workflow_mgr.working_mut(&problem) {
+                    w.tasks_pending.remove(&task);
                 }
             }
             Msg::GoalDelivered { problem, label } => {
                 if let Some(ws) = self.workflow_mgr.get_mut(&problem) {
-                    ws.goals_pending.remove(&label);
+                    if let Some(w) = ws.working.as_deref_mut() {
+                        w.goals_pending.remove(&label);
+                    }
                     ws.report.goals_delivered.push(label);
                 }
                 self.check_completion(problem, now, q);
@@ -1317,8 +1323,7 @@ impl HostCore {
             TimerPurpose::AuctionDeadline { problem, task } => {
                 let action = self
                     .workflow_mgr
-                    .get_mut(&problem)
-                    .and_then(|ws| ws.auctions.as_mut())
+                    .auctions_mut(&problem)
                     .map(|a| a.on_deadline(&task))
                     .unwrap_or(AuctionAction::None);
                 self.handle_auction_action(problem, action, now, q);
@@ -1332,8 +1337,7 @@ impl HostCore {
                 if still_allocating {
                     let actions = self
                         .workflow_mgr
-                        .get_mut(&problem)
-                        .and_then(|ws| ws.auctions.as_mut())
+                        .auctions_mut(&problem)
                         .map(|a| a.force_decide_all())
                         .unwrap_or_default();
                     for action in actions {
@@ -1407,16 +1411,16 @@ impl HostCore {
                     // one closed its predecessor, whose timeout is moot.
                     let closed = self
                         .workflow_mgr
-                        .get_mut(&problem)
-                        .and_then(|ws| ws.guard_timers.round.replace(token));
+                        .working_mut(&problem)
+                        .and_then(|w| w.guard_timers.round.replace(token));
                     self.disarm(closed);
                 }
                 WsAction::Charge(d) => q.charge(d),
                 WsAction::Constructed => {
                     let closed = self
                         .workflow_mgr
-                        .get_mut(&problem)
-                        .and_then(|ws| ws.guard_timers.round.take());
+                        .working_mut(&problem)
+                        .and_then(|w| w.guard_timers.round.take());
                     self.disarm(closed);
                     if self.obs.trace.is_enabled() {
                         self.trace(now, problem, "construct", SpanPhase::End, 0, String::new());
@@ -1430,7 +1434,7 @@ impl HostCore {
                     // knowledge cannot satisfy the spec. (Repair handles
                     // allocation/execution failures, where retrying can
                     // help because community state changed.)
-                    self.disarm_guards(problem);
+                    self.retire(problem);
                     if self.obs.trace.is_enabled() {
                         self.trace(
                             now,
@@ -1453,6 +1457,9 @@ impl HostCore {
         let Some(ws) = self.workflow_mgr.get_mut(&problem) else {
             return;
         };
+        let Some(w) = ws.working.as_deref_mut() else {
+            return;
+        };
         ws.report.timings.constructed_at = Some(now);
         let workflow = ws
             .construction
@@ -1464,7 +1471,7 @@ impl HostCore {
         // Location requirements are looked up from the *bidders'* service
         // descriptions; the initiator does not constrain locations here.
         let metas = compute_metadata(&workflow, now, SimDuration::ZERO, |_| None);
-        ws.auctions = Some(ProblemAuctions::open(metas.clone(), community_size));
+        w.auctions = Some(ProblemAuctions::open(metas.clone(), community_size));
         self.metrics.auctions.add(metas.len() as u64);
 
         if metas.is_empty() {
@@ -1478,8 +1485,8 @@ impl HostCore {
         // instead of waiting on per-bid deadlines that never get armed.
         let timeout = self.params.auction_timeout;
         let token = self.arm(q, now, timeout, TimerPurpose::AuctionTimeout { problem });
-        if let Some(ws) = self.workflow_mgr.get_mut(&problem) {
-            ws.guard_timers.auction = Some(token);
+        if let Some(w) = self.workflow_mgr.working_mut(&problem) {
+            w.guard_timers.auction = Some(token);
         }
 
         // Call for bids: pairwise to every other member…
@@ -1522,8 +1529,7 @@ impl HostCore {
                     let me = self.id();
                     let action = self
                         .workflow_mgr
-                        .get_mut(&problem)
-                        .and_then(|ws| ws.auctions.as_mut())
+                        .auctions_mut(&problem)
                         .map(|a| a.on_bid(&task, me, bid))
                         .unwrap_or(AuctionAction::None);
                     self.handle_auction_action(problem, action, now, q);
@@ -1532,8 +1538,7 @@ impl HostCore {
                     let me = self.id();
                     let action = self
                         .workflow_mgr
-                        .get_mut(&problem)
-                        .and_then(|ws| ws.auctions.as_mut())
+                        .auctions_mut(&problem)
                         .map(|a| a.on_decline(&task, me))
                         .unwrap_or(AuctionAction::None);
                     self.handle_auction_action(problem, action, now, q);
@@ -1570,8 +1575,8 @@ impl HostCore {
                 self.maybe_finish_allocation(problem, now, q);
             }
             AuctionAction::Unallocatable(task) => {
-                if let Some(ws) = self.workflow_mgr.get_mut(&problem) {
-                    ws.unallocatable.push(task);
+                if let Some(w) = self.workflow_mgr.working_mut(&problem) {
+                    w.unallocatable.push(task);
                 }
                 self.maybe_finish_allocation(problem, now, q);
             }
@@ -1582,7 +1587,7 @@ impl HostCore {
         let done = self
             .workflow_mgr
             .get(&problem)
-            .and_then(|ws| ws.auctions.as_ref())
+            .and_then(|ws| ws.working()?.auctions.as_ref())
             .map(|a| a.all_decided())
             .unwrap_or(false);
         if done {
@@ -1594,16 +1599,19 @@ impl HostCore {
         // Every auction is decided: the liveness backstop is moot.
         let backstop = self
             .workflow_mgr
-            .get_mut(&problem)
-            .and_then(|ws| ws.guard_timers.auction.take());
+            .working_mut(&problem)
+            .and_then(|w| w.guard_timers.auction.take());
         self.disarm(backstop);
         let Some(ws) = self.workflow_mgr.get_mut(&problem) else {
             return;
         };
-        if !ws.unallocatable.is_empty() {
+        let Some(w) = ws.working.as_deref_mut() else {
+            return;
+        };
+        if !w.unallocatable.is_empty() {
             let reason = format!(
                 "tasks without any capable/willing host: {:?}",
-                ws.unallocatable
+                w.unallocatable
             );
             self.repair_or_fail(problem, reason, now, q);
             return;
@@ -1635,7 +1643,7 @@ impl HostCore {
             }
         }
         for g in &trivially_done {
-            ws.goals_pending.remove(g);
+            w.goals_pending.remove(g);
             ws.report.goals_delivered.push(g.clone());
         }
 
@@ -1689,8 +1697,8 @@ impl HostCore {
 
         let watchdog = self.params.execution_watchdog;
         let token = self.arm(q, now, watchdog, TimerPurpose::Watchdog { problem });
-        if let Some(ws) = self.workflow_mgr.get_mut(&problem) {
-            ws.guard_timers.watchdog = Some(token);
+        if let Some(w) = self.workflow_mgr.working_mut(&problem) {
+            w.guard_timers.watchdog = Some(token);
         }
         self.check_completion(problem, now, q);
     }
@@ -1699,11 +1707,12 @@ impl HostCore {
         let Some(ws) = self.workflow_mgr.get_mut(&problem) else {
             return;
         };
-        if ws.phase == Phase::Executing && ws.goals_pending.is_empty() {
+        let delivered = ws.working().is_some_and(|w| w.goals_pending.is_empty());
+        if ws.phase == Phase::Executing && delivered {
             ws.phase = Phase::Completed;
             ws.report.status = ProblemStatus::Completed;
             ws.report.timings.completed_at = Some(now);
-            self.disarm_guards(problem);
+            self.retire(problem);
             if self.obs.trace.is_enabled() {
                 self.trace(
                     now,
@@ -1741,7 +1750,7 @@ impl HostCore {
             }
             None => return,
         };
-        self.disarm_guards(problem);
+        self.retire(problem);
         if attempts_used >= self.params.max_repair_attempts {
             if self.obs.trace.is_enabled() {
                 self.trace(
@@ -1967,6 +1976,122 @@ mod tests {
             !fired.is_empty(),
             "round timeout fires work (local fragment round proceeds)"
         );
+    }
+
+    /// Once an attempt is `Completed` its working set is gone: late
+    /// copies of everything the initiator reacts to while an attempt is
+    /// open, and the guard timers it disarmed on the way, find nothing
+    /// to act on and leave the record as it was.
+    #[test]
+    fn late_traffic_for_a_completed_attempt_changes_nothing() {
+        let cfg = HostConfig::new()
+            .with_fragment(frag("lt-f1", "lt-t1", "lt-a", "lt-b"))
+            .with_service(service("lt-t1"));
+        let mut core = HostCore::new(cfg, RuntimeParams::default());
+        let (me, peer) = (HostId(0), HostId(1));
+        core.bind(me);
+        core.set_community(vec![me, peer]);
+        let problem = ProblemId::new(me, 0);
+
+        // The test plays the peer: it knows nothing, serves nothing and
+        // says so, which is enough to open rounds and auctions that
+        // wait for it and arm their guards.
+        let mut now = SimTime::ZERO;
+        let mut inbox: Vec<(HostId, Msg)> = Vec::new();
+        let mut peer_said: Vec<Msg> = Vec::new();
+        let mut guards = std::collections::BTreeSet::new();
+        let mut completed = false;
+        let mut q = core.initiate(problem, Spec::new(["lt-a"], ["lt-b"]), now);
+        loop {
+            for action in q {
+                match action {
+                    Action::Send { to, msg } if to == me => inbox.push((me, msg)),
+                    Action::Send { msg, .. } => {
+                        let answer = match msg {
+                            Msg::FragmentQuery { problem, round, .. } => Msg::FragmentReply {
+                                problem,
+                                round,
+                                fragments: Vec::new(),
+                            },
+                            Msg::CapabilityQuery { problem, round, .. } => Msg::CapabilityReply {
+                                problem,
+                                round,
+                                capable: Vec::new(),
+                            },
+                            Msg::CallForBids { problem, task, .. } => {
+                                Msg::Decline { problem, task }
+                            }
+                            other => panic!("nothing else goes to a peer without tasks: {other:?}"),
+                        };
+                        peer_said.push(answer.clone());
+                        inbox.push((peer, answer));
+                    }
+                    Action::Event(WorkflowEvent::Completed { .. }) => completed = true,
+                    _ => {}
+                }
+            }
+            if let Some(w) = core.latest_attempt(problem).and_then(|ws| ws.working()) {
+                let g = &w.guard_timers;
+                guards.extend([g.round, g.auction, g.watchdog].into_iter().flatten());
+            }
+            if completed {
+                break;
+            }
+            q = match inbox.pop() {
+                Some((from, msg)) => core.handle_msg(from, msg, now),
+                None => {
+                    now = core
+                        .next_timer_due()
+                        .expect("an open attempt waits on a timer");
+                    core.tick(now)
+                }
+            };
+        }
+        assert!(guards.len() >= 3, "round, auction and watchdog: {guards:?}");
+
+        let record = |core: &HostCore| {
+            let ws = core.latest_attempt(problem).expect("workspace");
+            assert!(ws.working().is_none(), "{ws}");
+            format!("{:?} {:?} {:?}", ws.phase, ws.assignments, ws.construction)
+        };
+        let before = record(&core);
+        assert!(before.starts_with("Completed [("), "{before}");
+
+        let task = TaskId::new("lt-t1");
+        let mut late = peer_said;
+        late.extend([
+            Msg::Bid {
+                problem,
+                task: task.clone(),
+                bid: crate::auction_part::Bid {
+                    start: now,
+                    travel: SimDuration::ZERO,
+                    duration: SimDuration::from_millis(10),
+                    specialization: 1,
+                    deadline: now + SimDuration::from_millis(1),
+                },
+            },
+            Msg::TaskCompleted { problem, task },
+            Msg::GoalDelivered {
+                problem,
+                label: Label::new("lt-b"),
+            },
+        ]);
+        for msg in late {
+            let shown = format!("{msg:?}");
+            let q = core.handle_msg(peer, msg, now);
+            assert!(q.is_empty(), "{shown} produced {:?}", q.actions());
+            assert_eq!(record(&core), before, "after {shown}");
+        }
+        for token in guards {
+            let q = core.handle_timer(token, now);
+            assert!(q.is_empty(), "{token:?} produced {:?}", q.actions());
+            assert_eq!(q.charged(), SimDuration::ZERO);
+            assert_eq!(record(&core), before, "after {token:?}");
+        }
+        // The report still notes the late goal, as it always did.
+        let ws = core.latest_attempt(problem).expect("workspace");
+        assert_eq!(ws.report.goals_delivered.len(), 2);
     }
 
     /// With enabled collectors attached, a full local problem run

@@ -21,10 +21,10 @@
 //! scenario on [`crate::driver::SimDriver`] (property-tested in
 //! `tests/driver_equivalence.rs`).
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use openwf_core::Spec;
+use openwf_simnet::event::EventQueue;
 use openwf_simnet::{HostId, SimDuration, SimTime, TimerToken};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -105,10 +105,9 @@ impl WireChaos {
 /// Drives a community of [`HostCore`]s entirely over encoded frames.
 pub struct LoopbackBytesDriver {
     cores: Vec<HostCore>,
-    /// Pending events keyed by `(time, seq)` — a deterministic
-    /// discrete-event queue.
-    queue: BTreeMap<(SimTime, u64), Ev>,
-    seq: u64,
+    /// Pending events in `(time, seq)` order — the simulator's own
+    /// deterministic discrete-event queue.
+    queue: EventQueue<Ev>,
     now: SimTime,
     busy_until: Vec<SimTime>,
     /// Per-frame delivery delay, taken from the simulator's default
@@ -149,8 +148,7 @@ impl LoopbackBytesDriver {
         let busy_until = vec![SimTime::ZERO; cores.len()];
         LoopbackBytesDriver {
             cores,
-            queue: BTreeMap::new(),
-            seq: 0,
+            queue: EventQueue::new(),
             now: SimTime::ZERO,
             busy_until,
             latency: openwf_simnet::ConstantLatency::default().0,
@@ -190,12 +188,6 @@ impl LoopbackBytesDriver {
         self.queue.len()
     }
 
-    fn schedule(&mut self, at: SimTime, ev: Ev) {
-        let key = (at, self.seq);
-        self.seq += 1;
-        self.queue.insert(key, ev);
-    }
-
     /// Schedules one outbound frame, passing cross-host frames through
     /// the wire fault model. Self-sends never touch the wire and are
     /// exempt — the protocol's local bootstrap (`Initiate`) must not be
@@ -203,7 +195,8 @@ impl LoopbackBytesDriver {
     /// non-zero, so partially-enabled chaos keeps a stable draw stream.
     fn send_frame(&mut self, from: HostId, to: HostId, mut bytes: Vec<u8>, effective_now: SimTime) {
         if to == from {
-            self.schedule(effective_now, Ev::Frame { from, to, bytes });
+            self.queue
+                .schedule(effective_now, Ev::Frame { from, to, bytes });
             return;
         }
         let at = effective_now + self.latency;
@@ -236,7 +229,7 @@ impl LoopbackBytesDriver {
         }
         if duplicate {
             self.stats.frames_duplicated += 1;
-            self.schedule(
+            self.queue.schedule(
                 at,
                 Ev::Frame {
                     from,
@@ -245,7 +238,7 @@ impl LoopbackBytesDriver {
                 },
             );
         }
-        self.schedule(at, Ev::Frame { from, to, bytes });
+        self.queue.schedule(at, Ev::Frame { from, to, bytes });
     }
 
     /// Applies one core's action queue, scheduling deliveries and
@@ -272,7 +265,8 @@ impl LoopbackBytesDriver {
                     self.send_frame(host, to, bytes, effective_now);
                 }
                 Action::SetTimer { delay, token } => {
-                    self.schedule(effective_now + delay, Ev::Timer { host, token });
+                    self.queue
+                        .schedule(effective_now + delay, Ev::Timer { host, token });
                 }
                 Action::Event(event) => self.events.push((host, event)),
             }
@@ -302,7 +296,7 @@ impl Driver for LoopbackBytesDriver {
         self.next_seq += 1;
         let mut bytes = Vec::new();
         codec::encode_msg(&Msg::Initiate { problem: id, spec }, &mut bytes);
-        self.schedule(
+        self.queue.schedule(
             self.now,
             Ev::Frame {
                 from: initiator,
@@ -314,26 +308,24 @@ impl Driver for LoopbackBytesDriver {
     }
 
     fn step(&mut self) -> bool {
-        let Some((&key, _)) = self.queue.iter().next() else {
+        let Some(ev) = self.queue.pop() else {
             return false;
         };
-        let ev = self.queue.remove(&key).expect("peeked above");
-        let (at, _) = key;
-        debug_assert!(at >= self.now, "time must be monotone");
-        self.now = at;
+        debug_assert!(ev.at >= self.now, "time must be monotone");
+        self.now = ev.at;
         // Sequential-processor semantics: a busy host defers the event
         // until it is free again (order among deferred events is kept by
         // the (time, seq) queue discipline).
-        let target = match &ev {
+        let target = match &ev.kind {
             Ev::Frame { to, .. } => *to,
             Ev::Timer { host, .. } => *host,
         };
         let free_at = self.busy_until[target.index()];
         if free_at > self.now {
-            self.schedule(free_at, ev);
+            self.queue.defer(target, free_at, ev.kind);
             return true;
         }
-        match ev {
+        match ev.kind {
             Ev::Frame { from, to, bytes } => {
                 self.stats.frames_delivered += 1;
                 self.stats.bytes_delivered += bytes.len() as u64;

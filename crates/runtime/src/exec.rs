@@ -67,6 +67,8 @@ struct ActiveTask {
 /// Per-host execution state across problems.
 #[derive(Debug, Default)]
 pub struct ExecutionManager {
+    /// Installed plans with a task still to finish: a problem's entry
+    /// goes when its last task does.
     active: HashMap<ProblemId, Vec<ActiveTask>>,
     /// Labels that arrived before their plan (triggers can race the plan
     /// message on loopback delivery).
@@ -77,6 +79,13 @@ impl ExecutionManager {
     /// An idle manager.
     pub fn new() -> Self {
         ExecutionManager::default()
+    }
+
+    /// Number of problems with an installed plan that has not run to its
+    /// end — on a long-lived host, the problems in flight here and not
+    /// the problems ever executed.
+    pub fn problem_count(&self) -> usize {
+        self.active.len()
     }
 
     /// Number of not-yet-finished tasks for a problem.
@@ -198,11 +207,17 @@ impl ExecutionManager {
             .iter_mut()
             .find(|t| &t.planned.task == task && t.state == TaskState::Running)?;
         t.state = TaskState::Done;
-        Some(FinishedTask {
+        let finished = FinishedTask {
             task: t.planned.task.clone(),
             inputs: t.planned.inputs.clone(),
             outputs: t.planned.outputs.clone(),
-        })
+        };
+        // Nothing asks about a plan that ran to its end; a later
+        // `Execute` for the problem starts a new entry.
+        if tasks.iter().all(|t| t.state == TaskState::Done) {
+            self.active.remove(&problem);
+        }
+        Some(finished)
     }
 
     /// Drops all state for a problem (repair).
@@ -331,6 +346,29 @@ mod tests {
             "stale timer"
         );
         assert_eq!(em.unfinished(&pid()), 0);
+    }
+
+    /// A plan is tracked until its last task finishes, and a second
+    /// plan for the same problem starts over.
+    #[test]
+    fn a_finished_plan_is_forgotten() {
+        let mut em = ExecutionManager::new();
+        let plan = ExecutionPlan {
+            commitments: vec![planned("t", &[], 0), planned("u", &[], 0)],
+        };
+        em.install_plan(pid(), plan, SimTime::ZERO);
+        assert!(em.on_completion(pid(), &TaskId::new("t")).is_some());
+        assert_eq!(em.problem_count(), 1, "u still runs");
+        assert!(em.on_completion(pid(), &TaskId::new("u")).is_some());
+        assert_eq!(em.problem_count(), 0);
+
+        let again = ExecutionPlan {
+            commitments: vec![planned("v", &["a"], 0)],
+        };
+        assert!(em.install_plan(pid(), again, SimTime::ZERO).is_empty());
+        assert_eq!((em.problem_count(), em.unfinished(&pid())), (1, 1));
+        let events = em.on_input(pid(), Label::new("a"), SimTime::ZERO);
+        assert!(matches!(events[0], ExecEvent::Begin { .. }));
     }
 
     #[test]

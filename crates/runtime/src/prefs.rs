@@ -43,8 +43,9 @@ impl Preferences {
         self
     }
 
-    /// Whether the participant is willing to take `task` given its current
-    /// number of commitments.
+    /// Whether the participant is willing to take `task` given the
+    /// number of commitments it currently has open (made and not yet
+    /// ended).
     pub fn is_willing(&self, task: &TaskId, current_commitments: usize) -> bool {
         current_commitments < self.max_commitments && !self.refused_tasks.contains(task)
     }

@@ -123,7 +123,9 @@ impl ScheduleManager {
         self.position = p;
     }
 
-    /// Number of active commitments.
+    /// Number of commitments on record: every one made and not
+    /// released, ended or not ([`ScheduleManager::open_slot_count`]
+    /// counts the ones still ahead of the host's clock).
     pub fn commitment_count(&self) -> usize {
         self.commitments.len()
     }

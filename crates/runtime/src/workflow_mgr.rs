@@ -19,7 +19,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::sync::Arc;
 
-use openwf_core::construct::explore::{explore_with, ExploreOutcome, ExploreScratch};
+use openwf_core::construct::explore::{explore_with, ExploreScratch};
 use openwf_core::construct::{self, ColorState, ConstructStats, Construction, PickOrder};
 use openwf_core::{Fragment, FxHashSet, Label, Spec, Supergraph, TaskId};
 use openwf_simnet::{HostId, SimDuration, SimTime, TimerToken};
@@ -114,8 +114,25 @@ pub enum Phase {
     Failed,
 }
 
-/// Construction/allocation/execution state for one problem on its
-/// initiator.
+/// One attempt at one problem on its initiator: a **record** that lives
+/// as long as the host does and a **working set** that lives as long as
+/// the attempt is open.
+///
+/// The record is what a finished workflow is asked for: which problem
+/// and specification, the [`ProblemReport`] (status, timings,
+/// assignments by host, goals delivered), the phase, the auctions'
+/// awards and the constructed workflow. The working set
+/// ([`WorkingSet`]) is everything construction, allocation and
+/// execution tracking need while they run — the supergraph above all.
+/// The host drops it the moment the attempt turns terminal
+/// ([`Phase::Completed`], [`Phase::Failed`], or superseded by a repair
+/// attempt): a late reply, bid, completion notice or stale guard timer
+/// for the attempt then finds nothing to act on, which is what it found
+/// before (the round was closed, every auction decided, the phase
+/// terminal). Repair does not need it either — a repair attempt is a
+/// fresh workspace built from the [`Spec`] alone, because the community
+/// that answers it is no longer the one the old supergraph was
+/// collected from.
 #[derive(Debug)]
 pub struct Workspace {
     /// The problem this workspace serves.
@@ -126,18 +143,26 @@ pub struct Workspace {
     pub report: ProblemReport,
     /// Current phase.
     pub phase: Phase,
-    /// Auction state (present during/after allocation).
-    pub auctions: Option<ProblemAuctions>,
     /// Final task assignments.
     pub assignments: Vec<(TaskId, Assignment)>,
+    /// The constructed workflow (after `Constructed`).
+    pub construction: Option<Construction>,
+    /// Present while the attempt is open (see the type's docs).
+    pub(crate) working: Option<Box<WorkingSet>>,
+}
+
+/// What an open attempt works with and a finished one no longer has
+/// (see [`Workspace`]).
+#[derive(Debug)]
+pub struct WorkingSet {
+    /// Auction state (present during/after allocation).
+    pub auctions: Option<ProblemAuctions>,
     /// Goals not yet delivered during execution.
     pub goals_pending: BTreeSet<Label>,
     /// Tasks not yet reported complete.
     pub tasks_pending: BTreeSet<TaskId>,
     /// Tasks no community member could take (allocation failure causes).
     pub unallocatable: Vec<TaskId>,
-    /// The constructed workflow (after `Constructed`).
-    pub construction: Option<Construction>,
 
     pub(crate) guard_timers: GuardTimers,
     n_peers: usize,
@@ -154,51 +179,9 @@ pub struct Workspace {
     round: u32,
     collect: Option<Collect>,
     explore_steps: u64,
-    last_outcome: Option<ExploreOutcome>,
 }
 
-impl Workspace {
-    /// Creates a workspace for `problem` among `n_peers` *other* hosts.
-    pub fn new(problem: ProblemId, spec: Spec, now: SimTime, n_peers: usize) -> Self {
-        let goals_pending = spec.goals().clone();
-        let frontier_candidates: Vec<Label> = spec.triggers().iter().cloned().collect();
-        Workspace {
-            problem,
-            spec,
-            report: ProblemReport::new(now),
-            phase: Phase::Constructing,
-            auctions: None,
-            assignments: Vec::new(),
-            goals_pending,
-            tasks_pending: BTreeSet::new(),
-            unallocatable: Vec::new(),
-            construction: None,
-            guard_timers: GuardTimers::default(),
-            n_peers,
-            supergraph: Supergraph::new(),
-            color: ColorState::with_len(0),
-            explore_scratch: ExploreScratch::new(),
-            queried: FxHashSet::default(),
-            frontier_candidates,
-            capability_checked: BTreeSet::new(),
-            feasible: BTreeSet::new(),
-            round: 0,
-            collect: None,
-            explore_steps: 0,
-            last_outcome: None,
-        }
-    }
-
-    /// The current fragment/capability round number.
-    pub fn round(&self) -> u32 {
-        self.round
-    }
-
-    /// The supergraph assembled so far (for diagnostics).
-    pub fn supergraph(&self) -> &Supergraph {
-        &self.supergraph
-    }
-
+impl WorkingSet {
     /// Drains the accumulated newly-green labels into the next frontier,
     /// skipping labels already offered to the community.
     fn next_frontier(&mut self) -> Vec<Label> {
@@ -207,6 +190,70 @@ impl Workspace {
             .drain(..)
             .filter(|l| queried.insert(l.clone()))
             .collect()
+    }
+}
+
+impl Workspace {
+    /// Creates a workspace for `problem` among `n_peers` *other* hosts.
+    pub fn new(problem: ProblemId, spec: Spec, now: SimTime, n_peers: usize) -> Self {
+        let working = Box::new(WorkingSet {
+            auctions: None,
+            goals_pending: spec.goals().clone(),
+            tasks_pending: BTreeSet::new(),
+            unallocatable: Vec::new(),
+            guard_timers: GuardTimers::default(),
+            n_peers,
+            supergraph: Supergraph::new(),
+            color: ColorState::with_len(0),
+            explore_scratch: ExploreScratch::new(),
+            queried: FxHashSet::default(),
+            frontier_candidates: spec.triggers().iter().cloned().collect(),
+            capability_checked: BTreeSet::new(),
+            feasible: BTreeSet::new(),
+            round: 0,
+            collect: None,
+            explore_steps: 0,
+        });
+        Workspace {
+            problem,
+            spec,
+            report: ProblemReport::new(now),
+            phase: Phase::Constructing,
+            assignments: Vec::new(),
+            construction: None,
+            working: Some(working),
+        }
+    }
+
+    /// The attempt's working set; `None` once it turned terminal.
+    pub fn working(&self) -> Option<&WorkingSet> {
+        self.working.as_deref()
+    }
+
+    /// The current fragment/capability round number of an open attempt.
+    pub fn round(&self) -> Option<u32> {
+        self.working().map(|w| w.round)
+    }
+
+    /// The supergraph assembled so far (for diagnostics). It lives as
+    /// long as the attempt is open.
+    pub fn supergraph(&self) -> Option<&Supergraph> {
+        self.working().map(|w| &w.supergraph)
+    }
+
+    /// The attempt turned terminal: drops the working set and hands back
+    /// the guard timers it still had armed, for the host to disarm.
+    pub(crate) fn retire(&mut self) -> GuardTimers {
+        self.working
+            .take()
+            .map(|w| w.guard_timers)
+            .unwrap_or_default()
+    }
+
+    /// The working set inside a round: the entry points below return
+    /// before reaching here when the attempt has none.
+    fn live(working: &mut Option<Box<WorkingSet>>) -> &mut WorkingSet {
+        working.as_deref_mut().expect("an open attempt")
     }
 
     /// Kicks off construction: the first fragment round over the trigger
@@ -217,7 +264,10 @@ impl Workspace {
         local_services: &ServiceManager,
         params: &RuntimeParams,
     ) -> Vec<WsAction> {
-        let frontier = self.next_frontier();
+        let Some(w) = self.working.as_deref_mut() else {
+            return Vec::new();
+        };
+        let frontier = w.next_frontier();
         self.start_fragment_round(frontier, local_fragments, local_services, params)
     }
 
@@ -231,15 +281,9 @@ impl Workspace {
         local_services: &ServiceManager,
         params: &RuntimeParams,
     ) -> Vec<WsAction> {
-        let Some(c) = self.collect.as_mut() else {
+        let Some(c) = self.collecting(CollectKind::Fragments, round, from) else {
             return Vec::new();
         };
-        if c.kind != CollectKind::Fragments || c.round != round {
-            return Vec::new(); // stale reply (e.g. after a timeout)
-        }
-        if !c.replied.insert(from) {
-            return Vec::new(); // duplicate delivery of a counted reply
-        }
         c.fragments.extend(fragments);
         c.pending = c.pending.saturating_sub(1);
         if c.pending == 0 {
@@ -258,21 +302,24 @@ impl Workspace {
         local_services: &ServiceManager,
         params: &RuntimeParams,
     ) -> Vec<WsAction> {
-        let Some(c) = self.collect.as_mut() else {
+        let Some(c) = self.collecting(CollectKind::Capabilities, round, from) else {
             return Vec::new();
         };
-        if c.kind != CollectKind::Capabilities || c.round != round {
-            return Vec::new();
-        }
-        if !c.replied.insert(from) {
-            return Vec::new(); // duplicate delivery of a counted reply
-        }
         c.capable.extend(capable);
         c.pending = c.pending.saturating_sub(1);
         if c.pending == 0 {
             return self.finish_round(local_fragments, local_services, params);
         }
         Vec::new()
+    }
+
+    /// The open round, if `from`'s reply of `kind` for `round` is the
+    /// first of its kind to count towards it. `None` for a finished
+    /// attempt, a stale reply (e.g. after a timeout) and a duplicate
+    /// delivery of a counted reply.
+    fn collecting(&mut self, kind: CollectKind, round: u32, from: HostId) -> Option<&mut Collect> {
+        let c = self.working.as_deref_mut()?.collect.as_mut()?;
+        (c.kind == kind && c.round == round && c.replied.insert(from)).then_some(c)
     }
 
     /// The round-timeout fired: proceed with whatever replies arrived.
@@ -283,7 +330,7 @@ impl Workspace {
         local_services: &ServiceManager,
         params: &RuntimeParams,
     ) -> Vec<WsAction> {
-        match &self.collect {
+        match self.working().and_then(|w| w.collect.as_ref()) {
             Some(c) if c.round == round && c.pending > 0 => {
                 self.finish_round(local_fragments, local_services, params)
             }
@@ -298,27 +345,29 @@ impl Workspace {
         local_services: &ServiceManager,
         params: &RuntimeParams,
     ) -> Vec<WsAction> {
-        debug_assert!(self.collect.is_none(), "one round at a time");
-        self.round += 1;
+        let w = Self::live(&mut self.working);
+        debug_assert!(w.collect.is_none(), "one round at a time");
+        w.round += 1;
         self.report.query_rounds += 1;
         let local = local_fragments.query(&frontier);
-        self.collect = Some(Collect {
+        w.collect = Some(Collect {
             kind: CollectKind::Fragments,
-            round: self.round,
-            pending: self.n_peers,
+            round: w.round,
+            pending: w.n_peers,
             replied: BTreeSet::new(),
             fragments: local,
             capable: BTreeSet::new(),
         });
-        if self.n_peers == 0 {
+        let round = w.round;
+        if w.n_peers == 0 {
             return self.finish_round(local_fragments, local_services, params);
         }
         vec![
             WsAction::BroadcastFragmentQuery {
-                round: self.round,
+                round,
                 labels: frontier,
             },
-            WsAction::ArmRoundTimeout { round: self.round },
+            WsAction::ArmRoundTimeout { round },
         ]
     }
 
@@ -329,26 +378,25 @@ impl Workspace {
         local_services: &ServiceManager,
         params: &RuntimeParams,
     ) -> Vec<WsAction> {
-        debug_assert!(self.collect.is_none(), "one round at a time");
-        self.round += 1;
+        let w = Self::live(&mut self.working);
+        debug_assert!(w.collect.is_none(), "one round at a time");
+        w.round += 1;
         let local = local_services.capable_of(&tasks);
-        self.collect = Some(Collect {
+        w.collect = Some(Collect {
             kind: CollectKind::Capabilities,
-            round: self.round,
-            pending: self.n_peers,
+            round: w.round,
+            pending: w.n_peers,
             replied: BTreeSet::new(),
             fragments: Vec::new(),
             capable: local.into_iter().collect(),
         });
-        if self.n_peers == 0 {
+        let round = w.round;
+        if w.n_peers == 0 {
             return self.finish_round(local_fragments, local_services, params);
         }
         vec![
-            WsAction::BroadcastCapabilityQuery {
-                round: self.round,
-                tasks,
-            },
-            WsAction::ArmRoundTimeout { round: self.round },
+            WsAction::BroadcastCapabilityQuery { round, tasks },
+            WsAction::ArmRoundTimeout { round },
         ]
     }
 
@@ -358,28 +406,29 @@ impl Workspace {
         local_services: &ServiceManager,
         params: &RuntimeParams,
     ) -> Vec<WsAction> {
-        let c = self.collect.take().expect("round in progress");
+        let w = Self::live(&mut self.working);
+        let c = w.collect.take().expect("round in progress");
         match c.kind {
             CollectKind::Fragments => {
                 // One batched merge for the whole round's candidates.
                 // Conflicting knowhow (same task, different mode) from
                 // another host is skipped — first definition wins, as in
                 // the local incremental constructor.
-                let new_fragments = self.supergraph.merge_fragments_batch(&c.fragments);
+                let new_fragments = w.supergraph.merge_fragments_batch(&c.fragments);
                 self.report.fragments_pulled += new_fragments;
                 let charge =
                     WsAction::Charge(params.merge_fragment_cost.times(new_fragments as u64));
 
                 // Which tasks are new to us? Ask the community who can
                 // serve them before exploring.
-                let new_tasks: Vec<TaskId> = self
+                let new_tasks: Vec<TaskId> = w
                     .supergraph
                     .graph()
                     .tasks()
-                    .filter(|t| !self.capability_checked.contains(t))
+                    .filter(|t| !w.capability_checked.contains(t))
                     .collect();
                 if !new_tasks.is_empty() {
-                    self.capability_checked.extend(new_tasks.iter().cloned());
+                    w.capability_checked.extend(new_tasks.iter().cloned());
                     let mut actions = vec![charge];
                     actions.extend(self.start_capability_round(
                         new_tasks,
@@ -394,7 +443,7 @@ impl Workspace {
                 actions
             }
             CollectKind::Capabilities => {
-                self.feasible.extend(c.capable);
+                w.feasible.extend(c.capable);
                 self.explore_step(local_fragments, local_services, params)
             }
         }
@@ -406,36 +455,37 @@ impl Workspace {
         local_services: &ServiceManager,
         params: &RuntimeParams,
     ) -> Vec<WsAction> {
-        let feasible = &self.feasible;
+        let w = Self::live(&mut self.working);
+        let feasible = &w.feasible;
         let outcome = explore_with(
-            self.supergraph.graph(),
-            &mut self.color,
+            w.supergraph.graph(),
+            &mut w.color,
             &self.spec,
             &mut |t| feasible.contains(t),
             PickOrder::Fifo,
             None,
-            &mut self.explore_scratch,
+            &mut w.explore_scratch,
         );
-        self.explore_steps += outcome.steps;
-        self.frontier_candidates
+        w.explore_steps += outcome.steps;
+        w.frontier_candidates
             .extend_from_slice(&outcome.new_green_labels);
         let charge = WsAction::Charge(params.explore_step_cost.times(outcome.steps));
 
         if outcome.unreachable_goals.is_empty() {
             // Goals reached: back-sweep and extract the workflow.
             let stats = ConstructStats {
-                explore_steps: self.explore_steps,
+                explore_steps: w.explore_steps,
                 colored_green: outcome.colored_green,
-                supergraph_nodes: self.supergraph.graph().node_count(),
-                supergraph_edges: self.supergraph.graph().edge_count(),
+                supergraph_nodes: w.supergraph.graph().node_count(),
+                supergraph_edges: w.supergraph.graph().edge_count(),
                 query_rounds: self.report.query_rounds as usize,
                 fragments_pulled: self.report.fragments_pulled,
                 ..ConstructStats::default()
             };
-            let state = std::mem::take(&mut self.color);
-            match construct::finish(&self.supergraph, &self.spec, state, outcome, stats, None) {
+            let state = std::mem::take(&mut w.color);
+            match construct::finish(&w.supergraph, &self.spec, state, outcome, stats, None) {
                 Ok(construction) => {
-                    self.tasks_pending = construction.workflow().tasks().collect();
+                    w.tasks_pending = construction.workflow().tasks().collect();
                     self.construction = Some(construction);
                     self.phase = Phase::Allocating;
                     self.report.status = ProblemStatus::Allocating;
@@ -457,20 +507,18 @@ impl Workspace {
         } else {
             // Grow the frontier: newly green labels whose consumers we
             // have not asked about yet.
-            let frontier = self.next_frontier();
+            let frontier = w.next_frontier();
             if frontier.is_empty() {
                 let reason = format!(
                     "no feasible workflow: unreachable goals {:?}",
                     outcome.unreachable_goals
                 );
-                self.last_outcome = Some(outcome);
                 self.phase = Phase::Failed;
                 self.report.status = ProblemStatus::Failed {
                     reason: reason.clone(),
                 };
                 return vec![charge, WsAction::Failed { reason }];
             }
-            self.last_outcome = Some(outcome);
             let mut actions = vec![charge];
             actions.extend(self.start_fragment_round(
                 frontier,
@@ -511,6 +559,19 @@ impl WorkflowManager {
         self.workspaces.get(problem)
     }
 
+    /// The working set of `problem`'s attempt while it is open — `None`
+    /// for an unknown problem and for a finished attempt alike, which is
+    /// how late traffic for either is told apart from live traffic.
+    pub(crate) fn working_mut(&mut self, problem: &ProblemId) -> Option<&mut WorkingSet> {
+        self.workspaces.get_mut(problem)?.working.as_deref_mut()
+    }
+
+    /// The auctions of `problem`'s attempt, from allocation until the
+    /// attempt finishes.
+    pub(crate) fn auctions_mut(&mut self, problem: &ProblemId) -> Option<&mut ProblemAuctions> {
+        self.working_mut(problem)?.auctions.as_mut()
+    }
+
     /// Number of workspaces (problems this host has initiated).
     pub fn len(&self) -> usize {
         self.workspaces.len()
@@ -529,11 +590,11 @@ impl WorkflowManager {
 
 impl fmt::Display for Workspace {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "workspace {} [{:?}]: round {}, {} fragments",
-            self.problem, self.phase, self.round, self.report.fragments_pulled
-        )
+        write!(f, "workspace {} [{:?}]: ", self.problem, self.phase)?;
+        if let Some(round) = self.round() {
+            write!(f, "round {round}, ")?;
+        }
+        write!(f, "{} fragments", self.report.fragments_pulled)
     }
 }
 

@@ -14,9 +14,10 @@
 use std::fmt::Write as _;
 
 use openwf_core::{Fragment, Mode, Spec};
-use openwf_runtime::workflow_mgr::Workspace;
+use openwf_runtime::workflow_mgr::Phase;
 use openwf_runtime::{
-    CommunityBuilder, Driver, HostConfig, LoopbackBytesDriver, RuntimeParams, ServiceDescription,
+    CommunityBuilder, Driver, HostConfig, LoopbackBytesDriver, ProblemHandle, RuntimeParams,
+    ServiceDescription,
 };
 use openwf_simnet::SimDuration;
 use proptest::prelude::*;
@@ -75,13 +76,28 @@ impl Scenario {
     }
 }
 
-/// Everything that must match bit-for-bit: the assembled supergraph
-/// (every node and edge in index order), the extracted workflow, and
-/// the full outcome record including virtual-time phase timings.
-fn digest(ws: &Workspace) -> String {
+/// Drives `handle` to quiescence and returns everything that must match
+/// bit-for-bit: the assembled supergraph (every node and edge in index
+/// order), the extracted workflow, and the full outcome record
+/// including virtual-time phase timings.
+fn digest(driver: &mut impl Driver, handle: ProblemHandle) -> String {
+    let initiator = handle.id.initiator;
     let mut s = String::new();
-    let g = ws.supergraph().graph();
-    writeln!(s, "phase {:?}", ws.phase).unwrap();
+
+    // The supergraph lives as long as the attempt is open, so it is
+    // read when allocation has just finished: construction is over and
+    // the graph complete, execution is not and the graph still there.
+    driver.run_until_allocated(handle);
+    let ws = driver
+        .core(initiator)
+        .latest_attempt(handle.id)
+        .expect("workspace");
+    assert_eq!(ws.phase, Phase::Executing, "report: {}", ws.report);
+    let g = ws
+        .supergraph()
+        .expect("an executing attempt has its supergraph")
+        .graph();
+    assert!(g.node_count() > 0, "an empty supergraph compares nothing");
     writeln!(s, "supergraph {}n {}e", g.node_count(), g.edge_count()).unwrap();
     for (idx, key) in g.nodes() {
         writeln!(s, "n {idx:?} {key}").unwrap();
@@ -89,6 +105,14 @@ fn digest(ws: &Workspace) -> String {
     for (a, b) in g.edges() {
         writeln!(s, "e {a:?} {b:?}").unwrap();
     }
+
+    driver.run_until_complete(handle);
+    driver.run_until_quiescent();
+    let ws = driver
+        .core(initiator)
+        .latest_attempt(handle.id)
+        .expect("workspace");
+    writeln!(s, "phase {:?}", ws.phase).unwrap();
     if let Some(c) = &ws.construction {
         writeln!(s, "workflow {:?}", c.workflow()).unwrap();
     }
@@ -111,13 +135,7 @@ fn run_both(scenario: &Scenario) -> (String, String) {
         .build();
     let initiator = sim.hosts()[0];
     let handle = sim.submit(initiator, scenario.spec());
-    sim.run_until_complete(handle);
-    sim.run_to_quiescence();
-    let sim_digest = digest(
-        sim.host(initiator)
-            .latest_attempt(handle.id)
-            .expect("sim workspace"),
-    );
+    let sim_digest = digest(sim.driver_mut(), handle);
 
     // Bytes transport: the same configs over encoded frames.
     let mut loopback = LoopbackBytesDriver::build(params, scenario.configs());
@@ -125,14 +143,7 @@ fn run_both(scenario: &Scenario) -> (String, String) {
     assert_eq!(lb_initiator, initiator);
     let lb_handle = loopback.submit(lb_initiator, scenario.spec());
     assert_eq!(lb_handle.id, handle.id, "same problem identity");
-    loopback.run_until_complete(lb_handle);
-    loopback.run_until_quiescent();
-    let lb_digest = digest(
-        loopback
-            .core(lb_initiator)
-            .latest_attempt(lb_handle.id)
-            .expect("loopback workspace"),
-    );
+    let lb_digest = digest(&mut loopback, lb_handle);
 
     (sim_digest, lb_digest)
 }
@@ -202,16 +213,12 @@ fn capped_within_budget_agrees_across_transports() {
         .build();
     let h = sim.hosts()[0];
     let handle = sim.submit(h, spec());
-    sim.run_until_complete(handle);
-    sim.run_to_quiescence();
-    let sim_digest = digest(sim.host(h).latest_attempt(handle.id).unwrap());
+    let sim_digest = digest(sim.driver_mut(), handle);
     let sim_names = sim.host(h).vocabulary_names();
 
     let mut lb = LoopbackBytesDriver::build(params, mk());
     let lb_handle = lb.submit(h, spec());
-    lb.run_until_complete(lb_handle);
-    lb.run_until_quiescent();
-    let lb_digest = digest(lb.core(h).latest_attempt(lb_handle.id).unwrap());
+    let lb_digest = digest(&mut lb, lb_handle);
 
     assert_eq!(sim_digest, lb_digest);
     assert!(sim_digest.contains("phase Completed"), "{sim_digest}");

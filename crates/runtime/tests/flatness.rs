@@ -1,17 +1,21 @@
-//! What a host keeps *armed* and *searchable* follows the work in
-//! flight, not the work it has ever done.
+//! What a host keeps *armed*, *searchable* and *open* follows the work
+//! in flight, not the work it has ever done.
 //!
 //! A serving host lives for many workflows. Its armed timers and the
 //! schedule's slot-search index are consulted on every poll and every
-//! call for bids, so their sizes are a per-workflow cost: this test
-//! counts them over 2 000 sequential workflows and checks the count at
-//! the end against one taken early, instead of timing anything.
+//! call for bids, so their sizes are a per-workflow cost; a workspace's
+//! working set (the supergraph above all) and an executor's installed
+//! plans are what a workflow leaves in memory if nothing lets go of
+//! them. This test counts all four over 2 000 sequential workflows and
+//! checks the counts at the end against ones taken early, instead of
+//! timing or weighing anything.
 
 use openwf_core::{Fragment, Mode, Spec};
+use openwf_runtime::workflow_mgr::Phase;
 use openwf_runtime::{
     Driver, HostConfig, LoopbackBytesDriver, RuntimeParams, ServiceDescription, WorkflowEvent,
 };
-use openwf_simnet::SimDuration;
+use openwf_simnet::{HostId, SimDuration};
 
 const CHAIN: usize = 4;
 const HOSTS: usize = 3;
@@ -42,22 +46,43 @@ fn configs() -> Vec<HostConfig> {
     cfgs
 }
 
-/// `(armed timers, open schedule slots)` summed over the community.
-fn footprint(driver: &LoopbackBytesDriver) -> (usize, usize) {
+/// `(armed timers, open schedule slots, installed plans)` summed over
+/// the community.
+fn footprint(driver: &LoopbackBytesDriver) -> (usize, usize, usize) {
     driver
         .hosts()
         .into_iter()
-        .fold((0, 0), |(timers, slots), h| {
+        .fold((0, 0, 0), |(timers, slots, plans), h| {
             let core = driver.core(h);
             (
                 timers + core.armed_timer_count(),
                 slots + core.schedule().open_slot_count(),
+                plans + core.exec_mgr().problem_count(),
             )
         })
 }
 
+/// Every one of the `served` workflows is terminal on `initiator`, and
+/// none of them still has its working set.
+fn assert_finished_workspaces_are_records(
+    driver: &LoopbackBytesDriver,
+    initiator: HostId,
+    served: usize,
+) {
+    let mgr = driver.core(initiator).workflow_mgr();
+    assert_eq!(mgr.len(), served, "the record of every workflow is kept");
+    for ws in mgr.iter() {
+        assert_eq!(ws.phase, Phase::Completed, "{ws}");
+        assert!(
+            ws.working().is_none(),
+            "{ws} still has its working set after {served} workflows"
+        );
+        assert!(ws.construction.is_some() && !ws.report.assignments.is_empty());
+    }
+}
+
 #[test]
-fn armed_timers_and_open_slots_do_not_grow_with_workflows_served() {
+fn what_a_host_keeps_open_does_not_grow_with_workflows_served() {
     let mut driver = LoopbackBytesDriver::build(RuntimeParams::default(), configs());
     let initiator = driver.hosts()[0];
     let spec = Spec::new(["flat-l0".to_string()], [format!("flat-l{CHAIN}")]);
@@ -86,17 +111,20 @@ fn armed_timers_and_open_slots_do_not_grow_with_workflows_served() {
             seen = driver.events().len();
         }
         after.push(footprint(&driver));
+        if served == 200 || served == 2_000 {
+            assert_finished_workspaces_are_records(&driver, initiator, served);
+        }
     }
 
     // Bid holds stay armed for `bid_patience + round_timeout` of the
     // virtual clock, a few dozen workflows here; the bound is taken
     // once that window is full and must still hold 1 800 workflows on.
-    let (timer_bound, slot_bound) = after[100..200]
+    let (timer_bound, slot_bound, plan_bound) = after[100..200]
         .iter()
-        .fold((0, 0), |(t, s), &(timers, slots)| {
-            (t.max(timers), s.max(slots))
+        .fold((0, 0, 0), |(t, s, p), &(timers, slots, plans)| {
+            (t.max(timers), s.max(slots), p.max(plans))
         });
-    for (i, &(timers, slots)) in after.iter().enumerate().skip(1_900) {
+    for (i, &(timers, slots, plans)) in after.iter().enumerate().skip(1_900) {
         assert!(
             timers <= timer_bound,
             "{timers} timers armed after workflow {}, {timer_bound} after workflows 101..=200",
@@ -105,6 +133,11 @@ fn armed_timers_and_open_slots_do_not_grow_with_workflows_served() {
         assert!(
             slots <= slot_bound,
             "{slots} open slots after workflow {}, {slot_bound} after workflows 101..=200",
+            i + 1
+        );
+        assert!(
+            plans <= plan_bound,
+            "{plans} plans installed after workflow {}, {plan_bound} after workflows 101..=200",
             i + 1
         );
     }

@@ -60,7 +60,7 @@ impl NetMetrics {
 /// paper's §5 observation.
 pub struct SimNetwork<M: Message, A: Actor<M>> {
     actors: Vec<A>,
-    queue: EventQueue<M>,
+    queue: EventQueue<EventKind<M>>,
     now: SimTime,
     topology: Topology,
     latency: Box<dyn LatencyModel>,
@@ -216,7 +216,7 @@ impl<M: Message, A: Actor<M>> SimNetwork<M, A> {
         };
         let free_at = self.busy_until[target.index()];
         if free_at > self.now {
-            self.queue.schedule(free_at, ev.kind);
+            self.queue.defer(target, free_at, ev.kind);
             return true;
         }
         match ev.kind {
