@@ -31,11 +31,6 @@ impl IngestOutcome {
     pub fn frames_per_sec(&self) -> f64 {
         self.frames as f64 / self.elapsed.as_secs_f64().max(1e-9)
     }
-
-    /// Socket throughput in MiB per second.
-    pub fn mib_per_sec(&self) -> f64 {
-        (self.bytes as f64 / (1024.0 * 1024.0)) / self.elapsed.as_secs_f64().max(1e-9)
-    }
 }
 
 /// Blasts `frames` envelope frames (each carrying one encoded fragment)

@@ -87,21 +87,6 @@ impl From<crate::ids::Interned> for FragmentId {
     }
 }
 
-#[cfg(feature = "serde")]
-impl serde::Serialize for FragmentId {
-    fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        s.serialize_str(self.as_str())
-    }
-}
-
-#[cfg(feature = "serde")]
-impl<'de> serde::Deserialize<'de> for FragmentId {
-    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let s = <String as serde::Deserialize>::deserialize(d)?;
-        Ok(FragmentId::new(s))
-    }
-}
-
 /// A named piece of knowhow: a small, valid workflow intended for
 /// composition.
 #[derive(Clone, Debug)]

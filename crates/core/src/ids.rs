@@ -13,11 +13,6 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::{OnceLock, RwLock};
 
-#[cfg(feature = "serde")]
-use serde::de::{Deserialize, Deserializer};
-#[cfg(feature = "serde")]
-use serde::ser::{Serialize, Serializer};
-
 /// A process-wide interned string id.
 ///
 /// Two `Sym`s are equal iff they were interned from equal strings, so
@@ -405,21 +400,6 @@ macro_rules! semantic_id {
                 self.as_str()
             }
         }
-
-        #[cfg(feature = "serde")]
-        impl Serialize for $name {
-            fn serialize<Se: Serializer>(&self, s: Se) -> Result<Se::Ok, Se::Error> {
-                s.serialize_str(self.as_str())
-            }
-        }
-
-        #[cfg(feature = "serde")]
-        impl<'de> Deserialize<'de> for $name {
-            fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-                let s = String::deserialize(d)?;
-                Ok($name::new(s))
-            }
-        }
     };
 }
 
@@ -450,7 +430,6 @@ semantic_id!(
 /// disjunctive, requiring only one of its inputs" (§2.2). Label nodes are
 /// always treated as disjunctive by the construction algorithm.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Mode {
     /// All inputs are required before the node can fire / be reached.
     Conjunctive,
@@ -469,7 +448,6 @@ impl fmt::Display for Mode {
 
 /// The two kinds of nodes in the bipartite workflow graph.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum NodeKind {
     /// A data/condition label (oval in the paper's Figure 1).
     Label,

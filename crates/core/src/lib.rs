@@ -77,8 +77,6 @@ pub mod fx;
 pub mod graph;
 pub mod ids;
 pub mod prune;
-#[cfg(feature = "serde")]
-mod serde_impls;
 pub mod spec;
 pub mod store;
 pub mod supergraph;

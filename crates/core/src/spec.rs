@@ -21,7 +21,6 @@ use crate::workflow::Workflow;
 /// `triggers` is ι (conditions available in the environment) and `goals` is
 /// ω (labels the workflow must deliver).
 #[derive(Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Spec {
     triggers: BTreeSet<Label>,
     goals: BTreeSet<Label>,

@@ -583,58 +583,73 @@ mod tests {
         .unwrap()
     }
 
+    /// Runs one test body against each store; `$s` is a fresh empty one.
+    macro_rules! on_both_stores {
+        (|$s:ident| $body:block) => {{
+            let mut $s = InMemoryFragmentStore::new();
+            $body
+            let mut $s = ShardedFragmentStore::new();
+            $body
+        }};
+    }
+
     #[test]
     fn insert_and_lookup() {
-        let mut s = InMemoryFragmentStore::new();
-        assert!(s.insert(frag("f1", "t1", &["a"], &["b"])));
-        assert!(s.insert(frag("f2", "t2", &["b"], &["c"])));
-        assert_eq!(s.len(), 2);
-        assert!(s.get(&FragmentId::new("f1")).is_some());
-        assert!(s.get(&FragmentId::new("zz")).is_none());
+        on_both_stores!(|s| {
+            assert!(s.insert(frag("f1", "t1", &["a"], &["b"])));
+            assert!(s.insert(frag("f2", "t2", &["b"], &["c"])));
+            assert_eq!(s.len(), 2);
+            assert!(s.get(&FragmentId::new("f1")).is_some());
+            assert!(s.get(&FragmentId::new("zz")).is_none());
+        });
     }
 
     #[test]
     fn inserting_shared_arcs_does_not_reallocate() {
         let f = Arc::new(frag("f1", "t1", &["a"], &["b"]));
-        let mut s = InMemoryFragmentStore::new();
-        s.insert(Arc::clone(&f));
-        let got = s.get(&FragmentId::new("f1")).unwrap();
-        assert!(Arc::ptr_eq(got, &f), "stored handle shares the allocation");
-        let hits = s.consuming(&[Label::new("a")]);
-        assert!(Arc::ptr_eq(&hits[0], &f), "queries share the allocation");
+        on_both_stores!(|s| {
+            s.insert(Arc::clone(&f));
+            let got = s.get(&FragmentId::new("f1")).unwrap();
+            assert!(Arc::ptr_eq(got, &f), "stored handle shares the allocation");
+            let hits = s.consuming(&[Label::new("a")]);
+            assert!(Arc::ptr_eq(&hits[0], &f), "queries share the allocation");
+        });
     }
 
     #[test]
     fn consuming_matches_input_labels() {
-        let mut s = InMemoryFragmentStore::new();
-        s.insert(frag("f1", "t1", &["a"], &["b"]));
-        s.insert(frag("f2", "t2", &["b"], &["c"]));
-        s.insert(frag("f3", "t3", &["a", "x"], &["d"]));
-        let hits = s.consuming(&[Label::new("a")]);
-        let ids: Vec<&str> = hits.iter().map(|f| f.id().as_str()).collect();
-        assert_eq!(ids, ["f1", "f3"]);
-        assert!(s.consuming(&[Label::new("nope")]).is_empty());
+        on_both_stores!(|s| {
+            s.insert(frag("f1", "t1", &["a"], &["b"]));
+            s.insert(frag("f2", "t2", &["b"], &["c"]));
+            s.insert(frag("f3", "t3", &["a", "x"], &["d"]));
+            let hits = s.consuming(&[Label::new("a")]);
+            let ids: Vec<&str> = hits.iter().map(|f| f.id().as_str()).collect();
+            assert_eq!(ids, ["f1", "f3"]);
+            assert!(s.consuming(&[Label::new("nope")]).is_empty());
+        });
     }
 
     #[test]
     fn consuming_dedupes_across_query_labels() {
-        let mut s = InMemoryFragmentStore::new();
-        s.insert(frag("f", "t", &["a", "b"], &["c"]));
-        let hits = s.consuming(&[Label::new("a"), Label::new("b")]);
-        assert_eq!(hits.len(), 1);
+        on_both_stores!(|s| {
+            s.insert(frag("f", "t", &["a", "b"], &["c"]));
+            let hits = s.consuming(&[Label::new("a"), Label::new("b")]);
+            assert_eq!(hits.len(), 1);
+        });
     }
 
     #[test]
     fn consuming_scratch_is_clean_across_queries() {
         // Re-running the same query must keep returning every hit (a
         // stale bit in the scratch would hide fragments).
-        let mut s = InMemoryFragmentStore::new();
-        for i in 0..130 {
-            s.insert(frag(&format!("f{i}"), &format!("t{i}"), &["a"], &["b"]));
-        }
-        for _ in 0..3 {
-            assert_eq!(s.consuming(&[Label::new("a")]).len(), 130);
-        }
+        on_both_stores!(|s| {
+            for i in 0..130 {
+                s.insert(frag(&format!("f{i}"), &format!("t{i}"), &["a"], &["b"]));
+            }
+            for _ in 0..3 {
+                assert_eq!(s.consuming(&[Label::new("a")]).len(), 130);
+            }
+        });
     }
 
     #[test]
@@ -652,29 +667,39 @@ mod tests {
             .done()
             .build()
             .unwrap();
-        let mut s = InMemoryFragmentStore::new();
-        s.insert(f);
-        assert_eq!(s.consuming(&[Label::new("mid")]).len(), 1);
+        on_both_stores!(|s| {
+            s.insert(f.clone());
+            assert_eq!(s.consuming(&[Label::new("mid")]).len(), 1);
+        });
     }
 
     #[test]
     fn replacing_fragment_updates_index() {
-        let mut s = InMemoryFragmentStore::new();
-        s.insert(frag("f", "t", &["a"], &["b"]));
-        assert!(!s.insert(frag("f", "t", &["x"], &["b"])), "replacement");
-        assert_eq!(s.len(), 1);
-        assert!(s.consuming(&[Label::new("a")]).is_empty());
-        assert_eq!(s.consuming(&[Label::new("x")]).len(), 1);
+        on_both_stores!(|s| {
+            s.insert(frag("f", "t", &["a"], &["b"]));
+            assert!(!s.insert(frag("f", "t", &["x"], &["b"])), "replacement");
+            assert_eq!(s.len(), 1);
+            assert!(s.consuming(&[Label::new("a")]).is_empty());
+            assert_eq!(s.consuming(&[Label::new("x")]).len(), 1);
+        });
     }
 
     #[test]
     fn replace_prunes_empty_label_buckets() {
-        let mut s = InMemoryFragmentStore::new();
-        s.insert(frag("f", "t", &["only-a"], &["b"]));
-        s.insert(frag("f", "t", &["only-x"], &["b"]));
+        let versions = [
+            frag("f", "t", &["only-a"], &["b"]),
+            frag("f", "t", &["only-x"], &["b"]),
+        ];
+        let mono: InMemoryFragmentStore = versions.iter().cloned().collect();
+        let sharded: ShardedFragmentStore = versions.into_iter().collect();
         // The `only-a` bucket is gone entirely, not left as an empty Vec.
-        assert_eq!(s.by_consumed_label.len(), 1);
-        assert!(s.by_consumed_label.contains_key(&Label::new("only-x")));
+        for index in [
+            &mono.by_consumed_label,
+            &sharded.shards[0].by_consumed_label,
+        ] {
+            assert_eq!(index.len(), 1);
+            assert!(index.contains_key(&Label::new("only-x")));
+        }
     }
 
     #[test]

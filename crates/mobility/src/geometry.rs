@@ -3,7 +3,7 @@
 use std::fmt;
 
 /// A position on the site plane, in meters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Point {
     /// East-west coordinate (m).
     pub x: f64,
@@ -43,7 +43,7 @@ impl fmt::Display for Point {
 
 /// An axis-aligned rectangle, used as the arena for random-waypoint
 /// mobility.
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Rect {
     /// Minimum corner.
     pub min: Point,

@@ -10,7 +10,7 @@ use std::fmt;
 use crate::geometry::Point;
 
 /// A named location on the site.
-#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Place {
     /// The symbolic name.
     pub name: String,
@@ -35,7 +35,7 @@ impl fmt::Display for Place {
 }
 
 /// A registry of named places.
-#[derive(Clone, Debug, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct SiteMap {
     places: BTreeMap<String, Point>,
 }

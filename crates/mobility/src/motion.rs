@@ -10,7 +10,7 @@ use std::fmt;
 use crate::geometry::Point;
 
 /// A participant's motion capability: how fast it can move.
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Motion {
     /// Sustained speed in meters per second.
     pub speed_mps: f64,

@@ -19,7 +19,7 @@ use crate::motion::Motion;
 ///
 /// Positions before the first waypoint equal the first; after the last,
 /// the participant stays at the last.
-#[derive(Clone, Debug, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct WaypointPlan {
     /// `(seconds since start, position)`, sorted by time.
     waypoints: Vec<(f64, Point)>,

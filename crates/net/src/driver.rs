@@ -15,14 +15,14 @@
 //!
 //! The simulated drivers know exactly when nothing remains. A socket
 //! driver cannot: silence might be in-flight bytes. [`Driver::step`]
-//! therefore reports quiescence only after `idle_grace` of continuous
-//! silence **and** no core timer due within `timer_horizon`. The
-//! horizon matters: [`openwf_runtime::RuntimeParams`] defaults include
-//! a 24-hour execution watchdog, which must not keep a wall-clock
-//! driver alive — a wedged run stops after the grace period and the
-//! caller reads the non-terminal report. Timers *within* the horizon
-//! (round timeouts, bid patience) are waited for and fired, which is
-//! how a silent peer's timeout drives repair instead of a wedge.
+//! therefore reports quiescence only after `IDLE_GRACE` (200 ms) of
+//! continuous silence **and** no core timer due within `TIMER_HORIZON`
+//! (2 s). The horizon matters: [`openwf_runtime::RuntimeParams`]
+//! defaults include a 24-hour execution watchdog, which must not keep a
+//! wall-clock driver alive — a wedged run stops after the grace period
+//! and the caller reads the non-terminal report. Timers *within* the
+//! horizon (round timeouts, bid patience) are waited for and fired,
+//! which is how a silent peer's timeout drives repair instead of a wedge.
 //!
 //! A step sweeps every server without waiting; only when none had
 //! anything to do does the driver block, once, in `poll(2)` over the
@@ -44,12 +44,18 @@ use crate::sys::{self, PollFd};
 /// one community).
 pub const DRIVER_COMMUNITY: u64 = 0;
 
+/// Continuous silence after which a step reports quiescence: in-flight
+/// loopback bytes surface well within it.
+const IDLE_GRACE: Duration = Duration::from_millis(200);
+
+/// How far ahead a pending core timer still counts as progress to wait
+/// for, not as a wedge.
+const TIMER_HORIZON: Duration = Duration::from_secs(2);
+
 /// A community of [`HostCore`]s cooperating over real TCP sockets.
 pub struct TcpCommunityDriver {
     servers: Vec<NetServer>,
     clock: WallClock,
-    idle_grace: Duration,
-    timer_horizon: Duration,
     last_activity: Instant,
     /// The descriptor set of an idle wait, reused.
     pollfds: Vec<PollFd>,
@@ -94,17 +100,9 @@ impl TcpCommunityDriver {
         Ok(TcpCommunityDriver {
             servers,
             clock,
-            idle_grace: Duration::from_millis(200),
-            timer_horizon: Duration::from_secs(2),
             last_activity: Instant::now(),
             pollfds: Vec::new(),
         })
-    }
-
-    /// Overrides the quiescence tuning (tests shortening a wedge wait).
-    pub fn set_quiescence(&mut self, idle_grace: Duration, timer_horizon: Duration) {
-        self.idle_grace = idle_grace;
-        self.timer_horizon = timer_horizon;
     }
 
     /// The shared observability registry (`net.*` transport metrics of
@@ -192,8 +190,8 @@ impl Driver for TcpCommunityDriver {
             .filter_map(NetServer::next_timer_due)
             .min()
             .map(|due| self.clock.until(due))
-            .filter(|until| *until <= self.timer_horizon);
-        let grace_left = self.idle_grace.saturating_sub(self.last_activity.elapsed());
+            .filter(|until| *until <= TIMER_HORIZON);
+        let grace_left = IDLE_GRACE.saturating_sub(self.last_activity.elapsed());
         let wait = match near_timer {
             Some(until) => until,
             None if grace_left.is_zero() => return false,

@@ -3,17 +3,16 @@
 //! Perfetto; for a metrics snapshot, [`value_to_json`]; plus a minimal
 //! JSON validator used by the CI gate.
 //!
-//! All of them hand-roll JSON (the workspace carries no JSON crate and
-//! its serde shim no serializer backends) through one escaper. In the
-//! Chrome export each *trace id* becomes a process (`pid`) and each
-//! host a thread (`tid`), so one problem's lifecycle lines up as a
-//! single row group with per-host lanes; async begin/end events are
-//! keyed by the trace id and tolerate interleaved problems on a host.
+//! All of them hand-roll JSON (the workspace carries no JSON crate)
+//! through one escaper. In the Chrome export each *trace id* becomes a
+//! process (`pid`) and each host a thread (`tid`), so one problem's
+//! lifecycle lines up as a single row group with per-host lanes; async
+//! begin/end events are keyed by the trace id and tolerate interleaved
+//! problems on a host.
 
 use std::fmt::Write as _;
 
-use serde::Value;
-
+use crate::metrics::Value;
 use crate::trace::{trace_id_label, SpanPhase, TraceEvent};
 
 /// Escapes a string for embedding in a JSON string literal.
@@ -35,7 +34,7 @@ fn escape_json(s: &str) -> String {
     out
 }
 
-/// Renders a serde-shim [`Value`] tree as compact JSON — what a metrics
+/// Renders a [`Value`] tree as compact JSON — what a metrics
 /// scrape prints for a [`crate::MetricsRegistry::snapshot`].
 pub fn value_to_json(value: &Value) -> String {
     let mut out = String::new();
@@ -49,13 +48,6 @@ fn write_value(value: &Value, out: &mut String) {
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
         Value::I64(v) => out.push_str(&v.to_string()),
         Value::U64(v) => out.push_str(&v.to_string()),
-        Value::F64(v) => {
-            if v.is_finite() {
-                out.push_str(&v.to_string());
-            } else {
-                out.push_str("null"); // JSON has no NaN/Inf
-            }
-        }
         Value::Str(s) => write_string(s, out),
         Value::Seq(items) => {
             out.push('[');

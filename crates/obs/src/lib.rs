@@ -3,7 +3,7 @@
 //! Two collectors, one handle:
 //!
 //! - [`MetricsRegistry`] — lock-free named counters, gauges, and
-//!   fixed-bucket histograms, snapshot-able into the serde value tree.
+//!   fixed-bucket histograms, snapshot-able into a [`Value`] tree.
 //! - [`TraceSink`] — causal workflow trace events keyed by
 //!   `(trace id, host)` with virtual-time timestamps, exportable as
 //!   JSONL or Chrome `trace_event` JSON ([`export`]).
@@ -15,18 +15,16 @@
 //! observability gate property-tests exactly that: soak outcomes are
 //! bit-identical with collectors on or off.
 //!
-//! This crate is std-only and sits below every other layer (it depends
-//! only on the serde shim), so core, wire, simnet, and runtime can all
-//! thread the same registry through without dependency cycles.
+//! This crate is std-only and sits below every other layer (it has no
+//! dependency), so core, wire, simnet, and runtime can all thread the
+//! same registry through without dependency cycles.
 
 mod export;
 mod metrics;
 mod trace;
 
 pub use export::{to_chrome_trace, to_jsonl, validate_json, value_to_json};
-pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry, HISTOGRAM_BUCKETS};
-/// The value tree [`MetricsRegistry::snapshot`] returns.
-pub use serde::Value;
+pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry, Value, HISTOGRAM_BUCKETS};
 pub use trace::{
     flight_tail, pack_trace_id, trace_id_label, unpack_trace_id, SpanPhase, TraceEvent, TraceSink,
 };

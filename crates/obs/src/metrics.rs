@@ -9,15 +9,33 @@
 //! are `Clone` and can be resolved ahead of time so steady-state code
 //! never touches the name table.
 //!
-//! [`MetricsRegistry::snapshot`] renders the whole registry into the
-//! serde shim's [`Value`] tree (sorted by name) so callers can diff,
-//! render, or embed it without this crate prescribing a format.
+//! [`MetricsRegistry::snapshot`] renders the whole registry into a
+//! [`Value`] tree (sorted by name) so callers can diff, render, or embed
+//! it without this crate prescribing a format.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use serde::Value;
+/// The self-describing tree [`MetricsRegistry::snapshot`] returns and
+/// [`crate::value_to_json`] renders.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Value {
+    /// The unit value.
+    Unit,
+    /// A boolean.
+    Bool(bool),
+    /// A signed integer.
+    I64(i64),
+    /// An unsigned integer.
+    U64(u64),
+    /// A string.
+    Str(String),
+    /// A sequence.
+    Seq(Vec<Value>),
+    /// A map: ordered key → value pairs.
+    Map(Vec<(Value, Value)>),
+}
 
 /// Number of power-of-two histogram buckets. Bucket `i` counts samples
 /// whose bit length is `i` (bucket 0 holds zeros, bucket 1 holds 1,
@@ -204,7 +222,7 @@ impl MetricsRegistry {
         }))
     }
 
-    /// Snapshots every registered metric into a serde [`Value`] map:
+    /// Snapshots every registered metric into a [`Value`] map:
     /// `{counters: {name: u64}, gauges: {name: i64}, histograms:
     /// {name: {count, sum, buckets}}}`, all sorted by name.
     pub fn snapshot(&self) -> Value {

@@ -607,11 +607,6 @@ impl HostCore {
         self.outbound = mode;
     }
 
-    /// The current outbound emission mode.
-    pub fn outbound_mode(&self) -> OutboundMode {
-        self.outbound
-    }
-
     /// Number of peer frames/replies rejected at the vocabulary trust
     /// boundary (see [`HostConfig::max_interned_names`]).
     pub fn vocabulary_rejections(&self) -> u64 {

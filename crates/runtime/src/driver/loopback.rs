@@ -167,11 +167,6 @@ impl LoopbackBytesDriver {
         self.wire_chaos = Some((chaos, rng));
     }
 
-    /// Removes the wire fault model; subsequent frames travel clean.
-    pub fn clear_wire_chaos(&mut self) {
-        self.wire_chaos = None;
-    }
-
     /// Traffic counters (exact wire bytes).
     pub fn stats(&self) -> LoopbackStats {
         self.stats

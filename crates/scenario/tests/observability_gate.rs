@@ -94,7 +94,7 @@ fn partition_heal_exports_a_stitched_chrome_trace() {
     assert!(obs.metrics.counter("core.messages").get() > 0);
     assert!(obs.metrics.counter("core.auctions").get() > 0);
 
-    // The snapshot renders into the serde value tree without panicking.
+    // The snapshot renders into obs's value tree without panicking.
     let snapshot = obs.metrics.snapshot();
     assert!(format!("{snapshot:?}").contains("net.delivered"));
 }

@@ -1,12 +1,12 @@
 //! Fault injection: message loss, duplication, reordering and host crashes.
 //!
-//! Used by the robustness tests, the workflow-repair experiment (E6 in
-//! DESIGN.md) and the chaos soak harness: a crashed host silently stops
-//! receiving and sending, as a powered-off device would; lossy links drop
-//! messages with a configured probability (globally or per directed link,
-//! so asymmetric paths are expressible); duplication re-delivers a copy of
-//! a message with its own independent latency; reordering adds random
-//! extra jitter so later sends can overtake earlier ones.
+//! Used by the robustness tests, the workflow-repair experiment (E6,
+//! `figures repair`) and the chaos soak harness: a crashed host silently
+//! stops receiving and sending, as a powered-off device would; lossy links
+//! drop messages with a configured probability (globally or per directed
+//! link, so asymmetric paths are expressible); duplication re-delivers a
+//! copy of a message with its own independent latency; reordering adds
+//! random extra jitter so later sends can overtake earlier ones.
 //!
 //! All decisions draw from the kernel RNG **only when the corresponding
 //! probability is non-zero**, so configurations that leave a fault class

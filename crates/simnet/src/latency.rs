@@ -108,7 +108,7 @@ impl LatencyModel for UniformLatency {
 ///   the effect that inflates Figure 6 over Figure 5.
 ///
 /// This is the documented substitution for the paper's four-MacBook
-/// 802.11g testbed (see DESIGN.md §5).
+/// 802.11g testbed (README, "Benchmarks and figures": `figures fig6`).
 #[derive(Clone, Debug)]
 pub struct Wireless80211g {
     /// Fixed per-frame overhead.

@@ -10,7 +10,7 @@
 //! over a [`Topology`] with optional [`FaultInjector`] drops and crashes.
 //! All experiments in the paper's §5 run on this kernel (the paper ran
 //! its simulations "within a single JVM … through a simulated network").
-//! Real threads, sockets and wall-clock timers live in `openwf-net`.
+//! Real sockets and wall-clock timers live in `openwf-net`.
 //!
 //! Determinism: with the same seed and the same actor behavior, a
 //! [`SimNetwork`] run produces the identical event sequence — a property

@@ -6,9 +6,7 @@ use std::fmt;
 ///
 /// Host ids are assigned densely by the network in the order hosts are
 /// added, which keeps experiment setup deterministic.
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct HostId(pub u32);
 
 impl HostId {

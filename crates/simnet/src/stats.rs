@@ -7,7 +7,7 @@ use std::fmt;
 /// The incremental-vs-full construction ablation (E5) and the scalability
 /// experiments read these to report message and byte volumes alongside
 /// timings.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct NetStats {
     /// Messages handed to the network.

@@ -8,9 +8,7 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
 /// A duration of virtual time (microseconds).
-#[derive(
-    Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SimDuration(u64);
 
 impl SimDuration {
@@ -103,9 +101,7 @@ impl fmt::Display for SimDuration {
 }
 
 /// An instant of virtual time (microseconds since simulation start).
-#[derive(
-    Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SimTime(u64);
 
 impl SimTime {

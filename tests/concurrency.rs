@@ -2,8 +2,8 @@
 //!
 //! §4.2: "Our architecture permits multiple open workflows to be
 //! constructed and executed concurrently within the same community and
-//! even within the same host." (The same hosts over real threads and
-//! sockets are `crates/net/tests/socket_driver.rs` and `serve_process.rs`.)
+//! even within the same host." (The same hosts over real sockets are
+//! `crates/net/tests/socket_driver.rs` and `serve_process.rs`.)
 
 use openworkflow::prelude::*;
 
