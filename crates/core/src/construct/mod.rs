@@ -95,11 +95,6 @@ impl Construction {
         &self.workflow
     }
 
-    /// Consumes the construction, returning the workflow.
-    pub fn into_workflow(self) -> Workflow {
-        self.workflow
-    }
-
     /// Fragments from the community knowledge that contributed a node or
     /// edge to the final workflow, sorted by id.
     pub fn fragments_used(&self) -> &[FragmentId] {

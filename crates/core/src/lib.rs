@@ -22,8 +22,6 @@
 //! * The **incremental** variant that pulls fragments from a
 //!   [`FragmentSource`] on demand, extending the supergraph only along the
 //!   boundary of the colored region (`construct::incremental`).
-//! * **Richer specifications** (§5.1 future work, implemented): task
-//!   preferences and graph-shape limits ([`SpecConstraints`]).
 //!
 //! The distributed runtime (managers, auctions, execution) lives in the
 //! `openwf-runtime` crate; this crate is purely algorithmic and has no
@@ -68,9 +66,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod compose;
-pub mod constraints;
 pub mod construct;
-pub mod dot;
 pub mod error;
 pub mod fragment;
 pub mod fx;
@@ -84,7 +80,6 @@ pub mod validate;
 pub mod workflow;
 
 pub use compose::{compose, compose_all};
-pub use constraints::{construct_constrained, ConstrainedError, SpecConstraints};
 pub use construct::incremental::{FragmentSource, IncrementalConstructor, SizeHints};
 pub use construct::{ConstructError, Construction, Constructor, PickOrder};
 pub use error::{ComposeError, ModelError};

@@ -83,11 +83,6 @@ impl Workflow {
         &self.graph
     }
 
-    /// Consumes the workflow, returning the underlying graph.
-    pub fn into_graph(self) -> Graph {
-        self.graph
-    }
-
     /// The inset `W.in`: source labels, i.e. the triggering conditions the
     /// workflow requires from the environment.
     pub fn inset(&self) -> &BTreeSet<Label> {

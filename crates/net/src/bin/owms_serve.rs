@@ -31,12 +31,11 @@ use std::io::Write as _;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use openwf_net::{NetServer, QueueCaps, ServerConfig, WallClock};
+use openwf_net::{NetServer, ServerConfig, WallClock};
 use openwf_obs::{to_jsonl, value_to_json, MetricsRegistry, Obs, TraceSink};
 use openwf_runtime::config::parse_host_config;
 use openwf_runtime::{HostConfig, ProblemId, RuntimeParams, WorkflowEvent};
 use openwf_simnet::HostId;
-use openwf_wire::StoragePolicy;
 
 /// One `--submit C:H:in1+in2->g1+g2` directive.
 struct Submission {
@@ -64,8 +63,6 @@ struct Args {
     trace_jsonl: Option<String>,
     digests: Vec<(u64, HostId)>,
     seed: Option<u64>,
-    queue_frames: usize,
-    compact_min_bytes: Option<u64>,
     operator_ingest: Option<usize>,
 }
 
@@ -78,8 +75,7 @@ fn usage(err: &str) -> String {
            [--submit C:H:in1+in2->g1+g2]... [--wait-peers N] [--dial] [--fast]\n\
            [--pause-ms MS]\n\
            [--max-runtime-ms MS] [--metrics] [--trace-jsonl PATH]\n\
-           [--print-digest C:H]... [--seed N] [--queue-frames N]\n\
-           [--compact-min-bytes N] [--operator-ingest NAME_CAP]"
+           [--print-digest C:H]... [--seed N] [--operator-ingest NAME_CAP]"
     )
 }
 
@@ -135,8 +131,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         trace_jsonl: None,
         digests: Vec::new(),
         seed: None,
-        queue_frames: QueueCaps::default().max_frames,
-        compact_min_bytes: None,
         operator_ingest: None,
     };
     let mut it = argv.iter();
@@ -217,18 +211,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                         .map_err(|_| "bad --seed".to_string())?,
                 );
             }
-            "--queue-frames" => {
-                args.queue_frames = value("--queue-frames")?
-                    .parse()
-                    .map_err(|_| "bad --queue-frames".to_string())?;
-            }
-            "--compact-min-bytes" => {
-                args.compact_min_bytes = Some(
-                    value("--compact-min-bytes")?
-                        .parse()
-                        .map_err(|_| "bad --compact-min-bytes".to_string())?,
-                );
-            }
             // Off by default: accepting fragment/spec envelopes from
             // the open listen socket is the operator's call, and the
             // cap bounds the names each connection may intern.
@@ -280,10 +262,6 @@ fn main() -> ExitCode {
     let mut server = match NetServer::new(ServerConfig {
         name: args.name.clone(),
         listen: args.listen.clone(),
-        queue_caps: QueueCaps {
-            max_frames: args.queue_frames,
-            ..QueueCaps::default()
-        },
         obs: obs.clone(),
         clock: WallClock::new(),
         operator_ingest: args.operator_ingest,
@@ -327,12 +305,6 @@ fn main() -> ExitCode {
         for (dc, dh, dir) in &args.durable {
             if dc == community && dh == host {
                 config = config.with_durable_storage(dir);
-                if let Some(min) = args.compact_min_bytes {
-                    config = config.with_storage_policy(StoragePolicy {
-                        compact_min_bytes: min,
-                        ..StoragePolicy::default()
-                    });
-                }
             }
         }
         config = config.with_observability(obs.clone());

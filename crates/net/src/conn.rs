@@ -3,19 +3,19 @@
 //! socket and moves every byte itself, keeps per connection.
 //!
 //! * **Outbound.** Frames are encoded straight onto one byte buffer
-//!   ([`ConnIo::queue`]) and handed to the socket with a single `write`
-//!   per wake-up ([`ConnIo::flush`]); what the socket did not take stays
+//!   (`ConnIo::queue`) and handed to the socket with a single `write`
+//!   per wake-up (`ConnIo::flush`); what the socket did not take stays
 //!   queued until it reports room. That backlog is the backpressure
 //!   boundary: bounded in frames and bytes ([`QueueCaps`]), never
 //!   blocking, and when full a *policy decision* surfaced to the caller
-//!   ([`Full`]) — the server's slow-peer policy disconnects rather than
+//!   (`Full`) — the server's slow-peer policy disconnects rather than
 //!   buffer without bound or stall every other connection.
 //! * **Inbound** needs no cap of its own: the loop reads into one
-//!   buffer, at most [`READ_BUDGET`] bytes per connection per turn, and
+//!   buffer, at most `READ_BUDGET` bytes per connection per turn, and
 //!   decodes in place, so user space holds that buffer plus one partial
 //!   frame per connection; the rest waits in the kernel, where TCP flow
 //!   control pushes back on the peer.
-//! * **Graceful close** ([`drain_all`]) writes every backlog out under
+//! * **Graceful close** (`drain_all`) writes every backlog out under
 //!   one deadline for the whole set — a peer that stopped *reading* must
 //!   not hang shutdown — then shuts the sockets down.
 
@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 use crate::sys::{self, PollFd, POLLIN, POLLOUT};
 
 /// How long a graceful close waits for the backlogs to reach their
-/// sockets before giving up and severing (see [`drain_all`]).
+/// sockets before giving up and severing (see `drain_all`).
 pub const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
 
 /// The loop's one read buffer is this long.

@@ -7,7 +7,7 @@
 //! segmentation, nonblocking reads and writes. The cores cannot tell
 //! this transport from a distributed deployment, which is the point —
 //! it is the same reactor `owms-serve` runs, driven through the same
-//! [`Driver`] surface as [`openwf_runtime::SimDriver`] and
+//! [`Driver`] surface as [`openwf_runtime::Community`] and
 //! [`openwf_runtime::LoopbackBytesDriver`], so any scenario written
 //! against the trait runs unchanged on real I/O.
 //!

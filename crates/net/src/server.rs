@@ -94,6 +94,12 @@ const ACCEPTS_PER_TURN: usize = 64;
 /// kernel refused (no descriptor left, say): it stays readable throughout.
 const ACCEPT_PAUSE: Duration = Duration::from_millis(10);
 
+/// TCP connect timeout for on-demand dials.
+const CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
+
+/// How long a failed dial suppresses re-dials of the same address.
+const DIAL_BACKOFF: Duration = Duration::from_millis(250);
+
 /// Construction parameters for a [`NetServer`].
 #[derive(Debug)]
 pub struct ServerConfig {
@@ -104,10 +110,6 @@ pub struct ServerConfig {
     pub listen: Option<String>,
     /// Outbound backlog caps applied to every connection.
     pub queue_caps: QueueCaps,
-    /// TCP connect timeout for on-demand dials.
-    pub connect_timeout: Duration,
-    /// How long a failed dial suppresses re-dials of the same address.
-    pub dial_backoff: Duration,
     /// Observability sinks; `net.*` transport metrics land here. Pass
     /// the same [`Obs`] to each core's
     /// [`HostConfig::with_observability`] to get one unified registry.
@@ -133,8 +135,6 @@ impl Default for ServerConfig {
             name: "owms".into(),
             listen: Some("127.0.0.1:0".into()),
             queue_caps: QueueCaps::default(),
-            connect_timeout: Duration::from_millis(500),
-            dial_backoff: Duration::from_millis(250),
             obs: Obs::enabled(),
             clock: WallClock::new(),
             operator_ingest: None,
@@ -260,8 +260,6 @@ pub struct NetServer {
     /// Failed dial suppression.
     backoff: HashMap<SocketAddr, Instant>,
     queue_caps: QueueCaps,
-    connect_timeout: Duration,
-    dial_backoff: Duration,
     operator_ingest: Option<usize>,
     shutdown_requested: bool,
     /// No local core has a timer due before this (`None`: none has a
@@ -324,8 +322,6 @@ impl NetServer {
             events: Vec::new(),
             backoff: HashMap::new(),
             queue_caps: config.queue_caps,
-            connect_timeout: config.connect_timeout,
-            dial_backoff: config.dial_backoff,
             operator_ingest: config.operator_ingest,
             shutdown_requested: false,
             timer_wake: None,
@@ -494,22 +490,10 @@ impl NetServer {
         self.obs.metrics.snapshot()
     }
 
-    /// The know-how digest of one local core: every stored fragment's
-    /// wire encoding, sorted. Order-insensitive, so a socket run and a
-    /// simulator run of the same scenario compare bit-identical.
+    /// The know-how digest of one local core
+    /// ([`openwf_runtime::fragment_mgr::FragmentManager::knowhow_digest`]).
     pub fn knowhow_digest(&self, community: u64, host: HostId) -> Vec<Vec<u8>> {
-        let mut digest: Vec<Vec<u8>> = self
-            .core(community, host)
-            .fragment_mgr()
-            .fragments()
-            .map(|f| {
-                let mut bytes = Vec::new();
-                openwf_wire::encode_fragment(f, &mut bytes);
-                bytes
-            })
-            .collect();
-        digest.sort();
-        digest
+        self.core(community, host).fragment_mgr().knowhow_digest()
     }
 
     /// [`NetServer::knowhow_digest`] folded to a printable 64-bit FNV-1a
@@ -768,7 +752,7 @@ impl NetServer {
         {
             return None;
         }
-        match TcpStream::connect_timeout(&addr, self.connect_timeout) {
+        match TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT) {
             Ok(stream) => {
                 let id = self.register_conn(stream)?;
                 self.metrics.conn_dialed.inc();
@@ -778,8 +762,7 @@ impl NetServer {
                 Some(id)
             }
             Err(_) => {
-                self.backoff
-                    .insert(addr, Instant::now() + self.dial_backoff);
+                self.backoff.insert(addr, Instant::now() + DIAL_BACKOFF);
                 None
             }
         }

@@ -545,8 +545,9 @@ pub fn frame_is_fragment_reply(buf: &[u8]) -> Result<bool, WireError> {
 /// The exact encoded size of a message in bytes (one full frame).
 ///
 /// Allocates a scratch buffer per call; the simulator's bandwidth model
-/// keeps its cheap arithmetic approximation ([`crate::Msg::wire_size`])
-/// on the hot path and uses this for calibration.
+/// keeps its cheap arithmetic approximation ([`Msg`]'s
+/// [`openwf_simnet::Message::wire_size`]) on the hot path and uses this
+/// for calibration.
 pub fn encoded_len(msg: &Msg) -> usize {
     let mut buf = Vec::new();
     encode_msg(msg, &mut buf);
@@ -563,32 +564,14 @@ pub fn encoded_len(msg: &Msg) -> usize {
 /// off the wire: the vocabulary check runs at decode, *before* any peer
 /// name would be interned, rather than at reply admission.
 ///
+/// `scratch` is the host's per-connection decode state, so repeated
+/// reply traffic hits the fragment-identity cache and reuses all decode
+/// buffers.
+///
 /// # Errors
 ///
 /// Any [`WireError`]; on [`WireError::VocabularyExceeded`] the budget
 /// and interner are untouched and the reply must be dropped.
-pub fn reply_through_wire(
-    problem: ProblemId,
-    round: u32,
-    fragments: Vec<Arc<Fragment>>,
-    budget: &mut VocabularyBudget,
-) -> Result<Vec<Arc<Fragment>>, WireError> {
-    reply_through_wire_with(
-        problem,
-        round,
-        fragments,
-        budget,
-        &mut DecodeScratch::with_cache_capacity(0),
-    )
-}
-
-/// [`reply_through_wire`] with per-connection decode state — the
-/// receive path a long-lived host uses so repeated reply traffic hits
-/// the fragment-identity cache and reuses all decode buffers.
-///
-/// # Errors
-///
-/// Same as [`reply_through_wire`].
 pub fn reply_through_wire_with(
     problem: ProblemId,
     round: u32,
@@ -807,12 +790,15 @@ mod tests {
     fn over_budget_reply_is_rejected_at_decode() {
         let fragments = vec![frag("rc-cap-1")]; // 5 distinct names
         let mut budget = VocabularyBudget::with_cap(3);
-        let err = reply_through_wire(p(), 0, fragments.clone(), &mut budget).unwrap_err();
+        let mut scratch = DecodeScratch::new();
+        let err = reply_through_wire_with(p(), 0, fragments.clone(), &mut budget, &mut scratch)
+            .unwrap_err();
         assert!(matches!(err, WireError::VocabularyExceeded { cap: 3, .. }));
         assert_eq!(budget.len(), 0, "rejected frame records nothing");
 
         let mut budget = VocabularyBudget::with_cap(10);
-        let decoded = reply_through_wire(p(), 0, fragments.clone(), &mut budget).unwrap();
+        let decoded =
+            reply_through_wire_with(p(), 0, fragments.clone(), &mut budget, &mut scratch).unwrap();
         assert_eq!(decoded.len(), 1);
         assert!(
             !Arc::ptr_eq(&decoded[0], &fragments[0]),

@@ -2,25 +2,25 @@
 //!
 //! A [`Community`] is a set of configured [`OwmsHost`]s on a simulated
 //! network — the §5 experimental setup ("configure the hosts, establish
-//! connectivity within the community") plus convenience drivers that
-//! submit problems and run the network until allocation or completion.
-//! It is a facade over [`SimDriver`], the simulator implementation of
-//! the transport-agnostic [`Driver`] API; the same scenarios run over
-//! encoded wire frames through
-//! [`crate::driver::LoopbackBytesDriver`].
+//! connectivity within the community") — and the simulator's
+//! implementation of the transport-agnostic [`Driver`] API: submit a
+//! problem, step, run until allocation or completion. Each host is an
+//! [`OwmsHost`] actor (the thin `simnet` adapter over
+//! [`HostCore`]), messages travel as typed [`Msg`]s through the
+//! pluggable latency/topology/fault models, and the run is a
+//! deterministic function of the seed. The same scenarios run over
+//! encoded wire frames through [`crate::driver::LoopbackBytesDriver`].
 
 use std::fmt;
 
 use openwf_core::Spec;
 use openwf_simnet::{HostId, LatencyModel, NetStats, SimNetwork, SimTime};
 
-use crate::core_sm::WorkflowEvent;
-use crate::driver::{Driver, SimDriver};
-use crate::host::{HostConfig, OwmsHost};
-use crate::messages::Msg;
+use crate::core_sm::{HostConfig, HostCore, WorkflowEvent};
+use crate::driver::Driver;
+use crate::host::OwmsHost;
+use crate::messages::{Msg, ProblemId};
 use crate::params::RuntimeParams;
-use crate::report::ProblemReport;
-use crate::workflow_mgr::Phase;
 
 pub use crate::driver::ProblemHandle;
 
@@ -77,9 +77,17 @@ impl CommunityBuilder {
             !self.hosts.is_empty(),
             "a community needs at least one host"
         );
-        Community {
-            driver: SimDriver::build(self.seed, self.params, self.latency, self.hosts),
+        let mut net: SimNetwork<Msg, OwmsHost> = SimNetwork::new(self.seed);
+        if let Some(model) = self.latency {
+            net.set_latency_boxed(model);
         }
+        let all: Vec<HostId> = (0..self.hosts.len() as u32).map(HostId).collect();
+        for cfg in self.hosts {
+            let mut host = OwmsHost::new(cfg, self.params.clone());
+            host.core_mut().set_community(all.clone());
+            net.add_host(host);
+        }
+        Community { net, next_seq: 0 }
     }
 }
 
@@ -92,46 +100,33 @@ impl fmt::Debug for CommunityBuilder {
     }
 }
 
-/// A running community of open workflow hosts.
+/// A running community of open workflow hosts on the virtual-time
+/// simulator; drive it through its [`Driver`] impl.
 pub struct Community {
-    driver: SimDriver,
+    net: SimNetwork<Msg, OwmsHost>,
+    next_seq: u32,
 }
 
 impl Community {
-    /// All host ids.
-    pub fn hosts(&self) -> Vec<HostId> {
-        self.driver.hosts()
-    }
-
-    /// Immutable access to a host.
+    /// A host's simulator adapter (its surfaced events; the protocol
+    /// state is [`Driver::core`]).
     pub fn host(&self, id: HostId) -> &OwmsHost {
-        self.driver.host(id)
+        self.net.host(id)
     }
 
-    /// Mutable access to a host (e.g. to install service hooks).
+    /// Mutable access to a host's simulator adapter.
     pub fn host_mut(&mut self, id: HostId) -> &mut OwmsHost {
-        self.driver.host_mut(id)
+        self.net.host_mut(id)
     }
 
     /// The underlying network (topology, faults, latency, stats).
     pub fn net_mut(&mut self) -> &mut SimNetwork<Msg, OwmsHost> {
-        self.driver.net_mut()
-    }
-
-    /// The underlying simulator driver (the [`Driver`]-trait view of
-    /// this community).
-    pub fn driver_mut(&mut self) -> &mut SimDriver {
-        &mut self.driver
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.driver.now()
+        &mut self.net
     }
 
     /// Network traffic counters.
     pub fn stats(&self) -> NetStats {
-        self.driver.stats()
+        self.net.stats()
     }
 
     /// Workflow events every host surfaced so far, tagged with the host
@@ -151,47 +146,43 @@ impl Community {
             })
             .collect()
     }
+}
 
-    /// Submits a problem specification to `initiator` (the Workflow
-    /// Initiator's job in §4.2). Returns a handle for driving/reporting.
-    pub fn submit(&mut self, initiator: HostId, spec: Spec) -> ProblemHandle {
-        self.driver.submit(initiator, spec)
+impl Driver for Community {
+    fn hosts(&self) -> Vec<HostId> {
+        self.net.hosts()
     }
 
-    /// The latest-attempt report for a problem, if any.
-    pub fn report(&self, handle: ProblemHandle) -> Option<ProblemReport> {
-        self.driver.report(handle)
+    fn core(&self, id: HostId) -> &HostCore {
+        self.net.host(id).core()
     }
 
-    /// The latest-attempt phase for a problem.
-    pub fn phase(&self, handle: ProblemHandle) -> Option<Phase> {
-        self.driver.phase(handle)
+    fn core_mut(&mut self, id: HostId) -> &mut HostCore {
+        self.net.host_mut(id).core_mut()
     }
 
-    /// Runs until the problem's tasks are all allocated (the paper's
-    /// measurement endpoint) or the problem fails; returns the report.
-    pub fn run_until_allocated(&mut self, handle: ProblemHandle) -> ProblemReport {
-        self.driver.run_until_allocated(handle)
+    fn now(&self) -> SimTime {
+        self.net.now()
     }
 
-    /// Runs until the problem completes (all goals delivered) or fails;
-    /// returns the report.
-    pub fn run_until_complete(&mut self, handle: ProblemHandle) -> ProblemReport {
-        self.driver.run_until_complete(handle)
+    fn submit(&mut self, initiator: HostId, spec: Spec) -> ProblemHandle {
+        let id = ProblemId::new(initiator, self.next_seq);
+        self.next_seq += 1;
+        self.net
+            .send_external(initiator, initiator, Msg::Initiate { problem: id, spec });
+        ProblemHandle { id }
     }
 
-    /// Runs the network to quiescence (drains watchdogs and hold-expiry
-    /// timers too).
-    pub fn run_to_quiescence(&mut self) -> SimTime {
-        self.driver.run_until_quiescent()
+    fn step(&mut self) -> bool {
+        self.net.step()
     }
 }
 
 impl fmt::Debug for Community {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Community")
-            .field("hosts", &self.hosts().len())
-            .field("now", &self.now())
+            .field("hosts", &self.net.len())
+            .field("now", &self.net.now())
             .finish()
     }
 }

@@ -35,7 +35,7 @@ use openwf_core::{Fragment, Mode};
 use openwf_mobility::{Motion, Point, SiteMap};
 use openwf_simnet::SimDuration;
 
-use crate::host::HostConfig;
+use crate::core_sm::HostConfig;
 use crate::prefs::Preferences;
 use crate::service::ServiceDescription;
 
@@ -204,17 +204,6 @@ pub fn parse_host_config(input: &str) -> Result<HostConfig, ConfigError> {
     Ok(config)
 }
 
-/// Parses several `<host>` documents (e.g. one file per device).
-///
-/// # Errors
-///
-/// Fails on the first invalid document.
-pub fn parse_community_configs<'a>(
-    documents: impl IntoIterator<Item = &'a str>,
-) -> Result<Vec<HostConfig>, ConfigError> {
-    documents.into_iter().map(parse_host_config).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,12 +294,5 @@ mod tests {
             </host>"#;
         let err = parse_host_config(doc).unwrap_err();
         assert!(matches!(err, ConfigError::BadFragment(_)), "{err}");
-    }
-
-    #[test]
-    fn community_parse_collects_all() {
-        let docs = [CHEF, "<host/>"];
-        let cfgs = parse_community_configs(docs).unwrap();
-        assert_eq!(cfgs.len(), 2);
     }
 }

@@ -9,7 +9,7 @@ use std::fmt::Write as _;
 
 use openwf_core::NodeKind;
 
-use crate::host::HostConfig;
+use crate::core_sm::HostConfig;
 
 fn escape(s: &str) -> String {
     s.replace('&', "&amp;")

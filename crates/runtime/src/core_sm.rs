@@ -47,7 +47,7 @@ use crate::report::ProblemStatus;
 use crate::schedule::ScheduleManager;
 use crate::service::{ServiceDescription, ServiceManager};
 use crate::timers::TimerTable;
-use crate::workflow_mgr::{Phase, WorkflowManager, WsAction};
+use crate::workflow_mgr::{WorkflowManager, WsAction};
 
 /// Which storage backend backs a host's Fragment Manager (see
 /// [`openwf_core::FragmentBackend`]).
@@ -478,7 +478,8 @@ pub struct HostCore {
     /// Construction subsystem.
     workflow_mgr: WorkflowManager,
     /// Vocabulary trust boundary: the decode-side budget capped peer
-    /// replies are charged against (see [`crate::codec::reply_through_wire`]).
+    /// replies are charged against (see
+    /// [`crate::codec::reply_through_wire_with`]).
     vocab: VocabularyBudget,
     /// Per-host decode state: recycled frame/name/staging buffers plus
     /// the fragment-identity cache (primed with own knowhow at
@@ -1327,7 +1328,7 @@ impl HostCore {
                 let still_allocating = self
                     .workflow_mgr
                     .get(&problem)
-                    .map(|ws| ws.phase == Phase::Allocating)
+                    .map(|ws| ws.report.status == ProblemStatus::Allocating)
                     .unwrap_or(false);
                 if still_allocating {
                     let actions = self
@@ -1356,7 +1357,7 @@ impl HostCore {
                 let unfinished = self
                     .workflow_mgr
                     .get(&problem)
-                    .map(|ws| ws.phase == Phase::Executing)
+                    .map(|ws| ws.report.status == ProblemStatus::Executing)
                     .unwrap_or(false);
                 if unfinished {
                     self.repair_or_fail(
@@ -1613,7 +1614,6 @@ impl HostCore {
         }
         ws.report.timings.allocated_at = Some(now);
         ws.report.status = ProblemStatus::Executing;
-        ws.phase = Phase::Executing;
         ws.report.assignments = ws
             .assignments
             .iter()
@@ -1703,8 +1703,7 @@ impl HostCore {
             return;
         };
         let delivered = ws.working().is_some_and(|w| w.goals_pending.is_empty());
-        if ws.phase == Phase::Executing && delivered {
-            ws.phase = Phase::Completed;
+        if ws.report.status == ProblemStatus::Executing && delivered {
             ws.report.status = ProblemStatus::Completed;
             ws.report.timings.completed_at = Some(now);
             self.retire(problem);
@@ -1733,7 +1732,6 @@ impl HostCore {
     ) {
         let (attempts_used, spec, original_start) = match self.workflow_mgr.get_mut(&problem) {
             Some(ws) => {
-                ws.phase = Phase::Failed;
                 ws.report.status = ProblemStatus::Failed {
                     reason: reason.clone(),
                 };
@@ -1889,28 +1887,24 @@ mod tests {
         ServiceDescription::new(task, SimDuration::from_millis(10))
     }
 
-    /// Drives a single bound core by hand: every `Send` loops back into
-    /// `handle_msg`, timers fire through `tick` — the minimal embedding
-    /// the README documents.
-    #[test]
-    fn bare_core_runs_a_problem_without_any_driver() {
-        let cfg = HostConfig::new()
-            .with_fragment(frag("cs-f1", "cs-t1", "cs-a", "cs-b"))
-            .with_fragment(frag("cs-f2", "cs-t2", "cs-b", "cs-c"))
-            .with_service(service("cs-t1"))
-            .with_service(service("cs-t2"));
-        let mut core = HostCore::new(cfg, RuntimeParams::default());
-        let me = HostId(0);
+    /// Drives a single-host core by hand until nothing is left to do:
+    /// every `Send` loops back into `handle_msg`, timers fire through
+    /// `tick` — the minimal embedding the README documents. `after_poll`
+    /// sees the core and the events surfaced by every poll call.
+    fn drive_alone(
+        core: &mut HostCore,
+        problem: ProblemId,
+        spec: Spec,
+        mut after_poll: impl FnMut(&HostCore, &[WorkflowEvent]),
+    ) {
+        let me = problem.initiator;
         core.bind(me);
         core.set_community(vec![me]);
-
-        let problem = ProblemId::new(me, 0);
         let mut now = SimTime::ZERO;
         let mut inbox: Vec<Msg> = Vec::new();
-        let mut constructed = false;
-        let mut completed = false;
-        let mut q = core.initiate(problem, Spec::new(["cs-a"], ["cs-c"]), now);
+        let mut q = core.initiate(problem, spec, now);
         for _ in 0..1_000 {
+            let mut events = Vec::new();
             for action in q {
                 match action {
                     Action::Send { to, msg } => {
@@ -1919,28 +1913,129 @@ mod tests {
                     }
                     Action::SendBytes { .. } => panic!("typed mode emits no bytes"),
                     Action::SetTimer { .. } => {} // tick() fires by due time
-                    Action::Event(WorkflowEvent::Constructed { .. }) => constructed = true,
-                    Action::Event(WorkflowEvent::Completed { .. }) => completed = true,
-                    Action::Event(e) => panic!("unexpected event {e:?}"),
+                    Action::Event(e) => events.push(e),
                 }
             }
-            if let Some(msg) = inbox.pop() {
-                q = core.handle_msg(me, msg, now);
-                continue;
-            }
-            // Idle: advance the clock to the next armed timer and poll.
-            let Some(due) = core.next_timer_due() else {
+            after_poll(core, &events);
+            q = if let Some(msg) = inbox.pop() {
+                core.handle_msg(me, msg, now)
+            } else if let Some(due) = core.next_timer_due() {
+                // Idle: advance the clock to the next armed timer and poll.
+                now = due;
+                core.tick(now)
+            } else {
                 break;
             };
-            now = due;
-            q = core.tick(now);
         }
-        assert!(constructed, "Constructed event surfaced");
-        assert!(completed, "Completed event surfaced");
+    }
+
+    fn two_step_config(prefix: &str) -> HostConfig {
+        let n = |s: &str| format!("{prefix}-{s}");
+        HostConfig::new()
+            .with_fragment(frag(&n("f1"), &n("t1"), &n("a"), &n("b")))
+            .with_fragment(frag(&n("f2"), &n("t2"), &n("b"), &n("c")))
+            .with_service(service(&n("t1")))
+            .with_service(service(&n("t2")))
+    }
+
+    #[test]
+    fn bare_core_runs_a_problem_without_any_driver() {
+        let mut core = HostCore::new(two_step_config("cs"), RuntimeParams::default());
+        let problem = ProblemId::new(HostId(0), 0);
+        let mut events = Vec::new();
+        drive_alone(
+            &mut core,
+            problem,
+            Spec::new(["cs-a"], ["cs-c"]),
+            |_, surfaced| events.extend_from_slice(surfaced),
+        );
+        assert!(
+            matches!(
+                events[..],
+                [
+                    WorkflowEvent::Constructed { .. },
+                    WorkflowEvent::Completed { .. }
+                ]
+            ),
+            "{events:?}"
+        );
         let ws = core.latest_attempt(problem).expect("workspace");
-        assert_eq!(ws.phase, Phase::Completed, "report: {}", ws.report);
+        assert_eq!(ws.report.status, ProblemStatus::Completed);
         assert_eq!(ws.report.assignments.len(), 2);
         assert_eq!(core.service_mgr().invocations().len(), 2);
+    }
+
+    /// One field carries the lifecycle: after **every** poll call the
+    /// latest attempt's status, the events that call surfaced and the
+    /// timings agree — on a problem that completes and on one no
+    /// fragment can satisfy.
+    #[test]
+    fn status_events_and_timings_move_together() {
+        let problem = ProblemId::new(HostId(0), 0);
+        let drive = |goal: &str| -> Vec<WorkflowEvent> {
+            let mut core = HostCore::new(two_step_config("st"), RuntimeParams::default());
+            let mut surfaced = Vec::new();
+            let mut stamps_before = [None; 4];
+            drive_alone(
+                &mut core,
+                problem,
+                Spec::new(["st-a"], [goal]),
+                |core, events| {
+                    let ws = core.latest_attempt(problem).expect("workspace");
+                    let (status, t) = (&ws.report.status, ws.report.timings);
+                    for event in events {
+                        match event {
+                            WorkflowEvent::Constructed { .. } => {
+                                assert!(
+                                    !matches!(
+                                        status,
+                                        ProblemStatus::Constructing | ProblemStatus::Failed { .. }
+                                    ),
+                                    "{ws}"
+                                );
+                                assert!(t.constructed_at.is_some(), "{ws}");
+                            }
+                            WorkflowEvent::Completed { .. } => {
+                                assert_eq!(*status, ProblemStatus::Completed);
+                                assert!(t.completed_at.is_some(), "{ws}");
+                                assert!(ws.working().is_none(), "{ws}");
+                            }
+                            WorkflowEvent::Failed { .. } => {
+                                assert!(matches!(status, ProblemStatus::Failed { .. }), "{ws}");
+                                assert!(status.is_terminal());
+                            }
+                            e => panic!("unexpected event {e:?}"),
+                        }
+                    }
+                    // Timings never go backwards: a stamp once set stays
+                    // as it is, and the stamps are in lifecycle order.
+                    let stamps = [
+                        t.initiated_at,
+                        t.constructed_at,
+                        t.allocated_at,
+                        t.completed_at,
+                    ];
+                    for (before, after) in stamps_before.iter().zip(&stamps) {
+                        assert!(before.is_none() || before == after, "{stamps:?}");
+                    }
+                    assert!(stamps.iter().flatten().is_sorted(), "{stamps:?}");
+                    stamps_before = stamps;
+                    surfaced.extend_from_slice(events);
+                },
+            );
+            surfaced
+        };
+
+        let events = drive("st-c");
+        assert!(matches!(
+            events[..],
+            [
+                WorkflowEvent::Constructed { .. },
+                WorkflowEvent::Completed { .. }
+            ]
+        ));
+        let events = drive("st-nothing-makes-this");
+        assert!(matches!(events[..], [WorkflowEvent::Failed { .. }]));
     }
 
     /// `tick` at a time before any due timer is a no-op; at the due time
@@ -2047,7 +2142,10 @@ mod tests {
         let record = |core: &HostCore| {
             let ws = core.latest_attempt(problem).expect("workspace");
             assert!(ws.working().is_none(), "{ws}");
-            format!("{:?} {:?} {:?}", ws.phase, ws.assignments, ws.construction)
+            format!(
+                "{:?} {:?} {:?}",
+                ws.report.status, ws.assignments, ws.construction
+            )
         };
         let before = record(&core);
         assert!(before.starts_with("Completed [("), "{before}");
@@ -2100,32 +2198,14 @@ mod tests {
             .with_service(service("ob-t1"))
             .with_observability(obs.clone());
         let mut core = HostCore::new(cfg, RuntimeParams::default());
-        let me = HostId(0);
-        core.bind(me);
-        core.set_community(vec![me]);
-        let problem = ProblemId::new(me, 0);
-        let mut now = SimTime::ZERO;
-        let mut inbox: Vec<Msg> = Vec::new();
-        let mut q = core.initiate(problem, Spec::new(["ob-a"], ["ob-b"]), now);
-        for _ in 0..1_000 {
-            for action in q {
-                if let Action::Send { msg, .. } = action {
-                    inbox.push(msg);
-                }
-            }
-            if let Some(msg) = inbox.pop() {
-                q = core.handle_msg(me, msg, now);
-                continue;
-            }
-            let Some(due) = core.next_timer_due() else {
-                break;
-            };
-            now = due;
-            q = core.tick(now);
-        }
+        let problem = ProblemId::new(HostId(0), 0);
+        drive_alone(&mut core, problem, Spec::new(["ob-a"], ["ob-b"]), |_, _| {});
         assert_eq!(
-            core.latest_attempt(problem).expect("workspace").phase,
-            Phase::Completed
+            core.latest_attempt(problem)
+                .expect("workspace")
+                .report
+                .status,
+            ProblemStatus::Completed
         );
 
         assert!(obs.metrics.counter("core.messages").get() > 0);

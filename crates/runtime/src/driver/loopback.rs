@@ -18,7 +18,7 @@
 //! fixed delay. Because both transports then present every core with the
 //! identical input sequence, a scenario driven here produces
 //! **bit-identical supergraphs and workflow outcomes** to the same
-//! scenario on [`crate::driver::SimDriver`] (property-tested in
+//! scenario on [`crate::Community`] (property-tested in
 //! `tests/driver_equivalence.rs`).
 
 use std::fmt;
@@ -176,11 +176,6 @@ impl LoopbackBytesDriver {
     /// the host that emitted them.
     pub fn events(&self) -> &[(HostId, WorkflowEvent)] {
         &self.events
-    }
-
-    /// Number of pending events (diagnostics).
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
     }
 
     /// Schedules one outbound frame, passing cross-host frames through

@@ -4,24 +4,25 @@
 //! The protocol core performs no I/O — every poll call returns an
 //! [`crate::core_sm::ActionQueue`] of typed effects. A [`Driver`] is the
 //! half that *performs* them: it schedules message deliveries, arms
-//! timers, advances a clock, and feeds inputs back into the cores. Two
-//! drivers ship:
+//! timers, advances a clock, and feeds inputs back into the cores. Three
+//! drivers ship, two of them in this crate:
 //!
-//! * [`SimDriver`] — the deterministic discrete-event simulator
+//! * [`crate::Community`] — the deterministic discrete-event simulator
 //!   (`openwf-simnet`): typed [`crate::Msg`]s with `Arc<Fragment>`
 //!   payloads shared in-process, pluggable latency/topology/faults.
-//!   [`crate::Community`] is a facade over this driver.
 //! * [`LoopbackBytesDriver`] — whole communities over **encoded wire
 //!   frames**: every message crosses host boundaries as
 //!   `openwf-wire` bytes (encode on send, vocabulary-budgeted decode on
 //!   receive), proving the binary codec carries the complete protocol
 //!   end-to-end. Same clock discipline as the simulator, so identical
 //!   scenarios produce bit-identical supergraphs and outcomes.
+//! * `openwf_net::TcpCommunityDriver` — one `NetServer` per host over
+//!   real loopback TCP sockets and a wall clock.
 //!
-//! Any future transport (an async executor, a real socket loop) drives
-//! the same cores the same way: deliver bytes through
-//! [`HostCore::handle_frame`], fire timers via [`HostCore::handle_timer`]
-//! or poll [`HostCore::tick`], and perform the returned actions.
+//! Every transport drives the same cores the same way: deliver bytes
+//! through [`HostCore::handle_frame`], fire timers via
+//! [`HostCore::handle_timer`] or poll [`HostCore::tick`], and perform
+//! the returned actions.
 
 use openwf_core::Spec;
 use openwf_simnet::{HostId, SimTime};
@@ -29,13 +30,10 @@ use openwf_simnet::{HostId, SimTime};
 use crate::core_sm::HostCore;
 use crate::messages::ProblemId;
 use crate::report::ProblemReport;
-use crate::workflow_mgr::Phase;
 
 mod loopback;
-mod sim;
 
 pub use loopback::{LoopbackBytesDriver, LoopbackStats, WireChaos};
-pub use sim::SimDriver;
 
 /// Handle to a submitted problem.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -85,13 +83,6 @@ pub trait Driver {
             .map(|ws| ws.report.clone())
     }
 
-    /// The latest-attempt phase for a problem.
-    fn phase(&self, handle: ProblemHandle) -> Option<Phase> {
-        self.core(handle.id.initiator)
-            .latest_attempt(handle.id)
-            .map(|ws| ws.phase.clone())
-    }
-
     /// Runs until the problem's tasks are all allocated (the paper's
     /// measurement endpoint) or the problem fails; returns the report.
     fn run_until_allocated(&mut self, handle: ProblemHandle) -> ProblemReport {
@@ -99,7 +90,9 @@ pub trait Driver {
             let settled = self
                 .core(handle.id.initiator)
                 .latest_attempt(handle.id)
-                .map(|ws| ws.report.timings.allocated_at.is_some() || ws.phase == Phase::Failed)
+                .map(|ws| {
+                    ws.report.timings.allocated_at.is_some() || ws.report.status.is_terminal()
+                })
                 .unwrap_or(false);
             if settled || !self.step() {
                 break;
@@ -115,7 +108,7 @@ pub trait Driver {
             let settled = self
                 .core(handle.id.initiator)
                 .latest_attempt(handle.id)
-                .map(|ws| matches!(ws.phase, Phase::Completed | Phase::Failed))
+                .map(|ws| ws.report.status.is_terminal())
                 .unwrap_or(false);
             if settled || !self.step() {
                 break;

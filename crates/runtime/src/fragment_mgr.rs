@@ -150,6 +150,23 @@ impl FragmentManager {
             .map(Arc::as_ref)
     }
 
+    /// The know-how digest: every stored fragment's wire encoding,
+    /// sorted. Order-insensitive, so a socket run, a simulator run and a
+    /// restart from a durable log of the same scenario compare
+    /// bit-identical.
+    pub fn knowhow_digest(&self) -> Vec<Vec<u8>> {
+        let mut digest: Vec<Vec<u8>> = self
+            .fragments()
+            .map(|f| {
+                let mut bytes = Vec::new();
+                openwf_wire::encode_fragment(f, &mut bytes);
+                bytes
+            })
+            .collect();
+        digest.sort();
+        digest
+    }
+
     /// Primes a decode-side fragment-identity cache with every stored
     /// fragment ([`openwf_wire::FragmentCache::admit`]). A peer echoing
     /// this host's own knowhow then decodes to the manager's shared

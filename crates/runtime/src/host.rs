@@ -15,11 +15,9 @@ use std::fmt;
 
 use openwf_simnet::{Actor, Context, HostId, TimerToken};
 
-use crate::core_sm::{Action, ActionQueue, HostCore, WorkflowEvent};
-use crate::messages::{Msg, ProblemId};
+use crate::core_sm::{Action, ActionQueue, HostConfig, HostCore, WorkflowEvent};
+use crate::messages::Msg;
 use crate::params::RuntimeParams;
-
-pub use crate::core_sm::{HostConfig, StorageConfig};
 
 /// One participant's device: the sans-io [`HostCore`] bound to the
 /// simulator transport.
@@ -33,8 +31,9 @@ impl OwmsHost {
     ///
     /// # Panics
     ///
-    /// Panics when [`StorageConfig::Durable`] storage cannot be opened
-    /// or an insert cannot be persisted (I/O failure, corrupt log).
+    /// Panics when [`crate::core_sm::StorageConfig::Durable`] storage
+    /// cannot be opened or an insert cannot be persisted (I/O failure,
+    /// corrupt log).
     pub fn new(config: HostConfig, params: RuntimeParams) -> Self {
         OwmsHost {
             core: HostCore::new(config, params),
@@ -56,62 +55,6 @@ impl OwmsHost {
     /// decisions), in emission order.
     pub fn events(&self) -> &[WorkflowEvent] {
         &self.events
-    }
-
-    /// Number of peer fragment replies rejected at the vocabulary trust
-    /// boundary (see [`HostConfig::max_interned_names`]).
-    pub fn vocabulary_rejections(&self) -> u64 {
-        self.core.vocabulary_rejections()
-    }
-
-    /// Vocabulary rejections attributed to one peer (what
-    /// [`HostConfig::max_vocabulary_rejections`] acts on).
-    pub fn vocabulary_rejections_from(&self, peer: HostId) -> u64 {
-        self.core.vocabulary_rejections_from(peer)
-    }
-
-    /// Distinct names recorded in the vocabulary budget (own knowhow —
-    /// including knowhow replayed from a durable log — plus admitted
-    /// peer names). Always 0 for uncapped hosts, which track nothing.
-    pub fn vocabulary_names(&self) -> usize {
-        self.core.vocabulary_names()
-    }
-
-    /// Sets the community membership (all host ids, including this one).
-    /// Called by the community builder before the network starts.
-    pub fn set_community(&mut self, community: Vec<HostId>) {
-        self.core.set_community(community);
-    }
-
-    /// The workflow manager (workspaces/reports), for inspection.
-    pub fn workflow_mgr(&self) -> &crate::workflow_mgr::WorkflowManager {
-        self.core.workflow_mgr()
-    }
-
-    /// The fragment manager, for inspection and late configuration.
-    pub fn fragment_mgr_mut(&mut self) -> &mut crate::fragment_mgr::FragmentManager {
-        self.core.fragment_mgr_mut()
-    }
-
-    /// The service manager, for inspection, hooks and late configuration.
-    pub fn service_mgr_mut(&mut self) -> &mut crate::service::ServiceManager {
-        self.core.service_mgr_mut()
-    }
-
-    /// The service manager (read-only).
-    pub fn service_mgr(&self) -> &crate::service::ServiceManager {
-        self.core.service_mgr()
-    }
-
-    /// The schedule manager (commitments), for inspection.
-    pub fn schedule(&self) -> &crate::schedule::ScheduleManager {
-        self.core.schedule()
-    }
-
-    /// The workspace of the **latest attempt** of the problem `base`
-    /// belongs to, if any.
-    pub fn latest_attempt(&self, base: ProblemId) -> Option<&crate::workflow_mgr::Workspace> {
-        self.core.latest_attempt(base)
     }
 
     /// Replays a core action queue onto the simulator context.
@@ -171,8 +114,10 @@ mod tests {
     use openwf_core::{Fragment, Mode, Spec, TaskId};
     use openwf_simnet::SimDuration;
 
+    use crate::community::CommunityBuilder;
+    use crate::driver::Driver;
+    use crate::report::ProblemStatus;
     use crate::service::ServiceDescription;
-    use crate::workflow_mgr::Phase;
 
     fn frag(id: &str, task: &str, input: &str, output: &str) -> Fragment {
         Fragment::single_task(id, task, Mode::Disjunctive, [input], [output]).unwrap()
@@ -186,44 +131,37 @@ mod tests {
     /// auction, execution) runs entirely through local loopback.
     #[test]
     fn single_host_end_to_end() {
-        use openwf_simnet::SimNetwork;
-        let mut net: SimNetwork<Msg, OwmsHost> = SimNetwork::new(1);
         let cfg = HostConfig::new()
             .with_fragment(frag("f1", "t1", "a", "b"))
             .with_fragment(frag("f2", "t2", "b", "c"))
             .with_service(service("t1"))
             .with_service(service("t2"));
-        let mut host = OwmsHost::new(cfg, RuntimeParams::default());
-        host.set_community(vec![HostId(0)]);
-        let h = net.add_host(host);
-        let problem = ProblemId::new(h, 0);
-        net.send_external(
-            h,
-            h,
-            Msg::Initiate {
-                problem,
-                spec: Spec::new(["a"], ["c"]),
-            },
-        );
-        net.run_until_quiescent();
+        let mut community = CommunityBuilder::new(1).host(cfg).build();
+        let h = community.hosts()[0];
+        let problem = community.submit(h, Spec::new(["a"], ["c"])).id;
+        community.run_until_quiescent();
 
-        let ws = net.host(h).workflow_mgr().get(&problem).expect("workspace");
-        assert_eq!(ws.phase, Phase::Completed, "report: {}", ws.report);
+        let ws = community
+            .core(h)
+            .workflow_mgr()
+            .get(&problem)
+            .expect("workspace");
+        assert_eq!(ws.report.status, ProblemStatus::Completed);
         assert_eq!(ws.report.assignments.len(), 2);
         assert!(ws.report.timings.spec_to_allocated().is_some());
         assert!(ws.report.timings.total().is_some());
         // Services actually ran, in dependency order.
-        let inv = net.host(h).service_mgr().invocations();
+        let inv = community.core(h).service_mgr().invocations();
         assert_eq!(inv.len(), 2);
         assert_eq!(inv[0].task, TaskId::new("t1"));
         assert_eq!(inv[1].task, TaskId::new("t2"));
         // The adapter surfaced the core's milestone events.
-        assert!(net
+        assert!(community
             .host(h)
             .events()
             .iter()
             .any(|e| matches!(e, WorkflowEvent::Constructed { .. })));
-        assert!(net
+        assert!(community
             .host(h)
             .events()
             .iter()
@@ -236,79 +174,50 @@ mod tests {
     #[test]
     fn encoded_mode_core_still_runs_on_the_simulator() {
         use crate::core_sm::OutboundMode;
-        use openwf_simnet::SimNetwork;
-        let mut net: SimNetwork<Msg, OwmsHost> = SimNetwork::new(1);
         let cfg = HostConfig::new()
             .with_fragment(frag("em-f1", "em-t1", "em-a", "em-b"))
             .with_service(service("em-t1"));
-        let mut host = OwmsHost::new(cfg, RuntimeParams::default());
-        host.set_community(vec![HostId(0)]);
-        host.core_mut().set_outbound_mode(OutboundMode::Encoded);
-        let h = net.add_host(host);
-        let problem = ProblemId::new(h, 0);
-        net.send_external(
-            h,
-            h,
-            Msg::Initiate {
-                problem,
-                spec: Spec::new(["em-a"], ["em-b"]),
-            },
-        );
-        net.run_until_quiescent();
-        let ws = net.host(h).workflow_mgr().get(&problem).expect("workspace");
-        assert_eq!(ws.phase, Phase::Completed, "report: {}", ws.report);
+        let mut community = CommunityBuilder::new(1).host(cfg).build();
+        let h = community.hosts()[0];
+        community
+            .core_mut(h)
+            .set_outbound_mode(OutboundMode::Encoded);
+        let problem = community.submit(h, Spec::new(["em-a"], ["em-b"])).id;
+        community.run_until_quiescent();
+        let ws = community
+            .core(h)
+            .workflow_mgr()
+            .get(&problem)
+            .expect("workspace");
+        assert_eq!(ws.report.status, ProblemStatus::Completed);
     }
 
     /// Trivial problem: the goal is already a trigger.
     #[test]
     fn trivial_problem_completes_without_tasks() {
-        use openwf_simnet::SimNetwork;
-        let mut net: SimNetwork<Msg, OwmsHost> = SimNetwork::new(1);
-        let mut host = OwmsHost::new(HostConfig::new(), RuntimeParams::default());
-        host.set_community(vec![HostId(0)]);
-        let h = net.add_host(host);
-        let problem = ProblemId::new(h, 0);
-        net.send_external(
-            h,
-            h,
-            Msg::Initiate {
-                problem,
-                spec: Spec::new(["a"], ["a"]),
-            },
-        );
-        net.run_until_quiescent();
-        let ws = net.host(h).workflow_mgr().get(&problem).unwrap();
-        assert_eq!(ws.phase, Phase::Completed);
+        let mut community = CommunityBuilder::new(1).host(HostConfig::new()).build();
+        let h = community.hosts()[0];
+        let problem = community.submit(h, Spec::new(["a"], ["a"])).id;
+        community.run_until_quiescent();
+        let ws = community.core(h).workflow_mgr().get(&problem).unwrap();
+        assert_eq!(ws.report.status, ProblemStatus::Completed);
         assert!(ws.report.assignments.is_empty());
     }
 
     /// An unsatisfiable problem fails cleanly.
     #[test]
     fn unsatisfiable_problem_fails() {
-        use openwf_simnet::SimNetwork;
-        let mut net: SimNetwork<Msg, OwmsHost> = SimNetwork::new(1);
         let cfg = HostConfig::new().with_fragment(frag("f1", "t1", "a", "b"));
-        let mut host = OwmsHost::new(cfg, RuntimeParams::default());
-        host.set_community(vec![HostId(0)]);
-        let h = net.add_host(host);
-        let problem = ProblemId::new(h, 0);
-        net.send_external(
-            h,
-            h,
-            Msg::Initiate {
-                problem,
-                spec: Spec::new(["a"], ["nothing makes this"]),
-            },
-        );
-        net.run_until_quiescent();
-        let ws = net.host(h).workflow_mgr().get(&problem).unwrap();
-        assert_eq!(ws.phase, Phase::Failed);
-        assert!(matches!(
-            ws.report.status,
-            crate::report::ProblemStatus::Failed { .. }
-        ));
+        let mut community = CommunityBuilder::new(1).host(cfg).build();
+        let h = community.hosts()[0];
+        let problem = community
+            .submit(h, Spec::new(["a"], ["nothing makes this"]))
+            .id;
+        community.run_until_quiescent();
+        let ws = community.core(h).workflow_mgr().get(&problem).unwrap();
+        assert!(matches!(ws.report.status, ProblemStatus::Failed { .. }));
         // Terminal failure surfaces as an event.
-        assert!(net
+        assert!(community
             .host(h)
             .events()
             .iter()
@@ -319,24 +228,13 @@ mod tests {
     /// wait-staff example's mechanism.
     #[test]
     fn missing_capability_fails_construction() {
-        use openwf_simnet::SimNetwork;
-        let mut net: SimNetwork<Msg, OwmsHost> = SimNetwork::new(1);
         let cfg = HostConfig::new().with_fragment(frag("f1", "t1", "a", "b"));
         // No service for t1.
-        let mut host = OwmsHost::new(cfg, RuntimeParams::default());
-        host.set_community(vec![HostId(0)]);
-        let h = net.add_host(host);
-        let problem = ProblemId::new(h, 0);
-        net.send_external(
-            h,
-            h,
-            Msg::Initiate {
-                problem,
-                spec: Spec::new(["a"], ["b"]),
-            },
-        );
-        net.run_until_quiescent();
-        let ws = net.host(h).workflow_mgr().get(&problem).unwrap();
-        assert_eq!(ws.phase, Phase::Failed);
+        let mut community = CommunityBuilder::new(1).host(cfg).build();
+        let h = community.hosts()[0];
+        let problem = community.submit(h, Spec::new(["a"], ["b"])).id;
+        community.run_until_quiescent();
+        let ws = community.core(h).workflow_mgr().get(&problem).unwrap();
+        assert!(matches!(ws.report.status, ProblemStatus::Failed { .. }));
     }
 }

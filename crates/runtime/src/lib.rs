@@ -3,7 +3,7 @@
 //! This crate is the distributed runtime of WUCSE-2009-14 §4: every
 //! participant's device runs a sans-io [`HostCore`] state machine
 //! combining the paper's two subsystems. The core performs no I/O — a
-//! [`Driver`] transport polls it ([`SimDriver`] on the deterministic
+//! [`Driver`] transport polls it ([`Community`] on the deterministic
 //! simulator, where [`OwmsHost`] is the thin `simnet` actor adapter, or
 //! [`LoopbackBytesDriver`] over encoded wire frames):
 //!
@@ -29,9 +29,9 @@
 //!   time conditions, travels, invokes services, and publishes outputs to
 //!   dependent hosts.
 //!
-//! [`community::Community`] assembles hosts on a simulated
-//! network and drives end-to-end problems; it is the entry point used by
-//! the examples, the integration tests, and every §5 experiment.
+//! [`community::Community`] assembles hosts on a simulated network and
+//! is that network's [`Driver`]; it is the entry point used by the
+//! examples, the integration tests, and every §5 experiment.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -59,9 +59,11 @@ pub mod workflow_mgr;
 
 pub use codec::{decode_msg, decode_msg_traced_with, encode_msg, encode_msg_traced};
 pub use community::{Community, CommunityBuilder, ProblemHandle};
-pub use core_sm::{Action, ActionQueue, HostCore, OutboundMode, WorkflowEvent};
-pub use driver::{Driver, LoopbackBytesDriver, SimDriver, WireChaos};
-pub use host::{HostConfig, OwmsHost, StorageConfig};
+pub use core_sm::{
+    Action, ActionQueue, HostConfig, HostCore, OutboundMode, StorageConfig, WorkflowEvent,
+};
+pub use driver::{Driver, LoopbackBytesDriver, WireChaos};
+pub use host::OwmsHost;
 pub use messages::{Msg, ProblemId};
 pub use metadata::{Assignment, TaskMetadata};
 pub use params::RuntimeParams;

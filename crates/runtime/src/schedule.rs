@@ -118,11 +118,6 @@ impl ScheduleManager {
         self.position
     }
 
-    /// Updates the host's position (e.g. after travel).
-    pub fn set_position(&mut self, p: Point) {
-        self.position = p;
-    }
-
     /// Number of commitments on record: every one made and not
     /// released, ended or not ([`ScheduleManager::open_slot_count`]
     /// counts the ones still ahead of the host's clock).
@@ -284,11 +279,6 @@ impl ScheduleManager {
         if !seqs.is_empty() {
             self.by_problem.insert(problem, seqs);
         }
-    }
-
-    /// Resolves a symbolic location to coordinates.
-    pub fn resolve_place(&self, name: &str) -> Option<Point> {
-        self.site.resolve(name)
     }
 }
 

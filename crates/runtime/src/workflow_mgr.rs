@@ -99,40 +99,25 @@ pub(crate) struct GuardTimers {
     pub(crate) watchdog: Option<TimerToken>,
 }
 
-/// The lifecycle phase of a workspace.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Phase {
-    /// Querying and coloring.
-    Constructing,
-    /// Auctions open.
-    Allocating,
-    /// Execution plans dispatched.
-    Executing,
-    /// All goals delivered.
-    Completed,
-    /// Terminal failure (after repairs, if any).
-    Failed,
-}
-
 /// One attempt at one problem on its initiator: a **record** that lives
 /// as long as the host does and a **working set** that lives as long as
 /// the attempt is open.
 ///
 /// The record is what a finished workflow is asked for: which problem
 /// and specification, the [`ProblemReport`] (status, timings,
-/// assignments by host, goals delivered), the phase, the auctions'
-/// awards and the constructed workflow. The working set
-/// ([`WorkingSet`]) is everything construction, allocation and
-/// execution tracking need while they run — the supergraph above all.
-/// The host drops it the moment the attempt turns terminal
-/// ([`Phase::Completed`], [`Phase::Failed`], or superseded by a repair
-/// attempt): a late reply, bid, completion notice or stale guard timer
-/// for the attempt then finds nothing to act on, which is what it found
-/// before (the round was closed, every auction decided, the phase
-/// terminal). Repair does not need it either — a repair attempt is a
-/// fresh workspace built from the [`Spec`] alone, because the community
-/// that answers it is no longer the one the old supergraph was
-/// collected from.
+/// assignments by host, goals delivered), the auctions' awards and the
+/// constructed workflow. The working set ([`WorkingSet`]) is everything
+/// construction, allocation and execution tracking need while they run
+/// — the supergraph above all. The host drops it the moment the attempt
+/// turns terminal ([`ProblemStatus::Completed`],
+/// [`ProblemStatus::Failed`], or superseded by a repair attempt): a late
+/// reply, bid, completion notice or stale guard timer for the attempt
+/// then finds nothing to act on, which is what it found before (the
+/// round was closed, every auction decided, the status terminal).
+/// Repair does not need it either — a repair attempt is a fresh
+/// workspace built from the [`Spec`] alone, because the community that
+/// answers it is no longer the one the old supergraph was collected
+/// from.
 #[derive(Debug)]
 pub struct Workspace {
     /// The problem this workspace serves.
@@ -141,8 +126,6 @@ pub struct Workspace {
     pub spec: Spec,
     /// Progress/timing record.
     pub report: ProblemReport,
-    /// Current phase.
-    pub phase: Phase,
     /// Final task assignments.
     pub assignments: Vec<(TaskId, Assignment)>,
     /// The constructed workflow (after `Constructed`).
@@ -218,7 +201,6 @@ impl Workspace {
             problem,
             spec,
             report: ProblemReport::new(now),
-            phase: Phase::Constructing,
             assignments: Vec::new(),
             construction: None,
             working: Some(working),
@@ -487,12 +469,10 @@ impl Workspace {
                 Ok(construction) => {
                     w.tasks_pending = construction.workflow().tasks().collect();
                     self.construction = Some(construction);
-                    self.phase = Phase::Allocating;
                     self.report.status = ProblemStatus::Allocating;
                     vec![charge, WsAction::Constructed]
                 }
                 Err(e) => {
-                    self.phase = Phase::Failed;
                     self.report.status = ProblemStatus::Failed {
                         reason: e.to_string(),
                     };
@@ -513,7 +493,6 @@ impl Workspace {
                     "no feasible workflow: unreachable goals {:?}",
                     outcome.unreachable_goals
                 );
-                self.phase = Phase::Failed;
                 self.report.status = ProblemStatus::Failed {
                     reason: reason.clone(),
                 };
@@ -590,7 +569,7 @@ impl WorkflowManager {
 
 impl fmt::Display for Workspace {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "workspace {} [{:?}]: ", self.problem, self.phase)?;
+        write!(f, "workspace {} [{}]: ", self.problem, self.report.status)?;
         if let Some(round) = self.round() {
             write!(f, "round {round}, ")?;
         }
@@ -636,7 +615,7 @@ mod tests {
             actions.contains(&WsAction::Constructed),
             "expected Constructed in {actions:?}"
         );
-        assert_eq!(ws.phase, Phase::Allocating);
+        assert_eq!(ws.report.status, ProblemStatus::Allocating);
         let w = ws.construction.as_ref().unwrap().workflow();
         assert!(spec.is_satisfied_strict(w));
     }
@@ -661,7 +640,7 @@ mod tests {
             actions.iter().any(|a| matches!(a, WsAction::Failed { .. })),
             "expected failure in {actions:?}"
         );
-        assert_eq!(ws.phase, Phase::Failed);
+        assert!(matches!(ws.report.status, ProblemStatus::Failed { .. }));
     }
 
     /// With peers, the workspace emits queries and waits for replies; the

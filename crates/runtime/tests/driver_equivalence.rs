@@ -1,7 +1,7 @@
 //! Transport equivalence: the same scenario driven through the typed
-//! simulator ([`SimDriver`] via [`Community`]) and through encoded wire
-//! frames ([`LoopbackBytesDriver`]) produces **bit-identical
-//! supergraphs and workflow outcomes**.
+//! simulator ([`Community`]) and through encoded wire frames
+//! ([`LoopbackBytesDriver`]) produces **bit-identical supergraphs and
+//! workflow outcomes**.
 //!
 //! This is the load-bearing guarantee of the sans-io split: the
 //! protocol state machine cannot tell which transport is driving it.
@@ -14,10 +14,9 @@
 use std::fmt::Write as _;
 
 use openwf_core::{Fragment, Mode, Spec};
-use openwf_runtime::workflow_mgr::Phase;
 use openwf_runtime::{
-    CommunityBuilder, Driver, HostConfig, LoopbackBytesDriver, ProblemHandle, RuntimeParams,
-    ServiceDescription,
+    CommunityBuilder, Driver, HostConfig, LoopbackBytesDriver, ProblemHandle, ProblemStatus,
+    RuntimeParams, ServiceDescription,
 };
 use openwf_simnet::SimDuration;
 use proptest::prelude::*;
@@ -92,7 +91,7 @@ fn digest(driver: &mut impl Driver, handle: ProblemHandle) -> String {
         .core(initiator)
         .latest_attempt(handle.id)
         .expect("workspace");
-    assert_eq!(ws.phase, Phase::Executing, "report: {}", ws.report);
+    assert_eq!(ws.report.status, ProblemStatus::Executing);
     let g = ws
         .supergraph()
         .expect("an executing attempt has its supergraph")
@@ -112,7 +111,6 @@ fn digest(driver: &mut impl Driver, handle: ProblemHandle) -> String {
         .core(initiator)
         .latest_attempt(handle.id)
         .expect("workspace");
-    writeln!(s, "phase {:?}", ws.phase).unwrap();
     if let Some(c) = &ws.construction {
         writeln!(s, "workflow {:?}", c.workflow()).unwrap();
     }
@@ -128,14 +126,14 @@ fn digest(driver: &mut impl Driver, handle: ProblemHandle) -> String {
 fn run_both(scenario: &Scenario) -> (String, String) {
     let params = RuntimeParams::default();
 
-    // Typed transport: the simulator behind the Community facade.
+    // Typed transport: the simulator.
     let mut sim = CommunityBuilder::new(scenario.seed)
         .params(params.clone())
         .hosts(scenario.configs())
         .build();
     let initiator = sim.hosts()[0];
     let handle = sim.submit(initiator, scenario.spec());
-    let sim_digest = digest(sim.driver_mut(), handle);
+    let sim_digest = digest(&mut sim, handle);
 
     // Bytes transport: the same configs over encoded frames.
     let mut loopback = LoopbackBytesDriver::build(params, scenario.configs());
@@ -166,13 +164,13 @@ proptest! {
             &sim, &loopback,
             "transports diverged for {:?}", scenario
         );
-        prop_assert!(sim.contains("phase Completed"), "scenario solvable by construction: {sim}");
+        prop_assert!(sim.contains("status Completed"), "scenario solvable by construction: {sim}");
     }
 }
 
 /// Vocabulary-capped hosts whose budget *suffices* behave identically
 /// on both transports: the typed path charges replies through
-/// `reply_through_wire`, the frame path charges them at decode, and
+/// `reply_through_wire_with`, the frame path charges them at decode, and
 /// only the fragment-reply family touches the budget either way —
 /// ordinary protocol traffic (queries, bids, plans) never trips a cap.
 #[test]
@@ -213,15 +211,15 @@ fn capped_within_budget_agrees_across_transports() {
         .build();
     let h = sim.hosts()[0];
     let handle = sim.submit(h, spec());
-    let sim_digest = digest(sim.driver_mut(), handle);
-    let sim_names = sim.host(h).vocabulary_names();
+    let sim_digest = digest(&mut sim, handle);
+    let sim_names = sim.core(h).vocabulary_names();
 
     let mut lb = LoopbackBytesDriver::build(params, mk());
     let lb_handle = lb.submit(h, spec());
     let lb_digest = digest(&mut lb, lb_handle);
 
     assert_eq!(sim_digest, lb_digest);
-    assert!(sim_digest.contains("phase Completed"), "{sim_digest}");
+    assert!(sim_digest.contains("status Completed"), "{sim_digest}");
     assert_eq!(
         sim_names,
         lb.core(h).vocabulary_names(),
@@ -243,5 +241,5 @@ fn three_host_chain_agrees() {
     };
     let (sim, loopback) = run_both(&scenario);
     assert_eq!(sim, loopback);
-    assert!(sim.contains("phase Completed"), "{sim}");
+    assert!(sim.contains("status Completed"), "{sim}");
 }

@@ -11,9 +11,9 @@
 //! timing or weighing anything.
 
 use openwf_core::{Fragment, Mode, Spec};
-use openwf_runtime::workflow_mgr::Phase;
 use openwf_runtime::{
-    Driver, HostConfig, LoopbackBytesDriver, RuntimeParams, ServiceDescription, WorkflowEvent,
+    Driver, HostConfig, LoopbackBytesDriver, ProblemStatus, RuntimeParams, ServiceDescription,
+    WorkflowEvent,
 };
 use openwf_simnet::{HostId, SimDuration};
 
@@ -72,7 +72,7 @@ fn assert_finished_workspaces_are_records(
     let mgr = driver.core(initiator).workflow_mgr();
     assert_eq!(mgr.len(), served, "the record of every workflow is kept");
     for ws in mgr.iter() {
-        assert_eq!(ws.phase, Phase::Completed, "{ws}");
+        assert_eq!(ws.report.status, ProblemStatus::Completed, "{ws}");
         assert!(
             ws.working().is_none(),
             "{ws} still has its working set after {served} workflows"

@@ -7,12 +7,13 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use openwf_core::{Fragment, FxHashSet, Label, Mode, Spec, Sym};
-use openwf_runtime::codec::{decode_msg, encode_msg, reply_through_wire};
+use openwf_runtime::codec::{decode_msg, encode_msg, reply_through_wire_with};
 use openwf_runtime::{
-    CommunityBuilder, HostConfig, Msg, ProblemId, ProblemStatus, ServiceDescription, StorageConfig,
+    CommunityBuilder, Driver, HostConfig, Msg, ProblemId, ProblemStatus, ServiceDescription,
+    StorageConfig,
 };
 use openwf_simnet::{HostId, SimDuration};
-use openwf_wire::VocabularyBudget;
+use openwf_wire::{DecodeScratch, VocabularyBudget};
 use proptest::prelude::*;
 
 fn frag(id: &str, task: &str, input: &str, output: &str) -> Fragment {
@@ -214,8 +215,13 @@ proptest! {
         for (round, case) in payloads.iter().enumerate() {
             let fragments = build_payload(case, "vgb");
             let admitted = guard.admit(&fragments);
-            let decoded =
-                reply_through_wire(problem, round as u32, fragments, &mut budget);
+            let decoded = reply_through_wire_with(
+                problem,
+                round as u32,
+                fragments,
+                &mut budget,
+                &mut DecodeScratch::new(),
+            );
             prop_assert_eq!(
                 admitted.is_ok(),
                 decoded.is_ok(),
@@ -273,7 +279,7 @@ fn per_peer_rejection_counters_identify_the_minting_peer() {
         matches!(report.status, ProblemStatus::Failed { .. }),
         "{report}"
     );
-    let initiator = community.host(hosts[0]);
+    let initiator = community.core(hosts[0]);
     assert!(initiator.vocabulary_rejections() > 0);
     assert_eq!(
         initiator.vocabulary_rejections(),
@@ -308,7 +314,7 @@ fn capped_in_budget_community_completes_through_the_wire() {
         matches!(report.status, ProblemStatus::Completed),
         "{report}"
     );
-    assert_eq!(community.host(hosts[0]).vocabulary_rejections(), 0);
+    assert_eq!(community.core(hosts[0]).vocabulary_rejections(), 0);
 }
 
 /// A durable-storage host works end to end, and a "restarted" host
@@ -340,7 +346,7 @@ fn durable_host_completes_and_survives_restart() {
             matches!(report.status, ProblemStatus::Completed),
             "{report}"
         );
-        assert_eq!(community.host(h).vocabulary_rejections(), 0);
+        assert_eq!(community.core(h).vocabulary_rejections(), 0);
     }
     // Restart: a fresh host over the same log replays both fragments and
     // completes the same problem with NO fragments supplied in config.
@@ -368,7 +374,7 @@ fn durable_host_completes_and_survives_restart() {
 /// footprint are both restart-stable.
 #[test]
 fn capped_durable_restart_reseeds_budget_and_keeps_log_flat() {
-    use openwf_runtime::{OwmsHost, RuntimeParams};
+    use openwf_runtime::{HostCore, RuntimeParams};
     let dir = tmp_dir("reseed");
     let storage = StorageConfig::Durable {
         dir: dir.clone(),
@@ -381,7 +387,7 @@ fn capped_durable_restart_reseeds_budget_and_keeps_log_flat() {
             .with_vocabulary_cap(8)
             .with_storage(storage.clone())
     };
-    let host = OwmsHost::new(config(), RuntimeParams::default());
+    let host = HostCore::new(config(), RuntimeParams::default());
     assert_eq!(host.vocabulary_names(), 4, "id + task + two labels seeded");
     drop(host);
     let log_size = |dir: &std::path::Path| -> u64 {
@@ -394,7 +400,7 @@ fn capped_durable_restart_reseeds_budget_and_keeps_log_flat() {
 
     // Restart 1: same config. The fragment replays from the log, the
     // budget must still see all 4 own names, and the log must not grow.
-    let host = OwmsHost::new(config(), RuntimeParams::default());
+    let host = HostCore::new(config(), RuntimeParams::default());
     assert_eq!(
         host.vocabulary_names(),
         4,
@@ -412,7 +418,7 @@ fn capped_durable_restart_reseeds_budget_and_keeps_log_flat() {
     let bare = HostConfig::new()
         .with_vocabulary_cap(8)
         .with_storage(storage.clone());
-    let host = OwmsHost::new(bare, RuntimeParams::default());
+    let host = HostCore::new(bare, RuntimeParams::default());
     assert_eq!(host.vocabulary_names(), 4);
     drop(host);
     let _ = std::fs::remove_dir_all(&dir);
@@ -424,7 +430,7 @@ fn capped_durable_restart_reseeds_budget_and_keeps_log_flat() {
 /// host still rebuilds the **latest** knowhow from snapshot + tail.
 #[test]
 fn storage_policy_compacts_log_and_restart_keeps_latest_knowhow() {
-    use openwf_runtime::{OwmsHost, RuntimeParams};
+    use openwf_runtime::{HostCore, RuntimeParams};
     let dir = tmp_dir("policy");
     let base = || {
         HostConfig::new()
@@ -453,7 +459,7 @@ fn storage_policy_compacts_log_and_restart_keeps_latest_knowhow() {
                 &format!("pol-b{i}-g{generation}"),
             ));
         }
-        drop(OwmsHost::new(config, RuntimeParams::default()));
+        drop(HostCore::new(config, RuntimeParams::default()));
     }
     let names: Vec<String> = std::fs::read_dir(&dir)
         .unwrap()
@@ -466,8 +472,8 @@ fn storage_policy_compacts_log_and_restart_keeps_latest_knowhow() {
 
     // Restart with no config fragments: the store holds exactly the 16
     // live fragments carrying the final generation's labels.
-    let mut host = OwmsHost::new(base(), RuntimeParams::default());
-    let fm = host.core_mut().fragment_mgr_mut();
+    let mut host = HostCore::new(base(), RuntimeParams::default());
+    let fm = host.fragment_mgr_mut();
     assert_eq!(fm.len(), 16, "one live fragment per id");
     assert_eq!(
         fm.query(&[Label::new("pol-a3-g3")]).len(),

@@ -37,7 +37,7 @@ use std::path::PathBuf;
 use openwf_core::{Fragment, Label, Mode};
 use openwf_obs::Obs;
 use openwf_runtime::{
-    CommunityBuilder, HostConfig, OwmsHost, ProblemHandle, RuntimeParams, WorkflowEvent,
+    CommunityBuilder, Driver, HostConfig, OwmsHost, ProblemHandle, RuntimeParams, WorkflowEvent,
 };
 use openwf_simnet::{ChaosAction, ChaosSchedule, HostId, SimDuration, SimTime};
 use rand::rngs::StdRng;
@@ -382,23 +382,6 @@ pub fn chaos_schedule(config: &SoakConfig) -> ChaosSchedule {
     schedule
 }
 
-/// Sorted wire encodings of every fragment a host knows — the
-/// bit-identity witness for durable restarts.
-fn knowhow_digest(host: &OwmsHost) -> Vec<Vec<u8>> {
-    let mut digest: Vec<Vec<u8>> = host
-        .core()
-        .fragment_mgr()
-        .fragments()
-        .map(|f| {
-            let mut bytes = Vec::new();
-            openwf_wire::encode_fragment(f, &mut bytes);
-            bytes
-        })
-        .collect();
-    digest.sort();
-    digest
-}
-
 fn soak_params() -> RuntimeParams {
     // The default 24 h execution watchdog would never fire inside a
     // soak horizon; 10 s of virtual time lets crash-induced repairs
@@ -564,7 +547,7 @@ pub fn run_soak_observed(config: &SoakConfig, obs: &Obs) -> SoakOutcome {
     for d in 0..config.districts {
         let ids = config.district_ids(d);
         for &h in &ids {
-            community.host_mut(h).set_community(ids.clone());
+            community.core_mut(h).set_community(ids.clone());
         }
     }
     community.net_mut().set_chaos(chaos_schedule(config));
@@ -586,7 +569,7 @@ pub fn run_soak_observed(config: &SoakConfig, obs: &Obs) -> SoakOutcome {
                 .advance_to(SimTime::ZERO + SimDuration::from_millis(1_500));
             let before: Vec<Vec<Vec<u8>>> = durable
                 .iter()
-                .map(|(id, _)| knowhow_digest(community.host(*id)))
+                .map(|(id, _)| community.core(*id).fragment_mgr().knowhow_digest())
                 .collect();
             community
                 .net_mut()
@@ -594,9 +577,9 @@ pub fn run_soak_observed(config: &SoakConfig, obs: &Obs) -> SoakOutcome {
             for (d, (id, cfg)) in durable.iter().enumerate() {
                 *community.host_mut(*id) = OwmsHost::new(cfg.clone(), soak_params());
                 let ids = config.district_ids(d);
-                community.host_mut(*id).set_community(ids.clone());
+                community.core_mut(*id).set_community(ids.clone());
                 restarts += 1;
-                if knowhow_digest(community.host(*id)) == before[d] {
+                if community.core(*id).fragment_mgr().knowhow_digest() == before[d] {
                     restart_matches += 1;
                 }
                 let faults = community.net_mut().faults_mut();
@@ -618,7 +601,7 @@ pub fn run_soak_observed(config: &SoakConfig, obs: &Obs) -> SoakOutcome {
     }
     let horizon = SimTime::ZERO + WAVE_GAP.times(config.waves as u64 - 1) + SOAK_TAIL;
     community.net_mut().advance_to(horizon);
-    community.run_to_quiescence();
+    community.run_until_quiescent();
 
     // ---- judge the invariants ----------------------------------------------
     let mut completed = 0usize;
@@ -643,7 +626,7 @@ pub fn run_soak_observed(config: &SoakConfig, obs: &Obs) -> SoakOutcome {
                     late_completed += 1;
                 }
                 let ws = community
-                    .host(s.handle.id.initiator)
+                    .core(s.handle.id.initiator)
                     .latest_attempt(s.handle.id)
                     .expect("completed problem retains its workspace");
                 if ws

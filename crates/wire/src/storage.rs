@@ -203,9 +203,6 @@ impl From<std::io::Error> for StorageError {
 ///
 /// * `snapshot_every_inserts: Some(n)` — snapshot once `n` records have
 ///   been appended since the last snapshot (or since open).
-/// * `snapshot_garbage_bytes: Some(m)` — snapshot once the garbage
-///   estimate has **grown** by `m` bytes since the last snapshot (a
-///   delta, so one big legacy log doesn't re-trigger forever).
 /// * `compact_live_percent: Some(p)` — compact (snapshot + delete the
 ///   covered segments) when live bytes fall below `p`% of all persisted
 ///   bytes (log + snapshot), provided at least `compact_min_bytes` of
@@ -215,9 +212,6 @@ impl From<std::io::Error> for StorageError {
 pub struct StoragePolicy {
     /// Snapshot after this many inserts since the last snapshot.
     pub snapshot_every_inserts: Option<u64>,
-    /// Snapshot after garbage grows by this many bytes since the last
-    /// snapshot.
-    pub snapshot_garbage_bytes: Option<u64>,
     /// Compact when live bytes fall below this percentage (0–100) of
     /// persisted bytes.
     pub compact_live_percent: Option<u8>,
@@ -229,7 +223,6 @@ impl Default for StoragePolicy {
     fn default() -> Self {
         StoragePolicy {
             snapshot_every_inserts: None,
-            snapshot_garbage_bytes: None,
             compact_live_percent: None,
             compact_min_bytes: DEFAULT_COMPACT_MIN_BYTES,
         }
@@ -246,13 +239,6 @@ impl StoragePolicy {
     #[must_use]
     pub fn snapshot_every(mut self, inserts: u64) -> Self {
         self.snapshot_every_inserts = Some(inserts);
-        self
-    }
-
-    /// Arms the garbage-growth snapshot trigger.
-    #[must_use]
-    pub fn snapshot_on_garbage(mut self, bytes: u64) -> Self {
-        self.snapshot_garbage_bytes = Some(bytes);
         self
     }
 
@@ -425,9 +411,6 @@ pub struct DurableFragmentStore {
     snapshot: Option<SnapshotState>,
     /// Records appended since the last snapshot (or open).
     inserts_since_snapshot: u64,
-    /// Garbage estimate when the last snapshot was taken — the baseline
-    /// for the delta trigger.
-    garbage_at_snapshot: u64,
     policy: StoragePolicy,
     scratch: Vec<u8>,
     ops: StoreOpStats,
@@ -603,7 +586,7 @@ impl DurableFragmentStore {
         };
         let segments = seqs.len() as u64 + u64::from(!seqs.contains(&seg_seq));
 
-        let mut store = DurableFragmentStore {
+        Ok(DurableFragmentStore {
             dir,
             index: state.index,
             writer: BufWriter::new(file),
@@ -617,7 +600,6 @@ impl DurableFragmentStore {
             rec_sizes: state.rec_sizes,
             snapshot,
             inserts_since_snapshot: state.record_count - covered_records,
-            garbage_at_snapshot: 0,
             policy,
             scratch: Vec::new(),
             ops: StoreOpStats {
@@ -625,9 +607,7 @@ impl DurableFragmentStore {
                 replay_micros,
                 ..StoreOpStats::default()
             },
-        };
-        store.garbage_at_snapshot = store.garbage_bytes();
-        Ok(store)
+        })
     }
 
     /// Appends a fragment to the log and indexes it. Returns `true` when
@@ -727,12 +707,7 @@ impl DurableFragmentStore {
         let snap_due = self
             .policy
             .snapshot_every_inserts
-            .is_some_and(|n| n > 0 && self.inserts_since_snapshot >= n)
-            || self.policy.snapshot_garbage_bytes.is_some_and(|m| {
-                self.garbage_bytes()
-                    .saturating_sub(self.garbage_at_snapshot)
-                    >= m
-            });
+            .is_some_and(|n| n > 0 && self.inserts_since_snapshot >= n);
         if snap_due {
             self.snapshot()?;
         }
@@ -770,7 +745,6 @@ impl DurableFragmentStore {
         self.remove_snapshots_except(tail_seg)?;
         self.snapshot = Some(snap);
         self.inserts_since_snapshot = 0;
-        self.garbage_at_snapshot = self.garbage_bytes();
         let micros = started.elapsed().as_micros() as u64;
         self.ops.snapshots += 1;
         self.ops.snapshot_micros += micros;
@@ -888,7 +862,6 @@ impl DurableFragmentStore {
         if removed {
             fsync_dir(&self.dir);
         }
-        self.garbage_at_snapshot = self.garbage_bytes();
         let micros = started.elapsed().as_micros() as u64;
         self.ops.compactions += 1;
         self.ops.compaction_micros += micros;

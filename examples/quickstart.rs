@@ -52,7 +52,7 @@ fn main() {
     // Narrate the service executions.
     for h in community.hosts() {
         community
-            .host_mut(h)
+            .core_mut(h)
             .service_mgr_mut()
             .set_hook(Box::new(move |call| {
                 println!("  [{h}] executing service: {}", call.task);

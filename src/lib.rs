@@ -82,7 +82,7 @@ pub mod prelude {
     pub use openwf_obs::Obs;
     pub use openwf_runtime::{
         Community, CommunityBuilder, Driver, HostConfig, HostCore, LoopbackBytesDriver,
-        Preferences, ProblemStatus, RuntimeParams, ServiceDescription, SimDriver, StorageConfig,
+        Preferences, ProblemStatus, RuntimeParams, ServiceDescription, StorageConfig,
         WorkflowEvent,
     };
     pub use openwf_simnet::{

@@ -74,7 +74,7 @@ fn competing_problems_serialize_on_shared_resources() {
     assert!(matches!(r2.status, ProblemStatus::Completed));
 
     // The scanner's two commitments must not overlap.
-    let scanner = community.host(hosts[1]);
+    let scanner = community.core(hosts[1]);
     let commitments = scanner.schedule().commitments();
     assert_eq!(commitments.len(), 2);
     let (a, b) = (&commitments[0], &commitments[1]);

@@ -135,7 +135,7 @@ proptest! {
 
         // The network must fully drain (no stuck messages/timers beyond
         // watchdogs), and draining must not change the outcome.
-        community.run_to_quiescence();
+        community.run_until_quiescent();
         prop_assert_eq!(community.stats().in_flight(), 0);
     }
 
@@ -171,7 +171,7 @@ proptest! {
             for (task, host) in &report.assignments {
                 prop_assert!(seen.insert(task.clone()), "task {task} assigned twice");
                 prop_assert!(
-                    community.host(*host).service_mgr().can_serve(task),
+                    community.core(*host).service_mgr().can_serve(task),
                     "host {host} cannot serve {task}"
                 );
             }

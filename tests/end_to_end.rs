@@ -32,7 +32,7 @@ fn catering_breakfast_and_lunch_end_to_end() {
     // Every assigned host actually invoked its services.
     let mut invocations = 0;
     for h in community.hosts() {
-        invocations += community.host(h).service_mgr().invocations().len();
+        invocations += community.core(h).service_mgr().invocations().len();
     }
     assert_eq!(invocations, report.assignments.len());
 }
@@ -113,7 +113,7 @@ fn emergency_response_executes_in_order() {
     // the virtual-time ordering implied by completion messages: the
     // supervisor must have assessed before hazmat contained.
     let hazmat = community.hosts()[3];
-    let hazmat_calls = community.host(hazmat).service_mgr().invocations();
+    let hazmat_calls = community.core(hazmat).service_mgr().invocations();
     assert_eq!(hazmat_calls[0].task.as_str(), "contain spill");
     assert_eq!(hazmat_calls[1].task.as_str(), "decontaminate area");
 }

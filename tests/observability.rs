@@ -262,11 +262,11 @@ fn multi_output_tasks_route_each_label() {
     assert_eq!(report.goals_delivered.len(), 2);
     // The platers each executed exactly one service.
     assert_eq!(
-        community.host(hosts[1]).service_mgr().invocations().len(),
+        community.core(hosts[1]).service_mgr().invocations().len(),
         1
     );
     assert_eq!(
-        community.host(hosts[2]).service_mgr().invocations().len(),
+        community.core(hosts[2]).service_mgr().invocations().len(),
         1
     );
 }
