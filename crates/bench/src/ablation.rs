@@ -9,7 +9,7 @@
 
 use std::time::Instant;
 
-use openwf_core::{Constructor, InMemoryFragmentStore, IncrementalConstructor, Supergraph};
+use openwf_core::{Constructor, IncrementalConstructor, ShardedFragmentStore, Supergraph};
 use openwf_scenario::generator::GeneratedKnowledge;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -69,7 +69,7 @@ pub fn run_ablation(tasks: usize, path_length: usize, runs: usize, seed: u64) ->
         assert!(path.spec.accepts(full.workflow()));
 
         // Incremental: frontier-driven queries against the same store.
-        let mut store: InMemoryFragmentStore = knowledge.fragments().iter().cloned().collect();
+        let mut store: ShardedFragmentStore = knowledge.fragments().iter().cloned().collect();
         let t0 = Instant::now();
         let (inc, partial) = IncrementalConstructor::new()
             .construct(&mut store, &path.spec)

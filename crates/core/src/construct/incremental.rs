@@ -41,7 +41,7 @@ use crate::supergraph::Supergraph;
 ///
 /// In the distributed runtime this is backed by fragment queries over the
 /// network (each host's Fragment Manager answers from its local database);
-/// [`crate::store::InMemoryFragmentStore`] provides the local equivalent.
+/// [`crate::store::ShardedFragmentStore`] provides the local equivalent.
 ///
 /// Fragments are handed out as shared [`Arc`]s: a frontier query returns
 /// handles to the community's stored knowhow rather than deep copies of

@@ -88,7 +88,7 @@ pub use fx::{FxHashMap, FxHashSet};
 pub use graph::{Graph, NodeIdx, TraversalScratch};
 pub use ids::{Interned, Label, Mode, NodeKey, NodeKind, Sym, TaskId};
 pub use spec::Spec;
-pub use store::{BackendError, FragmentBackend, InMemoryFragmentStore, ShardedFragmentStore};
+pub use store::{BackendError, FragmentBackend, ShardedFragmentStore};
 pub use supergraph::Supergraph;
 pub use validate::ValidityError;
 pub use workflow::Workflow;
@@ -100,7 +100,7 @@ pub mod prelude {
     pub use crate::fragment::{Fragment, FragmentBuilder};
     pub use crate::ids::{Label, Mode, TaskId};
     pub use crate::spec::Spec;
-    pub use crate::store::{InMemoryFragmentStore, ShardedFragmentStore};
+    pub use crate::store::ShardedFragmentStore;
     pub use crate::supergraph::Supergraph;
     pub use crate::workflow::Workflow;
 }

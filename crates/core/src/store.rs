@@ -2,16 +2,16 @@
 //!
 //! Two stores share one design:
 //!
-//! * [`InMemoryFragmentStore`] — a single monolithic index; the local
-//!   analogue of a host's fragment database (the runtime's Fragment
-//!   Manager wraps a store) and the reference implementation of
-//!   [`FragmentSource`] for tests and single-process use.
-//! * [`ShardedFragmentStore`] — the same database partitioned across N
-//!   shards by produced-label symbol. Shards are a storage layout (durable
-//!   snapshots persist it); a query visits every shard on the calling
-//!   thread and restores global insertion order by sequence number, so
-//!   answers do not depend on the shard count. The default is one shard,
-//!   which degenerates to the monolithic layout.
+//! * [`ShardedFragmentStore`] — the store every host runs (the runtime's
+//!   Fragment Manager wraps one): a fragment database partitioned across
+//!   N shards by produced-label symbol. Shards are a storage layout
+//!   (durable snapshots persist it); a query visits every shard on the
+//!   calling thread and restores global insertion order by sequence
+//!   number, so answers do not depend on the shard count. The default is
+//!   one shard, which degenerates to the monolithic layout.
+//! * [`InMemoryFragmentStore`] — a single monolithic index, kept as the
+//!   independent oracle the sharded store is tested against. No program
+//!   uses it and no prelude exports it.
 //!
 //! Fragments are held behind [`Arc`] so that answering a frontier query
 //! hands out shared references instead of deep-copying whole workflow
@@ -26,7 +26,14 @@ use crate::fragment::{Fragment, FragmentId};
 use crate::fx::FxHashMap;
 use crate::ids::Label;
 
-/// A fragment database indexed by the labels its tasks consume.
+/// A monolithic fragment database indexed by the labels its tasks
+/// consume.
+///
+/// This is the **test oracle**: [`ShardedFragmentStore`] is what hosts,
+/// benches and examples run, and this independent implementation is
+/// what its unit tests, the incremental constructor's and
+/// `tests/properties.rs` compare it against. (Merging the two waits for
+/// the benchmark to stop pinning the shard-count constructor.)
 #[derive(Default)]
 pub struct InMemoryFragmentStore {
     fragments: Vec<Arc<Fragment>>,

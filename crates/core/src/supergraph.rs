@@ -245,31 +245,6 @@ impl Supergraph {
         (n0 as usize..n1 as usize, e0 as usize..e1 as usize)
     }
 
-    /// Fragments that contributed a given node, in merge order.
-    ///
-    /// Answered by scanning the provenance log — a per-construction
-    /// diagnostic, not a hot-path query.
-    pub fn node_fragments(&self, idx: NodeIdx) -> Vec<FragmentId> {
-        (0..self.fragments.len())
-            .filter(|&i| self.node_log[self.span(i).0].contains(&idx))
-            .map(|i| self.fragments[i].clone())
-            .collect()
-    }
-
-    /// Fragments that contributed a given edge, in merge order.
-    ///
-    /// Answered by scanning the provenance log — a per-construction
-    /// diagnostic, not a hot-path query.
-    pub fn edge_fragments(&self, from: NodeIdx, to: NodeIdx) -> Vec<FragmentId> {
-        let Some(eid) = self.graph.edge_id(from, to) else {
-            return Vec::new();
-        };
-        (0..self.fragments.len())
-            .filter(|&i| self.edge_log[self.span(i).1].contains(&eid))
-            .map(|i| self.fragments[i].clone())
-            .collect()
-    }
-
     /// The set of fragments covering the given nodes and edges — used to
     /// report which pieces of community knowhow a constructed workflow drew
     /// on. One linear scan of the provenance logs against membership
@@ -322,7 +297,7 @@ impl fmt::Debug for Supergraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::{Mode, TaskId};
+    use crate::ids::Mode;
 
     fn frag(id: &str, task: &str, input: &str, output: &str) -> Fragment {
         Fragment::single_task(id, task, Mode::Disjunctive, [input], [output]).unwrap()
@@ -357,28 +332,6 @@ mod tests {
         assert!(!sg.try_merge_fragment(&f).unwrap());
         assert_eq!(sg.fragment_count(), 1);
         assert_eq!(sg.graph().node_count(), 3);
-    }
-
-    #[test]
-    fn provenance_tracks_contributors() {
-        let mut sg = Supergraph::new();
-        sg.merge_fragment(&frag("f1", "t1", "a", "b"));
-        sg.merge_fragment(&frag("f2", "t2", "b", "c"));
-        let b = sg.graph().find_label(&Label::new("b")).unwrap();
-        let owners = sg.node_fragments(b);
-        assert_eq!(owners.len(), 2);
-        let t1 = sg.graph().find_task(&TaskId::new("t1")).unwrap();
-        assert_eq!(sg.node_fragments(t1), &[FragmentId::new("f1")]);
-    }
-
-    #[test]
-    fn edge_provenance_tracks_contributors() {
-        let mut sg = Supergraph::new();
-        sg.merge_fragment(&frag("f1", "t1", "a", "b"));
-        let a = sg.graph().find_label(&Label::new("a")).unwrap();
-        let t1 = sg.graph().find_task(&TaskId::new("t1")).unwrap();
-        assert_eq!(sg.edge_fragments(a, t1), &[FragmentId::new("f1")]);
-        assert!(sg.edge_fragments(t1, a).is_empty());
     }
 
     #[test]
@@ -430,12 +383,15 @@ mod tests {
             sequential.graph().edge_count()
         );
         for idx in batched.graph().node_indices() {
-            assert_eq!(batched.node_fragments(idx), sequential.node_fragments(idx));
-        }
-        for (f, t) in batched.graph().edges() {
             assert_eq!(
-                batched.edge_fragments(f, t),
-                sequential.edge_fragments(f, t)
+                batched.covering_fragments([idx], []),
+                sequential.covering_fragments([idx], [])
+            );
+        }
+        for edge in batched.graph().edges() {
+            assert_eq!(
+                batched.covering_fragments([], [edge]),
+                sequential.covering_fragments([], [edge])
             );
         }
     }

@@ -18,6 +18,7 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use openwf_core::construct::{ConstructError, Constructor, PickOrder};
 use openwf_core::prelude::*;
 use openwf_core::prune::prune_to_spec;
+use openwf_core::store::InMemoryFragmentStore;
 use openwf_core::validate::validate;
 use openwf_core::{IncrementalConstructor, Label, TaskId};
 use proptest::prelude::*;

@@ -11,8 +11,7 @@
 //! * [`Point`] — 2D positions in meters ([`geometry`]).
 //! * [`Place`] / [`SiteMap`] — named locations ([`map`]).
 //! * [`Motion`] — speed and travel-time estimation ([`motion`]).
-//! * [`WaypointPlan`] — scripted and random-waypoint mobility
-//!   ([`waypoint`]).
+//! * [`RandomWaypoint`] — random-waypoint mobility ([`waypoint`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,4 +25,4 @@ pub mod waypoint;
 pub use geometry::{Point, Rect};
 pub use map::{Place, SiteMap};
 pub use motion::Motion;
-pub use waypoint::{RandomWaypoint, WaypointPlan};
+pub use waypoint::RandomWaypoint;

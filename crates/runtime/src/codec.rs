@@ -542,12 +542,13 @@ pub fn frame_is_fragment_reply(buf: &[u8]) -> Result<bool, WireError> {
     Ok(frame.reader().byte()? == V_FRAGMENT_REPLY)
 }
 
-/// The exact encoded size of a message in bytes (one full frame).
+/// The encoded size of a message in bytes (one full frame) — the only
+/// size a message has: [`Msg`]'s [`openwf_simnet::Message`] impl
+/// forwards here, so the simulator's bandwidth model and traffic
+/// counters charge what a byte transport carries.
 ///
-/// Allocates a scratch buffer per call; the simulator's bandwidth model
-/// keeps its cheap arithmetic approximation ([`Msg`]'s
-/// [`openwf_simnet::Message::wire_size`]) on the hot path and uses this
-/// for calibration.
+/// Encodes into a scratch buffer per call; the simulator asks once per
+/// scheduled delivery.
 pub fn encoded_len(msg: &Msg) -> usize {
     let mut buf = Vec::new();
     encode_msg(msg, &mut buf);

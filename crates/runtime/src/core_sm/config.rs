@@ -1,0 +1,204 @@
+//! What a host is built from: its knowhow, services, place, disposition
+//! and storage backend.
+
+use std::path::PathBuf;
+use std::sync::Arc;
+
+use openwf_core::Fragment;
+use openwf_mobility::{Motion, Point, SiteMap};
+use openwf_obs::Obs;
+
+#[cfg(doc)]
+use super::{HostCore, WorkflowEvent};
+use crate::prefs::Preferences;
+use crate::service::ServiceDescription;
+
+/// Which storage backend backs a host's Fragment Manager (see
+/// [`openwf_core::FragmentBackend`]).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub enum StorageConfig {
+    /// Knowhow lives only in memory (the default; a restart loses it).
+    #[default]
+    InMemory,
+    /// Knowhow is appended to `openwf-wire`'s CRC-checked segment log in
+    /// `dir` and replayed on restart, so a restarted host reconstructs
+    /// the same database — and therefore bit-identical supergraphs.
+    Durable {
+        /// Log directory (created if absent; an existing log is
+        /// replayed).
+        dir: PathBuf,
+        /// Segment roll size in bytes
+        /// ([`openwf_wire::DEFAULT_SEGMENT_BYTES`] unless overridden).
+        segment_bytes: u64,
+        /// When the log snapshots its live set and compacts covered
+        /// segments ([`openwf_wire::StoragePolicy`]; the default is
+        /// manual only). Snapshots bound restart cost to O(live +
+        /// tail) instead of O(insert history).
+        policy: openwf_wire::StoragePolicy,
+    },
+}
+
+/// Static configuration of one host: its knowhow, capabilities, place and
+/// disposition (the paper's deployment steps 2 and 3: "adding knowhow in
+/// the form of workflow fragments, and adding service descriptions").
+///
+/// `Clone` lets a driver keep the config it built a host from and rebuild
+/// the host after a kill — with durable storage, the clone reopens the
+/// same on-disk store (the chaos soak's kill-restart path).
+#[derive(Clone, Debug)]
+pub struct HostConfig {
+    /// Workflow fragments this host knows (shared handles; scenario
+    /// generators hand the same allocation to every consumer).
+    pub fragments: Vec<Arc<Fragment>>,
+    /// Services this host offers.
+    pub services: Vec<ServiceDescription>,
+    /// Starting position.
+    pub position: Point,
+    /// Motion capability.
+    pub motion: Motion,
+    /// Site map for resolving symbolic locations.
+    pub site: SiteMap,
+    /// Willingness preferences.
+    pub prefs: Preferences,
+    /// Per-community vocabulary cap: the maximum number of distinct
+    /// interned names (labels, tasks, fragment ids) this host admits
+    /// across its own knowhow and peer fragment replies. Replies that
+    /// would exceed the cap are rejected as protocol errors instead of
+    /// growing the process-wide interner without bound. Enforcement runs
+    /// at wire decode (`openwf-wire`'s `VocabularyBudget`): a capped
+    /// host routes peer replies through the binary codec and charges
+    /// each distinct un-interned name *before* anything is interned —
+    /// and on the frame transport ([`HostCore::handle_frame`]) **every**
+    /// peer frame's name table is charged, since at a networked
+    /// boundary any frame can mint. `None` (default) trusts the
+    /// community.
+    pub max_interned_names: Option<usize>,
+    /// Per-peer vocabulary-rejection tolerance: once a single peer has
+    /// had this many frames rejected at the vocabulary trust boundary,
+    /// the host **quarantines** it — every subsequent message or frame
+    /// from that peer is dropped on arrival and a
+    /// [`WorkflowEvent::PeerQuarantined`] is surfaced once. `None`
+    /// (default) keeps counting without acting.
+    pub max_vocabulary_rejections: Option<u64>,
+    /// Fragment storage backend (see [`StorageConfig`]). The default is
+    /// in-memory.
+    pub storage: StorageConfig,
+    /// Observability collectors (metrics registry + trace sink) this
+    /// host records into. The default is fully disabled: every record
+    /// call is a single-branch no-op, and enabling collection never
+    /// changes protocol behaviour — collectors draw no randomness, arm
+    /// no timers, and send nothing (the scenario layer property-tests
+    /// bit-identical outcomes with collectors on or off).
+    pub obs: Obs,
+}
+
+impl Default for HostConfig {
+    fn default() -> Self {
+        HostConfig {
+            fragments: Vec::new(),
+            services: Vec::new(),
+            position: Point::ORIGIN,
+            motion: Motion::STATIONARY,
+            site: SiteMap::new(),
+            prefs: Preferences::willing(),
+            max_interned_names: None,
+            max_vocabulary_rejections: None,
+            storage: StorageConfig::InMemory,
+            obs: Obs::disabled(),
+        }
+    }
+}
+
+impl HostConfig {
+    /// An empty configuration (no knowhow, no services, stationary at the
+    /// origin).
+    pub fn new() -> Self {
+        HostConfig::default()
+    }
+
+    /// Adds a fragment (owned or shared).
+    pub fn with_fragment(mut self, fragment: impl Into<Arc<Fragment>>) -> Self {
+        self.fragments.push(fragment.into());
+        self
+    }
+
+    /// Adds a service.
+    pub fn with_service(mut self, service: ServiceDescription) -> Self {
+        self.services.push(service);
+        self
+    }
+
+    /// Sets position and motion.
+    pub fn located(mut self, position: Point, motion: Motion) -> Self {
+        self.position = position;
+        self.motion = motion;
+        self
+    }
+
+    /// Sets the site map.
+    pub fn with_site(mut self, site: SiteMap) -> Self {
+        self.site = site;
+        self
+    }
+
+    /// Sets preferences.
+    pub fn with_prefs(mut self, prefs: Preferences) -> Self {
+        self.prefs = prefs;
+        self
+    }
+
+    /// Sets the per-community vocabulary cap (see
+    /// [`HostConfig::max_interned_names`]).
+    pub fn with_vocabulary_cap(mut self, cap: usize) -> Self {
+        self.max_interned_names = Some(cap);
+        self
+    }
+
+    /// Quarantines any peer after `cap` vocabulary rejections (see
+    /// [`HostConfig::max_vocabulary_rejections`]).
+    pub fn with_max_vocabulary_rejections(mut self, cap: u64) -> Self {
+        self.max_vocabulary_rejections = Some(cap);
+        self
+    }
+
+    /// Selects the fragment storage backend.
+    pub fn with_storage(mut self, storage: StorageConfig) -> Self {
+        self.storage = storage;
+        self
+    }
+
+    /// Persists this host's knowhow in a durable segment log at `dir`
+    /// (replayed on restart; see [`StorageConfig::Durable`]) with
+    /// manual-only snapshot/compaction.
+    pub fn with_durable_storage(mut self, dir: impl Into<PathBuf>) -> Self {
+        self.storage = StorageConfig::Durable {
+            dir: dir.into(),
+            segment_bytes: openwf_wire::DEFAULT_SEGMENT_BYTES,
+            policy: openwf_wire::StoragePolicy::default(),
+        };
+        self
+    }
+
+    /// Attaches observability collectors (see [`HostConfig::obs`]).
+    /// Clone one [`Obs`] into every host of a community so metrics
+    /// aggregate in a single registry and trace events land in one
+    /// sink.
+    pub fn with_observability(mut self, obs: Obs) -> Self {
+        self.obs = obs;
+        self
+    }
+
+    /// Sets the durable log's snapshot/compaction policy (no-op advice
+    /// for in-memory storage: the backend must already be
+    /// [`StorageConfig::Durable`], e.g. via
+    /// [`HostConfig::with_durable_storage`]).
+    pub fn with_storage_policy(mut self, policy: openwf_wire::StoragePolicy) -> Self {
+        if let StorageConfig::Durable {
+            policy: configured, ..
+        } = &mut self.storage
+        {
+            *configured = policy;
+        }
+        self
+    }
+}

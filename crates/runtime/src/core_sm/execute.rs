@@ -1,0 +1,163 @@
+//! Execution (§3.3): installed plans start tasks as their inputs
+//! arrive, finished tasks publish outputs to dependents and goals to
+//! the initiator, and the initiator counts goals until the problem is
+//! complete. Everything here runs between the `execute` span's begin
+//! and end.
+
+use openwf_core::{Label, TaskId};
+use openwf_obs::SpanPhase;
+use openwf_simnet::SimTime;
+
+use super::{Action, ActionQueue, HostCore, TimerPurpose, WorkflowEvent};
+use crate::exec::ExecEvent;
+use crate::messages::{Msg, ProblemId};
+use crate::metadata::ExecutionPlan;
+use crate::report::ProblemStatus;
+
+impl HostCore {
+    /// [`Msg::Execute`]: installs this host's share of the plan. A newer
+    /// attempt supersedes older ones of the same problem.
+    pub(super) fn on_execute(
+        &mut self,
+        problem: ProblemId,
+        plan: ExecutionPlan,
+        now: SimTime,
+        q: &mut ActionQueue,
+    ) {
+        let events = self.exec_mgr.install_plan(problem, plan, now);
+        self.apply_exec_events(problem, events, now, q);
+    }
+
+    /// [`Msg::InputDelivery`].
+    pub(super) fn on_input_delivery(
+        &mut self,
+        problem: ProblemId,
+        label: Label,
+        now: SimTime,
+        q: &mut ActionQueue,
+    ) {
+        let events = self.exec_mgr.on_input(problem, label, now);
+        self.apply_exec_events(problem, events, now, q);
+    }
+
+    /// [`Msg::TaskCompleted`] (initiator side).
+    pub(super) fn on_task_completed(&mut self, problem: ProblemId, task: TaskId) {
+        if let Some(w) = self.workflow_mgr.working_mut(&problem) {
+            w.tasks_pending.remove(&task);
+        }
+    }
+
+    /// [`Msg::GoalDelivered`] (initiator side).
+    pub(super) fn on_goal_delivered(
+        &mut self,
+        problem: ProblemId,
+        label: Label,
+        now: SimTime,
+        q: &mut ActionQueue,
+    ) {
+        if let Some(ws) = self.workflow_mgr.get_mut(&problem) {
+            if let Some(w) = ws.working.as_deref_mut() {
+                w.goals_pending.remove(&label);
+            }
+            ws.report.goals_delivered.push(label);
+        }
+        self.check_completion(problem, now, q);
+    }
+
+    /// `ExecStart`: a task whose inputs arrived early reaches its start
+    /// time.
+    pub(super) fn on_exec_start(
+        &mut self,
+        problem: ProblemId,
+        task: TaskId,
+        now: SimTime,
+        q: &mut ActionQueue,
+    ) {
+        let events = self.exec_mgr.on_start_time(problem, &task);
+        self.apply_exec_events(problem, events, now, q);
+    }
+
+    fn apply_exec_events(
+        &mut self,
+        problem: ProblemId,
+        events: Vec<ExecEvent>,
+        now: SimTime,
+        q: &mut ActionQueue,
+    ) {
+        for ev in events {
+            match ev {
+                ExecEvent::WaitUntilStart { task, at } => {
+                    self.arm_at(q, now, at, TimerPurpose::ExecStart { problem, task });
+                }
+                ExecEvent::Begin { task, duration } => {
+                    if self.obs.trace.is_enabled() {
+                        self.trace(
+                            now,
+                            problem,
+                            "task",
+                            SpanPhase::Complete,
+                            duration.as_micros(),
+                            task.as_str().to_string(),
+                        );
+                    }
+                    self.arm(q, now, duration, TimerPurpose::ExecFinish { problem, task });
+                }
+            }
+        }
+    }
+
+    /// `ExecFinish`: the task's service duration elapsed.
+    pub(super) fn finish_task(&mut self, problem: ProblemId, task: TaskId, q: &mut ActionQueue) {
+        let Some(finished) = self.exec_mgr.on_completion(problem, &task) else {
+            return;
+        };
+        // Invoke the service (§4.2: uniform service invocation interface).
+        self.service_mgr
+            .invoke(&finished.task, finished.inputs.clone());
+        // Publish outputs to dependents, goals to the initiator.
+        for out in &finished.outputs {
+            for &consumer in &out.consumers {
+                self.emit(
+                    q,
+                    consumer,
+                    Msg::InputDelivery {
+                        problem,
+                        label: out.label.clone(),
+                    },
+                );
+            }
+            if out.is_goal {
+                self.emit(
+                    q,
+                    problem.initiator,
+                    Msg::GoalDelivered {
+                        problem,
+                        label: out.label.clone(),
+                    },
+                );
+            }
+        }
+        self.emit(q, problem.initiator, Msg::TaskCompleted { problem, task });
+    }
+
+    pub(super) fn check_completion(
+        &mut self,
+        problem: ProblemId,
+        now: SimTime,
+        q: &mut ActionQueue,
+    ) {
+        let Some(ws) = self.workflow_mgr.get_mut(&problem) else {
+            return;
+        };
+        let delivered = ws.working().is_some_and(|w| w.goals_pending.is_empty());
+        if ws.report.status == ProblemStatus::Executing && delivered {
+            ws.report.status = ProblemStatus::Completed;
+            ws.report.timings.completed_at = Some(now);
+            self.retire(problem);
+            self.span(now, problem, "completed", SpanPhase::Instant);
+            self.span(now, problem, "execute", SpanPhase::End);
+            self.span(now, problem, "problem", SpanPhase::End);
+            q.push(Action::Event(WorkflowEvent::Completed { problem }));
+        }
+    }
+}

@@ -1,0 +1,679 @@
+//! The sans-io protocol core: one host's complete OWMS state machine,
+//! free of any transport.
+//!
+//! [`HostCore`] owns the paper's §4.2 components — the construction
+//! subsystem (Workflow Manager + Auction Manager) and the execution
+//! subsystem (Fragment, Service, Schedule, Auction Participation and
+//! Execution Managers) — but performs **no I/O**. Every input arrives
+//! through a narrow poll surface:
+//!
+//! * [`HostCore::handle_msg`] — a typed protocol message from a peer,
+//! * [`HostCore::handle_frame`] — the same message as encoded wire
+//!   bytes (decoded through the host's vocabulary trust boundary),
+//! * [`HostCore::handle_timer`] — a timer the driver armed on the
+//!   core's behalf fired,
+//! * [`HostCore::tick`] — a clock poll for drivers without a timer
+//!   facility: fires every armed timer that has come due.
+//!
+//! Each call returns an [`ActionQueue`] of typed effects — messages to
+//! send ([`Action::Send`] / [`Action::SendBytes`]), timers to arm
+//! ([`Action::SetTimer`]), observability events
+//! ([`Action::Event`]) — plus the modeled compute time the call
+//! charged. A *driver* (see [`crate::driver`]) owns the transport: the
+//! deterministic simulator, an in-process bytes loopback, or any future
+//! async executor can drive the identical protocol logic.
+//!
+//! # Where things live
+//!
+//! This file holds the struct, its accessors, the poll surface, the
+//! outbound / timer helpers and two routers — `dispatch_msg` and
+//! `fire_timer` — whose arms are one call each. The protocol itself is
+//! one file per phase, named as the trace spans name them; `config.rs`
+//! ([`HostConfig`]), `action.rs` ([`Action`], [`ActionQueue`]) and
+//! `observe.rs` (metrics, trace spans) are what the phases share.
+//!
+//! | [`Msg`] variant | owner |
+//! |---|---|
+//! | `Initiate`, `FragmentQuery`, `FragmentReply`, `CapabilityQuery`, `CapabilityReply` | `construct.rs` |
+//! | `CallForBids`, `Bid`, `Decline`, `Award` | `allocate.rs` |
+//! | `Execute`, `InputDelivery`, `TaskCompleted`, `GoalDelivered` | `execute.rs` |
+//!
+//! | `TimerPurpose` | owner |
+//! |---|---|
+//! | `RoundTimeout` | `construct.rs` |
+//! | `AuctionDeadline`, `AuctionTimeout`, `BidHoldExpiry` | `allocate.rs` |
+//! | `ExecStart`, `ExecFinish` | `execute.rs` |
+//! | `Watchdog` | `repair.rs` |
+//!
+//! `construct.rs` hands over to `allocate.rs` at `WsAction::Constructed`
+//! (`start_allocation`), `allocate.rs` to `execute.rs` when every
+//! auction is decided (`finalize_allocation` sends the plans), and both
+//! to `repair.rs` (`repair_or_fail`) when an attempt cannot go on.
+
+use std::collections::{HashMap, HashSet};
+use std::fmt;
+
+use openwf_core::TaskId;
+use openwf_obs::{Obs, SpanPhase, TraceEvent};
+use openwf_simnet::{HostId, Message, SimDuration, SimTime, TimerToken};
+use openwf_wire::{DecodeScratch, VocabularyBudget, WireError};
+
+use crate::auction_part::AuctionParticipationManager;
+use crate::codec;
+use crate::exec::ExecutionManager;
+use crate::fragment_mgr::FragmentManager;
+use crate::messages::{Msg, ProblemId};
+use crate::params::RuntimeParams;
+use crate::prefs::Preferences;
+use crate::schedule::ScheduleManager;
+use crate::service::ServiceManager;
+use crate::timers::TimerTable;
+use crate::workflow_mgr::WorkflowManager;
+
+mod action;
+mod allocate;
+mod config;
+mod construct;
+mod execute;
+mod observe;
+mod repair;
+#[cfg(test)]
+mod tests;
+
+pub use action::{Action, ActionQueue, OutboundMode, WorkflowEvent};
+pub use config::{HostConfig, StorageConfig};
+use observe::CoreMetrics;
+
+#[derive(Clone, Debug)]
+enum TimerPurpose {
+    RoundTimeout { problem: ProblemId, round: u32 },
+    AuctionDeadline { problem: ProblemId, task: TaskId },
+    AuctionTimeout { problem: ProblemId },
+    BidHoldExpiry { problem: ProblemId, task: TaskId },
+    ExecStart { problem: ProblemId, task: TaskId },
+    ExecFinish { problem: ProblemId, task: TaskId },
+    Watchdog { problem: ProblemId },
+}
+
+/// One participant's complete protocol state machine (all §4.2 managers),
+/// driven sans-io through the poll surface described in the module docs.
+pub struct HostCore {
+    /// Identity, fixed at first [`HostCore::bind`].
+    me: Option<HostId>,
+    community: Vec<HostId>,
+    params: RuntimeParams,
+    prefs: Preferences,
+    /// Execution subsystem.
+    fragment_mgr: FragmentManager,
+    service_mgr: ServiceManager,
+    schedule: ScheduleManager,
+    auction_part: AuctionParticipationManager,
+    exec_mgr: ExecutionManager,
+    /// Construction subsystem.
+    workflow_mgr: WorkflowManager,
+    /// Vocabulary trust boundary: the decode-side budget capped peer
+    /// replies are charged against (see
+    /// [`crate::codec::reply_through_wire_with`]).
+    vocab: VocabularyBudget,
+    /// Per-host decode state: recycled frame/name/staging buffers plus
+    /// the fragment-identity cache (primed with own knowhow at
+    /// construction, so an echoed fragment decodes to the shared `Arc`).
+    decode: DecodeScratch,
+    vocabulary_rejections: u64,
+    /// Per-peer vocabulary rejection tallies;
+    /// [`HostConfig::max_vocabulary_rejections`] acts on them.
+    vocab_rejections_by_peer: HashMap<HostId, u64>,
+    max_vocab_rejections: Option<u64>,
+    quarantined: HashSet<HostId>,
+    outbound: OutboundMode,
+    /// Armed timers in firing order. Due times let [`HostCore::tick`]
+    /// fire timers on a clock poll and [`HostCore::next_timer_due`]
+    /// tell a poll-based driver how long it may sleep.
+    timers: TimerTable<TimerPurpose>,
+    /// Observability collectors (disabled by default; see
+    /// [`HostConfig::obs`]).
+    obs: Obs,
+    /// Resolved metric handles + publish baselines.
+    metrics: CoreMetrics,
+}
+
+impl HostCore {
+    /// Builds a core from its configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics when [`StorageConfig::Durable`] storage cannot be opened
+    /// or an insert cannot be persisted (I/O failure, corrupt log).
+    pub fn new(config: HostConfig, params: RuntimeParams) -> Self {
+        let mut fragment_mgr = match config.storage {
+            StorageConfig::InMemory => FragmentManager::new(),
+            StorageConfig::Durable {
+                dir,
+                segment_bytes,
+                policy,
+            } => FragmentManager::durable_with(dir, segment_bytes, policy)
+                .expect("open the durable fragment log"),
+        };
+        for f in config.fragments {
+            // A durable backend may have replayed this exact fragment
+            // from its log already (a restarted host re-running its
+            // config): re-appending it would grow the log by one
+            // replace-by-id record per restart, so skip byte-identical
+            // knowhow. A *changed* fragment under the same id still
+            // replaces the logged one.
+            let already_logged = fragment_mgr.store().get(f.id()).is_some_and(|existing| {
+                let mut a = Vec::new();
+                let mut b = Vec::new();
+                openwf_wire::encode_fragment(existing, &mut a);
+                openwf_wire::encode_fragment(&f, &mut b);
+                a == b
+            });
+            if !already_logged {
+                fragment_mgr.add(f);
+            }
+        }
+        let mut vocab = VocabularyBudget::new(config.max_interned_names);
+        if vocab.cap().is_some() {
+            // Own knowhow is trusted: it seeds the vocabulary instead of
+            // being checked against the cap. Seed from the *manager*,
+            // not the config, so knowhow replayed from a durable log
+            // keeps its budget headroom across restarts.
+            for f in fragment_mgr.fragments() {
+                vocab.seed_fragment(f);
+            }
+        }
+        let mut decode = DecodeScratch::new();
+        fragment_mgr.prime_cache(decode.cache_mut());
+        let mut service_mgr = ServiceManager::new();
+        for s in config.services {
+            service_mgr.register(s);
+        }
+        let schedule = ScheduleManager::new(config.position, config.motion, config.site);
+        HostCore {
+            me: None,
+            community: Vec::new(),
+            params,
+            prefs: config.prefs,
+            fragment_mgr,
+            service_mgr,
+            schedule,
+            auction_part: AuctionParticipationManager::new(),
+            exec_mgr: ExecutionManager::new(),
+            workflow_mgr: WorkflowManager::new(),
+            vocab,
+            decode,
+            vocabulary_rejections: 0,
+            vocab_rejections_by_peer: HashMap::new(),
+            max_vocab_rejections: config.max_vocabulary_rejections,
+            quarantined: HashSet::new(),
+            outbound: OutboundMode::Typed,
+            timers: TimerTable::new(),
+            metrics: CoreMetrics::resolve(&config.obs),
+            obs: config.obs,
+        }
+    }
+
+    /// Fixes this core's host identity. Drivers call it once at install
+    /// (re-binding the same id is a no-op, so per-callback binding is
+    /// also fine).
+    ///
+    /// # Panics
+    ///
+    /// Panics on an attempt to re-bind to a *different* id — one core
+    /// drives one host.
+    pub fn bind(&mut self, me: HostId) {
+        match self.me {
+            None => self.me = Some(me),
+            Some(bound) => assert_eq!(bound, me, "a HostCore drives exactly one host identity"),
+        }
+    }
+
+    /// The bound identity.
+    ///
+    /// # Panics
+    ///
+    /// Panics before the first [`HostCore::bind`].
+    pub fn id(&self) -> HostId {
+        self.me.expect("HostCore::bind before driving")
+    }
+
+    /// Selects how outbound messages are emitted (see [`OutboundMode`]).
+    pub fn set_outbound_mode(&mut self, mode: OutboundMode) {
+        self.outbound = mode;
+    }
+
+    /// Number of peer frames/replies rejected at the vocabulary trust
+    /// boundary (see [`HostConfig::max_interned_names`]).
+    pub fn vocabulary_rejections(&self) -> u64 {
+        self.vocabulary_rejections
+    }
+
+    /// Vocabulary rejections attributed to one peer (what
+    /// [`HostConfig::max_vocabulary_rejections`] acts on).
+    pub fn vocabulary_rejections_from(&self, peer: HostId) -> u64 {
+        self.vocab_rejections_by_peer
+            .get(&peer)
+            .copied()
+            .unwrap_or(0)
+    }
+
+    /// Distinct names recorded in the vocabulary budget (own knowhow —
+    /// including knowhow replayed from a durable log — plus admitted
+    /// peer names). Always 0 for uncapped hosts, which track nothing.
+    pub fn vocabulary_names(&self) -> usize {
+        self.vocab.len()
+    }
+
+    /// True when `peer` has been quarantined for minting past the
+    /// vocabulary cap (see [`HostConfig::max_vocabulary_rejections`]).
+    pub fn is_quarantined(&self, peer: HostId) -> bool {
+        self.quarantined.contains(&peer)
+    }
+
+    /// Sets the community membership (all host ids, including this one).
+    /// Called by the driver before traffic flows.
+    pub fn set_community(&mut self, community: Vec<HostId>) {
+        self.community = community;
+    }
+
+    /// The workflow manager (workspaces/reports), for inspection.
+    pub fn workflow_mgr(&self) -> &WorkflowManager {
+        &self.workflow_mgr
+    }
+
+    /// The fragment manager, for inspection and late configuration.
+    pub fn fragment_mgr_mut(&mut self) -> &mut FragmentManager {
+        &mut self.fragment_mgr
+    }
+
+    /// The fragment manager (read-only).
+    pub fn fragment_mgr(&self) -> &FragmentManager {
+        &self.fragment_mgr
+    }
+
+    /// The service manager, for inspection, hooks and late configuration.
+    pub fn service_mgr_mut(&mut self) -> &mut ServiceManager {
+        &mut self.service_mgr
+    }
+
+    /// The service manager (read-only).
+    pub fn service_mgr(&self) -> &ServiceManager {
+        &self.service_mgr
+    }
+
+    /// The schedule manager (commitments), for inspection.
+    pub fn schedule(&self) -> &ScheduleManager {
+        &self.schedule
+    }
+
+    /// The execution manager (installed plans), for inspection.
+    pub fn exec_mgr(&self) -> &ExecutionManager {
+        &self.exec_mgr
+    }
+
+    /// The workspace of the **latest attempt** of the problem `base`
+    /// belongs to, if any.
+    pub fn latest_attempt(&self, base: ProblemId) -> Option<&crate::workflow_mgr::Workspace> {
+        self.workflow_mgr
+            .iter()
+            .filter(|ws| ws.problem.same_problem(base))
+            .max_by_key(|ws| ws.problem.attempt)
+    }
+
+    /// Earliest due time among armed timers — how long a poll-based
+    /// driver may sleep before the next [`HostCore::tick`] has work.
+    pub fn next_timer_due(&self) -> Option<SimTime> {
+        self.timers.next_due()
+    }
+
+    /// Number of timers currently armed. Timers of a problem that can
+    /// no longer matter (its round closed, its allocation finalised, it
+    /// turned terminal) are disarmed, so on a long-lived host this
+    /// tracks the problems in flight, not the problems ever served.
+    pub fn armed_timer_count(&self) -> usize {
+        self.timers.len()
+    }
+
+    /// The observability collectors this core records into (disabled
+    /// unless [`HostConfig::obs`] attached enabled ones).
+    pub fn obs(&self) -> &Obs {
+        &self.obs
+    }
+
+    /// Decode-side fragment-identity cache statistics `(hits, misses)`
+    /// — how often a peer-sent fragment decoded to an already-known
+    /// shared `Arc` instead of rebuilding the graph.
+    pub fn decode_cache_stats(&self) -> (u64, u64) {
+        let cache = self.decode.cache();
+        (cache.hits(), cache.misses())
+    }
+
+    // ---- the poll surface ------------------------------------------------
+
+    /// Handles one delivered typed protocol message, returning the
+    /// effects. `now` is the delivery time on the driver's clock.
+    pub fn handle_msg(&mut self, from: HostId, msg: Msg, now: SimTime) -> ActionQueue {
+        let mut q = ActionQueue::new();
+        if self.quarantined.contains(&from) {
+            return q; // dropped on arrival, nothing charged
+        }
+        self.dispatch_msg(from, msg, now, &mut q, false);
+        self.metrics.queue_depth.record(q.len() as u64);
+        q
+    }
+
+    /// Handles one delivered wire frame (a complete `TAG_MSG` frame as
+    /// produced by [`crate::codec::encode_msg`]): decodes it and
+    /// dispatches the message. **Every peer frame's whole name table is
+    /// charged against this host's vocabulary budget before anything is
+    /// interned** — at a networked boundary the interner can only grow
+    /// through decode, so the cap must guard every frame, not just
+    /// fragment replies. Frames from *self* (a driver looping back the
+    /// host's own traffic) are trusted like own knowhow and bypass the
+    /// budget.
+    ///
+    /// Decode failures never panic and never poison the core. A
+    /// [`WireError::VocabularyExceeded`] drops the frame with the
+    /// interner untouched; it additionally books a rejection against
+    /// the sending peer (possibly quarantining it, see
+    /// [`HostConfig::max_vocabulary_rejections`]) only when the frame
+    /// was a `FragmentReply` — the family through which a peer mints
+    /// *knowhow* names of its own choosing. Other over-budget frames
+    /// (a query echoing a third party's rich frontier, say) are not
+    /// evidence of minting by the sender and are dropped without
+    /// blame. Any other wire error is transport-level loss: dropped
+    /// silently, like a message the network never delivered.
+    ///
+    /// One deliberate asymmetry with the typed path: an over-budget
+    /// reply received *as a frame* cannot be attributed to its query
+    /// round (nothing of it decodes), so the round completes via its
+    /// timeout — on the typed transport the rejection yields an
+    /// explicit empty answer instead. Within-budget traffic is
+    /// transport-identical either way.
+    pub fn handle_frame(&mut self, from: HostId, bytes: &[u8], now: SimTime) -> ActionQueue {
+        let mut q = ActionQueue::new();
+        if self.quarantined.contains(&from) {
+            return q;
+        }
+        let decoded = if from == self.id() {
+            codec::decode_msg_with(bytes, &mut VocabularyBudget::unlimited(), &mut self.decode)
+        } else {
+            codec::decode_msg_with(bytes, &mut self.vocab, &mut self.decode)
+        };
+        match decoded {
+            Ok((msg, _consumed)) => self.dispatch_msg(from, msg, now, &mut q, true),
+            Err(WireError::VocabularyExceeded { .. }) => {
+                // Cold path: re-parse only to classify the offence.
+                if codec::frame_is_fragment_reply(bytes).unwrap_or(false) {
+                    self.note_rejection(from, now, &mut q);
+                }
+            }
+            Err(_) => {}
+        }
+        self.metrics.queue_depth.record(q.len() as u64);
+        q
+    }
+
+    /// Handles a fired timer (one the driver armed from an
+    /// [`Action::SetTimer`]).
+    pub fn handle_timer(&mut self, token: TimerToken, now: SimTime) -> ActionQueue {
+        let mut q = ActionQueue::new();
+        let Some((due, purpose)) = self.timers.take(token.0) else {
+            return q; // already fired, or disarmed since it was armed
+        };
+        self.metrics.timer_lag_us.record(now.since(due).as_micros());
+        self.fire_timer(purpose, now, &mut q);
+        self.metrics.queue_depth.record(q.len() as u64);
+        q
+    }
+
+    /// Clock poll: fires every armed timer whose due time is at or
+    /// before `now`, in due order. For drivers without a timer facility
+    /// — a transport that can only say "this much time has passed" calls
+    /// `tick` instead of scheduling [`Action::SetTimer`] deliveries
+    /// (drivers that do deliver timers must not *also* tick past them,
+    /// or timers fire twice... which the protocol tolerates but models
+    /// nothing).
+    pub fn tick(&mut self, now: SimTime) -> ActionQueue {
+        let mut q = ActionQueue::new();
+        // One at a time, in `(due, token)` order: firing a timer can arm
+        // new (already-due) timers, which an upfront snapshot would miss.
+        while let Some((due, purpose)) = self.timers.pop_due(now) {
+            self.metrics.timer_lag_us.record(now.since(due).as_micros());
+            self.fire_timer(purpose, now, &mut q);
+        }
+        self.metrics.queue_depth.record(q.len() as u64);
+        q
+    }
+
+    /// Submits a problem specification locally — what the paper's
+    /// Workflow Initiator does on the initiating host. Equivalent to
+    /// delivering [`Msg::Initiate`] from self; provided so embedders
+    /// driving a bare core need no self-addressed message plumbing.
+    pub fn initiate(
+        &mut self,
+        problem: ProblemId,
+        spec: openwf_core::Spec,
+        now: SimTime,
+    ) -> ActionQueue {
+        self.handle_msg(self.id(), Msg::Initiate { problem, spec }, now)
+    }
+
+    // ---- outbound helpers ------------------------------------------------
+
+    fn emit(&self, q: &mut ActionQueue, to: HostId, msg: Msg) {
+        match self.outbound {
+            OutboundMode::Typed => q.push(Action::Send { to, msg }),
+            OutboundMode::Encoded => {
+                let mut bytes = Vec::new();
+                codec::encode_msg(&msg, &mut bytes);
+                q.push(Action::SendBytes { to, bytes });
+            }
+        }
+    }
+
+    fn emit_all(&self, q: &mut ActionQueue, peers: &[HostId], msg: Msg) {
+        let me = self.id();
+        match self.outbound {
+            OutboundMode::Typed => {
+                for &p in peers {
+                    if p != me {
+                        q.push(Action::Send {
+                            to: p,
+                            msg: msg.clone(),
+                        });
+                    }
+                }
+            }
+            OutboundMode::Encoded => {
+                // Encode the broadcast once; each recipient gets a clone
+                // of the bytes, not a fresh encode pass.
+                let mut bytes = Vec::new();
+                codec::encode_msg(&msg, &mut bytes);
+                for &p in peers {
+                    if p != me {
+                        q.push(Action::SendBytes {
+                            to: p,
+                            bytes: bytes.clone(),
+                        });
+                    }
+                }
+            }
+        }
+    }
+
+    fn arm(
+        &mut self,
+        q: &mut ActionQueue,
+        now: SimTime,
+        delay: SimDuration,
+        purpose: TimerPurpose,
+    ) -> TimerToken {
+        let token = TimerToken(self.timers.arm(now + delay, purpose));
+        q.push(Action::SetTimer { delay, token });
+        token
+    }
+
+    fn arm_at(&mut self, q: &mut ActionQueue, now: SimTime, at: SimTime, purpose: TimerPurpose) {
+        let delay = at.since(now);
+        self.arm(q, now, delay, purpose);
+    }
+
+    /// The attempt `problem` turned terminal: its workspace keeps the
+    /// record and drops the working set (see
+    /// [`crate::workflow_mgr::Workspace`]), and every guard timer still
+    /// armed for it is disarmed — none of them can matter any more.
+    fn retire(&mut self, problem: ProblemId) {
+        let guards = self
+            .workflow_mgr
+            .get_mut(&problem)
+            .map(|ws| ws.retire())
+            .unwrap_or_default();
+        for token in [guards.round, guards.auction, guards.watchdog] {
+            self.disarm(token);
+        }
+    }
+
+    /// Disarms a timer that can no longer matter. A driver that
+    /// delivers timers still hands the token back when it is due;
+    /// [`HostCore::handle_timer`] answers that with an empty queue.
+    fn disarm(&mut self, token: Option<TimerToken>) {
+        if let Some(token) = token {
+            self.timers.take(token.0);
+        }
+    }
+
+    fn others(&self) -> Vec<HostId> {
+        let me = self.id();
+        self.community
+            .iter()
+            .copied()
+            .filter(|&h| h != me)
+            .collect()
+    }
+
+    fn note_rejection(&mut self, from: HostId, now: SimTime, q: &mut ActionQueue) {
+        self.vocabulary_rejections += 1;
+        self.metrics.vocab_rejections.inc();
+        let count = self.vocab_rejections_by_peer.entry(from).or_insert(0);
+        *count += 1;
+        let count = *count;
+        if let Some(cap) = self.max_vocab_rejections {
+            if count >= cap && self.quarantined.insert(from) {
+                self.metrics.quarantines.inc();
+                if self.obs.trace.is_enabled() {
+                    // Quarantine is host- not problem-scoped: trace id 0.
+                    self.obs.trace.record(TraceEvent {
+                        at_us: now.as_micros(),
+                        host: self.me.map(|h| h.0).unwrap_or(u32::MAX),
+                        trace: 0,
+                        name: "quarantine",
+                        phase: SpanPhase::Instant,
+                        dur_us: 0,
+                        detail: format!("peer host{} after {count} rejections", from.0),
+                    });
+                }
+                q.push(Action::Event(WorkflowEvent::PeerQuarantined {
+                    peer: from,
+                    rejections: count,
+                }));
+            }
+        }
+    }
+
+    // ---- routing ---------------------------------------------------------
+
+    /// Routes one message to the phase that owns it (see the table in
+    /// the module docs). `off_the_wire` marks messages that arrived
+    /// through [`HostCore::handle_frame`] — those were already decoded
+    /// through the vocabulary budget, so the capped-host re-encode
+    /// detour is skipped.
+    fn dispatch_msg(
+        &mut self,
+        from: HostId,
+        msg: Msg,
+        now: SimTime,
+        q: &mut ActionQueue,
+        off_the_wire: bool,
+    ) {
+        q.charge(self.params.per_message_cost);
+        self.metrics.messages.inc();
+        if self.obs.trace.is_enabled() {
+            self.trace(
+                now,
+                msg.problem(),
+                msg.kind().as_str(),
+                SpanPhase::Instant,
+                0,
+                format!("from host{}", from.0),
+            );
+        }
+        match msg {
+            Msg::Initiate { problem, spec } => self.on_initiate(problem, spec, now, q),
+            Msg::FragmentQuery {
+                problem,
+                round,
+                labels,
+            } => self.on_fragment_query(from, problem, round, labels, q),
+            Msg::FragmentReply {
+                problem,
+                round,
+                fragments,
+            } => self.on_fragment_reply(from, problem, round, fragments, off_the_wire, now, q),
+            Msg::CapabilityQuery {
+                problem,
+                round,
+                tasks,
+            } => self.on_capability_query(from, problem, round, tasks, q),
+            Msg::CapabilityReply {
+                problem,
+                round,
+                capable,
+            } => self.on_capability_reply(from, problem, round, capable, now, q),
+
+            Msg::CallForBids {
+                problem,
+                task,
+                meta,
+            } => self.on_call_for_bids(from, problem, task, meta, now, q),
+            Msg::Bid { problem, task, bid } => self.on_bid(from, problem, task, bid, now, q),
+            Msg::Decline { problem, task } => self.on_decline(from, problem, task, now, q),
+            Msg::Award { problem, task, .. } => self.on_award(problem, task),
+
+            Msg::Execute { problem, plan } => self.on_execute(problem, plan, now, q),
+            Msg::InputDelivery { problem, label } => self.on_input_delivery(problem, label, now, q),
+            Msg::TaskCompleted { problem, task } => self.on_task_completed(problem, task),
+            Msg::GoalDelivered { problem, label } => self.on_goal_delivered(problem, label, now, q),
+        }
+    }
+
+    /// Routes one fired timer to the phase that owns it.
+    fn fire_timer(&mut self, purpose: TimerPurpose, now: SimTime, q: &mut ActionQueue) {
+        match purpose {
+            TimerPurpose::RoundTimeout { problem, round } => {
+                self.on_round_timeout(problem, round, now, q)
+            }
+            TimerPurpose::AuctionDeadline { problem, task } => {
+                self.on_auction_deadline(problem, task, now, q)
+            }
+            TimerPurpose::AuctionTimeout { problem } => self.on_auction_timeout(problem, now, q),
+            TimerPurpose::BidHoldExpiry { problem, task } => self.on_bid_hold_expiry(problem, task),
+            TimerPurpose::ExecStart { problem, task } => self.on_exec_start(problem, task, now, q),
+            TimerPurpose::ExecFinish { problem, task } => self.finish_task(problem, task, q),
+            TimerPurpose::Watchdog { problem } => self.on_watchdog(problem, now, q),
+        }
+    }
+}
+
+impl fmt::Debug for HostCore {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("HostCore")
+            .field("id", &self.me)
+            .field("community", &self.community.len())
+            .field("fragments", &self.fragment_mgr.len())
+            .field("services", &self.service_mgr.service_count())
+            .field("workspaces", &self.workflow_mgr.len())
+            .field("outbound", &self.outbound)
+            .finish()
+    }
+}

@@ -1,0 +1,107 @@
+//! Repair (§5.1): an attempt that cannot allocate, or whose execution
+//! watchdog expires, is retired and the whole pipeline retried under a
+//! fresh attempt id — until the repair budget runs out and the problem
+//! fails for good. The `repair` span marks the hand-over.
+
+use openwf_obs::SpanPhase;
+use openwf_simnet::SimTime;
+
+use super::{Action, ActionQueue, HostCore, WorkflowEvent};
+use crate::messages::ProblemId;
+use crate::report::ProblemStatus;
+
+impl HostCore {
+    /// `Watchdog`: execution overran its budget with goals still
+    /// undelivered.
+    pub(super) fn on_watchdog(&mut self, problem: ProblemId, now: SimTime, q: &mut ActionQueue) {
+        let unfinished = self
+            .workflow_mgr
+            .get(&problem)
+            .map(|ws| ws.report.status == ProblemStatus::Executing)
+            .unwrap_or(false);
+        if unfinished {
+            self.repair_or_fail(
+                problem,
+                "execution watchdog expired before all goals were delivered".into(),
+                now,
+                q,
+            );
+        }
+    }
+
+    pub(super) fn repair_or_fail(
+        &mut self,
+        problem: ProblemId,
+        reason: String,
+        now: SimTime,
+        q: &mut ActionQueue,
+    ) {
+        let (attempts_used, spec, original_start) = match self.workflow_mgr.get_mut(&problem) {
+            Some(ws) => {
+                ws.report.status = ProblemStatus::Failed {
+                    reason: reason.clone(),
+                };
+                (
+                    ws.report.repair_attempts,
+                    ws.spec.clone(),
+                    ws.report.timings.initiated_at,
+                )
+            }
+            None => return,
+        };
+        self.retire(problem);
+        if attempts_used >= self.params.max_repair_attempts {
+            if self.obs.trace.is_enabled() {
+                self.trace(
+                    now,
+                    problem,
+                    "failed",
+                    SpanPhase::Instant,
+                    0,
+                    reason.clone(),
+                );
+            }
+            self.span(now, problem, "problem", SpanPhase::End);
+            q.push(Action::Event(WorkflowEvent::Failed { problem, reason }));
+            return;
+        }
+        // "A failure … should result in a revised or repaired workflow,
+        // which requires reconstruction [and] reallocation" (§5.1): retry
+        // the whole pipeline under a fresh attempt id. Crashed hosts
+        // simply never answer; round timeouts carry construction forward
+        // with the knowledge that is still alive.
+        let next = problem.next_attempt();
+        if self.obs.trace.is_enabled() {
+            self.trace(
+                now,
+                problem,
+                "repair",
+                SpanPhase::Instant,
+                0,
+                format!("{reason}; retrying as attempt {}", next.attempt),
+            );
+        }
+        self.span(now, problem, "problem", SpanPhase::End);
+        if self.obs.trace.is_enabled() {
+            self.trace(
+                now,
+                next,
+                "problem",
+                SpanPhase::Begin,
+                0,
+                format!("repair attempt {}", next.attempt),
+            );
+        }
+        self.span(now, next, "construct", SpanPhase::Begin);
+        self.exec_mgr.abandon(&problem);
+        self.schedule.release_problem(problem);
+        let n_peers = self.community.len().saturating_sub(1);
+        self.workflow_mgr.create(next, spec, now, n_peers);
+        self.step_workspace(next, now, q, |ws, f, s, p| {
+            ws.report.repair_attempts = attempts_used + 1;
+            // End-to-end timing spans the failed attempt too.
+            ws.report.timings.initiated_at = original_start;
+            ws.begin(f, s, p)
+        });
+    }
+}

@@ -1,0 +1,601 @@
+use std::sync::Arc;
+
+use openwf_core::{Fragment, Label, Mode, Spec};
+
+use super::*;
+use crate::report::ProblemStatus;
+use crate::service::ServiceDescription;
+
+fn frag(id: &str, task: &str, input: &str, output: &str) -> Fragment {
+    Fragment::single_task(id, task, Mode::Disjunctive, [input], [output]).unwrap()
+}
+
+fn service(task: &str) -> ServiceDescription {
+    ServiceDescription::new(task, SimDuration::from_millis(10))
+}
+
+/// Drives a single-host core by hand until nothing is left to do:
+/// every `Send` loops back into `handle_msg`, timers fire through
+/// `tick` — the minimal embedding the README documents. `after_poll`
+/// sees the core and the events surfaced by every poll call.
+fn drive_alone(
+    core: &mut HostCore,
+    problem: ProblemId,
+    spec: Spec,
+    mut after_poll: impl FnMut(&HostCore, &[WorkflowEvent]),
+) {
+    let me = problem.initiator;
+    core.bind(me);
+    core.set_community(vec![me]);
+    let mut now = SimTime::ZERO;
+    let mut inbox: Vec<Msg> = Vec::new();
+    let mut q = core.initiate(problem, spec, now);
+    for _ in 0..1_000 {
+        let mut events = Vec::new();
+        for action in q {
+            match action {
+                Action::Send { to, msg } => {
+                    assert_eq!(to, me, "single-host community loops back");
+                    inbox.push(msg);
+                }
+                Action::SendBytes { .. } => panic!("typed mode emits no bytes"),
+                Action::SetTimer { .. } => {} // tick() fires by due time
+                Action::Event(e) => events.push(e),
+            }
+        }
+        after_poll(core, &events);
+        q = if let Some(msg) = inbox.pop() {
+            core.handle_msg(me, msg, now)
+        } else if let Some(due) = core.next_timer_due() {
+            // Idle: advance the clock to the next armed timer and poll.
+            now = due;
+            core.tick(now)
+        } else {
+            break;
+        };
+    }
+}
+
+fn two_step_config(prefix: &str) -> HostConfig {
+    let n = |s: &str| format!("{prefix}-{s}");
+    HostConfig::new()
+        .with_fragment(frag(&n("f1"), &n("t1"), &n("a"), &n("b")))
+        .with_fragment(frag(&n("f2"), &n("t2"), &n("b"), &n("c")))
+        .with_service(service(&n("t1")))
+        .with_service(service(&n("t2")))
+}
+
+#[test]
+fn bare_core_runs_a_problem_without_any_driver() {
+    let mut core = HostCore::new(two_step_config("cs"), RuntimeParams::default());
+    let problem = ProblemId::new(HostId(0), 0);
+    let mut events = Vec::new();
+    drive_alone(
+        &mut core,
+        problem,
+        Spec::new(["cs-a"], ["cs-c"]),
+        |_, surfaced| events.extend_from_slice(surfaced),
+    );
+    assert!(
+        matches!(
+            events[..],
+            [
+                WorkflowEvent::Constructed { .. },
+                WorkflowEvent::Completed { .. }
+            ]
+        ),
+        "{events:?}"
+    );
+    let ws = core.latest_attempt(problem).expect("workspace");
+    assert_eq!(ws.report.status, ProblemStatus::Completed);
+    assert_eq!(ws.report.assignments.len(), 2);
+    assert_eq!(core.service_mgr().invocations().len(), 2);
+}
+
+/// One field carries the lifecycle: after **every** poll call the
+/// latest attempt's status, the events that call surfaced and the
+/// timings agree — on a problem that completes and on one no
+/// fragment can satisfy.
+#[test]
+fn status_events_and_timings_move_together() {
+    let problem = ProblemId::new(HostId(0), 0);
+    let drive = |goal: &str| -> Vec<WorkflowEvent> {
+        let mut core = HostCore::new(two_step_config("st"), RuntimeParams::default());
+        let mut surfaced = Vec::new();
+        let mut stamps_before = [None; 4];
+        drive_alone(
+            &mut core,
+            problem,
+            Spec::new(["st-a"], [goal]),
+            |core, events| {
+                let ws = core.latest_attempt(problem).expect("workspace");
+                let (status, t) = (&ws.report.status, ws.report.timings);
+                for event in events {
+                    match event {
+                        WorkflowEvent::Constructed { .. } => {
+                            assert!(
+                                !matches!(
+                                    status,
+                                    ProblemStatus::Constructing | ProblemStatus::Failed { .. }
+                                ),
+                                "{ws}"
+                            );
+                            assert!(t.constructed_at.is_some(), "{ws}");
+                        }
+                        WorkflowEvent::Completed { .. } => {
+                            assert_eq!(*status, ProblemStatus::Completed);
+                            assert!(t.completed_at.is_some(), "{ws}");
+                            assert!(ws.working().is_none(), "{ws}");
+                        }
+                        WorkflowEvent::Failed { .. } => {
+                            assert!(matches!(status, ProblemStatus::Failed { .. }), "{ws}");
+                            assert!(status.is_terminal());
+                        }
+                        e => panic!("unexpected event {e:?}"),
+                    }
+                }
+                // Timings never go backwards: a stamp once set stays
+                // as it is, and the stamps are in lifecycle order.
+                let stamps = [
+                    t.initiated_at,
+                    t.constructed_at,
+                    t.allocated_at,
+                    t.completed_at,
+                ];
+                for (before, after) in stamps_before.iter().zip(&stamps) {
+                    assert!(before.is_none() || before == after, "{stamps:?}");
+                }
+                assert!(stamps.iter().flatten().is_sorted(), "{stamps:?}");
+                stamps_before = stamps;
+                surfaced.extend_from_slice(events);
+            },
+        );
+        surfaced
+    };
+
+    let events = drive("st-c");
+    assert!(matches!(
+        events[..],
+        [
+            WorkflowEvent::Constructed { .. },
+            WorkflowEvent::Completed { .. }
+        ]
+    ));
+    let events = drive("st-nothing-makes-this");
+    assert!(matches!(events[..], [WorkflowEvent::Failed { .. }]));
+}
+
+/// `tick` at a time before any due timer is a no-op; at the due time
+/// it fires exactly the due timers.
+#[test]
+fn tick_fires_only_due_timers() {
+    let cfg = HostConfig::new().with_fragment(frag("ct-f1", "ct-t1", "ct-a", "ct-b"));
+    let mut core = HostCore::new(cfg, RuntimeParams::default());
+    core.bind(HostId(0));
+    core.set_community(vec![HostId(0), HostId(1)]);
+    // With a peer, construction arms a round timeout and waits.
+    let q = core.initiate(
+        ProblemId::new(HostId(0), 0),
+        Spec::new(["ct-a"], ["ct-b"]),
+        SimTime::ZERO,
+    );
+    let armed: Vec<_> = q
+        .actions()
+        .iter()
+        .filter(|a| matches!(a, Action::SetTimer { .. }))
+        .collect();
+    assert_eq!(armed.len(), 1, "round timeout armed: {:?}", q.actions());
+    let due = core.next_timer_due().expect("armed");
+    assert!(core.tick(SimTime::ZERO).is_empty(), "nothing due yet");
+    assert_eq!(core.next_timer_due(), Some(due), "timer still armed");
+    let fired = core.tick(due);
+    assert!(
+        !fired.is_empty(),
+        "round timeout fires work (local fragment round proceeds)"
+    );
+}
+
+/// Once an attempt is `Completed` its working set is gone: late
+/// copies of everything the initiator reacts to while an attempt is
+/// open, and the guard timers it disarmed on the way, find nothing
+/// to act on and leave the record as it was.
+#[test]
+fn late_traffic_for_a_completed_attempt_changes_nothing() {
+    let cfg = HostConfig::new()
+        .with_fragment(frag("lt-f1", "lt-t1", "lt-a", "lt-b"))
+        .with_service(service("lt-t1"));
+    let mut core = HostCore::new(cfg, RuntimeParams::default());
+    let (me, peer) = (HostId(0), HostId(1));
+    core.bind(me);
+    core.set_community(vec![me, peer]);
+    let problem = ProblemId::new(me, 0);
+
+    // The test plays the peer: it knows nothing, serves nothing and
+    // says so, which is enough to open rounds and auctions that
+    // wait for it and arm their guards.
+    let mut now = SimTime::ZERO;
+    let mut inbox: Vec<(HostId, Msg)> = Vec::new();
+    let mut peer_said: Vec<Msg> = Vec::new();
+    let mut guards = std::collections::BTreeSet::new();
+    let mut completed = false;
+    let mut q = core.initiate(problem, Spec::new(["lt-a"], ["lt-b"]), now);
+    loop {
+        for action in q {
+            match action {
+                Action::Send { to, msg } if to == me => inbox.push((me, msg)),
+                Action::Send { msg, .. } => {
+                    let answer = match msg {
+                        Msg::FragmentQuery { problem, round, .. } => Msg::FragmentReply {
+                            problem,
+                            round,
+                            fragments: Vec::new(),
+                        },
+                        Msg::CapabilityQuery { problem, round, .. } => Msg::CapabilityReply {
+                            problem,
+                            round,
+                            capable: Vec::new(),
+                        },
+                        Msg::CallForBids { problem, task, .. } => Msg::Decline { problem, task },
+                        other => panic!("nothing else goes to a peer without tasks: {other:?}"),
+                    };
+                    peer_said.push(answer.clone());
+                    inbox.push((peer, answer));
+                }
+                Action::Event(WorkflowEvent::Completed { .. }) => completed = true,
+                _ => {}
+            }
+        }
+        if let Some(w) = core.latest_attempt(problem).and_then(|ws| ws.working()) {
+            let g = &w.guard_timers;
+            guards.extend([g.round, g.auction, g.watchdog].into_iter().flatten());
+        }
+        if completed {
+            break;
+        }
+        q = match inbox.pop() {
+            Some((from, msg)) => core.handle_msg(from, msg, now),
+            None => {
+                now = core
+                    .next_timer_due()
+                    .expect("an open attempt waits on a timer");
+                core.tick(now)
+            }
+        };
+    }
+    assert!(guards.len() >= 3, "round, auction and watchdog: {guards:?}");
+
+    let record = |core: &HostCore| {
+        let ws = core.latest_attempt(problem).expect("workspace");
+        assert!(ws.working().is_none(), "{ws}");
+        format!(
+            "{:?} {:?} {:?}",
+            ws.report.status, ws.assignments, ws.construction
+        )
+    };
+    let before = record(&core);
+    assert!(before.starts_with("Completed [("), "{before}");
+
+    let task = TaskId::new("lt-t1");
+    let mut late = peer_said;
+    late.extend([
+        Msg::Bid {
+            problem,
+            task: task.clone(),
+            bid: crate::auction_part::Bid {
+                start: now,
+                travel: SimDuration::ZERO,
+                duration: SimDuration::from_millis(10),
+                specialization: 1,
+                deadline: now + SimDuration::from_millis(1),
+            },
+        },
+        Msg::TaskCompleted { problem, task },
+        Msg::GoalDelivered {
+            problem,
+            label: Label::new("lt-b"),
+        },
+    ]);
+    for msg in late {
+        let shown = format!("{msg:?}");
+        let q = core.handle_msg(peer, msg, now);
+        assert!(q.is_empty(), "{shown} produced {:?}", q.actions());
+        assert_eq!(record(&core), before, "after {shown}");
+    }
+    for token in guards {
+        let q = core.handle_timer(token, now);
+        assert!(q.is_empty(), "{token:?} produced {:?}", q.actions());
+        assert_eq!(q.charged(), SimDuration::ZERO);
+        assert_eq!(record(&core), before, "after {token:?}");
+    }
+    // The report still notes the late goal, as it always did.
+    let ws = core.latest_attempt(problem).expect("workspace");
+    assert_eq!(ws.report.goals_delivered.len(), 2);
+}
+
+/// With enabled collectors attached, a full local problem run
+/// records live counters and a well-formed span stream for the
+/// attempt — and `publish_metrics` is idempotent (delta-based).
+#[test]
+fn observed_core_records_counters_and_spans() {
+    let obs = Obs::enabled();
+    let cfg = HostConfig::new()
+        .with_fragment(frag("ob-f1", "ob-t1", "ob-a", "ob-b"))
+        .with_service(service("ob-t1"))
+        .with_observability(obs.clone());
+    let mut core = HostCore::new(cfg, RuntimeParams::default());
+    let problem = ProblemId::new(HostId(0), 0);
+    drive_alone(&mut core, problem, Spec::new(["ob-a"], ["ob-b"]), |_, _| {});
+    assert_eq!(
+        core.latest_attempt(problem)
+            .expect("workspace")
+            .report
+            .status,
+        ProblemStatus::Completed
+    );
+
+    assert!(obs.metrics.counter("core.messages").get() > 0);
+    assert_eq!(obs.metrics.counter("core.auctions").get(), 1);
+    assert!(obs.metrics.histogram("core.queue_depth").count() > 0);
+
+    let events = obs.trace.snapshot();
+    let spans: Vec<(&str, SpanPhase)> = events
+        .iter()
+        .filter(|e| e.trace == problem.trace_id())
+        .map(|e| (e.name, e.phase))
+        .collect();
+    for required in [
+        ("problem", SpanPhase::Begin),
+        ("construct", SpanPhase::Begin),
+        ("construct", SpanPhase::End),
+        ("allocate", SpanPhase::Begin),
+        ("allocate", SpanPhase::End),
+        ("execute", SpanPhase::Begin),
+        ("task", SpanPhase::Complete),
+        ("completed", SpanPhase::Instant),
+        ("execute", SpanPhase::End),
+        ("problem", SpanPhase::End),
+    ] {
+        assert!(
+            spans.contains(&required),
+            "missing {required:?} in {spans:?}"
+        );
+    }
+    // The span stream is causally ordered: begin precedes end.
+    let begin = spans
+        .iter()
+        .position(|s| *s == ("problem", SpanPhase::Begin))
+        .unwrap();
+    let end = spans
+        .iter()
+        .position(|s| *s == ("problem", SpanPhase::End))
+        .unwrap();
+    assert!(begin < end);
+
+    // Delta publishing: a second publish adds nothing new.
+    core.publish_metrics();
+    let hits_once = obs.metrics.counter("decode.cache_hits").get();
+    core.publish_metrics();
+    assert_eq!(obs.metrics.counter("decode.cache_hits").get(), hits_once);
+}
+
+/// Binding twice to the same id is fine; a different id panics.
+#[test]
+#[should_panic(expected = "exactly one host")]
+fn rebinding_to_another_identity_panics() {
+    let mut core = HostCore::new(HostConfig::new(), RuntimeParams::default());
+    core.bind(HostId(0));
+    core.bind(HostId(0));
+    core.bind(HostId(1));
+}
+
+/// Quarantine: after `max_vocabulary_rejections` over-budget frames
+/// from one peer, its traffic is dropped and the event surfaces
+/// exactly once.
+#[test]
+fn minting_peer_is_quarantined_after_cap() {
+    let cfg = HostConfig::new()
+        .with_fragment(frag("qr-f0", "qr-t0", "qr-a", "qr-b"))
+        .with_vocabulary_cap(6) // own knowhow seeds ~5 names
+        .with_max_vocabulary_rejections(2);
+    let mut core = HostCore::new(cfg, RuntimeParams::default());
+    core.bind(HostId(0));
+    core.set_community(vec![HostId(0), HostId(1), HostId(2)]);
+    let problem = ProblemId::new(HostId(0), 0);
+    let minted_reply = |i: usize| Msg::FragmentReply {
+        problem,
+        round: 1,
+        fragments: vec![Arc::new(frag(
+            &format!("qr-mint-f{i}"),
+            &format!("qr-mint-t{i}"),
+            &format!("qr-mint-in{i}"),
+            &format!("qr-mint-out{i}"),
+        ))],
+    };
+
+    // First over-budget reply: rejected, counted, not yet quarantined.
+    let q = core.handle_msg(HostId(1), minted_reply(0), SimTime::ZERO);
+    assert_eq!(core.vocabulary_rejections_from(HostId(1)), 1);
+    assert!(!core.is_quarantined(HostId(1)));
+    assert!(
+        !q.actions()
+            .iter()
+            .any(|a| matches!(a, Action::Event(WorkflowEvent::PeerQuarantined { .. }))),
+        "below the cap, no quarantine event"
+    );
+
+    // Second: the cap trips, the event surfaces.
+    let q = core.handle_msg(HostId(1), minted_reply(1), SimTime::ZERO);
+    assert!(core.is_quarantined(HostId(1)));
+    assert!(
+        q.actions().iter().any(|a| matches!(
+            a,
+            Action::Event(WorkflowEvent::PeerQuarantined {
+                peer: HostId(1),
+                rejections: 2
+            })
+        )),
+        "quarantine event expected in {:?}",
+        q.actions()
+    );
+
+    // Quarantined traffic — even well-formed queries — is dropped.
+    let q = core.handle_msg(
+        HostId(1),
+        Msg::FragmentQuery {
+            problem,
+            round: 9,
+            labels: vec![Label::new("qr-a")],
+        },
+        SimTime::ZERO,
+    );
+    assert!(q.is_empty(), "no reply to a quarantined peer");
+    assert_eq!(q.charged(), SimDuration::ZERO, "dropped before processing");
+    assert_eq!(
+        core.vocabulary_rejections_from(HostId(1)),
+        2,
+        "dropped frames are not re-counted"
+    );
+
+    // An innocent peer is unaffected.
+    let q = core.handle_msg(
+        HostId(2),
+        Msg::FragmentQuery {
+            problem,
+            round: 9,
+            labels: vec![Label::new("qr-a")],
+        },
+        SimTime::ZERO,
+    );
+    assert!(
+        q.actions()
+            .iter()
+            .any(|a| matches!(a, Action::Send { to: HostId(2), .. })),
+        "peer 2 still gets replies: {:?}",
+        q.actions()
+    );
+
+    // The same applies to raw frames.
+    let mut bytes = Vec::new();
+    codec::encode_msg(
+        &Msg::FragmentQuery {
+            problem,
+            round: 10,
+            labels: vec![Label::new("qr-a")],
+        },
+        &mut bytes,
+    );
+    assert!(core
+        .handle_frame(HostId(1), &bytes, SimTime::ZERO)
+        .is_empty());
+}
+
+/// `handle_frame` charges the vocabulary budget at decode: an
+/// over-budget frame books a rejection without interning anything.
+#[test]
+fn over_budget_frame_is_rejected_at_decode() {
+    let cfg = HostConfig::new()
+        .with_fragment(frag("fb-f0", "fb-t0", "fb-a", "fb-b"))
+        .with_vocabulary_cap(6);
+    let mut core = HostCore::new(cfg, RuntimeParams::default());
+    core.bind(HostId(0));
+    core.set_community(vec![HostId(0), HostId(1)]);
+    let names_before = core.vocabulary_names();
+
+    let mut bytes = Vec::new();
+    codec::encode_msg(
+        &Msg::FragmentReply {
+            problem: ProblemId::new(HostId(0), 0),
+            round: 1,
+            fragments: vec![Arc::new(frag(
+                "fb-mint-f",
+                "fb-mint-t",
+                "fb-mint-in",
+                "fb-mint-out",
+            ))],
+        },
+        &mut bytes,
+    );
+    let q = core.handle_frame(HostId(1), &bytes, SimTime::ZERO);
+    assert!(q.is_empty());
+    assert_eq!(core.vocabulary_rejections(), 1);
+    assert_eq!(core.vocabulary_rejections_from(HostId(1)), 1);
+    assert_eq!(
+        core.vocabulary_names(),
+        names_before,
+        "rejected frame recorded nothing"
+    );
+
+    // Garbage bytes are transport loss, not a vocabulary offence.
+    let q = core.handle_frame(HostId(1), &[0xff, 0x01, 0x02], SimTime::ZERO);
+    assert!(q.is_empty());
+    assert_eq!(core.vocabulary_rejections(), 1, "no rejection booked");
+}
+
+/// The cap guards *every* peer frame at the networked boundary — a
+/// hostile peer cannot grow the interner through query labels — but
+/// only fragment replies (minted knowhow) are blamed, and the
+/// host's own looped-back frames are trusted like own knowhow.
+#[test]
+fn non_reply_frames_cannot_mint_past_the_cap() {
+    let cfg = HostConfig::new()
+        .with_fragment(frag("nf-f0", "nf-t0", "nf-a", "nf-b"))
+        .with_service(service("nf-t0"))
+        .with_vocabulary_cap(8)
+        .with_max_vocabulary_rejections(1);
+    let mut core = HostCore::new(cfg, RuntimeParams::default());
+    core.bind(HostId(0));
+    core.set_community(vec![HostId(0), HostId(1)]);
+    let problem = ProblemId::new(HostId(0), 0);
+    let names_before = core.vocabulary_names();
+
+    // A peer query minting fresh labels: dropped, nothing recorded,
+    // and the peer is NOT blamed (echoing a rich frontier is not
+    // evidence of minting).
+    let mut bytes = Vec::new();
+    codec::encode_msg(
+        &Msg::FragmentQuery {
+            problem,
+            round: 1,
+            labels: (0..16)
+                .map(|i| Label::new(format!("nf-mint-{i}")))
+                .collect(),
+        },
+        &mut bytes,
+    );
+    let q = core.handle_frame(HostId(1), &bytes, SimTime::ZERO);
+    assert!(q.is_empty(), "over-budget query dropped, not answered");
+    assert_eq!(core.vocabulary_names(), names_before, "nothing interned");
+    assert_eq!(core.vocabulary_rejections_from(HostId(1)), 0, "no blame");
+    assert!(!core.is_quarantined(HostId(1)));
+
+    // A within-budget query from the same peer still gets answered.
+    let mut ok_bytes = Vec::new();
+    codec::encode_msg(
+        &Msg::FragmentQuery {
+            problem,
+            round: 2,
+            labels: vec![Label::new("nf-a")],
+        },
+        &mut ok_bytes,
+    );
+    let q = core.handle_frame(HostId(1), &ok_bytes, SimTime::ZERO);
+    assert!(
+        q.actions()
+            .iter()
+            .any(|a| matches!(a, Action::Send { to: HostId(1), .. })),
+        "reply expected in {:?}",
+        q.actions()
+    );
+
+    // The same minting frame from *self* (a driver looping back own
+    // traffic) bypasses the budget entirely and is processed.
+    let q = core.handle_frame(HostId(0), &bytes, SimTime::ZERO);
+    assert!(
+        q.actions()
+            .iter()
+            .any(|a| matches!(a, Action::Send { to: HostId(0), .. })),
+        "self query answered: {:?}",
+        q.actions()
+    );
+    assert_eq!(core.vocabulary_rejections(), 0);
+}

@@ -53,8 +53,8 @@ enum Ev {
 pub struct LoopbackStats {
     /// Frames delivered to a core.
     pub frames_delivered: u64,
-    /// Total encoded bytes delivered (exact wire bytes, not the
-    /// simulator's arithmetic approximation).
+    /// Total encoded bytes delivered (what the simulator's
+    /// `bytes_delivered` counts too).
     pub bytes_delivered: u64,
     /// Timers fired.
     pub timers_fired: u64,

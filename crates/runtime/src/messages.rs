@@ -233,34 +233,7 @@ impl Msg {
 
 impl Message for Msg {
     fn wire_size(&self) -> usize {
-        // Rough serialized sizes; the wireless model charges bandwidth by
-        // these. Constants approximate a compact binary encoding.
-        // Calibrated against `codec::encoded_len` (the exact frame
-        // size): a bounded overestimate, observed at 1.75×–4.04× across
-        // all 13 variants with typical community name lengths — the
-        // per-name constant assumes names are spelled per reference,
-        // while the real codec's per-frame name table spells each once
-        // (see tests/wire_size_calibration.rs, which pins the band).
-        match self {
-            Msg::Initiate { spec, .. } => 32 + 24 * (spec.triggers().len() + spec.goals().len()),
-            Msg::FragmentQuery { labels, .. } => 32 + 24 * labels.len(),
-            Msg::FragmentReply { fragments, .. } => {
-                32 + fragments
-                    .iter()
-                    .map(|f| 48 + 32 * f.graph().node_count() + 16 * f.graph().edge_count())
-                    .sum::<usize>()
-            }
-            Msg::CapabilityQuery { tasks, .. } => 32 + 24 * tasks.len(),
-            Msg::CapabilityReply { capable, .. } => 32 + 24 * capable.len(),
-            Msg::CallForBids { .. } => 96,
-            Msg::Bid { .. } => 64,
-            Msg::Decline { .. } => 40,
-            Msg::Award { .. } => 96,
-            Msg::Execute { plan, .. } => 64 + 64 * plan.commitments.len(),
-            Msg::InputDelivery { label, .. } => 40 + label.as_str().len(),
-            Msg::TaskCompleted { .. } => 40,
-            Msg::GoalDelivered { .. } => 40,
-        }
+        crate::codec::encoded_len(self)
     }
 
     fn kind(&self) -> openwf_simnet::MsgKind {
@@ -285,7 +258,6 @@ impl Message for Msg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use openwf_core::Mode;
 
     #[test]
     fn problem_ids_track_attempts() {
@@ -316,39 +288,5 @@ mod tests {
         assert_eq!(m.problem(), p);
         assert_eq!(m.trace_id(), p.trace_id());
         assert_eq!(m.kind().as_str(), "TaskCompleted");
-    }
-
-    #[test]
-    fn wire_sizes_scale_with_content() {
-        let p = ProblemId::new(HostId(0), 0);
-        let small = Msg::FragmentQuery {
-            problem: p,
-            round: 0,
-            labels: vec![Label::new("a")],
-        };
-        let big = Msg::FragmentQuery {
-            problem: p,
-            round: 0,
-            labels: (0..100).map(|i| Label::new(format!("l{i}"))).collect(),
-        };
-        assert!(big.wire_size() > small.wire_size());
-
-        let frag = Fragment::single_task("f", "t", Mode::Disjunctive, ["a"], ["b"]).unwrap();
-        let reply = Msg::FragmentReply {
-            problem: p,
-            round: 0,
-            fragments: vec![std::sync::Arc::new(frag)],
-        };
-        assert!(reply.wire_size() > 100);
-    }
-
-    #[test]
-    fn control_messages_are_small() {
-        let p = ProblemId::new(HostId(0), 0);
-        let m = Msg::TaskCompleted {
-            problem: p,
-            task: TaskId::new("t"),
-        };
-        assert!(m.wire_size() < 128);
     }
 }

@@ -123,6 +123,10 @@ fn digest(driver: &mut impl Driver, handle: ProblemHandle) -> String {
     s
 }
 
+/// Runs `scenario` on both transports and returns their digests. Also
+/// checks that the two drivers counted the same traffic: the simulator
+/// sizes a message by encoding it, so it delivers exactly the bytes the
+/// loopback's frames carry.
 fn run_both(scenario: &Scenario) -> (String, String) {
     let params = RuntimeParams::default();
 
@@ -143,6 +147,11 @@ fn run_both(scenario: &Scenario) -> (String, String) {
     assert_eq!(lb_handle.id, handle.id, "same problem identity");
     let lb_digest = digest(&mut loopback, lb_handle);
 
+    assert_eq!(
+        sim.stats().bytes_delivered,
+        loopback.stats().bytes_delivered,
+        "the simulator counts what the wire carries: {scenario:?}"
+    );
     (sim_digest, lb_digest)
 }
 

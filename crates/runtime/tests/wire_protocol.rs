@@ -486,38 +486,3 @@ fn storage_policy_compacts_log_and_restart_keeps_latest_knowhow() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
-
-/// The simulator's arithmetic `wire_size` approximation and the exact
-/// codec agree on ordering: bigger payloads are bigger on the real wire
-/// too.
-#[test]
-fn wire_size_approximation_orders_like_the_codec() {
-    use openwf_simnet::Message;
-    let p = ProblemId::new(HostId(0), 0);
-    let small = Msg::FragmentQuery {
-        problem: p,
-        round: 0,
-        labels: vec![Label::new("wsz-a")],
-    };
-    let big = Msg::FragmentReply {
-        problem: p,
-        round: 0,
-        fragments: (0..12)
-            .map(|i| {
-                Arc::new(frag(
-                    &format!("wsz-f{i}"),
-                    &format!("wsz-t{i}"),
-                    "wsz-in",
-                    "wsz-out",
-                ))
-            })
-            .collect(),
-    };
-    let approx = (small.wire_size(), big.wire_size());
-    let exact = (
-        openwf_runtime::codec::encoded_len(&small),
-        openwf_runtime::codec::encoded_len(&big),
-    );
-    assert!(approx.0 < approx.1);
-    assert!(exact.0 < exact.1);
-}

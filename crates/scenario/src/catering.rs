@@ -20,7 +20,7 @@
 //! chef removes the omelet knowhow+capability; absent wait staff removes
 //! the `serve tables` capability so construction must pick buffet service.
 
-use openwf_core::{Fragment, Label, Mode, Spec};
+use openwf_core::{Fragment, Mode, Spec};
 use openwf_mobility::{Motion, Point, SiteMap};
 use openwf_runtime::{HostConfig, Preferences, ServiceDescription};
 use openwf_simnet::SimDuration;
@@ -96,12 +96,6 @@ impl CateringScenario {
             triggers.push("box lunches ordered");
         }
         Spec::new(triggers, ["breakfast served", "lunch served"])
-    }
-
-    /// A breakfast-only request ("if lunch was not requested, then no
-    /// lunch activities will be included in the final workflow").
-    pub fn breakfast_only_spec(&self) -> Spec {
-        Spec::new(["breakfast ingredients"], ["breakfast served"])
     }
 
     /// Host configurations: `[manager, chef?, kitchen staff, wait staff?]`.
@@ -282,20 +276,10 @@ pub fn box_lunch_fragment() -> Fragment {
         .expect("static fragment is valid")
 }
 
-/// The label signalling breakfast success.
-pub fn breakfast_served() -> Label {
-    Label::new("breakfast served")
-}
-
-/// The label signalling lunch success.
-pub fn lunch_served() -> Label {
-    Label::new("lunch served")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use openwf_core::{Constructor, Supergraph, TaskId};
+    use openwf_core::{Constructor, Label, Supergraph, TaskId};
 
     fn full_knowledge(s: &CateringScenario) -> Supergraph {
         let mut sg = Supergraph::new();
@@ -344,16 +328,18 @@ mod tests {
         assert_eq!(breakfast_producers, 1);
     }
 
+    /// "If lunch was not requested, then no lunch activities will be
+    /// included in the final workflow" (§2.1).
     #[test]
     fn breakfast_only_excludes_lunch_tasks() {
         let s = CateringScenario::new();
         let sg = full_knowledge(&s);
-        let spec = s.breakfast_only_spec();
+        let spec = Spec::new(["breakfast ingredients"], ["breakfast served"]);
         let c = Constructor::new().construct(&sg, &spec).unwrap();
         let w = c.workflow();
         assert!(!w.contains_task(&TaskId::new("prepare soup and salad")));
         assert!(!w.contains_task(&TaskId::new("serve buffet")));
-        assert!(!w.contains_label(&lunch_served()));
+        assert!(!w.contains_label(&Label::new("lunch served")));
     }
 
     #[test]

@@ -81,16 +81,6 @@ impl<'a, M: Message> Context<'a, M> {
         self.outbox.push((to, msg));
     }
 
-    /// Sends the same message to every host in `peers` except self.
-    pub fn send_all<I: IntoIterator<Item = HostId>>(&mut self, peers: I, msg: M) {
-        let me = self.self_id;
-        for p in peers {
-            if p != me {
-                self.outbox.push((p, msg.clone()));
-            }
-        }
-    }
-
     /// Arms a timer that fires after `delay`, delivering `token` to
     /// [`Actor::on_timer`].
     pub fn set_timer(&mut self, delay: SimDuration, token: TimerToken) {
@@ -129,24 +119,21 @@ mod tests {
     struct Fanout;
     impl Actor<Note> for Fanout {
         fn on_start(&mut self, ctx: &mut Context<'_, Note>) {
-            ctx.send_all([HostId(0), HostId(1), HostId(2)], Note("hello"));
+            ctx.send(HostId(0), Note("hello"));
+            ctx.send(HostId(2), Note("hello"));
             ctx.set_timer(SimDuration::from_millis(5), TimerToken(9));
         }
     }
 
     #[test]
-    fn context_collects_outputs_and_skips_self() {
+    fn context_collects_outputs() {
         let mut outbox = Vec::new();
         let mut timers = Vec::new();
         let mut ctx = Context::new(SimTime::ZERO, HostId(1), &mut outbox, &mut timers);
         let mut a = Fanout;
         a.on_start(&mut ctx);
         let to: Vec<HostId> = outbox.iter().map(|(h, _)| *h).collect();
-        assert_eq!(
-            to,
-            vec![HostId(0), HostId(2)],
-            "self excluded from send_all"
-        );
+        assert_eq!(to, vec![HostId(0), HostId(2)]);
         assert_eq!(timers, vec![(SimDuration::from_millis(5), TimerToken(9))]);
     }
 

@@ -85,13 +85,6 @@ impl ChaosSchedule {
         ChaosSchedule::default()
     }
 
-    /// Builds a schedule from events in any order (stably sorted by time,
-    /// so equal-time events keep their given order).
-    pub fn from_events(mut events: Vec<ChaosEvent>) -> Self {
-        events.sort_by_key(|e| e.at);
-        ChaosSchedule { events, next: 0 }
-    }
-
     /// Appends an action at `at`. Events may be pushed out of order; the
     /// schedule keeps itself time-sorted (stable for equal times).
     pub fn push(&mut self, at: SimTime, action: ChaosAction) {
@@ -218,20 +211,13 @@ mod tests {
 
     #[test]
     fn apply_due_consumes_in_order() {
-        let mut s = ChaosSchedule::from_events(vec![
-            ChaosEvent {
-                at: SimTime::from_micros(10),
-                action: ChaosAction::Crash(HostId(0)),
-            },
-            ChaosEvent {
-                at: SimTime::from_micros(20),
-                action: ChaosAction::SetDropProbability(0.5),
-            },
-            ChaosEvent {
-                at: SimTime::from_micros(30),
-                action: ChaosAction::Revive(HostId(0)),
-            },
-        ]);
+        let mut s = ChaosSchedule::new();
+        s.push(SimTime::from_micros(10), ChaosAction::Crash(HostId(0)));
+        s.push(
+            SimTime::from_micros(20),
+            ChaosAction::SetDropProbability(0.5),
+        );
+        s.push(SimTime::from_micros(30), ChaosAction::Revive(HostId(0)));
         let mut topo = Topology::full_mesh();
         let mut faults = FaultInjector::none();
         let all = hosts(3);

@@ -30,6 +30,10 @@ pub enum EventKind<M> {
         to: HostId,
         /// The message.
         msg: M,
+        /// Its [`crate::Message::wire_size`], asked once when the
+        /// delivery was scheduled: what the latency model charged and
+        /// what the traffic counters add on arrival.
+        size: usize,
     },
     /// Fire a host timer.
     Timer {
@@ -296,11 +300,17 @@ mod tests {
                 from: HostId(0),
                 to: HostId(1),
                 msg: 42u32,
+                size: 4,
             },
         );
         match q.pop().unwrap().kind {
-            EventKind::Deliver { from, to, msg } => {
-                assert_eq!((from, to, msg), (HostId(0), HostId(1), 42));
+            EventKind::Deliver {
+                from,
+                to,
+                msg,
+                size,
+            } => {
+                assert_eq!((from, to, msg, size), (HostId(0), HostId(1), 42, 4));
             }
             _ => panic!("expected deliver"),
         }

@@ -71,19 +71,9 @@ impl FaultInjector {
         self.link_drop.insert((from, to), p);
     }
 
-    /// Removes a per-link override (the global probability applies again).
-    pub fn clear_link_drop(&mut self, from: HostId, to: HostId) {
-        self.link_drop.remove(&(from, to));
-    }
-
     /// Removes every per-link override.
     pub fn clear_link_drops(&mut self) {
         self.link_drop.clear();
-    }
-
-    /// Number of directed links with an override.
-    pub fn link_drop_count(&self) -> usize {
-        self.link_drop.len()
     }
 
     /// The drop probability in effect for `from → to`.
@@ -259,10 +249,9 @@ mod tests {
         assert!(!f.should_drop(HostId(2), HostId(3), &mut rng));
         assert!(f.should_drop(HostId(3), HostId(2), &mut rng));
 
-        f.clear_link_drop(HostId(0), HostId(1));
-        assert_eq!(f.effective_drop_probability(HostId(0), HostId(1)), 1.0);
+        // Clearing the overrides puts every link back on the global setting.
         f.clear_link_drops();
-        assert_eq!(f.link_drop_count(), 0);
+        assert_eq!(f.effective_drop_probability(HostId(2), HostId(3)), 1.0);
     }
 
     #[test]

@@ -53,12 +53,15 @@ impl fmt::Display for MsgKind {
 
 /// A message that can travel through the communications layer.
 ///
-/// `wire_size` is the estimated serialized size in bytes; latency models
-/// that account for bandwidth (e.g. [`crate::Wireless80211g`]) use it to
-/// compute serialization delay. The default of 128 bytes suits small
-/// control messages.
+/// `wire_size` is the serialized size in bytes; latency models that
+/// account for bandwidth (e.g. [`crate::Wireless80211g`]) use it to
+/// compute serialization delay, and the traffic counters add it on
+/// arrival. [`crate::SimNetwork`] asks once per message, when it
+/// schedules the delivery, so an implementation may do real work (the
+/// OWMS protocol encodes the message and returns the frame's length).
+/// The default of 128 bytes suits small control messages.
 pub trait Message: Clone + Send + fmt::Debug + 'static {
-    /// Estimated size on the wire, in bytes.
+    /// Size on the wire, in bytes.
     fn wire_size(&self) -> usize {
         128
     }

@@ -220,7 +220,12 @@ impl<M: Message, A: Actor<M>> SimNetwork<M, A> {
             return true;
         }
         match ev.kind {
-            EventKind::Deliver { from, to, msg } => {
+            EventKind::Deliver {
+                from,
+                to,
+                msg,
+                size,
+            } => {
                 if self.faults.is_crashed(to) {
                     // Crashed while the message was in flight.
                     self.stats.dropped += 1;
@@ -228,9 +233,9 @@ impl<M: Message, A: Actor<M>> SimNetwork<M, A> {
                     return true;
                 }
                 self.stats.delivered += 1;
-                self.stats.bytes_delivered += msg.wire_size() as u64;
+                self.stats.bytes_delivered += size as u64;
                 self.metrics.delivered.inc();
-                self.metrics.bytes_delivered.add(msg.wire_size() as u64);
+                self.metrics.bytes_delivered.add(size as u64);
                 self.dispatch(to, |actor, ctx| actor.on_message(from, msg, ctx));
             }
             EventKind::Timer { host, token } => {
@@ -279,26 +284,6 @@ impl<M: Message, A: Actor<M>> SimNetwork<M, A> {
         self.now
     }
 
-    /// Runs until `pred` holds on the network (checked after every event)
-    /// or the queue empties. Returns `true` if the predicate held.
-    pub fn run_until_pred(&mut self, mut pred: impl FnMut(&Self) -> bool) -> bool {
-        self.start();
-        if pred(self) {
-            return true;
-        }
-        while self.step() {
-            if pred(self) {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Number of pending events (diagnostics).
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
-    }
-
     fn dispatch(&mut self, host: HostId, f: impl FnOnce(&mut A, &mut Context<'_, M>)) {
         let mut outbox: Vec<(HostId, M)> = Vec::new();
         let mut timers: Vec<(SimDuration, TimerToken)> = Vec::new();
@@ -336,20 +321,31 @@ impl<M: Message, A: Actor<M>> SimNetwork<M, A> {
         self.apply_chaos_due(at);
         self.stats.sent += 1;
         self.metrics.sent.inc();
-        if from == to {
-            // Local delivery: no network involved.
-            self.queue
-                .schedule(at, EventKind::Deliver { from, to, msg });
-            return;
-        }
-        if !self.topology.connected(from, to) || self.faults.should_drop(from, to, &mut self.rng) {
+        let lost = from != to
+            && (!self.topology.connected(from, to)
+                || self.faults.should_drop(from, to, &mut self.rng));
+        if lost {
             self.stats.dropped += 1;
             self.metrics.dropped.inc();
             return;
         }
-        let mut delay = self
-            .latency
-            .delay(at, from, to, msg.wire_size(), &mut self.rng);
+        // The one place a message is asked its size: every delivery
+        // scheduled below (local, original, duplicate) carries it.
+        let size = msg.wire_size();
+        if from == to {
+            // Local delivery: no network involved.
+            self.queue.schedule(
+                at,
+                EventKind::Deliver {
+                    from,
+                    to,
+                    msg,
+                    size,
+                },
+            );
+            return;
+        }
+        let mut delay = self.latency.delay(at, from, to, size, &mut self.rng);
         if let Some(jitter) = self.faults.reorder_jitter(&mut self.rng) {
             delay += jitter;
         }
@@ -357,9 +353,7 @@ impl<M: Message, A: Actor<M>> SimNetwork<M, A> {
             // The copy is an independent network artifact with its own
             // latency (and its own shot at the reorder storm), so it can
             // arrive before or after the original.
-            let mut dup_delay = self
-                .latency
-                .delay(at, from, to, msg.wire_size(), &mut self.rng);
+            let mut dup_delay = self.latency.delay(at, from, to, size, &mut self.rng);
             if let Some(jitter) = self.faults.reorder_jitter(&mut self.rng) {
                 dup_delay += jitter;
             }
@@ -373,11 +367,19 @@ impl<M: Message, A: Actor<M>> SimNetwork<M, A> {
                     from,
                     to,
                     msg: msg.clone(),
+                    size,
                 },
             );
         }
-        self.queue
-            .schedule(at + delay, EventKind::Deliver { from, to, msg });
+        self.queue.schedule(
+            at + delay,
+            EventKind::Deliver {
+                from,
+                to,
+                msg,
+                size,
+            },
+        );
     }
 }
 
@@ -593,16 +595,7 @@ mod tests {
             "stops at last event ≤ deadline"
         );
         assert_eq!(net.stats().timers_fired, 5);
-        assert!(net.pending_events() > 0);
-    }
-
-    #[test]
-    fn run_until_pred_stops_early() {
-        let (mut net, a, b) = two_pingers(100, 1);
-        net.send_external(a, b, Msg::Ping(0));
-        let hit = net.run_until_pred(|n| n.stats().delivered >= 3);
-        assert!(hit);
-        assert_eq!(net.stats().delivered, 3);
+        assert!(net.step(), "the next timer is still queued");
     }
 
     #[test]
@@ -667,7 +660,7 @@ mod tests {
         // (delivery to a crashed host is dropped), and nothing restarts
         // it after the revive: the run goes quiescent.
         net.run_until(SimTime::from_micros(50_000));
-        assert_eq!(net.pending_events(), 0);
+        assert!(!net.step(), "nothing left to process");
         let delivered_to_b = net.host(b).log.len();
         assert!(
             (1..=3).contains(&delivered_to_b),
@@ -700,11 +693,11 @@ mod tests {
         net.set_chaos(chaos);
         net.send_external(a, b, Msg::Ping(0));
         net.advance_to(SimTime::from_micros(5_000));
-        assert_eq!(net.pending_events(), 0, "exchange severed by partition");
+        assert!(!net.step(), "exchange severed by partition");
         assert_eq!(net.stats().dropped, 1);
         // After heal (advance_to applied it), new traffic flows again.
         net.send_external(a, b, Msg::Ping(100));
-        net.run_until_pred(|n| n.stats().dropped > 1 || n.stats().delivered > 3);
+        while net.stats().dropped <= 1 && net.stats().delivered <= 3 && net.step() {}
         assert!(
             net.host(b).log.iter().any(|&(_, n)| n == 100),
             "post-heal send delivered"

@@ -195,3 +195,40 @@ fn timer_message_interleaving_is_stable() {
     };
     assert_eq!(run(), run());
 }
+
+/// A message is asked its size once, when its delivery is scheduled:
+/// the duplicate of a delivery and a self-send both arrive with the
+/// size computed at send.
+#[test]
+fn deliveries_carry_the_size_computed_at_send() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    /// Answers 100, 101, 102, … — a second ask would show in the totals.
+    #[derive(Clone, Debug)]
+    struct Metered(Arc<AtomicUsize>);
+    impl Message for Metered {
+        fn wire_size(&self) -> usize {
+            100 + self.0.fetch_add(1, Ordering::Relaxed)
+        }
+    }
+    struct Sink;
+    impl Actor<Metered> for Sink {
+        fn on_message(&mut self, _f: HostId, _m: Metered, _ctx: &mut Context<'_, Metered>) {}
+    }
+
+    let mut net: SimNetwork<Metered, Sink> = SimNetwork::new(3);
+    let a = net.add_host(Sink);
+    let b = net.add_host(Sink);
+    net.faults_mut().set_duplicate_probability(1.0);
+    let (remote, local) = (Arc::default(), Arc::default());
+    net.send_external(a, b, Metered(Arc::clone(&remote)));
+    net.send_external(a, a, Metered(Arc::clone(&local)));
+    net.run_until_quiescent();
+
+    let stats = net.stats();
+    assert_eq!((stats.delivered, stats.duplicated), (3, 1), "{stats:?}");
+    assert_eq!(stats.bytes_delivered, 300, "{stats:?}");
+    assert_eq!(remote.load(Ordering::Relaxed), 1);
+    assert_eq!(local.load(Ordering::Relaxed), 1);
+}
