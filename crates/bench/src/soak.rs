@@ -108,6 +108,11 @@ mod tests {
         assert_eq!(results.len(), ChaosProfile::all().len());
         for r in &results {
             assert!(r.invariants_hold(), "{r}");
+            // Restarts and quarantines never share a run: `quarantined`
+            // counts the driver's event log, which outlives a restarted
+            // host's core, and no row depends on that.
+            assert_eq!(r.restarts > 0, r.profile == "churn-storm", "{r}");
+            assert_eq!(r.quarantined > 0, r.profile == "vocab-flood", "{r}");
         }
         let json = to_json(&results);
         assert!(json.contains("\"bench\": \"chaos_soak\""));

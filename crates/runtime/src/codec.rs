@@ -543,12 +543,12 @@ pub fn frame_is_fragment_reply(buf: &[u8]) -> Result<bool, WireError> {
 }
 
 /// The encoded size of a message in bytes (one full frame) — the only
-/// size a message has: [`Msg`]'s [`openwf_simnet::Message`] impl
-/// forwards here, so the simulator's bandwidth model and traffic
-/// counters charge what a byte transport carries.
+/// size a message has: [`crate::Community`] states it for every typed
+/// send, so the simulator's bandwidth model and traffic counters charge
+/// what a byte transport carries.
 ///
 /// Encodes into a scratch buffer per call; the simulator asks once per
-/// scheduled delivery.
+/// send.
 pub fn encoded_len(msg: &Msg) -> usize {
     let mut buf = Vec::new();
     encode_msg(msg, &mut buf);

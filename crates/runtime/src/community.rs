@@ -1,25 +1,30 @@
 //! Community assembly and problem driving.
 //!
-//! A [`Community`] is a set of configured [`OwmsHost`]s on a simulated
-//! network — the §5 experimental setup ("configure the hosts, establish
-//! connectivity within the community") — and the simulator's
-//! implementation of the transport-agnostic [`Driver`] API: submit a
-//! problem, step, run until allocation or completion. Each host is an
-//! [`OwmsHost`] actor (the thin `simnet` adapter over
-//! [`HostCore`]), messages travel as typed [`Msg`]s through the
-//! pluggable latency/topology/fault models, and the run is a
-//! deterministic function of the seed. The same scenarios run over
-//! encoded wire frames through [`crate::driver::LoopbackBytesDriver`].
+//! A [`Community`] is a set of configured [`HostCore`]s over the
+//! virtual-time kernel of `openwf-simnet` — the §5 experimental setup
+//! ("configure the hosts, establish connectivity within the community")
+//! — and the simulator's implementation of the transport-agnostic
+//! [`Driver`] API: submit a problem, step, run until allocation or
+//! completion. It owns its cores and is a loop over the kernel: take
+//! the next due delivery or timer, hand it to its core
+//! ([`HostCore::handle_msg`] / [`HostCore::handle_timer`]), put the
+//! returned sends and timers back. Messages travel as typed [`Msg`]s,
+//! sized by their encoded length, through the pluggable
+//! latency/topology/fault models, and the run is a deterministic
+//! function of the seed. The same scenarios run over encoded wire
+//! frames through [`crate::driver::LoopbackBytesDriver`], the same loop
+//! over the same kernel.
 
 use std::fmt;
 
 use openwf_core::Spec;
 use openwf_simnet::{HostId, LatencyModel, NetStats, SimNetwork, SimTime};
 
-use crate::core_sm::{HostConfig, HostCore, WorkflowEvent};
+use crate::codec;
+use crate::core_sm::{Action, ActionQueue, HostConfig, HostCore, OutboundMode, WorkflowEvent};
+use crate::driver::in_process::{InProcess, Payload};
 use crate::driver::Driver;
-use crate::host::OwmsHost;
-use crate::messages::{Msg, ProblemId};
+use crate::messages::Msg;
 use crate::params::RuntimeParams;
 
 pub use crate::driver::ProblemHandle;
@@ -73,21 +78,11 @@ impl CommunityBuilder {
     ///
     /// Panics if no hosts were added.
     pub fn build(self) -> Community {
-        assert!(
-            !self.hosts.is_empty(),
-            "a community needs at least one host"
-        );
-        let mut net: SimNetwork<Msg, OwmsHost> = SimNetwork::new(self.seed);
+        let mut sim = InProcess::build(self.seed, &self.params, self.hosts);
         if let Some(model) = self.latency {
-            net.set_latency_boxed(model);
+            sim.net.set_latency_boxed(model);
         }
-        let all: Vec<HostId> = (0..self.hosts.len() as u32).map(HostId).collect();
-        for cfg in self.hosts {
-            let mut host = OwmsHost::new(cfg, self.params.clone());
-            host.core_mut().set_community(all.clone());
-            net.add_host(host);
-        }
-        Community { net, next_seq: 0 }
+        Community { sim }
     }
 }
 
@@ -100,89 +95,104 @@ impl fmt::Debug for CommunityBuilder {
     }
 }
 
+/// The simulator carries typed messages: `Arc<Fragment>` payloads are
+/// shared in-process, and a message's size is its encoded length.
+impl Payload for Msg {
+    const MODE: OutboundMode = OutboundMode::Typed;
+
+    fn of(msg: Msg) -> Self {
+        msg
+    }
+
+    fn size(&self) -> usize {
+        codec::encoded_len(self)
+    }
+
+    fn of_send(action: Action) -> (HostId, Self) {
+        match action {
+            Action::Send { to, msg } => (to, msg),
+            other => panic!("Community drives cores in OutboundMode::Typed, got {other:?}"),
+        }
+    }
+
+    fn deliver(self, core: &mut HostCore, from: HostId, now: SimTime) -> ActionQueue {
+        core.handle_msg(from, self, now)
+    }
+}
+
 /// A running community of open workflow hosts on the virtual-time
 /// simulator; drive it through its [`Driver`] impl.
 pub struct Community {
-    net: SimNetwork<Msg, OwmsHost>,
-    next_seq: u32,
+    sim: InProcess<Msg>,
 }
 
 impl Community {
-    /// A host's simulator adapter (its surfaced events; the protocol
-    /// state is [`Driver::core`]).
-    pub fn host(&self, id: HostId) -> &OwmsHost {
-        self.net.host(id)
-    }
-
-    /// Mutable access to a host's simulator adapter.
-    pub fn host_mut(&mut self, id: HostId) -> &mut OwmsHost {
-        self.net.host_mut(id)
-    }
-
     /// The underlying network (topology, faults, latency, stats).
-    pub fn net_mut(&mut self) -> &mut SimNetwork<Msg, OwmsHost> {
-        &mut self.net
+    pub fn net_mut(&mut self) -> &mut SimNetwork<Msg> {
+        &mut self.sim.net
     }
 
     /// Network traffic counters.
     pub fn stats(&self) -> NetStats {
-        self.net.stats()
+        self.sim.net.stats()
     }
 
-    /// Workflow events every host surfaced so far, tagged with the host
-    /// that emitted them — the community-wide view a soak harness's
-    /// invariant checks need (quarantines, completions, repairs). Hosts
-    /// in id order; per-host events in firing order.
-    pub fn all_events(&self) -> Vec<(HostId, WorkflowEvent)> {
-        self.hosts()
-            .into_iter()
-            .flat_map(|h| {
-                self.host(h)
-                    .events()
-                    .iter()
-                    .cloned()
-                    .map(move |e| (h, e))
-                    .collect::<Vec<_>>()
-            })
-            .collect()
+    /// Workflow events every core surfaced so far (milestones,
+    /// quarantine decisions), in firing order, tagged with the host that
+    /// emitted them.
+    pub fn events(&self) -> &[(HostId, WorkflowEvent)] {
+        &self.sim.events
+    }
+
+    /// Runs until nothing more is due by `deadline`; the clock never
+    /// advances past events actually processed.
+    pub fn run_until(&mut self, deadline: SimTime) -> SimTime {
+        while self.sim.step(deadline) {}
+        self.now()
+    }
+
+    /// Processes every event due by `t`, then advances the idle clock to
+    /// `t` (applying any chaos due on the way), so a submission at `t`
+    /// sees the network state — partitions healed, hosts revived — as of
+    /// `t`, even when the event queue drained early.
+    pub fn advance_to(&mut self, t: SimTime) -> SimTime {
+        self.run_until(t);
+        self.sim.net.skip_to(t);
+        self.now()
     }
 }
 
 impl Driver for Community {
     fn hosts(&self) -> Vec<HostId> {
-        self.net.hosts()
+        self.sim.hosts()
     }
 
     fn core(&self, id: HostId) -> &HostCore {
-        self.net.host(id).core()
+        &self.sim.cores[id.index()]
     }
 
     fn core_mut(&mut self, id: HostId) -> &mut HostCore {
-        self.net.host_mut(id).core_mut()
+        &mut self.sim.cores[id.index()]
     }
 
     fn now(&self) -> SimTime {
-        self.net.now()
+        self.sim.net.now()
     }
 
     fn submit(&mut self, initiator: HostId, spec: Spec) -> ProblemHandle {
-        let id = ProblemId::new(initiator, self.next_seq);
-        self.next_seq += 1;
-        self.net
-            .send_external(initiator, initiator, Msg::Initiate { problem: id, spec });
-        ProblemHandle { id }
+        self.sim.submit(initiator, spec)
     }
 
     fn step(&mut self) -> bool {
-        self.net.step()
+        self.sim.step(SimTime::FAR_FUTURE)
     }
 }
 
 impl fmt::Debug for Community {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Community")
-            .field("hosts", &self.net.len())
-            .field("now", &self.net.now())
+            .field("hosts", &self.sim.cores.len())
+            .field("now", &self.sim.net.now())
             .finish()
     }
 }
@@ -190,6 +200,7 @@ impl fmt::Debug for Community {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::ProblemStatus;
     use crate::service::ServiceDescription;
     use openwf_core::{Fragment, Mode};
     use openwf_simnet::SimDuration;
@@ -222,7 +233,7 @@ mod tests {
         let handle = community.submit(initiator, Spec::new(["a"], ["c"]));
         let report = community.run_until_complete(handle);
         assert!(
-            matches!(report.status, crate::report::ProblemStatus::Completed),
+            matches!(report.status, ProblemStatus::Completed),
             "report: {report}"
         );
         // t1 could only be executed by host1 and t2 only by host0.
@@ -300,13 +311,112 @@ mod tests {
         let p2 = community.submit(h1, Spec::new(["x"], ["y"]));
         let r1 = community.run_until_complete(p1);
         let r2 = community.run_until_complete(p2);
-        assert!(matches!(r1.status, crate::report::ProblemStatus::Completed));
-        assert!(matches!(r2.status, crate::report::ProblemStatus::Completed));
+        assert!(matches!(r1.status, ProblemStatus::Completed));
+        assert!(matches!(r2.status, ProblemStatus::Completed));
     }
 
     #[test]
     #[should_panic(expected = "at least one host")]
     fn empty_community_panics() {
         let _ = CommunityBuilder::new(0).build();
+    }
+    /// A one-host community: the full pipeline (construction, self-bid
+    /// auction, execution) runs entirely through local loopback.
+    #[test]
+    fn single_host_end_to_end() {
+        let cfg = HostConfig::new()
+            .with_fragment(frag("f1", "t1", "a", "b"))
+            .with_fragment(frag("f2", "t2", "b", "c"))
+            .with_service(service("t1"))
+            .with_service(service("t2"));
+        let mut community = CommunityBuilder::new(1).host(cfg).build();
+        let h = community.hosts()[0];
+        let problem = community.submit(h, Spec::new(["a"], ["c"])).id;
+        community.run_until_quiescent();
+
+        let ws = community
+            .core(h)
+            .workflow_mgr()
+            .get(&problem)
+            .expect("workspace");
+        assert_eq!(ws.report.status, ProblemStatus::Completed);
+        assert_eq!(ws.report.assignments.len(), 2);
+        assert!(ws.report.timings.spec_to_allocated().is_some());
+        assert!(ws.report.timings.total().is_some());
+        // Services actually ran, in dependency order.
+        let inv = community.core(h).service_mgr().invocations();
+        assert_eq!(inv.len(), 2);
+        assert_eq!(inv[0].task, openwf_core::TaskId::new("t1"));
+        assert_eq!(inv[1].task, openwf_core::TaskId::new("t2"));
+        // The driver surfaced the core's milestone events, in order.
+        assert_eq!(
+            community.events(),
+            [
+                (h, WorkflowEvent::Constructed { problem }),
+                (h, WorkflowEvent::Completed { problem }),
+            ]
+        );
+    }
+
+    /// Trivial problem: the goal is already a trigger.
+    #[test]
+    fn trivial_problem_completes_without_tasks() {
+        let mut community = CommunityBuilder::new(1).host(HostConfig::new()).build();
+        let h = community.hosts()[0];
+        let problem = community.submit(h, Spec::new(["a"], ["a"])).id;
+        community.run_until_quiescent();
+        let ws = community.core(h).workflow_mgr().get(&problem).unwrap();
+        assert_eq!(ws.report.status, ProblemStatus::Completed);
+        assert!(ws.report.assignments.is_empty());
+    }
+
+    /// An unsatisfiable problem fails cleanly.
+    #[test]
+    fn unsatisfiable_problem_fails() {
+        let cfg = HostConfig::new().with_fragment(frag("f1", "t1", "a", "b"));
+        let mut community = CommunityBuilder::new(1).host(cfg).build();
+        let h = community.hosts()[0];
+        let problem = community
+            .submit(h, Spec::new(["a"], ["nothing makes this"]))
+            .id;
+        community.run_until_quiescent();
+        let ws = community.core(h).workflow_mgr().get(&problem).unwrap();
+        assert!(matches!(ws.report.status, ProblemStatus::Failed { .. }));
+        // Terminal failure surfaces as an event.
+        assert!(community
+            .events()
+            .iter()
+            .any(|(_, e)| matches!(e, WorkflowEvent::Failed { .. })));
+    }
+
+    /// Capability gating: knowledge exists but no service anywhere — the
+    /// wait-staff example's mechanism.
+    #[test]
+    fn missing_capability_fails_construction() {
+        let cfg = HostConfig::new().with_fragment(frag("f1", "t1", "a", "b"));
+        // No service for t1.
+        let mut community = CommunityBuilder::new(1).host(cfg).build();
+        let h = community.hosts()[0];
+        let problem = community.submit(h, Spec::new(["a"], ["b"])).id;
+        community.run_until_quiescent();
+        let ws = community.core(h).workflow_mgr().get(&problem).unwrap();
+        assert!(matches!(ws.report.status, ProblemStatus::Failed { .. }));
+    }
+
+    /// A core switched away from the driver's outbound mode is a wiring
+    /// error the driver names, not traffic it loses.
+    #[test]
+    #[should_panic(expected = "OutboundMode::Typed")]
+    fn a_core_in_the_wrong_outbound_mode_is_refused() {
+        let cfg = HostConfig::new()
+            .with_fragment(frag("f1", "t1", "a", "b"))
+            .with_service(service("t1"));
+        let mut community = CommunityBuilder::new(1).host(cfg).build();
+        let h = community.hosts()[0];
+        community
+            .core_mut(h)
+            .set_outbound_mode(OutboundMode::Encoded);
+        community.submit(h, Spec::new(["a"], ["b"]));
+        community.run_until_quiescent();
     }
 }

@@ -55,7 +55,7 @@ use std::fmt;
 
 use openwf_core::TaskId;
 use openwf_obs::{Obs, SpanPhase, TraceEvent};
-use openwf_simnet::{HostId, Message, SimDuration, SimTime, TimerToken};
+use openwf_simnet::{HostId, SimDuration, SimTime, TimerToken};
 use openwf_wire::{DecodeScratch, VocabularyBudget, WireError};
 
 use crate::auction_part::AuctionParticipationManager;
@@ -602,7 +602,7 @@ impl HostCore {
             self.trace(
                 now,
                 msg.problem(),
-                msg.kind().as_str(),
+                msg.kind(),
                 SpanPhase::Instant,
                 0,
                 format!("from host{}", from.0),

@@ -3,21 +3,25 @@
 //!
 //! The protocol core performs no I/O — every poll call returns an
 //! [`crate::core_sm::ActionQueue`] of typed effects. A [`Driver`] is the
-//! half that *performs* them: it schedules message deliveries, arms
-//! timers, advances a clock, and feeds inputs back into the cores. Three
-//! drivers ship, two of them in this crate:
+//! half that *performs* them: it owns its [`HostCore`]s, schedules
+//! message deliveries, arms timers, advances a clock, and feeds inputs
+//! back into the cores. Three drivers ship, two of them in this crate —
+//! the same loop (`in_process.rs`) over the same virtual-time kernel
+//! (`openwf_simnet::SimNetwork`: pending set, latency, topology, faults,
+//! chaos, busy periods), differing only in what the kernel carries:
 //!
-//! * [`crate::Community`] — the deterministic discrete-event simulator
-//!   (`openwf-simnet`): typed [`crate::Msg`]s with `Arc<Fragment>`
-//!   payloads shared in-process, pluggable latency/topology/faults.
+//! * [`crate::Community`] — the deterministic simulator: typed
+//!   [`crate::Msg`]s with `Arc<Fragment>` payloads shared in-process,
+//!   sized by their encoded length.
 //! * [`LoopbackBytesDriver`] — whole communities over **encoded wire
 //!   frames**: every message crosses host boundaries as
 //!   `openwf-wire` bytes (encode on send, vocabulary-budgeted decode on
 //!   receive), proving the binary codec carries the complete protocol
-//!   end-to-end. Same clock discipline as the simulator, so identical
-//!   scenarios produce bit-identical supergraphs and outcomes.
-//! * `openwf_net::TcpCommunityDriver` — one `NetServer` per host over
-//!   real loopback TCP sockets and a wall clock.
+//!   end-to-end. Same kernel, same loop, so identical scenarios produce
+//!   bit-identical supergraphs and outcomes.
+//!
+//! The third, `openwf_net::TcpCommunityDriver`, is one `NetServer` per
+//! host over real loopback TCP sockets and a wall clock.
 //!
 //! Every transport drives the same cores the same way: deliver bytes
 //! through [`HostCore::handle_frame`], fire timers via
@@ -31,9 +35,10 @@ use crate::core_sm::HostCore;
 use crate::messages::ProblemId;
 use crate::report::ProblemReport;
 
+pub(crate) mod in_process;
 mod loopback;
 
-pub use loopback::{LoopbackBytesDriver, LoopbackStats, WireChaos};
+pub use loopback::{LoopbackBytesDriver, LoopbackStats};
 
 /// Handle to a submitted problem.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -3,9 +3,10 @@
 //! This crate is the distributed runtime of WUCSE-2009-14 §4: every
 //! participant's device runs a sans-io [`HostCore`] state machine
 //! combining the paper's two subsystems. The core performs no I/O — a
-//! [`Driver`] transport polls it ([`Community`] on the deterministic
-//! simulator, where [`OwmsHost`] is the thin `simnet` actor adapter, or
-//! [`LoopbackBytesDriver`] over encoded wire frames):
+//! [`Driver`] owns the cores and polls them ([`Community`] carrying
+//! typed messages on the deterministic simulator, or
+//! [`LoopbackBytesDriver`] carrying encoded wire frames on the same
+//! kernel):
 //!
 //! **Construction subsystem** (active on the initiating host):
 //! * [`WorkflowManager`](workflow_mgr::WorkflowManager) — one isolated
@@ -46,7 +47,6 @@ pub mod core_sm;
 pub mod driver;
 pub mod exec;
 pub mod fragment_mgr;
-pub mod host;
 pub mod messages;
 pub mod metadata;
 pub mod params;
@@ -62,8 +62,7 @@ pub use community::{Community, CommunityBuilder, ProblemHandle};
 pub use core_sm::{
     Action, ActionQueue, HostConfig, HostCore, OutboundMode, StorageConfig, WorkflowEvent,
 };
-pub use driver::{Driver, LoopbackBytesDriver, WireChaos};
-pub use host::OwmsHost;
+pub use driver::{Driver, LoopbackBytesDriver};
 pub use messages::{Msg, ProblemId};
 pub use metadata::{Assignment, TaskMetadata};
 pub use params::RuntimeParams;

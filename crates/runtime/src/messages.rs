@@ -10,7 +10,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use openwf_core::{Fragment, Label, Spec, TaskId};
-use openwf_simnet::{HostId, Message};
+use openwf_simnet::HostId;
 
 use crate::metadata::{Assignment, ExecutionPlan, TaskMetadata};
 
@@ -229,15 +229,11 @@ impl Msg {
     pub fn trace_id(&self) -> u64 {
         self.problem().trace_id()
     }
-}
 
-impl Message for Msg {
-    fn wire_size(&self) -> usize {
-        crate::codec::encoded_len(self)
-    }
-
-    fn kind(&self) -> openwf_simnet::MsgKind {
-        openwf_simnet::MsgKind(match self {
+    /// The variant's name — `"CallForBids"`, `"Bid"` — for tracing,
+    /// without formatting the message body.
+    pub fn kind(&self) -> &'static str {
+        match self {
             Msg::Initiate { .. } => "Initiate",
             Msg::FragmentQuery { .. } => "FragmentQuery",
             Msg::FragmentReply { .. } => "FragmentReply",
@@ -251,7 +247,7 @@ impl Message for Msg {
             Msg::InputDelivery { .. } => "InputDelivery",
             Msg::TaskCompleted { .. } => "TaskCompleted",
             Msg::GoalDelivered { .. } => "GoalDelivered",
-        })
+        }
     }
 }
 
@@ -287,6 +283,6 @@ mod tests {
         };
         assert_eq!(m.problem(), p);
         assert_eq!(m.trace_id(), p.trace_id());
-        assert_eq!(m.kind().as_str(), "TaskCompleted");
+        assert_eq!(m.kind(), "TaskCompleted");
     }
 }

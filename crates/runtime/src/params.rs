@@ -4,8 +4,9 @@ use openwf_simnet::SimDuration;
 
 /// Knobs governing protocol timing and modeled compute costs.
 ///
-/// The compute costs feed [`openwf_simnet::Context::charge`]: they place
-/// host-side processing on the virtual clock so that the §5 experiments
+/// The compute costs are what a poll call charges its
+/// [`crate::ActionQueue`]: they place host-side processing on the
+/// virtual clock so that the §5 experiments
 /// reproduce the paper's *shapes* (e.g. per-response processing on the
 /// initiator makes total time linear in community size even though queries
 /// could be broadcast — the paper makes exactly this observation).

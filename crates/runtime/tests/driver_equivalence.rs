@@ -5,11 +5,13 @@
 //!
 //! This is the load-bearing guarantee of the sans-io split: the
 //! protocol state machine cannot tell which transport is driving it.
-//! Both drivers share the clock discipline (constant 200µs latency,
-//! compute charges defer the busy host, `(time, seq)` event order), so
-//! every core sees the identical input sequence — down to virtual-time
-//! phase timings — whether fragments travel as shared `Arc`s or as
-//! freshly decoded wire bytes.
+//! Both drivers are the same loop over the same `openwf-simnet` kernel
+//! (constant 200µs latency, compute charges defer the busy host,
+//! `(time, seq)` event order), so every core sees the identical input
+//! sequence — down to virtual-time phase timings — whether fragments
+//! travel as shared `Arc`s or as freshly decoded wire bytes, and under
+//! the kernel's fault plan too: seeded drops, duplicates and a crash hit
+//! the same sends on both.
 
 use std::fmt::Write as _;
 
@@ -18,7 +20,7 @@ use openwf_runtime::{
     CommunityBuilder, Driver, HostConfig, LoopbackBytesDriver, ProblemHandle, ProblemStatus,
     RuntimeParams, ServiceDescription,
 };
-use openwf_simnet::SimDuration;
+use openwf_simnet::{ChaosAction, ChaosSchedule, HostId, SimDuration, SimNetwork, SimTime};
 use proptest::prelude::*;
 
 fn frag(id: String, task: String, input: String, output: String) -> Fragment {
@@ -251,4 +253,96 @@ fn three_host_chain_agrees() {
     let (sim, loopback) = run_both(&scenario);
     assert_eq!(sim, loopback);
     assert!(sim.contains("status Completed"), "{sim}");
+}
+
+/// A chain whose every fragment and every service lives on two hosts,
+/// so no single crash makes the goal unreachable.
+fn redundant_configs(n_hosts: usize, chain: usize) -> Vec<HostConfig> {
+    let mut cfgs = vec![HostConfig::new(); n_hosts];
+    for i in 0..chain {
+        for holder in [i % n_hosts, (i + 2) % n_hosts] {
+            cfgs[holder] = std::mem::take(&mut cfgs[holder]).with_fragment(frag(
+                format!("eqf-f{i}"),
+                format!("eqf-t{i}"),
+                format!("eqf-l{i}"),
+                format!("eqf-l{}", i + 1),
+            ));
+        }
+        for server in [(i + 1) % n_hosts, (i + 3) % n_hosts] {
+            cfgs[server] = std::mem::take(&mut cfgs[server]).with_service(ServiceDescription::new(
+                format!("eqf-t{i}"),
+                SimDuration::from_millis(3),
+            ));
+        }
+    }
+    cfgs
+}
+
+/// Seeded loss and duplication on every link, and host 2 crashing at
+/// `crash_at`.
+fn storm<P: Clone>(net: &mut SimNetwork<P>, crash_at: SimTime) {
+    net.faults_mut().set_drop_probability(0.04);
+    net.faults_mut().set_duplicate_probability(0.15);
+    let mut chaos = ChaosSchedule::new();
+    chaos.push(crash_at, ChaosAction::Crash(HostId(2)));
+    net.set_chaos(chaos);
+}
+
+/// Everything a faulted run leaves behind that both transports must
+/// agree on: the initiator's last attempt and the clock at quiescence.
+fn faulted_digest(driver: &mut impl Driver, handle: ProblemHandle) -> String {
+    driver.run_until_quiescent();
+    let ws = driver
+        .core(handle.id.initiator)
+        .latest_attempt(handle.id)
+        .expect("workspace");
+    format!("{} {:?} end {}", ws.problem, ws.report, driver.now())
+}
+
+/// The case the shared kernel makes expressible: the same scenario under
+/// `FaultInjector` drop and duplicate probabilities and one mid-run
+/// crash, on both transports with the same kernel seed (the loopback's
+/// is 0). Every send is routed in the same order with the same size on
+/// both, so the RNG decides the same fates: outcomes, workflow events
+/// and the kernel's traffic counters are equal — lost, duplicated and
+/// dropped-at-a-crashed-host messages included.
+#[test]
+fn faulted_runs_agree_across_transports() {
+    let params = RuntimeParams::default();
+    let spec = |chain: usize| Spec::new(["eqf-l0".to_string()], [format!("eqf-l{chain}")]);
+    let mut fates = Vec::new();
+    for (n_hosts, chain, crash_us) in [(4, 4, 2_500), (4, 6, 9_000), (5, 3, 20_000)] {
+        let crash_at = SimTime::from_micros(crash_us);
+
+        let mut sim = CommunityBuilder::new(0)
+            .params(params.clone())
+            .hosts(redundant_configs(n_hosts, chain))
+            .build();
+        storm(sim.net_mut(), crash_at);
+        let handle = sim.submit(HostId(0), spec(chain));
+        let sim_digest = faulted_digest(&mut sim, handle);
+
+        let mut loopback =
+            LoopbackBytesDriver::build(params.clone(), redundant_configs(n_hosts, chain));
+        storm(loopback.net_mut(), crash_at);
+        let lb_handle = loopback.submit(HostId(0), spec(chain));
+        let lb_digest = faulted_digest(&mut loopback, lb_handle);
+
+        let case = format!("{n_hosts} hosts, chain {chain}, crash at {crash_at}");
+        assert_eq!(sim_digest, lb_digest, "{case}");
+        assert_eq!(sim.events(), loopback.events(), "{case}");
+        let stats = sim.stats();
+        assert_eq!(stats, loopback.net_mut().stats(), "{case}");
+        fates.push((sim_digest, stats));
+    }
+    // The storm was real: messages were lost and copied in every run,
+    // and one run lost its first attempt to the crash and repaired.
+    assert!(
+        fates.iter().all(|(_, s)| s.dropped > 0 && s.duplicated > 0),
+        "{fates:?}"
+    );
+    assert!(
+        fates.iter().any(|(d, _)| d.contains("repair_attempts: 1")),
+        "{fates:?}"
+    );
 }

@@ -37,7 +37,7 @@ use std::path::PathBuf;
 use openwf_core::{Fragment, Label, Mode};
 use openwf_obs::Obs;
 use openwf_runtime::{
-    CommunityBuilder, Driver, HostConfig, OwmsHost, ProblemHandle, RuntimeParams, WorkflowEvent,
+    CommunityBuilder, Driver, HostConfig, HostCore, ProblemHandle, RuntimeParams, WorkflowEvent,
 };
 use openwf_simnet::{ChaosAction, ChaosSchedule, HostId, SimDuration, SimTime};
 use rand::rngs::StdRng;
@@ -564,20 +564,18 @@ pub fn run_soak_observed(config: &SoakConfig, obs: &Obs) -> SoakOutcome {
             // them land, snapshot the durable knowhow, then at 2 s
             // rebuild each durable host over its own log and revive
             // the churned pair.
-            community
-                .net_mut()
-                .advance_to(SimTime::ZERO + SimDuration::from_millis(1_500));
+            community.advance_to(SimTime::ZERO + SimDuration::from_millis(1_500));
             let before: Vec<Vec<Vec<u8>>> = durable
                 .iter()
                 .map(|(id, _)| community.core(*id).fragment_mgr().knowhow_digest())
                 .collect();
-            community
-                .net_mut()
-                .advance_to(SimTime::ZERO + SimDuration::from_millis(2_000));
+            community.advance_to(SimTime::ZERO + SimDuration::from_millis(2_000));
             for (d, (id, cfg)) in durable.iter().enumerate() {
-                *community.host_mut(*id) = OwmsHost::new(cfg.clone(), soak_params());
                 let ids = config.district_ids(d);
-                community.core_mut(*id).set_community(ids.clone());
+                let mut core = HostCore::new(cfg.clone(), soak_params());
+                core.bind(*id);
+                core.set_community(ids.clone());
+                *community.core_mut(*id) = core;
                 restarts += 1;
                 if community.core(*id).fragment_mgr().knowhow_digest() == before[d] {
                     restart_matches += 1;
@@ -587,7 +585,7 @@ pub fn run_soak_observed(config: &SoakConfig, obs: &Obs) -> SoakOutcome {
                 faults.revive(ids[2]);
             }
         }
-        community.net_mut().advance_to(wave_at);
+        community.advance_to(wave_at);
         for d in 0..config.districts {
             for _ in 0..config.problems_per_wave {
                 let path = knowledge[d]
@@ -600,7 +598,7 @@ pub fn run_soak_observed(config: &SoakConfig, obs: &Obs) -> SoakOutcome {
         }
     }
     let horizon = SimTime::ZERO + WAVE_GAP.times(config.waves as u64 - 1) + SOAK_TAIL;
-    community.net_mut().advance_to(horizon);
+    community.advance_to(horizon);
     community.run_until_quiescent();
 
     // ---- judge the invariants ----------------------------------------------
@@ -648,7 +646,7 @@ pub fn run_soak_observed(config: &SoakConfig, obs: &Obs) -> SoakOutcome {
         }
     }
     let quarantined = community
-        .all_events()
+        .events()
         .iter()
         .filter(|(_, e)| matches!(e, WorkflowEvent::PeerQuarantined { .. }))
         .count();
@@ -662,11 +660,11 @@ pub fn run_soak_observed(config: &SoakConfig, obs: &Obs) -> SoakOutcome {
     let mut decode_cache_hits = 0u64;
     let mut decode_cache_misses = 0u64;
     for h in community.hosts() {
-        let (hits, misses) = community.host(h).core().decode_cache_stats();
+        let (hits, misses) = community.core(h).decode_cache_stats();
         decode_cache_hits += hits;
         decode_cache_misses += misses;
         if obs.metrics.is_enabled() {
-            community.host_mut(h).core_mut().publish_metrics();
+            community.core_mut(h).publish_metrics();
         }
     }
 

@@ -17,7 +17,7 @@
 use std::fmt;
 
 use crate::fault::FaultInjector;
-use crate::message::HostId;
+use crate::host::HostId;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
 

@@ -15,33 +15,43 @@ use std::cmp::Ordering;
 use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 use std::fmt;
 
-use crate::actor::TimerToken;
-use crate::message::HostId;
+use crate::host::{HostId, TimerToken};
 use crate::time::SimTime;
 
-/// What happens when an event fires.
+/// What happens when an event fires — what [`crate::SimNetwork::pop`]
+/// hands the driver to dispatch.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum EventKind<M> {
-    /// Deliver a message to a host.
+pub enum EventKind<P> {
+    /// Deliver a payload to a host.
     Deliver {
         /// Sending host.
         from: HostId,
         /// Receiving host.
         to: HostId,
-        /// The message.
-        msg: M,
-        /// Its [`crate::Message::wire_size`], asked once when the
-        /// delivery was scheduled: what the latency model charged and
-        /// what the traffic counters add on arrival.
+        /// What travels: a typed message or an encoded frame.
+        payload: P,
+        /// Its size on the wire as the sender stated it: what the
+        /// latency model charged and what the traffic counters add on
+        /// arrival.
         size: usize,
     },
     /// Fire a host timer.
     Timer {
         /// Host whose timer fires.
         host: HostId,
-        /// The actor-chosen token.
+        /// The host-chosen token.
         token: TimerToken,
     },
+}
+
+impl<P> EventKind<P> {
+    /// The host the event is for.
+    pub fn host(&self) -> HostId {
+        match self {
+            EventKind::Deliver { to, .. } => *to,
+            EventKind::Timer { host, .. } => *host,
+        }
+    }
 }
 
 /// A scheduled event carrying a `K` (the simulator's is an
@@ -299,7 +309,7 @@ mod tests {
             EventKind::Deliver {
                 from: HostId(0),
                 to: HostId(1),
-                msg: 42u32,
+                payload: 42u32,
                 size: 4,
             },
         );
@@ -307,10 +317,10 @@ mod tests {
             EventKind::Deliver {
                 from,
                 to,
-                msg,
+                payload,
                 size,
             } => {
-                assert_eq!((from, to, msg, size), (HostId(0), HostId(1), 42, 4));
+                assert_eq!((from, to, payload, size), (HostId(0), HostId(1), 42, 4));
             }
             _ => panic!("expected deliver"),
         }

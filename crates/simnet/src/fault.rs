@@ -17,7 +17,7 @@ use std::fmt;
 
 use rand::RngExt;
 
-use crate::message::HostId;
+use crate::host::HostId;
 use crate::time::SimDuration;
 
 fn assert_probability(p: f64) {

@@ -13,7 +13,7 @@ use std::fmt;
 
 use rand::RngExt;
 
-use crate::message::HostId;
+use crate::host::HostId;
 use crate::time::{SimDuration, SimTime};
 
 /// Computes the delivery delay of one message.

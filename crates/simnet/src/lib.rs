@@ -4,41 +4,39 @@
 //! *abstract communications layer* that "isolates and hides the highly
 //! variable details of the transports, protocols, and caching schemes used
 //! during communication". This crate provides the simulated one:
-//! [`SimNetwork`], a deterministic, single-threaded **discrete-event
-//! simulation** kernel with a virtual clock. Hosts are [`Actor`] state
-//! machines; messages are delivered through a pluggable [`LatencyModel`]
-//! over a [`Topology`] with optional [`FaultInjector`] drops and crashes.
-//! All experiments in the paper's §5 run on this kernel (the paper ran
-//! its simulations "within a single JVM … through a simulated network").
-//! Real sockets and wall-clock timers live in `openwf-net`.
+//! [`SimNetwork`], a deterministic, single-threaded **virtual-time
+//! kernel**. It owns the pending set — deliveries in flight and armed
+//! timers in `(time, seq)` order — and what shapes it: a pluggable
+//! [`LatencyModel`] over a [`Topology`], [`FaultInjector`] drops,
+//! duplicates and crashes, a [`ChaosSchedule`], and per-host busy
+//! periods. It holds no host state: a driver owns the hosts, puts their
+//! sends and timers in and takes due events out, one
+//! [`SimNetwork::pop`] at a time. `openwf-runtime`'s two in-process
+//! drivers are loops over it — `Community` carries typed messages,
+//! `LoopbackBytesDriver` encoded frames. All experiments in the paper's
+//! §5 run on this kernel (the paper ran its simulations "within a single
+//! JVM … through a simulated network"). Real sockets and wall-clock
+//! timers live in `openwf-net`.
 //!
-//! Determinism: with the same seed and the same actor behavior, a
-//! [`SimNetwork`] run produces the identical event sequence — a property
-//! the experiment harness relies on and the tests assert.
+//! Determinism: with the same seed and the same driver behaviour, a
+//! [`SimNetwork`] yields the identical event sequence — a property the
+//! experiment harness relies on and the tests assert.
 //!
 //! ```rust
-//! use openwf_simnet::{Actor, Context, HostId, Message, SimNetwork};
+//! use openwf_simnet::{EventKind, HostId, SimNetwork, SimTime};
 //!
-//! #[derive(Clone, Debug)]
-//! struct Ping(u32);
-//! impl Message for Ping {
-//!     fn wire_size(&self) -> usize { 8 }
-//! }
-//!
-//! struct Echo;
-//! impl Actor<Ping> for Echo {
-//!     fn on_message(&mut self, from: HostId, msg: Ping, ctx: &mut Context<'_, Ping>) {
-//!         if msg.0 < 3 {
-//!             ctx.send(from, Ping(msg.0 + 1));
+//! // Two hosts echo a counter back and forth until it reaches 3; the
+//! // payload is the counter, 8 bytes on the wire.
+//! let (a, b) = (HostId(0), HostId(1));
+//! let mut net: SimNetwork<u32> = SimNetwork::new(42, 2);
+//! net.send(a, b, 0, 8, SimTime::ZERO);
+//! while let Some(event) = net.pop(SimTime::FAR_FUTURE) {
+//!     if let EventKind::Deliver { from, to, payload, size } = event {
+//!         if payload < 3 {
+//!             net.send(to, from, payload + 1, size, net.now());
 //!         }
 //!     }
 //! }
-//!
-//! let mut net = SimNetwork::new(42);
-//! let a = net.add_host(Echo);
-//! let b = net.add_host(Echo);
-//! net.send_external(a, b, Ping(0));
-//! net.run_until_quiescent();
 //! assert_eq!(net.stats().delivered, 4); // 0,1,2,3
 //! ```
 
@@ -46,23 +44,21 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod actor;
 pub mod chaos;
 pub mod event;
 pub mod fault;
+pub mod host;
 pub mod latency;
-pub mod message;
 pub mod sim;
 pub mod stats;
 pub mod time;
 pub mod topology;
 
-pub use actor::{Actor, Context, TimerToken};
 pub use chaos::{ChaosAction, ChaosEvent, ChaosSchedule};
 pub use event::{Event, EventKind};
 pub use fault::FaultInjector;
+pub use host::{HostId, TimerToken};
 pub use latency::{ConstantLatency, LatencyModel, UniformLatency, Wireless80211g};
-pub use message::{HostId, Message, MsgKind};
 pub use sim::SimNetwork;
 pub use stats::NetStats;
 pub use time::{SimDuration, SimTime};

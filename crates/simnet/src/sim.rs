@@ -1,23 +1,26 @@
-//! The deterministic discrete-event network kernel.
+//! The deterministic virtual-time network kernel.
 //!
-//! [`SimNetwork`] owns a homogeneous set of actors (one per host), an event
-//! queue ordered by virtual time, a [`Topology`], a [`LatencyModel`] and a
-//! [`FaultInjector`]. Running the network pops events in `(time, seq)`
-//! order and dispatches them to actors; everything an actor emits is
-//! scheduled back into the queue. With a fixed seed the whole run is a
-//! deterministic function of the initial configuration.
+//! [`SimNetwork`] owns the pending set — an event queue ordered by
+//! `(time, seq)` — and everything that decides what a send turns into: a
+//! [`Topology`], a [`LatencyModel`], a [`FaultInjector`], an optional
+//! [`ChaosSchedule`], per-host busy periods, traffic counters and the
+//! RNG. It holds no host state and calls nothing back: a driver puts
+//! sends and timers in ([`SimNetwork::send`], [`SimNetwork::set_timer`],
+//! [`SimNetwork::occupy`]) and takes due deliveries and timers out
+//! ([`SimNetwork::pop`]), dispatching each to whatever its hosts are.
+//! With a fixed seed the sequence `pop` yields is a deterministic
+//! function of the sequence put in.
 
 use std::fmt;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::actor::{Actor, Context, TimerToken};
 use crate::chaos::ChaosSchedule;
 use crate::event::{EventKind, EventQueue};
 use crate::fault::FaultInjector;
+use crate::host::{HostId, TimerToken};
 use crate::latency::{ConstantLatency, LatencyModel};
-use crate::message::{HostId, Message};
 use crate::stats::NetStats;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
@@ -50,17 +53,18 @@ impl NetMetrics {
     }
 }
 
-/// A deterministic simulated network of actors.
+/// A deterministic simulated network under a set of hosts the driver
+/// owns, carrying payloads of type `P` (a typed message, or the bytes of
+/// an encoded frame).
 ///
-/// Hosts are *sequential processors*: compute time charged via
-/// [`Context::charge`] makes a host busy, and events addressed to a busy
-/// host are deferred until it frees up. This is what makes per-message
-/// processing cost visible at scale — e.g. an initiator handling one
-/// reply per community member pays linearly in community size, the
-/// paper's §5 observation.
-pub struct SimNetwork<M: Message, A: Actor<M>> {
-    actors: Vec<A>,
-    queue: EventQueue<EventKind<M>>,
+/// Hosts are *sequential processors*: a driver that charges a callback
+/// compute time calls [`SimNetwork::occupy`], and events addressed to a
+/// busy host are deferred until it frees up. This is what makes
+/// per-message processing cost visible at scale — e.g. an initiator
+/// handling one reply per community member pays linearly in community
+/// size, the paper's §5 observation.
+pub struct SimNetwork<P> {
+    queue: EventQueue<EventKind<P>>,
     now: SimTime,
     topology: Topology,
     latency: Box<dyn LatencyModel>,
@@ -68,17 +72,15 @@ pub struct SimNetwork<M: Message, A: Actor<M>> {
     chaos: Option<ChaosSchedule>,
     stats: NetStats,
     rng: StdRng,
-    started: bool,
     busy_until: Vec<SimTime>,
     metrics: NetMetrics,
 }
 
-impl<M: Message, A: Actor<M>> SimNetwork<M, A> {
-    /// Creates an empty network with the default (constant) latency model
-    /// and the given RNG seed.
-    pub fn new(seed: u64) -> Self {
+impl<P: Clone> SimNetwork<P> {
+    /// Creates a network under `hosts` hosts (ids `0..hosts`) with the
+    /// default (constant) latency model and the given RNG seed.
+    pub fn new(seed: u64, hosts: usize) -> Self {
         SimNetwork {
-            actors: Vec::new(),
             queue: EventQueue::new(),
             now: SimTime::ZERO,
             topology: Topology::full_mesh(),
@@ -87,8 +89,7 @@ impl<M: Message, A: Actor<M>> SimNetwork<M, A> {
             chaos: None,
             stats: NetStats::default(),
             rng: StdRng::seed_from_u64(seed),
-            started: false,
-            busy_until: Vec::new(),
+            busy_until: vec![SimTime::ZERO; hosts],
             metrics: NetMetrics::default(),
         }
     }
@@ -111,41 +112,8 @@ impl<M: Message, A: Actor<M>> SimNetwork<M, A> {
         self.latency = model;
     }
 
-    /// Adds a host running `actor`; ids are assigned densely in call order.
-    pub fn add_host(&mut self, actor: A) -> HostId {
-        let id = HostId(self.actors.len() as u32);
-        self.actors.push(actor);
-        self.busy_until.push(SimTime::ZERO);
-        id
-    }
-
-    /// Number of hosts.
-    pub fn len(&self) -> usize {
-        self.actors.len()
-    }
-
-    /// True if the network has no hosts.
-    pub fn is_empty(&self) -> bool {
-        self.actors.is_empty()
-    }
-
-    /// All host ids in order.
-    pub fn hosts(&self) -> Vec<HostId> {
-        (0..self.actors.len() as u32).map(HostId).collect()
-    }
-
-    /// Immutable access to a host's actor (for inspection by drivers and
-    /// tests).
-    pub fn host(&self, id: HostId) -> &A {
-        &self.actors[id.index()]
-    }
-
-    /// Mutable access to a host's actor.
-    pub fn host_mut(&mut self, id: HostId) -> &mut A {
-        &mut self.actors[id.index()]
-    }
-
-    /// Current virtual time.
+    /// Current virtual time: that of the last event [`SimNetwork::pop`]
+    /// took up, or where [`SimNetwork::skip_to`] left the idle clock.
     pub fn now(&self) -> SimTime {
         self.now
     }
@@ -178,144 +146,12 @@ impl<M: Message, A: Actor<M>> SimNetwork<M, A> {
         self.chaos.as_ref()
     }
 
-    /// Injects a message from `from` to `to` at the current time, as if
-    /// `from` had sent it. The usual latency/topology/fault rules apply
-    /// (self-sends are delivered immediately).
-    pub fn send_external(&mut self, from: HostId, to: HostId, msg: M) {
-        self.route(from, to, msg, self.now);
-    }
-
-    /// Calls `on_start` on every actor (idempotent; also invoked by the
-    /// first `step`).
-    pub fn start(&mut self) {
-        if self.started {
-            return;
-        }
-        self.started = true;
-        for i in 0..self.actors.len() {
-            let host = HostId(i as u32);
-            self.dispatch(host, |actor, ctx| actor.on_start(ctx));
-        }
-    }
-
-    /// Processes the next event. Returns `false` when the queue is empty.
-    pub fn step(&mut self) -> bool {
-        self.start();
-        let Some(ev) = self.queue.pop() else {
-            return false;
-        };
-        debug_assert!(ev.at >= self.now, "time must be monotone");
-        self.apply_chaos_due(ev.at);
-        self.now = ev.at;
-        // Sequential-processor semantics: a busy host defers the event
-        // until it is free again (order among deferred events is kept by
-        // the (time, seq) queue discipline).
-        let target = match &ev.kind {
-            EventKind::Deliver { to, .. } => *to,
-            EventKind::Timer { host, .. } => *host,
-        };
-        let free_at = self.busy_until[target.index()];
-        if free_at > self.now {
-            self.queue.defer(target, free_at, ev.kind);
-            return true;
-        }
-        match ev.kind {
-            EventKind::Deliver {
-                from,
-                to,
-                msg,
-                size,
-            } => {
-                if self.faults.is_crashed(to) {
-                    // Crashed while the message was in flight.
-                    self.stats.dropped += 1;
-                    self.metrics.dropped.inc();
-                    return true;
-                }
-                self.stats.delivered += 1;
-                self.stats.bytes_delivered += size as u64;
-                self.metrics.delivered.inc();
-                self.metrics.bytes_delivered.add(size as u64);
-                self.dispatch(to, |actor, ctx| actor.on_message(from, msg, ctx));
-            }
-            EventKind::Timer { host, token } => {
-                if self.faults.is_crashed(host) {
-                    return true;
-                }
-                self.stats.timers_fired += 1;
-                self.metrics.timers_fired.inc();
-                self.dispatch(host, |actor, ctx| actor.on_timer(token, ctx));
-            }
-        }
-        true
-    }
-
-    /// Runs until no events remain. Returns the final virtual time.
-    pub fn run_until_quiescent(&mut self) -> SimTime {
-        self.start();
-        while self.step() {}
-        self.now
-    }
-
-    /// Runs until the queue is empty or the next event is after `deadline`;
-    /// the clock never advances past events actually processed.
-    pub fn run_until(&mut self, deadline: SimTime) -> SimTime {
-        self.start();
-        while let Some(t) = self.queue.peek_time() {
-            if t > deadline {
-                break;
-            }
-            self.step();
-        }
-        self.now
-    }
-
-    /// Processes every event due by `t`, then advances the idle clock to
-    /// `t` (applying any chaos due on the way). Drivers that inject work
-    /// at scheduled times use this so a submission at `t` sees the
-    /// network state — partitions healed, hosts revived — as of `t`, even
-    /// when the event queue drained early.
-    pub fn advance_to(&mut self, t: SimTime) -> SimTime {
-        self.run_until(t);
-        if t > self.now {
-            self.apply_chaos_due(t);
-            self.now = t;
-        }
-        self.now
-    }
-
-    fn dispatch(&mut self, host: HostId, f: impl FnOnce(&mut A, &mut Context<'_, M>)) {
-        let mut outbox: Vec<(HostId, M)> = Vec::new();
-        let mut timers: Vec<(SimDuration, TimerToken)> = Vec::new();
-        let charged;
-        {
-            let mut ctx = Context::new(self.now, host, &mut outbox, &mut timers);
-            f(&mut self.actors[host.index()], &mut ctx);
-            charged = ctx.charged();
-        }
-        let effective_now = self.now + charged;
-        if charged > SimDuration::ZERO {
-            self.busy_until[host.index()] = effective_now;
-        }
-        for (to, msg) in outbox {
-            self.route(host, to, msg, effective_now);
-        }
-        for (delay, token) in timers {
-            self.queue
-                .schedule(effective_now + delay, EventKind::Timer { host, token });
-        }
-    }
-
-    fn apply_chaos_due(&mut self, upto: SimTime) {
-        if let Some(chaos) = &mut self.chaos {
-            if chaos.next_due().is_some_and(|t| t <= upto) {
-                let all: Vec<HostId> = (0..self.actors.len() as u32).map(HostId).collect();
-                chaos.apply_due(upto, &mut self.topology, &mut self.faults, &all);
-            }
-        }
-    }
-
-    fn route(&mut self, from: HostId, to: HostId, msg: M, at: SimTime) {
+    /// Routes `payload`, `size` bytes on the wire, from `from` to `to`
+    /// as sent at time `at`: the topology, the fault plan as of `at` and
+    /// the latency model decide whether and when it (and a duplicate)
+    /// comes up as a delivery. A self-send is delivered at `at`, no
+    /// network involved.
+    pub fn send(&mut self, from: HostId, to: HostId, payload: P, size: usize, at: SimTime) {
         // Compute charges can push a send past pending chaos points;
         // route under the fault state as of the send time.
         self.apply_chaos_due(at);
@@ -329,64 +165,135 @@ impl<M: Message, A: Actor<M>> SimNetwork<M, A> {
             self.metrics.dropped.inc();
             return;
         }
-        // The one place a message is asked its size: every delivery
-        // scheduled below (local, original, duplicate) carries it.
-        let size = msg.wire_size();
-        if from == to {
-            // Local delivery: no network involved.
-            self.queue.schedule(
-                at,
-                EventKind::Deliver {
-                    from,
-                    to,
-                    msg,
-                    size,
-                },
-            );
-            return;
-        }
-        let mut delay = self.latency.delay(at, from, to, size, &mut self.rng);
-        if let Some(jitter) = self.faults.reorder_jitter(&mut self.rng) {
-            delay += jitter;
-        }
-        if self.faults.should_duplicate(&mut self.rng) {
-            // The copy is an independent network artifact with its own
-            // latency (and its own shot at the reorder storm), so it can
-            // arrive before or after the original.
-            let mut dup_delay = self.latency.delay(at, from, to, size, &mut self.rng);
-            if let Some(jitter) = self.faults.reorder_jitter(&mut self.rng) {
-                dup_delay += jitter;
+        let mut arrival = at;
+        if from != to {
+            arrival = at + self.wire_delay(at, from, to, size);
+            if self.faults.should_duplicate(&mut self.rng) {
+                // The copy is an independent network artifact with its own
+                // latency (and its own shot at the reorder storm), so it can
+                // arrive before or after the original.
+                let copy_arrival = at + self.wire_delay(at, from, to, size);
+                self.stats.sent += 1;
+                self.stats.duplicated += 1;
+                self.metrics.sent.inc();
+                self.metrics.duplicated.inc();
+                let payload = payload.clone();
+                self.queue.schedule(
+                    copy_arrival,
+                    EventKind::Deliver {
+                        from,
+                        to,
+                        payload,
+                        size,
+                    },
+                );
             }
-            self.stats.sent += 1;
-            self.stats.duplicated += 1;
-            self.metrics.sent.inc();
-            self.metrics.duplicated.inc();
-            self.queue.schedule(
-                at + dup_delay,
-                EventKind::Deliver {
-                    from,
-                    to,
-                    msg: msg.clone(),
-                    size,
-                },
-            );
         }
         self.queue.schedule(
-            at + delay,
+            arrival,
             EventKind::Deliver {
                 from,
                 to,
-                msg,
+                payload,
                 size,
             },
         );
     }
+
+    /// Arms a timer: `token` comes up for `host` at time `at`.
+    pub fn set_timer(&mut self, host: HostId, at: SimTime, token: TimerToken) {
+        self.queue.schedule(at, EventKind::Timer { host, token });
+    }
+
+    /// Keeps `host` busy until `until`: events that come up for it
+    /// before then wait, in order, until it is free.
+    pub fn occupy(&mut self, host: HostId, until: SimTime) {
+        let busy = &mut self.busy_until[host.index()];
+        *busy = (*busy).max(until);
+    }
+
+    /// Takes the next delivery or timer due by `until` for the driver to
+    /// dispatch, advancing the clock to it; `None` when nothing (more)
+    /// is due by then. On the way it applies due chaos, defers events
+    /// whose host is busy and drops what is addressed to a crashed host.
+    pub fn pop(&mut self, until: SimTime) -> Option<EventKind<P>> {
+        while self.queue.peek_time().is_some_and(|t| t <= until) {
+            let ev = self.queue.pop()?;
+            debug_assert!(ev.at >= self.now, "time must be monotone");
+            self.apply_chaos_due(ev.at);
+            self.now = ev.at;
+            // Sequential-processor semantics: a busy host defers the event
+            // until it is free again (order among deferred events is kept by
+            // the (time, seq) queue discipline).
+            let host = ev.kind.host();
+            let free_at = self.busy_until[host.index()];
+            if free_at > self.now {
+                self.queue.defer(host, free_at, ev.kind);
+                continue;
+            }
+            if self.faults.is_crashed(host) {
+                // Crashed while the event was pending: a message in
+                // flight is lost, a timer never fires.
+                if matches!(ev.kind, EventKind::Deliver { .. }) {
+                    self.stats.dropped += 1;
+                    self.metrics.dropped.inc();
+                }
+                continue;
+            }
+            match ev.kind {
+                EventKind::Deliver { size, .. } => {
+                    self.stats.delivered += 1;
+                    self.stats.bytes_delivered += size as u64;
+                    self.metrics.delivered.inc();
+                    self.metrics.bytes_delivered.add(size as u64);
+                }
+                EventKind::Timer { .. } => {
+                    self.stats.timers_fired += 1;
+                    self.metrics.timers_fired.inc();
+                }
+            }
+            return Some(ev.kind);
+        }
+        None
+    }
+
+    /// Moves an idle clock forward to `t`, applying any chaos due on the
+    /// way; call it once [`SimNetwork::pop`] has nothing more due by
+    /// `t`. Drivers that inject work at scheduled times use this so a
+    /// submission at `t` sees the network state — partitions healed,
+    /// hosts revived — as of `t`, even when the event queue drained
+    /// early.
+    pub fn skip_to(&mut self, t: SimTime) {
+        if t > self.now {
+            self.apply_chaos_due(t);
+            self.now = t;
+        }
+    }
+
+    /// One copy's time on the wire: the latency model's delay plus the
+    /// reorder storm's jitter when it hits.
+    fn wire_delay(&mut self, at: SimTime, from: HostId, to: HostId, size: usize) -> SimDuration {
+        let mut delay = self.latency.delay(at, from, to, size, &mut self.rng);
+        if let Some(jitter) = self.faults.reorder_jitter(&mut self.rng) {
+            delay += jitter;
+        }
+        delay
+    }
+
+    fn apply_chaos_due(&mut self, upto: SimTime) {
+        if let Some(chaos) = &mut self.chaos {
+            if chaos.next_due().is_some_and(|t| t <= upto) {
+                let all: Vec<HostId> = (0..self.busy_until.len() as u32).map(HostId).collect();
+                chaos.apply_due(upto, &mut self.topology, &mut self.faults, &all);
+            }
+        }
+    }
 }
 
-impl<M: Message, A: Actor<M>> fmt::Debug for SimNetwork<M, A> {
+impl<P> fmt::Debug for SimNetwork<P> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SimNetwork")
-            .field("hosts", &self.actors.len())
+            .field("hosts", &self.busy_until.len())
             .field("now", &self.now)
             .field("pending", &self.queue.len())
             .field("stats", &self.stats)
@@ -397,250 +304,227 @@ impl<M: Message, A: Actor<M>> fmt::Debug for SimNetwork<M, A> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::SimDuration;
 
-    #[derive(Clone, Debug)]
-    enum Msg {
-        Ping(u32),
-        Gossip(#[allow(dead_code)] u32),
-    }
-    impl Message for Msg {
-        fn wire_size(&self) -> usize {
-            64
-        }
-    }
+    const A: HostId = HostId(0);
+    const B: HostId = HostId(1);
+    const SIZE: usize = 64;
+    const END: SimTime = SimTime::FAR_FUTURE;
 
-    /// Replies to pings below a threshold; logs everything it sees.
-    #[derive(Default)]
-    struct PingActor {
-        log: Vec<(SimTime, u32)>,
+    /// The test-local driver: two hosts that log every ping they get and
+    /// answer `n` below `limit` with `n + 1`.
+    struct PingPong {
+        net: SimNetwork<u32>,
         limit: u32,
+        log: [Vec<(SimTime, u32)>; 2],
     }
 
-    impl Actor<Msg> for PingActor {
-        fn on_message(&mut self, from: HostId, msg: Msg, ctx: &mut Context<'_, Msg>) {
-            if let Msg::Ping(n) = msg {
-                self.log.push((ctx.now(), n));
-                if n < self.limit {
-                    ctx.send(from, Msg::Ping(n + 1));
-                }
+    impl PingPong {
+        fn new(limit: u32, seed: u64) -> Self {
+            PingPong {
+                net: SimNetwork::new(seed, 2),
+                limit,
+                log: [Vec::new(), Vec::new()],
             }
         }
-    }
 
-    fn two_pingers(limit: u32, seed: u64) -> (SimNetwork<Msg, PingActor>, HostId, HostId) {
-        let mut net = SimNetwork::new(seed);
-        let a = net.add_host(PingActor { log: vec![], limit });
-        let b = net.add_host(PingActor { log: vec![], limit });
-        (net, a, b)
+        /// Sends `n` from `from` to `to` at the current time.
+        fn ping(&mut self, from: HostId, to: HostId, n: u32) {
+            let now = self.net.now();
+            self.net.send(from, to, n, SIZE, now);
+        }
+
+        /// Dispatches the next event due by `until`; `false` when none is.
+        fn step(&mut self, until: SimTime) -> bool {
+            let Some(ev) = self.net.pop(until) else {
+                return false;
+            };
+            if let EventKind::Deliver {
+                from, to, payload, ..
+            } = ev
+            {
+                self.log[to.index()].push((self.net.now(), payload));
+                if payload < self.limit {
+                    self.ping(to, from, payload + 1);
+                }
+            }
+            true
+        }
+
+        fn run(&mut self, until: SimTime) {
+            while self.step(until) {}
+        }
     }
 
     #[test]
     fn ping_pong_terminates_and_orders_time() {
-        let (mut net, a, b) = two_pingers(4, 1);
-        net.send_external(a, b, Msg::Ping(0));
-        let end = net.run_until_quiescent();
-        assert!(end > SimTime::ZERO);
-        assert_eq!(net.stats().delivered, 5); // 0..=4
-        assert_eq!(net.stats().in_flight(), 0);
+        let mut pp = PingPong::new(4, 1);
+        pp.ping(A, B, 0);
+        pp.run(END);
+        assert!(pp.net.now() > SimTime::ZERO);
+        assert_eq!(pp.net.stats().delivered, 5); // 0..=4
+        assert_eq!(pp.net.stats().in_flight(), 0);
         // b saw 0, 2, 4; a saw 1, 3
-        let b_vals: Vec<u32> = net.host(b).log.iter().map(|&(_, n)| n).collect();
+        let b_vals: Vec<u32> = pp.log[1].iter().map(|&(_, n)| n).collect();
         assert_eq!(b_vals, vec![0, 2, 4]);
         // times strictly increase with constant latency
-        let times: Vec<SimTime> = net.host(b).log.iter().map(|&(t, _)| t).collect();
+        let times: Vec<SimTime> = pp.log[1].iter().map(|&(t, _)| t).collect();
         assert!(times.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]
     fn identical_seeds_identical_runs() {
         let run = |seed| {
-            let (mut net, a, b) = two_pingers(10, seed);
-            net.set_latency(crate::latency::UniformLatency::new(
+            let mut pp = PingPong::new(10, seed);
+            pp.net.set_latency(crate::latency::UniformLatency::new(
                 SimDuration::from_micros(10),
                 SimDuration::from_micros(500),
             ));
-            net.send_external(a, b, Msg::Ping(0));
-            net.run_until_quiescent();
-            (net.now(), net.stats(), net.host(b).log.clone())
+            pp.ping(A, B, 0);
+            pp.run(END);
+            (pp.net.now(), pp.net.stats(), pp.log[1].clone())
         };
         let r1 = run(1234);
         let r2 = run(1234);
-        assert_eq!(r1.0, r2.0);
-        assert_eq!(r1.1, r2.1);
-        assert_eq!(r1.2, r2.2);
+        assert_eq!(r1, r2);
         let r3 = run(77);
         assert_ne!(r1.0, r3.0, "different seed should change timings");
     }
 
     #[test]
-    fn charge_delays_output() {
-        struct Charger;
-        impl Actor<Msg> for Charger {
-            fn on_message(&mut self, from: HostId, _msg: Msg, ctx: &mut Context<'_, Msg>) {
-                ctx.charge(SimDuration::from_millis(10));
-                ctx.send(from, Msg::Gossip(0));
-            }
-        }
-        struct Probe {
-            got_at: Option<SimTime>,
-        }
-        impl Actor<Msg> for Probe {
-            fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
-                ctx.send(HostId(1), Msg::Ping(0));
-            }
-            fn on_message(&mut self, _from: HostId, _msg: Msg, ctx: &mut Context<'_, Msg>) {
-                self.got_at = Some(ctx.now());
-            }
-        }
-        enum Either {
-            P(Probe),
-            C(Charger),
-        }
-        impl Actor<Msg> for Either {
-            fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
-                match self {
-                    Either::P(p) => p.on_start(ctx),
-                    Either::C(c) => c.on_start(ctx),
+    fn occupying_a_host_delays_its_output() {
+        // B charges 10 ms of compute to the ping it gets, then answers.
+        let mut net: SimNetwork<u32> = SimNetwork::new(0, 2);
+        net.send(A, B, 0, SIZE, SimTime::ZERO);
+        let mut got_at = None;
+        while let Some(ev) = net.pop(END) {
+            match ev {
+                EventKind::Deliver { from, to: B, .. } => {
+                    let done = net.now() + SimDuration::from_millis(10);
+                    net.occupy(B, done);
+                    net.send(B, from, 1, SIZE, done);
                 }
-            }
-            fn on_message(&mut self, from: HostId, msg: Msg, ctx: &mut Context<'_, Msg>) {
-                match self {
-                    Either::P(p) => p.on_message(from, msg, ctx),
-                    Either::C(c) => c.on_message(from, msg, ctx),
-                }
+                _ => got_at = Some(net.now()),
             }
         }
-        let mut net: SimNetwork<Msg, Either> = SimNetwork::new(0);
-        let _p = net.add_host(Either::P(Probe { got_at: None }));
-        let _c = net.add_host(Either::C(Charger));
-        net.run_until_quiescent();
-        let got = match net.host(HostId(0)) {
-            Either::P(p) => p.got_at.expect("reply received"),
-            _ => unreachable!(),
-        };
+        let got = got_at.expect("reply received");
         // 2 network hops (200µs each) + 10ms compute.
         assert!(got >= SimTime::from_micros(10_000 + 400), "got {got}");
     }
 
     #[test]
     fn cut_links_drop_messages() {
-        let (mut net, a, b) = two_pingers(4, 1);
-        net.topology_mut().cut_link(a, b);
-        net.send_external(a, b, Msg::Ping(0));
-        net.run_until_quiescent();
-        assert_eq!(net.stats().delivered, 0);
-        assert_eq!(net.stats().dropped, 1);
+        let mut pp = PingPong::new(4, 1);
+        pp.net.topology_mut().cut_link(A, B);
+        pp.ping(A, B, 0);
+        pp.run(END);
+        assert_eq!(pp.net.stats().delivered, 0);
+        assert_eq!(pp.net.stats().dropped, 1);
     }
 
     #[test]
     fn crashed_host_receives_nothing() {
-        let (mut net, a, b) = two_pingers(4, 1);
-        net.faults_mut().crash(b);
-        net.send_external(a, b, Msg::Ping(0));
-        net.run_until_quiescent();
-        assert!(net.host(b).log.is_empty());
-        assert_eq!(net.stats().dropped, 1);
+        let mut pp = PingPong::new(4, 1);
+        pp.net.faults_mut().crash(B);
+        pp.ping(A, B, 0);
+        pp.run(END);
+        assert!(pp.log[1].is_empty());
+        assert_eq!(pp.net.stats().dropped, 1);
     }
 
     #[test]
     fn crash_mid_flight_drops_at_delivery() {
-        let (mut net, a, b) = two_pingers(4, 1);
-        net.send_external(a, b, Msg::Ping(0));
+        let mut pp = PingPong::new(4, 1);
+        pp.ping(A, B, 0);
         // Message is now in the queue; crash the destination before running.
-        net.faults_mut().crash(b);
-        net.run_until_quiescent();
-        assert!(net.host(b).log.is_empty());
-        assert_eq!(net.stats().dropped, 1);
-        assert_eq!(net.stats().in_flight(), 0);
+        pp.net.faults_mut().crash(B);
+        pp.run(END);
+        assert!(pp.log[1].is_empty());
+        assert_eq!(pp.net.stats().dropped, 1);
+        assert_eq!(pp.net.stats().in_flight(), 0);
     }
 
     #[test]
     fn timers_fire_in_order() {
-        struct TimerActor {
-            fired: Vec<u64>,
+        let mut net: SimNetwork<u32> = SimNetwork::new(0, 1);
+        for (ms, token) in [(30, 3), (10, 1), (20, 2)] {
+            net.set_timer(A, SimTime::from_micros(ms * 1_000), TimerToken(token));
         }
-        impl Actor<Msg> for TimerActor {
-            fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
-                ctx.set_timer(SimDuration::from_millis(30), TimerToken(3));
-                ctx.set_timer(SimDuration::from_millis(10), TimerToken(1));
-                ctx.set_timer(SimDuration::from_millis(20), TimerToken(2));
-            }
-            fn on_timer(&mut self, token: TimerToken, _ctx: &mut Context<'_, Msg>) {
-                self.fired.push(token.0);
+        let mut fired = Vec::new();
+        while let Some(ev) = net.pop(END) {
+            match ev {
+                EventKind::Timer { host: A, token } => fired.push(token.0),
+                other => panic!("only timers were armed: {other:?}"),
             }
         }
-        let mut net: SimNetwork<Msg, TimerActor> = SimNetwork::new(0);
-        let h = net.add_host(TimerActor { fired: vec![] });
-        net.run_until_quiescent();
-        assert_eq!(net.host(h).fired, vec![1, 2, 3]);
+        assert_eq!(fired, vec![1, 2, 3]);
         assert_eq!(net.stats().timers_fired, 3);
     }
 
     #[test]
-    fn run_until_respects_deadline() {
-        struct Periodic;
-        impl Actor<Msg> for Periodic {
-            fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
-                ctx.set_timer(SimDuration::from_millis(1), TimerToken(0));
-            }
-            fn on_timer(&mut self, _token: TimerToken, ctx: &mut Context<'_, Msg>) {
-                ctx.set_timer(SimDuration::from_millis(1), TimerToken(0));
-            }
+    fn pop_respects_its_deadline() {
+        // A timer that re-arms itself every millisecond.
+        let mut net: SimNetwork<u32> = SimNetwork::new(0, 1);
+        let period = SimDuration::from_millis(1);
+        net.set_timer(A, SimTime::ZERO + period, TimerToken(0));
+        while let Some(ev) = net.pop(SimTime::from_micros(5_500)) {
+            assert!(matches!(ev, EventKind::Timer { .. }));
+            let next = net.now() + period;
+            net.set_timer(A, next, TimerToken(0));
         }
-        let mut net: SimNetwork<Msg, Periodic> = SimNetwork::new(0);
-        net.add_host(Periodic);
-        let end = net.run_until(SimTime::from_micros(5_500));
         assert_eq!(
-            end,
+            net.now(),
             SimTime::from_micros(5_000),
-            "stops at last event ≤ deadline"
+            "the clock stops at the last event ≤ deadline"
         );
         assert_eq!(net.stats().timers_fired, 5);
-        assert!(net.step(), "the next timer is still queued");
+        assert!(net.pop(END).is_some(), "the next timer is still queued");
     }
 
     #[test]
     fn metrics_registry_mirrors_net_stats() {
         let registry = openwf_obs::MetricsRegistry::new();
-        let (mut net, a, b) = two_pingers(2, 1);
-        net.set_metrics(&registry);
-        net.send_external(a, b, Msg::Ping(0));
-        net.run_until_quiescent();
-        assert_eq!(registry.counter("net.sent").get(), net.stats().sent);
-        assert_eq!(
-            registry.counter("net.delivered").get(),
-            net.stats().delivered
-        );
+        let mut pp = PingPong::new(2, 1);
+        pp.net.set_metrics(&registry);
+        pp.net.set_timer(A, SimTime::from_micros(50), TimerToken(0));
+        pp.ping(A, B, 0);
+        pp.run(END);
+        let stats = pp.net.stats();
+        assert_eq!(registry.counter("net.sent").get(), stats.sent);
+        assert_eq!(registry.counter("net.delivered").get(), stats.delivered);
         assert_eq!(
             registry.counter("net.bytes_delivered").get(),
-            net.stats().bytes_delivered
+            stats.bytes_delivered
         );
         assert_eq!(
             registry.counter("net.timers_fired").get(),
-            net.stats().timers_fired
+            stats.timers_fired
         );
+        assert_eq!((stats.delivered, stats.timers_fired), (3, 1));
     }
 
     #[test]
     fn duplication_delivers_extra_copies() {
-        let (mut net, a, b) = two_pingers(0, 1); // limit 0: no replies
-        net.faults_mut().set_duplicate_probability(1.0);
-        net.send_external(a, b, Msg::Ping(0));
-        net.run_until_quiescent();
-        assert_eq!(net.stats().delivered, 2, "original + duplicate");
-        assert_eq!(net.stats().duplicated, 1);
-        assert_eq!(net.stats().in_flight(), 0, "duplicates are counted sent");
-        assert_eq!(net.host(b).log.len(), 2);
+        let mut pp = PingPong::new(0, 1); // limit 0: no replies
+        pp.net.faults_mut().set_duplicate_probability(1.0);
+        pp.ping(A, B, 0);
+        pp.run(END);
+        assert_eq!(pp.net.stats().delivered, 2, "original + duplicate");
+        assert_eq!(pp.net.stats().duplicated, 1);
+        assert_eq!(pp.net.stats().in_flight(), 0, "duplicates are counted sent");
+        assert_eq!(pp.log[1].len(), 2);
     }
 
     #[test]
     fn reorder_jitter_keeps_runs_deterministic() {
         let run = |seed| {
-            let (mut net, a, b) = two_pingers(6, seed);
-            net.faults_mut()
+            let mut pp = PingPong::new(6, seed);
+            pp.net
+                .faults_mut()
                 .set_reorder(0.5, SimDuration::from_millis(2));
-            net.send_external(a, b, Msg::Ping(0));
-            net.run_until_quiescent();
-            (net.now(), net.stats(), net.host(b).log.clone())
+            pp.ping(A, B, 0);
+            pp.run(END);
+            (pp.net.now(), pp.net.stats(), pp.log[1].clone())
         };
         assert_eq!(run(42), run(42));
     }
@@ -650,26 +534,26 @@ mod tests {
         use crate::chaos::{ChaosAction, ChaosSchedule};
 
         // b echoes pings back forever; crash b for a window mid-run.
-        let (mut net, a, b) = two_pingers(u32::MAX, 3);
+        let mut pp = PingPong::new(u32::MAX, 3);
         let mut chaos = ChaosSchedule::new();
-        chaos.push(SimTime::from_micros(500), ChaosAction::Crash(b));
-        chaos.push(SimTime::from_micros(10_000), ChaosAction::Revive(b));
-        net.set_chaos(chaos);
-        net.send_external(a, b, Msg::Ping(0));
+        chaos.push(SimTime::from_micros(500), ChaosAction::Crash(B));
+        chaos.push(SimTime::from_micros(10_000), ChaosAction::Revive(B));
+        pp.net.set_chaos(chaos);
+        pp.ping(A, B, 0);
         // With constant 200µs hops the ping-pong dies when b crashes
         // (delivery to a crashed host is dropped), and nothing restarts
         // it after the revive: the run goes quiescent.
-        net.run_until(SimTime::from_micros(50_000));
-        assert!(!net.step(), "nothing left to process");
-        let delivered_to_b = net.host(b).log.len();
+        pp.run(SimTime::from_micros(50_000));
+        assert!(!pp.step(END), "nothing left to process");
+        let delivered_to_b = pp.log[1].len();
         assert!(
             (1..=3).contains(&delivered_to_b),
             "crash at 500µs caps the exchange, got {delivered_to_b}"
         );
-        assert_eq!(net.stats().dropped, 1, "the in-flight ping at the crash");
+        assert_eq!(pp.net.stats().dropped, 1, "the in-flight ping at the crash");
         // The revive event was consumed even though no traffic remained.
         assert!(
-            !net.faults_mut().is_crashed(b) || net.chaos().is_some_and(|c| !c.is_exhausted()),
+            !pp.net.faults_mut().is_crashed(B) || pp.net.chaos().is_some_and(|c| !c.is_exhausted()),
             "revive applies once an event at/after its time is processed"
         );
     }
@@ -681,46 +565,39 @@ mod tests {
         // Endless ping-pong; partition a|b for a window. Deliveries in
         // flight survive, but sends during the window are dropped,
         // killing the exchange — heal alone cannot restart it.
-        let (mut net, a, b) = two_pingers(u32::MAX, 7);
+        let mut pp = PingPong::new(u32::MAX, 7);
         let mut chaos = ChaosSchedule::new();
         chaos.push(
             SimTime::from_micros(300),
             ChaosAction::Partition {
-                groups: vec![vec![a], vec![b]],
+                groups: vec![vec![A], vec![B]],
             },
         );
         chaos.push(SimTime::from_micros(600), ChaosAction::HealPartitions);
-        net.set_chaos(chaos);
-        net.send_external(a, b, Msg::Ping(0));
-        net.advance_to(SimTime::from_micros(5_000));
-        assert!(!net.step(), "exchange severed by partition");
-        assert_eq!(net.stats().dropped, 1);
-        // After heal (advance_to applied it), new traffic flows again.
-        net.send_external(a, b, Msg::Ping(100));
-        while net.stats().dropped <= 1 && net.stats().delivered <= 3 && net.step() {}
+        pp.net.set_chaos(chaos);
+        pp.ping(A, B, 0);
+        pp.run(SimTime::from_micros(5_000));
+        pp.net.skip_to(SimTime::from_micros(5_000));
+        assert_eq!(pp.net.now(), SimTime::from_micros(5_000));
+        assert!(!pp.step(END), "exchange severed by partition");
+        assert_eq!(pp.net.stats().dropped, 1);
+        // After heal (skip_to applied it), new traffic flows again.
+        pp.ping(A, B, 100);
+        while pp.net.stats().dropped <= 1 && pp.net.stats().delivered <= 3 && pp.step(END) {}
         assert!(
-            net.host(b).log.iter().any(|&(_, n)| n == 100),
+            pp.log[1].iter().any(|&(_, n)| n == 100),
             "post-heal send delivered"
         );
     }
 
     #[test]
     fn self_sends_are_immediate() {
-        struct SelfSender {
-            delivered_at: Option<SimTime>,
-        }
-        impl Actor<Msg> for SelfSender {
-            fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
-                let me = ctx.self_id();
-                ctx.send(me, Msg::Gossip(1));
-            }
-            fn on_message(&mut self, _from: HostId, _msg: Msg, ctx: &mut Context<'_, Msg>) {
-                self.delivered_at = Some(ctx.now());
-            }
-        }
-        let mut net: SimNetwork<Msg, SelfSender> = SimNetwork::new(0);
-        let h = net.add_host(SelfSender { delivered_at: None });
-        net.run_until_quiescent();
-        assert_eq!(net.host(h).delivered_at, Some(SimTime::ZERO));
+        let mut net: SimNetwork<u32> = SimNetwork::new(0, 1);
+        net.send(A, A, 1, SIZE, SimTime::ZERO);
+        assert!(matches!(
+            net.pop(END),
+            Some(EventKind::Deliver { from: A, to: A, .. })
+        ));
+        assert_eq!(net.now(), SimTime::ZERO);
     }
 }

@@ -8,7 +8,7 @@
 use std::collections::HashSet;
 use std::fmt;
 
-use crate::message::HostId;
+use crate::host::HostId;
 
 /// Symmetric link availability between hosts.
 ///

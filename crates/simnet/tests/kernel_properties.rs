@@ -1,67 +1,74 @@
-//! Property tests for the discrete-event kernel: time monotonicity,
+//! Property tests for the virtual-time kernel: time monotonicity,
 //! sequential-processor semantics, conservation of messages, and replay
-//! determinism under randomized actor behavior.
+//! determinism under a randomized test-local driver.
 
 use openwf_simnet::{
-    Actor, ConstantLatency, Context, HostId, Message, SimDuration, SimNetwork, SimTime, TimerToken,
+    ConstantLatency, EventKind, HostId, SimDuration, SimNetwork, SimTime, TimerToken,
     UniformLatency,
 };
 use proptest::prelude::*;
+
+const END: SimTime = SimTime::FAR_FUTURE;
 
 #[derive(Clone, Debug)]
 struct Token {
     hops_left: u8,
     id: u32,
 }
-impl Message for Token {
-    fn wire_size(&self) -> usize {
-        16
-    }
+
+const TOKEN_SIZE: usize = 16;
+
+/// The test-local driver: hosts forward tokens around a ring, charging
+/// compute per hop and logging observation times.
+struct Ring {
+    net: SimNetwork<Token>,
+    charge: SimDuration,
+    seen: Vec<Vec<(SimTime, u32)>>,
 }
 
-/// Forwards tokens around the ring, charging compute per hop and logging
-/// observation times.
-struct RingHop {
-    next: HostId,
-    charge_us: u64,
-    seen: Vec<(SimTime, u32)>,
-}
-
-impl Actor<Token> for RingHop {
-    fn on_message(&mut self, _from: HostId, msg: Token, ctx: &mut Context<'_, Token>) {
-        self.seen.push((ctx.now(), msg.id));
-        ctx.charge(SimDuration::from_micros(self.charge_us));
-        if msg.hops_left > 0 {
-            ctx.send(
-                self.next,
-                Token {
-                    hops_left: msg.hops_left - 1,
-                    id: msg.id,
-                },
-            );
+impl Ring {
+    fn new(hosts: usize, charge_us: u64, seed: u64, jitter: bool) -> Self {
+        let mut net = SimNetwork::new(seed, hosts);
+        if jitter {
+            net.set_latency(UniformLatency::new(
+                SimDuration::from_micros(10),
+                SimDuration::from_micros(900),
+            ));
+        } else {
+            net.set_latency(ConstantLatency(SimDuration::from_micros(100)));
+        }
+        Ring {
+            net,
+            charge: SimDuration::from_micros(charge_us),
+            seen: vec![Vec::new(); hosts],
         }
     }
-}
 
-fn ring(hosts: usize, charge_us: u64, seed: u64, jitter: bool) -> SimNetwork<Token, RingHop> {
-    let mut net = SimNetwork::new(seed);
-    if jitter {
-        net.set_latency(UniformLatency::new(
-            SimDuration::from_micros(10),
-            SimDuration::from_micros(900),
-        ));
-    } else {
-        net.set_latency(ConstantLatency(SimDuration::from_micros(100)));
+    /// Injects a token at the current time.
+    fn inject(&mut self, from: HostId, to: HostId, hops_left: u8, id: u32) {
+        let now = self.net.now();
+        self.net
+            .send(from, to, Token { hops_left, id }, TOKEN_SIZE, now);
     }
-    for i in 0..hosts {
-        let next = HostId(((i + 1) % hosts) as u32);
-        net.add_host(RingHop {
-            next,
-            charge_us,
-            seen: Vec::new(),
-        });
+
+    fn run(&mut self) {
+        while let Some(ev) = self.net.pop(END) {
+            let EventKind::Deliver { to, payload, .. } = ev else {
+                panic!("the ring arms no timer");
+            };
+            self.seen[to.index()].push((self.net.now(), payload.id));
+            let done = self.net.now() + self.charge;
+            self.net.occupy(to, done);
+            if payload.hops_left > 0 {
+                let next = HostId((to.0 + 1) % self.seen.len() as u32);
+                let token = Token {
+                    hops_left: payload.hops_left - 1,
+                    id: payload.id,
+                };
+                self.net.send(to, next, token, TOKEN_SIZE, done);
+            }
+        }
     }
-    net
 }
 
 proptest! {
@@ -77,16 +84,13 @@ proptest! {
         hops in 1u8..20,
         seed in any::<u64>(),
     ) {
-        let mut net = ring(hosts, 5, seed, true);
+        let mut ring = Ring::new(hosts, 5, seed, true);
         for id in 0..tokens {
-            net.send_external(HostId(0), HostId(id % hosts as u32), Token {
-                hops_left: hops,
-                id,
-            });
+            ring.inject(HostId(0), HostId(id % hosts as u32), hops, id);
         }
-        net.run_until_quiescent();
-        for h in net.hosts() {
-            let times: Vec<SimTime> = net.host(h).seen.iter().map(|&(t, _)| t).collect();
+        ring.run();
+        for (h, seen) in ring.seen.iter().enumerate() {
+            let times: Vec<SimTime> = seen.iter().map(|&(t, _)| t).collect();
             prop_assert!(
                 times.windows(2).all(|w| w[0] <= w[1]),
                 "host {h} saw time go backwards: {times:?}"
@@ -102,10 +106,10 @@ proptest! {
         hops in 1u8..30,
         seed in any::<u64>(),
     ) {
-        let mut net = ring(hosts, 0, seed, true);
-        net.send_external(HostId(0), HostId(1), Token { hops_left: hops, id: 0 });
-        net.run_until_quiescent();
-        let s = net.stats();
+        let mut ring = Ring::new(hosts, 0, seed, true);
+        ring.inject(HostId(0), HostId(1), hops, 0);
+        ring.run();
+        let s = ring.net.stats();
         prop_assert_eq!(s.in_flight(), 0);
         prop_assert_eq!(s.delivered, hops as u64 + 1);
         prop_assert_eq!(s.dropped, 0);
@@ -119,12 +123,12 @@ proptest! {
         n in 2u32..12,
         charge_us in 50u64..500,
     ) {
-        let mut net = ring(2, charge_us, 7, false);
+        let mut ring = Ring::new(2, charge_us, 7, false);
         for id in 0..n {
-            net.send_external(HostId(1), HostId(0), Token { hops_left: 0, id });
+            ring.inject(HostId(1), HostId(0), 0, id);
         }
-        net.run_until_quiescent();
-        let seen = &net.host(HostId(0)).seen;
+        ring.run();
+        let seen = &ring.seen[0];
         prop_assert_eq!(seen.len(), n as usize);
         let first = seen.first().unwrap().0;
         let last = seen.last().unwrap().0;
@@ -143,92 +147,106 @@ proptest! {
     #[test]
     fn replay_is_deterministic(seed in any::<u64>()) {
         let run = |s: u64| {
-            let mut net = ring(4, 3, s, true);
-            net.send_external(HostId(0), HostId(1), Token { hops_left: 25, id: 9 });
-            net.run_until_quiescent();
-            let histories: Vec<Vec<(SimTime, u32)>> =
-                net.hosts().iter().map(|&h| net.host(h).seen.clone()).collect();
-            (net.now(), histories)
+            let mut ring = Ring::new(4, 3, s, true);
+            ring.inject(HostId(0), HostId(1), 25, 9);
+            ring.run();
+            (ring.net.now(), ring.seen)
         };
-        let a = run(seed);
-        let b = run(seed);
-        prop_assert_eq!(a.0, b.0);
-        prop_assert_eq!(a.1, b.1);
+        prop_assert_eq!(run(seed), run(seed));
     }
+}
+
+/// Drains the kernel, naming each event `"msg"` or `"timer"`.
+fn drain(net: &mut SimNetwork<Token>) -> Vec<(SimTime, &'static str)> {
+    let mut log = Vec::new();
+    while let Some(ev) = net.pop(END) {
+        let name = match ev {
+            EventKind::Deliver { .. } => "msg",
+            EventKind::Timer { .. } => "timer",
+        };
+        log.push((net.now(), name));
+    }
+    log
 }
 
 /// Timers and messages interleave deterministically by (time, seq).
 #[test]
 fn timer_message_interleaving_is_stable() {
-    struct Mixed {
-        log: Vec<&'static str>,
-    }
-    impl Actor<Token> for Mixed {
-        fn on_start(&mut self, ctx: &mut Context<'_, Token>) {
-            // Timer at exactly the same instant a message will arrive
-            // (constant latency 100µs): seq order decides, stably.
-            ctx.set_timer(SimDuration::from_micros(100), TimerToken(1));
-        }
-        fn on_message(&mut self, _f: HostId, _m: Token, _ctx: &mut Context<'_, Token>) {
-            self.log.push("msg");
-        }
-        fn on_timer(&mut self, _t: TimerToken, _ctx: &mut Context<'_, Token>) {
-            self.log.push("timer");
-        }
-    }
-    let run = || {
-        let mut net: SimNetwork<Token, Mixed> = SimNetwork::new(5);
-        net.set_latency(ConstantLatency(SimDuration::from_micros(100)));
-        let a = net.add_host(Mixed { log: vec![] });
-        let b = net.add_host(Mixed { log: vec![] });
-        net.start();
-        net.send_external(
-            b,
-            a,
-            Token {
-                hops_left: 0,
-                id: 0,
-            },
-        );
-        net.run_until_quiescent();
-        net.host(a).log.clone()
+    let (a, b) = (HostId(0), HostId(1));
+    let token = Token {
+        hops_left: 0,
+        id: 0,
     };
-    assert_eq!(run(), run());
+    let at = SimTime::from_micros(100);
+    let run = |timer_first: bool| {
+        let mut net: SimNetwork<Token> = SimNetwork::new(5, 2);
+        net.set_latency(ConstantLatency(SimDuration::from_micros(100)));
+        // A timer at exactly the instant a message arrives (constant
+        // latency 100µs): seq order decides, stably.
+        if timer_first {
+            net.set_timer(a, at, TimerToken(1));
+        }
+        net.send(b, a, token.clone(), TOKEN_SIZE, SimTime::ZERO);
+        if !timer_first {
+            net.set_timer(a, at, TimerToken(1));
+        }
+        drain(&mut net)
+    };
+    assert_eq!(run(true), [(at, "timer"), (at, "msg")]);
+    assert_eq!(run(true), run(true));
+    assert_eq!(run(false), [(at, "msg"), (at, "timer")]);
 }
 
-/// A message is asked its size once, when its delivery is scheduled:
-/// the duplicate of a delivery and a self-send both arrive with the
-/// size computed at send.
+/// The tie rule both in-process drivers share: a timer and a delivery
+/// due at the same microsecond on one host come out in the order they
+/// were scheduled — also when the host is busy at that microsecond and
+/// both are deferred, and also when only the later-scheduled one is
+/// (the deferred one is re-keyed behind everything already scheduled
+/// for the time the host frees up).
 #[test]
-fn deliveries_carry_the_size_computed_at_send() {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
+fn same_instant_timer_and_delivery_keep_scheduling_order_across_a_busy_period() {
+    let (a, b) = (HostId(0), HostId(1));
+    let token = Token {
+        hops_left: 0,
+        id: 0,
+    };
+    let t = SimTime::from_micros;
+    let mut net: SimNetwork<Token> = SimNetwork::new(5, 2);
+    net.set_latency(ConstantLatency(SimDuration::from_micros(100)));
+    // Due at 100µs on a, scheduled delivery first, timer second; a is
+    // busy until 250µs, so both wait and come up then, in that order.
+    net.send(b, a, token.clone(), TOKEN_SIZE, SimTime::ZERO);
+    net.set_timer(a, t(100), TimerToken(1));
+    net.occupy(a, t(250));
+    assert_eq!(drain(&mut net), [(t(250), "msg"), (t(250), "timer")]);
 
-    /// Answers 100, 101, 102, … — a second ask would show in the totals.
-    #[derive(Clone, Debug)]
-    struct Metered(Arc<AtomicUsize>);
-    impl Message for Metered {
-        fn wire_size(&self) -> usize {
-            100 + self.0.fetch_add(1, Ordering::Relaxed)
+    // One of the two deferred: a timer due at 300µs comes up while a is
+    // busy until 400µs and is put back for 400µs — behind the delivery
+    // that was scheduled for 400µs all along.
+    net.set_timer(a, t(300), TimerToken(2));
+    net.send(b, a, token, TOKEN_SIZE, t(300));
+    net.occupy(a, t(400));
+    assert_eq!(drain(&mut net), [(t(400), "msg"), (t(400), "timer")]);
+}
+
+/// A delivery carries the size its sender stated: the duplicate of a
+/// delivery and a self-send both arrive with it, and the traffic
+/// counters add exactly that.
+#[test]
+fn deliveries_carry_the_size_stated_at_send() {
+    let (a, b) = (HostId(0), HostId(1));
+    let mut net: SimNetwork<&'static str> = SimNetwork::new(3, 2);
+    net.faults_mut().set_duplicate_probability(1.0);
+    net.send(a, b, "remote", 100, SimTime::ZERO);
+    net.send(a, a, "local", 7, SimTime::ZERO);
+    let mut sizes = Vec::new();
+    while let Some(ev) = net.pop(END) {
+        if let EventKind::Deliver { payload, size, .. } = ev {
+            sizes.push((payload, size));
         }
     }
-    struct Sink;
-    impl Actor<Metered> for Sink {
-        fn on_message(&mut self, _f: HostId, _m: Metered, _ctx: &mut Context<'_, Metered>) {}
-    }
-
-    let mut net: SimNetwork<Metered, Sink> = SimNetwork::new(3);
-    let a = net.add_host(Sink);
-    let b = net.add_host(Sink);
-    net.faults_mut().set_duplicate_probability(1.0);
-    let (remote, local) = (Arc::default(), Arc::default());
-    net.send_external(a, b, Metered(Arc::clone(&remote)));
-    net.send_external(a, a, Metered(Arc::clone(&local)));
-    net.run_until_quiescent();
-
+    assert_eq!(sizes, [("local", 7), ("remote", 100), ("remote", 100)]);
     let stats = net.stats();
     assert_eq!((stats.delivered, stats.duplicated), (3, 1), "{stats:?}");
-    assert_eq!(stats.bytes_delivered, 300, "{stats:?}");
-    assert_eq!(remote.load(Ordering::Relaxed), 1);
-    assert_eq!(local.load(Ordering::Relaxed), 1);
+    assert_eq!(stats.bytes_delivered, 207, "{stats:?}");
 }

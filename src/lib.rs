@@ -15,7 +15,7 @@
 //! | [`wfcore`] | `openwf-core` | workflow model, fragments, composition, pruning, Algorithm 1 |
 //! | [`obs`] | `openwf-obs` | metrics registry, causal workflow tracing, trace exporters |
 //! | [`wire`] | `openwf-wire` | binary wire codec, vocabulary budget, durable fragment log |
-//! | [`simnet`] | `openwf-simnet` | DES kernel, latency models, faults |
+//! | [`simnet`] | `openwf-simnet` | virtual-time kernel, latency models, faults |
 //! | [`mobility`] | `openwf-mobility` | 2D locations, travel, waypoint mobility |
 //! | [`runtime`] | `openwf-runtime` | the per-host managers and community harness |
 //! | [`net`] | `openwf-net` | TCP serving tier: socket driver, `owms-serve` community server |

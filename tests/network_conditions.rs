@@ -235,9 +235,7 @@ fn problem_survives_mobility_churn() {
     // Interleave simulation slices with mobility steps.
     for tick in 1..=200u64 {
         mobility.advance(0.05, community.net_mut().topology_mut(), &hosts);
-        community
-            .net_mut()
-            .run_until(SimTime::from_micros(tick * 50_000));
+        community.run_until(SimTime::from_micros(tick * 50_000));
         if community
             .report(handle)
             .map(|r| r.status.is_terminal())

@@ -207,7 +207,7 @@ fn workflow_event_stream_is_well_formed_on_the_sim_driver() {
         matches!(report.status, ProblemStatus::Completed),
         "honest peers complete despite the flooder: {report}"
     );
-    assert_event_stream_well_formed(&community.all_events(), hosts[2], 2);
+    assert_event_stream_well_formed(community.events(), hosts[2], 2);
 }
 
 #[test]
