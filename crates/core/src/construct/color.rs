@@ -139,13 +139,9 @@ impl ColorState {
     }
 
     /// Number of covered nodes.
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.colors.len()
-    }
-
-    /// True if the state covers no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.colors.is_empty()
     }
 
     /// The color of a node.

@@ -7,28 +7,35 @@
 //! drawing from the community only the fragments that we need to extend the
 //! supergraph along the boundaries of the colored region." (§3.1)
 //!
-//! The driver alternates between (a) querying a [`FragmentSource`] for
-//! fragments whose tasks consume the labels on the green frontier and
-//! (b) resuming the exploration coloring over the grown supergraph, until
-//! every goal is green or the frontier stops growing. Green coloring is
-//! monotone, so resuming is sound; completeness relative to full collection
-//! follows by induction on distance (every prerequisite of a reachable node
-//! is reachable at a smaller distance, so its fragments are eventually
-//! queried).
+//! [`FrontierConstruction`] is that variant as one resumable engine: it
+//! hands out a frontier of labels, takes the community's answer through
+//! [`FrontierConstruction::merge`], and
+//! [`FrontierConstruction::resume`]s the exploration coloring over the
+//! grown supergraph — until every goal is green or the frontier stops
+//! growing. Whoever asks the community drives it: [`IncrementalConstructor`]
+//! asks a local [`FragmentSource`] in a loop, the runtime's Workflow
+//! Manager asks its peers over the network between calls. Green coloring
+//! is monotone, so resuming is sound; completeness relative to full
+//! collection follows by induction on distance (every prerequisite of a
+//! reachable node is reachable at a smaller distance, so its fragments are
+//! eventually queried).
 //!
-//! ## One thread
+//! ## One thread, one merge order
 //!
-//! Construction runs on the calling thread. A round's candidates arrive
-//! in the source's global insertion order (a sharded store restores it by
-//! sorting on sequence numbers) and merge through one batched supergraph
-//! pass; exploration early-exits once the goals turn green, so that order
-//! is what fixes the green set — and what makes the result independent of
-//! how the store happens to be sharded.
+//! A construction runs on the thread that calls it. A round's candidates
+//! merge through one batched supergraph pass in the order they are handed
+//! in, and exploration early-exits once the goals turn green, so **merge
+//! order fixes the green set**. A driver therefore hands a round's answers
+//! over in an order that does not depend on how they were stored or
+//! delivered: a sharded store restores its global insertion order by
+//! sorting on sequence numbers, which is what makes the result independent
+//! of the shard count. Anything that changes what arrives in a round (a
+//! parallel merge, lookahead replies) must re-prove or restate this here.
 
 use std::sync::Arc;
 
-use crate::construct::color::{Color, ColorState};
-use crate::construct::explore::{explore_with, ExploreOutcome, ExploreScratch};
+use crate::construct::color::ColorState;
+use crate::construct::explore::{explore_with, ExploreScratch};
 use crate::construct::trace::{Trace, TraceEvent};
 use crate::construct::{finish, ConstructError, ConstructStats, Construction, PickOrder};
 use crate::fragment::Fragment;
@@ -85,7 +92,8 @@ impl SizeHints {
     }
 }
 
-/// Drives Algorithm 1 while collecting fragments on demand.
+/// Configures incremental construction and drives it against a local
+/// [`FragmentSource`].
 #[derive(Clone, Debug, Default)]
 pub struct IncrementalConstructor {
     order: PickOrder,
@@ -118,6 +126,32 @@ impl IncrementalConstructor {
         self
     }
 
+    /// Opens a construction for `spec` that the caller drives round by
+    /// round (see [`FrontierConstruction`]).
+    pub fn start(&self, spec: &Spec) -> FrontierConstruction {
+        let mut sg = Supergraph::new();
+        let mut state = ColorState::with_len(0);
+        let mut queried: FxHashSet<Label> = FxHashSet::default();
+        if let Some(h) = self.hints {
+            sg.reserve(h.fragments, h.nodes, h.edges);
+            state.reserve(h.nodes);
+            queried.reserve(h.nodes / 2);
+        }
+        FrontierConstruction {
+            spec: spec.clone(),
+            order: self.order,
+            sg,
+            state,
+            scratch: ExploreScratch::new(),
+            queried,
+            newly_green: spec.triggers().iter().cloned().collect(),
+            asked: 0,
+            trace: self.record_trace.then(Trace::new),
+            stats: ConstructStats::default(),
+            done: false,
+        }
+    }
+
     /// Constructs a workflow satisfying `spec`, pulling fragments from
     /// `source` only as the colored frontier grows. Returns the
     /// construction together with the (partial) supergraph that was
@@ -148,108 +182,164 @@ impl IncrementalConstructor {
         spec: &Spec,
         mut feasible: impl FnMut(&TaskId) -> bool,
     ) -> Result<(Construction, Supergraph), ConstructError> {
-        self.drive(spec, &mut feasible, |labels| {
-            source.fragments_consuming(labels)
-        })
+        let mut engine = self.start(spec);
+        let mut frontier = engine.first_frontier();
+        loop {
+            // No triggers, nothing to ask: only a trivial spec can succeed.
+            if !frontier.is_empty() {
+                engine.merge(&source.fragments_consuming(&frontier));
+            }
+            match engine.resume(&mut feasible).1 {
+                Next::Ask(labels) => frontier = labels,
+                Next::Done(result) => return result.map(|c| (c, engine.into_supergraph())),
+            }
+        }
+    }
+}
+
+/// What a [`FrontierConstruction::resume`] leaves the driver to do.
+// Returned once per round and matched on the spot, never stored.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug)]
+pub enum Next {
+    /// The goals are not green yet and these labels turned green: ask the
+    /// community for fragments consuming them,
+    /// [`merge`](FrontierConstruction::merge) the answer and resume.
+    /// Never empty.
+    Ask(Vec<Label>),
+    /// The construction is over: every goal is green and the workflow
+    /// extracted, or the frontier dried up
+    /// ([`ConstructError::NoSolution`]).
+    Done(Result<Construction, ConstructError>),
+}
+
+/// One construction in progress: Algorithm 1's frontier rounds, resumable
+/// between any two of them.
+///
+/// A round is: take the frontier ([`first_frontier`], then
+/// [`Next::Ask`]), collect the fragments consuming it from wherever the
+/// community's knowhow lives, [`merge`] them as one batch in an order
+/// that does not depend on how they were stored or delivered (see the
+/// module docs), and [`resume`]. The feasibility oracle is asked afresh on
+/// every resume, so a driver may learn between rounds who can serve what.
+/// A label is handed out at most once over the whole construction.
+///
+/// [`first_frontier`]: FrontierConstruction::first_frontier
+/// [`merge`]: FrontierConstruction::merge
+/// [`resume`]: FrontierConstruction::resume
+#[derive(Debug)]
+pub struct FrontierConstruction {
+    spec: Spec,
+    order: PickOrder,
+    sg: Supergraph,
+    state: ColorState,
+    scratch: ExploreScratch,
+    /// Labels already handed out as part of a frontier.
+    queried: FxHashSet<Label>,
+    /// Labels that turned green since the last frontier was handed out
+    /// (initially the triggers), so a round costs O(newly green) instead
+    /// of a supergraph scan.
+    newly_green: Vec<Label>,
+    /// Size of the frontier handed out last, for the trace.
+    asked: usize,
+    trace: Option<Trace>,
+    stats: ConstructStats,
+    done: bool,
+}
+
+impl FrontierConstruction {
+    /// The first frontier: the specification's triggers. Nothing is
+    /// explored yet. Empty when there are none — then there is nothing to
+    /// ask or merge, and the first [`resume`](Self::resume) answers.
+    pub fn first_frontier(&mut self) -> Vec<Label> {
+        self.take_frontier()
     }
 
-    /// The shared round loop: query the frontier (however the caller
-    /// realizes the query), batch-merge the candidates, resume the
-    /// coloring, repeat until the goals are green or the frontier dries
-    /// up.
-    fn drive(
-        &self,
-        spec: &Spec,
-        feasible: &mut dyn FnMut(&TaskId) -> bool,
-        mut query: impl FnMut(&[Label]) -> Vec<Arc<Fragment>>,
-    ) -> Result<(Construction, Supergraph), ConstructError> {
-        let mut sg = Supergraph::new();
-        let mut state = ColorState::with_len(0);
-        let mut scratch = ExploreScratch::new();
-        let mut queried: FxHashSet<Label> = FxHashSet::default();
-        if let Some(h) = self.hints {
-            sg.reserve(h.fragments, h.nodes, h.edges);
-            state.reserve(h.nodes);
-            queried.reserve(h.nodes / 2);
+    /// Newly green labels not handed out before.
+    fn take_frontier(&mut self) -> Vec<Label> {
+        let queried = &mut self.queried;
+        let frontier: Vec<Label> = self
+            .newly_green
+            .drain(..)
+            .filter(|l| queried.insert(l.clone()))
+            .collect();
+        self.asked = frontier.len();
+        frontier
+    }
+
+    /// Merges one round's answer into the supergraph and returns how many
+    /// fragments were new. Duplicates and already-known fragments are
+    /// fine; knowhow that conflicts with what is merged already is
+    /// skipped rather than failing the construction (the first-merged
+    /// definition wins).
+    ///
+    /// # Panics
+    ///
+    /// When the construction is already [`Next::Done`].
+    pub fn merge(&mut self, fragments: &[Arc<Fragment>]) -> usize {
+        assert!(!self.done, "merge into a finished construction");
+        let new_fragments = self.sg.merge_fragments_batch(fragments);
+        self.stats.query_rounds += 1;
+        self.stats.fragments_pulled += new_fragments;
+        if let Some(t) = self.trace.as_mut() {
+            t.push(TraceEvent::QueryRound {
+                labels: self.asked,
+                fragments: new_fragments,
+            });
         }
-        let mut trace = self.record_trace.then(Trace::new);
-        let mut stats = ConstructStats::default();
-        let mut last_outcome: Option<ExploreOutcome> = None;
-        // Labels turned green by the latest explore pass — the candidate
-        // frontier of the next round. Seeded with the triggers; afterwards
-        // maintained from `ExploreOutcome::new_green_labels`, so a round
-        // costs O(newly green) instead of a full supergraph scan.
-        let mut frontier_candidates: Vec<Label> = spec.triggers().iter().cloned().collect();
+        new_fragments
+    }
 
-        loop {
-            // Frontier = newly green labels (plus, initially, the
-            // triggers) whose consumers we have not asked the community
-            // about yet, deduplicated across rounds.
-            let frontier: Vec<Label> = frontier_candidates
-                .drain(..)
-                .filter(|l| queried.insert(l.clone()))
-                .collect();
-
-            if frontier.is_empty() {
-                break;
-            }
-
-            let fragments = query(&frontier);
-            stats.query_rounds += 1;
-            // Batched merge: conflicting knowhow from different hosts is
-            // skipped rather than failing the whole construction; the
-            // first-merged definition wins.
-            let new_fragments = sg.merge_fragments_batch(&fragments);
-            stats.fragments_pulled += new_fragments;
-            if let Some(t) = trace.as_mut() {
-                t.push(TraceEvent::QueryRound {
-                    labels: frontier.len(),
-                    fragments: new_fragments,
-                });
-            }
-
-            let outcome = explore_with(
-                sg.graph(),
-                &mut state,
-                spec,
-                feasible,
-                self.order,
-                trace.as_mut(),
-                &mut scratch,
-            );
-            stats.explore_steps += outcome.steps;
-            frontier_candidates.extend_from_slice(&outcome.new_green_labels);
-            let done = outcome.unreachable_goals.is_empty();
-            last_outcome = Some(outcome);
-            if done {
-                break;
+    /// Resumes the exploration coloring over the supergraph as it now
+    /// is, considering only tasks `feasible` accepts *this time*. Returns
+    /// the worklist steps this resume took and what comes next.
+    ///
+    /// # Panics
+    ///
+    /// When the construction is already [`Next::Done`].
+    pub fn resume(&mut self, mut feasible: impl FnMut(&TaskId) -> bool) -> (u64, Next) {
+        assert!(!self.done, "resume of a finished construction");
+        let outcome = explore_with(
+            self.sg.graph(),
+            &mut self.state,
+            &self.spec,
+            &mut feasible,
+            self.order,
+            self.trace.as_mut(),
+            &mut self.scratch,
+        );
+        let steps = outcome.steps;
+        self.stats.explore_steps += steps;
+        self.newly_green
+            .extend_from_slice(&outcome.new_green_labels);
+        if !outcome.unreachable_goals.is_empty() {
+            let frontier = self.take_frontier();
+            if !frontier.is_empty() {
+                return (steps, Next::Ask(frontier));
             }
         }
+        // Goals green, or nothing left to ask: back-sweep or report the
+        // unreachable goals.
+        self.done = true;
+        let result = finish(
+            &self.sg,
+            &self.spec,
+            std::mem::take(&mut self.state),
+            outcome,
+            std::mem::take(&mut self.stats),
+            self.trace.take(),
+        );
+        (steps, Next::Done(result))
+    }
 
-        let outcome = match last_outcome {
-            Some(o) => o,
-            None => {
-                // No queries at all (no triggers): only trivial specs can
-                // succeed. Run one explore pass over the empty graph to get
-                // a well-formed outcome.
-                explore_with(
-                    sg.graph(),
-                    &mut state,
-                    spec,
-                    feasible,
-                    self.order,
-                    trace.as_mut(),
-                    &mut scratch,
-                )
-            }
-        };
+    /// The (partial) supergraph assembled so far.
+    pub fn supergraph(&self) -> &Supergraph {
+        &self.sg
+    }
 
-        stats.colored_green = state.count(Color::Green);
-        stats.supergraph_nodes = sg.graph().node_count();
-        stats.supergraph_edges = sg.graph().edge_count();
-
-        let construction = finish(&sg, spec, state, outcome, stats, trace)?;
-        Ok((construction, sg))
+    /// Gives up the assembled supergraph.
+    pub fn into_supergraph(self) -> Supergraph {
+        self.sg
     }
 }
 
@@ -435,6 +525,80 @@ mod tests {
             c.workflow().tasks().collect::<Vec<_>>(),
             s.workflow().tasks().collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn first_frontier_is_the_triggers_once() {
+        let spec = Spec::new(["b", "a", "b"], ["z"]);
+        let mut engine = IncrementalConstructor::new().start(&spec);
+        assert_eq!(engine.supergraph().fragment_count(), 0);
+        assert_eq!(
+            engine.first_frontier(),
+            vec![Label::new("a"), Label::new("b")]
+        );
+        assert!(engine.first_frontier().is_empty(), "handed out already");
+    }
+
+    #[test]
+    fn a_label_is_never_asked_twice() {
+        // The first resume reports the trigger green (it is now a node of
+        // the graph), and `back` re-produces it: neither makes it a
+        // frontier label again.
+        let mut store = chain_store(4);
+        store.insert(frag("back", "tb", &["l2"], &["l0"]));
+        let spec = Spec::new(["l0"], ["l4"]);
+        let mut engine = IncrementalConstructor::new().start(&spec);
+        let mut asked = vec![engine.first_frontier()];
+        loop {
+            engine.merge(&store.fragments_consuming(asked.last().unwrap()));
+            match engine.resume(|_| true).1 {
+                Next::Ask(labels) => asked.push(labels),
+                Next::Done(result) => break assert!(result.is_ok()),
+            }
+        }
+        assert_eq!(asked.len(), 4);
+        let all: Vec<&Label> = asked.iter().flatten().collect();
+        let distinct: FxHashSet<&Label> = all.iter().copied().collect();
+        assert_eq!(all.len(), distinct.len(), "{asked:?}");
+        assert!(asked.iter().all(|f| !f.is_empty()), "{asked:?}");
+    }
+
+    #[test]
+    fn a_task_that_turns_feasible_between_resumes_is_colored_on_the_second() {
+        let direct = Arc::new(frag("f1", "direct", &["a"], &["goal"]));
+        let detour = Arc::new(frag("f2", "detour", &["a"], &["mid"]));
+        let spec = Spec::new(["a"], ["goal"]);
+        let mut engine = IncrementalConstructor::new().start(&spec);
+        assert_eq!(engine.first_frontier(), vec![Label::new("a")]);
+        assert_eq!(engine.merge(&[direct.clone(), detour, direct]), 2);
+
+        // Nobody offers `direct` yet: the goal stays out of reach and the
+        // frontier moves on to `mid`.
+        let (steps, next) = engine.resume(|t| t != &TaskId::new("direct"));
+        assert!(steps > 0);
+        assert!(matches!(next, Next::Ask(ref l) if l == &[Label::new("mid")]));
+
+        // The round finds nothing new, but the oracle has changed its mind.
+        assert_eq!(engine.merge(&[]), 0);
+        let (_, next) = engine.resume(|_| true);
+        let Next::Done(Ok(c)) = next else {
+            panic!("expected a construction, got {next:?}");
+        };
+        assert!(c.workflow().contains_task(&TaskId::new("direct")));
+        assert_eq!(c.stats().query_rounds, 2);
+        assert_eq!(c.stats().fragments_pulled, 2);
+        assert_eq!(engine.into_supergraph().fragment_count(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "merge into a finished construction")]
+    fn merge_after_done_is_a_caller_bug() {
+        let spec = Spec::new(["a"], ["a"]);
+        let mut engine = IncrementalConstructor::new().start(&spec);
+        engine.first_frontier();
+        engine.merge(&[]);
+        assert!(matches!(engine.resume(|_| true).1, Next::Done(Ok(_))));
+        engine.merge(&[]);
     }
 
     #[test]

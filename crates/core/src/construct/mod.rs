@@ -19,11 +19,17 @@
 //! The paper's pseudo-code picks nodes nondeterministically; [`PickOrder`]
 //! exposes that freedom (FIFO, LIFO, or seeded-random) so tests can check
 //! that every admissible order yields a valid result.
+//!
+//! Two ways in: [`Constructor`] over a fully collected [`Supergraph`], and
+//! [`incremental`]'s frontier construction, which grows the supergraph as
+//! it colors. Coloring state, exploration and the back-sweep are private
+//! to this module; a distributed driver holds an
+//! [`incremental::FrontierConstruction`] and never sees them.
 
-pub mod color;
-pub mod explore;
+mod color;
+mod explore;
 pub mod incremental;
-pub mod sweep;
+mod sweep;
 pub mod trace;
 
 use std::collections::HashSet;
@@ -38,7 +44,8 @@ use crate::supergraph::Supergraph;
 use crate::validate::ValidityError;
 use crate::workflow::Workflow;
 
-pub use color::{Color, ColorState, Distance};
+use color::ColorState;
+pub use color::{Color, Distance};
 pub use trace::{Trace, TraceEvent};
 
 /// The order in which the "nondeterministic" node choices of Algorithm 1
@@ -228,40 +235,26 @@ impl Constructor {
             trace.as_mut(),
         );
 
-        let mut stats = ConstructStats {
+        let stats = ConstructStats {
             explore_steps: outcome.steps,
-            colored_green: outcome.colored_green,
-            supergraph_nodes: g.node_count(),
-            supergraph_edges: g.edge_count(),
             ..ConstructStats::default()
         };
-
-        finish(
-            supergraph,
-            spec,
-            state,
-            outcome,
-            stats_take(&mut stats),
-            trace,
-        )
+        finish(supergraph, spec, state, outcome, stats, trace)
     }
 }
 
 /// Shared tail of full and incremental construction: check goal
 /// reachability, run the back-sweep, extract and validate the blue
-/// workflow, and assemble the [`Construction`].
-///
-/// This is public so that *distributed* drivers (the runtime's Workflow
-/// Manager, which interleaves network fragment queries with resumed
-/// [`explore::explore`] rounds) can finish a construction exactly like the
-/// local constructors do.
+/// workflow, and assemble the [`Construction`]. `stats` carries what the
+/// caller counted (explore steps, query rounds, fragments pulled); the
+/// sizes and color counts are filled in here.
 ///
 /// # Errors
 ///
 /// [`ConstructError::NoSolution`] when `outcome` reports unreachable goals;
 /// [`ConstructError::InvalidResult`] if the blue subgraph fails validation
 /// (an algorithm-bug guard that the paper's proof says cannot trigger).
-pub fn finish(
+fn finish(
     supergraph: &Supergraph,
     spec: &Spec,
     mut state: ColorState,
@@ -293,6 +286,9 @@ pub fn finish(
         .filter(|&i| state.color(i) == Color::Blue)
         .collect();
     let blue_edges: HashSet<(NodeIdx, NodeIdx)> = state.blue_edges().iter().copied().collect();
+    stats.colored_green = outcome.colored_green;
+    stats.supergraph_nodes = g.node_count();
+    stats.supergraph_edges = g.edge_count();
     stats.blue_nodes = blue_nodes.len();
     stats.blue_edges = blue_edges.len();
 
@@ -322,10 +318,6 @@ pub fn finish(
         stats,
         trace,
     })
-}
-
-fn stats_take(stats: &mut ConstructStats) -> ConstructStats {
-    std::mem::take(stats)
 }
 
 #[cfg(test)]

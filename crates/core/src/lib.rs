@@ -19,9 +19,11 @@
 //!   phase that colors reachable nodes *green* with distances, and a pruning
 //!   phase that sweeps *purple*/*blue* backwards from the goal to extract one
 //!   feasible, valid workflow ([`construct`], [`Supergraph`]).
-//! * The **incremental** variant that pulls fragments from a
-//!   [`FragmentSource`] on demand, extending the supergraph only along the
-//!   boundary of the colored region (`construct::incremental`).
+//! * The **incremental** variant, extending the supergraph only along the
+//!   boundary of the colored region: one resumable engine
+//!   ([`FrontierConstruction`]) that [`IncrementalConstructor`] drives
+//!   against a local [`FragmentSource`] and the distributed runtime drives
+//!   against its peers (`construct::incremental`).
 //!
 //! The distributed runtime (managers, auctions, execution) lives in the
 //! `openwf-runtime` crate; this crate is purely algorithmic and has no
@@ -80,7 +82,9 @@ pub mod validate;
 pub mod workflow;
 
 pub use compose::{compose, compose_all};
-pub use construct::incremental::{FragmentSource, IncrementalConstructor, SizeHints};
+pub use construct::incremental::{
+    FragmentSource, FrontierConstruction, IncrementalConstructor, SizeHints,
+};
 pub use construct::{ConstructError, Construction, Constructor, PickOrder};
 pub use error::{ComposeError, ModelError};
 pub use fragment::{Fragment, FragmentBuilder, FragmentId};

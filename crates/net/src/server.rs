@@ -70,7 +70,7 @@ use std::time::{Duration, Instant};
 
 use openwf_obs::{Counter, Histogram, Obs, Value};
 use openwf_runtime::{
-    encode_msg_traced, Action, ActionQueue, HostConfig, HostCore, Msg, OutboundMode, ProblemHandle,
+    encode_msg, Action, ActionQueue, HostConfig, HostCore, Msg, OutboundMode, ProblemHandle,
     ProblemId, RuntimeParams, WorkflowEvent,
 };
 use openwf_simnet::{HostId, SimTime};
@@ -345,8 +345,7 @@ impl NetServer {
 
     /// Adds a local host to serve. The core is bound, kept in
     /// [`OutboundMode::Typed`] (the server encodes outbound messages
-    /// itself through [`encode_msg_traced`] so every wire frame carries
-    /// its trace-correlation id), and polled from then on.
+    /// itself, into a buffer it reuses), and polled from then on.
     pub fn add_core(
         &mut self,
         community: u64,
@@ -622,10 +621,9 @@ impl NetServer {
         for action in q {
             match action {
                 Action::Send { to, msg } => self.send_msg(community, me, to, &msg),
-                Action::SendBytes { to, bytes } if self.cores.contains_key(&(community, to)) => {
-                    self.local.push_back((community, me, to, bytes));
+                other @ Action::SendBytes { .. } => {
+                    panic!("NetServer drives cores in OutboundMode::Typed, got {other:?}")
                 }
-                Action::SendBytes { to, bytes } => self.send_remote(community, me, to, &bytes),
                 Action::SetTimer { delay, .. } => {
                     let due = now + delay;
                     if self.timer_wake.is_none_or(|wake| due < wake) {
@@ -641,13 +639,12 @@ impl NetServer {
         }
     }
 
-    /// Encodes a typed outbound message — with its trace-correlation id
-    /// on the wire — and routes it: local queue for a core of this
-    /// process, an envelope over a connection otherwise.
+    /// Encodes a typed outbound message and routes it: local queue for
+    /// a core of this process, an envelope over a connection otherwise.
     fn send_msg(&mut self, community: u64, from: HostId, to: HostId, msg: &Msg) {
         let mut inner = std::mem::take(&mut self.scratch);
         inner.clear();
-        encode_msg_traced(msg, msg.trace_id(), &mut inner);
+        encode_msg(msg, &mut inner);
         if self.cores.contains_key(&(community, to)) {
             self.local.push_back((community, from, to, inner));
         } else {
@@ -1175,6 +1172,19 @@ mod tests {
             assert!(Instant::now() < deadline, "condition never reached");
             server.poll(Duration::from_millis(10));
         }
+    }
+
+    /// A core switched away from the server's outbound mode is a wiring
+    /// error the server names, not a second path it quietly serves.
+    #[test]
+    #[should_panic(expected = "OutboundMode::Typed")]
+    fn a_core_in_the_wrong_outbound_mode_is_refused() {
+        let mut server = test_server(None);
+        server.set_community(0, vec![HostId(0), HostId(1)]);
+        server
+            .core_mut(0, HostId(0))
+            .set_outbound_mode(OutboundMode::Encoded);
+        server.submit(0, HostId(0), openwf_core::Spec::new(["svt-a"], ["svt-b"]));
     }
 
     /// The socket wait is cut to the earliest timer the cores armed: a

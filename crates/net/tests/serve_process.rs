@@ -464,9 +464,9 @@ fn three_processes_construct_workflows_and_survive_churn() {
     }
 
     // ---- cross-process trace stitching -------------------------------
-    // The second problem's trace id (p0/1#0 packs to a nonzero u64) is
-    // minted by A and propagated over the wire; C's independent export
-    // must contain the same id.
+    // A trace id is a function of the `ProblemId` every message frame
+    // carries (p0/1#0 packs to a nonzero u64): A and C each derive it,
+    // so C's independent export must contain the id A's does.
     let shared: Vec<u64> = trace_ids(&trace_a)
         .intersection(&trace_ids(&trace_c))
         .copied()

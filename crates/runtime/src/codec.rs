@@ -259,23 +259,6 @@ fn read_plan(
 
 /// Encodes one message as a complete `TAG_MSG` frame onto `out`.
 pub fn encode_msg(msg: &Msg, out: &mut Vec<u8>) {
-    encode_msg_inner(msg, None, out);
-}
-
-/// [`encode_msg`] plus an explicit trace-correlation id appended as an
-/// optional trailing varint. Decoders that predate the field ignore
-/// nothing — the field sits *after* the variant payload, and
-/// [`decode_msg`]/[`decode_msg_with`] skip it when present — while
-/// [`decode_msg_traced_with`] surfaces it. The in-process drivers never
-/// call this (a `Msg` already carries its `ProblemId`, which *is* the
-/// correlation key, so enabling tracing cannot change wire bytes); it
-/// exists for transports whose envelopes outlive a single `Msg`, e.g.
-/// the planned socket driver propagating foreign trace contexts.
-pub fn encode_msg_traced(msg: &Msg, trace: u64, out: &mut Vec<u8>) {
-    encode_msg_inner(msg, Some(trace), out);
-}
-
-fn encode_msg_inner(msg: &Msg, trace: Option<u64>, out: &mut Vec<u8>) {
     let mut enc = FrameEncoder::new(TAG_MSG);
     match msg {
         Msg::Initiate { problem, spec } => {
@@ -378,9 +361,6 @@ fn encode_msg_inner(msg: &Msg, trace: Option<u64>, out: &mut Vec<u8>) {
             enc.name(label.sym());
         }
     }
-    if let Some(trace) = trace {
-        enc.varint(trace);
-    }
     enc.finish(out);
 }
 
@@ -417,23 +397,6 @@ pub fn decode_msg_with(
     budget: &mut VocabularyBudget,
     scratch: &mut DecodeScratch,
 ) -> Result<(Msg, usize), WireError> {
-    decode_msg_traced_with(buf, budget, scratch).map(|(msg, _, consumed)| (msg, consumed))
-}
-
-/// [`decode_msg_with`] that also surfaces the optional trailing
-/// trace-correlation id written by [`encode_msg_traced`] — `None` for
-/// frames from encoders that never wrote one (every frame
-/// [`encode_msg`] produces), which is what keeps the field
-/// backward-compatible in both directions.
-///
-/// # Errors
-///
-/// Any [`WireError`]; same budget semantics as [`decode_msg`].
-pub fn decode_msg_traced_with(
-    buf: &[u8],
-    budget: &mut VocabularyBudget,
-    scratch: &mut DecodeScratch,
-) -> Result<(Msg, Option<u64>, usize), WireError> {
     let (frame, consumed) = scratch.take_frame(buf)?;
     openwf_wire::model::admit_frame(&frame, TAG_MSG, budget)?;
     scratch.resolve(&frame);
@@ -512,14 +475,9 @@ pub fn decode_msg_traced_with(
         },
         other => return Err(WireError::UnknownTag(other)),
     };
-    let trace = if r.remaining() > 0 {
-        Some(r.varint()?)
-    } else {
-        None
-    };
     r.expect_end()?;
     scratch.recycle(frame);
-    Ok((msg, trace, consumed))
+    Ok((msg, consumed))
 }
 
 /// True when the `TAG_MSG` frame at the head of `buf` carries a
@@ -626,41 +584,37 @@ mod tests {
         decoded
     }
 
+    /// The payload ends where the variant ends: nothing rides behind it
+    /// on an untrusted frame.
     #[test]
-    fn traced_frames_round_trip_and_untraced_frames_read_as_none() {
+    fn trailing_payload_bytes_are_an_error() {
+        let task = TaskId::new("rc-t");
+        let frame = |trailing: Option<u64>| {
+            let mut enc = FrameEncoder::new(TAG_MSG);
+            enc.byte(V_TASK_COMPLETED);
+            write_problem(&mut enc, p());
+            enc.name(task.sym());
+            if let Some(v) = trailing {
+                enc.varint(v);
+            }
+            let mut out = Vec::new();
+            enc.finish(&mut out);
+            out
+        };
+        let mut encoded = Vec::new();
         let msg = Msg::TaskCompleted {
             problem: p(),
-            task: TaskId::new("rc-t"),
+            task: task.clone(),
         };
-        let mut plain = Vec::new();
-        encode_msg(&msg, &mut plain);
-        let mut traced = Vec::new();
-        encode_msg_traced(&msg, p().trace_id(), &mut traced);
-        assert!(
-            traced.len() > plain.len(),
-            "the trace id is extra trailing bytes"
+        encode_msg(&msg, &mut encoded);
+        assert_eq!(
+            frame(None),
+            encoded,
+            "the hand-built frame is the encoder's"
         );
-
-        let mut scratch = DecodeScratch::with_cache_capacity(0);
-        let (decoded, trace, consumed) =
-            decode_msg_traced_with(&traced, &mut VocabularyBudget::unlimited(), &mut scratch)
-                .expect("traced frame decodes");
-        assert_eq!(consumed, traced.len());
-        assert_eq!(trace, Some(p().trace_id()));
-        assert_eq!(format!("{decoded:?}"), format!("{msg:?}"));
-
-        // A decoder unaware of the field skips it.
-        let (decoded, consumed) =
-            decode_msg_with(&traced, &mut VocabularyBudget::unlimited(), &mut scratch)
-                .expect("traced frame decodes on the untraced path");
-        assert_eq!(consumed, traced.len());
-        assert_eq!(format!("{decoded:?}"), format!("{msg:?}"));
-
-        // A pre-field frame reports no trace id.
-        let (_, trace, _) =
-            decode_msg_traced_with(&plain, &mut VocabularyBudget::unlimited(), &mut scratch)
-                .expect("plain frame decodes on the traced path");
-        assert_eq!(trace, None);
+        assert!(decode_msg(&encoded, &mut VocabularyBudget::unlimited()).is_ok());
+        let err = decode_msg(&frame(Some(7)), &mut VocabularyBudget::unlimited());
+        assert!(matches!(err, Err(WireError::Malformed(_))), "{err:?}");
     }
 
     #[test]

@@ -195,6 +195,31 @@ fn tick_fires_only_due_timers() {
     );
 }
 
+/// A specification without triggers has no frontier to ask about: the
+/// attempt fails inside `initiate`, with no query broadcast and no round
+/// timeout to wait out.
+#[test]
+fn an_empty_frontier_is_never_broadcast() {
+    let cfg = HostConfig::new().with_fragment(frag("ef-f1", "ef-t1", "ef-a", "ef-b"));
+    let mut core = HostCore::new(cfg, RuntimeParams::default());
+    core.bind(HostId(0));
+    core.set_community(vec![HostId(0), HostId(1), HostId(2)]);
+    let problem = ProblemId::new(HostId(0), 0);
+    let q = core.initiate(problem, Spec::new([] as [&str; 0], ["ef-b"]), SimTime::ZERO);
+    assert!(
+        matches!(
+            q.actions(),
+            [Action::Event(WorkflowEvent::Failed { problem: p, .. })] if *p == problem
+        ),
+        "no Send, no SetTimer: {:?}",
+        q.actions()
+    );
+    let ws = core.latest_attempt(problem).expect("workspace");
+    assert!(matches!(ws.report.status, ProblemStatus::Failed { .. }));
+    assert_eq!(ws.report.query_rounds, 0);
+    assert_eq!(core.next_timer_due(), None);
+}
+
 /// Once an attempt is `Completed` its working set is gone: late
 /// copies of everything the initiator reacts to while an attempt is
 /// open, and the guard timers it disarmed on the way, find nothing

@@ -11,8 +11,8 @@
 //! **Construction subsystem** (active on the initiating host):
 //! * [`WorkflowManager`](workflow_mgr::WorkflowManager) — one isolated
 //!   [`Workspace`](workflow_mgr::Workspace) per problem; issues fragment
-//!   and capability queries, grows the supergraph incrementally along the
-//!   colored frontier, and runs Algorithm 1's coloring phases.
+//!   and capability queries and drives core's frontier construction
+//!   ([`openwf_core::FrontierConstruction`]) with the answers.
 //! * Auction Manager ([`auction::ProblemAuctions`]) — solicits firm bids for
 //!   every task, keeps the best tentative allocation, and finalizes on
 //!   bidder deadlines (§3.2's CiAN-style auction).
@@ -57,7 +57,7 @@ pub mod service;
 mod timers;
 pub mod workflow_mgr;
 
-pub use codec::{decode_msg, decode_msg_traced_with, encode_msg, encode_msg_traced};
+pub use codec::{decode_msg, encode_msg};
 pub use community::{Community, CommunityBuilder, ProblemHandle};
 pub use core_sm::{
     Action, ActionQueue, HostConfig, HostCore, OutboundMode, StorageConfig, WorkflowEvent,

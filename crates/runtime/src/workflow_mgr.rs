@@ -8,20 +8,24 @@
 //! graph, and constructs the open workflow. It then delegates to the
 //! Auction Manager the job of allocating each task to a suitable host."
 //!
-//! A [`Workspace`] alternates **fragment rounds** (query the community for
-//! fragments consuming the colored frontier's labels) and **capability
-//! rounds** (query which newly discovered tasks anyone can serve — the
-//! service-feasibility messages of Figure 3), resuming Algorithm 1's
-//! exploration coloring after each round. When the goals turn green it
-//! back-sweeps to extract the workflow and hands over to allocation.
+//! A [`Workspace`] drives core's frontier construction
+//! ([`FrontierConstruction`]) against the community: a **fragment round**
+//! asks every peer for the fragments consuming the frontier the engine
+//! handed out and merges the answers; a **capability round** asks which
+//! newly discovered tasks anyone can serve (the service-feasibility
+//! messages of Figure 3); then the engine resumes under that oracle and
+//! either hands out the next frontier or finishes, and the workspace hands
+//! over to allocation. The coloring itself is core's business.
 
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::sync::Arc;
 
-use openwf_core::construct::explore::{explore_with, ExploreScratch};
-use openwf_core::construct::{self, ColorState, ConstructStats, Construction, PickOrder};
-use openwf_core::{Fragment, FxHashSet, Label, Spec, Supergraph, TaskId};
+use openwf_core::construct::incremental::Next;
+use openwf_core::{
+    ConstructError, Construction, Fragment, FrontierConstruction, IncrementalConstructor, Label,
+    Spec, Supergraph, TaskId,
+};
 use openwf_simnet::{HostId, SimDuration, SimTime, TimerToken};
 
 use crate::auction::ProblemAuctions;
@@ -108,7 +112,8 @@ pub(crate) struct GuardTimers {
 /// assignments by host, goals delivered), the auctions' awards and the
 /// constructed workflow. The working set ([`WorkingSet`]) is everything
 /// construction, allocation and execution tracking need while they run
-/// — the supergraph above all. The host drops it the moment the attempt
+/// — core's frontier construction, and the supergraph inside it, above
+/// all. The host drops it the moment the attempt
 /// turns terminal ([`ProblemStatus::Completed`],
 /// [`ProblemStatus::Failed`], or superseded by a repair attempt): a late
 /// reply, bid, completion notice or stale guard timer for the attempt
@@ -149,31 +154,13 @@ pub struct WorkingSet {
 
     pub(crate) guard_timers: GuardTimers,
     n_peers: usize,
-    supergraph: Supergraph,
-    color: ColorState,
-    explore_scratch: ExploreScratch,
-    queried: FxHashSet<Label>,
-    /// Green labels not yet offered to the community as a frontier,
-    /// accumulated from `ExploreOutcome::new_green_labels` — avoids
-    /// rescanning the whole supergraph after every round.
-    frontier_candidates: Vec<Label>,
+    /// Algorithm 1's frontier rounds: supergraph, coloring and frontier
+    /// bookkeeping are core's.
+    engine: FrontierConstruction,
     capability_checked: BTreeSet<TaskId>,
     feasible: BTreeSet<TaskId>,
     round: u32,
     collect: Option<Collect>,
-    explore_steps: u64,
-}
-
-impl WorkingSet {
-    /// Drains the accumulated newly-green labels into the next frontier,
-    /// skipping labels already offered to the community.
-    fn next_frontier(&mut self) -> Vec<Label> {
-        let queried = &mut self.queried;
-        self.frontier_candidates
-            .drain(..)
-            .filter(|l| queried.insert(l.clone()))
-            .collect()
-    }
 }
 
 impl Workspace {
@@ -186,16 +173,11 @@ impl Workspace {
             unallocatable: Vec::new(),
             guard_timers: GuardTimers::default(),
             n_peers,
-            supergraph: Supergraph::new(),
-            color: ColorState::with_len(0),
-            explore_scratch: ExploreScratch::new(),
-            queried: FxHashSet::default(),
-            frontier_candidates: spec.triggers().iter().cloned().collect(),
+            engine: IncrementalConstructor::new().start(&spec),
             capability_checked: BTreeSet::new(),
             feasible: BTreeSet::new(),
             round: 0,
             collect: None,
-            explore_steps: 0,
         });
         Workspace {
             problem,
@@ -220,7 +202,7 @@ impl Workspace {
     /// The supergraph assembled so far (for diagnostics). It lives as
     /// long as the attempt is open.
     pub fn supergraph(&self) -> Option<&Supergraph> {
-        self.working().map(|w| &w.supergraph)
+        self.working().map(|w| w.engine.supergraph())
     }
 
     /// The attempt turned terminal: drops the working set and hands back
@@ -239,7 +221,8 @@ impl Workspace {
     }
 
     /// Kicks off construction: the first fragment round over the trigger
-    /// labels.
+    /// labels. A specification without triggers has nothing to ask the
+    /// community and is answered here.
     pub fn begin(
         &mut self,
         local_fragments: &FragmentManager,
@@ -249,7 +232,10 @@ impl Workspace {
         let Some(w) = self.working.as_deref_mut() else {
             return Vec::new();
         };
-        let frontier = w.next_frontier();
+        let frontier = w.engine.first_frontier();
+        if frontier.is_empty() {
+            return self.resume(local_fragments, local_services, params);
+        }
         self.start_fragment_round(frontier, local_fragments, local_services, params)
     }
 
@@ -392,11 +378,7 @@ impl Workspace {
         let c = w.collect.take().expect("round in progress");
         match c.kind {
             CollectKind::Fragments => {
-                // One batched merge for the whole round's candidates.
-                // Conflicting knowhow (same task, different mode) from
-                // another host is skipped — first definition wins, as in
-                // the local incremental constructor.
-                let new_fragments = w.supergraph.merge_fragments_batch(&c.fragments);
+                let new_fragments = w.engine.merge(&c.fragments);
                 self.report.fragments_pulled += new_fragments;
                 let charge =
                     WsAction::Charge(params.merge_fragment_cost.times(new_fragments as u64));
@@ -404,7 +386,8 @@ impl Workspace {
                 // Which tasks are new to us? Ask the community who can
                 // serve them before exploring.
                 let new_tasks: Vec<TaskId> = w
-                    .supergraph
+                    .engine
+                    .supergraph()
                     .graph()
                     .tasks()
                     .filter(|t| !w.capability_checked.contains(t))
@@ -421,17 +404,20 @@ impl Workspace {
                     return actions;
                 }
                 let mut actions = vec![charge];
-                actions.extend(self.explore_step(local_fragments, local_services, params));
+                actions.extend(self.resume(local_fragments, local_services, params));
                 actions
             }
             CollectKind::Capabilities => {
                 w.feasible.extend(c.capable);
-                self.explore_step(local_fragments, local_services, params)
+                self.resume(local_fragments, local_services, params)
             }
         }
     }
 
-    fn explore_step(
+    /// Resumes the construction under what the capability rounds have
+    /// established so far, and opens the round or closes the phase it
+    /// asks for.
+    fn resume(
         &mut self,
         local_fragments: &FragmentManager,
         local_services: &ServiceManager,
@@ -439,74 +425,36 @@ impl Workspace {
     ) -> Vec<WsAction> {
         let w = Self::live(&mut self.working);
         let feasible = &w.feasible;
-        let outcome = explore_with(
-            w.supergraph.graph(),
-            &mut w.color,
-            &self.spec,
-            &mut |t| feasible.contains(t),
-            PickOrder::Fifo,
-            None,
-            &mut w.explore_scratch,
-        );
-        w.explore_steps += outcome.steps;
-        w.frontier_candidates
-            .extend_from_slice(&outcome.new_green_labels);
-        let charge = WsAction::Charge(params.explore_step_cost.times(outcome.steps));
-
-        if outcome.unreachable_goals.is_empty() {
-            // Goals reached: back-sweep and extract the workflow.
-            let stats = ConstructStats {
-                explore_steps: w.explore_steps,
-                colored_green: outcome.colored_green,
-                supergraph_nodes: w.supergraph.graph().node_count(),
-                supergraph_edges: w.supergraph.graph().edge_count(),
-                query_rounds: self.report.query_rounds as usize,
-                fragments_pulled: self.report.fragments_pulled,
-                ..ConstructStats::default()
-            };
-            let state = std::mem::take(&mut w.color);
-            match construct::finish(&w.supergraph, &self.spec, state, outcome, stats, None) {
-                Ok(construction) => {
-                    w.tasks_pending = construction.workflow().tasks().collect();
-                    self.construction = Some(construction);
-                    self.report.status = ProblemStatus::Allocating;
-                    vec![charge, WsAction::Constructed]
-                }
-                Err(e) => {
-                    self.report.status = ProblemStatus::Failed {
-                        reason: e.to_string(),
-                    };
-                    vec![
-                        charge,
-                        WsAction::Failed {
-                            reason: e.to_string(),
-                        },
-                    ]
-                }
-            }
-        } else {
-            // Grow the frontier: newly green labels whose consumers we
-            // have not asked about yet.
-            let frontier = w.next_frontier();
-            if frontier.is_empty() {
-                let reason = format!(
-                    "no feasible workflow: unreachable goals {:?}",
-                    outcome.unreachable_goals
-                );
-                self.report.status = ProblemStatus::Failed {
-                    reason: reason.clone(),
-                };
-                return vec![charge, WsAction::Failed { reason }];
-            }
-            let mut actions = vec![charge];
-            actions.extend(self.start_fragment_round(
+        let (steps, next) = w.engine.resume(|t| feasible.contains(t));
+        let mut actions = vec![WsAction::Charge(params.explore_step_cost.times(steps))];
+        match next {
+            Next::Ask(frontier) => actions.extend(self.start_fragment_round(
                 frontier,
                 local_fragments,
                 local_services,
                 params,
-            ));
-            actions
+            )),
+            Next::Done(Ok(construction)) => {
+                w.tasks_pending = construction.workflow().tasks().collect();
+                self.construction = Some(construction);
+                self.report.status = ProblemStatus::Allocating;
+                actions.push(WsAction::Constructed);
+            }
+            Next::Done(Err(e)) => {
+                let reason = match &e {
+                    // The wording reports have always carried for this.
+                    ConstructError::NoSolution { unreachable_goals } => {
+                        format!("no feasible workflow: unreachable goals {unreachable_goals:?}")
+                    }
+                    _ => e.to_string(),
+                };
+                self.report.status = ProblemStatus::Failed {
+                    reason: reason.clone(),
+                };
+                actions.push(WsAction::Failed { reason });
+            }
         }
+        actions
     }
 }
 

@@ -2,12 +2,15 @@
 //! timeouts and watchdog repair, exercised through the real network
 //! rather than by calling manager state machines directly.
 
-use openwf_core::{Fragment, Mode, Spec, TaskId};
+use std::collections::BTreeSet;
+
+use openwf_core::{Fragment, IncrementalConstructor, Mode, Spec, TaskId};
 use openwf_runtime::{
     Community, CommunityBuilder, Driver, HostConfig, ProblemStatus, RuntimeParams,
     ServiceDescription,
 };
 use openwf_simnet::{SimDuration, UniformLatency};
+use proptest::prelude::*;
 
 fn frag(id: &str, task: &str, input: &str, output: &str) -> Fragment {
     Fragment::single_task(id, task, Mode::Disjunctive, [input], [output]).unwrap()
@@ -316,4 +319,92 @@ fn empty_initiator_delegates_everything() {
         2
     );
     let _ = TaskId::new("t1");
+}
+
+/// A random single-host world: tasks as `(inputs, outputs, mode, served)`
+/// over eight labels — one in four conjunctive, one in five without a
+/// service — then triggers and goals.
+type World = (Vec<(Vec<u8>, Vec<u8>, u8, u8)>, BTreeSet<u8>, BTreeSet<u8>);
+
+fn arb_world() -> impl Strategy<Value = World> {
+    let labels = || proptest::collection::vec(0u8..8, 1..=2);
+    (
+        proptest::collection::vec((labels(), labels(), 0u8..4, 0u8..5), 4..=20),
+        proptest::collection::btree_set(0u8..8, 0..=3),
+        proptest::collection::btree_set(0u8..8, 1..=2),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// One engine, two drivers: with nobody else to ask, what the
+    /// runtime's workspace constructs — through fragment rounds,
+    /// capability rounds and its own managers — is what
+    /// `IncrementalConstructor` constructs over the same store with the
+    /// host's capabilities as the oracle, down to the step counts.
+    #[test]
+    fn a_lone_host_constructs_what_the_local_constructor_does(
+        (tasks, triggers, goals) in arb_world(),
+    ) {
+        let label = |i: &u8| format!("pw-l{i}");
+        let mut config = HostConfig::new();
+        for (i, (ins, outs, mode, served)) in tasks.iter().enumerate() {
+            let mode = if *mode == 0 { Mode::Conjunctive } else { Mode::Disjunctive };
+            let task = format!("pw-t{i}");
+            let outs = outs.iter().filter(|o| !ins.contains(o));
+            let Ok(f) = Fragment::single_task(
+                format!("pw-f{i}"),
+                task.as_str(),
+                mode,
+                ins.iter().map(label),
+                outs.map(label),
+            ) else {
+                continue; // no output left: not a fragment
+            };
+            config.fragments.push(f.into());
+            if *served != 0 {
+                config.services.push(service(&task, 1));
+            }
+        }
+        let spec = Spec::new(triggers.iter().map(label), goals.iter().map(label));
+
+        let mut community = CommunityBuilder::new(58)
+            .params(RuntimeParams::zero_cost())
+            .host(config)
+            .build();
+        let h = community.hosts()[0];
+        let handle = community.submit(h, spec.clone());
+        community.run_until_complete(handle);
+        let core = community.core(h);
+        let ws = core.latest_attempt(handle.id).expect("workspace");
+
+        let local = IncrementalConstructor::new().construct_filtered(
+            core.fragment_mgr().store(),
+            &spec,
+            |t| core.service_mgr().can_serve(t),
+        );
+        match (&ws.construction, local) {
+            (Some(runtime), Ok((local, _))) => {
+                prop_assert_eq!(
+                    format!("{:?}", runtime.workflow()),
+                    format!("{:?}", local.workflow())
+                );
+                prop_assert_eq!(runtime.fragments_used(), local.fragments_used());
+                prop_assert_eq!(runtime.stats(), local.stats());
+                prop_assert_eq!(ws.report.query_rounds as usize, local.stats().query_rounds);
+                prop_assert_eq!(ws.report.fragments_pulled, local.stats().fragments_pulled);
+            }
+            (None, Err(_)) => {
+                let failed = matches!(ws.report.status, ProblemStatus::Failed { .. });
+                prop_assert!(failed, "{}", ws.report.status);
+            }
+            (runtime, local) => prop_assert!(
+                false,
+                "runtime {:?} vs local {:?}",
+                runtime.as_ref().map(|c| c.stats()),
+                local.map(|(c, _)| c.stats().clone())
+            ),
+        }
+    }
 }
