@@ -24,9 +24,9 @@ use std::sync::{OnceLock, RwLock};
 /// **Trust boundary caveat:** deserializing identifiers interns them, so
 /// peer-supplied input with unbounded fresh names grows the interner
 /// without limit. A host exposed to untrusted peers should rate-limit or
-/// vocabulary-cap inbound fragments at the protocol layer (see the
-/// ROADMAP open item on bounding the interner); the in-process simulator
-/// and trusted-community deployments are unaffected.
+/// vocabulary-cap inbound frames at the protocol layer (the runtime's
+/// `HostConfig::max_interned_names` charges every peer frame at decode);
+/// trusted-community deployments are unaffected.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Sym(u32);
 

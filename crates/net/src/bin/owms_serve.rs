@@ -515,13 +515,13 @@ mod tests {
         for _ in 0..1_000 {
             for action in q {
                 match action {
-                    Action::Send { msg, .. } => inbox.push(msg),
+                    Action::SendBytes { bytes, .. } => inbox.push(bytes),
                     Action::Event(WorkflowEvent::Completed { .. }) => completed = true,
                     _ => {}
                 }
             }
             q = match inbox.pop() {
-                Some(msg) => core.handle_msg(me, msg, SimTime::ZERO),
+                Some(bytes) => core.handle_frame(me, &bytes, SimTime::ZERO),
                 None if completed => break,
                 None => core.tick(SimTime::ZERO),
             };

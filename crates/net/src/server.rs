@@ -428,8 +428,8 @@ impl NetServer {
     }
 
     /// Submits a problem to a local initiator core (the Workflow
-    /// Initiator role): typed local bootstrap, no wire frame, like the
-    /// simulator drivers.
+    /// Initiator role) through [`HostCore::initiate`]: a local call, no
+    /// wire frame.
     pub fn submit(
         &mut self,
         community: u64,

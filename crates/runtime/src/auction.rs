@@ -26,7 +26,7 @@ use crate::metadata::{Assignment, TaskMetadata};
 
 /// Selection criterion (§3.2): most specialized first (fewest services),
 /// then earliest start, then lowest host id for determinism.
-pub fn better_bid(a: &(HostId, Bid), b: &(HostId, Bid)) -> bool {
+fn better_bid(a: &(HostId, Bid), b: &(HostId, Bid)) -> bool {
     let ka = (a.1.specialization, a.1.start, a.0);
     let kb = (b.1.specialization, b.1.start, b.0);
     ka < kb
@@ -34,15 +34,15 @@ pub fn better_bid(a: &(HostId, Bid), b: &(HostId, Bid)) -> bool {
 
 /// State of one task's auction.
 #[derive(Clone, Debug)]
-pub struct TaskAuction {
+struct TaskAuction {
     /// Metadata sent with the call for bids.
-    pub meta: TaskMetadata,
+    meta: TaskMetadata,
     /// Hosts that answered (bid or decline).
     responded: Vec<HostId>,
     /// Current tentative winner.
     best: Option<(HostId, Bid)>,
-    /// Final decision, if made.
-    decided: Option<(HostId, Assignment)>,
+    /// The task was awarded: later bids and declines change nothing.
+    awarded: bool,
 }
 
 impl TaskAuction {
@@ -51,18 +51,8 @@ impl TaskAuction {
             meta,
             responded: Vec::new(),
             best: None,
-            decided: None,
+            awarded: false,
         }
-    }
-
-    /// The tentative winner (before decision).
-    pub fn tentative(&self) -> Option<&(HostId, Bid)> {
-        self.best.as_ref()
-    }
-
-    /// The final decision.
-    pub fn decision(&self) -> Option<&(HostId, Assignment)> {
-        self.decided.as_ref()
     }
 }
 
@@ -104,34 +94,9 @@ impl ProblemAuctions {
         }
     }
 
-    /// Number of tasks still awaiting a decision.
-    pub fn undecided(&self) -> usize {
-        self.undecided
-    }
-
     /// True when every task has been decided.
     pub fn all_decided(&self) -> bool {
         self.undecided == 0
-    }
-
-    /// All final `(task, host, assignment)` decisions, in task-name order.
-    pub fn decisions(&self) -> Vec<(TaskId, HostId, Assignment)> {
-        let mut out: Vec<(TaskId, HostId, Assignment)> = self
-            .auctions
-            .iter()
-            .filter_map(|(t, a)| {
-                a.decided
-                    .as_ref()
-                    .map(|(h, asg)| (t.clone(), *h, asg.clone()))
-            })
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
-    }
-
-    /// Looks up a task auction.
-    pub fn auction(&self, task: &TaskId) -> Option<&TaskAuction> {
-        self.auctions.get(task)
     }
 
     /// Records a bid. Returns the driver action.
@@ -139,7 +104,7 @@ impl ProblemAuctions {
         let Some(a) = self.auctions.get_mut(task) else {
             return AuctionAction::None;
         };
-        if a.decided.is_some() {
+        if a.awarded {
             // Late bid after decision: firm-bid rules say the bidder holds
             // its slot until the deadline; it will expire it on its own.
             return AuctionAction::None;
@@ -174,10 +139,7 @@ impl ProblemAuctions {
         let Some(a) = self.auctions.get_mut(task) else {
             return AuctionAction::None;
         };
-        if a.decided.is_some() {
-            return AuctionAction::None;
-        }
-        if a.responded.contains(&from) {
+        if a.awarded || a.responded.contains(&from) {
             return AuctionAction::None;
         }
         a.responded.push(from);
@@ -197,7 +159,7 @@ impl ProblemAuctions {
         let mut undecided: Vec<TaskId> = self
             .auctions
             .iter()
-            .filter(|(_, a)| a.decided.is_none())
+            .filter(|(_, a)| !a.awarded)
             .map(|(t, _)| t.clone())
             .collect();
         undecided.sort();
@@ -210,18 +172,15 @@ impl ProblemAuctions {
     /// The decision timer fired for `task` (the tentative winner's
     /// deadline arrived): decide now if not already decided.
     pub fn on_deadline(&mut self, task: &TaskId) -> AuctionAction {
-        let Some(a) = self.auctions.get(task) else {
-            return AuctionAction::None;
-        };
-        if a.decided.is_some() {
-            return AuctionAction::None;
+        match self.auctions.get(task) {
+            Some(a) if !a.awarded => self.decide(task, false),
+            _ => AuctionAction::None,
         }
-        self.decide(task, false)
     }
 
     fn decide(&mut self, task: &TaskId, forced: bool) -> AuctionAction {
         let a = self.auctions.get_mut(task).expect("auction exists");
-        debug_assert!(a.decided.is_none());
+        debug_assert!(!a.awarded);
         match a.best.take() {
             Some((host, bid)) => {
                 let assignment = Assignment {
@@ -231,7 +190,7 @@ impl ProblemAuctions {
                     duration: bid.travel + bid.duration,
                     location: a.meta.location.clone(),
                 };
-                a.decided = Some((host, assignment.clone()));
+                a.awarded = true;
                 self.undecided -= 1;
                 AuctionAction::Award(task.clone(), host, assignment)
             }
@@ -371,7 +330,6 @@ mod tests {
         let a = pa.on_decline(&t, HostId(1));
         assert_eq!(a, AuctionAction::Unallocatable(t.clone()));
         assert!(pa.all_decided(), "unallocatable still resolves the task");
-        assert!(pa.decisions().is_empty());
     }
 
     #[test]
@@ -393,23 +351,12 @@ mod tests {
     fn late_bids_after_decision_are_ignored() {
         let (mut pa, t) = open_one(2);
         pa.on_bid(&t, HostId(0), bid(1, 0, 1_000));
-        pa.on_decline(&t, HostId(1)); // decides
+        let decided = pa.on_decline(&t, HostId(1));
+        assert!(matches!(decided, AuctionAction::Award(_, h, _) if h == HostId(0)));
+        // A better bid arriving late neither re-awards nor re-arms.
         let a = pa.on_bid(&t, HostId(1), bid(0, 0, 2_000));
         assert_eq!(a, AuctionAction::None);
-        assert_eq!(pa.decisions()[0].1, HostId(0));
-    }
-
-    #[test]
-    fn decisions_sorted_by_task() {
-        let tasks = vec![
-            (TaskId::new("zeta"), meta()),
-            (TaskId::new("alpha"), meta()),
-        ];
-        let mut pa = ProblemAuctions::open(tasks, 1);
-        pa.on_bid(&TaskId::new("zeta"), HostId(0), bid(1, 0, 100));
-        pa.on_bid(&TaskId::new("alpha"), HostId(0), bid(1, 0, 100));
-        let d = pa.decisions();
-        assert_eq!(d[0].0, TaskId::new("alpha"));
-        assert_eq!(d[1].0, TaskId::new("zeta"));
+        assert_eq!(pa.on_deadline(&t), AuctionAction::None);
+        assert_eq!(pa.force_decide_all(), Vec::new());
     }
 }

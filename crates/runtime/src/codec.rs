@@ -500,57 +500,6 @@ pub fn frame_is_fragment_reply(buf: &[u8]) -> Result<bool, WireError> {
     Ok(frame.reader().byte()? == V_FRAGMENT_REPLY)
 }
 
-/// The encoded size of a message in bytes (one full frame) — the only
-/// size a message has: [`crate::Community`] states it for every typed
-/// send, so the simulator's bandwidth model and traffic counters charge
-/// what a byte transport carries.
-///
-/// Encodes into a scratch buffer per call; the simulator asks once per
-/// send.
-pub fn encoded_len(msg: &Msg) -> usize {
-    let mut buf = Vec::new();
-    encode_msg(msg, &mut buf);
-    buf.len()
-}
-
-/// Runs a fragment reply through the wire: encodes it as a
-/// `FragmentReply` frame and decodes it back, charging the frame's name
-/// table against `budget` first. Returns freshly decoded fragments (no
-/// allocation shared with the sender) — what a networked host would
-/// actually hold after receiving the reply.
-///
-/// This is the in-process simulator's stand-in for receiving the reply
-/// off the wire: the vocabulary check runs at decode, *before* any peer
-/// name would be interned, rather than at reply admission.
-///
-/// `scratch` is the host's per-connection decode state, so repeated
-/// reply traffic hits the fragment-identity cache and reuses all decode
-/// buffers.
-///
-/// # Errors
-///
-/// Any [`WireError`]; on [`WireError::VocabularyExceeded`] the budget
-/// and interner are untouched and the reply must be dropped.
-pub fn reply_through_wire_with(
-    problem: ProblemId,
-    round: u32,
-    fragments: Vec<Arc<Fragment>>,
-    budget: &mut VocabularyBudget,
-    scratch: &mut DecodeScratch,
-) -> Result<Vec<Arc<Fragment>>, WireError> {
-    let msg = Msg::FragmentReply {
-        problem,
-        round,
-        fragments,
-    };
-    let mut buf = Vec::new();
-    encode_msg(&msg, &mut buf);
-    match decode_msg_with(&buf, budget, scratch)? {
-        (Msg::FragmentReply { fragments, .. }, _) => Ok(fragments),
-        _ => unreachable!("a FragmentReply frame decodes to a FragmentReply"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -571,9 +520,14 @@ mod tests {
         )
     }
 
-    fn round_trip(msg: &Msg) -> Msg {
+    fn encoded(msg: &Msg) -> Vec<u8> {
         let mut bytes = Vec::new();
         encode_msg(msg, &mut bytes);
+        bytes
+    }
+
+    fn round_trip(msg: &Msg) -> Msg {
+        let bytes = encoded(msg);
         let (decoded, consumed) =
             decode_msg(&bytes, &mut VocabularyBudget::unlimited()).expect("valid frame");
         assert_eq!(consumed, bytes.len());
@@ -733,7 +687,7 @@ mod tests {
             round: 0,
             fragments: vec![frag("rc-share-1"), frag("rc-share-2")],
         };
-        let (a, b) = (encoded_len(&one), encoded_len(&two));
+        let (a, b) = (encoded(&one).len(), encoded(&two).len());
         assert!(
             b - a < a,
             "second fragment reuses the table: {a} then +{}",
@@ -744,16 +698,27 @@ mod tests {
     #[test]
     fn over_budget_reply_is_rejected_at_decode() {
         let fragments = vec![frag("rc-cap-1")]; // 5 distinct names
+        let bytes = encoded(&Msg::FragmentReply {
+            problem: p(),
+            round: 0,
+            fragments: fragments.clone(),
+        });
         let mut budget = VocabularyBudget::with_cap(3);
         let mut scratch = DecodeScratch::new();
-        let err = reply_through_wire_with(p(), 0, fragments.clone(), &mut budget, &mut scratch)
-            .unwrap_err();
+        let err = decode_msg_with(&bytes, &mut budget, &mut scratch).unwrap_err();
         assert!(matches!(err, WireError::VocabularyExceeded { cap: 3, .. }));
         assert_eq!(budget.len(), 0, "rejected frame records nothing");
 
         let mut budget = VocabularyBudget::with_cap(10);
-        let decoded =
-            reply_through_wire_with(p(), 0, fragments.clone(), &mut budget, &mut scratch).unwrap();
+        let Ok((
+            Msg::FragmentReply {
+                fragments: decoded, ..
+            },
+            _,
+        )) = decode_msg_with(&bytes, &mut budget, &mut scratch)
+        else {
+            panic!("a within-budget reply decodes to itself");
+        };
         assert_eq!(decoded.len(), 1);
         assert!(
             !Arc::ptr_eq(&decoded[0], &fragments[0]),
@@ -785,7 +750,8 @@ mod tests {
             round: 0,
             fragments: (0..20).map(|i| frag(&format!("rc-sz-{i}"))).collect(),
         };
-        assert!(encoded_len(&small) < 64);
-        assert!(encoded_len(&big) > encoded_len(&small) * 4);
+        let (small, big) = (encoded(&small).len(), encoded(&big).len());
+        assert!(small < 64);
+        assert!(big > small * 4);
     }
 }

@@ -7,24 +7,22 @@
 //! [`Driver`] API: submit a problem, step, run until allocation or
 //! completion. It owns its cores and is a loop over the kernel: take
 //! the next due delivery or timer, hand it to its core
-//! ([`HostCore::handle_msg`] / [`HostCore::handle_timer`]), put the
-//! returned sends and timers back. Messages travel as typed [`Msg`]s,
-//! sized by their encoded length, through the pluggable
-//! latency/topology/fault models, and the run is a deterministic
-//! function of the seed. The same scenarios run over encoded wire
-//! frames through [`crate::driver::LoopbackBytesDriver`], the same loop
-//! over the same kernel.
+//! ([`HostCore::handle_frame`] / [`HostCore::handle_timer`]), put the
+//! returned sends and timers back. Messages travel as the encoded wire
+//! frames a networked host would receive, sized by their length, through
+//! the pluggable latency/topology/fault models, and the run is a
+//! deterministic function of the seed.
+//! [`crate::driver::LoopbackBytesDriver`] is the same loop over the same
+//! kernel, built with seed 0.
 
 use std::fmt;
 
 use openwf_core::Spec;
 use openwf_simnet::{HostId, LatencyModel, NetStats, SimNetwork, SimTime};
 
-use crate::codec;
-use crate::core_sm::{Action, ActionQueue, HostConfig, HostCore, OutboundMode, WorkflowEvent};
-use crate::driver::in_process::{InProcess, Payload};
+use crate::core_sm::{HostConfig, HostCore, WorkflowEvent};
+use crate::driver::in_process::InProcess;
 use crate::driver::Driver;
-use crate::messages::Msg;
 use crate::params::RuntimeParams;
 
 pub use crate::driver::ProblemHandle;
@@ -95,40 +93,15 @@ impl fmt::Debug for CommunityBuilder {
     }
 }
 
-/// The simulator carries typed messages: `Arc<Fragment>` payloads are
-/// shared in-process, and a message's size is its encoded length.
-impl Payload for Msg {
-    const MODE: OutboundMode = OutboundMode::Typed;
-
-    fn of(msg: Msg) -> Self {
-        msg
-    }
-
-    fn size(&self) -> usize {
-        codec::encoded_len(self)
-    }
-
-    fn of_send(action: Action) -> (HostId, Self) {
-        match action {
-            Action::Send { to, msg } => (to, msg),
-            other => panic!("Community drives cores in OutboundMode::Typed, got {other:?}"),
-        }
-    }
-
-    fn deliver(self, core: &mut HostCore, from: HostId, now: SimTime) -> ActionQueue {
-        core.handle_msg(from, self, now)
-    }
-}
-
 /// A running community of open workflow hosts on the virtual-time
 /// simulator; drive it through its [`Driver`] impl.
 pub struct Community {
-    sim: InProcess<Msg>,
+    sim: InProcess,
 }
 
 impl Community {
     /// The underlying network (topology, faults, latency, stats).
-    pub fn net_mut(&mut self) -> &mut SimNetwork<Msg> {
+    pub fn net_mut(&mut self) -> &mut SimNetwork<Vec<u8>> {
         &mut self.sim.net
     }
 
@@ -248,6 +221,12 @@ mod tests {
         assert_eq!(find("t2"), Some(HostId(0)));
         // Cross-host messaging actually happened.
         assert!(community.stats().delivered > 4);
+        // ...as frames the receiver decoded: the initiator rebuilt the
+        // peer's fragment from bytes. (host1 received only queries, calls
+        // for bids and plans, which carry no fragment for the cache to
+        // count.)
+        let (hits, misses) = community.core(initiator).decode_cache_stats();
+        assert!(hits + misses > 0, "the reply's fragment was decoded");
     }
 
     #[test]
@@ -406,7 +385,7 @@ mod tests {
     /// A core switched away from the driver's outbound mode is a wiring
     /// error the driver names, not traffic it loses.
     #[test]
-    #[should_panic(expected = "OutboundMode::Typed")]
+    #[should_panic(expected = "OutboundMode::Encoded")]
     fn a_core_in_the_wrong_outbound_mode_is_refused() {
         let cfg = HostConfig::new()
             .with_fragment(frag("f1", "t1", "a", "b"))
@@ -415,8 +394,60 @@ mod tests {
         let h = community.hosts()[0];
         community
             .core_mut(h)
-            .set_outbound_mode(OutboundMode::Encoded);
+            .set_outbound_mode(crate::OutboundMode::Typed);
         community.submit(h, Spec::new(["a"], ["b"]));
         community.run_until_quiescent();
+    }
+
+    /// A capped host charges every peer frame, not just fragment
+    /// replies: a query whose frontier would take the replier past its
+    /// cap is dropped unanswered and without blame, so the initiator's
+    /// round closes on its timeout.
+    #[test]
+    fn a_capped_replier_drops_an_over_budget_query_without_blame() {
+        let params = RuntimeParams::default();
+        // The initiator's own knowhow opens a nine-label frontier after
+        // the first round (`cr-b` and eight dead ends) and closes the
+        // chain from `cr-b` itself.
+        let wide = Fragment::single_task(
+            "cr-f0",
+            "cr-t0",
+            Mode::Disjunctive,
+            ["cr-a"],
+            std::iter::once("cr-b".to_string()).chain((0..8).map(|i| format!("cr-m{i}"))),
+        )
+        .unwrap();
+        let mut community = CommunityBuilder::new(3)
+            .params(params.clone())
+            .host(
+                HostConfig::new()
+                    .with_fragment(wide)
+                    .with_fragment(frag("cr-f1", "cr-t1", "cr-b", "cr-c"))
+                    .with_service(service("cr-t0"))
+                    .with_service(service("cr-t1")),
+            )
+            // Four own names, room for the first round's `cr-a` and the
+            // capability rounds' task names, not for the wide frontier.
+            .host(
+                HostConfig::new()
+                    .with_fragment(frag("cr-fx", "cr-tx", "cr-x", "cr-y"))
+                    .with_vocabulary_cap(8),
+            )
+            .build();
+        let (initiator, replier) = (HostId(0), HostId(1));
+        let handle = community.submit(initiator, Spec::new(["cr-a"], ["cr-c"]));
+        let report = community.run_until_complete(handle);
+        assert!(
+            matches!(report.status, ProblemStatus::Completed),
+            "{report}"
+        );
+        let replier_core = community.core(replier);
+        assert_eq!(replier_core.vocabulary_rejections_from(initiator), 0);
+        assert!(!replier_core.is_quarantined(initiator));
+        let t = report.timings;
+        assert!(
+            t.construction().expect("constructed") >= params.round_timeout,
+            "the unanswered round waited out its timeout: {t:?}"
+        );
     }
 }

@@ -142,15 +142,15 @@ impl IntoIterator for ActionQueue {
 /// How the core emits outbound protocol messages.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum OutboundMode {
-    /// Emit [`Action::Send`] with the typed [`Msg`] (the in-process
-    /// simulator's mode: `Arc<Fragment>` payloads are shared, not
-    /// copied).
-    #[default]
+    /// Emit [`Action::Send`] with the typed [`Msg`], for a driver that
+    /// encodes for itself (`openwf_net::NetServer` frames each message
+    /// into its routing envelope).
     Typed,
     /// Encode every outbound message through [`crate::codec::encode_msg`]
-    /// and emit [`Action::SendBytes`] — what a networked transport
-    /// ships. The receiving core decodes through
-    /// [`HostCore::handle_frame`], which charges its vocabulary budget
-    /// at the trust boundary.
+    /// and emit [`Action::SendBytes`] — what a transport ships as is.
+    /// The receiving core decodes through [`HostCore::handle_frame`],
+    /// which charges its vocabulary budget at the trust boundary. A
+    /// fresh core's mode, and the one the in-process drivers require.
+    #[default]
     Encoded,
 }

@@ -62,21 +62,19 @@ pub struct HostConfig {
     pub prefs: Preferences,
     /// Per-community vocabulary cap: the maximum number of distinct
     /// interned names (labels, tasks, fragment ids) this host admits
-    /// across its own knowhow and peer fragment replies. Replies that
-    /// would exceed the cap are rejected as protocol errors instead of
-    /// growing the process-wide interner without bound. Enforcement runs
-    /// at wire decode (`openwf-wire`'s `VocabularyBudget`): a capped
-    /// host routes peer replies through the binary codec and charges
-    /// each distinct un-interned name *before* anything is interned —
-    /// and on the frame transport ([`HostCore::handle_frame`]) **every**
-    /// peer frame's name table is charged, since at a networked
-    /// boundary any frame can mint. `None` (default) trusts the
-    /// community.
+    /// across its own knowhow and peer frames. Frames that would exceed
+    /// the cap are dropped instead of growing the process-wide interner
+    /// without bound (fragment replies are also booked against their
+    /// sender as protocol errors). Enforcement runs at wire decode
+    /// (`openwf-wire`'s `VocabularyBudget`): [`HostCore::handle_frame`]
+    /// charges each distinct un-interned name of **every** peer frame
+    /// *before* anything is interned, since at a networked boundary any
+    /// frame can mint. `None` (default) trusts the community.
     pub max_interned_names: Option<usize>,
     /// Per-peer vocabulary-rejection tolerance: once a single peer has
     /// had this many frames rejected at the vocabulary trust boundary,
-    /// the host **quarantines** it — every subsequent message or frame
-    /// from that peer is dropped on arrival and a
+    /// the host **quarantines** it — every subsequent frame from that
+    /// peer is dropped on arrival and a
     /// [`WorkflowEvent::PeerQuarantined`] is surfaced once. `None`
     /// (default) keeps counting without acting.
     pub max_vocabulary_rejections: Option<u64>,

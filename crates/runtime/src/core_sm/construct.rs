@@ -8,10 +8,8 @@ use std::sync::Arc;
 use openwf_core::{Fragment, Label, Spec, TaskId};
 use openwf_obs::SpanPhase;
 use openwf_simnet::{HostId, SimTime};
-use openwf_wire::WireError;
 
 use super::{Action, ActionQueue, HostCore, TimerPurpose, WorkflowEvent};
-use crate::codec;
 use crate::fragment_mgr::FragmentManager;
 use crate::messages::{Msg, ProblemId};
 use crate::params::RuntimeParams;
@@ -67,57 +65,17 @@ impl HostCore {
         );
     }
 
-    /// [`Msg::FragmentReply`]. `off_the_wire` marks a reply that arrived
-    /// through [`HostCore::handle_frame`].
-    #[allow(clippy::too_many_arguments)]
+    /// [`Msg::FragmentReply`]: its fragments were charged against the
+    /// vocabulary budget when [`HostCore::handle_frame`] decoded them.
     pub(super) fn on_fragment_reply(
         &mut self,
         from: HostId,
         problem: ProblemId,
         round: u32,
         fragments: Vec<Arc<Fragment>>,
-        off_the_wire: bool,
         now: SimTime,
         q: &mut ActionQueue,
     ) {
-        // Trust boundary: a capped host receives the reply *off
-        // the wire* — when the transport is typed (the
-        // in-process simulator sharing `Arc<Fragment>`s), it
-        // re-encodes the payload and decodes it through the
-        // vocabulary budget, which charges every distinct
-        // un-interned name before interning anything. A frame
-        // that actually traveled as bytes was already charged at
-        // decode in `handle_frame`. A rejected reply is dropped
-        // (the round proceeds with it counted as an empty
-        // answer) — the protocol error is recorded per peer, not
-        // fatal.
-        let fragments = if off_the_wire || self.vocab.cap().is_none() {
-            fragments
-        } else {
-            match codec::reply_through_wire_with(
-                problem,
-                round,
-                fragments,
-                &mut self.vocab,
-                &mut self.decode,
-            ) {
-                Ok(decoded) => decoded,
-                Err(WireError::VocabularyExceeded { .. }) => {
-                    // The peer minted past the cap: book the
-                    // protocol error against it.
-                    self.note_rejection(from, now, q);
-                    Vec::new()
-                }
-                Err(_) => {
-                    // Any other wire failure (e.g. a reply past
-                    // the frame-size cap) is a transport-level
-                    // loss, not vocabulary minting: drop the
-                    // reply like a never-delivered message, but
-                    // do not blame the peer's vocabulary.
-                    Vec::new()
-                }
-            }
-        };
         self.step_workspace(problem, now, q, |ws, f, s, p| {
             ws.on_fragment_reply(from, round, fragments, f, s, p)
         });

@@ -7,9 +7,10 @@
 //! Execution Managers) — but performs **no I/O**. Every input arrives
 //! through a narrow poll surface:
 //!
-//! * [`HostCore::handle_msg`] — a typed protocol message from a peer,
-//! * [`HostCore::handle_frame`] — the same message as encoded wire
-//!   bytes (decoded through the host's vocabulary trust boundary),
+//! * [`HostCore::handle_frame`] — a protocol message from a peer, as
+//!   the encoded wire frame it travelled in (decoded through the host's
+//!   vocabulary trust boundary): the one way a message enters a core,
+//!   on every transport,
 //! * [`HostCore::handle_timer`] — a timer the driver armed on the
 //!   core's behalf fired,
 //! * [`HostCore::tick`] — a clock poll for drivers without a timer
@@ -20,8 +21,9 @@
 //! ([`Action::SetTimer`]), observability events
 //! ([`Action::Event`]) — plus the modeled compute time the call
 //! charged. A *driver* (see [`crate::driver`]) owns the transport: the
-//! deterministic simulator, an in-process bytes loopback, or any future
-//! async executor can drive the identical protocol logic.
+//! deterministic simulator, the TCP server, or any future async executor
+//! can drive the identical protocol logic. [`HostCore::initiate`] is the
+//! local Workflow Initiator's entry, not a peer's.
 //!
 //! # Where things live
 //!
@@ -111,9 +113,9 @@ pub struct HostCore {
     exec_mgr: ExecutionManager,
     /// Construction subsystem.
     workflow_mgr: WorkflowManager,
-    /// Vocabulary trust boundary: the decode-side budget capped peer
-    /// replies are charged against (see
-    /// [`crate::codec::reply_through_wire_with`]).
+    /// Vocabulary trust boundary: the decode-side budget every peer
+    /// frame's name table is charged against (see
+    /// [`HostCore::handle_frame`]).
     vocab: VocabularyBudget,
     /// Per-host decode state: recycled frame/name/staging buffers plus
     /// the fragment-identity cache (primed with own knowhow at
@@ -206,16 +208,15 @@ impl HostCore {
             vocab_rejections_by_peer: HashMap::new(),
             max_vocab_rejections: config.max_vocabulary_rejections,
             quarantined: HashSet::new(),
-            outbound: OutboundMode::Typed,
+            outbound: OutboundMode::Encoded,
             timers: TimerTable::new(),
             metrics: CoreMetrics::resolve(&config.obs),
             obs: config.obs,
         }
     }
 
-    /// Fixes this core's host identity. Drivers call it once at install
-    /// (re-binding the same id is a no-op, so per-callback binding is
-    /// also fine).
+    /// Fixes this core's host identity. Drivers call it once, when they
+    /// take the core in (re-binding the same id is a no-op).
     ///
     /// # Panics
     ///
@@ -350,18 +351,6 @@ impl HostCore {
 
     // ---- the poll surface ------------------------------------------------
 
-    /// Handles one delivered typed protocol message, returning the
-    /// effects. `now` is the delivery time on the driver's clock.
-    pub fn handle_msg(&mut self, from: HostId, msg: Msg, now: SimTime) -> ActionQueue {
-        let mut q = ActionQueue::new();
-        if self.quarantined.contains(&from) {
-            return q; // dropped on arrival, nothing charged
-        }
-        self.dispatch_msg(from, msg, now, &mut q, false);
-        self.metrics.queue_depth.record(q.len() as u64);
-        q
-    }
-
     /// Handles one delivered wire frame (a complete `TAG_MSG` frame as
     /// produced by [`crate::codec::encode_msg`]): decodes it and
     /// dispatches the message. **Every peer frame's whole name table is
@@ -384,12 +373,9 @@ impl HostCore {
     /// blame. Any other wire error is transport-level loss: dropped
     /// silently, like a message the network never delivered.
     ///
-    /// One deliberate asymmetry with the typed path: an over-budget
-    /// reply received *as a frame* cannot be attributed to its query
-    /// round (nothing of it decodes), so the round completes via its
-    /// timeout — on the typed transport the rejection yields an
-    /// explicit empty answer instead. Within-budget traffic is
-    /// transport-identical either way.
+    /// An over-budget reply cannot be attributed to its query round
+    /// (nothing of it decodes), so that round completes via its
+    /// timeout.
     pub fn handle_frame(&mut self, from: HostId, bytes: &[u8], now: SimTime) -> ActionQueue {
         let mut q = ActionQueue::new();
         if self.quarantined.contains(&from) {
@@ -401,7 +387,7 @@ impl HostCore {
             codec::decode_msg_with(bytes, &mut self.vocab, &mut self.decode)
         };
         match decoded {
-            Ok((msg, _consumed)) => self.dispatch_msg(from, msg, now, &mut q, true),
+            Ok((msg, _consumed)) => self.dispatch_msg(from, msg, now, &mut q),
             Err(WireError::VocabularyExceeded { .. }) => {
                 // Cold path: re-parse only to classify the offence.
                 if codec::frame_is_fragment_reply(bytes).unwrap_or(false) {
@@ -448,15 +434,19 @@ impl HostCore {
 
     /// Submits a problem specification locally — what the paper's
     /// Workflow Initiator does on the initiating host. Equivalent to
-    /// delivering [`Msg::Initiate`] from self; provided so embedders
-    /// driving a bare core need no self-addressed message plumbing.
+    /// delivering an encoded [`Msg::Initiate`] from self; provided so
+    /// embedders driving a bare core need no self-addressed message
+    /// plumbing.
     pub fn initiate(
         &mut self,
         problem: ProblemId,
         spec: openwf_core::Spec,
         now: SimTime,
     ) -> ActionQueue {
-        self.handle_msg(self.id(), Msg::Initiate { problem, spec }, now)
+        let mut q = ActionQueue::new();
+        self.dispatch_msg(self.id(), Msg::Initiate { problem, spec }, now, &mut q);
+        self.metrics.queue_depth.record(q.len() as u64);
+        q
     }
 
     // ---- outbound helpers ------------------------------------------------
@@ -584,18 +574,8 @@ impl HostCore {
     // ---- routing ---------------------------------------------------------
 
     /// Routes one message to the phase that owns it (see the table in
-    /// the module docs). `off_the_wire` marks messages that arrived
-    /// through [`HostCore::handle_frame`] — those were already decoded
-    /// through the vocabulary budget, so the capped-host re-encode
-    /// detour is skipped.
-    fn dispatch_msg(
-        &mut self,
-        from: HostId,
-        msg: Msg,
-        now: SimTime,
-        q: &mut ActionQueue,
-        off_the_wire: bool,
-    ) {
+    /// the module docs).
+    fn dispatch_msg(&mut self, from: HostId, msg: Msg, now: SimTime, q: &mut ActionQueue) {
         q.charge(self.params.per_message_cost);
         self.metrics.messages.inc();
         if self.obs.trace.is_enabled() {
@@ -619,7 +599,7 @@ impl HostCore {
                 problem,
                 round,
                 fragments,
-            } => self.on_fragment_reply(from, problem, round, fragments, off_the_wire, now, q),
+            } => self.on_fragment_reply(from, problem, round, fragments, now, q),
             Msg::CapabilityQuery {
                 problem,
                 round,

@@ -14,10 +14,25 @@ fn service(task: &str) -> ServiceDescription {
     ServiceDescription::new(task, SimDuration::from_millis(10))
 }
 
+/// One message as the frame a peer puts on the wire.
+fn frame(msg: &Msg) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    codec::encode_msg(msg, &mut bytes);
+    bytes
+}
+
+/// What a frame the core emitted says.
+fn decoded(bytes: &[u8]) -> Msg {
+    codec::decode_msg(bytes, &mut VocabularyBudget::unlimited())
+        .expect("the core encodes valid frames")
+        .0
+}
+
 /// Drives a single-host core by hand until nothing is left to do:
-/// every `Send` loops back into `handle_msg`, timers fire through
-/// `tick` — the minimal embedding the README documents. `after_poll`
-/// sees the core and the events surfaced by every poll call.
+/// every `SendBytes` loops back into `handle_frame`, timers fire
+/// through `tick` — the minimal embedding the README documents.
+/// `after_poll` sees the core and the events surfaced by every poll
+/// call.
 fn drive_alone(
     core: &mut HostCore,
     problem: ProblemId,
@@ -28,24 +43,24 @@ fn drive_alone(
     core.bind(me);
     core.set_community(vec![me]);
     let mut now = SimTime::ZERO;
-    let mut inbox: Vec<Msg> = Vec::new();
+    let mut inbox: Vec<Vec<u8>> = Vec::new();
     let mut q = core.initiate(problem, spec, now);
     for _ in 0..1_000 {
         let mut events = Vec::new();
         for action in q {
             match action {
-                Action::Send { to, msg } => {
+                Action::SendBytes { to, bytes } => {
                     assert_eq!(to, me, "single-host community loops back");
-                    inbox.push(msg);
+                    inbox.push(bytes);
                 }
-                Action::SendBytes { .. } => panic!("typed mode emits no bytes"),
+                Action::Send { .. } => panic!("a fresh core emits frames"),
                 Action::SetTimer { .. } => {} // tick() fires by due time
                 Action::Event(e) => events.push(e),
             }
         }
         after_poll(core, &events);
-        q = if let Some(msg) = inbox.pop() {
-            core.handle_msg(me, msg, now)
+        q = if let Some(bytes) = inbox.pop() {
+            core.handle_frame(me, &bytes, now)
         } else if let Some(due) = core.next_timer_due() {
             // Idle: advance the clock to the next armed timer and poll.
             now = due;
@@ -239,7 +254,7 @@ fn late_traffic_for_a_completed_attempt_changes_nothing() {
     // says so, which is enough to open rounds and auctions that
     // wait for it and arm their guards.
     let mut now = SimTime::ZERO;
-    let mut inbox: Vec<(HostId, Msg)> = Vec::new();
+    let mut inbox: Vec<(HostId, Vec<u8>)> = Vec::new();
     let mut peer_said: Vec<Msg> = Vec::new();
     let mut guards = std::collections::BTreeSet::new();
     let mut completed = false;
@@ -247,9 +262,9 @@ fn late_traffic_for_a_completed_attempt_changes_nothing() {
     loop {
         for action in q {
             match action {
-                Action::Send { to, msg } if to == me => inbox.push((me, msg)),
-                Action::Send { msg, .. } => {
-                    let answer = match msg {
+                Action::SendBytes { to, bytes } if to == me => inbox.push((me, bytes)),
+                Action::SendBytes { bytes, .. } => {
+                    let answer = match decoded(&bytes) {
                         Msg::FragmentQuery { problem, round, .. } => Msg::FragmentReply {
                             problem,
                             round,
@@ -263,8 +278,8 @@ fn late_traffic_for_a_completed_attempt_changes_nothing() {
                         Msg::CallForBids { problem, task, .. } => Msg::Decline { problem, task },
                         other => panic!("nothing else goes to a peer without tasks: {other:?}"),
                     };
-                    peer_said.push(answer.clone());
-                    inbox.push((peer, answer));
+                    inbox.push((peer, frame(&answer)));
+                    peer_said.push(answer);
                 }
                 Action::Event(WorkflowEvent::Completed { .. }) => completed = true,
                 _ => {}
@@ -278,7 +293,7 @@ fn late_traffic_for_a_completed_attempt_changes_nothing() {
             break;
         }
         q = match inbox.pop() {
-            Some((from, msg)) => core.handle_msg(from, msg, now),
+            Some((from, bytes)) => core.handle_frame(from, &bytes, now),
             None => {
                 now = core
                     .next_timer_due()
@@ -322,7 +337,7 @@ fn late_traffic_for_a_completed_attempt_changes_nothing() {
     ]);
     for msg in late {
         let shown = format!("{msg:?}");
-        let q = core.handle_msg(peer, msg, now);
+        let q = core.handle_frame(peer, &frame(&msg), now);
         assert!(q.is_empty(), "{shown} produced {:?}", q.actions());
         assert_eq!(record(&core), before, "after {shown}");
     }
@@ -438,7 +453,7 @@ fn minting_peer_is_quarantined_after_cap() {
     };
 
     // First over-budget reply: rejected, counted, not yet quarantined.
-    let q = core.handle_msg(HostId(1), minted_reply(0), SimTime::ZERO);
+    let q = core.handle_frame(HostId(1), &frame(&minted_reply(0)), SimTime::ZERO);
     assert_eq!(core.vocabulary_rejections_from(HostId(1)), 1);
     assert!(!core.is_quarantined(HostId(1)));
     assert!(
@@ -449,7 +464,7 @@ fn minting_peer_is_quarantined_after_cap() {
     );
 
     // Second: the cap trips, the event surfaces.
-    let q = core.handle_msg(HostId(1), minted_reply(1), SimTime::ZERO);
+    let q = core.handle_frame(HostId(1), &frame(&minted_reply(1)), SimTime::ZERO);
     assert!(core.is_quarantined(HostId(1)));
     assert!(
         q.actions().iter().any(|a| matches!(
@@ -464,15 +479,12 @@ fn minting_peer_is_quarantined_after_cap() {
     );
 
     // Quarantined traffic — even well-formed queries — is dropped.
-    let q = core.handle_msg(
-        HostId(1),
-        Msg::FragmentQuery {
-            problem,
-            round: 9,
-            labels: vec![Label::new("qr-a")],
-        },
-        SimTime::ZERO,
-    );
+    let query = frame(&Msg::FragmentQuery {
+        problem,
+        round: 9,
+        labels: vec![Label::new("qr-a")],
+    });
+    let q = core.handle_frame(HostId(1), &query, SimTime::ZERO);
     assert!(q.is_empty(), "no reply to a quarantined peer");
     assert_eq!(q.charged(), SimDuration::ZERO, "dropped before processing");
     assert_eq!(
@@ -482,36 +494,14 @@ fn minting_peer_is_quarantined_after_cap() {
     );
 
     // An innocent peer is unaffected.
-    let q = core.handle_msg(
-        HostId(2),
-        Msg::FragmentQuery {
-            problem,
-            round: 9,
-            labels: vec![Label::new("qr-a")],
-        },
-        SimTime::ZERO,
-    );
+    let q = core.handle_frame(HostId(2), &query, SimTime::ZERO);
     assert!(
         q.actions()
             .iter()
-            .any(|a| matches!(a, Action::Send { to: HostId(2), .. })),
+            .any(|a| matches!(a, Action::SendBytes { to: HostId(2), .. })),
         "peer 2 still gets replies: {:?}",
         q.actions()
     );
-
-    // The same applies to raw frames.
-    let mut bytes = Vec::new();
-    codec::encode_msg(
-        &Msg::FragmentQuery {
-            problem,
-            round: 10,
-            labels: vec![Label::new("qr-a")],
-        },
-        &mut bytes,
-    );
-    assert!(core
-        .handle_frame(HostId(1), &bytes, SimTime::ZERO)
-        .is_empty());
 }
 
 /// `handle_frame` charges the vocabulary budget at decode: an
@@ -526,20 +516,16 @@ fn over_budget_frame_is_rejected_at_decode() {
     core.set_community(vec![HostId(0), HostId(1)]);
     let names_before = core.vocabulary_names();
 
-    let mut bytes = Vec::new();
-    codec::encode_msg(
-        &Msg::FragmentReply {
-            problem: ProblemId::new(HostId(0), 0),
-            round: 1,
-            fragments: vec![Arc::new(frag(
-                "fb-mint-f",
-                "fb-mint-t",
-                "fb-mint-in",
-                "fb-mint-out",
-            ))],
-        },
-        &mut bytes,
-    );
+    let bytes = frame(&Msg::FragmentReply {
+        problem: ProblemId::new(HostId(0), 0),
+        round: 1,
+        fragments: vec![Arc::new(frag(
+            "fb-mint-f",
+            "fb-mint-t",
+            "fb-mint-in",
+            "fb-mint-out",
+        ))],
+    });
     let q = core.handle_frame(HostId(1), &bytes, SimTime::ZERO);
     assert!(q.is_empty());
     assert_eq!(core.vocabulary_rejections(), 1);
@@ -576,17 +562,13 @@ fn non_reply_frames_cannot_mint_past_the_cap() {
     // A peer query minting fresh labels: dropped, nothing recorded,
     // and the peer is NOT blamed (echoing a rich frontier is not
     // evidence of minting).
-    let mut bytes = Vec::new();
-    codec::encode_msg(
-        &Msg::FragmentQuery {
-            problem,
-            round: 1,
-            labels: (0..16)
-                .map(|i| Label::new(format!("nf-mint-{i}")))
-                .collect(),
-        },
-        &mut bytes,
-    );
+    let bytes = frame(&Msg::FragmentQuery {
+        problem,
+        round: 1,
+        labels: (0..16)
+            .map(|i| Label::new(format!("nf-mint-{i}")))
+            .collect(),
+    });
     let q = core.handle_frame(HostId(1), &bytes, SimTime::ZERO);
     assert!(q.is_empty(), "over-budget query dropped, not answered");
     assert_eq!(core.vocabulary_names(), names_before, "nothing interned");
@@ -594,20 +576,16 @@ fn non_reply_frames_cannot_mint_past_the_cap() {
     assert!(!core.is_quarantined(HostId(1)));
 
     // A within-budget query from the same peer still gets answered.
-    let mut ok_bytes = Vec::new();
-    codec::encode_msg(
-        &Msg::FragmentQuery {
-            problem,
-            round: 2,
-            labels: vec![Label::new("nf-a")],
-        },
-        &mut ok_bytes,
-    );
+    let ok_bytes = frame(&Msg::FragmentQuery {
+        problem,
+        round: 2,
+        labels: vec![Label::new("nf-a")],
+    });
     let q = core.handle_frame(HostId(1), &ok_bytes, SimTime::ZERO);
     assert!(
         q.actions()
             .iter()
-            .any(|a| matches!(a, Action::Send { to: HostId(1), .. })),
+            .any(|a| matches!(a, Action::SendBytes { to: HostId(1), .. })),
         "reply expected in {:?}",
         q.actions()
     );
@@ -618,7 +596,7 @@ fn non_reply_frames_cannot_mint_past_the_cap() {
     assert!(
         q.actions()
             .iter()
-            .any(|a| matches!(a, Action::Send { to: HostId(0), .. })),
+            .any(|a| matches!(a, Action::SendBytes { to: HostId(0), .. })),
         "self query answered: {:?}",
         q.actions()
     );

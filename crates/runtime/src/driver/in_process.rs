@@ -1,56 +1,38 @@
 //! What the two in-process drivers are made of: a `Vec<HostCore>` over
-//! one virtual-time kernel, and the one loop that takes a due event
-//! from the kernel, hands it to its core and performs the returned
-//! [`ActionQueue`].
+//! one virtual-time kernel carrying encoded wire frames, and the one
+//! loop that takes a due event from the kernel, hands it to its core and
+//! performs the returned [`ActionQueue`].
 //!
-//! [`crate::Community`] and [`crate::LoopbackBytesDriver`] differ only
-//! in what the kernel carries — a typed [`Msg`] or an encoded frame —
-//! and that difference is the [`Payload`] trait.
+//! Every message crosses the kernel as the complete `TAG_MSG` frame its
+//! sender's core encoded ([`OutboundMode::Encoded`], a fresh core's
+//! mode), is sized by its length, and reaches the receiving core through
+//! [`HostCore::handle_frame`] — the one way a peer's message enters a
+//! core on every transport. [`crate::Community`] and
+//! [`crate::LoopbackBytesDriver`] differ only in how they are built.
 
 use openwf_core::Spec;
 use openwf_simnet::{EventKind, HostId, SimNetwork, SimTime};
 
-use crate::core_sm::{Action, ActionQueue, HostConfig, HostCore, OutboundMode, WorkflowEvent};
+use crate::codec;
+use crate::core_sm::{Action, HostConfig, HostCore, WorkflowEvent};
+#[cfg(doc)]
+use crate::core_sm::{ActionQueue, OutboundMode};
 use crate::driver::ProblemHandle;
 use crate::messages::{Msg, ProblemId};
 use crate::params::RuntimeParams;
 
-/// What travels between cores on an in-process driver.
-pub(crate) trait Payload: Clone {
-    /// The mode a core must emit in for this driver to carry its sends.
-    const MODE: OutboundMode;
-
-    /// The payload of a message the driver itself injects (`Initiate`).
-    fn of(msg: Msg) -> Self;
-
-    /// Bytes on the wire: what the latency model and the traffic
-    /// counters charge.
-    fn size(&self) -> usize;
-
-    /// The destination and payload of a send action in [`Self::MODE`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on the other mode's send: a core switched away from its
-    /// driver's mode is a wiring error, not traffic to lose quietly.
-    fn of_send(action: Action) -> (HostId, Self);
-
-    /// Feeds a delivered payload to the receiving core.
-    fn deliver(self, core: &mut HostCore, from: HostId, now: SimTime) -> ActionQueue;
-}
-
-/// A community of cores over a kernel carrying `P`.
-pub(crate) struct InProcess<P> {
+/// A community of cores over a kernel carrying encoded frames.
+pub(crate) struct InProcess {
     pub(crate) cores: Vec<HostCore>,
-    pub(crate) net: SimNetwork<P>,
+    pub(crate) net: SimNetwork<Vec<u8>>,
     /// Workflow events every core surfaced, in firing order.
     pub(crate) events: Vec<(HostId, WorkflowEvent)>,
     next_seq: u32,
 }
 
-impl<P: Payload> InProcess<P> {
+impl InProcess {
     /// One bound core per configuration, each knowing the whole
-    /// community and emitting in `P`'s mode, over a fresh kernel.
+    /// community, over a fresh kernel.
     ///
     /// # Panics
     ///
@@ -65,7 +47,6 @@ impl<P: Payload> InProcess<P> {
                 let mut core = HostCore::new(cfg, params.clone());
                 core.bind(id);
                 core.set_community(all.clone());
-                core.set_outbound_mode(P::MODE);
                 core
             })
             .collect();
@@ -81,25 +62,34 @@ impl<P: Payload> InProcess<P> {
         (0..self.cores.len() as u32).map(HostId).collect()
     }
 
-    /// Hands `initiator` an `Initiate` for a fresh problem id, as a
-    /// self-send at the current time.
+    /// Hands `initiator` an encoded `Initiate` for a fresh problem id,
+    /// as a self-send at the current time.
     pub(crate) fn submit(&mut self, initiator: HostId, spec: Spec) -> ProblemHandle {
         let id = ProblemId::new(initiator, self.next_seq);
         self.next_seq += 1;
-        let payload = P::of(Msg::Initiate { problem: id, spec });
-        self.send(initiator, initiator, payload, self.net.now());
+        let mut frame = Vec::new();
+        codec::encode_msg(&Msg::Initiate { problem: id, spec }, &mut frame);
+        self.send(initiator, initiator, frame, self.net.now());
         ProblemHandle { id }
     }
 
-    fn send(&mut self, from: HostId, to: HostId, payload: P, at: SimTime) {
-        let size = payload.size();
-        self.net.send(from, to, payload, size, at);
+    /// Queues one frame; the latency model and the traffic counters
+    /// charge its length.
+    fn send(&mut self, from: HostId, to: HostId, frame: Vec<u8>, at: SimTime) {
+        let size = frame.len();
+        self.net.send(from, to, frame, size, at);
     }
 
     /// Dispatches the next event due by `until` to its core and performs
     /// what the core asks for, in [`ActionQueue`] order: the compute
     /// charge keeps the host busy and delays every effect by as much.
     /// Returns `false` when nothing is due by `until`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an [`Action::Send`]: a core switched away from
+    /// [`OutboundMode::Encoded`] is a wiring error, not traffic to lose
+    /// quietly.
     pub(crate) fn step(&mut self, until: SimTime) -> bool {
         let Some(event) = self.net.pop(until) else {
             return false;
@@ -108,7 +98,7 @@ impl<P: Payload> InProcess<P> {
         let (host, queue) = match event {
             EventKind::Deliver {
                 from, to, payload, ..
-            } => (to, payload.deliver(&mut self.cores[to.index()], from, now)),
+            } => (to, self.cores[to.index()].handle_frame(from, &payload, now)),
             EventKind::Timer { host, token } => {
                 (host, self.cores[host.index()].handle_timer(token, now))
             }
@@ -119,9 +109,9 @@ impl<P: Payload> InProcess<P> {
             match action {
                 Action::SetTimer { delay, token } => self.net.set_timer(host, at + delay, token),
                 Action::Event(event) => self.events.push((host, event)),
-                send => {
-                    let (to, payload) = P::of_send(send);
-                    self.send(host, to, payload, at);
+                Action::SendBytes { to, bytes } => self.send(host, to, bytes, at),
+                send @ Action::Send { .. } => {
+                    panic!("in-process drivers drive cores in OutboundMode::Encoded, got {send:?}")
                 }
             }
         }

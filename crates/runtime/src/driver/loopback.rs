@@ -11,29 +11,28 @@
 //! protocol: construction, capability checks, auctions, execution and
 //! repair all run over bytes.
 //!
-//! The clock is the one [`crate::Community`] runs on: the same
-//! `openwf-simnet` kernel, carrying `Vec<u8>` instead of [`Msg`], under
-//! the same loop. Events pop in `(time, seq)` order, a callback's
+//! It is [`crate::Community`] built with kernel seed 0 and the default
+//! latency: the same `openwf-simnet` kernel carrying the same frames
+//! under the same loop. Events pop in `(time, seq)` order, a callback's
 //! compute charge makes the host busy and defers its next event,
-//! self-sends skip the wire, cross-host frames arrive after the kernel's
-//! default constant latency, and a frame is charged the bytes it has —
-//! which is what the simulator charges the typed message. Because both
-//! transports then present every core with the identical input sequence,
-//! a scenario driven here produces **bit-identical supergraphs and
-//! workflow outcomes** to the same scenario on [`crate::Community`],
-//! under the kernel's fault plan too (property-tested in
-//! `tests/driver_equivalence.rs`).
+//! self-sends skip the wire, cross-host frames arrive after the
+//! kernel's default constant latency, and a frame is charged the bytes
+//! it has. A scenario driven here therefore produces **bit-identical
+//! supergraphs and workflow outcomes** to the same scenario on
+//! [`crate::Community`], under the kernel's fault plan too
+//! (property-tested in `tests/driver_equivalence.rs`). The two stay
+//! separate types only because `owms-bench` names this one.
 
 use std::fmt;
 
 use openwf_core::Spec;
 use openwf_simnet::{HostId, SimNetwork, SimTime};
 
-use crate::codec;
-use crate::core_sm::{Action, ActionQueue, HostConfig, HostCore, OutboundMode, WorkflowEvent};
-use crate::driver::in_process::{InProcess, Payload};
+#[cfg(doc)]
+use crate::core_sm::OutboundMode;
+use crate::core_sm::{HostConfig, HostCore, WorkflowEvent};
+use crate::driver::in_process::InProcess;
 use crate::driver::{Driver, ProblemHandle};
-use crate::messages::Msg;
 use crate::params::RuntimeParams;
 
 /// Traffic counters for a loopback run.
@@ -41,53 +40,23 @@ use crate::params::RuntimeParams;
 pub struct LoopbackStats {
     /// Frames delivered to a core.
     pub frames_delivered: u64,
-    /// Total encoded bytes delivered (what the simulator's
-    /// `bytes_delivered` counts too).
+    /// Total encoded bytes delivered (the kernel's
+    /// [`openwf_simnet::NetStats::bytes_delivered`]).
     pub bytes_delivered: u64,
     /// Timers fired.
     pub timers_fired: u64,
 }
 
-/// The loopback carries complete encoded frames: the sending core
-/// encodes, the receiving core decodes through its trust boundary, and
-/// a frame's size is its length.
-impl Payload for Vec<u8> {
-    const MODE: OutboundMode = OutboundMode::Encoded;
-
-    fn of(msg: Msg) -> Self {
-        let mut bytes = Vec::new();
-        codec::encode_msg(&msg, &mut bytes);
-        bytes
-    }
-
-    fn size(&self) -> usize {
-        self.len()
-    }
-
-    fn of_send(action: Action) -> (HostId, Self) {
-        match action {
-            Action::SendBytes { to, bytes } => (to, bytes),
-            other => {
-                panic!("LoopbackBytesDriver drives cores in OutboundMode::Encoded, got {other:?}")
-            }
-        }
-    }
-
-    fn deliver(self, core: &mut HostCore, from: HostId, now: SimTime) -> ActionQueue {
-        core.handle_frame(from, &self, now)
-    }
-}
-
 /// Drives a community of [`HostCore`]s entirely over encoded frames.
 pub struct LoopbackBytesDriver {
-    sim: InProcess<Vec<u8>>,
+    sim: InProcess,
 }
 
 impl LoopbackBytesDriver {
-    /// Assembles a community: one core per configuration, all switched
-    /// to [`OutboundMode::Encoded`]. The kernel's RNG is seeded with 0;
-    /// a run draws from it only once [`LoopbackBytesDriver::net_mut`]
-    /// has set a fault probability or a randomized latency model.
+    /// Assembles a community: one core per configuration. The kernel's
+    /// RNG is seeded with 0; a run draws from it only once
+    /// [`LoopbackBytesDriver::net_mut`] has set a fault probability or a
+    /// randomized latency model.
     ///
     /// # Panics
     ///

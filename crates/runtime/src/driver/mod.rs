@@ -6,19 +6,17 @@
 //! half that *performs* them: it owns its [`HostCore`]s, schedules
 //! message deliveries, arms timers, advances a clock, and feeds inputs
 //! back into the cores. Three drivers ship, two of them in this crate —
-//! the same loop (`in_process.rs`) over the same virtual-time kernel
+//! one loop (`in_process.rs`) over one virtual-time kernel
 //! (`openwf_simnet::SimNetwork`: pending set, latency, topology, faults,
-//! chaos, busy periods), differing only in what the kernel carries:
+//! chaos, busy periods) carrying encoded `openwf-wire` frames: every
+//! message crosses host boundaries as bytes (encode on send,
+//! vocabulary-budgeted decode on receive) and is sized by its length.
 //!
-//! * [`crate::Community`] — the deterministic simulator: typed
-//!   [`crate::Msg`]s with `Arc<Fragment>` payloads shared in-process,
-//!   sized by their encoded length.
-//! * [`LoopbackBytesDriver`] — whole communities over **encoded wire
-//!   frames**: every message crosses host boundaries as
-//!   `openwf-wire` bytes (encode on send, vocabulary-budgeted decode on
-//!   receive), proving the binary codec carries the complete protocol
-//!   end-to-end. Same kernel, same loop, so identical scenarios produce
-//!   bit-identical supergraphs and outcomes.
+//! * [`crate::Community`] — the deterministic simulator, built with a
+//!   seed and, optionally, a latency model.
+//! * [`LoopbackBytesDriver`] — the same, built with seed 0 and the
+//!   kernel's default latency; identical scenarios produce bit-identical
+//!   supergraphs and outcomes on both.
 //!
 //! The third, `openwf_net::TcpCommunityDriver`, is one `NetServer` per
 //! host over real loopback TCP sockets and a wall clock.

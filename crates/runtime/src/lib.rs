@@ -3,10 +3,11 @@
 //! This crate is the distributed runtime of WUCSE-2009-14 §4: every
 //! participant's device runs a sans-io [`HostCore`] state machine
 //! combining the paper's two subsystems. The core performs no I/O — a
-//! [`Driver`] owns the cores and polls them ([`Community`] carrying
-//! typed messages on the deterministic simulator, or
-//! [`LoopbackBytesDriver`] carrying encoded wire frames on the same
-//! kernel):
+//! [`Driver`] owns the cores and polls them, and a peer's message reaches
+//! a core one way, as the encoded wire frame it travelled in
+//! ([`HostCore::handle_frame`]): [`Community`] and
+//! [`LoopbackBytesDriver`] carry frames on the deterministic simulator,
+//! `openwf_net`'s drivers over TCP:
 //!
 //! **Construction subsystem** (active on the initiating host):
 //! * [`WorkflowManager`](workflow_mgr::WorkflowManager) — one isolated

@@ -1,17 +1,15 @@
-//! Transport equivalence: the same scenario driven through the typed
-//! simulator ([`Community`]) and through encoded wire frames
+//! Transport equivalence: the same scenario driven through the
+//! simulator ([`Community`]) and through the bytes loopback
 //! ([`LoopbackBytesDriver`]) produces **bit-identical supergraphs and
 //! workflow outcomes**.
 //!
-//! This is the load-bearing guarantee of the sans-io split: the
-//! protocol state machine cannot tell which transport is driving it.
 //! Both drivers are the same loop over the same `openwf-simnet` kernel
-//! (constant 200µs latency, compute charges defer the busy host,
-//! `(time, seq)` event order), so every core sees the identical input
-//! sequence — down to virtual-time phase timings — whether fragments
-//! travel as shared `Arc`s or as freshly decoded wire bytes, and under
-//! the kernel's fault plan too: seeded drops, duplicates and a crash hit
-//! the same sends on both.
+//! carrying the same encoded frames (constant 200µs latency, compute
+//! charges defer the busy host, `(time, seq)` event order), so every
+//! core sees the identical input sequence — down to virtual-time phase
+//! timings — and under the kernel's fault plan too: seeded drops,
+//! duplicates and a crash hit the same sends on both. What this pins is
+//! that the two constructors build the same thing.
 
 use std::fmt::Write as _;
 
@@ -126,13 +124,12 @@ fn digest(driver: &mut impl Driver, handle: ProblemHandle) -> String {
 }
 
 /// Runs `scenario` on both transports and returns their digests. Also
-/// checks that the two drivers counted the same traffic: the simulator
-/// sizes a message by encoding it, so it delivers exactly the bytes the
-/// loopback's frames carry.
+/// checks that the two drivers counted the same traffic: both charge a
+/// frame its length.
 fn run_both(scenario: &Scenario) -> (String, String) {
     let params = RuntimeParams::default();
 
-    // Typed transport: the simulator.
+    // The simulator.
     let mut sim = CommunityBuilder::new(scenario.seed)
         .params(params.clone())
         .hosts(scenario.configs())
@@ -141,7 +138,7 @@ fn run_both(scenario: &Scenario) -> (String, String) {
     let handle = sim.submit(initiator, scenario.spec());
     let sim_digest = digest(&mut sim, handle);
 
-    // Bytes transport: the same configs over encoded frames.
+    // The bytes loopback: the same configs.
     let mut loopback = LoopbackBytesDriver::build(params, scenario.configs());
     let lb_initiator = loopback.hosts()[0];
     assert_eq!(lb_initiator, initiator);
@@ -180,10 +177,9 @@ proptest! {
 }
 
 /// Vocabulary-capped hosts whose budget *suffices* behave identically
-/// on both transports: the typed path charges replies through
-/// `reply_through_wire_with`, the frame path charges them at decode, and
-/// only the fragment-reply family touches the budget either way —
-/// ordinary protocol traffic (queries, bids, plans) never trips a cap.
+/// on both transports: every frame is charged at decode, and ordinary
+/// protocol traffic (queries, bids, plans) within the cap never trips
+/// it.
 #[test]
 fn capped_within_budget_agrees_across_transports() {
     let params = RuntimeParams::default();

@@ -7,7 +7,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use openwf_core::{Fragment, FxHashSet, Label, Mode, Spec, Sym};
-use openwf_runtime::codec::{decode_msg, encode_msg, reply_through_wire_with};
+use openwf_runtime::codec::{decode_msg, decode_msg_with, encode_msg};
 use openwf_runtime::{
     CommunityBuilder, Driver, HostConfig, Msg, ProblemId, ProblemStatus, ServiceDescription,
     StorageConfig,
@@ -215,13 +215,12 @@ proptest! {
         for (round, case) in payloads.iter().enumerate() {
             let fragments = build_payload(case, "vgb");
             let admitted = guard.admit(&fragments);
-            let decoded = reply_through_wire_with(
-                problem,
-                round as u32,
-                fragments,
-                &mut budget,
-                &mut DecodeScratch::new(),
+            let mut frame = Vec::new();
+            encode_msg(
+                &Msg::FragmentReply { problem, round: round as u32, fragments },
+                &mut frame,
             );
+            let decoded = decode_msg_with(&frame, &mut budget, &mut DecodeScratch::new());
             prop_assert_eq!(
                 admitted.is_ok(),
                 decoded.is_ok(),

@@ -261,7 +261,7 @@ impl SoakOutcome {
     }
 
     /// Decode-cache hit rate in percent (0 when the cache was never
-    /// consulted — e.g. an all-typed transport with no capped hosts).
+    /// consulted — no frame carried a fragment).
     pub fn cache_hit_rate_percent(&self) -> f64 {
         let total = self.decode_cache_hits + self.decode_cache_misses;
         if total == 0 {

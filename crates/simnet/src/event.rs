@@ -28,7 +28,7 @@ pub enum EventKind<P> {
         from: HostId,
         /// Receiving host.
         to: HostId,
-        /// What travels: a typed message or an encoded frame.
+        /// What travels (for the runtime's drivers, an encoded frame).
         payload: P,
         /// Its size on the wire as the sender stated it: what the
         /// latency model charged and what the traffic counters add on

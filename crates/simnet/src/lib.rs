@@ -12,8 +12,8 @@
 //! periods. It holds no host state: a driver owns the hosts, puts their
 //! sends and timers in and takes due events out, one
 //! [`SimNetwork::pop`] at a time. `openwf-runtime`'s two in-process
-//! drivers are loops over it — `Community` carries typed messages,
-//! `LoopbackBytesDriver` encoded frames. All experiments in the paper's
+//! drivers, `Community` and `LoopbackBytesDriver`, are one loop over it
+//! carrying encoded wire frames. All experiments in the paper's
 //! §5 run on this kernel (the paper ran its simulations "within a single
 //! JVM … through a simulated network"). Real sockets and wall-clock
 //! timers live in `openwf-net`.

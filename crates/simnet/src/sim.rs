@@ -54,8 +54,8 @@ impl NetMetrics {
 }
 
 /// A deterministic simulated network under a set of hosts the driver
-/// owns, carrying payloads of type `P` (a typed message, or the bytes of
-/// an encoded frame).
+/// owns, carrying payloads of type `P` (for the runtime's drivers, the
+/// bytes of an encoded frame).
 ///
 /// Hosts are *sequential processors*: a driver that charges a callback
 /// compute time calls [`SimNetwork::occupy`], and events addressed to a

@@ -10,9 +10,9 @@
 //! run is an end-to-end proof that the binary codec carries the complete
 //! protocol.
 //!
-//! The example then replays the identical scenario on the simulator and
-//! checks the two transports agree — the sans-io core cannot tell which
-//! one is driving it.
+//! The example then replays the identical scenario on the simulator,
+//! the same loop over the same frames, and checks the two drivers
+//! agree.
 //!
 //! Run with: `cargo run --example loopback_bytes`
 //! Fast mode (CI smoke): `OPENWF_LOOPBACK_FAST=1 cargo run --example loopback_bytes`
@@ -82,7 +82,7 @@ fn main() {
     );
     assert!(frames_delivered > (chain as u64) * 2, "real traffic flowed");
 
-    // The same scenario on the typed simulator must agree on the outcome.
+    // The same scenario on the simulator must agree on the outcome.
     let mut sim = CommunityBuilder::new(0)
         .hosts(configs(chain, hosts))
         .build();
