@@ -70,8 +70,8 @@ use std::time::{Duration, Instant};
 
 use openwf_obs::{Counter, Histogram, Obs, Value};
 use openwf_runtime::{
-    encode_msg, Action, ActionQueue, HostConfig, HostCore, Msg, OutboundMode, ProblemHandle,
-    ProblemId, RuntimeParams, WorkflowEvent,
+    Action, ActionQueue, HostConfig, HostCore, ProblemHandle, ProblemId, RuntimeParams,
+    WorkflowEvent,
 };
 use openwf_simnet::{HostId, SimTime};
 use openwf_wire::{frame_tag, FrameDecoder, VocabularyBudget, TAG_FRAGMENT, TAG_MSG, TAG_SPEC};
@@ -243,13 +243,10 @@ pub struct NetServer {
     accept_pause: Option<Instant>,
     listen_addr: Option<SocketAddr>,
     /// The loop's reusable pieces: the descriptor set of a wait, the
-    /// connections it found readable, the one read buffer, and the
-    /// buffer a remote-bound message is encoded into before its
-    /// envelope wraps it.
+    /// connections it found readable and the one read buffer.
     pollfds: Vec<PollFd>,
     ready: Vec<ConnId>,
     read_buf: Vec<u8>,
-    scratch: Vec<u8>,
     next_conn: u64,
     next_seq: HashMap<(u64, HostId), u32>,
     /// Frames between cores of this process: `(community, from, to,
@@ -315,7 +312,6 @@ impl NetServer {
             pollfds: Vec::new(),
             ready: Vec::new(),
             read_buf: vec![0; READ_BUF_LEN],
-            scratch: Vec::new(),
             next_conn: 0,
             next_seq: HashMap::new(),
             local: VecDeque::new(),
@@ -343,9 +339,9 @@ impl NetServer {
         &self.obs
     }
 
-    /// Adds a local host to serve. The core is bound, kept in
-    /// [`OutboundMode::Typed`] (the server encodes outbound messages
-    /// itself, into a buffer it reuses), and polled from then on.
+    /// Adds a local host to serve. The core is bound and polled from
+    /// then on; the frames it emits go out as they are, to a local core
+    /// or wrapped in an envelope.
     pub fn add_core(
         &mut self,
         community: u64,
@@ -355,7 +351,6 @@ impl NetServer {
     ) {
         let mut core = HostCore::new(config, params);
         core.bind(host);
-        core.set_outbound_mode(OutboundMode::Typed);
         self.cores.insert((community, host), core);
     }
 
@@ -615,14 +610,25 @@ impl NetServer {
     }
 
     /// Performs the action queue one core returned from a call made at
-    /// `now`: encode + route sends, surface events, note timer arms for
-    /// the next wake-up (tick discipline, see module docs).
+    /// `now`: route frames, surface events, note timer arms for the next
+    /// wake-up (tick discipline, see module docs).
+    ///
+    /// # Panics
+    ///
+    /// Panics on an [`Action::Send`]: a core switched to typed sends
+    /// is a wiring error, not traffic to lose.
     fn apply_actions(&mut self, community: u64, me: HostId, q: ActionQueue, now: SimTime) {
         for action in q {
             match action {
-                Action::Send { to, msg } => self.send_msg(community, me, to, &msg),
-                other @ Action::SendBytes { .. } => {
-                    panic!("NetServer drives cores in OutboundMode::Typed, got {other:?}")
+                Action::SendBytes { to, bytes } => {
+                    if self.cores.contains_key(&(community, to)) {
+                        self.local.push_back((community, me, to, bytes));
+                    } else {
+                        self.send_remote(community, me, to, &bytes);
+                    }
+                }
+                send @ Action::Send { .. } => {
+                    panic!("NetServer drives cores in OutboundMode::Encoded, got {send:?}")
                 }
                 Action::SetTimer { delay, .. } => {
                     let due = now + delay;
@@ -636,20 +642,6 @@ impl NetServer {
                 // sane fallback, so count it as misrouted.
                 _ => self.metrics.rx_misrouted.inc(),
             }
-        }
-    }
-
-    /// Encodes a typed outbound message and routes it: local queue for
-    /// a core of this process, an envelope over a connection otherwise.
-    fn send_msg(&mut self, community: u64, from: HostId, to: HostId, msg: &Msg) {
-        let mut inner = std::mem::take(&mut self.scratch);
-        inner.clear();
-        encode_msg(msg, &mut inner);
-        if self.cores.contains_key(&(community, to)) {
-            self.local.push_back((community, from, to, inner));
-        } else {
-            self.send_remote(community, from, to, &inner);
-            self.scratch = inner;
         }
     }
 
@@ -1177,13 +1169,13 @@ mod tests {
     /// A core switched away from the server's outbound mode is a wiring
     /// error the server names, not a second path it quietly serves.
     #[test]
-    #[should_panic(expected = "OutboundMode::Typed")]
+    #[should_panic(expected = "OutboundMode::Encoded")]
     fn a_core_in_the_wrong_outbound_mode_is_refused() {
         let mut server = test_server(None);
         server.set_community(0, vec![HostId(0), HostId(1)]);
         server
             .core_mut(0, HostId(0))
-            .set_outbound_mode(OutboundMode::Encoded);
+            .set_outbound_mode(openwf_runtime::OutboundMode::Typed);
         server.submit(0, HostId(0), openwf_core::Spec::new(["svt-a"], ["svt-b"]));
     }
 

@@ -323,6 +323,25 @@ mod tests {
         assert!(pa.all_decided());
     }
 
+    /// A duplicated delivery of one host's bid or decline counts once:
+    /// the auction waits for every other host before it decides.
+    #[test]
+    fn a_duplicated_response_is_counted_once() {
+        let (mut pa, t) = open_one(3);
+        let first = pa.on_bid(&t, HostId(0), bid(2, 0, 1_000));
+        assert!(matches!(first, AuctionAction::ArmDeadline(..)));
+        assert_eq!(
+            pa.on_bid(&t, HostId(0), bid(2, 0, 1_000)),
+            AuctionAction::None
+        );
+        assert_eq!(pa.on_decline(&t, HostId(0)), AuctionAction::None);
+        assert_eq!(pa.on_decline(&t, HostId(1)), AuctionAction::None);
+        assert_eq!(pa.on_decline(&t, HostId(1)), AuctionAction::None);
+        assert!(!pa.all_decided(), "host 2 has not answered");
+        let a = pa.on_decline(&t, HostId(2));
+        assert!(matches!(a, AuctionAction::Award(_, h, _) if h == HostId(0)));
+    }
+
     #[test]
     fn all_declines_is_unallocatable() {
         let (mut pa, t) = open_one(2);

@@ -52,6 +52,9 @@ pub struct Bid {
 pub enum BidDecision {
     /// Submit this bid (a hold was placed on the schedule).
     Submit(Bid),
+    /// Send the bid already held for this task again: the call was a
+    /// duplicate, and no second slot was held.
+    Resubmit(Bid),
     /// Cannot or will not serve the task.
     Decline(DeclineReason),
 }
@@ -65,6 +68,9 @@ pub enum DeclineReason {
     Unwilling,
     /// The required location is unreachable.
     Unreachable,
+    /// The task was already awarded to this host: a late copy of its
+    /// call holds nothing more.
+    Awarded,
 }
 
 impl fmt::Display for DeclineReason {
@@ -73,6 +79,7 @@ impl fmt::Display for DeclineReason {
             DeclineReason::NoService => f.write_str("no matching service"),
             DeclineReason::Unwilling => f.write_str("not willing"),
             DeclineReason::Unreachable => f.write_str("location unreachable"),
+            DeclineReason::Awarded => f.write_str("already awarded"),
         }
     }
 }
@@ -99,6 +106,10 @@ impl AuctionParticipationManager {
     /// preferences. On `Submit`, a tentative hold has been committed to
     /// `schedule`; the caller must later call [`Self::on_award`] or
     /// [`Self::expire_hold`].
+    ///
+    /// One `(problem, task)` gets at most one slot: a call this host
+    /// already holds a bid for is answered with that bid again
+    /// (`Resubmit`), and one whose slot was awarded is declined.
     #[allow(clippy::too_many_arguments)] // one argument per §3.2 availability condition
     pub fn consider(
         &mut self,
@@ -111,6 +122,12 @@ impl AuctionParticipationManager {
         prefs: &Preferences,
         params: &RuntimeParams,
     ) -> BidDecision {
+        if let Some(held) = self.holds.get(&(problem, task.clone())) {
+            return BidDecision::Resubmit(held.clone());
+        }
+        if schedule.has_commitment(problem, task) {
+            return BidDecision::Decline(DeclineReason::Awarded);
+        }
         let Some(service) = services.describe(task) else {
             return BidDecision::Decline(DeclineReason::NoService);
         };

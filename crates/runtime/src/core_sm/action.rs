@@ -47,8 +47,9 @@ pub enum WorkflowEvent {
 #[derive(Clone, Debug)]
 #[non_exhaustive]
 pub enum Action {
-    /// Deliver a typed protocol message to `to` (emitted in
-    /// [`OutboundMode::Typed`]).
+    /// Deliver a typed protocol message to `to` (emitted only in
+    /// [`OutboundMode::Typed`], which every driver in this workspace
+    /// refuses).
     Send {
         /// Destination host.
         to: HostId,
@@ -143,14 +144,16 @@ impl IntoIterator for ActionQueue {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum OutboundMode {
     /// Emit [`Action::Send`] with the typed [`Msg`], for a driver that
-    /// encodes for itself (`openwf_net::NetServer` frames each message
-    /// into its routing envelope).
+    /// encodes for itself. No driver in this workspace does: only the
+    /// `owms-bench` harness, which times the encode as a layer of its
+    /// own, switches its cores to it.
     Typed,
     /// Encode every outbound message through [`crate::codec::encode_msg`]
     /// and emit [`Action::SendBytes`] — what a transport ships as is.
     /// The receiving core decodes through [`HostCore::handle_frame`],
     /// which charges its vocabulary budget at the trust boundary. A
-    /// fresh core's mode, and the one the in-process drivers require.
+    /// fresh core's mode, and the one every driver requires —
+    /// `openwf_net::NetServer` wraps each frame in its routing envelope.
     #[default]
     Encoded,
 }

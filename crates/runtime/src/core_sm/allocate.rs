@@ -137,6 +137,9 @@ impl HostCore {
                 );
                 Some(bid)
             }
+            // The hold placed for the first copy of the call keeps its
+            // own expiry.
+            BidDecision::Resubmit(bid) => Some(bid),
             BidDecision::Decline(_) => None,
         }
     }

@@ -17,7 +17,7 @@
 //!   facility: fires every armed timer that has come due.
 //!
 //! Each call returns an [`ActionQueue`] of typed effects — messages to
-//! send ([`Action::Send`] / [`Action::SendBytes`]), timers to arm
+//! send, as encoded frames ([`Action::SendBytes`]), timers to arm
 //! ([`Action::SetTimer`]), observability events
 //! ([`Action::Event`]) — plus the modeled compute time the call
 //! charged. A *driver* (see [`crate::driver`]) owns the transport: the
@@ -47,10 +47,12 @@
 //! | `ExecStart`, `ExecFinish` | `execute.rs` |
 //! | `Watchdog` | `repair.rs` |
 //!
-//! `construct.rs` hands over to `allocate.rs` at `WsAction::Constructed`
-//! (`start_allocation`), `allocate.rs` to `execute.rs` when every
-//! auction is decided (`finalize_allocation` sends the plans), and both
-//! to `repair.rs` (`repair_or_fail`) when an attempt cannot go on.
+//! `construct.rs` hands over to `allocate.rs` when the frontier
+//! construction finishes (`start_allocation`), `allocate.rs` to
+//! `execute.rs` when every auction is decided (`finalize_allocation`
+//! sends the plans), and both to `repair.rs` (`repair_or_fail`) when an
+//! attempt cannot go on; repair opens the new attempt's first round
+//! through `begin_construction`, as `Initiate` does.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -70,7 +72,7 @@ use crate::prefs::Preferences;
 use crate::schedule::ScheduleManager;
 use crate::service::ServiceManager;
 use crate::timers::TimerTable;
-use crate::workflow_mgr::WorkflowManager;
+use crate::workflow_mgr::{Answers, WorkflowManager};
 
 mod action;
 mod allocate;
@@ -599,7 +601,7 @@ impl HostCore {
                 problem,
                 round,
                 fragments,
-            } => self.on_fragment_reply(from, problem, round, fragments, now, q),
+            } => self.on_query_reply(from, problem, round, Answers::Fragments(fragments), now, q),
             Msg::CapabilityQuery {
                 problem,
                 round,
@@ -609,7 +611,7 @@ impl HostCore {
                 problem,
                 round,
                 capable,
-            } => self.on_capability_reply(from, problem, round, capable, now, q),
+            } => self.on_query_reply(from, problem, round, Answers::Capable(capable), now, q),
 
             Msg::CallForBids {
                 problem,

@@ -97,11 +97,11 @@ impl HostCore {
         self.schedule.release_problem(problem);
         let n_peers = self.community.len().saturating_sub(1);
         self.workflow_mgr.create(next, spec, now, n_peers);
-        self.step_workspace(next, now, q, |ws, f, s, p| {
+        if let Some(ws) = self.workflow_mgr.get_mut(&next) {
             ws.report.repair_attempts = attempts_used + 1;
             // End-to-end timing spans the failed attempt too.
             ws.report.timings.initiated_at = original_start;
-            ws.begin(f, s, p)
-        });
+        }
+        self.begin_construction(next, now, q);
     }
 }

@@ -28,6 +28,42 @@ fn decoded(bytes: &[u8]) -> Msg {
         .0
 }
 
+/// The messages a poll call sends, decoded, in emission order.
+fn sent(q: &ActionQueue) -> Vec<(HostId, Msg)> {
+    q.actions()
+        .iter()
+        .filter_map(|a| match a {
+            Action::SendBytes { to, bytes } => Some((*to, decoded(bytes))),
+            _ => None,
+        })
+        .collect()
+}
+
+/// The timers a poll call armed, in emission order.
+fn armed(q: &ActionQueue) -> Vec<TimerToken> {
+    q.actions()
+        .iter()
+        .filter_map(|a| match a {
+            Action::SetTimer { token, .. } => Some(*token),
+            _ => None,
+        })
+        .collect()
+}
+
+fn surfaced(q: &ActionQueue, event: fn(&WorkflowEvent) -> bool) -> bool {
+    q.actions()
+        .iter()
+        .any(|a| matches!(a, Action::Event(e) if event(e)))
+}
+
+/// A core bound as host 0 of a community of `size` hosts.
+fn initiator(config: HostConfig, size: u32) -> HostCore {
+    let mut core = HostCore::new(config, RuntimeParams::default());
+    core.bind(HostId(0));
+    core.set_community((0..size).map(HostId).collect());
+    core
+}
+
 /// Drives a single-host core by hand until nothing is left to do:
 /// every `SendBytes` loops back into `handle_frame`, timers fire
 /// through `tick` — the minimal embedding the README documents.
@@ -233,6 +269,230 @@ fn an_empty_frontier_is_never_broadcast() {
     assert!(matches!(ws.report.status, ProblemStatus::Failed { .. }));
     assert_eq!(ws.report.query_rounds, 0);
     assert_eq!(core.next_timer_due(), None);
+}
+
+/// Without peers every round closes inside `initiate`, answered by the
+/// host's own managers: no query goes out, no round timeout is armed,
+/// and the construction satisfies the specification.
+#[test]
+fn zero_peer_construction_completes_locally() {
+    let mut core = initiator(two_step_config("zp"), 1);
+    let problem = ProblemId::new(HostId(0), 0);
+    let spec = Spec::new(["zp-a"], ["zp-c"]);
+    let q = core.initiate(problem, spec.clone(), SimTime::ZERO);
+    assert!(
+        surfaced(&q, |e| matches!(e, WorkflowEvent::Constructed { .. })),
+        "{:?}",
+        q.actions()
+    );
+    for (_, msg) in sent(&q) {
+        assert!(
+            !matches!(msg, Msg::FragmentQuery { .. } | Msg::CapabilityQuery { .. }),
+            "{msg:?}"
+        );
+    }
+    let ws = core.latest_attempt(problem).expect("workspace");
+    assert!(ws.report.query_rounds > 0);
+    assert_eq!(ws.report.timings.constructed_at, Some(SimTime::ZERO));
+    let workflow = ws.construction.as_ref().expect("constructed").workflow();
+    assert!(spec.is_satisfied_strict(workflow));
+}
+
+/// Capability filtering: without a service for `t2` anywhere, the goal
+/// is unreachable and the attempt fails inside `initiate`.
+#[test]
+fn zero_peer_construction_respects_capabilities() {
+    let config = HostConfig::new()
+        .with_fragment(frag("zc-f1", "zc-t1", "zc-a", "zc-b"))
+        .with_fragment(frag("zc-f2", "zc-t2", "zc-b", "zc-c"))
+        .with_service(service("zc-t1"));
+    let mut core = initiator(config, 1);
+    let problem = ProblemId::new(HostId(0), 0);
+    let q = core.initiate(problem, Spec::new(["zc-a"], ["zc-c"]), SimTime::ZERO);
+    assert!(
+        matches!(q.actions(), [Action::Event(WorkflowEvent::Failed { .. })]),
+        "{:?}",
+        q.actions()
+    );
+    let ws = core.latest_attempt(problem).expect("workspace");
+    assert!(matches!(ws.report.status, ProblemStatus::Failed { .. }));
+}
+
+/// With a peer, each round is a broadcast followed by its timeout; the
+/// test plays the peer. The fragment round's reply opens a capability
+/// round for the task it brought, whose reply ends construction.
+#[test]
+fn peer_rounds_drive_queries_and_replies() {
+    // The initiator knows nothing and serves t1.
+    let mut core = initiator(HostConfig::new().with_service(service("pr-t1")), 2);
+    let (problem, peer) = (ProblemId::new(HostId(0), 0), HostId(1));
+    let now = SimTime::ZERO;
+    let q = core.initiate(problem, Spec::new(["pr-a"], ["pr-b"]), now);
+    let round = match &q.actions() {
+        [Action::SendBytes { to, bytes }, Action::SetTimer { .. }] if *to == peer => {
+            match decoded(bytes) {
+                Msg::FragmentQuery { round, labels, .. } => {
+                    assert_eq!(labels, vec![Label::new("pr-a")]);
+                    round
+                }
+                other => panic!("expected a fragment query, got {other:?}"),
+            }
+        }
+        other => panic!("broadcast, then the timeout: {other:?}"),
+    };
+
+    // The peer answers with the fragment that produces b.
+    let reply = Msg::FragmentReply {
+        problem,
+        round,
+        fragments: vec![Arc::new(frag("pr-f1", "pr-t1", "pr-a", "pr-b"))],
+    };
+    let q = core.handle_frame(peer, &frame(&reply), now);
+    let cap_round = match &sent(&q)[..] {
+        [(_, Msg::CapabilityQuery { round, tasks, .. })] => {
+            assert_eq!(tasks, &vec![TaskId::new("pr-t1")]);
+            *round
+        }
+        other => panic!("expected a capability query, got {other:?}"),
+    };
+    assert_eq!(armed(&q).len(), 1);
+    assert_eq!(
+        core.armed_timer_count(),
+        1,
+        "the first round's timeout went"
+    );
+
+    // The peer serves nothing; the local service suffices.
+    let reply = Msg::CapabilityReply {
+        problem,
+        round: cap_round,
+        capable: Vec::new(),
+    };
+    let q = core.handle_frame(peer, &frame(&reply), now);
+    assert!(
+        surfaced(&q, |e| matches!(e, WorkflowEvent::Constructed { .. })),
+        "{:?}",
+        q.actions()
+    );
+    let ws = core.latest_attempt(problem).expect("workspace");
+    assert_eq!(ws.report.query_rounds, 1);
+    assert_eq!(ws.report.fragments_pulled, 1);
+}
+
+/// Peers that never answer: each round's timeout closes it with the
+/// host's own answers, and construction goes on.
+#[test]
+fn round_timeout_proceeds_with_partial_replies() {
+    let config = HostConfig::new()
+        .with_fragment(frag("rt-f1", "rt-t1", "rt-a", "rt-b"))
+        .with_service(service("rt-t1"));
+    let mut core = initiator(config, 3);
+    let problem = ProblemId::new(HostId(0), 0);
+    let q = core.initiate(problem, Spec::new(["rt-a"], ["rt-b"]), SimTime::ZERO);
+    assert!(matches!(
+        &sent(&q)[..],
+        [
+            (HostId(1), Msg::FragmentQuery { .. }),
+            (HostId(2), Msg::FragmentQuery { .. })
+        ]
+    ));
+    let [token] = armed(&q)[..] else {
+        panic!("one round timeout: {:?}", q.actions())
+    };
+    let due = core.next_timer_due().expect("armed");
+    // The timeout closes the fragment round with the local fragment; the
+    // capability round that follows times out as well.
+    let q = core.handle_timer(token, due);
+    assert!(
+        sent(&q)
+            .iter()
+            .all(|(_, m)| matches!(m, Msg::CapabilityQuery { .. })),
+        "{:?}",
+        q.actions()
+    );
+    let [token] = armed(&q)[..] else {
+        panic!("one round timeout: {:?}", q.actions())
+    };
+    let due = core.next_timer_due().expect("armed");
+    let q = core.handle_timer(token, due);
+    assert!(
+        surfaced(&q, |e| matches!(e, WorkflowEvent::Constructed { .. })),
+        "{:?}",
+        q.actions()
+    );
+}
+
+/// A reply for another round, or of the other kind, is not counted:
+/// the round stays open until the genuine reply arrives.
+#[test]
+fn stale_replies_are_ignored() {
+    let mut core = initiator(HostConfig::new(), 2);
+    let (problem, peer, now) = (ProblemId::new(HostId(0), 0), HostId(1), SimTime::ZERO);
+    let _ = core.initiate(problem, Spec::new(["sr-a"], ["sr-b"]), now);
+    let round = core.latest_attempt(problem).and_then(|ws| ws.round());
+    for stale in [
+        Msg::FragmentReply {
+            problem,
+            round: 99,
+            fragments: Vec::new(),
+        },
+        Msg::CapabilityReply {
+            problem,
+            round: 1,
+            capable: Vec::new(),
+        },
+    ] {
+        let q = core.handle_frame(peer, &frame(&stale), now);
+        assert!(q.is_empty(), "{stale:?} produced {:?}", q.actions());
+        assert_eq!(
+            core.latest_attempt(problem).and_then(|ws| ws.round()),
+            round
+        );
+    }
+    let genuine = Msg::FragmentReply {
+        problem,
+        round: 1,
+        fragments: Vec::new(),
+    };
+    let q = core.handle_frame(peer, &frame(&genuine), now);
+    assert!(
+        surfaced(&q, |e| matches!(e, WorkflowEvent::Failed { .. })),
+        "nothing anywhere reaches sr-b: {:?}",
+        q.actions()
+    );
+}
+
+/// A duplicated delivery of one peer's reply counts once: a two-peer
+/// round stays open until the other peer answers.
+#[test]
+fn a_duplicated_reply_does_not_close_a_two_peer_round() {
+    let config = HostConfig::new()
+        .with_fragment(frag("dr-f1", "dr-t1", "dr-a", "dr-b"))
+        .with_service(service("dr-t1"));
+    let mut core = initiator(config, 3);
+    let (problem, now) = (ProblemId::new(HostId(0), 0), SimTime::ZERO);
+    let _ = core.initiate(problem, Spec::new(["dr-a"], ["dr-b"]), now);
+    let reply = frame(&Msg::FragmentReply {
+        problem,
+        round: 1,
+        fragments: Vec::new(),
+    });
+    for copy in 0..2 {
+        let q = core.handle_frame(HostId(1), &reply, now);
+        assert!(q.is_empty(), "copy {copy} produced {:?}", q.actions());
+    }
+    let q = core.handle_frame(HostId(2), &reply, now);
+    assert!(
+        matches!(
+            &sent(&q)[..],
+            [
+                (HostId(1), Msg::CapabilityQuery { round: 2, .. }),
+                (HostId(2), Msg::CapabilityQuery { round: 2, .. })
+            ]
+        ),
+        "the second peer's reply closes the round: {:?}",
+        q.actions()
+    );
 }
 
 /// Once an attempt is `Completed` its working set is gone: late
@@ -601,4 +861,146 @@ fn non_reply_frames_cannot_mint_past_the_cap() {
         q.actions()
     );
     assert_eq!(core.vocabulary_rejections(), 0);
+}
+
+/// A core bound as host 1 of a two-host community whose initiator,
+/// host 0, the test plays.
+fn executor(config: HostConfig) -> HostCore {
+    let mut core = HostCore::new(config, RuntimeParams::default());
+    core.bind(HostId(1));
+    core.set_community(vec![HostId(0), HostId(1)]);
+    core
+}
+
+/// Fires every armed timer in due order until none is left.
+fn run_timers(core: &mut HostCore) {
+    while let Some(due) = core.next_timer_due() {
+        let _ = core.tick(due);
+    }
+}
+
+/// A duplicated `Execute` installs nothing twice: when the input
+/// arrives, the task runs once.
+#[test]
+fn a_duplicated_execute_runs_each_task_once() {
+    let mut core = executor(HostConfig::new().with_service(service("de-t")));
+    let problem = ProblemId::new(HostId(0), 0);
+    let execute = frame(&Msg::Execute {
+        problem,
+        plan: crate::metadata::ExecutionPlan {
+            commitments: vec![crate::metadata::PlannedTask {
+                task: TaskId::new("de-t"),
+                inputs: vec![Label::new("de-a")],
+                outputs: vec![crate::metadata::PlannedOutput {
+                    label: Label::new("de-b"),
+                    consumers: Vec::new(),
+                    is_goal: true,
+                }],
+                start: SimTime::ZERO,
+                duration: SimDuration::from_millis(10),
+                location: None,
+            }],
+        },
+    });
+    let now = SimTime::ZERO;
+    let _ = core.handle_frame(HostId(0), &execute, now);
+    let q = core.handle_frame(HostId(0), &execute, now);
+    assert!(q.is_empty(), "the copy changes nothing: {:?}", q.actions());
+    let input = Msg::InputDelivery {
+        problem,
+        label: Label::new("de-a"),
+    };
+    let _ = core.handle_frame(HostId(0), &frame(&input), now);
+    run_timers(&mut core);
+    assert_eq!(core.service_mgr().invocations().len(), 1);
+}
+
+fn call_for_bids(problem: ProblemId, task: &str) -> Vec<u8> {
+    frame(&Msg::CallForBids {
+        problem,
+        task: TaskId::new(task),
+        meta: crate::metadata::TaskMetadata {
+            level: 0,
+            inputs: Vec::new(),
+            outputs: Vec::new(),
+            location: None,
+            earliest_start: SimTime::ZERO,
+        },
+    })
+}
+
+/// What the executor answered the initiator.
+fn answer(q: &ActionQueue) -> Msg {
+    match &sent(q)[..] {
+        [(HostId(0), msg)] => msg.clone(),
+        other => panic!("one answer to the initiator: {other:?}"),
+    }
+}
+
+/// A copy of a call for bids that arrives while the hold is open gets
+/// the held bid again and holds no second slot; the award keeps the one
+/// slot, and no expiry releases it.
+#[test]
+fn a_duplicated_call_for_bids_holds_one_slot() {
+    let mut core = executor(HostConfig::new().with_service(service("db-t")));
+    let problem = ProblemId::new(HostId(0), 0);
+    let call = call_for_bids(problem, "db-t");
+    let now = SimTime::ZERO;
+    let first = core.handle_frame(HostId(0), &call, now);
+    let copy = core.handle_frame(HostId(0), &call, now);
+    let (Msg::Bid { bid: a, .. }, Msg::Bid { bid: b, .. }) = (answer(&first), answer(&copy)) else {
+        panic!("two bids: {:?} {:?}", first.actions(), copy.actions())
+    };
+    assert_eq!(a, b, "the held bid, again");
+    assert!(armed(&copy).is_empty(), "the first hold's expiry stands");
+    assert_eq!(core.schedule().commitment_count(), 1);
+
+    let award = Msg::Award {
+        problem,
+        task: TaskId::new("db-t"),
+        assignment: crate::metadata::Assignment {
+            host: HostId(1),
+            start: a.start,
+            duration: a.travel + a.duration,
+            location: None,
+        },
+    };
+    let _ = core.handle_frame(HostId(0), &frame(&award), now);
+    run_timers(&mut core);
+    assert_eq!(core.schedule().commitment_count(), 1, "the award stands");
+}
+
+/// A copy of a call for bids that arrives after the award is declined:
+/// it holds nothing, so no expiry can release the awarded slot.
+#[test]
+fn a_late_call_for_bids_never_frees_an_awarded_slot() {
+    let mut core = executor(HostConfig::new().with_service(service("lb-t")));
+    let problem = ProblemId::new(HostId(0), 0);
+    let call = call_for_bids(problem, "lb-t");
+    let now = SimTime::ZERO;
+    let Msg::Bid { bid, .. } = answer(&core.handle_frame(HostId(0), &call, now)) else {
+        panic!("a bid")
+    };
+    let award = Msg::Award {
+        problem,
+        task: TaskId::new("lb-t"),
+        assignment: crate::metadata::Assignment {
+            host: HostId(1),
+            start: bid.start,
+            duration: bid.travel + bid.duration,
+            location: None,
+        },
+    };
+    let _ = core.handle_frame(HostId(0), &frame(&award), now);
+    assert_eq!(core.schedule().commitment_count(), 1);
+
+    let late = core.handle_frame(HostId(0), &call, now);
+    assert!(
+        matches!(answer(&late), Msg::Decline { .. }),
+        "{:?}",
+        late.actions()
+    );
+    assert_eq!(core.schedule().commitment_count(), 1);
+    run_timers(&mut core);
+    assert_eq!(core.schedule().commitment_count(), 1, "the award stands");
 }

@@ -98,48 +98,52 @@ impl ExecutionManager {
 
     /// Installs the host's slice of a problem's execution plan, returning
     /// the initial events (start timers / immediate begins).
+    ///
+    /// Installing is idempotent per task while the problem's plan is
+    /// installed: a task already there — a duplicated `Execute`, say —
+    /// keeps its one entry, so it runs once.
     pub fn install_plan(
         &mut self,
         problem: ProblemId,
         plan: ExecutionPlan,
         now: SimTime,
     ) -> Vec<ExecEvent> {
-        let early = self.early_inputs.remove(&problem).unwrap_or_default();
-        let tasks: Vec<ActiveTask> = plan
+        let tasks = self.active.entry(problem).or_default();
+        let fresh: Vec<PlannedTask> = plan
             .commitments
             .into_iter()
-            .map(|planned| {
-                let missing_inputs = planned
-                    .inputs
-                    .iter()
-                    .filter(|l| !early.contains(*l))
-                    .cloned()
-                    .collect();
-                ActiveTask {
-                    planned,
-                    missing_inputs,
-                    state: TaskState::Waiting,
-                }
-            })
+            .filter(|p| tasks.iter().all(|t| t.planned.task != p.task))
             .collect();
-        self.active.entry(problem).or_default().extend(tasks);
+        if fresh.is_empty() {
+            return Vec::new();
+        }
+        let early = self.early_inputs.remove(&problem).unwrap_or_default();
         let mut events = Vec::new();
-        for t in self.active.get_mut(&problem).expect("just inserted") {
-            if t.state != TaskState::Waiting {
-                continue;
-            }
-            if t.planned.start > now {
+        for planned in fresh {
+            let missing_inputs: BTreeSet<Label> = planned
+                .inputs
+                .iter()
+                .filter(|l| !early.contains(*l))
+                .cloned()
+                .collect();
+            let mut state = TaskState::Waiting;
+            if planned.start > now {
                 events.push(ExecEvent::WaitUntilStart {
-                    task: t.planned.task.clone(),
-                    at: t.planned.start,
+                    task: planned.task.clone(),
+                    at: planned.start,
                 });
-            } else if t.missing_inputs.is_empty() {
-                t.state = TaskState::Running;
+            } else if missing_inputs.is_empty() {
+                state = TaskState::Running;
                 events.push(ExecEvent::Begin {
-                    task: t.planned.task.clone(),
-                    duration: t.planned.duration,
+                    task: planned.task.clone(),
+                    duration: planned.duration,
                 });
             }
+            tasks.push(ActiveTask {
+                planned,
+                missing_inputs,
+                state,
+            });
         }
         events
     }

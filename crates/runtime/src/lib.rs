@@ -11,9 +11,11 @@
 //!
 //! **Construction subsystem** (active on the initiating host):
 //! * [`WorkflowManager`](workflow_mgr::WorkflowManager) — one isolated
-//!   [`Workspace`](workflow_mgr::Workspace) per problem; issues fragment
-//!   and capability queries and drives core's frontier construction
-//!   ([`openwf_core::FrontierConstruction`]) with the answers.
+//!   [`Workspace`](workflow_mgr::Workspace) per problem: the attempt's
+//!   record and, while it is open, core's frontier construction
+//!   ([`openwf_core::FrontierConstruction`]) and the query round in
+//!   flight. [`HostCore`] issues the fragment and capability queries and
+//!   drives the construction with the answers.
 //! * Auction Manager ([`auction::ProblemAuctions`]) — solicits firm bids for
 //!   every task, keeps the best tentative allocation, and finalizes on
 //!   bidder deadlines (§3.2's CiAN-style auction).

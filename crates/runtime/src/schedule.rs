@@ -255,6 +255,14 @@ impl ScheduleManager {
         }
     }
 
+    /// True if `(problem, task)` has a commitment on record.
+    pub fn has_commitment(&self, problem: ProblemId, task: &TaskId) -> bool {
+        self.by_problem.get(&problem).is_some_and(|seqs| {
+            seqs.iter()
+                .any(|&seq| &self.commitments[self.index_of(seq)].task == task)
+        })
+    }
+
     /// Releases all commitments of one problem (repair/reallocation).
     pub fn release_problem(&mut self, problem: ProblemId) {
         for seq in self.by_problem.remove(&problem).unwrap_or_default() {
@@ -428,7 +436,7 @@ mod tests {
         };
         m.commit(commitment(0, 10));
         m.commit(other_task.clone());
-        m.commit(commitment(20, 30)); // a duplicate call for bids held twice
+        m.commit(commitment(20, 30)); // a second slot for the same pair
         m.release_task(pid(), &TaskId::new("t"));
         assert_eq!(m.commitments(), &[other_task]);
         assert_eq!(m.open_slot_count(), 1);

@@ -21,6 +21,9 @@
 //!   wedges past its timeout horizon;
 //! * every completed problem holds a constructed workflow its
 //!   specification accepts;
+//! * no task runs more than once — the community's service invocations
+//!   never outnumber the tasks its attempts awarded, however often the
+//!   network duplicates a frame;
 //! * completion rates stay above a per-profile floor, and problems
 //!   submitted *after* a partition heals all complete;
 //! * bandwidth stays within a computed per-problem budget;
@@ -659,10 +662,21 @@ pub fn run_soak_observed(config: &SoakConfig, obs: &Obs) -> SoakOutcome {
     // metrics into the shared registry.
     let mut decode_cache_hits = 0u64;
     let mut decode_cache_misses = 0u64;
+    // Service invocations against the tasks every attempt awarded,
+    // community-wide.
+    let mut invocations = 0usize;
+    let mut awarded = 0usize;
     for h in community.hosts() {
-        let (hits, misses) = community.core(h).decode_cache_stats();
+        let core = community.core(h);
+        let (hits, misses) = core.decode_cache_stats();
         decode_cache_hits += hits;
         decode_cache_misses += misses;
+        invocations += core.service_mgr().invocations().len();
+        awarded += core
+            .workflow_mgr()
+            .iter()
+            .map(|ws| ws.assignments.len())
+            .sum::<usize>();
         if obs.metrics.is_enabled() {
             community.core_mut(h).publish_metrics();
         }
@@ -695,6 +709,11 @@ pub fn run_soak_observed(config: &SoakConfig, obs: &Obs) -> SoakOutcome {
         violations.push(format!(
             "{}/{late_problems} post-heal problems completed (expected all)",
             late_completed
+        ));
+    }
+    if invocations > awarded {
+        violations.push(format!(
+            "a task ran more than once: {invocations} service invocations for {awarded} awarded tasks"
         ));
     }
     let message_budget = config.message_budget();
