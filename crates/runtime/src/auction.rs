@@ -20,9 +20,7 @@ use std::fmt;
 use openwf_core::TaskId;
 use openwf_simnet::{HostId, SimTime};
 
-use crate::auction_part::Bid;
-
-use crate::metadata::{Assignment, TaskMetadata};
+use crate::metadata::{Assignment, Bid, TaskMetadata};
 
 /// Selection criterion (§3.2): most specialized first (fewest services),
 /// then earliest start, then lowest host id for determinism.

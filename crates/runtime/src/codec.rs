@@ -26,9 +26,8 @@ use openwf_wire::{
     read_frame, DecodeScratch, FrameEncoder, PayloadReader, VocabularyBudget, WireError, TAG_MSG,
 };
 
-use crate::auction_part::Bid;
 use crate::messages::{Msg, ProblemId};
-use crate::metadata::{Assignment, ExecutionPlan, PlannedOutput, PlannedTask, TaskMetadata};
+use crate::metadata::{Assignment, Bid, ExecutionPlan, PlannedOutput, PlannedTask, TaskMetadata};
 
 const V_INITIATE: u8 = 0;
 const V_FRAGMENT_QUERY: u8 = 1;

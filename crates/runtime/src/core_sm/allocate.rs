@@ -2,6 +2,12 @@
 //! bids out, bids / declines and their deadlines back, awards and
 //! execution plans out — and every member's bidding side. Everything
 //! here runs between the `allocate` span's begin and end.
+//!
+//! The bidding side is the paper's Auction Participation Manager, and
+//! it keeps no state of its own: a firm bid holds its slot as a
+//! [`CommitmentState::Held`] commitment in the schedule, which answers
+//! every later question about the task — a copy of the call, the
+//! `Award`, the hold's expiry (see [`crate::schedule`]).
 
 use openwf_core::{Label, TaskId};
 use openwf_obs::SpanPhase;
@@ -9,10 +15,10 @@ use openwf_simnet::{HostId, SimDuration, SimTime};
 
 use super::{ActionQueue, HostCore, TimerPurpose};
 use crate::auction::{AuctionAction, ProblemAuctions};
-use crate::auction_part::{Bid, BidDecision};
 use crate::messages::{Msg, ProblemId};
-use crate::metadata::{build_plans, compute_metadata, TaskMetadata};
+use crate::metadata::{build_plans, compute_metadata, Bid, TaskMetadata};
 use crate::report::ProblemStatus;
+use crate::schedule::{Commitment, CommitmentState};
 
 impl HostCore {
     /// [`Msg::CallForBids`]: answers with a [`Msg::Bid`] or a
@@ -62,7 +68,7 @@ impl HostCore {
     /// [`Msg::Award`]: the hold becomes a firm commitment (already
     /// scheduled).
     pub(super) fn on_award(&mut self, problem: ProblemId, task: TaskId) {
-        let _ = self.auction_part.on_award(problem, &task);
+        self.schedule.award(problem, &task);
     }
 
     /// `AuctionDeadline`: the task's best bid so far wins.
@@ -96,15 +102,20 @@ impl HostCore {
 
     /// `BidHoldExpiry`: a bid that was never awarded frees its slot.
     pub(super) fn on_bid_hold_expiry(&mut self, problem: ProblemId, task: TaskId) {
-        let _ = self
-            .auction_part
-            .expire_hold(problem, &task, &mut self.schedule);
+        self.schedule.expire_hold(problem, &task);
     }
 
     /// The bidder's side of one call for bids, the same for a peer's
-    /// call and for the initiator's own participation: considers the
-    /// task against local services, schedule and preferences and, on a
-    /// bid, arms the expiry of the hold it placed. `None` is a decline.
+    /// call and for the initiator's own participation. §3.2: "The
+    /// participants compare the task's required time, location, and
+    /// service with their own capabilities and availability." A bid is
+    /// firm, so it holds its slot in the schedule, and the hold's
+    /// expiry is armed here. `None` is a decline.
+    ///
+    /// One `(problem, task)` gets at most one slot: a copy of a call
+    /// this host holds a bid for gets that bid again (the first copy's
+    /// hold keeps its own expiry), and one awarded or run here is
+    /// declined.
     fn consider_bid(
         &mut self,
         problem: ProblemId,
@@ -113,35 +124,51 @@ impl HostCore {
         now: SimTime,
         q: &mut ActionQueue,
     ) -> Option<Bid> {
-        let decision = self.auction_part.consider(
-            problem,
-            task,
-            meta,
-            now,
-            &self.service_mgr,
-            &mut self.schedule,
-            &self.prefs,
-            &self.params,
-        );
-        match decision {
-            BidDecision::Submit(bid) => {
-                let expiry = bid.deadline + self.params.round_timeout;
-                self.arm_at(
-                    q,
-                    now,
-                    expiry,
-                    TimerPurpose::BidHoldExpiry {
-                        problem,
-                        task: task.clone(),
-                    },
-                );
-                Some(bid)
-            }
-            // The hold placed for the first copy of the call keeps its
-            // own expiry.
-            BidDecision::Resubmit(bid) => Some(bid),
-            BidDecision::Decline(_) => None,
+        match self.schedule.state(problem, task) {
+            Some(CommitmentState::Held(bid)) => return Some(bid.clone()),
+            Some(CommitmentState::Awarded | CommitmentState::Done) => return None,
+            None => {}
         }
+        let service = self.service_mgr.describe(task)?;
+        // The commitment budget is about load: what has not ended by
+        // this host's clock, not everything it ever took on.
+        self.schedule.advance(now);
+        if !self.prefs.is_willing(task, self.schedule.open_slot_count()) {
+            return None;
+        }
+        // The task's required location wins over the service's default.
+        let location = meta.location.clone().or_else(|| service.location.clone());
+        let earliest = meta.earliest_start.max(now);
+        let (start, travel) =
+            self.schedule
+                .earliest_slot(earliest, service.duration, location.as_deref())?;
+        let bid = Bid {
+            start,
+            travel,
+            duration: service.duration,
+            specialization: self.service_mgr.service_count() as u32,
+            deadline: now + self.params.bid_patience,
+        };
+        self.schedule.commit(Commitment {
+            problem,
+            task: task.clone(),
+            start,
+            end: start + travel + bid.duration,
+            travel,
+            location,
+            state: CommitmentState::Held(bid.clone()),
+        });
+        let expiry = bid.deadline + self.params.round_timeout;
+        self.arm_at(
+            q,
+            now,
+            expiry,
+            TimerPurpose::BidHoldExpiry {
+                problem,
+                task: task.clone(),
+            },
+        );
+        Some(bid)
     }
 
     /// Steps `problem`'s auctions and acts on every decision the step

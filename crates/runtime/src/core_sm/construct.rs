@@ -286,7 +286,6 @@ impl HostCore {
         match next {
             Next::Ask(frontier) => self.open_fragment_round(problem, frontier, now, q),
             Next::Done(Ok(construction)) => {
-                w.tasks_pending = construction.workflow().tasks().collect();
                 ws.construction = Some(construction);
                 ws.report.status = ProblemStatus::Allocating;
                 let closed = w.guard_timers.round.take();

@@ -13,17 +13,31 @@ use crate::exec::ExecEvent;
 use crate::messages::{Msg, ProblemId};
 use crate::metadata::ExecutionPlan;
 use crate::report::ProblemStatus;
+use crate::schedule::CommitmentState;
 
 impl HostCore {
     /// [`Msg::Execute`]: installs this host's share of the plan. A newer
     /// attempt supersedes older ones of the same problem.
+    ///
+    /// The plan is the award in full: a commitment still held for one
+    /// of its tasks is firmed, as the task's `Award` would have (that
+    /// frame may have been lost, and the slot must outlive the hold's
+    /// expiry). A task whose commitment is done already ran here, so a
+    /// copy of the frame arriving after the plan finished installs
+    /// nothing for it. A task this host holds no commitment for — its
+    /// hold expired before any award or plan arrived — is installed and
+    /// runs as before.
     pub(super) fn on_execute(
         &mut self,
         problem: ProblemId,
-        plan: ExecutionPlan,
+        mut plan: ExecutionPlan,
         now: SimTime,
         q: &mut ActionQueue,
     ) {
+        plan.commitments.retain(|planned| {
+            self.schedule.award(problem, &planned.task);
+            self.schedule.state(problem, &planned.task) != Some(&CommitmentState::Done)
+        });
         let events = self.exec_mgr.install_plan(problem, plan, now);
         self.apply_exec_events(problem, events, now, q);
     }
@@ -38,13 +52,6 @@ impl HostCore {
     ) {
         let events = self.exec_mgr.on_input(problem, label, now);
         self.apply_exec_events(problem, events, now, q);
-    }
-
-    /// [`Msg::TaskCompleted`] (initiator side).
-    pub(super) fn on_task_completed(&mut self, problem: ProblemId, task: TaskId) {
-        if let Some(w) = self.workflow_mgr.working_mut(&problem) {
-            w.tasks_pending.remove(&task);
-        }
     }
 
     /// [`Msg::GoalDelivered`] (initiator side).
@@ -111,6 +118,7 @@ impl HostCore {
         let Some(finished) = self.exec_mgr.on_completion(problem, &task) else {
             return;
         };
+        self.schedule.mark_done(problem, &task);
         // Invoke the service (§4.2: uniform service invocation interface).
         self.service_mgr
             .invoke(&finished.task, finished.inputs.clone());

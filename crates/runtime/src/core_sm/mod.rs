@@ -3,9 +3,10 @@
 //!
 //! [`HostCore`] owns the paper's §4.2 components — the construction
 //! subsystem (Workflow Manager + Auction Manager) and the execution
-//! subsystem (Fragment, Service, Schedule, Auction Participation and
-//! Execution Managers) — but performs **no I/O**. Every input arrives
-//! through a narrow poll surface:
+//! subsystem (Fragment, Service, Schedule and Execution Managers, with
+//! auction participation in `allocate.rs` over the schedule's holds) —
+//! but performs **no I/O**. Every input arrives through a narrow poll
+//! surface:
 //!
 //! * [`HostCore::handle_frame`] — a protocol message from a peer, as
 //!   the encoded wire frame it travelled in (decoded through the host's
@@ -38,7 +39,8 @@
 //! |---|---|
 //! | `Initiate`, `FragmentQuery`, `FragmentReply`, `CapabilityQuery`, `CapabilityReply` | `construct.rs` |
 //! | `CallForBids`, `Bid`, `Decline`, `Award` | `allocate.rs` |
-//! | `Execute`, `InputDelivery`, `TaskCompleted`, `GoalDelivered` | `execute.rs` |
+//! | `Execute`, `InputDelivery`, `GoalDelivered` | `execute.rs` |
+//! | `TaskCompleted` | none: `dispatch_msg` reads nothing of it |
 //!
 //! | `TimerPurpose` | owner |
 //! |---|---|
@@ -62,7 +64,6 @@ use openwf_obs::{Obs, SpanPhase, TraceEvent};
 use openwf_simnet::{HostId, SimDuration, SimTime, TimerToken};
 use openwf_wire::{DecodeScratch, VocabularyBudget, WireError};
 
-use crate::auction_part::AuctionParticipationManager;
 use crate::codec;
 use crate::exec::ExecutionManager;
 use crate::fragment_mgr::FragmentManager;
@@ -111,7 +112,6 @@ pub struct HostCore {
     fragment_mgr: FragmentManager,
     service_mgr: ServiceManager,
     schedule: ScheduleManager,
-    auction_part: AuctionParticipationManager,
     exec_mgr: ExecutionManager,
     /// Construction subsystem.
     workflow_mgr: WorkflowManager,
@@ -201,7 +201,6 @@ impl HostCore {
             fragment_mgr,
             service_mgr,
             schedule,
-            auction_part: AuctionParticipationManager::new(),
             exec_mgr: ExecutionManager::new(),
             workflow_mgr: WorkflowManager::new(),
             vocab,
@@ -624,7 +623,9 @@ impl HostCore {
 
             Msg::Execute { problem, plan } => self.on_execute(problem, plan, now, q),
             Msg::InputDelivery { problem, label } => self.on_input_delivery(problem, label, now, q),
-            Msg::TaskCompleted { problem, task } => self.on_task_completed(problem, task),
+            // Sent, charged and traced once per executed task, and read
+            // by nothing (ROADMAP direction 1).
+            Msg::TaskCompleted { .. } => {}
             Msg::GoalDelivered { problem, label } => self.on_goal_delivered(problem, label, now, q),
         }
     }

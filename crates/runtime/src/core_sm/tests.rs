@@ -3,7 +3,9 @@ use std::sync::Arc;
 use openwf_core::{Fragment, Label, Mode, Spec};
 
 use super::*;
+use crate::metadata::Bid;
 use crate::report::ProblemStatus;
+use crate::schedule::CommitmentState;
 use crate::service::ServiceDescription;
 
 fn frag(id: &str, task: &str, input: &str, output: &str) -> Fragment {
@@ -581,7 +583,7 @@ fn late_traffic_for_a_completed_attempt_changes_nothing() {
         Msg::Bid {
             problem,
             task: task.clone(),
-            bid: crate::auction_part::Bid {
+            bid: Bid {
                 start: now,
                 travel: SimDuration::ZERO,
                 duration: SimDuration::from_millis(10),
@@ -929,12 +931,166 @@ fn call_for_bids(problem: ProblemId, task: &str) -> Vec<u8> {
     })
 }
 
+/// The initiator's award of `task` to the executor, at what `bid` said.
+fn award(problem: ProblemId, task: &str, bid: &Bid) -> Vec<u8> {
+    frame(&Msg::Award {
+        problem,
+        task: TaskId::new(task),
+        assignment: crate::metadata::Assignment {
+            host: HostId(1),
+            start: bid.start,
+            duration: bid.travel + bid.duration,
+            location: None,
+        },
+    })
+}
+
 /// What the executor answered the initiator.
 fn answer(q: &ActionQueue) -> Msg {
     match &sent(q)[..] {
         [(HostId(0), msg)] => msg.clone(),
         other => panic!("one answer to the initiator: {other:?}"),
     }
+}
+
+/// The bid the executor answered a call with.
+fn bid_in(q: &ActionQueue) -> Bid {
+    match answer(q) {
+        Msg::Bid { bid, .. } => bid,
+        other => panic!("expected a bid, got {other:?}"),
+    }
+}
+
+#[test]
+fn capable_host_bids_and_holds_slot() {
+    let mut core = executor(HostConfig::new().with_service(service("cb-t")));
+    let problem = ProblemId::new(HostId(0), 0);
+    let q = core.handle_frame(HostId(0), &call_for_bids(problem, "cb-t"), SimTime::ZERO);
+    let bid = bid_in(&q);
+    assert_eq!(bid.specialization, 1);
+    assert_eq!(bid.duration, SimDuration::from_millis(10));
+    assert_eq!(core.schedule().commitment_count(), 1, "slot held");
+    assert_eq!(
+        core.schedule().state(problem, &TaskId::new("cb-t")),
+        Some(&CommitmentState::Held(bid))
+    );
+    assert_eq!(armed(&q).len(), 1, "the hold's expiry");
+}
+
+#[test]
+fn incapable_host_declines() {
+    let mut core = executor(HostConfig::new());
+    let problem = ProblemId::new(HostId(0), 0);
+    let q = core.handle_frame(HostId(0), &call_for_bids(problem, "ic-t"), SimTime::ZERO);
+    assert!(
+        matches!(answer(&q), Msg::Decline { .. }),
+        "{:?}",
+        q.actions()
+    );
+    assert_eq!(core.schedule().commitment_count(), 0);
+}
+
+#[test]
+fn unwilling_host_declines() {
+    let config = HostConfig::new()
+        .with_service(service("uw-t"))
+        .with_prefs(Preferences::willing().refusing("uw-t"));
+    let mut core = executor(config);
+    let problem = ProblemId::new(HostId(0), 0);
+    let q = core.handle_frame(HostId(0), &call_for_bids(problem, "uw-t"), SimTime::ZERO);
+    assert!(
+        matches!(answer(&q), Msg::Decline { .. }),
+        "{:?}",
+        q.actions()
+    );
+    assert_eq!(core.schedule().commitment_count(), 0);
+}
+
+/// `max_commitments` caps what is on the host's plate now: two
+/// tasks still open use the budget up, the same two run to their
+/// end give it back.
+#[test]
+fn commitment_budget_counts_load_not_history() {
+    let config = HostConfig::new()
+        .with_service(service("cl-t"))
+        .with_prefs(Preferences::willing().with_max_commitments(2));
+    let mut core = executor(config);
+    let mut call = |seq: u32, now: SimTime| {
+        let problem = ProblemId::new(HostId(0), seq);
+        answer(&core.handle_frame(HostId(0), &call_for_bids(problem, "cl-t"), now))
+    };
+    let first = call(0, SimTime::ZERO);
+    let second = call(1, SimTime::ZERO);
+    let Msg::Bid { bid: last, .. } = &second else {
+        panic!("inside the budget: {first:?}, {second:?}")
+    };
+    assert!(matches!(first, Msg::Bid { .. }), "{first:?}");
+    let third = call(2, SimTime::ZERO);
+    assert!(
+        matches!(third, Msg::Decline { .. }),
+        "two still open: {third:?}"
+    );
+    let both_ended = last.start + last.travel + last.duration;
+    let third = call(2, both_ended);
+    assert!(matches!(third, Msg::Bid { .. }), "{third:?}");
+}
+
+#[test]
+fn second_bid_slots_after_first_hold() {
+    let mut core = executor(HostConfig::new().with_service(service("sb-t")));
+    let now = SimTime::ZERO;
+    let b1 = bid_in(&core.handle_frame(
+        HostId(0),
+        &call_for_bids(ProblemId::new(HostId(0), 0), "sb-t"),
+        now,
+    ));
+    // A different problem's task also wants a slot.
+    let b2 = bid_in(&core.handle_frame(
+        HostId(0),
+        &call_for_bids(ProblemId::new(HostId(0), 5), "sb-t"),
+        now,
+    ));
+    assert!(
+        b2.start >= b1.start + b1.travel + b1.duration,
+        "no double-booking"
+    );
+}
+
+#[test]
+fn award_converts_hold_and_expire_releases() {
+    let config = HostConfig::new()
+        .with_service(service("ac-t"))
+        .with_service(ServiceDescription::new("ac-t2", SimDuration::from_secs(1)));
+    let mut core = executor(config);
+    let problem = ProblemId::new(HostId(0), 0);
+    let (task, task2) = (TaskId::new("ac-t"), TaskId::new("ac-t2"));
+    let now = SimTime::ZERO;
+    let bid = bid_in(&core.handle_frame(HostId(0), &call_for_bids(problem, "ac-t"), now));
+    let _ = core.handle_frame(HostId(0), &award(problem, "ac-t", &bid), now);
+    assert_eq!(
+        core.schedule().state(problem, &task),
+        Some(&CommitmentState::Awarded)
+    );
+    assert_eq!(core.schedule().commitment_count(), 1, "commitment stays");
+
+    // New bid on another task, then expire it.
+    let q = core.handle_frame(HostId(0), &call_for_bids(problem, "ac-t2"), now);
+    let _ = bid_in(&q);
+    assert_eq!(core.schedule().commitment_count(), 2);
+    let [expiry] = armed(&q)[..] else {
+        panic!("one hold expiry: {:?}", q.actions())
+    };
+    let due = core.next_timer_due().expect("armed");
+    let _ = core.handle_timer(expiry, due);
+    assert_eq!(core.schedule().commitment_count(), 1, "hold released");
+    assert_eq!(core.schedule().state(problem, &task2), None);
+    let _ = core.handle_timer(expiry, due);
+    run_timers(&mut core);
+    assert_eq!(core.schedule().commitment_count(), 1, "idempotent");
+    assert_eq!(
+        core.schedule().state(problem, &task),
+        Some(&CommitmentState::Awarded)
+    );
 }
 
 /// A copy of a call for bids that arrives while the hold is open gets
@@ -955,17 +1111,7 @@ fn a_duplicated_call_for_bids_holds_one_slot() {
     assert!(armed(&copy).is_empty(), "the first hold's expiry stands");
     assert_eq!(core.schedule().commitment_count(), 1);
 
-    let award = Msg::Award {
-        problem,
-        task: TaskId::new("db-t"),
-        assignment: crate::metadata::Assignment {
-            host: HostId(1),
-            start: a.start,
-            duration: a.travel + a.duration,
-            location: None,
-        },
-    };
-    let _ = core.handle_frame(HostId(0), &frame(&award), now);
+    let _ = core.handle_frame(HostId(0), &award(problem, "db-t", &a), now);
     run_timers(&mut core);
     assert_eq!(core.schedule().commitment_count(), 1, "the award stands");
 }
@@ -981,17 +1127,7 @@ fn a_late_call_for_bids_never_frees_an_awarded_slot() {
     let Msg::Bid { bid, .. } = answer(&core.handle_frame(HostId(0), &call, now)) else {
         panic!("a bid")
     };
-    let award = Msg::Award {
-        problem,
-        task: TaskId::new("lb-t"),
-        assignment: crate::metadata::Assignment {
-            host: HostId(1),
-            start: bid.start,
-            duration: bid.travel + bid.duration,
-            location: None,
-        },
-    };
-    let _ = core.handle_frame(HostId(0), &frame(&award), now);
+    let _ = core.handle_frame(HostId(0), &award(problem, "lb-t", &bid), now);
     assert_eq!(core.schedule().commitment_count(), 1);
 
     let late = core.handle_frame(HostId(0), &call, now);
@@ -1003,4 +1139,84 @@ fn a_late_call_for_bids_never_frees_an_awarded_slot() {
     assert_eq!(core.schedule().commitment_count(), 1);
     run_timers(&mut core);
     assert_eq!(core.schedule().commitment_count(), 1, "the award stands");
+}
+
+/// The executor's share of `problem`'s plan: `task`, with no inputs,
+/// at the slot `bid` named.
+fn execute(problem: ProblemId, task: &str, bid: &Bid) -> Vec<u8> {
+    frame(&Msg::Execute {
+        problem,
+        plan: crate::metadata::ExecutionPlan {
+            commitments: vec![crate::metadata::PlannedTask {
+                task: TaskId::new(task),
+                inputs: Vec::new(),
+                outputs: Vec::new(),
+                start: bid.start,
+                duration: bid.travel + bid.duration,
+                location: None,
+            }],
+        },
+    })
+}
+
+/// A copy of `Execute` that arrives after the plan ran to its end (its
+/// `ExecutionManager` entry is gone) finds the task's commitment done
+/// and runs nothing.
+#[test]
+fn a_late_execute_after_the_plan_finished_runs_nothing() {
+    let mut core = executor(HostConfig::new().with_service(service("le-t")));
+    let problem = ProblemId::new(HostId(0), 0);
+    let now = SimTime::ZERO;
+    let bid = bid_in(&core.handle_frame(HostId(0), &call_for_bids(problem, "le-t"), now));
+    let _ = core.handle_frame(HostId(0), &award(problem, "le-t", &bid), now);
+    let plan = execute(problem, "le-t", &bid);
+    let _ = core.handle_frame(HostId(0), &plan, now);
+    run_timers(&mut core);
+    assert_eq!(core.service_mgr().invocations().len(), 1);
+    assert_eq!(
+        core.exec_mgr().problem_count(),
+        0,
+        "the plan ran to its end"
+    );
+    assert_eq!(
+        core.schedule().state(problem, &TaskId::new("le-t")),
+        Some(&CommitmentState::Done)
+    );
+
+    let q = core.handle_frame(HostId(0), &plan, now);
+    assert!(
+        q.is_empty(),
+        "the late copy changes nothing: {:?}",
+        q.actions()
+    );
+    run_timers(&mut core);
+    assert_eq!(core.service_mgr().invocations().len(), 1);
+    assert_eq!(core.exec_mgr().problem_count(), 0, "and leaves no plan");
+}
+
+/// The plan is the award in full: when the `Award` frame is lost, the
+/// `Execute` that follows firms the hold, so the hold's expiry no
+/// longer frees the slot the host runs the task in, and another
+/// problem's call is placed after it.
+#[test]
+fn a_lost_award_does_not_free_the_slot_the_plan_runs_in() {
+    let mut core = executor(HostConfig::new().with_service(service("la-t")));
+    let problem = ProblemId::new(HostId(0), 0);
+    let now = SimTime::ZERO;
+    let bid = bid_in(&core.handle_frame(HostId(0), &call_for_bids(problem, "la-t"), now));
+    // The award is dropped on the way; the plan arrives.
+    let _ = core.handle_frame(HostId(0), &execute(problem, "la-t", &bid), now);
+    run_timers(&mut core);
+    assert_eq!(
+        core.schedule().commitment_count(),
+        1,
+        "the hold's expiry must not free a planned slot"
+    );
+
+    let other = ProblemId::new(HostId(0), 1);
+    let next = bid_in(&core.handle_frame(HostId(0), &call_for_bids(other, "la-t"), now));
+    assert!(
+        next.start >= bid.start + bid.travel + bid.duration,
+        "double-booked: {next:?} over {bid:?}"
+    );
 }

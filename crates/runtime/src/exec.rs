@@ -101,22 +101,24 @@ impl ExecutionManager {
     ///
     /// Installing is idempotent per task while the problem's plan is
     /// installed: a task already there — a duplicated `Execute`, say —
-    /// keeps its one entry, so it runs once.
+    /// keeps its one entry, so it runs once. A plan that installs no
+    /// task leaves no entry behind.
     pub fn install_plan(
         &mut self,
         problem: ProblemId,
         plan: ExecutionPlan,
         now: SimTime,
     ) -> Vec<ExecEvent> {
-        let tasks = self.active.entry(problem).or_default();
+        let installed = self.active.get(&problem).map(Vec::as_slice).unwrap_or(&[]);
         let fresh: Vec<PlannedTask> = plan
             .commitments
             .into_iter()
-            .filter(|p| tasks.iter().all(|t| t.planned.task != p.task))
+            .filter(|p| installed.iter().all(|t| t.planned.task != p.task))
             .collect();
         if fresh.is_empty() {
             return Vec::new();
         }
+        let tasks = self.active.entry(problem).or_default();
         let early = self.early_inputs.remove(&problem).unwrap_or_default();
         let mut events = Vec::new();
         for planned in fresh {

@@ -26,9 +26,12 @@
 //! * [`ServiceManager`](service::ServiceManager) — local service registry,
 //!   capability answers, and invocation.
 //! * [`ScheduleManager`](schedule::ScheduleManager) — commitments,
-//!   availability and travel-time checks.
-//! * [`AuctionParticipationManager`](auction_part::AuctionParticipationManager)
-//!   — bid computation against capabilities, schedule and preferences.
+//!   availability and travel-time checks. A bid's hold is a commitment
+//!   too ([`CommitmentState`](schedule::CommitmentState)): held, awarded
+//!   or done, one record per task.
+//! * Auction Participation Manager — [`HostCore`]'s `consider_bid`:
+//!   bid computation against capabilities, the schedule's holds and
+//!   preferences.
 //! * [`ExecutionManager`](exec::ExecutionManager) — monitors input and
 //!   time conditions, travels, invokes services, and publishes outputs to
 //!   dependent hosts.
@@ -42,7 +45,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod auction;
-pub mod auction_part;
 pub mod codec;
 pub mod community;
 pub mod config;

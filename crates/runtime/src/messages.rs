@@ -12,7 +12,7 @@ use std::sync::Arc;
 use openwf_core::{Fragment, Label, Spec, TaskId};
 use openwf_simnet::HostId;
 
-use crate::metadata::{Assignment, ExecutionPlan, TaskMetadata};
+use crate::metadata::{Assignment, Bid, ExecutionPlan, TaskMetadata};
 
 /// Globally unique problem identifier: initiating host + local sequence +
 /// repair attempt.
@@ -146,7 +146,7 @@ pub enum Msg {
         /// Task being bid on.
         task: TaskId,
         /// The bid.
-        bid: crate::auction_part::Bid,
+        bid: Bid,
     },
 
     /// Participant → auction manager: cannot serve this task.

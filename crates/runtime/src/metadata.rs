@@ -1,4 +1,4 @@
-//! Task metadata, assignments and execution plans.
+//! Task metadata, bids, assignments and execution plans.
 //!
 //! §3.2: "The auction manager begins the allocation phase by computing
 //! metadata for each task used in allocating and executing the workflow."
@@ -37,6 +37,30 @@ pub struct Assignment {
     pub duration: SimDuration,
     /// Location requirement carried over from the metadata.
     pub location: Option<String>,
+}
+
+/// A firm bid for one task (§3.2): "If a participant can commit to
+/// performing a task, it submits a firm bid on that task … The bid
+/// includes ranking information such as the degree to which the
+/// participant is specialized for the task in question. … Participants
+/// also submit a deadline for a response from the auction manager based
+/// on their schedule."
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Bid {
+    /// Committed slot start (travel begins here).
+    pub start: SimTime,
+    /// Travel portion at the head of the slot.
+    pub travel: SimDuration,
+    /// Service execution duration.
+    pub duration: SimDuration,
+    /// Specialization rank: the total number of services the bidder
+    /// offers. **Lower is better** — scheduling a narrowly specialized
+    /// participant "removes a larger number of services from the
+    /// community's resource pool" when a generalist is taken instead.
+    pub specialization: u32,
+    /// The bidder's response deadline: the auction manager must decide by
+    /// this time.
+    pub deadline: SimTime,
 }
 
 /// One host's slice of a problem's execution: the tasks it committed to,

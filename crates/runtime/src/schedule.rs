@@ -6,6 +6,17 @@
 //! service invocations and their associated location and travel time
 //! details, which is the key data structure for both allocation and
 //! execution of an open workflow."
+//!
+//! That database is the one record of every promise a host makes about
+//! a task. §3.2's bids are *firm*, so a bid holds its slot the moment it
+//! is sent: a commitment starts [`CommitmentState::Held`], becomes
+//! [`CommitmentState::Awarded`] when the task is awarded here (by `Award`,
+//! or by the execution plan that carries it), and
+//! [`CommitmentState::Done`] when the task has run. A hold that outlives
+//! its bid's deadline unawarded is released; an awarded or done one is
+//! not.
+//! Bidding itself — a call for bids read against services, this
+//! schedule and preferences — is `HostCore::consider_bid`.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -15,6 +26,19 @@ use openwf_mobility::{Motion, Point, SiteMap};
 use openwf_simnet::{SimDuration, SimTime};
 
 use crate::messages::ProblemId;
+use crate::metadata::Bid;
+
+/// Where one commitment stands (see the module docs).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum CommitmentState {
+    /// This host bid for the task and holds the slot until the award or
+    /// the hold's expiry; a copy of the call gets the same bid again.
+    Held(Bid),
+    /// The task was awarded to this host.
+    Awarded,
+    /// The task ran here.
+    Done,
+}
 
 /// One scheduled obligation: travel (if needed) followed by a service
 /// invocation.
@@ -32,6 +56,8 @@ pub struct Commitment {
     pub travel: SimDuration,
     /// Where the service is performed (None = anywhere / current spot).
     pub location: Option<String>,
+    /// Held, awarded or done.
+    pub state: CommitmentState,
 }
 
 impl Commitment {
@@ -67,8 +93,8 @@ struct OpenSlot {
 /// The commitment database only grows on a long-lived host (a won task
 /// stays on record), so nothing on the bidding path reads all of it:
 /// slot searches walk `open`, the start-ordered slots that have not
-/// ended by the host's clock ([`ScheduleManager::advance`]), and
-/// releases find their commitments through `by_problem`.
+/// ended by the host's clock ([`ScheduleManager::advance`]), and state
+/// lookups and releases find their commitments through `by_problem`.
 #[derive(Debug)]
 pub struct ScheduleManager {
     position: Point,
@@ -200,7 +226,7 @@ impl ScheduleManager {
         self.open.len()
     }
 
-    /// Records a commitment (after winning an auction).
+    /// Records a commitment (a bid's hold on its slot).
     pub fn commit(&mut self, commitment: Commitment) {
         debug_assert!(
             !self
@@ -255,37 +281,67 @@ impl ScheduleManager {
         }
     }
 
-    /// True if `(problem, task)` has a commitment on record.
-    pub fn has_commitment(&self, problem: ProblemId, task: &TaskId) -> bool {
-        self.by_problem.get(&problem).is_some_and(|seqs| {
-            seqs.iter()
-                .any(|&seq| &self.commitments[self.index_of(seq)].task == task)
-        })
+    /// Where `problem`'s first commitment for `task` sits in
+    /// `commitments`.
+    fn find(&self, problem: ProblemId, task: &TaskId) -> Option<usize> {
+        self.by_problem
+            .get(&problem)?
+            .iter()
+            .map(|&seq| self.index_of(seq))
+            .find(|&at| &self.commitments[at].task == task)
     }
 
-    /// Releases all commitments of one problem (repair/reallocation).
-    pub fn release_problem(&mut self, problem: ProblemId) {
-        for seq in self.by_problem.remove(&problem).unwrap_or_default() {
-            self.remove_at(self.index_of(seq));
+    /// Where `problem`'s commitment for `task` stands, if this host has
+    /// one.
+    pub(crate) fn state(&self, problem: ProblemId, task: &TaskId) -> Option<&CommitmentState> {
+        self.find(problem, task)
+            .map(|at| &self.commitments[at].state)
+    }
+
+    /// The task was awarded to this host: a held commitment becomes
+    /// [`CommitmentState::Awarded`]. Any other state, or none, stays.
+    pub(crate) fn award(&mut self, problem: ProblemId, task: &TaskId) {
+        if let Some(at) = self.find(problem, task) {
+            let state = &mut self.commitments[at].state;
+            if matches!(state, CommitmentState::Held(_)) {
+                *state = CommitmentState::Awarded;
+            }
         }
     }
 
-    /// Releases the commitment for one `(problem, task)` pair — used when
-    /// a tentative bid hold expires unawarded.
-    pub fn release_task(&mut self, problem: ProblemId, task: &TaskId) {
-        let Some(mut seqs) = self.by_problem.remove(&problem) else {
+    /// The task ran: its commitment, in whatever state, is
+    /// [`CommitmentState::Done`].
+    pub(crate) fn mark_done(&mut self, problem: ProblemId, task: &TaskId) {
+        if let Some(at) = self.find(problem, task) {
+            self.commitments[at].state = CommitmentState::Done;
+        }
+    }
+
+    /// A bid hold outlived its deadline: the commitment is released if
+    /// it is still [`CommitmentState::Held`]. An awarded or done one
+    /// stays.
+    pub(crate) fn expire_hold(&mut self, problem: ProblemId, task: &TaskId) {
+        let Some(at) = self.find(problem, task) else {
             return;
         };
-        seqs.retain(|&seq| {
-            let at = self.index_of(seq);
-            let released = &self.commitments[at].task == task;
-            if released {
-                self.remove_at(at);
+        if !matches!(self.commitments[at].state, CommitmentState::Held(_)) {
+            return;
+        }
+        let seq = self.seqs[at];
+        if let Some(seqs) = self.by_problem.get_mut(&problem) {
+            seqs.retain(|&s| s != seq);
+            if seqs.is_empty() {
+                self.by_problem.remove(&problem);
             }
-            !released
-        });
-        if !seqs.is_empty() {
-            self.by_problem.insert(problem, seqs);
+        }
+        self.remove_at(at);
+    }
+
+    /// Releases every commitment of one problem, held or firm
+    /// (repair/reallocation).
+    pub fn release_problem(&mut self, problem: ProblemId) {
+        for seq in self.by_problem.remove(&problem).unwrap_or_default() {
+            self.remove_at(self.index_of(seq));
         }
     }
 }
@@ -315,6 +371,7 @@ mod tests {
             end: SimTime::from_micros(end_us),
             travel: SimDuration::ZERO,
             location: None,
+            state: CommitmentState::Awarded,
         }
     }
 
@@ -427,27 +484,50 @@ mod tests {
         assert_eq!((m.commitment_count(), m.open_slot_count()), (0, 0));
     }
 
+    fn held(task: &str, start_us: u64, end_us: u64) -> Commitment {
+        let c = commitment(start_us, end_us);
+        Commitment {
+            task: TaskId::new(task),
+            state: CommitmentState::Held(Bid {
+                start: c.start,
+                travel: c.travel,
+                duration: c.end.since(c.start),
+                specialization: 1,
+                deadline: c.start,
+            }),
+            ..c
+        }
+    }
+
     #[test]
-    fn release_task_frees_every_slot_of_the_pair_only() {
+    fn only_a_held_commitment_expires() {
         let mut m = ScheduleManager::unlocated();
-        let other_task = Commitment {
-            task: TaskId::new("u"),
-            ..commitment(10, 20)
-        };
-        m.commit(commitment(0, 10));
-        m.commit(other_task.clone());
-        m.commit(commitment(20, 30)); // a second slot for the same pair
-        m.release_task(pid(), &TaskId::new("t"));
-        assert_eq!(m.commitments(), &[other_task]);
-        assert_eq!(m.open_slot_count(), 1);
-        m.release_task(pid(), &TaskId::new("t"));
-        m.release_task(ProblemId::new(HostId(3), 3), &TaskId::new("u"));
-        assert_eq!(m.commitment_count(), 1, "releasing nothing is a no-op");
+        m.commit(held("t", 0, 10));
+        m.commit(held("u", 10, 20));
+        m.commit(held("v", 20, 30));
+        let task = TaskId::new;
+        m.award(pid(), &task("u"));
+        m.mark_done(pid(), &task("v"));
+        m.award(pid(), &task("v"));
+        for t in ["t", "u", "v"] {
+            m.expire_hold(pid(), &task(t));
+        }
+        let states: Vec<_> = m.commitments().iter().map(|c| &c.state).collect();
+        assert_eq!(
+            states,
+            [&CommitmentState::Awarded, &CommitmentState::Done],
+            "an award is not undone by a later award"
+        );
+        assert_eq!(m.state(pid(), &task("t")), None);
+        assert_eq!(m.open_slot_count(), 2);
+        m.expire_hold(pid(), &task("t"));
+        m.expire_hold(ProblemId::new(HostId(3), 3), &task("u"));
+        assert_eq!(m.commitment_count(), 2, "expiring nothing is a no-op");
     }
 
     /// The database this module had before its indexes, kept as the
     /// oracle: one list, collected and sorted for every search and
-    /// scanned for every release.
+    /// scanned for every lookup and release.
     #[derive(Default)]
     struct ScanModel {
         commitments: Vec<Commitment>,
@@ -471,24 +551,66 @@ mod tests {
             self.commitments.retain(|c| c.problem != problem);
         }
 
-        fn release_task(&mut self, problem: ProblemId, task: &TaskId) {
+        /// The pair's first commitment in insertion order.
+        fn find(&self, problem: ProblemId, task: &TaskId) -> Option<usize> {
             self.commitments
-                .retain(|c| !(c.problem == problem && &c.task == task));
+                .iter()
+                .position(|c| c.problem == problem && &c.task == task)
+        }
+
+        /// An award firms a hold; it never undoes `Done`.
+        fn award(&mut self, problem: ProblemId, task: &TaskId) {
+            if let Some(at) = self.find(problem, task) {
+                if matches!(self.commitments[at].state, CommitmentState::Held(_)) {
+                    self.commitments[at].state = CommitmentState::Awarded;
+                }
+            }
+        }
+
+        fn mark_done(&mut self, problem: ProblemId, task: &TaskId) {
+            if let Some(at) = self.find(problem, task) {
+                self.commitments[at].state = CommitmentState::Done;
+            }
+        }
+
+        /// An expired hold releases its slot; an awarded or done slot
+        /// is never released.
+        fn expire_hold(&mut self, problem: ProblemId, task: &TaskId) {
+            if let Some(at) = self.find(problem, task) {
+                if matches!(self.commitments[at].state, CommitmentState::Held(_)) {
+                    self.commitments.remove(at);
+                }
+            }
         }
     }
 
     #[derive(Clone, Debug)]
     enum Op {
-        /// Commit `[now - 4 + offset, +len)` for `(problem, task)`:
-        /// starts in any order, before and after the clock, lengths
-        /// from zero, overlapping whatever is there.
+        /// Record an awarded `[now - 4 + offset, +len)` for
+        /// `(problem, task)`: starts in any order, before and after the
+        /// clock, lengths from zero, overlapping whatever is there.
         Commit {
             problem: u32,
             task: u8,
             offset: u64,
             len: u64,
         },
-        ReleaseTask {
+        /// The same slot, held by a bid.
+        Hold {
+            problem: u32,
+            task: u8,
+            offset: u64,
+            len: u64,
+        },
+        Award {
+            problem: u32,
+            task: u8,
+        },
+        ExpireHold {
+            problem: u32,
+            task: u8,
+        },
+        MarkDone {
             problem: u32,
             task: u8,
         },
@@ -507,17 +629,25 @@ mod tests {
     }
 
     fn op() -> impl Strategy<Value = Op> {
-        (0u8..8, 0u32..3, 0u8..3, 0u64..12, 0u64..6).prop_map(|(kind, problem, task, a, b)| {
+        (0u8..12, 0u32..3, 0u8..3, 0u64..12, 0u64..6).prop_map(|(kind, problem, task, a, b)| {
             match kind {
-                0..=2 => Op::Commit {
+                0 | 1 => Op::Commit {
                     problem,
                     task,
                     offset: a,
                     len: b,
                 },
-                3 => Op::ReleaseTask { problem, task },
-                4 => Op::ReleaseProblem { problem },
-                5 | 6 => Op::Search {
+                2 | 3 => Op::Hold {
+                    problem,
+                    task,
+                    offset: a,
+                    len: b,
+                },
+                4 => Op::Award { problem, task },
+                5 => Op::ExpireHold { problem, task },
+                6 => Op::MarkDone { problem, task },
+                7 => Op::ReleaseProblem { problem },
+                8 | 9 => Op::Search {
                     ahead: a % 5,
                     needed: b,
                 },
@@ -527,9 +657,10 @@ mod tests {
     }
 
     proptest! {
-        /// Random commit / release / search sequences on a moving clock
-        /// find the same slots, and keep the same commitments in the
-        /// same order, as the collect-sort-walk the indexes replaced.
+        /// Random hold / award / expiry / commit / release / search
+        /// sequences on a moving clock find the same slots, and keep the
+        /// same commitments in the same order and states, as the
+        /// collect-sort-walk the indexes replaced.
         #[test]
         fn indexed_schedule_matches_the_scan_it_replaced(
             ops in proptest::collection::vec(op(), 1..160),
@@ -537,33 +668,53 @@ mod tests {
             let mut m = ScheduleManager::unlocated();
             let mut model = ScanModel::default();
             let mut now = SimTime::ZERO;
+            let problem_id = |p: u32| ProblemId::new(HostId(0), p);
+            let task_id = |t: u8| TaskId::new(format!("t{t}"));
             for op in ops {
                 match op {
-                    Op::Commit { problem, task, offset, len } => {
+                    Op::Commit { problem, task, offset, len }
+                    | Op::Hold { problem, task, offset, len } => {
                         let start = SimTime::from_micros((now.as_micros() + offset).saturating_sub(4));
+                        let end = start + SimDuration::from_micros(len);
+                        let state = match op {
+                            Op::Hold { .. } => CommitmentState::Held(Bid {
+                                start,
+                                travel: SimDuration::ZERO,
+                                duration: SimDuration::from_micros(len),
+                                specialization: 1,
+                                deadline: end,
+                            }),
+                            _ => CommitmentState::Awarded,
+                        };
                         let c = Commitment {
-                            problem: ProblemId::new(HostId(0), problem),
-                            task: TaskId::new(format!("t{task}")),
+                            problem: problem_id(problem),
+                            task: task_id(task),
                             start,
-                            end: start + SimDuration::from_micros(len),
+                            end,
                             travel: SimDuration::ZERO,
                             location: None,
+                            state,
                         };
                         model.commitments.push(c.clone());
                         // `commit` minus its debug-only double-booking
                         // check: release builds accept overlaps too.
                         m.insert(c);
                     }
-                    Op::ReleaseTask { problem, task } => {
-                        let problem = ProblemId::new(HostId(0), problem);
-                        let task = TaskId::new(format!("t{task}"));
-                        model.release_task(problem, &task);
-                        m.release_task(problem, &task);
+                    Op::Award { problem, task } => {
+                        model.award(problem_id(problem), &task_id(task));
+                        m.award(problem_id(problem), &task_id(task));
+                    }
+                    Op::ExpireHold { problem, task } => {
+                        model.expire_hold(problem_id(problem), &task_id(task));
+                        m.expire_hold(problem_id(problem), &task_id(task));
+                    }
+                    Op::MarkDone { problem, task } => {
+                        model.mark_done(problem_id(problem), &task_id(task));
+                        m.mark_done(problem_id(problem), &task_id(task));
                     }
                     Op::ReleaseProblem { problem } => {
-                        let problem = ProblemId::new(HostId(0), problem);
-                        model.release_problem(problem);
-                        m.release_problem(problem);
+                        model.release_problem(problem_id(problem));
+                        m.release_problem(problem_id(problem));
                     }
                     Op::Search { ahead, needed } => {
                         let earliest = now + SimDuration::from_micros(ahead);
@@ -584,6 +735,15 @@ mod tests {
                     m.open_slot_count(),
                     model.commitments.iter().filter(|c| c.end > now).count()
                 );
+                for problem in 0..3 {
+                    for task in 0..3 {
+                        let (problem, task) = (problem_id(problem), task_id(task));
+                        prop_assert_eq!(
+                            m.state(problem, &task),
+                            model.find(problem, &task).map(|at| &model.commitments[at].state)
+                        );
+                    }
+                }
             }
         }
     }

@@ -115,8 +115,6 @@ pub struct WorkingSet {
     pub auctions: Option<ProblemAuctions>,
     /// Goals not yet delivered during execution.
     pub goals_pending: BTreeSet<Label>,
-    /// Tasks not yet reported complete.
-    pub tasks_pending: BTreeSet<TaskId>,
     /// Tasks no community member could take (allocation failure causes).
     pub unallocatable: Vec<TaskId>,
 
@@ -141,7 +139,6 @@ impl Workspace {
         let working = Box::new(WorkingSet {
             auctions: None,
             goals_pending: spec.goals().clone(),
-            tasks_pending: BTreeSet::new(),
             unallocatable: Vec::new(),
             guard_timers: GuardTimers::default(),
             n_peers,
