@@ -6,13 +6,18 @@
 //! trajectory file `BENCH_soak.json` at the workspace root, and fails
 //! if any cell violates an invariant. Fast mode (`OPENWF_SOAK_FAST=1`,
 //! or `--test` as used by `cargo test --benches`) runs every profile at
-//! two districts with the same gates and does not touch the committed
-//! file — the CI chaos-regression guard.
+//! [`FAST_DISTRICTS`] districts with the same gates and does not touch
+//! the committed file — the CI chaos-regression guard.
 //!
 //! Every run prints its master seed and a one-line rerun recipe; set
 //! `OPENWF_SOAK_SEED` (decimal or `0x…` hex) to replay a sweep exactly.
 
 use openwf_bench::soak::{default_report_path, run, to_json, DEFAULT_SOAK_SEED, SOAK_SCALES};
+
+/// Districts of a fast-mode cell: eight problems per profile, so no
+/// completion floor turns on one dropped frame, as lossy-urban's 40 %
+/// floor over the four problems of two districts does.
+const FAST_DISTRICTS: usize = 4;
 
 fn seed_from_env() -> u64 {
     match std::env::var("OPENWF_SOAK_SEED") {
@@ -37,7 +42,7 @@ fn main() {
     println!("soak/rerun OPENWF_SOAK_SEED={seed:#x} cargo bench --bench soak");
 
     let results = if fast {
-        run(&[2], seed)
+        run(&[FAST_DISTRICTS], seed)
     } else {
         run(SOAK_SCALES, seed)
     };

@@ -40,7 +40,7 @@ const V_DECLINE: u8 = 7;
 const V_AWARD: u8 = 8;
 const V_EXECUTE: u8 = 9;
 const V_INPUT_DELIVERY: u8 = 10;
-const V_TASK_COMPLETED: u8 = 11;
+// 11 is unassigned: it decodes as an unknown variant.
 const V_GOAL_DELIVERED: u8 = 12;
 
 fn write_problem(enc: &mut FrameEncoder, p: ProblemId) {
@@ -349,11 +349,6 @@ pub fn encode_msg(msg: &Msg, out: &mut Vec<u8>) {
             write_problem(&mut enc, *problem);
             enc.name(label.sym());
         }
-        Msg::TaskCompleted { problem, task } => {
-            enc.byte(V_TASK_COMPLETED);
-            write_problem(&mut enc, *problem);
-            enc.name(task.sym());
-        }
         Msg::GoalDelivered { problem, label } => {
             enc.byte(V_GOAL_DELIVERED);
             write_problem(&mut enc, *problem);
@@ -464,10 +459,6 @@ pub fn decode_msg_with(
             problem: read_problem(&mut r)?,
             label: r.interned(names)?.label(),
         },
-        V_TASK_COMPLETED => Msg::TaskCompleted {
-            problem: read_problem(&mut r)?,
-            task: r.interned(names)?.task(),
-        },
         V_GOAL_DELIVERED => Msg::GoalDelivered {
             problem: read_problem(&mut r)?,
             label: r.interned(names)?.label(),
@@ -541,12 +532,12 @@ mod tests {
     /// on an untrusted frame.
     #[test]
     fn trailing_payload_bytes_are_an_error() {
-        let task = TaskId::new("rc-t");
+        let label = Label::new("rc-b");
         let frame = |trailing: Option<u64>| {
             let mut enc = FrameEncoder::new(TAG_MSG);
-            enc.byte(V_TASK_COMPLETED);
+            enc.byte(V_GOAL_DELIVERED);
             write_problem(&mut enc, p());
-            enc.name(task.sym());
+            enc.name(label.sym());
             if let Some(v) = trailing {
                 enc.varint(v);
             }
@@ -555,9 +546,9 @@ mod tests {
             out
         };
         let mut encoded = Vec::new();
-        let msg = Msg::TaskCompleted {
+        let msg = Msg::GoalDelivered {
             problem: p(),
-            task: task.clone(),
+            label: label.clone(),
         };
         encode_msg(&msg, &mut encoded);
         assert_eq!(
@@ -653,10 +644,6 @@ mod tests {
                 problem: p(),
                 label: Label::new("rc-a"),
             },
-            Msg::TaskCompleted {
-                problem: p(),
-                task: TaskId::new("rc-t"),
-            },
             Msg::GoalDelivered {
                 problem: p(),
                 label: Label::new("rc-b"),
@@ -738,11 +725,43 @@ mod tests {
         );
     }
 
+    /// Tag 11 belonged to a variant that is gone. A frame carrying it,
+    /// with the body that variant had, is an unknown variant: dropped
+    /// like any malformed frame, and no other variant's tag moved.
+    #[test]
+    fn the_retired_tag_decodes_as_an_unknown_variant() {
+        let mut enc = FrameEncoder::new(TAG_MSG);
+        enc.byte(11);
+        write_problem(&mut enc, p());
+        enc.name(TaskId::new("rc-t").sym());
+        let mut bytes = Vec::new();
+        enc.finish(&mut bytes);
+        assert_eq!(
+            decode_msg(&bytes, &mut VocabularyBudget::unlimited()).unwrap_err(),
+            WireError::UnknownTag(11)
+        );
+        let tags = [
+            V_INITIATE,
+            V_FRAGMENT_QUERY,
+            V_FRAGMENT_REPLY,
+            V_CAPABILITY_QUERY,
+            V_CAPABILITY_REPLY,
+            V_CALL_FOR_BIDS,
+            V_BID,
+            V_DECLINE,
+            V_AWARD,
+            V_EXECUTE,
+            V_INPUT_DELIVERY,
+            V_GOAL_DELIVERED,
+        ];
+        assert_eq!(tags, [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12]);
+    }
+
     #[test]
     fn exact_size_tracks_content() {
-        let small = Msg::TaskCompleted {
+        let small = Msg::GoalDelivered {
             problem: p(),
-            task: TaskId::new("rc-t"),
+            label: Label::new("rc-b"),
         };
         let big = Msg::FragmentReply {
             problem: p(),

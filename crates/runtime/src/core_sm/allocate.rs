@@ -114,8 +114,8 @@ impl HostCore {
     ///
     /// One `(problem, task)` gets at most one slot: a copy of a call
     /// this host holds a bid for gets that bid again (the first copy's
-    /// hold keeps its own expiry), and one awarded or run here is
-    /// declined.
+    /// hold keeps its own expiry), and one awarded, planned or run here
+    /// is declined.
     fn consider_bid(
         &mut self,
         problem: ProblemId,
@@ -126,7 +126,7 @@ impl HostCore {
     ) -> Option<Bid> {
         match self.schedule.state(problem, task) {
             Some(CommitmentState::Held(bid)) => return Some(bid.clone()),
-            Some(CommitmentState::Awarded | CommitmentState::Done) => return None,
+            Some(_) => return None,
             None => {}
         }
         let service = self.service_mgr.describe(task)?;

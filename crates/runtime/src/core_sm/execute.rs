@@ -3,46 +3,70 @@
 //! the initiator, and the initiator counts goals until the problem is
 //! complete. Everything here runs between the `execute` span's begin
 //! and end.
+//!
+//! This is the paper's Execution Manager, and it keeps no state of its
+//! own: a planned task is its commitment in the schedule, which the
+//! handlers here move from `Waiting` through `Running` to `Done`
+//! ([`crate::schedule::CommitmentState`]), arming the `ExecStart` and
+//! `ExecFinish` timers on the way.
+
+use std::collections::BTreeSet;
 
 use openwf_core::{Label, TaskId};
 use openwf_obs::SpanPhase;
 use openwf_simnet::SimTime;
 
 use super::{Action, ActionQueue, HostCore, TimerPurpose, WorkflowEvent};
-use crate::exec::ExecEvent;
 use crate::messages::{Msg, ProblemId};
-use crate::metadata::ExecutionPlan;
+use crate::metadata::{ExecutionPlan, PlannedTask};
 use crate::report::ProblemStatus;
-use crate::schedule::CommitmentState;
 
 impl HostCore {
-    /// [`Msg::Execute`]: installs this host's share of the plan. A newer
-    /// attempt supersedes older ones of the same problem.
+    /// [`Msg::Execute`]: installs this host's share of the plan, in plan
+    /// order. A task whose start time is ahead waits for it; one whose
+    /// time has come and whose inputs are here (parked before the plan,
+    /// perhaps) begins.
     ///
-    /// The plan is the award in full: a commitment still held for one
-    /// of its tasks is firmed, as the task's `Award` would have (that
+    /// The plan is the award in full: a held commitment for one of its
+    /// tasks is firmed by it, as the task's `Award` would have (that
     /// frame may have been lost, and the slot must outlive the hold's
-    /// expiry). A task whose commitment is done already ran here, so a
-    /// copy of the frame arriving after the plan finished installs
-    /// nothing for it. A task this host holds no commitment for — its
-    /// hold expired before any award or plan arrived — is installed and
-    /// runs as before.
+    /// expiry), and a task whose hold already expired is booked at the
+    /// plan's slot. A task already waiting, running or done here is not
+    /// installed again, so a copy of the frame runs nothing twice.
     pub(super) fn on_execute(
         &mut self,
         problem: ProblemId,
-        mut plan: ExecutionPlan,
+        plan: ExecutionPlan,
         now: SimTime,
         q: &mut ActionQueue,
     ) {
-        plan.commitments.retain(|planned| {
-            self.schedule.award(problem, &planned.task);
-            self.schedule.state(problem, &planned.task) != Some(&CommitmentState::Done)
-        });
-        let events = self.exec_mgr.install_plan(problem, plan, now);
-        self.apply_exec_events(problem, events, now, q);
+        // Inputs are parked only while no task of the problem is
+        // installed here, so the first plan to install one takes them.
+        let parked = self.schedule.take_parked(problem);
+        for planned in plan.commitments {
+            let missing: BTreeSet<Label> = planned
+                .inputs
+                .iter()
+                .filter(|l| !parked.contains(*l))
+                .cloned()
+                .collect();
+            let (task, start) = (planned.task.clone(), planned.start);
+            if !self.schedule.install(problem, planned, missing) {
+                continue; // already waiting, running or done here
+            }
+            if start > now {
+                self.arm_at(q, now, start, TimerPurpose::ExecStart { problem, task });
+            } else {
+                self.begin(problem, task, now, q);
+            }
+        }
     }
 
-    /// [`Msg::InputDelivery`].
+    /// [`Msg::InputDelivery`]: waiting tasks stop missing the label, and
+    /// those whose start time has come and that miss nothing more begin,
+    /// in plan order. Before any plan of the problem installed a task
+    /// here the label is parked for it; after, a label no task misses —
+    /// a copy, or one for a plan that ran — is dropped.
     pub(super) fn on_input_delivery(
         &mut self,
         problem: ProblemId,
@@ -50,11 +74,20 @@ impl HostCore {
         now: SimTime,
         q: &mut ActionQueue,
     ) {
-        let events = self.exec_mgr.on_input(problem, label, now);
-        self.apply_exec_events(problem, events, now, q);
+        let Some(ready) = self.schedule.deliver(problem, &label) else {
+            self.schedule.park(problem, label);
+            return;
+        };
+        for (task, start) in ready {
+            if start <= now {
+                self.begin(problem, task, now, q);
+            }
+        }
     }
 
-    /// [`Msg::GoalDelivered`] (initiator side).
+    /// [`Msg::GoalDelivered`] (initiator side): a goal the open attempt
+    /// still awaited is recorded. A copy, or a goal for an attempt that
+    /// finished or was superseded, changes nothing.
     pub(super) fn on_goal_delivered(
         &mut self,
         problem: ProblemId,
@@ -63,16 +96,19 @@ impl HostCore {
         q: &mut ActionQueue,
     ) {
         if let Some(ws) = self.workflow_mgr.get_mut(&problem) {
-            if let Some(w) = ws.working.as_deref_mut() {
-                w.goals_pending.remove(&label);
+            let pending = ws
+                .working
+                .as_deref_mut()
+                .is_some_and(|w| w.goals_pending.remove(&label));
+            if pending {
+                ws.report.goals_delivered.push(label);
             }
-            ws.report.goals_delivered.push(label);
         }
         self.check_completion(problem, now, q);
     }
 
-    /// `ExecStart`: a task whose inputs arrived early reaches its start
-    /// time.
+    /// `ExecStart`: a task reaches its start time, and begins if its
+    /// inputs are here.
     pub(super) fn on_exec_start(
         &mut self,
         problem: ProblemId,
@@ -80,50 +116,45 @@ impl HostCore {
         now: SimTime,
         q: &mut ActionQueue,
     ) {
-        let events = self.exec_mgr.on_start_time(problem, &task);
-        self.apply_exec_events(problem, events, now, q);
+        self.begin(problem, task, now, q);
     }
 
-    fn apply_exec_events(
-        &mut self,
-        problem: ProblemId,
-        events: Vec<ExecEvent>,
-        now: SimTime,
-        q: &mut ActionQueue,
-    ) {
-        for ev in events {
-            match ev {
-                ExecEvent::WaitUntilStart { task, at } => {
-                    self.arm_at(q, now, at, TimerPurpose::ExecStart { problem, task });
-                }
-                ExecEvent::Begin { task, duration } => {
-                    if self.obs.trace.is_enabled() {
-                        self.trace(
-                            now,
-                            problem,
-                            "task",
-                            SpanPhase::Complete,
-                            duration.as_micros(),
-                            task.as_str().to_string(),
-                        );
-                    }
-                    self.arm(q, now, duration, TimerPurpose::ExecFinish { problem, task });
-                }
-            }
-        }
-    }
-
-    /// `ExecFinish`: the task's service duration elapsed.
-    pub(super) fn finish_task(&mut self, problem: ProblemId, task: TaskId, q: &mut ActionQueue) {
-        let Some(finished) = self.exec_mgr.on_completion(problem, &task) else {
+    /// Begins `task` if it waits for no input: its service runs for the
+    /// plan's duration (travel included), and `ExecFinish` is armed for
+    /// its end.
+    fn begin(&mut self, problem: ProblemId, task: TaskId, now: SimTime, q: &mut ActionQueue) {
+        let Some(duration) = self.schedule.start(problem, &task) else {
             return;
         };
-        self.schedule.mark_done(problem, &task);
+        if self.obs.trace.is_enabled() {
+            self.trace(
+                now,
+                problem,
+                "task",
+                SpanPhase::Complete,
+                duration.as_micros(),
+                task.as_str().to_string(),
+            );
+        }
+        self.arm(q, now, duration, TimerPurpose::ExecFinish { problem, task });
+    }
+
+    /// `ExecFinish`: the task's service duration elapsed. The service is
+    /// invoked, and its outputs go to the hosts awaiting them, goals to
+    /// the initiator.
+    pub(super) fn finish_task(&mut self, problem: ProblemId, task: TaskId, q: &mut ActionQueue) {
+        let Some(planned) = self.schedule.finish(problem, &task) else {
+            return;
+        };
+        let PlannedTask {
+            task,
+            inputs,
+            outputs,
+            ..
+        } = *planned;
         // Invoke the service (§4.2: uniform service invocation interface).
-        self.service_mgr
-            .invoke(&finished.task, finished.inputs.clone());
-        // Publish outputs to dependents, goals to the initiator.
-        for out in &finished.outputs {
+        self.service_mgr.invoke(&task, inputs);
+        for out in outputs {
             for &consumer in &out.consumers {
                 self.emit(
                     q,
@@ -140,12 +171,11 @@ impl HostCore {
                     problem.initiator,
                     Msg::GoalDelivered {
                         problem,
-                        label: out.label.clone(),
+                        label: out.label,
                     },
                 );
             }
         }
-        self.emit(q, problem.initiator, Msg::TaskCompleted { problem, task });
     }
 
     pub(super) fn check_completion(

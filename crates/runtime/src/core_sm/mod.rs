@@ -3,9 +3,10 @@
 //!
 //! [`HostCore`] owns the paper's §4.2 components — the construction
 //! subsystem (Workflow Manager + Auction Manager) and the execution
-//! subsystem (Fragment, Service, Schedule and Execution Managers, with
-//! auction participation in `allocate.rs` over the schedule's holds) —
-//! but performs **no I/O**. Every input arrives through a narrow poll
+//! subsystem (Fragment, Service and Schedule Managers, with auction
+//! participation in `allocate.rs` and the Execution Manager in
+//! `execute.rs`, both over the schedule's commitments) — but performs
+//! **no I/O**. Every input arrives through a narrow poll
 //! surface:
 //!
 //! * [`HostCore::handle_frame`] — a protocol message from a peer, as
@@ -40,7 +41,6 @@
 //! | `Initiate`, `FragmentQuery`, `FragmentReply`, `CapabilityQuery`, `CapabilityReply` | `construct.rs` |
 //! | `CallForBids`, `Bid`, `Decline`, `Award` | `allocate.rs` |
 //! | `Execute`, `InputDelivery`, `GoalDelivered` | `execute.rs` |
-//! | `TaskCompleted` | none: `dispatch_msg` reads nothing of it |
 //!
 //! | `TimerPurpose` | owner |
 //! |---|---|
@@ -65,7 +65,6 @@ use openwf_simnet::{HostId, SimDuration, SimTime, TimerToken};
 use openwf_wire::{DecodeScratch, VocabularyBudget, WireError};
 
 use crate::codec;
-use crate::exec::ExecutionManager;
 use crate::fragment_mgr::FragmentManager;
 use crate::messages::{Msg, ProblemId};
 use crate::params::RuntimeParams;
@@ -112,7 +111,6 @@ pub struct HostCore {
     fragment_mgr: FragmentManager,
     service_mgr: ServiceManager,
     schedule: ScheduleManager,
-    exec_mgr: ExecutionManager,
     /// Construction subsystem.
     workflow_mgr: WorkflowManager,
     /// Vocabulary trust boundary: the decode-side budget every peer
@@ -201,7 +199,6 @@ impl HostCore {
             fragment_mgr,
             service_mgr,
             schedule,
-            exec_mgr: ExecutionManager::new(),
             workflow_mgr: WorkflowManager::new(),
             vocab,
             decode,
@@ -303,14 +300,10 @@ impl HostCore {
         &self.service_mgr
     }
 
-    /// The schedule manager (commitments), for inspection.
+    /// The schedule manager (commitments, from bid holds to finished
+    /// tasks), for inspection.
     pub fn schedule(&self) -> &ScheduleManager {
         &self.schedule
-    }
-
-    /// The execution manager (installed plans), for inspection.
-    pub fn exec_mgr(&self) -> &ExecutionManager {
-        &self.exec_mgr
     }
 
     /// The workspace of the **latest attempt** of the problem `base`
@@ -623,9 +616,6 @@ impl HostCore {
 
             Msg::Execute { problem, plan } => self.on_execute(problem, plan, now, q),
             Msg::InputDelivery { problem, label } => self.on_input_delivery(problem, label, now, q),
-            // Sent, charged and traced once per executed task, and read
-            // by nothing (ROADMAP direction 1).
-            Msg::TaskCompleted { .. } => {}
             Msg::GoalDelivered { problem, label } => self.on_goal_delivered(problem, label, now, q),
         }
     }

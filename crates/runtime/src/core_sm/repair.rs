@@ -93,7 +93,6 @@ impl HostCore {
             );
         }
         self.span(now, next, "construct", SpanPhase::Begin);
-        self.exec_mgr.abandon(&problem);
         self.schedule.release_problem(problem);
         let n_peers = self.community.len().saturating_sub(1);
         self.workflow_mgr.create(next, spec, now, n_peers);

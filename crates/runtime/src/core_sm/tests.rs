@@ -3,7 +3,7 @@ use std::sync::Arc;
 use openwf_core::{Fragment, Label, Mode, Spec};
 
 use super::*;
-use crate::metadata::Bid;
+use crate::metadata::{Bid, ExecutionPlan, PlannedOutput, PlannedTask};
 use crate::report::ProblemStatus;
 use crate::schedule::CommitmentState;
 use crate::service::ServiceDescription;
@@ -570,8 +570,8 @@ fn late_traffic_for_a_completed_attempt_changes_nothing() {
         let ws = core.latest_attempt(problem).expect("workspace");
         assert!(ws.working().is_none(), "{ws}");
         format!(
-            "{:?} {:?} {:?}",
-            ws.report.status, ws.assignments, ws.construction
+            "{:?} {:?} {:?} {:?}",
+            ws.report.status, ws.assignments, ws.construction, ws.report.goals_delivered
         )
     };
     let before = record(&core);
@@ -582,7 +582,7 @@ fn late_traffic_for_a_completed_attempt_changes_nothing() {
     late.extend([
         Msg::Bid {
             problem,
-            task: task.clone(),
+            task,
             bid: Bid {
                 start: now,
                 travel: SimDuration::ZERO,
@@ -591,7 +591,6 @@ fn late_traffic_for_a_completed_attempt_changes_nothing() {
                 deadline: now + SimDuration::from_millis(1),
             },
         },
-        Msg::TaskCompleted { problem, task },
         Msg::GoalDelivered {
             problem,
             label: Label::new("lt-b"),
@@ -609,9 +608,49 @@ fn late_traffic_for_a_completed_attempt_changes_nothing() {
         assert_eq!(q.charged(), SimDuration::ZERO);
         assert_eq!(record(&core), before, "after {token:?}");
     }
-    // The report still notes the late goal, as it always did.
+    // The goal was noted once, when it was delivered on time.
     let ws = core.latest_attempt(problem).expect("workspace");
-    assert_eq!(ws.report.goals_delivered.len(), 2);
+    assert_eq!(ws.report.goals_delivered.len(), 1);
+}
+
+/// A copy of a goal that arrives while the attempt still awaits another
+/// goal is not noted twice: every `GoalDelivered` frame is delivered
+/// twice here, and the record lists each goal once.
+#[test]
+fn a_duplicated_goal_delivered_is_recorded_once() {
+    let config = HostConfig::new()
+        .with_fragment(frag("gd-f1", "gd-t1", "gd-a", "gd-b"))
+        .with_fragment(frag("gd-f2", "gd-t2", "gd-a", "gd-c"))
+        .with_service(service("gd-t1"))
+        .with_service(service("gd-t2"));
+    let mut core = initiator(config, 1);
+    let problem = ProblemId::new(HostId(0), 0);
+    let mut now = SimTime::ZERO;
+    let mut inbox: Vec<Vec<u8>> = Vec::new();
+    let mut q = core.initiate(problem, Spec::new(["gd-a"], ["gd-b", "gd-c"]), now);
+    loop {
+        for action in q {
+            if let Action::SendBytes { bytes, .. } = action {
+                if matches!(decoded(&bytes), Msg::GoalDelivered { .. }) {
+                    inbox.push(bytes.clone());
+                }
+                inbox.push(bytes);
+            }
+        }
+        q = if let Some(bytes) = inbox.pop() {
+            core.handle_frame(HostId(0), &bytes, now)
+        } else if let Some(due) = core.next_timer_due() {
+            now = due;
+            core.tick(now)
+        } else {
+            break;
+        };
+    }
+    let ws = core.latest_attempt(problem).expect("workspace");
+    assert_eq!(ws.report.status, ProblemStatus::Completed);
+    let mut goals = ws.report.goals_delivered.clone();
+    goals.sort();
+    assert_eq!(goals, [Label::new("gd-b"), Label::new("gd-c")]);
 }
 
 /// With enabled collectors attached, a full local problem run
@@ -889,11 +928,11 @@ fn a_duplicated_execute_runs_each_task_once() {
     let problem = ProblemId::new(HostId(0), 0);
     let execute = frame(&Msg::Execute {
         problem,
-        plan: crate::metadata::ExecutionPlan {
-            commitments: vec![crate::metadata::PlannedTask {
+        plan: ExecutionPlan {
+            commitments: vec![PlannedTask {
                 task: TaskId::new("de-t"),
                 inputs: vec![Label::new("de-a")],
-                outputs: vec![crate::metadata::PlannedOutput {
+                outputs: vec![PlannedOutput {
                     label: Label::new("de-b"),
                     consumers: Vec::new(),
                     is_goal: true,
@@ -1146,8 +1185,8 @@ fn a_late_call_for_bids_never_frees_an_awarded_slot() {
 fn execute(problem: ProblemId, task: &str, bid: &Bid) -> Vec<u8> {
     frame(&Msg::Execute {
         problem,
-        plan: crate::metadata::ExecutionPlan {
-            commitments: vec![crate::metadata::PlannedTask {
+        plan: ExecutionPlan {
+            commitments: vec![PlannedTask {
                 task: TaskId::new(task),
                 inputs: Vec::new(),
                 outputs: Vec::new(),
@@ -1159,9 +1198,8 @@ fn execute(problem: ProblemId, task: &str, bid: &Bid) -> Vec<u8> {
     })
 }
 
-/// A copy of `Execute` that arrives after the plan ran to its end (its
-/// `ExecutionManager` entry is gone) finds the task's commitment done
-/// and runs nothing.
+/// A copy of `Execute` that arrives after the plan ran to its end finds
+/// the task's commitment done and runs nothing.
 #[test]
 fn a_late_execute_after_the_plan_finished_runs_nothing() {
     let mut core = executor(HostConfig::new().with_service(service("le-t")));
@@ -1174,7 +1212,7 @@ fn a_late_execute_after_the_plan_finished_runs_nothing() {
     run_timers(&mut core);
     assert_eq!(core.service_mgr().invocations().len(), 1);
     assert_eq!(
-        core.exec_mgr().problem_count(),
+        core.schedule().executions_in_flight(),
         0,
         "the plan ran to its end"
     );
@@ -1191,7 +1229,11 @@ fn a_late_execute_after_the_plan_finished_runs_nothing() {
     );
     run_timers(&mut core);
     assert_eq!(core.service_mgr().invocations().len(), 1);
-    assert_eq!(core.exec_mgr().problem_count(), 0, "and leaves no plan");
+    assert_eq!(
+        core.schedule().executions_in_flight(),
+        0,
+        "and leaves nothing in flight"
+    );
 }
 
 /// The plan is the award in full: when the `Award` frame is lost, the
@@ -1219,4 +1261,299 @@ fn a_lost_award_does_not_free_the_slot_the_plan_runs_in() {
         next.start >= bid.start + bid.travel + bid.duration,
         "double-booked: {next:?} over {bid:?}"
     );
+}
+
+/// A plan that reaches this host after the task's hold expired books
+/// the plan's slot: another problem's bid is placed after it, and a copy
+/// of the plan arriving after the task ran runs nothing.
+#[test]
+fn a_task_planned_after_its_hold_expired_runs_once_in_a_booked_slot() {
+    let mut core = executor(HostConfig::new().with_service(service("he-t")));
+    let problem = ProblemId::new(HostId(0), 0);
+    let now = SimTime::ZERO;
+    let q = core.handle_frame(HostId(0), &call_for_bids(problem, "he-t"), now);
+    let bid = bid_in(&q);
+    let [expiry] = armed(&q)[..] else {
+        panic!("one hold expiry: {:?}", q.actions())
+    };
+    let due = core.next_timer_due().expect("armed");
+    let _ = core.handle_timer(expiry, due);
+    assert_eq!(core.schedule().commitment_count(), 0, "the hold expired");
+
+    let plan = execute(problem, "he-t", &bid);
+    let _ = core.handle_frame(HostId(0), &plan, now);
+    let other = ProblemId::new(HostId(0), 1);
+    let next = bid_in(&core.handle_frame(HostId(0), &call_for_bids(other, "he-t"), now));
+    run_timers(&mut core);
+    let _ = core.handle_frame(HostId(0), &plan, now);
+    run_timers(&mut core);
+    assert_eq!(core.service_mgr().invocations().len(), 1, "the copy ran");
+    assert!(
+        next.start >= bid.start + bid.travel + bid.duration,
+        "double-booked: {next:?} over {bid:?}"
+    );
+}
+
+/// The executor's share of `problem`'s plan, as the initiator sends it.
+fn plan(problem: ProblemId, commitments: Vec<PlannedTask>) -> Vec<u8> {
+    frame(&Msg::Execute {
+        problem,
+        plan: ExecutionPlan { commitments },
+    })
+}
+
+/// A plan entry for `task`: it awaits `inputs`, runs 500 µs from
+/// `start_us`, and sends `ex-out` to host 2.
+fn planned(task: &str, inputs: &[&str], start_us: u64) -> PlannedTask {
+    PlannedTask {
+        task: TaskId::new(task),
+        inputs: inputs.iter().map(|l| Label::new(*l)).collect(),
+        outputs: vec![PlannedOutput {
+            label: Label::new("ex-out"),
+            consumers: vec![HostId(2)],
+            is_goal: false,
+        }],
+        start: SimTime::from_micros(start_us),
+        duration: SimDuration::from_micros(500),
+        location: None,
+    }
+}
+
+/// `label` delivered to the executor.
+fn input(problem: ProblemId, label: &str) -> Vec<u8> {
+    frame(&Msg::InputDelivery {
+        problem,
+        label: Label::new(label),
+    })
+}
+
+/// An executor serving `ex-t`, `ex-u` and `ex-v`.
+fn ex_executor() -> HostCore {
+    executor(
+        HostConfig::new()
+            .with_service(service("ex-t"))
+            .with_service(service("ex-u"))
+            .with_service(service("ex-v")),
+    )
+}
+
+/// The delays of the timers a poll call armed, in emission order.
+fn delays(q: &ActionQueue) -> Vec<SimDuration> {
+    q.actions()
+        .iter()
+        .filter_map(|a| match a {
+            Action::SetTimer { delay, .. } => Some(*delay),
+            _ => None,
+        })
+        .collect()
+}
+
+/// The 500 µs a planned task runs: the delay of its finish timer.
+const RUN: SimDuration = SimDuration::from_micros(500);
+
+#[test]
+fn immediate_task_begins_on_install() {
+    let mut core = ex_executor();
+    let p = ProblemId::new(HostId(0), 0);
+    let at = SimTime::from_micros(10);
+    let q = core.handle_frame(HostId(0), &plan(p, vec![planned("ex-t", &[], 0)]), at);
+    assert_eq!(delays(&q), [RUN], "its finish: {:?}", q.actions());
+    assert!(matches!(
+        core.schedule().state(p, &TaskId::new("ex-t")),
+        Some(CommitmentState::Running(_))
+    ));
+}
+
+#[test]
+fn future_task_waits_for_start_time() {
+    let mut core = ex_executor();
+    let p = ProblemId::new(HostId(0), 0);
+    let q = core.handle_frame(
+        HostId(0),
+        &plan(p, vec![planned("ex-t", &[], 1_000)]),
+        SimTime::ZERO,
+    );
+    assert_eq!(delays(&q), [SimDuration::from_micros(1_000)], "its start");
+    // Start timer fires; inputs are ready (none needed) → begin.
+    let [start] = armed(&q)[..] else {
+        panic!("one start timer: {:?}", q.actions())
+    };
+    let q = core.handle_timer(start, SimTime::from_micros(1_000));
+    assert_eq!(delays(&q), [RUN]);
+}
+
+#[test]
+fn inputs_gate_execution() {
+    let mut core = ex_executor();
+    let p = ProblemId::new(HostId(0), 0);
+    let now = SimTime::ZERO;
+    let q = core.handle_frame(
+        HostId(0),
+        &plan(p, vec![planned("ex-t", &["ex-a", "ex-b"], 0)]),
+        now,
+    );
+    assert!(q.is_empty(), "waiting for inputs: {:?}", q.actions());
+    assert!(core
+        .handle_frame(HostId(0), &input(p, "ex-a"), now)
+        .is_empty());
+    let q = core.handle_frame(HostId(0), &input(p, "ex-b"), now);
+    assert_eq!(delays(&q), [RUN]);
+    assert_eq!(
+        core.schedule().executions_in_flight(),
+        1,
+        "running still unfinished"
+    );
+}
+
+#[test]
+fn early_inputs_are_buffered() {
+    let mut core = ex_executor();
+    let p = ProblemId::new(HostId(0), 0);
+    let now = SimTime::ZERO;
+    // Trigger arrives before the plan (racing messages).
+    assert!(core
+        .handle_frame(HostId(0), &input(p, "ex-a"), now)
+        .is_empty());
+    let q = core.handle_frame(
+        HostId(0),
+        &plan(p, vec![planned("ex-t", &["ex-a"], 0)]),
+        now,
+    );
+    assert_eq!(delays(&q), [RUN], "buffered input counts");
+}
+
+#[test]
+fn completion_reports_routing_once() {
+    let mut core = ex_executor();
+    let p = ProblemId::new(HostId(0), 0);
+    let q = core.handle_frame(
+        HostId(0),
+        &plan(p, vec![planned("ex-t", &[], 0)]),
+        SimTime::ZERO,
+    );
+    let [finish] = armed(&q)[..] else {
+        panic!("one finish timer: {:?}", q.actions())
+    };
+    let done = SimTime::ZERO + RUN;
+    let q = core.handle_timer(finish, done);
+    let invoked: Vec<_> = core
+        .service_mgr()
+        .invocations()
+        .iter()
+        .map(|call| call.task.clone())
+        .collect();
+    assert_eq!(invoked, [TaskId::new("ex-t")]);
+    assert!(
+        matches!(
+            &sent(&q)[..],
+            [(HostId(2), Msg::InputDelivery { label, .. })] if *label == Label::new("ex-out")
+        ),
+        "{:?}",
+        q.actions()
+    );
+    assert!(core.handle_timer(finish, done).is_empty(), "stale timer");
+    assert_eq!(core.schedule().executions_in_flight(), 0);
+}
+
+/// A plan is in flight until its last task finishes, and a second plan
+/// for the same problem starts over.
+#[test]
+fn a_finished_plan_is_forgotten() {
+    let mut core = ex_executor();
+    let p = ProblemId::new(HostId(0), 0);
+    let now = SimTime::ZERO;
+    let q = core.handle_frame(
+        HostId(0),
+        &plan(p, vec![planned("ex-t", &[], 0), planned("ex-u", &[], 0)]),
+        now,
+    );
+    let [t, u] = armed(&q)[..] else {
+        panic!("two finish timers: {:?}", q.actions())
+    };
+    assert!(!core.handle_timer(t, now + RUN).is_empty());
+    assert_eq!(core.schedule().executions_in_flight(), 1, "ex-u still runs");
+    assert!(!core.handle_timer(u, now + RUN).is_empty());
+    assert_eq!(core.schedule().executions_in_flight(), 0);
+
+    let again = plan(p, vec![planned("ex-v", &["ex-a"], 0)]);
+    assert!(core.handle_frame(HostId(0), &again, now).is_empty());
+    assert_eq!(core.schedule().executions_in_flight(), 1);
+    assert!(matches!(
+        core.schedule().state(p, &TaskId::new("ex-v")),
+        Some(CommitmentState::Waiting { .. })
+    ));
+    let q = core.handle_frame(HostId(0), &input(p, "ex-a"), now);
+    assert_eq!(delays(&q), [RUN]);
+}
+
+#[test]
+fn start_timer_before_inputs_does_not_begin() {
+    let mut core = ex_executor();
+    let p = ProblemId::new(HostId(0), 0);
+    let q = core.handle_frame(
+        HostId(0),
+        &plan(p, vec![planned("ex-t", &["ex-a"], 1_000)]),
+        SimTime::ZERO,
+    );
+    let [start] = armed(&q)[..] else {
+        panic!("one start timer: {:?}", q.actions())
+    };
+    assert!(core
+        .handle_timer(start, SimTime::from_micros(1_000))
+        .is_empty());
+    // Input arrives after the start time: begins immediately.
+    let q = core.handle_frame(HostId(0), &input(p, "ex-a"), SimTime::from_micros(2_000));
+    assert_eq!(delays(&q), [RUN]);
+}
+
+#[test]
+fn abandon_clears_problem_state() {
+    let mut core = ex_executor();
+    let p = ProblemId::new(HostId(0), 0);
+    let now = SimTime::ZERO;
+    let _ = core.handle_frame(
+        HostId(0),
+        &plan(p, vec![planned("ex-t", &["ex-a"], 0)]),
+        now,
+    );
+    // What repair does with the attempt it gives up on.
+    core.schedule.release_problem(p);
+    assert_eq!(core.schedule().executions_in_flight(), 0);
+    assert_eq!(core.schedule().state(p, &TaskId::new("ex-t")), None);
+    assert!(core
+        .handle_frame(HostId(0), &input(p, "ex-a"), now)
+        .is_empty());
+}
+
+/// Once the plan ran, a copy of an input and an input no task consumes
+/// are dropped; inputs parked for a plan still to come go with the
+/// problem's release.
+#[test]
+fn stray_inputs_leave_nothing_behind() {
+    let mut core = ex_executor();
+    let p = ProblemId::new(HostId(0), 0);
+    let now = SimTime::ZERO;
+    let _ = core.handle_frame(
+        HostId(0),
+        &plan(p, vec![planned("ex-t", &["ex-a"], 0)]),
+        now,
+    );
+    let _ = core.handle_frame(HostId(0), &input(p, "ex-a"), now);
+    run_timers(&mut core);
+    assert_eq!(core.service_mgr().invocations().len(), 1);
+    for stray in ["ex-a", "ex-stray"] {
+        let q = core.handle_frame(HostId(0), &input(p, stray), now);
+        assert!(q.is_empty(), "{stray}: {:?}", q.actions());
+    }
+    assert_eq!(core.schedule().executions_in_flight(), 0);
+
+    let next = ProblemId::new(HostId(0), 1);
+    let _ = core.handle_frame(HostId(0), &input(next, "ex-a"), now);
+    assert_eq!(
+        core.schedule().executions_in_flight(),
+        1,
+        "parked for its plan"
+    );
+    core.schedule.release_problem(next);
+    assert_eq!(core.schedule().executions_in_flight(), 0);
 }

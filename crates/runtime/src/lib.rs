@@ -26,15 +26,18 @@
 //! * [`ServiceManager`](service::ServiceManager) — local service registry,
 //!   capability answers, and invocation.
 //! * [`ScheduleManager`](schedule::ScheduleManager) — commitments,
-//!   availability and travel-time checks. A bid's hold is a commitment
-//!   too ([`CommitmentState`](schedule::CommitmentState)): held, awarded
-//!   or done, one record per task.
+//!   availability and travel-time checks. A commitment is the one record
+//!   of a task here, from the bid's hold to the run
+//!   ([`CommitmentState`](schedule::CommitmentState): held, awarded,
+//!   waiting, running, done), and inputs that arrive before their plan
+//!   are parked beside it.
 //! * Auction Participation Manager — [`HostCore`]'s `consider_bid`:
 //!   bid computation against capabilities, the schedule's holds and
 //!   preferences.
-//! * [`ExecutionManager`](exec::ExecutionManager) — monitors input and
-//!   time conditions, travels, invokes services, and publishes outputs to
-//!   dependent hosts.
+//! * Execution Manager — [`HostCore`]'s `core_sm/execute.rs` over the
+//!   schedule's commitments: monitors input and time conditions,
+//!   travels, invokes services, and publishes outputs to dependent
+//!   hosts.
 //!
 //! [`community::Community`] assembles hosts on a simulated network and
 //! is that network's [`Driver`]; it is the entry point used by the
@@ -50,7 +53,6 @@ pub mod community;
 pub mod config;
 pub mod core_sm;
 pub mod driver;
-pub mod exec;
 pub mod fragment_mgr;
 pub mod messages;
 pub mod metadata;

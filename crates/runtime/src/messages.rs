@@ -186,14 +186,6 @@ pub enum Msg {
         label: Label,
     },
 
-    /// Executor → initiator: a service invocation finished.
-    TaskCompleted {
-        /// Problem being executed.
-        problem: ProblemId,
-        /// Completed task.
-        task: TaskId,
-    },
-
     /// Executor → initiator: a goal label was produced and delivered.
     GoalDelivered {
         /// Problem being executed.
@@ -220,7 +212,6 @@ impl Msg {
             | Msg::Award { problem, .. }
             | Msg::Execute { problem, .. }
             | Msg::InputDelivery { problem, .. }
-            | Msg::TaskCompleted { problem, .. }
             | Msg::GoalDelivered { problem, .. } => *problem,
         }
     }
@@ -245,7 +236,6 @@ impl Msg {
             Msg::Award { .. } => "Award",
             Msg::Execute { .. } => "Execute",
             Msg::InputDelivery { .. } => "InputDelivery",
-            Msg::TaskCompleted { .. } => "TaskCompleted",
             Msg::GoalDelivered { .. } => "GoalDelivered",
         }
     }
@@ -277,12 +267,12 @@ mod tests {
             (2, 7, 0),
             "trace id must round-trip the identity triple"
         );
-        let m = Msg::TaskCompleted {
+        let m = Msg::GoalDelivered {
             problem: p,
-            task: TaskId::new("t"),
+            label: Label::new("g"),
         };
         assert_eq!(m.problem(), p);
         assert_eq!(m.trace_id(), p.trace_id());
-        assert_eq!(m.kind(), "TaskCompleted");
+        assert_eq!(m.kind(), "GoalDelivered");
     }
 }

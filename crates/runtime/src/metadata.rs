@@ -72,7 +72,7 @@ pub struct ExecutionPlan {
 }
 
 /// A single planned service invocation with routing.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PlannedTask {
     /// The task to execute.
     pub task: TaskId,
@@ -90,7 +90,7 @@ pub struct PlannedTask {
 }
 
 /// Routing for one output label of a planned task.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PlannedOutput {
     /// The produced label.
     pub label: Label,

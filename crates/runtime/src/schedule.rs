@@ -8,25 +8,35 @@
 //! execution of an open workflow."
 //!
 //! That database is the one record of every promise a host makes about
-//! a task. §3.2's bids are *firm*, so a bid holds its slot the moment it
-//! is sent: a commitment starts [`CommitmentState::Held`], becomes
-//! [`CommitmentState::Awarded`] when the task is awarded here (by `Award`,
-//! or by the execution plan that carries it), and
-//! [`CommitmentState::Done`] when the task has run. A hold that outlives
-//! its bid's deadline unawarded is released; an awarded or done one is
-//! not.
-//! Bidding itself — a call for bids read against services, this
-//! schedule and preferences — is `HostCore::consider_bid`.
+//! a task, from its bid to its run. §3.2's bids are *firm*, so a bid
+//! holds its slot the moment it is sent: a commitment starts
+//! [`CommitmentState::Held`] and becomes [`CommitmentState::Awarded`]
+//! when `Award` gives the task to this host. When this host's share of
+//! the execution plan names the task it is [`CommitmentState::Waiting`]
+//! for its start time and inputs — the plan is the award in full, and a
+//! task whose hold expired before any award or plan came gets a
+//! commitment at the plan's slot — then [`CommitmentState::Running`]
+//! while its service runs, and [`CommitmentState::Done`] when it has
+//! run. A hold that outlives its bid's deadline unawarded is released;
+//! no other state is. Inputs that reach a problem before any plan of it
+//! installed a task here are parked beside the problem's commitments
+//! until one does; [`ScheduleManager::release_problem`] drops both.
+//!
+//! The rules that move a commitment along are `HostCore`'s: bidding — a
+//! call for bids read against services, this schedule and preferences —
+//! is `consider_bid` (`core_sm/allocate.rs`), and the Execution Manager
+//! — a waiting task starts once its start time and inputs have come,
+//! and a finished one publishes its outputs — is `core_sm/execute.rs`.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
-use openwf_core::TaskId;
+use openwf_core::{Label, TaskId};
 use openwf_mobility::{Motion, Point, SiteMap};
 use openwf_simnet::{SimDuration, SimTime};
 
 use crate::messages::ProblemId;
-use crate::metadata::Bid;
+use crate::metadata::{Bid, PlannedTask};
 
 /// Where one commitment stands (see the module docs).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -36,6 +46,18 @@ pub enum CommitmentState {
     Held(Bid),
     /// The task was awarded to this host.
     Awarded,
+    /// This host's share of the execution plan names the task: it starts
+    /// once its start time has come and no input is `missing`.
+    Waiting {
+        /// The plan's entry for the task: its inputs, and its outputs
+        /// with the hosts awaiting them.
+        planned: Box<PlannedTask>,
+        /// The inputs not delivered yet.
+        missing: BTreeSet<Label>,
+    },
+    /// The task's service is running; the plan's entry routes its
+    /// outputs when it ends.
+    Running(Box<PlannedTask>),
     /// The task ran here.
     Done,
 }
@@ -56,7 +78,7 @@ pub struct Commitment {
     pub travel: SimDuration,
     /// Where the service is performed (None = anywhere / current spot).
     pub location: Option<String>,
-    /// Held, awarded or done.
+    /// From held to done.
     pub state: CommitmentState,
 }
 
@@ -91,10 +113,11 @@ struct OpenSlot {
 /// Per-host schedule: position, motion profile, and committed slots.
 ///
 /// The commitment database only grows on a long-lived host (a won task
-/// stays on record), so nothing on the bidding path reads all of it:
-/// slot searches walk `open`, the start-ordered slots that have not
-/// ended by the host's clock ([`ScheduleManager::advance`]), and state
-/// lookups and releases find their commitments through `by_problem`.
+/// stays on record), so nothing on the bidding or execution path reads
+/// all of it: slot searches walk `open`, the start-ordered slots that
+/// have not ended by the host's clock ([`ScheduleManager::advance`]),
+/// and everything else finds a problem's commitments through
+/// `by_problem`.
 #[derive(Debug)]
 pub struct ScheduleManager {
     position: Point,
@@ -107,8 +130,13 @@ pub struct ScheduleManager {
     /// search however many earlier commitments were released).
     seqs: Vec<u64>,
     next_seq: u64,
-    /// Sequence numbers of each problem's commitments, ascending.
+    /// Sequence numbers of each problem's commitments, in insertion
+    /// order, except that a task moves to the back when a plan installs
+    /// it: a problem's planned tasks come in plan order.
     by_problem: HashMap<ProblemId, Vec<u64>>,
+    /// Inputs delivered for a problem before any plan of it installed a
+    /// task here.
+    parked: HashMap<ProblemId, BTreeSet<Label>>,
     /// The slot-search index, sorted by `(start, seq)`: every
     /// commitment whose `end` is after `horizon`.
     open: Vec<OpenSlot>,
@@ -128,6 +156,7 @@ impl ScheduleManager {
             seqs: Vec::new(),
             next_seq: 0,
             by_problem: HashMap::new(),
+            parked: HashMap::new(),
             open: Vec::new(),
             horizon: SimTime::ZERO,
         }
@@ -281,8 +310,9 @@ impl ScheduleManager {
         }
     }
 
-    /// Where `problem`'s first commitment for `task` sits in
-    /// `commitments`.
+    /// Where `problem`'s commitment for `task` sits in `commitments`
+    /// (the first in `by_problem`, should [`ScheduleManager::commit`]
+    /// have been given two; `HostCore` never does).
     fn find(&self, problem: ProblemId, task: &TaskId) -> Option<usize> {
         self.by_problem
             .get(&problem)?
@@ -309,17 +339,8 @@ impl ScheduleManager {
         }
     }
 
-    /// The task ran: its commitment, in whatever state, is
-    /// [`CommitmentState::Done`].
-    pub(crate) fn mark_done(&mut self, problem: ProblemId, task: &TaskId) {
-        if let Some(at) = self.find(problem, task) {
-            self.commitments[at].state = CommitmentState::Done;
-        }
-    }
-
     /// A bid hold outlived its deadline: the commitment is released if
-    /// it is still [`CommitmentState::Held`]. An awarded or done one
-    /// stays.
+    /// it is still [`CommitmentState::Held`]. Any other state stays.
     pub(crate) fn expire_hold(&mut self, problem: ProblemId, task: &TaskId) {
         let Some(at) = self.find(problem, task) else {
             return;
@@ -337,9 +358,148 @@ impl ScheduleManager {
         self.remove_at(at);
     }
 
-    /// Releases every commitment of one problem, held or firm
-    /// (repair/reallocation).
+    /// The execution plan names `planned.task` for this host: its
+    /// commitment becomes [`CommitmentState::Waiting`] for the `missing`
+    /// inputs. A held or awarded one keeps its slot; with none (its hold
+    /// expired before any award or plan came) one is booked at the
+    /// plan's slot, unchecked, since another bid may have taken it
+    /// since. The task moves to the back of its problem's list. Returns
+    /// false, changing nothing, when the task is already waiting,
+    /// running or done.
+    pub(crate) fn install(
+        &mut self,
+        problem: ProblemId,
+        planned: PlannedTask,
+        missing: BTreeSet<Label>,
+    ) -> bool {
+        let Some(at) = self.find(problem, &planned.task) else {
+            self.insert(Commitment {
+                problem,
+                task: planned.task.clone(),
+                start: planned.start,
+                end: planned.start.saturating_add(planned.duration),
+                travel: SimDuration::ZERO,
+                location: planned.location.clone(),
+                state: CommitmentState::Waiting {
+                    planned: Box::new(planned),
+                    missing,
+                },
+            });
+            return true;
+        };
+        let state = &mut self.commitments[at].state;
+        if !matches!(state, CommitmentState::Held(_) | CommitmentState::Awarded) {
+            return false;
+        }
+        *state = CommitmentState::Waiting {
+            planned: Box::new(planned),
+            missing,
+        };
+        let seq = self.seqs[at];
+        let seqs = self
+            .by_problem
+            .get_mut(&problem)
+            .expect("by_problem lists every commitment on record");
+        seqs.retain(|&s| s != seq);
+        seqs.push(seq);
+        true
+    }
+
+    /// `label` was delivered for `problem`. `None` when no plan of the
+    /// problem has installed a task here (none waits, runs or is done).
+    /// Otherwise every waiting task stops missing `label`, and those
+    /// that miss no input any more come back with their planned start,
+    /// in plan order.
+    pub(crate) fn deliver(
+        &mut self,
+        problem: ProblemId,
+        label: &Label,
+    ) -> Option<Vec<(TaskId, SimTime)>> {
+        let seqs = self.by_problem.get(&problem)?;
+        let mut installed = false;
+        let mut ready = Vec::new();
+        for &seq in seqs {
+            let at = self.index_of(seq);
+            match &mut self.commitments[at].state {
+                CommitmentState::Waiting { planned, missing } => {
+                    installed = true;
+                    if missing.remove(label) && missing.is_empty() {
+                        ready.push((planned.task.clone(), planned.start));
+                    }
+                }
+                CommitmentState::Running(_) | CommitmentState::Done => installed = true,
+                CommitmentState::Held(_) | CommitmentState::Awarded => {}
+            }
+        }
+        installed.then_some(ready)
+    }
+
+    /// Parks `label` for the plan of `problem` still to come.
+    pub(crate) fn park(&mut self, problem: ProblemId, label: Label) {
+        self.parked.entry(problem).or_default().insert(label);
+    }
+
+    /// The inputs parked for `problem`, which no longer keeps them.
+    pub(crate) fn take_parked(&mut self, problem: ProblemId) -> BTreeSet<Label> {
+        self.parked.remove(&problem).unwrap_or_default()
+    }
+
+    /// A waiting task that misses no input starts: it is
+    /// [`CommitmentState::Running`], and its planned duration comes
+    /// back. `None`, changing nothing, in any other case.
+    pub(crate) fn start(&mut self, problem: ProblemId, task: &TaskId) -> Option<SimDuration> {
+        let at = self.find(problem, task)?;
+        let state = &mut self.commitments[at].state;
+        match std::mem::replace(state, CommitmentState::Done) {
+            CommitmentState::Waiting { planned, missing } if missing.is_empty() => {
+                let duration = planned.duration;
+                *state = CommitmentState::Running(planned);
+                Some(duration)
+            }
+            other => {
+                *state = other;
+                None
+            }
+        }
+    }
+
+    /// A running task ended: it is [`CommitmentState::Done`], and the
+    /// plan's entry for it comes back to route its outputs. `None`,
+    /// changing nothing, when it was not running (a stale timer).
+    pub(crate) fn finish(&mut self, problem: ProblemId, task: &TaskId) -> Option<Box<PlannedTask>> {
+        let at = self.find(problem, task)?;
+        let state = &mut self.commitments[at].state;
+        match std::mem::replace(state, CommitmentState::Done) {
+            CommitmentState::Running(planned) => Some(planned),
+            other => {
+                *state = other;
+                None
+            }
+        }
+    }
+
+    /// Number of problems whose execution is in flight here: a task
+    /// waiting or running, or an input parked for a plan still to come.
+    /// A plan that ran to its end leaves nothing counted, so on a
+    /// long-lived host this follows the work in flight, not the work
+    /// ever done.
+    pub fn executions_in_flight(&self) -> usize {
+        let executing = self.by_problem.iter().filter(|(problem, seqs)| {
+            !self.parked.contains_key(problem)
+                && seqs.iter().any(|&seq| {
+                    matches!(
+                        self.commitments[self.index_of(seq)].state,
+                        CommitmentState::Waiting { .. } | CommitmentState::Running(_)
+                    )
+                })
+        });
+        self.parked.len() + executing.count()
+    }
+
+    /// Releases every commitment of one problem, in any state, and its
+    /// parked inputs (repair/reallocation).
     pub fn release_problem(&mut self, problem: ProblemId) {
+        self.parked.remove(&problem);
         for seq in self.by_problem.remove(&problem).unwrap_or_default() {
             self.remove_at(self.index_of(seq));
         }
@@ -499,30 +659,60 @@ mod tests {
         }
     }
 
+    /// A plan entry for `task` in `[start_us, end_us)`, with nothing
+    /// to route.
+    fn planned(task: &str, start_us: u64, end_us: u64) -> PlannedTask {
+        PlannedTask {
+            task: TaskId::new(task),
+            inputs: Vec::new(),
+            outputs: Vec::new(),
+            start: SimTime::from_micros(start_us),
+            duration: SimDuration::from_micros(end_us - start_us),
+            location: None,
+        }
+    }
+
     #[test]
     fn only_a_held_commitment_expires() {
         let mut m = ScheduleManager::unlocated();
-        m.commit(held("t", 0, 10));
-        m.commit(held("u", 10, 20));
-        m.commit(held("v", 20, 30));
+        let tasks = ["t", "u", "v", "w", "x"];
+        for (i, t) in (0..).zip(tasks) {
+            m.commit(held(t, i * 10, i * 10 + 10));
+        }
         let task = TaskId::new;
         m.award(pid(), &task("u"));
-        m.mark_done(pid(), &task("v"));
+        for (i, t) in (2..).zip(["v", "w", "x"]) {
+            assert!(m.install(pid(), planned(t, i * 10, i * 10 + 10), BTreeSet::new()));
+        }
+        for t in ["v", "x"] {
+            assert_eq!(m.start(pid(), &task(t)), Some(SimDuration::from_micros(10)));
+        }
+        assert!(m.finish(pid(), &task("v")).is_some());
         m.award(pid(), &task("v"));
-        for t in ["t", "u", "v"] {
+        for t in tasks {
             m.expire_hold(pid(), &task(t));
         }
         let states: Vec<_> = m.commitments().iter().map(|c| &c.state).collect();
-        assert_eq!(
-            states,
-            [&CommitmentState::Awarded, &CommitmentState::Done],
-            "an award is not undone by a later award"
+        assert!(
+            matches!(
+                states[..],
+                [
+                    CommitmentState::Awarded,
+                    CommitmentState::Done,
+                    CommitmentState::Waiting { .. },
+                    CommitmentState::Running(_)
+                ]
+            ),
+            "an award is not undone by a later award: {states:?}"
         );
         assert_eq!(m.state(pid(), &task("t")), None);
-        assert_eq!(m.open_slot_count(), 2);
+        assert_eq!(m.open_slot_count(), 4);
         m.expire_hold(pid(), &task("t"));
         m.expire_hold(ProblemId::new(HostId(3), 3), &task("u"));
-        assert_eq!(m.commitment_count(), 2, "expiring nothing is a no-op");
+        assert_eq!(m.commitment_count(), 4, "expiring nothing is a no-op");
+        assert_eq!(m.executions_in_flight(), 1);
+        m.release_problem(pid());
+        assert_eq!((m.commitment_count(), m.executions_in_flight()), (0, 0));
     }
 
     /// The database this module had before its indexes, kept as the
@@ -547,34 +737,34 @@ mod tests {
             candidate
         }
 
+        /// Every commitment of the problem goes, in any state.
         fn release_problem(&mut self, problem: ProblemId) {
             self.commitments.retain(|c| c.problem != problem);
         }
 
-        /// The pair's first commitment in insertion order.
+        /// The pair's commitment.
         fn find(&self, problem: ProblemId, task: &TaskId) -> Option<usize> {
             self.commitments
                 .iter()
                 .position(|c| c.problem == problem && &c.task == task)
         }
 
-        /// An award firms a hold; it never undoes `Done`.
+        fn state_mut(&mut self, problem: ProblemId, task: &TaskId) -> Option<&mut CommitmentState> {
+            let at = self.find(problem, task)?;
+            Some(&mut self.commitments[at].state)
+        }
+
+        /// An award firms a hold; it never undoes a later state.
         fn award(&mut self, problem: ProblemId, task: &TaskId) {
-            if let Some(at) = self.find(problem, task) {
-                if matches!(self.commitments[at].state, CommitmentState::Held(_)) {
-                    self.commitments[at].state = CommitmentState::Awarded;
+            if let Some(state) = self.state_mut(problem, task) {
+                if matches!(state, CommitmentState::Held(_)) {
+                    *state = CommitmentState::Awarded;
                 }
             }
         }
 
-        fn mark_done(&mut self, problem: ProblemId, task: &TaskId) {
-            if let Some(at) = self.find(problem, task) {
-                self.commitments[at].state = CommitmentState::Done;
-            }
-        }
-
-        /// An expired hold releases its slot; an awarded or done slot
-        /// is never released.
+        /// An expired hold releases its slot; no other state is ever
+        /// released by it.
         fn expire_hold(&mut self, problem: ProblemId, task: &TaskId) {
             if let Some(at) = self.find(problem, task) {
                 if matches!(self.commitments[at].state, CommitmentState::Held(_)) {
@@ -582,13 +772,91 @@ mod tests {
                 }
             }
         }
+
+        /// A plan makes a held or awarded commitment wait, and books a
+        /// waiting one at its own slot for a pair with none.
+        fn install(
+            &mut self,
+            problem: ProblemId,
+            planned: PlannedTask,
+            missing: BTreeSet<Label>,
+        ) -> bool {
+            let task = planned.task.clone();
+            let waiting = CommitmentState::Waiting {
+                planned: Box::new(planned.clone()),
+                missing,
+            };
+            match self.state_mut(problem, &task) {
+                None => self.commitments.push(Commitment {
+                    problem,
+                    task,
+                    start: planned.start,
+                    end: planned.start + planned.duration,
+                    travel: SimDuration::ZERO,
+                    location: None,
+                    state: waiting,
+                }),
+                Some(state @ (CommitmentState::Held(_) | CommitmentState::Awarded)) => {
+                    *state = waiting;
+                }
+                Some(_) => return false,
+            }
+            true
+        }
+
+        /// A waiting task that misses nothing runs.
+        fn start(&mut self, problem: ProblemId, task: &TaskId) -> Option<SimDuration> {
+            let state = self.state_mut(problem, task)?;
+            let CommitmentState::Waiting { planned, missing } = state else {
+                return None;
+            };
+            if !missing.is_empty() {
+                return None;
+            }
+            let planned = planned.clone();
+            let duration = planned.duration;
+            *state = CommitmentState::Running(planned);
+            Some(duration)
+        }
+
+        /// A running task is done.
+        fn finish(&mut self, problem: ProblemId, task: &TaskId) -> Option<Box<PlannedTask>> {
+            let state = self.state_mut(problem, task)?;
+            let CommitmentState::Running(planned) = state else {
+                return None;
+            };
+            let planned = planned.clone();
+            *state = CommitmentState::Done;
+            Some(planned)
+        }
+
+        /// Problems with a task waiting or running.
+        fn executions_in_flight(&self) -> usize {
+            let executing: std::collections::HashSet<ProblemId> = self
+                .commitments
+                .iter()
+                .filter(|c| {
+                    matches!(
+                        c.state,
+                        CommitmentState::Waiting { .. } | CommitmentState::Running(_)
+                    )
+                })
+                .map(|c| c.problem)
+                .collect();
+            executing.len()
+        }
     }
+
+    /// Tasks per problem the operations pick from.
+    const TASKS: u8 = 4;
 
     #[derive(Clone, Debug)]
     enum Op {
         /// Record an awarded `[now - 4 + offset, +len)` for
         /// `(problem, task)`: starts in any order, before and after the
-        /// clock, lengths from zero, overlapping whatever is there.
+        /// clock, lengths from zero, overlapping whatever is there. A
+        /// pair that has a commitment gets no second one, as
+        /// `HostCore` never asks for one.
         Commit {
             problem: u32,
             task: u8,
@@ -610,7 +878,20 @@ mod tests {
             problem: u32,
             task: u8,
         },
-        MarkDone {
+        /// A plan names the task, at the same kind of slot, with an
+        /// input still missing or none.
+        Install {
+            problem: u32,
+            task: u8,
+            offset: u64,
+            len: u64,
+            missing: bool,
+        },
+        Start {
+            problem: u32,
+            task: u8,
+        },
+        Finish {
             problem: u32,
             task: u8,
         },
@@ -629,8 +910,15 @@ mod tests {
     }
 
     fn op() -> impl Strategy<Value = Op> {
-        (0u8..12, 0u32..3, 0u8..3, 0u64..12, 0u64..6).prop_map(|(kind, problem, task, a, b)| {
-            match kind {
+        (
+            0u8..15,
+            0u32..3,
+            0u8..TASKS,
+            0u64..12,
+            0u64..6,
+            any::<bool>(),
+        )
+            .prop_map(|(kind, problem, task, a, b, missing)| match kind {
                 0 | 1 => Op::Commit {
                     problem,
                     task,
@@ -645,22 +933,30 @@ mod tests {
                 },
                 4 => Op::Award { problem, task },
                 5 => Op::ExpireHold { problem, task },
-                6 => Op::MarkDone { problem, task },
-                7 => Op::ReleaseProblem { problem },
-                8 | 9 => Op::Search {
+                6 | 7 => Op::Install {
+                    problem,
+                    task,
+                    offset: a,
+                    len: b,
+                    missing,
+                },
+                8 => Op::Start { problem, task },
+                9 => Op::Finish { problem, task },
+                10 => Op::ReleaseProblem { problem },
+                11 | 12 => Op::Search {
                     ahead: a % 5,
                     needed: b,
                 },
                 _ => Op::Advance { by: a % 4 },
-            }
-        })
+            })
     }
 
     proptest! {
-        /// Random hold / award / expiry / commit / release / search
-        /// sequences on a moving clock find the same slots, and keep the
-        /// same commitments in the same order and states, as the
-        /// collect-sort-walk the indexes replaced.
+        /// Random hold / award / expiry / commit / install / start /
+        /// finish / release / search sequences on a moving clock find
+        /// the same slots, and keep the same commitments in the same
+        /// order and states, as the collect-sort-walk the indexes
+        /// replaced.
         #[test]
         fn indexed_schedule_matches_the_scan_it_replaced(
             ops in proptest::collection::vec(op(), 1..160),
@@ -670,12 +966,18 @@ mod tests {
             let mut now = SimTime::ZERO;
             let problem_id = |p: u32| ProblemId::new(HostId(0), p);
             let task_id = |t: u8| TaskId::new(format!("t{t}"));
+            let slot = |now: SimTime, offset: u64, len: u64| {
+                let start = SimTime::from_micros((now.as_micros() + offset).saturating_sub(4));
+                (start, start + SimDuration::from_micros(len))
+            };
             for op in ops {
                 match op {
                     Op::Commit { problem, task, offset, len }
                     | Op::Hold { problem, task, offset, len } => {
-                        let start = SimTime::from_micros((now.as_micros() + offset).saturating_sub(4));
-                        let end = start + SimDuration::from_micros(len);
+                        if model.find(problem_id(problem), &task_id(task)).is_some() {
+                            continue;
+                        }
+                        let (start, end) = slot(now, offset, len);
                         let state = match op {
                             Op::Hold { .. } => CommitmentState::Held(Bid {
                                 start,
@@ -708,9 +1010,34 @@ mod tests {
                         model.expire_hold(problem_id(problem), &task_id(task));
                         m.expire_hold(problem_id(problem), &task_id(task));
                     }
-                    Op::MarkDone { problem, task } => {
-                        model.mark_done(problem_id(problem), &task_id(task));
-                        m.mark_done(problem_id(problem), &task_id(task));
+                    Op::Install { problem, task, offset, len, missing } => {
+                        let (start, _) = slot(now, offset, len);
+                        let planned = PlannedTask {
+                            task: task_id(task),
+                            inputs: vec![Label::new("x")],
+                            outputs: Vec::new(),
+                            start,
+                            duration: SimDuration::from_micros(len),
+                            location: None,
+                        };
+                        let missing: BTreeSet<Label> =
+                            planned.inputs.iter().filter(|_| missing).cloned().collect();
+                        prop_assert_eq!(
+                            m.install(problem_id(problem), planned.clone(), missing.clone()),
+                            model.install(problem_id(problem), planned, missing)
+                        );
+                    }
+                    Op::Start { problem, task } => {
+                        prop_assert_eq!(
+                            m.start(problem_id(problem), &task_id(task)),
+                            model.start(problem_id(problem), &task_id(task))
+                        );
+                    }
+                    Op::Finish { problem, task } => {
+                        prop_assert_eq!(
+                            m.finish(problem_id(problem), &task_id(task)),
+                            model.finish(problem_id(problem), &task_id(task))
+                        );
                     }
                     Op::ReleaseProblem { problem } => {
                         model.release_problem(problem_id(problem));
@@ -735,8 +1062,9 @@ mod tests {
                     m.open_slot_count(),
                     model.commitments.iter().filter(|c| c.end > now).count()
                 );
+                prop_assert_eq!(m.executions_in_flight(), model.executions_in_flight());
                 for problem in 0..3 {
-                    for task in 0..3 {
+                    for task in 0..TASKS {
                         let (problem, task) = (problem_id(problem), task_id(task));
                         prop_assert_eq!(
                             m.state(problem, &task),

@@ -57,7 +57,7 @@ fn footprint(driver: &LoopbackBytesDriver) -> (usize, usize, usize) {
             (
                 timers + core.armed_timer_count(),
                 slots + core.schedule().open_slot_count(),
-                plans + core.exec_mgr().problem_count(),
+                plans + core.schedule().executions_in_flight(),
             )
         })
 }
