@@ -614,7 +614,7 @@ impl HostCore {
             Msg::Decline { problem, task } => self.on_decline(from, problem, task, now, q),
             Msg::Award { problem, task, .. } => self.on_award(problem, task),
 
-            Msg::Execute { problem, plan } => self.on_execute(problem, plan, now, q),
+            Msg::Execute { problem, plan } => self.on_execute(from, problem, plan, now, q),
             Msg::InputDelivery { problem, label } => self.on_input_delivery(problem, label, now, q),
             Msg::GoalDelivered { problem, label } => self.on_goal_delivered(problem, label, now, q),
         }

@@ -1294,6 +1294,39 @@ fn a_task_planned_after_its_hold_expired_runs_once_in_a_booked_slot() {
     );
 }
 
+/// Only the initiator plans a problem, and only for services this host
+/// offers: a day-long plan from another peer, or one naming a task this
+/// host has no service for, books no slot and runs nothing, so the next
+/// call for bids is answered as if neither had come.
+#[test]
+fn a_forged_execute_books_nothing() {
+    let mut core = executor(HostConfig::new().with_service(service("fx-t")));
+    let problem = ProblemId::new(HostId(0), 0);
+    let now = SimTime::ZERO;
+    let day = Bid {
+        start: now,
+        travel: SimDuration::ZERO,
+        duration: SimDuration::from_secs(86_400),
+        specialization: 1,
+        deadline: now,
+    };
+    let forged = [
+        (HostId(2), execute(problem, "fx-t", &day)),
+        (HostId(0), execute(problem, "fx-unserved", &day)),
+    ];
+    for (from, plan) in &forged {
+        let q = core.handle_frame(*from, plan, now);
+        assert!(q.is_empty(), "dropped: {:?}", q.actions());
+    }
+    run_timers(&mut core);
+    assert_eq!(core.schedule().commitment_count(), 0);
+    assert!(core.service_mgr().invocations().is_empty());
+
+    let other = ProblemId::new(HostId(0), 1);
+    let next = bid_in(&core.handle_frame(HostId(0), &call_for_bids(other, "fx-t"), now));
+    assert_eq!(next.start, now, "no slot taken: {next:?}");
+}
+
 /// The executor's share of `problem`'s plan, as the initiator sends it.
 fn plan(problem: ProblemId, commitments: Vec<PlannedTask>) -> Vec<u8> {
     frame(&Msg::Execute {

@@ -255,7 +255,8 @@ impl ScheduleManager {
         self.open.len()
     }
 
-    /// Records a commitment (a bid's hold on its slot).
+    /// Records a commitment (a bid's hold on its slot). A `(problem,
+    /// task)` has at most one: a second is a caller's bug.
     pub fn commit(&mut self, commitment: Commitment) {
         debug_assert!(
             !self
@@ -269,6 +270,10 @@ impl ScheduleManager {
 
     /// [`ScheduleManager::commit`] without the double-booking check.
     fn insert(&mut self, commitment: Commitment) {
+        debug_assert!(
+            self.find(commitment.problem, &commitment.task).is_none(),
+            "second commitment for one task: {commitment}"
+        );
         let seq = self.next_seq;
         self.next_seq += 1;
         if commitment.end > self.horizon {
@@ -310,9 +315,7 @@ impl ScheduleManager {
         }
     }
 
-    /// Where `problem`'s commitment for `task` sits in `commitments`
-    /// (the first in `by_problem`, should [`ScheduleManager::commit`]
-    /// have been given two; `HostCore` never does).
+    /// Where `problem`'s commitment for `task` sits in `commitments`.
     fn find(&self, problem: ProblemId, task: &TaskId) -> Option<usize> {
         self.by_problem
             .get(&problem)?
@@ -523,10 +526,12 @@ mod tests {
         ScheduleManager::new(Point::ORIGIN, Motion::WALKING, site)
     }
 
+    /// An awarded commitment in `[start_us, end_us)`, for a task named
+    /// after its start.
     fn commitment(start_us: u64, end_us: u64) -> Commitment {
         Commitment {
             problem: pid(),
-            task: TaskId::new("t"),
+            task: TaskId::new(format!("t{start_us}")),
             start: SimTime::from_micros(start_us),
             end: SimTime::from_micros(end_us),
             travel: SimDuration::ZERO,
@@ -618,6 +623,21 @@ mod tests {
         });
         m.release_problem(pid());
         assert_eq!(m.commitment_count(), 1, "other problems keep their slots");
+    }
+
+    /// A task has one commitment per problem: `HostCore` looks for it
+    /// before it bids or books, and the schedule refuses a second.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "second commitment for one task")]
+    fn a_task_gets_one_commitment_per_problem() {
+        let mut m = ScheduleManager::unlocated();
+        m.commit(commitment(0, 10));
+        m.commit(Commitment {
+            start: SimTime::from_micros(20),
+            end: SimTime::from_micros(30),
+            ..commitment(0, 10)
+        });
     }
 
     #[test]
@@ -855,8 +875,8 @@ mod tests {
         /// Record an awarded `[now - 4 + offset, +len)` for
         /// `(problem, task)`: starts in any order, before and after the
         /// clock, lengths from zero, overlapping whatever is there. A
-        /// pair that has a commitment gets no second one, as
-        /// `HostCore` never asks for one.
+        /// pair that has a commitment gets no second one: the schedule
+        /// refuses it (`a_task_gets_one_commitment_per_problem`).
         Commit {
             problem: u32,
             task: u8,
