@@ -3,6 +3,24 @@
 //! execution plans out — and every member's bidding side. Everything
 //! here runs between the `allocate` span's begin and end.
 //!
+//! The initiating side is the paper's Auction Manager: "The auction
+//! manager selects the bid that best matches the selection criterion and
+//! makes a tentative task allocation to that participant. As new bids
+//! arrive, the tentative allocation is continually re-evaluated. A final
+//! decision is made when the deadline given by the participant who has
+//! the current tentative allocation has arrived. The auction manager
+//! waits as long as possible … but once some participant has been found
+//! who can do a task, the task is guaranteed to be allocated." Each
+//! undecided task's auction is an `Auction` in the attempt's working set
+//! with one deadline timer armed, the current best bid's: a better bid
+//! disarms the one it replaces. `decide` removes the entry
+//! and records the award in the workspace's assignments, or the task as
+//! unallocatable; allocation is over when no entry is left. One
+//! refinement: when *every* community member has answered, no better bid
+//! can arrive, so the task is decided at once instead of at the
+//! deadline. This keeps the §5 timing experiments dominated by
+//! communication, as in the paper.
+//!
 //! The bidding side is the paper's Auction Participation Manager, and
 //! it keeps no state of its own: a firm bid holds its slot as a
 //! [`CommitmentState::Held`] commitment in the schedule, which answers
@@ -14,11 +32,18 @@ use openwf_obs::SpanPhase;
 use openwf_simnet::{HostId, SimDuration, SimTime};
 
 use super::{ActionQueue, HostCore, TimerPurpose};
-use crate::auction::{AuctionAction, ProblemAuctions};
 use crate::messages::{Msg, ProblemId};
-use crate::metadata::{build_plans, compute_metadata, Bid, TaskMetadata};
+use crate::metadata::{build_plans, compute_metadata, Assignment, Bid, TaskMetadata};
 use crate::report::ProblemStatus;
 use crate::schedule::{Commitment, CommitmentState};
+use crate::workflow_mgr::Auction;
+
+/// Selection criterion (§3.2): most specialized first (fewest services),
+/// then earliest start, then lowest host id for determinism.
+fn better_bid(a: &(HostId, Bid), b: &(HostId, Bid)) -> bool {
+    let key = |(host, bid): &(HostId, Bid)| (bid.specialization, bid.start, *host);
+    key(a) < key(b)
+}
 
 impl HostCore {
     /// [`Msg::CallForBids`]: answers with a [`Msg::Bid`] or a
@@ -50,7 +75,7 @@ impl HostCore {
         q: &mut ActionQueue,
     ) {
         q.charge(self.params.bid_evaluation_cost);
-        self.step_auctions(problem, now, q, |a| Some(a.on_bid(&task, from, bid)));
+        self.on_response(from, problem, task, Some(bid), now, q);
     }
 
     /// [`Msg::Decline`].
@@ -62,16 +87,21 @@ impl HostCore {
         now: SimTime,
         q: &mut ActionQueue,
     ) {
-        self.step_auctions(problem, now, q, |a| Some(a.on_decline(&task, from)));
+        self.on_response(from, problem, task, None, now, q);
     }
 
     /// [`Msg::Award`]: the hold becomes a firm commitment (already
-    /// scheduled).
-    pub(super) fn on_award(&mut self, problem: ProblemId, task: TaskId) {
-        self.schedule.award(problem, &task);
+    /// scheduled). Only the problem's initiator awards its tasks: an
+    /// award from anyone else is dropped, so it cannot firm a hold that
+    /// its expiry should release.
+    pub(super) fn on_award(&mut self, from: HostId, problem: ProblemId, task: TaskId) {
+        if from == problem.initiator {
+            self.schedule.award(problem, &task);
+        }
     }
 
-    /// `AuctionDeadline`: the task's best bid so far wins.
+    /// `AuctionDeadline`: the tentative winner's deadline arrived, so its
+    /// bid wins.
     pub(super) fn on_auction_deadline(
         &mut self,
         problem: ProblemId,
@@ -79,24 +109,153 @@ impl HostCore {
         now: SimTime,
         q: &mut ActionQueue,
     ) {
-        self.step_auctions(problem, now, q, |a| Some(a.on_deadline(&task)));
+        self.decide(problem, task, false, now, q);
     }
 
     /// `AuctionTimeout`: the liveness backstop armed by
-    /// [`HostCore::start_allocation`] decides whatever is still open.
+    /// [`HostCore::start_allocation`] decides every auction still open,
+    /// in task order — waiting longer cannot help. A task with a bid goes
+    /// to the best so far; one with none is unallocatable (feeding the
+    /// repair path), even with answers still outstanding, because on a
+    /// lossy network those may never arrive and the timeout is the last
+    /// timer this attempt has.
     pub(super) fn on_auction_timeout(
         &mut self,
         problem: ProblemId,
         now: SimTime,
         q: &mut ActionQueue,
     ) {
-        let still_allocating = self
-            .workflow_mgr
-            .get(&problem)
-            .map(|ws| ws.report.status == ProblemStatus::Allocating)
-            .unwrap_or(false);
-        if still_allocating {
-            self.step_auctions(problem, now, q, |a| a.force_decide_all());
+        let open: Vec<TaskId> = match self.workflow_mgr.working_mut(&problem) {
+            Some(w) => w.auctions.keys().cloned().collect(),
+            None => return,
+        };
+        for task in open {
+            self.decide(problem, task, true, now, q);
+        }
+    }
+
+    /// One host's bid (`Some`) or decline (`None`) for `task`, the
+    /// initiator's own included. The first answer of each host counts;
+    /// a bid better than the tentative allocation replaces it, and the
+    /// auction waits for the new best's deadline instead of the old
+    /// one's. Once every community member has answered the task is
+    /// decided at once. An answer for a decided task, or a finished
+    /// attempt, changes nothing: a late bidder holds its slot until its
+    /// hold expires on its own.
+    fn on_response(
+        &mut self,
+        from: HostId,
+        problem: ProblemId,
+        task: TaskId,
+        bid: Option<Bid>,
+        now: SimTime,
+        q: &mut ActionQueue,
+    ) {
+        let Some(w) = self.workflow_mgr.working_mut(&problem) else {
+            return;
+        };
+        let community = w.n_peers + 1;
+        let Some(a) = w.auctions.get_mut(&task) else {
+            return;
+        };
+        if !a.responded.insert(from) {
+            return;
+        }
+        let improved = match bid {
+            Some(bid) => {
+                let cand = (from, bid);
+                let better = a.best.as_ref().is_none_or(|best| better_bid(&cand, best));
+                if better {
+                    a.best = Some(cand);
+                }
+                better
+            }
+            None => false,
+        };
+        if a.responded.len() >= community {
+            self.decide(problem, task, false, now, q);
+        } else if improved {
+            let deadline = a.best.as_ref().expect("just set").1.deadline;
+            let superseded = a.deadline.take();
+            self.disarm(superseded);
+            let purpose = TimerPurpose::AuctionDeadline {
+                problem,
+                task: task.clone(),
+            };
+            let token = self.arm_at(q, now, deadline, purpose);
+            if let Some(a) = self
+                .workflow_mgr
+                .working_mut(&problem)
+                .and_then(|w| w.auctions.get_mut(&task))
+            {
+                a.deadline = Some(token);
+            }
+        }
+    }
+
+    /// Decides `task`'s auction if it is still open: the best bid so far
+    /// is awarded, or, with no bid, the task is unallocatable once every
+    /// member declined or the decision is `forced`; otherwise the
+    /// auction goes on waiting. A decision removes the auction and
+    /// disarms its deadline, and the last one finalizes the allocation.
+    fn decide(
+        &mut self,
+        problem: ProblemId,
+        task: TaskId,
+        forced: bool,
+        now: SimTime,
+        q: &mut ActionQueue,
+    ) {
+        let Some(ws) = self.workflow_mgr.get_mut(&problem) else {
+            return;
+        };
+        let Some(w) = ws.working.as_deref_mut() else {
+            return;
+        };
+        let Some(a) = w.auctions.get(&task) else {
+            return;
+        };
+        if a.best.is_none() && !forced && a.responded.len() <= w.n_peers {
+            return; // no bid yet: wait for the stragglers
+        }
+        let Auction {
+            best,
+            location,
+            deadline,
+            ..
+        } = w.auctions.remove(&task).expect("looked up");
+        let allocated = w.auctions.is_empty();
+        let award = match best {
+            Some((host, bid)) => {
+                let assignment = Assignment {
+                    host,
+                    start: bid.start,
+                    // The slot covers travel + service execution.
+                    duration: bid.travel + bid.duration,
+                    location,
+                };
+                ws.assignments.push((task.clone(), assignment.clone()));
+                Some((host, assignment))
+            }
+            None => {
+                w.unallocatable.push(task.clone());
+                None
+            }
+        };
+        self.disarm(deadline);
+        if let Some((host, assignment)) = award {
+            self.emit(
+                q,
+                host,
+                Msg::Award {
+                    problem,
+                    task,
+                    assignment,
+                },
+            );
+        }
+        if allocated {
+            self.finalize_allocation(problem, now, q);
         }
     }
 
@@ -171,31 +330,12 @@ impl HostCore {
         Some(bid)
     }
 
-    /// Steps `problem`'s auctions and acts on every decision the step
-    /// returns, in order. An attempt with no open auctions (unknown, or
-    /// retired) yields nothing.
-    fn step_auctions<I: IntoIterator<Item = AuctionAction>>(
-        &mut self,
-        problem: ProblemId,
-        now: SimTime,
-        q: &mut ActionQueue,
-        step: impl FnOnce(&mut ProblemAuctions) -> I,
-    ) {
-        let Some(actions) = self.workflow_mgr.auctions_mut(&problem).map(step) else {
-            return;
-        };
-        for action in actions {
-            self.handle_auction_action(problem, action, now, q);
-        }
-    }
-
     pub(super) fn start_allocation(
         &mut self,
         problem: ProblemId,
         now: SimTime,
         q: &mut ActionQueue,
     ) {
-        let community_size = self.community.len();
         let Some(ws) = self.workflow_mgr.get_mut(&problem) else {
             return;
         };
@@ -213,7 +353,16 @@ impl HostCore {
         // Location requirements are looked up from the *bidders'* service
         // descriptions; the initiator does not constrain locations here.
         let metas = compute_metadata(&workflow, now, SimDuration::ZERO, |_| None);
-        w.auctions = Some(ProblemAuctions::open(metas.clone(), community_size));
+        w.auctions = metas
+            .iter()
+            .map(|(task, meta)| {
+                let auction = Auction {
+                    location: meta.location.clone(),
+                    ..Auction::default()
+                };
+                (task.clone(), auction)
+            })
+            .collect();
         self.metrics.auctions.add(metas.len() as u64);
 
         if metas.is_empty() {
@@ -248,60 +397,7 @@ impl HostCore {
         let me = self.id();
         for (task, meta) in metas {
             let bid = self.consider_bid(problem, &task, &meta, now, q);
-            self.step_auctions(problem, now, q, |a| {
-                Some(match bid {
-                    Some(bid) => a.on_bid(&task, me, bid),
-                    None => a.on_decline(&task, me),
-                })
-            });
-        }
-    }
-
-    fn handle_auction_action(
-        &mut self,
-        problem: ProblemId,
-        action: AuctionAction,
-        now: SimTime,
-        q: &mut ActionQueue,
-    ) {
-        match action {
-            AuctionAction::None => {}
-            AuctionAction::ArmDeadline(task, at) => {
-                self.arm_at(q, now, at, TimerPurpose::AuctionDeadline { problem, task });
-            }
-            AuctionAction::Award(task, host, assignment) => {
-                if let Some(ws) = self.workflow_mgr.get_mut(&problem) {
-                    ws.assignments.push((task.clone(), assignment.clone()));
-                }
-                self.emit(
-                    q,
-                    host,
-                    Msg::Award {
-                        problem,
-                        task,
-                        assignment,
-                    },
-                );
-                self.maybe_finish_allocation(problem, now, q);
-            }
-            AuctionAction::Unallocatable(task) => {
-                if let Some(w) = self.workflow_mgr.working_mut(&problem) {
-                    w.unallocatable.push(task);
-                }
-                self.maybe_finish_allocation(problem, now, q);
-            }
-        }
-    }
-
-    fn maybe_finish_allocation(&mut self, problem: ProblemId, now: SimTime, q: &mut ActionQueue) {
-        let done = self
-            .workflow_mgr
-            .get(&problem)
-            .and_then(|ws| ws.working()?.auctions.as_ref())
-            .map(|a| a.all_decided())
-            .unwrap_or(false);
-        if done {
-            self.finalize_allocation(problem, now, q);
+            self.on_response(me, problem, task, bid, now, q);
         }
     }
 

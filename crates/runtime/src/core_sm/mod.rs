@@ -2,12 +2,13 @@
 //! free of any transport.
 //!
 //! [`HostCore`] owns the paper's §4.2 components — the construction
-//! subsystem (Workflow Manager + Auction Manager) and the execution
-//! subsystem (Fragment, Service and Schedule Managers, with auction
-//! participation in `allocate.rs` and the Execution Manager in
-//! `execute.rs`, both over the schedule's commitments) — but performs
-//! **no I/O**. Every input arrives through a narrow poll
-//! surface:
+//! subsystem (the Workflow Manager's workspaces, with the query rounds
+//! in `construct.rs` and the Auction Manager in `allocate.rs`, both over
+//! the attempt's working set) and the execution subsystem (Fragment,
+//! Service and Schedule Managers, with auction participation in
+//! `allocate.rs` and the Execution Manager in `execute.rs`, both over
+//! the schedule's commitments) — but performs **no I/O**. Every input
+//! arrives through a narrow poll surface:
 //!
 //! * [`HostCore::handle_frame`] — a protocol message from a peer, as
 //!   the encoded wire frame it travelled in (decoded through the host's
@@ -50,11 +51,12 @@
 //! | `Watchdog` | `repair.rs` |
 //!
 //! `construct.rs` hands over to `allocate.rs` when the frontier
-//! construction finishes (`start_allocation`), `allocate.rs` to
-//! `execute.rs` when every auction is decided (`finalize_allocation`
-//! sends the plans), and both to `repair.rs` (`repair_or_fail`) when an
-//! attempt cannot go on; repair opens the new attempt's first round
-//! through `begin_construction`, as `Initiate` does.
+//! construction finishes (`start_allocation` opens one auction per
+//! task), `allocate.rs` to `execute.rs` when `decide` closes the last
+//! one (`finalize_allocation` sends the plans), and both to `repair.rs`
+//! (`repair_or_fail`) when an attempt cannot go on; repair opens the new
+//! attempt's first round through `begin_construction`, as `Initiate`
+//! does.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -498,23 +500,30 @@ impl HostCore {
         token
     }
 
-    fn arm_at(&mut self, q: &mut ActionQueue, now: SimTime, at: SimTime, purpose: TimerPurpose) {
+    fn arm_at(
+        &mut self,
+        q: &mut ActionQueue,
+        now: SimTime,
+        at: SimTime,
+        purpose: TimerPurpose,
+    ) -> TimerToken {
         let delay = at.since(now);
-        self.arm(q, now, delay, purpose);
+        self.arm(q, now, delay, purpose)
     }
 
     /// The attempt `problem` turned terminal: its workspace keeps the
     /// record and drops the working set (see
-    /// [`crate::workflow_mgr::Workspace`]), and every guard timer still
-    /// armed for it is disarmed — none of them can matter any more.
+    /// [`crate::workflow_mgr::Workspace`]), and every timer still armed
+    /// for it — guard timers and open auctions' deadlines — is disarmed:
+    /// none of them can matter any more.
     fn retire(&mut self, problem: ProblemId) {
-        let guards = self
+        let armed = self
             .workflow_mgr
             .get_mut(&problem)
             .map(|ws| ws.retire())
             .unwrap_or_default();
-        for token in [guards.round, guards.auction, guards.watchdog] {
-            self.disarm(token);
+        for token in armed {
+            self.disarm(Some(token));
         }
     }
 
@@ -612,7 +621,7 @@ impl HostCore {
             } => self.on_call_for_bids(from, problem, task, meta, now, q),
             Msg::Bid { problem, task, bid } => self.on_bid(from, problem, task, bid, now, q),
             Msg::Decline { problem, task } => self.on_decline(from, problem, task, now, q),
-            Msg::Award { problem, task, .. } => self.on_award(problem, task),
+            Msg::Award { problem, task, .. } => self.on_award(from, problem, task),
 
             Msg::Execute { problem, plan } => self.on_execute(from, problem, plan, now, q),
             Msg::InputDelivery { problem, label } => self.on_input_delivery(problem, label, now, q),

@@ -1590,3 +1590,358 @@ fn stray_inputs_leave_nothing_behind() {
     core.schedule.release_problem(next);
     assert_eq!(core.schedule().executions_in_flight(), 0);
 }
+
+/// A core bound as host 0 of `size` hosts, brought to the allocation
+/// of a chain of `len` tasks `{prefix}-t1` … from `{prefix}-s0` to
+/// `{prefix}-s{len}`: it knows the fragments but serves nothing, so it
+/// has already declined its own calls, and every peer said in the rounds
+/// that it can serve every task. The peers' calls for bids are left for
+/// the test to answer.
+fn auctioning_chain(prefix: &str, size: u32, len: u32) -> (HostCore, ProblemId, Vec<TaskId>) {
+    let n = |s: &str, i: u32| format!("{prefix}-{s}{i}");
+    let mut config = HostConfig::new();
+    for i in 1..=len {
+        config = config.with_fragment(frag(&n("f", i), &n("t", i), &n("s", i - 1), &n("s", i)));
+    }
+    let mut core = initiator(config, size);
+    let problem = ProblemId::new(HostId(0), 0);
+    let now = SimTime::ZERO;
+    let mut inbox: Vec<(HostId, Vec<u8>)> = Vec::new();
+    let mut q = core.initiate(problem, Spec::new([n("s", 0)], [n("s", len)]), now);
+    loop {
+        for (to, msg) in sent(&q) {
+            let reply = match msg {
+                Msg::FragmentQuery { problem, round, .. } => Msg::FragmentReply {
+                    problem,
+                    round,
+                    fragments: Vec::new(),
+                },
+                Msg::CapabilityQuery {
+                    problem,
+                    round,
+                    tasks,
+                } => Msg::CapabilityReply {
+                    problem,
+                    round,
+                    capable: tasks,
+                },
+                Msg::CallForBids { .. } => continue,
+                other => panic!("nothing else goes out before allocation: {other:?}"),
+            };
+            inbox.push((to, frame(&reply)));
+        }
+        match inbox.pop() {
+            Some((from, bytes)) => q = core.handle_frame(from, &bytes, now),
+            None => break,
+        }
+    }
+    let ws = core.latest_attempt(problem).expect("workspace");
+    assert_eq!(ws.report.status, ProblemStatus::Allocating, "{ws}");
+    (
+        core,
+        problem,
+        (1..=len).map(|i| TaskId::new(n("t", i))).collect(),
+    )
+}
+
+/// [`auctioning_chain`] of one task, `{prefix}-t1` from `{prefix}-s0` to
+/// `{prefix}-s1`.
+fn auctioning(prefix: &str, size: u32) -> (HostCore, ProblemId, TaskId) {
+    let (core, problem, mut tasks) = auctioning_chain(prefix, size, 1);
+    (core, problem, tasks.remove(0))
+}
+
+/// A bid of a host offering `spec` services, to start at `start_us`,
+/// firm until `deadline_us`.
+fn firm_bid(spec: u32, start_us: u64, deadline_us: u64) -> Bid {
+    Bid {
+        start: SimTime::from_micros(start_us),
+        travel: SimDuration::ZERO,
+        duration: SimDuration::from_secs(1),
+        specialization: spec,
+        deadline: SimTime::from_micros(deadline_us),
+    }
+}
+
+/// Host `from` answers the call for `task` at `now_us`: with a bid, or
+/// with `None` a decline.
+fn respond(
+    core: &mut HostCore,
+    problem: ProblemId,
+    task: &TaskId,
+    from: u32,
+    bid: Option<Bid>,
+    now_us: u64,
+) -> ActionQueue {
+    let task = task.clone();
+    let msg = match bid {
+        Some(bid) => Msg::Bid { problem, task, bid },
+        None => Msg::Decline { problem, task },
+    };
+    core.handle_frame(HostId(from), &frame(&msg), SimTime::from_micros(now_us))
+}
+
+/// The award a poll call sent, if any: the winner and its assignment.
+fn awarded(q: &ActionQueue) -> Option<(HostId, crate::metadata::Assignment)> {
+    sent(q).into_iter().find_map(|(to, msg)| match msg {
+        Msg::Award { assignment, .. } => {
+            assert_eq!(to, assignment.host, "the award goes to the winner");
+            Some((to, assignment))
+        }
+        _ => None,
+    })
+}
+
+/// Who a poll call awarded the task to, if anyone.
+fn winner(q: &ActionQueue) -> Option<HostId> {
+    awarded(q).map(|(host, _)| host)
+}
+
+/// True when the attempt failed because no host could take `task`.
+fn unallocatable(core: &HostCore, problem: ProblemId, task: &TaskId) -> bool {
+    let ws = core.workflow_mgr().get(&problem).expect("workspace");
+    matches!(
+        &ws.report.status,
+        ProblemStatus::Failed { reason }
+            if reason.starts_with("tasks without") && reason.contains(task.as_str())
+    )
+}
+
+/// A generalist bids early, a specialist with a later start second:
+/// the specialist wins.
+#[test]
+fn specialization_wins_over_speed() {
+    let (mut core, problem, t) = auctioning("sw", 3);
+    let q = respond(&mut core, problem, &t, 1, Some(firm_bid(5, 0, 1_000)), 0);
+    assert_eq!(armed(&q).len(), 1, "the tentative winner's deadline");
+    assert_eq!(winner(&q), None);
+    let q = respond(&mut core, problem, &t, 2, Some(firm_bid(1, 500, 2_000)), 0);
+    assert_eq!(winner(&q), Some(HostId(2)), "specialist preferred");
+    let ws = core.latest_attempt(problem).expect("workspace");
+    assert_eq!(ws.report.status, ProblemStatus::Executing);
+    assert_eq!(ws.assignments.len(), 1, "the award is recorded once");
+}
+
+#[test]
+fn earlier_start_breaks_specialization_ties() {
+    let (mut core, problem, t) = auctioning("es", 3);
+    let _ = respond(&mut core, problem, &t, 1, Some(firm_bid(2, 900, 1_000)), 0);
+    let q = respond(&mut core, problem, &t, 2, Some(firm_bid(2, 100, 1_000)), 0);
+    let (host, assignment) = awarded(&q).expect("every host answered");
+    assert_eq!(host, HostId(2));
+    assert_eq!(assignment.start, SimTime::from_micros(100));
+}
+
+#[test]
+fn all_responses_trigger_immediate_decision() {
+    let (mut core, problem, t) = auctioning("ar", 3);
+    let _ = respond(&mut core, problem, &t, 1, Some(firm_bid(1, 0, 10_000)), 0);
+    let q = respond(&mut core, problem, &t, 2, None, 0);
+    assert_eq!(winner(&q), Some(HostId(1)), "{:?}", q.actions());
+}
+
+#[test]
+fn deadline_forces_decision_with_partial_responses() {
+    let (mut core, problem, t) = auctioning("df", 5);
+    let q = respond(&mut core, problem, &t, 2, Some(firm_bid(3, 0, 1_000)), 0);
+    let [deadline] = armed(&q)[..] else {
+        panic!("one deadline: {:?}", q.actions())
+    };
+    assert_eq!(core.next_timer_due(), Some(SimTime::from_micros(1_000)));
+    let q = core.handle_timer(deadline, SimTime::from_micros(1_000));
+    assert_eq!(winner(&q), Some(HostId(2)), "{:?}", q.actions());
+    // A later copy of the deadline is ignored.
+    let q = core.handle_timer(deadline, SimTime::from_micros(1_000));
+    assert!(q.is_empty(), "{:?}", q.actions());
+}
+
+/// 3 of 5 hosts declined, the rest lost on the wire: the timeout
+/// backstop must still resolve the task instead of wedging the
+/// problem in `Allocating` with no timer left.
+#[test]
+fn forced_decision_with_partial_responses_and_no_bid_is_unallocatable() {
+    let (mut core, problem, t) = auctioning("fd", 5);
+    let _ = respond(&mut core, problem, &t, 1, None, 0);
+    let _ = respond(&mut core, problem, &t, 3, None, 0);
+    assert!(!unallocatable(&core, problem, &t), "hosts 2 and 4 may bid");
+    let timeout = core.next_timer_due().expect("the auction timeout");
+    let _ = core.tick(timeout);
+    assert!(unallocatable(&core, problem, &t));
+}
+
+/// A duplicated delivery of one host's bid or decline counts once:
+/// the auction waits for every other host before it decides.
+#[test]
+fn a_duplicated_response_is_counted_once() {
+    let (mut core, problem, t) = auctioning("dc", 4);
+    let q = respond(&mut core, problem, &t, 1, Some(firm_bid(2, 0, 1_000)), 0);
+    assert_eq!(armed(&q).len(), 1);
+    for (from, bid) in [
+        (1, Some(firm_bid(2, 0, 1_000))),
+        (1, None),
+        (2, None),
+        (2, None),
+    ] {
+        let q = respond(&mut core, problem, &t, from, bid, 0);
+        assert!(q.is_empty(), "host {from}: {:?}", q.actions());
+    }
+    let ws = core.latest_attempt(problem).expect("workspace");
+    assert_eq!(
+        ws.report.status,
+        ProblemStatus::Allocating,
+        "host 3 has not answered"
+    );
+    let q = respond(&mut core, problem, &t, 3, None, 0);
+    assert_eq!(winner(&q), Some(HostId(1)), "{:?}", q.actions());
+}
+
+#[test]
+fn all_declines_is_unallocatable() {
+    let (mut core, problem, t) = auctioning("ad", 2);
+    let _ = respond(&mut core, problem, &t, 1, None, 0);
+    assert!(
+        unallocatable(&core, problem, &t),
+        "unallocatable still resolves the task"
+    );
+}
+
+/// A better bid waits for its own deadline, and the one it replaced is
+/// disarmed; a worse bid arms nothing.
+#[test]
+fn improved_bid_rearms_to_new_deadline() {
+    let (mut core, problem, t) = auctioning("ib", 5);
+    let q = respond(&mut core, problem, &t, 1, Some(firm_bid(5, 0, 1_000)), 0);
+    let [superseded] = armed(&q)[..] else {
+        panic!("one deadline: {:?}", q.actions())
+    };
+    let q = respond(&mut core, problem, &t, 2, Some(firm_bid(1, 0, 9_000)), 0);
+    assert_eq!(
+        armed(&q).len(),
+        1,
+        "better bid re-arms with its own deadline"
+    );
+    assert_eq!(
+        core.next_timer_due(),
+        Some(SimTime::from_micros(9_000)),
+        "the superseded deadline is no longer armed"
+    );
+    let q = core.handle_timer(superseded, SimTime::from_micros(1_000));
+    assert!(q.is_empty(), "{:?}", q.actions());
+    // Worse bid does not re-arm.
+    let q = respond(&mut core, problem, &t, 3, Some(firm_bid(4, 0, 50)), 0);
+    assert!(q.is_empty(), "{:?}", q.actions());
+}
+
+#[test]
+fn late_bids_after_decision_are_ignored() {
+    let (mut core, problem, t) = auctioning("lb", 3);
+    let q = respond(&mut core, problem, &t, 1, Some(firm_bid(1, 0, 1_000)), 0);
+    let [deadline] = armed(&q)[..] else {
+        panic!("one deadline: {:?}", q.actions())
+    };
+    let decided = respond(&mut core, problem, &t, 2, None, 0);
+    assert_eq!(winner(&decided), Some(HostId(1)), "{:?}", decided.actions());
+    // A better bid arriving late neither re-awards nor re-arms, and
+    // the decided auction's deadline fires nothing.
+    let q = respond(&mut core, problem, &t, 2, Some(firm_bid(0, 0, 2_000)), 0);
+    assert!(q.is_empty(), "{:?}", q.actions());
+    let q = core.handle_timer(deadline, SimTime::from_micros(1_000));
+    assert!(q.is_empty(), "{:?}", q.actions());
+    let ws = core.latest_attempt(problem).expect("workspace");
+    assert_eq!(ws.assignments.len(), 1);
+}
+
+/// §3.2: the decision is made at the deadline of whoever holds the
+/// *current* tentative allocation. Host 1's early deadline stops
+/// counting once host 2 outbids it, so host 3's better bid, arriving
+/// after host 1's deadline but before host 2's, still wins.
+#[test]
+fn a_superseded_bid_deadline_does_not_decide_the_auction() {
+    let (mut core, problem, t) = auctioning("sd", 4);
+    let _ = respond(&mut core, problem, &t, 1, Some(firm_bid(5, 0, 10_000)), 0);
+    let _ = respond(&mut core, problem, &t, 2, Some(firm_bid(1, 0, 40_000)), 0);
+    let q = core.tick(SimTime::from_micros(10_000));
+    assert_eq!(winner(&q), None, "host 1's deadline decided");
+    let q = respond(
+        &mut core,
+        problem,
+        &t,
+        3,
+        Some(firm_bid(0, 0, 60_000)),
+        20_000,
+    );
+    assert_eq!(winner(&q), Some(HostId(3)), "{:?}", q.actions());
+}
+
+/// The auction timeout decides every open auction and then allocates
+/// once: with both tasks of a chain still open, the one plan carries
+/// both, and no plan is built while the consumer task has no host.
+#[test]
+fn an_auction_timeout_deciding_several_tasks_allocates_once() {
+    let (mut core, problem, tasks) = auctioning_chain("at", 3, 2);
+    // Host 1's deadlines lie past the auction timeout; host 2 is silent.
+    for t in &tasks {
+        let q = respond(
+            &mut core,
+            problem,
+            t,
+            1,
+            Some(firm_bid(1, 0, 60_000_000)),
+            0,
+        );
+        assert_eq!(armed(&q).len(), 1, "{:?}", q.actions());
+    }
+    let timeout = core.next_timer_due().expect("the auction timeout");
+    let q = core.tick(timeout);
+    let msgs = sent(&q);
+    let awards = msgs.iter().filter(|(_, m)| matches!(m, Msg::Award { .. }));
+    assert_eq!(awards.count(), 2, "{msgs:?}");
+    let plans: Vec<_> = msgs
+        .iter()
+        .filter_map(|(to, m)| match m {
+            Msg::Execute { plan, .. } => Some((*to, plan.commitments.len())),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(plans, [(HostId(1), 2)]);
+    assert_eq!(core.armed_timer_count(), 1, "the watchdog alone");
+}
+
+/// An initiator that serves nothing holds no bids, so once its problem
+/// completes nothing of it is left to wait for: the decided auction's
+/// deadline went with the decision, the guard timers with the attempt.
+#[test]
+fn a_completed_problem_leaves_no_timer_armed_on_its_initiator() {
+    let (mut core, problem, t) = auctioning("na", 3);
+    let _ = respond(&mut core, problem, &t, 1, Some(firm_bid(1, 0, 50_000)), 0);
+    let q = respond(&mut core, problem, &t, 2, None, 0);
+    assert_eq!(winner(&q), Some(HostId(1)), "{:?}", q.actions());
+    let goal = Msg::GoalDelivered {
+        problem,
+        label: Label::new("na-s1"),
+    };
+    let q = core.handle_frame(HostId(1), &frame(&goal), SimTime::from_micros(60_000));
+    assert!(surfaced(&q, |e| matches!(
+        e,
+        WorkflowEvent::Completed { .. }
+    )));
+    assert_eq!(core.armed_timer_count(), 0);
+}
+
+/// Only the initiator awards its problem's tasks: an `Award` from
+/// another peer leaves the hold as it was, and its expiry releases it.
+#[test]
+fn a_forged_award_firms_nothing() {
+    let mut core = executor(HostConfig::new().with_service(service("fa-t")));
+    let problem = ProblemId::new(HostId(0), 0);
+    let now = SimTime::ZERO;
+    let bid = bid_in(&core.handle_frame(HostId(0), &call_for_bids(problem, "fa-t"), now));
+    let q = core.handle_frame(HostId(2), &award(problem, "fa-t", &bid), now);
+    assert!(q.is_empty(), "{:?}", q.actions());
+    assert_eq!(
+        core.schedule().state(problem, &TaskId::new("fa-t")),
+        Some(&CommitmentState::Held(bid))
+    );
+    run_timers(&mut core);
+    assert_eq!(core.schedule().commitment_count(), 0, "the hold expired");
+}

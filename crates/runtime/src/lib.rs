@@ -16,9 +16,10 @@
 //!   ([`openwf_core::FrontierConstruction`]) and the query round in
 //!   flight. [`HostCore`] issues the fragment and capability queries and
 //!   drives the construction with the answers.
-//! * Auction Manager ([`auction::ProblemAuctions`]) — solicits firm bids for
-//!   every task, keeps the best tentative allocation, and finalizes on
-//!   bidder deadlines (§3.2's CiAN-style auction).
+//! * Auction Manager — [`HostCore`]'s `core_sm/allocate.rs` over each
+//!   undecided task's auction in the workspace: solicits firm bids for
+//!   every task, keeps the best tentative allocation, and finalizes at
+//!   the current best bidder's deadline (§3.2's CiAN-style auction).
 //!
 //! **Execution subsystem** (active on every host):
 //! * [`FragmentManager`](fragment_mgr::FragmentManager) — the local
@@ -47,7 +48,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod auction;
 pub mod codec;
 pub mod community;
 pub mod config;

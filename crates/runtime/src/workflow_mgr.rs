@@ -10,16 +10,20 @@
 //! A [`Workspace`] is data: the record of one attempt and, while the
 //! attempt is open, its [`WorkingSet`] — core's frontier construction
 //! ([`FrontierConstruction`]), the query round in flight, the auctions
-//! and the execution bookkeeping. The host core runs the rounds over it
+//! of the tasks still undecided (`Auction`) and the execution
+//! bookkeeping. The host core runs the rounds over it
 //! (`core_sm/construct.rs`): a **fragment round** asks every peer for the
 //! fragments consuming the frontier the engine handed out and merges the
 //! answers; a **capability round** asks which newly discovered tasks
 //! anyone can serve (the service-feasibility messages of Figure 3); then
 //! the engine resumes under that oracle and either hands out the next
 //! frontier or finishes, and the attempt moves on to allocation. The
-//! coloring itself is core's business.
+//! coloring itself is core's business. The host core runs the auctions
+//! over it too (`core_sm/allocate.rs`), and a decided auction leaves its
+//! award in [`Workspace::assignments`] or its task in
+//! [`WorkingSet::unallocatable`].
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::sync::Arc;
 
@@ -29,9 +33,8 @@ use openwf_core::{
 };
 use openwf_simnet::{HostId, SimTime, TimerToken};
 
-use crate::auction::ProblemAuctions;
 use crate::messages::ProblemId;
-use crate::metadata::Assignment;
+use crate::metadata::{Assignment, Bid};
 use crate::report::ProblemReport;
 #[cfg(doc)]
 use crate::report::ProblemStatus;
@@ -58,6 +61,23 @@ pub(crate) enum Answers {
     Capable(Vec<TaskId>),
 }
 
+/// One task's auction while it is undecided (§3.2): who has answered,
+/// the tentative allocation, and the deadline timer armed for it — the
+/// current best bid's, and no other.
+#[derive(Debug, Default)]
+pub(crate) struct Auction {
+    /// Hosts whose bid or decline was already counted. Networks with
+    /// duplication faults can deliver one answer twice; counting it
+    /// twice could decide before honest bids arrive.
+    pub(crate) responded: BTreeSet<HostId>,
+    /// The tentative allocation: the best bid so far and its bidder.
+    pub(crate) best: Option<(HostId, Bid)>,
+    /// The location the call for bids required, copied into the award.
+    pub(crate) location: Option<String>,
+    /// The timer armed for `best`'s deadline.
+    pub(crate) deadline: Option<TimerToken>,
+}
+
 /// Tokens of the timers a host armed to guard one phase of a problem —
 /// each a no-op once that phase ends, whenever it comes due: a round's
 /// timeout after the round closed, the auction timeout after
@@ -77,7 +97,7 @@ pub(crate) struct GuardTimers {
 ///
 /// The record is what a finished workflow is asked for: which problem
 /// and specification, the [`ProblemReport`] (status, timings,
-/// assignments by host, goals delivered), the auctions' awards and the
+/// assignments by host, goals delivered), the awards and the
 /// constructed workflow. The working set ([`WorkingSet`]) is everything
 /// construction, allocation and execution tracking need while they run
 /// — core's frontier construction, and the supergraph inside it, above
@@ -87,6 +107,8 @@ pub(crate) struct GuardTimers {
 /// reply, bid, completion notice or stale guard timer for the attempt
 /// then finds nothing to act on, which is what it found before (the
 /// round was closed, every auction decided, the status terminal).
+/// Every timer it still had armed is handed back for the host to
+/// disarm.
 /// Repair does not need it either — a repair attempt is a fresh
 /// workspace built from the [`Spec`] alone, because the community that
 /// answers it is no longer the one the old supergraph was collected
@@ -99,7 +121,7 @@ pub struct Workspace {
     pub spec: Spec,
     /// Progress/timing record.
     pub report: ProblemReport,
-    /// Final task assignments.
+    /// Task assignments, each recorded once, when its auction awards it.
     pub assignments: Vec<(TaskId, Assignment)>,
     /// The constructed workflow (once construction succeeded).
     pub construction: Option<Construction>,
@@ -111,15 +133,18 @@ pub struct Workspace {
 /// (see [`Workspace`]).
 #[derive(Debug)]
 pub struct WorkingSet {
-    /// Auction state (present during/after allocation).
-    pub auctions: Option<ProblemAuctions>,
     /// Goals not yet delivered during execution.
     pub goals_pending: BTreeSet<Label>,
     /// Tasks no community member could take (allocation failure causes).
     pub unallocatable: Vec<TaskId>,
 
+    /// The auctions of the tasks still undecided, from allocation on; a
+    /// decision removes its task, so allocation is over when this is
+    /// empty.
+    pub(crate) auctions: BTreeMap<TaskId, Auction>,
+
     pub(crate) guard_timers: GuardTimers,
-    /// The *other* hosts a round waits for.
+    /// The *other* hosts a round or an auction waits for.
     pub(crate) n_peers: usize,
     /// Algorithm 1's frontier rounds: supergraph, coloring and frontier
     /// bookkeeping are core's.
@@ -137,9 +162,9 @@ impl Workspace {
     /// Creates a workspace for `problem` among `n_peers` *other* hosts.
     pub fn new(problem: ProblemId, spec: Spec, now: SimTime, n_peers: usize) -> Self {
         let working = Box::new(WorkingSet {
-            auctions: None,
             goals_pending: spec.goals().clone(),
             unallocatable: Vec::new(),
+            auctions: BTreeMap::new(),
             guard_timers: GuardTimers::default(),
             n_peers,
             engine: IncrementalConstructor::new().start(&spec),
@@ -175,12 +200,22 @@ impl Workspace {
     }
 
     /// The attempt turned terminal: drops the working set and hands back
-    /// the guard timers it still had armed, for the host to disarm.
-    pub(crate) fn retire(&mut self) -> GuardTimers {
-        self.working
-            .take()
-            .map(|w| w.guard_timers)
-            .unwrap_or_default()
+    /// the timers it still had armed — its guard timers and the deadlines
+    /// of auctions still open — for the host to disarm.
+    pub(crate) fn retire(&mut self) -> Vec<TimerToken> {
+        let Some(w) = self.working.take() else {
+            return Vec::new();
+        };
+        let GuardTimers {
+            round,
+            auction,
+            watchdog,
+        } = w.guard_timers;
+        [round, auction, watchdog]
+            .into_iter()
+            .chain(w.auctions.into_values().map(|a| a.deadline))
+            .flatten()
+            .collect()
     }
 }
 
@@ -217,12 +252,6 @@ impl WorkflowManager {
     /// how late traffic for either is told apart from live traffic.
     pub(crate) fn working_mut(&mut self, problem: &ProblemId) -> Option<&mut WorkingSet> {
         self.workspaces.get_mut(problem)?.working.as_deref_mut()
-    }
-
-    /// The auctions of `problem`'s attempt, from allocation until the
-    /// attempt finishes.
-    pub(crate) fn auctions_mut(&mut self, problem: &ProblemId) -> Option<&mut ProblemAuctions> {
-        self.working_mut(problem)?.auctions.as_mut()
     }
 
     /// Number of workspaces (problems this host has initiated).
