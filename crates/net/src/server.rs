@@ -60,6 +60,20 @@
 //! one bad host condemns the connection announcing it — because a
 //! process that houses a flooding host is not a peer worth
 //! multiplexing with.
+//!
+//! # Who a frame is from
+//!
+//! An envelope names its sender, and a connection speaks only for the
+//! hosts its hello announced: a protocol frame (`TAG_MSG`) is dispatched
+//! only when its `(community, from)` pair is one of those and not a core
+//! this server runs. Otherwise a connection could get an honest member
+//! quarantined by sending over-budget replies in its name, pass for a
+//! problem's initiator, or claim the receiving core's own id, whose
+//! frames the core decodes without a vocabulary budget. Such a frame is
+//! dropped — `net.rx_forged_unannounced` or `net.rx_forged_local` — and
+//! the connection severed. The operator plane (`TAG_FRAGMENT`,
+//! `TAG_SPEC`) names no protocol sender and is gated by
+//! [`ServerConfig::operator_ingest`] instead.
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::io::ErrorKind;
@@ -158,6 +172,10 @@ struct NetMetrics {
     decode_rejections: Counter,
     rx_misrouted: Counter,
     rx_ingest_refused: Counter,
+    /// Protocol frames naming a sender their connection did not
+    /// announce, or one of this server's own cores.
+    rx_forged_unannounced: Counter,
+    rx_forged_local: Counter,
     tx_queue_depth: Histogram,
     /// Returns from `poll(2)`, reads and writes issued: with the frame
     /// counters, frames per system call.
@@ -184,6 +202,8 @@ impl NetMetrics {
             decode_rejections: m.counter("net.decode_rejections"),
             rx_misrouted: m.counter("net.rx_misrouted"),
             rx_ingest_refused: m.counter("net.rx_ingest_refused"),
+            rx_forged_unannounced: m.counter("net.rx_forged_unannounced"),
+            rx_forged_local: m.counter("net.rx_forged_local"),
             tx_queue_depth: m.histogram("net.tx_queue_depth"),
             wakeups: m.counter("net.wakeups"),
             rx_reads: m.counter("net.rx_reads"),
@@ -196,7 +216,8 @@ impl NetMetrics {
 struct Conn {
     io: ConnIo,
     decoder: FrameDecoder,
-    /// Every `(community, host)` the peer announced.
+    /// Every `(community, host)` the peer announced: the senders its
+    /// protocol frames may name.
     announced: Vec<(u64, HostId)>,
     /// True once a valid hello arrived. Envelopes before the handshake
     /// are a protocol violation and sever the connection — a peer must
@@ -968,7 +989,8 @@ impl NetServer {
 
     /// Routed traffic: gate on the handshake and the quarantine verdict,
     /// find the destination core, then dispatch the inner frame by its
-    /// own tag.
+    /// own tag — a protocol frame only from a sender the connection
+    /// announced (see the module docs).
     fn on_envelope(
         &mut self,
         conn_id: ConnId,
@@ -1002,6 +1024,19 @@ impl NetServer {
         let now = self.clock.now();
         match frame_tag(inner) {
             Ok(Some(TAG_MSG)) => {
+                let pair = (community, from);
+                let forged = if self.cores.contains_key(&pair) {
+                    Some(&self.metrics.rx_forged_local)
+                } else if !conn.announced.contains(&pair) {
+                    Some(&self.metrics.rx_forged_unannounced)
+                } else {
+                    None
+                };
+                if let Some(counter) = forged {
+                    counter.inc();
+                    self.sever_conn(conn_id);
+                    return;
+                }
                 let q = self
                     .cores
                     .get_mut(&(community, to))
@@ -1222,8 +1257,8 @@ mod tests {
         );
         assert_eq!(
             server.core(0, HostId(0)).armed_timer_count(),
-            1,
-            "the bid hold's expiry is still to come; the guards are disarmed"
+            0,
+            "the guards went with the attempt, the hold's expiry with its award"
         );
     }
 

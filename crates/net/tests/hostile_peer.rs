@@ -3,17 +3,18 @@
 //! and *manners* of a hostile one, against a real [`NetServer`]: its
 //! byte stream cut at every boundary or glued into one write, resets
 //! and half-closes mid-frame, a reader that never reads, a storm of
-//! reconnects. The readiness loop owns every socket, so each of these
-//! lands on the one thread that also runs the protocol; what they may
-//! not do is change an outcome, leave state behind or stall a
-//! well-behaved neighbour.
+//! reconnects — or with frames in someone else's name. The readiness
+//! loop owns every socket, so each of these lands on the one thread that
+//! also runs the protocol; what they may not do is change an outcome,
+//! leave state behind, stall a well-behaved neighbour or speak for a
+//! host they did not announce.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use openwf_core::{Fragment, Label, Mode, Spec};
+use openwf_core::{Fragment, Label, Mode, Spec, Sym};
 use openwf_net::proto::{encode_envelope, encode_hello, Hello, NET_PROTO_VERSION};
 use openwf_net::{NetServer, QueueCaps, ServerConfig, TAG_NET_ENVELOPE};
 use openwf_runtime::{
@@ -26,6 +27,8 @@ const COMMUNITY: u64 = 0;
 const SERVER: HostId = HostId(0);
 /// The id the scripted peer announces; no member of the community.
 const PEER: HostId = HostId(9);
+/// An honest member the scripted peer may claim to speak for.
+const MEMBER: HostId = HostId(1);
 
 /// The reconnect storm counts this process's descriptors, so the tests
 /// of this file take turns.
@@ -469,4 +472,108 @@ fn a_reconnect_storm_leaves_no_connection_and_no_descriptor() {
             .iter()
             .any(|(_, _, ev)| matches!(ev, WorkflowEvent::Completed { .. }))
     });
+}
+
+// ---- (e) who a frame claims to come from --------------------------------
+
+/// Host 0 of a community with `MEMBER`, admitting two names beyond its
+/// own know-how's four and quarantining a peer after two over-budget
+/// replies.
+fn capped_server() -> NetServer {
+    let mut server = NetServer::new(ServerConfig {
+        name: "hostile-peer-test".into(),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let config = HostConfig::new()
+        .with_fragment(step(0))
+        .with_vocabulary_cap(6)
+        .with_max_vocabulary_rejections(2);
+    server.add_core(COMMUNITY, SERVER, config, params());
+    server.set_community(COMMUNITY, vec![SERVER, MEMBER]);
+    server
+}
+
+/// A `FragmentReply` in `from`'s name carrying four names host 0 has
+/// never seen: over its budget.
+fn minted_reply(from: HostId, i: usize) -> Vec<u8> {
+    let n = |s: &str| format!("hp-mint-{s}{i}");
+    let fragment = frag(&n("f"), &n("t"), &n("a"), &n("b"));
+    let mut inner = Vec::new();
+    encode_msg(
+        &Msg::FragmentReply {
+            problem: ProblemId::new(SERVER, 0),
+            round: 1,
+            fragments: vec![Arc::new(fragment)],
+        },
+        &mut inner,
+    );
+    envelope(from, &inner)
+}
+
+/// A connection speaks only for the hosts its hello announced: replies
+/// it forges in an honest member's name — over the vocabulary budget, so
+/// each would be booked against the member — are dropped and cost it
+/// the connection, and the member is never quarantined.
+#[test]
+fn a_peer_cannot_get_a_member_quarantined_in_its_name() {
+    let _turn = serialized();
+    let mut server = capped_server();
+    let addr = server.listen_addr().unwrap();
+    let mut written = 0u64;
+    for i in 0..3 {
+        let mut bytes = hello(vec![(COMMUNITY, PEER)]);
+        bytes.extend(minted_reply(MEMBER, i));
+        written += bytes.len() as u64;
+        let mut peer = TcpStream::connect(addr).unwrap();
+        peer.write_all(&bytes).unwrap();
+        poll_until(&mut server, "the forged reply is read", |s| {
+            counter(s, "net.rx_bytes") >= written
+        });
+    }
+    let core = server.core(COMMUNITY, SERVER);
+    assert_eq!(core.vocabulary_rejections_from(MEMBER), 0);
+    assert!(!core.is_quarantined(MEMBER), "the member was framed");
+    assert_eq!(counter(&server, "net.rx_forged_unannounced"), 3);
+    assert_eq!(live_conns(&server), 0, "each forging connection is cut");
+}
+
+/// Nor can a connection speak for the server's own core, whose frames
+/// the core trusts like its own know-how: a query in host 0's name
+/// minting sixteen labels would skip the vocabulary budget. It is
+/// dropped before it is decoded and costs the connection, and none of
+/// its labels is interned.
+#[test]
+fn a_frame_in_the_servers_own_name_is_dropped_before_it_is_decoded() {
+    let _turn = serialized();
+    let mut server = capped_server();
+    let query = Msg::FragmentQuery {
+        problem: ProblemId::new(SERVER, 0),
+        round: 1,
+        labels: (0..16)
+            .map(|i| Label::new(format!("hp-own@@{i:02}")))
+            .collect(),
+    };
+    let mut inner = Vec::new();
+    encode_msg(&query, &mut inner);
+    // Only the frame carries the labels it names: `@@` → `__`, so no
+    // code in this process has interned them.
+    for at in 0..inner.len() - 1 {
+        if &inner[at..at + 2] == b"@@" {
+            inner[at..at + 2].copy_from_slice(b"__");
+        }
+    }
+    let mut bytes = hello(vec![(COMMUNITY, PEER)]);
+    bytes.extend(envelope(SERVER, &inner));
+    let mut peer = TcpStream::connect(server.listen_addr().unwrap()).unwrap();
+    peer.write_all(&bytes).unwrap();
+    poll_until(&mut server, "the frame is read", |s| {
+        counter(s, "net.rx_bytes") >= bytes.len() as u64
+    });
+    for i in 0..16 {
+        let label = format!("hp-own__{i:02}");
+        assert_eq!(Sym::lookup(&label), None, "{label} was interned");
+    }
+    assert_eq!(counter(&server, "net.rx_forged_local"), 1);
+    assert_eq!(live_conns(&server), 0, "the connection is cut");
 }

@@ -313,11 +313,7 @@ mod tests {
         let problem = community.submit(h, Spec::new(["a"], ["c"])).id;
         community.run_until_quiescent();
 
-        let ws = community
-            .core(h)
-            .workflow_mgr()
-            .get(&problem)
-            .expect("workspace");
+        let ws = community.core(h).workspace(problem).expect("workspace");
         assert_eq!(ws.report.status, ProblemStatus::Completed);
         assert_eq!(ws.report.assignments.len(), 2);
         assert!(ws.report.timings.spec_to_allocated().is_some());
@@ -344,7 +340,7 @@ mod tests {
         let h = community.hosts()[0];
         let problem = community.submit(h, Spec::new(["a"], ["a"])).id;
         community.run_until_quiescent();
-        let ws = community.core(h).workflow_mgr().get(&problem).unwrap();
+        let ws = community.core(h).workspace(problem).unwrap();
         assert_eq!(ws.report.status, ProblemStatus::Completed);
         assert!(ws.report.assignments.is_empty());
     }
@@ -359,7 +355,7 @@ mod tests {
             .submit(h, Spec::new(["a"], ["nothing makes this"]))
             .id;
         community.run_until_quiescent();
-        let ws = community.core(h).workflow_mgr().get(&problem).unwrap();
+        let ws = community.core(h).workspace(problem).unwrap();
         assert!(matches!(ws.report.status, ProblemStatus::Failed { .. }));
         // Terminal failure surfaces as an event.
         assert!(community
@@ -378,7 +374,7 @@ mod tests {
         let h = community.hosts()[0];
         let problem = community.submit(h, Spec::new(["a"], ["b"])).id;
         community.run_until_quiescent();
-        let ws = community.core(h).workflow_mgr().get(&problem).unwrap();
+        let ws = community.core(h).workspace(problem).unwrap();
         assert!(matches!(ws.report.status, ProblemStatus::Failed { .. }));
     }
 

@@ -12,8 +12,8 @@
 //! waits as long as possible … but once some participant has been found
 //! who can do a task, the task is guaranteed to be allocated." Each
 //! undecided task's auction is an `Auction` in the attempt's working set
-//! with one deadline timer armed, the current best bid's: a better bid
-//! disarms the one it replaces. `decide` removes the entry
+//! with one deadline timer armed under its task, the current best bid's:
+//! a better bid's deadline replaces it. `decide` removes the entry
 //! and records the award in the workspace's assignments, or the task as
 //! unallocatable; allocation is over when no entry is left. One
 //! refinement: when *every* community member has answered, no better bid
@@ -25,7 +25,9 @@
 //! it keeps no state of its own: a firm bid holds its slot as a
 //! [`CommitmentState::Held`] commitment in the schedule, which answers
 //! every later question about the task — a copy of the call, the
-//! `Award`, the hold's expiry (see [`crate::schedule`]).
+//! `Award`, the hold's expiry (see [`crate::schedule`]). The expiry is
+//! disarmed once the `Award` or the plan firms the hold, so only a
+//! losing bid's hold waits it out.
 
 use openwf_core::{Label, TaskId};
 use openwf_obs::SpanPhase;
@@ -91,12 +93,14 @@ impl HostCore {
     }
 
     /// [`Msg::Award`]: the hold becomes a firm commitment (already
-    /// scheduled). Only the problem's initiator awards its tasks: an
-    /// award from anyone else is dropped, so it cannot firm a hold that
-    /// its expiry should release.
+    /// scheduled), and its expiry is disarmed. Only the problem's
+    /// initiator awards its tasks: an award from anyone else is dropped,
+    /// so it cannot firm a hold that its expiry should release.
     pub(super) fn on_award(&mut self, from: HostId, problem: ProblemId, task: TaskId) {
         if from == problem.initiator {
             self.schedule.award(problem, &task);
+            self.timers
+                .disarm(problem, &TimerPurpose::BidHoldExpiry(task));
         }
     }
 
@@ -125,7 +129,7 @@ impl HostCore {
         now: SimTime,
         q: &mut ActionQueue,
     ) {
-        let open: Vec<TaskId> = match self.workflow_mgr.working_mut(&problem) {
+        let open: Vec<TaskId> = match self.workspaces.get(&problem).and_then(|ws| ws.working()) {
             Some(w) => w.auctions.keys().cloned().collect(),
             None => return,
         };
@@ -134,8 +138,10 @@ impl HostCore {
         }
     }
 
-    /// One host's bid (`Some`) or decline (`None`) for `task`, the
-    /// initiator's own included. The first answer of each host counts;
+    /// One member's bid (`Some`) or decline (`None`) for `task`, the
+    /// initiator's own included; a stranger's could decide the auction
+    /// early, or win a task it will never run, and changes nothing. The
+    /// first answer of each member counts;
     /// a bid better than the tentative allocation replaces it, and the
     /// auction waits for the new best's deadline instead of the old
     /// one's. Once every community member has answered the task is
@@ -151,7 +157,14 @@ impl HostCore {
         now: SimTime,
         q: &mut ActionQueue,
     ) {
-        let Some(w) = self.workflow_mgr.working_mut(&problem) else {
+        if !self.community.contains(&from) {
+            return;
+        }
+        let Some(w) = self
+            .workspaces
+            .get_mut(&problem)
+            .and_then(|ws| ws.working.as_deref_mut())
+        else {
             return;
         };
         let community = w.n_peers + 1;
@@ -175,21 +188,15 @@ impl HostCore {
         if a.responded.len() >= community {
             self.decide(problem, task, false, now, q);
         } else if improved {
+            // The new best's deadline replaces the one it outbid.
             let deadline = a.best.as_ref().expect("just set").1.deadline;
-            let superseded = a.deadline.take();
-            self.disarm(superseded);
-            let purpose = TimerPurpose::AuctionDeadline {
+            self.arm(
+                q,
+                now,
+                deadline,
                 problem,
-                task: task.clone(),
-            };
-            let token = self.arm_at(q, now, deadline, purpose);
-            if let Some(a) = self
-                .workflow_mgr
-                .working_mut(&problem)
-                .and_then(|w| w.auctions.get_mut(&task))
-            {
-                a.deadline = Some(token);
-            }
+                TimerPurpose::AuctionDeadline(task),
+            );
         }
     }
 
@@ -206,7 +213,7 @@ impl HostCore {
         now: SimTime,
         q: &mut ActionQueue,
     ) {
-        let Some(ws) = self.workflow_mgr.get_mut(&problem) else {
+        let Some(ws) = self.workspaces.get_mut(&problem) else {
             return;
         };
         let Some(w) = ws.working.as_deref_mut() else {
@@ -218,12 +225,7 @@ impl HostCore {
         if a.best.is_none() && !forced && a.responded.len() <= w.n_peers {
             return; // no bid yet: wait for the stragglers
         }
-        let Auction {
-            best,
-            location,
-            deadline,
-            ..
-        } = w.auctions.remove(&task).expect("looked up");
+        let Auction { best, location, .. } = w.auctions.remove(&task).expect("looked up");
         let allocated = w.auctions.is_empty();
         let award = match best {
             Some((host, bid)) => {
@@ -242,7 +244,8 @@ impl HostCore {
                 None
             }
         };
-        self.disarm(deadline);
+        self.timers
+            .disarm(problem, &TimerPurpose::AuctionDeadline(task.clone()));
         if let Some((host, assignment)) = award {
             self.emit(
                 q,
@@ -318,15 +321,8 @@ impl HostCore {
             state: CommitmentState::Held(bid.clone()),
         });
         let expiry = bid.deadline + self.params.round_timeout;
-        self.arm_at(
-            q,
-            now,
-            expiry,
-            TimerPurpose::BidHoldExpiry {
-                problem,
-                task: task.clone(),
-            },
-        );
+        let purpose = TimerPurpose::BidHoldExpiry(task.clone());
+        self.arm(q, now, expiry, problem, purpose);
         Some(bid)
     }
 
@@ -336,7 +332,7 @@ impl HostCore {
         now: SimTime,
         q: &mut ActionQueue,
     ) {
-        let Some(ws) = self.workflow_mgr.get_mut(&problem) else {
+        let Some(ws) = self.workspaces.get_mut(&problem) else {
             return;
         };
         let Some(w) = ws.working.as_deref_mut() else {
@@ -374,11 +370,8 @@ impl HostCore {
         // Liveness backstop: if bids never arrive (lost calls, crashed
         // bidders), force the allocation decision after auction_timeout
         // instead of waiting on per-bid deadlines that never get armed.
-        let timeout = self.params.auction_timeout;
-        let token = self.arm(q, now, timeout, TimerPurpose::AuctionTimeout { problem });
-        if let Some(w) = self.workflow_mgr.working_mut(&problem) {
-            w.guard_timers.auction = Some(token);
-        }
+        let timeout = now + self.params.auction_timeout;
+        self.arm(q, now, timeout, problem, TimerPurpose::AuctionTimeout);
 
         // Call for bids: pairwise to every other member…
         let others = self.others();
@@ -403,12 +396,8 @@ impl HostCore {
 
     fn finalize_allocation(&mut self, problem: ProblemId, now: SimTime, q: &mut ActionQueue) {
         // Every auction is decided: the liveness backstop is moot.
-        let backstop = self
-            .workflow_mgr
-            .working_mut(&problem)
-            .and_then(|w| w.guard_timers.auction.take());
-        self.disarm(backstop);
-        let Some(ws) = self.workflow_mgr.get_mut(&problem) else {
+        self.timers.disarm(problem, &TimerPurpose::AuctionTimeout);
+        let Some(ws) = self.workspaces.get_mut(&problem) else {
             return;
         };
         let Some(w) = ws.working.as_deref_mut() else {
@@ -500,11 +489,8 @@ impl HostCore {
             }
         }
 
-        let watchdog = self.params.execution_watchdog;
-        let token = self.arm(q, now, watchdog, TimerPurpose::Watchdog { problem });
-        if let Some(w) = self.workflow_mgr.working_mut(&problem) {
-            w.guard_timers.watchdog = Some(token);
-        }
+        let watchdog = now + self.params.execution_watchdog;
+        self.arm(q, now, watchdog, problem, TimerPurpose::Watchdog);
         self.check_completion(problem, now, q);
     }
 }

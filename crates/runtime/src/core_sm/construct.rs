@@ -19,7 +19,7 @@ use openwf_simnet::{HostId, SimTime};
 use super::{Action, ActionQueue, HostCore, TimerPurpose, WorkflowEvent};
 use crate::messages::{Msg, ProblemId};
 use crate::report::ProblemStatus;
-use crate::workflow_mgr::{Answers, Collect};
+use crate::workflow_mgr::{Answers, Collect, Workspace};
 
 impl HostCore {
     /// [`Msg::Initiate`]: opens the problem's workspace and its first
@@ -44,7 +44,8 @@ impl HostCore {
         }
         self.span(now, problem, "construct", SpanPhase::Begin);
         let n_peers = self.community.len().saturating_sub(1);
-        self.workflow_mgr.create(problem, spec, now, n_peers);
+        let workspace = Workspace::new(problem, spec, now, n_peers);
+        self.workspaces.insert(problem, workspace);
         self.begin_construction(problem, now, q);
     }
 
@@ -57,7 +58,11 @@ impl HostCore {
         now: SimTime,
         q: &mut ActionQueue,
     ) {
-        let Some(w) = self.workflow_mgr.working_mut(&problem) else {
+        let Some(w) = self
+            .workspaces
+            .get_mut(&problem)
+            .and_then(|ws| ws.working.as_deref_mut())
+        else {
             return;
         };
         let frontier = w.engine.first_frontier();
@@ -116,9 +121,12 @@ impl HostCore {
     /// fragments were charged against the vocabulary budget when
     /// [`HostCore::handle_frame`] decoded them): `from`'s answers count
     /// towards `problem`'s open round if they are of its kind, for its
-    /// number, and the first from `from`. A finished attempt, a stale
-    /// reply (after a timeout, say), a wrong-kind one and a duplicate
-    /// delivery change nothing. The last peer's reply closes the round.
+    /// number, and the first from `from`, one of the other members. A
+    /// finished attempt, a stale reply (after a timeout, say), a
+    /// wrong-kind one, a duplicate delivery and a reply from anyone but
+    /// the other members change nothing: counted, a stranger's reply
+    /// would close the round early and turn a member's late one away as
+    /// stale. The last peer's reply closes the round.
     pub(super) fn on_query_reply(
         &mut self,
         from: HostId,
@@ -128,7 +136,14 @@ impl HostCore {
         now: SimTime,
         q: &mut ActionQueue,
     ) {
-        let Some(w) = self.workflow_mgr.working_mut(&problem) else {
+        if from == self.id() || !self.community.contains(&from) {
+            return;
+        }
+        let Some(w) = self
+            .workspaces
+            .get_mut(&problem)
+            .and_then(|ws| ws.working.as_deref_mut())
+        else {
             return;
         };
         let Some(c) = w.collect.as_mut() else {
@@ -148,24 +163,6 @@ impl HostCore {
         }
     }
 
-    /// `RoundTimeout`: closes the round with the answers that arrived.
-    pub(super) fn on_round_timeout(
-        &mut self,
-        problem: ProblemId,
-        round: u32,
-        now: SimTime,
-        q: &mut ActionQueue,
-    ) {
-        let open = self
-            .workflow_mgr
-            .get(&problem)
-            .and_then(|ws| ws.working()?.collect.as_ref())
-            .is_some_and(|c| c.round == round);
-        if open {
-            self.close_round(problem, now, q);
-        }
-    }
-
     fn open_fragment_round(
         &mut self,
         problem: ProblemId,
@@ -173,7 +170,7 @@ impl HostCore {
         now: SimTime,
         q: &mut ActionQueue,
     ) {
-        if let Some(ws) = self.workflow_mgr.get_mut(&problem) {
+        if let Some(ws) = self.workspaces.get_mut(&problem) {
             ws.report.query_rounds += 1;
         }
         let own = Answers::Fragments(self.fragment_mgr.query(&frontier));
@@ -195,7 +192,11 @@ impl HostCore {
         q: &mut ActionQueue,
         query: impl FnOnce(u32) -> Msg,
     ) {
-        let Some(w) = self.workflow_mgr.working_mut(&problem) else {
+        let Some(w) = self
+            .workspaces
+            .get_mut(&problem)
+            .and_then(|ws| ws.working.as_deref_mut())
+        else {
             return;
         };
         debug_assert!(w.collect.is_none(), "one round at a time");
@@ -213,24 +214,20 @@ impl HostCore {
         let others = self.others();
         self.emit_all(q, &others, query(round));
         self.metrics.rounds.inc();
-        let delay = self.params.round_timeout;
-        let token = self.arm(q, now, delay, TimerPurpose::RoundTimeout { problem, round });
-        // A workspace runs one round at a time: opening this one closed
-        // its predecessor, whose timeout is moot.
-        let closed = self
-            .workflow_mgr
-            .working_mut(&problem)
-            .and_then(|w| w.guard_timers.round.replace(token));
-        self.disarm(closed);
+        // A workspace runs one round at a time: this round's timeout
+        // replaces its predecessor's, which closed with it.
+        let timeout = now + self.params.round_timeout;
+        self.arm(q, now, timeout, problem, TimerPurpose::RoundTimeout);
     }
 
-    /// Closes `problem`'s open round. A fragment round merges what it
-    /// collected and, when that brought tasks nobody was asked about,
-    /// opens a capability round for them; a capability round adds the
-    /// tasks someone can serve to the feasible set. Otherwise the
-    /// construction resumes.
-    fn close_round(&mut self, problem: ProblemId, now: SimTime, q: &mut ActionQueue) {
-        let Some(ws) = self.workflow_mgr.get_mut(&problem) else {
+    /// Closes `problem`'s open round: at the last peer's reply, or at
+    /// `RoundTimeout` with the answers that arrived. A fragment round
+    /// merges what it collected and, when that brought tasks nobody was
+    /// asked about, opens a capability round for them; a capability round
+    /// adds the tasks someone can serve to the feasible set. Otherwise
+    /// the construction resumes.
+    pub(super) fn close_round(&mut self, problem: ProblemId, now: SimTime, q: &mut ActionQueue) {
+        let Some(ws) = self.workspaces.get_mut(&problem) else {
             return;
         };
         let Some(w) = ws.working.as_deref_mut() else {
@@ -274,7 +271,7 @@ impl HostCore {
     /// phase it asks for: construction hands over to allocation, or
     /// fails the attempt for good.
     fn resume_construction(&mut self, problem: ProblemId, now: SimTime, q: &mut ActionQueue) {
-        let Some(ws) = self.workflow_mgr.get_mut(&problem) else {
+        let Some(ws) = self.workspaces.get_mut(&problem) else {
             return;
         };
         let Some(w) = ws.working.as_deref_mut() else {
@@ -288,8 +285,7 @@ impl HostCore {
             Next::Done(Ok(construction)) => {
                 ws.construction = Some(construction);
                 ws.report.status = ProblemStatus::Allocating;
-                let closed = w.guard_timers.round.take();
-                self.disarm(closed);
+                self.timers.disarm(problem, &TimerPurpose::RoundTimeout);
                 self.span(now, problem, "construct", SpanPhase::End);
                 self.span(now, problem, "allocate", SpanPhase::Begin);
                 q.push(Action::Event(WorkflowEvent::Constructed { problem }));

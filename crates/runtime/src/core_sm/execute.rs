@@ -28,11 +28,11 @@ impl HostCore {
     /// perhaps) begins.
     ///
     /// The plan is the award in full: a held commitment for one of its
-    /// tasks is firmed by it, as the task's `Award` would have (that
-    /// frame may have been lost, and the slot must outlive the hold's
-    /// expiry), and a task whose hold already expired is booked at the
-    /// plan's slot. A task already waiting, running or done here is not
-    /// installed again, so a copy of the frame runs nothing twice.
+    /// tasks is firmed by it and the hold's expiry disarmed, as the
+    /// task's `Award` would have (that frame may have been lost), and a
+    /// task whose hold already expired is booked at the plan's slot. A
+    /// task already waiting, running or done here is not installed
+    /// again, so a copy of the frame runs nothing twice.
     ///
     /// Only the problem's initiator plans it, and only for services this
     /// host offers: a plan from anyone else is dropped, and so is a task
@@ -65,8 +65,10 @@ impl HostCore {
             if !self.schedule.install(problem, planned, missing) {
                 continue; // already waiting, running or done here
             }
+            self.timers
+                .disarm(problem, &TimerPurpose::BidHoldExpiry(task.clone()));
             if start > now {
-                self.arm_at(q, now, start, TimerPurpose::ExecStart { problem, task });
+                self.arm(q, now, start, problem, TimerPurpose::ExecStart(task));
             } else {
                 self.begin(problem, task, now, q);
             }
@@ -106,7 +108,7 @@ impl HostCore {
         now: SimTime,
         q: &mut ActionQueue,
     ) {
-        if let Some(ws) = self.workflow_mgr.get_mut(&problem) {
+        if let Some(ws) = self.workspaces.get_mut(&problem) {
             let pending = ws
                 .working
                 .as_deref_mut()
@@ -147,7 +149,8 @@ impl HostCore {
                 task.as_str().to_string(),
             );
         }
-        self.arm(q, now, duration, TimerPurpose::ExecFinish { problem, task });
+        let end = now + duration;
+        self.arm(q, now, end, problem, TimerPurpose::ExecFinish(task));
     }
 
     /// `ExecFinish`: the task's service duration elapsed. The service is
@@ -195,7 +198,7 @@ impl HostCore {
         now: SimTime,
         q: &mut ActionQueue,
     ) {
-        let Some(ws) = self.workflow_mgr.get_mut(&problem) else {
+        let Some(ws) = self.workspaces.get_mut(&problem) else {
             return;
         };
         let delivered = ws.working().is_some_and(|w| w.goals_pending.is_empty());

@@ -50,6 +50,12 @@
 //! | `ExecStart`, `ExecFinish` | `execute.rs` |
 //! | `Watchdog` | `repair.rs` |
 //!
+//! A timer is named by its problem and purpose (with the task, where the
+//! purpose has one); arming a name replaces its timer. `retire` disarms
+//! an attempt's guards, `release` every timer of a superseded attempt,
+//! and an award or plan a hold's `BidHoldExpiry`: only a losing bid's
+//! hold outlives its attempt.
+//!
 //! `construct.rs` hands over to `allocate.rs` when the frontier
 //! construction finishes (`start_allocation` opens one auction per
 //! task), `allocate.rs` to `execute.rs` when `decide` closes the last
@@ -58,12 +64,12 @@
 //! attempt's first round through `begin_construction`, as `Initiate`
 //! does.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 
 use openwf_core::TaskId;
 use openwf_obs::{Obs, SpanPhase, TraceEvent};
-use openwf_simnet::{HostId, SimDuration, SimTime, TimerToken};
+use openwf_simnet::{HostId, SimTime, TimerToken};
 use openwf_wire::{DecodeScratch, VocabularyBudget, WireError};
 
 use crate::codec;
@@ -74,7 +80,7 @@ use crate::prefs::Preferences;
 use crate::schedule::ScheduleManager;
 use crate::service::ServiceManager;
 use crate::timers::TimerTable;
-use crate::workflow_mgr::{Answers, WorkflowManager};
+use crate::workflow_mgr::{Answers, Workspace};
 
 mod action;
 mod allocate;
@@ -90,15 +96,28 @@ pub use action::{Action, ActionQueue, OutboundMode, WorkflowEvent};
 pub use config::{HostConfig, StorageConfig};
 use observe::CoreMetrics;
 
-#[derive(Clone, Debug)]
+/// What a timer guards, beside its problem (see the module docs).
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum TimerPurpose {
-    RoundTimeout { problem: ProblemId, round: u32 },
-    AuctionDeadline { problem: ProblemId, task: TaskId },
-    AuctionTimeout { problem: ProblemId },
-    BidHoldExpiry { problem: ProblemId, task: TaskId },
-    ExecStart { problem: ProblemId, task: TaskId },
-    ExecFinish { problem: ProblemId, task: TaskId },
-    Watchdog { problem: ProblemId },
+    RoundTimeout,
+    AuctionDeadline(TaskId),
+    AuctionTimeout,
+    BidHoldExpiry(TaskId),
+    ExecStart(TaskId),
+    ExecFinish(TaskId),
+    Watchdog,
+}
+
+impl TimerPurpose {
+    /// True for the timers an initiator arms over an open attempt, which
+    /// the attempt's end makes moot — all but a member's own timers for
+    /// the problem, its hold's expiry and its tasks' runs, which go on.
+    fn guards_attempt(&self) -> bool {
+        !matches!(
+            self,
+            Self::BidHoldExpiry(_) | Self::ExecStart(_) | Self::ExecFinish(_)
+        )
+    }
 }
 
 /// One participant's complete protocol state machine (all §4.2 managers),
@@ -113,8 +132,10 @@ pub struct HostCore {
     fragment_mgr: FragmentManager,
     service_mgr: ServiceManager,
     schedule: ScheduleManager,
-    /// Construction subsystem.
-    workflow_mgr: WorkflowManager,
+    /// Construction subsystem: the Workflow Manager's workspaces, one
+    /// per attempt this host initiated. Keyed by problem, so a problem's
+    /// attempts sit side by side and the latest is the last of them.
+    workspaces: BTreeMap<ProblemId, Workspace>,
     /// Vocabulary trust boundary: the decode-side budget every peer
     /// frame's name table is charged against (see
     /// [`HostCore::handle_frame`]).
@@ -130,7 +151,8 @@ pub struct HostCore {
     max_vocab_rejections: Option<u64>,
     quarantined: HashSet<HostId>,
     outbound: OutboundMode,
-    /// Armed timers in firing order. Due times let [`HostCore::tick`]
+    /// Armed timers in firing order, each named by its problem and
+    /// purpose. Due times let [`HostCore::tick`]
     /// fire timers on a clock poll and [`HostCore::next_timer_due`]
     /// tell a poll-based driver how long it may sleep.
     timers: TimerTable<TimerPurpose>,
@@ -201,7 +223,7 @@ impl HostCore {
             fragment_mgr,
             service_mgr,
             schedule,
-            workflow_mgr: WorkflowManager::new(),
+            workspaces: BTreeMap::new(),
             vocab,
             decode,
             vocabulary_rejections: 0,
@@ -277,9 +299,16 @@ impl HostCore {
         self.community = community;
     }
 
-    /// The workflow manager (workspaces/reports), for inspection.
-    pub fn workflow_mgr(&self) -> &WorkflowManager {
-        &self.workflow_mgr
+    /// The workspace of one attempt this host initiated, for
+    /// inspection.
+    pub fn workspace(&self, problem: ProblemId) -> Option<&Workspace> {
+        self.workspaces.get(&problem)
+    }
+
+    /// Every workspace of this host (one per attempt it initiated), in
+    /// problem order.
+    pub fn workspaces(&self) -> impl Iterator<Item = &Workspace> + '_ {
+        self.workspaces.values()
     }
 
     /// The fragment manager, for inspection and late configuration.
@@ -309,12 +338,18 @@ impl HostCore {
     }
 
     /// The workspace of the **latest attempt** of the problem `base`
-    /// belongs to, if any.
-    pub fn latest_attempt(&self, base: ProblemId) -> Option<&crate::workflow_mgr::Workspace> {
-        self.workflow_mgr
-            .iter()
-            .filter(|ws| ws.problem.same_problem(base))
-            .max_by_key(|ws| ws.problem.attempt)
+    /// belongs to, if any: the last of the problem's attempts, which sit
+    /// side by side in the workspace map.
+    pub fn latest_attempt(&self, base: ProblemId) -> Option<&Workspace> {
+        let first = ProblemId { attempt: 0, ..base };
+        let last = ProblemId {
+            attempt: u32::MAX,
+            ..base
+        };
+        self.workspaces
+            .range(first..=last)
+            .next_back()
+            .map(|(_, ws)| ws)
     }
 
     /// Earliest due time among armed timers — how long a poll-based
@@ -323,10 +358,12 @@ impl HostCore {
         self.timers.next_due()
     }
 
-    /// Number of timers currently armed. Timers of a problem that can
-    /// no longer matter (its round closed, its allocation finalised, it
-    /// turned terminal) are disarmed, so on a long-lived host this
-    /// tracks the problems in flight, not the problems ever served.
+    /// Number of timers currently armed. A timer is disarmed once it can
+    /// no longer matter — a round's timeout when the round closes, an
+    /// attempt's guards when it turns terminal, a bid hold's expiry when
+    /// the award or the plan firms the hold — so on a long-lived host
+    /// this tracks the work in flight and the holds of bids that lost,
+    /// not the problems ever served.
     pub fn armed_timer_count(&self) -> usize {
         self.timers.len()
     }
@@ -400,11 +437,11 @@ impl HostCore {
     /// [`Action::SetTimer`]).
     pub fn handle_timer(&mut self, token: TimerToken, now: SimTime) -> ActionQueue {
         let mut q = ActionQueue::new();
-        let Some((due, purpose)) = self.timers.take(token.0) else {
+        let Some((due, problem, purpose)) = self.timers.take(token.0) else {
             return q; // already fired, or disarmed since it was armed
         };
         self.metrics.timer_lag_us.record(now.since(due).as_micros());
-        self.fire_timer(purpose, now, &mut q);
+        self.fire_timer(problem, purpose, now, &mut q);
         self.metrics.queue_depth.record(q.len() as u64);
         q
     }
@@ -420,9 +457,9 @@ impl HostCore {
         let mut q = ActionQueue::new();
         // One at a time, in `(due, token)` order: firing a timer can arm
         // new (already-due) timers, which an upfront snapshot would miss.
-        while let Some((due, purpose)) = self.timers.pop_due(now) {
+        while let Some((due, problem, purpose)) = self.timers.pop_due(now) {
             self.metrics.timer_lag_us.record(now.since(due).as_micros());
-            self.fire_timer(purpose, now, &mut q);
+            self.fire_timer(problem, purpose, now, &mut q);
         }
         self.metrics.queue_depth.record(q.len() as u64);
         q
@@ -488,52 +525,42 @@ impl HostCore {
         }
     }
 
+    /// Arms `problem`'s `purpose` timer for `due` (at the earliest
+    /// `now`), replacing the one armed under that name. A driver that delivers timers
+    /// still hands a replaced or disarmed timer's token back when it is
+    /// due; [`HostCore::handle_timer`] answers that with an empty queue.
     fn arm(
         &mut self,
         q: &mut ActionQueue,
         now: SimTime,
-        delay: SimDuration,
+        due: SimTime,
+        problem: ProblemId,
         purpose: TimerPurpose,
-    ) -> TimerToken {
-        let token = TimerToken(self.timers.arm(now + delay, purpose));
+    ) {
+        let delay = due.since(now);
+        let token = TimerToken(self.timers.arm(now + delay, problem, purpose));
         q.push(Action::SetTimer { delay, token });
-        token
-    }
-
-    fn arm_at(
-        &mut self,
-        q: &mut ActionQueue,
-        now: SimTime,
-        at: SimTime,
-        purpose: TimerPurpose,
-    ) -> TimerToken {
-        let delay = at.since(now);
-        self.arm(q, now, delay, purpose)
     }
 
     /// The attempt `problem` turned terminal: its workspace keeps the
-    /// record and drops the working set (see
-    /// [`crate::workflow_mgr::Workspace`]), and every timer still armed
-    /// for it — guard timers and open auctions' deadlines — is disarmed:
-    /// none of them can matter any more.
+    /// record and drops the working set (see [`Workspace`]), and the
+    /// timers that guarded the attempt — its round, auctions, allocation
+    /// and execution — are disarmed: none of them can matter any more.
     fn retire(&mut self, problem: ProblemId) {
-        let armed = self
-            .workflow_mgr
-            .get_mut(&problem)
-            .map(|ws| ws.retire())
-            .unwrap_or_default();
-        for token in armed {
-            self.disarm(Some(token));
+        if let Some(ws) = self.workspaces.get_mut(&problem) {
+            ws.working = None;
         }
+        self.timers
+            .disarm_problem(problem, TimerPurpose::guards_attempt);
     }
 
-    /// Disarms a timer that can no longer matter. A driver that
-    /// delivers timers still hands the token back when it is due;
-    /// [`HostCore::handle_timer`] answers that with an empty queue.
-    fn disarm(&mut self, token: Option<TimerToken>) {
-        if let Some(token) = token {
-            self.timers.take(token.0);
-        }
+    /// Drops everything this host holds for `problem`, an attempt a
+    /// repair supersedes: its commitments in any state, the inputs
+    /// parked for its plan and every timer armed for it. Its workspace
+    /// keeps the record.
+    fn release(&mut self, problem: ProblemId) {
+        self.schedule.release_problem(problem);
+        self.timers.disarm_problem(problem, |_| true);
     }
 
     fn others(&self) -> Vec<HostId> {
@@ -630,19 +657,21 @@ impl HostCore {
     }
 
     /// Routes one fired timer to the phase that owns it.
-    fn fire_timer(&mut self, purpose: TimerPurpose, now: SimTime, q: &mut ActionQueue) {
+    fn fire_timer(
+        &mut self,
+        problem: ProblemId,
+        purpose: TimerPurpose,
+        now: SimTime,
+        q: &mut ActionQueue,
+    ) {
         match purpose {
-            TimerPurpose::RoundTimeout { problem, round } => {
-                self.on_round_timeout(problem, round, now, q)
-            }
-            TimerPurpose::AuctionDeadline { problem, task } => {
-                self.on_auction_deadline(problem, task, now, q)
-            }
-            TimerPurpose::AuctionTimeout { problem } => self.on_auction_timeout(problem, now, q),
-            TimerPurpose::BidHoldExpiry { problem, task } => self.on_bid_hold_expiry(problem, task),
-            TimerPurpose::ExecStart { problem, task } => self.on_exec_start(problem, task, now, q),
-            TimerPurpose::ExecFinish { problem, task } => self.finish_task(problem, task, q),
-            TimerPurpose::Watchdog { problem } => self.on_watchdog(problem, now, q),
+            TimerPurpose::RoundTimeout => self.close_round(problem, now, q),
+            TimerPurpose::AuctionDeadline(task) => self.on_auction_deadline(problem, task, now, q),
+            TimerPurpose::AuctionTimeout => self.on_auction_timeout(problem, now, q),
+            TimerPurpose::BidHoldExpiry(task) => self.on_bid_hold_expiry(problem, task),
+            TimerPurpose::ExecStart(task) => self.on_exec_start(problem, task, now, q),
+            TimerPurpose::ExecFinish(task) => self.finish_task(problem, task, q),
+            TimerPurpose::Watchdog => self.on_watchdog(problem, now, q),
         }
     }
 }
@@ -654,7 +683,7 @@ impl fmt::Debug for HostCore {
             .field("community", &self.community.len())
             .field("fragments", &self.fragment_mgr.len())
             .field("services", &self.service_mgr.service_count())
-            .field("workspaces", &self.workflow_mgr.len())
+            .field("workspaces", &self.workspaces.len())
             .field("outbound", &self.outbound)
             .finish()
     }

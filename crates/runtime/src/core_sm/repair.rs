@@ -9,13 +9,14 @@ use openwf_simnet::SimTime;
 use super::{Action, ActionQueue, HostCore, WorkflowEvent};
 use crate::messages::ProblemId;
 use crate::report::ProblemStatus;
+use crate::workflow_mgr::Workspace;
 
 impl HostCore {
     /// `Watchdog`: execution overran its budget with goals still
     /// undelivered.
     pub(super) fn on_watchdog(&mut self, problem: ProblemId, now: SimTime, q: &mut ActionQueue) {
         let unfinished = self
-            .workflow_mgr
+            .workspaces
             .get(&problem)
             .map(|ws| ws.report.status == ProblemStatus::Executing)
             .unwrap_or(false);
@@ -36,7 +37,7 @@ impl HostCore {
         now: SimTime,
         q: &mut ActionQueue,
     ) {
-        let (attempts_used, spec, original_start) = match self.workflow_mgr.get_mut(&problem) {
+        let (attempts_used, spec, original_start) = match self.workspaces.get_mut(&problem) {
             Some(ws) => {
                 ws.report.status = ProblemStatus::Failed {
                     reason: reason.clone(),
@@ -93,14 +94,13 @@ impl HostCore {
             );
         }
         self.span(now, next, "construct", SpanPhase::Begin);
-        self.schedule.release_problem(problem);
+        self.release(problem);
         let n_peers = self.community.len().saturating_sub(1);
-        self.workflow_mgr.create(next, spec, now, n_peers);
-        if let Some(ws) = self.workflow_mgr.get_mut(&next) {
-            ws.report.repair_attempts = attempts_used + 1;
-            // End-to-end timing spans the failed attempt too.
-            ws.report.timings.initiated_at = original_start;
-        }
+        let mut workspace = Workspace::new(next, spec, now, n_peers);
+        workspace.report.repair_attempts = attempts_used + 1;
+        // End-to-end timing spans the failed attempt too.
+        workspace.report.timings.initiated_at = original_start;
+        self.workspaces.insert(next, workspace);
         self.begin_construction(next, now, q);
     }
 }

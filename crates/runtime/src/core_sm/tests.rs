@@ -1,6 +1,7 @@
 use std::sync::Arc;
 
 use openwf_core::{Fragment, Label, Mode, Spec};
+use openwf_simnet::SimDuration;
 
 use super::*;
 use crate::metadata::{Bid, ExecutionPlan, PlannedOutput, PlannedTask};
@@ -497,9 +498,9 @@ fn a_duplicated_reply_does_not_close_a_two_peer_round() {
     );
 }
 
-/// Once an attempt is `Completed` its working set is gone: late
-/// copies of everything the initiator reacts to while an attempt is
-/// open, and the guard timers it disarmed on the way, find nothing
+/// Once an attempt is `Completed` its working set is gone and nothing of
+/// it is armed: late copies of everything the initiator reacts to while
+/// an attempt is open, and every timer it armed on the way, find nothing
 /// to act on and leave the record as it was.
 #[test]
 fn late_traffic_for_a_completed_attempt_changes_nothing() {
@@ -518,7 +519,7 @@ fn late_traffic_for_a_completed_attempt_changes_nothing() {
     let mut now = SimTime::ZERO;
     let mut inbox: Vec<(HostId, Vec<u8>)> = Vec::new();
     let mut peer_said: Vec<Msg> = Vec::new();
-    let mut guards = std::collections::BTreeSet::new();
+    let mut tokens = Vec::new();
     let mut completed = false;
     let mut q = core.initiate(problem, Spec::new(["lt-a"], ["lt-b"]), now);
     loop {
@@ -543,13 +544,10 @@ fn late_traffic_for_a_completed_attempt_changes_nothing() {
                     inbox.push((peer, frame(&answer)));
                     peer_said.push(answer);
                 }
+                Action::SetTimer { token, .. } => tokens.push(token),
                 Action::Event(WorkflowEvent::Completed { .. }) => completed = true,
                 _ => {}
             }
-        }
-        if let Some(w) = core.latest_attempt(problem).and_then(|ws| ws.working()) {
-            let g = &w.guard_timers;
-            guards.extend([g.round, g.auction, g.watchdog].into_iter().flatten());
         }
         if completed {
             break;
@@ -564,7 +562,15 @@ fn late_traffic_for_a_completed_attempt_changes_nothing() {
             }
         };
     }
-    assert!(guards.len() >= 3, "round, auction and watchdog: {guards:?}");
+    assert!(
+        tokens.len() >= 4,
+        "rounds, auction, hold, watchdog, run: {tokens:?}"
+    );
+    assert_eq!(
+        core.armed_timer_count(),
+        0,
+        "the guards went with the attempt, the hold's expiry with the plan"
+    );
 
     let record = |core: &HostCore| {
         let ws = core.latest_attempt(problem).expect("workspace");
@@ -602,7 +608,7 @@ fn late_traffic_for_a_completed_attempt_changes_nothing() {
         assert!(q.is_empty(), "{shown} produced {:?}", q.actions());
         assert_eq!(record(&core), before, "after {shown}");
     }
-    for token in guards {
+    for token in tokens {
         let q = core.handle_timer(token, now);
         assert!(q.is_empty(), "{token:?} produced {:?}", q.actions());
         assert_eq!(q.charged(), SimDuration::ZERO);
@@ -1111,6 +1117,7 @@ fn award_converts_hold_and_expire_releases() {
         Some(&CommitmentState::Awarded)
     );
     assert_eq!(core.schedule().commitment_count(), 1, "commitment stays");
+    assert_eq!(core.armed_timer_count(), 0, "and its expiry went");
 
     // New bid on another task, then expire it.
     let q = core.handle_frame(HostId(0), &call_for_bids(problem, "ac-t2"), now);
@@ -1550,7 +1557,7 @@ fn abandon_clears_problem_state() {
         now,
     );
     // What repair does with the attempt it gives up on.
-    core.schedule.release_problem(p);
+    core.release(p);
     assert_eq!(core.schedule().executions_in_flight(), 0);
     assert_eq!(core.schedule().state(p, &TaskId::new("ex-t")), None);
     assert!(core
@@ -1587,7 +1594,7 @@ fn stray_inputs_leave_nothing_behind() {
         1,
         "parked for its plan"
     );
-    core.schedule.release_problem(next);
+    core.release(next);
     assert_eq!(core.schedule().executions_in_flight(), 0);
 }
 
@@ -1598,8 +1605,18 @@ fn stray_inputs_leave_nothing_behind() {
 /// that it can serve every task. The peers' calls for bids are left for
 /// the test to answer.
 fn auctioning_chain(prefix: &str, size: u32, len: u32) -> (HostCore, ProblemId, Vec<TaskId>) {
+    auctioning_chain_serving(HostConfig::new(), prefix, size, len)
+}
+
+/// [`auctioning_chain`] for an initiator with `config`'s services, which
+/// has answered its own calls for them.
+fn auctioning_chain_serving(
+    mut config: HostConfig,
+    prefix: &str,
+    size: u32,
+    len: u32,
+) -> (HostCore, ProblemId, Vec<TaskId>) {
     let n = |s: &str, i: u32| format!("{prefix}-{s}{i}");
-    let mut config = HostConfig::new();
     for i in 1..=len {
         config = config.with_fragment(frag(&n("f", i), &n("t", i), &n("s", i - 1), &n("s", i)));
     }
@@ -1699,7 +1716,7 @@ fn winner(q: &ActionQueue) -> Option<HostId> {
 
 /// True when the attempt failed because no host could take `task`.
 fn unallocatable(core: &HostCore, problem: ProblemId, task: &TaskId) -> bool {
-    let ws = core.workflow_mgr().get(&problem).expect("workspace");
+    let ws = core.workspace(problem).expect("workspace");
     matches!(
         &ws.report.status,
         ProblemStatus::Failed { reason }
@@ -1944,4 +1961,112 @@ fn a_forged_award_firms_nothing() {
     );
     run_timers(&mut core);
     assert_eq!(core.schedule().commitment_count(), 0, "the hold expired");
+}
+
+/// Only the other members answer a round: a reply from a stranger, or
+/// one claiming to come from the initiator itself, does not count
+/// towards closing it, so the members' replies are not turned away as
+/// stale.
+#[test]
+fn a_non_member_reply_does_not_close_a_round() {
+    let config = HostConfig::new()
+        .with_fragment(frag("nm-f1", "nm-t1", "nm-a", "nm-b"))
+        .with_service(service("nm-t1"));
+    let mut core = initiator(config, 3);
+    let (problem, now) = (ProblemId::new(HostId(0), 0), SimTime::ZERO);
+    let _ = core.initiate(problem, Spec::new(["nm-a"], ["nm-b"]), now);
+    let reply = frame(&Msg::FragmentReply {
+        problem,
+        round: 1,
+        fragments: Vec::new(),
+    });
+    for from in [HostId(9), HostId(0), HostId(1)] {
+        let q = core.handle_frame(from, &reply, now);
+        assert!(q.is_empty(), "{from:?} closed the round: {:?}", q.actions());
+    }
+    let q = core.handle_frame(HostId(2), &reply, now);
+    assert!(
+        matches!(
+            &sent(&q)[..],
+            [
+                (HostId(1), Msg::CapabilityQuery { round: 2, .. }),
+                (HostId(2), Msg::CapabilityQuery { round: 2, .. })
+            ]
+        ),
+        "the last member's reply closes the round: {:?}",
+        q.actions()
+    );
+}
+
+/// Only members answer a call for bids: a stranger's bid neither
+/// decides the auction early nor wins it.
+#[test]
+fn a_non_member_bid_neither_decides_nor_wins_an_auction() {
+    let (mut core, problem, t) = auctioning("nb", 3);
+    let q = respond(&mut core, problem, &t, 9, Some(firm_bid(0, 0, 1_000)), 0);
+    assert!(q.is_empty(), "{:?}", q.actions());
+    let q = respond(&mut core, problem, &t, 1, None, 0);
+    assert_eq!(
+        winner(&q),
+        None,
+        "host 2 has not answered: {:?}",
+        q.actions()
+    );
+    let q = respond(&mut core, problem, &t, 2, Some(firm_bid(3, 0, 1_000)), 0);
+    assert_eq!(winner(&q), Some(HostId(2)), "{:?}", q.actions());
+}
+
+/// A repair releases the superseded attempt on its initiator in one
+/// call: the initiator's own hold, that hold's expiry and the input
+/// parked for the attempt's plan all go, and the repair attempt's first
+/// round timeout is the one timer left.
+#[test]
+fn a_repair_leaves_nothing_of_the_superseded_attempt_on_its_initiator() {
+    let config = HostConfig::new().with_service(service("rl-t1"));
+    let (mut core, problem, tasks) = auctioning_chain_serving(config, "rl", 3, 2);
+    assert!(matches!(
+        core.schedule().state(problem, &tasks[0]),
+        Some(CommitmentState::Held(_))
+    ));
+    let _ = core.handle_frame(HostId(0), &input(problem, "rl-s0"), SimTime::ZERO);
+    assert_eq!(core.schedule().executions_in_flight(), 1, "parked");
+    // Nobody else takes either task: t1 goes to the initiator, t2 to
+    // nobody, and the attempt is repaired.
+    for from in [1, 2] {
+        for t in &tasks {
+            let _ = respond(&mut core, problem, t, from, None, 0);
+        }
+    }
+    let next = problem.next_attempt();
+    assert_eq!(
+        core.latest_attempt(problem).map(|ws| ws.problem),
+        Some(next)
+    );
+    assert!(core.schedule().commitments().all(|c| c.problem != problem));
+    assert_eq!(core.schedule().executions_in_flight(), 0);
+    assert_eq!(
+        core.armed_timer_count(),
+        1,
+        "the repair attempt's round timeout alone"
+    );
+}
+
+/// A host's workspaces are one map keyed by problem: two problems'
+/// workspaces stay apart, and a problem's latest attempt is found by
+/// its own key range alone.
+#[test]
+fn workspaces_are_isolated_and_found_by_problem() {
+    let mut core = initiator(HostConfig::new(), 2);
+    let (p1, p2) = (ProblemId::new(HostId(0), 1), ProblemId::new(HostId(0), 2));
+    let _ = core.initiate(p1, Spec::new(["wk-a"], ["wk-b"]), SimTime::ZERO);
+    let _ = core.initiate(p2, Spec::new(["wk-x"], ["wk-y"]), SimTime::ZERO);
+    assert_eq!(core.workspaces().count(), 2);
+    assert_ne!(
+        core.workspace(p1).expect("p1").spec,
+        core.workspace(p2).expect("p2").spec,
+        "workspaces are independent"
+    );
+    assert_eq!(core.latest_attempt(p2).map(|ws| ws.problem), Some(p2));
+    assert!(core.latest_attempt(ProblemId::new(HostId(0), 0)).is_none());
+    assert!(core.latest_attempt(ProblemId::new(HostId(1), 1)).is_none());
 }

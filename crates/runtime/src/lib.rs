@@ -10,9 +10,11 @@
 //! `openwf_net`'s drivers over TCP:
 //!
 //! **Construction subsystem** (active on the initiating host):
-//! * [`WorkflowManager`](workflow_mgr::WorkflowManager) — one isolated
-//!   [`Workspace`](workflow_mgr::Workspace) per problem: the attempt's
-//!   record and, while it is open, core's frontier construction
+//! * Workflow Manager — one isolated
+//!   [`Workspace`](workflow_mgr::Workspace) per attempt, in one map on
+//!   [`HostCore`] keyed by problem ([`HostCore::workspace`],
+//!   [`HostCore::latest_attempt`]): the attempt's record and, while it
+//!   is open, core's frontier construction
 //!   ([`openwf_core::FrontierConstruction`]) and the query round in
 //!   flight. [`HostCore`] issues the fragment and capability queries and
 //!   drives the construction with the answers.
@@ -31,7 +33,8 @@
 //!   of a task here, from the bid's hold to the run
 //!   ([`CommitmentState`](schedule::CommitmentState): held, awarded,
 //!   waiting, running, done), and inputs that arrive before their plan
-//!   are parked beside it.
+//!   are parked beside it: a problem's commitments and parked inputs are
+//!   one entry of the schedule.
 //! * Auction Participation Manager — [`HostCore`]'s `consider_bid`:
 //!   bid computation against capabilities, the schedule's holds and
 //!   preferences.

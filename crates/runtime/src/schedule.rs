@@ -19,8 +19,11 @@
 //! while its service runs, and [`CommitmentState::Done`] when it has
 //! run. A hold that outlives its bid's deadline unawarded is released;
 //! no other state is. Inputs that reach a problem before any plan of it
-//! installed a task here are parked beside the problem's commitments
-//! until one does; [`ScheduleManager::release_problem`] drops both.
+//! installed a task here are parked until one does.
+//!
+//! The database is keyed by problem: a problem's commitments, in plan
+//! order, and its parked inputs are one entry, which
+//! [`ScheduleManager::release_problem`] drops whole.
 //!
 //! The rules that move a commitment along are `HostCore`'s: bidding — a
 //! call for bids read against services, this schedule and preferences —
@@ -28,7 +31,7 @@
 //! — a waiting task starts once its start time and inputs have come,
 //! and a finished one publishes its outputs — is `core_sm/execute.rs`.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use openwf_core::{Label, TaskId};
@@ -99,15 +102,38 @@ impl fmt::Display for Commitment {
     }
 }
 
+/// One problem's entry in the database.
+#[derive(Debug, Default)]
+struct ProblemSchedule {
+    /// The problem's commitments in the order they were made, except
+    /// that a task moves to the back when a plan installs it: the
+    /// planned tasks come in plan order.
+    commitments: Vec<Commitment>,
+    /// Inputs delivered before any plan of the problem installed a task
+    /// here.
+    parked: BTreeSet<Label>,
+}
+
+impl ProblemSchedule {
+    /// Where the commitment for `task` sits in `commitments`.
+    fn find(&self, task: &TaskId) -> Option<usize> {
+        self.commitments.iter().position(|c| &c.task == task)
+    }
+
+    fn is_empty(&self) -> bool {
+        self.commitments.is_empty() && self.parked.is_empty()
+    }
+}
+
 /// One entry of the slot-search index: the slot of a commitment that a
 /// search may still run into.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 struct OpenSlot {
     start: SimTime,
-    /// Insertion sequence number of the commitment; orders equal starts
-    /// the way a stable sort of [`ScheduleManager::commitments`] would.
-    seq: u64,
     end: SimTime,
+    /// The commitment the slot is, by its problem and task.
+    problem: ProblemId,
+    task: TaskId,
 }
 
 /// Per-host schedule: position, motion profile, and committed slots.
@@ -116,29 +142,17 @@ struct OpenSlot {
 /// stays on record), so nothing on the bidding or execution path reads
 /// all of it: slot searches walk `open`, the start-ordered slots that
 /// have not ended by the host's clock ([`ScheduleManager::advance`]),
-/// and everything else finds a problem's commitments through
-/// `by_problem`.
+/// and everything else looks up its problem's entry.
 #[derive(Debug)]
 pub struct ScheduleManager {
     position: Point,
     motion: Motion,
     site: SiteMap,
-    /// Every commitment, in insertion order.
-    commitments: Vec<Commitment>,
-    /// `seqs[i]` is the insertion sequence number of `commitments[i]`
-    /// (ascending, so a sequence number finds its position by binary
-    /// search however many earlier commitments were released).
-    seqs: Vec<u64>,
-    next_seq: u64,
-    /// Sequence numbers of each problem's commitments, in insertion
-    /// order, except that a task moves to the back when a plan installs
-    /// it: a problem's planned tasks come in plan order.
-    by_problem: HashMap<ProblemId, Vec<u64>>,
-    /// Inputs delivered for a problem before any plan of it installed a
-    /// task here.
-    parked: HashMap<ProblemId, BTreeSet<Label>>,
-    /// The slot-search index, sorted by `(start, seq)`: every
-    /// commitment whose `end` is after `horizon`.
+    /// Every commitment on record and every parked input, by problem.
+    problems: BTreeMap<ProblemId, ProblemSchedule>,
+    /// The slot-search index, sorted by `start`, equal starts in the
+    /// order their commitments were made: every commitment whose `end`
+    /// is after `horizon`.
     open: Vec<OpenSlot>,
     /// The latest time [`ScheduleManager::advance`] was told.
     horizon: SimTime,
@@ -152,11 +166,7 @@ impl ScheduleManager {
             position,
             motion,
             site,
-            commitments: Vec::new(),
-            seqs: Vec::new(),
-            next_seq: 0,
-            by_problem: HashMap::new(),
-            parked: HashMap::new(),
+            problems: BTreeMap::new(),
             open: Vec::new(),
             horizon: SimTime::ZERO,
         }
@@ -177,12 +187,13 @@ impl ScheduleManager {
     /// released, ended or not ([`ScheduleManager::open_slot_count`]
     /// counts the ones still ahead of the host's clock).
     pub fn commitment_count(&self) -> usize {
-        self.commitments.len()
+        self.problems.values().map(|p| p.commitments.len()).sum()
     }
 
-    /// All commitments, in insertion order.
-    pub fn commitments(&self) -> &[Commitment] {
-        &self.commitments
+    /// All commitments, problem by problem, each problem's in plan
+    /// order.
+    pub fn commitments(&self) -> impl Iterator<Item = &Commitment> + '_ {
+        self.problems.values().flat_map(|p| &p.commitments)
     }
 
     /// Travel time from the current position to a symbolic location.
@@ -271,73 +282,47 @@ impl ScheduleManager {
     /// [`ScheduleManager::commit`] without the double-booking check.
     fn insert(&mut self, commitment: Commitment) {
         debug_assert!(
-            self.find(commitment.problem, &commitment.task).is_none(),
+            self.state(commitment.problem, &commitment.task).is_none(),
             "second commitment for one task: {commitment}"
         );
-        let seq = self.next_seq;
-        self.next_seq += 1;
         if commitment.end > self.horizon {
+            // After every equal start: ties stay in the order made.
+            let at = self.open.partition_point(|s| s.start <= commitment.start);
             let slot = OpenSlot {
                 start: commitment.start,
-                seq,
                 end: commitment.end,
+                problem: commitment.problem,
+                task: commitment.task.clone(),
             };
-            // `seq` is the largest so far: after every equal start.
-            let at = self.open.partition_point(|s| s.start <= slot.start);
             self.open.insert(at, slot);
         }
-        self.by_problem
+        self.problems
             .entry(commitment.problem)
             .or_default()
-            .push(seq);
-        self.commitments.push(commitment);
-        self.seqs.push(seq);
+            .commitments
+            .push(commitment);
     }
 
-    /// Where the commitment with sequence number `seq` sits in
-    /// `commitments`.
-    fn index_of(&self, seq: u64) -> usize {
-        self.seqs
-            .binary_search(&seq)
-            .expect("by_problem lists only commitments on record")
-    }
-
-    /// Removes `commitments[at]` from the database and the slot-search
-    /// index.
-    fn remove_at(&mut self, at: usize) {
-        let seq = self.seqs.remove(at);
-        let commitment = self.commitments.remove(at);
-        if let Ok(slot) = self
-            .open
-            .binary_search_by_key(&(commitment.start, seq), |s| (s.start, s.seq))
-        {
-            self.open.remove(slot);
-        }
-    }
-
-    /// Where `problem`'s commitment for `task` sits in `commitments`.
-    fn find(&self, problem: ProblemId, task: &TaskId) -> Option<usize> {
-        self.by_problem
-            .get(&problem)?
-            .iter()
-            .map(|&seq| self.index_of(seq))
-            .find(|&at| &self.commitments[at].task == task)
+    /// `problem`'s commitment for `task`, if this host has one.
+    fn commitment_mut(&mut self, problem: ProblemId, task: &TaskId) -> Option<&mut Commitment> {
+        let entry = self.problems.get_mut(&problem)?;
+        let at = entry.find(task)?;
+        Some(&mut entry.commitments[at])
     }
 
     /// Where `problem`'s commitment for `task` stands, if this host has
     /// one.
     pub(crate) fn state(&self, problem: ProblemId, task: &TaskId) -> Option<&CommitmentState> {
-        self.find(problem, task)
-            .map(|at| &self.commitments[at].state)
+        let entry = self.problems.get(&problem)?;
+        entry.find(task).map(|at| &entry.commitments[at].state)
     }
 
     /// The task was awarded to this host: a held commitment becomes
     /// [`CommitmentState::Awarded`]. Any other state, or none, stays.
     pub(crate) fn award(&mut self, problem: ProblemId, task: &TaskId) {
-        if let Some(at) = self.find(problem, task) {
-            let state = &mut self.commitments[at].state;
-            if matches!(state, CommitmentState::Held(_)) {
-                *state = CommitmentState::Awarded;
+        if let Some(c) = self.commitment_mut(problem, task) {
+            if matches!(c.state, CommitmentState::Held(_)) {
+                c.state = CommitmentState::Awarded;
             }
         }
     }
@@ -345,20 +330,21 @@ impl ScheduleManager {
     /// A bid hold outlived its deadline: the commitment is released if
     /// it is still [`CommitmentState::Held`]. Any other state stays.
     pub(crate) fn expire_hold(&mut self, problem: ProblemId, task: &TaskId) {
-        let Some(at) = self.find(problem, task) else {
+        let Some(entry) = self.problems.get_mut(&problem) else {
             return;
         };
-        if !matches!(self.commitments[at].state, CommitmentState::Held(_)) {
+        let Some(at) = entry.find(task) else {
+            return;
+        };
+        if !matches!(entry.commitments[at].state, CommitmentState::Held(_)) {
             return;
         }
-        let seq = self.seqs[at];
-        if let Some(seqs) = self.by_problem.get_mut(&problem) {
-            seqs.retain(|&s| s != seq);
-            if seqs.is_empty() {
-                self.by_problem.remove(&problem);
-            }
+        entry.commitments.remove(at);
+        if entry.is_empty() {
+            self.problems.remove(&problem);
         }
-        self.remove_at(at);
+        self.open
+            .retain(|slot| slot.problem != problem || &slot.task != task);
     }
 
     /// The execution plan names `planned.task` for this host: its
@@ -375,7 +361,11 @@ impl ScheduleManager {
         planned: PlannedTask,
         missing: BTreeSet<Label>,
     ) -> bool {
-        let Some(at) = self.find(problem, &planned.task) else {
+        let Some(at) = self
+            .problems
+            .get(&problem)
+            .and_then(|entry| entry.find(&planned.task))
+        else {
             self.insert(Commitment {
                 problem,
                 task: planned.task.clone(),
@@ -390,21 +380,22 @@ impl ScheduleManager {
             });
             return true;
         };
-        let state = &mut self.commitments[at].state;
-        if !matches!(state, CommitmentState::Held(_) | CommitmentState::Awarded) {
+        let commitments = &mut self
+            .problems
+            .get_mut(&problem)
+            .expect("found above")
+            .commitments;
+        if !matches!(
+            commitments[at].state,
+            CommitmentState::Held(_) | CommitmentState::Awarded
+        ) {
             return false;
         }
-        *state = CommitmentState::Waiting {
+        commitments[at..].rotate_left(1);
+        commitments.last_mut().expect("found above").state = CommitmentState::Waiting {
             planned: Box::new(planned),
             missing,
         };
-        let seq = self.seqs[at];
-        let seqs = self
-            .by_problem
-            .get_mut(&problem)
-            .expect("by_problem lists every commitment on record");
-        seqs.retain(|&s| s != seq);
-        seqs.push(seq);
         true
     }
 
@@ -418,12 +409,11 @@ impl ScheduleManager {
         problem: ProblemId,
         label: &Label,
     ) -> Option<Vec<(TaskId, SimTime)>> {
-        let seqs = self.by_problem.get(&problem)?;
+        let entry = self.problems.get_mut(&problem)?;
         let mut installed = false;
         let mut ready = Vec::new();
-        for &seq in seqs {
-            let at = self.index_of(seq);
-            match &mut self.commitments[at].state {
+        for commitment in &mut entry.commitments {
+            match &mut commitment.state {
                 CommitmentState::Waiting { planned, missing } => {
                     installed = true;
                     if missing.remove(label) && missing.is_empty() {
@@ -439,20 +429,30 @@ impl ScheduleManager {
 
     /// Parks `label` for the plan of `problem` still to come.
     pub(crate) fn park(&mut self, problem: ProblemId, label: Label) {
-        self.parked.entry(problem).or_default().insert(label);
+        self.problems
+            .entry(problem)
+            .or_default()
+            .parked
+            .insert(label);
     }
 
     /// The inputs parked for `problem`, which no longer keeps them.
     pub(crate) fn take_parked(&mut self, problem: ProblemId) -> BTreeSet<Label> {
-        self.parked.remove(&problem).unwrap_or_default()
+        let Some(entry) = self.problems.get_mut(&problem) else {
+            return BTreeSet::new();
+        };
+        let parked = std::mem::take(&mut entry.parked);
+        if entry.is_empty() {
+            self.problems.remove(&problem);
+        }
+        parked
     }
 
     /// A waiting task that misses no input starts: it is
     /// [`CommitmentState::Running`], and its planned duration comes
     /// back. `None`, changing nothing, in any other case.
     pub(crate) fn start(&mut self, problem: ProblemId, task: &TaskId) -> Option<SimDuration> {
-        let at = self.find(problem, task)?;
-        let state = &mut self.commitments[at].state;
+        let state = &mut self.commitment_mut(problem, task)?.state;
         match std::mem::replace(state, CommitmentState::Done) {
             CommitmentState::Waiting { planned, missing } if missing.is_empty() => {
                 let duration = planned.duration;
@@ -470,8 +470,7 @@ impl ScheduleManager {
     /// plan's entry for it comes back to route its outputs. `None`,
     /// changing nothing, when it was not running (a stale timer).
     pub(crate) fn finish(&mut self, problem: ProblemId, task: &TaskId) -> Option<Box<PlannedTask>> {
-        let at = self.find(problem, task)?;
-        let state = &mut self.commitments[at].state;
+        let state = &mut self.commitment_mut(problem, task)?.state;
         match std::mem::replace(state, CommitmentState::Done) {
             CommitmentState::Running(planned) => Some(planned),
             other => {
@@ -487,24 +486,25 @@ impl ScheduleManager {
     /// long-lived host this follows the work in flight, not the work
     /// ever done.
     pub fn executions_in_flight(&self) -> usize {
-        let executing = self.by_problem.iter().filter(|(problem, seqs)| {
-            !self.parked.contains_key(problem)
-                && seqs.iter().any(|&seq| {
-                    matches!(
-                        self.commitments[self.index_of(seq)].state,
-                        CommitmentState::Waiting { .. } | CommitmentState::Running(_)
-                    )
-                })
-        });
-        self.parked.len() + executing.count()
+        self.problems
+            .values()
+            .filter(|entry| {
+                !entry.parked.is_empty()
+                    || entry.commitments.iter().any(|c| {
+                        matches!(
+                            c.state,
+                            CommitmentState::Waiting { .. } | CommitmentState::Running(_)
+                        )
+                    })
+            })
+            .count()
     }
 
     /// Releases every commitment of one problem, in any state, and its
-    /// parked inputs (repair/reallocation).
+    /// parked inputs: the problem's entry goes whole.
     pub fn release_problem(&mut self, problem: ProblemId) {
-        self.parked.remove(&problem);
-        for seq in self.by_problem.remove(&problem).unwrap_or_default() {
-            self.remove_at(self.index_of(seq));
+        if self.problems.remove(&problem).is_some() {
+            self.open.retain(|slot| slot.problem != problem);
         }
     }
 }
@@ -712,7 +712,7 @@ mod tests {
         for t in tasks {
             m.expire_hold(pid(), &task(t));
         }
-        let states: Vec<_> = m.commitments().iter().map(|c| &c.state).collect();
+        let states: Vec<_> = m.commitments().map(|c| &c.state).collect();
         assert!(
             matches!(
                 states[..],
@@ -736,11 +736,13 @@ mod tests {
     }
 
     /// The database this module had before its indexes, kept as the
-    /// oracle: one list, collected and sorted for every search and
-    /// scanned for every lookup and release.
+    /// oracle: one list in the order commitments were made, collected
+    /// and sorted for every search and scanned for every lookup and
+    /// release, beside the order plans installed their tasks in.
     #[derive(Default)]
     struct ScanModel {
         commitments: Vec<Commitment>,
+        installed: Vec<(ProblemId, TaskId)>,
     }
 
     impl ScanModel {
@@ -760,6 +762,7 @@ mod tests {
         /// Every commitment of the problem goes, in any state.
         fn release_problem(&mut self, problem: ProblemId) {
             self.commitments.retain(|c| c.problem != problem);
+            self.installed.retain(|(p, _)| *p != problem);
         }
 
         /// The pair's commitment.
@@ -809,7 +812,7 @@ mod tests {
             match self.state_mut(problem, &task) {
                 None => self.commitments.push(Commitment {
                     problem,
-                    task,
+                    task: task.clone(),
                     start: planned.start,
                     end: planned.start + planned.duration,
                     travel: SimDuration::ZERO,
@@ -821,7 +824,35 @@ mod tests {
                 }
                 Some(_) => return false,
             }
+            self.installed.push((problem, task));
             true
+        }
+
+        /// Every waiting task stops missing `label`, and the ones that
+        /// miss nothing any more come back in the order their plans
+        /// installed them; `None` while no plan installed a task of the
+        /// problem.
+        fn deliver(&mut self, problem: ProblemId, label: &Label) -> Option<Vec<(TaskId, SimTime)>> {
+            let installed: Vec<TaskId> = self
+                .installed
+                .iter()
+                .filter(|(p, _)| *p == problem)
+                .map(|(_, t)| t.clone())
+                .collect();
+            if installed.is_empty() {
+                return None;
+            }
+            let mut ready = Vec::new();
+            for task in installed {
+                if let Some(CommitmentState::Waiting { planned, missing }) =
+                    self.state_mut(problem, &task)
+                {
+                    if missing.remove(label) && missing.is_empty() {
+                        ready.push((task, planned.start));
+                    }
+                }
+            }
+            Some(ready)
         }
 
         /// A waiting task that misses nothing runs.
@@ -898,14 +929,20 @@ mod tests {
             problem: u32,
             task: u8,
         },
-        /// A plan names the task, at the same kind of slot, with an
-        /// input still missing or none.
+        /// A plan names the task, at the same kind of slot, with its
+        /// input `x` still missing or none.
         Install {
             problem: u32,
             task: u8,
             offset: u64,
             len: u64,
             missing: bool,
+        },
+        /// Input `x`, which installed tasks may miss, or `y`, which none
+        /// does, is delivered.
+        Deliver {
+            problem: u32,
+            x: bool,
         },
         Start {
             problem: u32,
@@ -931,14 +968,14 @@ mod tests {
 
     fn op() -> impl Strategy<Value = Op> {
         (
-            0u8..15,
+            0u8..17,
             0u32..3,
             0u8..TASKS,
             0u64..12,
             0u64..6,
             any::<bool>(),
         )
-            .prop_map(|(kind, problem, task, a, b, missing)| match kind {
+            .prop_map(|(kind, problem, task, a, b, flag)| match kind {
                 0 | 1 => Op::Commit {
                     problem,
                     task,
@@ -958,7 +995,7 @@ mod tests {
                     task,
                     offset: a,
                     len: b,
-                    missing,
+                    missing: flag,
                 },
                 8 => Op::Start { problem, task },
                 9 => Op::Finish { problem, task },
@@ -967,16 +1004,17 @@ mod tests {
                     ahead: a % 5,
                     needed: b,
                 },
+                13 | 14 => Op::Deliver { problem, x: flag },
                 _ => Op::Advance { by: a % 4 },
             })
     }
 
     proptest! {
-        /// Random hold / award / expiry / commit / install / start /
-        /// finish / release / search sequences on a moving clock find
-        /// the same slots, and keep the same commitments in the same
-        /// order and states, as the collect-sort-walk the indexes
-        /// replaced.
+        /// Random hold / award / expiry / commit / install / delivery /
+        /// start / finish / release / search sequences on a moving clock
+        /// find the same slots, keep the same commitments in the same
+        /// states, and hand back ready tasks in the same plan order, as
+        /// the collect-sort-walk the indexes replaced.
         #[test]
         fn indexed_schedule_matches_the_scan_it_replaced(
             ops in proptest::collection::vec(op(), 1..160),
@@ -1047,6 +1085,13 @@ mod tests {
                             model.install(problem_id(problem), planned, missing)
                         );
                     }
+                    Op::Deliver { problem, x } => {
+                        let label = Label::new(if x { "x" } else { "y" });
+                        prop_assert_eq!(
+                            m.deliver(problem_id(problem), &label),
+                            model.deliver(problem_id(problem), &label)
+                        );
+                    }
                     Op::Start { problem, task } => {
                         prop_assert_eq!(
                             m.start(problem_id(problem), &task_id(task)),
@@ -1076,7 +1121,12 @@ mod tests {
                         m.advance(now);
                     }
                 }
-                prop_assert_eq!(m.commitments(), model.commitments.as_slice());
+                let mut kept: Vec<&Commitment> = m.commitments().collect();
+                let mut want: Vec<&Commitment> = model.commitments.iter().collect();
+                for list in [&mut kept, &mut want] {
+                    list.sort_by_key(|c| (c.problem, c.task.clone()));
+                }
+                prop_assert_eq!(kept, want);
                 prop_assert_eq!(m.commitment_count(), model.commitments.len());
                 prop_assert_eq!(
                     m.open_slot_count(),

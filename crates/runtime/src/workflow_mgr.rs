@@ -22,8 +22,12 @@
 //! over it too (`core_sm/allocate.rs`), and a decided auction leaves its
 //! award in [`Workspace::assignments`] or its task in
 //! [`WorkingSet::unallocatable`].
+//!
+//! The host keeps its workspaces in one map keyed by [`ProblemId`], a
+//! problem's attempts side by side ([`crate::HostCore::latest_attempt`]);
+//! the timers guarding an attempt are named by problem in its timer table.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 
@@ -31,7 +35,7 @@ use openwf_core::{
     Construction, Fragment, FrontierConstruction, IncrementalConstructor, Label, Spec, Supergraph,
     TaskId,
 };
-use openwf_simnet::{HostId, SimTime, TimerToken};
+use openwf_simnet::{HostId, SimTime};
 
 use crate::messages::ProblemId;
 use crate::metadata::{Assignment, Bid};
@@ -61,9 +65,9 @@ pub(crate) enum Answers {
     Capable(Vec<TaskId>),
 }
 
-/// One task's auction while it is undecided (§3.2): who has answered,
-/// the tentative allocation, and the deadline timer armed for it — the
-/// current best bid's, and no other.
+/// One task's auction while it is undecided (§3.2): who has answered and
+/// the tentative allocation. The one deadline timer armed for it — the
+/// current best bid's — is named by its task in the host's timer table.
 #[derive(Debug, Default)]
 pub(crate) struct Auction {
     /// Hosts whose bid or decline was already counted. Networks with
@@ -74,21 +78,6 @@ pub(crate) struct Auction {
     pub(crate) best: Option<(HostId, Bid)>,
     /// The location the call for bids required, copied into the award.
     pub(crate) location: Option<String>,
-    /// The timer armed for `best`'s deadline.
-    pub(crate) deadline: Option<TimerToken>,
-}
-
-/// Tokens of the timers a host armed to guard one phase of a problem —
-/// each a no-op once that phase ends, whenever it comes due: a round's
-/// timeout after the round closed, the auction timeout after
-/// allocation finalised, the execution watchdog after the problem
-/// turned terminal. The host disarms them at those points, so a
-/// long-lived host's armed timers follow its problems in flight.
-#[derive(Debug, Default)]
-pub(crate) struct GuardTimers {
-    pub(crate) round: Option<TimerToken>,
-    pub(crate) auction: Option<TimerToken>,
-    pub(crate) watchdog: Option<TimerToken>,
 }
 
 /// One attempt at one problem on its initiator: a **record** that lives
@@ -103,12 +92,11 @@ pub(crate) struct GuardTimers {
 /// — core's frontier construction, and the supergraph inside it, above
 /// all. The host drops it the moment the attempt
 /// turns terminal ([`ProblemStatus::Completed`],
-/// [`ProblemStatus::Failed`], or superseded by a repair attempt): a late
-/// reply, bid, completion notice or stale guard timer for the attempt
-/// then finds nothing to act on, which is what it found before (the
-/// round was closed, every auction decided, the status terminal).
-/// Every timer it still had armed is handed back for the host to
-/// disarm.
+/// [`ProblemStatus::Failed`], or superseded by a repair attempt), and
+/// disarms the timers that guarded it: a late reply, bid or completion
+/// notice for the attempt then finds nothing to act on, which is what
+/// it found before (the round was closed, every auction decided, the
+/// status terminal).
 /// Repair does not need it either — a repair attempt is a fresh
 /// workspace built from the [`Spec`] alone, because the community that
 /// answers it is no longer the one the old supergraph was collected
@@ -143,7 +131,6 @@ pub struct WorkingSet {
     /// empty.
     pub(crate) auctions: BTreeMap<TaskId, Auction>,
 
-    pub(crate) guard_timers: GuardTimers,
     /// The *other* hosts a round or an auction waits for.
     pub(crate) n_peers: usize,
     /// Algorithm 1's frontier rounds: supergraph, coloring and frontier
@@ -165,7 +152,6 @@ impl Workspace {
             goals_pending: spec.goals().clone(),
             unallocatable: Vec::new(),
             auctions: BTreeMap::new(),
-            guard_timers: GuardTimers::default(),
             n_peers,
             engine: IncrementalConstructor::new().start(&spec),
             capability_checked: BTreeSet::new(),
@@ -198,76 +184,6 @@ impl Workspace {
     pub fn supergraph(&self) -> Option<&Supergraph> {
         self.working().map(|w| w.engine.supergraph())
     }
-
-    /// The attempt turned terminal: drops the working set and hands back
-    /// the timers it still had armed — its guard timers and the deadlines
-    /// of auctions still open — for the host to disarm.
-    pub(crate) fn retire(&mut self) -> Vec<TimerToken> {
-        let Some(w) = self.working.take() else {
-            return Vec::new();
-        };
-        let GuardTimers {
-            round,
-            auction,
-            watchdog,
-        } = w.guard_timers;
-        [round, auction, watchdog]
-            .into_iter()
-            .chain(w.auctions.into_values().map(|a| a.deadline))
-            .flatten()
-            .collect()
-    }
-}
-
-/// All workspaces of one host, keyed by problem.
-#[derive(Debug, Default)]
-pub struct WorkflowManager {
-    workspaces: HashMap<ProblemId, Workspace>,
-}
-
-impl WorkflowManager {
-    /// An empty manager.
-    pub fn new() -> Self {
-        WorkflowManager::default()
-    }
-
-    /// Creates and stores a workspace.
-    pub fn create(&mut self, problem: ProblemId, spec: Spec, now: SimTime, n_peers: usize) {
-        self.workspaces
-            .insert(problem, Workspace::new(problem, spec, now, n_peers));
-    }
-
-    /// Mutable workspace lookup.
-    pub fn get_mut(&mut self, problem: &ProblemId) -> Option<&mut Workspace> {
-        self.workspaces.get_mut(problem)
-    }
-
-    /// Immutable workspace lookup.
-    pub fn get(&self, problem: &ProblemId) -> Option<&Workspace> {
-        self.workspaces.get(problem)
-    }
-
-    /// The working set of `problem`'s attempt while it is open — `None`
-    /// for an unknown problem and for a finished attempt alike, which is
-    /// how late traffic for either is told apart from live traffic.
-    pub(crate) fn working_mut(&mut self, problem: &ProblemId) -> Option<&mut WorkingSet> {
-        self.workspaces.get_mut(problem)?.working.as_deref_mut()
-    }
-
-    /// Number of workspaces (problems this host has initiated).
-    pub fn len(&self) -> usize {
-        self.workspaces.len()
-    }
-
-    /// True if no workspace exists.
-    pub fn is_empty(&self) -> bool {
-        self.workspaces.is_empty()
-    }
-
-    /// Iterates over all workspaces.
-    pub fn iter(&self) -> impl Iterator<Item = &Workspace> + '_ {
-        self.workspaces.values()
-    }
 }
 
 impl fmt::Display for Workspace {
@@ -277,27 +193,5 @@ impl fmt::Display for Workspace {
             write!(f, "round {round}, ")?;
         }
         write!(f, "{} fragments", self.report.fragments_pulled)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use openwf_simnet::HostId;
-
-    #[test]
-    fn manager_isolates_workspaces() {
-        let mut mgr = WorkflowManager::new();
-        let p1 = ProblemId::new(HostId(0), 1);
-        let p2 = ProblemId::new(HostId(0), 2);
-        mgr.create(p1, Spec::new(["a"], ["b"]), SimTime::ZERO, 3);
-        mgr.create(p2, Spec::new(["x"], ["y"]), SimTime::ZERO, 3);
-        assert_eq!(mgr.len(), 2);
-        assert!(mgr.get(&p1).is_some());
-        assert_ne!(
-            mgr.get(&p1).unwrap().spec,
-            mgr.get(&p2).unwrap().spec,
-            "workspaces are independent"
-        );
     }
 }

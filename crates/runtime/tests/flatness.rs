@@ -21,9 +21,10 @@ const CHAIN: usize = 4;
 const HOSTS: usize = 3;
 
 /// One initiator and two peers: the know-how chain is spread over all
-/// three, and every task is served by two of them, so each workflow
-/// crosses hosts in every phase and leaves losing bids behind to expire.
-fn configs() -> Vec<HostConfig> {
+/// three, and every task is served by `servers` of them, the hosts after
+/// its know-how's holder, so each workflow crosses hosts in every phase
+/// and, with two servers a task, leaves losing bids behind to expire.
+fn configs(servers: usize) -> Vec<HostConfig> {
     let mut cfgs: Vec<HostConfig> = (0..HOSTS).map(|_| HostConfig::new()).collect();
     for i in 0..CHAIN {
         let fragment = Fragment::single_task(
@@ -36,7 +37,7 @@ fn configs() -> Vec<HostConfig> {
         .unwrap();
         let holder = i % HOSTS;
         cfgs[holder] = std::mem::take(&mut cfgs[holder]).with_fragment(fragment);
-        for server in [(i + 1) % HOSTS, (i + 2) % HOSTS] {
+        for server in (1..=servers).map(|k| (i + k) % HOSTS) {
             cfgs[server] = std::mem::take(&mut cfgs[server]).with_service(ServiceDescription::new(
                 format!("flat-t{i}"),
                 SimDuration::from_millis(3),
@@ -69,9 +70,13 @@ fn assert_finished_workspaces_are_records(
     initiator: HostId,
     served: usize,
 ) {
-    let mgr = driver.core(initiator).workflow_mgr();
-    assert_eq!(mgr.len(), served, "the record of every workflow is kept");
-    for ws in mgr.iter() {
+    let core = driver.core(initiator);
+    assert_eq!(
+        core.workspaces().count(),
+        served,
+        "the record of every workflow is kept"
+    );
+    for ws in core.workspaces() {
         assert_eq!(ws.report.status, ProblemStatus::Completed, "{ws}");
         assert!(
             ws.working().is_none(),
@@ -83,7 +88,7 @@ fn assert_finished_workspaces_are_records(
 
 #[test]
 fn what_a_host_keeps_open_does_not_grow_with_workflows_served() {
-    let mut driver = LoopbackBytesDriver::build(RuntimeParams::default(), configs());
+    let mut driver = LoopbackBytesDriver::build(RuntimeParams::default(), configs(2));
     let initiator = driver.hosts()[0];
     let spec = Spec::new(["flat-l0".to_string()], [format!("flat-l{CHAIN}")]);
 
@@ -116,9 +121,10 @@ fn what_a_host_keeps_open_does_not_grow_with_workflows_served() {
         }
     }
 
-    // Bid holds stay armed for `bid_patience + round_timeout` of the
-    // virtual clock, a few dozen workflows here; the bound is taken
-    // once that window is full and must still hold 1 800 workflows on.
+    // Losing bids' holds stay armed for `bid_patience + round_timeout`
+    // of the virtual clock, a few dozen workflows here (a won hold's
+    // expiry goes with its award); the bound is taken once that window
+    // is full and must still hold 1 800 workflows on.
     let (timer_bound, slot_bound, plan_bound) = after[100..200]
         .iter()
         .fold((0, 0, 0), |(t, s, p), &(timers, slots, plans)| {
@@ -152,4 +158,26 @@ fn what_a_host_keeps_open_does_not_grow_with_workflows_served() {
         commitments >= 2_000 * CHAIN,
         "{commitments} commitments on record"
     );
+}
+
+/// With one capable host per task no bid loses, so a completed workflow
+/// leaves nothing armed on any host: the initiator's guards go with the
+/// attempt, and each winner's hold expiry with its award or plan.
+#[test]
+fn a_completed_workflow_leaves_no_timer_armed_on_any_host() {
+    let mut driver = LoopbackBytesDriver::build(RuntimeParams::default(), configs(1));
+    let initiator = driver.hosts()[0];
+    let spec = Spec::new(["flat-l0".to_string()], [format!("flat-l{CHAIN}")]);
+    let handle = driver.submit(initiator, spec);
+    let completed = |driver: &LoopbackBytesDriver| {
+        driver.events().iter().any(
+            |(_, event)| matches!(event, WorkflowEvent::Completed { problem } if *problem == handle.id),
+        )
+    };
+    while !completed(&driver) {
+        assert!(driver.step(), "the workflow stalled");
+    }
+    for h in driver.hosts() {
+        assert_eq!(driver.core(h).armed_timer_count(), 0, "{h:?}");
+    }
 }

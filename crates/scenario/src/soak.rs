@@ -673,8 +673,7 @@ pub fn run_soak_observed(config: &SoakConfig, obs: &Obs) -> SoakOutcome {
         decode_cache_misses += misses;
         invocations += core.service_mgr().invocations().len();
         awarded += core
-            .workflow_mgr()
-            .iter()
+            .workspaces()
             .map(|ws| ws.assignments.len())
             .sum::<usize>();
         if obs.metrics.is_enabled() {

@@ -75,7 +75,7 @@ fn competing_problems_serialize_on_shared_resources() {
 
     // The scanner's two commitments must not overlap.
     let scanner = community.core(hosts[1]);
-    let commitments = scanner.schedule().commitments();
+    let commitments: Vec<_> = scanner.schedule().commitments().collect();
     assert_eq!(commitments.len(), 2);
     let (a, b) = (&commitments[0], &commitments[1]);
     assert!(
