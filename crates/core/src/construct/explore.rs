@@ -155,7 +155,7 @@ pub struct ExploreScratch {
     edges_seen: usize,
     /// Task nodes skipped as infeasible in an earlier run. The feasibility
     /// oracle is a caller-supplied `FnMut` whose answers may change
-    /// between resumes (the runtime's capability rounds do exactly that),
+    /// between resumes (the runtime's round replies do exactly that),
     /// so each resumed run re-examines them.
     infeasible_skipped: Vec<NodeIdx>,
     /// Epoch-stamped feasibility memo, one slot per node: the oracle is
@@ -637,7 +637,7 @@ mod tests {
     #[test]
     fn resumed_exploration_revisits_previously_infeasible_tasks() {
         // The oracle changes its mind between resumes (as the runtime's
-        // capability rounds can): a task skipped as infeasible must get
+        // round replies can): a task skipped as infeasible must get
         // re-examined even though no edge or parent coloring changed.
         let mut sg = Supergraph::new();
         sg.merge_fragment(&frag("f", "t", Mode::Disjunctive, &["a"], &["b"]));

@@ -15,17 +15,19 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use openwf_core::{Fragment, Label, Mode, Spec, Sym};
-use openwf_net::proto::{encode_envelope, encode_hello, Hello, NET_PROTO_VERSION};
+use openwf_net::proto::{encode_envelope, encode_hello, read_envelope, Hello, NET_PROTO_VERSION};
 use openwf_net::{NetServer, QueueCaps, ServerConfig, TAG_NET_ENVELOPE};
 use openwf_runtime::{
-    encode_msg, HostConfig, Msg, ProblemId, RuntimeParams, ServiceDescription, WorkflowEvent,
+    decode_msg, encode_msg, HostConfig, Msg, ProblemId, RuntimeParams, ServiceDescription,
+    WorkflowEvent,
 };
 use openwf_simnet::{HostId, SimDuration};
-use openwf_wire::{FrameDecoder, MAX_FRAME_LEN};
+use openwf_wire::{FrameDecoder, VocabularyBudget, MAX_FRAME_LEN};
 
 const COMMUNITY: u64 = 0;
 const SERVER: HostId = HostId(0);
-/// The id the scripted peer announces; no member of the community.
+/// The id the scripted peer announces; no member of the community unless
+/// a test makes it one (see [`member_server`]).
 const PEER: HostId = HostId(9);
 /// An honest member the scripted peer may claim to speak for.
 const MEMBER: HostId = HostId(1);
@@ -44,10 +46,11 @@ fn frag(id: &str, task: &str, input: &str, output: &str) -> Fragment {
     Fragment::single_task(id, task, Mode::Disjunctive, [input], [output]).unwrap()
 }
 
-/// Wall-clock parameters short enough to wait out many times over.
+/// Wall-clock parameters short enough to wait out many times over: a
+/// member that never answers costs each round its timeout.
 fn params() -> RuntimeParams {
     RuntimeParams {
-        round_timeout: SimDuration::from_millis(100),
+        round_timeout: SimDuration::from_millis(10),
         bid_patience: SimDuration::from_millis(2),
         auction_timeout: SimDuration::from_millis(200),
         execution_watchdog: SimDuration::from_secs(5),
@@ -75,6 +78,15 @@ fn server(queue_caps: QueueCaps) -> NetServer {
     }
     server.add_core(COMMUNITY, SERVER, config, params());
     server.set_community(COMMUNITY, vec![SERVER]);
+    server
+}
+
+/// [`server`] with the scripted peer a member of its community: the
+/// server answers the peer's queries, and asks the peer in every round
+/// and auction of its own (the peer never answers).
+fn member_server(queue_caps: QueueCaps) -> NetServer {
+    let mut server = server(queue_caps);
+    server.set_community(COMMUNITY, vec![SERVER, PEER]);
     server
 }
 
@@ -120,8 +132,9 @@ fn spec_envelope(from: HostId, spec: &Spec) -> Vec<u8> {
     envelope(from, &inner)
 }
 
-/// A `FragmentQuery` as a community member would send it; the server
-/// answers the sender with what it knows about `label`.
+/// A `FragmentQuery` as a community member would send it for a problem
+/// of its own; the server answers a member with what it knows about
+/// `label`.
 fn query_envelope(from: HostId, seq: u32, label: &str) -> Vec<u8> {
     let mut inner = Vec::new();
     encode_msg(
@@ -129,6 +142,7 @@ fn query_envelope(from: HostId, seq: u32, label: &str) -> Vec<u8> {
             problem: ProblemId::new(from, seq),
             round: 0,
             labels: vec![Label::new(label)],
+            tasks: Vec::new(),
         },
         &mut inner,
     );
@@ -180,7 +194,7 @@ struct Outcome {
     events: Vec<String>,
     digest: Vec<Vec<u8>>,
     rx_frames: u64,
-    /// The envelopes the server sent the peer (its query replies).
+    /// The envelopes the server sent the peer in answer to its queries.
     replies: Vec<Vec<u8>>,
 }
 
@@ -188,7 +202,7 @@ struct Outcome {
 /// schedule cut them — turning the loop until each write has been read
 /// before making the next, then runs the workflows to completion.
 fn play(writes: &[&[u8]]) -> Outcome {
-    let mut server = server(QueueCaps::default());
+    let mut server = member_server(QueueCaps::default());
     let mut peer = TcpStream::connect(server.listen_addr().unwrap()).unwrap();
     peer.set_nodelay(true).unwrap();
     let mut written = 0u64;
@@ -210,7 +224,9 @@ fn play(writes: &[&[u8]]) -> Outcome {
         events.iter().filter(terminal).count() == 12
     });
 
-    // What the server wrote back: its hello, then one reply per query.
+    // What the server wrote back: its hello, one reply per query, and
+    // the queries and calls of its own rounds and auctions, which it
+    // sends when the wall clock says and which are left out.
     peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     let mut decoder = FrameDecoder::new();
     let mut replies = Vec::new();
@@ -222,7 +238,11 @@ fn play(writes: &[&[u8]]) -> Outcome {
         decoder.feed(&buf[..n]);
         while let Some(frame) = decoder.next_frame().unwrap() {
             if frame.tag == TAG_NET_ENVELOPE {
-                replies.push(frame.reader().rest().to_vec());
+                let envelope = read_envelope(&mut frame.reader()).expect("a valid envelope");
+                let inner = decode_msg(envelope.inner, &mut VocabularyBudget::unlimited());
+                if let Ok((Msg::FragmentReply { .. }, _)) = inner {
+                    replies.push(frame.reader().rest().to_vec());
+                }
             }
         }
     }
@@ -358,7 +378,7 @@ fn a_connection_lost_mid_frame_leaves_nothing_behind() {
 #[test]
 fn a_peer_that_never_reads_is_severed_while_others_are_served() {
     let _turn = serialized();
-    let mut server = server(QueueCaps {
+    let mut server = member_server(QueueCaps {
         max_frames: 64,
         max_bytes: 256 * 1024,
     });
@@ -505,6 +525,7 @@ fn minted_reply(from: HostId, i: usize) -> Vec<u8> {
             problem: ProblemId::new(SERVER, 0),
             round: 1,
             fragments: vec![Arc::new(fragment)],
+            capable: Vec::new(),
         },
         &mut inner,
     );
@@ -553,6 +574,7 @@ fn a_frame_in_the_servers_own_name_is_dropped_before_it_is_decoded() {
         labels: (0..16)
             .map(|i| Label::new(format!("hp-own@@{i:02}")))
             .collect(),
+        tasks: Vec::new(),
     };
     let mut inner = Vec::new();
     encode_msg(&query, &mut inner);

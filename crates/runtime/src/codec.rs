@@ -32,8 +32,7 @@ use crate::metadata::{Assignment, Bid, ExecutionPlan, PlannedOutput, PlannedTask
 const V_INITIATE: u8 = 0;
 const V_FRAGMENT_QUERY: u8 = 1;
 const V_FRAGMENT_REPLY: u8 = 2;
-const V_CAPABILITY_QUERY: u8 = 3;
-const V_CAPABILITY_REPLY: u8 = 4;
+// 3 and 4 are unassigned: they decode as unknown variants.
 const V_CALL_FOR_BIDS: u8 = 5;
 const V_BID: u8 = 6;
 const V_DECLINE: u8 = 7;
@@ -269,16 +268,19 @@ pub fn encode_msg(msg: &Msg, out: &mut Vec<u8>) {
             problem,
             round,
             labels,
+            tasks,
         } => {
             enc.byte(V_FRAGMENT_QUERY);
             write_problem(&mut enc, *problem);
             enc.varint(u64::from(*round));
             write_labels(&mut enc, labels);
+            write_tasks(&mut enc, tasks);
         }
         Msg::FragmentReply {
             problem,
             round,
             fragments,
+            capable,
         } => {
             enc.byte(V_FRAGMENT_REPLY);
             write_problem(&mut enc, *problem);
@@ -287,25 +289,6 @@ pub fn encode_msg(msg: &Msg, out: &mut Vec<u8>) {
             for f in fragments {
                 write_fragment(&mut enc, f);
             }
-        }
-        Msg::CapabilityQuery {
-            problem,
-            round,
-            tasks,
-        } => {
-            enc.byte(V_CAPABILITY_QUERY);
-            write_problem(&mut enc, *problem);
-            enc.varint(u64::from(*round));
-            write_tasks(&mut enc, tasks);
-        }
-        Msg::CapabilityReply {
-            problem,
-            round,
-            capable,
-        } => {
-            enc.byte(V_CAPABILITY_REPLY);
-            write_problem(&mut enc, *problem);
-            enc.varint(u64::from(*round));
             write_tasks(&mut enc, capable);
         }
         Msg::CallForBids {
@@ -406,6 +389,7 @@ pub fn decode_msg_with(
             problem: read_problem(&mut r)?,
             round: read_u32(&mut r)?,
             labels: read_labels(&mut r, names)?,
+            tasks: read_tasks(&mut r, names)?,
         },
         V_FRAGMENT_REPLY => {
             let problem = read_problem(&mut r)?;
@@ -420,18 +404,9 @@ pub fn decode_msg_with(
                 problem,
                 round,
                 fragments,
+                capable: read_tasks(&mut r, names)?,
             }
         }
-        V_CAPABILITY_QUERY => Msg::CapabilityQuery {
-            problem: read_problem(&mut r)?,
-            round: read_u32(&mut r)?,
-            tasks: read_tasks(&mut r, names)?,
-        },
-        V_CAPABILITY_REPLY => Msg::CapabilityReply {
-            problem: read_problem(&mut r)?,
-            round: read_u32(&mut r)?,
-            capable: read_tasks(&mut r, names)?,
-        },
         V_CALL_FOR_BIDS => Msg::CallForBids {
             problem: read_problem(&mut r)?,
             task: r.interned(names)?.task(),
@@ -593,21 +568,25 @@ mod tests {
                 problem: p(),
                 round: 7,
                 labels: vec![Label::new("rc-a"), Label::new("rc-b")],
+                tasks: vec![TaskId::new("rc-t"), TaskId::new("rc-f1-t")],
+            },
+            Msg::FragmentQuery {
+                problem: p(),
+                round: 8,
+                labels: Vec::new(),
+                tasks: vec![TaskId::new("rc-t")],
             },
             Msg::FragmentReply {
                 problem: p(),
                 round: 7,
                 fragments: vec![frag("rc-f1"), frag("rc-f2")],
+                capable: vec![TaskId::new("rc-f1-t")],
             },
-            Msg::CapabilityQuery {
+            Msg::FragmentReply {
                 problem: p(),
-                round: 1,
-                tasks: vec![TaskId::new("rc-t")],
-            },
-            Msg::CapabilityReply {
-                problem: p(),
-                round: 1,
-                capable: vec![TaskId::new("rc-t")],
+                round: 8,
+                fragments: Vec::new(),
+                capable: Vec::new(),
             },
             Msg::CallForBids {
                 problem: p(),
@@ -667,11 +646,13 @@ mod tests {
             problem: p(),
             round: 0,
             fragments: vec![frag("rc-share-1")],
+            capable: Vec::new(),
         };
         let two = Msg::FragmentReply {
             problem: p(),
             round: 0,
             fragments: vec![frag("rc-share-1"), frag("rc-share-2")],
+            capable: Vec::new(),
         };
         let (a, b) = (encoded(&one).len(), encoded(&two).len());
         assert!(
@@ -688,6 +669,7 @@ mod tests {
             problem: p(),
             round: 0,
             fragments: fragments.clone(),
+            capable: Vec::new(),
         });
         let mut budget = VocabularyBudget::with_cap(3);
         let mut scratch = DecodeScratch::new();
@@ -725,27 +707,38 @@ mod tests {
         );
     }
 
-    /// Tag 11 belonged to a variant that is gone. A frame carrying it,
-    /// with the body that variant had, is an unknown variant: dropped
-    /// like any malformed frame, and no other variant's tag moved.
+    /// Tags 3, 4 and 11 belonged to variants that are gone. A frame
+    /// carrying one, with the body that variant had, is an unknown
+    /// variant: dropped like any malformed frame, and no other variant's
+    /// tag moved.
     #[test]
     fn the_retired_tag_decodes_as_an_unknown_variant() {
-        let mut enc = FrameEncoder::new(TAG_MSG);
-        enc.byte(11);
-        write_problem(&mut enc, p());
-        enc.name(TaskId::new("rc-t").sym());
-        let mut bytes = Vec::new();
-        enc.finish(&mut bytes);
-        assert_eq!(
-            decode_msg(&bytes, &mut VocabularyBudget::unlimited()).unwrap_err(),
-            WireError::UnknownTag(11)
-        );
+        let task = TaskId::new("rc-t");
+        let retired = |tag: u8| {
+            let mut enc = FrameEncoder::new(TAG_MSG);
+            enc.byte(tag);
+            write_problem(&mut enc, p());
+            if tag == 11 {
+                enc.name(task.sym());
+            } else {
+                // A round and its tasks.
+                enc.varint(1);
+                write_tasks(&mut enc, std::slice::from_ref(&task));
+            }
+            let mut bytes = Vec::new();
+            enc.finish(&mut bytes);
+            bytes
+        };
+        for tag in [3, 4, 11] {
+            assert_eq!(
+                decode_msg(&retired(tag), &mut VocabularyBudget::unlimited()).unwrap_err(),
+                WireError::UnknownTag(tag)
+            );
+        }
         let tags = [
             V_INITIATE,
             V_FRAGMENT_QUERY,
             V_FRAGMENT_REPLY,
-            V_CAPABILITY_QUERY,
-            V_CAPABILITY_REPLY,
             V_CALL_FOR_BIDS,
             V_BID,
             V_DECLINE,
@@ -754,7 +747,7 @@ mod tests {
             V_INPUT_DELIVERY,
             V_GOAL_DELIVERED,
         ];
-        assert_eq!(tags, [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12]);
+        assert_eq!(tags, [0, 1, 2, 5, 6, 7, 8, 9, 10, 12]);
     }
 
     #[test]
@@ -767,6 +760,7 @@ mod tests {
             problem: p(),
             round: 0,
             fragments: (0..20).map(|i| frag(&format!("rc-sz-{i}"))).collect(),
+            capable: Vec::new(),
         };
         let (small, big) = (encoded(&small).len(), encoded(&big).len());
         assert!(small < 64);

@@ -422,8 +422,8 @@ mod tests {
                     .with_service(service("cr-t0"))
                     .with_service(service("cr-t1")),
             )
-            // Four own names, room for the first round's `cr-a` and the
-            // capability rounds' task names, not for the wide frontier.
+            // Four own names, room for the first round's `cr-a`, not for
+            // the wide frontier.
             .host(
                 HostConfig::new()
                     .with_fragment(frag("cr-fx", "cr-tx", "cr-x", "cr-y"))

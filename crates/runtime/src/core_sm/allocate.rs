@@ -49,7 +49,10 @@ fn better_bid(a: &(HostId, Bid), b: &(HostId, Bid)) -> bool {
 
 impl HostCore {
     /// [`Msg::CallForBids`]: answers with a [`Msg::Bid`] or a
-    /// [`Msg::Decline`].
+    /// [`Msg::Decline`]. Only the problem's initiator calls for bids, and
+    /// only a member is answered: a call in anyone else's name is
+    /// dropped, so it cannot hold this host's slots (and fill its
+    /// commitment budget) for another initiator's problem.
     pub(super) fn on_call_for_bids(
         &mut self,
         from: HostId,
@@ -59,6 +62,9 @@ impl HostCore {
         now: SimTime,
         q: &mut ActionQueue,
     ) {
+        if from != problem.initiator || !self.community.contains(&from) {
+            return;
+        }
         let reply = match self.consider_bid(problem, &task, &meta, now, q) {
             Some(bid) => Msg::Bid { problem, task, bid },
             None => Msg::Decline { problem, task },

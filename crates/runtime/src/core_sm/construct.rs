@@ -1,25 +1,31 @@
 //! Construction (§3.1): the initiator's query rounds and the repliers'
-//! side of both queries. A round opens by broadcasting a
-//! `FragmentQuery` or `CapabilityQuery` and arming its timeout, and
-//! closes when every peer's reply is counted or the timeout fires. A
-//! fragment round's answers merge into the workspace's frontier
-//! construction ([`openwf_core::FrontierConstruction`]) and, when they
-//! bring tasks nobody was asked about, a capability round follows; then
-//! the engine resumes and either hands out the next frontier or
-//! finishes, and the attempt moves on to allocation or fails.
+//! side of them. A round opens by broadcasting a `FragmentQuery` and
+//! arming its timeout, and closes when every peer's reply is counted or
+//! the timeout fires. The query asks for the fragments consuming the
+//! frontier the workspace's frontier construction
+//! ([`openwf_core::FrontierConstruction`]) handed out, and which of the
+//! tasks the previous round brought in — those this host cannot serve —
+//! the peer can serve: Figure 3's service-feasibility messages ride in the
+//! fragment messages, so a frontier step costs one round trip. Until its
+//! round's replies arrive, an unasked task counts as servable; an asked
+//! task no reply offers is refuted, and the engine recolors the
+//! supergraph it holds without it. A workflow built while some of its
+//! tasks were still unasked waits for one last round, with no labels,
+//! about those tasks. Then the attempt moves on to allocation, or fails.
 //! Everything here runs between the `construct` span's begin and end.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use openwf_core::construct::incremental::Next;
-use openwf_core::{ConstructError, Label, Spec, TaskId};
+use openwf_core::{ConstructError, Construction, Fragment, Label, Spec, TaskId};
 use openwf_obs::SpanPhase;
 use openwf_simnet::{HostId, SimTime};
 
 use super::{Action, ActionQueue, HostCore, TimerPurpose, WorkflowEvent};
 use crate::messages::{Msg, ProblemId};
 use crate::report::ProblemStatus;
-use crate::workflow_mgr::{Answers, Collect, Workspace};
+use crate::workflow_mgr::{Collect, Workspace};
 
 impl HostCore {
     /// [`Msg::Initiate`]: opens the problem's workspace and its first
@@ -69,21 +75,29 @@ impl HostCore {
         if frontier.is_empty() {
             self.resume_construction(problem, now, q);
         } else {
-            self.open_fragment_round(problem, frontier, now, q);
+            self.open_round(problem, frontier, Vec::new(), now, q);
         }
     }
 
     /// [`Msg::FragmentQuery`]: answers with the local knowhow consuming
-    /// any of `labels`.
+    /// any of `labels` and the subset of `tasks` a local service can
+    /// perform. Only the problem's initiator asks, and only a member is
+    /// answered: a query in anyone else's name is dropped, so it learns
+    /// nothing of this host's knowhow or services.
     pub(super) fn on_fragment_query(
         &mut self,
         from: HostId,
         problem: ProblemId,
         round: u32,
         labels: Vec<Label>,
+        tasks: Vec<TaskId>,
         q: &mut ActionQueue,
     ) {
+        if from != problem.initiator || !self.community.contains(&from) {
+            return;
+        }
         let fragments = self.fragment_mgr.query(&labels);
+        let capable = self.service_mgr.capable_of(&tasks);
         self.emit(
             q,
             from,
@@ -91,48 +105,28 @@ impl HostCore {
                 problem,
                 round,
                 fragments,
-            },
-        );
-    }
-
-    /// [`Msg::CapabilityQuery`]: answers with the subset of `tasks` a
-    /// local service can perform.
-    pub(super) fn on_capability_query(
-        &mut self,
-        from: HostId,
-        problem: ProblemId,
-        round: u32,
-        tasks: Vec<TaskId>,
-        q: &mut ActionQueue,
-    ) {
-        let capable = self.service_mgr.capable_of(&tasks);
-        self.emit(
-            q,
-            from,
-            Msg::CapabilityReply {
-                problem,
-                round,
                 capable,
             },
         );
     }
 
-    /// [`Msg::FragmentReply`] and [`Msg::CapabilityReply`] (a reply's
-    /// fragments were charged against the vocabulary budget when
-    /// [`HostCore::handle_frame`] decoded them): `from`'s answers count
-    /// towards `problem`'s open round if they are of its kind, for its
-    /// number, and the first from `from`, one of the other members. A
-    /// finished attempt, a stale reply (after a timeout, say), a
-    /// wrong-kind one, a duplicate delivery and a reply from anyone but
-    /// the other members change nothing: counted, a stranger's reply
-    /// would close the round early and turn a member's late one away as
-    /// stale. The last peer's reply closes the round.
+    /// [`Msg::FragmentReply`] (its fragments were charged against the
+    /// vocabulary budget when [`HostCore::handle_frame`] decoded them):
+    /// `from`'s answers count towards `problem`'s open round if they are
+    /// for its number, and the first from `from`, one of the other
+    /// members. A finished attempt, a stale reply (after a timeout, say),
+    /// a duplicate delivery and a reply from anyone but the other members
+    /// change nothing: counted, a stranger's reply would close the round
+    /// early and turn a member's late one away as stale. The last peer's
+    /// reply closes the round.
+    #[allow(clippy::too_many_arguments)]
     pub(super) fn on_query_reply(
         &mut self,
         from: HostId,
         problem: ProblemId,
         round: u32,
-        answers: Answers,
+        fragments: Vec<Arc<Fragment>>,
+        capable: Vec<TaskId>,
         now: SimTime,
         q: &mut ActionQueue,
     ) {
@@ -149,54 +143,37 @@ impl HostCore {
         let Some(c) = w.collect.as_mut() else {
             return;
         };
-        if c.round != round || c.replied.contains(&from) {
+        if c.round != round || !c.replied.insert(from) {
             return;
         }
-        match (&mut c.answers, answers) {
-            (Answers::Fragments(have), Answers::Fragments(more)) => have.extend(more),
-            (Answers::Capable(have), Answers::Capable(more)) => have.extend(more),
-            _ => return,
-        }
-        c.replied.insert(from);
+        c.fragments.extend(fragments);
+        c.capable.extend(capable);
         if c.replied.len() >= w.n_peers {
             self.close_round(problem, now, q);
         }
     }
 
-    fn open_fragment_round(
-        &mut self,
-        problem: ProblemId,
-        frontier: Vec<Label>,
-        now: SimTime,
-        q: &mut ActionQueue,
-    ) {
-        if let Some(ws) = self.workspaces.get_mut(&problem) {
-            ws.report.query_rounds += 1;
-        }
-        let own = Answers::Fragments(self.fragment_mgr.query(&frontier));
-        self.open_round(problem, own, now, q, |round| Msg::FragmentQuery {
-            problem,
-            round,
-            labels: frontier,
-        });
-    }
-
-    /// Opens `problem`'s next round, holding this host's `own` answers:
-    /// broadcasts `query(round)` to every peer, then arms the round's
-    /// timeout. Without peers the round closes here.
+    /// Opens `problem`'s next round, holding this host's own fragments
+    /// for `frontier`: asks every peer for theirs and which of `tasks`
+    /// they serve, then arms the round's timeout. A round with labels is
+    /// a frontier round, which the report counts; the last round before
+    /// allocation has none. Without peers the round closes here.
     fn open_round(
         &mut self,
         problem: ProblemId,
-        own: Answers,
+        frontier: Vec<Label>,
+        tasks: Vec<TaskId>,
         now: SimTime,
         q: &mut ActionQueue,
-        query: impl FnOnce(u32) -> Msg,
     ) {
-        let Some(w) = self
-            .workspaces
-            .get_mut(&problem)
-            .and_then(|ws| ws.working.as_deref_mut())
-        else {
+        let fragments = self.fragment_mgr.query(&frontier);
+        let Some(ws) = self.workspaces.get_mut(&problem) else {
+            return;
+        };
+        if !frontier.is_empty() {
+            ws.report.query_rounds += 1;
+        }
+        let Some(w) = ws.working.as_deref_mut() else {
             return;
         };
         debug_assert!(w.collect.is_none(), "one round at a time");
@@ -205,14 +182,22 @@ impl HostCore {
         w.collect = Some(Collect {
             round,
             replied: BTreeSet::new(),
-            answers: own,
+            fragments,
+            asked: tasks.clone(),
+            capable: BTreeSet::new(),
         });
         if w.n_peers == 0 {
             self.close_round(problem, now, q);
             return;
         }
         let others = self.others();
-        self.emit_all(q, &others, query(round));
+        let query = Msg::FragmentQuery {
+            problem,
+            round,
+            labels: frontier,
+            tasks,
+        };
+        self.emit_all(q, &others, query);
         self.metrics.rounds.inc();
         // A workspace runs one round at a time: this round's timeout
         // replaces its predecessor's, which closed with it.
@@ -221,11 +206,13 @@ impl HostCore {
     }
 
     /// Closes `problem`'s open round: at the last peer's reply, or at
-    /// `RoundTimeout` with the answers that arrived. A fragment round
-    /// merges what it collected and, when that brought tasks nobody was
-    /// asked about, opens a capability round for them; a capability round
-    /// adds the tasks someone can serve to the feasible set. Otherwise
-    /// the construction resumes.
+    /// `RoundTimeout` with the answers that arrived. Every asked task no
+    /// answer offered is refuted. The last round before allocation hands
+    /// its workflow on if it refuted none of it; a frontier round merges
+    /// the fragments it collected and sets aside the tasks they bring in
+    /// that this host cannot serve, for the next round to ask about. Then
+    /// the construction resumes, over a fresh coloring if a task was
+    /// refuted.
     pub(super) fn close_round(&mut self, problem: ProblemId, now: SimTime, q: &mut ActionQueue) {
         let Some(ws) = self.workspaces.get_mut(&problem) else {
             return;
@@ -236,40 +223,47 @@ impl HostCore {
         let Some(c) = w.collect.take() else {
             return;
         };
-        match c.answers {
-            Answers::Fragments(fragments) => {
-                let merged = w.engine.merge(&fragments);
+        // A task is asked about once, so whatever this adds is news.
+        let known = w.refuted.len();
+        w.refuted
+            .extend(c.asked.into_iter().filter(|t| !c.capable.contains(t)));
+        let refuted = w.refuted.len() > known;
+        match w.built.take() {
+            Some(construction) if !refuted => {
+                self.constructed(problem, construction, now, q);
+                return;
+            }
+            Some(_) => {}
+            None => {
+                let merged = w.engine.merge(&c.fragments);
                 ws.report.fragments_pulled += merged;
                 q.charge(self.params.merge_fragment_cost.times(merged as u64));
-                // Which tasks are new to us? Ask the community who can
-                // serve them before exploring.
-                let new_tasks: Vec<TaskId> = w
-                    .engine
-                    .supergraph()
-                    .graph()
-                    .tasks()
-                    .filter(|t| !w.capability_checked.contains(t))
-                    .collect();
-                if !new_tasks.is_empty() {
-                    w.capability_checked.extend(new_tasks.iter().cloned());
-                    let own = Answers::Capable(self.service_mgr.capable_of(&new_tasks));
-                    self.open_round(problem, own, now, q, |round| Msg::CapabilityQuery {
-                        problem,
-                        round,
-                        tasks: new_tasks,
-                    });
-                    return;
+                for task in w.engine.supergraph().graph().tasks().skip(w.tasks_seen) {
+                    w.tasks_seen += 1;
+                    if self.service_mgr.can_serve(&task) {
+                        continue;
+                    }
+                    // Without peers there is nobody else to ask.
+                    if w.n_peers == 0 {
+                        w.refuted.insert(task);
+                    } else {
+                        w.unasked.push(task);
+                    }
                 }
             }
-            Answers::Capable(capable) => w.feasible.extend(capable),
+        }
+        if refuted {
+            w.engine.recolor();
         }
         self.resume_construction(problem, now, q);
     }
 
-    /// Resumes `problem`'s construction under what the capability
-    /// rounds have established so far, and opens the round or ends the
-    /// phase it asks for: construction hands over to allocation, or
-    /// fails the attempt for good.
+    /// Resumes `problem`'s construction, every task not refuted counting
+    /// as servable, and opens the round or ends the phase it asks for. A
+    /// frontier round also asks about the tasks still unasked. A workflow
+    /// with unasked tasks is held while the last round asks about them;
+    /// one without goes to allocation. A failed construction fails the
+    /// attempt for good.
     fn resume_construction(&mut self, problem: ProblemId, now: SimTime, q: &mut ActionQueue) {
         let Some(ws) = self.workspaces.get_mut(&problem) else {
             return;
@@ -277,19 +271,26 @@ impl HostCore {
         let Some(w) = ws.working.as_deref_mut() else {
             return;
         };
-        let feasible = &w.feasible;
-        let (steps, next) = w.engine.resume(|t| feasible.contains(t));
+        let refuted = &w.refuted;
+        let (steps, next) = w.engine.resume(|t| !refuted.contains(t));
         q.charge(self.params.explore_step_cost.times(steps));
         match next {
-            Next::Ask(frontier) => self.open_fragment_round(problem, frontier, now, q),
+            Next::Ask(frontier) => {
+                let tasks = std::mem::take(&mut w.unasked);
+                self.open_round(problem, frontier, tasks, now, q);
+            }
             Next::Done(Ok(construction)) => {
-                ws.construction = Some(construction);
-                ws.report.status = ProblemStatus::Allocating;
-                self.timers.disarm(problem, &TimerPurpose::RoundTimeout);
-                self.span(now, problem, "construct", SpanPhase::End);
-                self.span(now, problem, "allocate", SpanPhase::Begin);
-                q.push(Action::Event(WorkflowEvent::Constructed { problem }));
-                self.start_allocation(problem, now, q);
+                let workflow = construction.workflow();
+                let (ask, keep): (Vec<TaskId>, Vec<TaskId>) = std::mem::take(&mut w.unasked)
+                    .into_iter()
+                    .partition(|t| workflow.contains_task(t));
+                w.unasked = keep;
+                if ask.is_empty() {
+                    self.constructed(problem, construction, now, q);
+                } else {
+                    w.built = Some(construction);
+                    self.open_round(problem, Vec::new(), ask, now, q);
+                }
             }
             Next::Done(Err(e)) => {
                 let reason = match &e {
@@ -305,7 +306,9 @@ impl HostCore {
                 // Construction failure is final: the community's live
                 // knowledge cannot satisfy the spec. (Repair handles
                 // allocation/execution failures, where retrying can
-                // help because community state changed.)
+                // help because community state changed.) Counting the
+                // unasked tasks as servable only widened the search, so
+                // asking about them cannot help either.
                 self.retire(problem);
                 if self.obs.trace.is_enabled() {
                     self.trace(
@@ -321,5 +324,25 @@ impl HostCore {
                 q.push(Action::Event(WorkflowEvent::Failed { problem, reason }));
             }
         }
+    }
+
+    /// Construction is over: the workflow goes to allocation.
+    fn constructed(
+        &mut self,
+        problem: ProblemId,
+        construction: Construction,
+        now: SimTime,
+        q: &mut ActionQueue,
+    ) {
+        let Some(ws) = self.workspaces.get_mut(&problem) else {
+            return;
+        };
+        ws.construction = Some(construction);
+        ws.report.status = ProblemStatus::Allocating;
+        self.timers.disarm(problem, &TimerPurpose::RoundTimeout);
+        self.span(now, problem, "construct", SpanPhase::End);
+        self.span(now, problem, "allocate", SpanPhase::Begin);
+        q.push(Action::Event(WorkflowEvent::Constructed { problem }));
+        self.start_allocation(problem, now, q);
     }
 }

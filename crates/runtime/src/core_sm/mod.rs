@@ -39,7 +39,7 @@
 //!
 //! | [`Msg`] variant | owner |
 //! |---|---|
-//! | `Initiate`, `FragmentQuery`, `FragmentReply`, `CapabilityQuery`, `CapabilityReply` | `construct.rs` |
+//! | `Initiate`, `FragmentQuery` (frontier labels and unasked tasks), `FragmentReply` (fragments and capable tasks) | `construct.rs` |
 //! | `CallForBids`, `Bid`, `Decline`, `Award` | `allocate.rs` |
 //! | `Execute`, `InputDelivery`, `GoalDelivered` | `execute.rs` |
 //!
@@ -80,7 +80,7 @@ use crate::prefs::Preferences;
 use crate::schedule::ScheduleManager;
 use crate::service::ServiceManager;
 use crate::timers::TimerTable;
-use crate::workflow_mgr::{Answers, Workspace};
+use crate::workflow_mgr::Workspace;
 
 mod action;
 mod allocate;
@@ -624,22 +624,14 @@ impl HostCore {
                 problem,
                 round,
                 labels,
-            } => self.on_fragment_query(from, problem, round, labels, q),
+                tasks,
+            } => self.on_fragment_query(from, problem, round, labels, tasks, q),
             Msg::FragmentReply {
                 problem,
                 round,
                 fragments,
-            } => self.on_query_reply(from, problem, round, Answers::Fragments(fragments), now, q),
-            Msg::CapabilityQuery {
-                problem,
-                round,
-                tasks,
-            } => self.on_capability_query(from, problem, round, tasks, q),
-            Msg::CapabilityReply {
-                problem,
-                round,
                 capable,
-            } => self.on_query_reply(from, problem, round, Answers::Capable(capable), now, q),
+            } => self.on_query_reply(from, problem, round, fragments, capable, now, q),
 
             Msg::CallForBids {
                 problem,

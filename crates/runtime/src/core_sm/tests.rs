@@ -289,10 +289,7 @@ fn zero_peer_construction_completes_locally() {
         q.actions()
     );
     for (_, msg) in sent(&q) {
-        assert!(
-            !matches!(msg, Msg::FragmentQuery { .. } | Msg::CapabilityQuery { .. }),
-            "{msg:?}"
-        );
+        assert!(!matches!(msg, Msg::FragmentQuery { .. }), "{msg:?}");
     }
     let ws = core.latest_attempt(problem).expect("workspace");
     assert!(ws.report.query_rounds > 0);
@@ -322,20 +319,27 @@ fn zero_peer_construction_respects_capabilities() {
 }
 
 /// With a peer, each round is a broadcast followed by its timeout; the
-/// test plays the peer. The fragment round's reply opens a capability
-/// round for the task it brought, whose reply ends construction.
+/// test plays the peer. The fragment round's reply brings a task the
+/// initiator cannot serve, so the workflow waits for one last round,
+/// without labels, that asks who can; the peer's offer ends construction.
 #[test]
 fn peer_rounds_drive_queries_and_replies() {
-    // The initiator knows nothing and serves t1.
-    let mut core = initiator(HostConfig::new().with_service(service("pr-t1")), 2);
+    // The initiator knows nothing and serves nothing.
+    let mut core = initiator(HostConfig::new(), 2);
     let (problem, peer) = (ProblemId::new(HostId(0), 0), HostId(1));
     let now = SimTime::ZERO;
     let q = core.initiate(problem, Spec::new(["pr-a"], ["pr-b"]), now);
     let round = match &q.actions() {
         [Action::SendBytes { to, bytes }, Action::SetTimer { .. }] if *to == peer => {
             match decoded(bytes) {
-                Msg::FragmentQuery { round, labels, .. } => {
+                Msg::FragmentQuery {
+                    round,
+                    labels,
+                    tasks,
+                    ..
+                } => {
                     assert_eq!(labels, vec![Label::new("pr-a")]);
+                    assert!(tasks.is_empty(), "nothing discovered yet: {tasks:?}");
                     round
                 }
                 other => panic!("expected a fragment query, got {other:?}"),
@@ -349,15 +353,29 @@ fn peer_rounds_drive_queries_and_replies() {
         problem,
         round,
         fragments: vec![Arc::new(frag("pr-f1", "pr-t1", "pr-a", "pr-b"))],
+        capable: Vec::new(),
     };
     let q = core.handle_frame(peer, &frame(&reply), now);
-    let cap_round = match &sent(&q)[..] {
-        [(_, Msg::CapabilityQuery { round, tasks, .. })] => {
+    let last = match &sent(&q)[..] {
+        [(
+            _,
+            Msg::FragmentQuery {
+                round,
+                labels,
+                tasks,
+                ..
+            },
+        )] => {
+            assert!(labels.is_empty(), "the frontier is spent: {labels:?}");
             assert_eq!(tasks, &vec![TaskId::new("pr-t1")]);
             *round
         }
-        other => panic!("expected a capability query, got {other:?}"),
+        other => panic!("expected the last round's query, got {other:?}"),
     };
+    assert!(!surfaced(&q, |e| matches!(
+        e,
+        WorkflowEvent::Constructed { .. }
+    )));
     assert_eq!(armed(&q).len(), 1);
     assert_eq!(
         core.armed_timer_count(),
@@ -365,11 +383,12 @@ fn peer_rounds_drive_queries_and_replies() {
         "the first round's timeout went"
     );
 
-    // The peer serves nothing; the local service suffices.
-    let reply = Msg::CapabilityReply {
+    // The peer serves t1.
+    let reply = Msg::FragmentReply {
         problem,
-        round: cap_round,
-        capable: Vec::new(),
+        round: last,
+        fragments: Vec::new(),
+        capable: vec![TaskId::new("pr-t1")],
     };
     let q = core.handle_frame(peer, &frame(&reply), now);
     assert!(
@@ -378,17 +397,16 @@ fn peer_rounds_drive_queries_and_replies() {
         q.actions()
     );
     let ws = core.latest_attempt(problem).expect("workspace");
-    assert_eq!(ws.report.query_rounds, 1);
+    assert_eq!(ws.report.query_rounds, 1, "frontier rounds only");
     assert_eq!(ws.report.fragments_pulled, 1);
 }
 
-/// Peers that never answer: each round's timeout closes it with the
-/// host's own answers, and construction goes on.
+/// Peers that stay silent: each round's timeout closes it with the
+/// answers that arrived, and construction goes on with them.
 #[test]
 fn round_timeout_proceeds_with_partial_replies() {
-    let config = HostConfig::new()
-        .with_fragment(frag("rt-f1", "rt-t1", "rt-a", "rt-b"))
-        .with_service(service("rt-t1"));
+    // The initiator knows the fragment but serves nothing.
+    let config = HostConfig::new().with_fragment(frag("rt-f1", "rt-t1", "rt-a", "rt-b"));
     let mut core = initiator(config, 3);
     let problem = ProblemId::new(HostId(0), 0);
     let q = core.initiate(problem, Spec::new(["rt-a"], ["rt-b"]), SimTime::ZERO);
@@ -403,19 +421,29 @@ fn round_timeout_proceeds_with_partial_replies() {
         panic!("one round timeout: {:?}", q.actions())
     };
     let due = core.next_timer_due().expect("armed");
-    // The timeout closes the fragment round with the local fragment; the
-    // capability round that follows times out as well.
+    // Nobody answers: the timeout closes the frontier round with the
+    // local fragment, and the last round asks who serves its task.
     let q = core.handle_timer(token, due);
-    assert!(
-        sent(&q)
-            .iter()
-            .all(|(_, m)| matches!(m, Msg::CapabilityQuery { .. })),
-        "{:?}",
-        q.actions()
-    );
+    let last = match &sent(&q)[..] {
+        [(HostId(1), Msg::FragmentQuery { round, tasks, .. }), (HostId(2), _)] => {
+            assert_eq!(tasks, &vec![TaskId::new("rt-t1")]);
+            *round
+        }
+        other => panic!("expected the last round's query, got {other:?}"),
+    };
     let [token] = armed(&q)[..] else {
         panic!("one round timeout: {:?}", q.actions())
     };
+    // Host 1 offers the task and host 2 stays silent: the timeout counts
+    // the offer.
+    let offer = Msg::FragmentReply {
+        problem,
+        round: last,
+        fragments: Vec::new(),
+        capable: vec![TaskId::new("rt-t1")],
+    };
+    let q = core.handle_frame(HostId(1), &frame(&offer), due);
+    assert!(q.is_empty(), "host 2 has not answered: {:?}", q.actions());
     let due = core.next_timer_due().expect("armed");
     let q = core.handle_timer(token, due);
     assert!(
@@ -425,7 +453,7 @@ fn round_timeout_proceeds_with_partial_replies() {
     );
 }
 
-/// A reply for another round, or of the other kind, is not counted:
+/// A reply for another round, or for another attempt, is not counted:
 /// the round stays open until the genuine reply arrives.
 #[test]
 fn stale_replies_are_ignored() {
@@ -438,10 +466,12 @@ fn stale_replies_are_ignored() {
             problem,
             round: 99,
             fragments: Vec::new(),
+            capable: Vec::new(),
         },
-        Msg::CapabilityReply {
-            problem,
+        Msg::FragmentReply {
+            problem: problem.next_attempt(),
             round: 1,
+            fragments: Vec::new(),
             capable: Vec::new(),
         },
     ] {
@@ -456,6 +486,7 @@ fn stale_replies_are_ignored() {
         problem,
         round: 1,
         fragments: Vec::new(),
+        capable: Vec::new(),
     };
     let q = core.handle_frame(peer, &frame(&genuine), now);
     assert!(
@@ -469,9 +500,9 @@ fn stale_replies_are_ignored() {
 /// round stays open until the other peer answers.
 #[test]
 fn a_duplicated_reply_does_not_close_a_two_peer_round() {
-    let config = HostConfig::new()
-        .with_fragment(frag("dr-f1", "dr-t1", "dr-a", "dr-b"))
-        .with_service(service("dr-t1"));
+    // The initiator serves nothing, so the round that closes opens the
+    // last round, about `dr-t1`.
+    let config = HostConfig::new().with_fragment(frag("dr-f1", "dr-t1", "dr-a", "dr-b"));
     let mut core = initiator(config, 3);
     let (problem, now) = (ProblemId::new(HostId(0), 0), SimTime::ZERO);
     let _ = core.initiate(problem, Spec::new(["dr-a"], ["dr-b"]), now);
@@ -479,6 +510,7 @@ fn a_duplicated_reply_does_not_close_a_two_peer_round() {
         problem,
         round: 1,
         fragments: Vec::new(),
+        capable: Vec::new(),
     });
     for copy in 0..2 {
         let q = core.handle_frame(HostId(1), &reply, now);
@@ -489,8 +521,8 @@ fn a_duplicated_reply_does_not_close_a_two_peer_round() {
         matches!(
             &sent(&q)[..],
             [
-                (HostId(1), Msg::CapabilityQuery { round: 2, .. }),
-                (HostId(2), Msg::CapabilityQuery { round: 2, .. })
+                (HostId(1), Msg::FragmentQuery { round: 2, .. }),
+                (HostId(2), Msg::FragmentQuery { round: 2, .. })
             ]
         ),
         "the second peer's reply closes the round: {:?}",
@@ -532,10 +564,6 @@ fn late_traffic_for_a_completed_attempt_changes_nothing() {
                             problem,
                             round,
                             fragments: Vec::new(),
-                        },
-                        Msg::CapabilityQuery { problem, round, .. } => Msg::CapabilityReply {
-                            problem,
-                            round,
                             capable: Vec::new(),
                         },
                         Msg::CallForBids { problem, task, .. } => Msg::Decline { problem, task },
@@ -757,6 +785,7 @@ fn minting_peer_is_quarantined_after_cap() {
             &format!("qr-mint-in{i}"),
             &format!("qr-mint-out{i}"),
         ))],
+        capable: Vec::new(),
     };
 
     // First over-budget reply: rejected, counted, not yet quarantined.
@@ -785,13 +814,17 @@ fn minting_peer_is_quarantined_after_cap() {
         q.actions()
     );
 
-    // Quarantined traffic — even well-formed queries — is dropped.
-    let query = frame(&Msg::FragmentQuery {
-        problem,
-        round: 9,
-        labels: vec![Label::new("qr-a")],
-    });
-    let q = core.handle_frame(HostId(1), &query, SimTime::ZERO);
+    // Quarantined traffic — even a well-formed query for its own
+    // problem — is dropped.
+    let query = |asker: HostId| {
+        frame(&Msg::FragmentQuery {
+            problem: ProblemId::new(asker, 0),
+            round: 9,
+            labels: vec![Label::new("qr-a")],
+            tasks: Vec::new(),
+        })
+    };
+    let q = core.handle_frame(HostId(1), &query(HostId(1)), SimTime::ZERO);
     assert!(q.is_empty(), "no reply to a quarantined peer");
     assert_eq!(q.charged(), SimDuration::ZERO, "dropped before processing");
     assert_eq!(
@@ -801,7 +834,7 @@ fn minting_peer_is_quarantined_after_cap() {
     );
 
     // An innocent peer is unaffected.
-    let q = core.handle_frame(HostId(2), &query, SimTime::ZERO);
+    let q = core.handle_frame(HostId(2), &query(HostId(2)), SimTime::ZERO);
     assert!(
         q.actions()
             .iter()
@@ -832,6 +865,7 @@ fn over_budget_frame_is_rejected_at_decode() {
             "fb-mint-in",
             "fb-mint-out",
         ))],
+        capable: Vec::new(),
     });
     let q = core.handle_frame(HostId(1), &bytes, SimTime::ZERO);
     assert!(q.is_empty());
@@ -863,20 +897,22 @@ fn non_reply_frames_cannot_mint_past_the_cap() {
     let mut core = HostCore::new(cfg, RuntimeParams::default());
     core.bind(HostId(0));
     core.set_community(vec![HostId(0), HostId(1)]);
-    let problem = ProblemId::new(HostId(0), 0);
     let names_before = core.vocabulary_names();
 
     // A peer query minting fresh labels: dropped, nothing recorded,
     // and the peer is NOT blamed (echoing a rich frontier is not
     // evidence of minting).
-    let bytes = frame(&Msg::FragmentQuery {
-        problem,
-        round: 1,
-        labels: (0..16)
-            .map(|i| Label::new(format!("nf-mint-{i}")))
-            .collect(),
-    });
-    let q = core.handle_frame(HostId(1), &bytes, SimTime::ZERO);
+    let minting = |asker: HostId| {
+        frame(&Msg::FragmentQuery {
+            problem: ProblemId::new(asker, 0),
+            round: 1,
+            labels: (0..16)
+                .map(|i| Label::new(format!("nf-mint-{i}")))
+                .collect(),
+            tasks: Vec::new(),
+        })
+    };
+    let q = core.handle_frame(HostId(1), &minting(HostId(1)), SimTime::ZERO);
     assert!(q.is_empty(), "over-budget query dropped, not answered");
     assert_eq!(core.vocabulary_names(), names_before, "nothing interned");
     assert_eq!(core.vocabulary_rejections_from(HostId(1)), 0, "no blame");
@@ -884,9 +920,10 @@ fn non_reply_frames_cannot_mint_past_the_cap() {
 
     // A within-budget query from the same peer still gets answered.
     let ok_bytes = frame(&Msg::FragmentQuery {
-        problem,
+        problem: ProblemId::new(HostId(1), 0),
         round: 2,
         labels: vec![Label::new("nf-a")],
+        tasks: Vec::new(),
     });
     let q = core.handle_frame(HostId(1), &ok_bytes, SimTime::ZERO);
     assert!(
@@ -897,9 +934,9 @@ fn non_reply_frames_cannot_mint_past_the_cap() {
         q.actions()
     );
 
-    // The same minting frame from *self* (a driver looping back own
+    // The same minting query from *self* (a driver looping back own
     // traffic) bypasses the budget entirely and is processed.
-    let q = core.handle_frame(HostId(0), &bytes, SimTime::ZERO);
+    let q = core.handle_frame(HostId(0), &minting(HostId(0)), SimTime::ZERO);
     assert!(
         q.actions()
             .iter()
@@ -1628,18 +1665,15 @@ fn auctioning_chain_serving(
     loop {
         for (to, msg) in sent(&q) {
             let reply = match msg {
-                Msg::FragmentQuery { problem, round, .. } => Msg::FragmentReply {
-                    problem,
-                    round,
-                    fragments: Vec::new(),
-                },
-                Msg::CapabilityQuery {
+                Msg::FragmentQuery {
                     problem,
                     round,
                     tasks,
-                } => Msg::CapabilityReply {
+                    ..
+                } => Msg::FragmentReply {
                     problem,
                     round,
+                    fragments: Vec::new(),
                     capable: tasks,
                 },
                 Msg::CallForBids { .. } => continue,
@@ -1969,9 +2003,7 @@ fn a_forged_award_firms_nothing() {
 /// stale.
 #[test]
 fn a_non_member_reply_does_not_close_a_round() {
-    let config = HostConfig::new()
-        .with_fragment(frag("nm-f1", "nm-t1", "nm-a", "nm-b"))
-        .with_service(service("nm-t1"));
+    let config = HostConfig::new().with_fragment(frag("nm-f1", "nm-t1", "nm-a", "nm-b"));
     let mut core = initiator(config, 3);
     let (problem, now) = (ProblemId::new(HostId(0), 0), SimTime::ZERO);
     let _ = core.initiate(problem, Spec::new(["nm-a"], ["nm-b"]), now);
@@ -1979,6 +2011,7 @@ fn a_non_member_reply_does_not_close_a_round() {
         problem,
         round: 1,
         fragments: Vec::new(),
+        capable: Vec::new(),
     });
     for from in [HostId(9), HostId(0), HostId(1)] {
         let q = core.handle_frame(from, &reply, now);
@@ -1989,8 +2022,8 @@ fn a_non_member_reply_does_not_close_a_round() {
         matches!(
             &sent(&q)[..],
             [
-                (HostId(1), Msg::CapabilityQuery { round: 2, .. }),
-                (HostId(2), Msg::CapabilityQuery { round: 2, .. })
+                (HostId(1), Msg::FragmentQuery { round: 2, .. }),
+                (HostId(2), Msg::FragmentQuery { round: 2, .. })
             ]
         ),
         "the last member's reply closes the round: {:?}",
@@ -2069,4 +2102,157 @@ fn workspaces_are_isolated_and_found_by_problem() {
     assert_eq!(core.latest_attempt(p2).map(|ws| ws.problem), Some(p2));
     assert!(core.latest_attempt(ProblemId::new(HostId(0), 0)).is_none());
     assert!(core.latest_attempt(ProblemId::new(HostId(1), 1)).is_none());
+}
+
+/// A core bound as host 1 of a three-host community whose other members,
+/// hosts 0 and 2, the test plays.
+fn member(config: HostConfig) -> HostCore {
+    let mut core = HostCore::new(config, RuntimeParams::default());
+    core.bind(HostId(1));
+    core.set_community(vec![HostId(0), HostId(1), HostId(2)]);
+    core
+}
+
+/// Only a problem's initiator calls for bids: a call another member
+/// sends in host 0's name, or a stranger in its own, holds no slot, arms
+/// no expiry and is not answered, so host 0's own call is answered as if
+/// neither had come.
+#[test]
+fn a_forged_call_for_bids_books_nothing() {
+    let mut core = member(HostConfig::new().with_service(service("fc-t")));
+    let problem = ProblemId::new(HostId(0), 0);
+    let now = SimTime::ZERO;
+    for (from, problem) in [
+        (HostId(2), problem),
+        (HostId(9), ProblemId::new(HostId(9), 0)),
+    ] {
+        let q = core.handle_frame(from, &call_for_bids(problem, "fc-t"), now);
+        assert!(q.is_empty(), "{from:?} was answered: {:?}", q.actions());
+    }
+    assert_eq!(core.schedule().commitment_count(), 0);
+    assert_eq!(core.armed_timer_count(), 0);
+    let bid = bid_in(&core.handle_frame(HostId(0), &call_for_bids(problem, "fc-t"), now));
+    assert_eq!(bid.start, now, "no slot taken: {bid:?}");
+}
+
+/// Only a problem's initiator asks its rounds: a query another member
+/// sends in host 0's name, or a stranger in its own, is not answered, so
+/// it learns nothing of this host's knowhow or services.
+#[test]
+fn a_forged_fragment_query_gets_no_reply() {
+    let config = HostConfig::new()
+        .with_fragment(frag("fq-f", "fq-t", "fq-a", "fq-b"))
+        .with_service(service("fq-t"));
+    let mut core = member(config);
+    let query = |asker: u32| {
+        frame(&Msg::FragmentQuery {
+            problem: ProblemId::new(HostId(asker), 0),
+            round: 1,
+            labels: vec![Label::new("fq-a")],
+            tasks: vec![TaskId::new("fq-t")],
+        })
+    };
+    let now = SimTime::ZERO;
+    for (from, asker) in [(2, 0), (9, 9)] {
+        let q = core.handle_frame(HostId(from), &query(asker), now);
+        assert!(q.is_empty(), "host {from} was answered: {:?}", q.actions());
+    }
+    let q = core.handle_frame(HostId(0), &query(0), now);
+    match &sent(&q)[..] {
+        [(
+            HostId(0),
+            Msg::FragmentReply {
+                fragments, capable, ..
+            },
+        )] => {
+            assert_eq!(fragments.len(), 1);
+            assert_eq!(capable, &vec![TaskId::new("fq-t")]);
+        }
+        other => panic!("the initiator's query is answered: {other:?}"),
+    }
+}
+
+/// Two ways lead on from the trigger, and nobody serves the first. Both
+/// count as servable until asked, so the next frontier round asks about
+/// both tasks beside both labels; its replies refute the first, the
+/// engine recolors and the workflow takes the detour. The refutation
+/// costs no network round: two frontier rounds and the last one, as if
+/// every task had a server.
+#[test]
+fn a_refuted_task_costs_no_extra_round() {
+    let mut core = initiator(HostConfig::new(), 3);
+    let (problem, now) = (ProblemId::new(HostId(0), 0), SimTime::ZERO);
+    let t = |name: &str| TaskId::new(format!("rd-{name}"));
+    let reply = |round: u32, fragments: Vec<Fragment>, capable: Vec<TaskId>| {
+        frame(&Msg::FragmentReply {
+            problem,
+            round,
+            fragments: fragments.into_iter().map(Arc::new).collect(),
+            capable,
+        })
+    };
+    // Round 1: host 1 knows both ways on from `rd-a`, host 2 nothing.
+    let _ = core.initiate(problem, Spec::new(["rd-a"], ["rd-goal"]), now);
+    let _ = core.handle_frame(HostId(2), &reply(1, Vec::new(), Vec::new()), now);
+    let ways = vec![
+        frag("rd-f1", "rd-bad", "rd-a", "rd-x"),
+        frag("rd-f2", "rd-good", "rd-a", "rd-y"),
+    ];
+    let q = core.handle_frame(HostId(1), &reply(1, ways, Vec::new()), now);
+    match &sent(&q)[..] {
+        [(
+            HostId(1),
+            Msg::FragmentQuery {
+                round: 2,
+                labels,
+                tasks,
+                ..
+            },
+        ), (HostId(2), _)] => {
+            assert_eq!(labels, &[Label::new("rd-x"), Label::new("rd-y")]);
+            assert_eq!(tasks, &[t("bad"), t("good")]);
+        }
+        other => panic!("expected the second frontier round, got {other:?}"),
+    }
+
+    // Round 2: host 1 knows how both go on and serves `rd-good` (its
+    // offer of `rd-from-y`, which nobody asked about yet, counts for
+    // nothing); nobody serves `rd-bad`.
+    let _ = core.handle_frame(HostId(2), &reply(2, Vec::new(), Vec::new()), now);
+    let on = vec![
+        frag("rd-f3", "rd-from-x", "rd-x", "rd-goal"),
+        frag("rd-f4", "rd-from-y", "rd-y", "rd-goal"),
+    ];
+    let q = core.handle_frame(HostId(1), &reply(2, on, vec![t("good"), t("from-y")]), now);
+    match &sent(&q)[..] {
+        [(
+            HostId(1),
+            Msg::FragmentQuery {
+                round: 3,
+                labels,
+                tasks,
+                ..
+            },
+        ), (HostId(2), _)] => {
+            assert!(labels.is_empty(), "{labels:?}");
+            assert_eq!(tasks, &[t("from-y")], "the detour's unasked task");
+        }
+        other => panic!("expected the last round, got {other:?}"),
+    }
+
+    let _ = core.handle_frame(HostId(2), &reply(3, Vec::new(), Vec::new()), now);
+    let q = core.handle_frame(HostId(1), &reply(3, Vec::new(), vec![t("from-y")]), now);
+    assert!(
+        surfaced(&q, |e| matches!(e, WorkflowEvent::Constructed { .. })),
+        "{:?}",
+        q.actions()
+    );
+    let ws = core.latest_attempt(problem).expect("workspace");
+    let workflow = ws.construction.as_ref().expect("constructed").workflow();
+    let mut tasks: Vec<TaskId> = workflow.tasks().collect();
+    tasks.sort();
+    assert_eq!(tasks, [t("from-y"), t("good")]);
+    assert_eq!(ws.report.query_rounds, 2);
+    assert_eq!(ws.round(), Some(3), "rounds opened in all");
+    assert_eq!(ws.report.fragments_pulled, 4);
 }

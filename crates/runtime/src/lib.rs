@@ -16,8 +16,9 @@
 //!   [`HostCore::latest_attempt`]): the attempt's record and, while it
 //!   is open, core's frontier construction
 //!   ([`openwf_core::FrontierConstruction`]) and the query round in
-//!   flight. [`HostCore`] issues the fragment and capability queries and
-//!   drives the construction with the answers.
+//!   flight. [`HostCore`] issues the fragment queries — each also asks
+//!   who serves the tasks the previous round brought in — and drives the
+//!   construction with the answers.
 //! * Auction Manager — [`HostCore`]'s `core_sm/allocate.rs` over each
 //!   undecided task's auction in the workspace: solicits firm bids for
 //!   every task, keeps the best tentative allocation, and finalizes at

@@ -3,8 +3,11 @@
 //! Figure 3 of the paper names four message families crossing the
 //! communications layer: *fragment messages*, *service feasibility
 //! messages*, *auction messages*, and *inter-service messages*. [`Msg`]
-//! carries all four plus the problem-initiation and repair control
-//! messages.
+//! carries all four plus the problem-initiation message. Service
+//! feasibility rides in the fragment messages: a
+//! [`Msg::FragmentQuery`] also asks which of the tasks the previous round
+//! discovered a peer can serve, and its [`Msg::FragmentReply`] says, so a
+//! construction round is one round trip.
 
 use std::fmt;
 use std::sync::Arc;
@@ -84,18 +87,26 @@ pub enum Msg {
         spec: Spec,
     },
 
-    /// Initiator → all: which fragments consume these labels? (knowhow
-    /// query during incremental supergraph growth).
+    /// Initiator → all: which fragments consume these labels, and which
+    /// of these tasks can you serve? (Figure 3's fragment and service
+    /// feasibility messages, in one round trip.) Honoured only from the
+    /// problem's initiator.
     FragmentQuery {
         /// Problem this query belongs to.
         problem: ProblemId,
         /// Round number (matches replies to rounds).
         round: u32,
-        /// Frontier labels.
+        /// Frontier labels; none in the last round before allocation,
+        /// which asks about tasks only.
         labels: Vec<Label>,
+        /// Tasks the previous round brought into the supergraph (or, in
+        /// the last round, tasks of the constructed workflow) that the
+        /// initiator cannot serve itself and has not asked about yet.
+        tasks: Vec<TaskId>,
     },
 
-    /// Host → initiator: fragments matching a query.
+    /// Host → initiator: fragments matching a query, and the queried
+    /// tasks the replier can serve.
     FragmentReply {
         /// Problem this reply belongs to.
         problem: ProblemId,
@@ -106,26 +117,8 @@ pub enum Msg {
         /// message out — bumps reference counts instead of copying
         /// graphs).
         fragments: Vec<Arc<Fragment>>,
-    },
-
-    /// Initiator → all: can anyone perform these tasks? (service
-    /// feasibility messages of Figure 3).
-    CapabilityQuery {
-        /// Problem this query belongs to.
-        problem: ProblemId,
-        /// Round number.
-        round: u32,
-        /// Tasks newly discovered in the supergraph.
-        tasks: Vec<TaskId>,
-    },
-
-    /// Host → initiator: the subset of queried tasks this host can serve.
-    CapabilityReply {
-        /// Problem this reply belongs to.
-        problem: ProblemId,
-        /// Round the reply answers.
-        round: u32,
-        /// Tasks the replier offers a service for.
+        /// The subset of the query's tasks the replier offers a service
+        /// for; the initiator counts it against those tasks only.
         capable: Vec<TaskId>,
     },
 
@@ -204,8 +197,6 @@ impl Msg {
             Msg::Initiate { problem, .. }
             | Msg::FragmentQuery { problem, .. }
             | Msg::FragmentReply { problem, .. }
-            | Msg::CapabilityQuery { problem, .. }
-            | Msg::CapabilityReply { problem, .. }
             | Msg::CallForBids { problem, .. }
             | Msg::Bid { problem, .. }
             | Msg::Decline { problem, .. }
@@ -228,8 +219,6 @@ impl Msg {
             Msg::Initiate { .. } => "Initiate",
             Msg::FragmentQuery { .. } => "FragmentQuery",
             Msg::FragmentReply { .. } => "FragmentReply",
-            Msg::CapabilityQuery { .. } => "CapabilityQuery",
-            Msg::CapabilityReply { .. } => "CapabilityReply",
             Msg::CallForBids { .. } => "CallForBids",
             Msg::Bid { .. } => "Bid",
             Msg::Decline { .. } => "Decline",

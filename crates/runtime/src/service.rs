@@ -116,7 +116,7 @@ impl ServiceManager {
         self.services.len()
     }
 
-    /// Answers a capability query: which of `tasks` can this host serve?
+    /// Answers a fragment query's tasks: which of them can this host serve?
     pub fn capable_of(&self, tasks: &[TaskId]) -> Vec<TaskId> {
         tasks
             .iter()

@@ -12,13 +12,15 @@
 //! ([`FrontierConstruction`]), the query round in flight, the auctions
 //! of the tasks still undecided (`Auction`) and the execution
 //! bookkeeping. The host core runs the rounds over it
-//! (`core_sm/construct.rs`): a **fragment round** asks every peer for the
-//! fragments consuming the frontier the engine handed out and merges the
-//! answers; a **capability round** asks which newly discovered tasks
-//! anyone can serve (the service-feasibility messages of Figure 3); then
-//! the engine resumes under that oracle and either hands out the next
-//! frontier or finishes, and the attempt moves on to allocation. The
-//! coloring itself is core's business. The host core runs the auctions
+//! (`core_sm/construct.rs`): a round asks every peer for the fragments
+//! consuming the frontier the engine handed out, and which of the tasks
+//! the previous round brought in it can serve (Figure 3's fragment and
+//! service-feasibility messages, one round trip). It merges the fragments,
+//! and the engine resumes counting every task not refuted yet as
+//! servable, then either hands out the next frontier or finishes. A
+//! workflow with tasks still unasked waits for one last round about them
+//! before the attempt moves on to allocation; a refuted task makes the
+//! engine recolor what it holds. The coloring itself is core's business. The host core runs the auctions
 //! over it too (`core_sm/allocate.rs`), and a decided auction leaves its
 //! award in [`Workspace::assignments`] or its task in
 //! [`WorkingSet::unallocatable`].
@@ -53,16 +55,14 @@ pub(crate) struct Collect {
     /// faults can deliver the same reply twice; counting it twice would
     /// close the round early and discard late honest replies as stale.
     pub(crate) replied: BTreeSet<HostId>,
-    pub(crate) answers: Answers,
-}
-
-/// What a round collects; the variant is the round's kind.
-#[derive(Debug)]
-pub(crate) enum Answers {
-    /// A fragment round: the fragments consuming the frontier.
-    Fragments(Vec<Arc<Fragment>>),
-    /// A capability round: the asked-about tasks someone can serve.
-    Capable(Vec<TaskId>),
+    /// The fragments consuming the round's frontier.
+    pub(crate) fragments: Vec<Arc<Fragment>>,
+    /// The tasks the round asked about.
+    pub(crate) asked: Vec<TaskId>,
+    /// The tasks the replies offered to serve. Only the asked ones
+    /// count: an asked task missing here when the round closes is
+    /// refuted.
+    pub(crate) capable: BTreeSet<TaskId>,
 }
 
 /// One task's auction while it is undecided (§3.2): who has answered and
@@ -136,10 +136,18 @@ pub struct WorkingSet {
     /// Algorithm 1's frontier rounds: supergraph, coloring and frontier
     /// bookkeeping are core's.
     pub(crate) engine: FrontierConstruction,
-    /// Tasks a capability round has asked about.
-    pub(crate) capability_checked: BTreeSet<TaskId>,
-    /// Tasks someone in the community can serve.
-    pub(crate) feasible: BTreeSet<TaskId>,
+    /// How many of the supergraph's tasks (in insertion order) were
+    /// sorted into served here or unasked already.
+    pub(crate) tasks_seen: usize,
+    /// Tasks brought in that this host cannot serve and no round has
+    /// asked about yet, in discovery order. The engine counts them as
+    /// servable until a round's replies say otherwise.
+    pub(crate) unasked: Vec<TaskId>,
+    /// Asked tasks no member offered: the engine's oracle refuses them.
+    pub(crate) refuted: BTreeSet<TaskId>,
+    /// The workflow the engine built while some of its tasks were
+    /// unasked, held while the last round asks about them.
+    pub(crate) built: Option<Construction>,
     /// The number of the latest round opened.
     pub(crate) round: u32,
     pub(crate) collect: Option<Collect>,
@@ -154,8 +162,10 @@ impl Workspace {
             auctions: BTreeMap::new(),
             n_peers,
             engine: IncrementalConstructor::new().start(&spec),
-            capability_checked: BTreeSet::new(),
-            feasible: BTreeSet::new(),
+            tasks_seen: 0,
+            unasked: Vec::new(),
+            refuted: BTreeSet::new(),
+            built: None,
             round: 0,
             collect: None,
         });
@@ -174,7 +184,7 @@ impl Workspace {
         self.working.as_deref()
     }
 
-    /// The current fragment/capability round number of an open attempt.
+    /// The current query round number of an open attempt.
     pub fn round(&self) -> Option<u32> {
         self.working().map(|w| w.round)
     }

@@ -307,7 +307,7 @@ fn faulted_runs_agree_across_transports() {
     let params = RuntimeParams::default();
     let spec = |chain: usize| Spec::new(["eqf-l0".to_string()], [format!("eqf-l{chain}")]);
     let mut fates = Vec::new();
-    for (n_hosts, chain, crash_us) in [(4, 4, 2_500), (4, 6, 9_000), (5, 3, 20_000)] {
+    for (n_hosts, chain, crash_us) in [(4, 4, 2_500), (4, 6, 9_000), (5, 3, 505_000)] {
         let crash_at = SimTime::from_micros(crash_us);
 
         let mut sim = CommunityBuilder::new(0)

@@ -339,8 +339,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// One engine, two drivers: with nobody else to ask, what the
-    /// runtime's workspace constructs — through fragment rounds,
-    /// capability rounds and its own managers — is what
+    /// runtime's workspace constructs — through its rounds and its own
+    /// managers, a task it cannot serve refuted as soon as it appears — is what
     /// `IncrementalConstructor` constructs over the same store with the
     /// host's capabilities as the oracle, down to the step counts.
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! The same scenario usually driven on the virtual-time simulator runs
 //! here through [`LoopbackBytesDriver`]: every protocol message — the
-//! fragment and capability queries, the auction traffic, the execution
+//! fragment queries and replies, the auction traffic, the execution
 //! plans and input deliveries — is **encoded to `openwf-wire` frames on
 //! send and decoded through the receiver's vocabulary budget on
 //! delivery**. Nothing is shared in memory across host boundaries; the

@@ -178,3 +178,62 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Refuted tasks: some generated tasks have no server anywhere, and
+    /// the rest are served by the host after their fragment's, so the
+    /// rounds learn who serves what only as they go and may refute a task
+    /// the engine counted as servable. The runtime completes iff core's
+    /// filtered construction, with the served set as its oracle, finds a
+    /// workflow, and no completed workflow holds an unserved task.
+    #[test]
+    fn runtime_agrees_with_core_feasibility_when_tasks_go_unserved(
+        world in arb_world(),
+        unserved in proptest::collection::btree_set(0usize..8, 0..=3),
+    ) {
+        let (fragments, spec) = materialize(&world);
+        let sg = Supergraph::from_fragments(&fragments);
+        prop_assume!(sg.is_ok());
+        let sg = sg.unwrap();
+        let served: BTreeSet<TaskId> = (0..world.tasks.len())
+            .filter(|i| !unserved.contains(i))
+            .map(|i| TaskId::new(format!("t{i}")))
+            .collect();
+        let core_feasible = Constructor::new()
+            .construct_filtered(&sg, &spec, |t| served.contains(t))
+            .is_ok();
+
+        // At least two hosts: a lone host has nobody to ask.
+        let hosts = world.hosts.max(2);
+        let mut configs: Vec<HostConfig> = (0..hosts).map(|_| HostConfig::new()).collect();
+        for (i, f) in fragments.iter().enumerate() {
+            configs[i % hosts].fragments.push(f.clone().into());
+            for t in f.tasks().filter(|t| served.contains(t)) {
+                configs[(i + 1) % hosts]
+                    .services
+                    .push(ServiceDescription::new(t, SimDuration::from_millis(1)));
+            }
+        }
+        let mut community = CommunityBuilder::new(world.seed ^ 2).hosts(configs).build();
+        let initiator = community.hosts()[0];
+        let handle = community.submit(initiator, spec);
+        let report = community.run_until_complete(handle);
+
+        match report.status {
+            ProblemStatus::Completed => {
+                prop_assert!(core_feasible, "runtime completed an infeasible spec");
+                let ws = community.core(initiator).latest_attempt(handle.id).expect("workspace");
+                let workflow = ws.construction.as_ref().expect("constructed").workflow();
+                for t in workflow.tasks() {
+                    prop_assert!(served.contains(&t), "{} has no server", t);
+                }
+            }
+            ProblemStatus::Failed { ref reason } => {
+                prop_assert!(!core_feasible, "runtime failed a feasible spec: {}", reason);
+            }
+            ref other => prop_assert!(false, "non-terminal status {other}"),
+        }
+    }
+}

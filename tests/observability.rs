@@ -2,8 +2,11 @@
 //! conversation, and traffic accounting matches the paper's
 //! pairwise-communication story.
 
+use std::collections::VecDeque;
+
 use openworkflow::obs::{SpanPhase, TraceEvent};
 use openworkflow::prelude::*;
+use openworkflow::runtime::{codec, Action, Msg, ProblemId};
 
 fn frag(id: &str, task: &str, input: &str, output: &str) -> Fragment {
     Fragment::single_task(id, task, Mode::Disjunctive, [input], [output]).unwrap()
@@ -13,22 +16,72 @@ fn service(task: &str) -> ServiceDescription {
     ServiceDescription::new(task, SimDuration::from_millis(5))
 }
 
+/// Two hosts, each holding the fragment of the task the other serves.
+fn crossed_configs(obs: &Obs) -> Vec<HostConfig> {
+    vec![
+        HostConfig::new()
+            .with_fragment(frag("f1", "t1", "a", "b"))
+            .with_service(service("t2"))
+            .with_observability(obs.clone()),
+        HostConfig::new()
+            .with_fragment(frag("f2", "t2", "b", "c"))
+            .with_service(service("t1"))
+            .with_observability(obs.clone()),
+    ]
+}
+
+/// Runs `spec` from host 0 over bare cores built from `configs`, every
+/// frame delivered in sending order and timers fired when nothing is in
+/// flight, and returns every message that crossed the wire with its
+/// sender and receiver.
+fn wire_conversation(configs: Vec<HostConfig>, spec: Spec) -> Vec<(HostId, HostId, Msg)> {
+    let hosts: Vec<HostId> = (0..configs.len() as u32).map(HostId).collect();
+    let mut cores: Vec<HostCore> = configs
+        .into_iter()
+        .map(|c| HostCore::new(c, RuntimeParams::default()))
+        .collect();
+    for (core, &h) in cores.iter_mut().zip(&hosts) {
+        core.bind(h);
+        core.set_community(hosts.clone());
+    }
+    let mut wire = Vec::new();
+    let mut in_flight = VecDeque::new();
+    let mut now = SimTime::ZERO;
+    let (mut at, mut q) = (
+        hosts[0],
+        cores[0].initiate(ProblemId::new(hosts[0], 0), spec, now),
+    );
+    loop {
+        for action in q {
+            if let Action::SendBytes { to, bytes } = action {
+                in_flight.push_back((at, to, bytes));
+            }
+        }
+        q = if let Some((from, to, bytes)) = in_flight.pop_front() {
+            let (msg, _) = codec::decode_msg(&bytes, &mut VocabularyBudget::unlimited())
+                .expect("a core sends valid frames");
+            wire.push((from, to, msg));
+            at = to;
+            cores[to.0 as usize].handle_frame(from, &bytes, now)
+        } else if let Some((i, due)) = cores
+            .iter()
+            .enumerate()
+            .filter_map(|(i, c)| c.next_timer_due().map(|due| (i, due)))
+            .min_by_key(|&(_, due)| due)
+        {
+            (at, now) = (hosts[i], due);
+            cores[i].tick(now)
+        } else {
+            break wire;
+        };
+    }
+}
+
 #[test]
 fn tracer_captures_the_protocol_conversation() {
     let obs = Obs::enabled();
     let mut community = CommunityBuilder::new(61)
-        .host(
-            HostConfig::new()
-                .with_fragment(frag("f1", "t1", "a", "b"))
-                .with_service(service("t2"))
-                .with_observability(obs.clone()),
-        )
-        .host(
-            HostConfig::new()
-                .with_fragment(frag("f2", "t2", "b", "c"))
-                .with_service(service("t1"))
-                .with_observability(obs.clone()),
-        )
+        .hosts(crossed_configs(&obs))
         .build();
 
     let hosts = community.hosts();
@@ -55,8 +108,6 @@ fn tracer_captures_the_protocol_conversation() {
         "Initiate",
         "FragmentQuery",
         "FragmentReply",
-        "CapabilityQuery",
-        "CapabilityReply",
         "CallForBids",
         "Bid",
         "Execute",
@@ -75,6 +126,23 @@ fn tracer_captures_the_protocol_conversation() {
 
     // Delivery times are monotone within the recording.
     assert!(records.windows(2).all(|w| w[0].1.at_us <= w[1].1.at_us));
+
+    // Service feasibility rides in the fragment messages: host 0 asks who
+    // serves `t1`, whose fragment it holds, and host 1 offers it.
+    let wire = wire_conversation(crossed_configs(&Obs::default()), Spec::new(["a"], ["c"]));
+    let t1 = TaskId::new("t1");
+    assert!(
+        wire.iter()
+            .any(|(from, to, m)| (*from, *to) == (hosts[0], hosts[1])
+                && matches!(m, Msg::FragmentQuery { tasks, .. } if tasks.contains(&t1))),
+        "{wire:?}"
+    );
+    assert!(
+        wire.iter()
+            .any(|(from, to, m)| (*from, *to) == (hosts[1], hosts[0])
+                && matches!(m, Msg::FragmentReply { capable, .. } if capable.contains(&t1))),
+        "{wire:?}"
+    );
 }
 
 /// Bytes on the wire scale with community size at fixed work — the
