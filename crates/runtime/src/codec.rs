@@ -34,13 +34,14 @@ const V_FRAGMENT_QUERY: u8 = 1;
 const V_FRAGMENT_REPLY: u8 = 2;
 // 3 and 4 are unassigned: they decode as unknown variants.
 const V_CALL_FOR_BIDS: u8 = 5;
-const V_BID: u8 = 6;
-const V_DECLINE: u8 = 7;
+const V_BIDS: u8 = 6;
+// 7 is unassigned: it decodes as an unknown variant.
 const V_AWARD: u8 = 8;
 const V_EXECUTE: u8 = 9;
 const V_INPUT_DELIVERY: u8 = 10;
 // 11 is unassigned: it decodes as an unknown variant.
 const V_GOAL_DELIVERED: u8 = 12;
+const V_ABANDON: u8 = 13;
 
 fn write_problem(enc: &mut FrameEncoder, p: ProblemId) {
     enc.varint(u64::from(p.initiator.0));
@@ -120,12 +121,20 @@ fn write_opt_string(enc: &mut FrameEncoder, s: Option<&str>) {
     }
 }
 
-fn read_opt_string(r: &mut PayloadReader<'_, '_>) -> Result<Option<String>, WireError> {
+/// An option: a 0 byte, or a 1 byte and what `read` reads.
+fn read_opt<'a, 'b, T>(
+    r: &mut PayloadReader<'a, 'b>,
+    read: impl FnOnce(&mut PayloadReader<'a, 'b>) -> Result<T, WireError>,
+) -> Result<Option<T>, WireError> {
     match r.byte()? {
         0 => Ok(None),
-        1 => Ok(Some(r.inline_str()?.to_string())),
+        1 => read(r).map(Some),
         _ => Err(WireError::Malformed("bad option discriminant")),
     }
+}
+
+fn read_opt_string(r: &mut PayloadReader<'_, '_>) -> Result<Option<String>, WireError> {
+    read_opt(r, |r| Ok(r.inline_str()?.to_string()))
 }
 
 fn read_bool(r: &mut PayloadReader<'_, '_>) -> Result<bool, WireError> {
@@ -291,36 +300,43 @@ pub fn encode_msg(msg: &Msg, out: &mut Vec<u8>) {
             }
             write_tasks(&mut enc, capable);
         }
-        Msg::CallForBids {
-            problem,
-            task,
-            meta,
-        } => {
+        Msg::CallForBids { problem, tasks } => {
             enc.byte(V_CALL_FOR_BIDS);
             write_problem(&mut enc, *problem);
-            enc.name(task.sym());
-            write_metadata(&mut enc, meta);
+            enc.varint(tasks.len() as u64);
+            for (task, meta) in tasks {
+                enc.name(task.sym());
+                write_metadata(&mut enc, meta);
+            }
         }
-        Msg::Bid { problem, task, bid } => {
-            enc.byte(V_BID);
+        Msg::Bids { problem, answers } => {
+            enc.byte(V_BIDS);
             write_problem(&mut enc, *problem);
-            enc.name(task.sym());
-            write_bid(&mut enc, bid);
+            enc.varint(answers.len() as u64);
+            for (task, bid) in answers {
+                enc.name(task.sym());
+                match bid {
+                    None => enc.byte(0),
+                    Some(bid) => {
+                        enc.byte(1);
+                        write_bid(&mut enc, bid);
+                    }
+                }
+            }
         }
-        Msg::Decline { problem, task } => {
-            enc.byte(V_DECLINE);
-            write_problem(&mut enc, *problem);
-            enc.name(task.sym());
-        }
-        Msg::Award {
-            problem,
-            task,
-            assignment,
-        } => {
+        Msg::Award { problem, won, lost } => {
             enc.byte(V_AWARD);
             write_problem(&mut enc, *problem);
-            enc.name(task.sym());
-            write_assignment(&mut enc, assignment);
+            enc.varint(won.len() as u64);
+            for (task, assignment) in won {
+                enc.name(task.sym());
+                write_assignment(&mut enc, assignment);
+            }
+            write_tasks(&mut enc, lost);
+        }
+        Msg::Abandon { problem } => {
+            enc.byte(V_ABANDON);
+            write_problem(&mut enc, *problem);
         }
         Msg::Execute { problem, plan } => {
             enc.byte(V_EXECUTE);
@@ -407,24 +423,45 @@ pub fn decode_msg_with(
                 capable: read_tasks(&mut r, names)?,
             }
         }
-        V_CALL_FOR_BIDS => Msg::CallForBids {
+        V_CALL_FOR_BIDS => {
+            let problem = read_problem(&mut r)?;
+            let n = r.varint()?;
+            let n = r.guard_count(n, 6)?;
+            let mut tasks = Vec::with_capacity(n);
+            for _ in 0..n {
+                let task = r.interned(names)?.task();
+                tasks.push((task, read_metadata(&mut r, names)?));
+            }
+            Msg::CallForBids { problem, tasks }
+        }
+        V_BIDS => {
+            let problem = read_problem(&mut r)?;
+            let n = r.varint()?;
+            let n = r.guard_count(n, 2)?;
+            let mut answers = Vec::with_capacity(n);
+            for _ in 0..n {
+                let task = r.interned(names)?.task();
+                answers.push((task, read_opt(&mut r, read_bid)?));
+            }
+            Msg::Bids { problem, answers }
+        }
+        V_AWARD => {
+            let problem = read_problem(&mut r)?;
+            let n = r.varint()?;
+            let n = r.guard_count(n, 5)?;
+            let mut won = Vec::with_capacity(n);
+            for _ in 0..n {
+                let task = r.interned(names)?.task();
+                won.push((task, read_assignment(&mut r)?));
+            }
+            Msg::Award {
+                problem,
+                won,
+                lost: read_tasks(&mut r, names)?,
+            }
+        }
+        V_ABANDON => Msg::Abandon {
             problem: read_problem(&mut r)?,
-            task: r.interned(names)?.task(),
-            meta: read_metadata(&mut r, names)?,
-        },
-        V_BID => Msg::Bid {
-            problem: read_problem(&mut r)?,
-            task: r.interned(names)?.task(),
-            bid: read_bid(&mut r)?,
-        },
-        V_DECLINE => Msg::Decline {
-            problem: read_problem(&mut r)?,
-            task: r.interned(names)?.task(),
-        },
-        V_AWARD => Msg::Award {
-            problem: read_problem(&mut r)?,
-            task: r.interned(names)?.task(),
-            assignment: read_assignment(&mut r)?,
         },
         V_EXECUTE => Msg::Execute {
             problem: read_problem(&mut r)?,
@@ -483,6 +520,25 @@ mod tests {
             Fragment::single_task(id, format!("{id}-t"), Mode::Disjunctive, ["rc-a"], ["rc-b"])
                 .unwrap(),
         )
+    }
+
+    fn bid() -> Bid {
+        Bid {
+            start: SimTime::from_micros(1),
+            travel: SimDuration::from_micros(2),
+            duration: SimDuration::from_micros(3),
+            specialization: 4,
+            deadline: SimTime::from_micros(5),
+        }
+    }
+
+    fn assignment() -> Assignment {
+        Assignment {
+            host: HostId(2),
+            start: SimTime::from_micros(9),
+            duration: SimDuration::from_micros(8),
+            location: Some("yard".into()),
+        }
     }
 
     fn encoded(msg: &Msg) -> Vec<u8> {
@@ -590,34 +646,37 @@ mod tests {
             },
             Msg::CallForBids {
                 problem: p(),
-                task: TaskId::new("rc-t"),
-                meta,
+                tasks: vec![
+                    (TaskId::new("rc-t"), meta.clone()),
+                    (TaskId::new("rc-u"), meta),
+                ],
             },
-            Msg::Bid {
+            Msg::CallForBids {
                 problem: p(),
-                task: TaskId::new("rc-t"),
-                bid: Bid {
-                    start: SimTime::from_micros(1),
-                    travel: SimDuration::from_micros(2),
-                    duration: SimDuration::from_micros(3),
-                    specialization: 4,
-                    deadline: SimTime::from_micros(5),
-                },
+                tasks: Vec::new(),
             },
-            Msg::Decline {
+            Msg::Bids {
                 problem: p(),
-                task: TaskId::new("rc-t"),
+                answers: vec![
+                    (TaskId::new("rc-t"), Some(bid())),
+                    (TaskId::new("rc-u"), None),
+                ],
+            },
+            Msg::Bids {
+                problem: p(),
+                answers: Vec::new(),
             },
             Msg::Award {
                 problem: p(),
-                task: TaskId::new("rc-t"),
-                assignment: Assignment {
-                    host: HostId(2),
-                    start: SimTime::from_micros(9),
-                    duration: SimDuration::from_micros(8),
-                    location: Some("yard".into()),
-                },
+                won: vec![(TaskId::new("rc-t"), assignment())],
+                lost: vec![TaskId::new("rc-u"), TaskId::new("rc-v")],
             },
+            Msg::Award {
+                problem: p(),
+                won: Vec::new(),
+                lost: vec![TaskId::new("rc-u")],
+            },
+            Msg::Abandon { problem: p() },
             Msg::Execute { problem: p(), plan },
             Msg::InputDelivery {
                 problem: p(),
@@ -707,10 +766,11 @@ mod tests {
         );
     }
 
-    /// Tags 3, 4 and 11 belonged to variants that are gone. A frame
-    /// carrying one, with the body that variant had, is an unknown
-    /// variant: dropped like any malformed frame, and no other variant's
-    /// tag moved.
+    /// Tags 3, 4, 7 and 11 belonged to variants that are gone (7 to the
+    /// per-task decline the batched `Bids` replaced). A frame carrying
+    /// one, with the body that variant had, is an unknown variant:
+    /// dropped like any malformed frame, and no other variant's tag
+    /// moved.
     #[test]
     fn the_retired_tag_decodes_as_an_unknown_variant() {
         let task = TaskId::new("rc-t");
@@ -718,7 +778,7 @@ mod tests {
             let mut enc = FrameEncoder::new(TAG_MSG);
             enc.byte(tag);
             write_problem(&mut enc, p());
-            if tag == 11 {
+            if tag == 7 || tag == 11 {
                 enc.name(task.sym());
             } else {
                 // A round and its tasks.
@@ -729,7 +789,7 @@ mod tests {
             enc.finish(&mut bytes);
             bytes
         };
-        for tag in [3, 4, 11] {
+        for tag in [3, 4, 7, 11] {
             assert_eq!(
                 decode_msg(&retired(tag), &mut VocabularyBudget::unlimited()).unwrap_err(),
                 WireError::UnknownTag(tag)
@@ -740,14 +800,96 @@ mod tests {
             V_FRAGMENT_QUERY,
             V_FRAGMENT_REPLY,
             V_CALL_FOR_BIDS,
-            V_BID,
-            V_DECLINE,
+            V_BIDS,
             V_AWARD,
             V_EXECUTE,
             V_INPUT_DELIVERY,
             V_GOAL_DELIVERED,
+            V_ABANDON,
         ];
-        assert_eq!(tags, [0, 1, 2, 5, 6, 7, 8, 9, 10, 12]);
+        assert_eq!(tags, [0, 1, 2, 5, 6, 8, 9, 10, 12, 13]);
+    }
+
+    /// Every batched auction frame decodes totally: each proper prefix
+    /// of a valid frame is an error, never a panic or a shorter message.
+    #[test]
+    fn truncated_batched_frames_are_errors() {
+        let meta = TaskMetadata {
+            level: 1,
+            inputs: vec![Label::new("rc-a")],
+            outputs: vec![Label::new("rc-b")],
+            location: None,
+            earliest_start: SimTime::from_micros(7),
+        };
+        for msg in [
+            Msg::CallForBids {
+                problem: p(),
+                tasks: vec![
+                    (TaskId::new("rc-t"), meta.clone()),
+                    (TaskId::new("rc-u"), meta),
+                ],
+            },
+            Msg::Bids {
+                problem: p(),
+                answers: vec![
+                    (TaskId::new("rc-t"), None),
+                    (TaskId::new("rc-u"), Some(bid())),
+                ],
+            },
+            Msg::Award {
+                problem: p(),
+                won: vec![(TaskId::new("rc-t"), assignment())],
+                lost: vec![TaskId::new("rc-u")],
+            },
+            Msg::Abandon { problem: p() },
+        ] {
+            let bytes = encoded(&msg);
+            for cut in 0..bytes.len() {
+                assert!(
+                    decode_msg(&bytes[..cut], &mut VocabularyBudget::unlimited()).is_err(),
+                    "{msg:?} cut at {cut} of {} decoded",
+                    bytes.len()
+                );
+            }
+        }
+    }
+
+    /// A batched answer's option byte is 0 or 1, and a count larger than
+    /// the frame could hold is refused before anything is allocated.
+    #[test]
+    fn malformed_batched_bodies_are_refused() {
+        let task = TaskId::new("rc-t");
+        let body = |write: &dyn Fn(&mut FrameEncoder)| {
+            let mut out = Vec::new();
+            let mut enc = FrameEncoder::new(TAG_MSG);
+            write(&mut enc);
+            enc.finish(&mut out);
+            decode_msg(&out, &mut VocabularyBudget::unlimited())
+        };
+        let bad_option = body(&|enc| {
+            enc.byte(V_BIDS);
+            write_problem(enc, p());
+            enc.varint(1);
+            enc.name(task.sym());
+            enc.byte(2);
+        });
+        assert_eq!(
+            bad_option.unwrap_err(),
+            WireError::Malformed("bad option discriminant")
+        );
+        for tag in [V_CALL_FOR_BIDS, V_BIDS, V_AWARD] {
+            let huge = body(&|enc| {
+                enc.byte(tag);
+                write_problem(enc, p());
+                enc.varint(u64::from(u32::MAX));
+                enc.name(task.sym());
+            });
+            assert_eq!(
+                huge.unwrap_err(),
+                WireError::Malformed("element count exceeds frame size"),
+                "tag {tag}"
+            );
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
-//! Allocation (§3.2): the initiator's per-task auctions — calls for
-//! bids out, bids / declines and their deadlines back, awards and
-//! execution plans out — and every member's bidding side. Everything
-//! here runs between the `allocate` span's begin and end.
+//! Allocation (§3.2): the initiator's per-task auctions — one call for
+//! bids out to each member, one batch of bids and declines and the
+//! deadlines back, awards and execution plans out — and every member's
+//! bidding side. Everything here runs between the `allocate` span's
+//! begin and end.
 //!
 //! The initiating side is the paper's Auction Manager: "The auction
 //! manager selects the bid that best matches the selection criterion and
@@ -21,13 +22,22 @@
 //! deadline. This keeps the §5 timing experiments dominated by
 //! communication, as in the paper.
 //!
+//! The auctions run per task, but the frames go per peer: one
+//! [`Msg::CallForBids`] to each member names every task, its one
+//! [`Msg::Bids`] answers them all, and every input that can decide —
+//! a member's answers, a deadline, the auction timeout, the initiator's
+//! own answers — ends in `settle`, which sends each bidder one
+//! [`Msg::Award`] naming the tasks it won and the tasks it bid on and
+//! lost during that input.
+//!
 //! The bidding side is the paper's Auction Participation Manager, and
 //! it keeps no state of its own: a firm bid holds its slot as a
 //! [`CommitmentState::Held`] commitment in the schedule, which answers
 //! every later question about the task — a copy of the call, the
-//! `Award`, the hold's expiry (see [`crate::schedule`]). The expiry is
-//! disarmed once the `Award` or the plan firms the hold, so only a
-//! losing bid's hold waits it out.
+//! `Award`, the hold's expiry (see [`crate::schedule`]). The award
+//! firms a won hold and frees a lost one, and disarms the hold's expiry
+//! either way; the plan firms a hold too. Only a hold whose award never
+//! came — a late bid, a lost frame — waits its expiry out.
 
 use openwf_core::{Label, TaskId};
 use openwf_obs::SpanPhase;
@@ -38,7 +48,7 @@ use crate::messages::{Msg, ProblemId};
 use crate::metadata::{build_plans, compute_metadata, Assignment, Bid, TaskMetadata};
 use crate::report::ProblemStatus;
 use crate::schedule::{Commitment, CommitmentState};
-use crate::workflow_mgr::Auction;
+use crate::workflow_mgr::{Auction, Outcome};
 
 /// Selection criterion (§3.2): most specialized first (fewest services),
 /// then earliest start, then lowest host id for determinism.
@@ -48,63 +58,77 @@ fn better_bid(a: &(HostId, Bid), b: &(HostId, Bid)) -> bool {
 }
 
 impl HostCore {
-    /// [`Msg::CallForBids`]: answers with a [`Msg::Bid`] or a
-    /// [`Msg::Decline`]. Only the problem's initiator calls for bids, and
-    /// only a member is answered: a call in anyone else's name is
-    /// dropped, so it cannot hold this host's slots (and fill its
-    /// commitment budget) for another initiator's problem.
+    /// [`Msg::CallForBids`]: considers every task called, in the order
+    /// sent, and answers all of them in one [`Msg::Bids`]. Only the
+    /// problem's initiator calls for bids, and only a member is answered:
+    /// a call in anyone else's name is dropped, so it cannot hold this
+    /// host's slots (and fill its commitment budget) for another
+    /// initiator's problem.
     pub(super) fn on_call_for_bids(
         &mut self,
         from: HostId,
         problem: ProblemId,
-        task: TaskId,
-        meta: TaskMetadata,
+        tasks: Vec<(TaskId, TaskMetadata)>,
         now: SimTime,
         q: &mut ActionQueue,
     ) {
         if from != problem.initiator || !self.community.contains(&from) {
             return;
         }
-        let reply = match self.consider_bid(problem, &task, &meta, now, q) {
-            Some(bid) => Msg::Bid { problem, task, bid },
-            None => Msg::Decline { problem, task },
-        };
-        self.emit(q, from, reply);
+        let answers = tasks
+            .into_iter()
+            .map(|(task, meta)| {
+                let bid = self.consider_bid(problem, &task, &meta, now, q);
+                (task, bid)
+            })
+            .collect();
+        self.emit(q, from, Msg::Bids { problem, answers });
     }
 
-    /// [`Msg::Bid`].
-    pub(super) fn on_bid(
+    /// [`Msg::Bids`]: one member's answers, each counted in its task's
+    /// auction (a bid's evaluation is charged per bid); the auctions they
+    /// decided are settled at the end.
+    pub(super) fn on_bids(
         &mut self,
         from: HostId,
         problem: ProblemId,
-        task: TaskId,
-        bid: Bid,
+        answers: Vec<(TaskId, Option<Bid>)>,
         now: SimTime,
         q: &mut ActionQueue,
     ) {
-        q.charge(self.params.bid_evaluation_cost);
-        self.on_response(from, problem, task, Some(bid), now, q);
+        for (task, bid) in answers {
+            if bid.is_some() {
+                q.charge(self.params.bid_evaluation_cost);
+            }
+            self.on_response(from, problem, task, bid, now, q);
+        }
+        self.settle(problem, now, q);
     }
 
-    /// [`Msg::Decline`].
-    pub(super) fn on_decline(
+    /// [`Msg::Award`]: each task won becomes a firm commitment (already
+    /// scheduled), and each task lost frees its hold at once; either way
+    /// the hold's expiry is disarmed. A lost task frees only a hold — a
+    /// task awarded, planned or run here stays, as under the hold's
+    /// expiry. Only the problem's initiator awards its tasks: an award
+    /// from anyone else is dropped, so it can neither firm a hold that its
+    /// expiry should release nor free one the initiator may still award.
+    pub(super) fn on_award(
         &mut self,
         from: HostId,
         problem: ProblemId,
-        task: TaskId,
-        now: SimTime,
-        q: &mut ActionQueue,
+        won: Vec<(TaskId, Assignment)>,
+        lost: Vec<TaskId>,
     ) {
-        self.on_response(from, problem, task, None, now, q);
-    }
-
-    /// [`Msg::Award`]: the hold becomes a firm commitment (already
-    /// scheduled), and its expiry is disarmed. Only the problem's
-    /// initiator awards its tasks: an award from anyone else is dropped,
-    /// so it cannot firm a hold that its expiry should release.
-    pub(super) fn on_award(&mut self, from: HostId, problem: ProblemId, task: TaskId) {
-        if from == problem.initiator {
+        if from != problem.initiator {
+            return;
+        }
+        for (task, _) in won {
             self.schedule.award(problem, &task);
+            self.timers
+                .disarm(problem, &TimerPurpose::BidHoldExpiry(task));
+        }
+        for task in lost {
+            self.schedule.expire_hold(problem, &task);
             self.timers
                 .disarm(problem, &TimerPurpose::BidHoldExpiry(task));
         }
@@ -119,7 +143,8 @@ impl HostCore {
         now: SimTime,
         q: &mut ActionQueue,
     ) {
-        self.decide(problem, task, false, now, q);
+        self.decide(problem, task, false);
+        self.settle(problem, now, q);
     }
 
     /// `AuctionTimeout`: the liveness backstop armed by
@@ -140,8 +165,9 @@ impl HostCore {
             None => return,
         };
         for task in open {
-            self.decide(problem, task, true, now, q);
+            self.decide(problem, task, true);
         }
+        self.settle(problem, now, q);
     }
 
     /// One member's bid (`Some`) or decline (`None`) for `task`, the
@@ -182,6 +208,7 @@ impl HostCore {
         }
         let improved = match bid {
             Some(bid) => {
+                a.bidders.insert(from);
                 let cand = (from, bid);
                 let better = a.best.as_ref().is_none_or(|best| better_bid(&cand, best));
                 if better {
@@ -192,7 +219,7 @@ impl HostCore {
             None => false,
         };
         if a.responded.len() >= community {
-            self.decide(problem, task, false, now, q);
+            self.decide(problem, task, false);
         } else if improved {
             // The new best's deadline replaces the one it outbid.
             let deadline = a.best.as_ref().expect("just set").1.deadline;
@@ -209,16 +236,11 @@ impl HostCore {
     /// Decides `task`'s auction if it is still open: the best bid so far
     /// is awarded, or, with no bid, the task is unallocatable once every
     /// member declined or the decision is `forced`; otherwise the
-    /// auction goes on waiting. A decision removes the auction and
-    /// disarms its deadline, and the last one finalizes the allocation.
-    fn decide(
-        &mut self,
-        problem: ProblemId,
-        task: TaskId,
-        forced: bool,
-        now: SimTime,
-        q: &mut ActionQueue,
-    ) {
+    /// auction goes on waiting. A decision removes the auction, disarms
+    /// its deadline and records the outcome — the award in the
+    /// workspace's assignments, and for the winner and every losing
+    /// bidder in the outcomes [`HostCore::settle`] sends.
+    fn decide(&mut self, problem: ProblemId, task: TaskId, forced: bool) {
         let Some(ws) = self.workspaces.get_mut(&problem) else {
             return;
         };
@@ -231,9 +253,14 @@ impl HostCore {
         if a.best.is_none() && !forced && a.responded.len() <= w.n_peers {
             return; // no bid yet: wait for the stragglers
         }
-        let Auction { best, location, .. } = w.auctions.remove(&task).expect("looked up");
-        let allocated = w.auctions.is_empty();
-        let award = match best {
+        let Auction {
+            best,
+            bidders,
+            location,
+            ..
+        } = w.auctions.remove(&task).expect("looked up");
+        let winner = best.as_ref().map(|(host, _)| *host);
+        match best {
             Some((host, bid)) => {
                 let assignment = Assignment {
                     host,
@@ -243,25 +270,37 @@ impl HostCore {
                     location,
                 };
                 ws.assignments.push((task.clone(), assignment.clone()));
-                Some((host, assignment))
+                let outcome = w.outcomes.entry(host).or_default();
+                outcome.won.push((task.clone(), assignment));
             }
-            None => {
-                w.unallocatable.push(task.clone());
-                None
-            }
-        };
+            None => w.unallocatable.push(task.clone()),
+        }
+        for loser in bidders.into_iter().filter(|&h| Some(h) != winner) {
+            let outcome = w.outcomes.entry(loser).or_default();
+            outcome.lost.push(task.clone());
+        }
         self.timers
-            .disarm(problem, &TimerPurpose::AuctionDeadline(task.clone()));
-        if let Some((host, assignment)) = award {
-            self.emit(
-                q,
-                host,
-                Msg::Award {
-                    problem,
-                    task,
-                    assignment,
-                },
-            );
+            .disarm(problem, &TimerPurpose::AuctionDeadline(task));
+    }
+
+    /// The end of every input that can decide an auction — a member's
+    /// [`Msg::Bids`], a deadline, the auction timeout and the initiator's
+    /// own answers: one [`Msg::Award`] goes to each bidder with an
+    /// outcome, then, once no auction is left open, the allocation is
+    /// finalized. Awarding as soon as a task is decided, rather than with
+    /// the plans, keeps a winner's hold from expiring while a silent
+    /// member holds up the other tasks' auctions.
+    fn settle(&mut self, problem: ProblemId, now: SimTime, q: &mut ActionQueue) {
+        let Some(ws) = self.workspaces.get_mut(&problem) else {
+            return;
+        };
+        let Some(w) = ws.working.as_deref_mut() else {
+            return;
+        };
+        let outcomes = std::mem::take(&mut w.outcomes);
+        let allocated = w.auctions.is_empty() && ws.report.status == ProblemStatus::Allocating;
+        for (host, Outcome { won, lost }) in outcomes {
+            self.emit(q, host, Msg::Award { problem, won, lost });
         }
         if allocated {
             self.finalize_allocation(problem, now, q);
@@ -379,25 +418,20 @@ impl HostCore {
         let timeout = now + self.params.auction_timeout;
         self.arm(q, now, timeout, problem, TimerPurpose::AuctionTimeout);
 
-        // Call for bids: pairwise to every other member…
+        // Call for bids: one frame to every other member…
         let others = self.others();
-        for (task, meta) in &metas {
-            self.emit_all(
-                q,
-                &others,
-                Msg::CallForBids {
-                    problem,
-                    task: task.clone(),
-                    meta: meta.clone(),
-                },
-            );
-        }
+        let call = Msg::CallForBids {
+            problem,
+            tasks: metas.clone(),
+        };
+        self.emit_all(q, &others, call);
         // …and the initiator participates through the same logic, locally.
         let me = self.id();
         for (task, meta) in metas {
             let bid = self.consider_bid(problem, &task, &meta, now, q);
             self.on_response(me, problem, task, bid, now, q);
         }
+        self.settle(problem, now, q);
     }
 
     fn finalize_allocation(&mut self, problem: ProblemId, now: SimTime, q: &mut ActionQueue) {

@@ -40,8 +40,9 @@
 //! | [`Msg`] variant | owner |
 //! |---|---|
 //! | `Initiate`, `FragmentQuery` (frontier labels and unasked tasks), `FragmentReply` (fragments and capable tasks) | `construct.rs` |
-//! | `CallForBids`, `Bid`, `Decline`, `Award` | `allocate.rs` |
+//! | `CallForBids` (every task, one per member), `Bids` (an answer per task called), `Award` (tasks won and lost) | `allocate.rs` |
 //! | `Execute`, `InputDelivery`, `GoalDelivered` | `execute.rs` |
+//! | `Abandon` | `repair.rs` |
 //!
 //! | `TimerPurpose` | owner |
 //! |---|---|
@@ -53,14 +54,15 @@
 //! A timer is named by its problem and purpose (with the task, where the
 //! purpose has one); arming a name replaces its timer. `retire` disarms
 //! an attempt's guards, `release` every timer of a superseded attempt,
-//! and an award or plan a hold's `BidHoldExpiry`: only a losing bid's
-//! hold outlives its attempt.
+//! and an award (won or lost) or plan a hold's `BidHoldExpiry`: only a
+//! hold whose award never came outlives its attempt.
 //!
 //! `construct.rs` hands over to `allocate.rs` when the frontier
 //! construction finishes (`start_allocation` opens one auction per
-//! task), `allocate.rs` to `execute.rs` when `decide` closes the last
-//! one (`finalize_allocation` sends the plans), and both to `repair.rs`
-//! (`repair_or_fail`) when an attempt cannot go on; repair opens the new
+//! task), `allocate.rs` to `execute.rs` when `settle` finds the last one
+//! decided (`finalize_allocation` sends the plans), and both to
+//! `repair.rs` (`repair_or_fail`) when an attempt cannot go on; repair
+//! tells the attempt's assignees to `Abandon` it and opens the new
 //! attempt's first round through `begin_construction`, as `Initiate`
 //! does.
 
@@ -361,9 +363,9 @@ impl HostCore {
     /// Number of timers currently armed. A timer is disarmed once it can
     /// no longer matter — a round's timeout when the round closes, an
     /// attempt's guards when it turns terminal, a bid hold's expiry when
-    /// the award or the plan firms the hold — so on a long-lived host
-    /// this tracks the work in flight and the holds of bids that lost,
-    /// not the problems ever served.
+    /// the award or the plan firms or frees the hold — so on a long-lived
+    /// host this tracks the work in flight and the holds whose award never
+    /// came, not the problems ever served.
     pub fn armed_timer_count(&self) -> usize {
         self.timers.len()
     }
@@ -554,10 +556,10 @@ impl HostCore {
             .disarm_problem(problem, TimerPurpose::guards_attempt);
     }
 
-    /// Drops everything this host holds for `problem`, an attempt a
-    /// repair supersedes: its commitments in any state, the inputs
-    /// parked for its plan and every timer armed for it. Its workspace
-    /// keeps the record.
+    /// Drops everything this host holds for `problem`, an attempt its
+    /// initiator gave up (superseded by a repair, or failed for good):
+    /// its commitments in any state, the inputs parked for its plan and
+    /// every timer armed for it. Its workspace keeps the record.
     fn release(&mut self, problem: ProblemId) {
         self.schedule.release_problem(problem);
         self.timers.disarm_problem(problem, |_| true);
@@ -633,14 +635,12 @@ impl HostCore {
                 capable,
             } => self.on_query_reply(from, problem, round, fragments, capable, now, q),
 
-            Msg::CallForBids {
-                problem,
-                task,
-                meta,
-            } => self.on_call_for_bids(from, problem, task, meta, now, q),
-            Msg::Bid { problem, task, bid } => self.on_bid(from, problem, task, bid, now, q),
-            Msg::Decline { problem, task } => self.on_decline(from, problem, task, now, q),
-            Msg::Award { problem, task, .. } => self.on_award(from, problem, task),
+            Msg::CallForBids { problem, tasks } => {
+                self.on_call_for_bids(from, problem, tasks, now, q)
+            }
+            Msg::Bids { problem, answers } => self.on_bids(from, problem, answers, now, q),
+            Msg::Award { problem, won, lost } => self.on_award(from, problem, won, lost),
+            Msg::Abandon { problem } => self.on_abandon(from, problem),
 
             Msg::Execute { problem, plan } => self.on_execute(from, problem, plan, now, q),
             Msg::InputDelivery { problem, label } => self.on_input_delivery(problem, label, now, q),

@@ -2,12 +2,20 @@
 //! watchdog expires, is retired and the whole pipeline retried under a
 //! fresh attempt id — until the repair budget runs out and the problem
 //! fails for good. The `repair` span marks the hand-over.
+//!
+//! Either way the attempt is over on every host: the initiator releases
+//! what it holds for it and sends [`Msg::Abandon`] to each other host the
+//! attempt awarded a task, whose handler releases the same. A bidder
+//! that lost was already told so by its award, so the assignees are the
+//! only hosts left holding anything of the attempt.
+
+use std::collections::BTreeSet;
 
 use openwf_obs::SpanPhase;
-use openwf_simnet::SimTime;
+use openwf_simnet::{HostId, SimTime};
 
 use super::{Action, ActionQueue, HostCore, WorkflowEvent};
-use crate::messages::ProblemId;
+use crate::messages::{Msg, ProblemId};
 use crate::report::ProblemStatus;
 use crate::workflow_mgr::Workspace;
 
@@ -30,6 +38,15 @@ impl HostCore {
         }
     }
 
+    /// [`Msg::Abandon`]: the initiator gave the attempt up, so everything
+    /// this host holds for it goes. Only the problem's initiator abandons
+    /// its attempts: an `Abandon` from anyone else releases nothing.
+    pub(super) fn on_abandon(&mut self, from: HostId, problem: ProblemId) {
+        if from == problem.initiator {
+            self.release(problem);
+        }
+    }
+
     pub(super) fn repair_or_fail(
         &mut self,
         problem: ProblemId,
@@ -37,20 +54,33 @@ impl HostCore {
         now: SimTime,
         q: &mut ActionQueue,
     ) {
-        let (attempts_used, spec, original_start) = match self.workspaces.get_mut(&problem) {
-            Some(ws) => {
-                ws.report.status = ProblemStatus::Failed {
-                    reason: reason.clone(),
-                };
-                (
-                    ws.report.repair_attempts,
-                    ws.spec.clone(),
-                    ws.report.timings.initiated_at,
-                )
-            }
-            None => return,
-        };
+        let me = self.id();
+        let (attempts_used, spec, original_start, assignees) =
+            match self.workspaces.get_mut(&problem) {
+                Some(ws) => {
+                    ws.report.status = ProblemStatus::Failed {
+                        reason: reason.clone(),
+                    };
+                    let assignees: BTreeSet<HostId> = ws
+                        .assignments
+                        .iter()
+                        .map(|(_, a)| a.host)
+                        .filter(|&host| host != me)
+                        .collect();
+                    (
+                        ws.report.repair_attempts,
+                        ws.spec.clone(),
+                        ws.report.timings.initiated_at,
+                        assignees,
+                    )
+                }
+                None => return,
+            };
         self.retire(problem);
+        self.release(problem);
+        for host in assignees {
+            self.emit(q, host, Msg::Abandon { problem });
+        }
         if attempts_used >= self.params.max_repair_attempts {
             if self.obs.trace.is_enabled() {
                 self.trace(
@@ -94,7 +124,6 @@ impl HostCore {
             );
         }
         self.span(now, next, "construct", SpanPhase::Begin);
-        self.release(problem);
         let n_peers = self.community.len().saturating_sub(1);
         let mut workspace = Workspace::new(next, spec, now, n_peers);
         workspace.report.repair_attempts = attempts_used + 1;

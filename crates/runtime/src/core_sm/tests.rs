@@ -1,3 +1,4 @@
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use openwf_core::{Fragment, Label, Mode, Spec};
@@ -566,7 +567,10 @@ fn late_traffic_for_a_completed_attempt_changes_nothing() {
                             fragments: Vec::new(),
                             capable: Vec::new(),
                         },
-                        Msg::CallForBids { problem, task, .. } => Msg::Decline { problem, task },
+                        Msg::CallForBids { problem, tasks } => Msg::Bids {
+                            problem,
+                            answers: tasks.into_iter().map(|(task, _)| (task, None)).collect(),
+                        },
                         other => panic!("nothing else goes to a peer without tasks: {other:?}"),
                     };
                     inbox.push((peer, frame(&answer)));
@@ -614,16 +618,18 @@ fn late_traffic_for_a_completed_attempt_changes_nothing() {
     let task = TaskId::new("lt-t1");
     let mut late = peer_said;
     late.extend([
-        Msg::Bid {
+        Msg::Bids {
             problem,
-            task,
-            bid: Bid {
-                start: now,
-                travel: SimDuration::ZERO,
-                duration: SimDuration::from_millis(10),
-                specialization: 1,
-                deadline: now + SimDuration::from_millis(1),
-            },
+            answers: vec![(
+                task,
+                Some(Bid {
+                    start: now,
+                    travel: SimDuration::ZERO,
+                    duration: SimDuration::from_millis(10),
+                    specialization: 1,
+                    deadline: now + SimDuration::from_millis(1),
+                }),
+            )],
         },
         Msg::GoalDelivered {
             problem,
@@ -999,31 +1005,52 @@ fn a_duplicated_execute_runs_each_task_once() {
     assert_eq!(core.service_mgr().invocations().len(), 1);
 }
 
-fn call_for_bids(problem: ProblemId, task: &str) -> Vec<u8> {
+/// A call for bids on `tasks`, in that order, none of them constrained.
+fn call_for_bids_on(problem: ProblemId, tasks: &[&str]) -> Vec<u8> {
+    let meta = crate::metadata::TaskMetadata {
+        level: 0,
+        inputs: Vec::new(),
+        outputs: Vec::new(),
+        location: None,
+        earliest_start: SimTime::ZERO,
+    };
     frame(&Msg::CallForBids {
         problem,
-        task: TaskId::new(task),
-        meta: crate::metadata::TaskMetadata {
-            level: 0,
-            inputs: Vec::new(),
-            outputs: Vec::new(),
-            location: None,
-            earliest_start: SimTime::ZERO,
-        },
+        tasks: tasks
+            .iter()
+            .map(|task| (TaskId::new(*task), meta.clone()))
+            .collect(),
     })
+}
+
+/// A call for bids on `task` alone.
+fn call_for_bids(problem: ProblemId, task: &str) -> Vec<u8> {
+    call_for_bids_on(problem, &[task])
 }
 
 /// The initiator's award of `task` to the executor, at what `bid` said.
 fn award(problem: ProblemId, task: &str, bid: &Bid) -> Vec<u8> {
     frame(&Msg::Award {
         problem,
-        task: TaskId::new(task),
-        assignment: crate::metadata::Assignment {
-            host: HostId(1),
-            start: bid.start,
-            duration: bid.travel + bid.duration,
-            location: None,
-        },
+        won: vec![(
+            TaskId::new(task),
+            crate::metadata::Assignment {
+                host: HostId(1),
+                start: bid.start,
+                duration: bid.travel + bid.duration,
+                location: None,
+            },
+        )],
+        lost: Vec::new(),
+    })
+}
+
+/// The initiator's word that the executor bid on `task` and lost.
+fn lost(problem: ProblemId, task: &str) -> Vec<u8> {
+    frame(&Msg::Award {
+        problem,
+        won: Vec::new(),
+        lost: vec![TaskId::new(task)],
     })
 }
 
@@ -1035,12 +1062,26 @@ fn answer(q: &ActionQueue) -> Msg {
     }
 }
 
-/// The bid the executor answered a call with.
-fn bid_in(q: &ActionQueue) -> Bid {
+/// The answers the executor sent the initiator, one per task called.
+fn answers(q: &ActionQueue) -> Vec<(TaskId, Option<Bid>)> {
     match answer(q) {
-        Msg::Bid { bid, .. } => bid,
-        other => panic!("expected a bid, got {other:?}"),
+        Msg::Bids { answers, .. } => answers,
+        other => panic!("expected bids, got {other:?}"),
     }
+}
+
+/// The executor's answer to a call for one task: its bid, or `None`
+/// when it declined.
+fn single_answer(q: &ActionQueue) -> Option<Bid> {
+    match &answers(q)[..] {
+        [(_, bid)] => bid.clone(),
+        other => panic!("one answer: {other:?}"),
+    }
+}
+
+/// The bid the executor answered a call for one task with.
+fn bid_in(q: &ActionQueue) -> Bid {
+    single_answer(q).expect("a bid, not a decline")
 }
 
 #[test]
@@ -1064,11 +1105,7 @@ fn incapable_host_declines() {
     let mut core = executor(HostConfig::new());
     let problem = ProblemId::new(HostId(0), 0);
     let q = core.handle_frame(HostId(0), &call_for_bids(problem, "ic-t"), SimTime::ZERO);
-    assert!(
-        matches!(answer(&q), Msg::Decline { .. }),
-        "{:?}",
-        q.actions()
-    );
+    assert_eq!(single_answer(&q), None, "{:?}", q.actions());
     assert_eq!(core.schedule().commitment_count(), 0);
 }
 
@@ -1080,11 +1117,7 @@ fn unwilling_host_declines() {
     let mut core = executor(config);
     let problem = ProblemId::new(HostId(0), 0);
     let q = core.handle_frame(HostId(0), &call_for_bids(problem, "uw-t"), SimTime::ZERO);
-    assert!(
-        matches!(answer(&q), Msg::Decline { .. }),
-        "{:?}",
-        q.actions()
-    );
+    assert_eq!(single_answer(&q), None, "{:?}", q.actions());
     assert_eq!(core.schedule().commitment_count(), 0);
 }
 
@@ -1099,22 +1132,19 @@ fn commitment_budget_counts_load_not_history() {
     let mut core = executor(config);
     let mut call = |seq: u32, now: SimTime| {
         let problem = ProblemId::new(HostId(0), seq);
-        answer(&core.handle_frame(HostId(0), &call_for_bids(problem, "cl-t"), now))
+        single_answer(&core.handle_frame(HostId(0), &call_for_bids(problem, "cl-t"), now))
     };
     let first = call(0, SimTime::ZERO);
     let second = call(1, SimTime::ZERO);
-    let Msg::Bid { bid: last, .. } = &second else {
+    let Some(last) = &second else {
         panic!("inside the budget: {first:?}, {second:?}")
     };
-    assert!(matches!(first, Msg::Bid { .. }), "{first:?}");
+    assert!(first.is_some(), "{first:?}");
     let third = call(2, SimTime::ZERO);
-    assert!(
-        matches!(third, Msg::Decline { .. }),
-        "two still open: {third:?}"
-    );
+    assert!(third.is_none(), "two still open: {third:?}");
     let both_ended = last.start + last.travel + last.duration;
     let third = call(2, both_ended);
-    assert!(matches!(third, Msg::Bid { .. }), "{third:?}");
+    assert!(third.is_some(), "{third:?}");
 }
 
 #[test]
@@ -1187,9 +1217,7 @@ fn a_duplicated_call_for_bids_holds_one_slot() {
     let now = SimTime::ZERO;
     let first = core.handle_frame(HostId(0), &call, now);
     let copy = core.handle_frame(HostId(0), &call, now);
-    let (Msg::Bid { bid: a, .. }, Msg::Bid { bid: b, .. }) = (answer(&first), answer(&copy)) else {
-        panic!("two bids: {:?} {:?}", first.actions(), copy.actions())
-    };
+    let (a, b) = (bid_in(&first), bid_in(&copy));
     assert_eq!(a, b, "the held bid, again");
     assert!(armed(&copy).is_empty(), "the first hold's expiry stands");
     assert_eq!(core.schedule().commitment_count(), 1);
@@ -1197,6 +1225,96 @@ fn a_duplicated_call_for_bids_holds_one_slot() {
     let _ = core.handle_frame(HostId(0), &award(problem, "db-t", &a), now);
     run_timers(&mut core);
     assert_eq!(core.schedule().commitment_count(), 1, "the award stands");
+}
+
+/// One call answers every task it names, in its order, in one frame. A
+/// call naming a task twice answers the second with the bid the first
+/// holds, so the task holds one slot under one expiry.
+#[test]
+fn a_call_naming_a_task_twice_holds_one_slot() {
+    let mut core = executor(HostConfig::new().with_service(service("tw-t")));
+    let problem = ProblemId::new(HostId(0), 0);
+    let call = call_for_bids_on(problem, &["tw-t", "tw-unserved", "tw-t"]);
+    let q = core.handle_frame(HostId(0), &call, SimTime::ZERO);
+    let [(first, Some(a)), (unserved, None), (again, Some(b))] = &answers(&q)[..] else {
+        panic!("a bid, a decline, the bid again: {:?}", q.actions())
+    };
+    assert_eq!(
+        [first, unserved, again].map(TaskId::as_str),
+        ["tw-t", "tw-unserved", "tw-t"]
+    );
+    assert_eq!(a, b);
+    assert_eq!(core.schedule().commitment_count(), 1);
+    assert_eq!(armed(&q).len(), 1, "one hold, one expiry");
+}
+
+/// A copy of a batched call gets every held bid again, holds no second
+/// slot and arms no second expiry.
+#[test]
+fn a_duplicated_batched_call_resends_the_held_bids() {
+    let config = HostConfig::new()
+        .with_service(service("dbc-t"))
+        .with_service(service("dbc-u"));
+    let mut core = executor(config);
+    let problem = ProblemId::new(HostId(0), 0);
+    let call = call_for_bids_on(problem, &["dbc-t", "dbc-u"]);
+    let first = core.handle_frame(HostId(0), &call, SimTime::ZERO);
+    assert_eq!(armed(&first).len(), 2, "one expiry per hold");
+    let copy = core.handle_frame(HostId(0), &call, SimTime::ZERO);
+    assert_eq!(answers(&first), answers(&copy), "the held bids, again");
+    assert!(answers(&copy).iter().all(|(_, bid)| bid.is_some()));
+    assert!(armed(&copy).is_empty(), "the first holds' expiries stand");
+    assert_eq!(core.schedule().commitment_count(), 2);
+    assert_eq!(core.armed_timer_count(), 2);
+}
+
+/// A task this host bid on and lost frees its hold the moment the award
+/// says so, and the hold's expiry goes with it; a lost entry for a task
+/// awarded here frees nothing.
+#[test]
+fn a_lost_task_frees_only_its_hold() {
+    let config = HostConfig::new()
+        .with_service(service("lf-t"))
+        .with_service(service("lf-u"));
+    let mut core = executor(config);
+    let problem = ProblemId::new(HostId(0), 0);
+    let now = SimTime::ZERO;
+    let q = core.handle_frame(
+        HostId(0),
+        &call_for_bids_on(problem, &["lf-t", "lf-u"]),
+        now,
+    );
+    let bids = answers(&q);
+    let won = bids[0].1.clone().expect("a bid");
+    let _ = core.handle_frame(HostId(0), &award(problem, "lf-t", &won), now);
+    let _ = core.handle_frame(HostId(0), &lost(problem, "lf-u"), now);
+    assert_eq!(core.schedule().state(problem, &TaskId::new("lf-u")), None);
+    assert_eq!(core.armed_timer_count(), 0, "both expiries went");
+
+    let _ = core.handle_frame(HostId(0), &lost(problem, "lf-t"), now);
+    assert_eq!(
+        core.schedule().state(problem, &TaskId::new("lf-t")),
+        Some(&CommitmentState::Awarded)
+    );
+}
+
+/// Only the initiator tells a bidder it lost: a lost entry from another
+/// peer leaves the hold and its expiry as they were.
+#[test]
+fn a_lost_entry_from_a_non_initiator_frees_nothing() {
+    let mut core = member(HostConfig::new().with_service(service("ln-t")));
+    let problem = ProblemId::new(HostId(0), 0);
+    let now = SimTime::ZERO;
+    let bid = bid_in(&core.handle_frame(HostId(0), &call_for_bids(problem, "ln-t"), now));
+    for from in [HostId(2), HostId(9)] {
+        let q = core.handle_frame(from, &lost(problem, "ln-t"), now);
+        assert!(q.is_empty(), "{:?}", q.actions());
+    }
+    assert_eq!(
+        core.schedule().state(problem, &TaskId::new("ln-t")),
+        Some(&CommitmentState::Held(bid))
+    );
+    assert_eq!(core.armed_timer_count(), 1, "the hold's expiry stands");
 }
 
 /// A copy of a call for bids that arrives after the award is declined:
@@ -1207,18 +1325,12 @@ fn a_late_call_for_bids_never_frees_an_awarded_slot() {
     let problem = ProblemId::new(HostId(0), 0);
     let call = call_for_bids(problem, "lb-t");
     let now = SimTime::ZERO;
-    let Msg::Bid { bid, .. } = answer(&core.handle_frame(HostId(0), &call, now)) else {
-        panic!("a bid")
-    };
+    let bid = bid_in(&core.handle_frame(HostId(0), &call, now));
     let _ = core.handle_frame(HostId(0), &award(problem, "lb-t", &bid), now);
     assert_eq!(core.schedule().commitment_count(), 1);
 
     let late = core.handle_frame(HostId(0), &call, now);
-    assert!(
-        matches!(answer(&late), Msg::Decline { .. }),
-        "{:?}",
-        late.actions()
-    );
+    assert_eq!(single_answer(&late), None, "{:?}", late.actions());
     assert_eq!(core.schedule().commitment_count(), 1);
     run_timers(&mut core);
     assert_eq!(core.schedule().commitment_count(), 1, "the award stands");
@@ -1724,23 +1836,34 @@ fn respond(
     bid: Option<Bid>,
     now_us: u64,
 ) -> ActionQueue {
-    let task = task.clone();
-    let msg = match bid {
-        Some(bid) => Msg::Bid { problem, task, bid },
-        None => Msg::Decline { problem, task },
+    let msg = Msg::Bids {
+        problem,
+        answers: vec![(task.clone(), bid)],
     };
     core.handle_frame(HostId(from), &frame(&msg), SimTime::from_micros(now_us))
 }
 
-/// The award a poll call sent, if any: the winner and its assignment.
+/// The task a poll call awarded, if any: the winner and its assignment.
 fn awarded(q: &ActionQueue) -> Option<(HostId, crate::metadata::Assignment)> {
     sent(q).into_iter().find_map(|(to, msg)| match msg {
-        Msg::Award { assignment, .. } => {
+        Msg::Award { mut won, .. } if !won.is_empty() => {
+            let (_, assignment) = won.remove(0);
             assert_eq!(to, assignment.host, "the award goes to the winner");
             Some((to, assignment))
         }
         _ => None,
     })
+}
+
+/// The tasks a poll call told each bidder it lost, by bidder.
+fn lost_by(q: &ActionQueue) -> Vec<(HostId, Vec<TaskId>)> {
+    sent(q)
+        .into_iter()
+        .filter_map(|(to, msg)| match msg {
+            Msg::Award { lost, .. } if !lost.is_empty() => Some((to, lost)),
+            _ => None,
+        })
+        .collect()
 }
 
 /// Who a poll call awarded the task to, if anyone.
@@ -1945,8 +2068,18 @@ fn an_auction_timeout_deciding_several_tasks_allocates_once() {
     let timeout = core.next_timer_due().expect("the auction timeout");
     let q = core.tick(timeout);
     let msgs = sent(&q);
-    let awards = msgs.iter().filter(|(_, m)| matches!(m, Msg::Award { .. }));
-    assert_eq!(awards.count(), 2, "{msgs:?}");
+    let awards: Vec<_> = msgs
+        .iter()
+        .filter_map(|(to, m)| match m {
+            Msg::Award { won, lost, .. } => Some((*to, won.len(), lost.len())),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        awards,
+        [(HostId(1), 2, 0)],
+        "one frame awards both: {msgs:?}"
+    );
     let plans: Vec<_> = msgs
         .iter()
         .filter_map(|(to, m)| match m {
@@ -2049,6 +2182,55 @@ fn a_non_member_bid_neither_decides_nor_wins_an_auction() {
     assert_eq!(winner(&q), Some(HostId(2)), "{:?}", q.actions());
 }
 
+/// The award that decides a task also tells every other bidder it lost,
+/// in the same input; a host that declined is told nothing.
+#[test]
+fn a_decision_tells_each_losing_bidder() {
+    let (mut core, problem, t) = auctioning("lo", 4);
+    let _ = respond(&mut core, problem, &t, 1, Some(firm_bid(5, 0, 1_000)), 0);
+    let _ = respond(&mut core, problem, &t, 2, None, 0);
+    let q = respond(&mut core, problem, &t, 3, Some(firm_bid(1, 0, 1_000)), 0);
+    assert_eq!(winner(&q), Some(HostId(3)), "{:?}", q.actions());
+    assert_eq!(lost_by(&q), [(HostId(1), vec![t])]);
+    let awards = sent(&q)
+        .into_iter()
+        .filter(|(_, m)| matches!(m, Msg::Award { .. }))
+        .count();
+    assert_eq!(awards, 2, "one frame per bidder");
+}
+
+/// Only members' answers count, and only for tasks called: a stranger's
+/// batch, or a member's answer for a task no auction is open for,
+/// decides nothing and is remembered for nothing.
+#[test]
+fn a_non_member_batch_or_an_uncalled_answer_changes_nothing() {
+    let (mut core, problem, t) = auctioning("nc", 3);
+    let uncalled = TaskId::new("nc-elsewhere");
+    let batch = |answers: Vec<(TaskId, Option<Bid>)>| frame(&Msg::Bids { problem, answers });
+    let q = core.handle_frame(
+        HostId(9),
+        &batch(vec![(t.clone(), Some(firm_bid(0, 0, 1_000)))]),
+        SimTime::ZERO,
+    );
+    assert!(q.is_empty(), "{:?}", q.actions());
+    let q = core.handle_frame(
+        HostId(1),
+        &batch(vec![(uncalled.clone(), Some(firm_bid(0, 0, 1_000)))]),
+        SimTime::ZERO,
+    );
+    assert!(q.is_empty(), "{:?}", q.actions());
+    let ws = core.latest_attempt(problem).expect("workspace");
+    assert_eq!(ws.report.status, ProblemStatus::Allocating);
+    assert!(ws.assignments.is_empty());
+
+    // Host 1's real answer still counts, and host 2's decides.
+    let _ = respond(&mut core, problem, &t, 1, Some(firm_bid(2, 0, 1_000)), 0);
+    let q = respond(&mut core, problem, &t, 2, None, 0);
+    assert_eq!(winner(&q), Some(HostId(1)), "{:?}", q.actions());
+    let ws = core.latest_attempt(problem).expect("workspace");
+    assert_eq!(ws.assignments.len(), 1);
+}
+
 /// A repair releases the superseded attempt on its initiator in one
 /// call: the initiator's own hold, that hold's expiry and the input
 /// parked for the attempt's plan all go, and the repair attempt's first
@@ -2113,20 +2295,23 @@ fn member(config: HostConfig) -> HostCore {
     core
 }
 
-/// Only a problem's initiator calls for bids: a call another member
-/// sends in host 0's name, or a stranger in its own, holds no slot, arms
-/// no expiry and is not answered, so host 0's own call is answered as if
-/// neither had come.
+/// Only a problem's initiator calls for bids: a batched call another
+/// member sends in host 0's name, or a stranger in its own, holds no
+/// slot for any of its tasks, arms no expiry and is not answered, so host
+/// 0's own call is answered as if neither had come.
 #[test]
 fn a_forged_call_for_bids_books_nothing() {
-    let mut core = member(HostConfig::new().with_service(service("fc-t")));
+    let config = HostConfig::new()
+        .with_service(service("fc-t"))
+        .with_service(service("fc-u"));
+    let mut core = member(config);
     let problem = ProblemId::new(HostId(0), 0);
     let now = SimTime::ZERO;
     for (from, problem) in [
         (HostId(2), problem),
         (HostId(9), ProblemId::new(HostId(9), 0)),
     ] {
-        let q = core.handle_frame(from, &call_for_bids(problem, "fc-t"), now);
+        let q = core.handle_frame(from, &call_for_bids_on(problem, &["fc-t", "fc-u"]), now);
         assert!(q.is_empty(), "{from:?} was answered: {:?}", q.actions());
     }
     assert_eq!(core.schedule().commitment_count(), 0);
@@ -2255,4 +2440,138 @@ fn a_refuted_task_costs_no_extra_round() {
     assert_eq!(ws.report.query_rounds, 2);
     assert_eq!(ws.round(), Some(3), "rounds opened in all");
     assert_eq!(ws.report.fragments_pulled, 4);
+}
+
+/// Only the initiator abandons its attempts: an `Abandon` another peer
+/// sends in its name leaves the plan, the parked input and the timers as
+/// they were; the initiator's own releases all of them.
+#[test]
+fn a_forged_abandon_releases_nothing() {
+    let mut core = ex_executor();
+    let p = ProblemId::new(HostId(0), 0);
+    let now = SimTime::ZERO;
+    let _ = core.handle_frame(
+        HostId(0),
+        &plan(p, vec![planned("ex-t", &["ex-a"], 1_000)]),
+        now,
+    );
+    let parked = ProblemId::new(HostId(0), 1);
+    let _ = core.handle_frame(HostId(0), &input(parked, "ex-a"), now);
+    let footprint = |core: &HostCore| {
+        (
+            core.schedule().commitment_count(),
+            core.schedule().executions_in_flight(),
+            core.armed_timer_count(),
+        )
+    };
+    let before = footprint(&core);
+    assert_eq!(before, (1, 2, 1), "a waiting task, a parked input, a start");
+    for (from, problem) in [(HostId(2), p), (HostId(2), parked), (HostId(9), p)] {
+        let q = core.handle_frame(from, &frame(&Msg::Abandon { problem }), now);
+        assert!(q.is_empty(), "{:?}", q.actions());
+        assert_eq!(footprint(&core), before, "{from:?} released {problem}");
+    }
+    for problem in [p, parked] {
+        let _ = core.handle_frame(HostId(0), &frame(&Msg::Abandon { problem }), now);
+    }
+    assert_eq!(footprint(&core), (0, 0, 0));
+}
+
+/// Drives `cores` — core `i` bound as host `i` of one community — on
+/// host 0's `problem`: every frame is delivered in send order unless
+/// `lose` drops it, and with none in flight the clock jumps to the
+/// earliest armed timer. Once an event `stop` accepts has surfaced, the
+/// frames still in flight are delivered and no timer fires.
+fn drive_community(
+    cores: &mut [HostCore],
+    problem: ProblemId,
+    spec: Spec,
+    lose: impl Fn(HostId, &Msg) -> bool,
+    stop: impl Fn(&WorkflowEvent) -> bool,
+) {
+    let all: Vec<HostId> = (0..cores.len() as u32).map(HostId).collect();
+    for (core, &id) in cores.iter_mut().zip(&all) {
+        core.bind(id);
+        core.set_community(all.clone());
+    }
+    let mut now = SimTime::ZERO;
+    let mut in_flight: VecDeque<(HostId, HostId, Vec<u8>)> = VecDeque::new();
+    let (mut at, mut q) = (HostId(0), cores[0].initiate(problem, spec, now));
+    let mut stopped = false;
+    for _ in 0..100_000 {
+        for action in q {
+            match action {
+                Action::SendBytes { to, bytes } if !lose(to, &decoded(&bytes)) => {
+                    in_flight.push_back((at, to, bytes));
+                }
+                Action::Event(e) if stop(&e) => stopped = true,
+                _ => {}
+            }
+        }
+        let due = cores
+            .iter()
+            .zip(&all)
+            .filter_map(|(core, &id)| core.next_timer_due().map(|due| (due, id)))
+            .min();
+        (at, q) = match (in_flight.pop_front(), due) {
+            (Some((from, to, bytes)), _) => {
+                (to, cores[to.0 as usize].handle_frame(from, &bytes, now))
+            }
+            (None, Some((due, id))) if !stopped => {
+                now = due;
+                (id, cores[id.0 as usize].tick(now))
+            }
+            _ => return,
+        };
+    }
+    panic!("the community never settled");
+}
+
+/// A repair leaves nothing of the attempt it supersedes on any host, and
+/// neither does the final failure. Host 2's plan never arrives, so every
+/// attempt runs out its watchdog with host 1's task done and the input
+/// it sent parked on host 2; each `Abandon` makes both let go.
+#[test]
+fn a_repair_leaves_nothing_of_the_superseded_attempt_on_any_host() {
+    let mut cores = vec![
+        HostCore::new(
+            HostConfig::new()
+                .with_fragment(frag("ab-f1", "ab-t1", "ab-a", "ab-b"))
+                .with_fragment(frag("ab-f2", "ab-t2", "ab-b", "ab-c")),
+            RuntimeParams::default(),
+        ),
+        HostCore::new(
+            HostConfig::new().with_service(service("ab-t1")),
+            RuntimeParams::default(),
+        ),
+        HostCore::new(
+            HostConfig::new().with_service(service("ab-t2")),
+            RuntimeParams::default(),
+        ),
+    ];
+    let problem = ProblemId::new(HostId(0), 0);
+    drive_community(
+        &mut cores,
+        problem,
+        Spec::new(["ab-a"], ["ab-c"]),
+        |to, msg| to == HostId(2) && matches!(msg, Msg::Execute { .. }),
+        |e| matches!(e, WorkflowEvent::Failed { .. }),
+    );
+    let ws = cores[0].latest_attempt(problem).expect("workspace");
+    assert!(
+        matches!(ws.report.status, ProblemStatus::Failed { .. }),
+        "{ws}"
+    );
+    assert_eq!(ws.report.repair_attempts, 2, "{ws}");
+    assert_eq!(
+        cores[1].service_mgr().invocations().len(),
+        3,
+        "t1 ran each time"
+    );
+    for (i, core) in cores.iter().enumerate() {
+        let left: Vec<_> = core.schedule().commitments().collect();
+        assert!(left.is_empty(), "host {i} holds {left:?}");
+        assert_eq!(core.schedule().executions_in_flight(), 0, "host {i}");
+        assert_eq!(core.armed_timer_count(), 0, "host {i}");
+    }
 }

@@ -8,6 +8,14 @@
 //! [`Msg::FragmentQuery`] also asks which of the tasks the previous round
 //! discovered a peer can serve, and its [`Msg::FragmentReply`] says, so a
 //! construction round is one round trip.
+//!
+//! The auction messages are per peer, not per task: one
+//! [`Msg::CallForBids`] to each member names every task of the
+//! allocation, one [`Msg::Bids`] answers all of them, and one
+//! [`Msg::Award`] per bidder carries the outcome of the auctions an input
+//! decided — the tasks it won and those it bid on and lost, whose holds
+//! it frees at once. A repair tells the superseded attempt's assignees
+//! to let go with [`Msg::Abandon`].
 
 use std::fmt;
 use std::sync::Arc;
@@ -122,42 +130,48 @@ pub enum Msg {
         capable: Vec<TaskId>,
     },
 
-    /// Auction manager → all: solicit bids for one task (§3.2).
+    /// Auction manager → every other member: solicit bids for the tasks
+    /// of one allocation (§3.2), one frame per peer. Honoured only from
+    /// the problem's initiator, and only when it is a member.
     CallForBids {
         /// Problem being allocated.
         problem: ProblemId,
-        /// The task up for auction.
-        task: TaskId,
-        /// Scheduling metadata (level, location, earliest start…).
-        meta: TaskMetadata,
+        /// The tasks up for auction, each with its scheduling metadata
+        /// (level, location, earliest start…), in the order the answer
+        /// follows.
+        tasks: Vec<(TaskId, TaskMetadata)>,
     },
 
-    /// Participant → auction manager: a firm bid.
-    Bid {
+    /// Participant → auction manager: its answer to every task of one
+    /// call, in the call's order. Counts only from a member.
+    Bids {
         /// Problem being allocated.
         problem: ProblemId,
-        /// Task being bid on.
-        task: TaskId,
-        /// The bid.
-        bid: Bid,
+        /// One entry per task called: a firm bid, or `None` — cannot
+        /// serve the task.
+        answers: Vec<(TaskId, Option<Bid>)>,
     },
 
-    /// Participant → auction manager: cannot serve this task.
-    Decline {
-        /// Problem being allocated.
-        problem: ProblemId,
-        /// Task declined.
-        task: TaskId,
-    },
-
-    /// Auction manager → winner: the task is yours.
+    /// Auction manager → a bidder: the outcome of the auctions decided
+    /// by one input, for every task this bidder won or bid on and lost.
+    /// Honoured only from the problem's initiator.
     Award {
         /// Problem being allocated.
         problem: ProblemId,
-        /// Task awarded.
-        task: TaskId,
-        /// Assignment details (time, location).
-        assignment: Assignment,
+        /// The tasks awarded to the recipient, with the assignment
+        /// details (time, location).
+        won: Vec<(TaskId, Assignment)>,
+        /// The tasks the recipient bid on and another bidder won: their
+        /// holds are freed at once.
+        lost: Vec<TaskId>,
+    },
+
+    /// Initiator → each assignee of an attempt a repair supersedes, or
+    /// that failed for good: drop everything held for it (§5.1).
+    /// Honoured only from the problem's initiator.
+    Abandon {
+        /// The attempt given up.
+        problem: ProblemId,
     },
 
     /// Initiator → each executor: the routing/commitment plan for the
@@ -198,9 +212,9 @@ impl Msg {
             | Msg::FragmentQuery { problem, .. }
             | Msg::FragmentReply { problem, .. }
             | Msg::CallForBids { problem, .. }
-            | Msg::Bid { problem, .. }
-            | Msg::Decline { problem, .. }
+            | Msg::Bids { problem, .. }
             | Msg::Award { problem, .. }
+            | Msg::Abandon { problem }
             | Msg::Execute { problem, .. }
             | Msg::InputDelivery { problem, .. }
             | Msg::GoalDelivered { problem, .. } => *problem,
@@ -212,7 +226,7 @@ impl Msg {
         self.problem().trace_id()
     }
 
-    /// The variant's name — `"CallForBids"`, `"Bid"` — for tracing,
+    /// The variant's name — `"CallForBids"`, `"Bids"` — for tracing,
     /// without formatting the message body.
     pub fn kind(&self) -> &'static str {
         match self {
@@ -220,9 +234,9 @@ impl Msg {
             Msg::FragmentQuery { .. } => "FragmentQuery",
             Msg::FragmentReply { .. } => "FragmentReply",
             Msg::CallForBids { .. } => "CallForBids",
-            Msg::Bid { .. } => "Bid",
-            Msg::Decline { .. } => "Decline",
+            Msg::Bids { .. } => "Bids",
             Msg::Award { .. } => "Award",
+            Msg::Abandon { .. } => "Abandon",
             Msg::Execute { .. } => "Execute",
             Msg::InputDelivery { .. } => "InputDelivery",
             Msg::GoalDelivered { .. } => "GoalDelivered",

@@ -17,9 +17,10 @@
 //! task whose hold expired before any award or plan came gets a
 //! commitment at the plan's slot — then [`CommitmentState::Running`]
 //! while its service runs, and [`CommitmentState::Done`] when it has
-//! run. A hold that outlives its bid's deadline unawarded is released;
-//! no other state is. Inputs that reach a problem before any plan of it
-//! installed a task here are parked until one does.
+//! run. A hold that `Award` names lost, or that outlives its bid's
+//! deadline unawarded, is released; no other state is. Inputs that reach
+//! a problem before any plan of it installed a task here are parked until
+//! one does.
 //!
 //! The database is keyed by problem: a problem's commitments, in plan
 //! order, and its parked inputs are one entry, which
@@ -327,8 +328,9 @@ impl ScheduleManager {
         }
     }
 
-    /// A bid hold outlived its deadline: the commitment is released if
-    /// it is still [`CommitmentState::Held`]. Any other state stays.
+    /// A bid hold lost its auction or outlived its deadline: the
+    /// commitment is released if it is still [`CommitmentState::Held`].
+    /// Any other state stays.
     pub(crate) fn expire_hold(&mut self, problem: ProblemId, task: &TaskId) {
         let Some(entry) = self.problems.get_mut(&problem) else {
             return;

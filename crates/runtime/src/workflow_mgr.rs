@@ -65,19 +65,34 @@ pub(crate) struct Collect {
     pub(crate) capable: BTreeSet<TaskId>,
 }
 
-/// One task's auction while it is undecided (§3.2): who has answered and
-/// the tentative allocation. The one deadline timer armed for it — the
-/// current best bid's — is named by its task in the host's timer table.
+/// One task's auction while it is undecided (§3.2): who has answered,
+/// who bid and the tentative allocation. The one deadline timer armed
+/// for it — the current best bid's — is named by its task in the host's
+/// timer table.
 #[derive(Debug, Default)]
 pub(crate) struct Auction {
     /// Hosts whose bid or decline was already counted. Networks with
     /// duplication faults can deliver one answer twice; counting it
     /// twice could decide before honest bids arrive.
     pub(crate) responded: BTreeSet<HostId>,
+    /// The hosts among them that bid: each holds a slot until the
+    /// decision tells it whether it won.
+    pub(crate) bidders: BTreeSet<HostId>,
     /// The tentative allocation: the best bid so far and its bidder.
     pub(crate) best: Option<(HostId, Bid)>,
     /// The location the call for bids required, copied into the award.
     pub(crate) location: Option<String>,
+}
+
+/// What the auctions decided during one input mean for one bidder: the
+/// body of the [`Msg::Award`](crate::Msg::Award) it is sent when the
+/// input ends.
+#[derive(Debug, Default)]
+pub(crate) struct Outcome {
+    /// The tasks it won.
+    pub(crate) won: Vec<(TaskId, Assignment)>,
+    /// The tasks it bid on and another bidder won.
+    pub(crate) lost: Vec<TaskId>,
 }
 
 /// One attempt at one problem on its initiator: a **record** that lives
@@ -130,6 +145,9 @@ pub struct WorkingSet {
     /// decision removes its task, so allocation is over when this is
     /// empty.
     pub(crate) auctions: BTreeMap<TaskId, Auction>,
+    /// The outcomes of the auctions decided during the input being
+    /// handled, by bidder; empty between inputs.
+    pub(crate) outcomes: BTreeMap<HostId, Outcome>,
 
     /// The *other* hosts a round or an auction waits for.
     pub(crate) n_peers: usize,
@@ -160,6 +178,7 @@ impl Workspace {
             goals_pending: spec.goals().clone(),
             unallocatable: Vec::new(),
             auctions: BTreeMap::new(),
+            outcomes: BTreeMap::new(),
             n_peers,
             engine: IncrementalConstructor::new().start(&spec),
             tasks_seen: 0,

@@ -11,6 +11,7 @@
 //! timing or weighing anything.
 
 use openwf_core::{Fragment, Mode, Spec};
+use openwf_runtime::schedule::CommitmentState;
 use openwf_runtime::{
     Driver, HostConfig, LoopbackBytesDriver, ProblemStatus, RuntimeParams, ServiceDescription,
     WorkflowEvent,
@@ -23,7 +24,7 @@ const HOSTS: usize = 3;
 /// One initiator and two peers: the know-how chain is spread over all
 /// three, and every task is served by `servers` of them, the hosts after
 /// its know-how's holder, so each workflow crosses hosts in every phase
-/// and, with two servers a task, leaves losing bids behind to expire.
+/// and, with two servers a task, has a losing bid in every auction.
 fn configs(servers: usize) -> Vec<HostConfig> {
     let mut cfgs: Vec<HostConfig> = (0..HOSTS).map(|_| HostConfig::new()).collect();
     for i in 0..CHAIN {
@@ -121,10 +122,9 @@ fn what_a_host_keeps_open_does_not_grow_with_workflows_served() {
         }
     }
 
-    // Losing bids' holds stay armed for `bid_patience + round_timeout`
-    // of the virtual clock, a few dozen workflows here (a won hold's
-    // expiry goes with its award); the bound is taken once that window
-    // is full and must still hold 1 800 workflows on.
+    // A hold's expiry goes with its award, won or lost, so what stays
+    // armed is the work in flight; the bound is taken after the first
+    // hundred workflows and must still hold 1 800 workflows on.
     let (timer_bound, slot_bound, plan_bound) = after[100..200]
         .iter()
         .fold((0, 0, 0), |(t, s, p), &(timers, slots, plans)| {
@@ -160,24 +160,35 @@ fn what_a_host_keeps_open_does_not_grow_with_workflows_served() {
     );
 }
 
-/// With one capable host per task no bid loses, so a completed workflow
-/// leaves nothing armed on any host: the initiator's guards go with the
-/// attempt, and each winner's hold expiry with its award or plan.
+/// A completed workflow leaves nothing armed and nothing held on any
+/// host: the initiator's guards go with the attempt, each winner's hold
+/// expiry with its award or plan, and — where several hosts can serve
+/// each task, so bids lose — each loser's hold and its expiry with the
+/// award that names the task lost.
 #[test]
 fn a_completed_workflow_leaves_no_timer_armed_on_any_host() {
-    let mut driver = LoopbackBytesDriver::build(RuntimeParams::default(), configs(1));
-    let initiator = driver.hosts()[0];
-    let spec = Spec::new(["flat-l0".to_string()], [format!("flat-l{CHAIN}")]);
-    let handle = driver.submit(initiator, spec);
-    let completed = |driver: &LoopbackBytesDriver| {
-        driver.events().iter().any(
-            |(_, event)| matches!(event, WorkflowEvent::Completed { problem } if *problem == handle.id),
-        )
-    };
-    while !completed(&driver) {
-        assert!(driver.step(), "the workflow stalled");
-    }
-    for h in driver.hosts() {
-        assert_eq!(driver.core(h).armed_timer_count(), 0, "{h:?}");
+    for servers in [1, 2] {
+        let mut driver = LoopbackBytesDriver::build(RuntimeParams::default(), configs(servers));
+        let initiator = driver.hosts()[0];
+        let spec = Spec::new(["flat-l0".to_string()], [format!("flat-l{CHAIN}")]);
+        let handle = driver.submit(initiator, spec);
+        let completed = |driver: &LoopbackBytesDriver| {
+            driver.events().iter().any(|(_, event)| {
+                matches!(event, WorkflowEvent::Completed { problem } if *problem == handle.id)
+            })
+        };
+        while !completed(&driver) {
+            assert!(driver.step(), "the workflow stalled");
+        }
+        for h in driver.hosts() {
+            let core = driver.core(h);
+            assert_eq!(core.armed_timer_count(), 0, "{servers} servers: {h:?}");
+            let held: Vec<_> = core
+                .schedule()
+                .commitments()
+                .filter(|c| matches!(c.state, CommitmentState::Held(_)))
+                .collect();
+            assert!(held.is_empty(), "{servers} servers: {h:?} holds {held:?}");
+        }
     }
 }

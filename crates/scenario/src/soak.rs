@@ -188,9 +188,10 @@ impl SoakConfig {
     }
 
     /// Delivered-message budget the run must stay within: a generous
-    /// per-problem allowance scaled by community size (a clean run
-    /// lands around a quarter to half of this: 27–38 % over the full
-    /// sweep at `DEFAULT_SOAK_SEED`, 25–43 % in fast mode).
+    /// per-problem allowance scaled by community size (a run lands
+    /// around a fifth to a third of this: 20–29 % over the full sweep at
+    /// `DEFAULT_SOAK_SEED`, 22–35 % in fast mode, repairs and their
+    /// `Abandon` frames included).
     pub fn message_budget(&self) -> u64 {
         self.total_problems() as u64 * 45 * self.district_hosts as u64
     }

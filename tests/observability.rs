@@ -109,7 +109,7 @@ fn tracer_captures_the_protocol_conversation() {
         "FragmentQuery",
         "FragmentReply",
         "CallForBids",
-        "Bid",
+        "Bids",
         "Execute",
         "InputDelivery",
         "GoalDelivered",
