@@ -182,8 +182,9 @@ impl Workflow {
     }
 
     /// The *level* of each task: length of the longest task-path ending at
-    /// that task. Tasks at the same level can execute in parallel. Used by
-    /// the auction manager to compute scheduling metadata.
+    /// that task. Tasks at the same level can execute in parallel. Sorted
+    /// by level, then node index: the order in which the auction manager
+    /// calls for bids on a workflow's tasks.
     pub fn task_levels(&self) -> Vec<(TaskId, usize)> {
         let order = self
             .graph

@@ -38,9 +38,14 @@ pub const TAG_NET_GOODBYE: u8 = 0x12;
 /// Process shutdown request tag.
 pub const TAG_NET_SHUTDOWN: u8 = 0x13;
 
-/// Version of the *net-level* handshake (independent of the wire format
-/// version, which every frame already carries).
-pub const NET_PROTO_VERSION: u64 = 1;
+/// Version of the protocol a connection speaks: the net-level handshake
+/// and the bodies of the `TAG_MSG` frames its envelopes carry. A peer
+/// whose hello names another version is refused, so a build whose
+/// message bodies differ is cut off instead of misparsed. The wire
+/// format version, which every frame already carries, stays apart: it
+/// also covers the `TAG_FRAGMENT` frames durable logs hold, so a change
+/// to message bodies alone bumps this constant, not that one.
+pub const NET_PROTO_VERSION: u64 = 2;
 
 /// A decoded [`TAG_NET_HELLO`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -233,7 +238,7 @@ mod tests {
         let mut hello = Vec::new();
         encode_hello(
             &Hello {
-                proto: 1,
+                proto: NET_PROTO_VERSION,
                 name: "n".into(),
                 listen: String::new(),
                 hosts: vec![(0, HostId(4))],

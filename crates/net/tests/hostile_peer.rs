@@ -599,3 +599,52 @@ fn a_frame_in_the_servers_own_name_is_dropped_before_it_is_decoded() {
     assert_eq!(counter(&server, "net.rx_forged_local"), 1);
     assert_eq!(live_conns(&server), 0, "the connection is cut");
 }
+
+// ---- (f) a peer of an older build ---------------------------------------
+
+/// The handshake version covers the `TAG_MSG` bodies too: a peer whose
+/// hello names version 1, whose message bodies differ, is refused at
+/// its hello rather than misparsed. The connection is cut, one denial
+/// is counted, and nothing it sent behind the hello — a member's query,
+/// know-how to ingest — reaches the core.
+#[test]
+fn a_version_1_hello_is_severed_and_nothing_is_dispatched() {
+    let _turn = serialized();
+    let mut server = member_server(QueueCaps::default());
+    let known = |s: &NetServer| s.core(COMMUNITY, SERVER).fragment_mgr().len();
+    let mut bytes = Vec::new();
+    encode_hello(
+        &Hello {
+            proto: 1,
+            name: "version-1-peer".into(),
+            listen: String::new(),
+            hosts: vec![(COMMUNITY, PEER)],
+        },
+        &mut bytes,
+    );
+    bytes.extend(query_envelope(PEER, 0, "hp-l0"));
+    bytes.extend(fragment_envelope(PEER, &step(1)));
+    let mut peer = TcpStream::connect(server.listen_addr().unwrap()).unwrap();
+    peer.write_all(&bytes).unwrap();
+    poll_until(&mut server, "the old hello is refused", |s| {
+        counter(s, "net.conn_closed") == 1
+    });
+    assert_eq!(counter(&server, "net.conn_denied"), 1);
+    assert_eq!(live_conns(&server), 0);
+    for _ in 0..10 {
+        server.poll(Duration::from_millis(1));
+    }
+    assert_eq!(known(&server), 1, "nothing was ingested");
+
+    // What the server wrote before it cut the connection holds no
+    // envelope: the query went unanswered.
+    let mut written = Vec::new();
+    peer.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    peer.read_to_end(&mut written)
+        .expect("the server closed its side");
+    let mut decoder = FrameDecoder::new();
+    decoder.feed(&written);
+    while let Some(frame) = decoder.next_frame().unwrap() {
+        assert_ne!(frame.tag, TAG_NET_ENVELOPE, "a frame was dispatched");
+    }
+}

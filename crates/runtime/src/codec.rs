@@ -13,9 +13,7 @@
 //! reach. An over-budget reply is rejected as a protocol error with the
 //! process interner untouched.
 //!
-//! Times travel as varint microseconds ([`SimTime::as_micros`]);
-//! locations are inline strings (they are free-form hints, not semantic
-//! names, and must not charge the vocabulary budget).
+//! Times travel as varint microseconds ([`SimTime::as_micros`]).
 
 use std::sync::Arc;
 
@@ -27,7 +25,7 @@ use openwf_wire::{
 };
 
 use crate::messages::{Msg, ProblemId};
-use crate::metadata::{Assignment, Bid, ExecutionPlan, PlannedOutput, PlannedTask, TaskMetadata};
+use crate::metadata::{Bid, ExecutionPlan, PlannedOutput, PlannedTask};
 
 const V_INITIATE: u8 = 0;
 const V_FRAGMENT_QUERY: u8 = 1;
@@ -111,16 +109,6 @@ fn read_tasks(r: &mut PayloadReader<'_, '_>, names: &[Interned]) -> Result<Vec<T
     Ok(out)
 }
 
-fn write_opt_string(enc: &mut FrameEncoder, s: Option<&str>) {
-    match s {
-        None => enc.byte(0),
-        Some(s) => {
-            enc.byte(1);
-            enc.inline_str(s);
-        }
-    }
-}
-
 /// An option: a 0 byte, or a 1 byte and what `read` reads.
 fn read_opt<'a, 'b, T>(
     r: &mut PayloadReader<'a, 'b>,
@@ -133,10 +121,6 @@ fn read_opt<'a, 'b, T>(
     }
 }
 
-fn read_opt_string(r: &mut PayloadReader<'_, '_>) -> Result<Option<String>, WireError> {
-    read_opt(r, |r| Ok(r.inline_str()?.to_string()))
-}
-
 fn read_bool(r: &mut PayloadReader<'_, '_>) -> Result<bool, WireError> {
     match r.byte()? {
         0 => Ok(false),
@@ -147,27 +131,6 @@ fn read_bool(r: &mut PayloadReader<'_, '_>) -> Result<bool, WireError> {
 
 fn write_spec_payload(enc: &mut FrameEncoder, spec: &openwf_core::Spec) {
     openwf_wire::model::write_spec(enc, spec);
-}
-
-fn write_metadata(enc: &mut FrameEncoder, meta: &TaskMetadata) {
-    enc.varint(meta.level as u64);
-    write_labels(enc, &meta.inputs);
-    write_labels(enc, &meta.outputs);
-    write_opt_string(enc, meta.location.as_deref());
-    write_time(enc, meta.earliest_start);
-}
-
-fn read_metadata(
-    r: &mut PayloadReader<'_, '_>,
-    names: &[Interned],
-) -> Result<TaskMetadata, WireError> {
-    Ok(TaskMetadata {
-        level: r.varint()? as usize,
-        inputs: read_labels(r, names)?,
-        outputs: read_labels(r, names)?,
-        location: read_opt_string(r)?,
-        earliest_start: read_time(r)?,
-    })
 }
 
 fn write_bid(enc: &mut FrameEncoder, bid: &Bid) {
@@ -188,22 +151,6 @@ fn read_bid(r: &mut PayloadReader<'_, '_>) -> Result<Bid, WireError> {
     })
 }
 
-fn write_assignment(enc: &mut FrameEncoder, a: &Assignment) {
-    enc.varint(u64::from(a.host.0));
-    write_time(enc, a.start);
-    write_duration(enc, a.duration);
-    write_opt_string(enc, a.location.as_deref());
-}
-
-fn read_assignment(r: &mut PayloadReader<'_, '_>) -> Result<Assignment, WireError> {
-    Ok(Assignment {
-        host: HostId(read_u32(r)?),
-        start: read_time(r)?,
-        duration: read_duration(r)?,
-        location: read_opt_string(r)?,
-    })
-}
-
 fn write_plan(enc: &mut FrameEncoder, plan: &ExecutionPlan) {
     enc.varint(plan.commitments.len() as u64);
     for task in &plan.commitments {
@@ -220,7 +167,6 @@ fn write_plan(enc: &mut FrameEncoder, plan: &ExecutionPlan) {
         }
         write_time(enc, task.start);
         write_duration(enc, task.duration);
-        write_opt_string(enc, task.location.as_deref());
     }
 }
 
@@ -229,7 +175,9 @@ fn read_plan(
     names: &[Interned],
 ) -> Result<ExecutionPlan, WireError> {
     let n = r.varint()?;
-    let n = r.guard_count(n, 6)?;
+    // The smallest entry: a task, no inputs, no outputs, a start and a
+    // duration of one byte each.
+    let n = r.guard_count(n, 5)?;
     let mut commitments = Vec::with_capacity(n);
     for _ in 0..n {
         let task = r.interned(names)?.task();
@@ -258,7 +206,6 @@ fn read_plan(
             outputs,
             start: read_time(r)?,
             duration: read_duration(r)?,
-            location: read_opt_string(r)?,
         });
     }
     Ok(ExecutionPlan { commitments })
@@ -303,11 +250,7 @@ pub fn encode_msg(msg: &Msg, out: &mut Vec<u8>) {
         Msg::CallForBids { problem, tasks } => {
             enc.byte(V_CALL_FOR_BIDS);
             write_problem(&mut enc, *problem);
-            enc.varint(tasks.len() as u64);
-            for (task, meta) in tasks {
-                enc.name(task.sym());
-                write_metadata(&mut enc, meta);
-            }
+            write_tasks(&mut enc, tasks);
         }
         Msg::Bids { problem, answers } => {
             enc.byte(V_BIDS);
@@ -327,11 +270,7 @@ pub fn encode_msg(msg: &Msg, out: &mut Vec<u8>) {
         Msg::Award { problem, won, lost } => {
             enc.byte(V_AWARD);
             write_problem(&mut enc, *problem);
-            enc.varint(won.len() as u64);
-            for (task, assignment) in won {
-                enc.name(task.sym());
-                write_assignment(&mut enc, assignment);
-            }
+            write_tasks(&mut enc, won);
             write_tasks(&mut enc, lost);
         }
         Msg::Abandon { problem } => {
@@ -423,17 +362,10 @@ pub fn decode_msg_with(
                 capable: read_tasks(&mut r, names)?,
             }
         }
-        V_CALL_FOR_BIDS => {
-            let problem = read_problem(&mut r)?;
-            let n = r.varint()?;
-            let n = r.guard_count(n, 6)?;
-            let mut tasks = Vec::with_capacity(n);
-            for _ in 0..n {
-                let task = r.interned(names)?.task();
-                tasks.push((task, read_metadata(&mut r, names)?));
-            }
-            Msg::CallForBids { problem, tasks }
-        }
+        V_CALL_FOR_BIDS => Msg::CallForBids {
+            problem: read_problem(&mut r)?,
+            tasks: read_tasks(&mut r, names)?,
+        },
         V_BIDS => {
             let problem = read_problem(&mut r)?;
             let n = r.varint()?;
@@ -445,21 +377,11 @@ pub fn decode_msg_with(
             }
             Msg::Bids { problem, answers }
         }
-        V_AWARD => {
-            let problem = read_problem(&mut r)?;
-            let n = r.varint()?;
-            let n = r.guard_count(n, 5)?;
-            let mut won = Vec::with_capacity(n);
-            for _ in 0..n {
-                let task = r.interned(names)?.task();
-                won.push((task, read_assignment(&mut r)?));
-            }
-            Msg::Award {
-                problem,
-                won,
-                lost: read_tasks(&mut r, names)?,
-            }
-        }
+        V_AWARD => Msg::Award {
+            problem: read_problem(&mut r)?,
+            won: read_tasks(&mut r, names)?,
+            lost: read_tasks(&mut r, names)?,
+        },
         V_ABANDON => Msg::Abandon {
             problem: read_problem(&mut r)?,
         },
@@ -532,12 +454,20 @@ mod tests {
         }
     }
 
-    fn assignment() -> Assignment {
-        Assignment {
-            host: HostId(2),
-            start: SimTime::from_micros(9),
-            duration: SimDuration::from_micros(8),
-            location: Some("yard".into()),
+    /// A one-commitment plan for `rc-t`.
+    fn plan() -> ExecutionPlan {
+        ExecutionPlan {
+            commitments: vec![PlannedTask {
+                task: TaskId::new("rc-t"),
+                inputs: vec![Label::new("rc-a")],
+                outputs: vec![PlannedOutput {
+                    label: Label::new("rc-b"),
+                    consumers: vec![HostId(1), HostId(4)],
+                    is_goal: true,
+                }],
+                start: SimTime::from_micros(10),
+                duration: SimDuration::from_micros(20),
+            }],
         }
     }
 
@@ -594,27 +524,6 @@ mod tests {
 
     #[test]
     fn every_variant_round_trips() {
-        let meta = TaskMetadata {
-            level: 2,
-            inputs: vec![Label::new("rc-a")],
-            outputs: vec![Label::new("rc-b")],
-            location: Some("kitchen".into()),
-            earliest_start: SimTime::from_micros(5_000),
-        };
-        let plan = ExecutionPlan {
-            commitments: vec![PlannedTask {
-                task: TaskId::new("rc-t"),
-                inputs: vec![Label::new("rc-a")],
-                outputs: vec![PlannedOutput {
-                    label: Label::new("rc-b"),
-                    consumers: vec![HostId(1), HostId(4)],
-                    is_goal: true,
-                }],
-                start: SimTime::from_micros(10),
-                duration: SimDuration::from_micros(20),
-                location: None,
-            }],
-        };
         let msgs = vec![
             Msg::Initiate {
                 problem: p(),
@@ -646,10 +555,7 @@ mod tests {
             },
             Msg::CallForBids {
                 problem: p(),
-                tasks: vec![
-                    (TaskId::new("rc-t"), meta.clone()),
-                    (TaskId::new("rc-u"), meta),
-                ],
+                tasks: vec![TaskId::new("rc-t"), TaskId::new("rc-u")],
             },
             Msg::CallForBids {
                 problem: p(),
@@ -668,7 +574,7 @@ mod tests {
             },
             Msg::Award {
                 problem: p(),
-                won: vec![(TaskId::new("rc-t"), assignment())],
+                won: vec![TaskId::new("rc-t")],
                 lost: vec![TaskId::new("rc-u"), TaskId::new("rc-v")],
             },
             Msg::Award {
@@ -677,7 +583,10 @@ mod tests {
                 lost: vec![TaskId::new("rc-u")],
             },
             Msg::Abandon { problem: p() },
-            Msg::Execute { problem: p(), plan },
+            Msg::Execute {
+                problem: p(),
+                plan: plan(),
+            },
             Msg::InputDelivery {
                 problem: p(),
                 label: Label::new("rc-a"),
@@ -814,20 +723,10 @@ mod tests {
     /// of a valid frame is an error, never a panic or a shorter message.
     #[test]
     fn truncated_batched_frames_are_errors() {
-        let meta = TaskMetadata {
-            level: 1,
-            inputs: vec![Label::new("rc-a")],
-            outputs: vec![Label::new("rc-b")],
-            location: None,
-            earliest_start: SimTime::from_micros(7),
-        };
         for msg in [
             Msg::CallForBids {
                 problem: p(),
-                tasks: vec![
-                    (TaskId::new("rc-t"), meta.clone()),
-                    (TaskId::new("rc-u"), meta),
-                ],
+                tasks: vec![TaskId::new("rc-t"), TaskId::new("rc-u")],
             },
             Msg::Bids {
                 problem: p(),
@@ -838,10 +737,14 @@ mod tests {
             },
             Msg::Award {
                 problem: p(),
-                won: vec![(TaskId::new("rc-t"), assignment())],
+                won: vec![TaskId::new("rc-t")],
                 lost: vec![TaskId::new("rc-u")],
             },
             Msg::Abandon { problem: p() },
+            Msg::Execute {
+                problem: p(),
+                plan: plan(),
+            },
         ] {
             let bytes = encoded(&msg);
             for cut in 0..bytes.len() {
@@ -877,7 +780,7 @@ mod tests {
             bad_option.unwrap_err(),
             WireError::Malformed("bad option discriminant")
         );
-        for tag in [V_CALL_FOR_BIDS, V_BIDS, V_AWARD] {
+        for tag in [V_CALL_FOR_BIDS, V_BIDS, V_AWARD, V_EXECUTE] {
             let huge = body(&|enc| {
                 enc.byte(tag);
                 write_problem(enc, p());
@@ -890,6 +793,83 @@ mod tests {
                 "tag {tag}"
             );
         }
+    }
+
+    /// No count bound is stricter than the format: a count whose
+    /// entries, each of the smallest size its body allows, exactly fill
+    /// the rest of the frame decodes. A call entry and an award entry
+    /// are one name (1 byte), an answer a name and its option byte (2),
+    /// a plan entry a task, empty inputs and outputs, a start and a
+    /// duration (5).
+    #[test]
+    fn a_count_of_smallest_entries_that_exactly_fills_the_frame_decodes() {
+        let task = TaskId::new("rc-t");
+        let body = |tag: u8, write: &dyn Fn(&mut FrameEncoder)| {
+            let mut out = Vec::new();
+            let mut enc = FrameEncoder::new(TAG_MSG);
+            enc.byte(tag);
+            write_problem(&mut enc, p());
+            write(&mut enc);
+            enc.finish(&mut out);
+            decode_msg(&out, &mut VocabularyBudget::unlimited())
+        };
+        let names = |enc: &mut FrameEncoder, n: u64| {
+            enc.varint(n);
+            for _ in 0..n {
+                enc.name(task.sym());
+            }
+        };
+        let call = body(V_CALL_FOR_BIDS, &|enc| names(enc, 3));
+        assert!(
+            matches!(&call, Ok((Msg::CallForBids { tasks, .. }, _)) if tasks.len() == 3),
+            "{call:?}"
+        );
+        let bids = body(V_BIDS, &|enc| {
+            enc.varint(2);
+            for _ in 0..2 {
+                enc.name(task.sym());
+                enc.byte(0);
+            }
+        });
+        assert!(
+            matches!(&bids, Ok((Msg::Bids { answers, .. }, _)) if answers.len() == 2),
+            "{bids:?}"
+        );
+        let award = body(V_AWARD, &|enc| {
+            names(enc, 0);
+            names(enc, 3);
+        });
+        assert!(
+            matches!(&award, Ok((Msg::Award { lost, .. }, _)) if lost.len() == 3),
+            "{award:?}"
+        );
+        let execute = body(V_EXECUTE, &|enc| {
+            enc.varint(1);
+            enc.name(task.sym());
+            enc.varint(0); // inputs
+            enc.varint(0); // outputs
+            write_time(enc, SimTime::ZERO);
+            write_duration(enc, SimDuration::ZERO);
+        });
+        assert!(
+            matches!(&execute, Ok((Msg::Execute { plan, .. }, _)) if plan.commitments.len() == 1),
+            "{execute:?}"
+        );
+    }
+
+    /// A call for bids spells the names of the tasks it calls and no
+    /// other: a capped bidder is charged for those alone.
+    #[test]
+    fn a_call_for_bids_names_only_its_tasks() {
+        let tasks = vec![TaskId::new("rc-cfb-1"), TaskId::new("rc-cfb-2")];
+        let bytes = encoded(&Msg::CallForBids {
+            problem: p(),
+            tasks: tasks.clone(),
+        });
+        let (frame, _) = read_frame(&bytes).expect("a valid frame");
+        let names: Vec<&str> = frame.names().collect();
+        let expected: Vec<&str> = tasks.iter().map(TaskId::as_str).collect();
+        assert_eq!(names, expected);
     }
 
     #[test]

@@ -23,12 +23,16 @@
 //! communication, as in the paper.
 //!
 //! The auctions run per task, but the frames go per peer: one
-//! [`Msg::CallForBids`] to each member names every task, its one
-//! [`Msg::Bids`] answers them all, and every input that can decide —
-//! a member's answers, a deadline, the auction timeout, the initiator's
-//! own answers — ends in `settle`, which sends each bidder one
-//! [`Msg::Award`] naming the tasks it won and the tasks it bid on and
-//! lost during that input.
+//! [`Msg::CallForBids`] to each member names every task, by workflow
+//! level, its one [`Msg::Bids`] answers them all, and every input that
+//! can decide — a member's answers, a deadline, the auction timeout, the
+//! initiator's own answers — ends in `settle`, which sends each bidder
+//! one [`Msg::Award`] naming the tasks it won and the tasks it bid on
+//! and lost during that input. The frames carry task names and nothing
+//! else: §3.2's task metadata would state a required time and location,
+//! and no task here has one, so a bidder schedules from its own clock
+//! at its service's own location, and a winner's slot is the one its
+//! bid holds.
 //!
 //! The bidding side is the paper's Auction Participation Manager, and
 //! it keeps no state of its own: a firm bid holds its slot as a
@@ -41,11 +45,11 @@
 
 use openwf_core::{Label, TaskId};
 use openwf_obs::SpanPhase;
-use openwf_simnet::{HostId, SimDuration, SimTime};
+use openwf_simnet::{HostId, SimTime};
 
 use super::{ActionQueue, HostCore, TimerPurpose};
 use crate::messages::{Msg, ProblemId};
-use crate::metadata::{build_plans, compute_metadata, Assignment, Bid, TaskMetadata};
+use crate::metadata::{build_plans, Assignment, Bid};
 use crate::report::ProblemStatus;
 use crate::schedule::{Commitment, CommitmentState};
 use crate::workflow_mgr::{Auction, Outcome};
@@ -68,7 +72,7 @@ impl HostCore {
         &mut self,
         from: HostId,
         problem: ProblemId,
-        tasks: Vec<(TaskId, TaskMetadata)>,
+        tasks: Vec<TaskId>,
         now: SimTime,
         q: &mut ActionQueue,
     ) {
@@ -77,8 +81,8 @@ impl HostCore {
         }
         let answers = tasks
             .into_iter()
-            .map(|(task, meta)| {
-                let bid = self.consider_bid(problem, &task, &meta, now, q);
+            .map(|task| {
+                let bid = self.consider_bid(problem, &task, now, q);
                 (task, bid)
             })
             .collect();
@@ -105,24 +109,25 @@ impl HostCore {
         self.settle(problem, now, q);
     }
 
-    /// [`Msg::Award`]: each task won becomes a firm commitment (already
-    /// scheduled), and each task lost frees its hold at once; either way
-    /// the hold's expiry is disarmed. A lost task frees only a hold — a
-    /// task awarded, planned or run here stays, as under the hold's
-    /// expiry. Only the problem's initiator awards its tasks: an award
-    /// from anyone else is dropped, so it can neither firm a hold that its
-    /// expiry should release nor free one the initiator may still award.
+    /// [`Msg::Award`]: each task won becomes a firm commitment at the
+    /// slot its bid holds, and each task lost frees its hold at once;
+    /// either way the hold's expiry is disarmed. A lost task frees only a
+    /// hold — a task awarded, planned or run here stays, as under the
+    /// hold's expiry. Only the problem's initiator awards its tasks: an
+    /// award from anyone else is dropped, so it can neither firm a hold
+    /// that its expiry should release nor free one the initiator may
+    /// still award.
     pub(super) fn on_award(
         &mut self,
         from: HostId,
         problem: ProblemId,
-        won: Vec<(TaskId, Assignment)>,
+        won: Vec<TaskId>,
         lost: Vec<TaskId>,
     ) {
         if from != problem.initiator {
             return;
         }
-        for (task, _) in won {
+        for task in won {
             self.schedule.award(problem, &task);
             self.timers
                 .disarm(problem, &TimerPurpose::BidHoldExpiry(task));
@@ -253,12 +258,7 @@ impl HostCore {
         if a.best.is_none() && !forced && a.responded.len() <= w.n_peers {
             return; // no bid yet: wait for the stragglers
         }
-        let Auction {
-            best,
-            bidders,
-            location,
-            ..
-        } = w.auctions.remove(&task).expect("looked up");
+        let Auction { best, bidders, .. } = w.auctions.remove(&task).expect("looked up");
         let winner = best.as_ref().map(|(host, _)| *host);
         match best {
             Some((host, bid)) => {
@@ -267,11 +267,10 @@ impl HostCore {
                     start: bid.start,
                     // The slot covers travel + service execution.
                     duration: bid.travel + bid.duration,
-                    location,
                 };
-                ws.assignments.push((task.clone(), assignment.clone()));
+                ws.assignments.push((task.clone(), assignment));
                 let outcome = w.outcomes.entry(host).or_default();
-                outcome.won.push((task.clone(), assignment));
+                outcome.won.push(task.clone());
             }
             None => w.unallocatable.push(task.clone()),
         }
@@ -312,12 +311,14 @@ impl HostCore {
         self.schedule.expire_hold(problem, &task);
     }
 
-    /// The bidder's side of one call for bids, the same for a peer's
-    /// call and for the initiator's own participation. §3.2: "The
+    /// The bidder's side of one called task, the same for a peer's call
+    /// and for the initiator's own participation. §3.2: "The
     /// participants compare the task's required time, location, and
-    /// service with their own capabilities and availability." A bid is
-    /// firm, so it holds its slot in the schedule, and the hold's
-    /// expiry is armed here. `None` is a decline.
+    /// service with their own capabilities and availability." No task
+    /// requires a time or a place, so the earliest start is this host's
+    /// `now` and the place its service's own. A bid is firm, so it holds
+    /// its slot in the schedule, and the hold's expiry is armed here.
+    /// `None` is a decline.
     ///
     /// One `(problem, task)` gets at most one slot: a copy of a call
     /// this host holds a bid for gets that bid again (the first copy's
@@ -327,7 +328,6 @@ impl HostCore {
         &mut self,
         problem: ProblemId,
         task: &TaskId,
-        meta: &TaskMetadata,
         now: SimTime,
         q: &mut ActionQueue,
     ) -> Option<Bid> {
@@ -343,12 +343,10 @@ impl HostCore {
         if !self.prefs.is_willing(task, self.schedule.open_slot_count()) {
             return None;
         }
-        // The task's required location wins over the service's default.
-        let location = meta.location.clone().or_else(|| service.location.clone());
-        let earliest = meta.earliest_start.max(now);
+        let location = service.location.clone();
         let (start, travel) =
             self.schedule
-                .earliest_slot(earliest, service.duration, location.as_deref())?;
+                .earliest_slot(now, service.duration, location.as_deref())?;
         let bid = Bid {
             start,
             travel,
@@ -390,23 +388,19 @@ impl HostCore {
             .expect("constructed phase has a workflow")
             .workflow()
             .clone();
-        // Task metadata (§3.2): levels, inputs/outputs, earliest starts.
-        // Location requirements are looked up from the *bidders'* service
-        // descriptions; the initiator does not constrain locations here.
-        let metas = compute_metadata(&workflow, now, SimDuration::ZERO, |_| None);
-        w.auctions = metas
-            .iter()
-            .map(|(task, meta)| {
-                let auction = Auction {
-                    location: meta.location.clone(),
-                    ..Auction::default()
-                };
-                (task.clone(), auction)
-            })
+        // The tasks up for auction, by workflow level.
+        let tasks: Vec<TaskId> = workflow
+            .task_levels()
+            .into_iter()
+            .map(|(task, _)| task)
             .collect();
-        self.metrics.auctions.add(metas.len() as u64);
+        w.auctions = tasks
+            .iter()
+            .map(|task| (task.clone(), Auction::default()))
+            .collect();
+        self.metrics.auctions.add(tasks.len() as u64);
 
-        if metas.is_empty() {
+        if tasks.is_empty() {
             // Trivial workflow (goals were triggers): skip auctions.
             self.finalize_allocation(problem, now, q);
             return;
@@ -422,13 +416,13 @@ impl HostCore {
         let others = self.others();
         let call = Msg::CallForBids {
             problem,
-            tasks: metas.clone(),
+            tasks: tasks.clone(),
         };
         self.emit_all(q, &others, call);
         // …and the initiator participates through the same logic, locally.
         let me = self.id();
-        for (task, meta) in metas {
-            let bid = self.consider_bid(problem, &task, &meta, now, q);
+        for task in tasks {
+            let bid = self.consider_bid(problem, &task, now, q);
             self.on_response(me, problem, task, bid, now, q);
         }
         self.settle(problem, now, q);

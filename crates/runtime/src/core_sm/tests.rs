@@ -569,7 +569,7 @@ fn late_traffic_for_a_completed_attempt_changes_nothing() {
                         },
                         Msg::CallForBids { problem, tasks } => Msg::Bids {
                             problem,
-                            answers: tasks.into_iter().map(|(task, _)| (task, None)).collect(),
+                            answers: tasks.into_iter().map(|task| (task, None)).collect(),
                         },
                         other => panic!("nothing else goes to a peer without tasks: {other:?}"),
                     };
@@ -953,6 +953,49 @@ fn non_reply_frames_cannot_mint_past_the_cap() {
     assert_eq!(core.vocabulary_rejections(), 0);
 }
 
+/// A call for bids spells the called tasks' names and nothing else, so
+/// a capped bidder is charged for those alone. Host 1's budget holds the
+/// two task names but not the workflow's three labels besides, and the
+/// rounds' queries to it are lost, so the call is the first frame it
+/// reads: it answers with `Bids`.
+#[test]
+fn a_capped_bidder_answers_a_call_naming_only_its_tasks() {
+    let services = |config: HostConfig| {
+        config
+            .with_service(service("vb-t1"))
+            .with_service(service("vb-t2"))
+    };
+    let initiator = services(
+        HostConfig::new()
+            .with_fragment(frag("vb-f1", "vb-t1", "vb-a", "vb-b"))
+            .with_fragment(frag("vb-f2", "vb-t2", "vb-b", "vb-c")),
+    );
+    let bidder = services(HostConfig::new().with_vocabulary_cap(2));
+    let mut cores = vec![
+        HostCore::new(initiator, RuntimeParams::default()),
+        HostCore::new(bidder, RuntimeParams::default()),
+    ];
+    let problem = ProblemId::new(HostId(0), 0);
+    let bids = std::cell::Cell::new(0);
+    drive_community(
+        &mut cores,
+        problem,
+        Spec::new(["vb-a"], ["vb-c"]),
+        |to, msg| {
+            if to == HostId(0) && matches!(msg, Msg::Bids { .. }) {
+                bids.set(bids.get() + 1);
+            }
+            matches!(msg, Msg::FragmentQuery { .. })
+        },
+        |e| matches!(e, WorkflowEvent::Completed { .. }),
+    );
+    assert_eq!(bids.get(), 1, "host 1 answered the call");
+    assert_eq!(cores[1].vocabulary_rejections(), 0);
+    assert_eq!(cores[1].vocabulary_names(), 2, "the two task names");
+    let ws = cores[0].workspace(problem).expect("workspace");
+    assert_eq!(ws.report.status, ProblemStatus::Completed);
+}
+
 /// A core bound as host 1 of a two-host community whose initiator,
 /// host 0, the test plays.
 fn executor(config: HostConfig) -> HostCore {
@@ -988,7 +1031,6 @@ fn a_duplicated_execute_runs_each_task_once() {
                 }],
                 start: SimTime::ZERO,
                 duration: SimDuration::from_millis(10),
-                location: None,
             }],
         },
     });
@@ -1005,21 +1047,11 @@ fn a_duplicated_execute_runs_each_task_once() {
     assert_eq!(core.service_mgr().invocations().len(), 1);
 }
 
-/// A call for bids on `tasks`, in that order, none of them constrained.
+/// A call for bids on `tasks`, in that order.
 fn call_for_bids_on(problem: ProblemId, tasks: &[&str]) -> Vec<u8> {
-    let meta = crate::metadata::TaskMetadata {
-        level: 0,
-        inputs: Vec::new(),
-        outputs: Vec::new(),
-        location: None,
-        earliest_start: SimTime::ZERO,
-    };
     frame(&Msg::CallForBids {
         problem,
-        tasks: tasks
-            .iter()
-            .map(|task| (TaskId::new(*task), meta.clone()))
-            .collect(),
+        tasks: tasks.iter().map(|task| TaskId::new(*task)).collect(),
     })
 }
 
@@ -1028,19 +1060,12 @@ fn call_for_bids(problem: ProblemId, task: &str) -> Vec<u8> {
     call_for_bids_on(problem, &[task])
 }
 
-/// The initiator's award of `task` to the executor, at what `bid` said.
-fn award(problem: ProblemId, task: &str, bid: &Bid) -> Vec<u8> {
+/// The initiator's award of `task` to the executor, at the slot its bid
+/// holds.
+fn award(problem: ProblemId, task: &str) -> Vec<u8> {
     frame(&Msg::Award {
         problem,
-        won: vec![(
-            TaskId::new(task),
-            crate::metadata::Assignment {
-                host: HostId(1),
-                start: bid.start,
-                duration: bid.travel + bid.duration,
-                location: None,
-            },
-        )],
+        won: vec![TaskId::new(task)],
         lost: Vec::new(),
     })
 }
@@ -1177,8 +1202,8 @@ fn award_converts_hold_and_expire_releases() {
     let problem = ProblemId::new(HostId(0), 0);
     let (task, task2) = (TaskId::new("ac-t"), TaskId::new("ac-t2"));
     let now = SimTime::ZERO;
-    let bid = bid_in(&core.handle_frame(HostId(0), &call_for_bids(problem, "ac-t"), now));
-    let _ = core.handle_frame(HostId(0), &award(problem, "ac-t", &bid), now);
+    let _ = bid_in(&core.handle_frame(HostId(0), &call_for_bids(problem, "ac-t"), now));
+    let _ = core.handle_frame(HostId(0), &award(problem, "ac-t"), now);
     assert_eq!(
         core.schedule().state(problem, &task),
         Some(&CommitmentState::Awarded)
@@ -1222,7 +1247,7 @@ fn a_duplicated_call_for_bids_holds_one_slot() {
     assert!(armed(&copy).is_empty(), "the first hold's expiry stands");
     assert_eq!(core.schedule().commitment_count(), 1);
 
-    let _ = core.handle_frame(HostId(0), &award(problem, "db-t", &a), now);
+    let _ = core.handle_frame(HostId(0), &award(problem, "db-t"), now);
     run_timers(&mut core);
     assert_eq!(core.schedule().commitment_count(), 1, "the award stands");
 }
@@ -1284,9 +1309,8 @@ fn a_lost_task_frees_only_its_hold() {
         &call_for_bids_on(problem, &["lf-t", "lf-u"]),
         now,
     );
-    let bids = answers(&q);
-    let won = bids[0].1.clone().expect("a bid");
-    let _ = core.handle_frame(HostId(0), &award(problem, "lf-t", &won), now);
+    assert!(answers(&q)[0].1.is_some(), "a bid for lf-t");
+    let _ = core.handle_frame(HostId(0), &award(problem, "lf-t"), now);
     let _ = core.handle_frame(HostId(0), &lost(problem, "lf-u"), now);
     assert_eq!(core.schedule().state(problem, &TaskId::new("lf-u")), None);
     assert_eq!(core.armed_timer_count(), 0, "both expiries went");
@@ -1325,8 +1349,8 @@ fn a_late_call_for_bids_never_frees_an_awarded_slot() {
     let problem = ProblemId::new(HostId(0), 0);
     let call = call_for_bids(problem, "lb-t");
     let now = SimTime::ZERO;
-    let bid = bid_in(&core.handle_frame(HostId(0), &call, now));
-    let _ = core.handle_frame(HostId(0), &award(problem, "lb-t", &bid), now);
+    let _ = bid_in(&core.handle_frame(HostId(0), &call, now));
+    let _ = core.handle_frame(HostId(0), &award(problem, "lb-t"), now);
     assert_eq!(core.schedule().commitment_count(), 1);
 
     let late = core.handle_frame(HostId(0), &call, now);
@@ -1348,7 +1372,6 @@ fn execute(problem: ProblemId, task: &str, bid: &Bid) -> Vec<u8> {
                 outputs: Vec::new(),
                 start: bid.start,
                 duration: bid.travel + bid.duration,
-                location: None,
             }],
         },
     })
@@ -1362,7 +1385,7 @@ fn a_late_execute_after_the_plan_finished_runs_nothing() {
     let problem = ProblemId::new(HostId(0), 0);
     let now = SimTime::ZERO;
     let bid = bid_in(&core.handle_frame(HostId(0), &call_for_bids(problem, "le-t"), now));
-    let _ = core.handle_frame(HostId(0), &award(problem, "le-t", &bid), now);
+    let _ = core.handle_frame(HostId(0), &award(problem, "le-t"), now);
     let plan = execute(problem, "le-t", &bid);
     let _ = core.handle_frame(HostId(0), &plan, now);
     run_timers(&mut core);
@@ -1504,7 +1527,6 @@ fn planned(task: &str, inputs: &[&str], start_us: u64) -> PlannedTask {
         }],
         start: SimTime::from_micros(start_us),
         duration: SimDuration::from_micros(500),
-        location: None,
     }
 }
 
@@ -1843,18 +1865,6 @@ fn respond(
     core.handle_frame(HostId(from), &frame(&msg), SimTime::from_micros(now_us))
 }
 
-/// The task a poll call awarded, if any: the winner and its assignment.
-fn awarded(q: &ActionQueue) -> Option<(HostId, crate::metadata::Assignment)> {
-    sent(q).into_iter().find_map(|(to, msg)| match msg {
-        Msg::Award { mut won, .. } if !won.is_empty() => {
-            let (_, assignment) = won.remove(0);
-            assert_eq!(to, assignment.host, "the award goes to the winner");
-            Some((to, assignment))
-        }
-        _ => None,
-    })
-}
-
 /// The tasks a poll call told each bidder it lost, by bidder.
 fn lost_by(q: &ActionQueue) -> Vec<(HostId, Vec<TaskId>)> {
     sent(q)
@@ -1866,9 +1876,13 @@ fn lost_by(q: &ActionQueue) -> Vec<(HostId, Vec<TaskId>)> {
         .collect()
 }
 
-/// Who a poll call awarded the task to, if anyone.
+/// Who a poll call awarded a task to, if anyone: the recipient of the
+/// first `Award` naming a task won.
 fn winner(q: &ActionQueue) -> Option<HostId> {
-    awarded(q).map(|(host, _)| host)
+    sent(q).into_iter().find_map(|(to, msg)| match msg {
+        Msg::Award { won, .. } if !won.is_empty() => Some(to),
+        _ => None,
+    })
 }
 
 /// True when the attempt failed because no host could take `task`.
@@ -1901,8 +1915,12 @@ fn earlier_start_breaks_specialization_ties() {
     let (mut core, problem, t) = auctioning("es", 3);
     let _ = respond(&mut core, problem, &t, 1, Some(firm_bid(2, 900, 1_000)), 0);
     let q = respond(&mut core, problem, &t, 2, Some(firm_bid(2, 100, 1_000)), 0);
-    let (host, assignment) = awarded(&q).expect("every host answered");
-    assert_eq!(host, HostId(2));
+    assert_eq!(winner(&q), Some(HostId(2)), "every host answered");
+    let ws = core.workspace(problem).expect("workspace");
+    let [(task, assignment)] = &ws.assignments[..] else {
+        panic!("one award: {:?}", ws.assignments)
+    };
+    assert_eq!((task, assignment.host), (&t, HostId(2)));
     assert_eq!(assignment.start, SimTime::from_micros(100));
 }
 
@@ -2120,7 +2138,7 @@ fn a_forged_award_firms_nothing() {
     let problem = ProblemId::new(HostId(0), 0);
     let now = SimTime::ZERO;
     let bid = bid_in(&core.handle_frame(HostId(0), &call_for_bids(problem, "fa-t"), now));
-    let q = core.handle_frame(HostId(2), &award(problem, "fa-t", &bid), now);
+    let q = core.handle_frame(HostId(2), &award(problem, "fa-t"), now);
     assert!(q.is_empty(), "{:?}", q.actions());
     assert_eq!(
         core.schedule().state(problem, &TaskId::new("fa-t")),

@@ -75,7 +75,7 @@ pub use core_sm::{
 };
 pub use driver::{Driver, LoopbackBytesDriver};
 pub use messages::{Msg, ProblemId};
-pub use metadata::{Assignment, TaskMetadata};
+pub use metadata::Assignment;
 pub use params::RuntimeParams;
 pub use prefs::Preferences;
 pub use report::{PhaseTimings, ProblemReport, ProblemStatus};

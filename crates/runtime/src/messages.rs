@@ -14,8 +14,9 @@
 //! allocation, one [`Msg::Bids`] answers all of them, and one
 //! [`Msg::Award`] per bidder carries the outcome of the auctions an input
 //! decided — the tasks it won and those it bid on and lost, whose holds
-//! it frees at once. A repair tells the superseded attempt's assignees
-//! to let go with [`Msg::Abandon`].
+//! it frees at once. Both name tasks and nothing else: a bidder's slot
+//! is its own bid's, which it already holds. A repair tells the
+//! superseded attempt's assignees to let go with [`Msg::Abandon`].
 
 use std::fmt;
 use std::sync::Arc;
@@ -23,7 +24,7 @@ use std::sync::Arc;
 use openwf_core::{Fragment, Label, Spec, TaskId};
 use openwf_simnet::HostId;
 
-use crate::metadata::{Assignment, Bid, ExecutionPlan, TaskMetadata};
+use crate::metadata::{Bid, ExecutionPlan};
 
 /// Globally unique problem identifier: initiating host + local sequence +
 /// repair attempt.
@@ -136,10 +137,10 @@ pub enum Msg {
     CallForBids {
         /// Problem being allocated.
         problem: ProblemId,
-        /// The tasks up for auction, each with its scheduling metadata
-        /// (level, location, earliest start…), in the order the answer
-        /// follows.
-        tasks: Vec<(TaskId, TaskMetadata)>,
+        /// The tasks up for auction, by workflow level, in the order the
+        /// answer follows. Each bidder schedules from its own clock and
+        /// its service's own location.
+        tasks: Vec<TaskId>,
     },
 
     /// Participant → auction manager: its answer to every task of one
@@ -158,9 +159,9 @@ pub enum Msg {
     Award {
         /// Problem being allocated.
         problem: ProblemId,
-        /// The tasks awarded to the recipient, with the assignment
-        /// details (time, location).
-        won: Vec<(TaskId, Assignment)>,
+        /// The tasks awarded to the recipient, at the slots its bids
+        /// hold.
+        won: Vec<TaskId>,
         /// The tasks the recipient bid on and another bidder won: their
         /// holds are freed at once.
         lost: Vec<TaskId>,

@@ -1,30 +1,15 @@
-//! Task metadata, bids, assignments and execution plans.
+//! Bids, assignments and execution plans: the allocation's data.
 //!
-//! §3.2: "The auction manager begins the allocation phase by computing
-//! metadata for each task used in allocating and executing the workflow."
-//! Our metadata carries the task's dataflow level (for scheduling), its
-//! inputs/outputs, the required location, and the earliest start time.
+//! §3.2 has the auction manager compute "metadata for each task" so that
+//! participants can compare its required time, location and service
+//! with their own. Nothing here sets a requirement, so a call for bids
+//! names its tasks and nothing else: each bidder starts from its own
+//! clock and its service's own location.
 
 use std::fmt;
 
 use openwf_core::{Label, TaskId, Workflow};
 use openwf_simnet::{HostId, SimDuration, SimTime};
-
-/// Per-task scheduling metadata computed by the auction manager.
-#[derive(Clone, Debug, PartialEq)]
-pub struct TaskMetadata {
-    /// Longest-path depth of the task in the workflow (tasks at equal
-    /// level are independent and can run in parallel).
-    pub level: usize,
-    /// Input labels the executor must gather.
-    pub inputs: Vec<Label>,
-    /// Output labels the executor must distribute.
-    pub outputs: Vec<Label>,
-    /// Symbolic location where the service must be performed, if any.
-    pub location: Option<String>,
-    /// Earliest time execution may start (dataflow heuristic).
-    pub earliest_start: SimTime,
-}
 
 /// A finalized allocation of one task to one host.
 #[derive(Clone, Debug, PartialEq)]
@@ -35,8 +20,6 @@ pub struct Assignment {
     pub start: SimTime,
     /// Expected service duration.
     pub duration: SimDuration,
-    /// Location requirement carried over from the metadata.
-    pub location: Option<String>,
 }
 
 /// A firm bid for one task (§3.2): "If a participant can commit to
@@ -85,8 +68,6 @@ pub struct PlannedTask {
     pub start: SimTime,
     /// Expected duration.
     pub duration: SimDuration,
-    /// Where to perform the service.
-    pub location: Option<String>,
 }
 
 /// Routing for one output label of a planned task.
@@ -103,40 +84,8 @@ pub struct PlannedOutput {
 
 impl fmt::Display for Assignment {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} at {}", self.host, self.start)?;
-        if let Some(loc) = &self.location {
-            write!(f, " @ {loc}")?;
-        }
-        Ok(())
+        write!(f, "{} at {}", self.host, self.start)
     }
-}
-
-/// Computes [`TaskMetadata`] for every task of a workflow.
-///
-/// Levels come from [`Workflow::task_levels`]; the earliest start of a task
-/// at level `L` is `base + L * slot`, a conservative heuristic that leaves
-/// room for one service invocation per level (participants may start later
-/// if their schedule demands — the bid carries the committed time).
-pub fn compute_metadata(
-    workflow: &Workflow,
-    base: SimTime,
-    slot: SimDuration,
-    location_of: impl Fn(&TaskId) -> Option<String>,
-) -> Vec<(TaskId, TaskMetadata)> {
-    workflow
-        .task_levels()
-        .into_iter()
-        .map(|(task, level)| {
-            let meta = TaskMetadata {
-                level,
-                inputs: workflow.task_inputs(&task),
-                outputs: workflow.task_outputs(&task),
-                location: location_of(&task),
-                earliest_start: base + slot.times(level as u64),
-            };
-            (task, meta)
-        })
-        .collect()
 }
 
 /// Builds per-host [`ExecutionPlan`]s from a workflow and its assignments.
@@ -179,7 +128,6 @@ pub fn build_plans(
             outputs,
             start: assignment.start,
             duration: assignment.duration,
-            location: assignment.location.clone(),
         };
         match plans.iter_mut().find(|(h, _)| *h == assignment.host) {
             Some((_, plan)) => plan.commitments.push(planned),
@@ -216,47 +164,17 @@ mod tests {
     }
 
     #[test]
-    fn metadata_levels_and_starts() {
-        let w = chain_workflow();
-        let slot = SimDuration::from_secs(60);
-        let metas = compute_metadata(&w, SimTime::ZERO, slot, |_| None);
-        assert_eq!(metas.len(), 2);
-        let (t1, m1) = &metas[0];
-        let (t2, m2) = &metas[1];
-        assert_eq!(t1, &TaskId::new("t1"));
-        assert_eq!(m1.level, 0);
-        assert_eq!(m1.earliest_start, SimTime::ZERO);
-        assert_eq!(t2, &TaskId::new("t2"));
-        assert_eq!(m2.level, 1);
-        assert_eq!(m2.earliest_start, SimTime::ZERO + slot);
-        assert_eq!(m1.outputs, vec![Label::new("b")]);
-        assert_eq!(m2.inputs, vec![Label::new("b")]);
-    }
-
-    #[test]
-    fn metadata_carries_locations() {
-        let w = chain_workflow();
-        let metas = compute_metadata(&w, SimTime::ZERO, SimDuration::ZERO, |t| {
-            (t == &TaskId::new("t1")).then(|| "kitchen".to_string())
-        });
-        assert_eq!(metas[0].1.location.as_deref(), Some("kitchen"));
-        assert_eq!(metas[1].1.location, None);
-    }
-
-    #[test]
     fn plans_route_outputs_to_consumers() {
         let w = chain_workflow();
         let a1 = Assignment {
             host: HostId(1),
             start: SimTime::ZERO,
             duration: SimDuration::from_secs(1),
-            location: None,
         };
         let a2 = Assignment {
             host: HostId(2),
             start: SimTime::ZERO,
             duration: SimDuration::from_secs(1),
-            location: None,
         };
         let goals: BTreeSet<Label> = [Label::new("c")].into_iter().collect();
         let plans = build_plans(
@@ -283,7 +201,6 @@ mod tests {
             host: HostId(h),
             start: SimTime::ZERO,
             duration: SimDuration::ZERO,
-            location: None,
         };
         let plans = build_plans(
             &w,
@@ -300,8 +217,7 @@ mod tests {
             host: HostId(3),
             start: SimTime::from_micros(1_000_000),
             duration: SimDuration::from_secs(1),
-            location: Some("kitchen".into()),
         };
-        assert_eq!(a.to_string(), "host3 at t=1.000000s @ kitchen");
+        assert_eq!(a.to_string(), "host3 at t=1.000000s");
     }
 }

@@ -26,8 +26,13 @@
 //! order, and its parked inputs are one entry, which
 //! [`ScheduleManager::release_problem`] drops whole.
 //!
+//! A commitment's location is its service's own: a bid books the slot
+//! from this host's clock at the place its service is bound to, and no
+//! protocol message names a place. A task booked from a plan alone has
+//! none.
+//!
 //! The rules that move a commitment along are `HostCore`'s: bidding — a
-//! call for bids read against services, this schedule and preferences —
+//! called task read against services, this schedule and preferences —
 //! is `consider_bid` (`core_sm/allocate.rs`), and the Execution Manager
 //! — a waiting task starts once its start time and inputs have come,
 //! and a finished one publishes its outputs — is `core_sm/execute.rs`.
@@ -353,8 +358,8 @@ impl ScheduleManager {
     /// commitment becomes [`CommitmentState::Waiting`] for the `missing`
     /// inputs. A held or awarded one keeps its slot; with none (its hold
     /// expired before any award or plan came) one is booked at the
-    /// plan's slot, unchecked, since another bid may have taken it
-    /// since. The task moves to the back of its problem's list. Returns
+    /// plan's slot, with no location and unchecked, since another bid
+    /// may have taken it since. The task moves to the back of its problem's list. Returns
     /// false, changing nothing, when the task is already waiting,
     /// running or done.
     pub(crate) fn install(
@@ -374,7 +379,7 @@ impl ScheduleManager {
                 start: planned.start,
                 end: planned.start.saturating_add(planned.duration),
                 travel: SimDuration::ZERO,
-                location: planned.location.clone(),
+                location: None,
                 state: CommitmentState::Waiting {
                     planned: Box::new(planned),
                     missing,
@@ -690,7 +695,6 @@ mod tests {
             outputs: Vec::new(),
             start: SimTime::from_micros(start_us),
             duration: SimDuration::from_micros(end_us - start_us),
-            location: None,
         }
     }
 
@@ -1078,7 +1082,6 @@ mod tests {
                             outputs: Vec::new(),
                             start,
                             duration: SimDuration::from_micros(len),
-                            location: None,
                         };
                         let missing: BTreeSet<Label> =
                             planned.inputs.iter().filter(|_| missing).cloned().collect();

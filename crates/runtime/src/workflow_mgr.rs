@@ -80,8 +80,6 @@ pub(crate) struct Auction {
     pub(crate) bidders: BTreeSet<HostId>,
     /// The tentative allocation: the best bid so far and its bidder.
     pub(crate) best: Option<(HostId, Bid)>,
-    /// The location the call for bids required, copied into the award.
-    pub(crate) location: Option<String>,
 }
 
 /// What the auctions decided during one input mean for one bidder: the
@@ -90,7 +88,7 @@ pub(crate) struct Auction {
 #[derive(Debug, Default)]
 pub(crate) struct Outcome {
     /// The tasks it won.
-    pub(crate) won: Vec<(TaskId, Assignment)>,
+    pub(crate) won: Vec<TaskId>,
     /// The tasks it bid on and another bidder won.
     pub(crate) lost: Vec<TaskId>,
 }
