@@ -371,7 +371,8 @@ impl FrontierConstruction {
 mod tests {
     use super::*;
     use crate::ids::Mode;
-    use crate::store::{InMemoryFragmentStore, ShardedFragmentStore};
+    use crate::store::reference::Scan;
+    use crate::store::ShardedFragmentStore;
 
     fn frag(id: &str, task: &str, ins: &[&str], outs: &[&str]) -> Fragment {
         Fragment::single_task(
@@ -384,8 +385,8 @@ mod tests {
         .unwrap()
     }
 
-    fn chain_store(n: usize) -> InMemoryFragmentStore {
-        let mut store = InMemoryFragmentStore::new();
+    fn chain_store(n: usize) -> Scan {
+        let mut store = Scan::default();
         for i in 0..n {
             store.insert(frag(
                 &format!("f{i}"),
@@ -398,9 +399,9 @@ mod tests {
     }
 
     /// The same database laid out over `shards` shards.
-    fn sharded(store: &InMemoryFragmentStore, shards: usize) -> ShardedFragmentStore {
+    fn sharded(store: &Scan, shards: usize) -> ShardedFragmentStore {
         let mut out = ShardedFragmentStore::with_shards(shards);
-        out.extend(store.fragments_shared().cloned());
+        out.extend(store.fragments().cloned());
         out
     }
 
@@ -498,7 +499,7 @@ mod tests {
 
     #[test]
     fn trivial_spec_with_no_knowledge() {
-        let mut store = InMemoryFragmentStore::new();
+        let mut store = Scan::default();
         let spec = Spec::new(["a"], ["a"]);
         let (c, _) = IncrementalConstructor::new()
             .construct(&mut store, &spec)
@@ -511,7 +512,7 @@ mod tests {
     fn conjunctive_join_needs_second_round_of_queries() {
         // join needs x and y; y's producer is only discoverable from b,
         // which is a separate trigger.
-        let mut store = InMemoryFragmentStore::new();
+        let mut store = Scan::default();
         store.insert(
             Fragment::single_task("fx", "make x", Mode::Disjunctive, ["a"], ["x"]).unwrap(),
         );
@@ -531,7 +532,7 @@ mod tests {
 
     #[test]
     fn infeasible_task_blocks_and_alternative_wins() {
-        let mut store = InMemoryFragmentStore::new();
+        let mut store = Scan::default();
         store.insert(frag("f1", "infeasible", &["a"], &["goal"]));
         store.insert(frag("f2", "step1", &["a"], &["mid"]));
         store.insert(frag("f3", "step2", &["mid"], &["goal"]));

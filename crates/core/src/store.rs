@@ -1,218 +1,29 @@
 //! In-memory fragment storage with a consumed-label index.
 //!
-//! Two stores share one design:
+//! [`ShardedFragmentStore`] is the one store: the runtime's Fragment
+//! Manager wraps it, and a durable backend keeps one as its query index.
+//! It partitions the database across N shards by produced-label symbol.
+//! A query visits every shard on the calling thread and restores global
+//! insertion order by sequence number, so answers do not depend on the
+//! shard count, and every program opens one shard. The layout stays
+//! because durable snapshots persist it and `owms-bench` names the type,
+//! [`ShardedFragmentStore::with_shards`] and `open_with_policy`'s shard
+//! count; it goes when the benchmark stops naming them.
 //!
-//! * [`ShardedFragmentStore`] — the store every host runs (the runtime's
-//!   Fragment Manager wraps one): a fragment database partitioned across
-//!   N shards by produced-label symbol. Shards are a storage layout
-//!   (durable snapshots persist it); a query visits every shard on the
-//!   calling thread and restores global insertion order by sequence
-//!   number, so answers do not depend on the shard count. The default is
-//!   one shard, which degenerates to the monolithic layout.
-//! * [`InMemoryFragmentStore`] — a single monolithic index, kept as the
-//!   independent oracle the sharded store is tested against. No program
-//!   uses it and no prelude exports it.
+//! Its tests compare it against an independent reference kept in test
+//! code: a linear scan over the inserted fragments.
 //!
 //! Fragments are held behind [`Arc`] so that answering a frontier query
 //! hands out shared references instead of deep-copying whole workflow
 //! graphs — the incremental constructor, the runtime's Fragment Manager
 //! and the simulated network all share one allocation per fragment.
 
-use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use crate::construct::incremental::FragmentSource;
 use crate::fragment::{Fragment, FragmentId};
 use crate::fx::FxHashMap;
 use crate::ids::Label;
-
-/// A monolithic fragment database indexed by the labels its tasks
-/// consume.
-///
-/// This is the **test oracle**: [`ShardedFragmentStore`] is what hosts,
-/// benches and examples run, and this independent implementation is
-/// what its unit tests, the incremental constructor's and
-/// `tests/properties.rs` compare it against. (Merging the two waits for
-/// the benchmark to stop pinning the shard-count constructor.)
-#[derive(Default)]
-pub struct InMemoryFragmentStore {
-    fragments: Vec<Arc<Fragment>>,
-    by_id: FxHashMap<FragmentId, usize>,
-    by_consumed_label: FxHashMap<Label, Vec<u32>>,
-    /// Reusable dedup bitset for [`InMemoryFragmentStore::consuming`]
-    /// (one bit per stored fragment, zeroed after each query). Behind a
-    /// mutex so queries stay `&self` and the store stays `Sync`.
-    seen_scratch: Mutex<Vec<u64>>,
-}
-
-impl Clone for InMemoryFragmentStore {
-    fn clone(&self) -> Self {
-        InMemoryFragmentStore {
-            fragments: self.fragments.clone(),
-            by_id: self.by_id.clone(),
-            by_consumed_label: self.by_consumed_label.clone(),
-            seen_scratch: Mutex::new(Vec::new()),
-        }
-    }
-}
-
-impl InMemoryFragmentStore {
-    /// Creates an empty store.
-    pub fn new() -> Self {
-        InMemoryFragmentStore::default()
-    }
-
-    /// Inserts a fragment, replacing any fragment with the same id.
-    ///
-    /// Accepts owned fragments or already-shared `Arc<Fragment>`s (no
-    /// re-allocation in the latter case).
-    ///
-    /// Returns `true` if the fragment was new, `false` if it replaced an
-    /// existing one.
-    pub fn insert(&mut self, fragment: impl Into<Arc<Fragment>>) -> bool {
-        let fragment = fragment.into();
-        if let Some(&pos) = self.by_id.get(fragment.id()) {
-            // Replace: rebuild the index entries for this slot, pruning
-            // buckets the old fragment leaves empty.
-            let old = std::mem::replace(&mut self.fragments[pos], fragment);
-            for label in old.all_input_labels() {
-                if let Some(v) = self.by_consumed_label.get_mut(&label) {
-                    v.retain(|&i| i as usize != pos);
-                    if v.is_empty() {
-                        self.by_consumed_label.remove(&label);
-                    }
-                }
-            }
-            let new_labels = self.fragments[pos].all_input_labels();
-            for label in new_labels {
-                self.by_consumed_label
-                    .entry(label)
-                    .or_default()
-                    .push(pos as u32);
-            }
-            return false;
-        }
-        let pos = self.fragments.len();
-        self.by_id.insert(fragment.id().clone(), pos);
-        for label in fragment.all_input_labels() {
-            self.by_consumed_label
-                .entry(label)
-                .or_default()
-                .push(pos as u32);
-        }
-        self.fragments.push(fragment);
-        true
-    }
-
-    /// Number of stored fragments.
-    pub fn len(&self) -> usize {
-        self.fragments.len()
-    }
-
-    /// True if the store holds no fragments.
-    pub fn is_empty(&self) -> bool {
-        self.fragments.is_empty()
-    }
-
-    /// Looks up a fragment by id.
-    pub fn get(&self, id: &FragmentId) -> Option<&Arc<Fragment>> {
-        self.by_id.get(id).map(|&i| &self.fragments[i])
-    }
-
-    /// All stored fragments in insertion order.
-    pub fn fragments(&self) -> impl Iterator<Item = &Fragment> + '_ {
-        self.fragments.iter().map(Arc::as_ref)
-    }
-
-    /// All stored fragments as shared handles, in insertion order.
-    pub fn fragments_shared(&self) -> impl Iterator<Item = &Arc<Fragment>> + '_ {
-        self.fragments.iter()
-    }
-
-    /// Fragments containing a task that consumes any of `labels`,
-    /// deduplicated, in insertion order. Hands out `Arc` clones — callers
-    /// share the stored allocation.
-    pub fn consuming(&self, labels: &[Label]) -> Vec<Arc<Fragment>> {
-        let mut seen = self.seen_scratch.lock().expect("store scratch lock");
-        let words = self.fragments.len().div_ceil(64);
-        if seen.len() < words {
-            seen.resize(words, 0);
-        }
-        let mut hits: Vec<u32> = Vec::new();
-        for label in labels {
-            if let Some(indices) = self.by_consumed_label.get(label) {
-                for &i in indices {
-                    let (w, b) = (i as usize / 64, i % 64);
-                    if seen[w] & (1 << b) == 0 {
-                        seen[w] |= 1 << b;
-                        hits.push(i);
-                    }
-                }
-            }
-        }
-        // Zero exactly the bits we set, leaving the scratch clean for the
-        // next query without a full memset.
-        for &i in &hits {
-            seen[i as usize / 64] &= !(1 << (i % 64));
-        }
-        drop(seen);
-        hits.sort_unstable();
-        hits.into_iter()
-            .map(|i| Arc::clone(&self.fragments[i as usize]))
-            .collect()
-    }
-}
-
-impl FragmentSource for InMemoryFragmentStore {
-    fn fragments_consuming(&mut self, labels: &[Label]) -> Vec<Arc<Fragment>> {
-        self.consuming(labels)
-    }
-}
-
-impl FromIterator<Fragment> for InMemoryFragmentStore {
-    fn from_iter<I: IntoIterator<Item = Fragment>>(iter: I) -> Self {
-        let mut store = InMemoryFragmentStore::new();
-        for f in iter {
-            store.insert(f);
-        }
-        store
-    }
-}
-
-impl FromIterator<Arc<Fragment>> for InMemoryFragmentStore {
-    fn from_iter<I: IntoIterator<Item = Arc<Fragment>>>(iter: I) -> Self {
-        let mut store = InMemoryFragmentStore::new();
-        for f in iter {
-            store.insert(f);
-        }
-        store
-    }
-}
-
-impl Extend<Fragment> for InMemoryFragmentStore {
-    fn extend<I: IntoIterator<Item = Fragment>>(&mut self, iter: I) {
-        for f in iter {
-            self.insert(f);
-        }
-    }
-}
-
-impl Extend<Arc<Fragment>> for InMemoryFragmentStore {
-    fn extend<I: IntoIterator<Item = Arc<Fragment>>>(&mut self, iter: I) {
-        for f in iter {
-            self.insert(f);
-        }
-    }
-}
-
-impl fmt::Debug for InMemoryFragmentStore {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("InMemoryFragmentStore")
-            .field("fragments", &self.fragments.len())
-            .field("indexed_labels", &self.by_consumed_label.len())
-            .finish()
-    }
-}
 
 /// Error surfaced by a fragment storage backend (e.g. disk I/O or a
 /// corrupt log record in a durable backend). In-memory backends never
@@ -319,8 +130,7 @@ impl StoreShard {
 /// produced label (falling back to its id for label-less knowhow) — so a
 /// shard answers a consumed-label query from its own index alone and the
 /// shard results concatenate without cross-shard deduplication. Queries
-/// return fragments in global insertion order, exactly like
-/// [`InMemoryFragmentStore::consuming`].
+/// return fragments in global insertion order.
 #[derive(Clone, Debug)]
 pub struct ShardedFragmentStore {
     shards: Vec<StoreShard>,
@@ -493,9 +303,7 @@ impl ShardedFragmentStore {
     }
 
     /// Fragments containing a task that consumes any of `labels`,
-    /// deduplicated, in global insertion order — the same answer (and
-    /// order) [`InMemoryFragmentStore::consuming`] gives for the same
-    /// database.
+    /// deduplicated, in global insertion order.
     pub fn consuming(&self, labels: &[Label]) -> Vec<Arc<Fragment>> {
         let mut hits: Vec<(u64, Arc<Fragment>)> = Vec::new();
         for shard in 0..self.shards.len() {
@@ -574,8 +382,78 @@ impl Extend<Arc<Fragment>> for ShardedFragmentStore {
     }
 }
 
+/// The reference the store's tests, and the incremental constructor's,
+/// compare it against.
+#[cfg(test)]
+pub(crate) mod reference {
+    use std::sync::Arc;
+
+    use crate::construct::incremental::FragmentSource;
+    use crate::fragment::{Fragment, FragmentId};
+    use crate::ids::Label;
+
+    /// Every inserted fragment in insertion order, a replacement written
+    /// over its entry in place, and a query a linear scan: no index, no
+    /// sequence numbers, nothing shared with [`super::ShardedFragmentStore`].
+    #[derive(Default)]
+    pub(crate) struct Scan(Vec<Arc<Fragment>>);
+
+    impl Scan {
+        pub(crate) fn insert(&mut self, fragment: impl Into<Arc<Fragment>>) -> bool {
+            let fragment = fragment.into();
+            match self.0.iter_mut().find(|f| f.id() == fragment.id()) {
+                Some(entry) => {
+                    *entry = fragment;
+                    false
+                }
+                None => {
+                    self.0.push(fragment);
+                    true
+                }
+            }
+        }
+
+        pub(crate) fn len(&self) -> usize {
+            self.0.len()
+        }
+
+        pub(crate) fn get(&self, id: &FragmentId) -> Option<&Arc<Fragment>> {
+            self.0.iter().find(|f| f.id() == id)
+        }
+
+        pub(crate) fn fragments(&self) -> impl Iterator<Item = &Arc<Fragment>> + '_ {
+            self.0.iter()
+        }
+
+        pub(crate) fn consuming(&self, labels: &[Label]) -> Vec<Arc<Fragment>> {
+            self.0
+                .iter()
+                .filter(|f| f.all_input_labels().iter().any(|l| labels.contains(l)))
+                .cloned()
+                .collect()
+        }
+    }
+
+    impl FragmentSource for Scan {
+        fn fragments_consuming(&mut self, labels: &[Label]) -> Vec<Arc<Fragment>> {
+            self.consuming(labels)
+        }
+    }
+
+    impl FromIterator<Fragment> for Scan {
+        fn from_iter<I: IntoIterator<Item = Fragment>>(iter: I) -> Self {
+            let mut scan = Scan::default();
+            for f in iter {
+                scan.insert(f);
+            }
+            scan
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::reference::Scan;
     use super::*;
     use crate::ids::Mode;
 
@@ -590,10 +468,11 @@ mod tests {
         .unwrap()
     }
 
-    /// Runs one test body against each store; `$s` is a fresh empty one.
+    /// Runs one test body against the reference and the store; `$s` is a
+    /// fresh empty one.
     macro_rules! on_both_stores {
         (|$s:ident| $body:block) => {{
-            let mut $s = InMemoryFragmentStore::new();
+            let mut $s = Scan::default();
             $body
             let mut $s = ShardedFragmentStore::new();
             $body
@@ -646,9 +525,8 @@ mod tests {
     }
 
     #[test]
-    fn consuming_scratch_is_clean_across_queries() {
-        // Re-running the same query must keep returning every hit (a
-        // stale bit in the scratch would hide fragments).
+    fn consuming_is_the_same_across_queries() {
+        // Re-running the same query keeps returning every hit.
         on_both_stores!(|s| {
             for i in 0..130 {
                 s.insert(frag(&format!("f{i}"), &format!("t{i}"), &["a"], &["b"]));
@@ -697,16 +575,11 @@ mod tests {
             frag("f", "t", &["only-a"], &["b"]),
             frag("f", "t", &["only-x"], &["b"]),
         ];
-        let mono: InMemoryFragmentStore = versions.iter().cloned().collect();
         let sharded: ShardedFragmentStore = versions.into_iter().collect();
         // The `only-a` bucket is gone entirely, not left as an empty Vec.
-        for index in [
-            &mono.by_consumed_label,
-            &sharded.shards[0].by_consumed_label,
-        ] {
-            assert_eq!(index.len(), 1);
-            assert!(index.contains_key(&Label::new("only-x")));
-        }
+        let index = &sharded.shards[0].by_consumed_label;
+        assert_eq!(index.len(), 1);
+        assert!(index.contains_key(&Label::new("only-x")));
     }
 
     #[test]
@@ -723,7 +596,7 @@ mod tests {
                 )
             })
             .collect();
-        let mono: InMemoryFragmentStore = frags.iter().cloned().collect();
+        let mono: Scan = frags.iter().cloned().collect();
         for shards in [1usize, 2, 3, 8] {
             let mut sharded = ShardedFragmentStore::with_shards(shards);
             sharded.extend(frags.iter().cloned());
@@ -882,7 +755,7 @@ mod tests {
 
     #[test]
     fn collects_from_iterator() {
-        let s: InMemoryFragmentStore = vec![
+        let s: ShardedFragmentStore = vec![
             frag("f1", "t1", &["a"], &["b"]),
             frag("f2", "t2", &["b"], &["c"]),
         ]

@@ -276,9 +276,8 @@ impl Supergraph {
         out
     }
 
-    /// Labels currently present whose consuming tasks may be missing — i.e.
-    /// every label node. Incremental construction queries the community for
-    /// fragments consuming frontier labels.
+    /// True when the supergraph holds a node for `label`: some merged
+    /// fragment names it.
     pub fn contains_label(&self, label: &Label) -> bool {
         self.graph.find_label(label).is_some()
     }

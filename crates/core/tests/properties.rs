@@ -14,13 +14,13 @@
 //!   full collection on feasibility and spec satisfaction.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
+use std::sync::Arc;
 
 use openwf_core::construct::{ConstructError, Constructor, PickOrder};
 use openwf_core::prelude::*;
 use openwf_core::prune::prune_to_spec;
-use openwf_core::store::InMemoryFragmentStore;
 use openwf_core::validate::validate;
-use openwf_core::{IncrementalConstructor, Label, TaskId};
+use openwf_core::{FragmentSource, IncrementalConstructor, Label, TaskId};
 use proptest::prelude::*;
 
 /// A compact description of a randomly generated single-task fragment.
@@ -143,6 +143,35 @@ fn oracle_feasible(fragments: &[Fragment], spec: &Spec) -> bool {
 /// A graph re-expressed in pure string space: kind-qualified node names
 /// and string edge pairs, collected through plain std collections with no
 /// interning involved.
+/// The reference store, independent of the shipped one: every fragment
+/// in a list, a later one with the same id written over its entry in
+/// place, and a query a linear scan.
+struct Scan(Vec<Arc<Fragment>>);
+
+impl Scan {
+    fn new(fragments: &[Fragment]) -> Self {
+        let mut all: Vec<Arc<Fragment>> = Vec::new();
+        for f in fragments {
+            let f = Arc::new(f.clone());
+            match all.iter_mut().find(|g| g.id() == f.id()) {
+                Some(entry) => *entry = f,
+                None => all.push(f),
+            }
+        }
+        Scan(all)
+    }
+}
+
+impl FragmentSource for Scan {
+    fn fragments_consuming(&mut self, labels: &[Label]) -> Vec<Arc<Fragment>> {
+        self.0
+            .iter()
+            .filter(|f| f.all_input_labels().iter().any(|l| labels.contains(l)))
+            .cloned()
+            .collect()
+    }
+}
+
 fn graph_strings(g: &openwf_core::Graph) -> (BTreeSet<String>, BTreeSet<(String, String)>) {
     let nodes: BTreeSet<String> = g.nodes().map(|(_, k)| k.to_string()).collect();
     let edges: BTreeSet<(String, String)> = g
@@ -214,8 +243,7 @@ proptest! {
     fn incremental_matches_full((fragments, spec) in arb_world(12, 10)) {
         let sg = Supergraph::from_fragments(&fragments).unwrap();
         let full = Constructor::new().construct(&sg, &spec);
-        let mut store: InMemoryFragmentStore = fragments.iter().cloned().collect();
-        let inc = IncrementalConstructor::new().construct(&mut store, &spec);
+        let inc = IncrementalConstructor::new().construct(Scan::new(&fragments), &spec);
         match (full, inc) {
             (Ok(f), Ok((i, partial_sg))) => {
                 prop_assert!(spec.accepts(f.workflow()));
@@ -267,8 +295,7 @@ proptest! {
         // node-for-node in string space.
         let full = Constructor::new().construct(&sg, &spec);
         let again = Constructor::new().construct(&sg, &spec);
-        let mut store: InMemoryFragmentStore = fragments.iter().cloned().collect();
-        let inc = IncrementalConstructor::new().construct(&mut store, &spec);
+        let inc = IncrementalConstructor::new().construct(Scan::new(&fragments), &spec);
         // Goals that are triggers but appear in no fragment become
         // isolated labels in the result; admit them alongside the union.
         let mut admissible_nodes = union_nodes.clone();
@@ -329,10 +356,9 @@ proptest! {
         (fragments, spec) in arb_world(12, 10)
     ) {
         for order in [PickOrder::Fifo, PickOrder::Lifo, PickOrder::Random(7)] {
-            let mut mono_store: InMemoryFragmentStore = fragments.iter().cloned().collect();
             let monolithic = IncrementalConstructor::new()
                 .pick_order(order)
-                .construct(&mut mono_store, &spec);
+                .construct(Scan::new(&fragments), &spec);
             for shards in [1usize, 2, 3, 8] {
                 let mut store = ShardedFragmentStore::with_shards(shards);
                 store.extend(fragments.iter().cloned());
@@ -385,6 +411,19 @@ proptest! {
                     "label {l} must come from the supergraph or be a trivial goal"
                 );
             }
+        }
+        // §2.2's containment, on the frontier path: the workflow is valid,
+        // accepted, and lies in the partial supergraph its rounds pulled
+        // (a trigger that is also a goal needs no fragment).
+        if let Ok((c, partial)) = IncrementalConstructor::new().construct(Scan::new(&fragments), &spec) {
+            let w = c.workflow();
+            prop_assert!(validate(w.graph()).is_ok());
+            prop_assert!(spec.accepts(w), "workflow {w} must satisfy {spec}");
+            let (nodes, edges) = graph_strings(w.graph());
+            let (mut known_nodes, known_edges) = graph_strings(partial.graph());
+            known_nodes.extend(spec.triggers().iter().map(|l| format!("label:{l}")));
+            prop_assert!(nodes.is_subset(&known_nodes), "{nodes:?} not in {known_nodes:?}");
+            prop_assert!(edges.is_subset(&known_edges), "{edges:?} not in {known_edges:?}");
         }
     }
 

@@ -3,7 +3,8 @@
 //! and *manners* of a hostile one, against a real [`NetServer`]: its
 //! byte stream cut at every boundary or glued into one write, resets
 //! and half-closes mid-frame, a reader that never reads, a storm of
-//! reconnects — or with frames in someone else's name. The readiness
+//! reconnects — or with frames in someone else's name, or commands from
+//! a peer that is no member of the community. The readiness
 //! loop owns every socket, so each of these lands on the one thread that
 //! also runs the protocol; what they may not do is change an outcome,
 //! leave state behind, stall a well-behaved neighbour or speak for a
@@ -14,14 +15,15 @@ use std::net::{Shutdown, TcpStream};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use openwf_core::{Fragment, Label, Mode, Spec, Sym};
+use openwf_core::{Fragment, Label, Mode, Spec, Sym, TaskId};
 use openwf_net::proto::{encode_envelope, encode_hello, read_envelope, Hello, NET_PROTO_VERSION};
 use openwf_net::{NetServer, QueueCaps, ServerConfig, TAG_NET_ENVELOPE};
+use openwf_runtime::metadata::{ExecutionPlan, PlannedTask};
 use openwf_runtime::{
     decode_msg, encode_msg, HostConfig, Msg, ProblemId, RuntimeParams, ServiceDescription,
     WorkflowEvent,
 };
-use openwf_simnet::{HostId, SimDuration};
+use openwf_simnet::{HostId, SimDuration, SimTime};
 use openwf_wire::{FrameDecoder, VocabularyBudget, MAX_FRAME_LEN};
 
 const COMMUNITY: u64 = 0;
@@ -60,7 +62,8 @@ fn params() -> RuntimeParams {
 
 /// A one-member community: host 0 knows the first step of the chain
 /// `hp-l0 → … → hp-l4` and can perform every step; the rest of the
-/// know-how arrives over the wire. Operator ingest is on.
+/// know-how arrives over the wire. Operator ingest is on, and the core
+/// records into the server's registry.
 fn server(queue_caps: QueueCaps) -> NetServer {
     let mut server = NetServer::new(ServerConfig {
         name: "hostile-peer-test".into(),
@@ -69,7 +72,9 @@ fn server(queue_caps: QueueCaps) -> NetServer {
         ..ServerConfig::default()
     })
     .unwrap();
-    let mut config = HostConfig::new().with_fragment(step(0));
+    let mut config = HostConfig::new()
+        .with_fragment(step(0))
+        .with_observability(server.obs().clone());
     for i in 0..4 {
         config = config.with_service(ServiceDescription::new(
             format!("hp-t{i}"),
@@ -600,7 +605,75 @@ fn a_frame_in_the_servers_own_name_is_dropped_before_it_is_decoded() {
     assert_eq!(live_conns(&server), 0, "the connection is cut");
 }
 
-// ---- (f) a peer of an older build ---------------------------------------
+// ---- (f) commands from a non-member -------------------------------------
+
+/// Membership is the core's rule, not the transport's: a peer outside the
+/// community, speaking in the name its hello announced, gets its frames
+/// through, and the core refuses each by who sent it — a plan naming the
+/// peer initiator of a task host 0 serves, an input and a goal for
+/// problems nobody opened, and an `Initiate` naming host 0's own core.
+/// Nothing is booked, run, parked or opened, each frame is counted as
+/// refused, and the connection stays open.
+#[test]
+fn a_non_member_gets_nothing_booked_run_parked_or_opened() {
+    let _turn = serialized();
+    let mut server = server(QueueCaps::default());
+    let plan = ExecutionPlan {
+        commitments: vec![PlannedTask {
+            task: TaskId::new("hp-t0"),
+            inputs: Vec::new(),
+            outputs: Vec::new(),
+            start: SimTime::ZERO,
+            duration: SimDuration::ZERO,
+        }],
+    };
+    let commands = [
+        Msg::Execute {
+            problem: ProblemId::new(PEER, 0),
+            plan,
+        },
+        Msg::InputDelivery {
+            problem: ProblemId::new(PEER, 1),
+            label: Label::new("hp-l0"),
+        },
+        Msg::GoalDelivered {
+            problem: ProblemId::new(SERVER, 7),
+            label: Label::new("hp-l1"),
+        },
+        Msg::Initiate {
+            problem: ProblemId::new(SERVER, 8),
+            spec: Spec::new(["hp-l0"], ["hp-l1"]),
+        },
+    ];
+    let mut bytes = hello(vec![(COMMUNITY, PEER)]);
+    for msg in &commands {
+        let mut inner = Vec::new();
+        encode_msg(msg, &mut inner);
+        bytes.extend(envelope(PEER, &inner));
+    }
+    let mut peer = TcpStream::connect(server.listen_addr().unwrap()).unwrap();
+    peer.write_all(&bytes).unwrap();
+    poll_until(&mut server, "every command is refused", |s| {
+        counter(s, "core.sender_refused") == 4
+    });
+    // A plan admitted would run at its start, which has passed.
+    for _ in 0..10 {
+        server.poll(Duration::from_millis(1));
+    }
+    let core = server.core(COMMUNITY, SERVER);
+    assert_eq!(core.schedule().commitment_count(), 0, "a slot was booked");
+    assert!(core.service_mgr().invocations().is_empty(), "a service ran");
+    assert_eq!(
+        core.schedule().executions_in_flight(),
+        0,
+        "an input was parked"
+    );
+    assert_eq!(core.workspaces().count(), 0, "a problem was opened");
+    assert_eq!(counter(&server, "core.sender_refused"), 4);
+    assert_eq!(live_conns(&server), 1, "the connection was cut");
+}
+
+// ---- (g) a peer of an older build ---------------------------------------
 
 /// The handshake version covers the `TAG_MSG` bodies too: a peer whose
 /// hello names version 1, whose message bodies differ, is refused at

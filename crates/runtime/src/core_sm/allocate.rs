@@ -63,22 +63,15 @@ fn better_bid(a: &(HostId, Bid), b: &(HostId, Bid)) -> bool {
 
 impl HostCore {
     /// [`Msg::CallForBids`]: considers every task called, in the order
-    /// sent, and answers all of them in one [`Msg::Bids`]. Only the
-    /// problem's initiator calls for bids, and only a member is answered:
-    /// a call in anyone else's name is dropped, so it cannot hold this
-    /// host's slots (and fill its commitment budget) for another
-    /// initiator's problem.
+    /// sent, and answers all of them in one [`Msg::Bids`] to the
+    /// initiator.
     pub(super) fn on_call_for_bids(
         &mut self,
-        from: HostId,
         problem: ProblemId,
         tasks: Vec<TaskId>,
         now: SimTime,
         q: &mut ActionQueue,
     ) {
-        if from != problem.initiator || !self.community.contains(&from) {
-            return;
-        }
         let answers = tasks
             .into_iter()
             .map(|task| {
@@ -86,7 +79,7 @@ impl HostCore {
                 (task, bid)
             })
             .collect();
-        self.emit(q, from, Msg::Bids { problem, answers });
+        self.emit(q, problem.initiator, Msg::Bids { problem, answers });
     }
 
     /// [`Msg::Bids`]: one member's answers, each counted in its task's
@@ -113,20 +106,8 @@ impl HostCore {
     /// slot its bid holds, and each task lost frees its hold at once;
     /// either way the hold's expiry is disarmed. A lost task frees only a
     /// hold — a task awarded, planned or run here stays, as under the
-    /// hold's expiry. Only the problem's initiator awards its tasks: an
-    /// award from anyone else is dropped, so it can neither firm a hold
-    /// that its expiry should release nor free one the initiator may
-    /// still award.
-    pub(super) fn on_award(
-        &mut self,
-        from: HostId,
-        problem: ProblemId,
-        won: Vec<TaskId>,
-        lost: Vec<TaskId>,
-    ) {
-        if from != problem.initiator {
-            return;
-        }
+    /// hold's expiry.
+    pub(super) fn on_award(&mut self, problem: ProblemId, won: Vec<TaskId>, lost: Vec<TaskId>) {
         for task in won {
             self.schedule.award(problem, &task);
             self.timers
@@ -176,9 +157,7 @@ impl HostCore {
     }
 
     /// One member's bid (`Some`) or decline (`None`) for `task`, the
-    /// initiator's own included; a stranger's could decide the auction
-    /// early, or win a task it will never run, and changes nothing. The
-    /// first answer of each member counts;
+    /// initiator's own included. The first answer of each member counts;
     /// a bid better than the tentative allocation replaces it, and the
     /// auction waits for the new best's deadline instead of the old
     /// one's. Once every community member has answered the task is
@@ -194,9 +173,6 @@ impl HostCore {
         now: SimTime,
         q: &mut ActionQueue,
     ) {
-        if !self.community.contains(&from) {
-            return;
-        }
         let Some(w) = self
             .workspaces
             .get_mut(&problem)

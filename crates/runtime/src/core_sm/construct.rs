@@ -79,28 +79,22 @@ impl HostCore {
         }
     }
 
-    /// [`Msg::FragmentQuery`]: answers with the local knowhow consuming
-    /// any of `labels` and the subset of `tasks` a local service can
-    /// perform. Only the problem's initiator asks, and only a member is
-    /// answered: a query in anyone else's name is dropped, so it learns
-    /// nothing of this host's knowhow or services.
+    /// [`Msg::FragmentQuery`]: answers the initiator with the local
+    /// knowhow consuming any of `labels` and the subset of `tasks` a
+    /// local service can perform.
     pub(super) fn on_fragment_query(
         &mut self,
-        from: HostId,
         problem: ProblemId,
         round: u32,
         labels: Vec<Label>,
         tasks: Vec<TaskId>,
         q: &mut ActionQueue,
     ) {
-        if from != problem.initiator || !self.community.contains(&from) {
-            return;
-        }
         let fragments = self.fragment_mgr.query(&labels);
         let capable = self.service_mgr.capable_of(&tasks);
         self.emit(
             q,
-            from,
+            problem.initiator,
             Msg::FragmentReply {
                 problem,
                 round,
@@ -113,12 +107,9 @@ impl HostCore {
     /// [`Msg::FragmentReply`] (its fragments were charged against the
     /// vocabulary budget when [`HostCore::handle_frame`] decoded them):
     /// `from`'s answers count towards `problem`'s open round if they are
-    /// for its number, and the first from `from`, one of the other
-    /// members. A finished attempt, a stale reply (after a timeout, say),
-    /// a duplicate delivery and a reply from anyone but the other members
-    /// change nothing: counted, a stranger's reply would close the round
-    /// early and turn a member's late one away as stale. The last peer's
-    /// reply closes the round.
+    /// for its number, and the first from `from`. A finished attempt, a
+    /// stale reply (after a timeout, say) and a duplicate delivery change
+    /// nothing. The last peer's reply closes the round.
     #[allow(clippy::too_many_arguments)]
     pub(super) fn on_query_reply(
         &mut self,
@@ -130,9 +121,6 @@ impl HostCore {
         now: SimTime,
         q: &mut ActionQueue,
     ) {
-        if from == self.id() || !self.community.contains(&from) {
-            return;
-        }
         let Some(w) = self
             .workspaces
             .get_mut(&problem)

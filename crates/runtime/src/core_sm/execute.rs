@@ -14,7 +14,7 @@ use std::collections::BTreeSet;
 
 use openwf_core::{Label, TaskId};
 use openwf_obs::SpanPhase;
-use openwf_simnet::{HostId, SimTime};
+use openwf_simnet::SimTime;
 
 use super::{Action, ActionQueue, HostCore, TimerPurpose, WorkflowEvent};
 use crate::messages::{Msg, ProblemId};
@@ -32,22 +32,15 @@ impl HostCore {
     /// task's `Award` would have (that frame may have been lost), and a
     /// task whose hold already expired is booked at the plan's slot. A
     /// task already waiting, running or done here is not installed
-    /// again, so a copy of the frame runs nothing twice.
-    ///
-    /// Only the problem's initiator plans it, and only for services this
-    /// host offers: a plan from anyone else is dropped, and so is a task
-    /// this host has no service for, before either books a slot.
+    /// again, so a copy of the frame runs nothing twice, and a task this
+    /// host has no service for is dropped before it books a slot.
     pub(super) fn on_execute(
         &mut self,
-        from: HostId,
         problem: ProblemId,
         plan: ExecutionPlan,
         now: SimTime,
         q: &mut ActionQueue,
     ) {
-        if from != problem.initiator {
-            return;
-        }
         // Inputs are parked only while no task of the problem is
         // installed here, so the first plan to install one takes them.
         let parked = self.schedule.take_parked(problem);

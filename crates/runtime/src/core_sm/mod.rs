@@ -37,12 +37,26 @@
 //! ([`HostConfig`]), `action.rs` ([`Action`], [`ActionQueue`]) and
 //! `observe.rs` (metrics, trace spans) are what the phases share.
 //!
-//! | [`Msg`] variant | owner |
-//! |---|---|
-//! | `Initiate`, `FragmentQuery` (frontier labels and unasked tasks), `FragmentReply` (fragments and capable tasks) | `construct.rs` |
-//! | `CallForBids` (every task, one per member), `Bids` (an answer per task called), `Award` (tasks won and lost) | `allocate.rs` |
-//! | `Execute`, `InputDelivery`, `GoalDelivered` | `execute.rs` |
-//! | `Abandon` | `repair.rs` |
+//! | [`Msg`] variant | sent by | owner |
+//! |---|---|---|
+//! | `Initiate` | this host, for a problem it initiates | `construct.rs` |
+//! | `FragmentQuery` (frontier labels and unasked tasks) | the problem's initiator, a member | `construct.rs` |
+//! | `FragmentReply` (fragments and capable tasks) | another member | `construct.rs` |
+//! | `CallForBids` (every task, one per member) | the problem's initiator, a member | `allocate.rs` |
+//! | `Bids` (an answer per task called) | another member | `allocate.rs` |
+//! | `Award` (tasks won and lost) | the problem's initiator, a member | `allocate.rs` |
+//! | `Execute` | the problem's initiator, a member | `execute.rs` |
+//! | `InputDelivery`, `GoalDelivered` | a member | `execute.rs` |
+//! | `Abandon` | the problem's initiator, a member | `repair.rs` sends it, `release` (here) handles it |
+//!
+//! The "sent by" column is the core's whole rule on senders, and
+//! `dispatch_msg` checks it (`admits`) before any handler runs: a frame
+//! from anyone else is charged and counted like any message, then
+//! answered by absence and counted as `core.sender_refused`. So no
+//! handler asks who sent its message, and a new variant does not compile
+//! before it has a rule. Honest traffic never meets a refusal: an
+//! initiator is a member of the community it asks and of its executors',
+//! an executor of its consumers'.
 //!
 //! | `TimerPurpose` | owner |
 //! |---|---|
@@ -605,8 +619,26 @@ impl HostCore {
 
     // ---- routing ---------------------------------------------------------
 
+    /// True when `from` may send `msg`: the "sent by" column of the
+    /// table in the module docs, one rule per variant.
+    fn admits(&self, from: HostId, msg: &Msg) -> bool {
+        let me = self.id();
+        let member = self.community.contains(&from);
+        match msg {
+            Msg::Initiate { problem, .. } => from == me && problem.initiator == me,
+            Msg::FragmentQuery { problem, .. }
+            | Msg::CallForBids { problem, .. }
+            | Msg::Award { problem, .. }
+            | Msg::Execute { problem, .. }
+            | Msg::Abandon { problem } => from == problem.initiator && member,
+            Msg::FragmentReply { .. } | Msg::Bids { .. } => from != me && member,
+            Msg::InputDelivery { .. } | Msg::GoalDelivered { .. } => member,
+        }
+    }
+
     /// Routes one message to the phase that owns it (see the table in
-    /// the module docs).
+    /// the module docs), once [`HostCore::admits`] has admitted its
+    /// sender.
     fn dispatch_msg(&mut self, from: HostId, msg: Msg, now: SimTime, q: &mut ActionQueue) {
         q.charge(self.params.per_message_cost);
         self.metrics.messages.inc();
@@ -620,6 +652,10 @@ impl HostCore {
                 format!("from host{}", from.0),
             );
         }
+        if !self.admits(from, &msg) {
+            self.metrics.sender_refused.inc();
+            return;
+        }
         match msg {
             Msg::Initiate { problem, spec } => self.on_initiate(problem, spec, now, q),
             Msg::FragmentQuery {
@@ -627,7 +663,7 @@ impl HostCore {
                 round,
                 labels,
                 tasks,
-            } => self.on_fragment_query(from, problem, round, labels, tasks, q),
+            } => self.on_fragment_query(problem, round, labels, tasks, q),
             Msg::FragmentReply {
                 problem,
                 round,
@@ -635,14 +671,12 @@ impl HostCore {
                 capable,
             } => self.on_query_reply(from, problem, round, fragments, capable, now, q),
 
-            Msg::CallForBids { problem, tasks } => {
-                self.on_call_for_bids(from, problem, tasks, now, q)
-            }
+            Msg::CallForBids { problem, tasks } => self.on_call_for_bids(problem, tasks, now, q),
             Msg::Bids { problem, answers } => self.on_bids(from, problem, answers, now, q),
-            Msg::Award { problem, won, lost } => self.on_award(from, problem, won, lost),
-            Msg::Abandon { problem } => self.on_abandon(from, problem),
+            Msg::Award { problem, won, lost } => self.on_award(problem, won, lost),
+            Msg::Abandon { problem } => self.release(problem),
 
-            Msg::Execute { problem, plan } => self.on_execute(from, problem, plan, now, q),
+            Msg::Execute { problem, plan } => self.on_execute(problem, plan, now, q),
             Msg::InputDelivery { problem, label } => self.on_input_delivery(problem, label, now, q),
             Msg::GoalDelivered { problem, label } => self.on_goal_delivered(problem, label, now, q),
         }

@@ -32,6 +32,9 @@ pub(super) struct CoreMetrics {
     pub(super) vocab_rejections: Counter,
     /// `core.quarantines` — peers quarantined for repeated minting.
     pub(super) quarantines: Counter,
+    /// `core.sender_refused` — decoded messages dropped because their
+    /// sender may not send them (see `HostCore::admits`).
+    pub(super) sender_refused: Counter,
     /// `core.timer_lag_us` — how late timers fire relative to their due
     /// time (µs of virtual time; a driver servicing timers promptly
     /// keeps this at 0).
@@ -52,6 +55,7 @@ impl CoreMetrics {
             auctions: m.counter("core.auctions"),
             vocab_rejections: m.counter("core.vocab_rejections"),
             quarantines: m.counter("core.quarantines"),
+            sender_refused: m.counter("core.sender_refused"),
             timer_lag_us: m.histogram("core.timer_lag_us"),
             queue_depth: m.histogram("core.queue_depth"),
             published: HashMap::new(),

@@ -38,15 +38,6 @@ impl HostCore {
         }
     }
 
-    /// [`Msg::Abandon`]: the initiator gave the attempt up, so everything
-    /// this host holds for it goes. Only the problem's initiator abandons
-    /// its attempts: an `Abandon` from anyone else releases nothing.
-    pub(super) fn on_abandon(&mut self, from: HostId, problem: ProblemId) {
-        if from == problem.initiator {
-            self.release(problem);
-        }
-    }
-
     pub(super) fn repair_or_fail(
         &mut self,
         problem: ProblemId,

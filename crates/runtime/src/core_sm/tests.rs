@@ -1,4 +1,4 @@
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 
 use openwf_core::{Fragment, Label, Mode, Spec};
@@ -2493,6 +2493,174 @@ fn a_forged_abandon_releases_nothing() {
         let _ = core.handle_frame(HostId(0), &frame(&Msg::Abandon { problem }), now);
     }
     assert_eq!(footprint(&core), (0, 0, 0));
+}
+
+/// Every message, from each sender its rule refuses — a stranger in its
+/// own name, another member in the initiator's name, the host itself
+/// where only another member may send — is answered by absence: no frame,
+/// timer or event goes out, and the workspaces (reports included), the
+/// schedule, the armed timers and the service invocations stay as they
+/// were. Host 1 has a problem of its own waiting in each phase, and holds
+/// a slot for host 0's, so a message admitted would find something to
+/// change. Each refusal is counted once.
+#[test]
+fn every_message_from_a_sender_its_rule_refuses_changes_nothing() {
+    let obs = Obs::enabled();
+    let config = HostConfig::new()
+        .with_fragment(frag("sr-f", "sr-t", "sr-a", "sr-b"))
+        .with_service(service("sr-t"))
+        .with_observability(obs.clone());
+    let mut core = member(config);
+    let now = SimTime::ZERO;
+    let spec = || Spec::new(["sr-a"], ["sr-b"]);
+    let task = || vec![TaskId::new("sr-t")];
+    let own = |seq| ProblemId::new(HostId(1), seq);
+    let (constructing, allocating, executing) = (own(0), own(1), own(2));
+    for problem in [constructing, allocating, executing] {
+        let _ = core.initiate(problem, spec(), now);
+    }
+    for problem in [allocating, executing] {
+        for peer in [0, 2] {
+            let reply = Msg::FragmentReply {
+                problem,
+                round: 1,
+                fragments: Vec::new(),
+                capable: Vec::new(),
+            };
+            let _ = core.handle_frame(HostId(peer), &frame(&reply), now);
+        }
+    }
+    for peer in [0, 2] {
+        let decline = Msg::Bids {
+            problem: executing,
+            answers: vec![(TaskId::new("sr-t"), None)],
+        };
+        let _ = core.handle_frame(HostId(peer), &frame(&decline), now);
+    }
+    let held = ProblemId::new(HostId(0), 0);
+    let _ = bid_in(&core.handle_frame(HostId(0), &call_for_bids(held, "sr-t"), now));
+    for (problem, status) in [
+        (constructing, ProblemStatus::Constructing),
+        (allocating, ProblemStatus::Allocating),
+        (executing, ProblemStatus::Executing),
+    ] {
+        let ws = core.workspace(problem).expect("workspace");
+        assert_eq!(ws.report.status, status, "{ws}");
+    }
+
+    let stranger = HostId(9);
+    let theirs = ProblemId::new(stranger, 0);
+    let mut refused = vec![
+        (
+            stranger,
+            Msg::Initiate {
+                problem: theirs,
+                spec: spec(),
+            },
+        ),
+        (
+            HostId(2),
+            Msg::Initiate {
+                problem: constructing,
+                spec: Spec::new(["sr-x"], ["sr-y"]),
+            },
+        ),
+    ];
+    for (from, problem) in [(stranger, theirs), (HostId(2), held)] {
+        let plan = ExecutionPlan {
+            commitments: vec![PlannedTask {
+                task: TaskId::new("sr-t"),
+                inputs: Vec::new(),
+                outputs: Vec::new(),
+                start: now,
+                duration: SimDuration::from_millis(10),
+            }],
+        };
+        refused.extend(
+            [
+                Msg::FragmentQuery {
+                    problem,
+                    round: 1,
+                    labels: vec![Label::new("sr-a")],
+                    tasks: task(),
+                },
+                Msg::CallForBids {
+                    problem,
+                    tasks: task(),
+                },
+                Msg::Award {
+                    problem,
+                    won: task(),
+                    lost: Vec::new(),
+                },
+                Msg::Execute { problem, plan },
+                Msg::Abandon { problem },
+            ]
+            .map(|msg| (from, msg)),
+        );
+    }
+    for from in [stranger, HostId(1)] {
+        refused.push((
+            from,
+            Msg::FragmentReply {
+                problem: constructing,
+                round: 1,
+                fragments: vec![Arc::new(frag("sr-g", "sr-u", "sr-a", "sr-b"))],
+                capable: Vec::new(),
+            },
+        ));
+        refused.push((
+            from,
+            Msg::Bids {
+                problem: allocating,
+                answers: vec![(TaskId::new("sr-t"), Some(firm_bid(0, 0, 1_000)))],
+            },
+        ));
+    }
+    refused.push((
+        stranger,
+        Msg::InputDelivery {
+            problem: theirs,
+            label: Label::new("sr-a"),
+        },
+    ));
+    refused.push((
+        stranger,
+        Msg::GoalDelivered {
+            problem: executing,
+            label: Label::new("sr-b"),
+        },
+    ));
+    let kinds: BTreeSet<&str> = refused.iter().map(|(_, msg)| msg.kind()).collect();
+    assert_eq!(kinds.len(), 10, "every variant: {kinds:?}");
+
+    let footprint = |core: &HostCore| {
+        format!(
+            "{:?} {:?} {:?} {:?}",
+            core.workspaces().collect::<Vec<_>>(),
+            core.schedule(),
+            core.timers,
+            core.service_mgr().invocations()
+        )
+    };
+    let before = footprint(&core);
+    for (from, msg) in &refused {
+        let q = core.handle_frame(*from, &frame(msg), now);
+        let kind = msg.kind();
+        assert!(
+            q.is_empty(),
+            "{from:?}'s {kind} was answered: {:?}",
+            q.actions()
+        );
+        assert!(
+            footprint(&core) == before,
+            "{from:?}'s {kind} changed the host"
+        );
+    }
+    assert_eq!(
+        obs.metrics.counter("core.sender_refused").get(),
+        refused.len() as u64
+    );
 }
 
 /// Drives `cores` — core `i` bound as host `i` of one community — on

@@ -17,6 +17,9 @@
 //! it frees at once. Both name tasks and nothing else: a bidder's slot
 //! is its own bid's, which it already holds. A repair tells the
 //! superseded attempt's assignees to let go with [`Msg::Abandon`].
+//!
+//! Who may send each variant is stated once, in the table of
+//! [`crate::core_sm`]'s module docs.
 
 use std::fmt;
 use std::sync::Arc;
@@ -98,8 +101,7 @@ pub enum Msg {
 
     /// Initiator → all: which fragments consume these labels, and which
     /// of these tasks can you serve? (Figure 3's fragment and service
-    /// feasibility messages, in one round trip.) Honoured only from the
-    /// problem's initiator.
+    /// feasibility messages, in one round trip.)
     FragmentQuery {
         /// Problem this query belongs to.
         problem: ProblemId,
@@ -132,8 +134,7 @@ pub enum Msg {
     },
 
     /// Auction manager → every other member: solicit bids for the tasks
-    /// of one allocation (§3.2), one frame per peer. Honoured only from
-    /// the problem's initiator, and only when it is a member.
+    /// of one allocation (§3.2), one frame per peer.
     CallForBids {
         /// Problem being allocated.
         problem: ProblemId,
@@ -144,7 +145,7 @@ pub enum Msg {
     },
 
     /// Participant → auction manager: its answer to every task of one
-    /// call, in the call's order. Counts only from a member.
+    /// call, in the call's order.
     Bids {
         /// Problem being allocated.
         problem: ProblemId,
@@ -155,7 +156,6 @@ pub enum Msg {
 
     /// Auction manager → a bidder: the outcome of the auctions decided
     /// by one input, for every task this bidder won or bid on and lost.
-    /// Honoured only from the problem's initiator.
     Award {
         /// Problem being allocated.
         problem: ProblemId,
@@ -169,7 +169,6 @@ pub enum Msg {
 
     /// Initiator → each assignee of an attempt a repair supersedes, or
     /// that failed for good: drop everything held for it (§5.1).
-    /// Honoured only from the problem's initiator.
     Abandon {
         /// The attempt given up.
         problem: ProblemId,
