@@ -77,8 +77,6 @@ impl<T: FragmentSource + ?Sized> FragmentSource for &mut T {
 /// [`IncrementalConstructor::pre_size`]). Upper bounds are fine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SizeHints {
-    /// Expected fragments merged.
-    pub fragments: usize,
     /// Expected supergraph nodes.
     pub nodes: usize,
     /// Expected supergraph edges.
@@ -90,7 +88,6 @@ impl SizeHints {
     /// (single task, a few labels): ~4 nodes and ~4 edges per fragment.
     pub fn for_fragments(fragments: usize) -> Self {
         SizeHints {
-            fragments,
             nodes: fragments.saturating_mul(4),
             edges: fragments.saturating_mul(4),
         }
@@ -138,7 +135,7 @@ impl IncrementalConstructor {
         let mut state = ColorState::with_len(0);
         let mut queried: FxHashSet<Label> = FxHashSet::default();
         if let Some(h) = self.hints {
-            sg.reserve(h.fragments, h.nodes, h.edges);
+            sg.reserve(h.nodes, h.edges);
             state.reserve(h.nodes);
             queried.reserve(h.nodes / 2);
         }
@@ -331,7 +328,7 @@ impl FrontierConstruction {
         // case a `recolor` reopens the construction.
         self.done = true;
         let result = finish(
-            &self.sg,
+            self.sg.graph(),
             &self.spec,
             std::mem::take(&mut self.state),
             outcome,

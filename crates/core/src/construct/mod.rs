@@ -36,8 +36,7 @@ use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 
-use crate::fragment::FragmentId;
-use crate::graph::NodeIdx;
+use crate::graph::{Graph, NodeIdx};
 use crate::ids::{Label, TaskId};
 use crate::spec::Spec;
 use crate::supergraph::Supergraph;
@@ -87,11 +86,10 @@ pub struct ConstructStats {
     pub fragments_pulled: usize,
 }
 
-/// A successfully constructed workflow with provenance and statistics.
+/// A successfully constructed workflow with its statistics.
 #[derive(Clone, Debug)]
 pub struct Construction {
     workflow: Workflow,
-    fragments_used: Vec<FragmentId>,
     stats: ConstructStats,
     trace: Option<Trace>,
 }
@@ -100,12 +98,6 @@ impl Construction {
     /// The constructed, valid workflow satisfying the specification.
     pub fn workflow(&self) -> &Workflow {
         &self.workflow
-    }
-
-    /// Fragments from the community knowledge that contributed a node or
-    /// edge to the final workflow, sorted by id.
-    pub fn fragments_used(&self) -> &[FragmentId] {
-        &self.fragments_used
     }
 
     /// Statistics about the run.
@@ -239,7 +231,7 @@ impl Constructor {
             explore_steps: outcome.steps,
             ..ConstructStats::default()
         };
-        finish(supergraph, spec, state, outcome, stats, trace)
+        finish(g, spec, state, outcome, stats, trace)
     }
 }
 
@@ -255,15 +247,13 @@ impl Constructor {
 /// [`ConstructError::InvalidResult`] if the blue subgraph fails validation
 /// (an algorithm-bug guard that the paper's proof says cannot trigger).
 fn finish(
-    supergraph: &Supergraph,
+    g: &Graph,
     spec: &Spec,
     mut state: ColorState,
     outcome: explore::ExploreOutcome,
     mut stats: ConstructStats,
     mut trace: Option<Trace>,
 ) -> Result<Construction, ConstructError> {
-    let g = supergraph.graph();
-
     if !outcome.unreachable_goals.is_empty() {
         return Err(ConstructError::NoSolution {
             unreachable_goals: outcome.unreachable_goals,
@@ -309,12 +299,8 @@ fn finish(
         "constructed workflow must satisfy its spec: {workflow} vs {spec}"
     );
 
-    let fragments_used =
-        supergraph.covering_fragments(blue_nodes.iter().copied(), blue_edges.iter().copied());
-
     Ok(Construction {
         workflow,
-        fragments_used,
         stats,
         trace,
     })
@@ -344,15 +330,8 @@ mod tests {
         let spec = Spec::new(["a"], ["d"]);
         let c = Constructor::new().construct(&sg, &spec).unwrap();
         assert!(spec.is_satisfied_strict(c.workflow()));
-        assert_eq!(c.workflow().task_count(), 3);
-        assert_eq!(
-            c.fragments_used(),
-            &[
-                FragmentId::new("f1"),
-                FragmentId::new("f2"),
-                FragmentId::new("f3")
-            ]
-        );
+        let tasks: Vec<String> = c.workflow().tasks().map(|t| t.to_string()).collect();
+        assert_eq!(tasks, ["t1", "t2", "t3"]);
     }
 
     #[test]

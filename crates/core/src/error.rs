@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-use crate::ids::{Label, Mode, NodeKey, TaskId};
+use crate::ids::{Mode, NodeKey, TaskId};
 use crate::validate::ValidityError;
 
 /// Errors raised while building or mutating workflow graphs.
@@ -27,13 +27,6 @@ pub enum ModelError {
         /// Mode that was being added.
         requested: Mode,
     },
-    /// A named task was not found in the graph.
-    UnknownTask(TaskId),
-    /// A named label was not found in the graph.
-    UnknownLabel(Label),
-    /// A pruning operation would violate one of the paper's pruning
-    /// constraints (§2.2).
-    PruneViolation(PruneViolation),
     /// The mutation produced a structurally invalid workflow.
     Invalid(ValidityError),
 }
@@ -55,9 +48,6 @@ impl fmt::Display for ModelError {
                 f,
                 "task `{task}` is already {existing} and cannot also be {requested}"
             ),
-            ModelError::UnknownTask(t) => write!(f, "task `{t}` is not in the graph"),
-            ModelError::UnknownLabel(l) => write!(f, "label `{l}` is not in the graph"),
-            ModelError::PruneViolation(v) => write!(f, "pruning constraint violated: {v}"),
             ModelError::Invalid(e) => write!(f, "resulting workflow is invalid: {e}"),
         }
     }
@@ -78,145 +68,33 @@ impl From<ValidityError> for ModelError {
     }
 }
 
-impl From<PruneViolation> for ModelError {
-    fn from(v: PruneViolation) -> Self {
-        ModelError::PruneViolation(v)
-    }
-}
-
-/// The specific pruning constraint (§2.2) that an operation would violate.
-#[derive(Clone, Debug, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum PruneViolation {
-    /// Constraint 1: "task outputs that are sinks can be pruned so long as
-    /// every task has at least one output."
-    LastOutput(TaskId),
-    /// Constraint 2: "task inputs that are sources can be pruned for
-    /// disjunctive tasks so long as every task has at least one input."
-    LastInput(TaskId),
-    /// Constraint 2 applies only to disjunctive tasks: a conjunctive task
-    /// requires all of its inputs.
-    ConjunctiveInput(TaskId, Label),
-    /// The named output is not a sink (it has consumers), so constraint 1
-    /// does not permit removing it.
-    OutputNotSink(TaskId, Label),
-    /// The named input is not a source (it has a producer), so constraint 2
-    /// does not permit removing it.
-    InputNotSource(TaskId, Label),
-    /// The edge to remove does not exist.
-    NoSuchEdge(TaskId, Label),
-}
-
-impl fmt::Display for PruneViolation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PruneViolation::LastOutput(t) => {
-                write!(f, "cannot remove the last output of task `{t}`")
-            }
-            PruneViolation::LastInput(t) => {
-                write!(f, "cannot remove the last input of task `{t}`")
-            }
-            PruneViolation::ConjunctiveInput(t, l) => write!(
-                f,
-                "cannot remove input `{l}` of conjunctive task `{t}`: all inputs are required"
-            ),
-            PruneViolation::OutputNotSink(t, l) => write!(
-                f,
-                "output `{l}` of task `{t}` is consumed downstream and is not a sink"
-            ),
-            PruneViolation::InputNotSource(t, l) => write!(
-                f,
-                "input `{l}` of task `{t}` has a producer and is not a source"
-            ),
-            PruneViolation::NoSuchEdge(t, l) => {
-                write!(f, "no edge between task `{t}` and label `{l}`")
-            }
-        }
-    }
-}
-
-impl Error for PruneViolation {}
-
-/// Errors raised while composing workflows (§2.2: "two workflows are
-/// composable if and only if matching sinks and sources yields a valid
-/// workflow").
-#[derive(Clone, Debug, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum ComposeError {
-    /// The merged graph violates a workflow validity constraint.
-    NotComposable(ValidityError),
-    /// A task appears in both operands with different modes.
-    ConflictingTaskMode {
-        /// The conflicting task.
-        task: TaskId,
-        /// Mode in the left operand.
-        existing: Mode,
-        /// Mode in the right operand.
-        requested: Mode,
-    },
-}
-
-impl fmt::Display for ComposeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ComposeError::NotComposable(e) => write!(f, "workflows are not composable: {e}"),
-            ComposeError::ConflictingTaskMode {
-                task,
-                existing,
-                requested,
-            } => write!(
-                f,
-                "task `{task}` is {existing} in one workflow and {requested} in the other"
-            ),
-        }
-    }
-}
-
-impl Error for ComposeError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            ComposeError::NotComposable(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<ValidityError> for ComposeError {
-    fn from(e: ValidityError) -> Self {
-        ComposeError::NotComposable(e)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn display_messages_are_lowercase_and_concise() {
-        let e = ModelError::UnknownLabel(Label::new("x"));
+        let e = ModelError::ConflictingTaskMode {
+            task: TaskId::new("t"),
+            existing: Mode::Conjunctive,
+            requested: Mode::Disjunctive,
+        };
         let msg = e.to_string();
-        assert!(msg.starts_with("label"), "{msg}");
+        assert!(msg.starts_with("task `t`"), "{msg}");
         assert!(!msg.ends_with('.'));
-
-        let v = PruneViolation::LastOutput(TaskId::new("t"));
-        assert_eq!(v.to_string(), "cannot remove the last output of task `t`");
     }
 
     #[test]
     fn model_error_wraps_validity_error() {
         let ve = ValidityError::Cyclic;
-        let me: ModelError = ve.clone().into();
+        let me: ModelError = ve.into();
         assert!(matches!(me, ModelError::Invalid(_)));
         assert!(me.source().is_some());
-        let ce: ComposeError = ve.into();
-        assert!(ce.source().is_some());
     }
 
     #[test]
     fn errors_are_send_and_sync() {
         fn assert_send_sync<T: Send + Sync + 'static>() {}
         assert_send_sync::<ModelError>();
-        assert_send_sync::<ComposeError>();
-        assert_send_sync::<PruneViolation>();
     }
 }

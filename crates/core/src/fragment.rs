@@ -18,11 +18,10 @@ use crate::workflow::Workflow;
 /// Identifies a fragment within a community-wide knowledge base.
 ///
 /// Fragment identity is a plain name (unique per owner); the runtime extends
-/// it with the owning host. Used for provenance: the construction result
-/// reports which fragments contributed to the built workflow. Ids are
-/// interned like node names ([`crate::ids::Sym`]), so equality/hashing —
-/// which the supergraph performs once per provenance entry — are integer
-/// operations, and cloning is a bit copy.
+/// it with the owning host. The supergraph merges each id once and the
+/// stores replace a fragment by id. Ids are interned like node names
+/// ([`crate::ids::Sym`]), so equality/hashing are integer operations, and
+/// cloning is a bit copy.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FragmentId(Name);
 

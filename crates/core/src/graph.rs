@@ -42,27 +42,22 @@ struct NodeData {
     mode: Mode,
 }
 
-/// One node's complete storage: identity plus all four adjacency lanes.
+/// One node's complete storage: identity plus its parent and child lists.
 ///
 /// Keeping a node's neighbor lists in the same slot as its key (instead
-/// of five parallel `Vec`s) means a graph is three allocations total —
-/// slots, index, edge order — rather than seven. The wire decoder builds
-/// a fresh graph per received fragment, so per-graph allocation count is
-/// directly on the decode hot path; traversals also touch a node's key
-/// and adjacency together, which this layout serves from one cache line.
+/// of three parallel `Vec`s) means a graph is three allocations total —
+/// slots, index, edge order. The wire decoder builds a fresh graph per
+/// received fragment, so per-graph allocation count is directly on the
+/// decode hot path; traversals also touch a node's key and adjacency
+/// together, which this layout serves from one cache line. Edges need no
+/// store of their own: every edge has a task endpoint and a task's
+/// degree is bounded by its declared inputs and outputs, so duplicate
+/// detection and [`Graph::has_edge`] are short scans of the task side.
 #[derive(Clone, Debug)]
 struct NodeSlot {
     data: NodeData,
-    parents: Adj<NodeIdx>,
-    children: Adj<NodeIdx>,
-    /// Dense edge ids parallel to `parents` / `children`:
-    /// `parent_eids[i]` is the id of the edge `parents[i] -> self`.
-    /// Together with the bipartite invariant these replace an edge hash
-    /// map entirely — every edge has a task endpoint, task degrees are
-    /// bounded by declared arity, so duplicate detection and
-    /// [`Graph::edge_id`] are short inline scans of the task side.
-    parent_eids: Adj<u32>,
-    child_eids: Adj<u32>,
+    parents: Adj,
+    children: Adj,
 }
 
 impl NodeSlot {
@@ -71,45 +66,41 @@ impl NodeSlot {
             data,
             parents: Adj::default(),
             children: Adj::default(),
-            parent_eids: Adj::default(),
-            child_eids: Adj::default(),
         }
     }
 }
 
-/// An adjacency list with inline storage for the common case.
+/// A neighbor list with inline storage for the common case.
 ///
 /// Workflow graphs are bipartite with small degrees almost everywhere
 /// (a task's inputs/outputs, a label's few consumers), so the first four
 /// entries live inline in the node's slot — appending an edge to a
 /// fresh node allocates nothing. Larger fan-ins (hub labels in dense
-/// communities) spill to a heap `Vec`. Used both for neighbor lists
-/// (`T = NodeIdx`) and the parallel per-neighbor edge-id lists
-/// (`T = u32`).
+/// communities) spill to a heap `Vec`.
 #[derive(Clone, Debug)]
-enum Adj<T: Copy> {
-    Inline { len: u8, items: [T; 4] },
-    Spill(Vec<T>),
+enum Adj {
+    Inline { len: u8, items: [NodeIdx; 4] },
+    Spill(Vec<NodeIdx>),
 }
 
-impl<T: Copy + Default> Default for Adj<T> {
+impl Default for Adj {
     fn default() -> Self {
         Adj::Inline {
             len: 0,
-            items: [T::default(); 4],
+            items: [NodeIdx::default(); 4],
         }
     }
 }
 
-impl<T: Copy> Adj<T> {
-    fn as_slice(&self) -> &[T] {
+impl Adj {
+    fn as_slice(&self) -> &[NodeIdx] {
         match self {
             Adj::Inline { len, items } => &items[..*len as usize],
             Adj::Spill(v) => v,
         }
     }
 
-    fn push(&mut self, n: T) {
+    fn push(&mut self, n: NodeIdx) {
         match self {
             Adj::Inline { len, items } => {
                 if (*len as usize) < items.len() {
@@ -359,17 +350,6 @@ impl Graph {
     /// directed acyclic graph" (§2.2) — labels only connect to tasks and
     /// vice versa.
     pub fn add_edge(&mut self, from: NodeIdx, to: NodeIdx) -> Result<bool, ModelError> {
-        self.insert_edge(from, to).map(|(_, inserted)| inserted)
-    }
-
-    /// Adds a directed edge like [`Graph::add_edge`], also returning the
-    /// edge's dense id (existing id when the edge was a duplicate).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::NotBipartite`] if both endpoints are the same
-    /// kind.
-    fn insert_edge(&mut self, from: NodeIdx, to: NodeIdx) -> Result<(u32, bool), ModelError> {
         let fk = self.nodes[from.index()].data.key.kind;
         let tk = self.nodes[to.index()].data.key.kind;
         if fk == tk {
@@ -378,35 +358,26 @@ impl Graph {
                 to: self.nodes[to.index()].data.key.clone(),
             });
         }
-        if let Some(existing) = self.scan_edge_id(from, to, fk) {
-            return Ok((existing, false));
+        if self.scan_edge(from, to, fk) {
+            return Ok(false);
         }
-        let id = self.edge_order.len() as u32;
         self.edge_order.push((from, to));
-        let f = &mut self.nodes[from.index()];
-        f.children.push(to);
-        f.child_eids.push(id);
-        let t = &mut self.nodes[to.index()];
-        t.parents.push(from);
-        t.parent_eids.push(id);
-        Ok((id, true))
+        self.nodes[from.index()].children.push(to);
+        self.nodes[to.index()].parents.push(from);
+        Ok(true)
     }
 
-    /// Finds the id of edge `from -> to` by scanning the adjacency of the
-    /// **task** endpoint (`from_kind` is `from`'s kind). Bipartite edges
-    /// always have one, and a task's degree is bounded by its declared
-    /// inputs/outputs, so the scan is short and cache-local — unlike a
-    /// hub label, whose degree grows with the community.
+    /// True if the edge `from -> to` exists, found by scanning the
+    /// adjacency of the **task** endpoint (`from_kind` is `from`'s kind).
+    /// Bipartite edges always have one, and a task's degree is bounded by
+    /// its declared inputs/outputs, so the scan is short and cache-local —
+    /// unlike a hub label, whose degree grows with the community.
     #[inline]
-    fn scan_edge_id(&self, from: NodeIdx, to: NodeIdx, from_kind: NodeKind) -> Option<u32> {
+    fn scan_edge(&self, from: NodeIdx, to: NodeIdx, from_kind: NodeKind) -> bool {
         if from_kind == NodeKind::Task {
-            let slot = &self.nodes[from.index()];
-            let pos = slot.children.as_slice().iter().position(|&c| c == to)?;
-            Some(slot.child_eids.as_slice()[pos])
+            self.nodes[from.index()].children.as_slice().contains(&to)
         } else {
-            let slot = &self.nodes[to.index()];
-            let pos = slot.parents.as_slice().iter().position(|&p| p == from)?;
-            Some(slot.parent_eids.as_slice()[pos])
+            self.nodes[to.index()].parents.as_slice().contains(&from)
         }
     }
 
@@ -433,17 +404,9 @@ impl Graph {
 
     /// True if the graph contains the edge `from -> to`.
     pub fn has_edge(&self, from: NodeIdx, to: NodeIdx) -> bool {
-        self.edge_id(from, to).is_some()
-    }
-
-    /// The dense id of the edge `from -> to`: its position in
-    /// [`Graph::edges`] order. Edge ids are stable for the lifetime of the
-    /// graph (edges are never removed).
-    pub fn edge_id(&self, from: NodeIdx, to: NodeIdx) -> Option<u32> {
-        if from.index() >= self.nodes.len() || to.index() >= self.nodes.len() {
-            return None;
-        }
-        self.scan_edge_id(from, to, self.nodes[from.index()].data.key.kind)
+        from.index() < self.nodes.len()
+            && to.index() < self.nodes.len()
+            && self.scan_edge(from, to, self.nodes[from.index()].data.key.kind)
     }
 
     /// Pre-sizes the node and edge stores for `nodes` / `edges` further
@@ -658,23 +621,10 @@ impl Graph {
     }
 
     /// Merges every node and edge of `other` into `self`, deduplicating by
-    /// semantic key. Returns the number of new nodes and new edges added.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::ConflictingTaskMode`] if a task exists in both
-    /// graphs with different modes.
-    pub fn merge_from(&mut self, other: &Graph) -> Result<(usize, usize), ModelError> {
-        let mut map = Vec::new();
-        self.merge_from_mapped(other, &mut map)
-    }
-
-    /// Like [`Graph::merge_from`], but also fills `map` so that `map[i]`
-    /// is the index in `self` of `other`'s node `i`. Passing the same
-    /// `map` buffer across merges (as the supergraph does for every
-    /// fragment it absorbs) keeps the hot path allocation-free, and the
-    /// mapping lets callers attach per-node bookkeeping (provenance)
-    /// without re-resolving keys.
+    /// semantic key, in `other`'s node and edge order. `map` is scratch:
+    /// on return `map[i]` is the index in `self` of `other`'s node `i`.
+    /// Passing the same buffer across merges (as the supergraph does for
+    /// every fragment it absorbs) keeps the merge allocation-free.
     ///
     /// # Errors
     ///
@@ -682,39 +632,11 @@ impl Graph {
     /// graphs with different modes; `self` is unchanged in that case only
     /// if the conflict is detected before any node is added (callers that
     /// need atomicity pre-check, as [`crate::Supergraph`] does).
-    pub fn merge_from_mapped(
-        &mut self,
-        other: &Graph,
-        map: &mut Vec<NodeIdx>,
-    ) -> Result<(usize, usize), ModelError> {
-        self.merge_from_recorded(other, map, None)
-    }
-
-    /// Like [`Graph::merge_from_mapped`], additionally filling `edge_ids`
-    /// (when given) with the dense id in `self` of each of `other`'s edges
-    /// in [`Graph::edges`] order — whether newly inserted or pre-existing.
-    /// This is how the supergraph attaches per-edge provenance without a
-    /// second hash lookup per edge.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Graph::merge_from_mapped`].
-    pub fn merge_from_recorded(
-        &mut self,
-        other: &Graph,
-        map: &mut Vec<NodeIdx>,
-        mut edge_ids: Option<&mut Vec<u32>>,
-    ) -> Result<(usize, usize), ModelError> {
-        if let Some(ids) = edge_ids.as_deref_mut() {
-            ids.clear();
-            ids.reserve(other.edge_count());
-        }
+    pub fn merge_from(&mut self, other: &Graph, map: &mut Vec<NodeIdx>) -> Result<(), ModelError> {
         map.clear();
         map.reserve(other.node_count());
-        let mut new_nodes = 0;
         for idx in other.node_indices() {
             let node = &other.nodes[idx.index()].data;
-            let before = self.nodes.len();
             let new = match node.key.kind {
                 NodeKind::Label => self.intern(node.key.clone(), Mode::Disjunctive),
                 NodeKind::Task => {
@@ -733,24 +655,13 @@ impl Graph {
                     }
                 }
             };
-            if self.nodes.len() > before {
-                new_nodes += 1;
-            }
             map.push(new);
         }
-        let mut new_edges = 0;
         for (f, t) in other.edges() {
-            let (id, inserted) = self
-                .insert_edge(map[f.index()], map[t.index()])
+            self.add_edge(map[f.index()], map[t.index()])
                 .expect("merging bipartite graphs preserves bipartite structure");
-            if inserted {
-                new_edges += 1;
-            }
-            if let Some(ids) = edge_ids.as_deref_mut() {
-                ids.push(id);
-            }
         }
-        Ok((new_nodes, new_edges))
+        Ok(())
     }
 }
 
@@ -817,14 +728,38 @@ mod tests {
     }
 
     #[test]
-    fn edge_ids_are_dense_and_stable() {
+    fn edges_are_insertion_ordered_and_found() {
         let g = diamond();
-        for (i, (f, t)) in g.edges().enumerate() {
-            assert_eq!(g.edge_id(f, t), Some(i as u32));
+        let keys: Vec<(String, String)> = g
+            .edges()
+            .map(|(f, t)| (g.key(f).to_string(), g.key(t).to_string()))
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                ("label:a", "task:t1"),
+                ("task:t1", "label:b"),
+                ("label:b", "task:t2"),
+                ("task:t2", "label:c"),
+            ]
+            .map(|(f, t)| (f.to_string(), t.to_string()))
+        );
+        for (f, t) in g.edges() {
+            assert!(g.has_edge(f, t));
+            assert!(!g.has_edge(t, f), "edges are directed");
         }
         let a = g.find_label(&Label::new("a")).unwrap();
         let t2 = g.find_task(&TaskId::new("t2")).unwrap();
-        assert_eq!(g.edge_id(a, t2), None, "absent edge has no id");
+        assert!(!g.has_edge(a, t2), "absent edge");
+        assert!(!g.has_edge(a, NodeIdx(99)), "out-of-range endpoint");
+    }
+
+    #[test]
+    fn node_slot_is_a_key_and_two_neighbor_lists() {
+        assert_eq!(
+            std::mem::size_of::<NodeSlot>(),
+            std::mem::size_of::<NodeData>() + 2 * std::mem::size_of::<Adj>()
+        );
     }
 
     #[test]
@@ -944,7 +879,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_from_deduplicates_and_counts() {
+    fn merge_from_deduplicates_and_maps() {
         let mut g1 = diamond();
         let mut g2 = Graph::new();
         let b = g2.add_label("b"); // shared with g1
@@ -953,13 +888,15 @@ mod tests {
         g2.add_edge(b, t3).unwrap();
         g2.add_edge(t3, d).unwrap();
 
-        let (nn, ne) = g1.merge_from(&g2).unwrap();
-        assert_eq!(nn, 2, "only t3 and d are new");
-        assert_eq!(ne, 2);
-        assert_eq!(g1.node_count(), 7);
+        let mut map = Vec::new();
+        g1.merge_from(&g2, &mut map).unwrap();
+        assert_eq!(g1.node_count(), 7, "only t3 and d are new");
+        assert_eq!(g1.edge_count(), 6);
+        let names: Vec<String> = map.iter().map(|&i| g1.key(i).to_string()).collect();
+        assert_eq!(names, ["label:b", "task:t3", "label:d"]);
         // Merging again is a no-op.
-        let (nn, ne) = g1.merge_from(&g2).unwrap();
-        assert_eq!((nn, ne), (0, 0));
+        g1.merge_from(&g2, &mut map).unwrap();
+        assert_eq!((g1.node_count(), g1.edge_count()), (7, 6));
     }
 
     #[test]
@@ -968,7 +905,7 @@ mod tests {
         g1.add_task("t", Mode::Conjunctive);
         let mut g2 = Graph::new();
         g2.add_task("t", Mode::Disjunctive);
-        assert!(g1.merge_from(&g2).is_err());
+        assert!(g1.merge_from(&g2, &mut Vec::new()).is_err());
     }
 
     #[test]

@@ -9,10 +9,9 @@
 //!   with the paper's three validity constraints — all sources and sinks are
 //!   labels, a label has at most one incoming edge, and there are no
 //!   duplicate nodes ([`Workflow`], [`validate`]).
-//! * **Workflow fragments** and their **composition** by merging identical
-//!   sources and sinks ([`Fragment`], [`compose()`]).
-//! * **Pruning** of unnecessary data flows under the paper's three
-//!   constraints ([`prune`]).
+//! * **Workflow fragments** ([`Fragment`]). §2.2's composition and pruning
+//!   are Algorithm 1's own steps: merging fragments into the [`Supergraph`]
+//!   is the composition, and the back-sweep is the pruning.
 //! * **Specifications** `S(W.in, W.out)` in the paper's canonical form
 //!   `W.in ⊆ ι ∧ W.out = ω` ([`Spec`]).
 //! * **Algorithm 1** — the supergraph coloring construction: an exploration
@@ -67,26 +66,23 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod compose;
 pub mod construct;
 pub mod error;
 pub mod fragment;
 pub mod fx;
 pub mod graph;
 pub mod ids;
-pub mod prune;
 pub mod spec;
 pub mod store;
 pub mod supergraph;
 pub mod validate;
 pub mod workflow;
 
-pub use compose::{compose, compose_all};
 pub use construct::incremental::{
     FragmentSource, FrontierConstruction, IncrementalConstructor, SizeHints,
 };
 pub use construct::{ConstructError, Construction, Constructor, PickOrder};
-pub use error::{ComposeError, ModelError};
+pub use error::ModelError;
 pub use fragment::{Fragment, FragmentBuilder, FragmentId};
 pub use fx::{FxHashMap, FxHashSet};
 pub use graph::{Graph, NodeIdx, TraversalScratch};
@@ -99,7 +95,6 @@ pub use workflow::Workflow;
 
 /// Commonly used items, for glob import in examples and tests.
 pub mod prelude {
-    pub use crate::compose::{compose, compose_all};
     pub use crate::construct::{Constructor, PickOrder};
     pub use crate::fragment::{Fragment, FragmentBuilder};
     pub use crate::ids::{Label, Mode, TaskId};

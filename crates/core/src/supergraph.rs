@@ -8,14 +8,13 @@
 //! undesired outputs."
 //!
 //! [`Supergraph`] is therefore an *unrestricted* bipartite union of
-//! fragments. It keeps per-node and per-edge provenance so that a
-//! construction result can report exactly which fragments contributed to
-//! the final workflow. Provenance is stored densely — append-only logs of
-//! contributed node indices and dense edge ids with per-fragment spans —
-//! and the mapping scratch buffers are reused across merges, so absorbing
-//! a fragment performs no allocation proportional to the supergraph and
-//! no per-entry allocation at all. Whole query rounds merge through
-//! [`Supergraph::merge_fragments_batch`], which pre-sizes all stores for
+//! fragments: the graph itself, which fragment ids it has absorbed and
+//! how many. Merging fragments into it is §2.2's composition; what a
+//! construction keeps of it is decided by Algorithm 1's back-sweep, which
+//! is §2.2's pruning. The node-mapping scratch buffer is reused across
+//! merges, so absorbing a fragment performs no allocation proportional to
+//! the supergraph. Whole query rounds merge through
+//! [`Supergraph::merge_fragments_batch`], which pre-sizes the graph for
 //! the batch.
 
 use std::fmt;
@@ -55,31 +54,19 @@ impl MergedSet {
     }
 }
 
-/// Union of workflow fragments with provenance tracking.
+/// Union of workflow fragments.
 ///
-/// Provenance is stored *densely*: one append-only log of contributed
-/// node indices and one of contributed edge ids, with per-fragment spans
-/// into both. Absorbing a fragment appends plain integers to two flat
-/// `Vec`s — no per-node/per-edge lists, no small allocations on the merge
-/// hot path. Coverage queries (which fragments touched these blue
-/// nodes/edges?) run once per construction and scan the logs linearly.
+/// Holds the merged graph, the set of absorbed fragment ids (so a
+/// fragment that arrives from several hosts merges once) and their count
+/// — what construction and its statistics read, and nothing more.
 #[derive(Clone, Default)]
 pub struct Supergraph {
     graph: Graph,
     merged: MergedSet,
-    /// Merged fragment ids, in merge order (the provenance ordinal space).
-    fragments: Vec<FragmentId>,
-    /// Per-fragment `(node_log start, edge_log start)`; a fragment's span
-    /// ends where the next fragment's begins (or at the log's end).
-    spans: Vec<(u32, u32)>,
-    /// Concatenated per-fragment contributed node indices.
-    node_log: Vec<NodeIdx>,
-    /// Concatenated per-fragment contributed dense edge ids.
-    edge_log: Vec<u32>,
-    /// Reused node-mapping buffer for [`Graph::merge_from_recorded`].
+    /// Number of distinct fragments merged.
+    fragments: usize,
+    /// Reused node-mapping buffer for [`Graph::merge_from`].
     merge_scratch: Vec<NodeIdx>,
-    /// Reused edge-id buffer for [`Graph::merge_from_recorded`].
-    edge_scratch: Vec<u32>,
 }
 
 impl Supergraph {
@@ -157,27 +144,16 @@ impl Supergraph {
                 }
             }
         }
-        let mut map = std::mem::take(&mut self.merge_scratch);
-        let mut edge_ids = std::mem::take(&mut self.edge_scratch);
         self.graph
-            .merge_from_recorded(fragment.graph(), &mut map, Some(&mut edge_ids))
+            .merge_from(fragment.graph(), &mut self.merge_scratch)
             .expect("mode conflicts pre-checked");
-        // Record provenance straight off the merge mapping — no key
-        // re-resolution, no per-node hashing, no per-entry allocation.
-        let fid = fragment.id().clone();
-        self.spans
-            .push((self.node_log.len() as u32, self.edge_log.len() as u32));
-        self.node_log.extend_from_slice(&map);
-        self.edge_log.extend_from_slice(&edge_ids);
-        self.fragments.push(fid.clone());
-        self.merge_scratch = map;
-        self.edge_scratch = edge_ids;
-        self.merged.insert(&fid);
+        self.fragments += 1;
+        self.merged.insert(fragment.id());
         Ok(true)
     }
 
     /// Merges a whole batch of fragments (one query round's candidates),
-    /// pre-sizing the graph and provenance stores for the batch before
+    /// pre-sizing the graph for the batch before
     /// merging, and skipping fragments whose task modes conflict with
     /// already-merged knowhow (first definition wins, exactly as the
     /// incremental constructors treat conflicting community answers).
@@ -195,7 +171,7 @@ impl Supergraph {
                 add_edges += f.graph().edge_count();
             }
         }
-        self.reserve(batch.len(), add_nodes, add_edges);
+        self.reserve(add_nodes, add_edges);
         let mut new_fragments = 0;
         for f in batch {
             if let Ok(true) = self.try_merge_fragment(f.as_ref()) {
@@ -205,18 +181,13 @@ impl Supergraph {
         new_fragments
     }
 
-    /// Pre-sizes the supergraph for roughly `fragments` further merges
-    /// totalling `nodes` nodes and `edges` edges (upper bounds are fine:
-    /// shared nodes/edges simply leave slack). Incremental constructions
-    /// over large universes call this once with universe hints so the node
-    /// index and provenance stores do not pay for repeated rehash/regrow.
-    pub fn reserve(&mut self, fragments: usize, nodes: usize, edges: usize) {
+    /// Pre-sizes the supergraph for further merges totalling `nodes`
+    /// nodes and `edges` edges (upper bounds are fine: shared nodes/edges
+    /// simply leave slack). Incremental constructions over large universes
+    /// call this once with universe hints so the node index does not pay
+    /// for repeated rehash/regrow.
+    pub fn reserve(&mut self, nodes: usize, edges: usize) {
         self.graph.reserve(nodes, edges);
-
-        self.fragments.reserve(fragments);
-        self.spans.reserve(fragments);
-        self.node_log.reserve(nodes);
-        self.edge_log.reserve(edges);
     }
 
     /// The underlying (unrestricted) graph.
@@ -226,54 +197,12 @@ impl Supergraph {
 
     /// Number of distinct fragments merged so far.
     pub fn fragment_count(&self) -> usize {
-        self.fragments.len()
+        self.fragments
     }
 
     /// True if a fragment with this id has been merged.
     pub fn contains_fragment(&self, id: &FragmentId) -> bool {
         self.merged.contains(id)
-    }
-
-    /// The span of fragment ordinal `i` in the provenance logs.
-    fn span(&self, i: usize) -> (std::ops::Range<usize>, std::ops::Range<usize>) {
-        let (n0, e0) = self.spans[i];
-        let (n1, e1) = self
-            .spans
-            .get(i + 1)
-            .copied()
-            .unwrap_or((self.node_log.len() as u32, self.edge_log.len() as u32));
-        (n0 as usize..n1 as usize, e0 as usize..e1 as usize)
-    }
-
-    /// The set of fragments covering the given nodes and edges — used to
-    /// report which pieces of community knowhow a constructed workflow drew
-    /// on. One linear scan of the provenance logs against membership
-    /// bitmaps; returns ids sorted by name.
-    pub fn covering_fragments(
-        &self,
-        nodes: impl IntoIterator<Item = NodeIdx>,
-        edges: impl IntoIterator<Item = (NodeIdx, NodeIdx)>,
-    ) -> Vec<FragmentId> {
-        let mut node_hit = vec![false; self.graph.node_count()];
-        for n in nodes {
-            node_hit[n.index()] = true;
-        }
-        let mut edge_hit = vec![false; self.graph.edge_count()];
-        for (a, b) in edges {
-            if let Some(eid) = self.graph.edge_id(a, b) {
-                edge_hit[eid as usize] = true;
-            }
-        }
-        let mut out: Vec<FragmentId> = (0..self.fragments.len())
-            .filter(|&i| {
-                let (nspan, espan) = self.span(i);
-                self.node_log[nspan].iter().any(|n| node_hit[n.index()])
-                    || self.edge_log[espan].iter().any(|&e| edge_hit[e as usize])
-            })
-            .map(|i| self.fragments[i].clone())
-            .collect();
-        out.sort();
-        out
     }
 
     /// True when the supergraph holds a node for `label`: some merged
@@ -334,17 +263,6 @@ mod tests {
     }
 
     #[test]
-    fn covering_fragments_dedupes_and_sorts() {
-        let mut sg = Supergraph::new();
-        sg.merge_fragment(&frag("f2", "t2", "b", "c"));
-        sg.merge_fragment(&frag("f1", "t1", "a", "b"));
-        let nodes: Vec<NodeIdx> = sg.graph().node_indices().collect();
-        let edges: Vec<(NodeIdx, NodeIdx)> = sg.graph().edges().collect();
-        let cover = sg.covering_fragments(nodes, edges);
-        assert_eq!(cover, vec![FragmentId::new("f1"), FragmentId::new("f2")]);
-    }
-
-    #[test]
     fn mode_conflict_fails_cleanly() {
         let mut sg = Supergraph::new();
         sg.merge_fragment(
@@ -373,26 +291,16 @@ mod tests {
         for f in &frags {
             let _ = sequential.try_merge_fragment(f);
         }
-        assert_eq!(
-            batched.graph().node_count(),
-            sequential.graph().node_count()
-        );
-        assert_eq!(
-            batched.graph().edge_count(),
-            sequential.graph().edge_count()
-        );
-        for idx in batched.graph().node_indices() {
-            assert_eq!(
-                batched.covering_fragments([idx], []),
-                sequential.covering_fragments([idx], [])
-            );
-        }
-        for edge in batched.graph().edges() {
-            assert_eq!(
-                batched.covering_fragments([], [edge]),
-                sequential.covering_fragments([], [edge])
-            );
-        }
+        assert_eq!(batched.fragment_count(), sequential.fragment_count());
+        let (b, s) = (batched.graph(), sequential.graph());
+        let nodes = |g: &Graph| g.nodes().map(|(_, k)| k.clone()).collect::<Vec<_>>();
+        let edges = |g: &Graph| {
+            g.edges()
+                .map(|(f, t)| (g.key(f).clone(), g.key(t).clone()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(nodes(b), nodes(s));
+        assert_eq!(edges(b), edges(s));
     }
 
     #[test]

@@ -18,7 +18,6 @@ use std::sync::Arc;
 
 use openwf_core::construct::{ConstructError, Constructor, PickOrder};
 use openwf_core::prelude::*;
-use openwf_core::prune::prune_to_spec;
 use openwf_core::validate::validate;
 use openwf_core::{FragmentSource, IncrementalConstructor, Label, TaskId};
 use proptest::prelude::*;
@@ -194,10 +193,6 @@ proptest! {
             prop_assert!(w.graph().is_acyclic());
             prop_assert!(spec.accepts(w), "workflow {w} must satisfy {spec}");
             prop_assert!(w.inset().is_subset(spec.triggers()));
-            // Every used fragment must exist in the supergraph.
-            for fid in c.fragments_used() {
-                prop_assert!(sg.contains_fragment(fid));
-            }
         }
     }
 
@@ -398,63 +393,22 @@ proptest! {
 
     #[test]
     fn blue_workflow_is_subset_of_knowledge((fragments, spec) in arb_world(12, 10)) {
+        // §2.2's containment, on both construction paths: the workflow is
+        // valid, accepted, and lies in the supergraph it was built from —
+        // the whole knowledge base, or the part the frontier's rounds
+        // pulled (a trigger that is also a goal needs no fragment).
         let sg = Supergraph::from_fragments(&fragments).unwrap();
-        if let Ok(c) = Constructor::new().construct(&sg, &spec) {
-            let w = c.workflow();
-            for t in w.tasks() {
-                let idx = sg.graph().find_task(&t);
-                prop_assert!(idx.is_some(), "task {t} must come from the supergraph");
-            }
-            for l in w.labels() {
-                prop_assert!(
-                    sg.graph().find_label(&l).is_some() || spec.triggers().contains(&l),
-                    "label {l} must come from the supergraph or be a trivial goal"
-                );
-            }
-        }
-        // §2.2's containment, on the frontier path: the workflow is valid,
-        // accepted, and lies in the partial supergraph its rounds pulled
-        // (a trigger that is also a goal needs no fragment).
-        if let Ok((c, partial)) = IncrementalConstructor::new().construct(Scan::new(&fragments), &spec) {
+        let full = Constructor::new().construct(&sg, &spec).ok().map(|c| (c, sg));
+        let frontier = IncrementalConstructor::new().construct(Scan::new(&fragments), &spec).ok();
+        for (c, known) in full.into_iter().chain(frontier) {
             let w = c.workflow();
             prop_assert!(validate(w.graph()).is_ok());
             prop_assert!(spec.accepts(w), "workflow {w} must satisfy {spec}");
             let (nodes, edges) = graph_strings(w.graph());
-            let (mut known_nodes, known_edges) = graph_strings(partial.graph());
+            let (mut known_nodes, known_edges) = graph_strings(known.graph());
             known_nodes.extend(spec.triggers().iter().map(|l| format!("label:{l}")));
             prop_assert!(nodes.is_subset(&known_nodes), "{nodes:?} not in {known_nodes:?}");
             prop_assert!(edges.is_subset(&known_edges), "{edges:?} not in {known_edges:?}");
-        }
-    }
-
-    #[test]
-    fn prune_to_spec_preserves_acceptance((fragments, spec) in arb_world(10, 8)) {
-        // Compose everything that *can* be composed into one workflow, then
-        // prune to the goals that exist in it.
-        let mut acc = Workflow::empty();
-        for f in &fragments {
-            if let Ok(next) = openwf_core::compose(&acc, f.workflow()) {
-                acc = next;
-            }
-        }
-        let present_goals: Vec<Label> = spec
-            .goals()
-            .iter()
-            .filter(|g| acc.contains_label(g))
-            .cloned()
-            .collect();
-        prop_assume!(!present_goals.is_empty());
-        let narrowed = Spec::new(
-            acc.inset().iter().cloned(),
-            present_goals.iter().cloned(),
-        );
-        let pruned = prune_to_spec(&acc, &narrowed).unwrap();
-        prop_assert!(validate(pruned.graph()).is_ok());
-        // Pruning never grows the workflow.
-        prop_assert!(pruned.task_count() <= acc.task_count());
-        // All goals still present.
-        for g in &present_goals {
-            prop_assert!(pruned.contains_label(g));
         }
     }
 

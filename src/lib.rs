@@ -74,8 +74,8 @@ pub use openwf_wire as wire;
 /// The most common imports for building and running open workflows.
 pub mod prelude {
     pub use openwf_core::{
-        compose, compose_all, Constructor, Fragment, FragmentBuilder, IncrementalConstructor,
-        Label, Mode, PickOrder, Spec, Supergraph, TaskId, Workflow,
+        Constructor, Fragment, FragmentBuilder, IncrementalConstructor, Label, Mode, PickOrder,
+        Spec, Supergraph, TaskId, Workflow,
     };
     pub use openwf_mobility::{Motion, Point, SiteMap};
     pub use openwf_net::{NetServer, ServerConfig, TcpCommunityDriver};
