@@ -88,7 +88,7 @@ pub use fx::{FxHashMap, FxHashSet};
 pub use graph::{Graph, NodeIdx, TraversalScratch};
 pub use ids::{Interned, Label, Mode, NodeKey, NodeKind, Sym, TaskId};
 pub use spec::Spec;
-pub use store::{BackendError, FragmentBackend, ShardedFragmentStore};
+pub use store::ShardedFragmentStore;
 pub use supergraph::Supergraph;
 pub use validate::ValidityError;
 pub use workflow::Workflow;

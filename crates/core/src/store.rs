@@ -1,7 +1,8 @@
 //! In-memory fragment storage with a consumed-label index.
 //!
 //! [`ShardedFragmentStore`] is the one store: the runtime's Fragment
-//! Manager wraps it, and a durable backend keeps one as its query index.
+//! Manager holds it directly for an in-memory host, and `openwf-wire`'s
+//! `DurableFragmentStore` keeps one as its query index.
 //! It partitions the database across N shards by produced-label symbol.
 //! A query visits every shard on the calling thread and restores global
 //! insertion order by sequence number, so answers do not depend on the
@@ -24,72 +25,6 @@ use crate::construct::incremental::FragmentSource;
 use crate::fragment::{Fragment, FragmentId};
 use crate::fx::FxHashMap;
 use crate::ids::Label;
-
-/// Error surfaced by a fragment storage backend (e.g. disk I/O or a
-/// corrupt log record in a durable backend). In-memory backends never
-/// fail.
-pub type BackendError = Box<dyn std::error::Error + Send + Sync>;
-
-/// A pluggable fragment storage backend behind the runtime's Fragment
-/// Manager.
-///
-/// Every backend maintains (or can cheaply rebuild) an in-memory
-/// [`ShardedFragmentStore`] as its query index — consumed-label queries
-/// are always answered from memory; what varies is the *durability* of
-/// the record of fragments. The in-memory backend is the store itself; a
-/// durable backend (see `openwf-wire`'s `DurableFragmentStore`) appends
-/// every insert to an on-disk segment log first and rebuilds the index by
-/// replay on restart, so the same database (same fragments, same global
-/// insertion sequence) comes back after a crash.
-pub trait FragmentBackend: Send {
-    /// Inserts a fragment, replacing any fragment with the same id.
-    /// Returns `Ok(true)` when the fragment was new.
-    ///
-    /// # Errors
-    ///
-    /// [`BackendError`] when the backend cannot persist the fragment
-    /// (disk full, closed log…). In-memory backends are infallible.
-    fn insert_fragment(&mut self, fragment: Arc<Fragment>) -> Result<bool, BackendError>;
-
-    /// The in-memory query index over the stored fragments.
-    fn index(&self) -> &ShardedFragmentStore;
-
-    /// Short human-readable backend name (`"memory"`, `"durable"`).
-    fn backend_kind(&self) -> &'static str;
-
-    /// Flushes any buffered writes to stable storage. No-op for
-    /// in-memory backends.
-    ///
-    /// # Errors
-    ///
-    /// [`BackendError`] when the flush fails.
-    fn sync(&mut self) -> Result<(), BackendError> {
-        Ok(())
-    }
-
-    /// Backend-defined numeric metrics as stable `(name, value)` pairs,
-    /// e.g. a durable backend's snapshot/compaction/replay tallies and
-    /// live/garbage byte counts. Observability layers publish these
-    /// into a metrics registry by delta, so values may move in either
-    /// direction between calls. In-memory backends report nothing.
-    fn metrics(&self) -> Vec<(&'static str, u64)> {
-        Vec::new()
-    }
-}
-
-impl FragmentBackend for ShardedFragmentStore {
-    fn insert_fragment(&mut self, fragment: Arc<Fragment>) -> Result<bool, BackendError> {
-        Ok(self.insert(fragment))
-    }
-
-    fn index(&self) -> &ShardedFragmentStore {
-        self
-    }
-
-    fn backend_kind(&self) -> &'static str {
-        "memory"
-    }
-}
 
 /// One shard of a [`ShardedFragmentStore`]: a slice of the database with
 /// its own consumed-label index.

@@ -16,6 +16,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use openwf_core::{Fragment, Label, Mode, Spec, Sym, TaskId};
+use openwf_net::conn::DRAIN_DEADLINE;
 use openwf_net::proto::{encode_envelope, encode_hello, read_envelope, Hello, NET_PROTO_VERSION};
 use openwf_net::{NetServer, QueueCaps, ServerConfig, TAG_NET_ENVELOPE};
 use openwf_runtime::metadata::{ExecutionPlan, PlannedTask};
@@ -65,6 +66,12 @@ fn params() -> RuntimeParams {
 /// know-how arrives over the wire. Operator ingest is on, and the core
 /// records into the server's registry.
 fn server(queue_caps: QueueCaps) -> NetServer {
+    server_with(queue_caps, HostConfig::new())
+}
+
+/// [`server`] with host 0 built from `config` (its storage, say) before
+/// the chain's first step and the services are added.
+fn server_with(queue_caps: QueueCaps, config: HostConfig) -> NetServer {
     let mut server = NetServer::new(ServerConfig {
         name: "hostile-peer-test".into(),
         queue_caps,
@@ -72,7 +79,7 @@ fn server(queue_caps: QueueCaps) -> NetServer {
         ..ServerConfig::default()
     })
     .unwrap();
-    let mut config = HostConfig::new()
+    let mut config = config
         .with_fragment(step(0))
         .with_observability(server.obs().clone());
     for i in 0..4 {
@@ -450,6 +457,80 @@ fn a_peer_that_never_reads_is_severed_while_others_are_served() {
     );
     run_workflow(&mut server, &mut good);
     assert!(completed >= 3, "served before, during and after");
+}
+
+/// A peer that stops reading while frames are queued to it cannot hold
+/// shutdown past [`DRAIN_DEADLINE`]: its backlog is given up and not
+/// counted as flushed, an idle neighbour's goodbye is, and the durable
+/// core is still synced, with every fragment ingested before the stop
+/// on disk.
+#[test]
+fn shutdown_is_bounded_by_a_peer_that_stopped_reading() {
+    let _turn = serialized();
+    let dir = std::env::temp_dir().join(format!("openwf-hostile-shutdown-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    // Caps the backlog never reaches: the peer is not cut off as slow,
+    // so its frames are still queued when shutdown starts.
+    let caps = QueueCaps {
+        max_frames: 1 << 20,
+        max_bytes: 256 << 20,
+    };
+    let mut server = server_with(caps, HostConfig::new().with_durable_storage(&dir));
+    server.set_community(COMMUNITY, vec![SERVER, PEER]);
+    let addr = server.listen_addr().unwrap();
+
+    // Know-how that makes every answer to the peer's question big, as in
+    // the slow-reader test above.
+    let pad = "x".repeat(200);
+    let mut good = TcpStream::connect(addr).unwrap();
+    good.write_all(&hello(vec![(COMMUNITY, HostId(8))]))
+        .unwrap();
+    for i in 0..64 {
+        let fragment = frag(
+            &format!("hp-stop-f{i}-{pad}"),
+            &format!("hp-stop-t{i}-{pad}"),
+            "hp-stop-in",
+            &format!("hp-stop-out{i}-{pad}"),
+        );
+        good.write_all(&fragment_envelope(HostId(8), &fragment))
+            .unwrap();
+    }
+    poll_until(&mut server, "the know-how is ingested", |s| {
+        s.core(COMMUNITY, SERVER).fragment_mgr().len() == 65
+    });
+
+    // Questions whose answers outgrow every socket buffer between the
+    // server and the peer, which reads none of them.
+    let mut stopped = TcpStream::connect(addr).unwrap();
+    stopped.write_all(&hello(vec![(COMMUNITY, PEER)])).unwrap();
+    let mut asked = 0u32;
+    poll_until(&mut server, "32 MiB are queued to the peer", |s| {
+        for _ in 0..20 {
+            stopped
+                .write_all(&query_envelope(PEER, asked, "hp-stop-in"))
+                .unwrap();
+            asked += 1;
+        }
+        counter(s, "net.tx_bytes") > 32 << 20
+    });
+    assert_eq!(counter(&server, "net.conn_slow_drops"), 0);
+    assert_eq!(live_conns(&server), 2);
+
+    let started = Instant::now();
+    let report = server.shutdown();
+    let took = started.elapsed();
+    assert!(
+        took < DRAIN_DEADLINE + Duration::from_secs(1),
+        "shutdown took {took:?}"
+    );
+    assert_eq!(report.flushed_conns, 1, "only the idle neighbour");
+    assert_eq!((report.synced_cores, report.sync_errors), (1, 0));
+    drop((good, stopped));
+
+    let log = openwf_wire::DurableFragmentStore::open(&dir).unwrap();
+    assert_eq!(log.len(), 65, "every ingested fragment is on disk");
+    drop(log);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---- (d) the reconnect storm --------------------------------------------

@@ -1,5 +1,5 @@
 //! What a host is built from: its knowhow, services, place, disposition
-//! and storage backend.
+//! and where its knowhow is stored.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -13,8 +13,9 @@ use super::{HostCore, WorkflowEvent};
 use crate::prefs::Preferences;
 use crate::service::ServiceDescription;
 
-/// Which storage backend backs a host's Fragment Manager (see
-/// [`openwf_core::FragmentBackend`]).
+/// Where a host's Fragment Manager keeps its knowhow: in an
+/// [`openwf_core::ShardedFragmentStore`] alone, or in an
+/// [`openwf_wire::DurableFragmentStore`] that logs it to disk.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub enum StorageConfig {
     /// Knowhow lives only in memory (the default; a restart loses it).
@@ -78,8 +79,8 @@ pub struct HostConfig {
     /// [`WorkflowEvent::PeerQuarantined`] is surfaced once. `None`
     /// (default) keeps counting without acting.
     pub max_vocabulary_rejections: Option<u64>,
-    /// Fragment storage backend (see [`StorageConfig`]). The default is
-    /// in-memory.
+    /// Where the knowhow is stored (see [`StorageConfig`]). The default
+    /// is in memory.
     pub storage: StorageConfig,
     /// Observability collectors (metrics registry + trace sink) this
     /// host records into. The default is fully disabled: every record
@@ -159,7 +160,7 @@ impl HostConfig {
         self
     }
 
-    /// Selects the fragment storage backend.
+    /// Selects where the knowhow is stored.
     pub fn with_storage(mut self, storage: StorageConfig) -> Self {
         self.storage = storage;
         self
@@ -187,7 +188,7 @@ impl HostConfig {
     }
 
     /// Sets the durable log's snapshot/compaction policy (no-op advice
-    /// for in-memory storage: the backend must already be
+    /// for in-memory storage: the storage must already be
     /// [`StorageConfig::Durable`], e.g. via
     /// [`HostConfig::with_durable_storage`]).
     pub fn with_storage_policy(mut self, policy: openwf_wire::StoragePolicy) -> Self {

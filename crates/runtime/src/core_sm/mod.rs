@@ -197,7 +197,7 @@ impl HostCore {
                 .expect("open the durable fragment log"),
         };
         for f in config.fragments {
-            // A durable backend may have replayed this exact fragment
+            // A durable store may have replayed this exact fragment
             // from its log already (a restarted host re-running its
             // config): re-appending it would grow the log by one
             // replace-by-id record per restart, so skip byte-identical

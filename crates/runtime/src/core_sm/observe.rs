@@ -1,5 +1,7 @@
 //! The core's own observability: resolved metric handles, the pull-style
-//! publish, and the causal trace spans the phases record.
+//! publish, and the causal trace spans the phases record. The publish
+//! reads the decode path's tallies and a durable host's log figures
+//! from their typed accessors, each under its metric name.
 
 use std::collections::HashMap;
 
@@ -8,12 +10,6 @@ use openwf_simnet::SimTime;
 
 use super::HostCore;
 use crate::messages::ProblemId;
-
-/// Storage-backend metric names published as gauges (point-in-time
-/// sizes that move both ways); everything else a backend reports is
-/// monotonic and published as a counter. See
-/// [`HostCore::publish_metrics`].
-const STORAGE_GAUGE_NAMES: &[&str] = &["live_bytes", "garbage_bytes", "log_bytes", "segments"];
 
 /// Resolved per-host metric handles (all no-ops when the registry is
 /// disabled) plus the baselines [`HostCore::publish_metrics`] diffs
@@ -42,7 +38,7 @@ pub(super) struct CoreMetrics {
     /// `core.queue_depth` — actions emitted per poll call.
     pub(super) queue_depth: Histogram,
     /// Last-published values of pull-style sources (decode cache,
-    /// storage backend), keyed by source-local name.
+    /// durable log), keyed by metric name.
     published: HashMap<&'static str, u64>,
 }
 
@@ -79,9 +75,10 @@ impl CoreMetrics {
 impl HostCore {
     /// Publishes this host's *pull-style* metrics into the registry:
     /// decode-path statistics (`decode.cache_hits`, `decode.cache_misses`,
-    /// `decode.frames`, `decode.span_reuses`) and the fragment storage
-    /// backend's report (`storage.*` — log/snapshot/compaction/replay
-    /// figures from [`openwf_core::FragmentBackend::metrics`]).
+    /// `decode.frames`, `decode.span_reuses`) and, for a durable host,
+    /// its log's figures (`storage.*`: sizes as gauges; record, snapshot,
+    /// compaction and replay counts and their `*_micros` totals as
+    /// counters, read from [`openwf_wire::DurableFragmentStore`]).
     ///
     /// Cheap per-poll metrics (counters, timer lag) are recorded live;
     /// this call syncs the sources that would cost a read or an
@@ -95,67 +92,41 @@ impl HostCore {
             return;
         }
         let cache = self.decode.cache();
-        let decode_stats: [(&'static str, u64); 4] = [
+        let mut counters = vec![
             ("decode.cache_hits", cache.hits()),
             ("decode.cache_misses", cache.misses()),
             ("decode.frames", self.decode.frames_decoded()),
             ("decode.span_reuses", self.decode.span_reuses()),
         ];
-        for (name, value) in decode_stats {
+        if let Some(log) = self.fragment_mgr.durable_log() {
+            let gauges = [
+                ("storage.live_bytes", log.live_bytes()),
+                ("storage.garbage_bytes", log.garbage_bytes()),
+                ("storage.log_bytes", log.log_bytes()),
+                ("storage.segments", log.segment_count()),
+            ];
+            for (name, value) in gauges {
+                let d = self.metrics.gauge_delta(name, value);
+                if d != 0 {
+                    self.obs.metrics.gauge(name).add(d);
+                }
+            }
+            let ops = log.op_stats();
+            counters.extend([
+                ("storage.records", log.record_count()),
+                ("storage.snapshots", ops.snapshots),
+                ("storage.snapshot_micros", ops.snapshot_micros),
+                ("storage.compactions", ops.compactions),
+                ("storage.compaction_micros", ops.compaction_micros),
+                ("storage.replayed_records", ops.replayed_records),
+                ("storage.replay_micros", ops.replay_micros),
+            ]);
+        }
+        for (name, value) in counters {
             let d = self.metrics.delta(name, value);
             if d > 0 {
                 self.obs.metrics.counter(name).add(d);
             }
-        }
-
-        let report = self.fragment_mgr.backend_metrics();
-        if report.is_empty() {
-            return;
-        }
-        let lookup: HashMap<&'static str, u64> = report.iter().copied().collect();
-        let snapshots_before = self
-            .metrics
-            .published
-            .get("snapshots")
-            .copied()
-            .unwrap_or(0);
-        let compactions_before = self
-            .metrics
-            .published
-            .get("compactions")
-            .copied()
-            .unwrap_or(0);
-        for (name, value) in report {
-            match name {
-                // Fed into histograms below, keyed off their op counts.
-                "last_snapshot_micros" | "last_compaction_micros" => {
-                    self.metrics.published.insert(name, value);
-                }
-                n if STORAGE_GAUGE_NAMES.contains(&n) => {
-                    let d = self.metrics.gauge_delta(name, value);
-                    if d != 0 {
-                        self.obs.metrics.gauge(&format!("storage.{name}")).add(d);
-                    }
-                }
-                _ => {
-                    let d = self.metrics.delta(name, value);
-                    if d > 0 {
-                        self.obs.metrics.counter(&format!("storage.{name}")).add(d);
-                    }
-                }
-            }
-        }
-        if lookup.get("snapshots").copied().unwrap_or(0) > snapshots_before {
-            self.obs
-                .metrics
-                .histogram("storage.snapshot_us")
-                .record(lookup.get("last_snapshot_micros").copied().unwrap_or(0));
-        }
-        if lookup.get("compactions").copied().unwrap_or(0) > compactions_before {
-            self.obs
-                .metrics
-                .histogram("storage.compaction_us")
-                .record(lookup.get("last_compaction_micros").copied().unwrap_or(0));
         }
     }
 

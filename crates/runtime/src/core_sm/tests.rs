@@ -759,6 +759,79 @@ fn observed_core_records_counters_and_spans() {
     assert_eq!(obs.metrics.counter("decode.cache_hits").get(), hits_once);
 }
 
+/// A durable host publishes its log's own figures under `storage.*`:
+/// every counter and gauge equals what the store reports, after
+/// policy snapshots and after a restart's tail replay, and a second
+/// publish changes nothing.
+#[test]
+fn published_storage_figures_match_the_durable_store() {
+    let dir = std::env::temp_dir().join(format!(
+        "openwf-core-storage-metrics-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let open = |obs: &Obs| {
+        let cfg = HostConfig::new()
+            .with_durable_storage(&dir)
+            .with_storage_policy(openwf_wire::StoragePolicy::manual().snapshot_every(4))
+            .with_observability(obs.clone());
+        HostCore::new(cfg, RuntimeParams::default())
+    };
+    let publish_and_check = |core: &mut HostCore, obs: &Obs| {
+        core.publish_metrics();
+        let published = obs.metrics.snapshot();
+        core.publish_metrics();
+        assert_eq!(obs.metrics.snapshot(), published, "second publish");
+        let log = core.fragment_mgr().durable_log().expect("durable store");
+        for (name, value) in [
+            ("storage.live_bytes", log.live_bytes()),
+            ("storage.garbage_bytes", log.garbage_bytes()),
+            ("storage.log_bytes", log.log_bytes()),
+            ("storage.segments", log.segment_count()),
+        ] {
+            assert_eq!(obs.metrics.gauge(name).get(), value as i64, "{name}");
+        }
+        let ops = log.op_stats();
+        for (name, value) in [
+            ("storage.records", log.record_count()),
+            ("storage.snapshots", ops.snapshots),
+            ("storage.snapshot_micros", ops.snapshot_micros),
+            ("storage.compactions", ops.compactions),
+            ("storage.compaction_micros", ops.compaction_micros),
+            ("storage.replayed_records", ops.replayed_records),
+            ("storage.replay_micros", ops.replay_micros),
+        ] {
+            assert_eq!(obs.metrics.counter(name).get(), value, "{name}");
+        }
+        ops
+    };
+
+    // Two generations of five ids: ten records, five of them garbage,
+    // a snapshot after the fourth and the eighth.
+    let obs = Obs::enabled();
+    let mut core = open(&obs);
+    for generation in 0..2 {
+        for i in 0..5 {
+            let (id, task, input) = (format!("sm-f{i}"), format!("sm-t{i}"), format!("sm-a{i}"));
+            core.fragment_mgr_mut()
+                .add(frag(&id, &task, &input, &format!("sm-g{generation}")));
+        }
+    }
+    let ops = publish_and_check(&mut core, &obs);
+    assert!(ops.snapshots >= 2, "{ops:?}");
+    assert!(obs.metrics.gauge("storage.garbage_bytes").get() > 0);
+    drop(core);
+
+    // Reopened, the log replays the two records after the last snapshot.
+    let obs = Obs::enabled();
+    let mut core = open(&obs);
+    let ops = publish_and_check(&mut core, &obs);
+    assert_eq!(ops.replayed_records, 2);
+    drop(core);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Binding twice to the same id is fine; a different id panics.
 #[test]
 #[should_panic(expected = "exactly one host")]

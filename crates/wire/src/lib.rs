@@ -19,8 +19,9 @@
 //!   the ROADMAP's admission-time vocabulary guard to where a networked
 //!   deployment needs it — inside deserialization.
 //! * **Durable storage** ([`storage`]): [`DurableFragmentStore`], an
-//!   append-only CRC-checked segment log implementing
-//!   [`openwf_core::FragmentBackend`]. A restarted host replays its log,
+//!   append-only CRC-checked segment log over an in-memory
+//!   [`openwf_core::ShardedFragmentStore`]; the runtime's Fragment
+//!   Manager holds one for a durable host. A restarted host replays its log,
 //!   rebuilds the in-memory consumed-label index with identical global
 //!   insertion sequence, and therefore reconstructs bit-identical
 //!   supergraphs; a torn tail write is detected and truncated on open.

@@ -72,7 +72,6 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use openwf_core::construct::incremental::FragmentSource;
-use openwf_core::store::{BackendError, FragmentBackend};
 use openwf_core::{Fragment, FragmentId, FxHashMap, Label, ShardedFragmentStore};
 
 use crate::model::{decode_fragment_with, encode_fragment, DecodeScratch};
@@ -365,14 +364,10 @@ pub struct StoreOpStats {
     pub snapshots: u64,
     /// Cumulative wall-clock time writing snapshots, in microseconds.
     pub snapshot_micros: u64,
-    /// Wall-clock time of the most recent snapshot, in microseconds.
-    pub last_snapshot_micros: u64,
     /// Compaction passes run (each includes its covering snapshot).
     pub compactions: u64,
     /// Cumulative wall-clock time compacting, in microseconds.
     pub compaction_micros: u64,
-    /// Wall-clock time of the most recent compaction, in microseconds.
-    pub last_compaction_micros: u64,
     /// Tail records replayed by the open that created this store.
     pub replayed_records: u64,
     /// Wall-clock time of that tail replay, in microseconds.
@@ -748,7 +743,6 @@ impl DurableFragmentStore {
         let micros = started.elapsed().as_micros() as u64;
         self.ops.snapshots += 1;
         self.ops.snapshot_micros += micros;
-        self.ops.last_snapshot_micros = micros;
         Ok(true)
     }
 
@@ -865,7 +859,6 @@ impl DurableFragmentStore {
         let micros = started.elapsed().as_micros() as u64;
         self.ops.compactions += 1;
         self.ops.compaction_micros += micros;
-        self.ops.last_compaction_micros = micros;
         Ok(())
     }
 
@@ -1203,42 +1196,6 @@ fn truncate_to(path: &Path, len: u64) -> Result<(), StorageError> {
     file.set_len(len)?;
     file.sync_all()?;
     Ok(())
-}
-
-impl FragmentBackend for DurableFragmentStore {
-    fn insert_fragment(&mut self, fragment: Arc<Fragment>) -> Result<bool, BackendError> {
-        self.insert(fragment).map_err(BackendError::from)
-    }
-
-    fn index(&self) -> &ShardedFragmentStore {
-        &self.index
-    }
-
-    fn backend_kind(&self) -> &'static str {
-        "durable"
-    }
-
-    fn sync(&mut self) -> Result<(), BackendError> {
-        DurableFragmentStore::sync(self).map_err(BackendError::from)
-    }
-
-    fn metrics(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("live_bytes", self.live_bytes()),
-            ("garbage_bytes", self.garbage_bytes()),
-            ("log_bytes", self.log_bytes()),
-            ("segments", self.segments),
-            ("records", self.record_count()),
-            ("snapshots", self.ops.snapshots),
-            ("snapshot_micros", self.ops.snapshot_micros),
-            ("last_snapshot_micros", self.ops.last_snapshot_micros),
-            ("compactions", self.ops.compactions),
-            ("compaction_micros", self.ops.compaction_micros),
-            ("last_compaction_micros", self.ops.last_compaction_micros),
-            ("replayed_records", self.ops.replayed_records),
-            ("replay_micros", self.ops.replay_micros),
-        ]
-    }
 }
 
 impl FragmentSource for DurableFragmentStore {
