@@ -31,7 +31,7 @@ use std::io::Write as _;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use openwf_net::{NetServer, ServerConfig, WallClock};
+use openwf_net::{NetServer, ServerConfig};
 use openwf_obs::{to_jsonl, value_to_json, MetricsRegistry, Obs, TraceSink};
 use openwf_runtime::config::parse_host_config;
 use openwf_runtime::{HostConfig, ProblemId, RuntimeParams, WorkflowEvent};
@@ -46,6 +46,7 @@ struct Submission {
 }
 
 /// Parsed command line.
+#[derive(Default)]
 struct Args {
     name: String,
     listen: Option<String>,
@@ -89,16 +90,17 @@ fn parse_pair(s: &str) -> Result<(u64, HostId), String> {
 }
 
 fn parse_triple(s: &str) -> Result<(u64, HostId, String), String> {
-    let mut parts = s.splitn(3, ':');
-    let c = parts.next().unwrap_or("");
-    let h = parts
-        .next()
-        .ok_or_else(|| format!("expected C:H:X, got {s:?}"))?;
-    let rest = parts
-        .next()
+    let (c, rest) = s.split_once(':').unwrap_or((s, ""));
+    let (h, rest) = rest
+        .split_once(':')
         .ok_or_else(|| format!("expected C:H:X, got {s:?}"))?;
     let (community, host) = parse_pair(&format!("{c}:{h}"))?;
     Ok((community, host, rest.to_string()))
+}
+
+/// A flag's numeric value.
+fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value.parse().map_err(|_| format!("bad {flag}"))
 }
 
 fn parse_spec(s: &str) -> Result<openwf_core::Spec, String> {
@@ -117,21 +119,8 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut args = Args {
         name: "owms".into(),
         listen: Some("127.0.0.1:0".into()),
-        hosts: Vec::new(),
-        durable: Vec::new(),
-        peers: Vec::new(),
-        communities: Vec::new(),
-        submits: Vec::new(),
-        wait_peers: 0,
-        dial: false,
-        fast: false,
-        pause_ms: 0,
         max_runtime_ms: 120_000,
-        print_metrics: false,
-        trace_jsonl: None,
-        digests: Vec::new(),
-        seed: None,
-        operator_ingest: None,
+        ..Args::default()
     };
     let mut it = argv.iter();
     while let Some(flag) = it.next() {
@@ -184,43 +173,19 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     raw,
                 });
             }
-            "--wait-peers" => {
-                args.wait_peers = value("--wait-peers")?
-                    .parse()
-                    .map_err(|_| "bad --wait-peers".to_string())?;
-            }
-            "--pause-ms" => {
-                args.pause_ms = value("--pause-ms")?
-                    .parse()
-                    .map_err(|_| "bad --pause-ms".to_string())?;
-            }
-            "--max-runtime-ms" => {
-                args.max_runtime_ms = value("--max-runtime-ms")?
-                    .parse()
-                    .map_err(|_| "bad --max-runtime-ms".to_string())?;
-            }
+            "--wait-peers" => args.wait_peers = number(flag, value(flag)?)?,
+            "--pause-ms" => args.pause_ms = number(flag, value(flag)?)?,
+            "--max-runtime-ms" => args.max_runtime_ms = number(flag, value(flag)?)?,
             "--dial" => args.dial = true,
             "--fast" => args.fast = true,
             "--metrics" => args.print_metrics = true,
             "--trace-jsonl" => args.trace_jsonl = Some(value("--trace-jsonl")?.clone()),
             "--print-digest" => args.digests.push(parse_pair(value("--print-digest")?)?),
-            "--seed" => {
-                args.seed = Some(
-                    value("--seed")?
-                        .parse()
-                        .map_err(|_| "bad --seed".to_string())?,
-                );
-            }
+            "--seed" => args.seed = Some(number(flag, value(flag)?)?),
             // Off by default: accepting fragment/spec envelopes from
             // the open listen socket is the operator's call, and the
             // cap bounds the names each connection may intern.
-            "--operator-ingest" => {
-                args.operator_ingest = Some(
-                    value("--operator-ingest")?
-                        .parse()
-                        .map_err(|_| "bad --operator-ingest".to_string())?,
-                );
-            }
+            "--operator-ingest" => args.operator_ingest = Some(number(flag, value(flag)?)?),
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
@@ -228,6 +193,19 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         return Err("no --host/--config given; nothing to serve".into());
     }
     Ok(args)
+}
+
+/// The host configuration in the XML file at `path`.
+fn read_config(path: &str) -> Result<HostConfig, String> {
+    let xml = std::fs::read_to_string(path).map_err(|err| format!("cannot read {path}: {err}"))?;
+    parse_host_config(&xml).map_err(|err| format!("bad config {path}: {err:?}"))
+}
+
+fn print_digests(server: &NetServer, hosts: &[(u64, HostId)]) {
+    for (community, host) in hosts {
+        let digest = server.knowhow_digest_hex(*community, *host);
+        println!("digest {community}:{} {digest}", host.0);
+    }
 }
 
 fn flush() {
@@ -263,7 +241,6 @@ fn main() -> ExitCode {
         name: args.name.clone(),
         listen: args.listen.clone(),
         obs: obs.clone(),
-        clock: WallClock::new(),
         operator_ingest: args.operator_ingest,
         ..ServerConfig::default()
     }) {
@@ -283,22 +260,11 @@ fn main() -> ExitCode {
 
     // ---- build the served cores ----------------------------------------
     for (community, host, config_path) in &args.hosts {
-        let mut config = match config_path {
-            Some(path) => {
-                let xml = match std::fs::read_to_string(path) {
-                    Ok(xml) => xml,
-                    Err(err) => {
-                        eprintln!("owms-serve: cannot read {path}: {err}");
-                        return ExitCode::from(1);
-                    }
-                };
-                match parse_host_config(&xml) {
-                    Ok(config) => config,
-                    Err(err) => {
-                        eprintln!("owms-serve: bad config {path}: {err:?}");
-                        return ExitCode::from(1);
-                    }
-                }
+        let mut config = match config_path.as_deref().map(read_config) {
+            Some(Ok(config)) => config,
+            Some(Err(err)) => {
+                eprintln!("owms-serve: {err}");
+                return ExitCode::from(1);
             }
             None => HostConfig::new(),
         };
@@ -338,13 +304,7 @@ fn main() -> ExitCode {
     }
     // Start-of-life digests let a restart test verify durable recovery
     // restored the exact pre-crash know-how.
-    for (community, host) in &args.digests {
-        println!(
-            "digest {community}:{} {}",
-            host.0,
-            server.knowhow_digest_hex(*community, *host)
-        );
-    }
+    print_digests(&server, &args.digests);
     flush();
 
     let started = Instant::now();
@@ -451,13 +411,7 @@ fn main() -> ExitCode {
     };
 
     // ---- graceful stop -------------------------------------------------
-    for (community, host) in &args.digests {
-        println!(
-            "digest {community}:{} {}",
-            host.0,
-            server.knowhow_digest_hex(*community, *host)
-        );
-    }
+    print_digests(&server, &args.digests);
     if args.print_metrics {
         let snapshot = server.scrape();
         println!("metrics {}", value_to_json(&snapshot));

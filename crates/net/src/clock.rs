@@ -34,16 +34,10 @@ impl WallClock {
         SimTime::from_micros(self.start.elapsed().as_micros() as u64)
     }
 
-    /// The wall instant at which `at` virtual time is (or was) reached —
-    /// what a poll loop sleeps until to fire a timer due at `at`.
-    pub fn instant_of(&self, at: SimTime) -> Instant {
-        self.start + Duration::from_micros(at.as_micros())
-    }
-
     /// How long until `at` is reached ([`Duration::ZERO`] if already
-    /// past) — a ready-made `recv_timeout` bound.
+    /// past) — what a poll loop waits to fire a timer due at `at`.
     pub fn until(&self, at: SimTime) -> Duration {
-        self.instant_of(at)
+        (self.start + Duration::from_micros(at.as_micros()))
             .saturating_duration_since(Instant::now())
     }
 }

@@ -1,15 +1,16 @@
-//! One nonblocking connection: the socket and its **bounded** outbound
-//! byte buffer — what [`crate::NetServer::poll`], which owns every
-//! socket and moves every byte itself, keeps per connection.
+//! One connection's **bounded** outbound backlog, and the graceful close
+//! of a set of sockets.
 //!
 //! * **Outbound.** Frames are encoded straight onto one byte buffer
-//!   (`ConnIo::queue`) and handed to the socket with a single `write`
-//!   per wake-up (`ConnIo::flush`); what the socket did not take stays
+//!   (`Outbound::queue`) and offered to the socket in one `write` per
+//!   wake-up (`Outbound::flush`); what the socket did not take stays
 //!   queued until it reports room. That backlog is the backpressure
 //!   boundary: bounded in frames and bytes ([`QueueCaps`]), never
 //!   blocking, and when full a *policy decision* surfaced to the caller
-//!   (`Full`) — the server's slow-peer policy disconnects rather than
-//!   buffer without bound or stall every other connection.
+//!   (`Full`) — the serving core's slow-peer policy disconnects rather
+//!   than buffer without bound or stall every other connection. The
+//!   backlog is plain data: the serving core keeps one per connection
+//!   and hands `flush` the write to perform.
 //! * **Inbound** needs no cap of its own: the loop reads into one
 //!   buffer, at most `READ_BUDGET` bytes per connection per turn, and
 //!   decodes in place, so user space holds that buffer plus one partial
@@ -20,12 +21,12 @@
 //!   not hang shutdown — then shuts the sockets down.
 
 use std::collections::VecDeque;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::{Shutdown, TcpStream};
 use std::os::fd::AsRawFd;
 use std::time::{Duration, Instant};
 
-use crate::sys::{self, PollFd, POLLIN, POLLOUT};
+use crate::sys::{self, PollFd, POLLOUT};
 
 /// How long a graceful close waits for the backlogs to reach their
 /// sockets before giving up and severing (see `drain_all`).
@@ -66,7 +67,7 @@ impl Default for QueueCaps {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct Full;
 
-/// What [`ConnIo::queue`] accepted, for the caller's counters.
+/// What [`Outbound::queue`] accepted, for the caller's counters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct Queued {
     /// Backlog depth in frames *after* the push.
@@ -75,10 +76,9 @@ pub(crate) struct Queued {
     pub(crate) bytes: usize,
 }
 
-/// The per-connection I/O state the server keeps.
-#[derive(Debug)]
-pub(crate) struct ConnIo {
-    stream: TcpStream,
+/// One connection's outbound backlog.
+#[derive(Debug, Default)]
+pub(crate) struct Outbound {
     caps: QueueCaps,
     /// Encoded frames; `out[sent..]` is the backlog.
     out: Vec<u8>,
@@ -92,19 +92,12 @@ pub(crate) struct ConnIo {
     pub(crate) dirty: bool,
 }
 
-impl ConnIo {
-    /// Takes over `stream`, switching it to nonblocking mode.
-    pub(crate) fn new(stream: TcpStream, caps: QueueCaps) -> io::Result<Self> {
-        stream.set_nonblocking(true)?;
-        let _ = stream.set_nodelay(true);
-        Ok(ConnIo {
-            stream,
+impl Outbound {
+    pub(crate) fn new(caps: QueueCaps) -> Self {
+        Outbound {
             caps,
-            out: Vec::new(),
-            sent: 0,
-            frames: VecDeque::new(),
-            dirty: false,
-        })
+            ..Outbound::default()
+        }
     }
 
     /// Queues the one complete frame `encode` appends to the buffer it
@@ -133,18 +126,21 @@ impl ConnIo {
         self.sent < self.out.len()
     }
 
-    /// Hands the backlog to the socket in one `write`; what the socket
-    /// does not take stays queued for the next `POLLOUT`.
+    /// Offers the backlog to `write` — one `write` of the socket — and
+    /// keeps what it did not take for the next `POLLOUT`.
     ///
     /// # Errors
     ///
     /// The socket's own: the peer is gone.
-    pub(crate) fn flush(&mut self) -> io::Result<()> {
+    pub(crate) fn flush(
+        &mut self,
+        write: impl FnOnce(&[u8]) -> io::Result<usize>,
+    ) -> io::Result<()> {
         self.dirty = false;
         if !self.has_backlog() {
             return Ok(());
         }
-        let mut written = match self.stream.write(&self.out[self.sent..]) {
+        let mut written = match write(&self.out[self.sent..]) {
             Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
             Ok(n) => n,
             // No room (yet): the backlog waits for the next `POLLOUT`.
@@ -178,22 +174,6 @@ impl ConnIo {
         self.frames.clear();
         self.dirty = false;
     }
-
-    /// One nonblocking `read` into `buf`; `Ok(0)` is the peer's close.
-    pub(crate) fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        self.stream.read(buf)
-    }
-
-    /// What the loop waits for on this socket: input always, room to
-    /// write only while a backlog is left over.
-    pub(crate) fn pollfd(&self) -> PollFd {
-        let events = if self.has_backlog() {
-            POLLIN | POLLOUT
-        } else {
-            POLLIN
-        };
-        PollFd::new(self.stream.as_raw_fd(), events)
-    }
 }
 
 /// Graceful close of a set of connections: writes every backlog to its
@@ -202,19 +182,19 @@ impl ConnIo {
 /// reading cost it once, not once each. Then drops what is left and
 /// shuts every socket down. Returns how many backlogs reached their
 /// socket in full.
-pub(crate) fn drain_all(conns: &mut [&mut ConnIo], within: Duration) -> usize {
+pub(crate) fn drain_all(conns: &mut [(TcpStream, Outbound)], within: Duration) -> usize {
     let deadline = Instant::now() + within;
     let mut lost = 0;
     let mut fds = Vec::new();
     loop {
         fds.clear();
-        for io in conns.iter_mut() {
-            if io.has_backlog() && io.flush().is_err() {
-                io.discard();
+        for (stream, out) in conns.iter_mut() {
+            if out.has_backlog() && out.flush(|bytes| stream.write(bytes)).is_err() {
+                out.discard();
                 lost += 1;
             }
-            if io.has_backlog() {
-                fds.push(PollFd::new(io.stream.as_raw_fd(), POLLOUT));
+            if out.has_backlog() {
+                fds.push(PollFd::new(stream.as_raw_fd(), POLLOUT));
             }
         }
         let left = deadline.saturating_duration_since(Instant::now());
@@ -222,12 +202,12 @@ pub(crate) fn drain_all(conns: &mut [&mut ConnIo], within: Duration) -> usize {
             break;
         }
     }
-    for io in conns.iter_mut() {
-        if io.has_backlog() {
-            io.discard();
+    for (stream, out) in conns.iter_mut() {
+        if out.has_backlog() {
+            out.discard();
             lost += 1;
         }
-        let _ = io.stream.shutdown(Shutdown::Both);
+        let _ = stream.shutdown(Shutdown::Both);
     }
     conns.len() - lost
 }
@@ -235,73 +215,101 @@ pub(crate) fn drain_all(conns: &mut [&mut ConnIo], within: Duration) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Read;
     use std::net::TcpListener;
-
-    /// A connected pair: our nonblocking side and the peer's socket.
-    fn pair(caps: QueueCaps) -> (ConnIo, TcpStream) {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let (server_side, _) = listener.accept().unwrap();
-        (ConnIo::new(server_side, caps).unwrap(), client)
-    }
 
     fn frame(len: usize) -> impl FnOnce(&mut Vec<u8>) {
         move |out| out.extend(std::iter::repeat_n(0u8, len))
     }
 
+    /// A write that takes everything into `wire`.
+    fn onto(wire: &mut Vec<u8>) -> impl FnOnce(&[u8]) -> io::Result<usize> + '_ {
+        |bytes| {
+            wire.extend_from_slice(bytes);
+            Ok(bytes.len())
+        }
+    }
+
     #[test]
     fn queue_enforces_both_caps_and_refuses_whole_frames() {
-        let (mut io, mut client) = pair(QueueCaps {
+        let mut wire = Vec::new();
+        let mut out = Outbound::new(QueueCaps {
             max_frames: 2,
             max_bytes: 10,
         });
-        assert_eq!(io.queue(frame(4)).map(|q| q.depth), Ok(1));
-        assert_eq!(io.queue(frame(4)).map(|q| q.depth), Ok(2));
-        assert_eq!(io.queue(frame(1)), Err(Full), "frame cap");
-        io.flush().unwrap();
-        assert_eq!(io.frames.len(), 0, "one write took both frames");
-        assert_eq!(io.queue(frame(9)), Ok(Queued { depth: 1, bytes: 9 }));
-        assert_eq!(io.queue(frame(2)), Err(Full), "byte cap");
-        assert_eq!(io.frames.len(), 1);
+        assert_eq!(out.queue(frame(4)).map(|q| q.depth), Ok(1));
+        assert_eq!(out.queue(frame(4)).map(|q| q.depth), Ok(2));
+        assert_eq!(out.queue(frame(1)), Err(Full), "frame cap");
+        out.flush(onto(&mut wire)).unwrap();
+        assert_eq!(out.frames.len(), 0, "one write took both frames");
+        assert_eq!(out.queue(frame(9)), Ok(Queued { depth: 1, bytes: 9 }));
+        assert_eq!(out.queue(frame(2)), Err(Full), "byte cap");
+        assert_eq!(out.frames.len(), 1);
         assert_eq!(
-            io.queue(frame(1)).map(|q| q.depth),
+            out.queue(frame(1)).map(|q| q.depth),
             Ok(2),
             "the refused frame left no bytes"
         );
-        io.flush().unwrap();
-        assert!(!io.has_backlog());
-        drop(io);
-        let mut got = Vec::new();
-        client.read_to_end(&mut got).unwrap();
+        out.flush(onto(&mut wire)).unwrap();
+        assert!(!out.has_backlog());
         assert_eq!(
-            got.len(),
+            wire.len(),
             4 + 4 + 9 + 1,
             "refused frames never reach the wire"
         );
     }
 
+    /// A short write keeps the rest, counted in whole frames: a frame
+    /// leaves the frame cap only once its last byte is written.
+    #[test]
+    fn a_partial_write_keeps_the_rest_for_the_next() {
+        let mut out = Outbound::new(QueueCaps {
+            max_frames: 2,
+            max_bytes: 100,
+        });
+        out.queue(|o| o.extend([1; 4])).unwrap();
+        out.queue(|o| o.extend([2; 4])).unwrap();
+        out.flush(|_| Ok(5)).unwrap();
+        assert_eq!(out.frames, [3], "the first frame and a byte of the second");
+        out.flush(|_| Err(io::ErrorKind::WouldBlock.into()))
+            .unwrap();
+        let mut wire = Vec::new();
+        out.flush(onto(&mut wire)).unwrap();
+        assert_eq!(wire, [2; 3]);
+        assert!(out.flush(|_| Ok(0)).is_ok(), "nothing left to write");
+        out.queue(|o| o.push(3)).unwrap();
+        assert!(out.flush(|_| Ok(0)).is_err(), "a zero write is a lost peer");
+    }
+
     #[test]
     fn discard_drops_the_backlog() {
-        let (mut io, mut client) = pair(QueueCaps::default());
-        io.queue(|out| out.extend([1, 2, 3])).unwrap();
-        io.discard();
-        assert_eq!(io.frames.len(), 0);
-        io.flush().unwrap();
-        drop(io);
-        let mut got = Vec::new();
-        client.read_to_end(&mut got).unwrap();
-        assert!(got.is_empty(), "a discarded backlog is never written");
+        let mut out = Outbound::new(QueueCaps::default());
+        out.queue(|o| o.extend([1, 2, 3])).unwrap();
+        out.discard();
+        assert_eq!(out.frames.len(), 0);
+        out.flush(|_| panic!("a discarded backlog is never written"))
+            .unwrap();
+    }
+
+    /// A connected pair: our nonblocking side and the peer's socket.
+    fn pair() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server_side, _) = listener.accept().unwrap();
+        server_side.set_nonblocking(true).unwrap();
+        (server_side, client)
     }
 
     /// Graceful close flushes every queued frame onto the socket before
     /// shutting it down — the serving path's drop-flush guarantee.
     #[test]
     fn graceful_close_drains_queued_frames_to_the_peer() {
-        let (mut io, mut client) = pair(QueueCaps::default());
+        let (stream, mut client) = pair();
+        let mut out = Outbound::new(QueueCaps::default());
         for i in 0..50u8 {
-            io.queue(|out| out.extend([i; 100])).unwrap();
+            out.queue(|o| o.extend([i; 100])).unwrap();
         }
-        assert_eq!(drain_all(&mut [&mut io], DRAIN_DEADLINE), 1);
+        assert_eq!(drain_all(&mut [(stream, out)], DRAIN_DEADLINE), 1);
 
         let mut got = Vec::new();
         client.read_to_end(&mut got).unwrap();
@@ -313,20 +321,25 @@ mod tests {
     /// returns instead of waiting for room that never comes.
     #[test]
     fn graceful_close_gives_up_on_a_peer_that_stops_reading() {
-        let (mut io, client) = pair(QueueCaps::default());
+        let (stream, client) = pair();
+        let mut out = Outbound::new(QueueCaps::default());
         // Queue far more than loopback socket buffers absorb; the
         // client never reads a byte, so the drain wedges part-way.
         let mut queued = 0usize;
-        while queued < 8 * 1024 * 1024 && io.queue(frame(64 * 1024)).is_ok() {
+        while queued < 8 * 1024 * 1024 && out.queue(frame(64 * 1024)).is_ok() {
             queued += 64 * 1024;
         }
         let started = Instant::now();
-        assert_eq!(drain_all(&mut [&mut io], Duration::from_millis(300)), 0);
+        let mut conns = [(stream, out)];
+        assert_eq!(drain_all(&mut conns, Duration::from_millis(300)), 0);
         assert!(
             started.elapsed() < Duration::from_secs(5),
             "bounded drain must not hang on an unread backlog"
         );
-        assert!(!io.has_backlog(), "what could not be written is dropped");
+        assert!(
+            !conns[0].1.has_backlog(),
+            "what could not be written is dropped"
+        );
         drop(client);
     }
 }

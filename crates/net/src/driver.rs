@@ -111,11 +111,6 @@ impl TcpCommunityDriver {
         self.servers[0].obs()
     }
 
-    /// One host's reactor, for transport-level inspection.
-    pub fn server(&self, id: HostId) -> &NetServer {
-        &self.servers[id.index()]
-    }
-
     /// Mutable access to one host's reactor (scrapes, digests).
     pub fn server_mut(&mut self, id: HostId) -> &mut NetServer {
         &mut self.servers[id.index()]

@@ -1,17 +1,17 @@
 //! The serving reactor: many [`HostCore`]s, one process, real sockets.
 //!
-//! A [`NetServer`] owns every protocol core this process serves (keyed
-//! by `(community, host)`), one optional `TcpListener`, every
-//! connection's socket, and the routing state that maps remote
-//! `(community, host)` pairs onto live connections. Everything runs on
+//! A [`NetServer`] owns one optional `TcpListener` and every
+//! connection's socket, and turns what they do into inputs for the
+//! socket-free serving core (`serve_core.rs`), which holds the protocol
+//! cores, the routing state and every serving rule. Everything runs on
 //! the caller's thread inside [`NetServer::poll`], one readiness loop:
 //!
 //! 1. wait in `poll(2)` on the listener and every socket, no longer than
 //!    the caller allows or the earliest core timer is away;
 //! 2. `accept` what is pending and `read` what is ready into one
 //!    reusable buffer — a bounded number of bytes per connection per
-//!    turn — feeding each connection's [`FrameDecoder`] and dispatching
-//!    its frames in place, in arrival order;
+//!    turn — handing the bytes to the core, which dispatches their
+//!    frames in place, in arrival order;
 //! 3. deliver same-process frames and fire due timers;
 //! 4. hand each connection's queued frames to its socket in **one**
 //!    `write`, asking for write-readiness only where a partial write
@@ -20,86 +20,22 @@
 //! No thread is spawned and nothing sleeps. That keeps the cores'
 //! sans-io discipline intact — the reactor is just another driver that
 //! feeds [`HostCore::handle_frame`] and polls [`HostCore::tick`].
-//!
-//! # Timers
-//!
-//! The cores track their own armed timers and [`HostCore::tick`] fires
-//! everything due at a poll (the documented alternative to timer
-//! delivery — doing both would double-fire). From [`Action::SetTimer`]
-//! the server keeps only the earliest due time it has seen, its next
-//! wake-up: [`NetServer::poll`] bounds its socket wait by it, so a
-//! silent peer cannot stall timeout-driven progress, and asks the
-//! cores nothing until it matures. Once it has, the due cores tick and
-//! the wake-up is taken afresh from [`HostCore::next_timer_due`].
-//!
-//! # Backpressure
-//!
-//! Every connection's outbound backlog is bounded ([`QueueCaps`]). A
-//! frame that finds it full — even after the backlog was offered to the
-//! socket once more — marks the peer *slow* and the policy is to
-//! disconnect it (`net.conn_slow_drops`): the alternative — buffering
-//! without bound or blocking the reactor — would let one stalled peer
-//! starve every community this process serves. Workflow-layer repair
-//! (timeouts, re-auction) recovers whatever the dropped frames carried.
-//! Inbound is bounded by construction (see [`crate::conn`]).
-//!
-//! # Quarantine
-//!
-//! When a core quarantines a peer
-//! ([`WorkflowEvent::PeerQuarantined`]), the server escalates the
-//! protocol-level verdict to the transport: connections serving that
-//! peer are severed, outbound frames to it are dropped
-//! (`net.conn_quarantine_drops`), future handshakes announcing the
-//! denied `(community, host)` pair are refused (`net.conn_denied`), and
-//! inbound envelopes *from* a denied pair are dropped regardless of
-//! which connection delivers them — reconnecting with a sanitized hello
-//! does not lift the verdict. Any frame but a hello on a connection that
-//! has not completed its handshake — an envelope, a shutdown — is refused
-//! outright (`net.conn_denied`, connection severed): hello is always the
-//! first frame a conforming peer sends, so pre-hello traffic is an
-//! unannounced peer dodging these gates. This is deliberately blunt —
-//! one bad host condemns the connection announcing it — because a
-//! process that houses a flooding host is not a peer worth
-//! multiplexing with.
-//!
-//! # Who a frame is from
-//!
-//! An envelope names its sender, and a connection speaks only for the
-//! hosts its hello announced: a protocol frame (`TAG_MSG`) is dispatched
-//! only when its `(community, from)` pair is one of those and not a core
-//! this server runs. Otherwise a connection could get an honest member
-//! quarantined by sending over-budget replies in its name, pass for a
-//! problem's initiator, or claim the receiving core's own id, whose
-//! frames the core decodes without a vocabulary budget. Such a frame is
-//! dropped — `net.rx_forged_unannounced` or `net.rx_forged_local` — and
-//! the connection severed. The operator plane (`TAG_FRAGMENT`,
-//! `TAG_SPEC`) names no protocol sender and is gated by
-//! [`ServerConfig::operator_ingest`] instead.
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
-use std::io::ErrorKind;
+use std::collections::BTreeMap;
+use std::io::{self, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::ops::Bound;
 use std::os::fd::AsRawFd;
 use std::time::{Duration, Instant};
 
-use openwf_obs::{Counter, Histogram, Obs, Value};
-use openwf_runtime::{
-    Action, ActionQueue, HostConfig, HostCore, ProblemHandle, ProblemId, RuntimeParams,
-    WorkflowEvent,
-};
+use openwf_core::Spec;
+use openwf_obs::{Obs, Value};
+use openwf_runtime::{HostConfig, HostCore, ProblemHandle, RuntimeParams, WorkflowEvent};
 use openwf_simnet::{HostId, SimTime};
-use openwf_wire::{frame_tag, FrameDecoder, VocabularyBudget, TAG_FRAGMENT, TAG_MSG, TAG_SPEC};
 
 use crate::clock::WallClock;
-use crate::conn::{
-    drain_all, ConnId, ConnIo, Full, QueueCaps, DRAIN_DEADLINE, READ_BUDGET, READ_BUF_LEN,
-};
-use crate::proto::{
-    encode_envelope, encode_goodbye, encode_hello, encode_shutdown, read_envelope, read_hello,
-    Hello, NET_PROTO_VERSION, TAG_NET_ENVELOPE, TAG_NET_GOODBYE, TAG_NET_HELLO, TAG_NET_SHUTDOWN,
-};
-use crate::sys::{self, PollFd, POLLIN};
+use crate::conn::{drain_all, ConnId, QueueCaps, DRAIN_DEADLINE, READ_BUDGET, READ_BUF_LEN};
+use crate::serve_core::{ServeCore, SeverReason, Wire};
+use crate::sys::{self, PollFd, POLLIN, POLLOUT};
 
 /// Most connections accepted in one turn of the loop; the rest stay in
 /// the listen backlog (the listener remains readable) for the next.
@@ -111,9 +47,6 @@ const ACCEPT_PAUSE: Duration = Duration::from_millis(10);
 
 /// TCP connect timeout for on-demand dials.
 const CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
-
-/// How long a failed dial suppresses re-dials of the same address.
-const DIAL_BACKOFF: Duration = Duration::from_millis(250);
 
 /// Construction parameters for a [`NetServer`].
 #[derive(Debug)]
@@ -157,80 +90,6 @@ impl Default for ServerConfig {
     }
 }
 
-/// Transport metric handles, registered once at construction.
-struct NetMetrics {
-    conn_accepted: Counter,
-    conn_dialed: Counter,
-    conn_closed: Counter,
-    conn_denied: Counter,
-    conn_slow_drops: Counter,
-    conn_quarantine_drops: Counter,
-    rx_frames: Counter,
-    rx_bytes: Counter,
-    tx_frames: Counter,
-    tx_bytes: Counter,
-    tx_dropped: Counter,
-    decode_rejections: Counter,
-    rx_misrouted: Counter,
-    rx_ingest_refused: Counter,
-    /// Protocol frames naming a sender their connection did not
-    /// announce, or one of this server's own cores.
-    rx_forged_unannounced: Counter,
-    rx_forged_local: Counter,
-    tx_queue_depth: Histogram,
-    /// Returns from `poll(2)`, reads and writes issued: with the frame
-    /// counters, frames per system call.
-    wakeups: Counter,
-    rx_reads: Counter,
-    tx_writes: Counter,
-}
-
-impl NetMetrics {
-    fn register(obs: &Obs) -> Self {
-        let m = &obs.metrics;
-        NetMetrics {
-            conn_accepted: m.counter("net.conn_accepted"),
-            conn_dialed: m.counter("net.conn_dialed"),
-            conn_closed: m.counter("net.conn_closed"),
-            conn_denied: m.counter("net.conn_denied"),
-            conn_slow_drops: m.counter("net.conn_slow_drops"),
-            conn_quarantine_drops: m.counter("net.conn_quarantine_drops"),
-            rx_frames: m.counter("net.rx_frames"),
-            rx_bytes: m.counter("net.rx_bytes"),
-            tx_frames: m.counter("net.tx_frames"),
-            tx_bytes: m.counter("net.tx_bytes"),
-            tx_dropped: m.counter("net.tx_dropped"),
-            decode_rejections: m.counter("net.decode_rejections"),
-            rx_misrouted: m.counter("net.rx_misrouted"),
-            rx_ingest_refused: m.counter("net.rx_ingest_refused"),
-            rx_forged_unannounced: m.counter("net.rx_forged_unannounced"),
-            rx_forged_local: m.counter("net.rx_forged_local"),
-            tx_queue_depth: m.histogram("net.tx_queue_depth"),
-            wakeups: m.counter("net.wakeups"),
-            rx_reads: m.counter("net.rx_reads"),
-            tx_writes: m.counter("net.tx_writes"),
-        }
-    }
-}
-
-/// One live connection's reactor-side state.
-struct Conn {
-    io: ConnIo,
-    decoder: FrameDecoder,
-    /// Every `(community, host)` the peer announced: the senders its
-    /// protocol frames may name.
-    announced: Vec<(u64, HostId)>,
-    /// True once a valid hello arrived. Any other frame before the
-    /// handshake is a protocol violation and severs the connection — a
-    /// peer must announce itself (and survive the quarantine gate) before
-    /// any of its frames is acted on.
-    hello_done: bool,
-    /// Vocabulary budget charged by operator-plane ingest
-    /// ([`TAG_FRAGMENT`]/[`TAG_SPEC`]) on this connection; capped by
-    /// [`ServerConfig::operator_ingest`].
-    ingest_vocab: VocabularyBudget,
-}
-
 /// What a graceful [`NetServer::shutdown`] accomplished.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ShutdownReport {
@@ -242,61 +101,55 @@ pub struct ShutdownReport {
     pub sync_errors: usize,
 }
 
+/// The reactor's side of the [`Wire`]: every live connection's socket,
+/// keyed like the core's connection records.
+impl Wire for BTreeMap<ConnId, TcpStream> {
+    fn write(&mut self, conn: ConnId, bytes: &[u8]) -> io::Result<usize> {
+        let stream = self.get_mut(&conn).ok_or(ErrorKind::NotConnected)?;
+        stream.write(bytes)
+    }
+
+    fn dial(&mut self, conn: ConnId, addr: SocketAddr) -> io::Result<()> {
+        let stream = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT)?;
+        self.insert(conn, nonblocking(stream)?);
+        Ok(())
+    }
+
+    fn close(&mut self, conn: ConnId, _: SeverReason) {
+        self.remove(&conn);
+    }
+}
+
+/// `stream`, switched to what the loop needs of a socket.
+fn nonblocking(stream: TcpStream) -> io::Result<TcpStream> {
+    stream.set_nonblocking(true)?;
+    let _ = stream.set_nodelay(true);
+    Ok(stream)
+}
+
 /// The serving reactor (see module docs).
 pub struct NetServer {
-    name: String,
+    core: ServeCore,
+    sockets: BTreeMap<ConnId, TcpStream>,
     clock: WallClock,
     obs: Obs,
-    metrics: NetMetrics,
-    /// `(community, host)` → its protocol core. `BTreeMap` so every
-    /// iteration (hellos, digests, shutdown sync) is in stable order.
-    cores: BTreeMap<(u64, HostId), HostCore>,
-    /// Static + hello-learned dial addresses for remote hosts.
-    routes: HashMap<(u64, HostId), SocketAddr>,
-    /// Which live connection currently serves a remote host.
-    conn_of: HashMap<(u64, HostId), ConnId>,
-    /// Every live connection, in the order the loop serves them.
-    conns: BTreeMap<ConnId, Conn>,
-    /// Quarantine-denied pairs: no sends, no dials, no hellos.
-    denied: HashSet<(u64, HostId)>,
     /// Nonblocking; polled with the connections.
     listener: Option<TcpListener>,
     /// Set by a refused `accept`: not polled again before this.
     accept_pause: Option<Instant>,
     listen_addr: Option<SocketAddr>,
-    /// The loop's reusable pieces: the descriptor set of a wait, the
-    /// connections it found readable and the one read buffer.
+    /// The loop's reusable pieces: the descriptor set of a wait and the
+    /// one read buffer.
     pollfds: Vec<PollFd>,
-    ready: Vec<ConnId>,
     read_buf: Vec<u8>,
-    next_conn: u64,
-    next_seq: HashMap<(u64, HostId), u32>,
-    /// Frames between cores of this process: `(community, from, to,
-    /// inner)` delivered without touching a socket.
-    local: VecDeque<(u64, HostId, HostId, Vec<u8>)>,
-    /// Workflow events the embedder has not drained yet.
-    events: Vec<(u64, HostId, WorkflowEvent)>,
-    /// Failed dial suppression.
-    backoff: HashMap<SocketAddr, Instant>,
-    queue_caps: QueueCaps,
-    operator_ingest: Option<usize>,
-    shutdown_requested: bool,
-    /// No local core has a timer due before this (`None`: none has a
-    /// timer at all). Lowered by every [`Action::SetTimer`], recomputed
-    /// when it matures; a timer disarmed since may leave it early,
-    /// which costs one poll that finds nothing due.
-    /// [`NetServer::core_mut`] resets it, since its caller may arm
-    /// timers the server never sees as actions.
-    timer_wake: Option<SimTime>,
 }
 
 impl std::fmt::Debug for NetServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NetServer")
-            .field("name", &self.name)
             .field("listen", &self.listen_addr)
-            .field("cores", &self.cores.len())
-            .field("conns", &self.conns.len())
+            .field("cores", &self.core.cores.len())
+            .field("conns", &self.sockets.len())
             .finish()
     }
 }
@@ -308,7 +161,6 @@ impl NetServer {
     ///
     /// Socket bind/configuration failures.
     pub fn new(config: ServerConfig) -> std::io::Result<Self> {
-        let metrics = NetMetrics::register(&config.obs);
         let (listener, listen_addr) = match &config.listen {
             Some(addr) => {
                 let listener = TcpListener::bind(addr.as_str())?;
@@ -319,41 +171,21 @@ impl NetServer {
             None => (None, None),
         };
         Ok(NetServer {
-            name: config.name,
+            core: ServeCore::new(&config, listen_addr),
+            sockets: BTreeMap::new(),
             clock: config.clock,
             obs: config.obs,
-            metrics,
-            cores: BTreeMap::new(),
-            routes: HashMap::new(),
-            conn_of: HashMap::new(),
-            conns: BTreeMap::new(),
-            denied: HashSet::new(),
             listener,
             accept_pause: None,
             listen_addr,
             pollfds: Vec::new(),
-            ready: Vec::new(),
             read_buf: vec![0; READ_BUF_LEN],
-            next_conn: 0,
-            next_seq: HashMap::new(),
-            local: VecDeque::new(),
-            events: Vec::new(),
-            backoff: HashMap::new(),
-            queue_caps: config.queue_caps,
-            operator_ingest: config.operator_ingest,
-            shutdown_requested: false,
-            timer_wake: None,
         })
     }
 
     /// The bound listen address (`None` for a pure client).
     pub fn listen_addr(&self) -> Option<SocketAddr> {
         self.listen_addr
-    }
-
-    /// The shared clock anchor.
-    pub fn clock(&self) -> WallClock {
-        self.clock
     }
 
     /// The observability sinks (transport metrics live here).
@@ -373,13 +205,13 @@ impl NetServer {
     ) {
         let mut core = HostCore::new(config, params);
         core.bind(host);
-        self.cores.insert((community, host), core);
+        self.core.cores.insert((community, host), core);
     }
 
     /// Sets the membership list of `community` on every local core of
     /// that community.
     pub fn set_community(&mut self, community: u64, hosts: Vec<HostId>) {
-        for ((c, _), core) in self.cores.iter_mut() {
+        for ((c, _), core) in self.core.cores.iter_mut() {
             if *c == community {
                 core.set_community(hosts.clone());
             }
@@ -388,7 +220,7 @@ impl NetServer {
 
     /// Registers a static dial address for a remote host.
     pub fn add_route(&mut self, community: u64, host: HostId, addr: SocketAddr) {
-        self.routes.insert((community, host), addr);
+        self.core.routes.insert((community, host), addr);
     }
 
     /// Dials every routed address that has no live connection yet and
@@ -396,74 +228,49 @@ impl NetServer {
     /// peers are reachable *before* acting (e.g. an initiator honoring
     /// `--wait-peers`). On-demand dialing makes this optional.
     pub fn dial_routes(&mut self) {
-        let targets: Vec<(u64, HostId)> = self
-            .routes
-            .keys()
-            .filter(|key| !self.conn_of.contains_key(*key) && !self.denied.contains(*key))
-            .copied()
-            .collect();
-        for key in targets {
-            let _ = self.conn_for(key);
-        }
+        self.core.dial_routes(self.clock.now(), &mut self.sockets);
     }
 
     /// Remote `(community, host)` pairs currently reachable over a live,
     /// handshaken connection.
     pub fn connected_remote_hosts(&self) -> usize {
-        self.conn_of.len()
-    }
-
-    /// The local cores, in stable `(community, host)` order.
-    pub fn local_cores(&self) -> Vec<(u64, HostId)> {
-        self.cores.keys().copied().collect()
+        self.core.conn_of.len()
     }
 
     /// One local core, for inspection. Panics when absent — serving a
     /// host you never added is a caller bug, not a runtime condition.
     pub fn core(&self, community: u64, host: HostId) -> &HostCore {
-        &self.cores[&(community, host)]
+        &self.core.cores[&(community, host)]
     }
 
     /// Mutable access to one local core (service hooks, test plumbing).
     /// Panics when absent, as [`NetServer::core`] does.
     pub fn core_mut(&mut self, community: u64, host: HostId) -> &mut HostCore {
-        // Whatever the caller arms on the core, the next poll looks.
-        self.timer_wake = Some(SimTime::ZERO);
-        self.cores.get_mut(&(community, host)).expect("local core")
+        self.core
+            .cores
+            .get_mut(&(community, host))
+            .expect("local core")
     }
 
-    /// True once a [`TAG_NET_SHUTDOWN`] frame arrived: the process
+    /// True once a `TAG_NET_SHUTDOWN` frame arrived: the process
     /// owning the run asked this server to stop.
     pub fn shutdown_requested(&self) -> bool {
-        self.shutdown_requested
+        self.core.shutdown_requested
     }
 
     /// Drains the workflow events observed since the last call, tagged
     /// with the `(community, host)` that emitted each.
     pub fn drain_workflow_events(&mut self) -> Vec<(u64, HostId, WorkflowEvent)> {
-        std::mem::take(&mut self.events)
+        std::mem::take(&mut self.core.events)
     }
 
     /// Submits a problem to a local initiator core (the Workflow
     /// Initiator role) through [`HostCore::initiate`]: a local call, no
     /// wire frame.
-    pub fn submit(
-        &mut self,
-        community: u64,
-        initiator: HostId,
-        spec: openwf_core::Spec,
-    ) -> ProblemHandle {
-        let seq = self.next_seq.entry((community, initiator)).or_insert(0);
-        let id = ProblemId::new(initiator, *seq);
-        *seq += 1;
+    pub fn submit(&mut self, community: u64, initiator: HostId, spec: Spec) -> ProblemHandle {
         let now = self.clock.now();
-        let q = self
-            .cores
-            .get_mut(&(community, initiator))
-            .expect("local core")
-            .initiate(id, spec, now);
-        self.apply_actions(community, initiator, q, now);
-        ProblemHandle { id }
+        self.core
+            .submit(community, initiator, spec, now, &mut self.sockets)
     }
 
     /// One reactor turn: waits up to `max_wait` for socket readiness
@@ -472,35 +279,29 @@ impl NetServer {
     /// writes out what that queued, and returns whether anything
     /// happened.
     pub fn poll(&mut self, max_wait: Duration) -> bool {
-        let mut activity = self.pump_local();
         // Frames queued between turns (`submit`, dials, a shutdown
         // broadcast) leave before the wait, not after it.
-        activity |= self.flush_dirty();
+        let mut activity = self.core.flush(self.clock.now(), &mut self.sockets);
         let wait = if activity {
             Duration::ZERO
         } else {
             self.bounded_wait(max_wait)
         };
         activity |= self.wait_and_read(wait);
-        activity |= self.pump_local();
-        activity |= self.fire_due_timers();
-        activity |= self.pump_local();
-        self.flush_dirty();
+        activity |= self.core.tick(self.clock.now(), &mut self.sockets);
+        self.core.flush(self.clock.now(), &mut self.sockets);
         activity
     }
 
     /// Earliest timer due across every local core.
     pub fn next_timer_due(&self) -> Option<SimTime> {
-        self.cores
-            .values()
-            .filter_map(HostCore::next_timer_due)
-            .min()
+        self.core.next_timer_due()
     }
 
     /// Publishes every core's metric deltas and snapshots the registry —
     /// the scrape endpoint's body.
     pub fn scrape(&mut self) -> Value {
-        for core in self.cores.values_mut() {
+        for core in self.core.cores.values_mut() {
             core.publish_metrics();
         }
         self.obs.metrics.snapshot()
@@ -530,14 +331,11 @@ impl NetServer {
         format!("{h:016x}")
     }
 
-    /// Sends a [`TAG_NET_SHUTDOWN`] to every routed peer and every live
+    /// Sends a `TAG_NET_SHUTDOWN` to every routed peer and every live
     /// connection — the run owner's "we are done, stop cleanly".
     pub fn broadcast_shutdown(&mut self) {
-        self.dial_routes();
-        let ids: Vec<ConnId> = self.conns.keys().copied().collect();
-        for conn_id in ids {
-            self.push_frame(conn_id, encode_shutdown);
-        }
+        self.core
+            .broadcast_shutdown(self.clock.now(), &mut self.sockets);
     }
 
     /// Graceful stop: stops accepting, announces goodbye on every
@@ -549,16 +347,12 @@ impl NetServer {
     pub fn shutdown(mut self) -> ShutdownReport {
         self.listener = None;
         let mut report = ShutdownReport::default();
-        let ids: Vec<ConnId> = self.conns.keys().copied().collect();
-        for conn_id in ids {
-            self.push_frame(conn_id, |out| encode_goodbye("shutdown", out));
-        }
-        let mut conns = std::mem::take(&mut self.conns);
-        let mut ios: Vec<&mut ConnIo> = conns.values_mut().map(|conn| &mut conn.io).collect();
-        report.flushed_conns = drain_all(&mut ios, DRAIN_DEADLINE);
+        let backlogs = self.core.close_all(&mut self.sockets);
+        let sockets = std::mem::take(&mut self.sockets);
+        let mut conns: Vec<_> = sockets.into_values().zip(backlogs).collect();
+        report.flushed_conns = drain_all(&mut conns, DRAIN_DEADLINE);
         drop(conns);
-        self.conn_of.clear();
-        for core in self.cores.values_mut() {
+        for core in self.core.cores.values_mut() {
             match core.fragment_mgr_mut().sync() {
                 Ok(()) => report.synced_cores += 1,
                 Err(_) => report.sync_errors += 1,
@@ -571,11 +365,11 @@ impl NetServer {
     // ---- reactor internals ----------------------------------------------
 
     /// The socket wait for this poll: `max_wait`, shortened to the
-    /// next timer wake-up so timeouts fire on time even when every
-    /// peer is silent.
+    /// next timer so timeouts fire on time even when every peer is
+    /// silent.
     fn bounded_wait(&self, max_wait: Duration) -> Duration {
         let mut wait = max_wait;
-        if let Some(due) = self.timer_wake {
+        if let Some(due) = self.core.next_timer_due() {
             wait = wait.min(self.clock.until(due));
         }
         if let Some(until) = self.accept_pause {
@@ -584,237 +378,21 @@ impl NetServer {
         wait
     }
 
-    /// Fires `tick` on every core with a matured timer — a no-op until
-    /// the wake-up time has come.
-    fn fire_due_timers(&mut self) -> bool {
-        let now = self.clock.now();
-        if self.timer_wake.is_none_or(|wake| wake > now) {
-            return false;
-        }
-        let mut fired = false;
-        // Cores in key order, as a cursor: applying one core's actions
-        // needs the whole server.
-        let mut next = self.cores.keys().next().copied();
-        while let Some(key) = next {
-            let core = self.cores.get_mut(&key).expect("key from the map");
-            if core.next_timer_due().is_some_and(|due| due <= now) {
-                let q = core.tick(now);
-                fired |= !q.is_empty();
-                self.apply_actions(key.0, key.1, q, now);
-            }
-            next = self
-                .cores
-                .range((Bound::Excluded(key), Bound::Unbounded))
-                .next()
-                .map(|(key, _)| *key);
-        }
-        self.timer_wake = self.next_timer_due();
-        fired
-    }
-
-    /// Delivers queued local (same-process) frames until none remain.
-    /// Inter-host frames stay on the full wire-trust path —
-    /// [`HostCore::handle_frame`] with vocabulary budgeting — even when
-    /// both hosts live in this process.
-    fn pump_local(&mut self) -> bool {
-        let mut any = false;
-        while let Some((community, from, to, inner)) = self.local.pop_front() {
-            any = true;
-            let now = self.clock.now();
-            let Some(core) = self.cores.get_mut(&(community, to)) else {
-                self.metrics.rx_misrouted.inc();
-                continue;
-            };
-            let q = core.handle_frame(from, &inner, now);
-            self.apply_actions(community, to, q, now);
-        }
-        any
-    }
-
-    /// Performs the action queue one core returned from a call made at
-    /// `now`: route frames, surface events, note timer arms for the next
-    /// wake-up (tick discipline, see module docs).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an [`Action::Send`]: a core switched to typed sends
-    /// is a wiring error, not traffic to lose.
-    fn apply_actions(&mut self, community: u64, me: HostId, q: ActionQueue, now: SimTime) {
-        for action in q {
-            match action {
-                Action::SendBytes { to, bytes } => {
-                    if self.cores.contains_key(&(community, to)) {
-                        self.local.push_back((community, me, to, bytes));
-                    } else {
-                        self.send_remote(community, me, to, &bytes);
-                    }
-                }
-                send @ Action::Send { .. } => {
-                    panic!("NetServer drives cores in OutboundMode::Encoded, got {send:?}")
-                }
-                Action::SetTimer { delay, .. } => {
-                    let due = now + delay;
-                    if self.timer_wake.is_none_or(|wake| due < wake) {
-                        self.timer_wake = Some(due);
-                    }
-                }
-                Action::Event(ev) => self.on_workflow_event(community, me, ev),
-                // `Action` is non-exhaustive; a future variant is a bug
-                // here, not something to silently drop — but there is no
-                // sane fallback, so count it as misrouted.
-                _ => self.metrics.rx_misrouted.inc(),
-            }
-        }
-    }
-
-    /// Wraps one inner frame for a host of another process in an
-    /// envelope on the connection serving that host.
-    fn send_remote(&mut self, community: u64, from: HostId, to: HostId, inner: &[u8]) {
-        if self.denied.contains(&(community, to)) {
-            self.metrics.conn_quarantine_drops.inc();
-            return;
-        }
-        let Some(conn_id) = self.conn_for((community, to)) else {
-            self.metrics.tx_dropped.inc();
-            return;
-        };
-        self.push_frame(conn_id, |out| {
-            encode_envelope(community, from, to, None, inner, out)
-        });
-    }
-
-    /// Queues the one outbound frame `encode` writes — every frame this
-    /// server sends takes this path — applying the slow-peer policy on
-    /// a full backlog.
-    fn push_frame(&mut self, conn_id: ConnId, encode: impl Fn(&mut Vec<u8>)) {
-        let Some(conn) = self.conns.get_mut(&conn_id) else {
-            self.metrics.tx_dropped.inc();
-            return;
-        };
-        let mut queued = conn.io.queue(&encode);
-        if queued.is_err() && self.flush_conn(conn_id) {
-            // At a cap with the turn's frames not yet offered to the
-            // socket: only a backlog the socket will not take is a peer
-            // not keeping up.
-            let conn = self.conns.get_mut(&conn_id).expect("flushed, so live");
-            queued = conn.io.queue(&encode);
-        }
-        match queued {
-            Ok(queued) => {
-                self.metrics.tx_frames.inc();
-                self.metrics.tx_bytes.add(queued.bytes as u64);
-                self.metrics.tx_queue_depth.record(queued.depth as u64);
-            }
-            Err(Full) => {
-                self.metrics.conn_slow_drops.inc();
-                self.metrics.tx_dropped.inc();
-                self.sever_conn(conn_id);
-            }
-        }
-    }
-
-    /// One `write` of a connection's backlog. False when the connection
-    /// is gone — not there, or severed because the write failed.
-    fn flush_conn(&mut self, conn_id: ConnId) -> bool {
-        let Some(conn) = self.conns.get_mut(&conn_id) else {
-            return false;
-        };
-        self.metrics.tx_writes.inc();
-        if conn.io.flush().is_err() {
-            self.sever_conn(conn_id);
-            return false;
-        }
-        true
-    }
-
-    /// Writes out every connection with frames queued, or room reported,
-    /// since its last write: one `write` each.
-    fn flush_dirty(&mut self) -> bool {
-        let mut any = false;
-        let mut gone = Vec::new();
-        for (conn_id, conn) in &mut self.conns {
-            if conn.io.dirty {
-                any = true;
-                self.metrics.tx_writes.inc();
-                if conn.io.flush().is_err() {
-                    gone.push(*conn_id);
-                }
-            }
-        }
-        for conn_id in gone {
-            self.sever_conn(conn_id);
-        }
-        any
-    }
-
-    /// The live connection serving a remote pair, dialing on demand.
-    fn conn_for(&mut self, key: (u64, HostId)) -> Option<ConnId> {
-        if let Some(&id) = self.conn_of.get(&key) {
-            if self.conns.contains_key(&id) {
-                return Some(id);
-            }
-            self.conn_of.remove(&key);
-        }
-        let addr = *self.routes.get(&key)?;
-        if self
-            .backoff
-            .get(&addr)
-            .is_some_and(|until| Instant::now() < *until)
-        {
-            return None;
-        }
-        match TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT) {
-            Ok(stream) => {
-                let id = self.register_conn(stream)?;
-                self.metrics.conn_dialed.inc();
-                // The dial address authoritatively serves this pair; the
-                // peer's hello will confirm (and widen) the mapping.
-                self.conn_of.insert(key, id);
-                Some(id)
-            }
-            Err(_) => {
-                self.backoff.insert(addr, Instant::now() + DIAL_BACKOFF);
-                None
-            }
-        }
-    }
-
-    /// Registers a socket (accepted or dialed) with the loop and queues
-    /// our handshake as its first outbound frame.
-    fn register_conn(&mut self, stream: TcpStream) -> Option<ConnId> {
-        let io = ConnIo::new(stream, self.queue_caps).ok()?;
-        let id = ConnId(self.next_conn);
-        self.next_conn += 1;
-        self.conns.insert(
-            id,
-            Conn {
-                io,
-                decoder: FrameDecoder::new(),
-                announced: Vec::new(),
-                hello_done: false,
-                ingest_vocab: match self.operator_ingest {
-                    Some(cap) => VocabularyBudget::with_cap(cap),
-                    None => VocabularyBudget::unlimited(), // never consulted
-                },
-            },
-        );
-        let hello = Hello {
-            proto: NET_PROTO_VERSION,
-            name: self.name.clone(),
-            listen: self.listen_addr.map(|a| a.to_string()).unwrap_or_default(),
-            hosts: self.local_cores(),
-        };
-        self.push_frame(id, |out| encode_hello(&hello, out));
-        Some(id)
-    }
-
     /// Appends what this server waits on — its listener and every
-    /// connection, in that order — to a descriptor set.
+    /// connection, in that order — to a descriptor set: input always,
+    /// room to write only while a backlog is left over.
     pub(crate) fn push_pollfds(&self, fds: &mut Vec<PollFd>) {
         if let (Some(listener), None) = (&self.listener, self.accept_pause) {
             fds.push(PollFd::new(listener.as_raw_fd(), POLLIN));
         }
-        fds.extend(self.conns.values().map(|conn| conn.io.pollfd()));
+        fds.extend(self.sockets.iter().map(|(id, stream)| {
+            let events = if self.core.wants_write(*id) {
+                POLLIN | POLLOUT
+            } else {
+                POLLIN
+            };
+            PollFd::new(stream.as_raw_fd(), events)
+        }));
     }
 
     /// The loop's input half: one `poll(2)` over every descriptor, then
@@ -828,15 +406,16 @@ impl NetServer {
         fds.clear();
         self.push_pollfds(&mut fds);
         let found = sys::wait(&mut fds, Some(wait)).unwrap_or(0) > 0;
-        self.metrics.wakeups.inc();
+        self.core.metrics.wakeups.inc();
         if found {
-            let accepting = fds.len() > self.conns.len();
-            let mut ready = std::mem::take(&mut self.ready);
-            ready.clear();
-            let conn_fds = &fds[usize::from(accepting)..];
-            for (fd, (id, conn)) in conn_fds.iter().zip(self.conns.iter_mut()) {
+            let accepting = fds.len() > self.sockets.len();
+            let mut ready = Vec::new();
+            for (fd, id) in fds[usize::from(accepting)..]
+                .iter()
+                .zip(self.sockets.keys())
+            {
                 if fd.writable() {
-                    conn.io.dirty = true;
+                    self.core.writable(*id);
                 }
                 if fd.readable() {
                     ready.push(*id);
@@ -845,10 +424,9 @@ impl NetServer {
             if accepting && fds[0].readable() {
                 self.accept_pending();
             }
-            for conn_id in &ready {
-                self.read_conn(*conn_id);
+            for id in ready {
+                self.read_conn(id);
             }
-            self.ready = ready;
         }
         self.pollfds = fds;
         found
@@ -862,8 +440,11 @@ impl NetServer {
             };
             match listener.accept() {
                 Ok((stream, _)) => {
-                    if self.register_conn(stream).is_some() {
-                        self.metrics.conn_accepted.inc();
+                    let Ok(stream) = nonblocking(stream) else {
+                        continue;
+                    };
+                    if let Some(id) = self.core.accepted(&mut self.sockets) {
+                        self.sockets.insert(id, stream);
                     }
                 }
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
@@ -878,279 +459,42 @@ impl NetServer {
     }
 
     /// Reads what a readable connection has, up to the turn's budget,
-    /// feeding its decoder and dispatching every completed frame before
-    /// the next `read`. The decoder leaves the connection meanwhile:
-    /// frames borrow it while dispatch borrows the whole server.
-    fn read_conn(&mut self, conn_id: ConnId) {
-        let Some(conn) = self.conns.get_mut(&conn_id) else {
-            return; // severed earlier this turn
-        };
-        let mut decoder = std::mem::take(&mut conn.decoder);
-        let mut buf = std::mem::take(&mut self.read_buf);
+    /// handing each read to the core before the next.
+    fn read_conn(&mut self, id: ConnId) {
         let mut budget = READ_BUDGET;
-        let mut open = true;
-        while open && budget > 0 {
-            let Some(conn) = self.conns.get_mut(&conn_id) else {
-                break; // a frame just dispatched severed it
+        while budget > 0 {
+            let Some(stream) = self.sockets.get_mut(&id) else {
+                return; // severed, maybe by a frame just dispatched
             };
-            self.metrics.rx_reads.inc();
-            match conn.io.read(&mut buf) {
-                Ok(0) => open = false,
-                Ok(n) => {
-                    self.metrics.rx_bytes.add(n as u64);
+            self.core.metrics.rx_reads.inc();
+            match stream.read(&mut self.read_buf) {
+                Ok(n) if n > 0 => {
                     budget = budget.saturating_sub(n);
-                    decoder.feed(&buf[..n]);
-                    self.dispatch_frames(conn_id, &mut decoder);
-                    if n < buf.len() {
-                        break; // the socket had no more
+                    let now = self.clock.now();
+                    let bytes = &self.read_buf[..n];
+                    self.core.read(id, bytes, now, &mut self.sockets);
+                    if n < self.read_buf.len() {
+                        return; // the socket had no more
                     }
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => open = false,
-            }
-        }
-        self.read_buf = buf;
-        if !open {
-            self.sever_conn(conn_id);
-        } else if let Some(conn) = self.conns.get_mut(&conn_id) {
-            conn.decoder = decoder;
-        }
-    }
-
-    /// Reacts to every frame `decoder` has complete, in order, stopping
-    /// as soon as the connection is gone.
-    fn dispatch_frames(&mut self, conn_id: ConnId, decoder: &mut FrameDecoder) {
-        // Reacting to an earlier frame may have severed this connection
-        // (refused hello, quarantine escalation); the rest of what it
-        // sent must not reach the cores.
-        while self.conns.contains_key(&conn_id) {
-            let frame = match decoder.next_frame() {
-                Ok(Some(frame)) => frame,
-                Ok(None) => return,
-                Err(_) => {
-                    self.metrics.rx_frames.inc();
-                    return self.on_corrupt(conn_id);
-                }
-            };
-            self.metrics.rx_frames.inc();
-            if frame.tag != TAG_NET_HELLO && !self.conns[&conn_id].hello_done {
-                // Hello is always the first frame a conforming peer sends;
-                // any other frame before it comes from an unannounced
-                // (possibly evasive) peer — an envelope or a shutdown
-                // alike. Refuse the connection rather than act blind.
-                self.metrics.conn_denied.inc();
-                return self.sever_conn(conn_id);
-            }
-            match frame.tag {
-                TAG_NET_HELLO => match read_hello(&mut frame.reader()) {
-                    Ok(hello) => self.on_hello(conn_id, hello),
-                    Err(_) => return self.on_corrupt(conn_id),
-                },
-                TAG_NET_ENVELOPE => match read_envelope(&mut frame.reader()) {
-                    Ok(env) => {
-                        self.on_envelope(conn_id, env.community, env.from, env.to, env.inner)
-                    }
-                    Err(_) => return self.on_corrupt(conn_id),
-                },
-                // The peer announced an orderly close; its EOF follows.
-                // Nothing to flush for them.
-                TAG_NET_GOODBYE => {}
-                TAG_NET_SHUTDOWN => self.shutdown_requested = true,
-                _ => self.metrics.rx_misrouted.inc(),
-            }
-        }
-    }
-
-    /// Framing is lost; the stream is unrecoverable.
-    fn on_corrupt(&mut self, conn_id: ConnId) {
-        self.metrics.decode_rejections.inc();
-        self.sever_conn(conn_id);
-    }
-
-    /// Handshake processing: version gate, quarantine gate, then route
-    /// learning.
-    fn on_hello(&mut self, conn_id: ConnId, hello: Hello) {
-        if hello.proto != NET_PROTO_VERSION {
-            self.metrics.conn_denied.inc();
-            self.sever_conn(conn_id);
-            return;
-        }
-        if hello.hosts.iter().any(|pair| self.denied.contains(pair)) {
-            // A connection willing to carry a quarantined host's traffic
-            // is refused wholesale (see module docs).
-            self.metrics.conn_denied.inc();
-            self.sever_with_goodbye(conn_id, "quarantined");
-            return;
-        }
-        let listen: Option<SocketAddr> = hello.listen.parse().ok();
-        if let Some(conn) = self.conns.get_mut(&conn_id) {
-            conn.announced = hello.hosts.clone();
-            conn.hello_done = true;
-        }
-        for pair in hello.hosts {
-            self.conn_of.insert(pair, conn_id);
-            if let Some(addr) = listen {
-                self.routes.insert(pair, addr);
-            }
-        }
-    }
-
-    /// Routed traffic from a connection past its handshake: gate on the
-    /// quarantine verdict, find the destination core, then dispatch the inner frame by its
-    /// own tag — a protocol frame only from a sender the connection
-    /// announced (see the module docs).
-    fn on_envelope(
-        &mut self,
-        conn_id: ConnId,
-        community: u64,
-        from: HostId,
-        to: HostId,
-        inner: &[u8],
-    ) {
-        let Some(conn) = self.conns.get(&conn_id) else {
-            return;
-        };
-        if self.denied.contains(&(community, from)) {
-            // The quarantine verdict outlives the severed socket: a
-            // reconnecting peer delivering for a denied pair is dropped
-            // even though its hello did not announce the pair.
-            self.metrics.conn_quarantine_drops.inc();
-            return;
-        }
-        if !self.cores.contains_key(&(community, to)) {
-            self.metrics.rx_misrouted.inc();
-            return;
-        }
-        let now = self.clock.now();
-        match frame_tag(inner) {
-            Ok(Some(TAG_MSG)) => {
-                let pair = (community, from);
-                let forged = if self.cores.contains_key(&pair) {
-                    Some(&self.metrics.rx_forged_local)
-                } else if !conn.announced.contains(&pair) {
-                    Some(&self.metrics.rx_forged_unannounced)
-                } else {
-                    None
-                };
-                if let Some(counter) = forged {
-                    counter.inc();
-                    self.sever_conn(conn_id);
-                    return;
-                }
-                let q = self
-                    .cores
-                    .get_mut(&(community, to))
-                    .expect("checked above")
-                    .handle_frame(from, inner, now);
-                self.apply_actions(community, to, q, now);
-            }
-            Ok(Some(TAG_FRAGMENT)) => {
-                // Operator/admin plane: direct know-how ingest (seeding,
-                // replication). Off by default — any peer can dial the
-                // listen socket, so acceptance requires the operator's
-                // explicit [`ServerConfig::operator_ingest`] opt-in and
-                // decodes through a per-connection vocabulary budget.
-                if self.operator_ingest.is_none() {
-                    self.metrics.rx_ingest_refused.inc();
-                    return;
-                }
-                let decoded = {
-                    let conn = self.conns.get_mut(&conn_id).expect("checked above");
-                    openwf_wire::decode_fragment(inner, &mut conn.ingest_vocab)
-                };
-                match decoded {
-                    Ok((fragment, _)) => {
-                        let core = self.cores.get_mut(&(community, to)).expect("checked above");
-                        if core.fragment_mgr_mut().try_add(fragment).is_err() {
-                            self.metrics.decode_rejections.inc();
-                        }
-                    }
-                    Err(_) => {
-                        // Corrupt or over-budget (a flooding "operator"
-                        // minting unbounded names): either way the
-                        // connection is not worth keeping.
-                        self.metrics.decode_rejections.inc();
-                        self.sever_conn(conn_id);
-                    }
-                }
-            }
-            Ok(Some(TAG_SPEC)) => {
-                // Remote problem submission: the addressed core becomes
-                // the initiator. Same operator opt-in and budget as
-                // fragment ingest.
-                if self.operator_ingest.is_none() {
-                    self.metrics.rx_ingest_refused.inc();
-                    return;
-                }
-                let decoded = {
-                    let conn = self.conns.get_mut(&conn_id).expect("checked above");
-                    openwf_wire::decode_spec(inner, &mut conn.ingest_vocab)
-                };
-                match decoded {
-                    Ok((spec, _)) => {
-                        let _ = self.submit(community, to, spec);
-                    }
-                    Err(_) => {
-                        self.metrics.decode_rejections.inc();
-                        self.sever_conn(conn_id);
-                    }
-                }
-            }
-            _ => self.metrics.rx_misrouted.inc(),
-        }
-    }
-
-    /// Records a workflow event and escalates quarantine verdicts to the
-    /// transport.
-    fn on_workflow_event(&mut self, community: u64, me: HostId, ev: WorkflowEvent) {
-        if let WorkflowEvent::PeerQuarantined { peer, .. } = &ev {
-            let pair = (community, *peer);
-            self.denied.insert(pair);
-            self.routes.remove(&pair);
-            // Sever every connection that announced the quarantined
-            // host — it has agreed to carry the flooder's traffic.
-            let guilty: Vec<ConnId> = self
-                .conns
-                .iter()
-                .filter(|(_, conn)| conn.announced.contains(&pair))
-                .map(|(id, _)| *id)
-                .collect();
-            let routed = self.conn_of.get(&pair).copied();
-            for conn_id in guilty.into_iter().chain(routed) {
-                if self.conns.contains_key(&conn_id) {
-                    self.metrics.conn_quarantine_drops.inc();
-                    self.sever_with_goodbye(conn_id, "quarantined");
+                // A close, or a failed read: the peer hung up.
+                _ => {
+                    return self
+                        .core
+                        .sever(id, SeverReason::PeerClosed, &mut self.sockets)
                 }
             }
         }
-        self.events.push((community, me, ev));
-    }
-
-    /// Severs a connection, telling the peer why if the socket takes
-    /// the goodbye in the one write a teardown has time for.
-    fn sever_with_goodbye(&mut self, conn_id: ConnId, reason: &str) {
-        self.push_frame(conn_id, |out| encode_goodbye(reason, out));
-        self.flush_conn(conn_id);
-        self.sever_conn(conn_id);
-    }
-
-    /// Drops a connection immediately — socket closed, backlog unwritten
-    /// — and unmaps every pair it served.
-    fn sever_conn(&mut self, conn_id: ConnId) {
-        if self.conns.remove(&conn_id).is_some() {
-            self.metrics.conn_closed.inc();
-        }
-        self.conn_of.retain(|_, id| *id != conn_id);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::{encode_envelope, encode_hello};
+    use crate::proto::{encode_envelope, encode_hello, Hello, NET_PROTO_VERSION};
     use openwf_core::{Fragment, Mode};
-    use std::io::Write as _;
 
     fn frag(id: &str, task: &str, input: &str, output: &str) -> Fragment {
         Fragment::single_task(id, task, Mode::Disjunctive, [input], [output]).unwrap()
@@ -1263,142 +607,6 @@ mod tests {
         );
     }
 
-    /// Any frame but a hello before the handshake severs the connection:
-    /// an unannounced peer can neither slip an envelope past the hello
-    /// gates (even with operator ingest enabled) nor stop the process
-    /// with a bare shutdown. The same shutdown after a hello is honoured.
-    #[test]
-    fn pre_hello_frame_is_refused_and_severs() {
-        let envelope = fragment_envelope(HostId(9), &frag("svp-f1", "svp-t1", "svp-b", "svp-c"));
-        let mut shutdown = Vec::new();
-        encode_shutdown(&mut shutdown);
-        for input in [envelope, shutdown.clone()] {
-            let mut server = test_server(Some(64));
-            let addr = server.listen_addr().unwrap();
-            let mut client = TcpStream::connect(addr).unwrap();
-            client.write_all(&input).unwrap();
-            client.flush().unwrap();
-            poll_until(&mut server, |s| s.metrics.conn_denied.get() >= 1);
-            assert_eq!(
-                server.core(0, HostId(0)).fragment_mgr().len(),
-                1,
-                "nothing ingested from the unannounced peer"
-            );
-            assert!(!server.shutdown_requested(), "no shutdown before hello");
-            assert!(server.conns.is_empty(), "connection severed");
-        }
-
-        let mut server = test_server(Some(64));
-        let addr = server.listen_addr().unwrap();
-        let mut client = TcpStream::connect(addr).unwrap();
-        let mut bytes = hello_bytes(vec![(0, HostId(8))]);
-        bytes.extend(shutdown);
-        client.write_all(&bytes).unwrap();
-        client.flush().unwrap();
-        poll_until(&mut server, NetServer::shutdown_requested);
-        assert_eq!(server.metrics.conn_denied.get(), 0);
-    }
-
-    /// The quarantine verdict gates inbound envelopes by *source*, not
-    /// just hellos: a denied pair delivering over a fresh connection
-    /// with a sanitized hello is still dropped.
-    #[test]
-    fn denied_source_envelopes_are_dropped_even_after_reconnect() {
-        let mut server = test_server(Some(64));
-        server.denied.insert((0, HostId(9)));
-        let addr = server.listen_addr().unwrap();
-        let mut client = TcpStream::connect(addr).unwrap();
-        // The hello does not announce the denied pair, so it passes.
-        let mut bytes = hello_bytes(vec![(0, HostId(8))]);
-        bytes.extend(fragment_envelope(
-            HostId(9),
-            &frag("svd-f1", "svd-t1", "svd-b", "svd-c"),
-        ));
-        client.write_all(&bytes).unwrap();
-        client.flush().unwrap();
-        poll_until(&mut server, |s| s.metrics.conn_quarantine_drops.get() >= 1);
-        assert_eq!(
-            server.core(0, HostId(0)).fragment_mgr().len(),
-            1,
-            "denied source must not ingest"
-        );
-    }
-
-    /// Fragment/spec ingest is an explicit operator opt-in: the default
-    /// configuration refuses the envelopes (counted, connection kept).
-    #[test]
-    fn fragment_ingest_requires_operator_opt_in() {
-        let mut server = test_server(None);
-        let addr = server.listen_addr().unwrap();
-        let mut client = TcpStream::connect(addr).unwrap();
-        let mut bytes = hello_bytes(vec![(0, HostId(8))]);
-        bytes.extend(fragment_envelope(
-            HostId(8),
-            &frag("svo-f1", "svo-t1", "svo-b", "svo-c"),
-        ));
-        client.write_all(&bytes).unwrap();
-        client.flush().unwrap();
-        poll_until(&mut server, |s| s.metrics.rx_ingest_refused.get() >= 1);
-        assert_eq!(
-            server.core(0, HostId(0)).fragment_mgr().len(),
-            1,
-            "ingest is off by default"
-        );
-        assert_eq!(server.conns.len(), 1, "refusal is a drop, not a sever");
-    }
-
-    /// An enabled operator plane still budgets vocabulary: a connection
-    /// minting more distinct names than the configured cap is severed
-    /// with nothing interned, closing the flooding loophole the
-    /// protocol plane already guards against.
-    #[test]
-    fn operator_ingest_budget_severs_a_flooding_connection() {
-        let mut server = test_server(Some(6));
-        let addr = server.listen_addr().unwrap();
-        let mut client = TcpStream::connect(addr).unwrap();
-        let mut bytes = hello_bytes(vec![(0, HostId(8))]);
-        // Within budget: one fragment (4 distinct names) ingests.
-        bytes.extend(fragment_envelope(
-            HostId(8),
-            &frag("svb-f1", "svb-t1", "svb-b", "svb-c"),
-        ));
-        // Over budget: a second fragment of 4 fresh names blows the cap
-        // of 6 and must sever the connection, interning nothing.
-        bytes.extend(fragment_envelope(
-            HostId(8),
-            &frag("svb-f2", "svb-t2", "svb-d", "svb-e"),
-        ));
-        client.write_all(&bytes).unwrap();
-        client.flush().unwrap();
-        poll_until(&mut server, |s| s.metrics.decode_rejections.get() >= 1);
-        assert_eq!(
-            server.core(0, HostId(0)).fragment_mgr().len(),
-            2,
-            "the within-budget fragment ingested"
-        );
-        assert!(server.conns.is_empty(), "the flooding connection severed");
-    }
-
-    /// A peer that goes away is noticed by the loop itself: the `read`
-    /// its hang-up makes ready reports the close, the connection is
-    /// dropped and the pairs it served are unmapped.
-    #[test]
-    fn peer_disconnect_is_reported() {
-        let mut server = test_server(None);
-        let addr = server.listen_addr().unwrap();
-        let mut client = TcpStream::connect(addr).unwrap();
-        client
-            .write_all(&hello_bytes(vec![(0, HostId(8))]))
-            .unwrap();
-        poll_until(&mut server, |s| s.connected_remote_hosts() == 1);
-        assert_eq!(server.metrics.conn_closed.get(), 0);
-        client.shutdown(std::net::Shutdown::Both).unwrap();
-        drop(client);
-        poll_until(&mut server, |s| s.metrics.conn_closed.get() == 1);
-        assert!(server.conns.is_empty(), "the connection is gone");
-        assert_eq!(server.connected_remote_hosts(), 0, "and so is its route");
-    }
-
     /// Inbound is bounded by construction. A client blasting 4 MiB at a
     /// server that is polled slowly is read a budget at a time — after
     /// every turn the server holds less than one frame of it — and a
@@ -1427,18 +635,19 @@ mod tests {
             client // open until the server has read it all
         });
 
+        let counter = |server: &NetServer, name: &str| server.obs.metrics.counter(name).get();
         let turn = |server: &mut NetServer| {
-            let before = server.metrics.rx_bytes.get();
+            let before = counter(server, "net.rx_bytes");
             server.poll(Duration::from_millis(2));
-            for conn in server.conns.values() {
+            for conn in server.core.conns.values() {
                 assert!(
                     conn.decoder.buffered() < envelope.len(),
                     "at most one partial frame stays buffered between turns"
                 );
             }
-            let read = (server.metrics.rx_bytes.get() - before) as usize;
+            let read = (counter(server, "net.rx_bytes") - before) as usize;
             assert!(
-                read <= server.conns.len() * READ_BUDGET,
+                read <= server.core.conns.len() * READ_BUDGET,
                 "no connection is read past its budget in one turn: {read}"
             );
             read
@@ -1468,12 +677,12 @@ mod tests {
         // The rest of the flood still arrives, under the same bound:
         // its frames, the two hellos and the fair connection's one.
         let deadline = Instant::now() + Duration::from_secs(30);
-        while server.metrics.rx_frames.get() < frames as u64 + 3 {
+        while counter(&server, "net.rx_frames") < frames as u64 + 3 {
             assert!(Instant::now() < deadline, "the flood never drained");
             turn(&mut server);
         }
-        assert_eq!(server.metrics.decode_rejections.get(), 0);
-        assert_eq!(server.conns.len(), 2, "both connections survived");
+        assert_eq!(counter(&server, "net.decode_rejections"), 0);
+        assert_eq!(server.core.conns.len(), 2, "both connections survived");
         drop(flooder.join().unwrap());
     }
 }
