@@ -1,12 +1,14 @@
 //! Wire codec gate: steady-state decode against encode over the 1k
 //! layered universe.
 //!
-//! Steady-state decode (the identity-cache hit path every host runs for
-//! re-announced knowhow) must stay within [`DECODE_ENCODE_SLACK`]× of
-//! encode, so the 3× decode gap that cache closed cannot silently
-//! reopen — a broken cache alone pushes the ratio past the gate. Only
-//! the within-run ratio is checked; absolute codec cost is `owms-bench`'s
-//! `wire.{encode,decode,decode_cached}_ns_per_frame`.
+//! Steady-state decode must stay within [`DECODE_ENCODE_SLACK`]× of
+//! encode, so the 3× decode gap the identity cache closed cannot
+//! silently reopen. The decode timed is the path a host runs for
+//! knowhow it already holds: parse, charge and batch-intern the name
+//! table, read the payload into its content key, and hit the cache on
+//! that key — no graph rebuild. A broken cache alone pushes the ratio
+//! past the gate. Only the within-run ratio is checked; absolute codec
+//! cost is `owms-bench`'s `wire.{encode,decode,decode_cached}_ns_per_frame`.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -15,10 +17,10 @@ use openwf_bench::scale::layered_universe;
 use openwf_wire::{decode_fragment_with, encode_fragment, DecodeScratch, VocabularyBudget};
 
 /// Steady-state decode (`decode_cached`) mean time may be at most this
-/// many times the encode mean. The measured ratio is well under 1× on an
-/// idle machine; the slack absorbs shared-runner noise, not a real
-/// regression — losing the identity cache alone lands the ratio near
-/// 2×, past this gate.
+/// many times the encode mean. The ratio reads about 1.0× (median 1.02,
+/// 0.92–1.41 over eleven runs on a shared 2-vCPU box); the slack absorbs
+/// shared-runner noise, not a real regression — losing the identity
+/// cache alone lands the ratio at 2.3–2.7× there, past this gate.
 const DECODE_ENCODE_SLACK: f64 = 1.5;
 
 const FRAGMENTS: usize = 1_000;

@@ -19,9 +19,10 @@ use std::sync::Arc;
 
 use openwf_core::{Fragment, Interned, Label, TaskId};
 use openwf_simnet::{HostId, SimDuration, SimTime};
-use openwf_wire::model::{read_fragment_resolved, read_spec_resolved, write_fragment};
+use openwf_wire::model::{read_spec_resolved, write_fragment};
 use openwf_wire::{
-    read_frame, DecodeScratch, FrameEncoder, PayloadReader, VocabularyBudget, WireError, TAG_MSG,
+    read_frame, DecodeScratch, FrameEncoder, PayloadReader, Resolved, VocabularyBudget, WireError,
+    TAG_MSG,
 };
 
 use crate::messages::{Msg, ProblemId};
@@ -329,79 +330,76 @@ pub fn decode_msg_with(
     budget: &mut VocabularyBudget,
     scratch: &mut DecodeScratch,
 ) -> Result<(Msg, usize), WireError> {
-    let (frame, consumed) = scratch.take_frame(buf)?;
-    openwf_wire::model::admit_frame(&frame, TAG_MSG, budget)?;
-    scratch.resolve(&frame);
-    let mut r = frame.reader();
-    let variant = r.byte()?;
-    let (names, frag_scratch, cache) = scratch.split();
-    let msg = match variant {
+    scratch.decode(buf, TAG_MSG, budget, read_msg)
+}
+
+/// Reads one message payload: its variant byte, then that variant's body.
+fn read_msg(r: &mut PayloadReader<'_, '_>, frame: &mut Resolved<'_>) -> Result<Msg, WireError> {
+    let names = frame.names();
+    Ok(match r.byte()? {
         V_INITIATE => Msg::Initiate {
-            problem: read_problem(&mut r)?,
-            spec: read_spec_resolved(&mut r, names)?,
+            problem: read_problem(r)?,
+            spec: read_spec_resolved(r, names)?,
         },
         V_FRAGMENT_QUERY => Msg::FragmentQuery {
-            problem: read_problem(&mut r)?,
-            round: read_u32(&mut r)?,
-            labels: read_labels(&mut r, names)?,
-            tasks: read_tasks(&mut r, names)?,
+            problem: read_problem(r)?,
+            round: read_u32(r)?,
+            labels: read_labels(r, names)?,
+            tasks: read_tasks(r, names)?,
         },
         V_FRAGMENT_REPLY => {
-            let problem = read_problem(&mut r)?;
-            let round = read_u32(&mut r)?;
+            let problem = read_problem(r)?;
+            let round = read_u32(r)?;
             let n = r.varint()?;
             let n = r.guard_count(n, 3)?;
             let mut fragments: Vec<Arc<Fragment>> = Vec::with_capacity(n);
             for _ in 0..n {
-                fragments.push(read_fragment_resolved(&mut r, names, frag_scratch, cache)?);
+                fragments.push(frame.fragment(r)?);
             }
             Msg::FragmentReply {
                 problem,
                 round,
                 fragments,
-                capable: read_tasks(&mut r, names)?,
+                capable: read_tasks(r, names)?,
             }
         }
         V_CALL_FOR_BIDS => Msg::CallForBids {
-            problem: read_problem(&mut r)?,
-            tasks: read_tasks(&mut r, names)?,
+            problem: read_problem(r)?,
+            tasks: read_tasks(r, names)?,
         },
         V_BIDS => {
-            let problem = read_problem(&mut r)?;
+            let problem = read_problem(r)?;
             let n = r.varint()?;
             let n = r.guard_count(n, 2)?;
             let mut answers = Vec::with_capacity(n);
             for _ in 0..n {
                 let task = r.interned(names)?.task();
-                answers.push((task, read_opt(&mut r, read_bid)?));
+                answers.push((task, read_opt(r, read_bid)?));
             }
             Msg::Bids { problem, answers }
         }
         V_AWARD => Msg::Award {
-            problem: read_problem(&mut r)?,
-            won: read_tasks(&mut r, names)?,
-            lost: read_tasks(&mut r, names)?,
+            problem: read_problem(r)?,
+            won: read_tasks(r, names)?,
+            lost: read_tasks(r, names)?,
         },
         V_ABANDON => Msg::Abandon {
-            problem: read_problem(&mut r)?,
+            problem: read_problem(r)?,
         },
         V_EXECUTE => Msg::Execute {
-            problem: read_problem(&mut r)?,
-            plan: read_plan(&mut r, names)?,
+            problem: read_problem(r)?,
+            plan: read_plan(r, names)?,
         },
         V_INPUT_DELIVERY => Msg::InputDelivery {
-            problem: read_problem(&mut r)?,
+            problem: read_problem(r)?,
             label: r.interned(names)?.label(),
         },
         V_GOAL_DELIVERED => Msg::GoalDelivered {
-            problem: read_problem(&mut r)?,
+            problem: read_problem(r)?,
             label: r.interned(names)?.label(),
         },
         other => return Err(WireError::UnknownTag(other)),
-    };
-    r.expect_end()?;
-    scratch.recycle(frame);
-    Ok((msg, consumed))
+    })
 }
 
 /// True when the `TAG_MSG` frame at the head of `buf` carries a

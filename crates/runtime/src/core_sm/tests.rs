@@ -842,6 +842,50 @@ fn rebinding_to_another_identity_panics() {
     core.bind(HostId(1));
 }
 
+/// A peer frame that parses but fails its tag, the vocabulary budget or
+/// its payload keeps the core's span buffer: every frame after the first
+/// reuses it, and the published `decode.span_reuses` says so.
+#[test]
+fn a_decode_error_keeps_the_span_buffer_in_the_published_figures() {
+    let obs = Obs::enabled();
+    let cfg = HostConfig::new()
+        .with_fragment(frag("sr-f0", "sr-t0", "sr-a", "sr-b"))
+        .with_vocabulary_cap(6)
+        .with_observability(obs.clone());
+    let mut core = HostCore::new(cfg, RuntimeParams::default());
+    core.bind(HostId(0));
+    core.set_community(vec![HostId(0), HostId(1)]);
+    let problem = ProblemId::new(HostId(1), 0);
+    let good = frame(&Msg::GoalDelivered {
+        problem,
+        label: Label::new("sr-b"),
+    });
+    let mut wrong_tag = Vec::new();
+    openwf_wire::encode_spec(&Spec::new(["sr-a"], ["sr-b"]), &mut wrong_tag);
+    let over_budget = frame(&Msg::FragmentQuery {
+        problem,
+        round: 0,
+        labels: (0..4)
+            .map(|i| Label::new(format!("sr-fresh-{i}")))
+            .collect(),
+        tasks: Vec::new(),
+    });
+    let mut unknown_variant = Vec::new();
+    let mut enc = openwf_wire::FrameEncoder::new(openwf_wire::TAG_MSG);
+    enc.byte(200);
+    enc.name(Label::new("sr-a").sym());
+    enc.finish(&mut unknown_variant);
+
+    core.handle_frame(HostId(1), &good, SimTime::ZERO);
+    for bad in [&wrong_tag, &over_budget, &unknown_variant] {
+        core.handle_frame(HostId(1), bad, SimTime::ZERO);
+        core.handle_frame(HostId(1), &good, SimTime::ZERO);
+    }
+    core.publish_metrics();
+    assert_eq!(obs.metrics.counter("decode.frames").get(), 7);
+    assert_eq!(obs.metrics.counter("decode.span_reuses").get(), 6);
+}
+
 /// Quarantine: after `max_vocabulary_rejections` over-budget frames
 /// from one peer, its traffic is dropped and the event surfaces
 /// exactly once.

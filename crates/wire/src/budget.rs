@@ -79,30 +79,20 @@ impl VocabularyBudget {
 
     /// Charges a frame's name table against the budget, atomically:
     /// either every fresh name is admitted (and only then interned), or
-    /// — past the cap — none is and nothing was interned.
+    /// — past the cap — none is and nothing was interned. Takes any
+    /// re-iterable name sequence, so [`crate::DecodeScratch::decode`]
+    /// feeds a frame's borrowed table through without materializing a
+    /// `Vec<&str>`.
     ///
     /// A name is *fresh* when it is not already recorded in this budget;
     /// names another co-hosted community interned still charge this
     /// host's budget on first sight, exactly like admission-time
     /// guarding. Returns the number of fresh names admitted.
     ///
-    /// # Errors
-    ///
-    /// [`WireError::VocabularyExceeded`] when admitting the table would
-    /// push the distinct-name count past the cap.
-    pub fn charge_names(&mut self, names: &[&str]) -> Result<usize, WireError> {
-        self.charge_iter(names.iter().copied())
-    }
-
-    /// [`VocabularyBudget::charge_names`] over any (re-iterable) name
-    /// sequence — what [`crate::model::admit_frame`] feeds a frame's
-    /// borrowed table through without materializing a `Vec<&str>`.
-    ///
-    /// Identical accounting, batched locking: the whole table is probed
-    /// in **one** interner read pass ([`Sym::lookup_batch`]) and — only
-    /// after the cap clears — its fresh names are interned in one more
-    /// pass ([`Sym::intern_batch`]), instead of two lock round-trips per
-    /// name.
+    /// The whole table is probed in **one** interner read pass
+    /// ([`Sym::lookup_batch`]) and — only after the cap clears — its
+    /// fresh names are interned in one more pass ([`Sym::intern_batch`]),
+    /// instead of two lock round-trips per name.
     ///
     /// # Errors
     ///
@@ -154,26 +144,30 @@ mod tests {
     #[test]
     fn uncapped_budget_admits_everything_and_tracks_nothing() {
         let mut b = VocabularyBudget::unlimited();
-        assert_eq!(b.charge_names(&["wb-a", "wb-b"]).unwrap(), 0);
+        assert_eq!(b.charge_iter(["wb-a", "wb-b"].into_iter()).unwrap(), 0);
         assert!(b.is_empty(), "no cap, no bookkeeping");
     }
 
     #[test]
     fn capped_budget_counts_distinct_names() {
         let mut b = VocabularyBudget::with_cap(10);
-        assert_eq!(b.charge_names(&["wbc-a", "wbc-b", "wbc-a"]).unwrap(), 2);
+        assert_eq!(
+            b.charge_iter(["wbc-a", "wbc-b", "wbc-a"].into_iter())
+                .unwrap(),
+            2
+        );
         assert_eq!(b.len(), 2);
         // Already-admitted names are free.
-        assert_eq!(b.charge_names(&["wbc-b"]).unwrap(), 0);
+        assert_eq!(b.charge_iter(["wbc-b"].into_iter()).unwrap(), 0);
     }
 
     #[test]
     fn over_budget_frame_interns_nothing() {
         let mut b = VocabularyBudget::with_cap(2);
-        b.charge_names(&["wbo-a", "wbo-b"]).unwrap();
+        b.charge_iter(["wbo-a", "wbo-b"].into_iter()).unwrap();
         let victim = "wbo-never-interned-name";
         assert_eq!(Sym::lookup(victim), None);
-        let err = b.charge_names(&["wbo-a", victim]).unwrap_err();
+        let err = b.charge_iter(["wbo-a", victim].into_iter()).unwrap_err();
         assert!(matches!(err, WireError::VocabularyExceeded { cap: 2, .. }));
         assert_eq!(b.len(), 2, "rejected frame records nothing");
         assert_eq!(
@@ -192,8 +186,8 @@ mod tests {
         assert_eq!(b.len(), 4);
         // A peer echoing the same names is admitted; one fresh name is not.
         assert!(b
-            .charge_names(&["wbs-f", "wbs-t", "wbs-a", "wbs-b"])
+            .charge_iter(["wbs-f", "wbs-t", "wbs-a", "wbs-b"].into_iter())
             .is_ok());
-        assert!(b.charge_names(&["wbs-fresh"]).is_err());
+        assert!(b.charge_iter(["wbs-fresh"].into_iter()).is_err());
     }
 }

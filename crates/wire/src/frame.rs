@@ -27,7 +27,7 @@ use crate::varint;
 /// pool one span buffer across frames parsed from different input
 /// buffers (see [`read_frame_reusing`]) — something a `Vec<&str>` table
 /// could never do without `unsafe`.
-pub type NameSpan = (u32, u32);
+pub(crate) type NameSpan = (u32, u32);
 
 /// The wire format version this crate encodes and decodes.
 pub const WIRE_VERSION: u8 = 1;
@@ -119,13 +119,13 @@ impl FrameEncoder {
 /// A parsed frame borrowing the input buffer: header fields, the name
 /// table as **un-interned** byte spans, and the raw payload.
 ///
-/// The table is stored as [`NameSpan`]s into the borrowed body — parsing
-/// copies no string data, and the span buffer itself can be recycled
-/// across frames ([`read_frame_reusing`] / [`FrameView::into_spans`]).
-/// Decode hot paths resolve the whole table in one interner pass with
-/// [`FrameView::interned_names`] and then index into the resolved table;
-/// per-name borrowed access ([`FrameView::name_at`]) remains for cold
-/// paths and reference decoders.
+/// The table is stored as `(start, end)` spans into the borrowed body —
+/// parsing copies no string data, and [`crate::DecodeScratch`] recycles
+/// the span buffer across frames. Decode hot paths resolve the whole
+/// table in one interner pass with [`FrameView::interned_names`] and
+/// then index into the resolved table; per-name borrowed access
+/// ([`FrameView::name_at`]) remains for cold paths and reference
+/// decoders.
 #[derive(Debug)]
 pub struct FrameView<'a> {
     /// Wire format version (always [`WIRE_VERSION`] after a successful
@@ -189,7 +189,7 @@ impl<'a> FrameView<'a> {
 
     /// Consumes the view, returning its span buffer for reuse by a later
     /// [`read_frame_reusing`] call (the spans are lifetime-free).
-    pub fn into_spans(self) -> Vec<NameSpan> {
+    pub(crate) fn into_spans(self) -> Vec<NameSpan> {
         self.spans
     }
 }
@@ -301,9 +301,9 @@ pub fn read_frame(buf: &[u8]) -> Result<(FrameView<'_>, usize), WireError> {
 ///
 /// # Errors
 ///
-/// Same as [`read_frame`]. On error the span buffer is dropped (errors
-/// are the cold path; the next call simply allocates afresh).
-pub fn read_frame_reusing(
+/// Same as [`read_frame`]. On error the span buffer is dropped (a frame
+/// that fails to parse is the cold path; the next call allocates afresh).
+pub(crate) fn read_frame_reusing(
     buf: &[u8],
     mut spans: Vec<NameSpan>,
 ) -> Result<(FrameView<'_>, usize), WireError> {
@@ -406,20 +406,6 @@ impl<'a> PayloadReader<'a, '_> {
         self.frame
             .name_at(idx as usize)
             .ok_or(WireError::Malformed("name index out of table range"))
-    }
-
-    /// Reads a name reference, returning its bounds-checked table index
-    /// (for callers that index into a batch-resolved table themselves).
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Malformed`] when the index is out of table range.
-    pub fn name_index(&mut self) -> Result<usize, WireError> {
-        let idx = self.varint()? as usize;
-        if idx >= self.frame.name_count() {
-            return Err(WireError::Malformed("name index out of table range"));
-        }
-        Ok(idx)
     }
 
     /// Reads a name reference and resolves it against a batch-resolved

@@ -12,6 +12,12 @@
 //! * **Model codecs** ([`model`]): [`openwf_core::Fragment`] and
 //!   [`openwf_core::Spec`] payloads. (`openwf-runtime::codec` builds the
 //!   full message codec for every `Msg` variant on the same primitives.)
+//! * **One receive path** ([`DecodeScratch::decode`]): every decoder —
+//!   fragment, spec, protocol message — runs the same admit sequence
+//!   over a per-connection scratch: parse, tag check, budget charge,
+//!   one interner batch, payload reader, end of frame. Its
+//!   [`FragmentCache`] answers a fragment already decoded or held, keyed
+//!   by content, without rebuilding its graph.
 //! * **The decode trust boundary** ([`VocabularyBudget`]): each frame's
 //!   name table is charged against a per-host vocabulary budget *before
 //!   anything is interned*, so an over-budget peer payload is rejected
@@ -45,13 +51,12 @@ pub mod varint;
 pub use budget::VocabularyBudget;
 pub use error::WireError;
 pub use frame::{
-    frame_extent, frame_tag, read_frame, read_frame_reusing, FrameDecoder, FrameEncoder, FrameView,
-    NameSpan, Names, PayloadReader, MAX_FRAME_LEN, MAX_NAME_LEN, WIRE_VERSION,
+    frame_extent, frame_tag, read_frame, FrameDecoder, FrameEncoder, FrameView, Names,
+    PayloadReader, MAX_FRAME_LEN, MAX_NAME_LEN, WIRE_VERSION,
 };
 pub use model::{
     decode_fragment, decode_fragment_with, decode_spec, encode_fragment, encode_spec,
-    read_fragment_resolved, read_spec_resolved, DecodeScratch, FragKey, FragScratch, FragmentCache,
-    DEFAULT_FRAGMENT_CACHE_CAP, TAG_FRAGMENT, TAG_MSG, TAG_SPEC,
+    read_spec_resolved, DecodeScratch, FragmentCache, Resolved, TAG_FRAGMENT, TAG_MSG, TAG_SPEC,
 };
 pub use storage::{
     crc32, DurableFragmentStore, StorageError, StoragePolicy, StoreOpStats,

@@ -12,6 +12,11 @@
 //! The decoder rebuilds the fragment's graph node by node and re-runs the
 //! full workflow validity check, so a corrupted payload yields a
 //! [`WireError`], never an invalid in-memory model (and never a panic).
+//!
+//! Every decode — a fragment, a spec, or a protocol message in
+//! `openwf-runtime::codec` — goes through [`DecodeScratch::decode`], the
+//! one admit sequence: parse, check the tag, charge the name table,
+//! intern it in one batch, read the payload to its end.
 
 use std::sync::Arc;
 
@@ -21,7 +26,7 @@ use openwf_core::{
 };
 
 use crate::error::WireError;
-use crate::frame::{read_frame, FrameEncoder, FrameView, NameSpan, PayloadReader};
+use crate::frame::{read_frame_reusing, FrameEncoder, FrameView, NameSpan, PayloadReader};
 use crate::VocabularyBudget;
 
 /// Frame tag: one [`Fragment`].
@@ -69,9 +74,9 @@ pub fn write_fragment(enc: &mut FrameEncoder, fragment: &Fragment) {
 /// Reads a fragment payload, rebuilding and re-validating its workflow.
 ///
 /// This is the straight-line **reference decoder**: one interner lock
-/// per name reference, fresh allocations per fragment, no caching. The
-/// hot receive path uses [`read_fragment_resolved`] instead; property
-/// tests hold the two bit-identical.
+/// per name reference, fresh allocations per fragment, no caching. Every
+/// decode runs [`Resolved::fragment`] instead; property tests hold the
+/// two bit-identical.
 ///
 /// # Errors
 ///
@@ -132,30 +137,9 @@ pub fn write_spec(enc: &mut FrameEncoder, spec: &Spec) {
     }
 }
 
-/// Reads a spec payload.
-///
-/// # Errors
-///
-/// Any [`WireError`] on truncated or corrupt input.
-pub fn read_spec(r: &mut PayloadReader<'_, '_>) -> Result<Spec, WireError> {
-    let n_triggers = r.varint()?;
-    let n_triggers = r.guard_count(n_triggers, 1)?;
-    let mut triggers = Vec::with_capacity(n_triggers);
-    for _ in 0..n_triggers {
-        triggers.push(r.name()?);
-    }
-    let n_goals = r.varint()?;
-    let n_goals = r.guard_count(n_goals, 1)?;
-    let mut goals = Vec::with_capacity(n_goals);
-    for _ in 0..n_goals {
-        goals.push(r.name()?);
-    }
-    Ok(Spec::new(triggers, goals))
-}
-
-/// [`read_spec`] against a batch-resolved name table (see
-/// [`FrameView::interned_names`]): every label resolves by table index —
-/// a bit copy — instead of a per-name interner round-trip.
+/// Reads a spec payload against a frame's resolved name table
+/// ([`Resolved::names`]): every label resolves by table index — a bit
+/// copy — instead of a per-name interner round-trip.
 ///
 /// # Errors
 ///
@@ -179,27 +163,6 @@ pub fn read_spec_resolved(
     Ok(Spec::new(triggers, goals))
 }
 
-/// Checks a parsed frame's version/tag and charges its name table.
-///
-/// # Errors
-///
-/// [`WireError::UnexpectedTag`] on a tag mismatch, or the budget's
-/// [`WireError::VocabularyExceeded`].
-pub fn admit_frame(
-    frame: &FrameView<'_>,
-    expected_tag: u8,
-    budget: &mut VocabularyBudget,
-) -> Result<(), WireError> {
-    if frame.tag != expected_tag {
-        return Err(WireError::UnexpectedTag {
-            expected: expected_tag,
-            found: frame.tag,
-        });
-    }
-    budget.charge_iter(frame.names())?;
-    Ok(())
-}
-
 /// Encodes one fragment as a complete [`TAG_FRAGMENT`] frame onto `out`.
 pub fn encode_fragment(fragment: &Fragment, out: &mut Vec<u8>) {
     let mut enc = FrameEncoder::new(TAG_FRAGMENT);
@@ -209,7 +172,9 @@ pub fn encode_fragment(fragment: &Fragment, out: &mut Vec<u8>) {
 
 /// Decodes one [`TAG_FRAGMENT`] frame from the head of `buf`, charging
 /// its vocabulary against `budget` before interning anything. Returns
-/// the fragment and the bytes consumed.
+/// the fragment and the bytes consumed. One-shot: a fresh scratch with
+/// the identity cache off; a receive loop holds a [`DecodeScratch`] and
+/// calls [`decode_fragment_with`].
 ///
 /// # Errors
 ///
@@ -219,12 +184,7 @@ pub fn decode_fragment(
     buf: &[u8],
     budget: &mut VocabularyBudget,
 ) -> Result<(Arc<Fragment>, usize), WireError> {
-    let (frame, consumed) = read_frame(buf)?;
-    admit_frame(&frame, TAG_FRAGMENT, budget)?;
-    let mut r = frame.reader();
-    let fragment = read_fragment(&mut r)?;
-    r.expect_end()?;
-    Ok((Arc::new(fragment), consumed))
+    decode_fragment_with(buf, budget, &mut DecodeScratch::with_cache_capacity(0))
 }
 
 /// Encodes one spec as a complete [`TAG_SPEC`] frame onto `out`.
@@ -243,16 +203,13 @@ pub fn encode_spec(spec: &Spec, out: &mut Vec<u8>) {
 /// Any [`WireError`]; on [`WireError::VocabularyExceeded`] no name was
 /// interned.
 pub fn decode_spec(buf: &[u8], budget: &mut VocabularyBudget) -> Result<(Spec, usize), WireError> {
-    let (frame, consumed) = read_frame(buf)?;
-    admit_frame(&frame, TAG_SPEC, budget)?;
-    let mut r = frame.reader();
-    let spec = read_spec(&mut r)?;
-    r.expect_end()?;
-    Ok((spec, consumed))
+    DecodeScratch::with_cache_capacity(0).decode(buf, TAG_SPEC, budget, |r, frame| {
+        read_spec_resolved(r, frame.names())
+    })
 }
 
 /// Default [`FragmentCache`] capacity, in entries.
-pub const DEFAULT_FRAGMENT_CACHE_CAP: usize = 4096;
+const DEFAULT_FRAGMENT_CACHE_CAP: usize = 4096;
 
 /// Incremental FNV-1a (64-bit) over a fragment's wire content — the
 /// hash half of a [`FragKey`]. Folded over exactly the same material on
@@ -276,42 +233,8 @@ impl KeyHasher {
         }
     }
 
-    fn write_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u8(b);
-        }
-    }
-
     fn finish(self) -> u64 {
         self.0
-    }
-}
-
-/// Identity of a fragment's *encoded* frame: length plus a 64-bit
-/// FNV-1a over the raw frame bytes (length prefix, header, name table,
-/// payload — everything).
-///
-/// Encoding is deterministic — node order is graph insertion order and
-/// the name table is first-reference order — and decode→re-encode is
-/// bit-identical (property-tested), so a re-announced fragment arrives
-/// as exactly the bytes that keyed its first decode. Probing this key
-/// touches neither the interner nor the payload: hash the frame, look
-/// up, done — which is what lets a cache hit beat encode throughput
-/// even when the process vocabulary no longer fits in cache.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-struct RawFrameKey {
-    len: u32,
-    hash: u64,
-}
-
-impl RawFrameKey {
-    fn of_bytes(frame: &[u8]) -> RawFrameKey {
-        let mut h = KeyHasher::new();
-        h.write_bytes(frame);
-        RawFrameKey {
-            len: frame.len() as u32,
-            hash: h.finish(),
-        }
     }
 }
 
@@ -328,7 +251,7 @@ impl RawFrameKey {
 /// vanishingly unlikely event, accepted by design (same stance as any
 /// content-addressed dedup store).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct FragKey {
+struct FragKey {
     id: Sym,
     hash: u64,
     nodes: u32,
@@ -339,7 +262,7 @@ impl FragKey {
     /// The key of an in-memory fragment — by construction the same key
     /// its [`encode_fragment`] bytes produce when decoded, so a host can
     /// prime a decode cache from fragments it already holds.
-    pub fn of_fragment(fragment: &Fragment) -> FragKey {
+    fn of_fragment(fragment: &Fragment) -> FragKey {
         let g = fragment.graph();
         let mut h = KeyHasher::new();
         for (idx, key) in g.nodes() {
@@ -359,14 +282,14 @@ impl FragKey {
     }
 }
 
-/// Frame-level fragment-identity cache: content key → shared
-/// [`Arc<Fragment>`].
+/// Fragment-identity cache: content key → shared [`Arc<Fragment>`].
 ///
-/// A re-announced fragment (gossip echo, periodic re-advertisement,
-/// storage replay of a hot record) skips graph rebuild and re-validation
-/// entirely and returns the already-decoded `Arc`. An entry is inserted
-/// only after a full successful decode of identical content, so a hit is
-/// bit-identical to a fresh decode by construction.
+/// A fragment a host already decoded or holds — a peer's knowhow in the
+/// next round's reply, the host's own knowhow echoed back — skips graph
+/// rebuild and re-validation entirely and returns the already-decoded
+/// `Arc`. An entry is inserted only after a full successful decode of
+/// identical content, so a hit is bit-identical to a fresh decode by
+/// construction.
 ///
 /// Eviction is whole-cache: when the entry cap is reached the map is
 /// cleared and refilled by subsequent decodes. Crude but allocation-free
@@ -377,52 +300,19 @@ impl FragKey {
 #[derive(Debug)]
 pub struct FragmentCache {
     map: FxHashMap<FragKey, Arc<Fragment>>,
-    /// Secondary index for standalone fragment frames, keyed by the raw
-    /// frame bytes ([`RawFrameKey`]). A hit here skips name resolution
-    /// and payload parsing entirely. Fragments embedded in larger frames
-    /// (`FragmentReply`) only populate `map` — their name-table indices
-    /// are frame-relative, so their byte ranges are not stable identity.
-    raw: FxHashMap<RawFrameKey, Arc<Fragment>>,
-    /// Scratch buffer for re-encoding admitted fragments into raw keys.
-    enc: Vec<u8>,
     cap: usize,
     hits: u64,
     misses: u64,
 }
 
-impl Default for FragmentCache {
-    fn default() -> Self {
-        FragmentCache::with_capacity(DEFAULT_FRAGMENT_CACHE_CAP)
-    }
-}
-
 impl FragmentCache {
-    /// A cache with the default capacity
-    /// ([`DEFAULT_FRAGMENT_CACHE_CAP`]).
-    pub fn new() -> Self {
-        FragmentCache::default()
-    }
-
-    /// A cache holding at most `cap` fragments; `0` disables caching.
-    pub fn with_capacity(cap: usize) -> Self {
+    fn with_capacity(cap: usize) -> Self {
         FragmentCache {
             map: FxHashMap::default(),
-            raw: FxHashMap::default(),
-            enc: Vec::new(),
             cap,
             hits: 0,
             misses: 0,
         }
-    }
-
-    /// Entries currently cached.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
     }
 
     /// Decode lookups answered from the cache.
@@ -435,28 +325,11 @@ impl FragmentCache {
         self.misses
     }
 
-    /// Drops every entry (counters are kept).
-    pub fn clear(&mut self) {
-        self.map.clear();
-        self.raw.clear();
-    }
-
-    /// Primes the cache with an already-held fragment under both keys:
-    /// its decoded-content key ([`FragKey::of_fragment`]) and the raw
-    /// bytes of its canonical frame encoding — so a host's own knowhow
-    /// echoed back by a peer hits on first receipt, whether it arrives
-    /// standalone or embedded in a reply.
+    /// Primes the cache with an already-held fragment under its content
+    /// key, so a host's own knowhow echoed back by a peer hits on first
+    /// receipt.
     pub fn admit(&mut self, fragment: &Arc<Fragment>) {
-        if self.cap == 0 {
-            return;
-        }
         self.insert(FragKey::of_fragment(fragment), Arc::clone(fragment));
-        self.enc.clear();
-        let mut enc = std::mem::take(&mut self.enc);
-        encode_fragment(fragment, &mut enc);
-        self.raw
-            .insert(RawFrameKey::of_bytes(&enc), Arc::clone(fragment));
-        self.enc = enc;
     }
 
     /// True when lookups can ever hit (capacity is non-zero). A disabled
@@ -481,48 +354,23 @@ impl FragmentCache {
         }
     }
 
-    fn get_raw(&mut self, key: &RawFrameKey) -> Option<Arc<Fragment>> {
-        if self.cap == 0 {
-            return None;
-        }
-        match self.raw.get(key) {
-            Some(f) => {
-                self.hits += 1;
-                Some(Arc::clone(f))
-            }
-            // No miss count here: the decoder falls through to the
-            // content-keyed lookup, which books the outcome.
-            None => None,
-        }
-    }
-
     fn insert(&mut self, key: FragKey, fragment: Arc<Fragment>) {
         if self.cap == 0 {
             return;
         }
         if self.map.len() >= self.cap && !self.map.contains_key(&key) {
-            // Whole-cache eviction drops both indexes together so a raw
-            // entry can never outlive its content-keyed twin.
             self.map.clear();
-            self.raw.clear();
         }
         self.map.insert(key, fragment);
     }
-
-    fn insert_raw(&mut self, key: RawFrameKey, fragment: Arc<Fragment>) {
-        if self.cap == 0 {
-            return;
-        }
-        self.raw.insert(key, fragment);
-    }
 }
 
-/// Reusable buffers for [`read_fragment_resolved`]: parsed node/edge
+/// Reusable buffers for [`Resolved::fragment`]: parsed node/edge
 /// staging, the node-index remap, and the validator's traversal scratch.
 /// All cleared per fragment, none deallocated — steady-state decodes
 /// allocate only the fragment they return.
 #[derive(Debug, Default)]
-pub struct FragScratch {
+struct FragScratch {
     nodes: Vec<(u8, Interned)>,
     edges: Vec<(u32, u32)>,
     idx: Vec<NodeIdx>,
@@ -569,169 +417,213 @@ impl DecodeScratch {
         }
     }
 
-    /// Total frames parsed through [`DecodeScratch::take_frame`].
+    /// Total frames parsed through [`DecodeScratch::decode`].
     pub fn frames_decoded(&self) -> u64 {
         self.frames
     }
 
     /// How many of those frames reused a recycled span buffer instead
     /// of allocating one (`frames_decoded - 1` in an ideal steady
-    /// state; decode errors drop the buffer and reset the streak).
+    /// state; only a frame that fails to parse drops the buffer).
     pub fn span_reuses(&self) -> u64 {
         self.reuses
     }
 
-    /// The fragment-identity cache (hit/miss counters, size).
+    /// The fragment-identity cache (hit/miss counters).
     pub fn cache(&self) -> &FragmentCache {
         &self.cache
     }
 
-    /// Mutable cache access — for priming ([`FragmentCache::admit`]) and
-    /// invalidation.
+    /// Mutable cache access — for priming ([`FragmentCache::admit`]).
     pub fn cache_mut(&mut self) -> &mut FragmentCache {
         &mut self.cache
     }
 
-    /// Parses the frame at the head of `buf` using the recycled span
-    /// buffer. Pair with [`DecodeScratch::recycle`] to return the spans
-    /// once done with the view.
+    /// Decodes the frame at the head of `buf` — the one admit sequence
+    /// every decoder runs:
+    ///
+    /// 1. parse the frame into the recycled span buffer;
+    /// 2. require its tag to be `tag`;
+    /// 3. charge its whole name table to `budget`, **before anything is
+    ///    interned**;
+    /// 4. intern the table in one batch ([`Resolved::names`]);
+    /// 5. run `read` over the payload, which must then be at its end.
+    ///
+    /// The span buffer is kept for the next frame on every path after
+    /// the parse, errors included. Returns the value and the bytes
+    /// consumed.
     ///
     /// # Errors
     ///
-    /// Same as [`crate::read_frame`]. On error the span buffer is
-    /// dropped (cold path; the next call re-allocates).
-    pub fn take_frame<'b>(&mut self, buf: &'b [u8]) -> Result<(FrameView<'b>, usize), WireError> {
+    /// Any [`WireError`] from the parse, [`WireError::UnexpectedTag`],
+    /// the budget's [`WireError::VocabularyExceeded`] (nothing interned,
+    /// nothing recorded), `read`'s error, or [`WireError::Malformed`] on
+    /// trailing payload bytes.
+    pub fn decode<T>(
+        &mut self,
+        buf: &[u8],
+        tag: u8,
+        budget: &mut VocabularyBudget,
+        read: impl FnOnce(&mut PayloadReader<'_, '_>, &mut Resolved<'_>) -> Result<T, WireError>,
+    ) -> Result<(T, usize), WireError> {
         self.frames += 1;
         let spans = std::mem::take(&mut self.spans);
         if spans.capacity() > 0 {
             self.reuses += 1;
         }
-        crate::frame::read_frame_reusing(buf, spans)
-    }
-
-    /// Batch-resolves `frame`'s name table into the scratch
-    /// ([`FrameView::interned_names`]). Call only after the frame cleared
-    /// the vocabulary budget.
-    pub fn resolve(&mut self, frame: &FrameView<'_>) {
-        frame.interned_names(&mut self.names);
-    }
-
-    /// Splits the scratch into the resolved name table, the fragment
-    /// staging buffers, and the cache — the three disjoint borrows
-    /// [`read_fragment_resolved`] takes.
-    pub fn split(&mut self) -> (&[Interned], &mut FragScratch, &mut FragmentCache) {
-        (&self.names, &mut self.frag, &mut self.cache)
-    }
-
-    /// Reclaims a finished frame's span buffer for the next
-    /// [`DecodeScratch::take_frame`].
-    pub fn recycle(&mut self, frame: FrameView<'_>) {
+        let (frame, consumed) = read_frame_reusing(buf, spans)?;
+        let value = self.admit(&frame, tag, budget, read);
         self.spans = frame.into_spans();
+        value.map(|v| (v, consumed))
+    }
+
+    /// Steps 2–5 of [`DecodeScratch::decode`], on a parsed frame.
+    fn admit<T>(
+        &mut self,
+        frame: &FrameView<'_>,
+        tag: u8,
+        budget: &mut VocabularyBudget,
+        read: impl FnOnce(&mut PayloadReader<'_, '_>, &mut Resolved<'_>) -> Result<T, WireError>,
+    ) -> Result<T, WireError> {
+        if frame.tag != tag {
+            return Err(WireError::UnexpectedTag {
+                expected: tag,
+                found: frame.tag,
+            });
+        }
+        budget.charge_iter(frame.names())?;
+        frame.interned_names(&mut self.names);
+        let mut r = frame.reader();
+        let value = read(
+            &mut r,
+            &mut Resolved {
+                names: &self.names,
+                frag: &mut self.frag,
+                cache: &mut self.cache,
+            },
+        )?;
+        r.expect_end()?;
+        Ok(value)
     }
 }
 
-/// [`read_fragment`] on the zero-copy path: resolves names by index into
-/// the batch-interned table, stages nodes/edges in recycled buffers,
-/// and consults the fragment-identity cache before rebuilding a graph.
-///
-/// Bit-identical accept/decode behaviour to [`read_fragment`]; on
-/// *multiply*-corrupt payloads the reported error variant can differ
-/// (this decoder fully parses the payload before building the graph, so
-/// a later parse error can win over an earlier model error), but every
-/// payload one accepts the other accepts, with an identical fragment.
-///
-/// # Errors
-///
-/// Any [`WireError`] on truncated, corrupt, or model-invalid input.
-pub fn read_fragment_resolved(
-    r: &mut PayloadReader<'_, '_>,
-    names: &[Interned],
-    scratch: &mut FragScratch,
-    cache: &mut FragmentCache,
-) -> Result<Arc<Fragment>, WireError> {
-    let id = r.interned(names)?;
-    let n_nodes = r.varint()?;
-    let n_nodes = r.guard_count(n_nodes, 2)?;
-    // Identity hashing is only worth folding when a hit is possible.
-    let keyed = cache.is_enabled();
-    let mut hasher = KeyHasher::new();
-    scratch.nodes.clear();
-    scratch.nodes.reserve(n_nodes);
-    for _ in 0..n_nodes {
-        let flags = r.byte()?;
-        let name = r.interned(names)?;
-        if flags != 0
-            && (flags & NODE_FLAG_TASK == 0
-                || flags & !(NODE_FLAG_TASK | NODE_FLAG_DISJUNCTIVE) != 0)
-        {
-            return Err(WireError::Malformed("unknown node flag bits"));
-        }
-        if keyed {
-            hasher.write_u8(flags);
-            hasher.write_u32(name.sym().id());
-        }
-        scratch.nodes.push((flags, name));
+/// What a payload reader run by [`DecodeScratch::decode`] reads
+/// against: the frame's name table, already charged and interned, and
+/// the fragment decoder with its staging buffers and identity cache.
+#[derive(Debug)]
+pub struct Resolved<'s> {
+    names: &'s [Interned],
+    frag: &'s mut FragScratch,
+    cache: &'s mut FragmentCache,
+}
+
+impl<'s> Resolved<'s> {
+    /// The frame's name table, one [`Interned`] per entry in table
+    /// order — what [`PayloadReader::interned`] resolves references
+    /// against.
+    pub fn names(&self) -> &'s [Interned] {
+        self.names
     }
-    let n_edges = r.varint()?;
-    let n_edges = r.guard_count(n_edges, 2)?;
-    scratch.edges.clear();
-    scratch.edges.reserve(n_edges);
-    for _ in 0..n_edges {
-        let from = r.varint()?;
-        let to = r.varint()?;
-        if from >= n_nodes as u64 || to >= n_nodes as u64 {
-            return Err(WireError::Malformed("edge endpoint out of node range"));
+
+    /// Reads one fragment payload: resolves names by index into the
+    /// interned table, stages nodes/edges in recycled buffers, and
+    /// consults the identity cache before rebuilding a graph.
+    ///
+    /// Accepts exactly what [`read_fragment`] accepts, with an identical
+    /// fragment; on *multiply*-corrupt payloads the reported error
+    /// variant can differ (this decoder fully parses the payload before
+    /// building the graph, so a later parse error can win over an earlier
+    /// model error).
+    ///
+    /// # Errors
+    ///
+    /// Any [`WireError`] on truncated, corrupt, or model-invalid input.
+    pub fn fragment(&mut self, r: &mut PayloadReader<'_, '_>) -> Result<Arc<Fragment>, WireError> {
+        let (names, scratch) = (self.names, &mut *self.frag);
+        let id = r.interned(names)?;
+        let n_nodes = r.varint()?;
+        let n_nodes = r.guard_count(n_nodes, 2)?;
+        // Identity hashing is only worth folding when a hit is possible.
+        let keyed = self.cache.is_enabled();
+        let mut hasher = KeyHasher::new();
+        scratch.nodes.clear();
+        scratch.nodes.reserve(n_nodes);
+        for _ in 0..n_nodes {
+            let flags = r.byte()?;
+            let name = r.interned(names)?;
+            if flags != 0
+                && (flags & NODE_FLAG_TASK == 0
+                    || flags & !(NODE_FLAG_TASK | NODE_FLAG_DISJUNCTIVE) != 0)
+            {
+                return Err(WireError::Malformed("unknown node flag bits"));
+            }
+            if keyed {
+                hasher.write_u8(flags);
+                hasher.write_u32(name.sym().id());
+            }
+            scratch.nodes.push((flags, name));
         }
-        let (from, to) = (from as u32, to as u32);
-        if keyed {
-            hasher.write_u32(from);
-            hasher.write_u32(to);
+        let n_edges = r.varint()?;
+        let n_edges = r.guard_count(n_edges, 2)?;
+        scratch.edges.clear();
+        scratch.edges.reserve(n_edges);
+        for _ in 0..n_edges {
+            let from = r.varint()?;
+            let to = r.varint()?;
+            if from >= n_nodes as u64 || to >= n_nodes as u64 {
+                return Err(WireError::Malformed("edge endpoint out of node range"));
+            }
+            let (from, to) = (from as u32, to as u32);
+            if keyed {
+                hasher.write_u32(from);
+                hasher.write_u32(to);
+            }
+            scratch.edges.push((from, to));
         }
-        scratch.edges.push((from, to));
-    }
-    let key = FragKey {
-        id: id.sym(),
-        hash: hasher.finish(),
-        nodes: n_nodes as u32,
-        edges: n_edges as u32,
-    };
-    if let Some(hit) = cache.get(&key) {
-        return Ok(hit);
-    }
-    let mut graph = Graph::new();
-    graph.reserve(n_nodes, n_edges);
-    scratch.idx.clear();
-    scratch.idx.reserve(n_nodes);
-    for &(flags, name) in &scratch.nodes {
-        let idx = if flags == 0 {
-            graph.add_label(name.label())
-        } else {
-            let mode = if flags & NODE_FLAG_DISJUNCTIVE != 0 {
-                Mode::Disjunctive
-            } else {
-                Mode::Conjunctive
-            };
-            graph
-                .try_add_task(name.task(), mode)
-                .map_err(|e| WireError::InvalidModel(e.to_string()))?
+        let key = FragKey {
+            id: id.sym(),
+            hash: hasher.finish(),
+            nodes: n_nodes as u32,
+            edges: n_edges as u32,
         };
-        scratch.idx.push(idx);
-    }
-    for &(from, to) in &scratch.edges {
-        graph
-            .add_edge(scratch.idx[from as usize], scratch.idx[to as usize])
+        if let Some(hit) = self.cache.get(&key) {
+            return Ok(hit);
+        }
+        let mut graph = Graph::new();
+        graph.reserve(n_nodes, n_edges);
+        scratch.idx.clear();
+        scratch.idx.reserve(n_nodes);
+        for &(flags, name) in &scratch.nodes {
+            let idx = if flags == 0 {
+                graph.add_label(name.label())
+            } else {
+                let mode = if flags & NODE_FLAG_DISJUNCTIVE != 0 {
+                    Mode::Disjunctive
+                } else {
+                    Mode::Conjunctive
+                };
+                graph
+                    .try_add_task(name.task(), mode)
+                    .map_err(|e| WireError::InvalidModel(e.to_string()))?
+            };
+            scratch.idx.push(idx);
+        }
+        for &(from, to) in &scratch.edges {
+            graph
+                .add_edge(scratch.idx[from as usize], scratch.idx[to as usize])
+                .map_err(|e| WireError::InvalidModel(e.to_string()))?;
+        }
+        let workflow = Workflow::from_graph_with(graph, &mut scratch.topo)
             .map_err(|e| WireError::InvalidModel(e.to_string()))?;
+        let fragment = Arc::new(Fragment::from_workflow(id, workflow));
+        self.cache.insert(key, Arc::clone(&fragment));
+        Ok(fragment)
     }
-    let workflow = Workflow::from_graph_with(graph, &mut scratch.topo)
-        .map_err(|e| WireError::InvalidModel(e.to_string()))?;
-    let fragment = Arc::new(Fragment::from_workflow(id, workflow));
-    cache.insert(key, Arc::clone(&fragment));
-    Ok(fragment)
 }
 
-/// [`decode_fragment`] on the zero-copy path: recycled span buffer, one
-/// interner batch for the name table, staged rebuild, identity cache.
-/// Budget charging happens first and is unchanged — a frame past the
+/// [`decode_fragment`] through a per-connection scratch: recycled span
+/// buffer, one interner batch for the name table, staged rebuild,
+/// identity cache. Budget charging happens first — a frame past the
 /// vocabulary cap is rejected before anything is interned or cached.
 ///
 /// # Errors
@@ -743,35 +635,7 @@ pub fn decode_fragment_with(
     budget: &mut VocabularyBudget,
     scratch: &mut DecodeScratch,
 ) -> Result<(Arc<Fragment>, usize), WireError> {
-    let (frame, consumed) = scratch.take_frame(buf)?;
-    admit_frame(&frame, TAG_FRAGMENT, budget)?;
-    // Raw-frame fast path: a standalone fragment frame is identified by
-    // its exact bytes, so a re-announcement is answered from the cache
-    // without touching the interner or the payload. Budget charging
-    // already happened above — rejection and counter semantics are
-    // identical whether or not the bytes are cached.
-    let raw_key = if scratch.cache().is_enabled() {
-        let key = RawFrameKey::of_bytes(&buf[..consumed]);
-        if let Some(hit) = scratch.cache_mut().get_raw(&key) {
-            scratch.recycle(frame);
-            return Ok((hit, consumed));
-        }
-        Some(key)
-    } else {
-        None
-    };
-    scratch.resolve(&frame);
-    let mut r = frame.reader();
-    let fragment = {
-        let (names, frag, cache) = scratch.split();
-        read_fragment_resolved(&mut r, names, frag, cache)?
-    };
-    r.expect_end()?;
-    scratch.recycle(frame);
-    if let Some(key) = raw_key {
-        scratch.cache_mut().insert_raw(key, Arc::clone(&fragment));
-    }
-    Ok((fragment, consumed))
+    scratch.decode(buf, TAG_FRAGMENT, budget, |r, frame| frame.fragment(r))
 }
 
 #[cfg(test)]
@@ -864,6 +728,36 @@ mod tests {
         let mut budget = VocabularyBudget::with_cap(100);
         decode_fragment(&bytes, &mut budget).unwrap();
         assert_eq!(budget.len(), 7);
+    }
+
+    /// A frame that parses but fails its tag, its budget or its payload
+    /// hands its span buffer back: the failing decode and the next one
+    /// both reuse it.
+    #[test]
+    fn a_decode_error_after_a_clean_parse_keeps_the_span_buffer() {
+        let mut good = Vec::new();
+        encode_fragment(&chain_fragment(), &mut good);
+        let mut wrong_tag = Vec::new();
+        encode_spec(&Spec::new(["ms-a"], ["ms-z"]), &mut wrong_tag);
+        let mut trailing = FrameEncoder::new(TAG_FRAGMENT);
+        write_fragment(&mut trailing, &chain_fragment());
+        trailing.varint(7);
+        let mut bad_payload = Vec::new();
+        trailing.finish(&mut bad_payload);
+
+        let mut scratch = DecodeScratch::new();
+        decode_fragment_with(&good, &mut VocabularyBudget::unlimited(), &mut scratch).unwrap();
+        for (bad, mut budget) in [
+            (&wrong_tag, VocabularyBudget::unlimited()),
+            (&good, VocabularyBudget::with_cap(1)),
+            (&bad_payload, VocabularyBudget::unlimited()),
+        ] {
+            let before = scratch.span_reuses();
+            assert!(decode_fragment_with(bad, &mut budget, &mut scratch).is_err());
+            decode_fragment_with(&good, &mut VocabularyBudget::unlimited(), &mut scratch).unwrap();
+            assert_eq!(scratch.span_reuses(), before + 2);
+        }
+        assert_eq!(scratch.span_reuses(), scratch.frames_decoded() - 1);
     }
 
     #[test]

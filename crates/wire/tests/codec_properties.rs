@@ -10,11 +10,34 @@
 use std::sync::Arc;
 
 use openwf_core::{Fragment, Graph, Mode, Spec};
+use openwf_wire::model::read_fragment;
 use openwf_wire::{
-    decode_fragment, decode_fragment_with, decode_spec, encode_fragment, encode_spec,
-    DecodeScratch, FrameDecoder, VocabularyBudget,
+    decode_fragment, decode_fragment_with, decode_spec, encode_fragment, encode_spec, read_frame,
+    DecodeScratch, FrameDecoder, VocabularyBudget, WireError, TAG_FRAGMENT,
 };
 use proptest::prelude::*;
+
+/// The straight-line reference decode of one `TAG_FRAGMENT` frame: the
+/// admit sequence spelled out step by step over [`read_fragment`] — one
+/// interner lock per name, no scratch, no cache. Every decoder the crate
+/// exports is held to it.
+fn reference_decode(
+    bytes: &[u8],
+    budget: &mut VocabularyBudget,
+) -> Result<(Fragment, usize), WireError> {
+    let (frame, consumed) = read_frame(bytes)?;
+    if frame.tag != TAG_FRAGMENT {
+        return Err(WireError::UnexpectedTag {
+            expected: TAG_FRAGMENT,
+            found: frame.tag,
+        });
+    }
+    budget.charge_iter(frame.names())?;
+    let mut r = frame.reader();
+    let fragment = read_fragment(&mut r)?;
+    r.expect_end()?;
+    Ok((fragment, consumed))
+}
 
 /// Compact recipe for one generated multi-task fragment.
 #[derive(Clone, Debug)]
@@ -126,6 +149,8 @@ proptest! {
         for cut in 0..bytes.len() {
             let result = decode_fragment(&bytes[..cut], &mut VocabularyBudget::unlimited());
             prop_assert!(result.is_err(), "prefix of {cut} bytes must not decode");
+            let result = reference_decode(&bytes[..cut], &mut VocabularyBudget::unlimited());
+            prop_assert!(result.is_err(), "prefix of {cut} bytes must not decode");
         }
     }
 
@@ -146,13 +171,16 @@ proptest! {
         // without a vocabulary cap in play.
         let _ = decode_fragment(&bytes, &mut VocabularyBudget::unlimited());
         let _ = decode_fragment(&bytes, &mut VocabularyBudget::with_cap(cap));
+        let _ = reference_decode(&bytes, &mut VocabularyBudget::unlimited());
+        let _ = reference_decode(&bytes, &mut VocabularyBudget::with_cap(cap));
         let _ = decode_spec(&bytes, &mut VocabularyBudget::unlimited());
     }
 
-    /// Tentpole invariant: the zero-copy decoder (span-table frames,
-    /// batched interning, scratch reuse, identity cache) is bit-identical
-    /// to the straight-line reference decoder, including across cache
-    /// hits — one shared scratch decodes a whole stream of frames.
+    /// The zero-copy decoder (span-table frames, batched interning,
+    /// scratch reuse, identity cache) is bit-identical to the
+    /// straight-line reference decoder, including across cache hits — one
+    /// shared scratch decodes a whole stream of frames — and so is the
+    /// one-shot `decode_fragment`.
     #[test]
     fn zero_copy_decode_is_bit_identical_to_reference(
         raws in collection::vec(arb_fragment(), 1..6),
@@ -162,8 +190,14 @@ proptest! {
             let fragment = build_fragment(i, raw);
             let mut bytes = Vec::new();
             encode_fragment(&fragment, &mut bytes);
-            let (reference, _) = decode_fragment(&bytes, &mut VocabularyBudget::unlimited())
+            let (reference, _) = reference_decode(&bytes, &mut VocabularyBudget::unlimited())
                 .expect("reference decodes");
+            let (one_shot, _) = decode_fragment(&bytes, &mut VocabularyBudget::unlimited())
+                .expect("one-shot decodes");
+            prop_assert!(
+                graphs_identical(one_shot.graph(), reference.graph()),
+                "one-shot decode differs from reference: {:?} vs {:?}", one_shot, reference
+            );
             let (zc, consumed) =
                 decode_fragment_with(&bytes, &mut VocabularyBudget::unlimited(), &mut scratch)
                     .expect("zero-copy decodes");
@@ -195,11 +229,11 @@ proptest! {
         let mut bytes = Vec::new();
         encode_fragment(&fragment, &mut bytes);
         let mut probe = VocabularyBudget::with_cap(usize::MAX);
-        decode_fragment(&bytes, &mut probe).expect("valid frame");
+        reference_decode(&bytes, &mut probe).expect("valid frame");
         let names = probe.len();
         for cap in [names.saturating_sub(1), names, names + 1] {
             let mut ref_budget = VocabularyBudget::with_cap(cap);
-            let ref_result = decode_fragment(&bytes, &mut ref_budget);
+            let ref_result = reference_decode(&bytes, &mut ref_budget);
             let mut zc_budget = VocabularyBudget::with_cap(cap);
             let mut scratch = DecodeScratch::with_cache_capacity(0);
             let zc_result = decode_fragment_with(&bytes, &mut zc_budget, &mut scratch);
