@@ -153,18 +153,6 @@ impl Fragment {
         self.workflow.graph()
     }
 
-    /// Labels consumed by any task in this fragment (i.e. the fragment's
-    /// sources). The incremental construction frontier queries match on
-    /// these.
-    pub fn consumed_labels(&self) -> Vec<Label> {
-        self.workflow.inset().iter().cloned().collect()
-    }
-
-    /// Labels produced by the fragment (its sinks).
-    pub fn produced_labels(&self) -> Vec<Label> {
-        self.workflow.outset().iter().cloned().collect()
-    }
-
     /// *All* labels that appear as an input of some task in the fragment,
     /// including internal ones.
     pub fn all_input_labels(&self) -> Vec<Label> {
@@ -371,6 +359,7 @@ impl AsRef<Fragment> for Fragment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn single_task_fragment() {
@@ -383,8 +372,14 @@ mod tests {
         )
         .unwrap();
         assert_eq!(f.id().as_str(), "cook");
-        assert_eq!(f.consumed_labels(), vec![Label::new("omelet bar setup")]);
-        assert_eq!(f.produced_labels(), vec![Label::new("breakfast served")]);
+        assert_eq!(
+            f.workflow().inset(),
+            BTreeSet::from([Label::new("omelet bar setup")])
+        );
+        assert_eq!(
+            f.workflow().outset(),
+            BTreeSet::from([Label::new("breakfast served")])
+        );
         assert_eq!(
             f.tasks().collect::<Vec<_>>(),
             vec![TaskId::new("cook omelets")]
@@ -405,8 +400,14 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(f.workflow().task_count(), 2);
-        assert_eq!(f.consumed_labels(), vec![Label::new("doughnuts ordered")]);
-        assert_eq!(f.produced_labels(), vec![Label::new("breakfast served")]);
+        assert_eq!(
+            f.workflow().inset(),
+            BTreeSet::from([Label::new("doughnuts ordered")])
+        );
+        assert_eq!(
+            f.workflow().outset(),
+            BTreeSet::from([Label::new("breakfast served")])
+        );
         // internal label is an input of a task but not in the inset
         assert!(f
             .all_input_labels()

@@ -46,7 +46,8 @@ struct NodeData {
 ///
 /// Keeping a node's neighbor lists in the same slot as its key (instead
 /// of three parallel `Vec`s) means a graph is three allocations total —
-/// slots, index, edge order. The wire decoder builds a fresh graph per
+/// slots, index, edge order (two below [`HASH_INDEX_MIN_NODES`] nodes,
+/// which keep no index). The wire decoder builds a fresh graph per
 /// received fragment, so per-graph allocation count is directly on the
 /// decode hot path; traversals also touch a node's key and adjacency
 /// together, which this layout serves from one cache line. Edges need no
@@ -118,22 +119,36 @@ impl Adj {
     }
 }
 
-/// The node index: symbol → node, in one of two layouts.
+/// The node index: symbol → node, in one of three layouts chosen by the
+/// graph's size.
 ///
-/// Small graphs (fragments, workflows) hash packed `(kind, Sym)` keys.
-/// Graphs that announce supergraph scale via [`Graph::reserve`] switch to
-/// a *direct-mapped* layout — two flat arrays indexed by the interned
-/// symbol id, one lane per [`NodeKind`] — because [`Sym`] ids are dense
-/// process-wide integers: a lookup is then a bounds check and an array
-/// read, no hashing or probing at all. The dense lanes are sized by the
-/// largest symbol id the graph has seen (amortized doubling), which is
-/// bounded by the community vocabulary — the same bound the interner
-/// itself lives with. When the process-global universe dwarfs the
-/// graph's own expected size (see [`DENSE_MAX_SYM_RATIO`]), [`Graph::reserve`]
-/// refuses the switch and keeps hashing rather than allocate lanes that
-/// would be mostly vacant.
-#[derive(Clone, Debug)]
+/// * **Scan** — below [`HASH_INDEX_MIN_NODES`] nodes (almost every
+///   fragment and workflow) there is no index at all: a lookup compares
+///   the kind and symbol of each node slot in turn. A host stores, decodes
+///   and merges fragments of a handful of nodes by the hundred thousand,
+///   and a hash table for four nodes would cost more memory than the
+///   scan costs time.
+/// * **Hashed** — from that size on, packed `(kind, Sym)` keys are hashed.
+///   The graph switches when it grows to that size or when
+///   [`Graph::reserve`] announces it.
+/// * **Dense** — graphs that announce supergraph scale via
+///   [`Graph::reserve`] switch to a *direct-mapped* layout: two flat
+///   arrays indexed by the interned symbol id, one lane per [`NodeKind`],
+///   because [`Sym`] ids are dense process-wide integers. A lookup is then
+///   a bounds check and an array read, no hashing or probing at all. The
+///   dense lanes are sized by the largest symbol id the graph has seen
+///   (amortized doubling), which is bounded by the community vocabulary —
+///   the same bound the interner itself lives with. When the
+///   process-global universe dwarfs the graph's own expected size (see
+///   [`DENSE_MAX_SYM_RATIO`]), [`Graph::reserve`] refuses the switch and
+///   keeps hashing rather than allocate lanes that would be mostly vacant.
+///
+/// Answers never depend on the layout; node and edge order live in the
+/// graph's own vectors, not here.
+#[derive(Clone, Debug, Default)]
 enum NodeIndex {
+    #[default]
+    Scan,
     Hashed(FxHashMap<u64, NodeIdx>),
     Dense {
         /// `labels[sym]` / `tasks[sym]` = node index, `u32::MAX` vacant.
@@ -141,6 +156,15 @@ enum NodeIndex {
         tasks: Vec<u32>,
     },
 }
+
+/// Node count from which a graph hashes its node index instead of
+/// scanning its slots. A constant, picked by measurement: on a 2-vCPU
+/// Xeon VM a hashed lookup took 5–9 ns at every size, and a scan's hit
+/// 6–8 ns at 2–8 nodes, 9–12 ns at 12–16 and 13–18 ns at 24–32, its
+/// miss 13–17 ns at 16 and 21–30 ns at 32. Sixteen keeps a scan within
+/// about twice a probe, and every fragment a host stores (a task with
+/// its few labels) without an index.
+const HASH_INDEX_MIN_NODES: usize = 16;
 
 /// Node-count reserve at which the index switches to the dense layout.
 const DENSE_INDEX_THRESHOLD: usize = 1 << 16;
@@ -163,16 +187,16 @@ fn dense_layout_is_economical(node_hint: usize, interned_universe: usize) -> boo
 
 const VACANT: u32 = u32::MAX;
 
-impl Default for NodeIndex {
-    fn default() -> Self {
-        NodeIndex::Hashed(FxHashMap::default())
-    }
-}
-
 impl NodeIndex {
+    /// The node of `(kind, sym)` among `nodes`, the slots this index
+    /// covers.
     #[inline]
-    fn get(&self, kind: NodeKind, sym: Sym) -> Option<NodeIdx> {
+    fn get(&self, nodes: &[NodeSlot], kind: NodeKind, sym: Sym) -> Option<NodeIdx> {
         match self {
+            NodeIndex::Scan => nodes
+                .iter()
+                .position(|n| n.data.key.kind == kind && n.data.key.name.sym() == sym)
+                .map(|i| NodeIdx(i as u32)),
             NodeIndex::Hashed(map) => map.get(&pack_key(kind, sym)).copied(),
             NodeIndex::Dense { labels, tasks } => {
                 let lane = match kind {
@@ -190,6 +214,8 @@ impl NodeIndex {
     #[inline]
     fn insert(&mut self, kind: NodeKind, sym: Sym, idx: NodeIdx) {
         match self {
+            // The slots themselves are what a scan reads.
+            NodeIndex::Scan => {}
             NodeIndex::Hashed(map) => {
                 map.insert(pack_key(kind, sym), idx);
             }
@@ -206,6 +232,18 @@ impl NodeIndex {
                 lane[i] = idx.0;
             }
         }
+    }
+
+    /// A hashed index over `nodes`, with room for `more` further nodes.
+    fn hashed(nodes: &[NodeSlot], more: usize) -> NodeIndex {
+        let mut map = FxHashMap::with_capacity_and_hasher(nodes.len() + more, Default::default());
+        for (i, n) in nodes.iter().enumerate() {
+            map.insert(
+                pack_key(n.data.key.kind, n.data.key.name.sym()),
+                NodeIdx(i as u32),
+            );
+        }
+        NodeIndex::Hashed(map)
     }
 
     /// Migrates to the dense layout (no-op if already dense).
@@ -313,7 +351,7 @@ impl Graph {
         mode: Mode,
     ) -> Result<NodeIdx, ModelError> {
         let task = task.into();
-        if let Some(idx) = self.index.get(NodeKind::Task, task.sym()) {
+        if let Some(idx) = self.find_sym(NodeKind::Task, task.sym()) {
             let existing = self.nodes[idx.index()].data.mode;
             if existing != mode {
                 return Err(ModelError::ConflictingTaskMode {
@@ -329,12 +367,17 @@ impl Graph {
 
     fn intern(&mut self, key: NodeKey, mode: Mode) -> NodeIdx {
         let (kind, sym) = (key.kind, key.name.sym());
-        if let Some(idx) = self.index.get(kind, sym) {
+        if let Some(idx) = self.find_sym(kind, sym) {
             return idx;
         }
         let idx = NodeIdx(self.nodes.len() as u32);
         self.nodes.push(NodeSlot::new(NodeData { key, mode }));
-        self.index.insert(kind, sym, idx);
+        match self.index {
+            NodeIndex::Scan if self.nodes.len() >= HASH_INDEX_MIN_NODES => {
+                self.index = NodeIndex::hashed(&self.nodes, 0);
+            }
+            _ => self.index.insert(kind, sym, idx),
+        }
         idx
     }
 
@@ -389,7 +432,7 @@ impl Graph {
     /// Looks up a node by kind and interned symbol (the cheapest lookup:
     /// no string hashing at all).
     pub fn find_sym(&self, kind: NodeKind, sym: Sym) -> Option<NodeIdx> {
-        self.index.get(kind, sym)
+        self.index.get(&self.nodes, kind, sym)
     }
 
     /// Looks up a label node.
@@ -412,7 +455,10 @@ impl Graph {
     /// Pre-sizes the node and edge stores for `nodes` / `edges` further
     /// insertions, so that a large merge (or a construction whose final
     /// size is known from universe hints) does not pay for incremental
-    /// rehash/regrow of the hot-path hash indexes.
+    /// rehash/regrow of the hot-path hash indexes. A small graph keeps no
+    /// node index and scans its nodes; a reserve that takes it past that
+    /// size builds its hashed index now, and one that announces
+    /// supergraph scale its direct-mapped one.
     pub fn reserve(&mut self, nodes: usize, edges: usize) {
         // Only consult the process interner (a read-lock acquisition)
         // when the graph is big enough for the dense layout to be in
@@ -436,8 +482,12 @@ impl Graph {
             // (max-sym-id ≫ node hint), the dense lanes would mostly be
             // vacant padding, so the hashed index is kept instead.
             self.index.densify(&self.nodes);
-        } else if let NodeIndex::Hashed(map) = &mut self.index {
-            map.reserve(nodes);
+        } else if self.nodes.len() + nodes >= HASH_INDEX_MIN_NODES {
+            match &mut self.index {
+                NodeIndex::Scan => self.index = NodeIndex::hashed(&self.nodes, nodes),
+                NodeIndex::Hashed(map) => map.reserve(nodes),
+                NodeIndex::Dense { .. } => {}
+            }
         }
         self.edge_order.reserve(edges);
     }
@@ -799,6 +849,83 @@ mod tests {
         assert!(g.find_label(&Label::new("a")).is_some());
         assert!(g.find_task(&TaskId::new("t1")).is_some());
         assert_eq!(g.node_count(), 5);
+    }
+
+    /// One graph grown a node at a time to twice the index threshold and
+    /// one reserved past it while still empty answer every lookup as a
+    /// reference map does, at every size, whichever layout they hold.
+    #[test]
+    fn lookups_agree_with_a_reference_map_across_the_index_threshold() {
+        let mut reserved = Graph::new();
+        reserved.reserve(HASH_INDEX_MIN_NODES + 1, 0);
+        assert!(matches!(reserved.index, NodeIndex::Hashed(_)));
+        let mut graphs = [Graph::new(), reserved];
+        let mut reference: HashMap<NodeKey, (NodeIdx, Mode)> = HashMap::new();
+        let flip = |m: Mode| match m {
+            Mode::Conjunctive => Mode::Disjunctive,
+            Mode::Disjunctive => Mode::Conjunctive,
+        };
+        for i in 0..2 * HASH_INDEX_MIN_NODES {
+            // A label and a task share each name, so a lookup must tell
+            // the kinds apart.
+            let name = format!("threshold-{}", i / 2);
+            let mode = if i % 4 == 1 {
+                Mode::Conjunctive
+            } else {
+                Mode::Disjunctive
+            };
+            let (key, added): (NodeKey, Vec<NodeIdx>) = if i % 2 == 0 {
+                let label = Label::new(&name);
+                let added = graphs
+                    .iter_mut()
+                    .map(|g| g.add_label(label.clone()))
+                    .collect();
+                (label.key(), added)
+            } else {
+                let task = TaskId::new(&name);
+                let added = graphs
+                    .iter_mut()
+                    .map(|g| g.try_add_task(task.clone(), mode).expect("a new task"))
+                    .collect();
+                (task.key(), added)
+            };
+            let idx = NodeIdx(i as u32);
+            assert_eq!(added, [idx, idx]);
+            let mode = if key.kind == NodeKind::Task {
+                mode
+            } else {
+                Mode::Disjunctive
+            };
+            reference.insert(key, (idx, mode));
+
+            let absent = format!("threshold-{}", i / 2 + 1);
+            for g in &mut graphs {
+                assert_eq!(g.node_count(), reference.len());
+                assert!(g.find_label(&Label::new(&absent)).is_none());
+                assert!(g.find_task(&TaskId::new(&absent)).is_none());
+                for (key, &(idx, mode)) in &reference {
+                    assert_eq!(g.find(key), Some(idx), "{key} at {} nodes", i + 1);
+                    let Some(task) = key.as_task() else {
+                        assert_eq!(g.find_label(&key.as_label().expect("a label")), Some(idx));
+                        continue;
+                    };
+                    assert_eq!(g.find_task(&task), Some(idx));
+                    assert_eq!(g.try_add_task(task.clone(), mode).ok(), Some(idx));
+                    let err = g.try_add_task(task.clone(), flip(mode)).unwrap_err();
+                    assert!(matches!(
+                        err,
+                        ModelError::ConflictingTaskMode { existing, requested, .. }
+                            if existing == mode && requested == flip(mode)
+                    ));
+                    // A second `add_task` finds the node and keeps its mode.
+                    assert_eq!(g.add_task(task, flip(mode)), idx);
+                    assert_eq!(g.mode(idx), mode);
+                }
+                assert_eq!(g.node_count(), reference.len(), "no lookup added a node");
+            }
+            let hashed = matches!(graphs[0].index, NodeIndex::Hashed(_));
+            assert_eq!(hashed, i + 1 >= HASH_INDEX_MIN_NODES, "at {} nodes", i + 1);
+        }
     }
 
     #[test]

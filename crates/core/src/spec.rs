@@ -59,7 +59,7 @@ impl Spec {
     /// and is no longer a sink); see [`Spec::accepts`] for the practical
     /// predicate used by construction.
     pub fn is_satisfied_strict(&self, workflow: &Workflow) -> bool {
-        workflow.inset().is_subset(&self.triggers) && *workflow.outset() == self.goals
+        workflow.inset().is_subset(&self.triggers) && workflow.outset() == self.goals
     }
 
     /// The practical satisfaction predicate used by the construction
@@ -76,8 +76,8 @@ impl Spec {
     /// glosses over, where a goal label is also consumed inside the
     /// workflow and therefore is not a sink.
     pub fn accepts(&self, workflow: &Workflow) -> bool {
-        workflow.inset().is_subset(&self.triggers)
-            && workflow.outset().is_subset(&self.goals)
+        workflow.source_labels().all(|l| self.triggers.contains(&l))
+            && workflow.sink_labels().all(|l| self.goals.contains(&l))
             && self.goals.iter().all(|g| workflow.contains_label(g))
     }
 

@@ -101,15 +101,14 @@ impl ShardedFragmentStore {
         self.shards.len()
     }
 
-    /// The home shard of a fragment: its first produced label's symbol
-    /// modulo the shard count (fragments producing nothing — isolated
-    /// knowhow — route by their id instead).
+    /// The home shard of a fragment: its first produced label's symbol, in
+    /// label order, modulo the shard count (fragments producing nothing —
+    /// isolated knowhow — route by their id instead).
     fn shard_for(&self, fragment: &Fragment) -> usize {
         let sym = fragment
             .workflow()
-            .outset()
-            .iter()
-            .next()
+            .sink_labels()
+            .min()
             .map(|l| l.sym())
             .unwrap_or_else(|| fragment.id().sym());
         sym.id() as usize % self.shards.len()

@@ -18,15 +18,15 @@ use crate::validate::ValidityError;
 ///
 /// and the graph is acyclic. The **inset** is the set of source labels
 /// (triggering conditions the workflow consumes) and the **outset** is the
-/// set of sink labels (results it delivers).
+/// set of sink labels (results it delivers). Both are derived from the
+/// graph when asked for, not stored: a workflow is its graph and nothing
+/// beside it, so every fragment a host holds costs what its graph costs.
 ///
-/// `Workflow` values are immutable once built; mutating operations (pruning)
-/// consume and return them, so a value of this type is always valid.
+/// `Workflow` values are immutable once built, so a value of this type is
+/// always valid.
 #[derive(Clone)]
 pub struct Workflow {
     graph: Graph,
-    inset: BTreeSet<Label>,
-    outset: BTreeSet<Label>,
 }
 
 impl Workflow {
@@ -54,27 +54,13 @@ impl Workflow {
         scratch: &mut crate::graph::TraversalScratch,
     ) -> Result<Self, ValidityError> {
         crate::validate::validate_with(&graph, scratch)?;
-        let inset = graph
-            .sources()
-            .filter_map(|i| graph.key(i).as_label())
-            .collect();
-        let outset = graph
-            .sinks()
-            .filter_map(|i| graph.key(i).as_label())
-            .collect();
-        Ok(Workflow {
-            graph,
-            inset,
-            outset,
-        })
+        Ok(Workflow { graph })
     }
 
     /// The empty workflow (no nodes). Composing with it is the identity.
     pub fn empty() -> Self {
         Workflow {
             graph: Graph::new(),
-            inset: BTreeSet::new(),
-            outset: BTreeSet::new(),
         }
     }
 
@@ -84,15 +70,28 @@ impl Workflow {
     }
 
     /// The inset `W.in`: source labels, i.e. the triggering conditions the
-    /// workflow requires from the environment.
-    pub fn inset(&self) -> &BTreeSet<Label> {
-        &self.inset
+    /// workflow requires from the environment, in label order. Computed
+    /// from the graph on each call.
+    pub fn inset(&self) -> BTreeSet<Label> {
+        self.source_labels().collect()
     }
 
     /// The outset `W.out`: sink labels, i.e. the results the workflow
-    /// delivers.
-    pub fn outset(&self) -> &BTreeSet<Label> {
-        &self.outset
+    /// delivers, in label order. Computed from the graph on each call.
+    pub fn outset(&self) -> BTreeSet<Label> {
+        self.sink_labels().collect()
+    }
+
+    /// The source labels, in insertion order (the inset, unsorted).
+    pub(crate) fn source_labels(&self) -> impl Iterator<Item = Label> + '_ {
+        let g = &self.graph;
+        g.sources().filter_map(|i| g.key(i).as_label())
+    }
+
+    /// The sink labels, in insertion order (the outset, unsorted).
+    pub(crate) fn sink_labels(&self) -> impl Iterator<Item = Label> + '_ {
+        let g = &self.graph;
+        g.sinks().filter_map(|i| g.key(i).as_label())
     }
 
     /// All task identifiers, in insertion order.
@@ -248,16 +247,17 @@ impl fmt::Debug for Workflow {
         f.debug_struct("Workflow")
             .field("tasks", &self.task_count())
             .field("labels", &self.label_count())
-            .field("inset", &self.inset)
-            .field("outset", &self.outset)
+            .field("inset", &self.inset())
+            .field("outset", &self.outset())
             .finish()
     }
 }
 
 impl fmt::Display for Workflow {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let ins: Vec<&str> = self.inset.iter().map(|l| l.as_str()).collect();
-        let outs: Vec<&str> = self.outset.iter().map(|l| l.as_str()).collect();
+        let (inset, outset) = (self.inset(), self.outset());
+        let ins: Vec<&str> = inset.iter().map(|l| l.as_str()).collect();
+        let outs: Vec<&str> = outset.iter().map(|l| l.as_str()).collect();
         write!(
             f,
             "workflow({} tasks, {} labels; in={{{}}}, out={{{}}})",

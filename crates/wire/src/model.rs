@@ -678,8 +678,8 @@ mod tests {
         let mut bytes = Vec::new();
         encode_fragment(&f, &mut bytes);
         let (d, _) = decode_fragment(&bytes, &mut VocabularyBudget::unlimited()).unwrap();
-        assert_eq!(d.consumed_labels(), f.consumed_labels());
-        assert_eq!(d.produced_labels(), f.produced_labels());
+        assert_eq!(d.workflow().inset(), f.workflow().inset());
+        assert_eq!(d.workflow().outset(), f.workflow().outset());
         assert_eq!(d.graph().node_count(), f.graph().node_count(),);
         assert_eq!(d.graph().edge_count(), f.graph().edge_count());
         let g = d.graph();
