@@ -33,6 +33,15 @@
 //! sorting on sequence numbers, which is what makes the result independent
 //! of the shard count. Anything that changes what arrives in a round (a
 //! parallel merge, lookahead replies) must re-prove or restate this here.
+//!
+//! The runtime's rounds ask each member only the frontier labels its
+//! advertised summary says its knowhow consumes, and leave out a member
+//! whose summary meets none of them (nor the round's tasks). That changes
+//! nothing that arrives: a member holds no fragment consuming a label it
+//! was not asked, so its reply carries the fragments the whole frontier
+//! would have drawn, in the same store-sequence order, and a member left
+//! out would have replied with none. The replies then merge in the order
+//! they are handed over, as before.
 //! A [`FrontierConstruction::recolor`] merges nothing: it re-explores the
 //! supergraph as merged, so the green set it finds depends on the merge
 //! order and the oracle alone.

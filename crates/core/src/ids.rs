@@ -30,9 +30,24 @@ use std::sync::{OnceLock, RwLock};
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Sym(u32);
 
+/// The process-wide table. The map is keyed by a name's bytes, so a
+/// decoder can resolve a peer's name table without validating names that
+/// are interned already: only a name the map has not seen must be shown
+/// to be UTF-8 before it joins.
 struct Interner {
-    map: HashMap<&'static str, Sym>,
+    map: HashMap<&'static [u8], Sym>,
     table: Vec<&'static str>,
+}
+
+impl Interner {
+    /// Interns `text`, which the map does not hold.
+    fn insert(&mut self, text: &str) -> (Sym, &'static str) {
+        let text: &'static str = Box::leak(text.to_owned().into_boxed_str());
+        let sym = Sym(u32::try_from(self.table.len()).expect("fewer than 2^32 distinct symbols"));
+        self.table.push(text);
+        self.map.insert(text.as_bytes(), sym);
+        (sym, text)
+    }
 }
 
 fn interner() -> &'static RwLock<Interner> {
@@ -58,19 +73,15 @@ impl Sym {
     pub(crate) fn intern_with_text(s: &str) -> (Sym, &'static str) {
         {
             let int = interner().read().expect("interner lock");
-            if let Some(&sym) = int.map.get(s) {
+            if let Some(&sym) = int.map.get(s.as_bytes()) {
                 return (sym, int.table[sym.0 as usize]);
             }
         }
         let mut int = interner().write().expect("interner lock");
-        if let Some(&sym) = int.map.get(s) {
+        if let Some(&sym) = int.map.get(s.as_bytes()) {
             return (sym, int.table[sym.0 as usize]);
         }
-        let text: &'static str = Box::leak(s.to_owned().into_boxed_str());
-        let sym = Sym(u32::try_from(int.table.len()).expect("fewer than 2^32 distinct symbols"));
-        int.table.push(text);
-        int.map.insert(text, sym);
-        (sym, text)
+        int.insert(s)
     }
 
     /// Probes the interner **without interning**: the symbol of `s` if some
@@ -85,44 +96,54 @@ impl Sym {
             .read()
             .expect("interner lock")
             .map
-            .get(s)
+            .get(s.as_bytes())
             .copied()
     }
 
-    /// Batch [`Sym::lookup`]: probes every name under **one** read-lock
-    /// acquisition, appending `Some(sym)`/`None` per name to `out` in
-    /// iteration order. Never interns.
+    /// Batch [`Sym::lookup`] by bytes: probes every name under **one**
+    /// read-lock acquisition, appending `Some(sym)`/`None` per name to
+    /// `out` in iteration order. Never interns, and takes names that are
+    /// not UTF-8 (they are never interned, so they probe `None`).
     ///
     /// A frame decoder charging a whole name table against a vocabulary
     /// budget uses this instead of a per-name probe, turning N lock
     /// round-trips into one.
-    pub fn lookup_batch<'x, I>(names: I, out: &mut Vec<Option<Sym>>)
+    pub fn lookup_batch<I>(names: I, out: &mut Vec<Option<Sym>>)
     where
-        I: Iterator<Item = &'x str>,
+        I: Iterator,
+        I::Item: AsRef<[u8]>,
     {
         let int = interner().read().expect("interner lock");
-        out.extend(names.map(|s| int.map.get(s).copied()));
+        out.extend(names.map(|s| int.map.get(s.as_ref()).copied()));
     }
 
-    /// Batch intern: resolves every name under a **single** interner lock
-    /// pass, appending one [`Interned`] per name to `out` in iteration
-    /// order.
+    /// Batch intern of raw name bytes: resolves every name under a
+    /// **single** interner lock pass, appending one [`Interned`] per name
+    /// to `out` in iteration order.
     ///
     /// When every name is already interned (the steady state of a frame
     /// decoder — a community's vocabulary converges quickly) this takes
-    /// one read lock for the whole batch instead of one per name. On the
-    /// first miss it falls back to a single write-lock pass that resolves
-    /// the entire batch, interning the fresh names.
-    pub fn intern_batch<'x, I>(names: I, out: &mut Vec<Interned>)
+    /// one read lock for the whole batch, and no name is checked for
+    /// UTF-8: bytes the map holds are text it validated when they first
+    /// joined. On the first miss it falls back to a single write-lock
+    /// pass that checks every name not interned yet and, only when all of
+    /// them are UTF-8, interns them.
+    ///
+    /// # Errors
+    ///
+    /// The first fresh name that is not UTF-8; nothing was interned and
+    /// `out` is as it was.
+    pub fn intern_batch<I>(names: I, out: &mut Vec<Interned>) -> Result<(), std::str::Utf8Error>
     where
-        I: Iterator<Item = &'x str> + Clone,
+        I: Iterator + Clone,
+        I::Item: AsRef<[u8]>,
     {
         let start = out.len();
         {
             let int = interner().read().expect("interner lock");
             let mut complete = true;
             for s in names.clone() {
-                match int.map.get(s) {
+                match int.map.get(s.as_ref()) {
                     Some(&sym) => out.push(Interned(Name {
                         sym,
                         text: int.table[sym.0 as usize],
@@ -134,28 +155,37 @@ impl Sym {
                 }
             }
             if complete {
-                return;
+                return Ok(());
             }
         }
         // At least one fresh name: redo the batch under one write lock
         // (which also serves the lookups the read pass already did —
-        // map hits are cheap, lock churn is not).
+        // map hits are cheap, lock churn is not), checking every fresh
+        // name before interning any.
         out.truncate(start);
         let mut int = interner().write().expect("interner lock");
+        for s in names.clone() {
+            if !int.map.contains_key(s.as_ref()) {
+                std::str::from_utf8(s.as_ref())?;
+            }
+        }
         for s in names {
-            let (sym, text) = match int.map.get(s) {
+            let (sym, text) = match int.map.get(s.as_ref()) {
                 Some(&sym) => (sym, int.table[sym.0 as usize]),
-                None => {
-                    let text: &'static str = Box::leak(s.to_owned().into_boxed_str());
-                    let sym =
-                        Sym(u32::try_from(int.table.len())
-                            .expect("fewer than 2^32 distinct symbols"));
-                    int.table.push(text);
-                    int.map.insert(text, sym);
-                    (sym, text)
-                }
+                None => int.insert(std::str::from_utf8(s.as_ref())?),
             };
             out.push(Interned(Name { sym, text }));
+        }
+        Ok(())
+    }
+
+    /// The interned strings of `syms`, in order, under **one** read
+    /// lock: what a frame encoder writing a whole name table uses
+    /// instead of one lock per name through [`Sym::as_str`].
+    pub fn with_texts(syms: &[Sym], mut each: impl FnMut(&'static str)) {
+        let int = interner().read().expect("interner lock");
+        for sym in syms {
+            each(int.table[sym.0 as usize]);
         }
     }
 
@@ -576,7 +606,7 @@ mod tests {
     fn intern_batch_matches_per_name_interning() {
         let names = ["batch-a", "batch-b", "batch-a", "batch-c"];
         let mut out = Vec::new();
-        Sym::intern_batch(names.iter().copied(), &mut out);
+        Sym::intern_batch(names.iter().copied(), &mut out).unwrap();
         assert_eq!(out.len(), 4);
         for (name, interned) in names.iter().zip(&out) {
             assert_eq!(interned.sym(), Sym::intern(name));
@@ -584,7 +614,7 @@ mod tests {
         }
         // A second batch over now-known names (the read-lock fast path)
         // appends identical resolutions.
-        Sym::intern_batch(names.iter().copied(), &mut out);
+        Sym::intern_batch(names.iter().copied(), &mut out).unwrap();
         assert_eq!(out[..4], out[4..]);
         // Typed conversions carry the same symbol.
         assert_eq!(out[0].label(), Label::new("batch-a"));
@@ -598,10 +628,37 @@ mod tests {
         Sym::intern_batch(
             ["batch-mixed-known", "batch-mixed-fresh"].into_iter(),
             &mut out,
-        );
+        )
+        .unwrap();
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].as_str(), "batch-mixed-known");
         assert_eq!(Sym::lookup("batch-mixed-fresh"), Some(out[1].sym()));
+    }
+
+    /// A batch with a fresh name that is not UTF-8 interns nothing, the
+    /// valid fresh names beside it included, and leaves `out` alone; an
+    /// interned name is resolved by its bytes alone.
+    #[test]
+    fn intern_batch_refuses_a_fresh_invalid_name_before_interning_any() {
+        Sym::intern("batch-bad-known");
+        let mut out = Vec::new();
+        let names: [&[u8]; 3] = [b"batch-bad-known", b"batch-bad-fresh", b"batch-bad-\xff"];
+        assert!(Sym::intern_batch(names.into_iter(), &mut out).is_err());
+        assert!(out.is_empty());
+        assert_eq!(Sym::lookup("batch-bad-fresh"), None, "nothing interned");
+        let mut probes = Vec::new();
+        Sym::lookup_batch(names.into_iter(), &mut probes);
+        assert_eq!(probes[1..], [None, None]);
+        Sym::intern_batch(names[..2].iter().copied(), &mut out).unwrap();
+        assert_eq!(out[1].as_str(), "batch-bad-fresh");
+    }
+
+    #[test]
+    fn with_texts_reads_a_table_under_one_lock() {
+        let syms = [Sym::intern("texts-a"), Sym::intern("texts-b")];
+        let mut texts = Vec::new();
+        Sym::with_texts(&syms, |t| texts.push(t));
+        assert_eq!(texts, ["texts-a", "texts-b"]);
     }
 
     #[test]

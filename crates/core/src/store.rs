@@ -236,6 +236,19 @@ impl ShardedFragmentStore {
         all.iter().map(|(_, f)| f).collect()
     }
 
+    /// Every label some stored fragment consumes, once each, in no
+    /// particular order: the keys of the consumed-label index, which a
+    /// host advertises as what its knowhow can answer.
+    pub fn input_labels(&self) -> impl Iterator<Item = &Label> + '_ {
+        self.shards.iter().enumerate().flat_map(move |(i, shard)| {
+            shard.by_consumed_label.keys().filter(move |label| {
+                !self.shards[..i]
+                    .iter()
+                    .any(|earlier| earlier.by_consumed_label.contains_key(*label))
+            })
+        })
+    }
+
     /// Fragments containing a task that consumes any of `labels`,
     /// deduplicated, in global insertion order.
     pub fn consuming(&self, labels: &[Label]) -> Vec<Arc<Fragment>> {
@@ -362,7 +375,7 @@ pub(crate) mod reference {
         pub(crate) fn consuming(&self, labels: &[Label]) -> Vec<Arc<Fragment>> {
             self.0
                 .iter()
-                .filter(|f| f.all_input_labels().iter().any(|l| labels.contains(l)))
+                .filter(|f| f.all_input_labels().any(|l| labels.contains(&l)))
                 .cloned()
                 .collect()
         }
@@ -447,6 +460,37 @@ mod tests {
             assert_eq!(ids, ["f1", "f3"]);
             assert!(s.consuming(&[Label::new("nope")]).is_empty());
         });
+    }
+
+    /// The advertised summary is exactly what a scan of the stored
+    /// fragments consumes, once per label, across shards and after a
+    /// replacement stops consuming a label.
+    #[test]
+    fn input_labels_are_what_the_stored_fragments_consume() {
+        for shards in [1, 3] {
+            let mut s = ShardedFragmentStore::with_shards(shards);
+            for i in 0..12 {
+                s.insert(frag(
+                    &format!("f{i}"),
+                    &format!("t{i}"),
+                    &["a", &format!("x{}", i % 4)],
+                    &[&format!("o{i}")],
+                ));
+            }
+            s.insert(frag("f0", "t0", &["y"], &["o0"]));
+            let mut got: Vec<&str> = s.input_labels().map(Label::as_str).collect();
+            got.sort_unstable();
+            let mut want: Vec<Label> = s
+                .fragments_shared()
+                .into_iter()
+                .flat_map(|f| f.all_input_labels())
+                .collect();
+            want.sort();
+            want.dedup();
+            let want: Vec<&str> = want.iter().map(Label::as_str).collect();
+            assert_eq!(got, want, "{shards} shard(s)");
+            assert!(got.contains(&"y") && got.contains(&"x0"), "{got:?}");
+        }
     }
 
     #[test]

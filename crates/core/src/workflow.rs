@@ -57,7 +57,7 @@ impl Workflow {
         Ok(Workflow { graph })
     }
 
-    /// The empty workflow (no nodes). Composing with it is the identity.
+    /// The empty workflow: no nodes, no edges.
     pub fn empty() -> Self {
         Workflow {
             graph: Graph::new(),

@@ -165,7 +165,7 @@ impl FragmentSource for Scan {
     fn fragments_consuming(&mut self, labels: &[Label]) -> Vec<Arc<Fragment>> {
         self.0
             .iter()
-            .filter(|f| f.all_input_labels().iter().any(|l| labels.contains(l)))
+            .filter(|f| f.all_input_labels().any(|l| labels.contains(&l)))
             .cloned()
             .collect()
     }

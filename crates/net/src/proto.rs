@@ -41,11 +41,14 @@ pub const TAG_NET_SHUTDOWN: u8 = 0x13;
 /// Version of the protocol a connection speaks: the net-level handshake
 /// and the bodies of the `TAG_MSG` frames its envelopes carry. A peer
 /// whose hello names another version is refused, so a build whose
-/// message bodies differ is cut off instead of misparsed. The wire
-/// format version, which every frame already carries, stays apart: it
-/// also covers the `TAG_FRAGMENT` frames durable logs hold, so a change
-/// to message bodies alone bumps this constant, not that one.
-pub const NET_PROTO_VERSION: u64 = 2;
+/// message bodies differ is cut off instead of misparsed. It is the
+/// message codec's [`openwf_runtime::codec::MSG_VERSION`], whose tests
+/// pin every body as a golden frame under it; a change to the handshake
+/// frames bumps that same number. The wire format version, which every
+/// frame already carries, stays apart: it also covers the
+/// `TAG_FRAGMENT` frames durable logs hold, so a change to message
+/// bodies alone bumps this constant, not that one.
+pub const NET_PROTO_VERSION: u64 = openwf_runtime::codec::MSG_VERSION;
 
 /// A decoded [`TAG_NET_HELLO`].
 #[derive(Clone, Debug, PartialEq, Eq)]

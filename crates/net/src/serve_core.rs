@@ -692,6 +692,11 @@ impl ServeCore {
                         if core.fragment_mgr_mut().try_add(fragment).is_err() {
                             self.metrics.decode_rejections.inc();
                         }
+                        // The core's next input advertises the knowhow
+                        // to every member; a clock poll is that input
+                        // now, not whenever traffic next reaches it.
+                        let q = core.tick(now);
+                        self.apply_actions(community, to, q, now, wire);
                     }
                     Err(_) => self.sever(conn, SeverReason::IngestRejected, wire),
                 }
@@ -963,6 +968,50 @@ mod tests {
         assert_eq!(s.severed(truncated), Some(SeverReason::Corrupt));
         assert_eq!(s.counter("net.decode_rejections"), 2);
         assert_eq!(s.core.conn_of.len(), 0);
+    }
+
+    /// Version 3 changed message bodies (a query names the summary
+    /// version its initiator holds, and members advertise summaries): a
+    /// version-2 peer would misparse them, so its hello is severed and
+    /// nothing it sends after it is dispatched.
+    #[test]
+    fn a_version_two_hello_is_severed() {
+        assert_eq!(NET_PROTO_VERSION, 3);
+        let mut s = Served::with_ingest(Some(64));
+        let old = s.accept();
+        let fragment = fragment_envelope(MEMBER, &frag("sc-v2-f", "sc-v2-t", "sc-l1", "sc-l2"));
+        s.deliver(old, &[hello_from(2, "", &[MEMBER]), fragment].concat());
+        assert_eq!(s.severed(old), Some(SeverReason::Version));
+        assert_eq!(s.counter("net.conn_denied"), 1);
+        assert_eq!(s.core.conn_of.len(), 0);
+        assert_eq!(s.fragments(), 1, "nothing after the hello was read");
+    }
+
+    /// Ingested knowhow is advertised to every member at once: a member
+    /// holding the server's old summary would not ask it again until
+    /// some traffic happened to reach the server.
+    #[test]
+    fn ingested_knowhow_is_advertised_to_every_member_at_once() {
+        let mut s = Served::with_ingest(Some(64));
+        let member = s.accept();
+        s.deliver(member, &hello(&[MEMBER]));
+        let operator = s.accept();
+        s.deliver(operator, &hello(&[PEER]));
+        let frames = s.counter("net.tx_frames");
+        let fragment = fragment_envelope(PEER, &frag("sc-ad-f", "sc-ad-t", "sc-ad-in", "sc-l9"));
+        s.deliver(operator, &fragment);
+        assert_eq!(s.fragments(), 2);
+        assert_eq!(
+            s.counter("net.tx_frames"),
+            frames + 1,
+            "one frame, to the member"
+        );
+        s.core.flush(SimTime::ZERO, &mut s.wire);
+        let sent = s.wire.sent.get(&member).expect("the member was written to");
+        assert!(
+            sent.windows(8).any(|w| w == b"sc-ad-in"),
+            "the advertisement names the ingested input label"
+        );
     }
 
     /// A connection speaks only for the hosts its hello announced, and

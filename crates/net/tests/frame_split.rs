@@ -20,14 +20,14 @@ use proptest::prelude::*;
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Decoded {
     tag: u8,
-    names: Vec<String>,
+    names: Vec<Vec<u8>>,
     payload: Vec<u8>,
 }
 
 /// Drains every complete frame currently buffered in `decoder`.
 fn drain(decoder: &mut FrameDecoder, out: &mut Vec<Decoded>) {
     while let Some(frame) = decoder.next_frame().expect("generated frames are valid") {
-        let names = frame.names().map(str::to_string).collect();
+        let names = frame.names().map(<[u8]>::to_vec).collect();
         let payload = frame.reader().rest().to_vec();
         out.push(Decoded {
             tag: frame.tag,
@@ -100,7 +100,7 @@ proptest! {
             let (frame, consumed) = read_frame(rest).expect("whole-buffer frames are valid");
             reference.push(Decoded {
                 tag: frame.tag,
-                names: frame.names().map(str::to_string).collect(),
+                names: frame.names().map(<[u8]>::to_vec).collect(),
                 payload: frame.reader().rest().to_vec(),
             });
             rest = &rest[consumed..];

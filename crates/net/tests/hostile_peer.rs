@@ -155,6 +155,7 @@ fn query_envelope(from: HostId, seq: u32, label: &str) -> Vec<u8> {
             round: 0,
             labels: vec![Label::new(label)],
             tasks: Vec::new(),
+            known: 0,
         },
         &mut inner,
     );
@@ -661,6 +662,7 @@ fn a_frame_in_the_servers_own_name_is_dropped_before_it_is_decoded() {
             .map(|i| Label::new(format!("hp-own@@{i:02}")))
             .collect(),
         tasks: Vec::new(),
+        known: 0,
     };
     let mut inner = Vec::new();
     encode_msg(&query, &mut inner);

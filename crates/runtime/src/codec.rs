@@ -14,6 +14,10 @@
 //! process interner untouched.
 //!
 //! Times travel as varint microseconds ([`SimTime::as_micros`]).
+//!
+//! The bodies are versioned by [`MSG_VERSION`], which the serving tier's
+//! hello carries; the tests hold one canonical frame of every variant as
+//! checked-in hex under that version.
 
 use std::sync::Arc;
 
@@ -28,6 +32,15 @@ use openwf_wire::{
 use crate::messages::{Msg, ProblemId};
 use crate::metadata::{Bid, ExecutionPlan, PlannedOutput, PlannedTask};
 
+/// The version of the message bodies this codec writes and reads. The
+/// serving tier's hello carries it (`openwf-net`'s `NET_PROTO_VERSION` is
+/// this number), so a peer whose bodies differ is refused instead of
+/// misparsed. Any change to a body bumps it, and the golden rows in this
+/// module's tests are recorded again under the new version. Version 3
+/// added [`Msg::Advertise`] and the summary version a
+/// [`Msg::FragmentQuery`] carries.
+pub const MSG_VERSION: u64 = 3;
+
 const V_INITIATE: u8 = 0;
 const V_FRAGMENT_QUERY: u8 = 1;
 const V_FRAGMENT_REPLY: u8 = 2;
@@ -41,6 +54,7 @@ const V_INPUT_DELIVERY: u8 = 10;
 // 11 is unassigned: it decodes as an unknown variant.
 const V_GOAL_DELIVERED: u8 = 12;
 const V_ABANDON: u8 = 13;
+const V_ADVERTISE: u8 = 14;
 
 fn write_problem(enc: &mut FrameEncoder, p: ProblemId) {
     enc.varint(u64::from(p.initiator.0));
@@ -58,6 +72,20 @@ fn read_problem(r: &mut PayloadReader<'_, '_>) -> Result<ProblemId, WireError> {
         seq: read_u32(r)?,
         attempt: read_u32(r)?,
     })
+}
+
+/// A summary version: eight bytes, little-endian (a digest spends
+/// every bit, so a varint would only lengthen it).
+fn write_version(enc: &mut FrameEncoder, v: u64) {
+    enc.bytes(&v.to_le_bytes());
+}
+
+fn read_version(r: &mut PayloadReader<'_, '_>) -> Result<u64, WireError> {
+    let mut bytes = [0; 8];
+    for b in &mut bytes {
+        *b = r.byte()?;
+    }
+    Ok(u64::from_le_bytes(bytes))
 }
 
 fn write_time(enc: &mut FrameEncoder, t: SimTime) {
@@ -226,12 +254,14 @@ pub fn encode_msg(msg: &Msg, out: &mut Vec<u8>) {
             round,
             labels,
             tasks,
+            known,
         } => {
             enc.byte(V_FRAGMENT_QUERY);
             write_problem(&mut enc, *problem);
             enc.varint(u64::from(*round));
             write_labels(&mut enc, labels);
             write_tasks(&mut enc, tasks);
+            write_version(&mut enc, *known);
         }
         Msg::FragmentReply {
             problem,
@@ -293,6 +323,16 @@ pub fn encode_msg(msg: &Msg, out: &mut Vec<u8>) {
             write_problem(&mut enc, *problem);
             enc.name(label.sym());
         }
+        Msg::Advertise {
+            version,
+            consumes,
+            serves,
+        } => {
+            enc.byte(V_ADVERTISE);
+            write_version(&mut enc, *version);
+            write_labels(&mut enc, consumes);
+            write_tasks(&mut enc, serves);
+        }
     }
     enc.finish(out);
 }
@@ -346,6 +386,7 @@ fn read_msg(r: &mut PayloadReader<'_, '_>, frame: &mut Resolved<'_>) -> Result<M
             round: read_u32(r)?,
             labels: read_labels(r, names)?,
             tasks: read_tasks(r, names)?,
+            known: read_version(r)?,
         },
         V_FRAGMENT_REPLY => {
             let problem = read_problem(r)?;
@@ -398,6 +439,11 @@ fn read_msg(r: &mut PayloadReader<'_, '_>, frame: &mut Resolved<'_>) -> Result<M
             problem: read_problem(r)?,
             label: r.interned(names)?.label(),
         },
+        V_ADVERTISE => Msg::Advertise {
+            version: read_version(r)?,
+            consumes: read_labels(r, names)?,
+            serves: read_tasks(r, names)?,
+        },
         other => return Err(WireError::UnknownTag(other)),
     })
 }
@@ -426,6 +472,7 @@ pub fn frame_is_fragment_reply(buf: &[u8]) -> Result<bool, WireError> {
 mod tests {
     use super::*;
     use openwf_core::{Mode, Spec};
+    use std::collections::BTreeSet;
 
     fn p() -> ProblemId {
         ProblemId {
@@ -520,6 +567,145 @@ mod tests {
         assert!(matches!(err, Err(WireError::Malformed(_))), "{err:?}");
     }
 
+    /// Where a variant's golden row sits in [`GOLDEN`]. The match is
+    /// exhaustive, so a new variant does not compile without a row.
+    fn golden_row(msg: &Msg) -> usize {
+        match msg {
+            Msg::Initiate { .. } => 0,
+            Msg::FragmentQuery { .. } => 1,
+            Msg::FragmentReply { .. } => 2,
+            Msg::CallForBids { .. } => 3,
+            Msg::Bids { .. } => 4,
+            Msg::Award { .. } => 5,
+            Msg::Abandon { .. } => 6,
+            Msg::Execute { .. } => 7,
+            Msg::InputDelivery { .. } => 8,
+            Msg::GoalDelivered { .. } => 9,
+            Msg::Advertise { .. } => 10,
+        }
+    }
+
+    /// One canonical instance of every variant.
+    fn canonical() -> Vec<Msg> {
+        vec![
+            Msg::Initiate {
+                problem: p(),
+                spec: Spec::new(["rc-a"], ["rc-b"]),
+            },
+            Msg::FragmentQuery {
+                problem: p(),
+                round: 7,
+                labels: vec![Label::new("rc-a")],
+                tasks: vec![TaskId::new("rc-t")],
+                known: 0x0123_4567_89ab_cdef,
+            },
+            Msg::FragmentReply {
+                problem: p(),
+                round: 7,
+                fragments: vec![frag("rc-f1")],
+                capable: vec![TaskId::new("rc-f1-t")],
+            },
+            Msg::CallForBids {
+                problem: p(),
+                tasks: vec![TaskId::new("rc-t"), TaskId::new("rc-u")],
+            },
+            Msg::Bids {
+                problem: p(),
+                answers: vec![
+                    (TaskId::new("rc-t"), Some(bid())),
+                    (TaskId::new("rc-u"), None),
+                ],
+            },
+            Msg::Award {
+                problem: p(),
+                won: vec![TaskId::new("rc-t")],
+                lost: vec![TaskId::new("rc-u")],
+            },
+            Msg::Abandon { problem: p() },
+            Msg::Execute {
+                problem: p(),
+                plan: plan(),
+            },
+            Msg::InputDelivery {
+                problem: p(),
+                label: Label::new("rc-a"),
+            },
+            Msg::GoalDelivered {
+                problem: p(),
+                label: Label::new("rc-b"),
+            },
+            Msg::Advertise {
+                version: 0x0123_4567_89ab_cdef,
+                consumes: vec![Label::new("rc-a"), Label::new("rc-b")],
+                serves: vec![TaskId::new("rc-t")],
+            },
+        ]
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The canonical frames as hex, recorded under the message version
+    /// they were written at.
+    const GOLDEN: (u64, [&str; 11]) = (
+        3,
+        [
+            // Initiate
+            "150103020472632d610472632d6200032a0101000101",
+            // FragmentQuery
+            "1e0103020472632d610472632d7401032a010701000101efcdab8967452301",
+            // FragmentReply
+            "300103040572632d66310772632d66312d740472632d610472632d6202032a010701000303010002000302010000020101",
+            // CallForBids
+            "140103020472632d740472632d7505032a01020001",
+            // Bids
+            "1b0103020472632d740472632d7506032a0102000101020304050100",
+            // Award
+            "150103020472632d740472632d7508032a0101000101",
+            // Abandon
+            "070103000d032a01",
+            // Execute
+            "220103030472632d740472632d610472632d6209032a01010001010102020104010a14",
+            // InputDelivery
+            "0d0103010472632d610a032a0100",
+            // GoalDelivered
+            "0d0103010472632d620c032a0100",
+            // Advertise
+            "200103030472632d610472632d620472632d740eefcdab89674523010200010102",
+        ],
+    );
+
+    /// Every variant's canonical frame is the checked-in one: a changed
+    /// body fails here until [`MSG_VERSION`] is bumped and the rows are
+    /// recorded again under it (a peer of the old version is then
+    /// refused at its hello).
+    #[test]
+    fn every_variant_encodes_to_its_golden_frame() {
+        let (version, rows) = GOLDEN;
+        assert_eq!(
+            MSG_VERSION, version,
+            "the golden rows were recorded at version {version}"
+        );
+        let msgs = canonical();
+        let covered: BTreeSet<usize> = msgs.iter().map(golden_row).collect();
+        assert_eq!(
+            covered,
+            (0..rows.len()).collect(),
+            "one canonical instance per row"
+        );
+        for msg in &msgs {
+            let bytes = encoded(msg);
+            assert_eq!(
+                hex(&bytes),
+                rows[golden_row(msg)],
+                "{} changed: bump MSG_VERSION and record its rows again",
+                msg.kind()
+            );
+            assert_eq!(format!("{:?}", round_trip(msg)), format!("{msg:?}"));
+        }
+    }
+
     #[test]
     fn every_variant_round_trips() {
         let msgs = vec![
@@ -532,12 +718,14 @@ mod tests {
                 round: 7,
                 labels: vec![Label::new("rc-a"), Label::new("rc-b")],
                 tasks: vec![TaskId::new("rc-t"), TaskId::new("rc-f1-t")],
+                known: 0,
             },
             Msg::FragmentQuery {
                 problem: p(),
                 round: 8,
                 labels: Vec::new(),
                 tasks: vec![TaskId::new("rc-t")],
+                known: u64::MAX,
             },
             Msg::FragmentReply {
                 problem: p(),
@@ -592,6 +780,16 @@ mod tests {
             Msg::GoalDelivered {
                 problem: p(),
                 label: Label::new("rc-b"),
+            },
+            Msg::Advertise {
+                version: 0x0123_4567_89ab_cdef,
+                consumes: vec![Label::new("rc-a"), Label::new("rc-b")],
+                serves: vec![TaskId::new("rc-t")],
+            },
+            Msg::Advertise {
+                version: 1,
+                consumes: Vec::new(),
+                serves: Vec::new(),
             },
         ];
         for msg in &msgs {
@@ -713,12 +911,14 @@ mod tests {
             V_INPUT_DELIVERY,
             V_GOAL_DELIVERED,
             V_ABANDON,
+            V_ADVERTISE,
         ];
-        assert_eq!(tags, [0, 1, 2, 5, 6, 8, 9, 10, 12, 13]);
+        assert_eq!(tags, [0, 1, 2, 5, 6, 8, 9, 10, 12, 13, 14]);
     }
 
-    /// Every batched auction frame decodes totally: each proper prefix
-    /// of a valid frame is an error, never a panic or a shorter message.
+    /// Every batched auction frame, a query and an advertisement decode
+    /// totally: each proper prefix of a valid frame is an error, never a
+    /// panic or a shorter message.
     #[test]
     fn truncated_batched_frames_are_errors() {
         for msg in [
@@ -742,6 +942,18 @@ mod tests {
             Msg::Execute {
                 problem: p(),
                 plan: plan(),
+            },
+            Msg::FragmentQuery {
+                problem: p(),
+                round: 2,
+                labels: vec![Label::new("rc-a")],
+                tasks: vec![TaskId::new("rc-t")],
+                known: 9,
+            },
+            Msg::Advertise {
+                version: 3,
+                consumes: vec![Label::new("rc-a")],
+                serves: vec![TaskId::new("rc-t")],
             },
         ] {
             let bytes = encoded(&msg);
@@ -865,8 +1077,8 @@ mod tests {
             tasks: tasks.clone(),
         });
         let (frame, _) = read_frame(&bytes).expect("a valid frame");
-        let names: Vec<&str> = frame.names().collect();
-        let expected: Vec<&str> = tasks.iter().map(TaskId::as_str).collect();
+        let names: Vec<&[u8]> = frame.names().collect();
+        let expected: Vec<&[u8]> = tasks.iter().map(|t| t.as_str().as_bytes()).collect();
         assert_eq!(names, expected);
     }
 

@@ -402,28 +402,25 @@ mod tests {
     #[test]
     fn a_capped_replier_drops_an_over_budget_query_without_blame() {
         let params = RuntimeParams::default();
-        // The initiator's own knowhow opens a nine-label frontier after
-        // the first round (`cr-b` and eight dead ends) and closes the
-        // chain from `cr-b` itself.
-        let wide = Fragment::single_task(
-            "cr-f0",
-            "cr-t0",
-            Mode::Disjunctive,
-            ["cr-a"],
-            std::iter::once("cr-b".to_string()).chain((0..8).map(|i| format!("cr-m{i}"))),
-        )
-        .unwrap();
+        // The first round asks about the spec's nine triggers, and asks
+        // the replier all of them: the initiator has not seen its
+        // summary yet. (Once it has, it asks the replier only the labels
+        // its knowhow consumes, and a frontier like this one would not
+        // reach it at all.)
+        let triggers: Vec<String> = std::iter::once("cr-a".to_string())
+            .chain((0..8).map(|i| format!("cr-m{i}")))
+            .collect();
         let mut community = CommunityBuilder::new(3)
             .params(params.clone())
             .host(
                 HostConfig::new()
-                    .with_fragment(wide)
+                    .with_fragment(frag("cr-f0", "cr-t0", "cr-a", "cr-b"))
                     .with_fragment(frag("cr-f1", "cr-t1", "cr-b", "cr-c"))
                     .with_service(service("cr-t0"))
                     .with_service(service("cr-t1")),
             )
-            // Four own names, room for the first round's `cr-a`, not for
-            // the wide frontier.
+            // Four own names, room for the second round's `cr-b`, not
+            // for the nine triggers.
             .host(
                 HostConfig::new()
                     .with_fragment(frag("cr-fx", "cr-tx", "cr-x", "cr-y"))
@@ -431,7 +428,7 @@ mod tests {
             )
             .build();
         let (initiator, replier) = (HostId(0), HostId(1));
-        let handle = community.submit(initiator, Spec::new(["cr-a"], ["cr-c"]));
+        let handle = community.submit(initiator, Spec::new(triggers, ["cr-c"]));
         let report = community.run_until_complete(handle);
         assert!(
             matches!(report.status, ProblemStatus::Completed),

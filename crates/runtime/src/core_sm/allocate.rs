@@ -1,8 +1,8 @@
 //! Allocation (§3.2): the initiator's per-task auctions — one call for
-//! bids out to each member, one batch of bids and declines and the
-//! deadlines back, awards and execution plans out — and every member's
-//! bidding side. Everything here runs between the `allocate` span's
-//! begin and end.
+//! bids out to each member that may serve a task, one batch of bids and
+//! declines and the deadlines back, awards and execution plans out — and
+//! every member's bidding side. Everything here runs between the
+//! `allocate` span's begin and end.
 //!
 //! The initiating side is the paper's Auction Manager: "The auction
 //! manager selects the bid that best matches the selection criterion and
@@ -17,15 +17,23 @@
 //! a better bid's deadline replaces it. `decide` removes the entry
 //! and records the award in the workspace's assignments, or the task as
 //! unallocatable; allocation is over when no entry is left. One
-//! refinement: when *every* community member has answered, no better bid
-//! can arrive, so the task is decided at once instead of at the
-//! deadline. This keeps the §5 timing experiments dominated by
+//! refinement: when every member that may serve the task has answered,
+//! no better bid can arrive, so the task is decided at once instead of at
+//! the deadline. This keeps the §5 timing experiments dominated by
 //! communication, as in the paper.
 //!
+//! A member may serve a task when the summary it advertised
+//! (`advertise.rs`) says it serves the task, or when this host has not
+//! seen its summary; the initiator itself always answers. Only those
+//! members are called for the task: a member the summaries rule out
+//! would have declined, so the bids compared are the bids a call to
+//! every member would have drawn, and the winners the same.
+//!
 //! The auctions run per task, but the frames go per peer: one
-//! [`Msg::CallForBids`] to each member names every task, by workflow
-//! level, its one [`Msg::Bids`] answers them all, and every input that
-//! can decide — a member's answers, a deadline, the auction timeout, the
+//! [`Msg::CallForBids`] to each member names the tasks it may serve, by
+//! workflow level (a member that may serve none is not called), its one
+//! [`Msg::Bids`] answers them all, and every input that can decide — a
+//! member's answers, a deadline, the auction timeout, the
 //! initiator's own answers — ends in `settle`, which sends each bidder
 //! one [`Msg::Award`] naming the tasks it won and the tasks it bid on
 //! and lost during that input. The frames carry task names and nothing
@@ -42,6 +50,8 @@
 //! firms a won hold and frees a lost one, and disarms the hold's expiry
 //! either way; the plan firms a hold too. Only a hold whose award never
 //! came — a late bid, a lost frame — waits its expiry out.
+
+use std::collections::BTreeSet;
 
 use openwf_core::{Label, TaskId};
 use openwf_obs::SpanPhase;
@@ -157,13 +167,14 @@ impl HostCore {
     }
 
     /// One member's bid (`Some`) or decline (`None`) for `task`, the
-    /// initiator's own included. The first answer of each member counts;
-    /// a bid better than the tentative allocation replaces it, and the
-    /// auction waits for the new best's deadline instead of the old
-    /// one's. Once every community member has answered the task is
-    /// decided at once. An answer for a decided task, or a finished
-    /// attempt, changes nothing: a late bidder holds its slot until its
-    /// hold expires on its own.
+    /// initiator's own included. The first answer of each member called
+    /// for the task counts; a bid better than the tentative allocation
+    /// replaces it, and the auction waits for the new best's deadline
+    /// instead of the old one's. Once every member called has answered
+    /// the task is decided at once. An answer from a member not called
+    /// for the task, for a decided task, or for a finished attempt
+    /// changes nothing: a late bidder holds its slot until its hold
+    /// expires on its own.
     fn on_response(
         &mut self,
         from: HostId,
@@ -180,11 +191,10 @@ impl HostCore {
         else {
             return;
         };
-        let community = w.n_peers + 1;
         let Some(a) = w.auctions.get_mut(&task) else {
             return;
         };
-        if !a.responded.insert(from) {
+        if !a.awaiting.remove(&from) {
             return;
         }
         let improved = match bid {
@@ -199,7 +209,7 @@ impl HostCore {
             }
             None => false,
         };
-        if a.responded.len() >= community {
+        if a.awaiting.is_empty() {
             self.decide(problem, task, false);
         } else if improved {
             // The new best's deadline replaces the one it outbid.
@@ -216,7 +226,7 @@ impl HostCore {
 
     /// Decides `task`'s auction if it is still open: the best bid so far
     /// is awarded, or, with no bid, the task is unallocatable once every
-    /// member declined or the decision is `forced`; otherwise the
+    /// member called declined or the decision is `forced`; otherwise the
     /// auction goes on waiting. A decision removes the auction, disarms
     /// its deadline and records the outcome — the award in the
     /// workspace's assignments, and for the winner and every losing
@@ -231,7 +241,7 @@ impl HostCore {
         let Some(a) = w.auctions.get(&task) else {
             return;
         };
-        if a.best.is_none() && !forced && a.responded.len() <= w.n_peers {
+        if a.best.is_none() && !forced && !a.awaiting.is_empty() {
             return; // no bid yet: wait for the stragglers
         }
         let Auction { best, bidders, .. } = w.auctions.remove(&task).expect("looked up");
@@ -351,6 +361,7 @@ impl HostCore {
         now: SimTime,
         q: &mut ActionQueue,
     ) {
+        let me = self.id();
         let Some(ws) = self.workspaces.get_mut(&problem) else {
             return;
         };
@@ -372,7 +383,13 @@ impl HostCore {
             .collect();
         w.auctions = tasks
             .iter()
-            .map(|task| (task.clone(), Auction::default()))
+            .map(|task| {
+                let auction = Auction {
+                    awaiting: BTreeSet::from([me]),
+                    ..Auction::default()
+                };
+                (task.clone(), auction)
+            })
             .collect();
         self.metrics.auctions.add(tasks.len() as u64);
 
@@ -388,15 +405,41 @@ impl HostCore {
         let timeout = now + self.params.auction_timeout;
         self.arm(q, now, timeout, problem, TimerPurpose::AuctionTimeout);
 
-        // Call for bids: one frame to every other member…
-        let others = self.others();
-        let call = Msg::CallForBids {
-            problem,
-            tasks: tasks.clone(),
-        };
-        self.emit_all(q, &others, call);
+        // Call for bids: one frame to each member that may serve a task,
+        // naming those tasks…
+        for &peer in self.community.iter().filter(|&&h| h != me) {
+            let called: Vec<TaskId> = match self.summary_of(peer) {
+                Some(summary) => tasks
+                    .iter()
+                    .filter(|t| summary.serves(t))
+                    .cloned()
+                    .collect(),
+                None => tasks.clone(),
+            };
+            if called.is_empty() {
+                continue;
+            }
+            if let Some(w) = self
+                .workspaces
+                .get_mut(&problem)
+                .and_then(|ws| ws.working.as_deref_mut())
+            {
+                for task in &called {
+                    if let Some(a) = w.auctions.get_mut(task) {
+                        a.awaiting.insert(peer);
+                    }
+                }
+            }
+            self.emit(
+                q,
+                peer,
+                Msg::CallForBids {
+                    problem,
+                    tasks: called,
+                },
+            );
+        }
         // …and the initiator participates through the same logic, locally.
-        let me = self.id();
         for task in tasks {
             let bid = self.consider_bid(problem, &task, now, q);
             self.on_response(me, problem, task, bid, now, q);

@@ -1,12 +1,23 @@
 //! Construction (§3.1): the initiator's query rounds and the repliers'
-//! side of them. A round opens by broadcasting a `FragmentQuery` and
-//! arming its timeout, and closes when every peer's reply is counted or
-//! the timeout fires. The query asks for the fragments consuming the
-//! frontier the workspace's frontier construction
+//! side of them. A round asks for the fragments consuming the frontier
+//! the workspace's frontier construction
 //! ([`openwf_core::FrontierConstruction`]) handed out, and which of the
 //! tasks the previous round brought in — those this host cannot serve —
-//! the peer can serve: Figure 3's service-feasibility messages ride in the
-//! fragment messages, so a frontier step costs one round trip. Until its
+//! the community can serve: Figure 3's service-feasibility messages ride
+//! in the fragment messages, so a frontier step costs one round trip.
+//!
+//! A round asks each member only what it can answer, by the summary the
+//! member advertised (`advertise.rs`): the frontier labels its knowhow
+//! consumes and the tasks its services perform. A member whose summary
+//! meets neither is not asked, and one whose summary this host has not
+//! seen is asked everything. This changes no answer: a member holds no
+//! fragment consuming a label it was not asked and serves no task it was
+//! not asked, so its reply is the one the whole query would have got —
+//! the same fragments in the same store order — and a member left out
+//! would have answered with nothing. The round opens by sending each
+//! asked member its `FragmentQuery` and arming the timeout, and closes
+//! when every asked member's reply is counted, when the timeout fires,
+//! or at once when nobody was asked. Until its
 //! round's replies arrive, an unasked task counts as servable; an asked
 //! task no reply offers is refuted, and the engine recolors the
 //! supergraph it holds without it. A workflow built while some of its
@@ -18,7 +29,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use openwf_core::construct::incremental::Next;
-use openwf_core::{ConstructError, Construction, Fragment, Label, Spec, TaskId};
+use openwf_core::{ConstructError, Construction, Fragment, FxHashSet, Label, Spec, TaskId};
 use openwf_obs::SpanPhase;
 use openwf_simnet::{HostId, SimTime};
 
@@ -81,15 +92,18 @@ impl HostCore {
 
     /// [`Msg::FragmentQuery`]: answers the initiator with the local
     /// knowhow consuming any of `labels` and the subset of `tasks` a
-    /// local service can perform.
+    /// local service can perform — after an advertisement of this
+    /// host's summary when the query named another version of it.
     pub(super) fn on_fragment_query(
         &mut self,
         problem: ProblemId,
         round: u32,
         labels: Vec<Label>,
         tasks: Vec<TaskId>,
+        known: u64,
         q: &mut ActionQueue,
     ) {
+        self.advertise_if_unknown(problem.initiator, known, q);
         let fragments = self.fragment_mgr.query(&labels);
         let capable = self.service_mgr.capable_of(&tasks);
         self.emit(
@@ -107,9 +121,10 @@ impl HostCore {
     /// [`Msg::FragmentReply`] (its fragments were charged against the
     /// vocabulary budget when [`HostCore::handle_frame`] decoded them):
     /// `from`'s answers count towards `problem`'s open round if they are
-    /// for its number, and the first from `from`. A finished attempt, a
-    /// stale reply (after a timeout, say) and a duplicate delivery change
-    /// nothing. The last peer's reply closes the round.
+    /// for its number and the round asked `from` and has not counted its
+    /// reply yet. A finished attempt, a stale reply (after a timeout,
+    /// say), a member the round did not ask and a duplicate delivery
+    /// change nothing. The last asked member's reply closes the round.
     #[allow(clippy::too_many_arguments)]
     pub(super) fn on_query_reply(
         &mut self,
@@ -131,21 +146,23 @@ impl HostCore {
         let Some(c) = w.collect.as_mut() else {
             return;
         };
-        if c.round != round || !c.replied.insert(from) {
+        if c.round != round || !c.waiting.remove(&from) {
             return;
         }
         c.fragments.extend(fragments);
         c.capable.extend(capable);
-        if c.replied.len() >= w.n_peers {
+        if c.waiting.is_empty() {
             self.close_round(problem, now, q);
         }
     }
 
     /// Opens `problem`'s next round, holding this host's own fragments
-    /// for `frontier`: asks every peer for theirs and which of `tasks`
-    /// they serve, then arms the round's timeout. A round with labels is
-    /// a frontier round, which the report counts; the last round before
-    /// allocation has none. Without peers the round closes here.
+    /// for `frontier`: asks each member for theirs and which of `tasks`
+    /// they serve, as far as its summary says it can answer (see the
+    /// module docs), then arms the round's timeout. A round with labels
+    /// is a frontier round, which the report counts; the last round
+    /// before allocation has none. A round that asks nobody closes here,
+    /// and still counts as a round when the community has other members.
     fn open_round(
         &mut self,
         problem: ProblemId,
@@ -167,34 +184,77 @@ impl HostCore {
         debug_assert!(w.collect.is_none(), "one round at a time");
         w.round += 1;
         let round = w.round;
+        let has_peers = w.n_peers > 0;
+        let mut waiting = BTreeSet::new();
+        let me = self.id();
+        for &peer in self.community.iter().filter(|&&h| h != me) {
+            let query = match self.summary_of(peer) {
+                Some(summary) => {
+                    let labels: Vec<Label> = frontier
+                        .iter()
+                        .filter(|l| summary.consumes(l))
+                        .cloned()
+                        .collect();
+                    let tasks: Vec<TaskId> = tasks
+                        .iter()
+                        .filter(|t| summary.serves(t))
+                        .cloned()
+                        .collect();
+                    if labels.is_empty() && tasks.is_empty() {
+                        continue;
+                    }
+                    (labels, tasks, summary.version)
+                }
+                None => (frontier.clone(), tasks.clone(), 0),
+            };
+            let (labels, tasks, known) = query;
+            self.emit(
+                q,
+                peer,
+                Msg::FragmentQuery {
+                    problem,
+                    round,
+                    labels,
+                    tasks,
+                    known,
+                },
+            );
+            waiting.insert(peer);
+        }
+        let asked_nobody = waiting.is_empty();
+        let Some(w) = self
+            .workspaces
+            .get_mut(&problem)
+            .and_then(|ws| ws.working.as_deref_mut())
+        else {
+            return;
+        };
         w.collect = Some(Collect {
             round,
-            replied: BTreeSet::new(),
+            waiting,
             fragments,
-            asked: tasks.clone(),
-            capable: BTreeSet::new(),
+            asked: tasks,
+            capable: FxHashSet::default(),
         });
-        if w.n_peers == 0 {
+        if has_peers {
+            self.metrics.rounds.inc();
+        }
+        if asked_nobody {
+            // The predecessor's timeout must not outlive it and close a
+            // later round.
+            self.timers.disarm(problem, &TimerPurpose::RoundTimeout);
             self.close_round(problem, now, q);
             return;
         }
-        let others = self.others();
-        let query = Msg::FragmentQuery {
-            problem,
-            round,
-            labels: frontier,
-            tasks,
-        };
-        self.emit_all(q, &others, query);
-        self.metrics.rounds.inc();
         // A workspace runs one round at a time: this round's timeout
         // replaces its predecessor's, which closed with it.
         let timeout = now + self.params.round_timeout;
         self.arm(q, now, timeout, problem, TimerPurpose::RoundTimeout);
     }
 
-    /// Closes `problem`'s open round: at the last peer's reply, or at
-    /// `RoundTimeout` with the answers that arrived. Every asked task no
+    /// Closes `problem`'s open round: at the last asked member's reply,
+    /// at once when it asked nobody, or at `RoundTimeout` with the
+    /// answers that arrived. Every asked task no
     /// answer offered is refuted. The last round before allocation hands
     /// its workflow on if it refuted none of it; a frontier round merges
     /// the fragments it collected and sets aside the tasks they bring in

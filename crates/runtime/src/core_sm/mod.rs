@@ -40,14 +40,15 @@
 //! | [`Msg`] variant | sent by | owner |
 //! |---|---|---|
 //! | `Initiate` | this host, for a problem it initiates | `construct.rs` |
-//! | `FragmentQuery` (frontier labels and unasked tasks) | the problem's initiator, a member | `construct.rs` |
+//! | `FragmentQuery` (the frontier labels and unasked tasks the recipient can answer) | the problem's initiator, a member | `construct.rs` |
 //! | `FragmentReply` (fragments and capable tasks) | another member | `construct.rs` |
-//! | `CallForBids` (every task, one per member) | the problem's initiator, a member | `allocate.rs` |
+//! | `CallForBids` (the tasks the recipient serves, one per member) | the problem's initiator, a member | `allocate.rs` |
 //! | `Bids` (an answer per task called) | another member | `allocate.rs` |
 //! | `Award` (tasks won and lost) | the problem's initiator, a member | `allocate.rs` |
 //! | `Execute` | the problem's initiator, a member | `execute.rs` |
 //! | `InputDelivery`, `GoalDelivered` | a member | `execute.rs` |
 //! | `Abandon` | the problem's initiator, a member | `repair.rs` sends it, `release` (here) handles it |
+//! | `Advertise` (what the sender can answer) | another member, about itself | `advertise.rs` |
 //!
 //! The "sent by" column is the core's whole rule on senders, and
 //! `dispatch_msg` checks it (`admits`) before any handler runs: a frame
@@ -70,6 +71,13 @@
 //! an attempt's guards, `release` every timer of a superseded attempt,
 //! and an award (won or lost) or plan a hold's `BidHoldExpiry`: only a
 //! hold whose award never came outlives its attempt.
+//!
+//! What each member can answer is `advertise.rs`: this host's own
+//! summary, which it advertises when asked by a query naming another
+//! version of it and to every member after its knowhow or services
+//! changed (checked at the start of every input), and the summary each
+//! other member advertised, which every round and call for bids reads to
+//! ask each member only what it can answer.
 //!
 //! `construct.rs` hands over to `allocate.rs` when the frontier
 //! construction finishes (`start_allocation` opens one auction per
@@ -99,6 +107,7 @@ use crate::timers::TimerTable;
 use crate::workflow_mgr::Workspace;
 
 mod action;
+mod advertise;
 mod allocate;
 mod config;
 mod construct;
@@ -109,6 +118,7 @@ mod repair;
 mod tests;
 
 pub use action::{Action, ActionQueue, OutboundMode, WorkflowEvent};
+use advertise::{OwnSummary, PeerSummary};
 pub use config::{HostConfig, StorageConfig};
 use observe::CoreMetrics;
 
@@ -148,6 +158,11 @@ pub struct HostCore {
     fragment_mgr: FragmentManager,
     service_mgr: ServiceManager,
     schedule: ScheduleManager,
+    /// This host's summary as last taken (see `advertise.rs`).
+    own: OwnSummary,
+    /// The summary each other member advertised, while it is a member
+    /// and not quarantined.
+    summaries: BTreeMap<HostId, PeerSummary>,
     /// Construction subsystem: the Workflow Manager's workspaces, one
     /// per attempt this host initiated. Keyed by problem, so a problem's
     /// attempts sit side by side and the latest is the last of them.
@@ -231,6 +246,7 @@ impl HostCore {
             service_mgr.register(s);
         }
         let schedule = ScheduleManager::new(config.position, config.motion, config.site);
+        let own = OwnSummary::take(&fragment_mgr, &service_mgr);
         HostCore {
             me: None,
             community: Vec::new(),
@@ -239,6 +255,8 @@ impl HostCore {
             fragment_mgr,
             service_mgr,
             schedule,
+            own,
+            summaries: BTreeMap::new(),
             workspaces: BTreeMap::new(),
             vocab,
             decode,
@@ -310,8 +328,10 @@ impl HostCore {
     }
 
     /// Sets the community membership (all host ids, including this one).
-    /// Called by the driver before traffic flows.
+    /// Called by the driver before traffic flows. The summaries of hosts
+    /// that are no longer members are dropped.
     pub fn set_community(&mut self, community: Vec<HostId>) {
+        self.summaries.retain(|peer, _| community.contains(peer));
         self.community = community;
     }
 
@@ -427,6 +447,7 @@ impl HostCore {
     /// timeout.
     pub fn handle_frame(&mut self, from: HostId, bytes: &[u8], now: SimTime) -> ActionQueue {
         let mut q = ActionQueue::new();
+        self.advertise_changes(&mut q);
         if self.quarantined.contains(&from) {
             return q;
         }
@@ -453,6 +474,7 @@ impl HostCore {
     /// [`Action::SetTimer`]).
     pub fn handle_timer(&mut self, token: TimerToken, now: SimTime) -> ActionQueue {
         let mut q = ActionQueue::new();
+        self.advertise_changes(&mut q);
         let Some((due, problem, purpose)) = self.timers.take(token.0) else {
             return q; // already fired, or disarmed since it was armed
         };
@@ -471,6 +493,7 @@ impl HostCore {
     /// nothing).
     pub fn tick(&mut self, now: SimTime) -> ActionQueue {
         let mut q = ActionQueue::new();
+        self.advertise_changes(&mut q);
         // One at a time, in `(due, token)` order: firing a timer can arm
         // new (already-due) timers, which an upfront snapshot would miss.
         while let Some((due, problem, purpose)) = self.timers.pop_due(now) {
@@ -493,6 +516,7 @@ impl HostCore {
         now: SimTime,
     ) -> ActionQueue {
         let mut q = ActionQueue::new();
+        self.advertise_changes(&mut q);
         self.dispatch_msg(self.id(), Msg::Initiate { problem, spec }, now, &mut q);
         self.metrics.queue_depth.record(q.len() as u64);
         q
@@ -507,36 +531,6 @@ impl HostCore {
                 let mut bytes = Vec::new();
                 codec::encode_msg(&msg, &mut bytes);
                 q.push(Action::SendBytes { to, bytes });
-            }
-        }
-    }
-
-    fn emit_all(&self, q: &mut ActionQueue, peers: &[HostId], msg: Msg) {
-        let me = self.id();
-        match self.outbound {
-            OutboundMode::Typed => {
-                for &p in peers {
-                    if p != me {
-                        q.push(Action::Send {
-                            to: p,
-                            msg: msg.clone(),
-                        });
-                    }
-                }
-            }
-            OutboundMode::Encoded => {
-                // Encode the broadcast once; each recipient gets a clone
-                // of the bytes, not a fresh encode pass.
-                let mut bytes = Vec::new();
-                codec::encode_msg(&msg, &mut bytes);
-                for &p in peers {
-                    if p != me {
-                        q.push(Action::SendBytes {
-                            to: p,
-                            bytes: bytes.clone(),
-                        });
-                    }
-                }
             }
         }
     }
@@ -596,6 +590,7 @@ impl HostCore {
         let count = *count;
         if let Some(cap) = self.max_vocab_rejections {
             if count >= cap && self.quarantined.insert(from) {
+                self.summaries.remove(&from);
                 self.metrics.quarantines.inc();
                 if self.obs.trace.is_enabled() {
                     // Quarantine is host- not problem-scoped: trace id 0.
@@ -631,7 +626,9 @@ impl HostCore {
             | Msg::Award { problem, .. }
             | Msg::Execute { problem, .. }
             | Msg::Abandon { problem } => from == problem.initiator && member,
-            Msg::FragmentReply { .. } | Msg::Bids { .. } => from != me && member,
+            Msg::FragmentReply { .. } | Msg::Bids { .. } | Msg::Advertise { .. } => {
+                from != me && member
+            }
             Msg::InputDelivery { .. } | Msg::GoalDelivered { .. } => member,
         }
     }
@@ -643,14 +640,15 @@ impl HostCore {
         q.charge(self.params.per_message_cost);
         self.metrics.messages.inc();
         if self.obs.trace.is_enabled() {
-            self.trace(
-                now,
-                msg.problem(),
-                msg.kind(),
-                SpanPhase::Instant,
-                0,
-                format!("from host{}", from.0),
-            );
+            self.obs.trace.record(TraceEvent {
+                at_us: now.as_micros(),
+                host: self.me.map(|h| h.0).unwrap_or(u32::MAX),
+                trace: msg.trace_id(),
+                name: msg.kind(),
+                phase: SpanPhase::Instant,
+                dur_us: 0,
+                detail: format!("from host{}", from.0),
+            });
         }
         if !self.admits(from, &msg) {
             self.metrics.sender_refused.inc();
@@ -663,7 +661,8 @@ impl HostCore {
                 round,
                 labels,
                 tasks,
-            } => self.on_fragment_query(problem, round, labels, tasks, q),
+                known,
+            } => self.on_fragment_query(problem, round, labels, tasks, known, q),
             Msg::FragmentReply {
                 problem,
                 round,
@@ -679,6 +678,12 @@ impl HostCore {
             Msg::Execute { problem, plan } => self.on_execute(problem, plan, now, q),
             Msg::InputDelivery { problem, label } => self.on_input_delivery(problem, label, now, q),
             Msg::GoalDelivered { problem, label } => self.on_goal_delivered(problem, label, now, q),
+
+            Msg::Advertise {
+                version,
+                consumes,
+                serves,
+            } => self.on_advertise(from, version, consumes, serves),
         }
     }
 

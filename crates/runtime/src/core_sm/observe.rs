@@ -19,7 +19,8 @@ use crate::messages::ProblemId;
 pub(super) struct CoreMetrics {
     /// `core.messages` — protocol messages dispatched.
     pub(super) messages: Counter,
-    /// `core.rounds` — construction rounds opened (round timeouts armed).
+    /// `core.rounds` — construction rounds opened in a community with other
+    /// members, a round that asks none of them included.
     pub(super) rounds: Counter,
     /// `core.auctions` — task auctions opened.
     pub(super) auctions: Counter,

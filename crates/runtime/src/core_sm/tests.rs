@@ -531,6 +531,222 @@ fn a_duplicated_reply_does_not_close_a_two_peer_round() {
     );
 }
 
+/// A member's summary as the frame it advertises.
+fn advertise(version: u64, consumes: &[&str], serves: &[&str]) -> Vec<u8> {
+    frame(&Msg::Advertise {
+        version,
+        consumes: consumes.iter().map(Label::new).collect(),
+        serves: serves.iter().map(TaskId::new).collect(),
+    })
+}
+
+/// First contact: an initiator that has seen no member's summary asks
+/// every member the whole round, naming no version (`known: 0`); a
+/// member asked without its version sends its summary ahead of the
+/// reply, and one asked with it sends the reply alone.
+#[test]
+fn first_contact_is_untailored_and_answered_by_an_advertisement() {
+    let now = SimTime::ZERO;
+    let mut core = initiator(HostConfig::new(), 3);
+    let problem = ProblemId::new(HostId(0), 0);
+    let q = core.initiate(problem, Spec::new(["fc-a", "fc-b"], ["fc-z"]), now);
+    let queries = sent(&q);
+    assert_eq!(queries.len(), 2, "{queries:?}");
+    for (_, query) in &queries {
+        let Msg::FragmentQuery { labels, known, .. } = query else {
+            panic!("a query: {query:?}");
+        };
+        assert_eq!(labels, &[Label::new("fc-a"), Label::new("fc-b")]);
+        assert_eq!(*known, 0);
+    }
+
+    let mut member = member(
+        HostConfig::new()
+            .with_fragment(frag("fc-f", "fc-t", "fc-a", "fc-m"))
+            .with_fragment(frag("fc-g", "fc-u", "fc-m", "fc-z"))
+            .with_service(service("fc-t")),
+    );
+    let query = |known| {
+        frame(&Msg::FragmentQuery {
+            problem,
+            round: 1,
+            labels: vec![Label::new("fc-a")],
+            tasks: Vec::new(),
+            known,
+        })
+    };
+    let q = member.handle_frame(HostId(0), &query(0), now);
+    let version = match &sent(&q)[..] {
+        [(
+            HostId(0),
+            Msg::Advertise {
+                version,
+                consumes,
+                serves,
+            },
+        ), (HostId(0), Msg::FragmentReply { fragments, .. })] => {
+            assert_eq!(consumes, &[Label::new("fc-a"), Label::new("fc-m")]);
+            assert_eq!(serves, &[TaskId::new("fc-t")]);
+            assert_eq!(fragments.len(), 1);
+            *version
+        }
+        other => panic!("the summary, then the reply: {other:?}"),
+    };
+    assert_ne!(version, 0);
+    let q = member.handle_frame(HostId(0), &query(version), now);
+    assert!(
+        matches!(&sent(&q)[..], [(HostId(0), Msg::FragmentReply { .. })]),
+        "{:?}",
+        q.actions()
+    );
+}
+
+/// Once the initiator holds the members' summaries, a round asks each
+/// member only the frontier labels its knowhow consumes, naming the
+/// version it holds, and asks no member whose summary meets neither the
+/// labels nor the tasks; a reply from a member it did not ask counts for
+/// nothing. A round that asks nobody closes in the same input.
+#[test]
+fn a_later_problem_asks_no_member_whose_summary_meets_nothing() {
+    let now = SimTime::ZERO;
+    let mut core = initiator(HostConfig::new(), 3);
+    for (peer, advert) in [
+        (1, advertise(11, &["ls-x"], &[])),
+        (2, advertise(22, &["ls-a"], &["ls-t"])),
+    ] {
+        let q = core.handle_frame(HostId(peer), &advert, now);
+        assert!(q.is_empty(), "{:?}", q.actions());
+    }
+    let problem = ProblemId::new(HostId(0), 0);
+    let q = core.initiate(problem, Spec::new(["ls-a", "ls-b"], ["ls-z"]), now);
+    match &sent(&q)[..] {
+        [(HostId(2), Msg::FragmentQuery { labels, known, .. })] => {
+            assert_eq!(labels, &[Label::new("ls-a")]);
+            assert_eq!(*known, 22);
+        }
+        other => panic!("host 2 alone is asked: {other:?}"),
+    }
+    assert_eq!(armed(&q).len(), 1, "the round waits for host 2");
+    let empty = frame(&Msg::FragmentReply {
+        problem,
+        round: 1,
+        fragments: Vec::new(),
+        capable: Vec::new(),
+    });
+    let q = core.handle_frame(HostId(1), &empty, now);
+    assert!(q.is_empty(), "host 1 was not asked: {:?}", q.actions());
+    let q = core.handle_frame(HostId(2), &empty, now);
+    assert!(surfaced(&q, |e| matches!(e, WorkflowEvent::Failed { .. })));
+
+    let nobody = ProblemId::new(HostId(0), 1);
+    let q = core.initiate(nobody, Spec::new(["ls-q"], ["ls-z"]), now);
+    assert!(sent(&q).is_empty(), "{:?}", q.actions());
+    assert!(armed(&q).is_empty(), "{:?}", q.actions());
+    assert!(surfaced(&q, |e| matches!(e, WorkflowEvent::Failed { .. })));
+    assert_eq!(core.armed_timer_count(), 0);
+}
+
+/// Knowhow a member learns after a peer took its summary is advertised
+/// to every member at the member's next input, before the peer's next
+/// round: without it the peer, holding a summary that meets nothing,
+/// would never ask the member again.
+#[test]
+fn a_fragment_added_mid_run_is_advertised_before_the_next_round() {
+    let params = RuntimeParams::default;
+    let mut cores = vec![
+        HostCore::new(HostConfig::new().with_service(service("mr-t")), params()),
+        HostCore::new(HostConfig::new(), params()),
+    ];
+    let before = ProblemId::new(HostId(0), 0);
+    let spec = || Spec::new(["mr-a"], ["mr-b"]);
+    drive_community(&mut cores, before, spec(), |_, _| false, |_| false);
+    let ws = cores[0].latest_attempt(before).expect("workspace");
+    assert!(
+        matches!(ws.report.status, ProblemStatus::Failed { .. }),
+        "{ws}"
+    );
+    let held = cores[0].summary_of(HostId(1)).map(|s| s.version);
+    assert!(held.is_some(), "host 0 took host 1's summary");
+
+    cores[1]
+        .fragment_mgr_mut()
+        .add(frag("mr-f", "mr-t", "mr-a", "mr-b"));
+    let q = cores[1].tick(SimTime::ZERO);
+    let adverts: Vec<_> = q
+        .actions()
+        .iter()
+        .filter_map(|a| match a {
+            Action::SendBytes { to, bytes } => Some((*to, bytes.clone())),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(adverts.len(), 1, "{adverts:?}");
+    let (to, bytes) = &adverts[0];
+    assert_eq!(*to, HostId(0));
+    assert!(
+        matches!(decoded(bytes), Msg::Advertise { ref consumes, .. } if consumes == &[Label::new("mr-a")])
+    );
+    let _ = cores[0].handle_frame(HostId(1), bytes, SimTime::ZERO);
+    assert_ne!(cores[0].summary_of(HostId(1)).map(|s| s.version), held);
+    assert!(
+        cores[1].tick(SimTime::ZERO).is_empty(),
+        "advertised once per change"
+    );
+
+    let after = ProblemId::new(HostId(0), 1);
+    drive_community(&mut cores, after, spec(), |_, _| false, |_| false);
+    let ws = cores[0].latest_attempt(after).expect("workspace");
+    assert_eq!(ws.report.status, ProblemStatus::Completed, "{ws}");
+}
+
+/// A member's summary is dropped when it leaves the community and when
+/// it is quarantined: the next round asks it everything again, naming no
+/// version, as at first contact.
+#[test]
+fn a_departed_or_quarantined_members_summary_is_dropped() {
+    let now = SimTime::ZERO;
+    let mut core = initiator(
+        HostConfig::new()
+            .with_vocabulary_cap(4)
+            .with_max_vocabulary_rejections(1),
+        3,
+    );
+    for peer in [1, 2] {
+        let _ = core.handle_frame(HostId(peer), &advertise(7, &["dq-x"], &[]), now);
+    }
+    let asked = |core: &mut HostCore, seq: u32| -> Vec<(HostId, u64)> {
+        let q = core.initiate(
+            ProblemId::new(HostId(0), seq),
+            Spec::new(["dq-a"], ["dq-z"]),
+            now,
+        );
+        sent(&q)
+            .into_iter()
+            .filter_map(|(to, msg)| match msg {
+                Msg::FragmentQuery { known, .. } => Some((to, known)),
+                _ => None,
+            })
+            .collect()
+    };
+    assert_eq!(asked(&mut core, 0), vec![], "both summaries meet nothing");
+
+    core.set_community(vec![HostId(0), HostId(2)]);
+    core.set_community(vec![HostId(0), HostId(1), HostId(2)]);
+    assert!(core.summary_of(HostId(1)).is_none());
+    assert_eq!(asked(&mut core, 1), vec![(HostId(1), 0)]);
+
+    // Host 2 mints past the cap in a reply and is quarantined.
+    let minting = frame(&Msg::FragmentReply {
+        problem: ProblemId::new(HostId(0), 1),
+        round: 1,
+        fragments: vec![Arc::new(frag("dq-f", "dq-t", "dq-m", "dq-n"))],
+        capable: Vec::new(),
+    });
+    let _ = core.handle_frame(HostId(2), &minting, now);
+    assert!(core.is_quarantined(HostId(2)));
+    assert!(core.summary_of(HostId(2)).is_none());
+}
+
 /// Once an attempt is `Completed` its working set is gone and nothing of
 /// it is armed: late copies of everything the initiator reacts to while
 /// an attempt is open, and every timer it armed on the way, find nothing
@@ -869,6 +1085,7 @@ fn a_decode_error_keeps_the_span_buffer_in_the_published_figures() {
             .map(|i| Label::new(format!("sr-fresh-{i}")))
             .collect(),
         tasks: Vec::new(),
+        known: 0,
     });
     let mut unknown_variant = Vec::new();
     let mut enc = openwf_wire::FrameEncoder::new(openwf_wire::TAG_MSG);
@@ -945,6 +1162,7 @@ fn minting_peer_is_quarantined_after_cap() {
             round: 9,
             labels: vec![Label::new("qr-a")],
             tasks: Vec::new(),
+            known: 0,
         })
     };
     let q = core.handle_frame(HostId(1), &query(HostId(1)), SimTime::ZERO);
@@ -1033,6 +1251,7 @@ fn non_reply_frames_cannot_mint_past_the_cap() {
                 .map(|i| Label::new(format!("nf-mint-{i}")))
                 .collect(),
             tasks: Vec::new(),
+            known: 0,
         })
     };
     let q = core.handle_frame(HostId(1), &minting(HostId(1)), SimTime::ZERO);
@@ -1047,6 +1266,7 @@ fn non_reply_frames_cannot_mint_past_the_cap() {
         round: 2,
         labels: vec![Label::new("nf-a")],
         tasks: Vec::new(),
+        known: 0,
     });
     let q = core.handle_frame(HostId(1), &ok_bytes, SimTime::ZERO);
     assert!(
@@ -2470,6 +2690,7 @@ fn a_forged_fragment_query_gets_no_reply() {
             round: 1,
             labels: vec![Label::new("fq-a")],
             tasks: vec![TaskId::new("fq-t")],
+            known: 0,
         })
     };
     let now = SimTime::ZERO;
@@ -2477,9 +2698,10 @@ fn a_forged_fragment_query_gets_no_reply() {
         let q = core.handle_frame(HostId(from), &query(asker), now);
         assert!(q.is_empty(), "host {from} was answered: {:?}", q.actions());
     }
+    // First contact (`known: 0`): the summary goes ahead of the reply.
     let q = core.handle_frame(HostId(0), &query(0), now);
     match &sent(&q)[..] {
-        [(
+        [(HostId(0), Msg::Advertise { .. }), (
             HostId(0),
             Msg::FragmentReply {
                 fragments, capable, ..
@@ -2700,6 +2922,7 @@ fn every_message_from_a_sender_its_rule_refuses_changes_nothing() {
                     round: 1,
                     labels: vec![Label::new("sr-a")],
                     tasks: task(),
+                    known: 0,
                 },
                 Msg::CallForBids {
                     problem,
@@ -2748,16 +2971,27 @@ fn every_message_from_a_sender_its_rule_refuses_changes_nothing() {
             label: Label::new("sr-b"),
         },
     ));
+    for from in [stranger, HostId(1)] {
+        refused.push((
+            from,
+            Msg::Advertise {
+                version: 5,
+                consumes: vec![Label::new("sr-a")],
+                serves: task(),
+            },
+        ));
+    }
     let kinds: BTreeSet<&str> = refused.iter().map(|(_, msg)| msg.kind()).collect();
-    assert_eq!(kinds.len(), 10, "every variant: {kinds:?}");
+    assert_eq!(kinds.len(), 11, "every variant: {kinds:?}");
 
     let footprint = |core: &HostCore| {
         format!(
-            "{:?} {:?} {:?} {:?}",
+            "{:?} {:?} {:?} {:?} {:?}",
             core.workspaces().collect::<Vec<_>>(),
             core.schedule(),
             core.timers,
-            core.service_mgr().invocations()
+            core.service_mgr().invocations(),
+            core.summaries
         )
     };
     let before = footprint(&core);

@@ -21,6 +21,9 @@ use openwf_wire::{DurableFragmentStore, StorageError, StoragePolicy};
 /// Per-host fragment database answering knowhow queries.
 pub struct FragmentManager {
     store: Store,
+    /// Bumped by every insert: how the host core notices that what it
+    /// advertised may have changed.
+    revision: u64,
 }
 
 /// The host's database: knowhow held in memory only, or logged to disk.
@@ -40,6 +43,7 @@ impl FragmentManager {
     pub fn new() -> Self {
         FragmentManager {
             store: Store::Memory(ShardedFragmentStore::new()),
+            revision: 0,
         }
     }
 
@@ -61,6 +65,7 @@ impl FragmentManager {
         let log = DurableFragmentStore::open_with_policy(dir, 1, segment_bytes, policy)?;
         Ok(FragmentManager {
             store: Store::Durable(Box::new(log)),
+            revision: 0,
         })
     }
 
@@ -94,10 +99,19 @@ impl FragmentManager {
     /// [`StorageError`] when a durable log cannot persist the insert;
     /// the database is unchanged in that case. In memory it never fails.
     pub fn try_add(&mut self, fragment: impl Into<Arc<Fragment>>) -> Result<bool, StorageError> {
-        match &mut self.store {
+        let added = match &mut self.store {
             Store::Memory(store) => Ok(store.insert(fragment)),
             Store::Durable(log) => log.insert(fragment),
+        };
+        if added.is_ok() {
+            self.revision += 1;
         }
+        added
+    }
+
+    /// How many inserts this database has taken since it was opened.
+    pub(crate) fn revision(&self) -> u64 {
+        self.revision
     }
 
     /// Flushes a durable log to stable storage (no-op in memory).

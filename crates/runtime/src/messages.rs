@@ -11,12 +11,21 @@
 //!
 //! The auction messages are per peer, not per task: one
 //! [`Msg::CallForBids`] to each member names every task of the
-//! allocation, one [`Msg::Bids`] answers all of them, and one
+//! allocation that the member may serve, one [`Msg::Bids`] answers all
+//! of them, and one
 //! [`Msg::Award`] per bidder carries the outcome of the auctions an input
 //! decided — the tasks it won and those it bid on and lost, whose holds
 //! it frees at once. Both name tasks and nothing else: a bidder's slot
 //! is its own bid's, which it already holds. A repair tells the
 //! superseded attempt's assignees to let go with [`Msg::Abandon`].
+//!
+//! Every member also tells its peers what it can answer with
+//! [`Msg::Advertise`]: the labels its knowhow consumes and the tasks its
+//! services perform. An initiator then asks each member only the part of
+//! a round's query, and of a call for bids, that the member can answer;
+//! a [`Msg::FragmentQuery`] carries the version of the asked member's
+//! summary the initiator holds, and a member that sees another version
+//! than its own advertises again before it replies.
 //!
 //! Who may send each variant is stated once, in the table of
 //! [`crate::core_sm`]'s module docs.
@@ -99,21 +108,29 @@ pub enum Msg {
         spec: Spec,
     },
 
-    /// Initiator → all: which fragments consume these labels, and which
-    /// of these tasks can you serve? (Figure 3's fragment and service
-    /// feasibility messages, in one round trip.)
+    /// Initiator → a member: which fragments consume these labels, and
+    /// which of these tasks can you serve? (Figure 3's fragment and
+    /// service feasibility messages, in one round trip.) Each member is
+    /// asked only the part of the round its summary can answer.
     FragmentQuery {
         /// Problem this query belongs to.
         problem: ProblemId,
         /// Round number (matches replies to rounds).
         round: u32,
-        /// Frontier labels; none in the last round before allocation,
-        /// which asks about tasks only.
+        /// Frontier labels the recipient's knowhow consumes (all of
+        /// them when its summary is unknown); none in the last round
+        /// before allocation, which asks about tasks only.
         labels: Vec<Label>,
         /// Tasks the previous round brought into the supergraph (or, in
         /// the last round, tasks of the constructed workflow) that the
-        /// initiator cannot serve itself and has not asked about yet.
+        /// initiator cannot serve itself and has not asked about yet,
+        /// and that the recipient serves (all of them when its summary
+        /// is unknown).
         tasks: Vec<TaskId>,
+        /// The version of the recipient's summary the initiator holds,
+        /// 0 for none: a recipient whose own version differs advertises
+        /// before it replies.
+        known: u64,
     },
 
     /// Host → initiator: fragments matching a query, and the queried
@@ -133,14 +150,15 @@ pub enum Msg {
         capable: Vec<TaskId>,
     },
 
-    /// Auction manager → every other member: solicit bids for the tasks
-    /// of one allocation (§3.2), one frame per peer.
+    /// Auction manager → each member that may serve a task: solicit
+    /// bids for the tasks of one allocation (§3.2), one frame per peer.
     CallForBids {
         /// Problem being allocated.
         problem: ProblemId,
-        /// The tasks up for auction, by workflow level, in the order the
-        /// answer follows. Each bidder schedules from its own clock and
-        /// its service's own location.
+        /// The tasks up for auction that the recipient serves (all of
+        /// them when its summary is unknown), by workflow level, in the
+        /// order the answer follows. Each bidder schedules from its own
+        /// clock and its service's own location.
         tasks: Vec<TaskId>,
     },
 
@@ -200,13 +218,28 @@ pub enum Msg {
         /// The goal label.
         label: Label,
     },
+
+    /// Member → member: what the sender can answer, about itself only.
+    /// Sent to an initiator whose query named another version than the
+    /// sender's own, and to every member after the sender's knowhow or
+    /// services changed. It belongs to no problem.
+    Advertise {
+        /// A 64-bit digest of the summary's names as text, never 0: equal
+        /// summaries have equal versions in every process, so a
+        /// restarted host's changed summary cannot pass for its old one.
+        version: u64,
+        /// Every label some fragment of the sender's knowhow consumes.
+        consumes: Vec<Label>,
+        /// Every task the sender offers a service for.
+        serves: Vec<TaskId>,
+    },
 }
 
 impl Msg {
-    /// The problem (attempt) this message belongs to. Every variant
-    /// carries one — it doubles as the trace-correlation key
-    /// ([`ProblemId::trace_id`]).
-    pub fn problem(&self) -> ProblemId {
+    /// The problem (attempt) this message belongs to — the
+    /// trace-correlation key ([`ProblemId::trace_id`]). Every variant but
+    /// [`Msg::Advertise`], which describes its sender, carries one.
+    pub fn problem(&self) -> Option<ProblemId> {
         match self {
             Msg::Initiate { problem, .. }
             | Msg::FragmentQuery { problem, .. }
@@ -217,13 +250,15 @@ impl Msg {
             | Msg::Abandon { problem }
             | Msg::Execute { problem, .. }
             | Msg::InputDelivery { problem, .. }
-            | Msg::GoalDelivered { problem, .. } => *problem,
+            | Msg::GoalDelivered { problem, .. } => Some(*problem),
+            Msg::Advertise { .. } => None,
         }
     }
 
-    /// Shorthand for `self.problem().trace_id()`.
+    /// The trace id of the message's problem, or 0 (host-scoped) for a
+    /// message that belongs to none.
     pub fn trace_id(&self) -> u64 {
-        self.problem().trace_id()
+        self.problem().map_or(0, ProblemId::trace_id)
     }
 
     /// The variant's name — `"CallForBids"`, `"Bids"` — for tracing,
@@ -240,6 +275,7 @@ impl Msg {
             Msg::Execute { .. } => "Execute",
             Msg::InputDelivery { .. } => "InputDelivery",
             Msg::GoalDelivered { .. } => "GoalDelivered",
+            Msg::Advertise { .. } => "Advertise",
         }
     }
 }
@@ -274,8 +310,15 @@ mod tests {
             problem: p,
             label: Label::new("g"),
         };
-        assert_eq!(m.problem(), p);
+        assert_eq!(m.problem(), Some(p));
         assert_eq!(m.trace_id(), p.trace_id());
         assert_eq!(m.kind(), "GoalDelivered");
+        let advert = Msg::Advertise {
+            version: 7,
+            consumes: Vec::new(),
+            serves: Vec::new(),
+        };
+        assert_eq!(advert.problem(), None);
+        assert_eq!(advert.trace_id(), 0, "host-scoped, like a quarantine");
     }
 }

@@ -7,10 +7,9 @@
 //! It also provides a uniform service invocation interface to the
 //! Execution Manager."
 
-use std::collections::BTreeMap;
 use std::fmt;
 
-use openwf_core::{Label, TaskId};
+use openwf_core::{FxHashMap, Label, TaskId};
 use openwf_simnet::SimDuration;
 
 /// Description of one service a host offers.
@@ -78,7 +77,13 @@ pub type ServiceHook = Box<dyn FnMut(&ServiceCall) + Send>;
 /// The per-host service registry.
 #[derive(Default)]
 pub struct ServiceManager {
-    services: BTreeMap<TaskId, ServiceDescription>,
+    /// Keyed by task and hashed by its interner symbol, which the
+    /// process assigns and a peer cannot choose, so the fast hash is
+    /// safe here. Nothing reads the map in order.
+    services: FxHashMap<TaskId, ServiceDescription>,
+    /// Bumped by every registration: how the host core notices that what
+    /// it advertised may have changed.
+    revision: u64,
     hook: Option<ServiceHook>,
     invocations: Vec<ServiceCall>,
 }
@@ -92,6 +97,17 @@ impl ServiceManager {
     /// Registers (or replaces) a service.
     pub fn register(&mut self, service: ServiceDescription) {
         self.services.insert(service.task.clone(), service);
+        self.revision += 1;
+    }
+
+    /// How many registrations this registry has seen.
+    pub(crate) fn revision(&self) -> u64 {
+        self.revision
+    }
+
+    /// The tasks this host offers a service for, in no particular order.
+    pub(crate) fn tasks(&self) -> impl Iterator<Item = &TaskId> + '_ {
+        self.services.keys()
     }
 
     /// Installs an invocation hook.

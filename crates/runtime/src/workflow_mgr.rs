@@ -12,10 +12,12 @@
 //! ([`FrontierConstruction`]), the query round in flight, the auctions
 //! of the tasks still undecided (`Auction`) and the execution
 //! bookkeeping. The host core runs the rounds over it
-//! (`core_sm/construct.rs`): a round asks every peer for the fragments
-//! consuming the frontier the engine handed out, and which of the tasks
-//! the previous round brought in it can serve (Figure 3's fragment and
-//! service-feasibility messages, one round trip). It merges the fragments,
+//! (`core_sm/construct.rs`): a round asks each member for the fragments
+//! consuming the part of the frontier the engine handed out that its
+//! knowhow consumes, and which of the tasks the previous round brought
+//! in that it serves (Figure 3's fragment and service-feasibility
+//! messages, one round trip); a member whose advertised summary meets
+//! neither is not asked. It merges the fragments,
 //! and the engine resumes counting every task not refuted yet as
 //! servable, then either hands out the next frontier or finishes. A
 //! workflow with tasks still unasked waits for one last round about them
@@ -34,8 +36,8 @@ use std::fmt;
 use std::sync::Arc;
 
 use openwf_core::{
-    Construction, Fragment, FrontierConstruction, IncrementalConstructor, Label, Spec, Supergraph,
-    TaskId,
+    Construction, Fragment, FrontierConstruction, FxHashSet, IncrementalConstructor, Label, Spec,
+    Supergraph, TaskId,
 };
 use openwf_simnet::{HostId, SimTime};
 
@@ -45,36 +47,38 @@ use crate::report::ProblemReport;
 #[cfg(doc)]
 use crate::report::ProblemStatus;
 
-/// One query round in flight: its number, who has answered, and what
-/// the answers add up to — this host's own first.
+/// One query round in flight: its number, who it still waits for, and
+/// what the answers add up to — this host's own first.
 #[derive(Debug)]
 pub(crate) struct Collect {
     pub(crate) round: u32,
-    /// Peers whose reply was already counted this round; the round
-    /// closes once every peer is in here. Networks with duplication
-    /// faults can deliver the same reply twice; counting it twice would
-    /// close the round early and discard late honest replies as stale.
-    pub(crate) replied: BTreeSet<HostId>,
+    /// The members the round asked whose reply has not been counted;
+    /// the round closes once this is empty. A reply from anyone else —
+    /// a member left out, or a second copy of a counted reply, which
+    /// networks with duplication faults deliver — counts for nothing.
+    pub(crate) waiting: BTreeSet<HostId>,
     /// The fragments consuming the round's frontier.
     pub(crate) fragments: Vec<Arc<Fragment>>,
     /// The tasks the round asked about.
     pub(crate) asked: Vec<TaskId>,
     /// The tasks the replies offered to serve. Only the asked ones
     /// count: an asked task missing here when the round closes is
-    /// refuted.
-    pub(crate) capable: BTreeSet<TaskId>,
+    /// refuted. Hashed by interner symbol, which a peer cannot choose.
+    pub(crate) capable: FxHashSet<TaskId>,
 }
 
-/// One task's auction while it is undecided (§3.2): who has answered,
-/// who bid and the tentative allocation. The one deadline timer armed
-/// for it — the current best bid's — is named by its task in the host's
-/// timer table.
+/// One task's auction while it is undecided (§3.2): who may still
+/// answer, who bid and the tentative allocation. The one deadline timer
+/// armed for it — the current best bid's — is named by its task in the
+/// host's timer table.
 #[derive(Debug, Default)]
 pub(crate) struct Auction {
-    /// Hosts whose bid or decline was already counted. Networks with
-    /// duplication faults can deliver one answer twice; counting it
-    /// twice could decide before honest bids arrive.
-    pub(crate) responded: BTreeSet<HostId>,
+    /// The members called for the task, the initiator included, whose
+    /// bid or decline has not been counted: once empty, no better bid
+    /// can come. An answer from anyone else — an uncalled member, or a
+    /// second copy of a counted answer, which networks with duplication
+    /// faults deliver — counts for nothing.
+    pub(crate) awaiting: BTreeSet<HostId>,
     /// The hosts among them that bid: each holds a slot until the
     /// decision tells it whether it won.
     pub(crate) bidders: BTreeSet<HostId>,
@@ -147,7 +151,8 @@ pub struct WorkingSet {
     /// handled, by bidder; empty between inputs.
     pub(crate) outcomes: BTreeMap<HostId, Outcome>,
 
-    /// The *other* hosts a round or an auction waits for.
+    /// How many *other* hosts the community has: without any, a task
+    /// this host cannot serve is refuted without a round.
     pub(crate) n_peers: usize,
     /// Algorithm 1's frontier rounds: supergraph, coloring and frontier
     /// bookkeeping are core's.
@@ -160,7 +165,9 @@ pub struct WorkingSet {
     /// servable until a round's replies say otherwise.
     pub(crate) unasked: Vec<TaskId>,
     /// Asked tasks no member offered: the engine's oracle refuses them.
-    pub(crate) refuted: BTreeSet<TaskId>,
+    /// Only asked for membership, so hashed by interner symbol, which a
+    /// peer cannot choose.
+    pub(crate) refuted: FxHashSet<TaskId>,
     /// The workflow the engine built while some of its tasks were
     /// unasked, held while the last round asks about them.
     pub(crate) built: Option<Construction>,
@@ -181,7 +188,7 @@ impl Workspace {
             engine: IncrementalConstructor::new().start(&spec),
             tasks_seen: 0,
             unasked: Vec::new(),
-            refuted: BTreeSet::new(),
+            refuted: FxHashSet::default(),
             built: None,
             round: 0,
             collect: None,

@@ -145,6 +145,7 @@ fn a_warm_fragment_query_allocates_only_its_lists() {
         round: 3,
         labels: vec![Label::new("da-a"), Label::new("da-b"), Label::new("da-z")],
         tasks: vec![TaskId::new("da-f0-t1")],
+        known: 0,
     };
     let (allocs, bytes) = warm_decode_counts(&query);
     println!("warm FragmentQuery decode: {allocs} allocations, {bytes} bytes");

@@ -91,6 +91,7 @@ fn messages() -> Vec<Msg> {
             round: 2,
             labels: vec![Label::new("se-a"), Label::new("se-mid")],
             tasks: vec![TaskId::new("se-t2")],
+            known: 0x0102_0304_0506_0708,
         },
         Msg::FragmentReply {
             problem: problem(),
@@ -126,6 +127,11 @@ fn messages() -> Vec<Msg> {
         Msg::GoalDelivered {
             problem: problem(),
             label: Label::new("se-z"),
+        },
+        Msg::Advertise {
+            version: 0x0807_0605_0403_0201,
+            consumes: vec![Label::new("se-a"), Label::new("se-mid")],
+            serves: vec![TaskId::new("se-t1")],
         },
     ]
 }
@@ -271,6 +277,6 @@ fn no_single_edit_panics_a_decoder_or_poisons_the_scratch() {
             searched += 1;
         }
     }
-    // Twelve frames of tens of bytes each, ~260 edits per byte.
+    // Thirteen frames of tens of bytes each, ~260 edits per byte.
     assert!(searched > 100_000, "{searched} edits");
 }

@@ -1,0 +1,112 @@
+//! Protocol cost, counted rather than timed: a fixed, seeded in-process
+//! community runs a fixed list of problems one after another, and the
+//! frames, bytes and construction rounds each workflow costs may not
+//! exceed the figures recorded below.
+//!
+//! Every count is deterministic for the configuration (the loopback
+//! driver has no clock of its own and no randomness), so noise cannot
+//! flip this gate. A change that raises a count fails here until it
+//! raises the bound in the same change and says why; a change that
+//! lowers one tightens the bound.
+
+use openwf_core::{Fragment, Mode, Spec};
+use openwf_obs::Obs;
+use openwf_runtime::{
+    Driver, HostConfig, LoopbackBytesDriver, ProblemStatus, RuntimeParams, ServiceDescription,
+};
+use openwf_simnet::SimDuration;
+
+const HOSTS: usize = 8;
+const CHAIN: usize = 6;
+
+/// Eight hosts. The know-how of one six-step chain is spread over hosts
+/// 1–7 and each of its tasks is served by two of them; every host also
+/// holds two fragments and a service of a chain of its own that no
+/// problem asks about, so no summary is empty and most members can
+/// answer only part of any round.
+fn configs(obs: &Obs) -> Vec<HostConfig> {
+    let fragment = |id: String, task: String, input: String, output: String| {
+        Fragment::single_task(id, task, Mode::Disjunctive, [input], [output]).unwrap()
+    };
+    let service = |task: String| ServiceDescription::new(task, SimDuration::from_millis(2));
+    let mut cfgs: Vec<HostConfig> = (0..HOSTS)
+        .map(|h| {
+            let own = |i: usize| {
+                fragment(
+                    format!("pc-x{h}-f{i}"),
+                    format!("pc-x{h}-t{i}"),
+                    format!("pc-x{h}-l{i}"),
+                    format!("pc-x{h}-l{}", i + 1),
+                )
+            };
+            HostConfig::new()
+                .with_fragment(own(0))
+                .with_fragment(own(1))
+                .with_service(service(format!("pc-x{h}-t0")))
+                .with_observability(obs.clone())
+        })
+        .collect();
+    for i in 0..CHAIN {
+        let holder = 1 + i % (HOSTS - 1);
+        cfgs[holder] = std::mem::take(&mut cfgs[holder]).with_fragment(fragment(
+            format!("pc-f{i}"),
+            format!("pc-t{i}"),
+            format!("pc-l{i}"),
+            format!("pc-l{}", i + 1),
+        ));
+        for server in [1 + (i + 2) % (HOSTS - 1), 1 + (i + 4) % (HOSTS - 1)] {
+            cfgs[server] =
+                std::mem::take(&mut cfgs[server]).with_service(service(format!("pc-t{i}")));
+        }
+    }
+    cfgs
+}
+
+/// `(frames, bytes, rounds)` per workflow over twelve problems, each run
+/// to completion before the next: initiators take turns, and the specs
+/// alternate between the whole chain and its middle.
+fn per_workflow() -> (f64, f64, f64) {
+    let obs = Obs::enabled();
+    let mut driver = LoopbackBytesDriver::build(RuntimeParams::default(), configs(&obs));
+    let hosts = driver.hosts();
+    let problems = 12;
+    for n in 0..problems {
+        let spec = if n % 2 == 0 {
+            Spec::new(["pc-l0".to_string()], [format!("pc-l{CHAIN}")])
+        } else {
+            Spec::new(["pc-l2"], ["pc-l5"])
+        };
+        let handle = driver.submit(hosts[n % HOSTS], spec);
+        let report = driver.run_until_complete(handle);
+        assert_eq!(
+            report.status,
+            ProblemStatus::Completed,
+            "problem {n}: {report}"
+        );
+    }
+    let stats = driver.stats();
+    let rounds = obs.metrics.counter("core.rounds").get();
+    let per = |count: u64| count as f64 / problems as f64;
+    (
+        per(stats.frames_delivered),
+        per(stats.bytes_delivered),
+        per(rounds),
+    )
+}
+
+#[test]
+fn frames_bytes_and_rounds_per_workflow_stay_within_their_bounds() {
+    let (frames, bytes, rounds) = per_workflow();
+    println!("per workflow: {frames} frames, {bytes} bytes, {rounds} rounds");
+    assert!(frames <= FRAMES_PER_WF, "{frames} frames > {FRAMES_PER_WF}");
+    assert!(bytes <= BYTES_PER_WF, "{bytes} bytes > {BYTES_PER_WF}");
+    assert!(rounds <= ROUNDS_PER_WF, "{rounds} rounds > {ROUNDS_PER_WF}");
+}
+
+// The counts when this test was written, as totals over the twelve
+// problems. Before members advertised what they can answer and each was
+// asked only that, the same run took 1 276 frames and 30 159 bytes (and
+// the same 65 rounds).
+const FRAMES_PER_WF: f64 = 770.0 / 12.0;
+const BYTES_PER_WF: f64 = 21_197.0 / 12.0;
+const ROUNDS_PER_WF: f64 = 65.0 / 12.0;

@@ -6,7 +6,7 @@
 //! permanent memory grant. [`VocabularyBudget`] is the decode-side
 //! guard: a frame's entire name table is checked against the budget
 //! **before any of its names is interned** (the table arrives as
-//! borrowed `&str` slices — see [`crate::FrameView::names`]), and a
+//! borrowed byte slices — see [`crate::FrameView::names`]), and a
 //! frame that would blow the cap is rejected whole, leaving both the
 //! budget and the interner untouched.
 //!
@@ -80,9 +80,9 @@ impl VocabularyBudget {
     /// Charges a frame's name table against the budget, atomically:
     /// either every fresh name is admitted (and only then interned), or
     /// — past the cap — none is and nothing was interned. Takes any
-    /// re-iterable name sequence, so [`crate::DecodeScratch::decode`]
-    /// feeds a frame's borrowed table through without materializing a
-    /// `Vec<&str>`.
+    /// re-iterable sequence of names as bytes, so
+    /// [`crate::DecodeScratch::decode`] feeds a frame's borrowed table
+    /// through without materializing it.
     ///
     /// A name is *fresh* when it is not already recorded in this budget;
     /// names another co-hosted community interned still charge this
@@ -90,30 +90,36 @@ impl VocabularyBudget {
     /// guarding. Returns the number of fresh names admitted.
     ///
     /// The whole table is probed in **one** interner read pass
-    /// ([`Sym::lookup_batch`]) and — only after the cap clears — its
-    /// fresh names are interned in one more pass ([`Sym::intern_batch`]),
-    /// instead of two lock round-trips per name.
+    /// ([`Sym::lookup_batch`]), by bytes; only the names the interner
+    /// does not hold are checked for UTF-8, before anything is charged.
+    /// Only after the cap clears are the fresh names interned, in one
+    /// more pass ([`Sym::intern_batch`]), instead of two lock round-trips
+    /// per name.
     ///
     /// # Errors
     ///
-    /// [`WireError::VocabularyExceeded`] when admitting the table would
-    /// push the distinct-name count past the cap; nothing is interned or
-    /// recorded in that case.
-    pub fn charge_iter<'x, I>(&mut self, names: I) -> Result<usize, WireError>
+    /// [`WireError::InvalidUtf8`] when a name the interner does not hold
+    /// is not UTF-8, and [`WireError::VocabularyExceeded`] when admitting
+    /// the table would push the distinct-name count past the cap;
+    /// nothing is interned or recorded in either case.
+    pub fn charge_iter<'x, I, N>(&mut self, names: I) -> Result<usize, WireError>
     where
-        I: Iterator<Item = &'x str> + Clone,
+        I: Iterator<Item = &'x N> + Clone,
+        N: AsRef<[u8]> + ?Sized + 'x,
     {
         let Some(cap) = self.cap else {
             return Ok(0);
         };
         let mut probes: Vec<Option<Sym>> = Vec::new();
         Sym::lookup_batch(names.clone(), &mut probes);
-        let mut fresh: Vec<&str> = Vec::new();
-        let mut fresh_set: FxHashSet<&str> = FxHashSet::default();
-        for (name, probe) in names.zip(&probes) {
-            if let Some(sym) = probe {
-                if self.seen.contains(sym) {
-                    continue;
+        let mut fresh: Vec<&[u8]> = Vec::new();
+        let mut fresh_set: FxHashSet<&[u8]> = FxHashSet::default();
+        for (name, probe) in names.map(N::as_ref).zip(&probes) {
+            match probe {
+                Some(sym) if self.seen.contains(sym) => continue,
+                Some(_) => {}
+                None => {
+                    std::str::from_utf8(name).map_err(|_| WireError::InvalidUtf8)?;
                 }
             }
             if fresh_set.insert(name) {
@@ -126,9 +132,10 @@ impl VocabularyBudget {
         }
         let admitted = fresh.len();
         // Interning happens only now, after the whole table cleared the
-        // cap — one write-lock pass for every fresh name.
+        // cap — one write-lock pass for every fresh name, each checked
+        // above.
         let mut interned = Vec::with_capacity(admitted);
-        Sym::intern_batch(fresh.into_iter(), &mut interned);
+        Sym::intern_batch(fresh.into_iter(), &mut interned).map_err(|_| WireError::InvalidUtf8)?;
         for name in interned {
             self.seen.insert(name.sym());
         }

@@ -16,6 +16,11 @@
 //! name is interned. Strings that are not semantic names (e.g. location
 //! hints) are encoded inline and bypass the table — they never touch the
 //! interner.
+//!
+//! A table entry is checked for UTF-8 once, and only when it is not
+//! interned yet ([`FrameView::interned_names`]): the interner is keyed by
+//! bytes, and bytes it holds are text it checked when they joined. The
+//! parse checks nothing of a name but its length.
 
 use openwf_core::{FxHashMap, Interned, Sym};
 
@@ -99,17 +104,17 @@ impl FrameEncoder {
         self.payload.extend_from_slice(bytes);
     }
 
-    /// Assembles the complete length-prefixed frame onto `out`.
+    /// Assembles the complete length-prefixed frame onto `out`. The name
+    /// table's texts are read under one interner lock.
     pub fn finish(self, out: &mut Vec<u8>) {
         let mut body: Vec<u8> = Vec::with_capacity(self.payload.len() + 16);
         body.push(WIRE_VERSION);
         body.push(self.tag);
         varint::write(self.names.len() as u64, &mut body);
-        for sym in &self.names {
-            let text = sym.as_str();
+        Sym::with_texts(&self.names, |text| {
             varint::write(text.len() as u64, &mut body);
             body.extend_from_slice(text.as_bytes());
-        }
+        });
         body.extend_from_slice(&self.payload);
         varint::write(body.len() as u64, out);
         out.extend_from_slice(&body);
@@ -117,7 +122,7 @@ impl FrameEncoder {
 }
 
 /// A parsed frame borrowing the input buffer: header fields, the name
-/// table as **un-interned** byte spans, and the raw payload.
+/// table as **un-interned**, unchecked byte spans, and the raw payload.
 ///
 /// The table is stored as `(start, end)` spans into the borrowed body —
 /// parsing copies no string data, and [`crate::DecodeScratch`] recycles
@@ -145,17 +150,21 @@ impl<'a> FrameView<'a> {
     }
 
     /// The table entry at `idx` as a borrowed slice, `None` when out of
-    /// range. Not interned.
+    /// range or not UTF-8 (checked on each call). Not interned.
     pub fn name_at(&self, idx: usize) -> Option<&'a str> {
-        let &(start, end) = self.spans.get(idx)?;
-        // UTF-8 was validated when the frame was parsed; this re-check
-        // (instead of an unchecked cast — the crate forbids `unsafe`)
-        // can only fail if the span bookkeeping itself were broken.
-        std::str::from_utf8(&self.body[start as usize..end as usize]).ok()
+        std::str::from_utf8(self.name_bytes_at(idx)?).ok()
     }
 
-    /// Iterates the frame's name table, in first-reference order. Slices
-    /// borrow the input buffer — nothing here has been interned.
+    /// The table entry at `idx` as its raw bytes, `None` when out of
+    /// range.
+    fn name_bytes_at(&self, idx: usize) -> Option<&'a [u8]> {
+        let &(start, end) = self.spans.get(idx)?;
+        Some(&self.body[start as usize..end as usize])
+    }
+
+    /// Iterates the frame's name table as raw bytes, in first-reference
+    /// order. Slices borrow the input buffer — nothing here has been
+    /// interned, or checked for UTF-8.
     pub fn names(&self) -> Names<'a, '_> {
         Names {
             body: self.body,
@@ -164,17 +173,23 @@ impl<'a> FrameView<'a> {
     }
 
     /// Resolves the **whole** name table in one interner batch
-    /// ([`Sym::intern_batch`]): one lock pass for the frame instead of a
-    /// lock per name reference. `out` is cleared first, then holds one
+    /// ([`Sym::intern_batch`]), by bytes: one lock pass for the frame
+    /// instead of a lock per name reference, and a UTF-8 check only for
+    /// names not interned yet. `out` is cleared first, then holds one
     /// [`Interned`] per table entry, in table order — payload decoders
     /// index into it via [`PayloadReader::interned`].
     ///
     /// Call only *after* the table cleared the vocabulary budget: this
     /// interns every table entry.
-    pub fn interned_names(&self, out: &mut Vec<Interned>) {
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::InvalidUtf8`] when a name not interned yet is not
+    /// UTF-8; then nothing was interned.
+    pub fn interned_names(&self, out: &mut Vec<Interned>) -> Result<(), WireError> {
         out.clear();
         out.reserve(self.spans.len());
-        Sym::intern_batch(self.names(), out);
+        Sym::intern_batch(self.names(), out).map_err(|_| WireError::InvalidUtf8)
     }
 
     /// A cursor over the payload that resolves name references against
@@ -202,13 +217,11 @@ pub struct Names<'a, 'v> {
 }
 
 impl<'a> Iterator for Names<'a, '_> {
-    type Item = &'a str;
+    type Item = &'a [u8];
 
-    fn next(&mut self) -> Option<&'a str> {
+    fn next(&mut self) -> Option<&'a [u8]> {
         let &(start, end) = self.spans.next()?;
-        // Validated at parse time; the fallback keeps this total without
-        // a panic path.
-        Some(std::str::from_utf8(&self.body[start as usize..end as usize]).unwrap_or(""))
+        Some(&self.body[start as usize..end as usize])
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -340,10 +353,9 @@ pub(crate) fn read_frame_reusing(
             return Err(WireError::Malformed("name longer than the cap"));
         }
         let len = len as usize;
-        let Some(bytes) = body.get(bpos..bpos + len) else {
+        if body.len() < bpos + len {
             return Err(WireError::Truncated);
-        };
-        std::str::from_utf8(bytes).map_err(|_| WireError::InvalidUtf8)?;
+        }
         // Body length is capped at 16 MiB, so offsets always fit u32.
         spans.push((bpos as u32, (bpos + len) as u32));
         bpos += len;
@@ -400,12 +412,15 @@ impl<'a> PayloadReader<'a, '_> {
     ///
     /// # Errors
     ///
-    /// [`WireError::Malformed`] when the index is out of table range.
+    /// [`WireError::Malformed`] when the index is out of table range,
+    /// [`WireError::InvalidUtf8`] when the entry is not UTF-8.
     pub fn name(&mut self) -> Result<&'a str, WireError> {
         let idx = self.varint()?;
-        self.frame
-            .name_at(idx as usize)
-            .ok_or(WireError::Malformed("name index out of table range"))
+        let bytes = self
+            .frame
+            .name_bytes_at(idx as usize)
+            .ok_or(WireError::Malformed("name index out of table range"))?;
+        std::str::from_utf8(bytes).map_err(|_| WireError::InvalidUtf8)
     }
 
     /// Reads a name reference and resolves it against a batch-resolved
@@ -579,7 +594,7 @@ mod tests {
         assert_eq!(frame.tag, 0x2a);
         assert_eq!(
             frame.names().collect::<Vec<_>>(),
-            ["frame-test-alpha", "frame-test-beta"]
+            [&b"frame-test-alpha"[..], b"frame-test-beta"]
         );
         assert_eq!(frame.name_count(), 2);
         assert_eq!(frame.name_at(0), Some("frame-test-alpha"));

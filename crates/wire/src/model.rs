@@ -492,7 +492,7 @@ impl DecodeScratch {
             });
         }
         budget.charge_iter(frame.names())?;
-        frame.interned_names(&mut self.names);
+        frame.interned_names(&mut self.names)?;
         let mut r = frame.reader();
         let value = read(
             &mut r,
@@ -687,6 +687,41 @@ mod tests {
         assert_eq!(g.mode(t1), Mode::Conjunctive);
         let t2 = g.find_task(&TaskId::new("mw-t2")).unwrap();
         assert_eq!(g.mode(t2), Mode::Disjunctive);
+    }
+
+    /// A name not interned yet is checked for UTF-8 before the budget
+    /// charges anything and before any name is interned: a spec frame
+    /// with one fresh valid name and one fresh invalid one is refused
+    /// whole, on a capped and an uncapped budget alike.
+    #[test]
+    fn a_fresh_name_that_is_not_utf8_is_refused_before_anything_is_charged() {
+        let valid = "mw-utf8-fresh";
+        let mut body = vec![crate::WIRE_VERSION, TAG_SPEC, 2];
+        body.push(valid.len() as u8);
+        body.extend_from_slice(valid.as_bytes());
+        body.extend_from_slice(&[2, 0xff, 0xfe]);
+        body.extend_from_slice(&[1, 0, 1, 1]); // one trigger, one goal
+        let mut frame = vec![body.len() as u8];
+        frame.extend_from_slice(&body);
+        for mut budget in [VocabularyBudget::unlimited(), VocabularyBudget::with_cap(8)] {
+            assert_eq!(
+                decode_spec(&frame, &mut budget).unwrap_err(),
+                WireError::InvalidUtf8
+            );
+            assert_eq!(budget.len(), 0, "nothing charged");
+            assert_eq!(Sym::lookup(valid), None, "nothing interned");
+        }
+        // The same frame with the second name valid decodes.
+        let fixed: Vec<u8> = frame
+            .iter()
+            .map(|&b| match b {
+                0xff => b'o',
+                0xfe => b'k',
+                b => b,
+            })
+            .collect();
+        let (spec, _) = decode_spec(&fixed, &mut VocabularyBudget::with_cap(8)).unwrap();
+        assert_eq!(spec, Spec::new([valid], ["ok"]));
     }
 
     #[test]
