@@ -16,8 +16,9 @@
 //! asks a local [`FragmentSource`] in a loop, the runtime's Workflow
 //! Manager asks its peers over the network between calls. Green coloring
 //! is monotone while the feasibility oracle only grows, so resuming is
-//! sound; when it shrinks, [`FrontierConstruction::recolor`] explores the
-//! supergraph held so far afresh. Completeness relative to full
+//! sound; a driver that learns a task is unservable refutes it before the
+//! resume that would first explore it, so the oracle never takes back a
+//! task it accepted. Completeness relative to full
 //! collection follows by induction on distance (every prerequisite of a
 //! reachable node is reachable at a smaller distance, so its fragments are
 //! eventually queried).
@@ -36,15 +37,24 @@
 //!
 //! The runtime's rounds ask each member only the frontier labels its
 //! advertised summary says its knowhow consumes, and leave out a member
-//! whose summary meets none of them (nor the round's tasks). That changes
-//! nothing that arrives: a member holds no fragment consuming a label it
-//! was not asked, so its reply carries the fragments the whole frontier
-//! would have drawn, in the same store-sequence order, and a member left
-//! out would have replied with none. The replies then merge in the order
-//! they are handed over, as before.
-//! A [`FrontierConstruction::recolor`] merges nothing: it re-explores the
-//! supergraph as merged, so the green set it finds depends on the merge
-//! order and the oracle alone.
+//! whose summary meets none of them. That changes nothing that arrives: a
+//! member holds no fragment consuming a label it was not asked, so its
+//! reply carries the fragments the whole frontier would have drawn, in
+//! the same store-sequence order, and a member left out would have
+//! replied with none. The replies then merge in the order they are handed
+//! over, as before.
+//!
+//! The runtime's oracle is decided at merge time, from the same
+//! summaries: a task a round brings in that neither the initiator nor
+//! any member's summary serves is refuted before the resume that follows
+//! the merge. On a clean run every member's summary arrives ahead of its
+//! first reply, and the same members serve the same tasks, so the tasks
+//! refuted are the ones a round asking about them would have refuted.
+//! Where one is refuted, it is refuted before its first exploration
+//! instead of a round later, so the frontier handed out next — and the
+//! workflow — may differ from one built while it still counted as
+//! servable. The green set still depends on the merge order and the
+//! oracle alone.
 
 use std::sync::Arc;
 
@@ -233,14 +243,14 @@ pub enum Next {
 /// that does not depend on how they were stored or delivered (see the
 /// module docs), and [`resume`]. The feasibility oracle is asked afresh on
 /// every resume, so a driver may learn between rounds who can serve what:
-/// a task it accepts later is colored on the next resume, and one it takes
-/// back needs a [`recolor`] first. A label is handed out at most once over
-/// the whole construction.
+/// a task it accepts later is colored on the next resume. Green is never
+/// taken back, so a driver refutes a task before the resume that would
+/// first explore it — the runtime does so in the input that merges it. A
+/// label is handed out at most once over the whole construction.
 ///
 /// [`first_frontier`]: FrontierConstruction::first_frontier
 /// [`merge`]: FrontierConstruction::merge
 /// [`resume`]: FrontierConstruction::resume
-/// [`recolor`]: FrontierConstruction::recolor
 #[derive(Debug)]
 pub struct FrontierConstruction {
     spec: Spec,
@@ -333,33 +343,17 @@ impl FrontierConstruction {
             }
         }
         // Goals green, or nothing left to ask: back-sweep or report the
-        // unreachable goals. The stats and the trace stay here too, in
-        // case a `recolor` reopens the construction.
+        // unreachable goals.
         self.done = true;
         let result = finish(
             self.sg.graph(),
             &self.spec,
             std::mem::take(&mut self.state),
             outcome,
-            self.stats.clone(),
-            self.trace.clone(),
+            std::mem::take(&mut self.stats),
+            self.trace.take(),
         );
         (steps, Next::Done(result))
-    }
-
-    /// Forgets the coloring, so that the next [`resume`](Self::resume)
-    /// explores the supergraph held so far afresh from the triggers.
-    /// Resumes only ever add green; this is for when the oracle takes
-    /// back a task it accepted on an earlier resume, and green that task
-    /// spread may have to go. Labels already handed out stay handed out,
-    /// so a later frontier holds only labels green for the first time,
-    /// and the stats keep counting. A finished construction reopens: its
-    /// result is void, and [`merge`](Self::merge) and `resume` work again.
-    pub fn recolor(&mut self) {
-        self.state = ColorState::with_len(self.sg.graph().node_count());
-        self.scratch = ExploreScratch::new();
-        self.newly_green.clear();
-        self.done = false;
     }
 
     /// The (partial) supergraph assembled so far.
@@ -619,127 +613,6 @@ mod tests {
         assert_eq!(c.stats().query_rounds, 2);
         assert_eq!(c.stats().fragments_pulled, 2);
         assert_eq!(engine.into_supergraph().fragment_count(), 2);
-    }
-
-    /// The frontiers and the construction of an engine fed `batches`, one
-    /// per round, resuming under `feasible` after each.
-    fn fed(
-        spec: &Spec,
-        batches: &[Vec<Arc<Fragment>>],
-        feasible: fn(&TaskId) -> bool,
-    ) -> Vec<Next> {
-        let mut engine = IncrementalConstructor::new().start(spec);
-        engine.first_frontier();
-        batches
-            .iter()
-            .map(|batch| {
-                engine.merge(batch);
-                engine.resume(feasible).1
-            })
-            .collect()
-    }
-
-    fn tasks_of(next: &Next) -> Vec<TaskId> {
-        match next {
-            Next::Done(Ok(c)) => c.workflow().tasks().collect(),
-            other => panic!("expected a construction, got {other:?}"),
-        }
-    }
-
-    /// A task the oracle accepted is refuted a round later: after
-    /// `recolor`, resuming over the same batches gives the frontiers and
-    /// the construction a fresh engine gives under the narrower oracle.
-    /// `x`, green only through the refuted task and already asked, is not
-    /// asked again; the stats count both colorings.
-    #[test]
-    fn a_recolor_after_a_refutation_builds_what_a_fresh_engine_builds() {
-        let batches = vec![
-            vec![
-                Arc::new(frag("f1", "refuted", &["a"], &["x"])),
-                Arc::new(frag("f2", "served", &["a"], &["y"])),
-            ],
-            vec![
-                Arc::new(frag("f3", "from x", &["x"], &["goal"])),
-                Arc::new(frag("f4", "from y", &["y"], &["z"])),
-            ],
-            vec![Arc::new(frag("f5", "from z", &["z"], &["goal"]))],
-        ];
-        let spec = Spec::new(["a"], ["goal"]);
-        let narrow: fn(&TaskId) -> bool = |t| t != &TaskId::new("refuted");
-        let fresh = fed(&spec, &batches, narrow);
-
-        let mut engine = IncrementalConstructor::new().start(&spec);
-        engine.first_frontier();
-        engine.merge(&batches[0]);
-        let (optimistic_steps, next) = engine.resume(|_| true);
-        let asked = |l: &[&str]| l.iter().map(|l| Label::new(*l)).collect::<Vec<_>>();
-        assert!(
-            matches!(next, Next::Ask(ref l) if *l == asked(&["x", "y"])),
-            "{next:?}"
-        );
-        engine.merge(&batches[1]);
-        engine.recolor();
-        let (recolored_steps, next) = engine.resume(narrow);
-        assert!(
-            matches!(next, Next::Ask(ref l) if *l == asked(&["z"])),
-            "{next:?}"
-        );
-        assert!(matches!(fresh[1], Next::Ask(ref l) if *l == asked(&["z"])));
-        engine.merge(&batches[2]);
-        let (last_steps, next) = engine.resume(narrow);
-        let Next::Done(Ok(c)) = next else {
-            panic!("the detour through z reaches the goal")
-        };
-        assert_eq!(
-            c.workflow().tasks().collect::<Vec<_>>(),
-            tasks_of(&fresh[2])
-        );
-        let Next::Done(Ok(f)) = &fresh[2] else {
-            unreachable!()
-        };
-        assert_eq!(c.workflow().labels().count(), f.workflow().labels().count());
-        assert_eq!(
-            (c.stats().query_rounds, c.stats().fragments_pulled),
-            (f.stats().query_rounds, f.stats().fragments_pulled)
-        );
-        assert_eq!(
-            c.stats().explore_steps,
-            optimistic_steps + recolored_steps + last_steps
-        );
-    }
-
-    /// A refutation that arrives after the construction finished reopens
-    /// it: the goal, green only through the refuted task, needs the
-    /// frontier the fresh engine asks for.
-    #[test]
-    fn a_recolor_reopens_a_finished_construction() {
-        let batches = vec![
-            vec![
-                Arc::new(frag("f1", "direct", &["a"], &["goal"])),
-                Arc::new(frag("f2", "detour", &["a"], &["mid"])),
-            ],
-            vec![Arc::new(frag("f3", "finish", &["mid"], &["goal"]))],
-        ];
-        let spec = Spec::new(["a"], ["goal"]);
-        let narrow: fn(&TaskId) -> bool = |t| t != &TaskId::new("direct");
-        let fresh = fed(&spec, &batches, narrow);
-
-        let mut engine = IncrementalConstructor::new().start(&spec);
-        engine.first_frontier();
-        engine.merge(&batches[0]);
-        let next = engine.resume(|_| true).1;
-        assert!(tasks_of(&next).contains(&TaskId::new("direct")));
-        engine.recolor();
-        let next = engine.resume(narrow).1;
-        assert!(
-            matches!(next, Next::Ask(ref l) if l == &[Label::new("mid")]),
-            "{next:?}"
-        );
-        assert!(matches!(fresh[0], Next::Ask(ref l) if l == &[Label::new("mid")]));
-        engine.merge(&batches[1]);
-        let next = engine.resume(narrow).1;
-        assert_eq!(tasks_of(&next), tasks_of(&fresh[1]));
-        assert!(!tasks_of(&next).contains(&TaskId::new("direct")));
     }
 
     #[test]

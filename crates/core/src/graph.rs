@@ -494,7 +494,8 @@ impl Graph {
 
     /// True when the node index uses the direct-mapped (dense) layout.
     /// Diagnostic only — answers never depend on the layout.
-    pub fn index_is_dense(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn index_is_dense(&self) -> bool {
         matches!(self.index, NodeIndex::Dense { .. })
     }
 

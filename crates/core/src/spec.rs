@@ -57,8 +57,10 @@ impl Spec {
     /// Strict equality of the outset can be impossible when one goal label
     /// feeds the production of another (the label then has an outgoing edge
     /// and is no longer a sink); see [`Spec::accepts`] for the practical
-    /// predicate used by construction.
-    pub fn is_satisfied_strict(&self, workflow: &Workflow) -> bool {
+    /// predicate used by construction. Tests check constructions against
+    /// it.
+    #[cfg(test)]
+    pub(crate) fn is_satisfied_strict(&self, workflow: &Workflow) -> bool {
         workflow.inset().is_subset(&self.triggers) && workflow.outset() == self.goals
     }
 
@@ -71,7 +73,8 @@ impl Spec {
     /// * `W.out ⊆ ω` — the workflow delivers no unwanted extra results.
     ///
     /// For specifications whose goals are independent (no goal feeds
-    /// another), this coincides with [`Spec::is_satisfied_strict`]. The
+    /// another), this coincides with the paper's strict predicate,
+    /// `W.in ⊆ ι ∧ W.out = ω`. The
     /// relaxation only matters in the corner case the paper's formalization
     /// glosses over, where a goal label is also consumed inside the
     /// workflow and therefore is not a sink.

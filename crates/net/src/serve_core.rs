@@ -110,7 +110,9 @@ pub(crate) enum SeverReason {
     Corrupt,
     /// A frame other than a hello before the hello (`conn_denied`).
     BeforeHello,
-    /// A hello of another protocol version (`conn_denied`).
+    /// A hello of another protocol version (`conn_denied` and
+    /// `conn_version_refused`, which names the cause: a member built from
+    /// another version of the message bodies).
     Version,
     /// A hello announcing a quarantined pair (`conn_denied`; goodbye).
     DeniedHello,
@@ -135,6 +137,7 @@ pub(crate) struct NetMetrics {
     conn_dialed: Counter,
     conn_closed: Counter,
     conn_denied: Counter,
+    conn_version_refused: Counter,
     conn_slow_drops: Counter,
     conn_quarantine_drops: Counter,
     rx_frames: Counter,
@@ -163,6 +166,7 @@ impl NetMetrics {
             conn_dialed: m.counter("net.conn_dialed"),
             conn_closed: m.counter("net.conn_closed"),
             conn_denied: m.counter("net.conn_denied"),
+            conn_version_refused: m.counter("net.conn_version_refused"),
             conn_slow_drops: m.counter("net.conn_slow_drops"),
             conn_quarantine_drops: m.counter("net.conn_quarantine_drops"),
             rx_frames: m.counter("net.rx_frames"),
@@ -442,7 +446,11 @@ impl ServeCore {
                 m.tx_dropped.inc();
             }
             Corrupt | IngestRejected => m.decode_rejections.inc(),
-            BeforeHello | Version | DeniedHello | RepeatedHello => m.conn_denied.inc(),
+            BeforeHello | DeniedHello | RepeatedHello => m.conn_denied.inc(),
+            Version => {
+                m.conn_denied.inc();
+                m.conn_version_refused.inc();
+            }
             ForgedSender => m.rx_forged_unannounced.inc(),
             ForgedLocal => m.rx_forged_local.inc(),
             Quarantined => m.conn_quarantine_drops.inc(),
@@ -886,7 +894,6 @@ mod tests {
             problem: ProblemId::new(SERVER, 0),
             round: 1,
             fragments: vec![Arc::new(frag(&n("f"), &n("t"), &n("a"), &n("b")))],
-            capable: Vec::new(),
         };
         encode_msg(&reply, &mut inner);
         envelope(from, &inner)
@@ -954,6 +961,7 @@ mod tests {
         s.deliver(old, &hello_from(NET_PROTO_VERSION - 1, "", &[PEER]));
         assert_eq!(s.severed(old), Some(SeverReason::Version));
         assert_eq!(s.counter("net.conn_denied"), 1);
+        assert_eq!(s.counter("net.conn_version_refused"), 1);
 
         // A length prefix past the frame cap: framing is lost.
         let unframed = s.accept();
@@ -970,19 +978,20 @@ mod tests {
         assert_eq!(s.core.conn_of.len(), 0);
     }
 
-    /// Version 3 changed message bodies (a query names the summary
-    /// version its initiator holds, and members advertise summaries): a
-    /// version-2 peer would misparse them, so its hello is severed and
-    /// nothing it sends after it is dispatched.
+    /// Version 4 changed message bodies (a query carries no tasks and a
+    /// reply no served tasks: the summaries answer that): a version-3
+    /// peer would misparse them, so its hello is severed, counted as a
+    /// version refusal, and nothing it sends after it is dispatched.
     #[test]
-    fn a_version_two_hello_is_severed() {
-        assert_eq!(NET_PROTO_VERSION, 3);
+    fn a_version_three_hello_is_severed() {
+        assert_eq!(NET_PROTO_VERSION, 4);
         let mut s = Served::with_ingest(Some(64));
         let old = s.accept();
-        let fragment = fragment_envelope(MEMBER, &frag("sc-v2-f", "sc-v2-t", "sc-l1", "sc-l2"));
-        s.deliver(old, &[hello_from(2, "", &[MEMBER]), fragment].concat());
+        let fragment = fragment_envelope(MEMBER, &frag("sc-v3-f", "sc-v3-t", "sc-l1", "sc-l2"));
+        s.deliver(old, &[hello_from(3, "", &[MEMBER]), fragment].concat());
         assert_eq!(s.severed(old), Some(SeverReason::Version));
         assert_eq!(s.counter("net.conn_denied"), 1);
+        assert_eq!(s.counter("net.conn_version_refused"), 1);
         assert_eq!(s.core.conn_of.len(), 0);
         assert_eq!(s.fragments(), 1, "nothing after the hello was read");
     }

@@ -154,7 +154,6 @@ fn query_envelope(from: HostId, seq: u32, label: &str) -> Vec<u8> {
             problem: ProblemId::new(from, seq),
             round: 0,
             labels: vec![Label::new(label)],
-            tasks: Vec::new(),
             known: 0,
         },
         &mut inner,
@@ -612,7 +611,6 @@ fn minted_reply(from: HostId, i: usize) -> Vec<u8> {
             problem: ProblemId::new(SERVER, 0),
             round: 1,
             fragments: vec![Arc::new(fragment)],
-            capable: Vec::new(),
         },
         &mut inner,
     );
@@ -661,7 +659,6 @@ fn a_frame_in_the_servers_own_name_is_dropped_before_it_is_decoded() {
         labels: (0..16)
             .map(|i| Label::new(format!("hp-own@@{i:02}")))
             .collect(),
-        tasks: Vec::new(),
         known: 0,
     };
     let mut inner = Vec::new();

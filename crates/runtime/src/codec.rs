@@ -38,8 +38,10 @@ use crate::metadata::{Bid, ExecutionPlan, PlannedOutput, PlannedTask};
 /// misparsed. Any change to a body bumps it, and the golden rows in this
 /// module's tests are recorded again under the new version. Version 3
 /// added [`Msg::Advertise`] and the summary version a
-/// [`Msg::FragmentQuery`] carries.
-pub const MSG_VERSION: u64 = 3;
+/// [`Msg::FragmentQuery`] carries; version 4 took the task list out of
+/// the query and the served tasks out of [`Msg::FragmentReply`], which
+/// the summaries answer.
+pub const MSG_VERSION: u64 = 4;
 
 const V_INITIATE: u8 = 0;
 const V_FRAGMENT_QUERY: u8 = 1;
@@ -253,21 +255,18 @@ pub fn encode_msg(msg: &Msg, out: &mut Vec<u8>) {
             problem,
             round,
             labels,
-            tasks,
             known,
         } => {
             enc.byte(V_FRAGMENT_QUERY);
             write_problem(&mut enc, *problem);
             enc.varint(u64::from(*round));
             write_labels(&mut enc, labels);
-            write_tasks(&mut enc, tasks);
             write_version(&mut enc, *known);
         }
         Msg::FragmentReply {
             problem,
             round,
             fragments,
-            capable,
         } => {
             enc.byte(V_FRAGMENT_REPLY);
             write_problem(&mut enc, *problem);
@@ -276,7 +275,6 @@ pub fn encode_msg(msg: &Msg, out: &mut Vec<u8>) {
             for f in fragments {
                 write_fragment(&mut enc, f);
             }
-            write_tasks(&mut enc, capable);
         }
         Msg::CallForBids { problem, tasks } => {
             enc.byte(V_CALL_FOR_BIDS);
@@ -385,7 +383,6 @@ fn read_msg(r: &mut PayloadReader<'_, '_>, frame: &mut Resolved<'_>) -> Result<M
             problem: read_problem(r)?,
             round: read_u32(r)?,
             labels: read_labels(r, names)?,
-            tasks: read_tasks(r, names)?,
             known: read_version(r)?,
         },
         V_FRAGMENT_REPLY => {
@@ -401,7 +398,6 @@ fn read_msg(r: &mut PayloadReader<'_, '_>, frame: &mut Resolved<'_>) -> Result<M
                 problem,
                 round,
                 fragments,
-                capable: read_tasks(r, names)?,
             }
         }
         V_CALL_FOR_BIDS => Msg::CallForBids {
@@ -596,14 +592,12 @@ mod tests {
                 problem: p(),
                 round: 7,
                 labels: vec![Label::new("rc-a")],
-                tasks: vec![TaskId::new("rc-t")],
                 known: 0x0123_4567_89ab_cdef,
             },
             Msg::FragmentReply {
                 problem: p(),
                 round: 7,
                 fragments: vec![frag("rc-f1")],
-                capable: vec![TaskId::new("rc-f1-t")],
             },
             Msg::CallForBids {
                 problem: p(),
@@ -649,14 +643,14 @@ mod tests {
     /// The canonical frames as hex, recorded under the message version
     /// they were written at.
     const GOLDEN: (u64, [&str; 11]) = (
-        3,
+        4,
         [
             // Initiate
             "150103020472632d610472632d6200032a0101000101",
             // FragmentQuery
-            "1e0103020472632d610472632d7401032a010701000101efcdab8967452301",
+            "170103010472632d6101032a01070100efcdab8967452301",
             // FragmentReply
-            "300103040572632d66310772632d66312d740472632d610472632d6202032a010701000303010002000302010000020101",
+            "2e0103040572632d66310772632d66312d740472632d610472632d6202032a01070100030301000200030201000002",
             // CallForBids
             "140103020472632d740472632d7505032a01020001",
             // Bids
@@ -717,27 +711,23 @@ mod tests {
                 problem: p(),
                 round: 7,
                 labels: vec![Label::new("rc-a"), Label::new("rc-b")],
-                tasks: vec![TaskId::new("rc-t"), TaskId::new("rc-f1-t")],
                 known: 0,
             },
             Msg::FragmentQuery {
                 problem: p(),
                 round: 8,
                 labels: Vec::new(),
-                tasks: vec![TaskId::new("rc-t")],
                 known: u64::MAX,
             },
             Msg::FragmentReply {
                 problem: p(),
                 round: 7,
                 fragments: vec![frag("rc-f1"), frag("rc-f2")],
-                capable: vec![TaskId::new("rc-f1-t")],
             },
             Msg::FragmentReply {
                 problem: p(),
                 round: 8,
                 fragments: Vec::new(),
-                capable: Vec::new(),
             },
             Msg::CallForBids {
                 problem: p(),
@@ -810,13 +800,11 @@ mod tests {
             problem: p(),
             round: 0,
             fragments: vec![frag("rc-share-1")],
-            capable: Vec::new(),
         };
         let two = Msg::FragmentReply {
             problem: p(),
             round: 0,
             fragments: vec![frag("rc-share-1"), frag("rc-share-2")],
-            capable: Vec::new(),
         };
         let (a, b) = (encoded(&one).len(), encoded(&two).len());
         assert!(
@@ -833,7 +821,6 @@ mod tests {
             problem: p(),
             round: 0,
             fragments: fragments.clone(),
-            capable: Vec::new(),
         });
         let mut budget = VocabularyBudget::with_cap(3);
         let mut scratch = DecodeScratch::new();
@@ -947,7 +934,6 @@ mod tests {
                 problem: p(),
                 round: 2,
                 labels: vec![Label::new("rc-a")],
-                tasks: vec![TaskId::new("rc-t")],
                 known: 9,
             },
             Msg::Advertise {
@@ -1092,7 +1078,6 @@ mod tests {
             problem: p(),
             round: 0,
             fragments: (0..20).map(|i| frag(&format!("rc-sz-{i}"))).collect(),
-            capable: Vec::new(),
         };
         let (small, big) = (encoded(&small).len(), encoded(&big).len());
         assert!(small < 64);

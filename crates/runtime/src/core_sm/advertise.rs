@@ -4,7 +4,9 @@
 //! call for bids reads the summaries the other members advertised, and
 //! asks each member only the part it can answer (`construct.rs`,
 //! `allocate.rs`); a member whose summary it has not seen is asked
-//! everything.
+//! everything. The summaries also answer the service-feasibility
+//! question: a task merged into a supergraph that neither this host nor
+//! any member's summary serves is refuted (`construct.rs`).
 //!
 //! Peers learn a summary by pull, plus push on change:
 //!
@@ -138,7 +140,7 @@ impl HostCore {
         self.own = taken;
         if changed {
             let advert = self.advertisement();
-            for peer in self.others() {
+            for peer in self.peers() {
                 self.emit(q, peer, advert.clone());
             }
         }

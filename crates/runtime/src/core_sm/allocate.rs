@@ -24,7 +24,8 @@
 //!
 //! A member may serve a task when the summary it advertised
 //! (`advertise.rs`) says it serves the task, or when this host has not
-//! seen its summary; the initiator itself always answers. Only those
+//! seen its summary; the initiator itself always answers, and a member
+//! this host quarantined is never called. Only those
 //! members are called for the task: a member the summaries rule out
 //! would have declined, so the bids compared are the bids a call to
 //! every member would have drawn, and the winners the same.
@@ -407,29 +408,34 @@ impl HostCore {
 
         // Call for bids: one frame to each member that may serve a task,
         // naming those tasks…
-        for &peer in self.community.iter().filter(|&&h| h != me) {
-            let called: Vec<TaskId> = match self.summary_of(peer) {
-                Some(summary) => tasks
-                    .iter()
-                    .filter(|t| summary.serves(t))
-                    .cloned()
-                    .collect(),
-                None => tasks.clone(),
-            };
-            if called.is_empty() {
-                continue;
-            }
-            if let Some(w) = self
-                .workspaces
-                .get_mut(&problem)
-                .and_then(|ws| ws.working.as_deref_mut())
-            {
-                for task in &called {
+        let calls: Vec<(HostId, Vec<TaskId>)> = self
+            .peers()
+            .filter_map(|peer| {
+                let called: Vec<TaskId> = match self.summary_of(peer) {
+                    Some(summary) => tasks
+                        .iter()
+                        .filter(|t| summary.serves(t))
+                        .cloned()
+                        .collect(),
+                    None => tasks.clone(),
+                };
+                (!called.is_empty()).then_some((peer, called))
+            })
+            .collect();
+        if let Some(w) = self
+            .workspaces
+            .get_mut(&problem)
+            .and_then(|ws| ws.working.as_deref_mut())
+        {
+            for (peer, called) in &calls {
+                for task in called {
                     if let Some(a) = w.auctions.get_mut(task) {
-                        a.awaiting.insert(peer);
+                        a.awaiting.insert(*peer);
                     }
                 }
             }
+        }
+        for (peer, called) in calls {
             self.emit(
                 q,
                 peer,

@@ -1,35 +1,55 @@
 //! Construction (§3.1): the initiator's query rounds and the repliers'
 //! side of them. A round asks for the fragments consuming the frontier
 //! the workspace's frontier construction
-//! ([`openwf_core::FrontierConstruction`]) handed out, and which of the
-//! tasks the previous round brought in — those this host cannot serve —
-//! the community can serve: Figure 3's service-feasibility messages ride
-//! in the fragment messages, so a frontier step costs one round trip.
+//! ([`openwf_core::FrontierConstruction`]) handed out; Figure 3's
+//! service-feasibility question is answered from the summaries the
+//! members advertised (`advertise.rs`), so a frontier step costs one
+//! round trip and no round asks about tasks.
 //!
-//! A round asks each member only what it can answer, by the summary the
-//! member advertised (`advertise.rs`): the frontier labels its knowhow
-//! consumes and the tasks its services perform. A member whose summary
-//! meets neither is not asked, and one whose summary this host has not
-//! seen is asked everything. This changes no answer: a member holds no
-//! fragment consuming a label it was not asked and serves no task it was
-//! not asked, so its reply is the one the whole query would have got —
-//! the same fragments in the same store order — and a member left out
-//! would have answered with nothing. The round opens by sending each
-//! asked member its `FragmentQuery` and arming the timeout, and closes
-//! when every asked member's reply is counted, when the timeout fires,
-//! or at once when nobody was asked. Until its
-//! round's replies arrive, an unasked task counts as servable; an asked
-//! task no reply offers is refuted, and the engine recolors the
-//! supergraph it holds without it. A workflow built while some of its
-//! tasks were still unasked waits for one last round, with no labels,
-//! about those tasks. Then the attempt moves on to allocation, or fails.
+//! A round asks each member only the frontier labels its summary says
+//! its knowhow consumes. A member whose summary meets none of them is
+//! not asked, and one whose summary this host has not seen is asked
+//! every label. This changes no answer: a member holds no fragment
+//! consuming a label it was not asked, so its reply is the one the whole
+//! query would have got — the same fragments in the same store order —
+//! and a member left out would have answered with nothing. The round
+//! opens by sending each asked member its `FragmentQuery` and arming the
+//! timeout, and closes when every asked member's reply is counted, when
+//! the timeout fires, or at once when nobody was asked.
+//!
+//! Closing a round merges its fragments, and each task they bring in
+//! that this host cannot serve is refuted in the same input — unless the
+//! summary of some member this host talks to (`HostCore::peers`: not
+//! itself, not quarantined) serves it, or some such member has no
+//! summary yet. That member might serve anything, so nothing is refuted
+//! and the auction is the check, as it is for a stale summary. A refuted
+//! task is refuted before the engine first explores it, so nothing it
+//! colored has to be taken back: the engine only ever resumes. When the
+//! construction finishes, its workflow goes to allocation in the input
+//! that closed its last round; one that fails, fails the attempt.
 //! Everything here runs between the `construct` span's begin and end.
+//!
+//! # Exactness
+//!
+//! On a clean run every member's `Advertise` arrives ahead of its first
+//! reply on the same stream (a member whose summary this host lacks is
+//! asked with `known: 0`, and answers that first), so the initiator
+//! holds every member's summary when a round closes. The same members
+//! serve the same tasks, so the tasks refuted are the ones a round
+//! asking each member about them would have refuted. What moves is
+//! when: a task is refuted before its first exploration rather than a
+//! round after it, so the frontier handed out next, and with it the
+//! workflow, may differ from one built while the task still counted as
+//! servable. Under loss, a task is no longer refuted because the member
+//! asked about it stayed silent: while some member has no summary
+//! nothing is refuted, and a task some summary serves goes to the
+//! auction — `Unallocatable`, then repair, if nobody bids.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use openwf_core::construct::incremental::Next;
-use openwf_core::{ConstructError, Construction, Fragment, FxHashSet, Label, Spec, TaskId};
+use openwf_core::{ConstructError, Construction, Fragment, Label, Spec, TaskId};
 use openwf_obs::SpanPhase;
 use openwf_simnet::{HostId, SimTime};
 
@@ -60,8 +80,7 @@ impl HostCore {
             );
         }
         self.span(now, problem, "construct", SpanPhase::Begin);
-        let n_peers = self.community.len().saturating_sub(1);
-        let workspace = Workspace::new(problem, spec, now, n_peers);
+        let workspace = Workspace::new(problem, spec, now);
         self.workspaces.insert(problem, workspace);
         self.begin_construction(problem, now, q);
     }
@@ -86,26 +105,23 @@ impl HostCore {
         if frontier.is_empty() {
             self.resume_construction(problem, now, q);
         } else {
-            self.open_round(problem, frontier, Vec::new(), now, q);
+            self.open_round(problem, frontier, now, q);
         }
     }
 
     /// [`Msg::FragmentQuery`]: answers the initiator with the local
-    /// knowhow consuming any of `labels` and the subset of `tasks` a
-    /// local service can perform — after an advertisement of this
-    /// host's summary when the query named another version of it.
+    /// knowhow consuming any of `labels` — after an advertisement of
+    /// this host's summary when the query named another version of it.
     pub(super) fn on_fragment_query(
         &mut self,
         problem: ProblemId,
         round: u32,
         labels: Vec<Label>,
-        tasks: Vec<TaskId>,
         known: u64,
         q: &mut ActionQueue,
     ) {
         self.advertise_if_unknown(problem.initiator, known, q);
         let fragments = self.fragment_mgr.query(&labels);
-        let capable = self.service_mgr.capable_of(&tasks);
         self.emit(
             q,
             problem.initiator,
@@ -113,26 +129,23 @@ impl HostCore {
                 problem,
                 round,
                 fragments,
-                capable,
             },
         );
     }
 
     /// [`Msg::FragmentReply`] (its fragments were charged against the
     /// vocabulary budget when [`HostCore::handle_frame`] decoded them):
-    /// `from`'s answers count towards `problem`'s open round if they are
+    /// `from`'s fragments count towards `problem`'s open round if they are
     /// for its number and the round asked `from` and has not counted its
     /// reply yet. A finished attempt, a stale reply (after a timeout,
     /// say), a member the round did not ask and a duplicate delivery
     /// change nothing. The last asked member's reply closes the round.
-    #[allow(clippy::too_many_arguments)]
     pub(super) fn on_query_reply(
         &mut self,
         from: HostId,
         problem: ProblemId,
         round: u32,
         fragments: Vec<Arc<Fragment>>,
-        capable: Vec<TaskId>,
         now: SimTime,
         q: &mut ActionQueue,
     ) {
@@ -150,64 +163,51 @@ impl HostCore {
             return;
         }
         c.fragments.extend(fragments);
-        c.capable.extend(capable);
         if c.waiting.is_empty() {
             self.close_round(problem, now, q);
         }
     }
 
     /// Opens `problem`'s next round, holding this host's own fragments
-    /// for `frontier`: asks each member for theirs and which of `tasks`
-    /// they serve, as far as its summary says it can answer (see the
-    /// module docs), then arms the round's timeout. A round with labels
-    /// is a frontier round, which the report counts; the last round
-    /// before allocation has none. A round that asks nobody closes here,
-    /// and still counts as a round when the community has other members.
+    /// for `frontier`: asks each member for theirs, as far as its
+    /// summary says it can answer (see the module docs), then arms the
+    /// round's timeout. A round that asks nobody closes here, and still
+    /// counts as a round when the community has other members.
     fn open_round(
         &mut self,
         problem: ProblemId,
         frontier: Vec<Label>,
-        tasks: Vec<TaskId>,
         now: SimTime,
         q: &mut ActionQueue,
     ) {
         let fragments = self.fragment_mgr.query(&frontier);
+        let has_peers = self.community.len() > 1;
         let Some(ws) = self.workspaces.get_mut(&problem) else {
             return;
         };
-        if !frontier.is_empty() {
-            ws.report.query_rounds += 1;
-        }
+        ws.report.query_rounds += 1;
         let Some(w) = ws.working.as_deref_mut() else {
             return;
         };
         debug_assert!(w.collect.is_none(), "one round at a time");
         w.round += 1;
         let round = w.round;
-        let has_peers = w.n_peers > 0;
         let mut waiting = BTreeSet::new();
-        let me = self.id();
-        for &peer in self.community.iter().filter(|&&h| h != me) {
-            let query = match self.summary_of(peer) {
+        for peer in self.peers() {
+            let (labels, known) = match self.summary_of(peer) {
                 Some(summary) => {
                     let labels: Vec<Label> = frontier
                         .iter()
                         .filter(|l| summary.consumes(l))
                         .cloned()
                         .collect();
-                    let tasks: Vec<TaskId> = tasks
-                        .iter()
-                        .filter(|t| summary.serves(t))
-                        .cloned()
-                        .collect();
-                    if labels.is_empty() && tasks.is_empty() {
+                    if labels.is_empty() {
                         continue;
                     }
-                    (labels, tasks, summary.version)
+                    (labels, summary.version)
                 }
-                None => (frontier.clone(), tasks.clone(), 0),
+                None => (frontier.clone(), 0),
             };
-            let (labels, tasks, known) = query;
             self.emit(
                 q,
                 peer,
@@ -215,7 +215,6 @@ impl HostCore {
                     problem,
                     round,
                     labels,
-                    tasks,
                     known,
                 },
             );
@@ -233,8 +232,6 @@ impl HostCore {
             round,
             waiting,
             fragments,
-            asked: tasks,
-            capable: FxHashSet::default(),
         });
         if has_peers {
             self.metrics.rounds.inc();
@@ -254,13 +251,9 @@ impl HostCore {
 
     /// Closes `problem`'s open round: at the last asked member's reply,
     /// at once when it asked nobody, or at `RoundTimeout` with the
-    /// answers that arrived. Every asked task no
-    /// answer offered is refuted. The last round before allocation hands
-    /// its workflow on if it refuted none of it; a frontier round merges
-    /// the fragments it collected and sets aside the tasks they bring in
-    /// that this host cannot serve, for the next round to ask about. Then
-    /// the construction resumes, over a fresh coloring if a task was
-    /// refuted.
+    /// answers that arrived. Merges the fragments collected, refutes the
+    /// tasks they bring in that nobody serves (see the module docs) and
+    /// resumes the construction, all in this input.
     pub(super) fn close_round(&mut self, problem: ProblemId, now: SimTime, q: &mut ActionQueue) {
         let Some(ws) = self.workspaces.get_mut(&problem) else {
             return;
@@ -271,46 +264,47 @@ impl HostCore {
         let Some(c) = w.collect.take() else {
             return;
         };
-        // A task is asked about once, so whatever this adds is news.
-        let known = w.refuted.len();
-        w.refuted
-            .extend(c.asked.into_iter().filter(|t| !c.capable.contains(t)));
-        let refuted = w.refuted.len() > known;
-        match w.built.take() {
-            Some(construction) if !refuted => {
-                self.constructed(problem, construction, now, q);
-                return;
-            }
-            Some(_) => {}
-            None => {
-                let merged = w.engine.merge(&c.fragments);
-                ws.report.fragments_pulled += merged;
-                q.charge(self.params.merge_fragment_cost.times(merged as u64));
-                for task in w.engine.supergraph().graph().tasks().skip(w.tasks_seen) {
-                    w.tasks_seen += 1;
-                    if self.service_mgr.can_serve(&task) {
-                        continue;
-                    }
-                    // Without peers there is nobody else to ask.
-                    if w.n_peers == 0 {
-                        w.refuted.insert(task);
-                    } else {
-                        w.unasked.push(task);
-                    }
-                }
-            }
-        }
-        if refuted {
-            w.engine.recolor();
-        }
+        let seen = w.engine.supergraph().graph().task_count();
+        let merged = w.engine.merge(&c.fragments);
+        ws.report.fragments_pulled += merged;
+        q.charge(self.params.merge_fragment_cost.times(merged as u64));
+        let unserved: Vec<TaskId> = w
+            .engine
+            .supergraph()
+            .graph()
+            .tasks()
+            .skip(seen)
+            .filter(|t| !self.service_mgr.can_serve(t))
+            .collect();
+        self.refute_unserved(problem, unserved);
         self.resume_construction(problem, now, q);
     }
 
+    /// Refutes each of `tasks` — merged into `problem`'s supergraph just
+    /// now, and not served here — that no member's summary serves. While
+    /// some member this host talks to has no summary, that member might
+    /// serve any of them, so none is refuted.
+    fn refute_unserved(&mut self, problem: ProblemId, mut tasks: Vec<TaskId>) {
+        if tasks.is_empty() || self.peers().any(|p| self.summary_of(p).is_none()) {
+            return;
+        }
+        tasks.retain(|t| {
+            !self
+                .peers()
+                .any(|p| self.summary_of(p).is_some_and(|s| s.serves(t)))
+        });
+        if let Some(w) = self
+            .workspaces
+            .get_mut(&problem)
+            .and_then(|ws| ws.working.as_deref_mut())
+        {
+            w.refuted.extend(tasks);
+        }
+    }
+
     /// Resumes `problem`'s construction, every task not refuted counting
-    /// as servable, and opens the round or ends the phase it asks for. A
-    /// frontier round also asks about the tasks still unasked. A workflow
-    /// with unasked tasks is held while the last round asks about them;
-    /// one without goes to allocation. A failed construction fails the
+    /// as servable, and opens the round or ends the phase it asks for: a
+    /// workflow goes to allocation, and a failed construction fails the
     /// attempt for good.
     fn resume_construction(&mut self, problem: ProblemId, now: SimTime, q: &mut ActionQueue) {
         let Some(ws) = self.workspaces.get_mut(&problem) else {
@@ -323,23 +317,8 @@ impl HostCore {
         let (steps, next) = w.engine.resume(|t| !refuted.contains(t));
         q.charge(self.params.explore_step_cost.times(steps));
         match next {
-            Next::Ask(frontier) => {
-                let tasks = std::mem::take(&mut w.unasked);
-                self.open_round(problem, frontier, tasks, now, q);
-            }
-            Next::Done(Ok(construction)) => {
-                let workflow = construction.workflow();
-                let (ask, keep): (Vec<TaskId>, Vec<TaskId>) = std::mem::take(&mut w.unasked)
-                    .into_iter()
-                    .partition(|t| workflow.contains_task(t));
-                w.unasked = keep;
-                if ask.is_empty() {
-                    self.constructed(problem, construction, now, q);
-                } else {
-                    w.built = Some(construction);
-                    self.open_round(problem, Vec::new(), ask, now, q);
-                }
-            }
+            Next::Ask(frontier) => self.open_round(problem, frontier, now, q),
+            Next::Done(Ok(construction)) => self.constructed(problem, construction, now, q),
             Next::Done(Err(e)) => {
                 let reason = match &e {
                     // The wording reports have always carried for this.
@@ -354,9 +333,7 @@ impl HostCore {
                 // Construction failure is final: the community's live
                 // knowledge cannot satisfy the spec. (Repair handles
                 // allocation/execution failures, where retrying can
-                // help because community state changed.) Counting the
-                // unasked tasks as servable only widened the search, so
-                // asking about them cannot help either.
+                // help because community state changed.)
                 self.retire(problem);
                 if self.obs.trace.is_enabled() {
                     self.trace(

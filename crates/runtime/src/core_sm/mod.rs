@@ -40,8 +40,8 @@
 //! | [`Msg`] variant | sent by | owner |
 //! |---|---|---|
 //! | `Initiate` | this host, for a problem it initiates | `construct.rs` |
-//! | `FragmentQuery` (the frontier labels and unasked tasks the recipient can answer) | the problem's initiator, a member | `construct.rs` |
-//! | `FragmentReply` (fragments and capable tasks) | another member | `construct.rs` |
+//! | `FragmentQuery` (the frontier labels the recipient's knowhow consumes) | the problem's initiator, a member | `construct.rs` |
+//! | `FragmentReply` (fragments) | another member | `construct.rs` |
 //! | `CallForBids` (the tasks the recipient serves, one per member) | the problem's initiator, a member | `allocate.rs` |
 //! | `Bids` (an answer per task called) | another member | `allocate.rs` |
 //! | `Award` (tasks won and lost) | the problem's initiator, a member | `allocate.rs` |
@@ -77,7 +77,10 @@
 //! version of it and to every member after its knowhow or services
 //! changed (checked at the start of every input), and the summary each
 //! other member advertised, which every round and call for bids reads to
-//! ask each member only what it can answer.
+//! ask each member only what it can answer, and every round's close to
+//! refute the tasks nobody serves. A core talks to the community but
+//! itself and the members it quarantined (`peers`): it asks, calls and
+//! advertises to no one else.
 //!
 //! `construct.rs` hands over to `allocate.rs` when the frontier
 //! construction finishes (`start_allocation` opens one auction per
@@ -573,13 +576,15 @@ impl HostCore {
         self.timers.disarm_problem(problem, |_| true);
     }
 
-    fn others(&self) -> Vec<HostId> {
+    /// The members this core talks to: the community but itself and the
+    /// members it quarantined (whose frames it drops on receipt, so
+    /// asking them anything would only wait out a timeout).
+    fn peers(&self) -> impl Iterator<Item = HostId> + '_ {
         let me = self.id();
         self.community
             .iter()
             .copied()
-            .filter(|&h| h != me)
-            .collect()
+            .filter(move |&h| h != me && !self.quarantined.contains(&h))
     }
 
     fn note_rejection(&mut self, from: HostId, now: SimTime, q: &mut ActionQueue) {
@@ -660,15 +665,13 @@ impl HostCore {
                 problem,
                 round,
                 labels,
-                tasks,
                 known,
-            } => self.on_fragment_query(problem, round, labels, tasks, known, q),
+            } => self.on_fragment_query(problem, round, labels, known, q),
             Msg::FragmentReply {
                 problem,
                 round,
                 fragments,
-                capable,
-            } => self.on_query_reply(from, problem, round, fragments, capable, now, q),
+            } => self.on_query_reply(from, problem, round, fragments, now, q),
 
             Msg::CallForBids { problem, tasks } => self.on_call_for_bids(problem, tasks, now, q),
             Msg::Bids { problem, answers } => self.on_bids(from, problem, answers, now, q),

@@ -115,8 +115,7 @@ impl HostCore {
             );
         }
         self.span(now, next, "construct", SpanPhase::Begin);
-        let n_peers = self.community.len().saturating_sub(1);
-        let mut workspace = Workspace::new(next, spec, now, n_peers);
+        let mut workspace = Workspace::new(next, spec, now);
         workspace.report.repair_attempts = attempts_used + 1;
         // End-to-end timing spans the failed attempt too.
         workspace.report.timings.initiated_at = original_start;

@@ -296,7 +296,9 @@ fn zero_peer_construction_completes_locally() {
     assert!(ws.report.query_rounds > 0);
     assert_eq!(ws.report.timings.constructed_at, Some(SimTime::ZERO));
     let workflow = ws.construction.as_ref().expect("constructed").workflow();
-    assert!(spec.is_satisfied_strict(workflow));
+    // The paper's satisfaction predicate: W.in ⊆ ι and W.out = ω.
+    assert!(workflow.inset().is_subset(spec.triggers()));
+    assert_eq!(&workflow.outset(), spec.goals());
 }
 
 /// Capability filtering: without a service for `t2` anywhere, the goal
@@ -319,10 +321,11 @@ fn zero_peer_construction_respects_capabilities() {
     assert!(matches!(ws.report.status, ProblemStatus::Failed { .. }));
 }
 
-/// With a peer, each round is a broadcast followed by its timeout; the
-/// test plays the peer. The fragment round's reply brings a task the
-/// initiator cannot serve, so the workflow waits for one last round,
-/// without labels, that asks who can; the peer's offer ends construction.
+/// With a peer, each round is a query followed by its timeout; the test
+/// plays the peer. Its reply brings a task the initiator cannot serve.
+/// The peer has not advertised, so it may serve the task: nothing is
+/// refuted, and the workflow goes to allocation in the input that closes
+/// the round, with the peer called for the task.
 #[test]
 fn peer_rounds_drive_queries_and_replies() {
     // The initiator knows nothing and serves nothing.
@@ -333,20 +336,14 @@ fn peer_rounds_drive_queries_and_replies() {
     let round = match &q.actions() {
         [Action::SendBytes { to, bytes }, Action::SetTimer { .. }] if *to == peer => {
             match decoded(bytes) {
-                Msg::FragmentQuery {
-                    round,
-                    labels,
-                    tasks,
-                    ..
-                } => {
+                Msg::FragmentQuery { round, labels, .. } => {
                     assert_eq!(labels, vec![Label::new("pr-a")]);
-                    assert!(tasks.is_empty(), "nothing discovered yet: {tasks:?}");
                     round
                 }
                 other => panic!("expected a fragment query, got {other:?}"),
             }
         }
-        other => panic!("broadcast, then the timeout: {other:?}"),
+        other => panic!("the query, then the timeout: {other:?}"),
     };
 
     // The peer answers with the fragment that produces b.
@@ -354,42 +351,6 @@ fn peer_rounds_drive_queries_and_replies() {
         problem,
         round,
         fragments: vec![Arc::new(frag("pr-f1", "pr-t1", "pr-a", "pr-b"))],
-        capable: Vec::new(),
-    };
-    let q = core.handle_frame(peer, &frame(&reply), now);
-    let last = match &sent(&q)[..] {
-        [(
-            _,
-            Msg::FragmentQuery {
-                round,
-                labels,
-                tasks,
-                ..
-            },
-        )] => {
-            assert!(labels.is_empty(), "the frontier is spent: {labels:?}");
-            assert_eq!(tasks, &vec![TaskId::new("pr-t1")]);
-            *round
-        }
-        other => panic!("expected the last round's query, got {other:?}"),
-    };
-    assert!(!surfaced(&q, |e| matches!(
-        e,
-        WorkflowEvent::Constructed { .. }
-    )));
-    assert_eq!(armed(&q).len(), 1);
-    assert_eq!(
-        core.armed_timer_count(),
-        1,
-        "the first round's timeout went"
-    );
-
-    // The peer serves t1.
-    let reply = Msg::FragmentReply {
-        problem,
-        round: last,
-        fragments: Vec::new(),
-        capable: vec![TaskId::new("pr-t1")],
     };
     let q = core.handle_frame(peer, &frame(&reply), now);
     assert!(
@@ -397,8 +358,21 @@ fn peer_rounds_drive_queries_and_replies() {
         "{:?}",
         q.actions()
     );
+    match &sent(&q)[..] {
+        [(to, Msg::CallForBids { tasks, .. })] => {
+            assert_eq!(*to, peer);
+            assert_eq!(tasks, &vec![TaskId::new("pr-t1")]);
+        }
+        other => panic!("expected the call for bids, got {other:?}"),
+    }
+    assert_eq!(
+        core.armed_timer_count(),
+        1,
+        "the round's timeout went, the auction's is armed"
+    );
     let ws = core.latest_attempt(problem).expect("workspace");
-    assert_eq!(ws.report.query_rounds, 1, "frontier rounds only");
+    assert_eq!(ws.report.query_rounds, 1);
+    assert_eq!(ws.round(), Some(1), "no round asks about tasks");
     assert_eq!(ws.report.fragments_pulled, 1);
 }
 
@@ -406,11 +380,11 @@ fn peer_rounds_drive_queries_and_replies() {
 /// answers that arrived, and construction goes on with them.
 #[test]
 fn round_timeout_proceeds_with_partial_replies() {
-    // The initiator knows the fragment but serves nothing.
+    // The initiator knows the first step but serves nothing.
     let config = HostConfig::new().with_fragment(frag("rt-f1", "rt-t1", "rt-a", "rt-b"));
     let mut core = initiator(config, 3);
     let problem = ProblemId::new(HostId(0), 0);
-    let q = core.initiate(problem, Spec::new(["rt-a"], ["rt-b"]), SimTime::ZERO);
+    let q = core.initiate(problem, Spec::new(["rt-a"], ["rt-c"]), SimTime::ZERO);
     assert!(matches!(
         &sent(&q)[..],
         [
@@ -422,28 +396,27 @@ fn round_timeout_proceeds_with_partial_replies() {
         panic!("one round timeout: {:?}", q.actions())
     };
     let due = core.next_timer_due().expect("armed");
-    // Nobody answers: the timeout closes the frontier round with the
-    // local fragment, and the last round asks who serves its task.
+    // Nobody answers: the timeout closes the first round with the local
+    // fragment, and the next round asks for what consumes `rt-b`.
     let q = core.handle_timer(token, due);
-    let last = match &sent(&q)[..] {
-        [(HostId(1), Msg::FragmentQuery { round, tasks, .. }), (HostId(2), _)] => {
-            assert_eq!(tasks, &vec![TaskId::new("rt-t1")]);
+    let next = match &sent(&q)[..] {
+        [(HostId(1), Msg::FragmentQuery { round, labels, .. }), (HostId(2), _)] => {
+            assert_eq!(labels, &vec![Label::new("rt-b")]);
             *round
         }
-        other => panic!("expected the last round's query, got {other:?}"),
+        other => panic!("expected the second round's query, got {other:?}"),
     };
     let [token] = armed(&q)[..] else {
         panic!("one round timeout: {:?}", q.actions())
     };
-    // Host 1 offers the task and host 2 stays silent: the timeout counts
-    // the offer.
-    let offer = Msg::FragmentReply {
+    // Host 1 knows the last step and host 2 stays silent: the timeout
+    // merges host 1's answer.
+    let answer = Msg::FragmentReply {
         problem,
-        round: last,
-        fragments: Vec::new(),
-        capable: vec![TaskId::new("rt-t1")],
+        round: next,
+        fragments: vec![Arc::new(frag("rt-f2", "rt-t2", "rt-b", "rt-c"))],
     };
-    let q = core.handle_frame(HostId(1), &frame(&offer), due);
+    let q = core.handle_frame(HostId(1), &frame(&answer), due);
     assert!(q.is_empty(), "host 2 has not answered: {:?}", q.actions());
     let due = core.next_timer_due().expect("armed");
     let q = core.handle_timer(token, due);
@@ -452,6 +425,8 @@ fn round_timeout_proceeds_with_partial_replies() {
         "{:?}",
         q.actions()
     );
+    let ws = core.latest_attempt(problem).expect("workspace");
+    assert_eq!(ws.report.fragments_pulled, 2);
 }
 
 /// A reply for another round, or for another attempt, is not counted:
@@ -467,13 +442,11 @@ fn stale_replies_are_ignored() {
             problem,
             round: 99,
             fragments: Vec::new(),
-            capable: Vec::new(),
         },
         Msg::FragmentReply {
             problem: problem.next_attempt(),
             round: 1,
             fragments: Vec::new(),
-            capable: Vec::new(),
         },
     ] {
         let q = core.handle_frame(peer, &frame(&stale), now);
@@ -487,7 +460,6 @@ fn stale_replies_are_ignored() {
         problem,
         round: 1,
         fragments: Vec::new(),
-        capable: Vec::new(),
     };
     let q = core.handle_frame(peer, &frame(&genuine), now);
     assert!(
@@ -501,8 +473,9 @@ fn stale_replies_are_ignored() {
 /// round stays open until the other peer answers.
 #[test]
 fn a_duplicated_reply_does_not_close_a_two_peer_round() {
-    // The initiator serves nothing, so the round that closes opens the
-    // last round, about `dr-t1`.
+    // The initiator knows the whole workflow, so the round that closes
+    // ends construction and calls both peers, which have not advertised,
+    // for `dr-t1`.
     let config = HostConfig::new().with_fragment(frag("dr-f1", "dr-t1", "dr-a", "dr-b"));
     let mut core = initiator(config, 3);
     let (problem, now) = (ProblemId::new(HostId(0), 0), SimTime::ZERO);
@@ -511,7 +484,6 @@ fn a_duplicated_reply_does_not_close_a_two_peer_round() {
         problem,
         round: 1,
         fragments: Vec::new(),
-        capable: Vec::new(),
     });
     for copy in 0..2 {
         let q = core.handle_frame(HostId(1), &reply, now);
@@ -522,8 +494,8 @@ fn a_duplicated_reply_does_not_close_a_two_peer_round() {
         matches!(
             &sent(&q)[..],
             [
-                (HostId(1), Msg::FragmentQuery { round: 2, .. }),
-                (HostId(2), Msg::FragmentQuery { round: 2, .. })
+                (HostId(1), Msg::CallForBids { .. }),
+                (HostId(2), Msg::CallForBids { .. })
             ]
         ),
         "the second peer's reply closes the round: {:?}",
@@ -571,7 +543,6 @@ fn first_contact_is_untailored_and_answered_by_an_advertisement() {
             problem,
             round: 1,
             labels: vec![Label::new("fc-a")],
-            tasks: Vec::new(),
             known,
         })
     };
@@ -631,7 +602,6 @@ fn a_later_problem_asks_no_member_whose_summary_meets_nothing() {
         problem,
         round: 1,
         fragments: Vec::new(),
-        capable: Vec::new(),
     });
     let q = core.handle_frame(HostId(1), &empty, now);
     assert!(q.is_empty(), "host 1 was not asked: {:?}", q.actions());
@@ -699,9 +669,9 @@ fn a_fragment_added_mid_run_is_advertised_before_the_next_round() {
     assert_eq!(ws.report.status, ProblemStatus::Completed, "{ws}");
 }
 
-/// A member's summary is dropped when it leaves the community and when
-/// it is quarantined: the next round asks it everything again, naming no
-/// version, as at first contact.
+/// A member's summary is dropped when it leaves the community — the next
+/// round asks it everything again, naming no version, as at first
+/// contact — and when it is quarantined, after which it is asked nothing.
 #[test]
 fn a_departed_or_quarantined_members_summary_is_dropped() {
     let now = SimTime::ZERO;
@@ -740,11 +710,11 @@ fn a_departed_or_quarantined_members_summary_is_dropped() {
         problem: ProblemId::new(HostId(0), 1),
         round: 1,
         fragments: vec![Arc::new(frag("dq-f", "dq-t", "dq-m", "dq-n"))],
-        capable: Vec::new(),
     });
     let _ = core.handle_frame(HostId(2), &minting, now);
     assert!(core.is_quarantined(HostId(2)));
     assert!(core.summary_of(HostId(2)).is_none());
+    assert_eq!(asked(&mut core, 2), vec![(HostId(1), 0)]);
 }
 
 /// Once an attempt is `Completed` its working set is gone and nothing of
@@ -781,7 +751,6 @@ fn late_traffic_for_a_completed_attempt_changes_nothing() {
                             problem,
                             round,
                             fragments: Vec::new(),
-                            capable: Vec::new(),
                         },
                         Msg::CallForBids { problem, tasks } => Msg::Bids {
                             problem,
@@ -1084,7 +1053,6 @@ fn a_decode_error_keeps_the_span_buffer_in_the_published_figures() {
         labels: (0..4)
             .map(|i| Label::new(format!("sr-fresh-{i}")))
             .collect(),
-        tasks: Vec::new(),
         known: 0,
     });
     let mut unknown_variant = Vec::new();
@@ -1125,7 +1093,6 @@ fn minting_peer_is_quarantined_after_cap() {
             &format!("qr-mint-in{i}"),
             &format!("qr-mint-out{i}"),
         ))],
-        capable: Vec::new(),
     };
 
     // First over-budget reply: rejected, counted, not yet quarantined.
@@ -1161,7 +1128,6 @@ fn minting_peer_is_quarantined_after_cap() {
             problem: ProblemId::new(asker, 0),
             round: 9,
             labels: vec![Label::new("qr-a")],
-            tasks: Vec::new(),
             known: 0,
         })
     };
@@ -1206,7 +1172,6 @@ fn over_budget_frame_is_rejected_at_decode() {
             "fb-mint-in",
             "fb-mint-out",
         ))],
-        capable: Vec::new(),
     });
     let q = core.handle_frame(HostId(1), &bytes, SimTime::ZERO);
     assert!(q.is_empty());
@@ -1250,7 +1215,6 @@ fn non_reply_frames_cannot_mint_past_the_cap() {
             labels: (0..16)
                 .map(|i| Label::new(format!("nf-mint-{i}")))
                 .collect(),
-            tasks: Vec::new(),
             known: 0,
         })
     };
@@ -1265,7 +1229,6 @@ fn non_reply_frames_cannot_mint_past_the_cap() {
         problem: ProblemId::new(HostId(1), 0),
         round: 2,
         labels: vec![Label::new("nf-a")],
-        tasks: Vec::new(),
         known: 0,
     });
     let q = core.handle_frame(HostId(1), &ok_bytes, SimTime::ZERO);
@@ -2109,9 +2072,9 @@ fn stray_inputs_leave_nothing_behind() {
 /// A core bound as host 0 of `size` hosts, brought to the allocation
 /// of a chain of `len` tasks `{prefix}-t1` … from `{prefix}-s0` to
 /// `{prefix}-s{len}`: it knows the fragments but serves nothing, so it
-/// has already declined its own calls, and every peer said in the rounds
-/// that it can serve every task. The peers' calls for bids are left for
-/// the test to answer.
+/// has already declined its own calls. No peer advertised, so no task
+/// was refuted and every peer is called for every task. The peers'
+/// calls for bids are left for the test to answer.
 fn auctioning_chain(prefix: &str, size: u32, len: u32) -> (HostCore, ProblemId, Vec<TaskId>) {
     auctioning_chain_serving(HostConfig::new(), prefix, size, len)
 }
@@ -2136,16 +2099,10 @@ fn auctioning_chain_serving(
     loop {
         for (to, msg) in sent(&q) {
             let reply = match msg {
-                Msg::FragmentQuery {
-                    problem,
-                    round,
-                    tasks,
-                    ..
-                } => Msg::FragmentReply {
+                Msg::FragmentQuery { problem, round, .. } => Msg::FragmentReply {
                     problem,
                     round,
                     fragments: Vec::new(),
-                    capable: tasks,
                 },
                 Msg::CallForBids { .. } => continue,
                 other => panic!("nothing else goes out before allocation: {other:?}"),
@@ -2499,7 +2456,6 @@ fn a_non_member_reply_does_not_close_a_round() {
         problem,
         round: 1,
         fragments: Vec::new(),
-        capable: Vec::new(),
     });
     for from in [HostId(9), HostId(0), HostId(1)] {
         let q = core.handle_frame(from, &reply, now);
@@ -2507,14 +2463,19 @@ fn a_non_member_reply_does_not_close_a_round() {
     }
     let q = core.handle_frame(HostId(2), &reply, now);
     assert!(
+        surfaced(&q, |e| matches!(e, WorkflowEvent::Constructed { .. })),
+        "the last member's reply closes the round: {:?}",
+        q.actions()
+    );
+    assert!(
         matches!(
             &sent(&q)[..],
             [
-                (HostId(1), Msg::FragmentQuery { round: 2, .. }),
-                (HostId(2), Msg::FragmentQuery { round: 2, .. })
+                (HostId(1), Msg::CallForBids { .. }),
+                (HostId(2), Msg::CallForBids { .. })
             ]
         ),
-        "the last member's reply closes the round: {:?}",
+        "{:?}",
         q.actions()
     );
 }
@@ -2677,7 +2638,7 @@ fn a_forged_call_for_bids_books_nothing() {
 
 /// Only a problem's initiator asks its rounds: a query another member
 /// sends in host 0's name, or a stranger in its own, is not answered, so
-/// it learns nothing of this host's knowhow or services.
+/// it learns nothing of this host's knowhow or services (its summary).
 #[test]
 fn a_forged_fragment_query_gets_no_reply() {
     let config = HostConfig::new()
@@ -2689,7 +2650,6 @@ fn a_forged_fragment_query_gets_no_reply() {
             problem: ProblemId::new(HostId(asker), 0),
             round: 1,
             labels: vec![Label::new("fq-a")],
-            tasks: vec![TaskId::new("fq-t")],
             known: 0,
         })
     };
@@ -2701,89 +2661,78 @@ fn a_forged_fragment_query_gets_no_reply() {
     // First contact (`known: 0`): the summary goes ahead of the reply.
     let q = core.handle_frame(HostId(0), &query(0), now);
     match &sent(&q)[..] {
-        [(HostId(0), Msg::Advertise { .. }), (
-            HostId(0),
-            Msg::FragmentReply {
-                fragments, capable, ..
-            },
-        )] => {
+        [(HostId(0), Msg::Advertise { serves, .. }), (HostId(0), Msg::FragmentReply { fragments, .. })] =>
+        {
+            assert_eq!(serves, &vec![TaskId::new("fq-t")]);
             assert_eq!(fragments.len(), 1);
-            assert_eq!(capable, &vec![TaskId::new("fq-t")]);
         }
         other => panic!("the initiator's query is answered: {other:?}"),
     }
 }
 
-/// Two ways lead on from the trigger, and nobody serves the first. Both
-/// count as servable until asked, so the next frontier round asks about
-/// both tasks beside both labels; its replies refute the first, the
-/// engine recolors and the workflow takes the detour. The refutation
-/// costs no network round: two frontier rounds and the last one, as if
+/// Two ways lead on from the trigger, and nobody serves the first. The
+/// summaries say so, so the reply that brings both refutes the first in
+/// the same input: its output is never handed out, the next round asks
+/// only for the detour's, and the workflow takes the detour. The
+/// refutation costs no network round: two frontier rounds in all, as if
 /// every task had a server.
 #[test]
 fn a_refuted_task_costs_no_extra_round() {
     let mut core = initiator(HostConfig::new(), 3);
     let (problem, now) = (ProblemId::new(HostId(0), 0), SimTime::ZERO);
     let t = |name: &str| TaskId::new(format!("rd-{name}"));
-    let reply = |round: u32, fragments: Vec<Fragment>, capable: Vec<TaskId>| {
+    let reply = |round: u32, fragments: Vec<Fragment>| {
         frame(&Msg::FragmentReply {
             problem,
             round,
             fragments: fragments.into_iter().map(Arc::new).collect(),
-            capable,
         })
     };
-    // Round 1: host 1 knows both ways on from `rd-a`, host 2 nothing.
-    let _ = core.initiate(problem, Spec::new(["rd-a"], ["rd-goal"]), now);
-    let _ = core.handle_frame(HostId(2), &reply(1, Vec::new(), Vec::new()), now);
+    // Host 1 knows both ways on from `rd-a` and how both go on, and
+    // serves `rd-good` and `rd-from-y`; host 2 knows nothing and serves
+    // something else. Nobody serves `rd-bad`.
+    for (peer, advert) in [
+        (
+            1,
+            advertise(11, &["rd-a", "rd-x", "rd-y"], &["rd-good", "rd-from-y"]),
+        ),
+        (2, advertise(22, &[], &["rd-other"])),
+    ] {
+        let _ = core.handle_frame(HostId(peer), &advert, now);
+    }
+    let q = core.initiate(problem, Spec::new(["rd-a"], ["rd-goal"]), now);
+    assert!(
+        matches!(
+            &sent(&q)[..],
+            [(HostId(1), Msg::FragmentQuery { round: 1, .. })]
+        ),
+        "{:?}",
+        q.actions()
+    );
     let ways = vec![
         frag("rd-f1", "rd-bad", "rd-a", "rd-x"),
         frag("rd-f2", "rd-good", "rd-a", "rd-y"),
     ];
-    let q = core.handle_frame(HostId(1), &reply(1, ways, Vec::new()), now);
+    let q = core.handle_frame(HostId(1), &reply(1, ways), now);
     match &sent(&q)[..] {
         [(
             HostId(1),
             Msg::FragmentQuery {
-                round: 2,
-                labels,
-                tasks,
-                ..
+                round: 2, labels, ..
             },
-        ), (HostId(2), _)] => {
-            assert_eq!(labels, &[Label::new("rd-x"), Label::new("rd-y")]);
-            assert_eq!(tasks, &[t("bad"), t("good")]);
+        )] => {
+            assert_eq!(labels, &[Label::new("rd-y")], "`rd-x` is never asked");
         }
         other => panic!("expected the second frontier round, got {other:?}"),
     }
+    let refuted = |core: &HostCore| {
+        let w = core.latest_attempt(problem).and_then(|ws| ws.working());
+        w.map(|w| w.refuted.iter().cloned().collect::<Vec<_>>())
+    };
+    assert_eq!(refuted(&core), Some(vec![t("bad")]));
 
-    // Round 2: host 1 knows how both go on and serves `rd-good` (its
-    // offer of `rd-from-y`, which nobody asked about yet, counts for
-    // nothing); nobody serves `rd-bad`.
-    let _ = core.handle_frame(HostId(2), &reply(2, Vec::new(), Vec::new()), now);
-    let on = vec![
-        frag("rd-f3", "rd-from-x", "rd-x", "rd-goal"),
-        frag("rd-f4", "rd-from-y", "rd-y", "rd-goal"),
-    ];
-    let q = core.handle_frame(HostId(1), &reply(2, on, vec![t("good"), t("from-y")]), now);
-    match &sent(&q)[..] {
-        [(
-            HostId(1),
-            Msg::FragmentQuery {
-                round: 3,
-                labels,
-                tasks,
-                ..
-            },
-        ), (HostId(2), _)] => {
-            assert!(labels.is_empty(), "{labels:?}");
-            assert_eq!(tasks, &[t("from-y")], "the detour's unasked task");
-        }
-        other => panic!("expected the last round, got {other:?}"),
-    }
-
-    let _ = core.handle_frame(HostId(2), &reply(3, Vec::new(), Vec::new()), now);
-    let q = core.handle_frame(HostId(1), &reply(3, Vec::new(), vec![t("from-y")]), now);
+    let on = vec![frag("rd-f4", "rd-from-y", "rd-y", "rd-goal")];
+    let q = core.handle_frame(HostId(1), &reply(2, on), now);
     assert!(
         surfaced(&q, |e| matches!(e, WorkflowEvent::Constructed { .. })),
         "{:?}",
@@ -2795,8 +2744,176 @@ fn a_refuted_task_costs_no_extra_round() {
     tasks.sort();
     assert_eq!(tasks, [t("from-y"), t("good")]);
     assert_eq!(ws.report.query_rounds, 2);
-    assert_eq!(ws.round(), Some(3), "rounds opened in all");
-    assert_eq!(ws.report.fragments_pulled, 4);
+    assert_eq!(ws.round(), Some(2), "rounds opened in all");
+    assert_eq!(ws.report.fragments_pulled, 3);
+}
+
+/// A task that no member's summary serves is refuted in the
+/// input that merges it, so its output is never handed out — here that
+/// leaves the goal out of reach, and the attempt fails in that same
+/// input with no further round, although host 1 consumes the output.
+#[test]
+fn an_unserved_task_is_refuted_in_the_input_that_merges_it() {
+    let mut core = initiator(HostConfig::new(), 2);
+    let (problem, now) = (ProblemId::new(HostId(0), 0), SimTime::ZERO);
+    let advert = advertise(5, &["ur-a", "ur-x"], &["ur-other"]);
+    let _ = core.handle_frame(HostId(1), &advert, now);
+    let _ = core.initiate(problem, Spec::new(["ur-a"], ["ur-b"]), now);
+    let reply = frame(&Msg::FragmentReply {
+        problem,
+        round: 1,
+        fragments: vec![Arc::new(frag("ur-f", "ur-t", "ur-a", "ur-x"))],
+    });
+    let q = core.handle_frame(HostId(1), &reply, now);
+    assert!(sent(&q).is_empty(), "no further round: {:?}", q.actions());
+    assert!(
+        surfaced(&q, |e| matches!(e, WorkflowEvent::Failed { .. })),
+        "{:?}",
+        q.actions()
+    );
+    let ws = core.latest_attempt(problem).expect("workspace");
+    assert_eq!(ws.report.query_rounds, 1);
+    assert_eq!(core.armed_timer_count(), 0);
+}
+
+/// A task whose only possible server has not advertised stays
+/// servable. The auction decides it: with no bidder it is unallocatable,
+/// and the attempt goes to repair.
+#[test]
+fn a_task_only_a_member_without_a_summary_may_serve_goes_to_the_auction() {
+    let mut core = initiator(HostConfig::new(), 3);
+    let (problem, now) = (ProblemId::new(HostId(0), 0), SimTime::ZERO);
+    // Host 1 serves something else; host 2 never advertised.
+    let _ = core.handle_frame(HostId(1), &advertise(5, &["ns-a"], &["ns-other"]), now);
+    let q = core.initiate(problem, Spec::new(["ns-a"], ["ns-b"]), now);
+    assert_eq!(sent(&q).len(), 2, "{:?}", q.actions());
+    let reply = |fragments: Vec<Fragment>| {
+        frame(&Msg::FragmentReply {
+            problem,
+            round: 1,
+            fragments: fragments.into_iter().map(Arc::new).collect(),
+        })
+    };
+    let _ = core.handle_frame(HostId(2), &reply(Vec::new()), now);
+    let q = core.handle_frame(
+        HostId(1),
+        &reply(vec![frag("ns-f", "ns-t", "ns-a", "ns-b")]),
+        now,
+    );
+    assert!(
+        surfaced(&q, |e| matches!(e, WorkflowEvent::Constructed { .. })),
+        "{:?}",
+        q.actions()
+    );
+    let t = TaskId::new("ns-t");
+    match &sent(&q)[..] {
+        [(HostId(2), Msg::CallForBids { tasks, .. })] => assert_eq!(tasks, &vec![t.clone()]),
+        other => panic!("host 2 alone is called: {other:?}"),
+    }
+    let _ = respond(&mut core, problem, &t, 2, None, 0);
+    assert!(unallocatable(&core, problem, &t));
+    let latest = core.latest_attempt(problem).expect("workspace");
+    assert_eq!(latest.problem, problem.next_attempt(), "repaired");
+}
+
+/// A workflow goes to allocation in the input that closes its
+/// last frontier round — the reply that completes it.
+#[test]
+fn a_workflow_goes_to_allocation_in_the_input_that_closes_its_last_round() {
+    let mut core = initiator(HostConfig::new(), 2);
+    let (problem, now) = (ProblemId::new(HostId(0), 0), SimTime::ZERO);
+    let _ = core.handle_frame(HostId(1), &advertise(5, &["la-a"], &["la-t"]), now);
+    let _ = core.initiate(problem, Spec::new(["la-a"], ["la-b"]), now);
+    let reply = frame(&Msg::FragmentReply {
+        problem,
+        round: 1,
+        fragments: vec![Arc::new(frag("la-f", "la-t", "la-a", "la-b"))],
+    });
+    let q = core.handle_frame(HostId(1), &reply, now);
+    assert!(
+        surfaced(&q, |e| matches!(e, WorkflowEvent::Constructed { .. })),
+        "{:?}",
+        q.actions()
+    );
+    assert!(
+        matches!(&sent(&q)[..], [(HostId(1), Msg::CallForBids { .. })]),
+        "{:?}",
+        q.actions()
+    );
+    let ws = core.latest_attempt(problem).expect("workspace");
+    assert_eq!(ws.report.status, ProblemStatus::Allocating);
+    assert_eq!(ws.round(), Some(1));
+}
+
+/// A quarantined member is asked nothing: with honest host 1 and
+/// flooder host 2 quarantined, a round closes on host 1's reply with no
+/// round timeout, a task no honest summary serves is refuted at merge
+/// (host 2 has no summary, yet does not count as a possible server), and
+/// the auction decides without host 2.
+#[test]
+fn a_quarantined_member_is_asked_nothing() {
+    let config = HostConfig::new()
+        .with_vocabulary_cap(16)
+        .with_max_vocabulary_rejections(1);
+    let mut core = initiator(config, 3);
+    let (problem, now) = (ProblemId::new(HostId(0), 0), SimTime::ZERO);
+    let _ = core.handle_frame(HostId(1), &advertise(5, &["vq-a"], &["vq-t"]), now);
+    let flood = frame(&Msg::FragmentReply {
+        problem: ProblemId::new(HostId(0), 9),
+        round: 1,
+        fragments: (0..5)
+            .map(|i| {
+                let n = |s: &str| format!("vq-flood-{s}{i}");
+                Arc::new(frag(&n("f"), &n("t"), &n("a"), &n("b")))
+            })
+            .collect(),
+    });
+    let _ = core.handle_frame(HostId(2), &flood, now);
+    assert!(core.is_quarantined(HostId(2)));
+
+    let q = core.initiate(problem, Spec::new(["vq-a"], ["vq-b"]), now);
+    assert!(
+        matches!(&sent(&q)[..], [(HostId(1), Msg::FragmentQuery { .. })]),
+        "host 2 is not asked: {:?}",
+        q.actions()
+    );
+    let reply = frame(&Msg::FragmentReply {
+        problem,
+        round: 1,
+        fragments: vec![
+            Arc::new(frag("vq-f1", "vq-t", "vq-a", "vq-b")),
+            Arc::new(frag("vq-f2", "vq-bad", "vq-a", "vq-c")),
+        ],
+    });
+    let q = core.handle_frame(HostId(1), &reply, now);
+    assert!(
+        surfaced(&q, |e| matches!(e, WorkflowEvent::Constructed { .. })),
+        "the honest reply closes the round: {:?}",
+        q.actions()
+    );
+    let w = core
+        .latest_attempt(problem)
+        .and_then(|ws| ws.working())
+        .expect("open");
+    assert!(w.refuted.contains(&TaskId::new("vq-bad")));
+    assert!(!w.refuted.contains(&TaskId::new("vq-t")));
+    let t = TaskId::new("vq-t");
+    match &sent(&q)[..] {
+        [(HostId(1), Msg::CallForBids { tasks, .. })] => assert_eq!(tasks, &vec![t.clone()]),
+        other => panic!("host 1 alone is called: {other:?}"),
+    }
+    let q = respond(
+        &mut core,
+        problem,
+        &t,
+        1,
+        Some(firm_bid(1, 0, 1_000_000)),
+        0,
+    );
+    assert_eq!(winner(&q), Some(HostId(1)), "decided without host 2");
+    let ws = core.latest_attempt(problem).expect("workspace");
+    assert_eq!(ws.report.status, ProblemStatus::Executing);
+    assert_eq!(ws.report.query_rounds, 1);
 }
 
 /// Only the initiator abandons its attempts: an `Abandon` another peer
@@ -2864,7 +2981,6 @@ fn every_message_from_a_sender_its_rule_refuses_changes_nothing() {
                 problem,
                 round: 1,
                 fragments: Vec::new(),
-                capable: Vec::new(),
             };
             let _ = core.handle_frame(HostId(peer), &frame(&reply), now);
         }
@@ -2921,7 +3037,6 @@ fn every_message_from_a_sender_its_rule_refuses_changes_nothing() {
                     problem,
                     round: 1,
                     labels: vec![Label::new("sr-a")],
-                    tasks: task(),
                     known: 0,
                 },
                 Msg::CallForBids {
@@ -2946,7 +3061,6 @@ fn every_message_from_a_sender_its_rule_refuses_changes_nothing() {
                 problem: constructing,
                 round: 1,
                 fragments: vec![Arc::new(frag("sr-g", "sr-u", "sr-a", "sr-b"))],
-                capable: Vec::new(),
             },
         ));
         refused.push((

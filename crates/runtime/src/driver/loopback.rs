@@ -8,7 +8,7 @@
 //! ([`HostCore::handle_frame`]) — exactly what a networked deployment
 //! does, with no `Arc<Fragment>` sharing across host boundaries. This is
 //! the end-to-end proof that the binary codec carries the complete
-//! protocol: construction, capability checks, auctions, execution and
+//! protocol: construction, summaries, auctions, execution and
 //! repair all run over bytes.
 //!
 //! It is [`crate::Community`] built with kernel seed 0 and the default

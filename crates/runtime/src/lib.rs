@@ -16,9 +16,9 @@
 //!   [`HostCore::latest_attempt`]): the attempt's record and, while it
 //!   is open, core's frontier construction
 //!   ([`openwf_core::FrontierConstruction`]) and the query round in
-//!   flight. [`HostCore`] issues the fragment queries — each also asks
-//!   who serves the tasks the previous round brought in — and drives the
-//!   construction with the answers.
+//!   flight. [`HostCore`] issues the fragment queries, refutes each task
+//!   the answers bring in that no member's advertised summary serves,
+//!   and drives the construction with the rest.
 //! * Auction Manager — [`HostCore`]'s `core_sm/allocate.rs` over each
 //!   undecided task's auction in the workspace: solicits firm bids for
 //!   every task, keeps the best tentative allocation, and finalizes at
@@ -27,8 +27,8 @@
 //! **Execution subsystem** (active on every host):
 //! * [`FragmentManager`](fragment_mgr::FragmentManager) — the local
 //!   knowhow database, answering fragment queries.
-//! * [`ServiceManager`](service::ServiceManager) — local service registry,
-//!   capability answers, and invocation.
+//! * [`ServiceManager`](service::ServiceManager) — local service registry
+//!   (the served tasks a summary advertises), and invocation.
 //! * [`ScheduleManager`](schedule::ScheduleManager) — commitments,
 //!   availability and travel-time checks. A commitment is the one record
 //!   of a task here, from the bid's hold to the run

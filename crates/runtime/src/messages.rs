@@ -4,10 +4,10 @@
 //! communications layer: *fragment messages*, *service feasibility
 //! messages*, *auction messages*, and *inter-service messages*. [`Msg`]
 //! carries all four plus the problem-initiation message. Service
-//! feasibility rides in the fragment messages: a
-//! [`Msg::FragmentQuery`] also asks which of the tasks the previous round
-//! discovered a peer can serve, and its [`Msg::FragmentReply`] says, so a
-//! construction round is one round trip.
+//! feasibility is what each member advertises (below): the initiator
+//! answers the question from the summaries it holds, so a
+//! [`Msg::FragmentQuery`] asks for fragments only and a construction
+//! round is one round trip.
 //!
 //! The auction messages are per peer, not per task: one
 //! [`Msg::CallForBids`] to each member names every task of the
@@ -22,7 +22,8 @@
 //! Every member also tells its peers what it can answer with
 //! [`Msg::Advertise`]: the labels its knowhow consumes and the tasks its
 //! services perform. An initiator then asks each member only the part of
-//! a round's query, and of a call for bids, that the member can answer;
+//! a round's query, and of a call for bids, that the member can answer,
+//! and refutes a task no summary serves as soon as a round brings it in;
 //! a [`Msg::FragmentQuery`] carries the version of the asked member's
 //! summary the initiator holds, and a member that sees another version
 //! than its own advertises again before it replies.
@@ -108,33 +109,24 @@ pub enum Msg {
         spec: Spec,
     },
 
-    /// Initiator → a member: which fragments consume these labels, and
-    /// which of these tasks can you serve? (Figure 3's fragment and
-    /// service feasibility messages, in one round trip.) Each member is
-    /// asked only the part of the round its summary can answer.
+    /// Initiator → a member: which fragments consume these labels?
+    /// (Figure 3's fragment message.) Each member is asked only the
+    /// labels its summary says its knowhow consumes.
     FragmentQuery {
         /// Problem this query belongs to.
         problem: ProblemId,
         /// Round number (matches replies to rounds).
         round: u32,
         /// Frontier labels the recipient's knowhow consumes (all of
-        /// them when its summary is unknown); none in the last round
-        /// before allocation, which asks about tasks only.
+        /// them when its summary is unknown).
         labels: Vec<Label>,
-        /// Tasks the previous round brought into the supergraph (or, in
-        /// the last round, tasks of the constructed workflow) that the
-        /// initiator cannot serve itself and has not asked about yet,
-        /// and that the recipient serves (all of them when its summary
-        /// is unknown).
-        tasks: Vec<TaskId>,
         /// The version of the recipient's summary the initiator holds,
         /// 0 for none: a recipient whose own version differs advertises
         /// before it replies.
         known: u64,
     },
 
-    /// Host → initiator: fragments matching a query, and the queried
-    /// tasks the replier can serve.
+    /// Host → initiator: fragments matching a query.
     FragmentReply {
         /// Problem this reply belongs to.
         problem: ProblemId,
@@ -145,9 +137,6 @@ pub enum Msg {
         /// message out — bumps reference counts instead of copying
         /// graphs).
         fragments: Vec<Arc<Fragment>>,
-        /// The subset of the query's tasks the replier offers a service
-        /// for; the initiator counts it against those tasks only.
-        capable: Vec<TaskId>,
     },
 
     /// Auction manager → each member that may serve a task: solicit

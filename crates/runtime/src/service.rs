@@ -132,15 +132,6 @@ impl ServiceManager {
         self.services.len()
     }
 
-    /// Answers a fragment query's tasks: which of them can this host serve?
-    pub fn capable_of(&self, tasks: &[TaskId]) -> Vec<TaskId> {
-        tasks
-            .iter()
-            .filter(|t| self.can_serve(t))
-            .cloned()
-            .collect()
-    }
-
     /// Invokes the service for `task` (the Execution Manager calls this
     /// once inputs and time conditions are met). Records the call and
     /// fires the hook.
@@ -206,12 +197,7 @@ mod tests {
         let m = sm();
         assert!(m.can_serve(&TaskId::new("cook omelets")));
         assert!(!m.can_serve(&TaskId::new("serve tables")));
-        let caps = m.capable_of(&[
-            TaskId::new("cook omelets"),
-            TaskId::new("serve tables"),
-            TaskId::new("serve buffet"),
-        ]);
-        assert_eq!(caps.len(), 2);
+        assert!(m.can_serve(&TaskId::new("serve buffet")));
         assert_eq!(m.service_count(), 2);
     }
 

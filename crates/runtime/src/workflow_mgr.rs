@@ -14,17 +14,15 @@
 //! bookkeeping. The host core runs the rounds over it
 //! (`core_sm/construct.rs`): a round asks each member for the fragments
 //! consuming the part of the frontier the engine handed out that its
-//! knowhow consumes, and which of the tasks the previous round brought
-//! in that it serves (Figure 3's fragment and service-feasibility
-//! messages, one round trip); a member whose advertised summary meets
-//! neither is not asked. It merges the fragments,
-//! and the engine resumes counting every task not refuted yet as
-//! servable, then either hands out the next frontier or finishes. A
-//! workflow with tasks still unasked waits for one last round about them
-//! before the attempt moves on to allocation; a refuted task makes the
-//! engine recolor what it holds. The coloring itself is core's business. The host core runs the auctions
-//! over it too (`core_sm/allocate.rs`), and a decided auction leaves its
-//! award in [`Workspace::assignments`] or its task in
+//! knowhow consumes (Figure 3's fragment messages, one round trip); a
+//! member whose advertised summary meets none of it is not asked. It
+//! merges the fragments and refutes, from the summaries, each task they
+//! bring in that no member serves (Figure 3's service feasibility); the
+//! engine resumes over every task not refuted, then either hands out the
+//! next frontier or finishes, and a finished workflow goes to allocation
+//! at once. The coloring itself is core's business. The host core runs
+//! the auctions over it too (`core_sm/allocate.rs`), and a decided
+//! auction leaves its award in [`Workspace::assignments`] or its task in
 //! [`WorkingSet::unallocatable`].
 //!
 //! The host keeps its workspaces in one map keyed by [`ProblemId`], a
@@ -59,12 +57,6 @@ pub(crate) struct Collect {
     pub(crate) waiting: BTreeSet<HostId>,
     /// The fragments consuming the round's frontier.
     pub(crate) fragments: Vec<Arc<Fragment>>,
-    /// The tasks the round asked about.
-    pub(crate) asked: Vec<TaskId>,
-    /// The tasks the replies offered to serve. Only the asked ones
-    /// count: an asked task missing here when the round closes is
-    /// refuted. Hashed by interner symbol, which a peer cannot choose.
-    pub(crate) capable: FxHashSet<TaskId>,
 }
 
 /// One task's auction while it is undecided (§3.2): who may still
@@ -151,45 +143,29 @@ pub struct WorkingSet {
     /// handled, by bidder; empty between inputs.
     pub(crate) outcomes: BTreeMap<HostId, Outcome>,
 
-    /// How many *other* hosts the community has: without any, a task
-    /// this host cannot serve is refuted without a round.
-    pub(crate) n_peers: usize,
     /// Algorithm 1's frontier rounds: supergraph, coloring and frontier
     /// bookkeeping are core's.
     pub(crate) engine: FrontierConstruction,
-    /// How many of the supergraph's tasks (in insertion order) were
-    /// sorted into served here or unasked already.
-    pub(crate) tasks_seen: usize,
-    /// Tasks brought in that this host cannot serve and no round has
-    /// asked about yet, in discovery order. The engine counts them as
-    /// servable until a round's replies say otherwise.
-    pub(crate) unasked: Vec<TaskId>,
-    /// Asked tasks no member offered: the engine's oracle refuses them.
-    /// Only asked for membership, so hashed by interner symbol, which a
-    /// peer cannot choose.
+    /// Tasks merged that neither this host nor any member's summary
+    /// serves, refuted in the input that merged them: the engine's
+    /// oracle refuses them. Only asked for membership, so hashed by
+    /// interner symbol, which a peer cannot choose.
     pub(crate) refuted: FxHashSet<TaskId>,
-    /// The workflow the engine built while some of its tasks were
-    /// unasked, held while the last round asks about them.
-    pub(crate) built: Option<Construction>,
     /// The number of the latest round opened.
     pub(crate) round: u32,
     pub(crate) collect: Option<Collect>,
 }
 
 impl Workspace {
-    /// Creates a workspace for `problem` among `n_peers` *other* hosts.
-    pub fn new(problem: ProblemId, spec: Spec, now: SimTime, n_peers: usize) -> Self {
+    /// Creates a workspace for `problem`.
+    pub fn new(problem: ProblemId, spec: Spec, now: SimTime) -> Self {
         let working = Box::new(WorkingSet {
             goals_pending: spec.goals().clone(),
             unallocatable: Vec::new(),
             auctions: BTreeMap::new(),
             outcomes: BTreeMap::new(),
-            n_peers,
             engine: IncrementalConstructor::new().start(&spec),
-            tasks_seen: 0,
-            unasked: Vec::new(),
             refuted: FxHashSet::default(),
-            built: None,
             round: 0,
             collect: None,
         });

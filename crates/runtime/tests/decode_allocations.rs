@@ -12,7 +12,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use openwf_core::{Fragment, Label, Mode, TaskId};
+use openwf_core::{Fragment, Label, Mode};
 use openwf_runtime::codec::{decode_msg_with, encode_msg};
 use openwf_runtime::{Msg, ProblemId};
 use openwf_simnet::HostId;
@@ -121,15 +121,13 @@ fn warm_decode_counts(msg: &Msg) -> (u64, u64) {
 }
 
 /// A warm `FragmentReply` whose three fragments all hit the identity
-/// cache allocates the fragment list and the capable-task list, and no
-/// fragment.
+/// cache allocates the fragment list, and no fragment.
 #[test]
 fn a_warm_fragment_reply_allocates_only_its_lists() {
     let reply = Msg::FragmentReply {
         problem: problem(),
         round: 3,
         fragments: (0..3).map(chain).collect(),
-        capable: vec![TaskId::new("da-f0-t1"), TaskId::new("da-f1-t2")],
     };
     let (allocs, bytes) = warm_decode_counts(&reply);
     println!("warm FragmentReply decode: {allocs} allocations, {bytes} bytes");
@@ -137,14 +135,13 @@ fn a_warm_fragment_reply_allocates_only_its_lists() {
     assert!(bytes <= REPLY_BYTES, "{bytes} > {REPLY_BYTES}");
 }
 
-/// A warm `FragmentQuery` allocates its label and task lists.
+/// A warm `FragmentQuery` allocates its label list.
 #[test]
 fn a_warm_fragment_query_allocates_only_its_lists() {
     let query = Msg::FragmentQuery {
         problem: problem(),
         round: 3,
         labels: vec![Label::new("da-a"), Label::new("da-b"), Label::new("da-z")],
-        tasks: vec![TaskId::new("da-f0-t1")],
         known: 0,
     };
     let (allocs, bytes) = warm_decode_counts(&query);

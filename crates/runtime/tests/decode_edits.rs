@@ -90,14 +90,12 @@ fn messages() -> Vec<Msg> {
             problem: problem(),
             round: 2,
             labels: vec![Label::new("se-a"), Label::new("se-mid")],
-            tasks: vec![TaskId::new("se-t2")],
             known: 0x0102_0304_0506_0708,
         },
         Msg::FragmentReply {
             problem: problem(),
             round: 2,
             fragments: vec![fragment()],
-            capable: vec![TaskId::new("se-t1")],
         },
         Msg::CallForBids {
             problem: problem(),

@@ -217,7 +217,7 @@ proptest! {
             let admitted = guard.admit(&fragments);
             let mut frame = Vec::new();
             encode_msg(
-                &Msg::FragmentReply { problem, round: round as u32, fragments, capable: Vec::new() },
+                &Msg::FragmentReply { problem, round: round as u32, fragments },
                 &mut frame,
             );
             let decoded = decode_msg_with(&frame, &mut budget, &mut DecodeScratch::new());
@@ -242,7 +242,6 @@ proptest! {
             problem: ProblemId::new(HostId(1), 9),
             round: 3,
             fragments: build_payload(&case, "mfz"),
-            capable: Vec::new(),
         };
         let mut bytes = Vec::new();
         encode_msg(&msg, &mut bytes);

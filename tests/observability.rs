@@ -127,20 +127,29 @@ fn tracer_captures_the_protocol_conversation() {
     // Delivery times are monotone within the recording.
     assert!(records.windows(2).all(|w| w[0].1.at_us <= w[1].1.at_us));
 
-    // Service feasibility rides in the fragment messages: host 0 asks who
-    // serves `t1`, whose fragment it holds, and host 1 offers it.
+    // Service feasibility is answered by the summaries: host 1 says it
+    // serves `t1`, whose fragment host 0 holds, ahead of its first reply,
+    // and host 0 calls host 1 for `t1` without asking about it in a round.
     let wire = wire_conversation(crossed_configs(&Obs::default()), Spec::new(["a"], ["c"]));
     let t1 = TaskId::new("t1");
+    let from_host1 = |m: fn(&Msg) -> bool| {
+        wire.iter()
+            .position(|(from, to, msg)| (*from, *to) == (hosts[1], hosts[0]) && m(msg))
+    };
+    let advert = wire
+        .iter()
+        .position(|(from, to, m)| {
+            (*from, *to) == (hosts[1], hosts[0])
+                && matches!(m, Msg::Advertise { serves, .. } if serves.contains(&t1))
+        })
+        .unwrap_or_else(|| panic!("host 1 advertises t1: {wire:?}"));
+    let reply = from_host1(|m| matches!(m, Msg::FragmentReply { .. }))
+        .unwrap_or_else(|| panic!("host 1 replies: {wire:?}"));
+    assert!(advert < reply, "{wire:?}");
     assert!(
         wire.iter()
             .any(|(from, to, m)| (*from, *to) == (hosts[0], hosts[1])
-                && matches!(m, Msg::FragmentQuery { tasks, .. } if tasks.contains(&t1))),
-        "{wire:?}"
-    );
-    assert!(
-        wire.iter()
-            .any(|(from, to, m)| (*from, *to) == (hosts[1], hosts[0])
-                && matches!(m, Msg::FragmentReply { capable, .. } if capable.contains(&t1))),
+                && matches!(m, Msg::CallForBids { tasks, .. } if tasks.contains(&t1))),
         "{wire:?}"
     );
 }
