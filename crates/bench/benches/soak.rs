@@ -3,12 +3,12 @@
 //!
 //! Full mode (`cargo bench --bench soak`) sweeps all five profiles over
 //! [`SOAK_SCALES`] districts (~200- and ~1000-host cities), writes the
-//! trajectory file `BENCH_soak.json` at the workspace root, and fails
-//! if any cell violates an invariant. Fast mode (`OPENWF_SOAK_FAST=1`,
-//! or `--test` as used by `cargo test --benches`) runs every profile at
-//! two districts, from its own default seed ([`FAST_SOAK_SEED`]), with
-//! the same gates and does not touch the committed file — the CI
-//! chaos-regression guard.
+//! trajectory file `BENCH_soak.json` at the workspace root, red cells
+//! included, and fails if any cell violates an invariant. Fast mode
+//! (`OPENWF_SOAK_FAST=1`, or `--test` as used by `cargo test
+//! --benches`) runs every profile at two districts, from its own
+//! default seed ([`FAST_SOAK_SEED`]), with the same gates and does not
+//! touch the committed file — the CI chaos-regression guard.
 //!
 //! Every run prints its master seed and a one-line rerun recipe; set
 //! `OPENWF_SOAK_SEED` (decimal or `0x…` hex) to replay a sweep exactly.
@@ -59,6 +59,13 @@ fn main() {
     for r in &results {
         println!("soak/{r}");
     }
+    // The trajectory records every cell, red ones included, before the
+    // gate below judges them.
+    if !fast {
+        let path = default_report_path();
+        std::fs::write(&path, to_json(&results)).expect("write trajectory file");
+        println!("wrote {}", path.display());
+    }
 
     let red: Vec<String> = results
         .iter()
@@ -70,10 +77,4 @@ fn main() {
         "soak invariants violated (rerun with OPENWF_SOAK_SEED={seed:#x}):\n{}",
         red.join("\n")
     );
-
-    if !fast {
-        let path = default_report_path();
-        std::fs::write(&path, to_json(&results)).expect("write trajectory file");
-        println!("wrote {}", path.display());
-    }
 }

@@ -60,8 +60,8 @@ pub fn to_json(results: &[SoakOutcome]) -> String {
              \"restarts\": {}, \"restart_matches\": {}, \"delivered\": {}, \
              \"dropped\": {}, \"duplicated\": {}, \"decode_cache_hits\": {}, \
              \"decode_cache_misses\": {}, \"cache_hit_rate_percent\": {:.2}, \
-             \"message_budget\": {}, \"end_virtual_ms\": {}, \"pass\": {}, \
-             \"violations\": {}}}{comma}\n",
+             \"message_budget\": {}, \"end_virtual_ms\": {}, \"leaked\": {}, \
+             \"pass\": {}, \"violations\": {}}}{comma}\n",
             r.profile,
             r.districts,
             r.hosts,
@@ -82,6 +82,7 @@ pub fn to_json(results: &[SoakOutcome]) -> String {
             r.cache_hit_rate_percent(),
             r.message_budget,
             r.end_virtual_ms,
+            r.leaked,
             r.invariants_hold(),
             json_str_list(&r.violations),
         ));

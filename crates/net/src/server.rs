@@ -600,11 +600,6 @@ mod tests {
             took < Duration::from_secs(1),
             "woke for the timer: {took:?}"
         );
-        assert_eq!(
-            server.core(0, HostId(0)).armed_timer_count(),
-            0,
-            "the guards went with the attempt, the hold's expiry with its award"
-        );
     }
 
     /// Inbound is bounded by construction. A client blasting 4 MiB at a

@@ -59,18 +59,30 @@
 //! initiator is a member of the community it asks and of its executors',
 //! an executor of its consumers'.
 //!
-//! | `TimerPurpose` | owner |
-//! |---|---|
-//! | `RoundTimeout` | `construct.rs` |
-//! | `AuctionDeadline`, `AuctionTimeout`, `BidHoldExpiry` | `allocate.rs` |
-//! | `ExecStart`, `ExecFinish` | `execute.rs` |
-//! | `Watchdog` | `repair.rs` |
+//! | `TimerPurpose` | guards | owner |
+//! |---|---|---|
+//! | `RoundTimeout` | the open round | `construct.rs` |
+//! | `AuctionDeadline(t)` | `t`'s open auction, which has a best bid | `allocate.rs` |
+//! | `AuctionTimeout` | the open auctions of an allocating attempt | `allocate.rs` |
+//! | `BidHoldExpiry(t)` | the `Held` commitment for `t` | `allocate.rs` |
+//! | `ExecStart(t)` | the `Waiting` commitment for `t` | `execute.rs` |
+//! | `ExecFinish(t)` | the `Running` commitment for `t` | `execute.rs` |
+//! | `Watchdog` | the executing attempt's working set | `repair.rs` |
 //!
 //! A timer is named by its problem and purpose (with the task, where the
 //! purpose has one); arming a name replaces its timer. `retire` disarms
 //! an attempt's guards, `release` every timer of a superseded attempt,
 //! and an award (won or lost) or plan a hold's `BidHoldExpiry`: only a
 //! hold whose award never came outlives its attempt.
+//!
+//! # What a core may hold
+//!
+//! The "guards" column is rule 1 of one statement, `audit.rs`, of what a
+//! core may hold between inputs ([`Inconsistency`] lists the rules).
+//! [`HostCore::audit`] names each broken rule; debug builds check the
+//! problem each input named at the end of `dispatch_msg` and
+//! `fire_timer`, and [`audit_quiescent`](crate::driver::audit_quiescent)
+//! adds what holds across hosts at rest. New state adds its rule there.
 //!
 //! What each member can answer is `advertise.rs`: this host's own
 //! summary, which it advertises when asked by a query naming another
@@ -112,6 +124,7 @@ use crate::workflow_mgr::Workspace;
 mod action;
 mod advertise;
 mod allocate;
+mod audit;
 mod config;
 mod construct;
 mod execute;
@@ -122,6 +135,7 @@ mod tests;
 
 pub use action::{Action, ActionQueue, OutboundMode, WorkflowEvent};
 use advertise::{OwnSummary, PeerSummary};
+pub use audit::Inconsistency;
 pub use config::{HostConfig, StorageConfig};
 use observe::CoreMetrics;
 
@@ -380,13 +394,8 @@ impl HostCore {
     /// belongs to, if any: the last of the problem's attempts, which sit
     /// side by side in the workspace map.
     pub fn latest_attempt(&self, base: ProblemId) -> Option<&Workspace> {
-        let first = ProblemId { attempt: 0, ..base };
-        let last = ProblemId {
-            attempt: u32::MAX,
-            ..base
-        };
         self.workspaces
-            .range(first..=last)
+            .range(audit::attempts_of(base))
             .next_back()
             .map(|(_, ws)| ws)
     }
@@ -659,6 +668,8 @@ impl HostCore {
             self.metrics.sender_refused.inc();
             return;
         }
+        #[cfg(debug_assertions)]
+        let named = msg.problem();
         match msg {
             Msg::Initiate { problem, spec } => self.on_initiate(problem, spec, now, q),
             Msg::FragmentQuery {
@@ -688,6 +699,8 @@ impl HostCore {
                 serves,
             } => self.on_advertise(from, version, consumes, serves),
         }
+        #[cfg(debug_assertions)]
+        self.audit_input(named);
     }
 
     /// Routes one fired timer to the phase that owns it.
@@ -707,6 +720,8 @@ impl HostCore {
             TimerPurpose::ExecFinish(task) => self.finish_task(problem, task, q),
             TimerPurpose::Watchdog => self.on_watchdog(problem, now, q),
         }
+        #[cfg(debug_assertions)]
+        self.audit_input(Some(problem));
     }
 }
 

@@ -7,7 +7,7 @@ use openwf_simnet::SimDuration;
 use super::*;
 use crate::metadata::{Bid, ExecutionPlan, PlannedOutput, PlannedTask};
 use crate::report::ProblemStatus;
-use crate::schedule::CommitmentState;
+use crate::schedule::{Commitment, CommitmentState};
 use crate::service::ServiceDescription;
 
 fn frag(id: &str, task: &str, input: &str, output: &str) -> Fragment {
@@ -180,7 +180,6 @@ fn status_events_and_timings_move_together() {
                         WorkflowEvent::Completed { .. } => {
                             assert_eq!(*status, ProblemStatus::Completed);
                             assert!(t.completed_at.is_some(), "{ws}");
-                            assert!(ws.working().is_none(), "{ws}");
                         }
                         WorkflowEvent::Failed { .. } => {
                             assert!(matches!(status, ProblemStatus::Failed { .. }), "{ws}");
@@ -613,7 +612,6 @@ fn a_later_problem_asks_no_member_whose_summary_meets_nothing() {
     assert!(sent(&q).is_empty(), "{:?}", q.actions());
     assert!(armed(&q).is_empty(), "{:?}", q.actions());
     assert!(surfaced(&q, |e| matches!(e, WorkflowEvent::Failed { .. })));
-    assert_eq!(core.armed_timer_count(), 0);
 }
 
 /// Knowhow a member learns after a peer took its summary is advertised
@@ -718,9 +716,10 @@ fn a_departed_or_quarantined_members_summary_is_dropped() {
 }
 
 /// Once an attempt is `Completed` its working set is gone and nothing of
-/// it is armed: late copies of everything the initiator reacts to while
-/// an attempt is open, and every timer it armed on the way, find nothing
-/// to act on and leave the record as it was.
+/// it is armed (as the audit at the end of each input checks): late
+/// copies of everything the initiator reacts to while an attempt is
+/// open, and every timer it armed on the way, find nothing to act on
+/// and leave the record as it was.
 #[test]
 fn late_traffic_for_a_completed_attempt_changes_nothing() {
     let cfg = HostConfig::new()
@@ -783,15 +782,9 @@ fn late_traffic_for_a_completed_attempt_changes_nothing() {
         tokens.len() >= 4,
         "rounds, auction, hold, watchdog, run: {tokens:?}"
     );
-    assert_eq!(
-        core.armed_timer_count(),
-        0,
-        "the guards went with the attempt, the hold's expiry with the plan"
-    );
 
     let record = |core: &HostCore| {
         let ws = core.latest_attempt(problem).expect("workspace");
-        assert!(ws.working().is_none(), "{ws}");
         format!(
             "{:?} {:?} {:?} {:?}",
             ws.report.status, ws.assignments, ws.construction, ws.report.goals_delivered
@@ -2403,27 +2396,6 @@ fn an_auction_timeout_deciding_several_tasks_allocates_once() {
     assert_eq!(core.armed_timer_count(), 1, "the watchdog alone");
 }
 
-/// An initiator that serves nothing holds no bids, so once its problem
-/// completes nothing of it is left to wait for: the decided auction's
-/// deadline went with the decision, the guard timers with the attempt.
-#[test]
-fn a_completed_problem_leaves_no_timer_armed_on_its_initiator() {
-    let (mut core, problem, t) = auctioning("na", 3);
-    let _ = respond(&mut core, problem, &t, 1, Some(firm_bid(1, 0, 50_000)), 0);
-    let q = respond(&mut core, problem, &t, 2, None, 0);
-    assert_eq!(winner(&q), Some(HostId(1)), "{:?}", q.actions());
-    let goal = Msg::GoalDelivered {
-        problem,
-        label: Label::new("na-s1"),
-    };
-    let q = core.handle_frame(HostId(1), &frame(&goal), SimTime::from_micros(60_000));
-    assert!(surfaced(&q, |e| matches!(
-        e,
-        WorkflowEvent::Completed { .. }
-    )));
-    assert_eq!(core.armed_timer_count(), 0);
-}
-
 /// Only the initiator awards its problem's tasks: an `Award` from
 /// another peer leaves the hold as it was, and its expiry releases it.
 #[test]
@@ -2773,7 +2745,6 @@ fn an_unserved_task_is_refuted_in_the_input_that_merges_it() {
     );
     let ws = core.latest_attempt(problem).expect("workspace");
     assert_eq!(ws.report.query_rounds, 1);
-    assert_eq!(core.armed_timer_count(), 0);
 }
 
 /// A task whose only possible server has not advertised stays
@@ -3178,12 +3149,12 @@ fn drive_community(
     panic!("the community never settled");
 }
 
-/// A repair leaves nothing of the attempt it supersedes on any host, and
-/// neither does the final failure. Host 2's plan never arrives, so every
+/// Host 0 knows the chain `ab-a` → `ab-t1` → `ab-b` → `ab-t2` → `ab-c`,
+/// host 1 serves `ab-t1` and host 2 `ab-t2`. Driven on host 0's problem
+/// with host 2's plan lost, and whatever `lose` also drops, every
 /// attempt runs out its watchdog with host 1's task done and the input
-/// it sent parked on host 2; each `Abandon` makes both let go.
-#[test]
-fn a_repair_leaves_nothing_of_the_superseded_attempt_on_any_host() {
+/// it sent parked on host 2, until the problem fails.
+fn abandoned_chain(lose: impl Fn(&Msg) -> bool) -> (Vec<HostCore>, ProblemId) {
     let mut cores = vec![
         HostCore::new(
             HostConfig::new()
@@ -3205,9 +3176,18 @@ fn a_repair_leaves_nothing_of_the_superseded_attempt_on_any_host() {
         &mut cores,
         problem,
         Spec::new(["ab-a"], ["ab-c"]),
-        |to, msg| to == HostId(2) && matches!(msg, Msg::Execute { .. }),
+        |to, msg| (to == HostId(2) && matches!(msg, Msg::Execute { .. })) || lose(msg),
         |e| matches!(e, WorkflowEvent::Failed { .. }),
     );
+    (cores, problem)
+}
+
+/// A repair leaves nothing of the attempt it supersedes on any host, and
+/// neither does the final failure: each `Abandon` makes hosts 1 and 2
+/// let go of the attempt.
+#[test]
+fn a_repair_leaves_nothing_of_the_superseded_attempt_on_any_host() {
+    let (cores, problem) = abandoned_chain(|_| false);
     let ws = cores[0].latest_attempt(problem).expect("workspace");
     assert!(
         matches!(ws.report.status, ProblemStatus::Failed { .. }),
@@ -3219,10 +3199,155 @@ fn a_repair_leaves_nothing_of_the_superseded_attempt_on_any_host() {
         3,
         "t1 ran each time"
     );
-    for (i, core) in cores.iter().enumerate() {
-        let left: Vec<_> = core.schedule().commitments().collect();
-        assert!(left.is_empty(), "host {i} holds {left:?}");
-        assert_eq!(core.schedule().executions_in_flight(), 0, "host {i}");
-        assert_eq!(core.armed_timer_count(), 0, "host {i}");
-    }
+    assert_eq!(crate::driver::audit_quiescent(&cores), []);
+    assert_eq!(
+        cores[1].schedule().commitment_count(),
+        0,
+        "an abandoned attempt's done task goes too"
+    );
+}
+
+/// The quiescent form sees across hosts what no core's own audit can:
+/// with every `Abandon` lost, each failed attempt leaves host 2 its
+/// awarded task and the input host 1 sent it, and host 1 its done task,
+/// which a terminal attempt may keep.
+#[test]
+fn a_lost_abandon_leaves_each_terminal_attempt_on_its_assignee() {
+    let (cores, problem) = abandoned_chain(|msg| matches!(msg, Msg::Abandon { .. }));
+    assert!(cores.iter().all(|core| core.audit().is_empty()));
+    let t2 = TaskId::new("ab-t2");
+    let second = problem.next_attempt();
+    let expected: Vec<(HostId, Inconsistency)> = [problem, second, second.next_attempt()]
+        .into_iter()
+        .flat_map(|problem| {
+            [Some(t2.clone()), None].map(|task| {
+                (
+                    HostId(2),
+                    Inconsistency::KeptForTerminalAttempt { problem, task },
+                )
+            })
+        })
+        .collect();
+    assert_eq!(crate::driver::audit_quiescent(&cores), expected);
+    assert_eq!(cores[1].schedule().commitment_count(), 3, "done, and kept");
+}
+
+// ---- one test per rule of `audit.rs` --------------------------------------
+
+/// A single-host core that ran `cs`'s two-step problem to completion.
+fn completed() -> (HostCore, ProblemId) {
+    let mut core = HostCore::new(two_step_config("cs"), RuntimeParams::default());
+    let problem = ProblemId::new(HostId(0), 0);
+    drive_alone(&mut core, problem, Spec::new(["cs-a"], ["cs-c"]), |_, _| {});
+    assert_eq!(core.audit(), []);
+    (core, problem)
+}
+
+/// Rule 1: a watchdog armed for a completed problem guards nothing.
+#[test]
+fn the_audit_names_a_timer_that_guards_nothing() {
+    let (mut core, problem) = completed();
+    core.timers
+        .arm(SimTime::ZERO, problem, TimerPurpose::Watchdog);
+    assert_eq!(
+        core.audit(),
+        [Inconsistency::TimerGuardsNothing {
+            problem,
+            task: None,
+            timer: "Watchdog"
+        }]
+    );
+}
+
+/// Rule 2: a held bid whose expiry is disarmed would hold its slot for
+/// good.
+#[test]
+fn the_audit_names_a_hold_without_its_expiry() {
+    let mut core = executor(HostConfig::new().with_service(service("r2-t")));
+    let problem = ProblemId::new(HostId(0), 0);
+    let _ = bid_in(&core.handle_frame(HostId(0), &call_for_bids(problem, "r2-t"), SimTime::ZERO));
+    let task = TaskId::new("r2-t");
+    core.timers
+        .disarm(problem, &TimerPurpose::BidHoldExpiry(task.clone()));
+    assert_eq!(
+        core.audit(),
+        [Inconsistency::TimerMissing {
+            problem,
+            task: Some(task),
+            timer: "BidHoldExpiry"
+        }]
+    );
+}
+
+/// Rule 3: a completed attempt keeps no working set.
+#[test]
+fn the_audit_names_a_terminal_attempt_with_a_working_set() {
+    let (mut core, problem) = completed();
+    let ws = core.workspaces.get_mut(&problem).expect("workspace");
+    ws.working = Workspace::new(problem, ws.spec.clone(), SimTime::ZERO).working;
+    assert_eq!(
+        core.audit(),
+        [Inconsistency::WorkingSetOutOfStep { problem }]
+    );
+}
+
+/// Rule 4: every input that decides an auction sends its outcomes.
+#[test]
+fn the_audit_names_an_outcome_left_unsent() {
+    let (mut core, problem, _) = auctioning("r4", 2);
+    let ws = core.workspaces.get_mut(&problem).expect("workspace");
+    let w = ws.working.as_deref_mut().expect("open");
+    w.outcomes.insert(HostId(1), Default::default());
+    assert_eq!(core.audit(), [Inconsistency::OutcomesUnsent { problem }]);
+}
+
+/// Rule 5: a task has one commitment per problem. `HostCore` looks for
+/// it before it bids or books; the schedule takes a second from a buggy
+/// caller, and the audit names it.
+#[test]
+fn a_task_gets_one_commitment_per_problem() {
+    let mut core = executor(HostConfig::new());
+    let problem = ProblemId::new(HostId(0), 0);
+    let task = TaskId::new("r5-t");
+    let commitment = |start_us: u64| Commitment {
+        problem,
+        task: task.clone(),
+        start: SimTime::from_micros(start_us),
+        end: SimTime::from_micros(start_us + 10),
+        travel: SimDuration::ZERO,
+        location: None,
+        state: CommitmentState::Awarded,
+    };
+    core.schedule.commit(commitment(0));
+    assert_eq!(core.audit(), []);
+    core.schedule.commit(commitment(20));
+    assert_eq!(
+        core.audit(),
+        [Inconsistency::SecondCommitment { problem, task }]
+    );
+}
+
+/// Rule 6: once a plan installed a task, inputs go to it, not to the
+/// parking lot.
+#[test]
+fn the_audit_names_an_input_parked_beside_a_plan() {
+    let mut core = ex_executor();
+    let problem = ProblemId::new(HostId(0), 0);
+    let waiting = plan(problem, vec![planned("ex-t", &["ex-a"], 1_000)]);
+    let _ = core.handle_frame(HostId(0), &waiting, SimTime::ZERO);
+    core.schedule.park(problem, Label::new("ex-b"));
+    assert_eq!(core.audit(), [Inconsistency::ParkedBesidePlan { problem }]);
+}
+
+/// Rule 7: a quarantined member's summary is dropped with it.
+#[test]
+fn the_audit_names_a_quarantined_members_summary() {
+    let mut core = initiator(HostConfig::new(), 3);
+    let _ = core.handle_frame(HostId(1), &advertise(3, &["r7-a"], &[]), SimTime::ZERO);
+    assert_eq!(core.audit(), []);
+    core.quarantined.insert(HostId(1));
+    assert_eq!(
+        core.audit(),
+        [Inconsistency::StraySummary { peer: HostId(1) }]
+    );
 }

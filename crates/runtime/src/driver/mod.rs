@@ -24,14 +24,18 @@
 //! Every transport drives the same cores the same way: deliver bytes
 //! through [`HostCore::handle_frame`], fire timers via
 //! [`HostCore::handle_timer`] or poll [`HostCore::tick`], and perform
-//! the returned actions.
+//! the returned actions. Once a community is at rest,
+//! [`audit_quiescent`] says what its cores hold that they should not.
+
+use std::collections::BTreeMap;
 
 use openwf_core::Spec;
 use openwf_simnet::{HostId, SimTime};
 
-use crate::core_sm::HostCore;
+use crate::core_sm::{HostCore, Inconsistency};
 use crate::messages::ProblemId;
 use crate::report::ProblemReport;
+use crate::schedule::CommitmentState;
 
 pub(crate) mod in_process;
 mod loopback;
@@ -119,4 +123,56 @@ pub trait Driver {
         }
         self.report(handle).expect("workspace exists after submit")
     }
+}
+
+/// The quiescent form of [`HostCore::audit`]: every core's own findings,
+/// then two rules that span hosts and hold only once nothing is in
+/// flight and no timer is left to fire:
+///
+/// 8. no host holds a bid ([`CommitmentState::Held`]): its award or its
+///    expiry has come;
+/// 9. for an attempt its initiator reports terminal, no host keeps a
+///    commitment short of done, or inputs parked for it.
+///
+/// Each finding comes with the host that holds it. `cores` are a
+/// community's, bound; rule 9 reads the attempts of the initiators among
+/// them.
+pub fn audit_quiescent<'a>(
+    cores: impl IntoIterator<Item = &'a HostCore>,
+) -> Vec<(HostId, Inconsistency)> {
+    let cores: BTreeMap<HostId, &HostCore> = cores.into_iter().map(|c| (c.id(), c)).collect();
+    let terminal = |problem: ProblemId| {
+        cores
+            .get(&problem.initiator)
+            .and_then(|c| c.workspace(problem))
+            .is_some_and(|ws| ws.report.status.is_terminal())
+    };
+    let mut found = Vec::new();
+    for (&host, core) in &cores {
+        found.extend(core.audit().into_iter().map(|i| (host, i)));
+        for (problem, commitments, parked) in core.schedule().problems_in(..) {
+            let terminal = terminal(problem);
+            for c in commitments {
+                let task = c.task.clone();
+                let finding = match c.state {
+                    CommitmentState::Held(_) => Inconsistency::HeldAtQuiescence { problem, task },
+                    CommitmentState::Done => continue,
+                    _ if terminal => Inconsistency::KeptForTerminalAttempt {
+                        problem,
+                        task: Some(task),
+                    },
+                    _ => continue,
+                };
+                found.push((host, finding));
+            }
+            if terminal && !parked.is_empty() {
+                let finding = Inconsistency::KeptForTerminalAttempt {
+                    problem,
+                    task: None,
+                };
+                found.push((host, finding));
+            }
+        }
+    }
+    found
 }

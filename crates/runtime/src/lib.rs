@@ -71,9 +71,10 @@ pub mod workflow_mgr;
 pub use codec::{decode_msg, encode_msg};
 pub use community::{Community, CommunityBuilder, ProblemHandle};
 pub use core_sm::{
-    Action, ActionQueue, HostConfig, HostCore, OutboundMode, StorageConfig, WorkflowEvent,
+    Action, ActionQueue, HostConfig, HostCore, Inconsistency, OutboundMode, StorageConfig,
+    WorkflowEvent,
 };
-pub use driver::{Driver, LoopbackBytesDriver};
+pub use driver::{audit_quiescent, Driver, LoopbackBytesDriver};
 pub use messages::{Msg, ProblemId};
 pub use metadata::Assignment;
 pub use params::RuntimeParams;

@@ -11,6 +11,7 @@
 //! operation costs `O(log n)` in the timers still armed, never a scan.
 
 use std::collections::BTreeMap;
+use std::ops::RangeBounds;
 
 use openwf_core::FxHashMap;
 use openwf_simnet::SimTime;
@@ -130,6 +131,24 @@ impl<P: Clone + Ord> TimerTable<P> {
     /// Number of armed timers.
     pub(crate) fn len(&self) -> usize {
         self.queue.len()
+    }
+
+    /// The names of the timers armed for the problems in `range`, in
+    /// problem and purpose order.
+    pub(crate) fn armed_in(
+        &self,
+        range: impl RangeBounds<ProblemId>,
+    ) -> impl Iterator<Item = (ProblemId, &P)> + '_ {
+        self.armed
+            .range(range)
+            .flat_map(|(&problem, timers)| timers.keys().map(move |purpose| (problem, purpose)))
+    }
+
+    /// True when `problem`'s `purpose` timer is armed.
+    pub(crate) fn is_armed(&self, problem: ProblemId, purpose: &P) -> bool {
+        self.armed
+            .get(&problem)
+            .is_some_and(|timers| timers.contains_key(purpose))
     }
 }
 

@@ -30,7 +30,10 @@
 //! * vocabulary flooding trips [`PeerQuarantined`] — and quarantine
 //!   fires **only** under that profile;
 //! * a durable host killed mid-scenario and restarted over its log
-//!   resumes with a bit-identical knowhow database.
+//!   resumes with a bit-identical knowhow database;
+//! * at rest, no host holds what it should not
+//!   ([`audit_quiescent`]): no bid still holds a slot, and nothing but
+//!   a done task is kept for an attempt its initiator ended.
 //!
 //! [`PeerQuarantined`]: openwf_runtime::WorkflowEvent::PeerQuarantined
 
@@ -40,7 +43,8 @@ use std::path::PathBuf;
 use openwf_core::{Fragment, Label, Mode};
 use openwf_obs::Obs;
 use openwf_runtime::{
-    CommunityBuilder, Driver, HostConfig, HostCore, ProblemHandle, RuntimeParams, WorkflowEvent,
+    audit_quiescent, CommunityBuilder, Driver, HostConfig, HostCore, ProblemHandle, RuntimeParams,
+    WorkflowEvent,
 };
 use openwf_simnet::{ChaosAction, ChaosSchedule, HostId, SimDuration, SimTime};
 use rand::rngs::StdRng;
@@ -252,6 +256,9 @@ pub struct SoakOutcome {
     pub decode_cache_misses: u64,
     /// The budget `delivered` was held against.
     pub message_budget: u64,
+    /// Findings of the quiescent audit ([`audit_quiescent`]) once the
+    /// run is at rest (must be 0).
+    pub leaked: usize,
     /// Virtual end time of the run, in milliseconds.
     pub end_virtual_ms: u64,
     /// Every violated invariant, human-readable. Empty ⇔ the soak
@@ -282,7 +289,7 @@ impl fmt::Display for SoakOutcome {
         write!(
             f,
             "{} districts={} hosts={} seed={}: {}/{} completed ({} failed, {} stuck), \
-             {} msgs (budget {}), quarantined={}, restarts={}/{}, {}",
+             {} msgs (budget {}), quarantined={}, restarts={}/{}, leaked={}, {}",
             self.profile,
             self.districts,
             self.hosts,
@@ -296,6 +303,7 @@ impl fmt::Display for SoakOutcome {
             self.quarantined,
             self.restart_matches,
             self.restarts,
+            self.leaked,
             if self.violations.is_empty() {
                 "PASS".to_string()
             } else {
@@ -658,6 +666,8 @@ pub fn run_soak_observed(config: &SoakConfig, obs: &Obs) -> SoakOutcome {
     let stats = community.stats();
     let delivered = stats.delivered;
     let end_virtual_ms = community.now().as_micros() / 1_000;
+    let hosts = community.hosts();
+    let leaks = audit_quiescent(hosts.iter().map(|&h| community.core(h)));
 
     // Sum decode-cache statistics (counted unconditionally by every
     // host's `DecodeScratch`) and publish each host's pull-style
@@ -737,6 +747,10 @@ pub fn run_soak_observed(config: &SoakConfig, obs: &Obs) -> SoakOutcome {
             restart_matches
         ));
     }
+    for (host, finding) in &leaks {
+        violations.push(format!("host{} at rest: {finding:?}", host.0));
+        implicated.push(*host);
+    }
 
     // Flight recorder: on an invariant failure with tracing enabled,
     // dump the last trace events of every implicated host so the
@@ -778,6 +792,7 @@ pub fn run_soak_observed(config: &SoakConfig, obs: &Obs) -> SoakOutcome {
         decode_cache_hits,
         decode_cache_misses,
         message_budget,
+        leaked: leaks.len(),
         end_virtual_ms,
         violations,
     }
