@@ -21,7 +21,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use openwf_bench::restart::{churn_schedule, ChurnSchedule};
-use openwf_wire::{DurableFragmentStore, DEFAULT_SEGMENT_BYTES};
+use openwf_wire::DurableFragmentStore;
 
 /// At 90% churn, cold replay must cost at least this many times a
 /// snapshot + tail restart. Theoretical record ratio at a
@@ -48,8 +48,7 @@ fn scratch_dir(tag: &str) -> PathBuf {
 /// plus the remaining tail.
 fn populate(dir: &Path, schedule: &ChurnSchedule, compact_at: Option<usize>) {
     let _ = std::fs::remove_dir_all(dir);
-    let mut store =
-        DurableFragmentStore::open_with(dir, 1, DEFAULT_SEGMENT_BYTES).expect("open scratch log");
+    let mut store = DurableFragmentStore::open(dir).expect("open scratch log");
     for (i, f) in schedule.inserts.iter().enumerate() {
         store.insert(Arc::clone(f)).expect("append");
         if compact_at == Some(i + 1) {
@@ -62,7 +61,7 @@ fn populate(dir: &Path, schedule: &ChurnSchedule, compact_at: Option<usize>) {
 
 fn timed_open(dir: &Path) -> (DurableFragmentStore, f64) {
     let t0 = Instant::now();
-    let store = DurableFragmentStore::open_with(dir, 1, DEFAULT_SEGMENT_BYTES).expect("reopen");
+    let store = DurableFragmentStore::open(dir).expect("reopen");
     let ns = t0.elapsed().as_secs_f64() * 1e9;
     assert_eq!(store.len(), LIVE);
     (store, ns)

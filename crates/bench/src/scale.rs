@@ -14,7 +14,7 @@
 //!   earlier tasks within a sliding window. Shallow, wide frontiers with
 //!   irregular fan-in.
 //!
-//! Universes are stored in a one-shard [`ShardedFragmentStore`].
+//! Universes are stored in the one fragment store, [`ShardedFragmentStore`].
 
 use openwf_core::{Fragment, Label, Mode, ShardedFragmentStore, SizeHints, Spec};
 use rand::rngs::StdRng;

@@ -29,10 +29,11 @@
 //! merge through one batched supergraph pass in the order they are handed
 //! in, and exploration early-exits once the goals turn green, so **merge
 //! order fixes the green set**. A driver therefore hands a round's answers
-//! over in an order that does not depend on how they were stored or
-//! delivered: a sharded store restores its global insertion order by
-//! sorting on sequence numbers, which is what makes the result independent
-//! of the shard count. Anything that changes what arrives in a round (a
+//! over in an order that does not depend on how they were delivered: a
+//! store answers in slot order, and a fragment's slot is its insertion
+//! sequence (nothing is removed, a replace keeps its slot), so a store
+//! rebuilt from a durable log or snapshot answers in the order of the one
+//! that was written. Anything that changes what arrives in a round (a
 //! parallel merge, lookahead replies) must re-prove or restate this here.
 //!
 //! The runtime's rounds ask each member only the frontier labels its
@@ -40,7 +41,7 @@
 //! whose summary meets none of them. That changes nothing that arrives: a
 //! member holds no fragment consuming a label it was not asked, so its
 //! reply carries the fragments the whole frontier would have drawn, in
-//! the same store-sequence order, and a member left out would have
+//! the same slot order, and a member left out would have
 //! replied with none. The replies then merge in the order they are handed
 //! over, as before.
 //!
@@ -398,11 +399,9 @@ mod tests {
         store
     }
 
-    /// The same database laid out over `shards` shards.
-    fn sharded(store: &Scan, shards: usize) -> ShardedFragmentStore {
-        let mut out = ShardedFragmentStore::with_shards(shards);
-        out.extend(store.fragments().cloned());
-        out
+    /// The same database in the store.
+    fn stored(store: &Scan) -> ShardedFragmentStore {
+        store.fragments().cloned().collect()
     }
 
     #[test]
@@ -416,23 +415,16 @@ mod tests {
         assert_eq!(c.workflow().task_count(), 5);
         assert_eq!(sg.fragment_count(), 5);
         assert_eq!(c.stats().query_rounds, 5, "one round per frontier step");
-        // The shard layout is invisible to construction.
-        for shards in [1usize, 3] {
-            let (s, s_sg) = IncrementalConstructor::new()
-                .construct(sharded(&store, shards), &spec)
-                .unwrap();
-            assert_eq!(
-                c.workflow().tasks().collect::<Vec<_>>(),
-                s.workflow().tasks().collect::<Vec<_>>(),
-                "shards={shards}"
-            );
-            assert_eq!(
-                sg.fragment_count(),
-                s_sg.fragment_count(),
-                "shards={shards}"
-            );
-            assert_eq!(c.stats(), s.stats(), "shards={shards}");
-        }
+        // The store builds what the scan builds.
+        let (s, s_sg) = IncrementalConstructor::new()
+            .construct(stored(&store), &spec)
+            .unwrap();
+        assert_eq!(
+            c.workflow().tasks().collect::<Vec<_>>(),
+            s.workflow().tasks().collect::<Vec<_>>()
+        );
+        assert_eq!(sg.fragment_count(), s_sg.fragment_count());
+        assert_eq!(c.stats(), s.stats());
     }
 
     #[test]
@@ -470,7 +462,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, ConstructError::NoSolution { .. }));
         let err = IncrementalConstructor::new()
-            .construct(sharded(&store, 2), &spec)
+            .construct(stored(&store), &spec)
             .unwrap_err();
         assert!(matches!(err, ConstructError::NoSolution { .. }));
     }
@@ -544,7 +536,7 @@ mod tests {
         assert!(c.workflow().contains_task(&TaskId::new("step1")));
         assert!(!c.workflow().contains_task(&TaskId::new("infeasible")));
         let (s, _) = IncrementalConstructor::new()
-            .construct_filtered(sharded(&store, 2), &spec, feasible)
+            .construct_filtered(stored(&store), &spec, feasible)
             .unwrap();
         assert_eq!(
             c.workflow().tasks().collect::<Vec<_>>(),

@@ -2,14 +2,12 @@
 //!
 //! [`ShardedFragmentStore`] is the one store: the runtime's Fragment
 //! Manager holds it directly for an in-memory host, and `openwf-wire`'s
-//! `DurableFragmentStore` keeps one as its query index.
-//! It partitions the database across N shards by produced-label symbol.
-//! A query visits every shard on the calling thread and restores global
-//! insertion order by sequence number, so answers do not depend on the
-//! shard count, and every program opens one shard. The layout stays
-//! because durable snapshots persist it and `owms-bench` names the type,
-//! [`ShardedFragmentStore::with_shards`] and `open_with_policy`'s shard
-//! count; it goes when the benchmark stops naming them.
+//! `DurableFragmentStore` keeps one as its query index. It is one list
+//! of fragments in insertion order, one consumed-label index of slot
+//! numbers and one id → slot map. Nothing is ever removed and a replace
+//! keeps its slot, so **a fragment's slot is its insertion sequence**:
+//! queries answer in slot order, and a durable snapshot written in slot
+//! order reloads by plain in-order inserts.
 //!
 //! Its tests compare it against an independent reference kept in test
 //! code: a linear scan over the inserted fragments.
@@ -26,258 +24,104 @@ use crate::fragment::{Fragment, FragmentId};
 use crate::fx::FxHashMap;
 use crate::ids::Label;
 
-/// One shard of a [`ShardedFragmentStore`]: a slice of the database with
-/// its own consumed-label index.
-#[derive(Clone, Debug, Default)]
-struct StoreShard {
-    /// `(global insertion sequence, fragment)` in insertion order.
-    fragments: Vec<(u64, Arc<Fragment>)>,
-    /// Label → positions (into `fragments`) of fragments consuming it.
-    by_consumed_label: FxHashMap<Label, Vec<u32>>,
-}
-
-impl StoreShard {
-    fn index_slot(&mut self, slot: usize) {
-        for label in self.fragments[slot].1.all_input_labels() {
-            self.by_consumed_label
-                .entry(label)
-                .or_default()
-                .push(slot as u32);
-        }
-    }
-
-    fn unindex_slot(&mut self, slot: usize, old: &Fragment) {
-        for label in old.all_input_labels() {
-            if let Some(v) = self.by_consumed_label.get_mut(&label) {
-                v.retain(|&i| i as usize != slot);
-                if v.is_empty() {
-                    self.by_consumed_label.remove(&label);
-                }
-            }
-        }
-    }
-}
-
-/// A fragment database partitioned by produced-label [`crate::ids::Sym`]
-/// across N shards.
+/// A host's fragment database: every fragment at the slot its id first
+/// took, indexed by the labels its tasks consume.
 ///
-/// Each fragment lives in exactly one shard — chosen from its first
-/// produced label (falling back to its id for label-less knowhow) — so a
-/// shard answers a consumed-label query from its own index alone and the
-/// shard results concatenate without cross-shard deduplication. Queries
-/// return fragments in global insertion order.
-#[derive(Clone, Debug)]
+/// The name is older than the layout, which is one list; the rename
+/// goes with ROADMAP direction 22, once `owms-bench` stops naming it.
+#[derive(Clone, Debug, Default)]
 pub struct ShardedFragmentStore {
-    shards: Vec<StoreShard>,
-    /// Fragment id → (shard, slot within shard).
-    by_id: FxHashMap<FragmentId, (u32, u32)>,
-    next_seq: u64,
-}
-
-impl Default for ShardedFragmentStore {
-    fn default() -> Self {
-        ShardedFragmentStore::new()
-    }
+    /// Every stored fragment, in insertion order.
+    fragments: Vec<Arc<Fragment>>,
+    /// Label → slots of the fragments consuming it.
+    by_consumed_label: FxHashMap<Label, Vec<u32>>,
+    /// Fragment id → slot.
+    by_id: FxHashMap<FragmentId, u32>,
 }
 
 impl ShardedFragmentStore {
-    /// A one-shard store.
+    /// An empty store.
     pub fn new() -> Self {
-        ShardedFragmentStore::with_shards(1)
-    }
-
-    /// A store with exactly `shards` shards (at least 1).
-    pub fn with_shards(shards: usize) -> Self {
-        let shards = shards.max(1);
-        ShardedFragmentStore {
-            shards: vec![StoreShard::default(); shards],
-            by_id: FxHashMap::default(),
-            next_seq: 0,
-        }
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The home shard of a fragment: its first produced label's symbol, in
-    /// label order, modulo the shard count (fragments producing nothing —
-    /// isolated knowhow — route by their id instead).
-    fn shard_for(&self, fragment: &Fragment) -> usize {
-        let sym = fragment
-            .workflow()
-            .sink_labels()
-            .min()
-            .map(|l| l.sym())
-            .unwrap_or_else(|| fragment.id().sym());
-        sym.id() as usize % self.shards.len()
+        ShardedFragmentStore::default()
     }
 
     /// Inserts a fragment, replacing any fragment with the same id.
     ///
-    /// Returns `true` if the fragment was new. A replacement stays in its
-    /// original shard (and keeps its insertion sequence) even if its
-    /// produced labels changed — queries visit every shard, so
-    /// placement affects balance, not correctness.
+    /// Returns `true` if the fragment was new. A replacement keeps the
+    /// slot, and so the insertion sequence, of the fragment it replaces.
     pub fn insert(&mut self, fragment: impl Into<Arc<Fragment>>) -> bool {
         let fragment = fragment.into();
-        if let Some(&(shard, slot)) = self.by_id.get(fragment.id()) {
-            let shard = &mut self.shards[shard as usize];
-            let old = std::mem::replace(&mut shard.fragments[slot as usize].1, fragment);
-            shard.unindex_slot(slot as usize, &old);
-            shard.index_slot(slot as usize);
+        if let Some(&slot) = self.by_id.get(fragment.id()) {
+            let old = std::mem::replace(&mut self.fragments[slot as usize], fragment);
+            for label in old.all_input_labels() {
+                if let Some(slots) = self.by_consumed_label.get_mut(&label) {
+                    slots.retain(|&s| s != slot);
+                    if slots.is_empty() {
+                        self.by_consumed_label.remove(&label);
+                    }
+                }
+            }
+            self.index(slot);
             return false;
         }
-        let shard_idx = self.shard_for(&fragment) as u32;
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.by_id.insert(
-            fragment.id().clone(),
-            (
-                shard_idx,
-                self.shards[shard_idx as usize].fragments.len() as u32,
-            ),
-        );
-        let shard = &mut self.shards[shard_idx as usize];
-        shard.fragments.push((seq, fragment));
-        shard.index_slot(shard.fragments.len() - 1);
+        let slot = self.fragments.len() as u32;
+        self.by_id.insert(fragment.id().clone(), slot);
+        self.fragments.push(fragment);
+        self.index(slot);
         true
+    }
+
+    fn index(&mut self, slot: u32) {
+        for label in self.fragments[slot as usize].all_input_labels() {
+            self.by_consumed_label.entry(label).or_default().push(slot);
+        }
     }
 
     /// Number of stored fragments.
     pub fn len(&self) -> usize {
-        self.by_id.len()
+        self.fragments.len()
     }
 
     /// True if the store holds no fragments.
     pub fn is_empty(&self) -> bool {
-        self.by_id.is_empty()
-    }
-
-    /// The sequence number the next *new* fragment id will be assigned.
-    ///
-    /// Fragments are never removed (a replace keeps its slot and
-    /// sequence), so this always equals [`ShardedFragmentStore::len`] —
-    /// exposed separately because checkpoint formats record it
-    /// explicitly rather than deriving it from an invariant they would
-    /// then silently depend on.
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// One shard's `(global sequence, fragment)` entries in slot order —
-    /// the exact physical layout of the database. Within a shard, slot
-    /// order equals sequence order (slots are assigned at first insert
-    /// and never move). Snapshot writers persist this layout;
-    /// bit-identity checks compare it.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shard >= self.shard_count()`.
-    pub fn shard_entries(&self, shard: usize) -> impl Iterator<Item = (u64, &Arc<Fragment>)> + '_ {
-        self.shards[shard].fragments.iter().map(|(s, f)| (*s, f))
-    }
-
-    /// Restores a fragment into an explicit `(shard, sequence)` position
-    /// — the checkpoint-load dual of [`ShardedFragmentStore::insert`].
-    ///
-    /// The fragment is appended to `shard % shard_count()` (the modulus
-    /// makes a snapshot taken under one shard count loadable — though no
-    /// longer layout-identical — under another) and keeps the given
-    /// global sequence, so a store rebuilt by restoring a snapshot's
-    /// [`ShardedFragmentStore::shard_entries`] in ascending sequence
-    /// order is bit-identical to the one snapshotted: same shards, same
-    /// slots, same sequences, same query answers. `next_seq` advances
-    /// past every restored sequence; tail inserts then continue the
-    /// original numbering.
-    ///
-    /// Returns `false` (and replaces, keeping the existing slot and
-    /// sequence) if the id is already present — a well-formed snapshot
-    /// never hits this.
-    pub fn restore_fragment(&mut self, shard: u32, seq: u64, fragment: Arc<Fragment>) -> bool {
-        if self.by_id.contains_key(fragment.id()) {
-            self.insert(fragment);
-            return false;
-        }
-        let shard_idx = shard as usize % self.shards.len();
-        self.next_seq = self.next_seq.max(seq + 1);
-        self.by_id.insert(
-            fragment.id().clone(),
-            (
-                shard_idx as u32,
-                self.shards[shard_idx].fragments.len() as u32,
-            ),
-        );
-        let shard = &mut self.shards[shard_idx];
-        shard.fragments.push((seq, fragment));
-        shard.index_slot(shard.fragments.len() - 1);
-        true
+        self.fragments.is_empty()
     }
 
     /// Looks up a fragment by id.
     pub fn get(&self, id: &FragmentId) -> Option<&Arc<Fragment>> {
         self.by_id
             .get(id)
-            .map(|&(shard, slot)| &self.shards[shard as usize].fragments[slot as usize].1)
+            .map(|&slot| &self.fragments[slot as usize])
     }
 
-    /// All stored fragments as shared handles, in global insertion order.
-    ///
-    /// Materializes a sorted list (a k-way shard merge); meant for dumps
-    /// and diagnostics, not the query hot path.
-    pub fn fragments_shared(&self) -> Vec<&Arc<Fragment>> {
-        let mut all: Vec<&(u64, Arc<Fragment>)> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.fragments.iter())
-            .collect();
-        all.sort_unstable_by_key(|(seq, _)| *seq);
-        all.iter().map(|(_, f)| f).collect()
+    /// All stored fragments as shared handles, in insertion order.
+    pub fn fragments_shared(&self) -> &[Arc<Fragment>] {
+        &self.fragments
     }
 
     /// Every label some stored fragment consumes, once each, in no
     /// particular order: the keys of the consumed-label index, which a
     /// host advertises as what its knowhow can answer.
     pub fn input_labels(&self) -> impl Iterator<Item = &Label> + '_ {
-        self.shards.iter().enumerate().flat_map(move |(i, shard)| {
-            shard.by_consumed_label.keys().filter(move |label| {
-                !self.shards[..i]
-                    .iter()
-                    .any(|earlier| earlier.by_consumed_label.contains_key(*label))
-            })
-        })
+        self.by_consumed_label.keys()
     }
 
     /// Fragments containing a task that consumes any of `labels`,
-    /// deduplicated, in global insertion order.
+    /// deduplicated, in insertion order.
     pub fn consuming(&self, labels: &[Label]) -> Vec<Arc<Fragment>> {
-        let mut hits: Vec<(u64, Arc<Fragment>)> = Vec::new();
-        for shard in 0..self.shards.len() {
-            self.shard_consuming(shard, labels, &mut hits);
-        }
-        finish_hits(hits)
+        let mut slots: Vec<u32> = labels
+            .iter()
+            .filter_map(|label| self.by_consumed_label.get(label))
+            .flatten()
+            .copied()
+            .collect();
+        slots.sort_unstable();
+        slots.dedup();
+        slots
+            .into_iter()
+            .map(|slot| Arc::clone(&self.fragments[slot as usize]))
+            .collect()
     }
-
-    /// Appends `(sequence, fragment)` for every fragment in `shard` with
-    /// a task consuming any of `labels`. May push the same fragment once
-    /// per matching label; [`finish_hits`] deduplicates by sequence.
-    fn shard_consuming(&self, shard: usize, labels: &[Label], out: &mut Vec<(u64, Arc<Fragment>)>) {
-        let shard = &self.shards[shard];
-        for label in labels {
-            if let Some(indices) = shard.by_consumed_label.get(label) {
-                out.extend(indices.iter().map(|&i| shard.fragments[i as usize].clone()));
-            }
-        }
-    }
-}
-
-/// Sorts raw `(sequence, fragment)` hits into global insertion order and
-/// deduplicates by sequence.
-fn finish_hits(mut hits: Vec<(u64, Arc<Fragment>)>) -> Vec<Arc<Fragment>> {
-    hits.sort_unstable_by_key(|(seq, _)| *seq);
-    hits.dedup_by_key(|(seq, _)| *seq);
-    hits.into_iter().map(|(_, f)| f).collect()
 }
 
 impl FragmentSource for ShardedFragmentStore {
@@ -341,7 +185,7 @@ pub(crate) mod reference {
 
     /// Every inserted fragment in insertion order, a replacement written
     /// over its entry in place, and a query a linear scan: no index, no
-    /// sequence numbers, nothing shared with [`super::ShardedFragmentStore`].
+    /// slot numbers, nothing shared with [`super::ShardedFragmentStore`].
     #[derive(Default)]
     pub(crate) struct Scan(Vec<Arc<Fragment>>);
 
@@ -463,34 +307,32 @@ mod tests {
     }
 
     /// The advertised summary is exactly what a scan of the stored
-    /// fragments consumes, once per label, across shards and after a
-    /// replacement stops consuming a label.
+    /// fragments consumes, once per label, after a replacement stops
+    /// consuming a label.
     #[test]
     fn input_labels_are_what_the_stored_fragments_consume() {
-        for shards in [1, 3] {
-            let mut s = ShardedFragmentStore::with_shards(shards);
-            for i in 0..12 {
-                s.insert(frag(
-                    &format!("f{i}"),
-                    &format!("t{i}"),
-                    &["a", &format!("x{}", i % 4)],
-                    &[&format!("o{i}")],
-                ));
-            }
-            s.insert(frag("f0", "t0", &["y"], &["o0"]));
-            let mut got: Vec<&str> = s.input_labels().map(Label::as_str).collect();
-            got.sort_unstable();
-            let mut want: Vec<Label> = s
-                .fragments_shared()
-                .into_iter()
-                .flat_map(|f| f.all_input_labels())
-                .collect();
-            want.sort();
-            want.dedup();
-            let want: Vec<&str> = want.iter().map(Label::as_str).collect();
-            assert_eq!(got, want, "{shards} shard(s)");
-            assert!(got.contains(&"y") && got.contains(&"x0"), "{got:?}");
+        let mut s = ShardedFragmentStore::new();
+        for i in 0..12 {
+            s.insert(frag(
+                &format!("f{i}"),
+                &format!("t{i}"),
+                &["a", &format!("x{}", i % 4)],
+                &[&format!("o{i}")],
+            ));
         }
+        s.insert(frag("f0", "t0", &["y"], &["o0"]));
+        let mut got: Vec<&str> = s.input_labels().map(Label::as_str).collect();
+        got.sort_unstable();
+        let mut want: Vec<Label> = s
+            .fragments_shared()
+            .iter()
+            .flat_map(|f| f.all_input_labels())
+            .collect();
+        want.sort();
+        want.dedup();
+        let want: Vec<&str> = want.iter().map(Label::as_str).collect();
+        assert_eq!(got, want);
+        assert!(got.contains(&"y") && got.contains(&"x0"), "{got:?}");
     }
 
     #[test]
@@ -553,17 +395,16 @@ mod tests {
             frag("f", "t", &["only-a"], &["b"]),
             frag("f", "t", &["only-x"], &["b"]),
         ];
-        let sharded: ShardedFragmentStore = versions.into_iter().collect();
+        let store: ShardedFragmentStore = versions.into_iter().collect();
         // The `only-a` bucket is gone entirely, not left as an empty Vec.
-        let index = &sharded.shards[0].by_consumed_label;
-        assert_eq!(index.len(), 1);
-        assert!(index.contains_key(&Label::new("only-x")));
+        assert_eq!(store.by_consumed_label.len(), 1);
+        assert!(store.by_consumed_label.contains_key(&Label::new("only-x")));
     }
 
     #[test]
-    fn sharded_store_matches_monolithic_answers() {
-        // Same database, any shard count: identical query answers in
-        // identical (global insertion) order.
+    fn store_answers_match_the_scan() {
+        // A query over several labels merges their buckets back into
+        // insertion order, as the scan finds them.
         let frags: Vec<Fragment> = (0..40)
             .map(|i| {
                 frag(
@@ -574,47 +415,35 @@ mod tests {
                 )
             })
             .collect();
-        let mono: Scan = frags.iter().cloned().collect();
-        for shards in [1usize, 2, 3, 8] {
-            let mut sharded = ShardedFragmentStore::with_shards(shards);
-            sharded.extend(frags.iter().cloned());
-            assert_eq!(sharded.len(), 40);
-            assert_eq!(sharded.shard_count(), shards);
-            for query in [
-                vec![Label::new("common")],
-                vec![Label::new("in3")],
-                vec![Label::new("in1"), Label::new("in2")],
-                vec![Label::new("absent")],
-            ] {
-                let a: Vec<String> = mono
-                    .consuming(&query)
-                    .iter()
-                    .map(|f| f.id().to_string())
-                    .collect();
-                let b: Vec<String> = sharded
-                    .consuming(&query)
-                    .iter()
-                    .map(|f| f.id().to_string())
-                    .collect();
-                assert_eq!(a, b, "{shards} shards, query {query:?}");
-            }
+        let scan: Scan = frags.iter().cloned().collect();
+        let store: ShardedFragmentStore = frags.into_iter().collect();
+        assert_eq!(store.len(), 40);
+        for query in [
+            vec![Label::new("common")],
+            vec![Label::new("in3")],
+            vec![Label::new("in1"), Label::new("in2")],
+            vec![Label::new("absent")],
+        ] {
+            let a: Vec<String> = scan
+                .consuming(&query)
+                .iter()
+                .map(|f| f.id().to_string())
+                .collect();
+            let b: Vec<String> = store
+                .consuming(&query)
+                .iter()
+                .map(|f| f.id().to_string())
+                .collect();
+            assert_eq!(a, b, "query {query:?}");
         }
     }
 
+    /// A fragment's slot is its insertion sequence: a replacement keeps
+    /// its slot in the listing and in every answer, even one whose
+    /// consumed labels it now joins after later fragments.
     #[test]
-    fn sharded_store_replaces_by_id() {
-        let mut s = ShardedFragmentStore::with_shards(4);
-        assert!(s.insert(frag("f", "t", &["a"], &["b"])));
-        assert!(!s.insert(frag("f", "t", &["x"], &["y"])), "replacement");
-        assert_eq!(s.len(), 1);
-        assert!(s.consuming(&[Label::new("a")]).is_empty());
-        assert_eq!(s.consuming(&[Label::new("x")]).len(), 1);
-        assert!(s.get(&FragmentId::new("f")).is_some());
-    }
-
-    #[test]
-    fn sharded_store_lists_fragments_in_insertion_order() {
-        let mut s = ShardedFragmentStore::with_shards(3);
+    fn a_replacement_keeps_its_insertion_slot() {
+        let mut s = ShardedFragmentStore::new();
         for i in 0..10 {
             s.insert(frag(
                 &format!("f{i}"),
@@ -623,6 +452,8 @@ mod tests {
                 &[&format!("o{i}")],
             ));
         }
+        s.insert(frag("f3", "t3", &["a", "b"], &["o3"]));
+        s.insert(frag("f1", "t1", &["b"], &["o1"]));
         let ids: Vec<&str> = s
             .fragments_shared()
             .iter()
@@ -630,105 +461,12 @@ mod tests {
             .collect();
         let want: Vec<String> = (0..10).map(|i| format!("f{i}")).collect();
         assert_eq!(ids, want);
-    }
-
-    #[test]
-    fn shard_consuming_hits_carry_global_sequence() {
-        let mut s = ShardedFragmentStore::with_shards(2);
-        s.insert(frag("f0", "t0", &["a"], &["x"]));
-        s.insert(frag("f1", "t1", &["a", "b"], &["y"]));
-        let mut hits = Vec::new();
-        for shard in 0..s.shard_count() {
-            s.shard_consuming(shard, &[Label::new("a"), Label::new("b")], &mut hits);
-        }
-        // f1 matched twice (a and b); finish_hits dedups and orders.
-        let ids: Vec<String> = finish_hits(hits)
+        let hits: Vec<String> = s
+            .consuming(&[Label::new("b"), Label::new("a")])
             .iter()
             .map(|f| f.id().to_string())
             .collect();
-        assert_eq!(ids, ["f0", "f1"]);
-    }
-
-    #[test]
-    fn restore_rebuilds_the_exact_layout() {
-        // Build a store with interleaved inserts and replaces, then
-        // rebuild it from its own shard_entries — shards, slots,
-        // sequences and query answers must all come back identical.
-        let mut original = ShardedFragmentStore::with_shards(3);
-        for i in 0..20 {
-            original.insert(frag(
-                &format!("f{i}"),
-                &format!("t{i}"),
-                &[&format!("in{}", i % 4)],
-                &[&format!("out{}", i % 6)],
-            ));
-        }
-        // Replaces: new consumed labels, new produced labels (the
-        // fragment stays in its original shard regardless).
-        for i in [3usize, 7, 11] {
-            assert!(!original.insert(frag(
-                &format!("f{i}"),
-                &format!("t{i}"),
-                &["swapped"],
-                &["elsewhere"],
-            )));
-        }
-
-        let mut entries: Vec<(u32, u64, Arc<Fragment>)> = Vec::new();
-        for shard in 0..original.shard_count() {
-            for (seq, f) in original.shard_entries(shard) {
-                entries.push((shard as u32, seq, Arc::clone(f)));
-            }
-        }
-        entries.sort_by_key(|&(_, seq, _)| seq);
-
-        let mut restored = ShardedFragmentStore::with_shards(original.shard_count());
-        for (shard, seq, f) in entries {
-            assert!(restored.restore_fragment(shard, seq, f));
-        }
-        assert_eq!(restored.next_seq(), original.next_seq());
-        assert_eq!(restored.len(), original.len());
-        for shard in 0..original.shard_count() {
-            let a: Vec<(u64, &str)> = original
-                .shard_entries(shard)
-                .map(|(s, f)| (s, f.id().as_str()))
-                .collect();
-            let b: Vec<(u64, &str)> = restored
-                .shard_entries(shard)
-                .map(|(s, f)| (s, f.id().as_str()))
-                .collect();
-            assert_eq!(a, b, "shard {shard} layout differs");
-        }
-        for q in ["in0", "in3", "swapped", "absent"] {
-            let a: Vec<String> = original
-                .consuming(&[Label::new(q)])
-                .iter()
-                .map(|f| f.id().to_string())
-                .collect();
-            let b: Vec<String> = restored
-                .consuming(&[Label::new(q)])
-                .iter()
-                .map(|f| f.id().to_string())
-                .collect();
-            assert_eq!(a, b, "query {q} differs");
-        }
-        // Tail inserts continue the original numbering.
-        restored.insert(frag("f-new", "t-new", &["x"], &["y"]));
-        let new_seq = (0..restored.shard_count())
-            .flat_map(|s| restored.shard_entries(s))
-            .find(|(_, f)| f.id().as_str() == "f-new")
-            .map(|(seq, _)| seq)
-            .unwrap();
-        assert_eq!(new_seq, original.next_seq());
-    }
-
-    #[test]
-    fn restore_with_duplicate_id_degrades_to_replace() {
-        let mut s = ShardedFragmentStore::with_shards(2);
-        s.insert(frag("f", "t", &["a"], &["b"]));
-        assert!(!s.restore_fragment(1, 99, Arc::new(frag("f", "t", &["x"], &["b"]))));
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.consuming(&[Label::new("x")]).len(), 1);
+        assert_eq!(hits, want, "one hit per fragment, in slot order");
     }
 
     #[test]

@@ -341,52 +341,48 @@ proptest! {
         }
     }
 
-    /// Sharding is a pure storage layout: for every shard count,
-    /// construction over a sharded store must produce a supergraph
-    /// string-identical with construction over the monolithic reference
-    /// store, the same workflow and the same stats — across pick orders.
-    /// Sequence-ordered merging of each round's hits is what makes it so.
+    /// The store is the reference scan with an index: construction over
+    /// it produces a supergraph string-identical with construction over
+    /// the scan, the same workflow and the same stats — across pick
+    /// orders. Answering each round in insertion order is what makes it
+    /// so.
     #[test]
-    fn construction_is_independent_of_shard_count(
+    fn construction_over_the_store_matches_the_scan(
         (fragments, spec) in arb_world(12, 10)
     ) {
+        let store: ShardedFragmentStore = fragments.iter().cloned().collect();
         for order in [PickOrder::Fifo, PickOrder::Lifo, PickOrder::Random(7)] {
-            let monolithic = IncrementalConstructor::new()
+            let scanned = IncrementalConstructor::new()
                 .pick_order(order)
                 .construct(Scan::new(&fragments), &spec);
-            for shards in [1usize, 2, 3, 8] {
-                let mut store = ShardedFragmentStore::with_shards(shards);
-                store.extend(fragments.iter().cloned());
-                let sharded = IncrementalConstructor::new()
-                    .pick_order(order)
-                    .construct(&store, &spec);
-                match (&monolithic, &sharded) {
-                    (Ok((mc, msg)), Ok((sc, ssg))) => {
-                        prop_assert_eq!(
-                            graph_strings(msg.graph()),
-                            graph_strings(ssg.graph()),
-                            "supergraph must match ({:?}, {} shards)",
-                            order, shards
-                        );
-                        prop_assert_eq!(msg.fragment_count(), ssg.fragment_count());
-                        prop_assert_eq!(
-                            graph_strings(mc.workflow().graph()),
-                            graph_strings(sc.workflow().graph()),
-                            "workflow must match ({:?}, {} shards)",
-                            order, shards
-                        );
-                        prop_assert_eq!(mc.stats(), sc.stats());
-                    }
-                    (
-                        Err(ConstructError::NoSolution { .. }),
-                        Err(ConstructError::NoSolution { .. }),
-                    ) => {}
-                    (m, s) => prop_assert!(
-                        false,
-                        "monolithic and sharded disagree ({order:?}, {shards} shards): \
-                         {m:?} vs {s:?}"
-                    ),
+            let stored = IncrementalConstructor::new()
+                .pick_order(order)
+                .construct(&store, &spec);
+            match (&scanned, &stored) {
+                (Ok((mc, msg)), Ok((sc, ssg))) => {
+                    prop_assert_eq!(
+                        graph_strings(msg.graph()),
+                        graph_strings(ssg.graph()),
+                        "supergraph must match ({:?})",
+                        order
+                    );
+                    prop_assert_eq!(msg.fragment_count(), ssg.fragment_count());
+                    prop_assert_eq!(
+                        graph_strings(mc.workflow().graph()),
+                        graph_strings(sc.workflow().graph()),
+                        "workflow must match ({:?})",
+                        order
+                    );
+                    prop_assert_eq!(mc.stats(), sc.stats());
                 }
+                (
+                    Err(ConstructError::NoSolution { .. }),
+                    Err(ConstructError::NoSolution { .. }),
+                ) => {}
+                (m, s) => prop_assert!(
+                    false,
+                    "scan and store disagree ({order:?}): {m:?} vs {s:?}"
+                ),
             }
         }
     }

@@ -13,8 +13,8 @@ use super::{HostCore, WorkflowEvent};
 use crate::prefs::Preferences;
 use crate::service::ServiceDescription;
 
-/// Where a host's Fragment Manager keeps its knowhow: in an
-/// [`openwf_core::ShardedFragmentStore`] alone, or in an
+/// Where a host's Fragment Manager keeps its knowhow: in the one
+/// fragment store, [`openwf_core::ShardedFragmentStore`], alone, or in an
 /// [`openwf_wire::DurableFragmentStore`] that logs it to disk.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub enum StorageConfig {
@@ -167,13 +167,16 @@ impl HostConfig {
     }
 
     /// Persists this host's knowhow in a durable segment log at `dir`
-    /// (replayed on restart; see [`StorageConfig::Durable`]) with
-    /// manual-only snapshot/compaction.
+    /// (replayed on restart; see [`StorageConfig::Durable`]) that
+    /// compacts itself once live bytes fall below half of what it holds
+    /// on disk, past the default garbage floor
+    /// ([`openwf_wire::DEFAULT_COMPACT_MIN_BYTES`]): a host whose
+    /// knowhow churns keeps its disk bounded by its live set.
     pub fn with_durable_storage(mut self, dir: impl Into<PathBuf>) -> Self {
         self.storage = StorageConfig::Durable {
             dir: dir.into(),
             segment_bytes: openwf_wire::DEFAULT_SEGMENT_BYTES,
-            policy: openwf_wire::StoragePolicy::default(),
+            policy: openwf_wire::StoragePolicy::default().compact_below_live_percent(50),
         };
         self
     }

@@ -1010,6 +1010,53 @@ fn published_storage_figures_match_the_durable_store() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `with_durable_storage` bounds the disk of a host whose knowhow
+/// churns: once the replaced records pass the garbage floor, the log
+/// compacts itself, and a reopen restores the same knowhow.
+#[test]
+fn durable_storage_compacts_churned_knowhow() {
+    let dir = std::env::temp_dir().join(format!(
+        "openwf-core-storage-churn-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let open = || {
+        HostCore::new(
+            HostConfig::new().with_durable_storage(&dir),
+            RuntimeParams::default(),
+        )
+    };
+    let mut core = open();
+    for generation in 0..150 {
+        for i in 0..20 {
+            let (id, task) = (format!("sc-f{i}"), format!("sc-t{i}"));
+            core.fragment_mgr_mut().add(frag(
+                &id,
+                &task,
+                &format!("sc-a{i}"),
+                &format!("sc-g{generation}"),
+            ));
+        }
+        let log = core.fragment_mgr().durable_log().expect("durable store");
+        assert!(log.segment_count() <= 2, "{log:?}");
+        assert!(
+            log.garbage_bytes() < openwf_wire::DEFAULT_COMPACT_MIN_BYTES,
+            "{log:?}"
+        );
+    }
+    let log = core.fragment_mgr().durable_log().expect("durable store");
+    assert_eq!(log.record_count(), 3_000);
+    assert!(log.op_stats().compactions >= 1, "{:?}", log.op_stats());
+    let digest = core.fragment_mgr().knowhow_digest();
+    drop(core);
+    let core = open();
+    assert_eq!(core.fragment_mgr().len(), 20);
+    assert_eq!(core.fragment_mgr().knowhow_digest(), digest);
+    drop(core);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Binding twice to the same id is fine; a different id panics.
 #[test]
 #[should_panic(expected = "exactly one host")]

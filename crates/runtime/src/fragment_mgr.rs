@@ -8,8 +8,8 @@
 //! selects it): the default in-memory [`ShardedFragmentStore`], or
 //! `openwf-wire`'s [`DurableFragmentStore`], which appends every insert
 //! to a segment log and rebuilds the same store by replay on restart.
-//! Either way queries are answered from the in-memory index, one shard,
-//! on the thread that drives the host.
+//! Either way queries are answered from the in-memory index, in
+//! insertion order, on the thread that drives the host.
 
 use std::fmt;
 use std::path::PathBuf;
@@ -154,7 +154,7 @@ impl FragmentManager {
 
     /// All fragments (e.g. for configuration dumps), in insertion order.
     pub fn fragments(&self) -> impl Iterator<Item = &Fragment> + '_ {
-        self.store().fragments_shared().into_iter().map(Arc::as_ref)
+        self.store().fragments_shared().iter().map(Arc::as_ref)
     }
 
     /// The know-how digest: every stored fragment's wire encoding,

@@ -27,10 +27,11 @@
 //! * **Durable storage** ([`storage`]): [`DurableFragmentStore`], an
 //!   append-only CRC-checked segment log over an in-memory
 //!   [`openwf_core::ShardedFragmentStore`]; the runtime's Fragment
-//!   Manager holds one for a durable host. A restarted host replays its log,
-//!   rebuilds the in-memory consumed-label index with identical global
-//!   insertion sequence, and therefore reconstructs bit-identical
-//!   supergraphs; a torn tail write is detected and truncated on open.
+//!   Manager holds one for a durable host. A restarted host replays its log
+//!   (or loads its snapshot, written in slot order) by in-order inserts,
+//!   so every fragment retakes its slot, the store answers in the same
+//!   order, and the host reconstructs bit-identical supergraphs; a torn
+//!   tail write is detected and truncated on open.
 //!
 //! The decoder treats all input as hostile: truncation, bit flips,
 //! absurd lengths and counts, invalid UTF-8, unknown tags and

@@ -5,19 +5,19 @@
 //! encoded wire frame in a log of rolling segment files, and keeps an
 //! in-memory [`ShardedFragmentStore`] as its query index. Opening a
 //! directory **replays** the log in order — decoding each record,
-//! verifying its CRC, and rebuilding the index with the *same global
-//! insertion sequence* the original process assigned — so a restarted
-//! host answers every consumed-label query identically and reconstructs
-//! bit-identical supergraphs from its recovered knowhow.
+//! verifying its CRC, and re-inserting it — so every fragment retakes
+//! the slot (its insertion sequence) the original process gave it, and a
+//! restarted host answers every consumed-label query identically and
+//! reconstructs bit-identical supergraphs from its recovered knowhow.
 //!
 //! Replaying the whole log costs O(insert history): every superseded
 //! fragment a community ever churned is re-decoded on restart. A
 //! **snapshot** bounds that: a side file holding the encoded *live*
-//! fragment set plus the `(shard, seq)` placement metadata needed to
-//! rebuild the index bit-identically (the global sequence numbers the
-//! merge-order invariant depends on), stamped with the first segment it
-//! does **not** cover. Restart then loads the newest intact snapshot
-//! and replays only the tail segments after it — O(live + tail).
+//! fragment set in slot order, stamped with the first segment it does
+//! **not** cover. Loading it is plain in-order inserts, which give every
+//! fragment back its slot, the order the merge-order invariant depends
+//! on. Restart then loads the newest intact snapshot and replays only
+//! the tail segments after it — O(live + tail).
 //! **Compaction** deletes the segments a snapshot covers, bounding the
 //! disk footprint too. Both run on demand ([`DurableFragmentStore::snapshot`],
 //! [`DurableFragmentStore::compact`]) or automatically under a
@@ -33,15 +33,15 @@
 //! record   := len:u32 crc:u32 payload[len]                 (crc = CRC-32/IEEE of payload)
 //! snapshot := snap-header meta-record frag-record*
 //! snap-header := magic "OWFSNP" version:u8 reserved:u8     (8 bytes)
-//! meta-record := record with payload
-//!                tail_seg:u64 next_seq:u64 live:u64 record_count:u64 shards:u32
-//! frag-record := record with payload shard:u32 seq:u64 fragment-frame
+//! meta-record := record with payload tail_seg:u64 live:u64 record_count:u64
+//! frag-record := record with payload fragment-frame
 //! ```
 //!
-//! A segment-log record's payload is one `TAG_FRAGMENT` wire frame; a
-//! snapshot frag-record prefixes the frame with the index placement the
-//! restored fragment must reoccupy. Snapshot frag-records are written
-//! in global sequence order, so loading one is a single in-order pass.
+//! A segment-log record's payload, and a snapshot frag-record's, is one
+//! `TAG_FRAGMENT` wire frame. A snapshot (version 2) holds exactly `live`
+//! frag-records, one per id, in slot order, and nothing after them. A
+//! snapshot of version 1, which also stored a shard count and each
+//! fragment's shard and sequence, is ignored at open like a torn one.
 //!
 //! Crash recovery: a torn append leaves a partial record (or a record
 //! whose CRC no longer matches) at the **tail of the final segment**;
@@ -83,14 +83,12 @@ const SEGMENT_HEADER_LEN: u64 = 8;
 const RECORD_HEADER_LEN: u64 = 8;
 
 const SNAPSHOT_MAGIC: &[u8; 6] = b"OWFSNP";
-const SNAPSHOT_VERSION: u8 = 1;
+/// The snapshot layout's version: a snapshot of another version is
+/// ignored at open.
+const SNAPSHOT_VERSION: u8 = 2;
 const SNAPSHOT_HEADER_LEN: u64 = 8;
-/// Snapshot meta-record payload: tail_seg, next_seq, live, record_count
-/// (u64 each) + shard count (u32).
-const SNAPSHOT_META_LEN: usize = 36;
-/// Bytes a snapshot frag-record spends on index placement (shard:u32 +
-/// seq:u64) before the fragment frame starts.
-const SNAPSHOT_PLACEMENT_LEN: usize = 12;
+/// Snapshot meta-record payload: tail_seg, live, record_count (u64 each).
+const SNAPSHOT_META_LEN: usize = 24;
 
 /// Default segment roll size: 8 MiB.
 pub const DEFAULT_SEGMENT_BYTES: u64 = 8 * 1024 * 1024;
@@ -336,9 +334,9 @@ struct RestoreState {
 }
 
 impl RestoreState {
-    fn new(shards: usize) -> Self {
+    fn new() -> Self {
         RestoreState {
-            index: ShardedFragmentStore::with_shards(shards),
+            index: ShardedFragmentStore::new(),
             log_bytes: 0,
             record_count: 0,
             live_bytes: 0,
@@ -426,38 +424,35 @@ impl fmt::Debug for DurableFragmentStore {
 }
 
 impl DurableFragmentStore {
-    /// Opens (creating if absent) the log in `dir` with one index shard
-    /// and the default segment size, replaying any existing records.
+    /// Opens (creating if absent) the log in `dir` with the default
+    /// segment size, replaying any existing records.
     ///
     /// # Errors
     ///
     /// [`StorageError`] on I/O failure or non-recoverable corruption.
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self, StorageError> {
-        DurableFragmentStore::open_with(dir, 1, DEFAULT_SEGMENT_BYTES)
+        DurableFragmentStore::open_with(dir, DEFAULT_SEGMENT_BYTES)
     }
 
-    /// Opens the log in `dir` with `shards` index shards and a custom
-    /// segment roll size, manual-only maintenance.
+    /// Opens the log in `dir` with a custom segment roll size,
+    /// manual-only maintenance.
     ///
     /// # Errors
     ///
     /// [`StorageError`] on I/O failure or non-recoverable corruption.
-    pub fn open_with(
-        dir: impl Into<PathBuf>,
-        shards: usize,
-        segment_bytes: u64,
-    ) -> Result<Self, StorageError> {
-        DurableFragmentStore::open_with_policy(dir, shards, segment_bytes, StoragePolicy::default())
+    pub fn open_with(dir: impl Into<PathBuf>, segment_bytes: u64) -> Result<Self, StorageError> {
+        DurableFragmentStore::open_with_policy(dir, 1, segment_bytes, StoragePolicy::default())
     }
 
-    /// Opens the log in `dir` with `shards` index shards, a custom
-    /// segment roll size, and a snapshot/compaction [`StoragePolicy`].
+    /// Opens the log in `dir` with a custom segment roll size and a
+    /// snapshot/compaction [`StoragePolicy`]. `_shards` is ignored: it
+    /// goes with ROADMAP direction 22, once `owms-bench` stops passing it.
     ///
     /// Restoration prefers the newest intact snapshot: its live set is
-    /// loaded back into the exact `(shard, seq)` placements it held,
-    /// then only the tail segments after it replay — O(live + tail)
-    /// work instead of O(insert history). A torn or damaged snapshot is
-    /// ignored in favour of an older one or full replay.
+    /// inserted back in slot order, then only the tail segments after it
+    /// replay — O(live + tail) work instead of O(insert history). A torn,
+    /// damaged or other-version snapshot is ignored in favour of an older
+    /// one or full replay.
     ///
     /// # Errors
     ///
@@ -465,7 +460,7 @@ impl DurableFragmentStore {
     /// or a compacted-away prefix with no intact snapshot covering it.
     pub fn open_with_policy(
         dir: impl Into<PathBuf>,
-        shards: usize,
+        _shards: usize,
         segment_bytes: u64,
         policy: StoragePolicy,
     ) -> Result<Self, StorageError> {
@@ -506,7 +501,7 @@ impl DurableFragmentStore {
             if !tail_ok {
                 continue;
             }
-            if let Some(loaded) = load_snapshot(&snapshot_path(&dir, snap_seq), snap_seq, shards)? {
+            if let Some(loaded) = load_snapshot(&snapshot_path(&dir, snap_seq), snap_seq)? {
                 restored = Some(loaded);
                 break;
             }
@@ -529,7 +524,7 @@ impl DurableFragmentStore {
                         });
                     }
                 }
-                (RestoreState::new(shards), None)
+                (RestoreState::new(), None)
             }
         };
         let tail_start = snapshot.map_or(0, |s| s.tail_seg);
@@ -750,21 +745,6 @@ impl DurableFragmentStore {
         let final_path = snapshot_path(&self.dir, tail_seg);
         let tmp_path = self.dir.join(format!("snap-{tail_seg:08}.owfs.tmp"));
 
-        // The live set with its index placement, in global sequence
-        // order: load is then a single in-order pass that reproduces
-        // per-shard slot order (slot order == seq order, an invariant
-        // `ShardedFragmentStore` maintains because replaces keep their
-        // slot and seq).
-        let mut entries: Vec<(u32, u64, Arc<Fragment>)> = Vec::with_capacity(self.index.len());
-        for shard in 0..self.index.shard_count() {
-            entries.extend(
-                self.index
-                    .shard_entries(shard)
-                    .map(|(seq, f)| (shard as u32, seq, Arc::clone(f))),
-            );
-        }
-        entries.sort_unstable_by_key(|&(_, seq, _)| seq);
-
         let mut w = BufWriter::new(File::create(&tmp_path)?);
         let mut header = [0u8; SNAPSHOT_HEADER_LEN as usize];
         header[..6].copy_from_slice(SNAPSHOT_MAGIC);
@@ -773,20 +753,18 @@ impl DurableFragmentStore {
 
         let mut meta = [0u8; SNAPSHOT_META_LEN];
         meta[0..8].copy_from_slice(&tail_seg.to_le_bytes());
-        meta[8..16].copy_from_slice(&self.index.next_seq().to_le_bytes());
-        meta[16..24].copy_from_slice(&(entries.len() as u64).to_le_bytes());
-        meta[24..32].copy_from_slice(&self.record_count.to_le_bytes());
-        meta[32..36].copy_from_slice(&(self.index.shard_count() as u32).to_le_bytes());
+        meta[8..16].copy_from_slice(&(self.index.len() as u64).to_le_bytes());
+        meta[16..24].copy_from_slice(&self.record_count.to_le_bytes());
         write_record(&mut w, &meta)?;
 
+        // The live set in slot order: loading it back is in-order
+        // inserts, which give every fragment its slot again.
         let mut record_bytes = 0u64;
-        for (shard, seq, f) in &entries {
+        for f in self.index.fragments_shared() {
             self.scratch.clear();
-            self.scratch.extend_from_slice(&shard.to_le_bytes());
-            self.scratch.extend_from_slice(&seq.to_le_bytes());
             encode_fragment(f, &mut self.scratch);
             write_record(&mut w, &self.scratch)?;
-            record_bytes += record_cost((self.scratch.len() - SNAPSHOT_PLACEMENT_LEN) as u64);
+            record_bytes += record_cost(self.scratch.len() as u64);
         }
         w.flush()?;
         w.get_ref().sync_all()?;
@@ -899,13 +877,6 @@ impl DurableFragmentStore {
         self.index.get(id)
     }
 
-    /// Number of live fragments — an explicit alias of
-    /// [`DurableFragmentStore::len`] for call sites contrasting it with
-    /// [`DurableFragmentStore::record_count`].
-    pub fn live_len(&self) -> usize {
-        self.index.len()
-    }
-
     /// Total inserts ever applied (live + superseded), surviving
     /// restarts and compaction — the length replay would have had
     /// without snapshots.
@@ -958,11 +929,6 @@ impl DurableFragmentStore {
         self.segments
     }
 
-    /// The active snapshot/compaction policy.
-    pub fn policy(&self) -> &StoragePolicy {
-        &self.policy
-    }
-
     /// Replaces the snapshot/compaction policy; triggers apply from the
     /// next insert.
     pub fn set_policy(&mut self, policy: StoragePolicy) {
@@ -986,12 +952,11 @@ impl Drop for DurableFragmentStore {
 /// Loads one snapshot file. `Ok(None)` means the file is torn or
 /// damaged in any way — the caller falls back to an older snapshot or
 /// full replay; only real I/O failures are errors. A loaded snapshot
-/// passed every CRC, decoded exactly its declared live set with dense
-/// placements, and ended cleanly.
+/// passed every CRC, decoded exactly its declared live set with no id
+/// twice, and ended cleanly.
 fn load_snapshot(
     path: &Path,
     expect_tail: u64,
-    shards: usize,
 ) -> Result<Option<(RestoreState, SnapshotState)>, StorageError> {
     let bytes = match std::fs::read(path) {
         Ok(b) => b,
@@ -1029,52 +994,37 @@ fn load_snapshot(
         return Ok(None);
     }
     let tail_seg = u64::from_le_bytes(meta[0..8].try_into().expect("8 bytes"));
-    let next_seq = u64::from_le_bytes(meta[8..16].try_into().expect("8 bytes"));
-    let live = u64::from_le_bytes(meta[16..24].try_into().expect("8 bytes"));
-    let record_count = u64::from_le_bytes(meta[24..32].try_into().expect("8 bytes"));
-    // meta[32..36]: the writer's shard count — informational only; the
-    // placement shard is taken modulo the opener's shard count, so a
-    // snapshot stays loadable (and query-equivalent, placements' seqs
-    // preserved) under a different sharding.
-    if tail_seg != expect_tail || live > record_count || next_seq != live {
+    let live = u64::from_le_bytes(meta[8..16].try_into().expect("8 bytes"));
+    let record_count = u64::from_le_bytes(meta[16..24].try_into().expect("8 bytes"));
+    if tail_seg != expect_tail || live > record_count {
         return Ok(None);
     }
 
-    let mut state = RestoreState::new(shards);
+    let mut state = RestoreState::new();
     let mut budget = VocabularyBudget::unlimited();
     for _ in 0..live {
         let Some((start, end)) = next_record(&bytes, &mut pos) else {
             return Ok(None);
         };
-        let payload = &bytes[start..end];
-        if payload.len() < SNAPSHOT_PLACEMENT_LEN {
-            return Ok(None);
-        }
-        let shard = u32::from_le_bytes(payload[0..4].try_into().expect("4 bytes"));
-        let seq = u64::from_le_bytes(payload[4..12].try_into().expect("8 bytes"));
-        let frame = &payload[SNAPSHOT_PLACEMENT_LEN..];
+        let frame = &bytes[start..end];
         match decode_fragment_with(frame, &mut budget, &mut state.decode) {
             Ok((fragment, consumed)) if consumed == frame.len() => {
-                if seq >= next_seq {
-                    return Ok(None);
-                }
-                let id = fragment.id().clone();
-                if !state.index.restore_fragment(shard, seq, fragment) {
+                account_live(
+                    &mut state.rec_sizes,
+                    &mut state.live_bytes,
+                    fragment.id(),
+                    frame.len() as u64,
+                );
+                if !state.index.insert(fragment) {
                     // Duplicate id inside one snapshot: not a shape a
                     // writer produces.
                     return Ok(None);
                 }
-                account_live(
-                    &mut state.rec_sizes,
-                    &mut state.live_bytes,
-                    &id,
-                    frame.len() as u64,
-                );
             }
             _ => return Ok(None),
         }
     }
-    if pos != bytes.len() || state.index.next_seq() != next_seq {
+    if pos != bytes.len() {
         return Ok(None);
     }
     state.record_count = record_count;
@@ -1249,26 +1199,20 @@ mod tests {
         .unwrap()
     }
 
-    /// The store's observable identity: per-shard `(seq, encoded
-    /// frame)` listings plus the next sequence number. Two stores with
-    /// equal dumps answer every query identically and assign identical
-    /// seqs to future inserts — the bit-identical restart contract.
-    type Dump = (u64, Vec<Vec<(u64, Vec<u8>)>>);
-
-    fn dump(store: &ShardedFragmentStore) -> Dump {
-        let shards = (0..store.shard_count())
-            .map(|s| {
-                store
-                    .shard_entries(s)
-                    .map(|(seq, f)| {
-                        let mut buf = Vec::new();
-                        encode_fragment(f, &mut buf);
-                        (seq, buf)
-                    })
-                    .collect()
+    /// The store's observable identity: every live fragment's encoded
+    /// frame, in slot order. Two stores with equal dumps answer every
+    /// query identically and give the same slots to future inserts —
+    /// the bit-identical restart contract.
+    fn dump(store: &ShardedFragmentStore) -> Vec<Vec<u8>> {
+        store
+            .fragments_shared()
+            .iter()
+            .map(|f| {
+                let mut buf = Vec::new();
+                encode_fragment(f, &mut buf);
+                buf
             })
-            .collect();
-        (store.next_seq(), shards)
+            .collect()
     }
 
     #[test]
@@ -1313,13 +1257,13 @@ mod tests {
         let dir = tmp_dir("roll");
         {
             // Tiny segments force several rolls.
-            let mut s = DurableFragmentStore::open_with(&dir, 2, 256).unwrap();
+            let mut s = DurableFragmentStore::open_with(&dir, 256).unwrap();
             for i in 0..40 {
                 s.insert(frag(i)).unwrap();
             }
             assert!(s.segment_count() > 2, "got {}", s.segment_count());
         }
-        let s = DurableFragmentStore::open_with(&dir, 2, 256).unwrap();
+        let s = DurableFragmentStore::open_with(&dir, 256).unwrap();
         assert_eq!(s.len(), 40);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1398,13 +1342,13 @@ mod tests {
     fn clean_drop_without_sync_survives_segment_rolls() {
         let dir = tmp_dir("dropflush-roll");
         {
-            let mut s = DurableFragmentStore::open_with(&dir, 1, 256).unwrap();
+            let mut s = DurableFragmentStore::open_with(&dir, 256).unwrap();
             for i in 0..40 {
                 s.insert(frag(i)).unwrap();
             }
             assert!(s.segment_count() > 2, "got {}", s.segment_count());
         }
-        let s = DurableFragmentStore::open_with(&dir, 1, 256).unwrap();
+        let s = DurableFragmentStore::open_with(&dir, 256).unwrap();
         assert_eq!(s.len(), 40);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1413,7 +1357,7 @@ mod tests {
     fn mid_log_corruption_is_fatal_not_silent() {
         let dir = tmp_dir("midcorrupt");
         {
-            let mut s = DurableFragmentStore::open_with(&dir, 1, 128).unwrap();
+            let mut s = DurableFragmentStore::open_with(&dir, 128).unwrap();
             for i in 0..20 {
                 s.insert(frag(i)).unwrap();
             }
@@ -1425,7 +1369,7 @@ mod tests {
         let idx = bytes.len() - 2;
         bytes[idx] ^= 0xff;
         std::fs::write(&seg, &bytes).unwrap();
-        let err = DurableFragmentStore::open_with(&dir, 1, 128).unwrap_err();
+        let err = DurableFragmentStore::open_with(&dir, 128).unwrap_err();
         assert!(matches!(err, StorageError::Corrupt { .. }), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1435,7 +1379,7 @@ mod tests {
         let dir = tmp_dir("snap-bitident");
         let want;
         {
-            let mut s = DurableFragmentStore::open_with(&dir, 3, 512).unwrap();
+            let mut s = DurableFragmentStore::open_with(&dir, 512).unwrap();
             for i in 0..30 {
                 s.insert(frag(i)).unwrap();
             }
@@ -1451,10 +1395,10 @@ mod tests {
             }
             assert!(!s.insert(frag_v2(5)).unwrap());
             assert_eq!(s.record_count(), 30 + 10 + 11);
-            assert_eq!(s.live_len(), 40);
+            assert_eq!(s.len(), 40);
             want = dump(s.index());
         }
-        let s = DurableFragmentStore::open_with(&dir, 3, 512).unwrap();
+        let s = DurableFragmentStore::open_with(&dir, 512).unwrap();
         assert_eq!(dump(s.index()), want, "snapshot + tail == original");
         assert_eq!(s.record_count(), 51, "history length survives restart");
         let _ = std::fs::remove_dir_all(&dir);
@@ -1463,7 +1407,7 @@ mod tests {
     #[test]
     fn snapshot_is_noop_when_clean_and_supersedes_older_ones() {
         let dir = tmp_dir("snap-noop");
-        let mut s = DurableFragmentStore::open_with(&dir, 1, 256).unwrap();
+        let mut s = DurableFragmentStore::open_with(&dir, 256).unwrap();
         for i in 0..10 {
             s.insert(frag(i)).unwrap();
         }
@@ -1488,7 +1432,7 @@ mod tests {
         let dir = tmp_dir("compact");
         let want;
         {
-            let mut s = DurableFragmentStore::open_with(&dir, 2, 256).unwrap();
+            let mut s = DurableFragmentStore::open_with(&dir, 256).unwrap();
             for i in 0..40 {
                 s.insert(frag(i)).unwrap();
             }
@@ -1501,14 +1445,14 @@ mod tests {
             s.compact().unwrap();
             assert!(s.segment_count() < before_segments);
             assert!(s.log_bytes() < before_log);
-            assert_eq!(s.live_len(), 40);
+            assert_eq!(s.len(), 40);
             assert_eq!(s.record_count(), 80);
             // Post-compaction, persisted bytes ≈ live bytes: the only
             // remaining garbage would be tail records, and there are none.
             assert_eq!(s.garbage_bytes(), 0, "covered garbage reclaimed");
             want = dump(s.index());
         }
-        let s = DurableFragmentStore::open_with(&dir, 2, 256).unwrap();
+        let s = DurableFragmentStore::open_with(&dir, 256).unwrap();
         assert_eq!(
             dump(s.index()),
             want,
@@ -1523,7 +1467,7 @@ mod tests {
         let dir = tmp_dir("snap-torn");
         let want;
         {
-            let mut s = DurableFragmentStore::open_with(&dir, 1, 256).unwrap();
+            let mut s = DurableFragmentStore::open_with(&dir, 256).unwrap();
             for i in 0..20 {
                 s.insert(frag(i)).unwrap();
             }
@@ -1541,7 +1485,7 @@ mod tests {
         let idx = bytes.len() - 2;
         bytes[idx] ^= 0xff;
         std::fs::write(&snap, &bytes).unwrap();
-        let s = DurableFragmentStore::open_with(&dir, 1, 256).unwrap();
+        let s = DurableFragmentStore::open_with(&dir, 256).unwrap();
         assert_eq!(
             dump(s.index()),
             want,
@@ -1554,7 +1498,7 @@ mod tests {
     fn torn_snapshot_after_compaction_is_refused_not_partial() {
         let dir = tmp_dir("snap-torn-compacted");
         {
-            let mut s = DurableFragmentStore::open_with(&dir, 1, 256).unwrap();
+            let mut s = DurableFragmentStore::open_with(&dir, 256).unwrap();
             for i in 0..20 {
                 s.insert(frag(i)).unwrap();
             }
@@ -1572,7 +1516,7 @@ mod tests {
         std::fs::write(&snap, &bytes).unwrap();
         // The prefix is gone and the only snapshot covering it is torn:
         // opening must refuse rather than resurrect a partial store.
-        let err = DurableFragmentStore::open_with(&dir, 1, 256).unwrap_err();
+        let err = DurableFragmentStore::open_with(&dir, 256).unwrap_err();
         assert!(matches!(err, StorageError::Corrupt { .. }), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1611,7 +1555,7 @@ mod tests {
         assert!(s.log_bytes() > before);
         assert!(s.garbage_bytes() > 0, "the superseded record is garbage");
         assert_eq!(s.record_count(), 3);
-        assert_eq!(s.live_len(), 2);
+        assert_eq!(s.len(), 2);
         assert_eq!(
             s.garbage_bytes(),
             s.log_bytes() - s.live_bytes(),
@@ -1651,37 +1595,90 @@ mod tests {
             s.segment_count() <= segments_before,
             "compaction kept the segment count bounded"
         );
-        assert_eq!(s.live_len(), 16);
+        assert_eq!(s.len(), 16);
         assert_eq!(s.record_count(), 32);
         drop(s);
-        let s = DurableFragmentStore::open_with(&dir, 1, 256).unwrap();
-        assert_eq!(s.live_len(), 16);
+        let s = DurableFragmentStore::open_with(&dir, 256).unwrap();
+        assert_eq!(s.len(), 16);
         assert_eq!(s.record_count(), 32);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    /// The golden files' store: two fragments and a snapshot of them
+    /// (`snap-00000001`, covering segment 0), then one replace, the only
+    /// record of segment 1.
+    fn golden_store(dir: &Path) {
+        let f = |id: &str, task: &str, input: &str, output: &str| {
+            Fragment::single_task(id, task, Mode::Disjunctive, [input], [output]).unwrap()
+        };
+        let mut s = DurableFragmentStore::open(dir).unwrap();
+        s.insert(f("gs-f0", "gs-t0", "gs-a", "gs-b")).unwrap();
+        s.insert(f("gs-f1", "gs-t1", "gs-b", "gs-c")).unwrap();
+        assert!(s.snapshot().unwrap());
+        assert!(!s.insert(f("gs-f0", "gs-t0v2", "gs-a", "gs-c")).unwrap());
+        s.sync().unwrap();
+    }
+
+    /// The golden store's snapshot, as written at [`SNAPSHOT_VERSION`] 2.
+    const GOLDEN_SNAPSHOT: &str = "4f5746534e50020018000000198d61e7010000000000000002000000000000000200000000000000270000001a0e678a260101040567732d66300567732d74300467732d610467732d620003030100020003020100000227000000eaef7b09260101040567732d66310567732d74310467732d620467732d6300030301000200030201000002";
+
+    /// The golden store's segment 1 (segment version 1): its header and
+    /// the replace's record.
+    const GOLDEN_SEGMENT: &str = "4f5746534547010029000000e4f5a059280101040567732d66300767732d743076320467732d610467732d6300030301000200030201000002";
+
+    /// The golden store's snapshot as version 1 wrote it: a shard count
+    /// in the meta-record and a `(shard, seq)` before every frame.
+    const SNAPSHOT_V1: &str = "4f5746534e500100240000000c13e46201000000000000000200000000000000020000000000000002000000000000000100000033000000a8af8722000000000000000000000000260101040567732d66300567732d74300467732d610467732d6200030301000200030201000002330000003d45e2c8000000000100000000000000260101040567732d66310567732d74310467732d620467732d6300030301000200030201000002";
+
+    /// The snapshot and the segment are the checked-in bytes: a changed
+    /// snapshot layout fails here until [`SNAPSHOT_VERSION`] is bumped
+    /// and the row recorded again under it.
     #[test]
-    fn snapshot_loads_under_different_shard_count() {
-        let dir = tmp_dir("snap-reshard");
-        {
-            let mut s = DurableFragmentStore::open_with(&dir, 4, 256).unwrap();
-            for i in 0..20 {
-                s.insert(frag(i)).unwrap();
-            }
-            s.compact().unwrap();
-        }
-        // Reopen with a different sharding: placements fold modulo the
-        // new shard count, seqs are preserved, answers are identical.
-        let s = DurableFragmentStore::open_with(&dir, 2, 256).unwrap();
-        assert_eq!(s.len(), 20);
-        assert_eq!(s.index().next_seq(), 20);
-        for i in 0..20 {
-            assert_eq!(
-                s.index().consuming(&[Label::new(format!("ds-l{i}"))]).len(),
-                1,
-                "label ds-l{i}"
-            );
-        }
+    fn durable_files_are_their_golden_bytes() {
+        let dir = tmp_dir("golden");
+        golden_store(&dir);
+        let snapshot = std::fs::read(snapshot_path(&dir, 1)).unwrap();
+        assert_eq!(SNAPSHOT_VERSION, 2, "the row was recorded at version 2");
+        assert_eq!(hex(&snapshot), GOLDEN_SNAPSHOT);
+        let segment = std::fs::read(segment_path(&dir, 1)).unwrap();
+        assert_eq!(hex(&segment), GOLDEN_SEGMENT);
+        // The snapshot stands in for the covered prefix: with segment 0
+        // gone, the store opens from it and replays the one tail record.
+        std::fs::remove_file(segment_path(&dir, 0)).unwrap();
+        let s = DurableFragmentStore::open(&dir).unwrap();
+        assert_eq!(s.op_stats().replayed_records, 1);
+        assert_eq!((s.len(), s.record_count()), (2, 3));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A version-1 snapshot is ignored: with the whole log present the
+    /// store opens by full replay, and with the covered prefix deleted it
+    /// refuses to open rather than resurrect a partial store.
+    #[test]
+    fn a_version_1_snapshot_is_ignored() {
+        let dir = tmp_dir("snap-v1");
+        golden_store(&dir);
+        let want = dump(DurableFragmentStore::open(&dir).unwrap().index());
+        std::fs::write(snapshot_path(&dir, 1), unhex(SNAPSHOT_V1)).unwrap();
+        let s = DurableFragmentStore::open(&dir).unwrap();
+        assert_eq!(s.op_stats().replayed_records, 3, "every record replayed");
+        assert_eq!(s.record_count(), 3);
+        assert_eq!(dump(s.index()), want);
+        drop(s);
+        std::fs::remove_file(segment_path(&dir, 0)).unwrap();
+        let err = DurableFragmentStore::open(&dir).unwrap_err();
+        assert!(matches!(err, StorageError::Corrupt { .. }), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

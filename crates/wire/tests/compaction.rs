@@ -2,9 +2,8 @@
 //!
 //! The acceptance bar for O(live) restarts: whatever byte the process
 //! dies at — mid-snapshot-write, mid-compaction, between the two — the
-//! surviving files reconstruct a store **bit-identical** (per-shard
-//! `(seq, encoded frame)` listings plus the next sequence number) to
-//! the never-crashed one, or opening refuses loudly when the data is
+//! surviving files reconstruct a store **bit-identical** (every live
+//! fragment's encoded frame, in slot order) to the never-crashed one, or opening refuses loudly when the data is
 //! genuinely gone. A torn snapshot must never win over the log: it is
 //! ignored in favour of an older snapshot or full replay.
 
@@ -38,25 +37,21 @@ fn fragv(i: usize, version: u8) -> Fragment {
     .unwrap()
 }
 
-/// The store's observable identity: per-shard `(seq, encoded frame)`
-/// listings plus the next sequence number. Equal dumps answer every
-/// query identically and assign identical seqs to future inserts.
-type Dump = (u64, Vec<Vec<(u64, Vec<u8>)>>);
+/// The store's observable identity: every live fragment's encoded
+/// frame, in slot order. Equal dumps answer every query identically and
+/// give the same slots to future inserts.
+type Dump = Vec<Vec<u8>>;
 
 fn dump(store: &ShardedFragmentStore) -> Dump {
-    let shards = (0..store.shard_count())
-        .map(|s| {
-            store
-                .shard_entries(s)
-                .map(|(seq, f)| {
-                    let mut buf = Vec::new();
-                    encode_fragment(f, &mut buf);
-                    (seq, buf)
-                })
-                .collect()
+    store
+        .fragments_shared()
+        .iter()
+        .map(|f| {
+            let mut buf = Vec::new();
+            encode_fragment(f, &mut buf);
+            buf
         })
-        .collect();
-    (store.next_seq(), shards)
+        .collect()
 }
 
 /// Clones a log directory so a crash state can be carved out of it
@@ -101,7 +96,7 @@ fn segment_files(dir: &Path) -> Vec<PathBuf> {
 /// the directory and the expected dump.
 fn reference_with_snapshot(tag: &str) -> (PathBuf, Dump) {
     let dir = tmp_dir(tag, 0);
-    let mut s = DurableFragmentStore::open_with(&dir, 2, 256).expect("open");
+    let mut s = DurableFragmentStore::open_with(&dir, 256).expect("open");
     for i in 0..12 {
         s.insert(fragv(i, 0)).expect("insert");
     }
@@ -131,7 +126,7 @@ fn kill_at_every_byte_of_snapshot_write_recovers_bit_identically() {
         copy_dir(&dir, &state);
         std::fs::remove_file(state.join(&snap_name)).unwrap();
         std::fs::write(state.join(format!("{snap_name}.tmp")), &snap_bytes[..cut]).unwrap();
-        let s = DurableFragmentStore::open_with(&state, 2, 256)
+        let s = DurableFragmentStore::open_with(&state, 256)
             .unwrap_or_else(|e| panic!("tmp cut at {cut}: {e}"));
         assert_eq!(dump(s.index()), want, "tmp cut at {cut}");
         drop(s);
@@ -143,7 +138,7 @@ fn kill_at_every_byte_of_snapshot_write_recovers_bit_identically() {
         // Torn renamed snapshot: same bytes under the final name.
         copy_dir(&dir, &state);
         std::fs::write(state.join(&snap_name), &snap_bytes[..cut]).unwrap();
-        let s = DurableFragmentStore::open_with(&state, 2, 256)
+        let s = DurableFragmentStore::open_with(&state, 256)
             .unwrap_or_else(|e| panic!("renamed cut at {cut}: {e}"));
         assert_eq!(dump(s.index()), want, "renamed cut at {cut}");
         drop(s);
@@ -192,7 +187,7 @@ fn kill_at_every_point_of_compaction_recovers_bit_identically() {
         for p in deleted {
             std::fs::remove_file(state.join(p.file_name().unwrap())).unwrap();
         }
-        let s = DurableFragmentStore::open_with(&state, 2, 256)
+        let s = DurableFragmentStore::open_with(&state, 256)
             .unwrap_or_else(|e| panic!("crash state {i}: {e}"));
         assert_eq!(dump(s.index()), want, "crash state {i}");
         drop(s);
@@ -206,7 +201,7 @@ fn kill_at_every_point_of_compaction_recovers_bit_identically() {
     let snap_name = snap.file_name().unwrap();
     let bytes = std::fs::read(state.join(snap_name)).unwrap();
     std::fs::write(state.join(snap_name), &bytes[..bytes.len() - 3]).unwrap();
-    let err = DurableFragmentStore::open_with(&state, 2, 256).unwrap_err();
+    let err = DurableFragmentStore::open_with(&state, 256).unwrap_err();
     assert!(matches!(err, StorageError::Corrupt { .. }), "{err}");
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -220,7 +215,7 @@ fn kill_at_every_point_of_compaction_recovers_bit_identically() {
 #[test]
 fn stale_snapshot_coexists_and_covers_when_newest_is_torn() {
     let dir = tmp_dir("stale-snap", 0);
-    let mut s = DurableFragmentStore::open_with(&dir, 2, 256).expect("open");
+    let mut s = DurableFragmentStore::open_with(&dir, 256).expect("open");
     for i in 0..8 {
         s.insert(fragv(i, 0)).expect("insert");
     }
@@ -238,7 +233,7 @@ fn stale_snapshot_coexists_and_covers_when_newest_is_torn() {
 
     // Resurrect the old snapshot: the crash-before-cleanup state.
     std::fs::write(dir.join(&old_name), &old_bytes).unwrap();
-    let s = DurableFragmentStore::open_with(&dir, 2, 256).expect("two snapshots");
+    let s = DurableFragmentStore::open_with(&dir, 256).expect("two snapshots");
     assert_eq!(dump(s.index()), want, "newest snapshot wins");
     drop(s);
 
@@ -261,7 +256,7 @@ fn stale_snapshot_coexists_and_covers_when_newest_is_torn() {
     assert_ne!(new_snap.file_name().unwrap().to_str().unwrap(), old_name);
     let bytes = std::fs::read(&new_snap).unwrap();
     std::fs::write(&new_snap, &bytes[..bytes.len() / 2]).unwrap();
-    let s = DurableFragmentStore::open_with(&dir, 2, 256).expect("fallback to older snapshot");
+    let s = DurableFragmentStore::open_with(&dir, 256).expect("fallback to older snapshot");
     assert_eq!(dump(s.index()), want, "older snapshot + tail replay covers");
     drop(s);
     let _ = std::fs::remove_dir_all(&dir);
@@ -278,14 +273,13 @@ proptest! {
     #[test]
     fn random_schedules_restore_bit_identically(
         ops in collection::vec((any::<u8>(), any::<u8>()), 1..60),
-        shards in 1usize..4,
         seg_sel in 0usize..3,
         case in any::<u64>(),
     ) {
         let seg_bytes = [128u64, 512, 4096][seg_sel];
         let dir = tmp_dir("sched", case);
-        let mut mirror = ShardedFragmentStore::with_shards(shards);
-        let mut durable = DurableFragmentStore::open_with(&dir, shards, seg_bytes).expect("open");
+        let mut mirror = ShardedFragmentStore::new();
+        let mut durable = DurableFragmentStore::open_with(&dir, seg_bytes).expect("open");
         let mut live_ids = 0usize;
         let mut inserts = 0u64;
         for &(op, sel) in &ops {
@@ -319,7 +313,7 @@ proptest! {
                 _ => {
                     // Clean restart mid-schedule.
                     durable.sync().expect("sync");
-                    durable = DurableFragmentStore::open_with(&dir, shards, seg_bytes)
+                    durable = DurableFragmentStore::open_with(&dir, seg_bytes)
                         .expect("mid-schedule reopen");
                     prop_assert_eq!(
                         dump(durable.index()),
@@ -333,7 +327,7 @@ proptest! {
         prop_assert_eq!(dump(durable.index()), dump(&mirror), "pre-restart state diverged");
         durable.sync().expect("final sync");
         drop(durable);
-        let durable = DurableFragmentStore::open_with(&dir, shards, seg_bytes).expect("reopen");
+        let durable = DurableFragmentStore::open_with(&dir, seg_bytes).expect("reopen");
         prop_assert_eq!(dump(durable.index()), dump(&mirror), "final restart diverged");
         prop_assert_eq!(durable.record_count(), inserts, "history survives restart");
         drop(durable);

@@ -85,18 +85,14 @@ proptest! {
     fn durable_construction_matches_memory_across_restarts(
         n in 2usize..40,
         extra in collection::vec(any::<u8>(), 2..3),
-        shards in 1usize..4,
         case in any::<u64>(),
     ) {
         let (fragments, spec) = universe(n, &extra);
-        let mut memory = ShardedFragmentStore::with_shards(shards);
-        for f in &fragments {
-            memory.insert(Arc::clone(f));
-        }
+        let memory: ShardedFragmentStore = fragments.iter().cloned().collect();
         let dir = tmp_dir("restart", case);
         {
             let mut durable =
-                DurableFragmentStore::open_with(&dir, shards, 1024).expect("open log");
+                DurableFragmentStore::open_with(&dir, 1024).expect("open log");
             for f in &fragments {
                 durable.insert(Arc::clone(f)).expect("append");
             }
@@ -106,7 +102,7 @@ proptest! {
             durable.sync().expect("sync");
         }
         // Restart: replay the log and construct again.
-        let durable = DurableFragmentStore::open_with(&dir, shards, 1024).expect("reopen log");
+        let durable = DurableFragmentStore::open_with(&dir, 1024).expect("reopen log");
         prop_assert_eq!(durable.len(), fragments.len());
         let gm = construct(&memory, &spec);
         let gd = construct(&durable, &spec);
@@ -143,10 +139,7 @@ fn torn_append_recovers_to_memory_equivalent_store() {
     let recovered = DurableFragmentStore::open(&dir).expect("crash recovery");
     assert_eq!(recovered.len(), 11, "exactly the torn record is lost");
 
-    let mut memory = ShardedFragmentStore::with_shards(1);
-    for f in &fragments[..11] {
-        memory.insert(Arc::clone(f));
-    }
+    let memory: ShardedFragmentStore = fragments[..11].iter().cloned().collect();
     let spec_short = Spec::new(
         spec.triggers().iter().cloned(),
         [openwf_core::Label::new("dl11")],
