@@ -92,19 +92,24 @@ fn run_figure(title: &str, configs: Vec<(String, openwf_scenario::ExperimentConf
 }
 
 fn run_ablation(runs: usize) {
-    eprintln!("running: ablation (incremental vs full collection)");
+    eprintln!("running: ablation (incremental vs full collection, planned first round)");
     println!("## Ablation E5 — incremental frontier collection vs full collection\n");
-    println!("| tasks | path | full frags | incr frags | saving | full µs | incr µs |");
-    println!("|---|---|---|---|---|---|---|");
+    println!(
+        "| tasks | path | full frags | incr frags | saving | incr rounds | plan frags | plan rounds | full µs | incr µs |"
+    );
+    println!("|---|---|---|---|---|---|---|---|---|---|");
     for &tasks in &[50usize, 100, 250, 500] {
         let row = ablation::run_ablation(tasks, 8, runs.clamp(5, 50), 0xE5 + tasks as u64);
         println!(
-            "| {} | {} | {} | {} | {:.0}% | {:.1} | {:.1} |",
+            "| {} | {} | {} | {} | {:.0}% | {:.2} | {} | {:.2} | {:.1} | {:.1} |",
             row.tasks,
             row.path_length,
             row.full_fragments,
             row.incremental_fragments,
             row.transfer_saving() * 100.0,
+            row.incremental_rounds,
+            row.planned_fragments,
+            row.planned_rounds,
             row.full_micros,
             row.incremental_micros,
         );

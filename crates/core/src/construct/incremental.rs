@@ -45,6 +45,17 @@
 //! replied with none. The replies then merge in the order they are handed
 //! over, as before.
 //!
+//! A planned first round ([`FrontierConstruction::plan`], labels chosen
+//! by [`crate::construct::plan`] from the members' label edges) keeps the
+//! invariant: it is one round like any other, its frontier is the plan
+//! in text order rather than the triggers, and each answer arrives in
+//! slot order and merges in the order it is handed over. The plan is a
+//! set of labels in text order, so a process that interned the same
+//! names in another order asks the same labels in the same order. What
+//! it changes is *which* fragments the first merge sees — more than the
+//! triggers' round, fewer than full collection — and so the green set:
+//! a planned construction is valid, not equal to an unplanned one.
+//!
 //! The runtime's oracle is decided at merge time, from the same
 //! summaries: a task a round brings in that neither the initiator nor
 //! any member's summary serves is refuted before the resume that follows
@@ -61,6 +72,7 @@ use std::sync::Arc;
 
 use crate::construct::color::ColorState;
 use crate::construct::explore::{explore_with, ExploreScratch};
+use crate::construct::plan::{plan, LabelEdges};
 use crate::construct::trace::{Trace, TraceEvent};
 use crate::construct::{finish, ConstructError, ConstructStats, Construction, PickOrder};
 use crate::fragment::Fragment;
@@ -200,12 +212,49 @@ impl IncrementalConstructor {
     /// feasible tasks only.
     pub fn construct_filtered(
         &self,
+        source: impl FragmentSource,
+        spec: &Spec,
+        feasible: impl FnMut(&TaskId) -> bool,
+    ) -> Result<(Construction, Supergraph), ConstructError> {
+        self.drive(source, spec, &[], feasible)
+    }
+
+    /// Like [`IncrementalConstructor::construct_filtered`], the first
+    /// round planned over `edges` — the label edges of the knowhow
+    /// `source` holds — as the runtime plans it ([`crate::construct::plan`]),
+    /// and ordinary frontier rounds after it while the goals are not
+    /// green.
+    ///
+    /// # Errors
+    ///
+    /// [`ConstructError::NoSolution`] when the goals are unreachable with
+    /// feasible tasks only.
+    pub fn construct_planned(
+        &self,
+        source: impl FragmentSource,
+        spec: &Spec,
+        edges: &[&LabelEdges],
+        feasible: impl FnMut(&TaskId) -> bool,
+    ) -> Result<(Construction, Supergraph), ConstructError> {
+        let (_, planned) = plan(spec, edges);
+        self.drive(source, spec, &planned, feasible)
+    }
+
+    /// Runs a construction against `source`, the first round over
+    /// `planned` when it is not empty, else over the triggers.
+    fn drive(
+        &self,
         mut source: impl FragmentSource,
         spec: &Spec,
+        planned: &[Label],
         mut feasible: impl FnMut(&TaskId) -> bool,
     ) -> Result<(Construction, Supergraph), ConstructError> {
         let mut engine = self.start(spec);
-        let mut frontier = engine.first_frontier();
+        let mut frontier = if planned.is_empty() {
+            engine.first_frontier()
+        } else {
+            engine.plan(planned)
+        };
         loop {
             // No triggers, nothing to ask: only a trivial spec can succeed.
             if !frontier.is_empty() {
@@ -238,7 +287,7 @@ pub enum Next {
 /// One construction in progress: Algorithm 1's frontier rounds, resumable
 /// between any two of them.
 ///
-/// A round is: take the frontier ([`first_frontier`], then
+/// A round is: take the frontier ([`first_frontier`] or [`plan`], then
 /// [`Next::Ask`]), collect the fragments consuming it from wherever the
 /// community's knowhow lives, [`merge`] them as one batch in an order
 /// that does not depend on how they were stored or delivered (see the
@@ -247,9 +296,14 @@ pub enum Next {
 /// a task it accepts later is colored on the next resume. Green is never
 /// taken back, so a driver refutes a task before the resume that would
 /// first explore it — the runtime does so in the input that merges it. A
-/// label is handed out at most once over the whole construction.
+/// label is handed out at most once over the whole construction, but for
+/// a planned label the driver hands back with [`ask_again`] because some
+/// holder of it did not answer for it.
+///
+/// [`ask_again`]: FrontierConstruction::ask_again
 ///
 /// [`first_frontier`]: FrontierConstruction::first_frontier
+/// [`plan`]: FrontierConstruction::plan
 /// [`merge`]: FrontierConstruction::merge
 /// [`resume`]: FrontierConstruction::resume
 #[derive(Debug)]
@@ -280,6 +334,37 @@ impl FrontierConstruction {
         self.take_frontier()
     }
 
+    /// The first frontier when the driver planned its first round
+    /// ([`crate::construct::plan`]) instead of asking the triggers: hands
+    /// out `planned`, each label once, and counts it as asked, so no
+    /// later frontier hands it out again. The triggers stay pending: one
+    /// outside the plan is handed out by the first [`Next::Ask`] if the
+    /// goals are not green once the planned round is merged, and from
+    /// there the construction runs ordinary rounds.
+    pub fn plan(&mut self, planned: &[Label]) -> Vec<Label> {
+        let queried = &mut self.queried;
+        let frontier: Vec<Label> = planned
+            .iter()
+            .filter(|l| queried.insert((*l).clone()))
+            .cloned()
+            .collect();
+        self.asked = frontier.len();
+        frontier
+    }
+
+    /// Counts `labels`, handed out by [`plan`](Self::plan), as not
+    /// asked: some holder of each did not answer for it (it never
+    /// answered, or the driver learned only during the round that it
+    /// holds the label). Each is
+    /// handed out again by a later frontier once it is green, as if the
+    /// plan had not named it. Call it before the
+    /// [`resume`](Self::resume) that follows the planned round's merge.
+    pub fn ask_again(&mut self, labels: &[Label]) {
+        for l in labels {
+            self.queried.remove(l);
+        }
+    }
+
     /// Newly green labels not handed out before.
     fn take_frontier(&mut self) -> Vec<Label> {
         let queried = &mut self.queried;
@@ -296,7 +381,9 @@ impl FrontierConstruction {
     /// fragments were new. Duplicates and already-known fragments are
     /// fine; knowhow that conflicts with what is merged already is
     /// skipped rather than failing the construction (the first-merged
-    /// definition wins).
+    /// definition wins). The answer merges in the order it is handed
+    /// over, a planned round's as any other's, and that order fixes the
+    /// green set (see the module docs).
     ///
     /// # Panics
     ///
@@ -578,6 +665,66 @@ mod tests {
         let distinct: FxHashSet<&Label> = all.iter().copied().collect();
         assert_eq!(all.len(), distinct.len(), "{asked:?}");
         assert!(asked.iter().all(|f| !f.is_empty()), "{asked:?}");
+    }
+
+    /// `a` → `x` and `b` → `m` → `y`, and a join of `x` and `y` into `z`.
+    fn join_store() -> Scan {
+        let mut store = Scan::default();
+        store.insert(frag("fx", "make x", &["a"], &["x"]));
+        store.insert(frag("fm", "make m", &["b"], &["m"]));
+        store.insert(frag("fy", "make y", &["m"], &["y"]));
+        store.insert(
+            Fragment::single_task("fj", "join", Mode::Conjunctive, ["x", "y"], ["z"]).unwrap(),
+        );
+        store
+    }
+
+    /// The plan follows the shortest path `a` → `x` → `z`, but the join
+    /// also needs `y`, whose producer is off every shortest path: the
+    /// planned round leaves the goal uncolored, and ordinary rounds from
+    /// the pending trigger `b` find `y`.
+    #[test]
+    fn a_join_whose_second_input_is_off_the_plan_completes_through_fallback_rounds() {
+        let mut store = join_store();
+        let spec = Spec::new(["a", "b"], ["z"]);
+        let edges = LabelEdges::of_fragments(store.fragments().map(|f| &**f));
+        assert_eq!(
+            plan(&spec, &[&edges]).1,
+            vec![Label::new("a"), Label::new("x")]
+        );
+        let (c, sg) = IncrementalConstructor::new()
+            .construct_planned(&mut store, &spec, &[&edges], |_| true)
+            .unwrap();
+        assert!(spec.accepts(c.workflow()));
+        assert_eq!(c.workflow().task_count(), 4);
+        assert_eq!(sg.fragment_count(), 4);
+        assert_eq!(c.stats().query_rounds, 3, "the plan, then `b`, then `m`");
+    }
+
+    /// A planned label is handed out once: neither the trigger among the
+    /// plan nor the labels the planned round turns green come back in a
+    /// later frontier, and the trigger off the plan comes in the first.
+    #[test]
+    fn a_planned_label_is_never_asked_again() {
+        let mut store = join_store();
+        store.insert(frag("back", "tb", &["x"], &["a"]));
+        let spec = Spec::new(["a", "b"], ["z"]);
+        let edges = LabelEdges::of_fragments(store.fragments().map(|f| &**f));
+        let planned = plan(&spec, &[&edges]).1;
+        let mut engine = IncrementalConstructor::new().start(&spec);
+        let mut asked = vec![engine.plan(&planned)];
+        assert_eq!(asked[0], planned);
+        loop {
+            engine.merge(&store.fragments_consuming(asked.last().unwrap()));
+            match engine.resume(|_| true).1 {
+                Next::Ask(labels) => asked.push(labels),
+                Next::Done(result) => break assert!(result.is_ok()),
+            }
+        }
+        assert_eq!(asked[1], vec![Label::new("b")], "{asked:?}");
+        let all: Vec<&Label> = asked.iter().flatten().collect();
+        let distinct: FxHashSet<&Label> = all.iter().copied().collect();
+        assert_eq!(all.len(), distinct.len(), "{asked:?}");
     }
 
     #[test]

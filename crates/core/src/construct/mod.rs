@@ -22,13 +22,16 @@
 //!
 //! Two ways in: [`Constructor`] over a fully collected [`Supergraph`], and
 //! [`incremental`]'s frontier construction, which grows the supergraph as
-//! it colors. Coloring state, exploration and the back-sweep are private
+//! it colors. A driver that knows its community's label edges may open
+//! that construction with one round [`plan`]ned over them instead of the
+//! triggers. Coloring state, exploration and the back-sweep are private
 //! to this module; a distributed driver holds an
 //! [`incremental::FrontierConstruction`] and never sees them.
 
 mod color;
 mod explore;
 pub mod incremental;
+pub mod plan;
 mod sweep;
 pub mod trace;
 

@@ -162,6 +162,24 @@ impl Fragment {
             .filter_map(move |i| g.key(i).as_label())
     }
 
+    /// The fragment's label edges: each label some task in it consumes
+    /// (as [`all_input_labels`](Self::all_input_labels)), paired with
+    /// each label some task in it produces, internal ones included.
+    pub fn label_edges(&self) -> impl Iterator<Item = (Label, Label)> + '_ {
+        let g = self.workflow.graph();
+        let outputs: Vec<Label> = g
+            .node_indices()
+            .filter(|&i| g.in_degree(i) > 0)
+            .filter_map(|i| g.key(i).as_label())
+            .collect();
+        self.all_input_labels().flat_map(move |input| {
+            outputs
+                .clone()
+                .into_iter()
+                .map(move |out| (input.clone(), out))
+        })
+    }
+
     /// Tasks in this fragment, in insertion order.
     pub fn tasks(&self) -> impl Iterator<Item = TaskId> + '_ {
         self.workflow.tasks()

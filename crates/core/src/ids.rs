@@ -443,6 +443,16 @@ semantic_id!(
     NodeKind::Label
 );
 
+impl Label {
+    /// The label `sym` backs: the inverse of [`sym`](Self::sym).
+    pub fn from_sym(sym: Sym) -> Self {
+        Label(Name {
+            sym,
+            text: sym.as_str(),
+        })
+    }
+}
+
 semantic_id!(
     /// The semantic identifier of a **task** node.
     ///

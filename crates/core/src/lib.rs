@@ -81,6 +81,7 @@ pub mod workflow;
 pub use construct::incremental::{
     FragmentSource, FrontierConstruction, IncrementalConstructor, SizeHints,
 };
+pub use construct::plan::LabelEdges;
 pub use construct::{ConstructError, Construction, Constructor, PickOrder};
 pub use error::ModelError;
 pub use fragment::{Fragment, FragmentBuilder, FragmentId};

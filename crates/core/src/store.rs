@@ -50,6 +50,14 @@ impl ShardedFragmentStore {
     /// Returns `true` if the fragment was new. A replacement keeps the
     /// slot, and so the insertion sequence, of the fragment it replaces.
     pub fn insert(&mut self, fragment: impl Into<Arc<Fragment>>) -> bool {
+        self.insert_with_slot(fragment).1
+    }
+
+    /// Like [`insert`](Self::insert), and also returns the slot the
+    /// fragment holds: the next one when it was new, else the slot of the
+    /// fragment it replaced. A caller that keeps something per fragment
+    /// can keep it in a list indexed by slot.
+    pub fn insert_with_slot(&mut self, fragment: impl Into<Arc<Fragment>>) -> (u32, bool) {
         let fragment = fragment.into();
         if let Some(&slot) = self.by_id.get(fragment.id()) {
             let old = std::mem::replace(&mut self.fragments[slot as usize], fragment);
@@ -62,13 +70,13 @@ impl ShardedFragmentStore {
                 }
             }
             self.index(slot);
-            return false;
+            return (slot, false);
         }
         let slot = self.fragments.len() as u32;
         self.by_id.insert(fragment.id().clone(), slot);
         self.fragments.push(fragment);
         self.index(slot);
-        true
+        (slot, true)
     }
 
     fn index(&mut self, slot: u32) {
@@ -97,13 +105,6 @@ impl ShardedFragmentStore {
     /// All stored fragments as shared handles, in insertion order.
     pub fn fragments_shared(&self) -> &[Arc<Fragment>] {
         &self.fragments
-    }
-
-    /// Every label some stored fragment consumes, once each, in no
-    /// particular order: the keys of the consumed-label index, which a
-    /// host advertises as what its knowhow can answer.
-    pub fn input_labels(&self) -> impl Iterator<Item = &Label> + '_ {
-        self.by_consumed_label.keys()
     }
 
     /// Fragments containing a task that consumes any of `labels`,
@@ -306,11 +307,11 @@ mod tests {
         });
     }
 
-    /// The advertised summary is exactly what a scan of the stored
-    /// fragments consumes, once per label, after a replacement stops
-    /// consuming a label.
+    /// The consumed-label index answers what a scan of the stored
+    /// fragments consumes, after a replacement stops consuming a label
+    /// and starts consuming another.
     #[test]
-    fn input_labels_are_what_the_stored_fragments_consume() {
+    fn the_index_is_what_the_stored_fragments_consume() {
         let mut s = ShardedFragmentStore::new();
         for i in 0..12 {
             s.insert(frag(
@@ -321,18 +322,22 @@ mod tests {
             ));
         }
         s.insert(frag("f0", "t0", &["y"], &["o0"]));
-        let mut got: Vec<&str> = s.input_labels().map(Label::as_str).collect();
-        got.sort_unstable();
-        let mut want: Vec<Label> = s
-            .fragments_shared()
-            .iter()
-            .flat_map(|f| f.all_input_labels())
-            .collect();
-        want.sort();
-        want.dedup();
-        let want: Vec<&str> = want.iter().map(Label::as_str).collect();
-        assert_eq!(got, want);
-        assert!(got.contains(&"y") && got.contains(&"x0"), "{got:?}");
+        for label in ["a", "x0", "x1", "x2", "x3", "y", "o0"].map(Label::new) {
+            let got: Vec<FragmentId> = s
+                .consuming(std::slice::from_ref(&label))
+                .iter()
+                .map(|f| f.id().clone())
+                .collect();
+            let want: Vec<FragmentId> = s
+                .fragments_shared()
+                .iter()
+                .filter(|f| f.all_input_labels().any(|l| l == label))
+                .map(|f| f.id().clone())
+                .collect();
+            assert_eq!(got, want, "{label:?}");
+        }
+        assert_eq!(s.consuming(&[Label::new("y")]).len(), 1);
+        assert_eq!(s.consuming(&[Label::new("x0")]).len(), 2, "f4, f8");
     }
 
     #[test]

@@ -265,4 +265,74 @@ mod tests {
             }
         }
     }
+
+    /// One canonical instance of each net frame, encoded.
+    fn canonical_net_frames() -> [(&'static str, Vec<u8>); 4] {
+        let mut hello = Vec::new();
+        encode_hello(
+            &Hello {
+                proto: NET_PROTO_VERSION,
+                name: "gold".into(),
+                listen: "127.0.0.1:7401".into(),
+                hosts: vec![(0, HostId(1)), (3, HostId(300))],
+            },
+            &mut hello,
+        );
+        let mut shutdown = Vec::new();
+        encode_shutdown(&mut shutdown);
+        let mut envelope = Vec::new();
+        encode_envelope(
+            3,
+            HostId(1),
+            HostId(2),
+            Some(0xFEED),
+            &shutdown,
+            &mut envelope,
+        );
+        let mut goodbye = Vec::new();
+        encode_goodbye("done", &mut goodbye);
+        [
+            ("hello", hello),
+            ("envelope", envelope),
+            ("goodbye", goodbye),
+            ("shutdown", shutdown),
+        ]
+    }
+
+    /// The net frames as hex, recorded under the protocol version they
+    /// were written at.
+    const NET_GOLDEN: (u64, [&str; 4]) = (
+        5,
+        [
+            // hello
+            "1e0110000504676f6c640e3132372e302e302e313a3734303102000103ac02",
+            // envelope (a shutdown inside)
+            "0e01110003010201edfd0303011300",
+            // goodbye
+            "0801120004646f6e65",
+            // shutdown
+            "03011300",
+        ],
+    );
+
+    /// Every net frame's canonical bytes are the checked-in ones: a
+    /// changed handshake, envelope, goodbye or shutdown fails here until
+    /// [`NET_PROTO_VERSION`] is bumped and the rows are recorded again
+    /// under it, so a peer of the old version is refused at its hello
+    /// rather than misread.
+    #[test]
+    fn every_net_frame_encodes_to_its_golden_bytes() {
+        let (version, rows) = NET_GOLDEN;
+        assert_eq!(
+            NET_PROTO_VERSION, version,
+            "the golden rows were recorded at version {version}"
+        );
+        for ((kind, bytes), row) in canonical_net_frames().iter().zip(rows) {
+            let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(
+                hex, row,
+                "{kind} changed: bump NET_PROTO_VERSION and record its rows again"
+            );
+        }
+    }
 }

@@ -978,17 +978,17 @@ mod tests {
         assert_eq!(s.core.conn_of.len(), 0);
     }
 
-    /// Version 4 changed message bodies (a query carries no tasks and a
-    /// reply no served tasks: the summaries answer that): a version-3
-    /// peer would misparse them, so its hello is severed, counted as a
-    /// version refusal, and nothing it sends after it is dispatched.
+    /// Version 5 changed a message body (an advertisement carries label
+    /// edges where it carried consumed labels): a version-4 peer would
+    /// misparse it, so its hello is severed, counted as a version
+    /// refusal, and nothing it sends after it is dispatched.
     #[test]
-    fn a_version_three_hello_is_severed() {
-        assert_eq!(NET_PROTO_VERSION, 4);
+    fn a_version_four_hello_is_severed() {
+        assert_eq!(NET_PROTO_VERSION, 5);
         let mut s = Served::with_ingest(Some(64));
         let old = s.accept();
-        let fragment = fragment_envelope(MEMBER, &frag("sc-v3-f", "sc-v3-t", "sc-l1", "sc-l2"));
-        s.deliver(old, &[hello_from(3, "", &[MEMBER]), fragment].concat());
+        let fragment = fragment_envelope(MEMBER, &frag("sc-v4-f", "sc-v4-t", "sc-l1", "sc-l2"));
+        s.deliver(old, &[hello_from(4, "", &[MEMBER]), fragment].concat());
         assert_eq!(s.severed(old), Some(SeverReason::Version));
         assert_eq!(s.counter("net.conn_denied"), 1);
         assert_eq!(s.counter("net.conn_version_refused"), 1);

@@ -40,8 +40,11 @@ use crate::metadata::{Bid, ExecutionPlan, PlannedOutput, PlannedTask};
 /// added [`Msg::Advertise`] and the summary version a
 /// [`Msg::FragmentQuery`] carries; version 4 took the task list out of
 /// the query and the served tasks out of [`Msg::FragmentReply`], which
-/// the summaries answer.
-pub const MSG_VERSION: u64 = 4;
+/// the summaries answer; version 5 replaced the consumed labels of
+/// [`Msg::Advertise`] with the label edges an initiator plans from and
+/// dropped its version, which the receiver digests from the names, and
+/// wrote the query's `known` as a varint.
+pub const MSG_VERSION: u64 = 5;
 
 const V_INITIATE: u8 = 0;
 const V_FRAGMENT_QUERY: u8 = 1;
@@ -76,20 +79,6 @@ fn read_problem(r: &mut PayloadReader<'_, '_>) -> Result<ProblemId, WireError> {
     })
 }
 
-/// A summary version: eight bytes, little-endian (a digest spends
-/// every bit, so a varint would only lengthen it).
-fn write_version(enc: &mut FrameEncoder, v: u64) {
-    enc.bytes(&v.to_le_bytes());
-}
-
-fn read_version(r: &mut PayloadReader<'_, '_>) -> Result<u64, WireError> {
-    let mut bytes = [0; 8];
-    for b in &mut bytes {
-        *b = r.byte()?;
-    }
-    Ok(u64::from_le_bytes(bytes))
-}
-
 fn write_time(enc: &mut FrameEncoder, t: SimTime) {
     enc.varint(t.as_micros());
 }
@@ -119,6 +108,47 @@ fn read_labels(r: &mut PayloadReader<'_, '_>, names: &[Interned]) -> Result<Vec<
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         out.push(r.interned(names)?.label());
+    }
+    Ok(out)
+}
+
+/// Label edges, after the names of `serves` joined the table: a count,
+/// then each edge `in → out` as one varint, the cell `in × n + out` of
+/// the frame's `n`-name table — one byte an edge while the table holds at
+/// most eleven names.
+fn write_edges(enc: &mut FrameEncoder, edges: &[(Label, Label)], serves: &[TaskId]) {
+    let cells: Vec<(u64, u64)> = edges
+        .iter()
+        .map(|(input, out)| (enc.table_index(input.sym()), enc.table_index(out.sym())))
+        .collect();
+    for t in serves {
+        enc.table_index(t.sym());
+    }
+    let n = enc.table_len() as u64;
+    enc.varint(cells.len() as u64);
+    for (input, out) in cells {
+        enc.varint(input * n + out);
+    }
+}
+
+fn read_edges(
+    r: &mut PayloadReader<'_, '_>,
+    names: &[Interned],
+) -> Result<Vec<(Label, Label)>, WireError> {
+    let count = r.varint()?;
+    let count = r.guard_count(count, 1)?;
+    let n = names.len() as u64;
+    let mut out = Vec::with_capacity(count);
+    for _ in 0..count {
+        let cell = r.varint()?;
+        let (input, output) = match cell.checked_div(n) {
+            Some(input) => (names.get(input as usize), names.get((cell % n) as usize)),
+            None => (None, None),
+        };
+        let (Some(input), Some(output)) = (input, output) else {
+            return Err(WireError::Malformed("edge outside the name table"));
+        };
+        out.push((input.label(), output.label()));
     }
     Ok(out)
 }
@@ -261,7 +291,7 @@ pub fn encode_msg(msg: &Msg, out: &mut Vec<u8>) {
             write_problem(&mut enc, *problem);
             enc.varint(u64::from(*round));
             write_labels(&mut enc, labels);
-            write_version(&mut enc, *known);
+            enc.varint(*known);
         }
         Msg::FragmentReply {
             problem,
@@ -321,14 +351,9 @@ pub fn encode_msg(msg: &Msg, out: &mut Vec<u8>) {
             write_problem(&mut enc, *problem);
             enc.name(label.sym());
         }
-        Msg::Advertise {
-            version,
-            consumes,
-            serves,
-        } => {
+        Msg::Advertise { edges, serves } => {
             enc.byte(V_ADVERTISE);
-            write_version(&mut enc, *version);
-            write_labels(&mut enc, consumes);
+            write_edges(&mut enc, edges, serves);
             write_tasks(&mut enc, serves);
         }
     }
@@ -383,7 +408,7 @@ fn read_msg(r: &mut PayloadReader<'_, '_>, frame: &mut Resolved<'_>) -> Result<M
             problem: read_problem(r)?,
             round: read_u32(r)?,
             labels: read_labels(r, names)?,
-            known: read_version(r)?,
+            known: r.varint()?,
         },
         V_FRAGMENT_REPLY => {
             let problem = read_problem(r)?;
@@ -436,8 +461,7 @@ fn read_msg(r: &mut PayloadReader<'_, '_>, frame: &mut Resolved<'_>) -> Result<M
             label: r.interned(names)?.label(),
         },
         V_ADVERTISE => Msg::Advertise {
-            version: read_version(r)?,
-            consumes: read_labels(r, names)?,
+            edges: read_edges(r, names)?,
             serves: read_tasks(r, names)?,
         },
         other => return Err(WireError::UnknownTag(other)),
@@ -629,8 +653,11 @@ mod tests {
                 label: Label::new("rc-b"),
             },
             Msg::Advertise {
-                version: 0x0123_4567_89ab_cdef,
-                consumes: vec![Label::new("rc-a"), Label::new("rc-b")],
+                edges: vec![
+                    (Label::new("rc-a"), Label::new("rc-b")),
+                    (Label::new("rc-b"), Label::new("rc-a")),
+                    (Label::new("rc-b"), Label::new("rc-b")),
+                ],
                 serves: vec![TaskId::new("rc-t")],
             },
         ]
@@ -643,12 +670,12 @@ mod tests {
     /// The canonical frames as hex, recorded under the message version
     /// they were written at.
     const GOLDEN: (u64, [&str; 11]) = (
-        4,
+        5,
         [
             // Initiate
             "150103020472632d610472632d6200032a0101000101",
             // FragmentQuery
-            "170103010472632d6101032a01070100efcdab8967452301",
+            "180103010472632d6101032a01070100ef9bafcdf8acd19101",
             // FragmentReply
             "2e0103040572632d66310772632d66312d740472632d610472632d6202032a01070100030301000200030201000002",
             // CallForBids
@@ -666,7 +693,7 @@ mod tests {
             // GoalDelivered
             "0d0103010472632d620c032a0100",
             // Advertise
-            "200103030472632d610472632d620472632d740eefcdab89674523010200010102",
+            "190103030472632d610472632d620472632d740e030103040102",
         ],
     );
 
@@ -772,13 +799,15 @@ mod tests {
                 label: Label::new("rc-b"),
             },
             Msg::Advertise {
-                version: 0x0123_4567_89ab_cdef,
-                consumes: vec![Label::new("rc-a"), Label::new("rc-b")],
+                edges: vec![
+                    (Label::new("rc-a"), Label::new("rc-b")),
+                    (Label::new("rc-b"), Label::new("rc-a")),
+                    (Label::new("rc-b"), Label::new("rc-b")),
+                ],
                 serves: vec![TaskId::new("rc-t")],
             },
             Msg::Advertise {
-                version: 1,
-                consumes: Vec::new(),
+                edges: Vec::new(),
                 serves: Vec::new(),
             },
         ];
@@ -937,8 +966,7 @@ mod tests {
                 known: 9,
             },
             Msg::Advertise {
-                version: 3,
-                consumes: vec![Label::new("rc-a")],
+                edges: vec![(Label::new("rc-a"), Label::new("rc-b"))],
                 serves: vec![TaskId::new("rc-t")],
             },
         ] {

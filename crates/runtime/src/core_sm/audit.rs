@@ -36,8 +36,9 @@ use crate::schedule::CommitmentState;
 /// 5. a `(problem, task)` has at most one commitment;
 /// 6. inputs are parked only for a problem none of whose tasks is
 ///    installed here (waiting, running or done);
-/// 7. summaries are kept only for current, unquarantined members other
-///    than this host.
+/// 7. summaries, and counts of queries that named another version of
+///    this host's summary, are kept only for current, unquarantined
+///    members other than this host, and no such count is 0.
 ///
 /// Rules 8 and 9 span hosts and hold once a community is at rest
 /// ([`audit_quiescent`](crate::driver::audit_quiescent)).
@@ -91,6 +92,13 @@ pub enum Inconsistency {
     /// member, or quarantined.
     StraySummary {
         /// The host the summary describes.
+        peer: HostId,
+    },
+    /// Rule 7: `peer`'s count of queries naming another version is kept
+    /// although it is this host, not a member, or quarantined, or the
+    /// count is 0.
+    StrayAdvertCount {
+        /// The asker the count is kept for.
         peer: HostId,
     },
     /// Rule 8, of the quiescent form: a bid for `problem`'s `task` still
@@ -243,12 +251,19 @@ impl HostCore {
 
     /// Rule 7.
     fn audit_summaries(&self, found: &mut Vec<Inconsistency>) {
-        for &peer in self.summaries.keys() {
-            let stray = self.me == Some(peer)
+        let stray = |peer: HostId| {
+            self.me == Some(peer)
                 || !self.community.contains(&peer)
-                || self.quarantined.contains(&peer);
-            if stray {
+                || self.quarantined.contains(&peer)
+        };
+        for &peer in self.summaries.keys() {
+            if stray(peer) {
                 found.push(Inconsistency::StraySummary { peer });
+            }
+        }
+        for (&peer, &(_, mismatches)) in &self.advertised {
+            if stray(peer) || mismatches == 0 {
+                found.push(Inconsistency::StrayAdvertCount { peer });
             }
         }
     }

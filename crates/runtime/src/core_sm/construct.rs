@@ -1,10 +1,22 @@
 //! Construction (§3.1): the initiator's query rounds and the repliers'
-//! side of them. A round asks for the fragments consuming the frontier
-//! the workspace's frontier construction
+//! side of them. A round asks for the fragments consuming a frontier the
+//! workspace's frontier construction
 //! ([`openwf_core::FrontierConstruction`]) handed out; Figure 3's
 //! service-feasibility question is answered from the summaries the
-//! members advertised (`advertise.rs`), so a frontier step costs one
-//! round trip and no round asks about tasks.
+//! members advertised (`advertise.rs`), so no round asks about tasks.
+//!
+//! The first round is planned. When this host holds the summary of
+//! every member it talks to (`HostCore::peers`: not itself, not
+//! quarantined), it runs [`openwf_core::construct::plan`] over their
+//! label edges and its own, and the frontier of the first round is the
+//! planned labels — every label on a shortest trigger-to-goal path of
+//! the community's label graph — in text order. The search is charged
+//! like exploration, one `explore_step_cost` per edge it crosses. When
+//! some member's summary is missing, or the plan finds no path (or every
+//! goal is a trigger), the first frontier is the triggers, as it was
+//! before rounds were planned. Either way the construction goes on with
+//! ordinary frontier rounds while its goals are not green, so a plan
+//! that fell short costs rounds, not the workflow.
 //!
 //! A round asks each member only the frontier labels its summary says
 //! its knowhow consumes. A member whose summary meets none of them is
@@ -19,36 +31,56 @@
 //!
 //! Closing a round merges its fragments, and each task they bring in
 //! that this host cannot serve is refuted in the same input — unless the
-//! summary of some member this host talks to (`HostCore::peers`: not
-//! itself, not quarantined) serves it, or some such member has no
-//! summary yet. That member might serve anything, so nothing is refuted
-//! and the auction is the check, as it is for a stale summary. A refuted
-//! task is refuted before the engine first explores it, so nothing it
-//! colored has to be taken back: the engine only ever resumes. When the
-//! construction finishes, its workflow goes to allocation in the input
-//! that closed its last round; one that fails, fails the attempt.
-//! Everything here runs between the `construct` span's begin and end.
+//! summary of some member this host talks to serves it, or some such
+//! member has no summary yet. That member might serve anything, so
+//! nothing is refuted and the auction is the check, as it is for a stale
+//! summary. A refuted task is refuted before the engine first explores
+//! it, so nothing it colored has to be taken back: the engine only ever
+//! resumes. When the construction finishes, its workflow goes to
+//! allocation in the input that closed its last round; one that fails,
+//! fails the attempt. Everything here runs between the `construct`
+//! span's begin and end.
 //!
 //! # Exactness
 //!
 //! On a clean run every member's `Advertise` arrives ahead of its first
 //! reply on the same stream (a member whose summary this host lacks is
-//! asked with `known: 0`, and answers that first), so the initiator
-//! holds every member's summary when a round closes. The same members
-//! serve the same tasks, so the tasks refuted are the ones a round
-//! asking each member about them would have refuted. What moves is
-//! when: a task is refuted before its first exploration rather than a
-//! round after it, so the frontier handed out next, and with it the
-//! workflow, may differ from one built while the task still counted as
-//! servable. Under loss, a task is no longer refuted because the member
-//! asked about it stayed silent: while some member has no summary
-//! nothing is refuted, and a task some summary serves goes to the
-//! auction — `Unallocatable`, then repair, if nobody bids.
+//! asked with `known: 0`, and answers that first), so after its first
+//! problem an initiator holds every member's summary: its later problems
+//! are planned, and their rounds close with every summary in hand.
+//!
+//! * *Refutation.* The same members serve the same tasks, so the tasks
+//!   refuted are the ones a round asking each member about them would
+//!   have refuted; a task is refuted before its first exploration rather
+//!   than a round after it.
+//! * *The plan.* Its first round merges more than the triggers' round
+//!   would — every fragment consuming a planned label — and fewer than
+//!   full collection. Merge order fixes the green set (`incremental.rs`,
+//!   "One thread, one merge order"), so a planned construction may build
+//!   another workflow than an unplanned one over the same knowhow; it is
+//!   valid all the same, and a label missing from the plan is reached by
+//!   the rounds that follow. The plan is a set of labels asked in text
+//!   order, so it does not depend on the order a process interned them.
+//! * *Loss and staleness.* A task is never refuted because the member
+//!   asked about it stayed silent: while some member has no summary
+//!   nothing is refuted and nothing is planned, and a task some summary
+//!   serves goes to the auction — `Unallocatable`, then repair, if nobody
+//!   bids. A stale summary misdirects a planned round as it misdirects
+//!   any other: the member is asked what its old edges consume, and the
+//!   query's old version draws its new summary ahead of the reply. A
+//!   planned round asks labels before they are green, so its close hands
+//!   back each planned label that some member's summary, as held then,
+//!   consumes, unless that member was asked it and answered — whether
+//!   the member stayed silent or its summary changed during the round.
+//!   The ordinary rounds ask each such label again once it is green,
+//!   when an unplanned construction would have asked it for the first
+//!   time.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use openwf_core::construct::incremental::Next;
+use openwf_core::construct::plan::plan;
 use openwf_core::{ConstructError, Construction, Fragment, Label, Spec, TaskId};
 use openwf_obs::SpanPhase;
 use openwf_simnet::{HostId, SimTime};
@@ -85,15 +117,28 @@ impl HostCore {
         self.begin_construction(problem, now, q);
     }
 
-    /// Opens the first round of `problem`'s new workspace, over the
-    /// trigger labels. A specification without triggers has nothing to
-    /// ask the community and is answered here.
+    /// Opens the first round of `problem`'s new workspace: over the
+    /// labels planned from the community's label edges when this host
+    /// holds every member's summary and the plan finds a path, else over
+    /// the trigger labels (see the module docs). A specification without
+    /// triggers has nothing to ask the community and is answered here.
     pub(super) fn begin_construction(
         &mut self,
         problem: ProblemId,
         now: SimTime,
         q: &mut ActionQueue,
     ) {
+        let Some(ws) = self.workspaces.get(&problem) else {
+            return;
+        };
+        let planned = match self.community_edges() {
+            Some(edges) => {
+                let (steps, planned) = plan(&ws.spec, &edges);
+                q.charge(self.params.explore_step_cost.times(steps));
+                planned
+            }
+            None => Vec::new(),
+        };
         let Some(w) = self
             .workspaces
             .get_mut(&problem)
@@ -101,11 +146,16 @@ impl HostCore {
         else {
             return;
         };
-        let frontier = w.engine.first_frontier();
+        let is_planned = !planned.is_empty();
+        let frontier = if is_planned {
+            w.engine.plan(&planned)
+        } else {
+            w.engine.first_frontier()
+        };
         if frontier.is_empty() {
             self.resume_construction(problem, now, q);
         } else {
-            self.open_round(problem, frontier, now, q);
+            self.open_round(problem, frontier, is_planned, now, q);
         }
     }
 
@@ -169,14 +219,16 @@ impl HostCore {
     }
 
     /// Opens `problem`'s next round, holding this host's own fragments
-    /// for `frontier`: asks each member for theirs, as far as its
-    /// summary says it can answer (see the module docs), then arms the
-    /// round's timeout. A round that asks nobody closes here, and still
-    /// counts as a round when the community has other members.
+    /// for `frontier` (`planned` when it is the first round's plan):
+    /// asks each member for theirs, as far as its summary says it can
+    /// answer (see the module docs), then arms the round's timeout. A
+    /// round that asks nobody closes here, and still counts as a round
+    /// when the community has other members.
     fn open_round(
         &mut self,
         problem: ProblemId,
         frontier: Vec<Label>,
+        planned: bool,
         now: SimTime,
         q: &mut ActionQueue,
     ) {
@@ -193,6 +245,7 @@ impl HostCore {
         w.round += 1;
         let round = w.round;
         let mut waiting = BTreeSet::new();
+        let mut asked = Vec::new();
         for peer in self.peers() {
             let (labels, known) = match self.summary_of(peer) {
                 Some(summary) => {
@@ -208,6 +261,9 @@ impl HostCore {
                 }
                 None => (frontier.clone(), 0),
             };
+            if planned {
+                asked.push((peer, labels.clone()));
+            }
             self.emit(
                 q,
                 peer,
@@ -232,6 +288,8 @@ impl HostCore {
             round,
             waiting,
             fragments,
+            planned: if planned { frontier } else { Vec::new() },
+            asked,
         });
         if has_peers {
             self.metrics.rounds.inc();
@@ -253,17 +311,41 @@ impl HostCore {
     /// at once when it asked nobody, or at `RoundTimeout` with the
     /// answers that arrived. Merges the fragments collected, refutes the
     /// tasks they bring in that nobody serves (see the module docs) and
-    /// resumes the construction, all in this input.
+    /// resumes the construction, all in this input. A planned round
+    /// first hands back to the engine each planned label that some
+    /// member's current summary consumes, unless that member was asked
+    /// it and answered: the member stayed silent, or its summary changed
+    /// during the round (a stale one drew its new summary ahead of the
+    /// reply), and the ordinary rounds ask the label again once it is
+    /// green.
     pub(super) fn close_round(&mut self, problem: ProblemId, now: SimTime, q: &mut ActionQueue) {
+        let Some(c) = self
+            .workspaces
+            .get_mut(&problem)
+            .and_then(|ws| ws.working.as_deref_mut())
+            .and_then(|w| w.collect.take())
+        else {
+            return;
+        };
+        let unanswered: Vec<Label> = c
+            .planned
+            .iter()
+            .filter(|l| {
+                self.peers().any(|m| {
+                    let answered = !c.waiting.contains(&m)
+                        && c.asked.iter().any(|(p, ls)| *p == m && ls.contains(l));
+                    !answered && self.summary_of(m).is_some_and(|s| s.consumes(l))
+                })
+            })
+            .cloned()
+            .collect();
         let Some(ws) = self.workspaces.get_mut(&problem) else {
             return;
         };
         let Some(w) = ws.working.as_deref_mut() else {
             return;
         };
-        let Some(c) = w.collect.take() else {
-            return;
-        };
+        w.engine.ask_again(&unanswered);
         let seen = w.engine.supergraph().graph().task_count();
         let merged = w.engine.merge(&c.fragments);
         ws.report.fragments_pulled += merged;
@@ -317,7 +399,7 @@ impl HostCore {
         let (steps, next) = w.engine.resume(|t| !refuted.contains(t));
         q.charge(self.params.explore_step_cost.times(steps));
         match next {
-            Next::Ask(frontier) => self.open_round(problem, frontier, now, q),
+            Next::Ask(frontier) => self.open_round(problem, frontier, false, now, q),
             Next::Done(Ok(construction)) => self.constructed(problem, construction, now, q),
             Next::Done(Err(e)) => {
                 let reason = match &e {

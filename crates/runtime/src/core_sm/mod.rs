@@ -86,11 +86,13 @@
 //!
 //! What each member can answer is `advertise.rs`: this host's own
 //! summary, which it advertises when asked by a query naming another
-//! version of it and to every member after its knowhow or services
+//! version of it (backing off while one asker keeps doing so) and to
+//! every member after its knowhow or services
 //! changed (checked at the start of every input), and the summary each
-//! other member advertised, which every round and call for bids reads to
-//! ask each member only what it can answer, and every round's close to
-//! refute the tasks nobody serves. A core talks to the community but
+//! other member advertised, which the first round of a problem is
+//! planned from, every round and call for bids reads to ask each member
+//! only what it can answer, and every round's close reads to refute the
+//! tasks nobody serves. A core talks to the community but
 //! itself and the members it quarantined (`peers`): it asks, calls and
 //! advertises to no one else.
 //!
@@ -180,6 +182,10 @@ pub struct HostCore {
     /// The summary each other member advertised, while it is a member
     /// and not quarantined.
     summaries: BTreeMap<HostId, PeerSummary>,
+    /// Per asker whose last query named another version of this host's
+    /// summary: this host's version then, and how many queries in a row
+    /// named another (see `advertise.rs`).
+    advertised: BTreeMap<HostId, (u64, u32)>,
     /// Construction subsystem: the Workflow Manager's workspaces, one
     /// per attempt this host initiated. Keyed by problem, so a problem's
     /// attempts sit side by side and the latest is the last of them.
@@ -274,6 +280,7 @@ impl HostCore {
             schedule,
             own,
             summaries: BTreeMap::new(),
+            advertised: BTreeMap::new(),
             workspaces: BTreeMap::new(),
             vocab,
             decode,
@@ -346,9 +353,11 @@ impl HostCore {
 
     /// Sets the community membership (all host ids, including this one).
     /// Called by the driver before traffic flows. The summaries of hosts
-    /// that are no longer members are dropped.
+    /// that are no longer members are dropped, and so are the counts of
+    /// their queries that named another version of this host's summary.
     pub fn set_community(&mut self, community: Vec<HostId>) {
         self.summaries.retain(|peer, _| community.contains(peer));
+        self.advertised.retain(|peer, _| community.contains(peer));
         self.community = community;
     }
 
@@ -605,6 +614,7 @@ impl HostCore {
         if let Some(cap) = self.max_vocab_rejections {
             if count >= cap && self.quarantined.insert(from) {
                 self.summaries.remove(&from);
+                self.advertised.remove(&from);
                 self.metrics.quarantines.inc();
                 if self.obs.trace.is_enabled() {
                     // Quarantine is host- not problem-scoped: trace id 0.
@@ -693,11 +703,7 @@ impl HostCore {
             Msg::InputDelivery { problem, label } => self.on_input_delivery(problem, label, now, q),
             Msg::GoalDelivered { problem, label } => self.on_goal_delivered(problem, label, now, q),
 
-            Msg::Advertise {
-                version,
-                consumes,
-                serves,
-            } => self.on_advertise(from, version, consumes, serves),
+            Msg::Advertise { edges, serves } => self.on_advertise(from, edges, serves),
         }
         #[cfg(debug_assertions)]
         self.audit_input(named);

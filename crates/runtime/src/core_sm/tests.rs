@@ -502,13 +502,43 @@ fn a_duplicated_reply_does_not_close_a_two_peer_round() {
     );
 }
 
-/// A member's summary as the frame it advertises.
-fn advertise(version: u64, consumes: &[&str], serves: &[&str]) -> Vec<u8> {
+/// A member's summary as the frame it advertises: each label of
+/// `consumes` leads to a label of its own that nothing else names, so
+/// the summary puts no label on a planned path.
+fn advertise(consumes: &[&str], serves: &[&str]) -> Vec<u8> {
+    let nowhere: Vec<String> = consumes.iter().map(|l| format!("{l}-nowhere")).collect();
+    let edges: Vec<(&str, &str)> = consumes
+        .iter()
+        .zip(&nowhere)
+        .map(|(l, out)| (*l, out.as_str()))
+        .collect();
+    advertise_edges(&edges, serves)
+}
+
+/// A member's summary, given as its label edges, as the frame it
+/// advertises.
+fn advertise_edges(edges: &[(&str, &str)], serves: &[&str]) -> Vec<u8> {
     frame(&Msg::Advertise {
-        version,
-        consumes: consumes.iter().map(Label::new).collect(),
+        edges: pairs(edges),
         serves: serves.iter().map(TaskId::new).collect(),
     })
+}
+
+/// Label edges as an advertisement carries them.
+fn pairs(edges: &[(&str, &str)]) -> Vec<(Label, Label)> {
+    edges
+        .iter()
+        .map(|(input, out)| (Label::new(input), Label::new(out)))
+        .collect()
+}
+
+/// The version of the summary an advertisement frame carries: what a
+/// query to its sender names once it is held.
+fn version_of(advert: &[u8]) -> u64 {
+    match decoded(advert) {
+        Msg::Advertise { edges, serves } => advertise::version(&edges, &serves),
+        other => panic!("an advertisement: {other:?}"),
+    }
 }
 
 /// First contact: an initiator that has seen no member's summary asks
@@ -550,15 +580,14 @@ fn first_contact_is_untailored_and_answered_by_an_advertisement() {
         [(
             HostId(0),
             Msg::Advertise {
-                version,
-                consumes,
+                edges: advertised,
                 serves,
             },
         ), (HostId(0), Msg::FragmentReply { fragments, .. })] => {
-            assert_eq!(consumes, &[Label::new("fc-a"), Label::new("fc-m")]);
+            assert_eq!(advertised, &pairs(&[("fc-a", "fc-m"), ("fc-m", "fc-z")]));
             assert_eq!(serves, &[TaskId::new("fc-t")]);
             assert_eq!(fragments.len(), 1);
-            *version
+            advertise::version(advertised, serves)
         }
         other => panic!("the summary, then the reply: {other:?}"),
     };
@@ -580,10 +609,8 @@ fn first_contact_is_untailored_and_answered_by_an_advertisement() {
 fn a_later_problem_asks_no_member_whose_summary_meets_nothing() {
     let now = SimTime::ZERO;
     let mut core = initiator(HostConfig::new(), 3);
-    for (peer, advert) in [
-        (1, advertise(11, &["ls-x"], &[])),
-        (2, advertise(22, &["ls-a"], &["ls-t"])),
-    ] {
+    let second = advertise(&["ls-a"], &["ls-t"]);
+    for (peer, advert) in [(1, advertise(&["ls-x"], &[])), (2, second.clone())] {
         let q = core.handle_frame(HostId(peer), &advert, now);
         assert!(q.is_empty(), "{:?}", q.actions());
     }
@@ -592,7 +619,7 @@ fn a_later_problem_asks_no_member_whose_summary_meets_nothing() {
     match &sent(&q)[..] {
         [(HostId(2), Msg::FragmentQuery { labels, known, .. })] => {
             assert_eq!(labels, &[Label::new("ls-a")]);
-            assert_eq!(*known, 22);
+            assert_eq!(*known, version_of(&second));
         }
         other => panic!("host 2 alone is asked: {other:?}"),
     }
@@ -652,7 +679,7 @@ fn a_fragment_added_mid_run_is_advertised_before_the_next_round() {
     let (to, bytes) = &adverts[0];
     assert_eq!(*to, HostId(0));
     assert!(
-        matches!(decoded(bytes), Msg::Advertise { ref consumes, .. } if consumes == &[Label::new("mr-a")])
+        matches!(decoded(bytes), Msg::Advertise { edges: ref advertised, .. } if advertised == &pairs(&[("mr-a", "mr-b")]))
     );
     let _ = cores[0].handle_frame(HostId(1), bytes, SimTime::ZERO);
     assert_ne!(cores[0].summary_of(HostId(1)).map(|s| s.version), held);
@@ -680,7 +707,7 @@ fn a_departed_or_quarantined_members_summary_is_dropped() {
         3,
     );
     for peer in [1, 2] {
-        let _ = core.handle_frame(HostId(peer), &advertise(7, &["dq-x"], &[]), now);
+        let _ = core.handle_frame(HostId(peer), &advertise(&["dq-x"], &[]), now);
     }
     let asked = |core: &mut HostCore, seq: u32| -> Vec<(HostId, u64)> {
         let q = core.initiate(
@@ -2713,9 +2740,9 @@ fn a_refuted_task_costs_no_extra_round() {
     for (peer, advert) in [
         (
             1,
-            advertise(11, &["rd-a", "rd-x", "rd-y"], &["rd-good", "rd-from-y"]),
+            advertise(&["rd-a", "rd-x", "rd-y"], &["rd-good", "rd-from-y"]),
         ),
-        (2, advertise(22, &[], &["rd-other"])),
+        (2, advertise(&[], &["rd-other"])),
     ] {
         let _ = core.handle_frame(HostId(peer), &advert, now);
     }
@@ -2775,7 +2802,7 @@ fn a_refuted_task_costs_no_extra_round() {
 fn an_unserved_task_is_refuted_in_the_input_that_merges_it() {
     let mut core = initiator(HostConfig::new(), 2);
     let (problem, now) = (ProblemId::new(HostId(0), 0), SimTime::ZERO);
-    let advert = advertise(5, &["ur-a", "ur-x"], &["ur-other"]);
+    let advert = advertise(&["ur-a", "ur-x"], &["ur-other"]);
     let _ = core.handle_frame(HostId(1), &advert, now);
     let _ = core.initiate(problem, Spec::new(["ur-a"], ["ur-b"]), now);
     let reply = frame(&Msg::FragmentReply {
@@ -2802,7 +2829,7 @@ fn a_task_only_a_member_without_a_summary_may_serve_goes_to_the_auction() {
     let mut core = initiator(HostConfig::new(), 3);
     let (problem, now) = (ProblemId::new(HostId(0), 0), SimTime::ZERO);
     // Host 1 serves something else; host 2 never advertised.
-    let _ = core.handle_frame(HostId(1), &advertise(5, &["ns-a"], &["ns-other"]), now);
+    let _ = core.handle_frame(HostId(1), &advertise(&["ns-a"], &["ns-other"]), now);
     let q = core.initiate(problem, Spec::new(["ns-a"], ["ns-b"]), now);
     assert_eq!(sent(&q).len(), 2, "{:?}", q.actions());
     let reply = |fragments: Vec<Fragment>| {
@@ -2840,7 +2867,7 @@ fn a_task_only_a_member_without_a_summary_may_serve_goes_to_the_auction() {
 fn a_workflow_goes_to_allocation_in_the_input_that_closes_its_last_round() {
     let mut core = initiator(HostConfig::new(), 2);
     let (problem, now) = (ProblemId::new(HostId(0), 0), SimTime::ZERO);
-    let _ = core.handle_frame(HostId(1), &advertise(5, &["la-a"], &["la-t"]), now);
+    let _ = core.handle_frame(HostId(1), &advertise(&["la-a"], &["la-t"]), now);
     let _ = core.initiate(problem, Spec::new(["la-a"], ["la-b"]), now);
     let reply = frame(&Msg::FragmentReply {
         problem,
@@ -2875,7 +2902,7 @@ fn a_quarantined_member_is_asked_nothing() {
         .with_max_vocabulary_rejections(1);
     let mut core = initiator(config, 3);
     let (problem, now) = (ProblemId::new(HostId(0), 0), SimTime::ZERO);
-    let _ = core.handle_frame(HostId(1), &advertise(5, &["vq-a"], &["vq-t"]), now);
+    let _ = core.handle_frame(HostId(1), &advertise(&["vq-a"], &["vq-t"]), now);
     let flood = frame(&Msg::FragmentReply {
         problem: ProblemId::new(HostId(0), 9),
         round: 1,
@@ -3107,8 +3134,7 @@ fn every_message_from_a_sender_its_rule_refuses_changes_nothing() {
         refused.push((
             from,
             Msg::Advertise {
-                version: 5,
-                consumes: vec![Label::new("sr-a")],
+                edges: pairs(&[("sr-a", "sr-b")]),
                 serves: task(),
             },
         ));
@@ -3390,11 +3416,430 @@ fn the_audit_names_an_input_parked_beside_a_plan() {
 #[test]
 fn the_audit_names_a_quarantined_members_summary() {
     let mut core = initiator(HostConfig::new(), 3);
-    let _ = core.handle_frame(HostId(1), &advertise(3, &["r7-a"], &[]), SimTime::ZERO);
+    let _ = core.handle_frame(HostId(1), &advertise(&["r7-a"], &[]), SimTime::ZERO);
     assert_eq!(core.audit(), []);
     core.quarantined.insert(HostId(1));
     assert_eq!(
         core.audit(),
         [Inconsistency::StraySummary { peer: HostId(1) }]
+    );
+}
+
+/// Three hosts: host 1 knows `pl-a` → `pl-b` → `pl-c`, host 2 knows
+/// `pl-c` → `pl-d` and a detour `pl-a` → `pl-x` → `pl-y` → `pl-d`, and
+/// the three tasks of the short path are served by hosts 2, 1 and 1.
+fn planned_community() -> Vec<HostCore> {
+    let params = RuntimeParams::default;
+    vec![
+        HostCore::new(HostConfig::new(), params()),
+        HostCore::new(
+            HostConfig::new()
+                .with_fragment(frag("pl-f1", "pl-t1", "pl-a", "pl-b"))
+                .with_fragment(frag("pl-f2", "pl-t2", "pl-b", "pl-c"))
+                .with_service(service("pl-t2"))
+                .with_service(service("pl-t3")),
+            params(),
+        ),
+        HostCore::new(
+            HostConfig::new()
+                .with_fragment(frag("pl-f3", "pl-t3", "pl-c", "pl-d"))
+                .with_fragment(frag("pl-d1", "pl-u1", "pl-a", "pl-x"))
+                .with_fragment(frag("pl-d2", "pl-u2", "pl-x", "pl-y"))
+                .with_fragment(frag("pl-d3", "pl-u3", "pl-y", "pl-e"))
+                .with_service(service("pl-t1")),
+            params(),
+        ),
+    ]
+}
+
+/// Once host 0 holds both members' summaries, a path spec completes in
+/// one round: each member is asked, in text order, the planned labels
+/// its edges consume, and the detour's own labels are asked of nobody.
+#[test]
+fn once_summaries_are_held_a_path_spec_completes_in_one_round() {
+    let mut cores = planned_community();
+    let spec = || Spec::new(["pl-a"], ["pl-d"]);
+    let first = ProblemId::new(HostId(0), 0);
+    drive_community(&mut cores, first, spec(), |_, _| false, |_| false);
+    let ws = cores[0].latest_attempt(first).expect("workspace");
+    assert_eq!(ws.report.status, ProblemStatus::Completed, "{ws}");
+    assert_eq!(ws.report.query_rounds, 3, "one round per frontier step");
+
+    let second = ProblemId::new(HostId(0), 1);
+    let queries = std::cell::RefCell::new(Vec::new());
+    drive_community(
+        &mut cores,
+        second,
+        spec(),
+        |to, msg| {
+            if let Msg::FragmentQuery { round, labels, .. } = msg {
+                queries.borrow_mut().push((to, *round, labels.clone()));
+            }
+            false
+        },
+        |_| false,
+    );
+    let ws = cores[0].latest_attempt(second).expect("workspace");
+    assert_eq!(ws.report.status, ProblemStatus::Completed, "{ws}");
+    assert_eq!(ws.report.query_rounds, 1);
+    assert_eq!(
+        ws.report.fragments_pulled, 4,
+        "the short path, and the detour's first step, which consumes `pl-a`"
+    );
+    let l = |names: &[&str]| names.iter().map(Label::new).collect::<Vec<_>>();
+    assert_eq!(
+        queries.into_inner(),
+        vec![
+            (HostId(1), 1, l(&["pl-a", "pl-b"])),
+            (HostId(2), 1, l(&["pl-a", "pl-c"])),
+        ]
+    );
+}
+
+/// A member whose summary the initiator lacks is asked the triggers, as
+/// before summaries were planned from, and so is every other member:
+/// nothing is planned until every member's summary is held.
+#[test]
+fn without_every_summary_the_first_round_asks_the_triggers() {
+    let now = SimTime::ZERO;
+    let mut core = initiator(HostConfig::new(), 3);
+    let advert = advertise_edges(&[("ts-a", "ts-b"), ("ts-b", "ts-z")], &["ts-t"]);
+    let _ = core.handle_frame(HostId(1), &advert, now);
+    let problem = ProblemId::new(HostId(0), 0);
+    let q = core.initiate(problem, Spec::new(["ts-a", "ts-q"], ["ts-z"]), now);
+    let asked: Vec<(HostId, Vec<Label>, u64)> = sent(&q)
+        .into_iter()
+        .filter_map(|(to, msg)| match msg {
+            Msg::FragmentQuery { labels, known, .. } => Some((to, labels, known)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        asked,
+        vec![
+            (HostId(1), vec![Label::new("ts-a")], version_of(&advert)),
+            (HostId(2), vec![Label::new("ts-a"), Label::new("ts-q")], 0),
+        ]
+    );
+
+    // With host 2's summary too, the round is planned: host 1 is asked
+    // both labels of the path, host 2 (which consumes neither) nothing.
+    let _ = core.handle_frame(HostId(2), &advertise(&["ts-q"], &[]), now);
+    let q = core.initiate(
+        ProblemId::new(HostId(0), 1),
+        Spec::new(["ts-a", "ts-q"], ["ts-z"]),
+        now,
+    );
+    match &sent(&q)[..] {
+        [(HostId(1), Msg::FragmentQuery { labels, known, .. })] => {
+            assert_eq!(labels, &[Label::new("ts-a"), Label::new("ts-b")]);
+            assert_eq!(*known, version_of(&advert));
+        }
+        other => panic!("host 1 alone, asked the plan: {other:?}"),
+    }
+}
+
+/// A stale summary: host 1 learns the fragment that closes the path
+/// after host 0 took its summary, and every advertisement it sends host
+/// 0 is lost. Host 0 plans nothing (its edges reach no goal), asks the
+/// triggers and fails, as it did before rounds were planned; once an
+/// advertisement gets through, the next problem completes, and the one
+/// after it in one planned round.
+#[test]
+fn a_stale_summary_fails_as_unplanned_rounds_did_and_heals() {
+    let params = RuntimeParams::default;
+    let mut cores = vec![
+        HostCore::new(HostConfig::new(), params()),
+        HostCore::new(
+            HostConfig::new()
+                .with_fragment(frag("ss-f1", "ss-t1", "ss-a", "ss-b"))
+                .with_service(service("ss-t1"))
+                .with_service(service("ss-t2")),
+            params(),
+        ),
+        HostCore::new(HostConfig::new(), params()),
+    ];
+    let spec = || Spec::new(["ss-a"], ["ss-c"]);
+    let problem = |seq| ProblemId::new(HostId(0), seq);
+    let no_loss = |_: HostId, _: &Msg| false;
+    drive_community(&mut cores, problem(0), spec(), no_loss, |_| false);
+    let held = cores[0].summary_of(HostId(1)).map(|s| s.version);
+    assert!(held.is_some());
+
+    cores[1]
+        .fragment_mgr_mut()
+        .add(frag("ss-f2", "ss-t2", "ss-b", "ss-c"));
+    let adverts_lost =
+        |to: HostId, msg: &Msg| to == HostId(0) && matches!(msg, Msg::Advertise { .. });
+    drive_community(&mut cores, problem(1), spec(), adverts_lost, |_| false);
+    let ws = cores[0].latest_attempt(problem(1)).expect("workspace");
+    assert!(
+        matches!(ws.report.status, ProblemStatus::Failed { .. }),
+        "{ws}"
+    );
+    assert_eq!(cores[0].summary_of(HostId(1)).map(|s| s.version), held);
+
+    drive_community(&mut cores, problem(2), spec(), no_loss, |_| false);
+    let ws = cores[0].latest_attempt(problem(2)).expect("workspace");
+    assert_eq!(ws.report.status, ProblemStatus::Completed, "{ws}");
+    assert_ne!(cores[0].summary_of(HostId(1)).map(|s| s.version), held);
+
+    drive_community(&mut cores, problem(3), spec(), no_loss, |_| false);
+    let ws = cores[0].latest_attempt(problem(3)).expect("workspace");
+    assert_eq!(ws.report.status, ProblemStatus::Completed, "{ws}");
+    assert_eq!(ws.report.query_rounds, 1);
+}
+
+/// A host whose vocabulary cap refuses a rich peer's advertisement
+/// keeps asking that peer with `known: 0`; the peer advertises to it
+/// ahead of its 1st, 2nd, 4th, 8th and 16th such query only, and
+/// answers the others without its summary. Every problem still ends.
+#[test]
+fn a_capped_host_is_advertised_to_ever_more_rarely() {
+    let params = RuntimeParams::default;
+    let mut rich = HostConfig::new()
+        .with_fragment(frag("cr-f", "cr-t", "cr-a", "cr-b"))
+        .with_service(service("cr-t"));
+    for i in 0..40 {
+        rich = rich.with_fragment(frag(
+            &format!("cr-n{i}-f"),
+            &format!("cr-n{i}-t"),
+            &format!("cr-n{i}-in"),
+            &format!("cr-n{i}-out"),
+        ));
+    }
+    let mut cores = vec![
+        HostCore::new(HostConfig::new().with_vocabulary_cap(24), params()),
+        HostCore::new(rich, params()),
+    ];
+    let adverts = std::cell::Cell::new(0);
+    let problems = 16;
+    for seq in 0..problems {
+        let problem = ProblemId::new(HostId(0), seq);
+        drive_community(
+            &mut cores,
+            problem,
+            Spec::new(["cr-a"], ["cr-b"]),
+            |to, msg| {
+                if to == HostId(0) && matches!(msg, Msg::Advertise { .. }) {
+                    adverts.set(adverts.get() + 1);
+                }
+                false
+            },
+            |_| false,
+        );
+        let ws = cores[0].latest_attempt(problem).expect("workspace");
+        assert_eq!(ws.report.status, ProblemStatus::Completed, "{ws}");
+    }
+    assert!(
+        cores[0].summary_of(HostId(1)).is_none(),
+        "refused every time"
+    );
+    assert_eq!(
+        cores[0].vocabulary_rejections(),
+        0,
+        "an advertisement is refused without blame"
+    );
+    assert_eq!(adverts.get(), 5, "one query each over {problems} problems");
+    assert!(cores[1].audit().is_empty(), "{:?}", cores[1].audit());
+}
+
+/// Rule 7: a count of advertisements sent is dropped with its member.
+#[test]
+fn the_advertisement_count_leaves_with_its_member() {
+    let mut core = member(HostConfig::new().with_fragment(frag("ac-f", "ac-t", "ac-a", "ac-b")));
+    let query = frame(&Msg::FragmentQuery {
+        problem: ProblemId::new(HostId(0), 0),
+        round: 1,
+        labels: vec![Label::new("ac-a")],
+        known: 0,
+    });
+    let _ = core.handle_frame(HostId(0), &query, SimTime::ZERO);
+    assert_eq!(core.advertised.get(&HostId(0)).map(|&(_, n)| n), Some(1));
+    assert!(core.audit().is_empty());
+    core.advertised.insert(HostId(2), (7, 0));
+    assert_eq!(
+        core.audit(),
+        vec![Inconsistency::StrayAdvertCount { peer: HostId(2) }]
+    );
+    core.advertised.remove(&HostId(2));
+    core.set_community(vec![HostId(1), HostId(2)]);
+    assert!(core.advertised.is_empty());
+}
+
+/// A planned round that closes on its timeout counts the labels it
+/// asked of the silent member as not asked: the plan asked them before
+/// they were green, and the next round asks each again once it is,
+/// where an unplanned construction would have asked it for the first
+/// time.
+#[test]
+fn a_planned_label_a_silent_member_was_asked_is_asked_again() {
+    let now = SimTime::ZERO;
+    let mut core = initiator(HostConfig::new(), 3);
+    let _ = core.handle_frame(
+        HostId(1),
+        &advertise_edges(&[("ua-a", "ua-b")], &["ua-t1"]),
+        now,
+    );
+    let _ = core.handle_frame(
+        HostId(2),
+        &advertise_edges(&[("ua-b", "ua-z")], &["ua-t2"]),
+        now,
+    );
+    let problem = ProblemId::new(HostId(0), 0);
+    let q = core.initiate(problem, Spec::new(["ua-a"], ["ua-z"]), now);
+    let asked: Vec<(HostId, Vec<Label>)> = sent(&q)
+        .into_iter()
+        .filter_map(|(to, msg)| match msg {
+            Msg::FragmentQuery { labels, .. } => Some((to, labels)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        asked,
+        vec![
+            (HostId(1), vec![Label::new("ua-a")]),
+            (HostId(2), vec![Label::new("ua-b")]),
+        ]
+    );
+    let timeout = armed(&q)[0];
+    let reply = frame(&Msg::FragmentReply {
+        problem,
+        round: 1,
+        fragments: vec![Arc::new(frag("ua-f1", "ua-t1", "ua-a", "ua-b"))],
+    });
+    assert!(core.handle_frame(HostId(1), &reply, now).is_empty());
+    let q = core.handle_timer(timeout, now + RuntimeParams::default().round_timeout);
+    match &sent(&q)[..] {
+        [(
+            HostId(2),
+            Msg::FragmentQuery {
+                round: 2, labels, ..
+            },
+        )] => {
+            assert_eq!(labels, &[Label::new("ua-b")]);
+        }
+        other => panic!("host 2 is asked `ua-b` again: {other:?}"),
+    }
+}
+
+/// The first two advertisements host 1 sends host 0 are lost. Host 1
+/// keeps advertising, backing off, and the fourth query naming no version
+/// draws one that gets through: host 0 holds the summary again, and its
+/// next problem is planned — one round where the unplanned ones took two.
+#[test]
+fn lost_advertisements_are_sent_again_and_planning_resumes() {
+    let params = RuntimeParams::default;
+    let mut cores = vec![
+        HostCore::new(HostConfig::new(), params()),
+        HostCore::new(
+            HostConfig::new()
+                .with_fragment(frag("la-f1", "la-t1", "la-a", "la-b"))
+                .with_fragment(frag("la-f2", "la-t2", "la-b", "la-c"))
+                .with_service(service("la-t1"))
+                .with_service(service("la-t2")),
+            params(),
+        ),
+    ];
+    let adverts = std::cell::Cell::new(0);
+    let lose_two = |to: HostId, msg: &Msg| {
+        if to != HostId(0) || !matches!(msg, Msg::Advertise { .. }) {
+            return false;
+        }
+        adverts.set(adverts.get() + 1);
+        adverts.get() <= 2
+    };
+    let mut rounds = Vec::new();
+    for seq in 0..3 {
+        let problem = ProblemId::new(HostId(0), seq);
+        drive_community(
+            &mut cores,
+            problem,
+            Spec::new(["la-a"], ["la-c"]),
+            lose_two,
+            |_| false,
+        );
+        let ws = cores[0].latest_attempt(problem).expect("workspace");
+        assert_eq!(ws.report.status, ProblemStatus::Completed, "{ws}");
+        rounds.push(ws.report.query_rounds);
+    }
+    assert_eq!(rounds, [2, 2, 1]);
+    assert_eq!(adverts.get(), 3, "queries 1, 2 and 4 drew one each");
+    assert!(cores[0].summary_of(HostId(1)).is_some());
+}
+
+/// A stale member that answers: host 2 learned `sa-x` → `sa-z` after host
+/// 0 took its summary, and its push was lost. The plan asks host 2 only
+/// `sa-a`, which its old edges consume; host 2's new summary arrives
+/// ahead of its reply, and the round's close hands `sa-x` back to the
+/// engine, so the next round asks host 2 for it. The only other way to
+/// `sa-z` runs through a task nobody serves.
+#[test]
+fn a_stale_member_whose_summary_arrives_with_its_reply_is_asked_again() {
+    let params = RuntimeParams::default;
+    let mut cores = vec![
+        HostCore::new(HostConfig::new(), params()),
+        HostCore::new(
+            HostConfig::new()
+                .with_fragment(frag("sa-f1", "sa-t1", "sa-a", "sa-x"))
+                .with_fragment(frag("sa-f2", "sa-bad", "sa-x", "sa-z"))
+                .with_service(service("sa-t1")),
+            params(),
+        ),
+        HostCore::new(
+            HostConfig::new()
+                .with_fragment(frag("sa-f3", "sa-u", "sa-a", "sa-w"))
+                .with_service(service("sa-good")),
+            params(),
+        ),
+    ];
+    let no_loss = |_: HostId, _: &Msg| false;
+    let problem = |seq| ProblemId::new(HostId(0), seq);
+    drive_community(
+        &mut cores,
+        problem(0),
+        Spec::new(["sa-a"], ["sa-x"]),
+        no_loss,
+        |_| false,
+    );
+    let stale = cores[0].summary_of(HostId(2)).map(|s| s.version);
+    assert!(stale.is_some());
+
+    cores[2]
+        .fragment_mgr_mut()
+        .add(frag("sa-f4", "sa-good", "sa-x", "sa-z"));
+    let pushed = cores[2].tick(SimTime::ZERO);
+    assert!(
+        sent(&pushed)
+            .iter()
+            .any(|(to, msg)| *to == HostId(0) && matches!(msg, Msg::Advertise { .. })),
+        "the push, which is lost"
+    );
+
+    let queries = std::cell::RefCell::new(Vec::new());
+    drive_community(
+        &mut cores,
+        problem(1),
+        Spec::new(["sa-a"], ["sa-z"]),
+        |to, msg| {
+            if let Msg::FragmentQuery { round, labels, .. } = msg {
+                queries.borrow_mut().push((to, *round, labels.clone()));
+            }
+            false
+        },
+        |_| false,
+    );
+    let ws = cores[0].latest_attempt(problem(1)).expect("workspace");
+    assert_eq!(ws.report.status, ProblemStatus::Completed, "{ws}");
+    assert_ne!(cores[0].summary_of(HostId(2)).map(|s| s.version), stale);
+    let l = |names: &[&str]| names.iter().map(Label::new).collect::<Vec<_>>();
+    assert_eq!(
+        queries.into_inner(),
+        vec![
+            (HostId(1), 1, l(&["sa-a", "sa-x"])),
+            (HostId(2), 1, l(&["sa-a"])),
+            (HostId(1), 2, l(&["sa-x"])),
+            (HostId(2), 2, l(&["sa-x"])),
+        ]
     );
 }

@@ -20,10 +20,12 @@
 //! superseded attempt's assignees to let go with [`Msg::Abandon`].
 //!
 //! Every member also tells its peers what it can answer with
-//! [`Msg::Advertise`]: the labels its knowhow consumes and the tasks its
-//! services perform. An initiator then asks each member only the part of
-//! a round's query, and of a call for bids, that the member can answer,
-//! and refutes a task no summary serves as soon as a round brings it in;
+//! [`Msg::Advertise`]: its label edges (each label its knowhow consumes,
+//! with the labels the fragments consuming it produce) and the tasks its
+//! services perform. An initiator plans a problem's first round from the
+//! edges, asks each member only the part of a round's query, and of a
+//! call for bids, that the member can answer, and refutes a task no
+//! summary serves as soon as a round brings it in;
 //! a [`Msg::FragmentQuery`] carries the version of the asked member's
 //! summary the initiator holds, and a member that sees another version
 //! than its own advertises again before it replies.
@@ -211,14 +213,16 @@ pub enum Msg {
     /// Member → member: what the sender can answer, about itself only.
     /// Sent to an initiator whose query named another version than the
     /// sender's own, and to every member after the sender's knowhow or
-    /// services changed. It belongs to no problem.
+    /// services changed. It belongs to no problem, and carries no
+    /// version: the summary's version is a 56-bit digest of its names as
+    /// text, never 0, which the receiver computes from them — equal
+    /// summaries have equal versions in every process, so a restarted
+    /// host's changed summary cannot pass for its old one.
     Advertise {
-        /// A 64-bit digest of the summary's names as text, never 0: equal
-        /// summaries have equal versions in every process, so a
-        /// restarted host's changed summary cannot pass for its old one.
-        version: u64,
-        /// Every label some fragment of the sender's knowhow consumes.
-        consumes: Vec<Label>,
+        /// The sender's label edges in text order: a pair `(in, out)` for
+        /// each label `in` some fragment of its knowhow consumes and each
+        /// label `out` that fragment produces.
+        edges: Vec<(Label, Label)>,
         /// Every task the sender offers a service for.
         serves: Vec<TaskId>,
     },
@@ -303,8 +307,7 @@ mod tests {
         assert_eq!(m.trace_id(), p.trace_id());
         assert_eq!(m.kind(), "GoalDelivered");
         let advert = Msg::Advertise {
-            version: 7,
-            consumes: Vec::new(),
+            edges: Vec::new(),
             serves: Vec::new(),
         };
         assert_eq!(advert.problem(), None);

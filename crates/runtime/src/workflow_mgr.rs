@@ -57,6 +57,11 @@ pub(crate) struct Collect {
     pub(crate) waiting: BTreeSet<HostId>,
     /// The fragments consuming the round's frontier.
     pub(crate) fragments: Vec<Arc<Fragment>>,
+    /// The frontier of a planned round, empty for any other: the labels
+    /// its close may hand back to the engine.
+    pub(crate) planned: Vec<Label>,
+    /// What a planned round asked each member, empty for any other.
+    pub(crate) asked: Vec<(HostId, Vec<Label>)>,
 }
 
 /// One task's auction while it is undecided (§3.2): who may still

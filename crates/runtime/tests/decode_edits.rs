@@ -127,8 +127,10 @@ fn messages() -> Vec<Msg> {
             label: Label::new("se-z"),
         },
         Msg::Advertise {
-            version: 0x0807_0605_0403_0201,
-            consumes: vec![Label::new("se-a"), Label::new("se-mid")],
+            edges: vec![
+                (Label::new("se-a"), Label::new("se-mid")),
+                (Label::new("se-mid"), Label::new("se-z")),
+            ],
             serves: vec![TaskId::new("se-t1")],
         },
     ]

@@ -11,14 +11,17 @@
 //! duplicates and a crash hit the same sends on both. What this pins is
 //! that the two constructors build the same thing.
 
+use std::collections::VecDeque;
 use std::fmt::Write as _;
 
-use openwf_core::{Fragment, Mode, Spec};
+use openwf_core::{Fragment, Label, Mode, Spec};
+use openwf_runtime::codec::{decode_msg, encode_msg};
 use openwf_runtime::{
-    CommunityBuilder, Driver, HostConfig, LoopbackBytesDriver, ProblemHandle, ProblemStatus,
-    RuntimeParams, ServiceDescription,
+    Action, ActionQueue, CommunityBuilder, Driver, HostConfig, HostCore, LoopbackBytesDriver, Msg,
+    ProblemHandle, ProblemId, ProblemStatus, RuntimeParams, ServiceDescription,
 };
 use openwf_simnet::{ChaosAction, ChaosSchedule, HostId, SimDuration, SimNetwork, SimTime};
+use openwf_wire::VocabularyBudget;
 use proptest::prelude::*;
 
 fn frag(id: String, task: String, input: String, output: String) -> Fragment {
@@ -42,18 +45,27 @@ impl Scenario {
     /// Builds fresh host configurations (configs are consumed by a
     /// driver, so each transport gets its own identical copy).
     fn configs(&self) -> Vec<HostConfig> {
+        self.configs_named("eqv")
+    }
+
+    fn spec(&self) -> Spec {
+        self.spec_named("eqv")
+    }
+
+    /// The configurations, every name under `prefix`.
+    fn configs_named(&self, prefix: &str) -> Vec<HostConfig> {
         let mut cfgs = vec![HostConfig::new(); self.n_hosts];
         for i in 0..self.chain {
             let holder = i % self.n_hosts;
             let server = (i + 1) % self.n_hosts;
             cfgs[holder] = std::mem::take(&mut cfgs[holder]).with_fragment(frag(
-                format!("eqv-f{i}"),
-                format!("eqv-t{i}"),
-                format!("eqv-l{i}"),
-                format!("eqv-l{}", i + 1),
+                format!("{prefix}-f{i}"),
+                format!("{prefix}-t{i}"),
+                format!("{prefix}-l{i}"),
+                format!("{prefix}-l{}", i + 1),
             ));
             cfgs[server] = std::mem::take(&mut cfgs[server]).with_service(ServiceDescription::new(
-                format!("eqv-t{i}"),
+                format!("{prefix}-t{i}"),
                 SimDuration::from_millis(3),
             ));
         }
@@ -61,17 +73,20 @@ impl Scenario {
             let host = (j + 1) % self.n_hosts;
             let consumed = pick as usize % (self.chain + 1);
             cfgs[host] = std::mem::take(&mut cfgs[host]).with_fragment(frag(
-                format!("eqv-nz-f{j}"),
-                format!("eqv-nz-t{j}"),
-                format!("eqv-l{consumed}"),
-                format!("eqv-nz-out{j}"),
+                format!("{prefix}-nz-f{j}"),
+                format!("{prefix}-nz-t{j}"),
+                format!("{prefix}-l{consumed}"),
+                format!("{prefix}-nz-out{j}"),
             ));
         }
         cfgs
     }
 
-    fn spec(&self) -> Spec {
-        Spec::new(["eqv-l0".to_string()], [format!("eqv-l{}", self.chain)])
+    fn spec_named(&self, prefix: &str) -> Spec {
+        Spec::new(
+            [format!("{prefix}-l0")],
+            [format!("{prefix}-l{}", self.chain)],
+        )
     }
 }
 
@@ -123,6 +138,23 @@ fn digest(driver: &mut impl Driver, handle: ProblemHandle) -> String {
     s
 }
 
+/// Submits `spec` at `initiator` twice, one problem after the other,
+/// and digests both: the first problem's rounds bring the initiator the
+/// members' summaries, and the second's first round is planned from them.
+/// Also returns the two problems' ids.
+fn digest_twice(
+    driver: &mut impl Driver,
+    initiator: HostId,
+    spec: &Spec,
+) -> (String, [ProblemId; 2]) {
+    let first = driver.submit(initiator, spec.clone());
+    let mut s = digest(driver, first);
+    let second = driver.submit(initiator, spec.clone());
+    s.push_str("second problem\n");
+    s.push_str(&digest(driver, second));
+    (s, [first.id, second.id])
+}
+
 /// Runs `scenario` on both transports and returns their digests. Also
 /// checks that the two drivers counted the same traffic: both charge a
 /// frame its length.
@@ -135,16 +167,14 @@ fn run_both(scenario: &Scenario) -> (String, String) {
         .hosts(scenario.configs())
         .build();
     let initiator = sim.hosts()[0];
-    let handle = sim.submit(initiator, scenario.spec());
-    let sim_digest = digest(&mut sim, handle);
+    let (sim_digest, sim_ids) = digest_twice(&mut sim, initiator, &scenario.spec());
 
     // The bytes loopback: the same configs.
     let mut loopback = LoopbackBytesDriver::build(params, scenario.configs());
     let lb_initiator = loopback.hosts()[0];
     assert_eq!(lb_initiator, initiator);
-    let lb_handle = loopback.submit(lb_initiator, scenario.spec());
-    assert_eq!(lb_handle.id, handle.id, "same problem identity");
-    let lb_digest = digest(&mut loopback, lb_handle);
+    let (lb_digest, lb_ids) = digest_twice(&mut loopback, lb_initiator, &scenario.spec());
+    assert_eq!(lb_ids, sim_ids, "same problem identities");
 
     assert_eq!(
         sim.stats().bytes_delivered,
@@ -249,6 +279,116 @@ fn three_host_chain_agrees() {
     let (sim, loopback) = run_both(&scenario);
     assert_eq!(sim, loopback);
     assert!(sim.contains("status Completed"), "{sim}");
+    let (_, second) = sim.split_once("second problem").expect("two problems");
+    assert!(second.contains("rounds 1\n"), "the planned round: {second}");
+}
+
+/// Drives fresh cores built from `configs` — core `i` bound as host
+/// `i` — on host 0's `spec` with every frame delivered in send order and
+/// no timer fired, far enough that host 0 holds every member's summary,
+/// then returns the frames host 0's next problem on the same spec sends
+/// first: its planned round's queries.
+fn planned_queries(configs: Vec<HostConfig>, spec: &Spec) -> Vec<(HostId, Vec<u8>)> {
+    let mut cores: Vec<HostCore> = configs
+        .into_iter()
+        .map(|c| HostCore::new(c, RuntimeParams::default()))
+        .collect();
+    let all: Vec<HostId> = (0..cores.len() as u32).map(HostId).collect();
+    for (core, &id) in cores.iter_mut().zip(&all) {
+        core.bind(id);
+        core.set_community(all.clone());
+    }
+    let frames = |at: HostId, q: ActionQueue| -> Vec<(HostId, HostId, Vec<u8>)> {
+        q.into_iter()
+            .filter_map(|a| match a {
+                Action::SendBytes { to, bytes } => Some((at, to, bytes)),
+                _ => None,
+            })
+            .collect()
+    };
+    let now = SimTime::ZERO;
+    let first = cores[0].initiate(ProblemId::new(HostId(0), 0), spec.clone(), now);
+    let mut in_flight: VecDeque<_> = frames(HostId(0), first).into();
+    while let Some((from, to, bytes)) = in_flight.pop_front() {
+        let q = cores[to.0 as usize].handle_frame(from, &bytes, now);
+        in_flight.extend(frames(to, q));
+    }
+    let second = cores[0].initiate(ProblemId::new(HostId(0), 1), spec.clone(), now);
+    frames(HostId(0), second)
+        .into_iter()
+        .map(|(_, to, bytes)| (to, bytes))
+        .collect()
+}
+
+/// The plan is core state, and a core's symbols are its process's: the
+/// same scenario under two same-length name prefixes, the second's
+/// names interned in reverse first, so their symbol ids run the other
+/// way, asks the same labels in the same order — frames equal byte for
+/// byte once the prefix is swapped, but for the summary version each
+/// query carries, which digests the names' text and so differs with the
+/// prefix: each frame is compared as written again with `known: 0`.
+#[test]
+fn planned_queries_do_not_depend_on_symbol_order() {
+    let scenario = Scenario {
+        n_hosts: 4,
+        chain: 6,
+        noise: vec![1, 3, 130, 2],
+        seed: 0,
+    };
+    let mut names: Vec<String> = Vec::new();
+    for i in 0..=scenario.chain {
+        names.extend(["f", "t", "l"].map(|kind| format!("eqy-{kind}{i}")));
+    }
+    for j in 0..scenario.noise.len() {
+        names.extend(["nz-f", "nz-t", "nz-out"].map(|kind| format!("eqy-{kind}{j}")));
+    }
+    for name in names.iter().rev() {
+        Label::new(name);
+    }
+    let x = planned_queries(scenario.configs_named("eqx"), &scenario.spec_named("eqx"));
+    let y = planned_queries(scenario.configs_named("eqy"), &scenario.spec_named("eqy"));
+    assert!(!x.is_empty(), "host 0 asks some member");
+    let unversioned = |frames: &[(HostId, Vec<u8>)], from: &[u8]| -> Vec<(HostId, Vec<u8>)> {
+        frames
+            .iter()
+            .map(|(to, bytes)| {
+                let (msg, _) =
+                    decode_msg(bytes, &mut VocabularyBudget::unlimited()).expect("a frame");
+                let Msg::FragmentQuery {
+                    problem,
+                    round: 1,
+                    labels,
+                    known,
+                } = msg
+                else {
+                    panic!("a planned query: {msg:?}");
+                };
+                assert_ne!(known, 0, "naming the summary held");
+                let rewrite = |known| {
+                    let mut out = Vec::new();
+                    encode_msg(
+                        &Msg::FragmentQuery {
+                            problem,
+                            round: 1,
+                            labels: labels.clone(),
+                            known,
+                        },
+                        &mut out,
+                    );
+                    out
+                };
+                assert_eq!(&rewrite(known), bytes, "the encoding is canonical");
+                let mut bytes = rewrite(0);
+                for at in 0..bytes.len().saturating_sub(from.len() - 1) {
+                    if bytes[at..].starts_with(from) {
+                        bytes[at..at + from.len()].copy_from_slice(b"eqx-");
+                    }
+                }
+                (*to, bytes)
+            })
+            .collect()
+    };
+    assert_eq!(unversioned(&x, b"eqx-"), unversioned(&y, b"eqy-"));
 }
 
 /// A chain whose every fragment and every service lives on two hosts,

@@ -3,8 +3,9 @@
 //! rather than by calling manager state machines directly.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
-use openwf_core::{Fragment, IncrementalConstructor, Mode, Spec, TaskId};
+use openwf_core::{Fragment, IncrementalConstructor, LabelEdges, Mode, Spec, TaskId};
 use openwf_runtime::{
     Community, CommunityBuilder, Driver, HostConfig, ProblemStatus, RuntimeParams,
     ServiceDescription,
@@ -340,9 +341,11 @@ proptest! {
 
     /// One engine, two drivers: with nobody else to ask, what the
     /// runtime's workspace constructs — through its rounds and its own
-    /// managers, a task it cannot serve refuted as soon as it appears — is what
-    /// `IncrementalConstructor` constructs over the same store with the
-    /// host's capabilities as the oracle, down to the step counts.
+    /// managers, the first round planned over its own label edges, a task
+    /// it cannot serve refuted as soon as it appears — is what
+    /// `IncrementalConstructor` constructs over the same store, planned
+    /// over the same edges, with the host's capabilities as the oracle,
+    /// down to the step counts.
     #[test]
     fn a_lone_host_constructs_what_the_local_constructor_does(
         (tasks, triggers, goals) in arb_world(),
@@ -379,11 +382,11 @@ proptest! {
         let core = community.core(h);
         let ws = core.latest_attempt(handle.id).expect("workspace");
 
-        let local = IncrementalConstructor::new().construct_filtered(
-            core.fragment_mgr().store(),
-            &spec,
-            |t| core.service_mgr().can_serve(t),
-        );
+        let store = core.fragment_mgr().store();
+        let edges = LabelEdges::of_fragments(store.fragments_shared().iter().map(Arc::as_ref));
+        let local = IncrementalConstructor::new().construct_planned(store, &spec, &[&edges], |t| {
+            core.service_mgr().can_serve(t)
+        });
         match (&ws.construction, local) {
             (Some(runtime), Ok((local, _))) => {
                 prop_assert_eq!(

@@ -79,12 +79,25 @@ impl FrameEncoder {
     /// Appends a reference to an interned name: the name joins the frame's
     /// table on first use, and the payload stores its table index.
     pub fn name(&mut self, sym: Sym) {
+        let idx = self.table_index(sym);
+        varint::write(idx, &mut self.payload);
+    }
+
+    /// Registers a name as [`FrameEncoder::name`] does and returns its
+    /// table index, writing nothing: for a payload that packs several
+    /// indices into one number.
+    pub fn table_index(&mut self, sym: Sym) -> u64 {
         let next = self.names.len() as u32;
         let idx = *self.name_index.entry(sym).or_insert_with(|| {
             self.names.push(sym);
             next
         });
-        varint::write(u64::from(idx), &mut self.payload);
+        u64::from(idx)
+    }
+
+    /// The number of names the table holds so far.
+    pub fn table_len(&self) -> usize {
+        self.names.len()
     }
 
     /// Appends an inline (non-interned) string: varint length + bytes.

@@ -72,7 +72,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use openwf_core::construct::incremental::FragmentSource;
-use openwf_core::{Fragment, FragmentId, FxHashMap, Label, ShardedFragmentStore};
+use openwf_core::{Fragment, FragmentId, Label, ShardedFragmentStore};
 
 use crate::model::{decode_fragment_with, encode_fragment, DecodeScratch};
 use crate::VocabularyBudget;
@@ -292,18 +292,21 @@ fn fsync_dir(dir: &Path) {
     }
 }
 
-/// Updates the latest-persisted-copy size for `id` and the live-bytes
-/// total it rolls up into.
-fn account_live(
-    rec_sizes: &mut FxHashMap<FragmentId, u32>,
-    live_bytes: &mut u64,
-    id: &FragmentId,
-    payload_len: u64,
-) {
+/// Updates the latest-persisted-copy size of the fragment at `slot` —
+/// the next slot when it is new — and the live-bytes total it rolls up
+/// into.
+fn account_live(rec_sizes: &mut Vec<u32>, live_bytes: &mut u64, slot: u32, payload_len: u64) {
     let cost = record_cost(payload_len);
-    match rec_sizes.insert(id.clone(), payload_len as u32) {
-        Some(old) => *live_bytes = *live_bytes + cost - record_cost(u64::from(old)),
-        None => *live_bytes += cost,
+    match rec_sizes.get_mut(slot as usize) {
+        Some(old) => {
+            *live_bytes = *live_bytes + cost - record_cost(u64::from(*old));
+            *old = payload_len as u32;
+        }
+        None => {
+            debug_assert_eq!(slot as usize, rec_sizes.len(), "slots are dense");
+            rec_sizes.push(payload_len as u32);
+            *live_bytes += cost;
+        }
     }
 }
 
@@ -329,7 +332,7 @@ struct RestoreState {
     log_bytes: u64,
     record_count: u64,
     live_bytes: u64,
-    rec_sizes: FxHashMap<FragmentId, u32>,
+    rec_sizes: Vec<u32>,
     decode: DecodeScratch,
 }
 
@@ -340,7 +343,7 @@ impl RestoreState {
             log_bytes: 0,
             record_count: 0,
             live_bytes: 0,
-            rec_sizes: FxHashMap::default(),
+            rec_sizes: Vec::new(),
             // One scratch for the whole restore: span/name/staging
             // buffers are reused across every record, names resolve via
             // batch interning. The identity cache is disabled — restore
@@ -398,8 +401,9 @@ pub struct DurableFragmentStore {
     record_count: u64,
     /// Σ record cost of the latest persisted copy of each live fragment.
     live_bytes: u64,
-    /// Latest persisted frame length per live id (drives `live_bytes`).
-    rec_sizes: FxHashMap<FragmentId, u32>,
+    /// Latest persisted frame length per live fragment, indexed by its
+    /// slot in the index (drives `live_bytes`).
+    rec_sizes: Vec<u32>,
     /// The newest durable snapshot, if any.
     snapshot: Option<SnapshotState>,
     /// Records appended since the last snapshot (or open).
@@ -652,13 +656,13 @@ impl DurableFragmentStore {
         self.log_bytes += appended;
         self.record_count += 1;
         self.inserts_since_snapshot += 1;
+        let (slot, new) = self.index.insert_with_slot(fragment);
         account_live(
             &mut self.rec_sizes,
             &mut self.live_bytes,
-            fragment.id(),
+            slot,
             self.scratch.len() as u64,
         );
-        let new = self.index.insert(fragment);
         self.maybe_maintain()?;
         Ok(new)
     }
@@ -1009,17 +1013,18 @@ fn load_snapshot(
         let frame = &bytes[start..end];
         match decode_fragment_with(frame, &mut budget, &mut state.decode) {
             Ok((fragment, consumed)) if consumed == frame.len() => {
-                account_live(
-                    &mut state.rec_sizes,
-                    &mut state.live_bytes,
-                    fragment.id(),
-                    frame.len() as u64,
-                );
-                if !state.index.insert(fragment) {
+                let (slot, new) = state.index.insert_with_slot(fragment);
+                if !new {
                     // Duplicate id inside one snapshot: not a shape a
                     // writer produces.
                     return Ok(None);
                 }
+                account_live(
+                    &mut state.rec_sizes,
+                    &mut state.live_bytes,
+                    slot,
+                    frame.len() as u64,
+                );
             }
             _ => return Ok(None),
         }
@@ -1096,13 +1101,13 @@ fn replay_segment(path: &Path, last: bool, state: &mut RestoreState) -> Result<u
         ) {
             Ok((fragment, consumed)) if consumed == payload.len() => {
                 state.record_count += 1;
+                let (slot, _) = state.index.insert_with_slot(fragment);
                 account_live(
                     &mut state.rec_sizes,
                     &mut state.live_bytes,
-                    fragment.id(),
+                    slot,
                     u64::from(len),
                 );
-                state.index.insert(fragment);
             }
             Ok(_) => {
                 return tail_or_corrupt(
