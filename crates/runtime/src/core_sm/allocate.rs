@@ -47,10 +47,12 @@
 //! it keeps no state of its own: a firm bid holds its slot as a
 //! [`CommitmentState::Held`] commitment in the schedule, which answers
 //! every later question about the task — a copy of the call, the
-//! `Award`, the hold's expiry (see [`crate::schedule`]). The award
-//! firms a won hold and frees a lost one, and disarms the hold's expiry
-//! either way; the plan firms a hold too. Only a hold whose award never
-//! came — a late bid, a lost frame — waits its expiry out.
+//! `Award`, the hold's expiry (see [`crate::schedule`]). The bid arms
+//! the commitment's one timer, for the hold's expiry, and it stays armed
+//! through the award and the plan (`execute.rs` says what it does when
+//! it fires). The award firms a won hold, and frees a lost one and
+//! disarms its timer; the plan firms a hold too. A hold whose award
+//! never came — a late bid, a lost frame — is freed at its expiry.
 
 use std::collections::BTreeSet;
 
@@ -114,20 +116,18 @@ impl HostCore {
     }
 
     /// [`Msg::Award`]: each task won becomes a firm commitment at the
-    /// slot its bid holds, and each task lost frees its hold at once;
-    /// either way the hold's expiry is disarmed. A lost task frees only a
-    /// hold — a task awarded, planned or run here stays, as under the
-    /// hold's expiry.
+    /// slot its bid holds, under the timer its bid armed, and each task
+    /// lost frees its hold and the hold's timer at once. A lost task
+    /// frees only a hold — a task awarded, planned or run here stays.
     pub(super) fn on_award(&mut self, problem: ProblemId, won: Vec<TaskId>, lost: Vec<TaskId>) {
         for task in won {
             self.schedule.award(problem, &task);
-            self.timers
-                .disarm(problem, &TimerPurpose::BidHoldExpiry(task));
         }
         for task in lost {
-            self.schedule.expire_hold(problem, &task);
-            self.timers
-                .disarm(problem, &TimerPurpose::BidHoldExpiry(task));
+            if let Some(CommitmentState::Held(_)) = self.schedule.state(problem, &task) {
+                self.schedule.expire(problem, &task);
+                self.timers.disarm(problem, &TimerPurpose::Commitment(task));
+            }
         }
     }
 
@@ -293,23 +293,18 @@ impl HostCore {
         }
     }
 
-    /// `BidHoldExpiry`: a bid that was never awarded frees its slot.
-    pub(super) fn on_bid_hold_expiry(&mut self, problem: ProblemId, task: TaskId) {
-        self.schedule.expire_hold(problem, &task);
-    }
-
     /// The bidder's side of one called task, the same for a peer's call
     /// and for the initiator's own participation. §3.2: "The
     /// participants compare the task's required time, location, and
     /// service with their own capabilities and availability." No task
     /// requires a time or a place, so the earliest start is this host's
     /// `now` and the place its service's own. A bid is firm, so it holds
-    /// its slot in the schedule, and the hold's expiry is armed here.
-    /// `None` is a decline.
+    /// its slot in the schedule, and the commitment's timer is armed here
+    /// for the hold's expiry. `None` is a decline.
     ///
     /// One `(problem, task)` gets at most one slot: a copy of a call
     /// this host holds a bid for gets that bid again (the first copy's
-    /// hold keeps its own expiry), and one awarded, planned or run here
+    /// hold keeps its own timer), and one awarded, planned or run here
     /// is declined.
     fn consider_bid(
         &mut self,
@@ -350,9 +345,7 @@ impl HostCore {
             location,
             state: CommitmentState::Held(bid.clone()),
         });
-        let expiry = bid.deadline + self.params.round_timeout;
-        let purpose = TimerPurpose::BidHoldExpiry(task.clone());
-        self.arm(q, now, expiry, problem, purpose);
+        self.on_commitment_due(problem, task.clone(), now, q);
         Some(bid)
     }
 

@@ -9,8 +9,8 @@
 //! summaries when it named none — and panics on a finding; the whole
 //! core is a serving host's history, which grows with every workflow it
 //! served. Release builds never audit. [`crate::driver::audit_quiescent`]
-//! runs the whole-core audit of a community at rest and adds the rules
-//! that span hosts.
+//! runs the whole-core audit of a community at rest and adds the rule
+//! that holds once no timer is left to fire.
 
 use std::ops::{RangeBounds, RangeInclusive};
 
@@ -30,7 +30,7 @@ use crate::schedule::CommitmentState;
 ///    module docs of [`crate::core_sm`] says what);
 /// 2. everything live has its timer: an open round, the open auctions
 ///    of an allocating attempt, each auction with a best bid, an
-///    executing attempt, each held and each running commitment;
+///    executing attempt, each commitment short of done;
 /// 3. an attempt is terminal exactly when it has no working set;
 /// 4. no auction outcome is left unsent;
 /// 5. a `(problem, task)` has at most one commitment;
@@ -40,8 +40,10 @@ use crate::schedule::CommitmentState;
 ///    this host's summary, are kept only for current, unquarantined
 ///    members other than this host, and no such count is 0.
 ///
-/// Rules 8 and 9 span hosts and hold once a community is at rest
-/// ([`audit_quiescent`](crate::driver::audit_quiescent)).
+/// Rule 8 holds once a community is at rest
+/// ([`audit_quiescent`](crate::driver::audit_quiescent)): with every
+/// timer fired, no commitment short of done is left, and no parked
+/// input.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Inconsistency {
     /// Rule 1: `problem`'s `timer` (for `task`, where its purpose names
@@ -101,19 +103,11 @@ pub enum Inconsistency {
         /// The asker the count is kept for.
         peer: HostId,
     },
-    /// Rule 8, of the quiescent form: a bid for `problem`'s `task` still
-    /// holds its slot with nothing left in flight.
-    HeldAtQuiescence {
+    /// Rule 8, of the quiescent form: at rest, a host keeps `problem`'s
+    /// commitment for `task` short of done or, with no task, inputs
+    /// parked for it.
+    KeptAtRest {
         /// The problem.
-        problem: ProblemId,
-        /// The task bid for.
-        task: TaskId,
-    },
-    /// Rule 9, of the quiescent form: for an attempt its initiator
-    /// reports terminal, a host keeps `task`'s commitment short of done
-    /// (a hold is rule 8's) or, with no task, parked inputs.
-    KeptForTerminalAttempt {
-        /// The terminal attempt.
         problem: ProblemId,
         /// The task kept, or `None` for parked inputs.
         task: Option<TaskId>,
@@ -138,9 +132,7 @@ impl TimerPurpose {
             Self::RoundTimeout => ("RoundTimeout", None),
             Self::AuctionDeadline(t) => ("AuctionDeadline", Some(t)),
             Self::AuctionTimeout => ("AuctionTimeout", None),
-            Self::BidHoldExpiry(t) => ("BidHoldExpiry", Some(t)),
-            Self::ExecStart(t) => ("ExecStart", Some(t)),
-            Self::ExecFinish(t) => ("ExecFinish", Some(t)),
+            Self::Commitment(t) => ("Commitment", Some(t)),
             Self::Watchdog => ("Watchdog", None),
         }
     }
@@ -229,18 +221,11 @@ impl HostCore {
                         task: c.task.clone(),
                     });
                 }
-                match &c.state {
-                    CommitmentState::Held(_) => {
-                        let purpose = TimerPurpose::BidHoldExpiry(c.task.clone());
-                        self.expect_armed(problem, purpose, found);
-                    }
-                    CommitmentState::Running(_) => {
-                        installed = true;
-                        let purpose = TimerPurpose::ExecFinish(c.task.clone());
-                        self.expect_armed(problem, purpose, found);
-                    }
-                    CommitmentState::Waiting { .. } | CommitmentState::Done => installed = true,
-                    CommitmentState::Awarded => {}
+                installed |=
+                    !matches!(c.state, CommitmentState::Held(_) | CommitmentState::Awarded);
+                if c.state != CommitmentState::Done {
+                    let purpose = TimerPurpose::Commitment(c.task.clone());
+                    self.expect_armed(problem, purpose, found);
                 }
             }
             if installed && !parked.is_empty() {
@@ -274,7 +259,6 @@ impl HostCore {
         let ws = self.workspaces.get(&problem);
         let working = ws.and_then(|ws| ws.working());
         let status = |s: ProblemStatus| ws.is_some_and(|ws| ws.report.status == s);
-        let state = |task: &TaskId| self.schedule.state(problem, task);
         match purpose {
             TimerPurpose::RoundTimeout => working.is_some_and(|w| w.collect.is_some()),
             TimerPurpose::AuctionDeadline(task) => {
@@ -283,15 +267,10 @@ impl HostCore {
             TimerPurpose::AuctionTimeout => {
                 status(ProblemStatus::Allocating) && working.is_some_and(|w| !w.auctions.is_empty())
             }
-            TimerPurpose::BidHoldExpiry(task) => {
-                matches!(state(task), Some(CommitmentState::Held(_)))
-            }
-            TimerPurpose::ExecStart(task) => {
-                matches!(state(task), Some(CommitmentState::Waiting { .. }))
-            }
-            TimerPurpose::ExecFinish(task) => {
-                matches!(state(task), Some(CommitmentState::Running(_)))
-            }
+            TimerPurpose::Commitment(task) => self
+                .schedule
+                .state(problem, task)
+                .is_some_and(|s| *s != CommitmentState::Done),
             TimerPurpose::Watchdog => status(ProblemStatus::Executing) && working.is_some(),
         }
     }

@@ -64,16 +64,15 @@
 //! | `RoundTimeout` | the open round | `construct.rs` |
 //! | `AuctionDeadline(t)` | `t`'s open auction, which has a best bid | `allocate.rs` |
 //! | `AuctionTimeout` | the open auctions of an allocating attempt | `allocate.rs` |
-//! | `BidHoldExpiry(t)` | the `Held` commitment for `t` | `allocate.rs` |
-//! | `ExecStart(t)` | the `Waiting` commitment for `t` | `execute.rs` |
-//! | `ExecFinish(t)` | the `Running` commitment for `t` | `execute.rs` |
+//! | `Commitment(t)` | the commitment for `t`, short of `Done` | `execute.rs` |
 //! | `Watchdog` | the executing attempt's working set | `repair.rs` |
 //!
 //! A timer is named by its problem and purpose (with the task, where the
 //! purpose has one); arming a name replaces its timer. `retire` disarms
-//! an attempt's guards, `release` every timer of a superseded attempt,
-//! and an award (won or lost) or plan a hold's `BidHoldExpiry`: only a
-//! hold whose award never came outlives its attempt.
+//! an attempt's guards, and `release` every timer of a superseded
+//! attempt. A commitment's one timer, due at its state's next deadline
+//! (`execute.rs`), ends it on its holder whether or not the initiator's
+//! `Abandon` arrives.
 //!
 //! # What a core may hold
 //!
@@ -147,21 +146,16 @@ enum TimerPurpose {
     RoundTimeout,
     AuctionDeadline(TaskId),
     AuctionTimeout,
-    BidHoldExpiry(TaskId),
-    ExecStart(TaskId),
-    ExecFinish(TaskId),
+    Commitment(TaskId),
     Watchdog,
 }
 
 impl TimerPurpose {
     /// True for the timers an initiator arms over an open attempt, which
-    /// the attempt's end makes moot — all but a member's own timers for
-    /// the problem, its hold's expiry and its tasks' runs, which go on.
+    /// the attempt's end makes moot — all but a member's own commitment
+    /// timers, which go on.
     fn guards_attempt(&self) -> bool {
-        !matches!(
-            self,
-            Self::BidHoldExpiry(_) | Self::ExecStart(_) | Self::ExecFinish(_)
-        )
+        !matches!(self, Self::Commitment(_))
     }
 }
 
@@ -417,10 +411,9 @@ impl HostCore {
 
     /// Number of timers currently armed. A timer is disarmed once it can
     /// no longer matter — a round's timeout when the round closes, an
-    /// attempt's guards when it turns terminal, a bid hold's expiry when
-    /// the award or the plan firms or frees the hold — so on a long-lived
-    /// host this tracks the work in flight and the holds whose award never
-    /// came, not the problems ever served.
+    /// attempt's guards when it turns terminal — and a commitment keeps
+    /// its one timer only until it is done or dropped, so on a long-lived
+    /// host this tracks the work in flight, not the problems ever served.
     pub fn armed_timer_count(&self) -> usize {
         self.timers.len()
     }
@@ -721,9 +714,7 @@ impl HostCore {
             TimerPurpose::RoundTimeout => self.close_round(problem, now, q),
             TimerPurpose::AuctionDeadline(task) => self.on_auction_deadline(problem, task, now, q),
             TimerPurpose::AuctionTimeout => self.on_auction_timeout(problem, now, q),
-            TimerPurpose::BidHoldExpiry(task) => self.on_bid_hold_expiry(problem, task),
-            TimerPurpose::ExecStart(task) => self.on_exec_start(problem, task, now, q),
-            TimerPurpose::ExecFinish(task) => self.finish_task(problem, task, q),
+            TimerPurpose::Commitment(task) => self.on_commitment_due(problem, task, now, q),
             TimerPurpose::Watchdog => self.on_watchdog(problem, now, q),
         }
         #[cfg(debug_assertions)]

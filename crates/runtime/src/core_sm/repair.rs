@@ -3,11 +3,13 @@
 //! fresh attempt id — until the repair budget runs out and the problem
 //! fails for good. The `repair` span marks the hand-over.
 //!
-//! Either way the attempt is over on every host: the initiator releases
+//! Either way the attempt is over on every host. The initiator releases
 //! what it holds for it and sends [`Msg::Abandon`] to each other host the
-//! attempt awarded a task, whose handler releases the same. A bidder
-//! that lost was already told so by its award, so the assignees are the
-//! only hosts left holding anything of the attempt.
+//! attempt awarded a task, whose handler releases the same: that is the
+//! prompt path, and a bidder that lost was already told so by its award.
+//! The backstop is on the assignee: each commitment's own timer drops it
+//! at its expiry (`execute.rs`) when the one `Abandon` is lost, or the
+//! initiator restarted and forgot the attempt.
 
 use std::collections::BTreeSet;
 

@@ -1379,6 +1379,11 @@ fn run_timers(core: &mut HostCore) {
     }
 }
 
+/// Fires every timer due by the time `bid`'s hold expires.
+fn tick_past_hold(core: &mut HostCore, bid: &Bid) {
+    let _ = core.tick(bid.deadline + RuntimeParams::default().round_timeout);
+}
+
 /// A duplicated `Execute` installs nothing twice: when the input
 /// arrives, the task runs once.
 #[test]
@@ -1569,14 +1574,14 @@ fn award_converts_hold_and_expire_releases() {
     let problem = ProblemId::new(HostId(0), 0);
     let (task, task2) = (TaskId::new("ac-t"), TaskId::new("ac-t2"));
     let now = SimTime::ZERO;
-    let _ = bid_in(&core.handle_frame(HostId(0), &call_for_bids(problem, "ac-t"), now));
+    let bid = bid_in(&core.handle_frame(HostId(0), &call_for_bids(problem, "ac-t"), now));
     let _ = core.handle_frame(HostId(0), &award(problem, "ac-t"), now);
     assert_eq!(
         core.schedule().state(problem, &task),
         Some(&CommitmentState::Awarded)
     );
     assert_eq!(core.schedule().commitment_count(), 1, "commitment stays");
-    assert_eq!(core.armed_timer_count(), 0, "and its expiry went");
+    assert_eq!(core.armed_timer_count(), 1, "and so does its timer");
 
     // New bid on another task, then expire it.
     let q = core.handle_frame(HostId(0), &call_for_bids(problem, "ac-t2"), now);
@@ -1590,17 +1595,24 @@ fn award_converts_hold_and_expire_releases() {
     assert_eq!(core.schedule().commitment_count(), 1, "hold released");
     assert_eq!(core.schedule().state(problem, &task2), None);
     let _ = core.handle_timer(expiry, due);
-    run_timers(&mut core);
+    tick_past_hold(&mut core, &bid);
     assert_eq!(core.schedule().commitment_count(), 1, "idempotent");
     assert_eq!(
         core.schedule().state(problem, &task),
-        Some(&CommitmentState::Awarded)
+        Some(&CommitmentState::Awarded),
+        "the award outlives the hold's expiry"
+    );
+    run_timers(&mut core);
+    assert_eq!(
+        core.schedule().commitment_count(),
+        0,
+        "until its own, with no plan come"
     );
 }
 
 /// A copy of a call for bids that arrives while the hold is open gets
 /// the held bid again and holds no second slot; the award keeps the one
-/// slot, and no expiry releases it.
+/// slot past the hold's expiry.
 #[test]
 fn a_duplicated_call_for_bids_holds_one_slot() {
     let mut core = executor(HostConfig::new().with_service(service("db-t")));
@@ -1615,7 +1627,7 @@ fn a_duplicated_call_for_bids_holds_one_slot() {
     assert_eq!(core.schedule().commitment_count(), 1);
 
     let _ = core.handle_frame(HostId(0), &award(problem, "db-t"), now);
-    run_timers(&mut core);
+    tick_past_hold(&mut core, &a);
     assert_eq!(core.schedule().commitment_count(), 1, "the award stands");
 }
 
@@ -1661,7 +1673,7 @@ fn a_duplicated_batched_call_resends_the_held_bids() {
 }
 
 /// A task this host bid on and lost frees its hold the moment the award
-/// says so, and the hold's expiry goes with it; a lost entry for a task
+/// says so, and the hold's timer goes with it; a lost entry for a task
 /// awarded here frees nothing.
 #[test]
 fn a_lost_task_frees_only_its_hold() {
@@ -1680,13 +1692,14 @@ fn a_lost_task_frees_only_its_hold() {
     let _ = core.handle_frame(HostId(0), &award(problem, "lf-t"), now);
     let _ = core.handle_frame(HostId(0), &lost(problem, "lf-u"), now);
     assert_eq!(core.schedule().state(problem, &TaskId::new("lf-u")), None);
-    assert_eq!(core.armed_timer_count(), 0, "both expiries went");
+    assert_eq!(core.armed_timer_count(), 1, "the won task's timer alone");
 
     let _ = core.handle_frame(HostId(0), &lost(problem, "lf-t"), now);
     assert_eq!(
         core.schedule().state(problem, &TaskId::new("lf-t")),
         Some(&CommitmentState::Awarded)
     );
+    assert_eq!(core.armed_timer_count(), 1, "and keeps its timer");
 }
 
 /// Only the initiator tells a bidder it lost: a lost entry from another
@@ -1709,21 +1722,22 @@ fn a_lost_entry_from_a_non_initiator_frees_nothing() {
 }
 
 /// A copy of a call for bids that arrives after the award is declined:
-/// it holds nothing, so no expiry can release the awarded slot.
+/// it holds nothing, so the hold's expiry cannot release the awarded
+/// slot.
 #[test]
 fn a_late_call_for_bids_never_frees_an_awarded_slot() {
     let mut core = executor(HostConfig::new().with_service(service("lb-t")));
     let problem = ProblemId::new(HostId(0), 0);
     let call = call_for_bids(problem, "lb-t");
     let now = SimTime::ZERO;
-    let _ = bid_in(&core.handle_frame(HostId(0), &call, now));
+    let bid = bid_in(&core.handle_frame(HostId(0), &call, now));
     let _ = core.handle_frame(HostId(0), &award(problem, "lb-t"), now);
     assert_eq!(core.schedule().commitment_count(), 1);
 
     let late = core.handle_frame(HostId(0), &call, now);
     assert_eq!(single_answer(&late), None, "{:?}", late.actions());
     assert_eq!(core.schedule().commitment_count(), 1);
-    run_timers(&mut core);
+    tick_past_hold(&mut core, &bid);
     assert_eq!(core.schedule().commitment_count(), 1, "the award stands");
 }
 
@@ -1929,6 +1943,13 @@ fn delays(q: &ActionQueue) -> Vec<SimDuration> {
 /// The 500 µs a planned task runs: the delay of its finish timer.
 const RUN: SimDuration = SimDuration::from_micros(500);
 
+/// When the commitment of a task planned at `start_us` expires unstarted:
+/// its slot's end, plus the auction timeout and the execution watchdog.
+fn expiry(start_us: u64) -> SimTime {
+    let params = RuntimeParams::default();
+    SimTime::from_micros(start_us) + RUN + params.auction_timeout + params.execution_watchdog
+}
+
 #[test]
 fn immediate_task_begins_on_install() {
     let mut core = ex_executor();
@@ -1970,7 +1991,12 @@ fn inputs_gate_execution() {
         &plan(p, vec![planned("ex-t", &["ex-a", "ex-b"], 0)]),
         now,
     );
-    assert!(q.is_empty(), "waiting for inputs: {:?}", q.actions());
+    assert_eq!(
+        delays(&q),
+        [expiry(0).since(now)],
+        "waiting for inputs, until its expiry: {:?}",
+        q.actions()
+    );
     assert!(core
         .handle_frame(HostId(0), &input(p, "ex-a"), now)
         .is_empty());
@@ -1988,6 +2014,7 @@ fn early_inputs_are_buffered() {
     let mut core = ex_executor();
     let p = ProblemId::new(HostId(0), 0);
     let now = SimTime::ZERO;
+    let _ = bid_in(&core.handle_frame(HostId(0), &call_for_bids(p, "ex-t"), now));
     // Trigger arrives before the plan (racing messages).
     assert!(core
         .handle_frame(HostId(0), &input(p, "ex-a"), now)
@@ -2054,7 +2081,8 @@ fn a_finished_plan_is_forgotten() {
     assert_eq!(core.schedule().executions_in_flight(), 0);
 
     let again = plan(p, vec![planned("ex-v", &["ex-a"], 0)]);
-    assert!(core.handle_frame(HostId(0), &again, now).is_empty());
+    let q = core.handle_frame(HostId(0), &again, now);
+    assert_eq!(delays(&q), [expiry(0).since(now)], "{:?}", q.actions());
     assert_eq!(core.schedule().executions_in_flight(), 1);
     assert!(matches!(
         core.schedule().state(p, &TaskId::new("ex-v")),
@@ -2064,23 +2092,36 @@ fn a_finished_plan_is_forgotten() {
     assert_eq!(delays(&q), [RUN]);
 }
 
+/// A task missing an input is not woken at its start: the input that
+/// completes it arms its start if that is still ahead, and begins it at
+/// once if that has passed.
 #[test]
-fn start_timer_before_inputs_does_not_begin() {
+fn a_start_waits_for_the_inputs() {
     let mut core = ex_executor();
     let p = ProblemId::new(HostId(0), 0);
     let q = core.handle_frame(
         HostId(0),
-        &plan(p, vec![planned("ex-t", &["ex-a"], 1_000)]),
+        &plan(
+            p,
+            vec![
+                planned("ex-t", &["ex-a"], 1_000),
+                planned("ex-u", &["ex-b"], 1_000),
+            ],
+        ),
         SimTime::ZERO,
     );
+    let expiry = expiry(1_000).since(SimTime::ZERO);
+    assert_eq!(delays(&q), [expiry, expiry], "no start timer");
+    let at = SimTime::from_micros(500);
+    let q = core.handle_frame(HostId(0), &input(p, "ex-a"), at);
+    assert_eq!(delays(&q), [SimDuration::from_micros(500)], "ex-t's start");
     let [start] = armed(&q)[..] else {
         panic!("one start timer: {:?}", q.actions())
     };
-    assert!(core
-        .handle_timer(start, SimTime::from_micros(1_000))
-        .is_empty());
+    let q = core.handle_timer(start, SimTime::from_micros(1_000));
+    assert_eq!(delays(&q), [RUN], "ex-t begins");
     // Input arrives after the start time: begins immediately.
-    let q = core.handle_frame(HostId(0), &input(p, "ex-a"), SimTime::from_micros(2_000));
+    let q = core.handle_frame(HostId(0), &input(p, "ex-b"), SimTime::from_micros(2_000));
     assert_eq!(delays(&q), [RUN]);
 }
 
@@ -2104,8 +2145,9 @@ fn abandon_clears_problem_state() {
 }
 
 /// Once the plan ran, a copy of an input and an input no task consumes
-/// are dropped; inputs parked for a plan still to come go with the
-/// problem's release.
+/// are dropped, and so is an input for a problem that holds nothing
+/// here; inputs parked beside a hold, for a plan still to come, go with
+/// the problem's release.
 #[test]
 fn stray_inputs_leave_nothing_behind() {
     let mut core = ex_executor();
@@ -2127,6 +2169,9 @@ fn stray_inputs_leave_nothing_behind() {
 
     let next = ProblemId::new(HostId(0), 1);
     let _ = core.handle_frame(HostId(0), &input(next, "ex-a"), now);
+    assert_eq!(core.schedule().executions_in_flight(), 0, "nothing held");
+    let _ = bid_in(&core.handle_frame(HostId(0), &call_for_bids(next, "ex-t"), now));
+    let _ = core.handle_frame(HostId(0), &input(next, "ex-a"), now);
     assert_eq!(
         core.schedule().executions_in_flight(),
         1,
@@ -2134,6 +2179,38 @@ fn stray_inputs_leave_nothing_behind() {
     );
     core.release(next);
     assert_eq!(core.schedule().executions_in_flight(), 0);
+}
+
+/// The loss of dropping an input for a problem that holds nothing here:
+/// the executor's bid won, the `Award` was lost, the hold expired before
+/// the plan came, and the producer's input overtook that plan. The input
+/// is dropped, so the planned task waits without it, and its own expiry
+/// comes only after the initiator's watchdog — armed when it sent the
+/// plan — has repaired the attempt. The task never runs here.
+#[test]
+fn an_input_that_overtakes_a_plan_after_its_hold_expired_is_lost() {
+    let mut core = ex_executor();
+    let p = ProblemId::new(HostId(0), 0);
+    let t = TaskId::new("ex-t");
+    let bid = bid_in(&core.handle_frame(HostId(0), &call_for_bids(p, "ex-t"), SimTime::ZERO));
+    tick_past_hold(&mut core, &bid);
+    assert_eq!(core.schedule().state(p, &t), None, "the hold expired");
+    let at = bid.deadline + RuntimeParams::default().round_timeout;
+    let q = core.handle_frame(HostId(0), &input(p, "ex-a"), at);
+    assert!(q.is_empty(), "{:?}", q.actions());
+    assert_eq!(core.schedule().executions_in_flight(), 0, "nothing parked");
+    let _ = core.handle_frame(HostId(0), &plan(p, vec![planned("ex-t", &["ex-a"], 0)]), at);
+    assert!(matches!(
+        core.schedule().state(p, &t),
+        Some(CommitmentState::Waiting { missing, .. }) if missing.contains(&Label::new("ex-a"))
+    ));
+    let repaired_by = at + RuntimeParams::default().execution_watchdog;
+    let due = core.next_timer_due().expect("its expiry");
+    assert_eq!(due, expiry(0));
+    assert!(due > repaired_by, "{due} is not past {repaired_by}");
+    run_timers(&mut core);
+    assert_eq!(core.schedule().state(p, &t), None);
+    assert_eq!(core.service_mgr().invocations().len(), 0, "ex-t never ran");
 }
 
 /// A core bound as host 0 of `size` hosts, brought to the allocation
@@ -2962,8 +3039,8 @@ fn a_quarantined_member_is_asked_nothing() {
 }
 
 /// Only the initiator abandons its attempts: an `Abandon` another peer
-/// sends in its name leaves the plan, the parked input and the timers as
-/// they were; the initiator's own releases all of them.
+/// sends in its name leaves the plan, the hold, the parked input and the
+/// timers as they were; the initiator's own releases all of them.
 #[test]
 fn a_forged_abandon_releases_nothing() {
     let mut core = ex_executor();
@@ -2975,6 +3052,7 @@ fn a_forged_abandon_releases_nothing() {
         now,
     );
     let parked = ProblemId::new(HostId(0), 1);
+    let _ = bid_in(&core.handle_frame(HostId(0), &call_for_bids(parked, "ex-u"), now));
     let _ = core.handle_frame(HostId(0), &input(parked, "ex-a"), now);
     let footprint = |core: &HostCore| {
         (
@@ -2984,7 +3062,11 @@ fn a_forged_abandon_releases_nothing() {
         )
     };
     let before = footprint(&core);
-    assert_eq!(before, (1, 2, 1), "a waiting task, a parked input, a start");
+    assert_eq!(
+        before,
+        (2, 2, 2),
+        "a waiting task and a hold, an input parked beside it, their timers"
+    );
     for (from, problem) in [(HostId(2), p), (HostId(2), parked), (HostId(9), p)] {
         let q = core.handle_frame(from, &frame(&Msg::Abandon { problem }), now);
         assert!(q.is_empty(), "{:?}", q.actions());
@@ -3226,8 +3308,13 @@ fn drive_community(
 /// host 1 serves `ab-t1` and host 2 `ab-t2`. Driven on host 0's problem
 /// with host 2's plan lost, and whatever `lose` also drops, every
 /// attempt runs out its watchdog with host 1's task done and the input
-/// it sent parked on host 2, until the problem fails.
-fn abandoned_chain(lose: impl Fn(&Msg) -> bool) -> (Vec<HostCore>, ProblemId) {
+/// it sent parked on host 2, until the problem fails. Timers fire until
+/// an event meets `stop` (the frames in flight are still delivered), or
+/// until none is left.
+fn abandoned_chain(
+    lose: impl Fn(&Msg) -> bool,
+    stop: impl Fn(&WorkflowEvent) -> bool,
+) -> (Vec<HostCore>, ProblemId) {
     let mut cores = vec![
         HostCore::new(
             HostConfig::new()
@@ -3250,17 +3337,33 @@ fn abandoned_chain(lose: impl Fn(&Msg) -> bool) -> (Vec<HostCore>, ProblemId) {
         problem,
         Spec::new(["ab-a"], ["ab-c"]),
         |to, msg| (to == HostId(2) && matches!(msg, Msg::Execute { .. })) || lose(msg),
-        |e| matches!(e, WorkflowEvent::Failed { .. }),
+        stop,
     );
     (cores, problem)
 }
 
 /// A repair leaves nothing of the attempt it supersedes on any host, and
 /// neither does the final failure: each `Abandon` makes hosts 1 and 2
-/// let go of the attempt.
+/// let go of the attempt. Each attempt is read as it ends — at the next
+/// attempt's construction, or at the failure — before any commitment's
+/// own timer could end what an `Abandon` should have.
 #[test]
 fn a_repair_leaves_nothing_of_the_superseded_attempt_on_any_host() {
-    let (cores, problem) = abandoned_chain(|_| false);
+    let mut superseded = ProblemId::new(HostId(0), 0);
+    for _ in 0..2 {
+        let next = superseded.next_attempt();
+        let (cores, _) = abandoned_chain(
+            |_| false,
+            |e| matches!(e, WorkflowEvent::Constructed { problem } if *problem == next),
+        );
+        for core in &cores[1..] {
+            let kept = core.schedule().problems_in(superseded..=superseded).count();
+            assert_eq!(kept, 0, "{} keeps {superseded}", core.id());
+        }
+        superseded = next;
+    }
+    let (cores, problem) =
+        abandoned_chain(|_| false, |e| matches!(e, WorkflowEvent::Failed { .. }));
     let ws = cores[0].latest_attempt(problem).expect("workspace");
     assert!(
         matches!(ws.report.status, ProblemStatus::Failed { .. }),
@@ -3278,31 +3381,80 @@ fn a_repair_leaves_nothing_of_the_superseded_attempt_on_any_host() {
         0,
         "an abandoned attempt's done task goes too"
     );
+    assert_eq!(cores[2].schedule().commitment_count(), 0);
+    assert_eq!(cores[2].schedule().executions_in_flight(), 0);
 }
 
-/// The quiescent form sees across hosts what no core's own audit can:
-/// with every `Abandon` lost, each failed attempt leaves host 2 its
-/// awarded task and the input host 1 sent it, and host 1 its done task,
-/// which a terminal attempt may keep.
+/// With every `Abandon` lost, each failed attempt leaves host 2 its
+/// awarded task and the input host 1 sent it, until the task's own timer
+/// drops both at its expiry: at rest nothing is kept but host 1's done
+/// tasks.
 #[test]
-fn a_lost_abandon_leaves_each_terminal_attempt_on_its_assignee() {
-    let (cores, problem) = abandoned_chain(|msg| matches!(msg, Msg::Abandon { .. }));
-    assert!(cores.iter().all(|core| core.audit().is_empty()));
+fn a_lost_abandon_leaves_nothing_at_rest() {
+    let (cores, problem) = abandoned_chain(|msg| matches!(msg, Msg::Abandon { .. }), |_| false);
+    let ws = cores[0].latest_attempt(problem).expect("workspace");
+    assert!(
+        matches!(ws.report.status, ProblemStatus::Failed { .. }),
+        "{ws}"
+    );
+    assert_eq!(crate::driver::audit_quiescent(&cores), []);
+    assert_eq!(cores[2].schedule().commitment_count(), 0);
+    assert_eq!(cores[2].schedule().executions_in_flight(), 0);
+    let done = cores[1].schedule().commitments();
+    assert!(done.map(|c| &c.state).eq([&CommitmentState::Done; 3]));
+}
+
+/// An expiry never ends a live attempt's commitment. Host 1's `ab-t1`
+/// runs a day and host 2's `ab-t2` waits for its output, so the
+/// watchdog (an hour) ends the attempt first, and its `Abandon` to host
+/// 2 is lost. Host 2's commitment outlived the watchdog, waiting, and
+/// its timer then drops it with nothing else left to fire.
+#[test]
+fn an_expiry_never_ends_a_live_attempts_commitment() {
+    let params = RuntimeParams {
+        execution_watchdog: SimDuration::from_secs(3_600),
+        max_repair_attempts: 0,
+        ..RuntimeParams::default()
+    };
+    let day = ServiceDescription::new("ab-t1", SimDuration::from_secs(86_400));
+    let mut cores = vec![
+        HostCore::new(
+            HostConfig::new()
+                .with_fragment(frag("ab-f1", "ab-t1", "ab-a", "ab-b"))
+                .with_fragment(frag("ab-f2", "ab-t2", "ab-b", "ab-c")),
+            params.clone(),
+        ),
+        HostCore::new(HostConfig::new().with_service(day), params.clone()),
+        HostCore::new(
+            HostConfig::new().with_service(service("ab-t2")),
+            params.clone(),
+        ),
+    ];
+    let problem = ProblemId::new(HostId(0), 0);
+    let lost = |to: HostId, msg: &Msg| to == HostId(2) && matches!(msg, Msg::Abandon { .. });
+    drive_community(
+        &mut cores,
+        problem,
+        Spec::new(["ab-a"], ["ab-c"]),
+        lost,
+        |e| matches!(e, WorkflowEvent::Failed { .. }),
+    );
+    let ws = cores[0].workspace(problem).expect("workspace");
+    let failed_at = ws.report.timings.allocated_at.expect("allocated") + params.execution_watchdog;
+    assert!(
+        matches!(ws.report.status, ProblemStatus::Failed { .. }),
+        "{ws}"
+    );
     let t2 = TaskId::new("ab-t2");
-    let second = problem.next_attempt();
-    let expected: Vec<(HostId, Inconsistency)> = [problem, second, second.next_attempt()]
-        .into_iter()
-        .flat_map(|problem| {
-            [Some(t2.clone()), None].map(|task| {
-                (
-                    HostId(2),
-                    Inconsistency::KeptForTerminalAttempt { problem, task },
-                )
-            })
-        })
-        .collect();
-    assert_eq!(crate::driver::audit_quiescent(&cores), expected);
-    assert_eq!(cores[1].schedule().commitment_count(), 3, "done, and kept");
+    assert!(matches!(
+        cores[2].schedule().state(problem, &t2),
+        Some(CommitmentState::Waiting { .. })
+    ));
+    let expiry = cores[2].next_timer_due().expect("its timer");
+    assert!(expiry > failed_at, "{expiry} is not past {failed_at}");
+    run_timers(&mut cores[2]);
+    assert_eq!(cores[2].schedule().state(problem, &t2), None);
+    assert_eq!(cores[2].armed_timer_count(), 0);
 }
 
 // ---- one test per rule of `audit.rs` --------------------------------------
@@ -3332,24 +3484,54 @@ fn the_audit_names_a_timer_that_guards_nothing() {
     );
 }
 
-/// Rule 2: a held bid whose expiry is disarmed would hold its slot for
-/// good.
+/// Rule 2: a commitment short of done whose timer is disarmed would
+/// keep its slot for good — held, awarded, waiting or running alike.
 #[test]
-fn the_audit_names_a_hold_without_its_expiry() {
-    let mut core = executor(HostConfig::new().with_service(service("r2-t")));
+fn the_audit_names_a_commitment_without_its_timer() {
+    let config = HostConfig::new()
+        .with_service(service("r2-t"))
+        .with_service(service("r2-u"))
+        .with_service(service("r2-v"))
+        .with_service(service("r2-w"));
+    let mut core = executor(config);
     let problem = ProblemId::new(HostId(0), 0);
-    let _ = bid_in(&core.handle_frame(HostId(0), &call_for_bids(problem, "r2-t"), SimTime::ZERO));
-    let task = TaskId::new("r2-t");
-    core.timers
-        .disarm(problem, &TimerPurpose::BidHoldExpiry(task.clone()));
-    assert_eq!(
-        core.audit(),
-        [Inconsistency::TimerMissing {
+    let now = SimTime::ZERO;
+    let call = call_for_bids_on(problem, &["r2-t", "r2-u", "r2-v", "r2-w"]);
+    let _ = core.handle_frame(HostId(0), &call, now);
+    let _ = core.handle_frame(HostId(0), &award(problem, "r2-u"), now);
+    let later = plan(
+        problem,
+        vec![planned("r2-v", &["r2-a"], 0), planned("r2-w", &[], 0)],
+    );
+    let _ = core.handle_frame(HostId(0), &later, now);
+    let states: Vec<_> = core.schedule().commitments().map(|c| &c.state).collect();
+    assert!(
+        matches!(
+            states[..],
+            [
+                CommitmentState::Held(_),
+                CommitmentState::Awarded,
+                CommitmentState::Waiting { .. },
+                CommitmentState::Running(_)
+            ]
+        ),
+        "{states:?}"
+    );
+    assert_eq!(core.audit(), []);
+    let tasks = ["r2-t", "r2-u", "r2-v", "r2-w"].map(TaskId::new);
+    for task in &tasks {
+        core.timers
+            .disarm(problem, &TimerPurpose::Commitment(task.clone()));
+    }
+    let missing: Vec<Inconsistency> = tasks
+        .into_iter()
+        .map(|task| Inconsistency::TimerMissing {
             problem,
             task: Some(task),
-            timer: "BidHoldExpiry"
-        }]
-    );
+            timer: "Commitment",
+        })
+        .collect();
+    assert_eq!(core.audit(), missing);
 }
 
 /// Rule 3: a completed attempt keeps no working set.
@@ -3389,7 +3571,7 @@ fn a_task_gets_one_commitment_per_problem() {
         end: SimTime::from_micros(start_us + 10),
         travel: SimDuration::ZERO,
         location: None,
-        state: CommitmentState::Awarded,
+        state: CommitmentState::Done,
     };
     core.schedule.commit(commitment(0));
     assert_eq!(core.audit(), []);

@@ -27,8 +27,6 @@
 //! the returned actions. Once a community is at rest,
 //! [`audit_quiescent`] says what its cores hold that they should not.
 
-use std::collections::BTreeMap;
-
 use openwf_core::Spec;
 use openwf_simnet::{HostId, SimTime};
 
@@ -126,51 +124,30 @@ pub trait Driver {
 }
 
 /// The quiescent form of [`HostCore::audit`]: every core's own findings,
-/// then two rules that span hosts and hold only once nothing is in
-/// flight and no timer is left to fire:
+/// then one rule that holds only once nothing is in flight and no timer
+/// is left to fire:
 ///
-/// 8. no host holds a bid ([`CommitmentState::Held`]): its award or its
-///    expiry has come;
-/// 9. for an attempt its initiator reports terminal, no host keeps a
-///    commitment short of done, or inputs parked for it.
+/// 8. no host keeps a commitment short of done, or parked inputs: each
+///    commitment's own timer ends it on its holder, whether or not the
+///    initiator's `Abandon` arrived.
 ///
-/// Each finding comes with the host that holds it. `cores` are a
-/// community's, bound; rule 9 reads the attempts of the initiators among
-/// them.
+/// Each finding comes with the host that holds it, in the order `cores`
+/// come in.
 pub fn audit_quiescent<'a>(
     cores: impl IntoIterator<Item = &'a HostCore>,
 ) -> Vec<(HostId, Inconsistency)> {
-    let cores: BTreeMap<HostId, &HostCore> = cores.into_iter().map(|c| (c.id(), c)).collect();
-    let terminal = |problem: ProblemId| {
-        cores
-            .get(&problem.initiator)
-            .and_then(|c| c.workspace(problem))
-            .is_some_and(|ws| ws.report.status.is_terminal())
-    };
     let mut found = Vec::new();
-    for (&host, core) in &cores {
+    for core in cores {
+        let host = core.id();
         found.extend(core.audit().into_iter().map(|i| (host, i)));
         for (problem, commitments, parked) in core.schedule().problems_in(..) {
-            let terminal = terminal(problem);
-            for c in commitments {
-                let task = c.task.clone();
-                let finding = match c.state {
-                    CommitmentState::Held(_) => Inconsistency::HeldAtQuiescence { problem, task },
-                    CommitmentState::Done => continue,
-                    _ if terminal => Inconsistency::KeptForTerminalAttempt {
-                        problem,
-                        task: Some(task),
-                    },
-                    _ => continue,
-                };
-                found.push((host, finding));
-            }
-            if terminal && !parked.is_empty() {
-                let finding = Inconsistency::KeptForTerminalAttempt {
-                    problem,
-                    task: None,
-                };
-                found.push((host, finding));
+            let kept = commitments
+                .iter()
+                .filter(|c| c.state != CommitmentState::Done)
+                .map(|c| Some(c.task.clone()));
+            let parked = (!parked.is_empty()).then_some(None);
+            for task in kept.chain(parked) {
+                found.push((host, Inconsistency::KeptAtRest { problem, task }));
             }
         }
     }

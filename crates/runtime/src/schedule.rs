@@ -17,14 +17,23 @@
 //! task whose hold expired before any award or plan came gets a
 //! commitment at the plan's slot — then [`CommitmentState::Running`]
 //! while its service runs, and [`CommitmentState::Done`] when it has
-//! run. A hold that `Award` names lost, or that outlives its bid's
-//! deadline unawarded, is released; no other state is. Inputs that reach
-//! a problem before any plan of it installed a task here are parked until
-//! one does.
+//! run. A hold that `Award` names lost is released, and so is any
+//! commitment short of running at its expiry (`core_sm/execute.rs`); a
+//! running task runs to its end. Inputs that reach a problem this host
+//! holds a commitment of, before any plan of it installed a task here,
+//! are parked until one does; an input for a problem it holds nothing
+//! of is stale, and dropped. One such input is not stale: a winner whose
+//! `Award` was lost and whose hold expired before the plan came holds
+//! nothing, and the producer's input can overtake that plan. It is
+//! dropped all the same, so the planned task waits without it until the
+//! initiator's watchdog repairs the attempt — under
+//! [`RuntimeParams::default`](crate::RuntimeParams::default) the whole
+//! day of its `execution_watchdog`.
 //!
 //! The database is keyed by problem: a problem's commitments, in plan
 //! order, and its parked inputs are one entry, which
-//! [`ScheduleManager::release_problem`] drops whole.
+//! [`ScheduleManager::release_problem`] drops whole and which goes when
+//! its last commitment does.
 //!
 //! A commitment's location is its service's own: a bid books the slot
 //! from this host's clock at the place its service is bound to, and no
@@ -126,10 +135,6 @@ impl ProblemSchedule {
     fn find(&self, task: &TaskId) -> Option<usize> {
         self.commitments.iter().position(|c| &c.task == task)
     }
-
-    fn is_empty(&self) -> bool {
-        self.commitments.is_empty() && self.parked.is_empty()
-    }
 }
 
 /// One entry of the slot-search index: the slot of a commitment that a
@@ -155,7 +160,8 @@ pub struct ScheduleManager {
     position: Point,
     motion: Motion,
     site: SiteMap,
-    /// Every commitment on record and every parked input, by problem.
+    /// Every commitment on record and every parked input, by problem:
+    /// a problem has an entry while it has a commitment.
     problems: BTreeMap<ProblemId, ProblemSchedule>,
     /// The slot-search index, sorted by `start`, equal starts in the
     /// order their commitments were made: every commitment whose `end`
@@ -325,11 +331,16 @@ impl ScheduleManager {
         Some(&mut entry.commitments[at])
     }
 
+    /// `problem`'s commitment for `task`, if this host has one.
+    pub(crate) fn commitment(&self, problem: ProblemId, task: &TaskId) -> Option<&Commitment> {
+        let entry = self.problems.get(&problem)?;
+        entry.find(task).map(|at| &entry.commitments[at])
+    }
+
     /// Where `problem`'s commitment for `task` stands, if this host has
     /// one.
     pub(crate) fn state(&self, problem: ProblemId, task: &TaskId) -> Option<&CommitmentState> {
-        let entry = self.problems.get(&problem)?;
-        entry.find(task).map(|at| &entry.commitments[at].state)
+        self.commitment(problem, task).map(|c| &c.state)
     }
 
     /// The task was awarded to this host: a held commitment becomes
@@ -342,21 +353,24 @@ impl ScheduleManager {
         }
     }
 
-    /// A bid hold lost its auction or outlived its deadline: the
-    /// commitment is released if it is still [`CommitmentState::Held`].
-    /// Any other state stays.
-    pub(crate) fn expire_hold(&mut self, problem: ProblemId, task: &TaskId) {
+    /// `problem`'s commitment for `task` is released if it is short of
+    /// running — held, awarded or waiting — and with the problem's last
+    /// commitment go its parked inputs. A running or done one stays.
+    pub(crate) fn expire(&mut self, problem: ProblemId, task: &TaskId) {
         let Some(entry) = self.problems.get_mut(&problem) else {
             return;
         };
         let Some(at) = entry.find(task) else {
             return;
         };
-        if !matches!(entry.commitments[at].state, CommitmentState::Held(_)) {
+        if matches!(
+            entry.commitments[at].state,
+            CommitmentState::Running(_) | CommitmentState::Done
+        ) {
             return;
         }
         entry.commitments.remove(at);
-        if entry.is_empty() {
+        if entry.commitments.is_empty() {
             self.problems.remove(&problem);
         }
         self.open
@@ -418,13 +432,8 @@ impl ScheduleManager {
     /// `label` was delivered for `problem`. `None` when no plan of the
     /// problem has installed a task here (none waits, runs or is done).
     /// Otherwise every waiting task stops missing `label`, and those
-    /// that miss no input any more come back with their planned start,
-    /// in plan order.
-    pub(crate) fn deliver(
-        &mut self,
-        problem: ProblemId,
-        label: &Label,
-    ) -> Option<Vec<(TaskId, SimTime)>> {
+    /// that miss no input any more come back, in plan order.
+    pub(crate) fn deliver(&mut self, problem: ProblemId, label: &Label) -> Option<Vec<TaskId>> {
         let entry = self.problems.get_mut(&problem)?;
         let mut installed = false;
         let mut ready = Vec::new();
@@ -433,7 +442,7 @@ impl ScheduleManager {
                 CommitmentState::Waiting { planned, missing } => {
                     installed = true;
                     if missing.remove(label) && missing.is_empty() {
-                        ready.push((planned.task.clone(), planned.start));
+                        ready.push(planned.task.clone());
                     }
                 }
                 CommitmentState::Running(_) | CommitmentState::Done => installed = true,
@@ -443,25 +452,22 @@ impl ScheduleManager {
         installed.then_some(ready)
     }
 
-    /// Parks `label` for the plan of `problem` still to come.
+    /// Parks `label` for the plan of `problem` still to come, if this
+    /// host holds a commitment of the problem; a plan names only tasks
+    /// bid for here, so for one it holds nothing of the input is stale
+    /// and dropped.
     pub(crate) fn park(&mut self, problem: ProblemId, label: Label) {
-        self.problems
-            .entry(problem)
-            .or_default()
-            .parked
-            .insert(label);
+        if let Some(entry) = self.problems.get_mut(&problem) {
+            entry.parked.insert(label);
+        }
     }
 
     /// The inputs parked for `problem`, which no longer keeps them.
     pub(crate) fn take_parked(&mut self, problem: ProblemId) -> BTreeSet<Label> {
-        let Some(entry) = self.problems.get_mut(&problem) else {
-            return BTreeSet::new();
-        };
-        let parked = std::mem::take(&mut entry.parked);
-        if entry.is_empty() {
-            self.problems.remove(&problem);
-        }
-        parked
+        self.problems
+            .get_mut(&problem)
+            .map(|entry| std::mem::take(&mut entry.parked))
+            .unwrap_or_default()
     }
 
     /// A waiting task that misses no input starts: it is
@@ -692,8 +698,12 @@ mod tests {
         }
     }
 
+    /// Expiry drops a commitment short of running — held, awarded or
+    /// waiting — and never a running or done one; the problem's parked
+    /// inputs go with its last commitment, and an input for a problem
+    /// that holds nothing here is not parked at all.
     #[test]
-    fn only_a_held_commitment_expires() {
+    fn a_commitment_expires_short_of_running() {
         let mut m = ScheduleManager::unlocated();
         let tasks = ["t", "u", "v", "w", "x"];
         for (i, t) in (0..).zip(tasks) {
@@ -710,27 +720,34 @@ mod tests {
         assert!(m.finish(pid(), &task("v")).is_some());
         m.award(pid(), &task("v"));
         for t in tasks {
-            m.expire_hold(pid(), &task(t));
+            m.expire(pid(), &task(t));
         }
         let states: Vec<_> = m.commitments().map(|c| &c.state).collect();
         assert!(
             matches!(
                 states[..],
-                [
-                    CommitmentState::Awarded,
-                    CommitmentState::Done,
-                    CommitmentState::Waiting { .. },
-                    CommitmentState::Running(_)
-                ]
+                [CommitmentState::Done, CommitmentState::Running(_)]
             ),
             "an award is not undone by a later award: {states:?}"
         );
-        assert_eq!(m.state(pid(), &task("t")), None);
-        assert_eq!(m.open_slot_count(), 4);
-        m.expire_hold(pid(), &task("t"));
-        m.expire_hold(ProblemId::new(HostId(3), 3), &task("u"));
-        assert_eq!(m.commitment_count(), 4, "expiring nothing is a no-op");
+        assert_eq!(m.open_slot_count(), 2);
+        m.expire(pid(), &task("t"));
+        m.expire(ProblemId::new(HostId(3), 3), &task("u"));
+        assert_eq!(m.commitment_count(), 2, "expiring nothing is a no-op");
         assert_eq!(m.executions_in_flight(), 1);
+
+        let other = ProblemId::new(HostId(0), 1);
+        m.park(other, Label::new("a"));
+        assert_eq!(m.executions_in_flight(), 1, "nothing held: not parked");
+        m.commit(Commitment {
+            problem: other,
+            ..held("y", 100, 110)
+        });
+        m.park(other, Label::new("a"));
+        assert_eq!(m.executions_in_flight(), 2, "parked beside the hold");
+        m.expire(other, &task("y"));
+        assert_eq!(m.executions_in_flight(), 1, "gone with the hold");
+        assert_eq!(m.commitment_count(), 2);
         m.release_problem(pid());
         assert_eq!((m.commitment_count(), m.executions_in_flight()), (0, 0));
     }
@@ -786,12 +803,16 @@ mod tests {
             }
         }
 
-        /// An expired hold releases its slot; no other state is ever
-        /// released by it.
-        fn expire_hold(&mut self, problem: ProblemId, task: &TaskId) {
+        /// An expiry releases a commitment short of running; a running
+        /// or done one is never released by it.
+        fn expire(&mut self, problem: ProblemId, task: &TaskId) {
             if let Some(at) = self.find(problem, task) {
-                if matches!(self.commitments[at].state, CommitmentState::Held(_)) {
+                if !matches!(
+                    self.commitments[at].state,
+                    CommitmentState::Running(_) | CommitmentState::Done
+                ) {
                     self.commitments.remove(at);
+                    self.installed.retain(|(p, t)| (*p, t) != (problem, task));
                 }
             }
         }
@@ -832,7 +853,7 @@ mod tests {
         /// miss nothing any more come back in the order their plans
         /// installed them; `None` while no plan installed a task of the
         /// problem.
-        fn deliver(&mut self, problem: ProblemId, label: &Label) -> Option<Vec<(TaskId, SimTime)>> {
+        fn deliver(&mut self, problem: ProblemId, label: &Label) -> Option<Vec<TaskId>> {
             let installed: Vec<TaskId> = self
                 .installed
                 .iter()
@@ -844,11 +865,11 @@ mod tests {
             }
             let mut ready = Vec::new();
             for task in installed {
-                if let Some(CommitmentState::Waiting { planned, missing }) =
+                if let Some(CommitmentState::Waiting { missing, .. }) =
                     self.state_mut(problem, &task)
                 {
                     if missing.remove(label) && missing.is_empty() {
-                        ready.push((task, planned.start));
+                        ready.push(task);
                     }
                 }
             }
@@ -925,7 +946,7 @@ mod tests {
             problem: u32,
             task: u8,
         },
-        ExpireHold {
+        Expire {
             problem: u32,
             task: u8,
         },
@@ -989,7 +1010,7 @@ mod tests {
                     len: b,
                 },
                 4 => Op::Award { problem, task },
-                5 => Op::ExpireHold { problem, task },
+                5 => Op::Expire { problem, task },
                 6 | 7 => Op::Install {
                     problem,
                     task,
@@ -1064,9 +1085,9 @@ mod tests {
                         model.award(problem_id(problem), &task_id(task));
                         m.award(problem_id(problem), &task_id(task));
                     }
-                    Op::ExpireHold { problem, task } => {
-                        model.expire_hold(problem_id(problem), &task_id(task));
-                        m.expire_hold(problem_id(problem), &task_id(task));
+                    Op::Expire { problem, task } => {
+                        model.expire(problem_id(problem), &task_id(task));
+                        m.expire(problem_id(problem), &task_id(task));
                     }
                     Op::Install { problem, task, offset, len, missing } => {
                         let (start, _) = slot(now, offset, len);

@@ -32,8 +32,8 @@
 //! * a durable host killed mid-scenario and restarted over its log
 //!   resumes with a bit-identical knowhow database;
 //! * at rest, no host holds what it should not
-//!   ([`audit_quiescent`]): no bid still holds a slot, and nothing but
-//!   a done task is kept for an attempt its initiator ended.
+//!   ([`audit_quiescent`]): no commitment short of done, and no parked
+//!   input, whether or not an initiator's `Abandon` arrived.
 //!
 //! [`PeerQuarantined`]: openwf_runtime::WorkflowEvent::PeerQuarantined
 
