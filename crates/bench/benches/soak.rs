@@ -6,26 +6,17 @@
 //! trajectory file `BENCH_soak.json` at the workspace root, red cells
 //! included, and fails if any cell violates an invariant. Fast mode
 //! (`OPENWF_SOAK_FAST=1`, or `--test` as used by `cargo test
-//! --benches`) runs every profile at two districts, from its own
-//! default seed ([`FAST_SOAK_SEED`]), with the same gates and does not
-//! touch the committed file — the CI chaos-regression guard.
+//! --benches`) runs every profile at two districts, from the same
+//! default seed, with the same gates and does not touch the committed
+//! file — the CI chaos-regression guard.
 //!
 //! Every run prints its master seed and a one-line rerun recipe; set
 //! `OPENWF_SOAK_SEED` (decimal or `0x…` hex) to replay a sweep exactly.
 
 use openwf_bench::soak::{default_report_path, run, to_json, DEFAULT_SOAK_SEED, SOAK_SCALES};
 
-/// Master seed of a fast-mode run when `OPENWF_SOAK_SEED` is unset.
-///
-/// A two-district cell gates on four problems, and a lossy profile
-/// passes with two of them complete, so a cell that reads two of four
-/// fails on one more dropped frame; [`DEFAULT_SOAK_SEED`]'s lossy-urban
-/// cell is one such. This is the first seed up from it at which every
-/// lossy profile completes all four, so three problems have to fail
-/// before the gate trips.
-const FAST_SOAK_SEED: u64 = DEFAULT_SOAK_SEED + 1;
-
-fn seed_from_env(default: u64) -> u64 {
+/// The master seed: `OPENWF_SOAK_SEED` when set, else [`DEFAULT_SOAK_SEED`].
+fn seed_from_env() -> u64 {
     match std::env::var("OPENWF_SOAK_SEED") {
         Ok(s) => {
             let s = s.trim();
@@ -35,18 +26,14 @@ fn seed_from_env(default: u64) -> u64 {
             };
             parsed.unwrap_or_else(|_| panic!("unparseable OPENWF_SOAK_SEED: {s:?}"))
         }
-        Err(_) => default,
+        Err(_) => DEFAULT_SOAK_SEED,
     }
 }
 
 fn main() {
     let fast =
         std::env::var_os("OPENWF_SOAK_FAST").is_some() || std::env::args().any(|a| a == "--test");
-    let seed = seed_from_env(if fast {
-        FAST_SOAK_SEED
-    } else {
-        DEFAULT_SOAK_SEED
-    });
+    let seed = seed_from_env();
     let mode = if fast { "fast" } else { "full" };
     println!("soak/seed {seed:#x} ({mode} mode)");
     println!("soak/rerun OPENWF_SOAK_SEED={seed:#x} cargo bench --bench soak");

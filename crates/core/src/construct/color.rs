@@ -149,6 +149,11 @@ impl ColorState {
         self.colors[idx.index()]
     }
 
+    /// True when a node the state covers is green.
+    pub(crate) fn is_green(&self, idx: NodeIdx) -> bool {
+        self.colors.get(idx.index()) == Some(&Color::Green)
+    }
+
     /// Sets the color of a node.
     pub fn set_color(&mut self, idx: NodeIdx, color: Color) {
         let old = std::mem::replace(&mut self.colors[idx.index()], color);

@@ -37,36 +37,26 @@
 //! parallel merge, lookahead replies) must re-prove or restate this here.
 //!
 //! The runtime's rounds ask each member only the frontier labels its
-//! advertised summary says its knowhow consumes, and leave out a member
-//! whose summary meets none of them. That changes nothing that arrives: a
-//! member holds no fragment consuming a label it was not asked, so its
-//! reply carries the fragments the whole frontier would have drawn, in
-//! the same slot order, and a member left out would have
-//! replied with none. The replies then merge in the order they are handed
-//! over, as before.
+//! advertised summary says its knowhow consumes. That changes nothing
+//! that arrives: a member holds no fragment consuming a label it was not
+//! asked, so its reply carries what the whole frontier would have drawn,
+//! in the same slot order.
 //!
 //! A planned first round ([`FrontierConstruction::plan`], labels chosen
-//! by [`crate::construct::plan`] from the members' label edges) keeps the
-//! invariant: it is one round like any other, its frontier is the plan
-//! in text order rather than the triggers, and each answer arrives in
-//! slot order and merges in the order it is handed over. The plan is a
-//! set of labels in text order, so a process that interned the same
-//! names in another order asks the same labels in the same order. What
-//! it changes is *which* fragments the first merge sees — more than the
-//! triggers' round, fewer than full collection — and so the green set:
-//! a planned construction is valid, not equal to an unplanned one.
+//! by [`crate::construct::plan`] from the members' label edges) is one
+//! round like any other: its frontier is the plan in text order rather
+//! than the triggers, so a process that interned the same names in
+//! another order asks the same labels. It changes *which* fragments the
+//! first merge sees — more than the triggers' round, fewer than full
+//! collection — and so the green set: a planned construction is valid,
+//! not equal to an unplanned one. A label handed back
+//! ([`FrontierConstruction::ask_again`]) is one more label of a later
+//! frontier, and its answer merges like any other.
 //!
-//! The runtime's oracle is decided at merge time, from the same
-//! summaries: a task a round brings in that neither the initiator nor
-//! any member's summary serves is refuted before the resume that follows
-//! the merge. On a clean run every member's summary arrives ahead of its
-//! first reply, and the same members serve the same tasks, so the tasks
-//! refuted are the ones a round asking about them would have refuted.
-//! Where one is refuted, it is refuted before its first exploration
-//! instead of a round later, so the frontier handed out next — and the
-//! workflow — may differ from one built while it still counted as
-//! servable. The green set still depends on the merge order and the
-//! oracle alone.
+//! The runtime refutes each task no member's summary serves in the
+//! input that merges it, before the resume that would first explore it,
+//! so the green set still depends on the merge order and the oracle
+//! alone.
 
 use std::sync::Arc;
 
@@ -178,6 +168,7 @@ impl IncrementalConstructor {
             state,
             scratch: ExploreScratch::new(),
             queried,
+            asked_again: FxHashSet::default(),
             newly_green: spec.triggers().iter().cloned().collect(),
             asked: 0,
             trace: self.record_trace.then(Trace::new),
@@ -296,12 +287,13 @@ pub enum Next {
 /// a task it accepts later is colored on the next resume. Green is never
 /// taken back, so a driver refutes a task before the resume that would
 /// first explore it — the runtime does so in the input that merges it. A
-/// label is handed out at most once over the whole construction, but for
-/// a planned label the driver hands back with [`ask_again`] because some
-/// holder of it did not answer for it.
+/// label is handed out once, and once more if the driver hands it back
+/// with [`ask_again`] because some holder of it did not answer for it: a
+/// label goes back at most once, so a holder that stays silent costs one
+/// round, then [`ConstructError::NoSolution`] if nothing else reaches
+/// the goals.
 ///
 /// [`ask_again`]: FrontierConstruction::ask_again
-///
 /// [`first_frontier`]: FrontierConstruction::first_frontier
 /// [`plan`]: FrontierConstruction::plan
 /// [`merge`]: FrontierConstruction::merge
@@ -315,6 +307,8 @@ pub struct FrontierConstruction {
     scratch: ExploreScratch,
     /// Labels already handed out as part of a frontier.
     queried: FxHashSet<Label>,
+    /// Labels handed back once ([`FrontierConstruction::ask_again`]).
+    asked_again: FxHashSet<Label>,
     /// Labels that turned green since the last frontier was handed out
     /// (initially the triggers), so a round costs O(newly green) instead
     /// of a supergraph scan.
@@ -337,7 +331,8 @@ impl FrontierConstruction {
     /// The first frontier when the driver planned its first round
     /// ([`crate::construct::plan`]) instead of asking the triggers: hands
     /// out `planned`, each label once, and counts it as asked, so no
-    /// later frontier hands it out again. The triggers stay pending: one
+    /// later frontier hands it out again unless the driver hands it back
+    /// ([`ask_again`](Self::ask_again)). The triggers stay pending: one
     /// outside the plan is handed out by the first [`Next::Ask`] if the
     /// goals are not green once the planned round is merged, and from
     /// there the construction runs ordinary rounds.
@@ -352,16 +347,23 @@ impl FrontierConstruction {
         frontier
     }
 
-    /// Counts `labels`, handed out by [`plan`](Self::plan), as not
-    /// asked: some holder of each did not answer for it (it never
-    /// answered, or the driver learned only during the round that it
-    /// holds the label). Each is
-    /// handed out again by a later frontier once it is green, as if the
-    /// plan had not named it. Call it before the
-    /// [`resume`](Self::resume) that follows the planned round's merge.
+    /// Hands `labels` back: some holder of each did not answer for it
+    /// (it stayed silent, or the driver learned only during the round
+    /// that it holds the label). A green label (a trigger counts as one)
+    /// is handed out again by the next frontier, any other once it turns
+    /// green. A label goes back at most once over the construction; one
+    /// never handed out, or handed back before, is ignored. Call it
+    /// before the [`resume`](Self::resume) that follows the round's merge.
     pub fn ask_again(&mut self, labels: &[Label]) {
         for l in labels {
-            self.queried.remove(l);
+            if self.asked_again.contains(l) || !self.queried.remove(l) {
+                continue;
+            }
+            self.asked_again.insert(l.clone());
+            let node = self.sg.graph().find_label(l);
+            if self.spec.triggers().contains(l) || node.is_some_and(|i| self.state.is_green(i)) {
+                self.newly_green.push(l.clone());
+            }
         }
     }
 
@@ -665,6 +667,31 @@ mod tests {
         let distinct: FxHashSet<&Label> = all.iter().copied().collect();
         assert_eq!(all.len(), distinct.len(), "{asked:?}");
         assert!(asked.iter().all(|f| !f.is_empty()), "{asked:?}");
+    }
+
+    /// A green label handed back comes in the next frontier; handed back
+    /// a second time, it is ignored, and so is a label never handed out,
+    /// so an answer lost twice ends the construction.
+    #[test]
+    fn a_green_label_handed_back_is_asked_once_more() {
+        let mut store = chain_store(4);
+        let spec = Spec::new(["l0"], ["l4"]);
+        let mut engine = IncrementalConstructor::new().start(&spec);
+        let first = engine.first_frontier();
+        engine.merge(&store.fragments_consuming(&first));
+        let l1 = vec![Label::new("l1")];
+        assert!(matches!(engine.resume(|_| true).1, Next::Ask(f) if f == l1));
+        // Round 2's answer is lost.
+        engine.ask_again(&[Label::new("l1"), Label::new("l3")]);
+        engine.merge(&[]);
+        assert!(matches!(engine.resume(|_| true).1, Next::Ask(f) if f == l1));
+        // And lost again.
+        engine.ask_again(&l1);
+        engine.merge(&[]);
+        assert!(matches!(
+            engine.resume(|_| true).1,
+            Next::Done(Err(ConstructError::NoSolution { .. }))
+        ));
     }
 
     /// `a` → `x` and `b` → `m` → `y`, and a join of `x` and `y` into `z`.

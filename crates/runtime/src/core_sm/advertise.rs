@@ -44,6 +44,8 @@
 //! or is quarantined, as is the count of queries it named another
 //! version in. An advertisement belongs to no problem.
 
+use std::sync::Arc;
+
 use openwf_core::{Fragment, Label, LabelEdges, TaskId};
 use openwf_simnet::HostId;
 
@@ -54,7 +56,7 @@ use crate::service::ServiceManager;
 
 /// What another member advertised, as sorted symbol ids.
 #[derive(Debug)]
-pub(super) struct PeerSummary {
+pub(crate) struct PeerSummary {
     /// The version of what the member advertised: what a query to the
     /// member carries as `known`.
     pub(super) version: u64,
@@ -202,11 +204,11 @@ impl HostCore {
             edges: symbol_pairs(&edges),
             serves: serves.into_boxed_slice(),
         };
-        self.summaries.insert(from, summary);
+        self.summaries.insert(from, Arc::new(summary));
     }
 
     /// The summary `peer` advertised, if this host holds one.
-    pub(super) fn summary_of(&self, peer: HostId) -> Option<&PeerSummary> {
+    pub(super) fn summary_of(&self, peer: HostId) -> Option<&Arc<PeerSummary>> {
         self.summaries.get(&peer)
     }
 

@@ -65,16 +65,19 @@
 //!   asked about it stayed silent: while some member has no summary
 //!   nothing is refuted and nothing is planned, and a task some summary
 //!   serves goes to the auction — `Unallocatable`, then repair, if nobody
-//!   bids. A stale summary misdirects a planned round as it misdirects
-//!   any other: the member is asked what its old edges consume, and the
-//!   query's old version draws its new summary ahead of the reply. A
-//!   planned round asks labels before they are green, so its close hands
-//!   back each planned label that some member's summary, as held then,
-//!   consumes, unless that member was asked it and answered — whether
-//!   the member stayed silent or its summary changed during the round.
-//!   The ordinary rounds ask each such label again once it is green,
-//!   when an unplanned construction would have asked it for the first
-//!   time.
+//!   bids. Every round closes by one rule: its close hands back to the
+//!   engine each label of its frontier that some member's summary, as
+//!   held then, consumes, unless that member was asked it and answered.
+//!   The member stayed silent (its query or reply was lost), or its
+//!   summary changed during the round: a stale summary misdirects a
+//!   round, asking the member what its old edges consume, and the
+//!   query's old version draws the new summary ahead of the reply. A
+//!   green label is asked again in the next round, a planned one not yet
+//!   green once it is. A label goes back at most once per attempt, so a
+//!   member that stays silent costs one round, then `NoSolution` if
+//!   nothing else reaches the goals. A member whose summary this host
+//!   lacks hands nothing back. On a clean run every member asked answers
+//!   for all it holds, so nothing is handed back.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -146,16 +149,15 @@ impl HostCore {
         else {
             return;
         };
-        let is_planned = !planned.is_empty();
-        let frontier = if is_planned {
-            w.engine.plan(&planned)
-        } else {
+        let frontier = if planned.is_empty() {
             w.engine.first_frontier()
+        } else {
+            w.engine.plan(&planned)
         };
         if frontier.is_empty() {
             self.resume_construction(problem, now, q);
         } else {
-            self.open_round(problem, frontier, is_planned, now, q);
+            self.open_round(problem, frontier, now, q);
         }
     }
 
@@ -219,16 +221,14 @@ impl HostCore {
     }
 
     /// Opens `problem`'s next round, holding this host's own fragments
-    /// for `frontier` (`planned` when it is the first round's plan):
-    /// asks each member for theirs, as far as its summary says it can
-    /// answer (see the module docs), then arms the round's timeout. A
-    /// round that asks nobody closes here, and still counts as a round
-    /// when the community has other members.
+    /// for `frontier`: asks each member for theirs, as far as its summary
+    /// says it can answer (see the module docs), then arms the round's
+    /// timeout. A round that asks nobody closes here, and still counts as
+    /// a round when the community has other members.
     fn open_round(
         &mut self,
         problem: ProblemId,
         frontier: Vec<Label>,
-        planned: bool,
         now: SimTime,
         q: &mut ActionQueue,
     ) {
@@ -247,7 +247,8 @@ impl HostCore {
         let mut waiting = BTreeSet::new();
         let mut asked = Vec::new();
         for peer in self.peers() {
-            let (labels, known) = match self.summary_of(peer) {
+            let summary = self.summary_of(peer);
+            let (labels, known) = match summary {
                 Some(summary) => {
                     let labels: Vec<Label> = frontier
                         .iter()
@@ -261,9 +262,7 @@ impl HostCore {
                 }
                 None => (frontier.clone(), 0),
             };
-            if planned {
-                asked.push((peer, labels.clone()));
-            }
+            asked.push((peer, summary.cloned()));
             self.emit(
                 q,
                 peer,
@@ -288,7 +287,7 @@ impl HostCore {
             round,
             waiting,
             fragments,
-            planned: if planned { frontier } else { Vec::new() },
+            frontier,
             asked,
         });
         if has_peers {
@@ -309,15 +308,13 @@ impl HostCore {
 
     /// Closes `problem`'s open round: at the last asked member's reply,
     /// at once when it asked nobody, or at `RoundTimeout` with the
-    /// answers that arrived. Merges the fragments collected, refutes the
-    /// tasks they bring in that nobody serves (see the module docs) and
-    /// resumes the construction, all in this input. A planned round
-    /// first hands back to the engine each planned label that some
-    /// member's current summary consumes, unless that member was asked
-    /// it and answered: the member stayed silent, or its summary changed
-    /// during the round (a stale one drew its new summary ahead of the
-    /// reply), and the ordinary rounds ask the label again once it is
-    /// green.
+    /// answers that arrived. First hands back to the engine each label of
+    /// the round that some member's current summary consumes, unless
+    /// that member was asked it and answered: the member stayed silent,
+    /// or its summary changed during the round (a stale one drew its new
+    /// summary ahead of the reply). Then merges the fragments collected,
+    /// refutes the tasks they bring in that nobody serves (see the module
+    /// docs) and resumes the construction, all in this input.
     pub(super) fn close_round(&mut self, problem: ProblemId, now: SimTime, q: &mut ActionQueue) {
         let Some(c) = self
             .workspaces
@@ -328,13 +325,15 @@ impl HostCore {
             return;
         };
         let unanswered: Vec<Label> = c
-            .planned
+            .frontier
             .iter()
             .filter(|l| {
                 self.peers().any(|m| {
-                    let answered = !c.waiting.contains(&m)
-                        && c.asked.iter().any(|(p, ls)| *p == m && ls.contains(l));
-                    !answered && self.summary_of(m).is_some_and(|s| s.consumes(l))
+                    self.summary_of(m).is_some_and(|held| held.consumes(l))
+                        && (c.waiting.contains(&m)
+                            || !c.asked.iter().any(|(p, by)| {
+                                *p == m && by.as_ref().is_none_or(|by| by.consumes(l))
+                            }))
                 })
             })
             .cloned()
@@ -399,7 +398,7 @@ impl HostCore {
         let (steps, next) = w.engine.resume(|t| !refuted.contains(t));
         q.charge(self.params.explore_step_cost.times(steps));
         match next {
-            Next::Ask(frontier) => self.open_round(problem, frontier, false, now, q),
+            Next::Ask(frontier) => self.open_round(problem, frontier, now, q),
             Next::Done(Ok(construction)) => self.constructed(problem, construction, now, q),
             Next::Done(Err(e)) => {
                 let reason = match &e {

@@ -106,6 +106,7 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
+use std::sync::Arc;
 
 use openwf_core::TaskId;
 use openwf_obs::{Obs, SpanPhase, TraceEvent};
@@ -135,7 +136,8 @@ mod repair;
 mod tests;
 
 pub use action::{Action, ActionQueue, OutboundMode, WorkflowEvent};
-use advertise::{OwnSummary, PeerSummary};
+use advertise::OwnSummary;
+pub(crate) use advertise::PeerSummary;
 pub use audit::Inconsistency;
 pub use config::{HostConfig, StorageConfig};
 use observe::CoreMetrics;
@@ -175,7 +177,7 @@ pub struct HostCore {
     own: OwnSummary,
     /// The summary each other member advertised, while it is a member
     /// and not quarantined.
-    summaries: BTreeMap<HostId, PeerSummary>,
+    summaries: BTreeMap<HostId, Arc<PeerSummary>>,
     /// Per asker whose last query named another version of this host's
     /// summary: this host's version then, and how many queries in a row
     /// named another (see `advertise.rs`).

@@ -3905,6 +3905,94 @@ fn a_planned_label_a_silent_member_was_asked_is_asked_again() {
     }
 }
 
+/// An unplanned construction (no member advertised before the problem,
+/// so round 1 asks both the trigger, and each answers with its summary
+/// ahead of its reply) whose round 2 asks `lr-b` of host 2 alone, the
+/// one member whose summary consumes it. Returns the initiator, the
+/// problem and round 2's timeout.
+fn a_second_round_asking_host_2() -> (HostCore, ProblemId, TimerToken) {
+    let now = SimTime::ZERO;
+    let mut core = initiator(HostConfig::new(), 3);
+    let problem = ProblemId::new(HostId(0), 0);
+    let q = core.initiate(problem, Spec::new(["lr-a"], ["lr-c"]), now);
+    assert_eq!(sent(&q).len(), 2, "both members are asked `lr-a`");
+    let reply = |fragments| {
+        frame(&Msg::FragmentReply {
+            problem,
+            round: 1,
+            fragments,
+        })
+    };
+    let f1 = Arc::new(frag("lr-f1", "lr-t1", "lr-a", "lr-b"));
+    let summary = advertise_edges(&[("lr-a", "lr-b")], &["lr-t1"]);
+    let _ = core.handle_frame(HostId(1), &summary, now);
+    let _ = core.handle_frame(HostId(1), &reply(vec![f1]), now);
+    let summary = advertise_edges(&[("lr-b", "lr-c")], &["lr-t2"]);
+    let _ = core.handle_frame(HostId(2), &summary, now);
+    let q = core.handle_frame(HostId(2), &reply(Vec::new()), now);
+    match &sent(&q)[..] {
+        [(
+            HostId(2),
+            Msg::FragmentQuery {
+                round: 2, labels, ..
+            },
+        )] => assert_eq!(labels, &[Label::new("lr-b")]),
+        other => panic!("host 2 alone is asked `lr-b`: {other:?}"),
+    }
+    (core, problem, armed(&q)[0])
+}
+
+/// The round is asked again: round 2's only reply, from the one member
+/// that holds `lr-b`, is lost, so its timeout hands `lr-b` back and
+/// round 3 asks host 2 for it again; its answer completes the workflow.
+#[test]
+fn a_label_whose_only_reply_was_lost_is_asked_again() {
+    let (mut core, problem, timeout) = a_second_round_asking_host_2();
+    let later = SimTime::ZERO + RuntimeParams::default().round_timeout;
+    let q = core.handle_timer(timeout, later);
+    match &sent(&q)[..] {
+        [(
+            HostId(2),
+            Msg::FragmentQuery {
+                round: 3, labels, ..
+            },
+        )] => assert_eq!(labels, &[Label::new("lr-b")]),
+        other => panic!("host 2 is asked `lr-b` again: {other:?}"),
+    }
+    let reply = frame(&Msg::FragmentReply {
+        problem,
+        round: 3,
+        fragments: vec![Arc::new(frag("lr-f2", "lr-t2", "lr-b", "lr-c"))],
+    });
+    let q = core.handle_frame(HostId(2), &reply, later);
+    assert!(surfaced(&q, |e| matches!(
+        e,
+        WorkflowEvent::Constructed { .. }
+    )));
+    let ws = core.latest_attempt(problem).expect("workspace");
+    assert_eq!(ws.report.query_rounds, 3);
+}
+
+/// A member that stays silent for good has its label handed back once:
+/// round 3 asks it again, and when that round times out too the
+/// construction fails with no fourth round.
+#[test]
+fn a_label_whose_holder_stays_silent_is_asked_once_more_then_fails() {
+    let (mut core, problem, timeout) = a_second_round_asking_host_2();
+    let round_timeout = RuntimeParams::default().round_timeout;
+    let q = core.handle_timer(timeout, SimTime::ZERO + round_timeout);
+    assert_eq!(sent(&q).len(), 1, "round 3 asks host 2 again");
+    let q = core.handle_timer(armed(&q)[0], SimTime::ZERO + round_timeout.times(2));
+    assert!(sent(&q).is_empty(), "no fourth round: {:?}", sent(&q));
+    assert!(surfaced(&q, |e| matches!(e, WorkflowEvent::Failed { .. })));
+    let ws = core.latest_attempt(problem).expect("workspace");
+    assert_eq!(ws.report.query_rounds, 3);
+    assert!(
+        matches!(&ws.report.status, ProblemStatus::Failed { reason } if reason.contains("unreachable goals")),
+        "{ws}"
+    );
+}
+
 /// The first two advertisements host 1 sends host 0 are lost. Host 1
 /// keeps advertising, backing off, and the fourth query naming no version
 /// draws one that gets through: host 0 holds the summary again, and its

@@ -12,18 +12,12 @@
 //! ([`FrontierConstruction`]), the query round in flight, the auctions
 //! of the tasks still undecided (`Auction`) and the execution
 //! bookkeeping. The host core runs the rounds over it
-//! (`core_sm/construct.rs`): a round asks each member for the fragments
-//! consuming the part of the frontier the engine handed out that its
-//! knowhow consumes (Figure 3's fragment messages, one round trip); a
-//! member whose advertised summary meets none of it is not asked. It
-//! merges the fragments and refutes, from the summaries, each task they
-//! bring in that no member serves (Figure 3's service feasibility); the
-//! engine resumes over every task not refuted, then either hands out the
-//! next frontier or finishes, and a finished workflow goes to allocation
-//! at once. The coloring itself is core's business. The host core runs
-//! the auctions over it too (`core_sm/allocate.rs`), and a decided
-//! auction leaves its award in [`Workspace::assignments`] or its task in
-//! [`WorkingSet::unallocatable`].
+//! (`core_sm/construct.rs`: Figure 3's fragment messages, each member
+//! asked what its advertised summary consumes, and its service
+//! feasibility, answered from the summaries); the coloring itself is
+//! core's business. The host core runs the auctions over it too
+//! (`core_sm/allocate.rs`), and a decided auction leaves its award in
+//! [`Workspace::assignments`] or its task in [`WorkingSet::unallocatable`].
 //!
 //! The host keeps its workspaces in one map keyed by [`ProblemId`], a
 //! problem's attempts side by side ([`crate::HostCore::latest_attempt`]);
@@ -39,6 +33,7 @@ use openwf_core::{
 };
 use openwf_simnet::{HostId, SimTime};
 
+use crate::core_sm::PeerSummary;
 use crate::messages::ProblemId;
 use crate::metadata::{Assignment, Bid};
 use crate::report::ProblemReport;
@@ -57,11 +52,11 @@ pub(crate) struct Collect {
     pub(crate) waiting: BTreeSet<HostId>,
     /// The fragments consuming the round's frontier.
     pub(crate) fragments: Vec<Arc<Fragment>>,
-    /// The frontier of a planned round, empty for any other: the labels
-    /// its close may hand back to the engine.
-    pub(crate) planned: Vec<Label>,
-    /// What a planned round asked each member, empty for any other.
-    pub(crate) asked: Vec<(HostId, Vec<Label>)>,
+    /// The labels the round asked for: those its close may hand back.
+    pub(crate) frontier: Vec<Label>,
+    /// Each member asked, with the summary it was asked by (`None`: it
+    /// was asked every label).
+    pub(crate) asked: Vec<(HostId, Option<Arc<PeerSummary>>)>,
 }
 
 /// One task's auction while it is undecided (§3.2): who may still

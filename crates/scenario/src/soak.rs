@@ -366,8 +366,11 @@ pub fn chaos_schedule(config: &SoakConfig) -> ChaosSchedule {
         ChaosProfile::ChurnStorm => {
             schedule.push(t(0), ChaosAction::SetDropProbability(0.02));
             // Hosts 1 (durable) and 2 of every district die at 1 s.
-            // Never host 0: a crashed initiator loses its round timers
-            // for good, which is a driver bug, not a protocol finding.
+            // Never host 0, the district's initiator. A crashed host's
+            // timers now fire when it is revived, so an initiator could
+            // die too; the schedule stays as it is because moving a crash
+            // reshuffles every churn cell's loss draws, and the recorded
+            // cells would no longer compare.
             for d in 0..config.districts {
                 let ids = config.district_ids(d);
                 schedule.push(t(1_000), ChaosAction::Crash(ids[1]));

@@ -2,7 +2,10 @@
 //!
 //! Used by the robustness tests, the workflow-repair experiment (E6,
 //! `figures repair`) and the chaos soak harness: a crashed host silently
-//! stops receiving and sending, as a powered-off device would; lossy links
+//! stops receiving and sending, as a powered-off device would, and keeps
+//! its state — a timer that comes due while it is down fires when it is
+//! revived (`SimNetwork::pop`), as a device's clock catches up when it
+//! powers on; lossy links
 //! drop messages with a configured probability (globally or per directed
 //! link, so asymmetric paths are expressible); duplication re-delivers a
 //! copy of a message with its own independent latency; reordering adds
@@ -112,13 +115,15 @@ impl FaultInjector {
         self.reorder_max_jitter = max_jitter;
     }
 
-    /// Marks a host as crashed: it no longer sends or receives.
+    /// Marks a host as crashed: it no longer sends or receives, and its
+    /// timers wait for its revival.
     pub fn crash(&mut self, host: HostId) {
         self.crashed.insert(host);
     }
 
     /// Revives a crashed host (its state is whatever it was — the paper's
-    /// "participant is free to roam" model has no amnesia on reconnect).
+    /// "participant is free to roam" model has no amnesia on reconnect —
+    /// and each timer that came due while it was down fires now).
     pub fn revive(&mut self, host: HostId) {
         self.crashed.remove(&host);
     }

@@ -73,6 +73,9 @@ pub struct SimNetwork<P> {
     stats: NetStats,
     rng: StdRng,
     busy_until: Vec<SimTime>,
+    /// Timers that came due while their host was crashed, in the order
+    /// they came due: each fires once its host is revived.
+    parked: Vec<(HostId, TimerToken)>,
     metrics: NetMetrics,
 }
 
@@ -90,6 +93,7 @@ impl<P: Clone> SimNetwork<P> {
             stats: NetStats::default(),
             rng: StdRng::seed_from_u64(seed),
             busy_until: vec![SimTime::ZERO; hosts],
+            parked: Vec::new(),
             metrics: NetMetrics::default(),
         }
     }
@@ -214,10 +218,18 @@ impl<P: Clone> SimNetwork<P> {
 
     /// Takes the next delivery or timer due by `until` for the driver to
     /// dispatch, advancing the clock to it; `None` when nothing (more)
-    /// is due by then. On the way it applies due chaos, defers events
-    /// whose host is busy and drops what is addressed to a crashed host.
+    /// is due by then. On the way it applies due chaos and defers events
+    /// whose host is busy. A message for a crashed host is lost; a timer
+    /// that comes due while its host is crashed is parked, and comes up
+    /// once, at the current time, in the first `pop` after its host is
+    /// revived — a revived host keeps its state, and with it the timers
+    /// it armed.
     pub fn pop(&mut self, until: SimTime) -> Option<EventKind<P>> {
-        while self.queue.peek_time().is_some_and(|t| t <= until) {
+        loop {
+            self.unpark_revived();
+            if self.queue.peek_time().is_none_or(|t| t > until) {
+                return None;
+            }
             let ev = self.queue.pop()?;
             debug_assert!(ev.at >= self.now, "time must be monotone");
             self.apply_chaos_due(ev.at);
@@ -233,10 +245,13 @@ impl<P: Clone> SimNetwork<P> {
             }
             if self.faults.is_crashed(host) {
                 // Crashed while the event was pending: a message in
-                // flight is lost, a timer never fires.
-                if matches!(ev.kind, EventKind::Deliver { .. }) {
-                    self.stats.dropped += 1;
-                    self.metrics.dropped.inc();
+                // flight is lost, a timer waits for the revival.
+                match ev.kind {
+                    EventKind::Deliver { .. } => {
+                        self.stats.dropped += 1;
+                        self.metrics.dropped.inc();
+                    }
+                    EventKind::Timer { host, token } => self.parked.push((host, token)),
                 }
                 continue;
             }
@@ -254,7 +269,22 @@ impl<P: Clone> SimNetwork<P> {
             }
             return Some(ev.kind);
         }
-        None
+    }
+
+    /// Puts each parked timer whose host is no longer crashed back in
+    /// the queue, due now.
+    fn unpark_revived(&mut self) {
+        if self.parked.is_empty() {
+            return;
+        }
+        let (now, faults, queue) = (self.now, &self.faults, &mut self.queue);
+        self.parked.retain(|&(host, token)| {
+            let crashed = faults.is_crashed(host);
+            if !crashed {
+                queue.schedule(now, EventKind::Timer { host, token });
+            }
+            crashed
+        });
     }
 
     /// Moves an idle clock forward to `t`, applying any chaos due on the
@@ -442,6 +472,52 @@ mod tests {
         assert!(pp.log[1].is_empty());
         assert_eq!(pp.net.stats().dropped, 1);
         assert_eq!(pp.net.stats().in_flight(), 0);
+    }
+
+    /// A revived host keeps the state it had, timers included: a timer
+    /// that came due while its host was crashed fires once, at the first
+    /// `pop` after the revival, whether a chaos schedule or the driver
+    /// revives it.
+    #[test]
+    fn a_timer_due_while_its_host_is_crashed_fires_once_at_revival() {
+        let us = SimTime::from_micros;
+        let mut net: SimNetwork<u32> = SimNetwork::new(0, 2);
+        let mut chaos = ChaosSchedule::new();
+        chaos.push(us(300), crate::chaos::ChaosAction::Revive(A));
+        net.set_chaos(chaos);
+        net.faults_mut().crash(A);
+        net.faults_mut().crash(B);
+        net.set_timer(A, us(100), TimerToken(1));
+        net.set_timer(B, us(200), TimerToken(2));
+        net.set_timer(B, us(400), TimerToken(3));
+        assert!(matches!(
+            net.pop(END),
+            Some(EventKind::Timer {
+                host: A,
+                token: TimerToken(1)
+            })
+        ));
+        assert_eq!(net.now(), us(400), "revived at 300, seen at B's last timer");
+        assert!(net.pop(END).is_none(), "B is still down");
+        net.skip_to(us(900));
+        net.faults_mut().revive(B);
+        let fired: Vec<_> = std::iter::from_fn(|| net.pop(END)).collect();
+        assert!(matches!(
+            fired[..],
+            [
+                EventKind::Timer {
+                    host: B,
+                    token: TimerToken(2)
+                },
+                EventKind::Timer {
+                    host: B,
+                    token: TimerToken(3)
+                },
+            ]
+        ));
+        assert_eq!(net.now(), us(900));
+        assert_eq!(net.stats().timers_fired, 3);
+        assert!(net.pop(END).is_none());
     }
 
     #[test]
