@@ -12,7 +12,6 @@ use std::time::{Duration, Instant};
 use openwf_core::{Fragment, Mode};
 use openwf_net::proto::{encode_envelope, encode_hello, Hello, NET_PROTO_VERSION};
 use openwf_net::{NetServer, ServerConfig, WallClock};
-use openwf_obs::Obs;
 use openwf_runtime::{HostConfig, RuntimeParams};
 use openwf_simnet::HostId;
 
@@ -37,10 +36,8 @@ impl IngestOutcome {
 /// at a single-core server over a real socket and measures the decode
 /// pipeline draining them.
 pub fn run_ingest(frames: u64) -> IngestOutcome {
-    let obs = Obs::enabled();
     let mut server = NetServer::new(ServerConfig {
         name: "ingest-bench".into(),
-        obs: obs.clone(),
         clock: WallClock::new(),
         ..ServerConfig::default()
     })
@@ -80,7 +77,7 @@ pub fn run_ingest(frames: u64) -> IngestOutcome {
         client.flush().expect("flush");
         client // keep the socket open until the server drained it
     });
-    let rx_frames = obs.metrics.counter("net.rx_frames");
+    let rx_frames = server.metrics().counter("net.rx_frames");
     let total = frames + 1; // the hello counts too
     while rx_frames.get() < total {
         server.poll(Duration::from_millis(2));

@@ -3,11 +3,11 @@
 //! One process hosts any number of `(community, host)` protocol cores
 //! over real TCP (see [`openwf_net::NetServer`]), with durable fragment
 //! stores, `net.*` transport metrics (always collected), causal trace
-//! export (collected only under `--trace-jsonl`), and graceful
-//! shutdown. Several processes running this binary — one per community
-//! member — construct workflows together over actual sockets; the
-//! `serve_process` integration test drives three of them and compares
-//! know-how digests against a simulator run of the same scenario.
+//! export (`--trace-jsonl`), and graceful shutdown. Several processes
+//! running this binary — one per community member — construct
+//! workflows together over actual sockets; the `serve_process`
+//! integration test drives three of them and compares know-how digests
+//! against a simulator run of the same scenario.
 //!
 //! ```text
 //! owms-serve --listen 127.0.0.1:7401 --name worker-b \
@@ -19,6 +19,10 @@
 //! test): `listening on ADDR`, `digest C:H HEX`, `event …`,
 //! `report PROBLEM STATUS`, `metrics JSON`, `done`.
 //!
+//! `--trace-jsonl PATH` appends to `PATH`, after each turn of the loop,
+//! what each core's flight recorder took in it: the file holds every
+//! event, and a `lost` line counts those a busier turn dropped.
+//!
 //! A process with `--submit` is the run's *initiator*: it dials its
 //! routed peers (`--wait-peers N` gates on N being connected), submits
 //! each spec in order — waiting for the previous one to finish, plus
@@ -26,13 +30,14 @@
 //! all submissions are terminal. A process without `--submit` serves
 //! until that shutdown frame (or `--max-runtime-ms`) arrives.
 
-use std::collections::HashSet;
-use std::io::Write as _;
+use std::collections::{BTreeMap, HashSet};
+use std::fs::File;
+use std::io::Write;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use openwf_net::{NetServer, ServerConfig};
-use openwf_obs::{to_jsonl, value_to_json, MetricsRegistry, Obs, TraceSink};
+use openwf_obs::value_to_json;
 use openwf_runtime::config::parse_host_config;
 use openwf_runtime::{HostConfig, ProblemId, RuntimeParams, WorkflowEvent};
 use openwf_simnet::HostId;
@@ -212,17 +217,18 @@ fn flush() {
     let _ = std::io::stdout().flush();
 }
 
-/// The collectors this process records into. Metrics are always on:
-/// counters and fixed-bucket histograms cost an atomic add and hold a
-/// fixed amount of memory. The trace sink keeps every event until exit,
-/// so it exists only when `--trace-jsonl` names a file to export to.
-fn observability(args: &Args) -> Obs {
-    Obs {
-        metrics: MetricsRegistry::new(),
-        trace: match args.trace_jsonl {
-            Some(_) => TraceSink::new(),
-            None => TraceSink::disabled(),
-        },
+/// The `--trace-jsonl` file, and per core the first event not written.
+type Export<W> = (W, BTreeMap<(u64, HostId), u64>);
+
+/// Appends what each core recorded since the last call, or ends the export.
+fn export_trace<W: Write>(export: &mut Option<Export<W>>, server: &NetServer) {
+    let Some((out, cursors)) = export else { return };
+    let written = cursors.iter_mut().try_for_each(|(&(c, h), cursor)| {
+        out.write_all(server.core(c, h).flight().jsonl_since(cursor).as_bytes())
+    });
+    if let Err(err) = written {
+        eprintln!("owms-serve: trace export failed: {err}");
+        *export = None;
     }
 }
 
@@ -236,11 +242,9 @@ fn main() -> ExitCode {
         }
     };
 
-    let obs = observability(&args);
     let mut server = match NetServer::new(ServerConfig {
         name: args.name.clone(),
         listen: args.listen.clone(),
-        obs: obs.clone(),
         operator_ingest: args.operator_ingest,
         ..ServerConfig::default()
     }) {
@@ -273,7 +277,7 @@ fn main() -> ExitCode {
                 config = config.with_durable_storage(dir);
             }
         }
-        config = config.with_observability(obs.clone());
+        config = config.with_metrics(server.metrics().clone());
         // `--fast` trades patience for wall-clock speed: bounded CI
         // smoke runs and examples finish in seconds instead of waiting
         // out production round/auction timeouts in real time.
@@ -293,6 +297,13 @@ fn main() -> ExitCode {
     for (community, hosts) in &args.communities {
         server.set_community(*community, hosts.clone());
     }
+    let mut export = args.trace_jsonl.as_ref().and_then(|path| {
+        let cursors = args.hosts.iter().map(|(c, h, _)| ((*c, *h), 0)).collect();
+        File::create(path)
+            .map(|file| (file, cursors))
+            .map_err(|err| eprintln!("owms-serve: trace export failed: {err}"))
+            .ok()
+    });
     for (community, host, addr) in &args.peers {
         match addr.parse() {
             Ok(addr) => server.add_route(*community, *host, addr),
@@ -307,8 +318,7 @@ fn main() -> ExitCode {
     print_digests(&server, &args.digests);
     flush();
 
-    let started = Instant::now();
-    let deadline = started + Duration::from_millis(args.max_runtime_ms);
+    let deadline = Instant::now() + Duration::from_millis(args.max_runtime_ms);
 
     // A restarted worker (fresh ephemeral port) announces itself: its
     // hello carries the new listen address, which peers fold into their
@@ -354,24 +364,21 @@ fn main() -> ExitCode {
         }
         // Submit the next spec when its predecessor finished and the
         // inter-wave pause elapsed.
-        if pending.is_empty() {
-            if let Some(at) = next_submit_at {
-                if Instant::now() >= at {
-                    next_submit_at = None;
-                    match submits.next() {
-                        Some(sub) => {
-                            let handle = server.submit(sub.community, sub.host, sub.spec);
-                            println!("submitted {} {}", sub.raw, handle.id);
-                            flush();
-                            pending.insert(handle.id);
-                            submitted.push((sub.community, sub.host, handle.id));
-                        }
-                        None => exhausted = true,
-                    }
+        if pending.is_empty() && next_submit_at.is_some_and(|at| Instant::now() >= at) {
+            next_submit_at = None;
+            match submits.next() {
+                Some(sub) => {
+                    let handle = server.submit(sub.community, sub.host, sub.spec);
+                    println!("submitted {} {}", sub.raw, handle.id);
+                    flush();
+                    pending.insert(handle.id);
+                    submitted.push((sub.community, sub.host, handle.id));
                 }
+                None => exhausted = true,
             }
         }
         server.poll(Duration::from_millis(25));
+        export_trace(&mut export, &server);
         for (community, host, event) in server.drain_workflow_events() {
             match &event {
                 WorkflowEvent::Completed { problem } | WorkflowEvent::Failed { problem, .. } => {
@@ -416,12 +423,7 @@ fn main() -> ExitCode {
         let snapshot = server.scrape();
         println!("metrics {}", value_to_json(&snapshot));
     }
-    if let Some(path) = &args.trace_jsonl {
-        let events = obs.trace.snapshot();
-        if let Err(err) = std::fs::write(path, to_jsonl(&events)) {
-            eprintln!("owms-serve: trace export failed: {err}");
-        }
-    }
+    export_trace(&mut export, &server);
     let report = server.shutdown();
     println!(
         "done flushed={} synced={} sync_errors={}",
@@ -435,76 +437,55 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
     use openwf_core::{Fragment, Mode, Spec};
-    use openwf_obs::validate_json;
-    use openwf_runtime::{Action, HostCore, ServiceDescription};
-    use openwf_simnet::{SimDuration, SimTime};
+    use openwf_obs::{to_jsonl, validate_json, FlightRecorder};
+    use openwf_runtime::ServiceDescription;
+    use openwf_simnet::SimDuration;
 
-    /// Runs one single-host workflow on a core recording into `obs`.
-    fn serve_one_workflow(obs: &Obs) {
+    /// A run several times longer than a flight recorder, exported after
+    /// every turn of a socket-free server's loop, holds every event its
+    /// core recorded, one JSON object a line; metrics count as well.
+    #[test]
+    fn an_export_holds_every_event_of_a_run_longer_than_the_recorder() {
+        let mut server = NetServer::new(ServerConfig {
+            listen: None,
+            ..ServerConfig::default()
+        })
+        .expect("no socket to bind");
+        let me = HostId(0);
         let config = HostConfig::new()
             .with_fragment(
-                Fragment::single_task(
-                    "sv-obs-f",
-                    "sv-obs-t",
-                    Mode::Disjunctive,
-                    ["sv-obs-a"],
-                    ["sv-obs-b"],
-                )
-                .unwrap(),
+                Fragment::single_task("sv-f", "sv-t", Mode::Disjunctive, ["sv-a"], ["sv-b"])
+                    .unwrap(),
             )
-            .with_service(ServiceDescription::new("sv-obs-t", SimDuration::ZERO))
-            .with_observability(obs.clone());
-        let mut core = HostCore::new(config, RuntimeParams::default());
-        let me = HostId(0);
-        core.bind(me);
-        core.set_community(vec![me]);
-        let problem = ProblemId::new(me, 0);
-        let mut completed = false;
-        let mut inbox = Vec::new();
-        let mut q = core.initiate(
-            problem,
-            Spec::new(["sv-obs-a"], ["sv-obs-b"]),
-            SimTime::ZERO,
-        );
-        for _ in 0..1_000 {
-            for action in q {
-                match action {
-                    Action::SendBytes { bytes, .. } => inbox.push(bytes),
-                    Action::Event(WorkflowEvent::Completed { .. }) => completed = true,
-                    _ => {}
-                }
+            .with_service(ServiceDescription::new("sv-t", SimDuration::ZERO))
+            .with_metrics(server.metrics().clone());
+        server.add_core(0, me, config, RuntimeParams::default());
+        server.set_community(0, vec![me]);
+        let mut export = Some((Vec::new(), BTreeMap::from([((0, me), 0)])));
+        let recorded = |server: &NetServer| server.core(0, me).flight().recorded();
+        while recorded(&server) < 3 * FlightRecorder::CAPACITY as u64 {
+            let handle = server.submit(0, me, Spec::new(["sv-a"], ["sv-b"]));
+            let mut completed = false;
+            while !completed {
+                server.poll(Duration::from_millis(1));
+                export_trace(&mut export, &server);
+                completed = server.drain_workflow_events().iter().any(|(_, _, e)| {
+                    matches!(e, WorkflowEvent::Completed { problem } if *problem == handle.id)
+                });
             }
-            q = match inbox.pop() {
-                Some(bytes) => core.handle_frame(me, &bytes, SimTime::ZERO),
-                None if completed => break,
-                None => core.tick(SimTime::ZERO),
-            };
         }
-        assert!(completed, "the workflow completes");
-    }
+        let flight = server.core(0, me).flight();
+        assert_eq!(flight.entries().len(), FlightRecorder::CAPACITY);
+        assert!(server.metrics().counter("core.messages").get() > 0);
 
-    fn args(flags: &[&str]) -> Args {
-        let argv: Vec<String> = flags.iter().map(|f| f.to_string()).collect();
-        parse_args(&argv).unwrap_or_else(|err| panic!("{err}"))
-    }
-
-    /// Without `--trace-jsonl` nothing is traced and metrics still
-    /// count; with it the export is non-empty, one valid JSON object a
-    /// line.
-    #[test]
-    fn traces_are_collected_only_under_trace_jsonl() {
-        let plain = observability(&args(&["--host", "0:0"]));
-        serve_one_workflow(&plain);
-        assert!(plain.trace.is_empty(), "no flag, no trace events");
-        assert!(plain.metrics.counter("core.messages").get() > 0);
-
-        let traced = observability(&args(&["--host", "0:0", "--trace-jsonl", "out.jsonl"]));
-        serve_one_workflow(&traced);
-        assert!(traced.metrics.counter("core.messages").get() > 0);
-        let export = to_jsonl(&traced.trace.snapshot());
-        assert!(!export.is_empty(), "the flag collects trace events");
-        for line in export.lines() {
+        let (out, _) = export.expect("no write error");
+        let text = String::from_utf8(out).expect("UTF-8");
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len() as u64, flight.recorded(), "nothing lost");
+        for line in &lines {
             validate_json(line).unwrap_or_else(|err| panic!("{err}: {line}"));
         }
+        // The end of the file is what the recorder still holds.
+        assert!(text.ends_with(&to_jsonl(flight.entries())));
     }
 }

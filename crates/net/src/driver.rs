@@ -32,7 +32,7 @@
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
-use openwf_obs::Obs;
+use openwf_obs::MetricsRegistry;
 use openwf_runtime::{Driver, HostConfig, HostCore, ProblemHandle, RuntimeParams, WorkflowEvent};
 use openwf_simnet::{HostId, SimTime};
 
@@ -64,20 +64,20 @@ pub struct TcpCommunityDriver {
 impl TcpCommunityDriver {
     /// Builds one server per host config, all listening on ephemeral
     /// `127.0.0.1` ports, fully route-meshed, sharing one clock anchor
-    /// and one observability registry.
+    /// and one metrics registry.
     ///
     /// # Errors
     ///
     /// Socket bind failures.
     pub fn build(params: RuntimeParams, configs: Vec<HostConfig>) -> std::io::Result<Self> {
         let clock = WallClock::new();
-        let obs = Obs::enabled();
+        let metrics = MetricsRegistry::new();
         let n = configs.len();
         let mut servers = Vec::with_capacity(n);
         for (i, config) in configs.into_iter().enumerate() {
             let mut server = NetServer::new(ServerConfig {
                 name: format!("tcp-driver-{i}"),
-                obs: obs.clone(),
+                metrics: metrics.clone(),
                 clock,
                 ..ServerConfig::default()
             })?;
@@ -105,10 +105,10 @@ impl TcpCommunityDriver {
         })
     }
 
-    /// The shared observability registry (`net.*` transport metrics of
-    /// every server; core metrics if configs enabled them).
-    pub fn obs(&self) -> &Obs {
-        self.servers[0].obs()
+    /// The shared metrics registry (`net.*` transport metrics of every
+    /// server; core metrics if configs attached it).
+    pub fn metrics(&self) -> &MetricsRegistry {
+        self.servers[0].metrics()
     }
 
     /// Mutable access to one host's reactor (scrapes, digests).

@@ -67,7 +67,7 @@ use std::io;
 use std::net::SocketAddr;
 
 use openwf_core::Spec;
-use openwf_obs::{Counter, Histogram, Obs};
+use openwf_obs::{Counter, Histogram, MetricsRegistry};
 use openwf_runtime::{Action, ActionQueue, HostCore, ProblemHandle, ProblemId, WorkflowEvent};
 use openwf_simnet::{HostId, SimDuration, SimTime};
 use openwf_wire::{frame_tag, FrameDecoder, VocabularyBudget, TAG_FRAGMENT, TAG_MSG, TAG_SPEC};
@@ -159,8 +159,7 @@ pub(crate) struct NetMetrics {
 }
 
 impl NetMetrics {
-    fn register(obs: &Obs) -> Self {
-        let m = &obs.metrics;
+    fn register(m: &MetricsRegistry) -> Self {
         NetMetrics {
             conn_accepted: m.counter("net.conn_accepted"),
             conn_dialed: m.counter("net.conn_dialed"),
@@ -245,7 +244,7 @@ impl ServeCore {
         ServeCore {
             name: config.name.clone(),
             listen: listen.map(|a| a.to_string()).unwrap_or_default(),
-            metrics: NetMetrics::register(&config.obs),
+            metrics: NetMetrics::register(&config.metrics),
             queue_caps: config.queue_caps,
             operator_ingest: config.operator_ingest,
             ..ServeCore::default()
@@ -796,7 +795,7 @@ mod tests {
     struct Served {
         core: ServeCore,
         wire: FakeWire,
-        obs: Obs,
+        metrics: MetricsRegistry,
     }
 
     impl Served {
@@ -814,7 +813,7 @@ mod tests {
             Served {
                 core,
                 wire: FakeWire::default(),
-                obs: config.obs,
+                metrics: config.metrics,
             }
         }
 
@@ -845,7 +844,7 @@ mod tests {
         }
 
         fn counter(&self, name: &str) -> u64 {
-            self.obs.metrics.counter(name).get()
+            self.metrics.counter(name).get()
         }
 
         fn fragments(&self) -> usize {

@@ -28,7 +28,7 @@ use std::os::fd::AsRawFd;
 use std::time::{Duration, Instant};
 
 use openwf_core::Spec;
-use openwf_obs::{Obs, Value};
+use openwf_obs::{MetricsRegistry, Value};
 use openwf_runtime::{HostConfig, HostCore, ProblemHandle, RuntimeParams, WorkflowEvent};
 use openwf_simnet::{HostId, SimTime};
 
@@ -58,10 +58,9 @@ pub struct ServerConfig {
     pub listen: Option<String>,
     /// Outbound backlog caps applied to every connection.
     pub queue_caps: QueueCaps,
-    /// Observability sinks; `net.*` transport metrics land here. Pass
-    /// the same [`Obs`] to each core's
-    /// [`HostConfig::with_observability`] to get one unified registry.
-    pub obs: Obs,
+    /// The registry `net.*` transport metrics land in; pass it to each
+    /// core's [`HostConfig::with_metrics`] for one registry in all.
+    pub metrics: MetricsRegistry,
     /// The wall-clock anchor. Every server of one logical deployment
     /// step (e.g. a [`crate::TcpCommunityDriver`]) shares one anchor so
     /// the cores agree on "now"; the default is a fresh anchor.
@@ -83,7 +82,7 @@ impl Default for ServerConfig {
             name: "owms".into(),
             listen: Some("127.0.0.1:0".into()),
             queue_caps: QueueCaps::default(),
-            obs: Obs::enabled(),
+            metrics: MetricsRegistry::new(),
             clock: WallClock::new(),
             operator_ingest: None,
         }
@@ -132,7 +131,7 @@ pub struct NetServer {
     core: ServeCore,
     sockets: BTreeMap<ConnId, TcpStream>,
     clock: WallClock,
-    obs: Obs,
+    metrics: MetricsRegistry,
     /// Nonblocking; polled with the connections.
     listener: Option<TcpListener>,
     /// Set by a refused `accept`: not polled again before this.
@@ -174,7 +173,7 @@ impl NetServer {
             core: ServeCore::new(&config, listen_addr),
             sockets: BTreeMap::new(),
             clock: config.clock,
-            obs: config.obs,
+            metrics: config.metrics,
             listener,
             accept_pause: None,
             listen_addr,
@@ -188,9 +187,9 @@ impl NetServer {
         self.listen_addr
     }
 
-    /// The observability sinks (transport metrics live here).
-    pub fn obs(&self) -> &Obs {
-        &self.obs
+    /// The metrics registry (transport metrics live here).
+    pub fn metrics(&self) -> &MetricsRegistry {
+        &self.metrics
     }
 
     /// Adds a local host to serve. The core is bound and polled from
@@ -304,7 +303,7 @@ impl NetServer {
         for core in self.core.cores.values_mut() {
             core.publish_metrics();
         }
-        self.obs.metrics.snapshot()
+        self.metrics.snapshot()
     }
 
     /// The know-how digest of one local core
@@ -630,7 +629,7 @@ mod tests {
             client // open until the server has read it all
         });
 
-        let counter = |server: &NetServer, name: &str| server.obs.metrics.counter(name).get();
+        let counter = |server: &NetServer, name: &str| server.metrics.counter(name).get();
         let turn = |server: &mut NetServer| {
             let before = counter(server, "net.rx_bytes");
             server.poll(Duration::from_millis(2));

@@ -81,7 +81,7 @@ fn server_with(queue_caps: QueueCaps, config: HostConfig) -> NetServer {
     .unwrap();
     let mut config = config
         .with_fragment(step(0))
-        .with_observability(server.obs().clone());
+        .with_metrics(server.metrics().clone());
     for i in 0..4 {
         config = config.with_service(ServiceDescription::new(
             format!("hp-t{i}"),
@@ -162,7 +162,7 @@ fn query_envelope(from: HostId, seq: u32, label: &str) -> Vec<u8> {
 }
 
 fn counter(server: &NetServer, name: &str) -> u64 {
-    server.obs().metrics.counter(name).get()
+    server.metrics().counter(name).get()
 }
 
 /// Turns the loop until `done`, failing after ten seconds.

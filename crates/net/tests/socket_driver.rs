@@ -9,7 +9,6 @@ use std::time::{Duration, Instant};
 use openwf_core::{Fragment, Mode, Spec};
 use openwf_net::proto::{encode_envelope, encode_hello, Hello, NET_PROTO_VERSION};
 use openwf_net::{NetServer, ServerConfig, TcpCommunityDriver, WallClock};
-use openwf_obs::Obs;
 use openwf_runtime::{
     Driver, HostConfig, HostCore, LoopbackBytesDriver, ProblemStatus, RuntimeParams,
     ServiceDescription, WorkflowEvent,
@@ -96,7 +95,7 @@ fn tcp_community_matches_loopback_outcome() {
     }
 
     // The traffic crossed real sockets and the registry saw it.
-    let metrics = &tcp.obs().metrics;
+    let metrics = tcp.metrics();
     assert!(metrics.counter("net.rx_frames").get() > 4);
     assert!(metrics.counter("net.tx_bytes").get() > 200);
     assert!(metrics.counter("net.conn_dialed").get() >= 1);
@@ -163,7 +162,7 @@ fn silent_member_cannot_wedge_completion() {
         "timeouts must fire promptly, not wedge"
     );
     assert!(
-        tcp.obs().metrics.counter("net.tx_dropped").get() >= 1,
+        tcp.metrics().counter("net.tx_dropped").get() >= 1,
         "frames to the silent member were dropped, not buffered forever"
     );
 }
@@ -262,7 +261,7 @@ fn quarantine_severs_the_live_socket() {
     );
     // Transport escalation: the initiator's server cut the flooder off.
     assert!(
-        tcp.obs().metrics.counter("net.conn_quarantine_drops").get() >= 1,
+        tcp.metrics().counter("net.conn_quarantine_drops").get() >= 1,
         "the quarantined peer's connection was severed"
     );
 }
@@ -279,10 +278,8 @@ fn graceful_shutdown_flushes_accepted_fragments_to_disk() {
     ));
     std::fs::create_dir_all(&dir).unwrap();
 
-    let obs = Obs::enabled();
     let mut server = NetServer::new(ServerConfig {
         name: "shutdown-test".into(),
-        obs: obs.clone(),
         clock: WallClock::new(),
         // The operator plane is off by default; this test *is* the
         // operator, seeding know-how over the wire under a real budget.

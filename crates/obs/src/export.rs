@@ -13,7 +13,7 @@
 use std::fmt::Write as _;
 
 use crate::metrics::Value;
-use crate::trace::{trace_id_label, SpanPhase, TraceEvent};
+use crate::trace::{trace_id_label, Detail, SpanPhase, TraceEvent};
 
 /// Escapes a string for embedding in a JSON string literal.
 fn escape_json(s: &str) -> String {
@@ -84,8 +84,8 @@ fn write_string(s: &str, out: &mut String) {
 }
 
 /// Renders events as JSONL: one `{ts_us, host, trace, name, ph, dur_us,
-/// detail}` object per line, in recording order.
-pub fn to_jsonl(events: &[TraceEvent]) -> String {
+/// detail}` object per line, in the order given.
+pub fn to_jsonl<'a>(events: impl IntoIterator<Item = &'a TraceEvent>) -> String {
     let mut out = String::new();
     for e in events {
         let _ = writeln!(
@@ -98,7 +98,7 @@ pub fn to_jsonl(events: &[TraceEvent]) -> String {
             escape_json(e.name),
             e.phase.tag(),
             e.dur_us,
-            escape_json(&e.detail),
+            escape_json(&e.detail.to_string()),
         );
     }
     out
@@ -149,10 +149,12 @@ pub fn to_chrome_trace(events: &[TraceEvent]) -> String {
     }
 
     for e in events {
-        let detail = if e.detail.is_empty() {
-            String::new()
-        } else {
-            format!(", \"args\": {{\"detail\": \"{}\"}}", escape_json(&e.detail))
+        let detail = match &e.detail {
+            Detail::None => String::new(),
+            d => format!(
+                ", \"args\": {{\"detail\": \"{}\"}}",
+                escape_json(&d.to_string())
+            ),
         };
         let line = match e.phase {
             SpanPhase::Begin | SpanPhase::End => format!(
@@ -407,7 +409,7 @@ mod tests {
                 name: "problem",
                 phase: SpanPhase::Begin,
                 dur_us: 0,
-                detail: String::new(),
+                detail: Detail::None,
             },
             TraceEvent {
                 at_us: 20,
@@ -416,7 +418,7 @@ mod tests {
                 name: "bid",
                 phase: SpanPhase::Instant,
                 dur_us: 0,
-                detail: "task \"t0\"".into(),
+                detail: Detail::Text("task \"t0\"".into()),
             },
             TraceEvent {
                 at_us: 30,
@@ -425,7 +427,7 @@ mod tests {
                 name: "task",
                 phase: SpanPhase::Complete,
                 dur_us: 500,
-                detail: String::new(),
+                detail: Detail::None,
             },
             TraceEvent {
                 at_us: 40,
@@ -434,7 +436,7 @@ mod tests {
                 name: "problem",
                 phase: SpanPhase::End,
                 dur_us: 0,
-                detail: String::new(),
+                detail: Detail::None,
             },
         ]
     }

@@ -1,6 +1,6 @@
 //! Causal workflow tracing: a compact span/event record keyed by
-//! `(trace id, host)` with virtual-time timestamps, and a shared sink
-//! that collects them across hosts.
+//! `(trace id, host)` with virtual-time timestamps, and the bounded
+//! flight recorder each host keeps them in.
 //!
 //! A *trace id* identifies one problem attempt; [`pack_trace_id`] packs
 //! the `(initiator, seq, attempt)` triple of a runtime `ProblemId` into
@@ -8,13 +8,11 @@
 //! without this crate depending on runtime types. Events from every
 //! host carrying the same trace id stitch into one cross-host timeline
 //! (see [`crate::export`]).
-//!
-//! Like the metrics registry, a disabled sink (the default) is a no-op:
-//! [`TraceSink::is_enabled`] lets hot paths skip building event details
-//! entirely, and recording through a disabled sink does nothing.
 
+use std::collections::VecDeque;
 use std::fmt;
-use std::sync::{Arc, Mutex, MutexGuard};
+
+use crate::export::to_jsonl;
 
 /// Packs a problem identity into a trace-correlation id:
 /// `initiator << 40 | seq << 8 | attempt`. With initiators below 2^13
@@ -84,8 +82,31 @@ pub struct TraceEvent {
     pub phase: SpanPhase,
     /// Duration in microseconds for [`SpanPhase::Complete`] events.
     pub dur_us: u64,
-    /// Free-form detail (empty when the caller had nothing to add).
-    pub detail: String,
+    /// What the event says beside its name.
+    pub detail: Detail,
+}
+
+/// What a [`TraceEvent`] says beside its name. A message's sender is a
+/// number, rendered only with the event: recording it allocates nothing.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub enum Detail {
+    /// Nothing to add.
+    #[default]
+    None,
+    /// The host a delivered message came from (`from host{n}`).
+    From(u32),
+    /// Free-form text.
+    Text(String),
+}
+
+impl fmt::Display for Detail {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Detail::None => Ok(()),
+            Detail::From(host) => write!(f, "from host{host}"),
+            Detail::Text(text) => f.write_str(text),
+        }
+    }
 }
 
 impl fmt::Display for TraceEvent {
@@ -99,92 +120,91 @@ impl fmt::Display for TraceEvent {
             self.phase.tag(),
             self.name,
         )?;
-        if !self.detail.is_empty() {
+        if self.detail != Detail::None {
             write!(f, " ({})", self.detail)?;
         }
         Ok(())
     }
 }
 
-/// Recover the event buffer even if a panicking recorder poisoned the
-/// lock: a `Vec` push has no cross-element invariant to corrupt.
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// A shared, clone-to-share sink of [`TraceEvent`]s. The default
-/// (disabled) sink records nothing.
+/// One host's flight recorder: its newest [`FlightRecorder::CAPACITY`]
+/// trace events, oldest first, numbered over every event it ever
+/// recorded, so a reader keeping a cursor learns what it missed.
 #[derive(Clone, Debug, Default)]
-pub struct TraceSink {
-    events: Option<Arc<Mutex<Vec<TraceEvent>>>>,
+pub struct FlightRecorder {
+    entries: VecDeque<TraceEvent>,
+    recorded: u64,
 }
 
-impl TraceSink {
-    /// An enabled sink with live storage.
-    pub fn new() -> Self {
-        Self {
-            events: Some(Arc::new(Mutex::new(Vec::new()))),
+impl FlightRecorder {
+    /// Entries kept: a serving host's last ten or so workflows (one that
+    /// crosses three hosts records about 45 on its initiator).
+    pub const CAPACITY: usize = 512;
+
+    /// Appends one event, dropping the oldest once full.
+    pub fn record(&mut self, event: TraceEvent) {
+        if self.entries.len() == Self::CAPACITY {
+            self.entries.pop_front();
         }
+        self.entries.push_back(event);
+        self.recorded += 1;
     }
 
-    /// The no-op sink.
-    pub fn disabled() -> Self {
-        Self::default()
+    /// Events recorded over the recorder's life, dropped ones included:
+    /// the sequence number the next event gets.
+    pub fn recorded(&self) -> u64 {
+        self.recorded
     }
 
-    /// Whether recording does anything. Hot paths should check this
-    /// before building an event (and especially its `detail` string).
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.events.is_some()
+    /// The entries held (at most [`FlightRecorder::CAPACITY`]), oldest
+    /// first.
+    pub fn entries(&self) -> impl ExactSizeIterator<Item = &TraceEvent> {
+        self.entries.iter()
     }
 
-    /// Appends one event (no-op when disabled).
-    pub fn record(&self, event: TraceEvent) {
-        if let Some(events) = &self.events {
-            lock_unpoisoned(events).push(event);
+    /// The events numbered `cursor` and later that the recorder still
+    /// holds, oldest first, with how many of them it dropped already.
+    pub fn since(&self, cursor: u64) -> (u64, impl Iterator<Item = &TraceEvent>) {
+        let oldest = self.recorded - self.entries.len() as u64;
+        let skip = cursor.saturating_sub(oldest) as usize;
+        (
+            oldest.saturating_sub(cursor),
+            self.entries.iter().skip(skip),
+        )
+    }
+
+    /// The events numbered `*cursor` and later, as JSONL ([`to_jsonl`]),
+    /// moving `*cursor` past them: after a first `lost` line counting
+    /// those the recorder dropped before this call, if any.
+    pub fn jsonl_since(&self, cursor: &mut u64) -> String {
+        let (lost, events) = self.since(*cursor);
+        *cursor = self.recorded;
+        let mut out = String::new();
+        if let Some(oldest) = self.entries.front().filter(|_| lost > 0) {
+            let note = TraceEvent {
+                name: "lost",
+                phase: SpanPhase::Instant,
+                trace: 0,
+                dur_us: 0,
+                detail: Detail::Text(format!("{lost} events past the recorder's capacity")),
+                ..oldest.clone()
+            };
+            out = to_jsonl([&note]);
         }
+        out + &to_jsonl(events)
     }
 
-    /// Copies out every recorded event in arrival order.
-    pub fn snapshot(&self) -> Vec<TraceEvent> {
-        self.events
-            .as_ref()
-            .map_or_else(Vec::new, |events| lock_unpoisoned(events).clone())
-    }
-
-    /// Number of recorded events.
-    pub fn len(&self) -> usize {
-        self.events
-            .as_ref()
-            .map_or(0, |events| lock_unpoisoned(events).len())
-    }
-
-    /// Whether no events have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops all recorded events.
-    pub fn clear(&self) {
-        if let Some(events) = &self.events {
-            lock_unpoisoned(events).clear();
+    /// The last `limit` entries, rendered one per line: what the soak
+    /// dumps for each host a failure implicates.
+    pub fn tail(&self, limit: usize) -> String {
+        let skip = self.entries.len().saturating_sub(limit);
+        let mut out = String::new();
+        for event in self.entries.iter().skip(skip) {
+            out.push_str(&event.to_string());
+            out.push('\n');
         }
+        out
     }
-}
-
-/// Flight-recorder tail: the last `limit` events involving `host`,
-/// rendered one per line. This is what the soak harness dumps for each
-/// host implicated in an invariant failure.
-pub fn flight_tail(events: &[TraceEvent], host: u32, limit: usize) -> String {
-    let involved: Vec<&TraceEvent> = events.iter().filter(|e| e.host == host).collect();
-    let skip = involved.len().saturating_sub(limit);
-    let mut out = String::new();
-    for event in &involved[skip..] {
-        out.push_str(&event.to_string());
-        out.push('\n');
-    }
-    out
 }
 
 #[cfg(test)]
@@ -199,7 +219,7 @@ mod tests {
             name,
             phase: SpanPhase::Instant,
             dur_us: 0,
-            detail: String::new(),
+            detail: Detail::None,
         }
     }
 
@@ -212,54 +232,104 @@ mod tests {
         assert_ne!(pack_trace_id(7, 9, 0), pack_trace_id(7, 9, 1));
     }
 
-    #[test]
-    fn disabled_sink_is_inert() {
-        let sink = TraceSink::disabled();
-        assert!(!sink.is_enabled());
-        sink.record(ev(1, 0, "x"));
-        assert!(sink.is_empty());
-        assert!(sink.snapshot().is_empty());
+    fn recorder_with(n: u64) -> FlightRecorder {
+        let mut recorder = FlightRecorder::default();
+        for at in 0..n {
+            recorder.record(ev(at, 0, "e"));
+        }
+        recorder
     }
 
     #[test]
-    fn clones_share_the_buffer() {
-        let sink = TraceSink::new();
-        let other = sink.clone();
-        other.record(ev(1, 0, "a"));
-        sink.record(ev(2, 1, "b"));
-        assert_eq!(sink.len(), 2);
-        assert_eq!(other.snapshot()[1].name, "b");
-        sink.clear();
-        assert!(other.is_empty());
+    fn recorder_wraps_and_keeps_the_newest_in_order() {
+        let n = FlightRecorder::CAPACITY as u64 + 100;
+        let recorder = recorder_with(n);
+        assert_eq!(recorder.entries().len(), FlightRecorder::CAPACITY);
+        assert_eq!(recorder.recorded(), n);
+        let kept: Vec<u64> = recorder.entries().map(|e| e.at_us).collect();
+        assert_eq!(kept, (100..n).collect::<Vec<_>>());
     }
 
     #[test]
-    fn poisoned_sink_recovers() {
-        let sink = TraceSink::new();
-        let poisoner = sink.clone();
-        let _ = std::thread::spawn(move || {
-            poisoner.record(ev(1, 0, "pre"));
-            panic!("poison the sink");
-        })
-        .join();
-        sink.record(ev(2, 0, "post"));
-        assert_eq!(sink.len(), 2);
+    fn since_reports_entries_lost_past_the_capacity() {
+        let cap = FlightRecorder::CAPACITY as u64;
+        let recorder = recorder_with(cap + 10);
+        // A cursor inside what is held loses nothing.
+        let (lost, rest) = recorder.since(cap + 4);
+        assert_eq!(lost, 0);
+        assert_eq!(
+            rest.map(|e| e.at_us).collect::<Vec<_>>(),
+            (cap + 4..cap + 10).collect::<Vec<_>>()
+        );
+        // A cursor older than the oldest entry held: ten were dropped.
+        let (lost, rest) = recorder.since(0);
+        assert_eq!(lost, 10);
+        assert_eq!(rest.count(), FlightRecorder::CAPACITY);
+        // A cursor at the end: nothing new.
+        let (lost, rest) = recorder.since(recorder.recorded());
+        assert_eq!((lost, rest.count()), (0, 0));
     }
 
     #[test]
-    fn flight_tail_filters_by_host_and_truncates() {
-        let events = vec![ev(1, 0, "a"), ev(2, 1, "b"), ev(3, 0, "c"), ev(4, 0, "d")];
-        let tail = flight_tail(&events, 0, 2);
-        assert!(!tail.contains(" a"));
-        assert!(!tail.contains("host1"));
-        assert!(tail.contains("c"));
-        assert!(tail.ends_with("d\n"));
+    fn jsonl_since_drains_every_event_and_counts_the_lost() {
+        let mut recorder = FlightRecorder::default();
+        let mut cursor = 0;
+        let mut lines = Vec::new();
+        for at in 0..3 * FlightRecorder::CAPACITY as u64 {
+            recorder.record(ev(at, 0, "e"));
+            if at % 7 == 0 {
+                lines.extend(
+                    recorder
+                        .jsonl_since(&mut cursor)
+                        .lines()
+                        .map(str::to_string),
+                );
+            }
+        }
+        lines.extend(
+            recorder
+                .jsonl_since(&mut cursor)
+                .lines()
+                .map(str::to_string),
+        );
+        assert_eq!(lines.len() as u64, recorder.recorded());
+        for (at, line) in lines.iter().enumerate() {
+            assert!(line.starts_with(&format!("{{\"ts_us\": {at}, ")), "{line}");
+        }
+        assert_eq!(recorder.jsonl_since(&mut cursor), "");
+
+        // Ten more than the capacity between two calls: a `lost` line,
+        // then what is held.
+        for at in 0..FlightRecorder::CAPACITY as u64 + 10 {
+            recorder.record(ev(at, 3, "e"));
+        }
+        let export = recorder.jsonl_since(&mut cursor);
+        let mut lines = export.lines();
+        let lost = lines.next().expect("a lost line");
+        assert!(lost.contains("\"host\": 3") && lost.contains("\"name\": \"lost\""));
+        assert!(lost.contains("\"detail\": \"10 events past"), "{lost}");
+        assert_eq!(lines.count(), FlightRecorder::CAPACITY);
+        assert_eq!(cursor, recorder.recorded());
+    }
+
+    #[test]
+    fn tail_renders_the_last_entries_one_a_line() {
+        let mut recorder = FlightRecorder::default();
+        for (at, name) in [(1, "a"), (2, "b"), (3, "c"), (4, "d")] {
+            recorder.record(ev(at, 0, name));
+        }
+        let tail = recorder.tail(2);
+        assert_eq!(
+            tail,
+            "[t=0.000003s] host0 p0/1#0 I c\n[t=0.000004s] host0 p0/1#0 I d\n"
+        );
+        assert_eq!(recorder.tail(10).lines().count(), 4);
     }
 
     #[test]
     fn event_display_is_compact() {
         let mut event = ev(1_500_000, 3, "announce");
-        event.detail = "wave 0".into();
+        event.detail = Detail::Text("wave 0".into());
         assert_eq!(
             event.to_string(),
             "[t=1.500000s] host3 p3/1#0 I announce (wave 0)"

@@ -57,7 +57,7 @@
 use std::collections::BTreeSet;
 
 use openwf_core::{Label, TaskId};
-use openwf_obs::SpanPhase;
+use openwf_obs::{Detail, SpanPhase};
 use openwf_simnet::{HostId, SimTime};
 
 use super::{ActionQueue, HostCore, TimerPurpose};
@@ -493,16 +493,14 @@ impl HostCore {
             ws.report.goals_delivered.push(g.clone());
         }
 
-        if self.obs.trace.is_enabled() {
-            self.trace(
-                now,
-                problem,
-                "allocate",
-                SpanPhase::End,
-                0,
-                format!("{} assignment(s)", assignments.len()),
-            );
-        }
+        self.trace(
+            now,
+            problem.trace_id(),
+            "allocate",
+            SpanPhase::End,
+            0,
+            Detail::Text(format!("{} assignment(s)", assignments.len())),
+        );
         self.span(now, problem, "execute", SpanPhase::Begin);
 
         // Dispatch execution plans (self-sends included for uniformity).

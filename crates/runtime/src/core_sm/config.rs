@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use openwf_core::Fragment;
 use openwf_mobility::{Motion, Point, SiteMap};
-use openwf_obs::Obs;
+use openwf_obs::MetricsRegistry;
 
 #[cfg(doc)]
 use super::{HostCore, WorkflowEvent};
@@ -82,13 +82,14 @@ pub struct HostConfig {
     /// Where the knowhow is stored (see [`StorageConfig`]). The default
     /// is in memory.
     pub storage: StorageConfig,
-    /// Observability collectors (metrics registry + trace sink) this
-    /// host records into. The default is fully disabled: every record
-    /// call is a single-branch no-op, and enabling collection never
-    /// changes protocol behaviour — collectors draw no randomness, arm
-    /// no timers, and send nothing (the scenario layer property-tests
-    /// bit-identical outcomes with collectors on or off).
-    pub obs: Obs,
+    /// The metrics registry this host counts into. The default is
+    /// disabled: every record call is a single-branch no-op, and
+    /// enabling it never changes protocol behaviour — it draws no
+    /// randomness, arms no timers, and sends nothing (the scenario layer
+    /// property-tests bit-identical outcomes with it on or off). Trace
+    /// events need no configuration: every core keeps its own flight
+    /// recorder ([`crate::HostCore::flight`]).
+    pub metrics: MetricsRegistry,
 }
 
 impl Default for HostConfig {
@@ -103,7 +104,7 @@ impl Default for HostConfig {
             max_interned_names: None,
             max_vocabulary_rejections: None,
             storage: StorageConfig::InMemory,
-            obs: Obs::disabled(),
+            metrics: MetricsRegistry::disabled(),
         }
     }
 }
@@ -181,12 +182,11 @@ impl HostConfig {
         self
     }
 
-    /// Attaches observability collectors (see [`HostConfig::obs`]).
-    /// Clone one [`Obs`] into every host of a community so metrics
-    /// aggregate in a single registry and trace events land in one
-    /// sink.
-    pub fn with_observability(mut self, obs: Obs) -> Self {
-        self.obs = obs;
+    /// Attaches a metrics registry (see [`HostConfig::metrics`]). Clone
+    /// one registry into every host of a community so its metrics
+    /// aggregate in one place.
+    pub fn with_metrics(mut self, metrics: MetricsRegistry) -> Self {
+        self.metrics = metrics;
         self
     }
 

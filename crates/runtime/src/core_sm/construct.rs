@@ -73,11 +73,13 @@
 //!   round, asking the member what its old edges consume, and the
 //!   query's old version draws the new summary ahead of the reply. A
 //!   green label is asked again in the next round, a planned one not yet
-//!   green once it is. A label goes back at most once per attempt, so a
-//!   member that stays silent costs one round, then `NoSolution` if
-//!   nothing else reaches the goals. A member whose summary this host
-//!   lacks hands nothing back. On a clean run every member asked answers
-//!   for all it holds, so nothing is handed back.
+//!   green once it is. A member whose summary this host lacks was asked
+//!   every label, so when it stays silent and its summary is still
+//!   unknown at the close, every label of the round goes back. A label
+//!   goes back at most once per attempt, so a member that stays silent
+//!   costs one round, then `NoSolution` if nothing else reaches the
+//!   goals. On a clean run every member asked answers for all it holds,
+//!   so nothing is handed back.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -85,7 +87,7 @@ use std::sync::Arc;
 use openwf_core::construct::incremental::Next;
 use openwf_core::construct::plan::plan;
 use openwf_core::{ConstructError, Construction, Fragment, Label, Spec, TaskId};
-use openwf_obs::SpanPhase;
+use openwf_obs::{Detail, SpanPhase};
 use openwf_simnet::{HostId, SimTime};
 
 use super::{Action, ActionQueue, HostCore, TimerPurpose, WorkflowEvent};
@@ -103,17 +105,15 @@ impl HostCore {
         now: SimTime,
         q: &mut ActionQueue,
     ) {
-        if self.obs.trace.is_enabled() {
-            let goals = spec.goals().len();
-            self.trace(
-                now,
-                problem,
-                "problem",
-                SpanPhase::Begin,
-                0,
-                format!("announce: {goals} goal(s)"),
-            );
-        }
+        let goals = spec.goals().len();
+        self.trace(
+            now,
+            problem.trace_id(),
+            "problem",
+            SpanPhase::Begin,
+            0,
+            Detail::Text(format!("announce: {goals} goal(s)")),
+        );
         self.span(now, problem, "construct", SpanPhase::Begin);
         let workspace = Workspace::new(problem, spec, now);
         self.workspaces.insert(problem, workspace);
@@ -312,7 +312,8 @@ impl HostCore {
     /// the round that some member's current summary consumes, unless
     /// that member was asked it and answered: the member stayed silent,
     /// or its summary changed during the round (a stale one drew its new
-    /// summary ahead of the reply). Then merges the fragments collected,
+    /// summary ahead of the reply). A silent member whose summary is
+    /// still unknown was asked every label, and hands every one back. Then merges the fragments collected,
     /// refutes the tasks they bring in that nobody serves (see the module
     /// docs) and resumes the construction, all in this input.
     pub(super) fn close_round(&mut self, problem: ProblemId, now: SimTime, q: &mut ActionQueue) {
@@ -328,12 +329,16 @@ impl HostCore {
             .frontier
             .iter()
             .filter(|l| {
-                self.peers().any(|m| {
-                    self.summary_of(m).is_some_and(|held| held.consumes(l))
-                        && (c.waiting.contains(&m)
-                            || !c.asked.iter().any(|(p, by)| {
-                                *p == m && by.as_ref().is_none_or(|by| by.consumes(l))
-                            }))
+                self.peers().any(|m| match self.summary_of(m) {
+                    Some(held) => {
+                        held.consumes(l)
+                            && (c.waiting.contains(&m)
+                                || !c.asked.iter().any(|(p, by)| {
+                                    *p == m && by.as_ref().is_none_or(|by| by.consumes(l))
+                                }))
+                    }
+                    // Asked every label, and silent: any of them might be its.
+                    None => c.waiting.contains(&m),
                 })
             })
             .cloned()
@@ -416,16 +421,14 @@ impl HostCore {
                 // allocation/execution failures, where retrying can
                 // help because community state changed.)
                 self.retire(problem);
-                if self.obs.trace.is_enabled() {
-                    self.trace(
-                        now,
-                        problem,
-                        "failed",
-                        SpanPhase::Instant,
-                        0,
-                        reason.clone(),
-                    );
-                }
+                self.trace(
+                    now,
+                    problem.trace_id(),
+                    "failed",
+                    SpanPhase::Instant,
+                    0,
+                    Detail::Text(reason.clone()),
+                );
                 self.span(now, problem, "problem", SpanPhase::End);
                 q.push(Action::Event(WorkflowEvent::Failed { problem, reason }));
             }

@@ -30,7 +30,7 @@
 use std::collections::BTreeSet;
 
 use openwf_core::{Label, TaskId};
-use openwf_obs::SpanPhase;
+use openwf_obs::{Detail, SpanPhase};
 use openwf_simnet::SimTime;
 
 use super::{Action, ActionQueue, HostCore, TimerPurpose, WorkflowEvent};
@@ -171,16 +171,14 @@ impl HostCore {
         let Some(duration) = self.schedule.start(problem, &task) else {
             return;
         };
-        if self.obs.trace.is_enabled() {
-            self.trace(
-                now,
-                problem,
-                "task",
-                SpanPhase::Complete,
-                duration.as_micros(),
-                task.as_str().to_string(),
-            );
-        }
+        self.trace(
+            now,
+            problem.trace_id(),
+            "task",
+            SpanPhase::Complete,
+            duration.as_micros(),
+            Detail::Text(task.as_str().to_string()),
+        );
         let end = now + duration;
         self.arm(q, now, end, problem, TimerPurpose::Commitment(task));
     }

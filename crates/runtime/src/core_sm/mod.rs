@@ -82,6 +82,9 @@
 //! problem each input named at the end of `dispatch_msg` and
 //! `fire_timer`, and [`audit_quiescent`](crate::driver::audit_quiescent)
 //! adds what holds across hosts at rest. New state adds its rule there.
+//! The flight recorder ([`HostCore::flight`], `observe.rs`) is the one
+//! exception, and needs no rule: it is bounded by its type, the core
+//! only ever writes to it, and no protocol decision reads it.
 //!
 //! What each member can answer is `advertise.rs`: this host's own
 //! summary, which it advertises when asked by a query naming another
@@ -109,7 +112,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use openwf_core::TaskId;
-use openwf_obs::{Obs, SpanPhase, TraceEvent};
+use openwf_obs::{Detail, FlightRecorder, SpanPhase};
 use openwf_simnet::{HostId, SimTime, TimerToken};
 use openwf_wire::{DecodeScratch, VocabularyBudget, WireError};
 
@@ -206,11 +209,12 @@ pub struct HostCore {
     /// fire timers on a clock poll and [`HostCore::next_timer_due`]
     /// tell a poll-based driver how long it may sleep.
     timers: TimerTable<TimerPurpose>,
-    /// Observability collectors (disabled by default; see
-    /// [`HostConfig::obs`]).
-    obs: Obs,
-    /// Resolved metric handles + publish baselines.
+    /// The registry's resolved metric handles + publish baselines (see
+    /// [`HostConfig::metrics`]).
     metrics: CoreMetrics,
+    /// The newest trace events of this host, always on; written here,
+    /// read only by whoever inspects the core (see the module docs).
+    flight: FlightRecorder,
 }
 
 impl HostCore {
@@ -286,8 +290,8 @@ impl HostCore {
             quarantined: HashSet::new(),
             outbound: OutboundMode::Encoded,
             timers: TimerTable::new(),
-            metrics: CoreMetrics::resolve(&config.obs),
-            obs: config.obs,
+            metrics: CoreMetrics::resolve(config.metrics),
+            flight: FlightRecorder::default(),
         }
     }
 
@@ -420,10 +424,10 @@ impl HostCore {
         self.timers.len()
     }
 
-    /// The observability collectors this core records into (disabled
-    /// unless [`HostConfig::obs`] attached enabled ones).
-    pub fn obs(&self) -> &Obs {
-        &self.obs
+    /// This host's flight recorder: its newest trace events, oldest
+    /// first (see [`FlightRecorder`]).
+    pub fn flight(&self) -> &FlightRecorder {
+        &self.flight
     }
 
     /// Decode-side fragment-identity cache statistics `(hits, misses)`
@@ -611,18 +615,15 @@ impl HostCore {
                 self.summaries.remove(&from);
                 self.advertised.remove(&from);
                 self.metrics.quarantines.inc();
-                if self.obs.trace.is_enabled() {
-                    // Quarantine is host- not problem-scoped: trace id 0.
-                    self.obs.trace.record(TraceEvent {
-                        at_us: now.as_micros(),
-                        host: self.me.map(|h| h.0).unwrap_or(u32::MAX),
-                        trace: 0,
-                        name: "quarantine",
-                        phase: SpanPhase::Instant,
-                        dur_us: 0,
-                        detail: format!("peer host{} after {count} rejections", from.0),
-                    });
-                }
+                // Quarantine is host- not problem-scoped: trace id 0.
+                self.trace(
+                    now,
+                    0,
+                    "quarantine",
+                    SpanPhase::Instant,
+                    0,
+                    Detail::Text(format!("peer host{} after {count} rejections", from.0)),
+                );
                 q.push(Action::Event(WorkflowEvent::PeerQuarantined {
                     peer: from,
                     rejections: count,
@@ -658,17 +659,14 @@ impl HostCore {
     fn dispatch_msg(&mut self, from: HostId, msg: Msg, now: SimTime, q: &mut ActionQueue) {
         q.charge(self.params.per_message_cost);
         self.metrics.messages.inc();
-        if self.obs.trace.is_enabled() {
-            self.obs.trace.record(TraceEvent {
-                at_us: now.as_micros(),
-                host: self.me.map(|h| h.0).unwrap_or(u32::MAX),
-                trace: msg.trace_id(),
-                name: msg.kind(),
-                phase: SpanPhase::Instant,
-                dur_us: 0,
-                detail: format!("from host{}", from.0),
-            });
-        }
+        self.trace(
+            now,
+            msg.trace_id(),
+            msg.kind(),
+            SpanPhase::Instant,
+            0,
+            Detail::From(from.0),
+        );
         if !self.admits(from, &msg) {
             self.metrics.sender_refused.inc();
             return;

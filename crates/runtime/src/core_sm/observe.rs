@@ -1,11 +1,13 @@
 //! The core's own observability: resolved metric handles, the pull-style
-//! publish, and the causal trace spans the phases record. The publish
-//! reads the decode path's tallies and a durable host's log figures
-//! from their typed accessors, each under its metric name.
+//! publish, and the causal trace spans the phases record into the
+//! core's flight recorder. The publish reads the decode path's tallies
+//! and a durable host's log figures from their typed accessors, each
+//! under its metric name. The recorder is always on and bounded by its
+//! type ([`openwf_obs::FlightRecorder`]); the core only writes to it.
 
 use std::collections::HashMap;
 
-use openwf_obs::{Counter, Histogram, Obs, SpanPhase, TraceEvent};
+use openwf_obs::{Counter, Detail, Histogram, MetricsRegistry, SpanPhase, TraceEvent};
 use openwf_simnet::SimTime;
 
 use super::HostCore;
@@ -17,6 +19,8 @@ use crate::messages::ProblemId;
 /// publish correct community-wide totals.
 #[derive(Debug, Default)]
 pub(super) struct CoreMetrics {
+    /// The registry the handles were resolved from, for the publish.
+    registry: MetricsRegistry,
     /// `core.messages` — protocol messages dispatched.
     pub(super) messages: Counter,
     /// `core.rounds` — construction rounds opened in a community with other
@@ -44,8 +48,8 @@ pub(super) struct CoreMetrics {
 }
 
 impl CoreMetrics {
-    pub(super) fn resolve(obs: &Obs) -> Self {
-        let m = &obs.metrics;
+    pub(super) fn resolve(registry: MetricsRegistry) -> Self {
+        let m = &registry;
         CoreMetrics {
             messages: m.counter("core.messages"),
             rounds: m.counter("core.rounds"),
@@ -56,6 +60,7 @@ impl CoreMetrics {
             timer_lag_us: m.histogram("core.timer_lag_us"),
             queue_depth: m.histogram("core.queue_depth"),
             published: HashMap::new(),
+            registry,
         }
     }
 
@@ -89,7 +94,7 @@ impl HostCore {
     /// counter increments, sizes as signed gauge moves — so any number
     /// of hosts can share one registry and its totals stay correct.
     pub fn publish_metrics(&mut self) {
-        if !self.obs.metrics.is_enabled() {
+        if !self.metrics.registry.is_enabled() {
             return;
         }
         let cache = self.decode.cache();
@@ -109,7 +114,7 @@ impl HostCore {
             for (name, value) in gauges {
                 let d = self.metrics.gauge_delta(name, value);
                 if d != 0 {
-                    self.obs.metrics.gauge(name).add(d);
+                    self.metrics.registry.gauge(name).add(d);
                 }
             }
             let ops = log.op_stats();
@@ -126,27 +131,26 @@ impl HostCore {
         for (name, value) in counters {
             let d = self.metrics.delta(name, value);
             if d > 0 {
-                self.obs.metrics.counter(name).add(d);
+                self.metrics.registry.counter(name).add(d);
             }
         }
     }
 
-    /// Records one causal trace event for `problem` (no-op unless the
-    /// trace sink is enabled; callers building a `detail` string should
-    /// gate on [`openwf_obs::TraceSink::is_enabled`] first).
+    /// Records one causal trace event under trace id `trace` (a
+    /// problem's [`ProblemId::trace_id`], or 0 for a host-scoped event).
     pub(super) fn trace(
-        &self,
+        &mut self,
         now: SimTime,
-        problem: ProblemId,
+        trace: u64,
         name: &'static str,
         phase: SpanPhase,
         dur_us: u64,
-        detail: String,
+        detail: Detail,
     ) {
-        self.obs.trace.record(TraceEvent {
+        self.flight.record(TraceEvent {
             at_us: now.as_micros(),
             host: self.me.map(|h| h.0).unwrap_or(u32::MAX),
-            trace: problem.trace_id(),
+            trace,
             name,
             phase,
             dur_us,
@@ -156,16 +160,14 @@ impl HostCore {
 
     /// Records one detail-less span event for `problem` — the phase
     /// boundaries (`construct`, `allocate`, `execute`, `problem`) and
-    /// `completed`. Checks the sink itself, so callers need no guard.
+    /// `completed`.
     pub(super) fn span(
-        &self,
+        &mut self,
         now: SimTime,
         problem: ProblemId,
         name: &'static str,
         phase: SpanPhase,
     ) {
-        if self.obs.trace.is_enabled() {
-            self.trace(now, problem, name, phase, 0, String::new());
-        }
+        self.trace(now, problem.trace_id(), name, phase, 0, Detail::None);
     }
 }

@@ -13,7 +13,7 @@
 
 use std::collections::BTreeSet;
 
-use openwf_obs::SpanPhase;
+use openwf_obs::{Detail, SpanPhase};
 use openwf_simnet::{HostId, SimTime};
 
 use super::{Action, ActionQueue, HostCore, WorkflowEvent};
@@ -75,16 +75,14 @@ impl HostCore {
             self.emit(q, host, Msg::Abandon { problem });
         }
         if attempts_used >= self.params.max_repair_attempts {
-            if self.obs.trace.is_enabled() {
-                self.trace(
-                    now,
-                    problem,
-                    "failed",
-                    SpanPhase::Instant,
-                    0,
-                    reason.clone(),
-                );
-            }
+            self.trace(
+                now,
+                problem.trace_id(),
+                "failed",
+                SpanPhase::Instant,
+                0,
+                Detail::Text(reason.clone()),
+            );
             self.span(now, problem, "problem", SpanPhase::End);
             q.push(Action::Event(WorkflowEvent::Failed { problem, reason }));
             return;
@@ -95,27 +93,23 @@ impl HostCore {
         // simply never answer; round timeouts carry construction forward
         // with the knowledge that is still alive.
         let next = problem.next_attempt();
-        if self.obs.trace.is_enabled() {
-            self.trace(
-                now,
-                problem,
-                "repair",
-                SpanPhase::Instant,
-                0,
-                format!("{reason}; retrying as attempt {}", next.attempt),
-            );
-        }
+        self.trace(
+            now,
+            problem.trace_id(),
+            "repair",
+            SpanPhase::Instant,
+            0,
+            Detail::Text(format!("{reason}; retrying as attempt {}", next.attempt)),
+        );
         self.span(now, problem, "problem", SpanPhase::End);
-        if self.obs.trace.is_enabled() {
-            self.trace(
-                now,
-                next,
-                "problem",
-                SpanPhase::Begin,
-                0,
-                format!("repair attempt {}", next.attempt),
-            );
-        }
+        self.trace(
+            now,
+            next.trace_id(),
+            "problem",
+            SpanPhase::Begin,
+            0,
+            Detail::Text(format!("repair attempt {}", next.attempt)),
+        );
         self.span(now, next, "construct", SpanPhase::Begin);
         let mut workspace = Workspace::new(next, spec, now);
         workspace.report.repair_attempts = attempts_used + 1;

@@ -2,6 +2,7 @@ use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 
 use openwf_core::{Fragment, Label, Mode, Spec};
+use openwf_obs::MetricsRegistry;
 use openwf_simnet::SimDuration;
 
 use super::*;
@@ -396,11 +397,13 @@ fn round_timeout_proceeds_with_partial_replies() {
     };
     let due = core.next_timer_due().expect("armed");
     // Nobody answers: the timeout closes the first round with the local
-    // fragment, and the next round asks for what consumes `rt-b`.
+    // fragment, and the next round asks for what consumes `rt-b`. The
+    // silent members, their summaries unknown, hand `rt-a` back, so it
+    // is asked again beside it.
     let q = core.handle_timer(token, due);
     let next = match &sent(&q)[..] {
         [(HostId(1), Msg::FragmentQuery { round, labels, .. }), (HostId(2), _)] => {
-            assert_eq!(labels, &vec![Label::new("rt-b")]);
+            assert_eq!(labels, &vec![Label::new("rt-a"), Label::new("rt-b")]);
             *round
         }
         other => panic!("expected the second round's query, got {other:?}"),
@@ -898,16 +901,16 @@ fn a_duplicated_goal_delivered_is_recorded_once() {
     assert_eq!(goals, [Label::new("gd-b"), Label::new("gd-c")]);
 }
 
-/// With enabled collectors attached, a full local problem run
-/// records live counters and a well-formed span stream for the
-/// attempt — and `publish_metrics` is idempotent (delta-based).
+/// With a metrics registry attached, a full local problem run records
+/// live counters, and its flight recorder a well-formed span stream for
+/// the attempt — and `publish_metrics` is idempotent (delta-based).
 #[test]
 fn observed_core_records_counters_and_spans() {
-    let obs = Obs::enabled();
+    let metrics = MetricsRegistry::new();
     let cfg = HostConfig::new()
         .with_fragment(frag("ob-f1", "ob-t1", "ob-a", "ob-b"))
         .with_service(service("ob-t1"))
-        .with_observability(obs.clone());
+        .with_metrics(metrics.clone());
     let mut core = HostCore::new(cfg, RuntimeParams::default());
     let problem = ProblemId::new(HostId(0), 0);
     drive_alone(&mut core, problem, Spec::new(["ob-a"], ["ob-b"]), |_, _| {});
@@ -919,13 +922,13 @@ fn observed_core_records_counters_and_spans() {
         ProblemStatus::Completed
     );
 
-    assert!(obs.metrics.counter("core.messages").get() > 0);
-    assert_eq!(obs.metrics.counter("core.auctions").get(), 1);
-    assert!(obs.metrics.histogram("core.queue_depth").count() > 0);
+    assert!(metrics.counter("core.messages").get() > 0);
+    assert_eq!(metrics.counter("core.auctions").get(), 1);
+    assert!(metrics.histogram("core.queue_depth").count() > 0);
 
-    let events = obs.trace.snapshot();
-    let spans: Vec<(&str, SpanPhase)> = events
-        .iter()
+    let spans: Vec<(&str, SpanPhase)> = core
+        .flight()
+        .entries()
         .filter(|e| e.trace == problem.trace_id())
         .map(|e| (e.name, e.phase))
         .collect();
@@ -959,9 +962,9 @@ fn observed_core_records_counters_and_spans() {
 
     // Delta publishing: a second publish adds nothing new.
     core.publish_metrics();
-    let hits_once = obs.metrics.counter("decode.cache_hits").get();
+    let hits_once = metrics.counter("decode.cache_hits").get();
     core.publish_metrics();
-    assert_eq!(obs.metrics.counter("decode.cache_hits").get(), hits_once);
+    assert_eq!(metrics.counter("decode.cache_hits").get(), hits_once);
 }
 
 /// A durable host publishes its log's own figures under `storage.*`:
@@ -976,18 +979,18 @@ fn published_storage_figures_match_the_durable_store() {
         std::thread::current().id()
     ));
     let _ = std::fs::remove_dir_all(&dir);
-    let open = |obs: &Obs| {
+    let open = |metrics: &MetricsRegistry| {
         let cfg = HostConfig::new()
             .with_durable_storage(&dir)
             .with_storage_policy(openwf_wire::StoragePolicy::manual().snapshot_every(4))
-            .with_observability(obs.clone());
+            .with_metrics(metrics.clone());
         HostCore::new(cfg, RuntimeParams::default())
     };
-    let publish_and_check = |core: &mut HostCore, obs: &Obs| {
+    let publish_and_check = |core: &mut HostCore, metrics: &MetricsRegistry| {
         core.publish_metrics();
-        let published = obs.metrics.snapshot();
+        let published = metrics.snapshot();
         core.publish_metrics();
-        assert_eq!(obs.metrics.snapshot(), published, "second publish");
+        assert_eq!(metrics.snapshot(), published, "second publish");
         let log = core.fragment_mgr().durable_log().expect("durable store");
         for (name, value) in [
             ("storage.live_bytes", log.live_bytes()),
@@ -995,7 +998,7 @@ fn published_storage_figures_match_the_durable_store() {
             ("storage.log_bytes", log.log_bytes()),
             ("storage.segments", log.segment_count()),
         ] {
-            assert_eq!(obs.metrics.gauge(name).get(), value as i64, "{name}");
+            assert_eq!(metrics.gauge(name).get(), value as i64, "{name}");
         }
         let ops = log.op_stats();
         for (name, value) in [
@@ -1007,15 +1010,15 @@ fn published_storage_figures_match_the_durable_store() {
             ("storage.replayed_records", ops.replayed_records),
             ("storage.replay_micros", ops.replay_micros),
         ] {
-            assert_eq!(obs.metrics.counter(name).get(), value, "{name}");
+            assert_eq!(metrics.counter(name).get(), value, "{name}");
         }
         ops
     };
 
     // Two generations of five ids: ten records, five of them garbage,
     // a snapshot after the fourth and the eighth.
-    let obs = Obs::enabled();
-    let mut core = open(&obs);
+    let metrics = MetricsRegistry::new();
+    let mut core = open(&metrics);
     for generation in 0..2 {
         for i in 0..5 {
             let (id, task, input) = (format!("sm-f{i}"), format!("sm-t{i}"), format!("sm-a{i}"));
@@ -1023,15 +1026,15 @@ fn published_storage_figures_match_the_durable_store() {
                 .add(frag(&id, &task, &input, &format!("sm-g{generation}")));
         }
     }
-    let ops = publish_and_check(&mut core, &obs);
+    let ops = publish_and_check(&mut core, &metrics);
     assert!(ops.snapshots >= 2, "{ops:?}");
-    assert!(obs.metrics.gauge("storage.garbage_bytes").get() > 0);
+    assert!(metrics.gauge("storage.garbage_bytes").get() > 0);
     drop(core);
 
     // Reopened, the log replays the two records after the last snapshot.
-    let obs = Obs::enabled();
-    let mut core = open(&obs);
-    let ops = publish_and_check(&mut core, &obs);
+    let metrics = MetricsRegistry::new();
+    let mut core = open(&metrics);
+    let ops = publish_and_check(&mut core, &metrics);
     assert_eq!(ops.replayed_records, 2);
     drop(core);
     let _ = std::fs::remove_dir_all(&dir);
@@ -1099,11 +1102,11 @@ fn rebinding_to_another_identity_panics() {
 /// reuses it, and the published `decode.span_reuses` says so.
 #[test]
 fn a_decode_error_keeps_the_span_buffer_in_the_published_figures() {
-    let obs = Obs::enabled();
+    let metrics = MetricsRegistry::new();
     let cfg = HostConfig::new()
         .with_fragment(frag("sr-f0", "sr-t0", "sr-a", "sr-b"))
         .with_vocabulary_cap(6)
-        .with_observability(obs.clone());
+        .with_metrics(metrics.clone());
     let mut core = HostCore::new(cfg, RuntimeParams::default());
     core.bind(HostId(0));
     core.set_community(vec![HostId(0), HostId(1)]);
@@ -1134,8 +1137,8 @@ fn a_decode_error_keeps_the_span_buffer_in_the_published_figures() {
         core.handle_frame(HostId(1), &good, SimTime::ZERO);
     }
     core.publish_metrics();
-    assert_eq!(obs.metrics.counter("decode.frames").get(), 7);
-    assert_eq!(obs.metrics.counter("decode.span_reuses").get(), 6);
+    assert_eq!(metrics.counter("decode.frames").get(), 7);
+    assert_eq!(metrics.counter("decode.span_reuses").get(), 6);
 }
 
 /// Quarantine: after `max_vocabulary_rejections` over-budget frames
@@ -3088,11 +3091,11 @@ fn a_forged_abandon_releases_nothing() {
 /// change. Each refusal is counted once.
 #[test]
 fn every_message_from_a_sender_its_rule_refuses_changes_nothing() {
-    let obs = Obs::enabled();
+    let metrics = MetricsRegistry::new();
     let config = HostConfig::new()
         .with_fragment(frag("sr-f", "sr-t", "sr-a", "sr-b"))
         .with_service(service("sr-t"))
-        .with_observability(obs.clone());
+        .with_metrics(metrics.clone());
     let mut core = member(config);
     let now = SimTime::ZERO;
     let spec = || Spec::new(["sr-a"], ["sr-b"]);
@@ -3249,7 +3252,7 @@ fn every_message_from_a_sender_its_rule_refuses_changes_nothing() {
         );
     }
     assert_eq!(
-        obs.metrics.counter("core.sender_refused").get(),
+        metrics.counter("core.sender_refused").get(),
         refused.len() as u64
     );
 }
@@ -3991,6 +3994,47 @@ fn a_label_whose_holder_stays_silent_is_asked_once_more_then_fails() {
         matches!(&ws.report.status, ProblemStatus::Failed { reason } if reason.contains("unreachable goals")),
         "{ws}"
     );
+}
+
+/// On an initiator's first problem, unplanned, its one member has not
+/// advertised, so round 1 asks it every label; that query is lost. The
+/// member stays silent and its summary unknown, so the close hands every
+/// label back: round 2 asks it again, its summary arrives ahead of its
+/// reply, and the workflow completes where it used to fail `NoSolution`.
+#[test]
+fn a_silent_member_without_a_summary_hands_every_label_back() {
+    let params = RuntimeParams::default;
+    let mut cores = vec![
+        HostCore::new(HostConfig::new(), params()),
+        HostCore::new(
+            HostConfig::new()
+                .with_fragment(frag("sq-f1", "sq-t1", "sq-a", "sq-b"))
+                .with_fragment(frag("sq-f2", "sq-t2", "sq-b", "sq-c"))
+                .with_service(service("sq-t1"))
+                .with_service(service("sq-t2")),
+            params(),
+        ),
+    ];
+    let queries = std::cell::Cell::new(0);
+    let lose_the_first_query = |_: HostId, msg: &Msg| {
+        if !matches!(msg, Msg::FragmentQuery { .. }) {
+            return false;
+        }
+        queries.set(queries.get() + 1);
+        queries.get() == 1
+    };
+    let problem = ProblemId::new(HostId(0), 0);
+    drive_community(
+        &mut cores,
+        problem,
+        Spec::new(["sq-a"], ["sq-c"]),
+        lose_the_first_query,
+        |_| false,
+    );
+    let ws = cores[0].latest_attempt(problem).expect("workspace");
+    assert_eq!(ws.report.status, ProblemStatus::Completed, "{ws}");
+    assert_eq!(ws.report.query_rounds, 3, "{ws}");
+    assert_eq!(queries.get(), 3);
 }
 
 /// The first two advertisements host 1 sends host 0 are lost. Host 1

@@ -6,11 +6,13 @@
 //! call for bids, so their sizes are a per-workflow cost; a workspace's
 //! working set (the supergraph above all) and an executor's installed
 //! plans are what a workflow leaves in memory if nothing lets go of
-//! them. This test counts all four over 2 000 sequential workflows and
-//! checks the counts at the end against ones taken early, instead of
-//! timing or weighing anything.
+//! them, and its flight recorder takes an entry per message. This test
+//! counts all five over 2 000 sequential workflows and checks the counts
+//! at the end against ones taken early, instead of timing or weighing
+//! anything.
 
 use openwf_core::{Fragment, Mode, Spec};
+use openwf_obs::FlightRecorder;
 use openwf_runtime::schedule::CommitmentState;
 use openwf_runtime::{
     Driver, HostConfig, LoopbackBytesDriver, ProblemStatus, RuntimeParams, ServiceDescription,
@@ -48,18 +50,19 @@ fn configs(servers: usize) -> Vec<HostConfig> {
     cfgs
 }
 
-/// `(armed timers, open schedule slots, installed plans)` summed over
-/// the community.
-fn footprint(driver: &LoopbackBytesDriver) -> (usize, usize, usize) {
+/// `(armed timers, open schedule slots, installed plans, flight
+/// recorder entries)` summed over the community.
+fn footprint(driver: &LoopbackBytesDriver) -> (usize, usize, usize, usize) {
     driver
         .hosts()
         .into_iter()
-        .fold((0, 0, 0), |(timers, slots, plans), h| {
+        .fold((0, 0, 0, 0), |(timers, slots, plans, entries), h| {
             let core = driver.core(h);
             (
                 timers + core.armed_timer_count(),
                 slots + core.schedule().open_slot_count(),
                 plans + core.schedule().executions_in_flight(),
+                entries + core.flight().entries().len(),
             )
         })
 }
@@ -114,12 +117,15 @@ fn what_a_host_keeps_open_does_not_grow_with_workflows_served() {
     // A hold's expiry goes with its award, won or lost, so what stays
     // armed is the work in flight; the bound is taken after the first
     // hundred workflows and must still hold 1 800 workflows on.
-    let (timer_bound, slot_bound, plan_bound) = after[100..200]
-        .iter()
-        .fold((0, 0, 0), |(t, s, p), &(timers, slots, plans)| {
-            (t.max(timers), s.max(slots), p.max(plans))
-        });
-    for (i, &(timers, slots, plans)) in after.iter().enumerate().skip(1_900) {
+    let (timer_bound, slot_bound, plan_bound, entry_bound) = after[100..200].iter().fold(
+        (0, 0, 0, 0),
+        |(t, s, p, e), &(timers, slots, plans, entries)| {
+            (t.max(timers), s.max(slots), p.max(plans), e.max(entries))
+        },
+    );
+    // Every recorder is full a hundred workflows in, and stays so.
+    assert_eq!(entry_bound, HOSTS * FlightRecorder::CAPACITY);
+    for (i, &(timers, slots, plans, entries)) in after.iter().enumerate().skip(1_900) {
         assert!(
             timers <= timer_bound,
             "{timers} timers armed after workflow {}, {timer_bound} after workflows 101..=200",
@@ -134,6 +140,21 @@ fn what_a_host_keeps_open_does_not_grow_with_workflows_served() {
             plans <= plan_bound,
             "{plans} plans installed after workflow {}, {plan_bound} after workflows 101..=200",
             i + 1
+        );
+        assert_eq!(
+            entries,
+            entry_bound,
+            "{entries} flight entries after workflow {}",
+            i + 1
+        );
+    }
+    // Each recorder has wrapped: it recorded many times what it holds.
+    for h in driver.hosts() {
+        let flight = driver.core(h).flight();
+        assert!(
+            flight.recorded() > 10 * FlightRecorder::CAPACITY as u64,
+            "{h:?} recorded {}",
+            flight.recorded()
         );
     }
 

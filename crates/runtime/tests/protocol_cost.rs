@@ -10,7 +10,7 @@
 //! lowers one tightens the bound.
 
 use openwf_core::{Fragment, Mode, Spec};
-use openwf_obs::Obs;
+use openwf_obs::MetricsRegistry;
 use openwf_runtime::{
     Driver, HostConfig, LoopbackBytesDriver, ProblemStatus, RuntimeParams, ServiceDescription,
 };
@@ -24,7 +24,7 @@ const CHAIN: usize = 6;
 /// holds two fragments and a service of a chain of its own that no
 /// problem asks about, so no summary is empty and most members can
 /// answer only part of any round.
-fn configs(obs: &Obs) -> Vec<HostConfig> {
+fn configs(metrics: &MetricsRegistry) -> Vec<HostConfig> {
     let fragment = |id: String, task: String, input: String, output: String| {
         Fragment::single_task(id, task, Mode::Disjunctive, [input], [output]).unwrap()
     };
@@ -43,7 +43,7 @@ fn configs(obs: &Obs) -> Vec<HostConfig> {
                 .with_fragment(own(0))
                 .with_fragment(own(1))
                 .with_service(service(format!("pc-x{h}-t0")))
-                .with_observability(obs.clone())
+                .with_metrics(metrics.clone())
         })
         .collect();
     for i in 0..CHAIN {
@@ -66,8 +66,8 @@ fn configs(obs: &Obs) -> Vec<HostConfig> {
 /// to completion before the next: initiators take turns, and the specs
 /// alternate between the whole chain and its middle.
 fn per_workflow() -> (f64, f64, f64) {
-    let obs = Obs::enabled();
-    let mut driver = LoopbackBytesDriver::build(RuntimeParams::default(), configs(&obs));
+    let metrics = MetricsRegistry::new();
+    let mut driver = LoopbackBytesDriver::build(RuntimeParams::default(), configs(&metrics));
     let hosts = driver.hosts();
     let problems = 12;
     for n in 0..problems {
@@ -85,7 +85,7 @@ fn per_workflow() -> (f64, f64, f64) {
         );
     }
     let stats = driver.stats();
-    let rounds = obs.metrics.counter("core.rounds").get();
+    let rounds = metrics.counter("core.rounds").get();
     let per = |count: u64| count as f64 / problems as f64;
     (
         per(stats.frames_delivered),

@@ -41,10 +41,10 @@ use std::fmt;
 use std::path::PathBuf;
 
 use openwf_core::{Fragment, Label, Mode};
-use openwf_obs::Obs;
+use openwf_obs::MetricsRegistry;
 use openwf_runtime::{
-    audit_quiescent, CommunityBuilder, Driver, HostConfig, HostCore, ProblemHandle, RuntimeParams,
-    WorkflowEvent,
+    audit_quiescent, Community, CommunityBuilder, Driver, HostConfig, HostCore, ProblemHandle,
+    RuntimeParams, WorkflowEvent,
 };
 use openwf_simnet::{ChaosAction, ChaosSchedule, HostId, SimDuration, SimTime};
 use rand::rngs::StdRng;
@@ -193,9 +193,9 @@ impl SoakConfig {
 
     /// Delivered-message budget the run must stay within: a generous
     /// per-problem allowance scaled by community size (a run lands
-    /// around a fifth to a third of this: 20–29 % over the full sweep at
-    /// `DEFAULT_SOAK_SEED`, 22–35 % in fast mode, repairs and their
-    /// `Abandon` frames included).
+    /// around a tenth of this: 8.7–11.9 % over the full sweep at
+    /// `DEFAULT_SOAK_SEED`, 6.7–12.5 % in fast mode at it and the five
+    /// seeds after it, repairs and their `Abandon` frames included).
     pub fn message_budget(&self) -> u64 {
         self.total_problems() as u64 * 45 * self.district_hosts as u64
     }
@@ -446,7 +446,7 @@ struct Submitted {
 
 /// Runs one soak to completion and returns its verdict.
 ///
-/// Equivalent to [`run_soak_observed`] with disabled collectors.
+/// [`run_soak_observed`] with a disabled registry, the city dropped.
 ///
 /// # Panics
 ///
@@ -454,28 +454,28 @@ struct Submitted {
 /// `district_hosts < 4`, `waves == 0`) or, for the churn profile, when
 /// scratch durable storage cannot be created.
 pub fn run_soak(config: &SoakConfig) -> SoakOutcome {
-    run_soak_observed(config, &Obs::disabled())
+    run_soak_observed(config, &MetricsRegistry::disabled()).0
 }
 
-/// [`run_soak`] with observability collectors threaded through every
-/// layer: the shared `obs` handle is cloned into each host's
-/// [`HostConfig`] (core counters, spans, storage metrics), attached to
-/// the simulator (`net.*` counters), and each host's pull-style metrics
-/// are published into the registry at the end of the run.
+/// [`run_soak`] with `metrics` cloned into each host's [`HostConfig`]
+/// and attached to the simulator (`net.*`), each host's pull-style
+/// metrics published into it at the end. Returns the city at rest too:
+/// its cores' flight recorders ([`HostCore::flight`]) hold each host's
+/// newest trace events.
 ///
-/// Collection never changes the outcome: `run_soak_observed(cfg, &Obs
-/// ::enabled()) == run_soak(cfg)` for every configuration — collectors
-/// draw no randomness, arm no timers, and send nothing (the
-/// observability gate property-tests this).
-///
-/// When the trace sink is enabled and an invariant is violated, a
-/// flight-recorder tail for the hosts implicated in the failures is
-/// dumped to stderr before returning.
+/// Collection never changes the outcome (the observability gate
+/// property-tests `run_soak_observed(cfg, &MetricsRegistry::new()).0 ==
+/// run_soak(cfg)`): collectors draw no randomness, arm no timers, and
+/// send nothing. Every violated invariant dumps the flight-recorder
+/// tails of the hosts it implicates to stderr.
 ///
 /// # Panics
 ///
 /// Panics under the same conditions as [`run_soak`].
-pub fn run_soak_observed(config: &SoakConfig, obs: &Obs) -> SoakOutcome {
+pub fn run_soak_observed(
+    config: &SoakConfig,
+    metrics: &MetricsRegistry,
+) -> (SoakOutcome, Community) {
     assert!(config.districts > 0, "need at least one district");
     assert!(
         config.district_hosts >= 4,
@@ -529,12 +529,11 @@ pub fn run_soak_observed(config: &SoakConfig, obs: &Obs) -> SoakOutcome {
                 .collect();
             configs.push(flooder_config(d, config.district_tasks));
         }
-        // Attach the shared collectors before any config is cloned for
-        // durable rebuilds, so a restarted host keeps recording. A
-        // disabled handle clones to two no-op handles — free.
+        // Attach the registry before any config is cloned for durable
+        // rebuilds, so a restarted host keeps counting.
         let mut configs: Vec<HostConfig> = configs
             .into_iter()
-            .map(|c| c.with_observability(obs.clone()))
+            .map(|c| c.with_metrics(metrics.clone()))
             .collect();
         if churn {
             let dir = scratch
@@ -567,7 +566,7 @@ pub fn run_soak_observed(config: &SoakConfig, obs: &Obs) -> SoakOutcome {
         }
     }
     community.net_mut().set_chaos(chaos_schedule(config));
-    community.net_mut().set_metrics(&obs.metrics);
+    community.net_mut().set_metrics(metrics);
 
     // ---- drive waves through the storm -------------------------------------
     let mut submitted: Vec<Submitted> = Vec::new();
@@ -691,7 +690,7 @@ pub fn run_soak_observed(config: &SoakConfig, obs: &Obs) -> SoakOutcome {
             .workspaces()
             .map(|ws| ws.assignments.len())
             .sum::<usize>();
-        if obs.metrics.is_enabled() {
+        if metrics.is_enabled() {
             community.core_mut(h).publish_metrics();
         }
     }
@@ -755,14 +754,12 @@ pub fn run_soak_observed(config: &SoakConfig, obs: &Obs) -> SoakOutcome {
         implicated.push(*host);
     }
 
-    // Flight recorder: on an invariant failure with tracing enabled,
-    // dump the last trace events of every implicated host so the
-    // failure is diagnosable without re-running.
-    if !violations.is_empty() && obs.trace.is_enabled() {
+    // On an invariant failure, dump the flight recorder of every
+    // implicated host: the failure is diagnosable without a re-run.
+    if !violations.is_empty() {
         implicated.sort();
         implicated.dedup();
         implicated.truncate(8);
-        let events = obs.trace.snapshot();
         eprintln!(
             "soak FAILED ({} violations); flight recorder for {} implicated host(s):",
             violations.len(),
@@ -770,11 +767,11 @@ pub fn run_soak_observed(config: &SoakConfig, obs: &Obs) -> SoakOutcome {
         );
         for h in &implicated {
             eprintln!("--- host{} tail ---", h.0);
-            eprint!("{}", openwf_obs::flight_tail(&events, h.0, 40));
+            eprint!("{}", community.core(*h).flight().tail(40));
         }
     }
 
-    SoakOutcome {
+    let outcome = SoakOutcome {
         profile: config.profile.name(),
         districts: config.districts,
         hosts: config.total_hosts(),
@@ -798,7 +795,8 @@ pub fn run_soak_observed(config: &SoakConfig, obs: &Obs) -> SoakOutcome {
         leaked: leaks.len(),
         end_virtual_ms,
         violations,
-    }
+    };
+    (outcome, community)
 }
 
 #[cfg(test)]

@@ -79,7 +79,7 @@ pub mod prelude {
     };
     pub use openwf_mobility::{Motion, Point, SiteMap};
     pub use openwf_net::{NetServer, ServerConfig, TcpCommunityDriver};
-    pub use openwf_obs::Obs;
+    pub use openwf_obs::MetricsRegistry;
     pub use openwf_runtime::{
         Community, CommunityBuilder, Driver, HostConfig, HostCore, LoopbackBytesDriver,
         Preferences, ProblemStatus, RuntimeParams, ServiceDescription, StorageConfig,

@@ -1,10 +1,10 @@
-//! Observability integration: the cores' trace sees the whole protocol
-//! conversation, and traffic accounting matches the paper's
+//! Observability integration: the cores' flight recorders see the whole
+//! protocol conversation, and traffic accounting matches the paper's
 //! pairwise-communication story.
 
 use std::collections::VecDeque;
 
-use openworkflow::obs::{SpanPhase, TraceEvent};
+use openworkflow::obs::{Detail, SpanPhase, TraceEvent};
 use openworkflow::prelude::*;
 use openworkflow::runtime::{codec, Action, Msg, ProblemId};
 
@@ -17,16 +17,14 @@ fn service(task: &str) -> ServiceDescription {
 }
 
 /// Two hosts, each holding the fragment of the task the other serves.
-fn crossed_configs(obs: &Obs) -> Vec<HostConfig> {
+fn crossed_configs() -> Vec<HostConfig> {
     vec![
         HostConfig::new()
             .with_fragment(frag("f1", "t1", "a", "b"))
-            .with_service(service("t2"))
-            .with_observability(obs.clone()),
+            .with_service(service("t2")),
         HostConfig::new()
             .with_fragment(frag("f2", "t2", "b", "c"))
-            .with_service(service("t1"))
-            .with_observability(obs.clone()),
+            .with_service(service("t1")),
     ]
 }
 
@@ -79,24 +77,42 @@ fn wire_conversation(configs: Vec<HostConfig>, spec: Spec) -> Vec<(HostId, HostI
 
 #[test]
 fn tracer_captures_the_protocol_conversation() {
-    let obs = Obs::enabled();
-    let mut community = CommunityBuilder::new(61)
-        .hosts(crossed_configs(&obs))
-        .build();
+    let mut community = CommunityBuilder::new(61).hosts(crossed_configs()).build();
 
     let hosts = community.hosts();
     let handle = community.submit(hosts[0], Spec::new(["a"], ["c"]));
     let report = community.run_until_complete(handle);
     assert!(matches!(report.status, ProblemStatus::Completed));
 
+    // Each core keeps its own recording, in its own order; ordered by
+    // time they are one conversation. The run is shorter than a
+    // recorder, so nothing was dropped.
+    for &h in &hosts {
+        let flight = community.core(h).flight();
+        assert_eq!(
+            flight.recorded(),
+            flight.entries().len() as u64,
+            "{h:?} wrapped"
+        );
+        let times: Vec<u64> = flight.entries().map(|e| e.at_us).collect();
+        assert!(times.windows(2).all(|w| w[0] <= w[1]), "{h:?}: {times:?}");
+    }
+    let mut events: Vec<&TraceEvent> = hosts
+        .iter()
+        .flat_map(|&h| community.core(h).flight().entries())
+        .collect();
+    events.sort_by_key(|e| e.at_us);
+
     // The receiving core records one instant per delivered message,
     // named by the message's kind, with the sender as its detail.
-    let events = obs.trace.snapshot();
     let records: Vec<(HostId, &TraceEvent)> = events
         .iter()
+        .copied()
         .filter(|e| e.phase == SpanPhase::Instant)
         .filter_map(|e| {
-            let from = e.detail.strip_prefix("from host")?.parse().ok()?;
+            let Detail::From(from) = e.detail else {
+                return None;
+            };
             Some((HostId(from), e))
         })
         .collect();
@@ -124,13 +140,10 @@ fn tracer_captures_the_protocol_conversation() {
     assert!(crossed(hosts[0], hosts[1]));
     assert!(crossed(hosts[1], hosts[0]));
 
-    // Delivery times are monotone within the recording.
-    assert!(records.windows(2).all(|w| w[0].1.at_us <= w[1].1.at_us));
-
     // Service feasibility is answered by the summaries: host 1 says it
     // serves `t1`, whose fragment host 0 holds, ahead of its first reply,
     // and host 0 calls host 1 for `t1` without asking about it in a round.
-    let wire = wire_conversation(crossed_configs(&Obs::default()), Spec::new(["a"], ["c"]));
+    let wire = wire_conversation(crossed_configs(), Spec::new(["a"], ["c"]));
     let t1 = TaskId::new("t1");
     let from_host1 = |m: fn(&Msg) -> bool| {
         wire.iter()
